@@ -144,23 +144,6 @@ func BenchmarkAblationSync(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStepCache regenerates the §5.5-style check-cache
-// comparison on a re-read-heavy kernel (helps) and a streaming kernel
-// (hurts).
-func BenchmarkAblationStepCache(b *testing.B) {
-	for _, name := range []string{"RayTracer", "Sparse"} {
-		bm, err := bench.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tool := range []harness.Tool{harness.SPD3, harness.SPD3Cache} {
-			b.Run(name+"/"+string(tool), func(b *testing.B) {
-				cell(b, bm, tool, 4, false)
-			})
-		}
-	}
-}
-
 // BenchmarkAblationDMHP regenerates the DMHP fast-path comparison on the
 // two monitoring-heavy kernels the ablation experiment highlights:
 // pointer-walk SPD3 vs packed fingerprints vs fingerprints plus the

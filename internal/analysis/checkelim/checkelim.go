@@ -33,8 +33,7 @@
 //     write-write race that is still reported), the race-set digest
 //     may lose read-write pairs. The rule is therefore opt-in
 //     (Options.WriteDom) and excluded from digest-differential
-//     pipelines, mirroring the opt-in dynamic step cache in
-//     internal/core.
+//     pipelines.
 //
 // The pass is deliberately conservative: any call it cannot classify
 // (unknown functions, Update callbacks, Ctx methods, locks) is a

@@ -12,9 +12,6 @@ import (
 //   - Array.Raw / Matrix.Raw   → Unchecked
 //   - Matrix.Row               → UncheckedRow
 //   - Report.Footprint         → Report.Stats.Footprint
-//   - server.NewClient         → client.New      (import spd3/client)
-//   - server.Client            → client.Client
-//   - server.APIError          → client.APIError
 //
 // The member names have been removed from the module, so in-tree code
 // can no longer compile against them; the analyzer exists for
@@ -24,13 +21,7 @@ import (
 // itself fails to type-check, but the receiver still resolves, which is
 // enough to identify the container or report and rewrite the selector.
 //
-// The server.* rules are different: those names survive as deprecated
-// aliases of the public spd3/client package, so old code still
-// compiles. The analyzer rewrites the whole qualified identifier to the
-// new package (the fix does not edit the import block; run goimports or
-// add `import "spd3/client"` after applying it).
-//
-// A third rule family targets the old *Engine-only allocation idiom:
+// A second rule family targets the old *Engine-only allocation idiom:
 // calling spd3.NewArray(eng, ...) (or NewMatrix/NewVar/NewList/NewMap/
 // NewMutex) from inside a function that has a *spd3.Ctx parameter. Those
 // call sites predate the Ctx-scoped constructors; the Ctx form both
@@ -39,8 +30,8 @@ import (
 // the enclosing function's Ctx parameter.
 var DeprecatedAnalyzer = &Analyzer{
 	Name: "deprecated",
-	Doc: "report retired spd3 API (Raw, Row, Report.Footprint, server.Client " +
-		"and friends) and suggest the machine-applicable rewrite",
+	Doc: "report retired spd3 API (Raw, Row, Report.Footprint, Engine-scoped " +
+		"constructors in task bodies) and suggest the machine-applicable rewrite",
 	Run: runDeprecated,
 }
 
@@ -49,25 +40,6 @@ var DeprecatedAnalyzer = &Analyzer{
 type deprecatedSelector struct {
 	recv        func(*Pass, ast.Expr) bool
 	replacement string
-}
-
-// deprecatedPkgName maps a deprecated qualified identifier
-// (oldPkg.member) to its replacement spelling in another package. The
-// rewrite spans the whole selector, because the qualifier itself moves.
-type deprecatedPkgName struct {
-	pkgPath     string // import path the qualifier must resolve to
-	replacement string // full new spelling, e.g. "client.New"
-}
-
-// isPkgQualifier reports whether x is an identifier naming an imported
-// package with the given import path.
-func isPkgQualifier(pass *Pass, x ast.Expr, pkgPath string) bool {
-	id, ok := x.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := pass.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkgPath
 }
 
 func runDeprecated(pass *Pass) error {
@@ -88,33 +60,11 @@ func runDeprecated(pass *Pass) error {
 		"Row":       {recv: isMatrix, replacement: "UncheckedRow"},
 		"Footprint": {recv: isReport, replacement: "Stats.Footprint"},
 	}
-	pkgRules := map[string]deprecatedPkgName{
-		"NewClient": {pkgPath: serverPkgPath, replacement: "client.New"},
-		"Client":    {pkgPath: serverPkgPath, replacement: "client.Client"},
-		"APIError":  {pkgPath: serverPkgPath, replacement: "client.APIError"},
-	}
 	for _, f := range pass.Files {
 		runEngineScopedCtors(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
-				return true
-			}
-			if rule, ok := pkgRules[sel.Sel.Name]; ok && isPkgQualifier(pass, sel.X, rule.pkgPath) {
-				old := "server." + sel.Sel.Name
-				pass.Report(Diagnostic{
-					Pos: sel.Pos(),
-					Message: "deprecated " + old + " moved; use " + rule.replacement +
-						" (import spd3/client)",
-					Fix: &SuggestedFix{
-						Message: "rewrite " + old + " to " + rule.replacement,
-						Edits: []TextEdit{{
-							Pos:     sel.Pos(),
-							End:     sel.End(),
-							NewText: rule.replacement,
-						}},
-					},
-				})
 				return true
 			}
 			rule, ok := rules[sel.Sel.Name]

@@ -143,59 +143,6 @@ func TestApplyFixesEngineScoped(t *testing.T) {
 	checkCleanReload(t, dir)
 }
 
-// TestApplyFixesMovedClient does the same round trip for the
-// package-move rules: the fixture compiles (the old names survive as
-// aliases), the fixes rewrite whole qualified identifiers to the public
-// client package, and the result type-checks and re-analyzes clean.
-func TestApplyFixesMovedClient(t *testing.T) {
-	src, err := os.ReadFile("testdata/deprecated/movedclient/old.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	target := filepath.Join(dir, "old.go")
-	if err := os.WriteFile(target, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkg.TypeErrors) != 0 {
-		t.Fatalf("fixture has type errors (the aliases are gone?): %v", pkg.TypeErrors)
-	}
-	diags, err := Run(pkg, []*Analyzer{DeprecatedAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 3 {
-		t.Fatalf("diagnostics = %d, want 3: %v", len(diags), diags)
-	}
-	remaining, applied, err := ApplyFixes(pkg.Fset, diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 3 || len(remaining) != 0 {
-		t.Fatalf("applied = %d remaining = %d, want 3/0", applied, len(remaining))
-	}
-
-	fixed, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"*client.Client", "client.New(addr)", "*client.APIError"} {
-		if !strings.Contains(string(fixed), want) {
-			t.Errorf("fixed file missing %q:\n%s", want, fixed)
-		}
-	}
-	checkCleanReload(t, dir)
-}
-
 // checkCleanReload asserts that the rewritten fixture in dir
 // type-checks and re-analyzes to zero findings.
 func checkCleanReload(t *testing.T, dir string) {

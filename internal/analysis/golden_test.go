@@ -44,10 +44,6 @@ func mustLookup(t *testing.T, name string) *analysis.Analyzer {
 	return a
 }
 
-func TestDeprecatedClientGolden(t *testing.T) {
-	atest.RunGolden(t, "testdata/deprecated/movedclient", mustLookup(t, "deprecated"))
-}
-
 func TestDeprecatedEngineScopedGolden(t *testing.T) {
 	atest.RunGolden(t, "testdata/deprecated/enginescoped", mustLookup(t, "deprecated"))
 }

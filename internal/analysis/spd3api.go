@@ -17,10 +17,9 @@ import (
 // package re-exports the internal types as aliases, so recognizing the
 // internal named types covers both spellings.
 const (
-	taskPkgPath   = "spd3/internal/task"
-	memPkgPath    = "spd3/internal/mem"
-	rootPkgPath   = "spd3"
-	serverPkgPath = "spd3/internal/server"
+	taskPkgPath = "spd3/internal/task"
+	memPkgPath  = "spd3/internal/mem"
+	rootPkgPath = "spd3"
 )
 
 // namedIn reports whether t (after stripping pointers and aliases) is

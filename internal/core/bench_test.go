@@ -113,14 +113,13 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkShadowSparse is the paged-shadow evaluation grid: dense vs
-// clustered-sparse access patterns crossed with the paged backend vs the
-// flat ablation, on one large region. Each sub-benchmark pre-touches its
-// full pattern (materializing the footprint), reports the resulting
-// shadow bytes as a metric, then times steady-state writes over the
-// pattern. The claims under test: on the sparse pattern the paged shadow
-// costs a small fraction of the flat one (only touched pages exist), and
-// on the dense pattern the paged overhead is marginal.
+// BenchmarkShadowSparse is the paged-shadow evaluation: dense vs
+// clustered-sparse access patterns on one large region. Each
+// sub-benchmark pre-touches its full pattern (materializing the
+// footprint), reports the resulting shadow bytes as a metric, then times
+// steady-state writes over the pattern. The claim under test: on the
+// sparse pattern the shadow costs a small fraction of the dense one
+// (only touched pages exist).
 func BenchmarkShadowSparse(b *testing.B) {
 	const (
 		elems     = 10_000_000
@@ -148,37 +147,32 @@ func BenchmarkShadowSparse(b *testing.B) {
 		}
 		return idxs
 	}
-	for _, backend := range []struct {
+	for _, pattern := range []struct {
 		name string
-		flat bool
-	}{{"paged", false}, {"flat", true}} {
-		for _, pattern := range []struct {
-			name string
-			idxs func() []int
-		}{{"dense", denseIdx}, {"sparse", sparseIdx}} {
-			b.Run(backend.name+"/"+pattern.name, func(b *testing.B) {
-				sink := detect.NewSink(false, 0)
-				d := NewWith(sink, Options{Sync: SyncCAS, FlatShadow: backend.flat})
-				rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
-				if err != nil {
-					b.Fatal(err)
+		idxs func() []int
+	}{{"dense", denseIdx}, {"sparse", sparseIdx}} {
+		b.Run(pattern.name, func(b *testing.B) {
+			sink := detect.NewSink(false, 0)
+			d := New(sink, SyncCAS)
+			rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh := d.NewShadow(detect.Spec("x", elems, 8))
+			idxs := pattern.idxs()
+			if err := rt.Run(func(c *task.Ctx) {
+				t := c.Task()
+				for _, i := range idxs {
+					sh.Write(t, i)
 				}
-				sh := d.NewShadow(detect.Spec("x", elems, 8))
-				idxs := pattern.idxs()
-				if err := rt.Run(func(c *task.Ctx) {
-					t := c.Task()
-					for _, i := range idxs {
-						sh.Write(t, i)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						sh.Write(t, idxs[i%len(idxs)])
-					}
-				}); err != nil {
-					b.Fatal(err)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sh.Write(t, idxs[i%len(idxs)])
 				}
-				b.ReportMetric(float64(d.Footprint().ShadowBytes), "shadow-B")
-			})
-		}
+			}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(d.Footprint().ShadowBytes), "shadow-B")
+		})
 	}
 }

@@ -1,14 +1,15 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
-	"spd3/internal/core"
+	_ "spd3/internal/core" // registers "spd3"
 	"spd3/internal/detect"
-	_ "spd3/internal/fasttrack" // registry entry for the wrap test
 	"spd3/internal/progen"
 	"spd3/internal/sample"
 	"spd3/internal/stats"
@@ -97,30 +98,30 @@ func TestSampledRacesAreSubset(t *testing.T) {
 	}
 }
 
-// TestSPD3NotWrapped: core implements NativeSampler, so the registry
-// must hand back the detector itself — the gate sits inside the shadow
-// protocols, not in a generic wrapper that would double-count.
-func TestSPD3NotWrapped(t *testing.T) {
-	smp := sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 0.5})
-	det, err := detect.New("spd3", detect.FactoryOpts{Sink: detect.NewSink(false, 0), Sampler: smp})
-	if err != nil {
-		t.Fatal(err)
+// TestSampledDigestsGolden pins which accesses the registry's gate
+// admits for SPD3: one SHA-256 per mode over the sorted race sets of the
+// progen corpus at rate 0.3, recorded at 8f828a1 when core still gated
+// its own check path. A drift in the wrapper's semantics — region ids
+// numbered differently, a burst epoch that stops advancing at spawn or
+// finish — changes a digest.
+func TestSampledDigestsGolden(t *testing.T) {
+	golden := map[sample.Mode]string{
+		sample.Bernoulli: "f131a7c9955c1122560635229ac456c8b4af33cdb5afd6e5627b92978944368f",
+		sample.Page:      "2377d4f2045851798dded8def472536d7787ece9d231bd954ab3b80636f789f5",
+		sample.Burst:     "d7744d6dd7ce68b7a9f41708c00d83f3f5d1bbb564e4e5d90479332fc7705cba",
 	}
-	if _, ok := det.(*core.Detector); !ok {
-		t.Fatalf("sampled spd3 detector is %T, want *core.Detector (native sampling)", det)
-	}
-
-	// A detector without native support must get the generic wrapper.
-	plain, err := detect.New("fasttrack", detect.FactoryOpts{Sink: detect.NewSink(false, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := detect.New("fasttrack", detect.FactoryOpts{Sink: detect.NewSink(false, 0), Sampler: smp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.TypeOf(plain) == reflect.TypeOf(wrapped) {
-		t.Fatalf("sampled fasttrack detector is still %T; want the sampling wrapper", wrapped)
+	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Page, sample.Burst} {
+		h := sha256.New()
+		for seed := int64(0); seed < diffSeeds; seed++ {
+			smp := sample.NewSeeded(sample.Config{Mode: mode, Rate: 0.3}, uint64(seed))
+			fmt.Fprintf(h, "seed %d\n", seed)
+			for _, k := range progenRaces(t, seed, smp) {
+				fmt.Fprintln(h, k)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != golden[mode] {
+			t.Errorf("%v: race-set digest %s, want %s", mode, got, golden[mode])
+		}
 	}
 }
 
@@ -152,7 +153,7 @@ func TestBurstCatchesPrologueRace(t *testing.T) {
 	}
 }
 
-// TestSampleCountersFlow: the native gate batches per task and flushes
+// TestSampleCountersFlow: the gate batches per task and flushes
 // into the engine's stats shards — sample.checked/sample.skipped must
 // be visible in a snapshot exactly when sampling is on.
 func TestSampleCountersFlow(t *testing.T) {

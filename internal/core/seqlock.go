@@ -29,23 +29,11 @@ import (
 // Note the counter roles: an updater bumps end first and start last, so a
 // torn snapshot always fails the end != x comparison.
 // Shadow words live in lazily allocated pages (shadow.Pages) resolved
-// through the accessing task's page cache; the flat ablation
-// (Options.FlatShadow) restores the eager flat array for comparison.
+// through the accessing task's page cache.
 type casShadow struct {
 	d     *Detector
-	id    uint64
 	name  string
-	pages *shadow.Pages[casCell] // nil under the flat ablation
-	flat  []casCell              // non-nil iff Options.FlatShadow
-}
-
-// cell resolves element i's shadow word: through the task's page cache
-// on the paged backend, a plain index on the flat ablation.
-func (s *casShadow) cell(t *detect.Task, i int) *casCell {
-	if s.flat != nil {
-		return &s.flat[i]
-	}
-	return s.pages.CellOf(&t.PC, i)
+	pages *shadow.Pages[casCell]
 }
 
 // casCell is one versioned shadow word.
@@ -84,76 +72,28 @@ func (c *casCell) publish(x int64, m word) bool {
 	return true
 }
 
-func (s *casShadow) Read(t *detect.Task, i int)  { s.ReadAt(t, i, 0) }
-func (s *casShadow) Write(t *detect.Task, i int) { s.WriteAt(t, i, 0) }
+func (s *casShadow) Read(t *detect.Task, i int)  { s.access(t, i, 0, false) }
+func (s *casShadow) Write(t *detect.Task, i int) { s.access(t, i, 0, true) }
 
 // ReadAt implements detect.SiteShadow.
-func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) {
-	if s.d.sink.Stopped() {
-		return
-	}
-	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, false) {
-			ts.nStepCache++
-			return
-		}
-	}
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
-	c := s.cell(t, i)
-	var retries int64
-	for {
-		x, m := c.snapshot()
-		m, changed := s.d.readCheck(m, ts, s.name, i, site)
-		if !changed {
-			ts.nCASClean++
-			break
-		}
-		if c.publish(x, m) {
-			ts.nCASPublish++
-			break
-		}
-		retries++
-	}
-	if retries > 0 {
-		ts.nCASRetry += retries
-		ts.retryBuckets[stats.HistBucket(retries)]++
-	}
-	if s.d.stepCache {
-		ts.remember(s.id, i, false)
-	}
-}
+func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, false) }
 
 // WriteAt implements detect.SiteShadow.
-func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) {
+func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, true) }
+
+// access is the one memory action of the CAS protocol: resolve the
+// cell, then snapshot / check / publish until the action either leaves
+// the word unchanged or wins its CAS.
+func (s *casShadow) access(t *detect.Task, i int, site uintptr, write bool) {
 	if s.d.sink.Stopped() {
 		return
 	}
 	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, true) {
-			ts.nStepCache++
-			return
-		}
-	}
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
-	c := s.cell(t, i)
+	c := s.pages.CellOf(&t.PC, i)
 	var retries int64
 	for {
 		x, m := c.snapshot()
-		m, changed := s.d.writeCheck(m, ts, s.name, i, site)
+		m, changed := s.d.check(m, ts, s.name, i, site, write)
 		if !changed {
 			ts.nCASClean++
 			break
@@ -167,9 +107,6 @@ func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 	if retries > 0 {
 		ts.nCASRetry += retries
 		ts.retryBuckets[stats.HistBucket(retries)]++
-	}
-	if s.d.stepCache {
-		ts.remember(s.id, i, true)
 	}
 }
 

@@ -29,15 +29,19 @@
 //     uncontended, but serializes parallel readers; the paper reports it
 //     1.8× slower on average at 16 threads, which the ablation benchmark
 //     reproduces.
+//
+// Each protocol has exactly one access routine (casShadow.access,
+// mutexShadow.access) that resolves the paged shadow cell and runs
+// Detector.check on it; Read/Write/ReadAt/WriteAt only forward to it.
+// Check sampling is not this package's concern: detect.New wraps the
+// detector in the registry's gate when a sampler is enabled.
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
-	"spd3/internal/sample"
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
@@ -63,14 +67,6 @@ func (m SyncMode) String() string {
 type Options struct {
 	// Sync selects the shadow-word synchronization protocol.
 	Sync SyncMode
-	// StepCache enables the per-step redundant-check cache (see
-	// taskState.cache), a dynamic variant of the optimizations the
-	// paper defers to future work (§5.5). It helps kernels that
-	// re-read the same locations many times within a step (RayTracer's
-	// scene) and adds overhead to kernels that stream distinct indices
-	// — measure with the ablation-stepcache experiment; off by
-	// default.
-	StepCache bool
 	// NoFingerprint forces every DMHP/LCA query through the §5.2
 	// pointer walk, disabling the packed-fingerprint fast path. On by
 	// default (i.e. fingerprints are used); disable only for the
@@ -79,41 +75,24 @@ type Options struct {
 	// NoDMHPMemo disables the per-task DMHP relation cache (see
 	// taskState.mhp). On by default; disable for ablation.
 	NoDMHPMemo bool
-	// FlatShadow restores the pre-paging layout: one eagerly allocated
-	// flat cell array per region, no page table, no page cache. It
-	// exists for the flat-vs-paged ablation (the spd3-flat variant and
-	// BenchmarkShadowSparse) and for differential testing; flat shadows
-	// cannot serve growable regions (NewShadow panics on one).
-	FlatShadow bool
 	// Stats is the engine's observability recorder; nil disables the
 	// detector's counters. The detector batches its counts in plain
 	// task-owned integers and flushes them into a shard once per task
 	// (see taskState.flush), so the steady-state cost per event is one
 	// non-atomic increment.
 	Stats *stats.Recorder
-	// Sampler, when enabled, gates each access's race check
-	// (internal/sample). The gate sits after the sink/step-cache
-	// short-circuits and before the shadow cell is even resolved, so a
-	// sampled-out access costs one predictable branch plus (for burst
-	// mode) a cached per-task decision read. Nil or Off means every
-	// check runs — the default, byte-identical to the ungated detector.
-	Sampler *sample.Sampler
 }
 
 // Detector is the SPD3 race detector. Create with New; wire into a
 // task.Runtime via Config.Detector.
 type Detector struct {
-	sink      *detect.Sink
-	tree      *dpst.Tree
-	mode      SyncMode
-	stepCache bool
-	walkOnly  bool // Options.NoFingerprint
-	memo      bool // !Options.NoDMHPMemo
-	flat      bool // Options.FlatShadow
-	st        *stats.Recorder
-	smp       *sample.Sampler // nil when sampling is off
+	sink     *detect.Sink
+	tree     *dpst.Tree
+	mode     SyncMode
+	walkOnly bool // Options.NoFingerprint
+	memo     bool // !Options.NoDMHPMemo
+	st       *stats.Recorder
 
-	shadowIDs   detect.Counter
 	shadowBytes detect.Counter
 }
 
@@ -125,26 +104,15 @@ func New(sink *detect.Sink, mode SyncMode) *Detector {
 
 // NewWith returns an SPD3 detector with explicit options.
 func NewWith(sink *detect.Sink, o Options) *Detector {
-	d := &Detector{
-		sink:      sink,
-		tree:      dpst.New(),
-		mode:      o.Sync,
-		stepCache: o.StepCache,
-		walkOnly:  o.NoFingerprint,
-		memo:      !o.NoDMHPMemo,
-		flat:      o.FlatShadow,
-		st:        o.Stats,
+	return &Detector{
+		sink:     sink,
+		tree:     dpst.New(),
+		mode:     o.Sync,
+		walkOnly: o.NoFingerprint,
+		memo:     !o.NoDMHPMemo,
+		st:       o.Stats,
 	}
-	if o.Sampler.Enabled() {
-		d.smp = o.Sampler
-	}
-	return d
 }
-
-// NativeSampling implements detect.NativeSampler: SPD3 consumes
-// FactoryOpts.Sampler itself (see Options.Sampler), so the registry
-// must not wrap it with the generic gate.
-func (d *Detector) NativeSampling() bool { return true }
 
 // Tree exposes the DPST (for tests and tooling).
 func (d *Detector) Tree() *dpst.Tree { return d.tree }
@@ -168,17 +136,7 @@ func (d *Detector) RequiresSequential() bool { return false }
 // finish the task itself started, or else the task's own async node
 // (§3.1's insertion rules).
 //
-// cache is the dynamic analogue of the paper's §5.5 static check
-// eliminations (read/write check elimination, loop-invariant checks): a
-// small direct-mapped memo of (region, element) pairs this step has
-// already checked. Re-checking an element within the same step is
-// provably redundant — the first check either recorded the step in the
-// shadow word or established that the word's reader subtree already
-// covers it, so any future conflicting access is caught through the
-// recorded steps either way. Entries are tagged with the step node, so
-// advancing to a new step invalidates them for free. The cache is owned
-// by the task, needing no synchronization.
-// mhp additionally memoizes DMHP relations: see Detector.relation.
+// mhp memoizes DMHP relations: see Detector.relation.
 //
 // The n* fields batch the detector's observability counters in plain
 // task-owned integers — no atomics, no sharing — and flush is called once
@@ -188,14 +146,7 @@ func (d *Detector) RequiresSequential() bool { return false }
 type taskState struct {
 	step  *dpst.Node
 	scope *dpst.Node
-	cache [stepCacheSize]cacheEntry
 	mhp   [mhpMemoSize]mhpEntry
-
-	// smp is the task's check-sampling state: the cached burst-window
-	// decision word (recomputed once per step advance, so the
-	// sampled-out path is a predictable branch) plus the batched
-	// admit/skip tallies, flushed with the rest.
-	smp sample.TaskState
 
 	sh           *stats.Shard
 	nCASClean    int64
@@ -205,7 +156,6 @@ type taskState struct {
 	nDMHPFast    int64
 	nDMHPWalk    int64
 	nDMHPMemoHit int64
-	nStepCache   int64
 	retryBuckets [stats.HistBuckets]int64
 }
 
@@ -222,47 +172,13 @@ func (ts *taskState) flush() {
 	ts.sh.Add(stats.DMHPFast, ts.nDMHPFast)
 	ts.sh.Add(stats.DMHPWalk, ts.nDMHPWalk)
 	ts.sh.Add(stats.DMHPMemoHit, ts.nDMHPMemoHit)
-	ts.sh.Add(stats.StepCacheHit, ts.nStepCache)
-	ts.smp.Flush(ts.sh)
 	for b, n := range ts.retryBuckets {
 		ts.sh.AddBucket(stats.HistCASRetry, b, n)
 	}
 	ts.nCASClean, ts.nCASPublish, ts.nCASRetry = 0, 0, 0
-	ts.nMutexOps, ts.nStepCache = 0, 0
+	ts.nMutexOps = 0
 	ts.nDMHPFast, ts.nDMHPWalk, ts.nDMHPMemoHit = 0, 0, 0
 	ts.retryBuckets = [stats.HistBuckets]int64{}
-}
-
-const stepCacheSize = 32 // power of two
-
-type cacheEntry struct {
-	region uint64 // shadow id (1-based; 0 is "empty")
-	idx    int
-	step   *dpst.Node
-	wrote  bool
-}
-
-// cached reports whether this step already performed a check of (region,
-// element) that subsumes the requested access: any earlier check subsumes
-// a read; only an earlier write check subsumes a write.
-func (ts *taskState) cached(region uint64, idx int, write bool) bool {
-	e := &ts.cache[cacheSlot(region, idx)]
-	return e.region == region && e.idx == idx && e.step == ts.step && (e.wrote || !write)
-}
-
-// remember records a completed check.
-func (ts *taskState) remember(region uint64, idx int, write bool) {
-	e := &ts.cache[cacheSlot(region, idx)]
-	if e.region == region && e.idx == idx && e.step == ts.step {
-		e.wrote = e.wrote || write
-		return
-	}
-	*e = cacheEntry{region: region, idx: idx, step: ts.step, wrote: write}
-}
-
-func cacheSlot(region uint64, idx int) uint64 {
-	h := (region<<32 ^ uint64(uint32(idx))) * 0x9e3779b97f4a7c15
-	return h >> 59 // top 5 bits: stepCacheSize == 32
 }
 
 // mhpEntry is one slot of the per-task DMHP memo: the answer to
@@ -344,7 +260,6 @@ func (d *Detector) MainTask(t *detect.Task, implicit *detect.Finish) {
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
 	step := d.tree.NewChild(run, dpst.StepNode)
 	ts := &taskState{step: step, scope: run, sh: d.st.Shard(int(t.ID))}
-	d.smp.Step(&ts.smp)
 	t.State = ts
 	implicit.State = &finishState{node: run}
 }
@@ -359,10 +274,8 @@ func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
 	a := d.tree.NewChild(ps.scope, dpst.AsyncNode)
 	childStep := d.tree.NewChild(a, dpst.StepNode)
 	cs := &taskState{step: childStep, scope: a, sh: d.st.Shard(int(child.ID))}
-	d.smp.Step(&cs.smp)
 	child.State = cs
 	ps.step = d.tree.NewChild(ps.scope, dpst.StepNode)
-	d.smp.Step(&ps.smp)
 }
 
 // TaskEnd has no DPST effect (the join is represented by the finish
@@ -380,7 +293,6 @@ func (d *Detector) FinishStart(t *detect.Task, f *detect.Finish) {
 	f.State = &finishState{node: fn, prevScope: ts.scope}
 	ts.scope = fn
 	ts.step = d.tree.NewChild(fn, dpst.StepNode)
-	d.smp.Step(&ts.smp)
 }
 
 // FinishEnd implements §3.1 "End Finish": restore the scope and add a
@@ -398,7 +310,6 @@ func (d *Detector) FinishEnd(t *detect.Task, f *detect.Finish) {
 	ts := t.State.(*taskState)
 	ts.scope = fs.prevScope
 	ts.step = d.tree.NewChild(fs.prevScope, dpst.StepNode)
-	d.smp.Step(&ts.smp)
 }
 
 // Acquire is a no-op: SPD3 targets lock-free async/finish programs (§2).
@@ -418,36 +329,16 @@ func (d *Detector) Footprint() detect.Footprint {
 
 // NewShadow builds the region's shadow: one word per element, held in
 // lazily allocated pages (shadow.Pages), so a sparsely touched region
-// pays only for the pages it touches. Under Options.FlatShadow the
-// pre-paging eager flat array is restored for ablation; flat shadows
-// reject growable regions.
+// pays only for the pages it touches.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	id := uint64(d.shadowIDs.Add(1))
-	if d.flat && spec.Growable {
-		panic("core: FlatShadow cannot serve growable region " + spec.Name)
-	}
-	switch d.mode {
-	case SyncMutex:
-		s := &mutexShadow{d: d, id: id, name: spec.Name}
-		if d.flat {
-			s.flat = make([]mutexCell, spec.Len)
-			d.shadowBytes.Add(int64(spec.Len) * mutexCellBytes)
-		} else {
-			s.pages = shadow.New[mutexCell](spec.Bound())
-			s.pages.SetOnAlloc(d.pageAlloc(mutexCellBytes))
-		}
-		return s
-	default:
-		s := &casShadow{d: d, id: id, name: spec.Name}
-		if d.flat {
-			s.flat = make([]casCell, spec.Len)
-			d.shadowBytes.Add(int64(spec.Len) * casCellBytes)
-		} else {
-			s.pages = shadow.New[casCell](spec.Bound())
-			s.pages.SetOnAlloc(d.pageAlloc(casCellBytes))
-		}
+	if d.mode == SyncMutex {
+		s := &mutexShadow{d: d, name: spec.Name, pages: shadow.New[mutexCell](spec.Bound())}
+		s.pages.SetOnAlloc(d.pageAlloc(mutexCellBytes))
 		return s
 	}
+	s := &casShadow{d: d, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
+	s.pages.SetOnAlloc(d.pageAlloc(casCellBytes))
+	return s
 }
 
 // pageAlloc returns the paged substrate's allocation hook: analytic
@@ -484,6 +375,16 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur 
 		PrevStep: prev.String(),
 		CurStep:  curStep,
 	})
+}
+
+// check runs Algorithm 1 (write) or 2 (read) on the snapshot m for the
+// accessing task's state ts. It reports any races and returns the
+// updated word and whether the word changed.
+func (d *Detector) check(m word, ts *taskState, region string, i int, site uintptr, write bool) (word, bool) {
+	if write {
+		return d.writeCheck(m, ts, region, i, site)
+	}
+	return d.readCheck(m, ts, region, i, site)
 }
 
 // writeCheck is Algorithm 1. Given a snapshot and the writing task's
@@ -574,86 +475,33 @@ const mutexCellBytes = 8 + 24 // sync.Mutex + three pointers
 
 type mutexShadow struct {
 	d     *Detector
-	id    uint64
 	name  string
-	pages *shadow.Pages[mutexCell] // nil under the flat ablation
-	flat  []mutexCell              // non-nil iff Options.FlatShadow
+	pages *shadow.Pages[mutexCell]
 }
 
-// cell resolves element i's shadow word: through the task's page cache
-// on the paged backend, a plain index on the flat ablation.
-func (s *mutexShadow) cell(t *detect.Task, i int) *mutexCell {
-	if s.flat != nil {
-		return &s.flat[i]
-	}
-	return s.pages.CellOf(&t.PC, i)
-}
-
-func (s *mutexShadow) Read(t *detect.Task, i int)  { s.ReadAt(t, i, 0) }
-func (s *mutexShadow) Write(t *detect.Task, i int) { s.WriteAt(t, i, 0) }
+func (s *mutexShadow) Read(t *detect.Task, i int)  { s.access(t, i, 0, false) }
+func (s *mutexShadow) Write(t *detect.Task, i int) { s.access(t, i, 0, true) }
 
 // ReadAt implements detect.SiteShadow.
-func (s *mutexShadow) ReadAt(t *detect.Task, i int, site uintptr) {
-	if s.d.sink.Stopped() {
-		return
-	}
-	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, false) {
-			ts.nStepCache++
-			return
-		}
-	}
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
-	ts.nMutexOps++
-	c := s.cell(t, i)
-	c.mu.Lock()
-	if m, changed := s.d.readCheck(c.m, ts, s.name, i, site); changed {
-		c.m = m
-	}
-	c.mu.Unlock()
-	if s.d.stepCache {
-		ts.remember(s.id, i, false)
-	}
-}
+func (s *mutexShadow) ReadAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, false) }
 
 // WriteAt implements detect.SiteShadow.
-func (s *mutexShadow) WriteAt(t *detect.Task, i int, site uintptr) {
+func (s *mutexShadow) WriteAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, true) }
+
+// access is the one memory action of the mutex protocol: the check runs
+// on the word in place, under the cell's lock.
+func (s *mutexShadow) access(t *detect.Task, i int, site uintptr, write bool) {
 	if s.d.sink.Stopped() {
 		return
 	}
 	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, true) {
-			ts.nStepCache++
-			return
-		}
-	}
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
 	ts.nMutexOps++
-	c := s.cell(t, i)
+	c := s.pages.CellOf(&t.PC, i)
 	c.mu.Lock()
-	if m, changed := s.d.writeCheck(c.m, ts, s.name, i, site); changed {
+	if m, changed := s.d.check(c.m, ts, s.name, i, site, write); changed {
 		c.m = m
 	}
 	c.mu.Unlock()
-	if s.d.stepCache {
-		ts.remember(s.id, i, true)
-	}
 }
-
-func (s *mutexShadow) String() string { return fmt.Sprintf("spd3-mutex shadow %q", s.name) }
 
 var _ detect.SiteShadow = (*mutexShadow)(nil)

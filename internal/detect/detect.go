@@ -67,9 +67,8 @@ type Task struct {
 	PC shadow.PageCache
 
 	// Sample is the task's check-sampling state, used by the registry's
-	// generic sampling wrapper for detectors that do not gate their own
-	// check path (SPD3 keeps equivalent state inside its taskState).
-	// Like PC it is only touched from the task's own goroutine.
+	// sampling wrapper (sampling.go). Like PC it is only touched from
+	// the task's own goroutine.
 	Sample sample.TaskState
 }
 

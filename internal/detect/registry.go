@@ -18,10 +18,9 @@ type FactoryOpts struct {
 	Stats *stats.Recorder
 
 	// Sampler, when enabled, gates the detector's per-access check path
-	// (internal/sample). Detectors that implement NativeSampler consume
-	// it in their factory; every other detector is wrapped by New with
-	// the generic shadow-gating wrapper, so sampling works uniformly
-	// across the registry.
+	// (internal/sample). Factories ignore it: New wraps whatever they
+	// build with the shadow-gating wrapper (sampling.go), so sampling
+	// works uniformly across the registry.
 	Sampler *sample.Sampler
 }
 
@@ -81,9 +80,7 @@ func New(name string, opts FactoryOpts) (Detector, error) {
 	}
 	d := e.factory(opts)
 	if opts.Sampler.Enabled() {
-		if ns, ok := d.(NativeSampler); !ok || !ns.NativeSampling() {
-			d = wrapSampled(d, opts.Sampler, opts.Stats)
-		}
+		d = wrapSampled(d, opts.Sampler, opts.Stats)
 	}
 	return d, nil
 }

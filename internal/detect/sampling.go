@@ -5,16 +5,6 @@ import (
 	"spd3/internal/stats"
 )
 
-// NativeSampler is implemented by detectors that gate their own check
-// path with the FactoryOpts.Sampler handed to their factory (SPD3 does,
-// folding the gate into its batched taskState hot path). The registry
-// wraps every other detector with the generic shadow-gating wrapper
-// below, so sampling composes with all five algorithms without each
-// re-implementing it — and never double-gates the natives.
-type NativeSampler interface {
-	NativeSampling() bool
-}
-
 // wrapSampled gates d's shadows behind smp. The wrapper preserves the
 // inner detector's optional interfaces: SiteShadow on a per-shadow
 // basis, BarrierObserver on the detector itself (losing it would change
@@ -28,7 +18,8 @@ func wrapSampled(d Detector, smp *sample.Sampler, rec *stats.Recorder) Detector 
 	return sd
 }
 
-// sampledDetector is the generic sampling wrapper: structural events
+// sampledDetector is the one sampling gate, wrapped by New around every
+// registry detector when a sampler is enabled: structural events
 // pass straight through (sampling must never distort the task tree or
 // lock state, only which accesses are checked), shadows are gated, and
 // the per-task admit/skip tallies batched in Task.Sample are flushed
@@ -48,8 +39,11 @@ func (d *sampledDetector) MainTask(t *Task, implicit *Finish) {
 	d.inner.MainTask(t, implicit)
 }
 
+// BeforeSpawn starts the child's first step and, as in the DPST (§3.1),
+// the parent's continuation step: both burst epochs advance.
 func (d *sampledDetector) BeforeSpawn(parent, child *Task) {
 	d.smp.Step(&child.Sample)
+	d.smp.Step(&parent.Sample)
 	d.inner.BeforeSpawn(parent, child)
 }
 

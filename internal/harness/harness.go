@@ -82,11 +82,9 @@ const (
 	Base        Tool = "base"
 	SPD3        Tool = "spd3" // fingerprint fast path + per-task DMHP memo (the default)
 	SPD3Lock    Tool = "spd3-mutex"
-	SPD3Cache   Tool = "spd3-stepcache"
 	SPD3Walk    Tool = "spd3-walk"    // DMHP via the §5.2 pointer walk only (ablation)
 	SPD3FP      Tool = "spd3-fp"      // fingerprints on, per-task memo off (ablation)
 	SPD3NoStats Tool = "spd3-nostats" // default SPD3 with the stats recorder disabled (ablation)
-	SPD3Flat    Tool = "spd3-flat"    // eager flat shadow instead of lazy pages (ablation)
 	ESPBags     Tool = "espbags"
 	FastTrack   Tool = "fasttrack"
 	Eraser      Tool = "eraser"
@@ -208,10 +206,9 @@ func Experiments() []Experiment {
 		{ID: "fig5", Title: "Figure 5: Crypt slowdown vs workers, all tools", Run: fig5},
 		{ID: "fig6", Title: "Figure 6: LUFact memory vs workers, all tools", Run: fig6},
 		{ID: "ablation-sync", Title: "§5.4 ablation: versioned-CAS vs per-word mutex", Run: ablationSync},
-		{ID: "ablation-stepcache", Title: "§5.5 ablation: per-step redundant-check cache", Run: ablationStepCache},
 		{ID: "ablation-dmhp", Title: "DMHP fast-path ablation: pointer walk vs fingerprints vs fingerprints+memo", Run: ablationDMHP},
 		{ID: "stats", Title: "Observability counters: per-benchmark SPD3 event profile", Run: statsTable},
-		{ID: "sparse", Title: "Sparse shadow: paged vs flat footprint on clustered touches", Run: sparseShadow},
+		{ID: "sparse", Title: "Sparse shadow: paged footprint on clustered touches", Run: sparseShadow},
 		{ID: "ablation-sample", Title: "Sampling ablation: overhead vs detection probability across modes and rates", Run: ablationSample},
 	}
 }
@@ -487,36 +484,6 @@ func ablationSync(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// ablationStepCache measures the opt-in per-step check cache (the
-// dynamic variant of the §5.5 optimizations): time with cache divided by
-// time without, per benchmark (<1 means the cache wins; expected on
-// kernels that re-read locations within a step, e.g. RayTracer's scene).
-func ablationStepCache(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	n := cfg.maxThreads()
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation §5.5: per-step check cache, cached time / uncached time at %d workers (<1 means cache wins)", n),
-		Header: []string{"Benchmark", "Ratio"},
-	}
-	in := bench.Input{Scale: cfg.Scale}
-	var rs []float64
-	for _, b := range bench.All() {
-		plain, err := cfg.measure(b, SPD3, n, in)
-		if err != nil {
-			return nil, err
-		}
-		cached, err := cfg.measure(b, SPD3Cache, n, in)
-		if err != nil {
-			return nil, err
-		}
-		r := ratio(cached.Time, plain.Time)
-		rs = append(rs, r)
-		t.AddRow(b.Name, r)
-	}
-	t.AddRow("GeoMean", geoMean(rs))
-	return t, nil
-}
-
 // ablationDMHP isolates the two layers of the constant-time DMHP fast
 // path: SPD3 with the §5.2 pointer walk only, with the packed path
 // fingerprints, and with fingerprints plus the per-task relation memo
@@ -609,22 +576,20 @@ func ratio(a, b time.Duration) float64 {
 
 func mb(bytes int64) float64 { return float64(bytes) / (1 << 20) }
 
-// sparseShadow measures the tentpole claim of the paged shadow memory:
-// on a workload that touches ~1% of a large region in page-sized
-// clusters, the paged shadow's footprint tracks the touched pages while
-// the flat ablation (spd3-flat) pays for every declared element. Dense
-// benchmarks cost the same either way; this table shows the sparse gap
-// plus the page-allocation and page-cache counters.
+// sparseShadow measures the paged shadow memory on a workload that
+// touches ~1% of a large region in page-sized clusters: the footprint
+// tracks the touched pages, not the declared elements. The table shows
+// it beside the page-allocation and page-cache counters.
 func sparseShadow(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.maxThreads()
 	t := &Table{
-		Title:  fmt.Sprintf("Sparse shadow: paged vs flat on clustered 1%% touches at %d workers", n),
+		Title:  fmt.Sprintf("Sparse shadow: paged footprint on clustered 1%% touches at %d workers", n),
 		Header: []string{"Tool", "Time(s)", "Shadow MB", "Pages", "CacheHit", "CacheMiss"},
 	}
 	b := bench.SparseTouchBench()
 	in := bench.Input{Scale: cfg.Scale}
-	for _, tool := range []Tool{Base, SPD3, SPD3Flat} {
+	for _, tool := range []Tool{Base, SPD3} {
 		m, err := cfg.measure(b, tool, n, in)
 		if err != nil {
 			return nil, err

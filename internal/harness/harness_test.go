@@ -16,19 +16,18 @@ func tinyCfg() Config {
 // tiny scale and sanity-checks their tables.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantTitle := map[string]string{
-		"table1":             "Table 1",
-		"fig3":               "Figure 3",
-		"fig4":               "Figure 4",
-		"table2":             "Table 2",
-		"table3":             "Table 3",
-		"fig5":               "Figure 5",
-		"fig6":               "Figure 6",
-		"ablation-sync":      "Ablation §5.4",
-		"ablation-stepcache": "Ablation §5.5",
-		"ablation-dmhp":      "Ablation: DMHP fast path",
-		"stats":              "Observability counters",
-		"sparse":             "Sparse shadow",
-		"ablation-sample":    "Sampling ablation",
+		"table1":          "Table 1",
+		"fig3":            "Figure 3",
+		"fig4":            "Figure 4",
+		"table2":          "Table 2",
+		"table3":          "Table 3",
+		"fig5":            "Figure 5",
+		"fig6":            "Figure 6",
+		"ablation-sync":   "Ablation §5.4",
+		"ablation-dmhp":   "Ablation: DMHP fast path",
+		"stats":           "Observability counters",
+		"sparse":          "Sparse shadow",
+		"ablation-sample": "Sampling ablation",
 	}
 	exps := Experiments()
 	if len(exps) != len(wantTitle) {

@@ -7,53 +7,17 @@ import (
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
+	"spd3/internal/graph"
 	"spd3/internal/shadow"
 	"spd3/internal/task"
 )
 
-// raceSet runs p under an SPD3 configuration and returns the set of
-// (region, index, kind) triples it reported.
-func raceSet(t *testing.T, p *Program, opt core.Options) map[string]bool {
-	t.Helper()
-	sink := detect.NewSink(false, 0)
-	d := core.NewWith(sink, opt)
-	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Run(rt, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	set := map[string]bool{}
-	for _, r := range sink.Races() {
-		set[fmt.Sprintf("%s[%d]:%v", r.Region, r.Index, r.Kind)] = true
-	}
-	return set
-}
-
-// TestPagedMatchesFlatOnPrograms is the paging differential quick-check:
-// the paged shadow and the flat ablation must report identical race sets
-// — the backing store is a pure representation change.
-func TestPagedMatchesFlatOnPrograms(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		p := Generate(seed, Config{})
-		paged := raceSet(t, p, core.Options{Sync: core.SyncCAS})
-		flat := raceSet(t, p, core.Options{Sync: core.SyncCAS, FlatShadow: true})
-		if len(paged) != len(flat) {
-			t.Fatalf("seed %d: paged %v != flat %v\n%s", seed, paged, flat, p)
-		}
-		for k := range paged {
-			if !flat[k] {
-				t.Fatalf("seed %d: race %s reported by paged only\n%s", seed, k, p)
-			}
-		}
-	}
-}
-
 // TestPagedFlatAgreeAcrossPageBoundaries hammers random sparse indices
 // clustered around shadow page boundaries — the indices most likely to
 // expose page-clipping or directory-indexing bugs — and checks that the
-// paged shadow and the flat ablation report identical race sets.
+// paged detector's racy (region, index) set equals the computation-DAG
+// oracle's: a cell resolved to the wrong page would move, merge or drop
+// a location.
 func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 	const (
 		elems  = 3*shadow.PageSize + 7 // four pages, short last page
@@ -80,9 +44,9 @@ func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 				scripts[ti] = append(scripts[ti], acc{idx: idx, write: rng.Intn(3) == 0})
 			}
 		}
-		run := func(opt core.Options) map[string]bool {
-			sink := detect.NewSink(false, 0)
-			d := core.NewWith(sink, opt)
+		// run executes the scripts under d and returns the racy
+		// locations it reports through races.
+		run := func(d detect.Detector, races func() []detect.Race) map[string]bool {
 			rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 			if err != nil {
 				t.Fatal(err)
@@ -107,19 +71,21 @@ func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := map[string]bool{}
-			for _, r := range sink.Races() {
-				set[fmt.Sprintf("%s[%d]:%v", r.Region, r.Index, r.Kind)] = true
+			for _, r := range races() {
+				set[fmt.Sprintf("%s[%d]", r.Region, r.Index)] = true
 			}
 			return set
 		}
-		paged := run(core.Options{Sync: core.SyncCAS})
-		flat := run(core.Options{Sync: core.SyncCAS, FlatShadow: true})
-		if len(paged) != len(flat) {
-			t.Fatalf("trial %d: paged %v != flat %v", trial, paged, flat)
+		sink := detect.NewSink(false, 0)
+		paged := run(core.New(sink, core.SyncCAS), sink.Races)
+		oracle := graph.New()
+		want := run(oracle, oracle.Races)
+		if len(paged) != len(want) {
+			t.Fatalf("trial %d: paged %v != oracle %v", trial, paged, want)
 		}
 		for k := range paged {
-			if !flat[k] {
-				t.Fatalf("trial %d: race %s reported by paged only", trial, k)
+			if !want[k] {
+				t.Fatalf("trial %d: location %s reported by paged only", trial, k)
 			}
 		}
 	}

@@ -59,8 +59,6 @@ func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
 		for _, opt := range []core.Options{
 			{Sync: core.SyncCAS},
 			{Sync: core.SyncMutex},
-			{Sync: core.SyncCAS, StepCache: true},
-			{Sync: core.SyncMutex, StepCache: true},
 			// DMHP fast-path ablations: the pointer walk, the
 			// fingerprint path, and the per-task memo must all
 			// yield the oracle's verdict.

@@ -173,11 +173,11 @@ func (r *Rate) load16() int64 { return r.v.Load() }
 const pageShift = 6
 
 // TaskState is per-task sampling state, embedded in the per-task record
-// of whichever layer gates checks (core's taskState natively; the
-// registry's generic wrapper uses detect.Task.Sample). It caches the
-// current burst-window decision and a one-entry location-coin memo so
-// the sampled-out path is a predictable compare-and-branch, and batches
-// the admit/skip tallies in plain task-owned integers.
+// of the layer that gates checks (detect.Task.Sample, for the registry's
+// wrapper). It caches the current burst-window decision and a one-entry
+// location-coin memo so the sampled-out path is a predictable
+// compare-and-branch, and batches the admit/skip tallies in plain
+// task-owned integers.
 type TaskState struct {
 	epoch   uint64
 	ready   bool

@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -293,6 +294,36 @@ type submitOpts struct {
 	ephemeral bool // /v1 shim job: delete after the response
 	estimate  int64
 	sampling  string // validated per-request sampling spec override, or ""
+}
+
+// parseSubmit validates a submit request's query string. Both submit
+// endpoints go through it, so an unknown detector or a bad sampling
+// spec gets the same status and message from either. On failure it has
+// written the error response and returns false.
+func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts, bool) {
+	q := r.URL.Query()
+	name := q.Get("detector")
+	if name == "" {
+		name = "spd3"
+	}
+	if name != "all" && !detect.Registered(name) {
+		s.writeError(w, http.StatusNotFound, "unknown detector %q (have %s, or \"all\")",
+			name, strings.Join(detect.Names(), ", "))
+		return submitOpts{}, false
+	}
+	sampling := q.Get("sample")
+	if _, err := sample.Parse(sampling); err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad sample spec %q: %v", sampling, err)
+		return submitOpts{}, false
+	}
+	return submitOpts{
+		detector:  name,
+		tenant:    tenantOf(r),
+		withStats: q.Get("stats") != "",
+		shard:     s.pool != nil && q.Get("shard") != "off",
+		estimate:  max(r.ContentLength, 0),
+		sampling:  sampling,
+	}, true
 }
 
 // submitJob runs the submit half of a job: admission against the
@@ -787,30 +818,13 @@ func sortWireRaces(races []Race) {
 // ---- /v2 handlers ----
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("detector")
-	if name == "" {
-		name = "spd3"
-	}
-	if name != "all" && !detect.Registered(name) {
-		s.writeError(w, http.StatusNotFound, "unknown detector %q", name)
+	opts, ok := s.parseSubmit(w, r)
+	if !ok {
 		return
 	}
 	if s.Draining() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
-	}
-	sampling := r.URL.Query().Get("sample")
-	if _, err := sample.Parse(sampling); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad sample spec %q: %v", sampling, err)
-		return
-	}
-	opts := submitOpts{
-		detector:  name,
-		tenant:    tenantOf(r),
-		withStats: r.URL.Query().Get("stats") != "",
-		shard:     s.pool != nil && r.URL.Query().Get("shard") != "off",
-		estimate:  max(r.ContentLength, 0),
-		sampling:  sampling,
 	}
 	j, err := s.submitJob(r.Context(), r.Body, opts)
 	if err != nil {

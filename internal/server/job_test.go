@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,6 +85,39 @@ func jobState(s *Server, id string) string {
 		return ""
 	}
 	return j.manifest().State
+}
+
+// TestSubmitQueryErrorsMatch: /v1/analyze and POST /v2/jobs validate
+// their query through one helper, so a rejected submit reads the same
+// from either endpoint — status and message.
+func TestSubmitQueryErrorsMatch(t *testing.T) {
+	body := recordProgen(t, 1, true)
+	_, ts := newTestServer(t, Config{MaxInFlight: 4})
+	for _, tc := range []struct {
+		name, query string
+		status      int
+		hint        string
+	}{
+		{"unknown detector", "?detector=nosuch", http.StatusNotFound, `or "all"`},
+		{"bad sample spec", "?sample=coin:2", http.StatusBadRequest, "bad sample spec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [2]ErrorReport
+			_, v1 := post(t, ts.URL+"/v1/analyze"+tc.query, body)
+			_, v2 := submitV2(t, ts.URL, tc.query, "", body)
+			for i, data := range [][]byte{v1, v2} {
+				if err := json.Unmarshal(data, &got[i]); err != nil {
+					t.Fatalf("decoding error envelope: %v\n%s", err, data)
+				}
+			}
+			if got[0] != got[1] {
+				t.Fatalf("v1 answered %+v, v2 answered %+v", got[0], got[1])
+			}
+			if got[0].Status != tc.status || !strings.Contains(got[0].Error, tc.hint) {
+				t.Fatalf("error = %+v, want status %d mentioning %q", got[0], tc.status, tc.hint)
+			}
+		})
+	}
 }
 
 // TestJobLifecycleV2 drives the native async path over HTTP: submit is

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"spd3/internal/detect"
-	"spd3/internal/sample"
 	"spd3/internal/stats"
 	"spd3/internal/trace"
 )
@@ -643,20 +642,12 @@ func eligibleDetectors(sequential bool) []string {
 // machinery, which is what makes the pre-redesign test suite a
 // compatibility oracle for it.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("detector")
-	if name == "" {
-		name = "spd3"
-	}
-	if name != "all" && !detect.Registered(name) {
-		s.writeError(w, http.StatusNotFound, "unknown detector %q (have %s, or \"all\")",
-			name, strings.Join(detect.Names(), ", "))
+	opts, ok := s.parseSubmit(w, r)
+	if !ok {
 		return
 	}
-	sampling := r.URL.Query().Get("sample")
-	if _, err := sample.Parse(sampling); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad sample spec %q: %v", sampling, err)
-		return
-	}
+	opts.ephemeral = true
+	name := opts.detector
 
 	// Admission control before touching the body: a saturated or
 	// draining server sheds load without reading uploads.
@@ -689,15 +680,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.sampleMem()
 
-	j, err := s.submitJob(ctx, r.Body, submitOpts{
-		detector:  name,
-		tenant:    tenantOf(r),
-		withStats: r.URL.Query().Get("stats") != "",
-		shard:     s.pool != nil && r.URL.Query().Get("shard") != "off",
-		ephemeral: true,
-		estimate:  max(r.ContentLength, 0),
-		sampling:  sampling,
-	})
+	j, err := s.submitJob(ctx, r.Body, opts)
 	if err != nil {
 		// A failure on a canceled request reports as canceled even
 		// when the proximate error was a read deadline or a decode

@@ -134,9 +134,6 @@ func (s Snapshot) String() string {
 	}
 	fmt.Fprintf(&b, " | dmhp: %d fast, %d walk, %d memo-hit",
 		s.Get(DMHPFast), s.Get(DMHPWalk), s.Get(DMHPMemoHit))
-	if v := s.Get(StepCacheHit); v != 0 {
-		fmt.Fprintf(&b, " | stepcache: %d hit", v)
-	}
 	if c, k := s.Get(SampleChecked), s.Get(SampleSkipped); c != 0 || k != 0 {
 		fmt.Fprintf(&b, " | sample: %d checked, %d skipped", c, k)
 	}

@@ -70,9 +70,6 @@ const (
 	// DMHPMemoHit counts DMHP queries answered from the per-task
 	// relation memo without recomputing.
 	DMHPMemoHit
-	// StepCacheHit counts accesses short-circuited by the per-step
-	// redundant-check cache (the opt-in §5.5-style optimization).
-	StepCacheHit
 	// TaskSpawn counts spawned tasks (every Async).
 	TaskSpawn
 	// TaskSteal counts tasks obtained by stealing from another pool
@@ -208,7 +205,6 @@ var counterNames = [NumCounters]string{
 	DMHPFast:             "dmhp.fast",
 	DMHPWalk:             "dmhp.walk",
 	DMHPMemoHit:          "dmhp.memo_hit",
-	StepCacheHit:         "stepcache.hit",
 	TaskSpawn:            "task.spawn",
 	TaskSteal:            "task.steal",
 	TaskInline:           "task.inline",

@@ -132,7 +132,8 @@ const (
 	// SPD3 is the paper's parallel, O(1)-space, precise detector.
 	SPD3 Detector = "spd3"
 	// SPD3Mutex is SPD3 with per-word mutexes instead of the versioned
-	// CAS protocol (the §5.4 ablation).
+	// CAS protocol (the §5.4 ablation). It constructs by name but is
+	// not listed by Detectors.
 	SPD3Mutex Detector = "spd3-mutex"
 	// ESPBags is the sequential baseline (forces Sequential executor).
 	ESPBags Detector = "espbags"

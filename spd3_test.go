@@ -271,7 +271,7 @@ func TestNegativeWorkersRejected(t *testing.T) {
 
 func TestDetectorsList(t *testing.T) {
 	ds := spd3.Detectors()
-	if len(ds) != 7 {
+	if len(ds) != 6 {
 		t.Fatalf("Detectors() = %v", ds)
 	}
 	for _, d := range ds {
