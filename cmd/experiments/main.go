@@ -15,10 +15,6 @@
 // element per measurement — {"benchmark", "tool", "workers", "stats"} —
 // where "stats" is the observability snapshot of that measurement's best
 // run (see internal/stats.Snapshot for the schema).
-//
-// With -json, every measurement's wall time (ns/op), race-check count,
-// and analytic footprint are additionally written to BENCH_<n>.json
-// (smallest unused n), the benchmark artifact CI uploads per run.
 package main
 
 import (
@@ -42,33 +38,6 @@ type statsEntry struct {
 	Stats     stats.Snapshot `json:"stats"`
 }
 
-// benchEntry is one measurement in the BENCH_<n>.json artifact written
-// by -json: the numbers CI archives per run so regressions show up as
-// diffs between artifacts rather than rerun-and-eyeball.
-type benchEntry struct {
-	Benchmark string `json:"benchmark"`
-	Tool      string `json:"tool"`
-	Workers   int    `json:"workers"`
-	// NsPerOp is the best-of-repeats wall time in nanoseconds.
-	NsPerOp int64 `json:"ns_per_op"`
-	// Checks is the number of race checks the run performed (CAS-path
-	// outcomes plus mutex-path shadow operations).
-	Checks int64 `json:"checks"`
-	// FootprintBytes is the detector's analytic memory footprint.
-	FootprintBytes int64 `json:"footprint_bytes"`
-}
-
-// benchArtifactPath picks the smallest unused BENCH_<n>.json name, so
-// successive local runs accumulate instead of clobbering each other.
-func benchArtifactPath() string {
-	for n := 1; ; n++ {
-		p := fmt.Sprintf("BENCH_%d.json", n)
-		if _, err := os.Stat(p); os.IsNotExist(err) {
-			return p
-		}
-	}
-}
-
 func main() {
 	var (
 		run      = flag.String("run", "all", "experiment id or 'all'")
@@ -78,7 +47,6 @@ func main() {
 		threads  = flag.String("threads", "1,2,4,8,16", "comma-separated worker sweep")
 		format   = flag.String("format", "text", "output format: text | csv")
 		emitJSON = flag.Bool("stats", false, "emit per-measurement observability snapshots as JSON instead of tables")
-		benchOut = flag.Bool("json", false, "also write BENCH_<n>.json with every measurement's ns/op, check count, and footprint")
 	)
 	flag.Parse()
 
@@ -129,20 +97,6 @@ func main() {
 		// The tables would interleave with the JSON document; drop them.
 		out = io.Discard
 	}
-	var benches []benchEntry
-	if *benchOut {
-		cfg.OnMeasure = func(benchmark string, tool harness.Tool, workers int, m harness.Measurement) {
-			benches = append(benches, benchEntry{
-				Benchmark: benchmark,
-				Tool:      string(tool),
-				Workers:   workers,
-				NsPerOp:   m.Time.Nanoseconds(),
-				Checks: m.Stats.Get(stats.CASClean) + m.Stats.Get(stats.CASPublish) +
-					m.Stats.Get(stats.MutexOps),
-				FootprintBytes: m.Footprint.Total(),
-			})
-		}
-	}
 
 	var exps []harness.Experiment
 	if *run == "all" {
@@ -176,18 +130,5 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-	}
-	if *benchOut {
-		path := benchArtifactPath()
-		data, err := json.MarshalIndent(benches, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %d measurements to %s\n", len(benches), path)
 	}
 }

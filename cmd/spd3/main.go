@@ -60,7 +60,7 @@ func main() {
 		replay    = flag.String("replay", "", "replay a recorded trace into -detector instead of executing")
 		statsDump = flag.Bool("stats", false, "append the run's observability snapshot as JSON")
 		workload  = flag.Bool("workload", false, "print workload statistics (tasks, finishes, per-region traffic) instead of detecting")
-		smpSpec   = flag.String("sample", "", "check-sampling spec mode:rate (bernoulli:0.01, page:0.05, burst:0.02); empty or off checks everything")
+		smpSpec   = flag.String("sample", "", "check-sampling spec mode:rate (bernoulli:0.01, burst:0.02); empty or off checks everything")
 		smpBudget = flag.String("overhead-budget", "", "sampling overhead budget (e.g. 5% or 0.05): a governor adapts the rate online to hold it; empty freezes the rate")
 	)
 	flag.Parse()

@@ -80,7 +80,7 @@ func main() {
 		tenantShards  = flag.Int("tenant-shards", 0, "max shard-pool slots one tenant may hold (0 = pool size, negative disables)")
 		tenantRateMB  = flag.Int64("tenant-rate-mb", 0, "per-tenant submitted-bytes rate limit in MiB/s (0 disables)")
 
-		sampleSpec   = flag.String("sample", "", "default check-sampling spec for every tenant (mode:rate, e.g. bernoulli:0.01, page:0.05, burst:0.02; empty or off = check everything)")
+		sampleSpec   = flag.String("sample", "", "default check-sampling spec for every tenant (mode:rate, e.g. bernoulli:0.01, burst:0.02; empty or off = check everything)")
 		budgetSpec   = flag.String("overhead-budget", "", "sampling overhead budget for the governors (e.g. 5% or 0.05); empty freezes rates at their configured values")
 		tenantSample = flag.String("tenant-sample", "", "per-tenant sampling overrides as tenant=spec[,tenant=spec...]")
 	)

@@ -85,7 +85,7 @@ func TestSamplingOffIdenticalVerdicts(t *testing.T) {
 // sampled run reports must also be reported by the full run — sampling
 // produces false negatives, never false positives.
 func TestSampledRacesAreSubset(t *testing.T) {
-	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Page, sample.Burst} {
+	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Burst} {
 		for seed := int64(0); seed < diffSeeds; seed++ {
 			full := progenRaces(t, seed, nil)
 			smp := sample.NewSeeded(sample.Config{Mode: mode, Rate: 0.3}, uint64(seed))
@@ -107,10 +107,9 @@ func TestSampledRacesAreSubset(t *testing.T) {
 func TestSampledDigestsGolden(t *testing.T) {
 	golden := map[sample.Mode]string{
 		sample.Bernoulli: "f131a7c9955c1122560635229ac456c8b4af33cdb5afd6e5627b92978944368f",
-		sample.Page:      "2377d4f2045851798dded8def472536d7787ece9d231bd954ab3b80636f789f5",
 		sample.Burst:     "d7744d6dd7ce68b7a9f41708c00d83f3f5d1bbb564e4e5d90479332fc7705cba",
 	}
-	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Page, sample.Burst} {
+	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Burst} {
 		h := sha256.New()
 		for seed := int64(0); seed < diffSeeds; seed++ {
 			smp := sample.NewSeeded(sample.Config{Mode: mode, Rate: 0.3}, uint64(seed))

@@ -72,19 +72,13 @@ func (c *casCell) publish(x int64, m word) bool {
 	return true
 }
 
-func (s *casShadow) Read(t *detect.Task, i int)  { s.access(t, i, 0, false) }
-func (s *casShadow) Write(t *detect.Task, i int) { s.access(t, i, 0, true) }
-
-// ReadAt implements detect.SiteShadow.
-func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, false) }
-
-// WriteAt implements detect.SiteShadow.
-func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, true) }
+func (s *casShadow) Read(t *detect.Task, i int)  { s.access(t, i, false) }
+func (s *casShadow) Write(t *detect.Task, i int) { s.access(t, i, true) }
 
 // access is the one memory action of the CAS protocol: resolve the
 // cell, then snapshot / check / publish until the action either leaves
 // the word unchanged or wins its CAS.
-func (s *casShadow) access(t *detect.Task, i int, site uintptr, write bool) {
+func (s *casShadow) access(t *detect.Task, i int, write bool) {
 	if s.d.sink.Stopped() {
 		return
 	}
@@ -93,7 +87,7 @@ func (s *casShadow) access(t *detect.Task, i int, site uintptr, write bool) {
 	var retries int64
 	for {
 		x, m := c.snapshot()
-		m, changed := s.d.check(m, ts, s.name, i, site, write)
+		m, changed := s.d.check(m, ts, s.name, i, write)
 		if !changed {
 			ts.nCASClean++
 			break
@@ -109,5 +103,3 @@ func (s *casShadow) access(t *detect.Task, i int, site uintptr, write bool) {
 		ts.retryBuckets[stats.HistBucket(retries)]++
 	}
 }
-
-var _ detect.SiteShadow = (*casShadow)(nil)

@@ -32,7 +32,7 @@
 //
 // Each protocol has exactly one access routine (casShadow.access,
 // mutexShadow.access) that resolves the paged shadow cell and runs
-// Detector.check on it; Read/Write/ReadAt/WriteAt only forward to it.
+// Detector.check on it; Read and Write only forward to it.
 // Check sampling is not this package's concern: detect.New wraps the
 // detector in the registry's gate when a sampler is enabled.
 package core
@@ -361,37 +361,32 @@ type word struct {
 // step extracts the current step of the accessing task.
 func step(t *detect.Task) *dpst.Node { return t.State.(*taskState).step }
 
-// report emits one race. A nonzero site attributes the completing access
-// to its source location (mem's CaptureSites mode).
-func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur *dpst.Node, site uintptr) {
-	curStep := cur.String()
-	if loc := detect.SiteString(site); loc != "" {
-		curStep += " at " + loc
-	}
+// report emits one race.
+func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur *dpst.Node) {
 	d.sink.Report(detect.Race{
 		Kind:     kind,
 		Region:   region,
 		Index:    i,
 		PrevStep: prev.String(),
-		CurStep:  curStep,
+		CurStep:  cur.String(),
 	})
 }
 
 // check runs Algorithm 1 (write) or 2 (read) on the snapshot m for the
 // accessing task's state ts. It reports any races and returns the
 // updated word and whether the word changed.
-func (d *Detector) check(m word, ts *taskState, region string, i int, site uintptr, write bool) (word, bool) {
+func (d *Detector) check(m word, ts *taskState, region string, i int, write bool) (word, bool) {
 	if write {
-		return d.writeCheck(m, ts, region, i, site)
+		return d.writeCheck(m, ts, region, i)
 	}
-	return d.readCheck(m, ts, region, i, site)
+	return d.readCheck(m, ts, region, i)
 }
 
 // writeCheck is Algorithm 1. Given a snapshot and the writing task's
 // state ts, it reports any races and returns the updated word and
 // whether the word changed. All DMHP queries go through the memoized
 // fingerprint fast path (Detector.relation).
-func (d *Detector) writeCheck(m word, ts *taskState, region string, i int, site uintptr) (word, bool) {
+func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word, bool) {
 	s := ts.step
 	if m.w == s {
 		// Same step rewrote the element; nothing can have changed
@@ -399,13 +394,13 @@ func (d *Detector) writeCheck(m word, ts *taskState, region string, i int, site 
 		return m, false
 	}
 	if p, _ := d.relation(ts, m.r1); p {
-		d.report(detect.ReadWrite, region, i, m.r1, s, site)
+		d.report(detect.ReadWrite, region, i, m.r1, s)
 	}
 	if p, _ := d.relation(ts, m.r2); p {
-		d.report(detect.ReadWrite, region, i, m.r2, s, site)
+		d.report(detect.ReadWrite, region, i, m.r2, s)
 	}
 	if p, _ := d.relation(ts, m.w); p {
-		d.report(detect.WriteWrite, region, i, m.w, s, site)
+		d.report(detect.WriteWrite, region, i, m.w, s)
 		return m, false
 	}
 	m.w = s
@@ -415,7 +410,7 @@ func (d *Detector) writeCheck(m word, ts *taskState, region string, i int, site 
 // readCheck is Algorithm 2 with the null-reader cases made explicit.
 // Given a snapshot and the reading task's state ts, it reports any
 // races and returns the updated word and whether the word changed.
-func (d *Detector) readCheck(m word, ts *taskState, region string, i int, site uintptr) (word, bool) {
+func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word, bool) {
 	s := ts.step
 	if m.r1 == s || m.r2 == s {
 		// This step is already recorded; re-reading changes nothing.
@@ -423,7 +418,7 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int, site u
 		return m, false
 	}
 	if p, _ := d.relation(ts, m.w); p {
-		d.report(detect.WriteRead, region, i, m.w, s, site)
+		d.report(detect.WriteRead, region, i, m.w, s)
 	}
 	p1, lca1s := d.relation(ts, m.r1)
 	p2, _ := d.relation(ts, m.r2)
@@ -479,18 +474,12 @@ type mutexShadow struct {
 	pages *shadow.Pages[mutexCell]
 }
 
-func (s *mutexShadow) Read(t *detect.Task, i int)  { s.access(t, i, 0, false) }
-func (s *mutexShadow) Write(t *detect.Task, i int) { s.access(t, i, 0, true) }
-
-// ReadAt implements detect.SiteShadow.
-func (s *mutexShadow) ReadAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, false) }
-
-// WriteAt implements detect.SiteShadow.
-func (s *mutexShadow) WriteAt(t *detect.Task, i int, site uintptr) { s.access(t, i, site, true) }
+func (s *mutexShadow) Read(t *detect.Task, i int)  { s.access(t, i, false) }
+func (s *mutexShadow) Write(t *detect.Task, i int) { s.access(t, i, true) }
 
 // access is the one memory action of the mutex protocol: the check runs
 // on the word in place, under the cell's lock.
-func (s *mutexShadow) access(t *detect.Task, i int, site uintptr, write bool) {
+func (s *mutexShadow) access(t *detect.Task, i int, write bool) {
 	if s.d.sink.Stopped() {
 		return
 	}
@@ -498,10 +487,8 @@ func (s *mutexShadow) access(t *detect.Task, i int, site uintptr, write bool) {
 	ts.nMutexOps++
 	c := s.pages.CellOf(&t.PC, i)
 	c.mu.Lock()
-	if m, changed := s.d.check(c.m, ts, s.name, i, site, write); changed {
+	if m, changed := s.d.check(c.m, ts, s.name, i, write); changed {
 		c.m = m
 	}
 	c.mu.Unlock()
 }
-
-var _ detect.SiteShadow = (*mutexShadow)(nil)

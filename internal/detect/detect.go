@@ -31,9 +31,6 @@
 package detect
 
 import (
-	"fmt"
-	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"spd3/internal/sample"
@@ -175,33 +172,6 @@ func (s ShadowSpec) Bound() int {
 type Shadow interface {
 	Read(t *Task, i int)
 	Write(t *Task, i int)
-}
-
-// SiteShadow is optionally implemented by shadows that can attribute the
-// current access to a source site (a program counter captured by the
-// instrumentation layer); race reports then carry file:line for the
-// access that completed the race. site 0 means unknown.
-type SiteShadow interface {
-	Shadow
-	ReadAt(t *Task, i int, site uintptr)
-	WriteAt(t *Task, i int, site uintptr)
-}
-
-// SiteString resolves a captured program counter to "file:line", or ""
-// for the zero site.
-func SiteString(site uintptr) string {
-	if site == 0 {
-		return ""
-	}
-	fn := runtime.FuncForPC(site)
-	if fn == nil {
-		return ""
-	}
-	file, line := fn.FileLine(site)
-	if i := strings.LastIndexByte(file, '/'); i >= 0 {
-		file = file[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", file, line)
 }
 
 // Detector is implemented by every race-detection algorithm.

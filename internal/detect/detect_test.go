@@ -101,8 +101,12 @@ func TestSinkMarkAndSince(t *testing.T) {
 	}
 }
 
+// TestSinkConcurrent reports from eight goroutines at once with site
+// capture on: each distinct race walks its reporter's stack, and with no
+// container method on it the report gains no site.
 func TestSinkConcurrent(t *testing.T) {
 	s := NewSink(false, 0)
+	s.SetCaptureSites(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -114,8 +118,14 @@ func TestSinkConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := len(s.Races()); got != 100 {
-		t.Fatalf("recorded %d, want 100 distinct", got)
+	races := s.Races()
+	if len(races) != 100 {
+		t.Fatalf("recorded %d, want 100 distinct", len(races))
+	}
+	for _, r := range races {
+		if r.CurStep != "" {
+			t.Fatalf("site %q captured without a container frame", r.CurStep)
+		}
 	}
 }
 
@@ -210,15 +220,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if s.Name() != "stats" || s.RequiresSequential() || s.Footprint().Total() != 0 {
 		t.Fatal("stats detector misconfigured")
-	}
-}
-
-func TestSiteString(t *testing.T) {
-	if SiteString(0) != "" {
-		t.Fatal("zero site must render empty")
-	}
-	if SiteString(1) != "" {
-		t.Fatal("bogus pc must render empty, not panic")
 	}
 }
 

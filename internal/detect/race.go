@@ -2,7 +2,10 @@ package detect
 
 import (
 	"fmt"
+	"path"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -71,6 +74,7 @@ type Sink struct {
 
 	mu     sync.Mutex
 	halt   bool // halt on first race
+	sites  bool // append the completing access's file:line to CurStep
 	seen   map[key]struct{}
 	races  []Race
 	capped bool
@@ -110,6 +114,44 @@ func (s *Sink) SetStats(sh *stats.Shard) {
 	s.st = sh
 }
 
+// SetCaptureSites makes Report append " at file.go:NN" to CurStep: the
+// source line of the access that completed the race. Every detector
+// reports synchronously from the accessing task's goroutine, so that
+// access is still on the stack when the sink is called; the walk costs
+// one runtime.Callers per distinct kept race, nothing per access. Call
+// before the run starts.
+func (s *Sink) SetCaptureSites(on bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sites = on
+}
+
+// memMethod prefixes the function name of every checked container
+// method (all have pointer receivers; generic instantiations keep it).
+const memMethod = "spd3/internal/mem.(*"
+
+// accessSite returns " at file.go:NN" for the caller of the container
+// method the reporting goroutine is in — the first frame above the
+// nearest run of container methods, since one may call another
+// (Map.Get → Lookup) — or "" when the stack holds none (trace replay,
+// hand-driven shadows).
+func accessSite() string {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	inMem := false
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, memMethod) {
+			inMem = true
+		} else if inMem {
+			return fmt.Sprintf(" at %s:%d", path.Base(f.File), f.Line)
+		}
+		if !more {
+			return ""
+		}
+	}
+}
+
 // Report records a race. It returns true when execution should halt.
 func (s *Sink) Report(r Race) bool {
 	s.mu.Lock()
@@ -122,16 +164,17 @@ func (s *Sink) Report(r Race) bool {
 	}
 	s.seen[k] = struct{}{}
 	onRace, st := s.onRace, s.st
-	if onRace == nil {
-		if len(s.races) < s.limit {
-			s.races = append(s.races, r)
-			st.Inc(stats.RaceReported)
-		} else {
-			s.capped = true
-			st.Inc(stats.RaceDropped)
-		}
+	if onRace == nil && len(s.races) >= s.limit {
+		s.capped = true
+		st.Inc(stats.RaceDropped)
 	} else {
+		if s.sites {
+			r.CurStep += accessSite()
+		}
 		st.Inc(stats.RaceReported)
+		if onRace == nil {
+			s.races = append(s.races, r)
+		}
 	}
 	halt := s.halt
 	s.mu.Unlock()

@@ -6,10 +6,9 @@ import (
 )
 
 // wrapSampled gates d's shadows behind smp. The wrapper preserves the
-// inner detector's optional interfaces: SiteShadow on a per-shadow
-// basis, BarrierObserver on the detector itself (losing it would change
-// FastTrack's verdict on barrier-phased programs, which sampling must
-// never do).
+// inner detector's optional BarrierObserver interface (losing it would
+// change FastTrack's verdict on barrier-phased programs, which sampling
+// must never do).
 func wrapSampled(d Detector, smp *sample.Sampler, rec *stats.Recorder) Detector {
 	sd := &sampledDetector{inner: d, smp: smp, rec: rec}
 	if bo, ok := d.(BarrierObserver); ok {
@@ -73,12 +72,7 @@ func (d *sampledDetector) Release(t *Task, l *Lock) { d.inner.Release(t, l) }
 func (d *sampledDetector) Footprint() Footprint     { return d.inner.Footprint() }
 
 func (d *sampledDetector) NewShadow(spec ShadowSpec) Shadow {
-	inner := d.inner.NewShadow(spec)
-	id := uint64(d.ids.Add(1))
-	if ss, ok := inner.(SiteShadow); ok {
-		return &sampledSiteShadow{sampledShadow{d: d, id: id, inner: inner}, ss}
-	}
-	return &sampledShadow{d: d, id: id, inner: inner}
+	return &sampledShadow{d: d, id: uint64(d.ids.Add(1)), inner: d.inner.NewShadow(spec)}
 }
 
 // sampledBarrierDetector additionally forwards barrier events.
@@ -123,26 +117,7 @@ func (s *sampledShadow) Write(t *Task, i int) {
 	}
 }
 
-// sampledSiteShadow preserves site attribution through the gate.
-type sampledSiteShadow struct {
-	sampledShadow
-	site SiteShadow
-}
-
-func (s *sampledSiteShadow) ReadAt(t *Task, i int, site uintptr) {
-	if s.admit(t, i) {
-		s.site.ReadAt(t, i, site)
-	}
-}
-
-func (s *sampledSiteShadow) WriteAt(t *Task, i int, site uintptr) {
-	if s.admit(t, i) {
-		s.site.WriteAt(t, i, site)
-	}
-}
-
 var (
 	_ Detector        = (*sampledDetector)(nil)
 	_ BarrierObserver = (*sampledBarrierDetector)(nil)
-	_ SiteShadow      = (*sampledSiteShadow)(nil)
 )

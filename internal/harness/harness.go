@@ -43,10 +43,6 @@ type Config struct {
 	// best run of every measurement (cmd/experiments -stats collects
 	// these into a JSON document).
 	OnStats func(benchmark string, tool Tool, workers int, s stats.Snapshot)
-	// OnMeasure, when non-nil, receives every best-of-repeats
-	// measurement (cmd/experiments -json collects these into the
-	// BENCH_<n>.json benchmark artifact).
-	OnMeasure func(benchmark string, tool Tool, workers int, m Measurement)
 }
 
 func (c Config) withDefaults() Config {
@@ -166,9 +162,6 @@ func (c Config) measure(b *bench.Benchmark, tool Tool, workers int, in bench.Inp
 	}
 	if c.OnStats != nil {
 		c.OnStats(b.Name, tool, workers, best.Stats)
-	}
-	if c.OnMeasure != nil {
-		c.OnMeasure(b.Name, tool, workers, best)
 	}
 	return best, nil
 }

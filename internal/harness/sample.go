@@ -66,7 +66,7 @@ func ablationSample(cfg Config) (*Table, error) {
 	}
 	t.AddRow("spd3 (no sampling)", ratio(full.Time, base.Time), 1.0, detectProb(racySeeds, nil))
 
-	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Page, sample.Burst} {
+	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Burst} {
 		for _, rate := range samplePoints {
 			scfg := sample.Config{Mode: mode, Rate: rate}
 			m, err := cfg.measureSampled(b, scfg, 0, n, in)

@@ -26,11 +26,10 @@ import (
 // list from parallel siblings without synchronization is a data race on
 // the list's structure.
 type List[T any] struct {
-	data  *shadow.Pages[T]
-	n     atomic.Int64
-	sh    detect.Shadow
-	sited detect.SiteShadow
-	reg   *stats.Region
+	data *shadow.Pages[T]
+	n    atomic.Int64
+	sh   detect.Shadow
+	reg  *stats.Region
 }
 
 // NewList allocates an empty instrumented list named name in race
@@ -39,10 +38,9 @@ func NewList[T any](rt *task.Runtime, name string) *List[T] {
 	var zero T
 	sh := rt.Detector().NewShadow(detect.GrowableSpec(name, int(unsafe.Sizeof(zero))))
 	return &List[T]{
-		data:  shadow.New[T](-1),
-		sh:    sh,
-		sited: siteShadow(rt, sh),
-		reg:   rt.Stats().Region(name, 0),
+		data: shadow.New[T](-1),
+		sh:   sh,
+		reg:  rt.Stats().Region(name, 0),
 	}
 }
 
@@ -54,11 +52,7 @@ const lengthCell = 0
 // an unordered Append is reported as a race.
 func (l *List[T]) Len(c *task.Ctx) int {
 	c.CountAccess(l.reg, false)
-	if l.sited != nil {
-		l.sited.ReadAt(c.Task(), lengthCell, callerSite())
-	} else {
-		l.sh.Read(c.Task(), lengthCell)
-	}
+	l.sh.Read(c.Task(), lengthCell)
 	return int(l.n.Load())
 }
 
@@ -68,14 +62,8 @@ func (l *List[T]) Len(c *task.Ctx) int {
 func (l *List[T]) Append(c *task.Ctx, v T) int {
 	c.CountAccess(l.reg, true)
 	i := int(l.n.Add(1) - 1)
-	if l.sited != nil {
-		site := callerSite()
-		l.sited.WriteAt(c.Task(), lengthCell, site)
-		l.sited.WriteAt(c.Task(), i+1, site)
-	} else {
-		l.sh.Write(c.Task(), lengthCell)
-		l.sh.Write(c.Task(), i+1)
-	}
+	l.sh.Write(c.Task(), lengthCell)
+	l.sh.Write(c.Task(), i+1)
 	*l.data.Cell(i) = v
 	return i
 }
@@ -84,11 +72,7 @@ func (l *List[T]) Append(c *task.Ctx, v T) int {
 func (l *List[T]) Get(c *task.Ctx, i int) T {
 	l.check(i)
 	c.CountAccess(l.reg, false)
-	if l.sited != nil {
-		l.sited.ReadAt(c.Task(), i+1, callerSite())
-	} else {
-		l.sh.Read(c.Task(), i+1)
-	}
+	l.sh.Read(c.Task(), i+1)
 	return *l.data.Cell(i)
 }
 
@@ -97,11 +81,7 @@ func (l *List[T]) Get(c *task.Ctx, i int) T {
 func (l *List[T]) Set(c *task.Ctx, i int, v T) {
 	l.check(i)
 	c.CountAccess(l.reg, true)
-	if l.sited != nil {
-		l.sited.WriteAt(c.Task(), i+1, callerSite())
-	} else {
-		l.sh.Write(c.Task(), i+1)
-	}
+	l.sh.Write(c.Task(), i+1)
 	*l.data.Cell(i) = v
 }
 

@@ -35,9 +35,8 @@ import (
 // corrupts itself, but unordered structural accesses are reported so
 // the program can be fixed for plain map[K]V.
 type Map[K comparable, V any] struct {
-	sh    detect.Shadow
-	sited detect.SiteShadow
-	reg   *stats.Region
+	sh  detect.Shadow
+	reg *stats.Region
 
 	mu   sync.Mutex
 	data map[K]V
@@ -51,12 +50,11 @@ func NewMap[K comparable, V any](rt *task.Runtime, name string) *Map[K, V] {
 	var zero V
 	sh := rt.Detector().NewShadow(detect.GrowableSpec(name, int(unsafe.Sizeof(zero))))
 	return &Map[K, V]{
-		sh:    sh,
-		sited: siteShadow(rt, sh),
-		reg:   rt.Stats().Region(name, 0),
-		data:  make(map[K]V),
-		cell:  make(map[K]int),
-		next:  lengthCell + 1,
+		sh:   sh,
+		reg:  rt.Stats().Region(name, 0),
+		data: make(map[K]V),
+		cell: make(map[K]int),
+		next: lengthCell + 1,
 	}
 }
 
@@ -75,18 +73,11 @@ func (m *Map[K, V]) lookup(k K) (V, int, bool) {
 
 // read records an instrumented read of the structure cell and, when
 // present, the key's own cell.
-func (m *Map[K, V]) read(c *task.Ctx, cell int, site uintptr) {
+func (m *Map[K, V]) read(c *task.Ctx, cell int) {
 	c.CountAccess(m.reg, false)
-	if m.sited != nil {
-		m.sited.ReadAt(c.Task(), lengthCell, site)
-		if cell != 0 {
-			m.sited.ReadAt(c.Task(), cell, site)
-		}
-	} else {
-		m.sh.Read(c.Task(), lengthCell)
-		if cell != 0 {
-			m.sh.Read(c.Task(), cell)
-		}
+	m.sh.Read(c.Task(), lengthCell)
+	if cell != 0 {
+		m.sh.Read(c.Task(), cell)
 	}
 }
 
@@ -101,11 +92,7 @@ func (m *Map[K, V]) Get(c *task.Ctx, k K) V {
 // `v, ok := m[k]` form).
 func (m *Map[K, V]) Lookup(c *task.Ctx, k K) (V, bool) {
 	v, cell, ok := m.lookup(k)
-	var site uintptr
-	if m.sited != nil {
-		site = callerSite()
-	}
-	m.read(c, cell, site)
+	m.read(c, cell)
 	return v, ok
 }
 
@@ -115,11 +102,7 @@ func (m *Map[K, V]) Len(c *task.Ctx) int {
 	m.mu.Lock()
 	n := len(m.data)
 	m.mu.Unlock()
-	var site uintptr
-	if m.sited != nil {
-		site = callerSite()
-	}
-	m.read(c, 0, site)
+	m.read(c, 0)
 	return n
 }
 
@@ -141,18 +124,10 @@ func (m *Map[K, V]) Set(c *task.Ctx, k K, v V) {
 	m.mu.Unlock()
 
 	c.CountAccess(m.reg, true)
-	if m.sited != nil {
-		site := callerSite()
-		if !existed {
-			m.sited.WriteAt(c.Task(), lengthCell, site)
-		}
-		m.sited.WriteAt(c.Task(), cell, site)
-	} else {
-		if !existed {
-			m.sh.Write(c.Task(), lengthCell)
-		}
-		m.sh.Write(c.Task(), cell)
+	if !existed {
+		m.sh.Write(c.Task(), lengthCell)
 	}
+	m.sh.Write(c.Task(), cell)
 }
 
 // Update applies f to the value stored under k (the zero value when
@@ -173,20 +148,11 @@ func (m *Map[K, V]) Update(c *task.Ctx, k K, f func(V) V) {
 
 	c.CountAccess(m.reg, false)
 	c.CountAccess(m.reg, true)
-	if m.sited != nil {
-		site := callerSite()
-		m.sited.ReadAt(c.Task(), cell, site)
-		if !existed {
-			m.sited.WriteAt(c.Task(), lengthCell, site)
-		}
-		m.sited.WriteAt(c.Task(), cell, site)
-	} else {
-		m.sh.Read(c.Task(), cell)
-		if !existed {
-			m.sh.Write(c.Task(), lengthCell)
-		}
-		m.sh.Write(c.Task(), cell)
+	m.sh.Read(c.Task(), cell)
+	if !existed {
+		m.sh.Write(c.Task(), lengthCell)
 	}
+	m.sh.Write(c.Task(), cell)
 }
 
 // Delete performs an instrumented delete of k. Deleting a present key
@@ -201,22 +167,13 @@ func (m *Map[K, V]) Delete(c *task.Ctx, k K) {
 	}
 	m.mu.Unlock()
 
-	var site uintptr
-	if m.sited != nil {
-		site = callerSite()
-	}
 	if !present {
-		m.read(c, 0, site)
+		m.read(c, 0)
 		return
 	}
 	c.CountAccess(m.reg, true)
-	if m.sited != nil {
-		m.sited.WriteAt(c.Task(), lengthCell, site)
-		m.sited.WriteAt(c.Task(), cell, site)
-	} else {
-		m.sh.Write(c.Task(), lengthCell)
-		m.sh.Write(c.Task(), cell)
-	}
+	m.sh.Write(c.Task(), lengthCell)
+	m.sh.Write(c.Task(), cell)
 }
 
 // Range calls f for every key/value pair in an unspecified order,
@@ -236,18 +193,10 @@ func (m *Map[K, V]) Range(c *task.Ctx, f func(K, V) bool) {
 	}
 	m.mu.Unlock()
 
-	var site uintptr
-	if m.sited != nil {
-		site = callerSite()
-	}
-	m.read(c, 0, site)
+	m.read(c, 0)
 	for _, e := range snap {
 		c.CountAccess(m.reg, false)
-		if m.sited != nil {
-			m.sited.ReadAt(c.Task(), e.cell, site)
-		} else {
-			m.sh.Read(c.Task(), e.cell)
-		}
+		m.sh.Read(c.Task(), e.cell)
 		if !f(e.k, e.v) {
 			return
 		}

@@ -24,7 +24,6 @@
 package mem
 
 import (
-	"runtime"
 	"sync"
 	"unsafe"
 
@@ -35,27 +34,9 @@ import (
 
 // Array is a one-dimensional instrumented array of T.
 type Array[T any] struct {
-	data  []T
-	sh    detect.Shadow
-	sited detect.SiteShadow // non-nil when site capture is on and supported
-	reg   *stats.Region     // per-region traffic tally; nil when stats are off
-}
-
-// siteShadow returns the shadow's site-capable form when rt asks for
-// site capture and the detector supports it.
-func siteShadow(rt *task.Runtime, sh detect.Shadow) detect.SiteShadow {
-	if !rt.CaptureSites() {
-		return nil
-	}
-	ss, _ := sh.(detect.SiteShadow)
-	return ss
-}
-
-// callerSite captures the program counter of the instrumented access's
-// caller.
-func callerSite() uintptr {
-	pc, _, _, _ := runtime.Caller(2)
-	return pc
+	data []T
+	sh   detect.Shadow
+	reg  *stats.Region // per-region traffic tally; nil when stats are off
 }
 
 // NewArray allocates an instrumented array of n elements named name in
@@ -63,7 +44,7 @@ func callerSite() uintptr {
 func NewArray[T any](rt *task.Runtime, name string, n int) *Array[T] {
 	var zero T
 	sh := rt.Detector().NewShadow(detect.Spec(name, n, int(unsafe.Sizeof(zero))))
-	return &Array[T]{data: make([]T, n), sh: sh, sited: siteShadow(rt, sh), reg: rt.Stats().Region(name, n)}
+	return &Array[T]{data: make([]T, n), sh: sh, reg: rt.Stats().Region(name, n)}
 }
 
 // Len returns the number of elements.
@@ -72,22 +53,14 @@ func (a *Array[T]) Len() int { return len(a.data) }
 // Get performs an instrumented read of element i.
 func (a *Array[T]) Get(c *task.Ctx, i int) T {
 	c.CountAccess(a.reg, false)
-	if a.sited != nil {
-		a.sited.ReadAt(c.Task(), i, callerSite())
-	} else {
-		a.sh.Read(c.Task(), i)
-	}
+	a.sh.Read(c.Task(), i)
 	return a.data[i]
 }
 
 // Set performs an instrumented write of element i.
 func (a *Array[T]) Set(c *task.Ctx, i int, v T) {
 	c.CountAccess(a.reg, true)
-	if a.sited != nil {
-		a.sited.WriteAt(c.Task(), i, callerSite())
-	} else {
-		a.sh.Write(c.Task(), i)
-	}
+	a.sh.Write(c.Task(), i)
 	a.data[i] = v
 }
 
@@ -95,14 +68,8 @@ func (a *Array[T]) Set(c *task.Ctx, i int, v T) {
 func (a *Array[T]) Update(c *task.Ctx, i int, f func(T) T) {
 	c.CountAccess(a.reg, false)
 	c.CountAccess(a.reg, true)
-	if a.sited != nil {
-		site := callerSite()
-		a.sited.ReadAt(c.Task(), i, site)
-		a.sited.WriteAt(c.Task(), i, site)
-	} else {
-		a.sh.Read(c.Task(), i)
-		a.sh.Write(c.Task(), i)
-	}
+	a.sh.Read(c.Task(), i)
+	a.sh.Write(c.Task(), i)
 	a.data[i] = f(a.data[i])
 }
 
@@ -118,7 +85,6 @@ type Matrix[T any] struct {
 	rows, cols int
 	data       []T
 	sh         detect.Shadow
-	sited      detect.SiteShadow
 	reg        *stats.Region
 }
 
@@ -127,12 +93,11 @@ func NewMatrix[T any](rt *task.Runtime, name string, rows, cols int) *Matrix[T] 
 	var zero T
 	sh := rt.Detector().NewShadow(detect.Spec(name, rows*cols, int(unsafe.Sizeof(zero))))
 	return &Matrix[T]{
-		rows:  rows,
-		cols:  cols,
-		data:  make([]T, rows*cols),
-		sh:    sh,
-		sited: siteShadow(rt, sh),
-		reg:   rt.Stats().Region(name, rows*cols),
+		rows: rows,
+		cols: cols,
+		data: make([]T, rows*cols),
+		sh:   sh,
+		reg:  rt.Stats().Region(name, rows*cols),
 	}
 }
 
@@ -146,11 +111,7 @@ func (m *Matrix[T]) Cols() int { return m.cols }
 func (m *Matrix[T]) Get(c *task.Ctx, i, j int) T {
 	c.CountAccess(m.reg, false)
 	k := i*m.cols + j
-	if m.sited != nil {
-		m.sited.ReadAt(c.Task(), k, callerSite())
-	} else {
-		m.sh.Read(c.Task(), k)
-	}
+	m.sh.Read(c.Task(), k)
 	return m.data[k]
 }
 
@@ -158,30 +119,19 @@ func (m *Matrix[T]) Get(c *task.Ctx, i, j int) T {
 func (m *Matrix[T]) Set(c *task.Ctx, i, j int, v T) {
 	c.CountAccess(m.reg, true)
 	k := i*m.cols + j
-	if m.sited != nil {
-		m.sited.WriteAt(c.Task(), k, callerSite())
-	} else {
-		m.sh.Write(c.Task(), k)
-	}
+	m.sh.Write(c.Task(), k)
 	m.data[k] = v
 }
 
 // Update applies f to element (i, j) as an instrumented
 // read-modify-write. Kernels that would otherwise pair a Get with a Set
-// of the same element pay one index computation, one site capture, and
-// one dispatch branch instead of two of each.
+// of the same element pay one index computation instead of two.
 func (m *Matrix[T]) Update(c *task.Ctx, i, j int, f func(T) T) {
 	c.CountAccess(m.reg, false)
 	c.CountAccess(m.reg, true)
 	k := i*m.cols + j
-	if m.sited != nil {
-		site := callerSite()
-		m.sited.ReadAt(c.Task(), k, site)
-		m.sited.WriteAt(c.Task(), k, site)
-	} else {
-		m.sh.Read(c.Task(), k)
-		m.sh.Write(c.Task(), k)
-	}
+	m.sh.Read(c.Task(), k)
+	m.sh.Write(c.Task(), k)
 	m.data[k] = f(m.data[k])
 }
 
@@ -196,38 +146,29 @@ func (m *Matrix[T]) Unchecked() []T { return m.data }
 
 // Var is a single instrumented shared variable.
 type Var[T any] struct {
-	v     T
-	sh    detect.Shadow
-	sited detect.SiteShadow
-	reg   *stats.Region
+	v   T
+	sh  detect.Shadow
+	reg *stats.Region
 }
 
 // NewVar allocates an instrumented variable with initial value init.
 func NewVar[T any](rt *task.Runtime, name string, init T) *Var[T] {
 	var zero T
 	sh := rt.Detector().NewShadow(detect.Spec(name, 1, int(unsafe.Sizeof(zero))))
-	return &Var[T]{v: init, sh: sh, sited: siteShadow(rt, sh), reg: rt.Stats().Region(name, 1)}
+	return &Var[T]{v: init, sh: sh, reg: rt.Stats().Region(name, 1)}
 }
 
 // Get performs an instrumented read.
 func (v *Var[T]) Get(c *task.Ctx) T {
 	c.CountAccess(v.reg, false)
-	if v.sited != nil {
-		v.sited.ReadAt(c.Task(), 0, callerSite())
-	} else {
-		v.sh.Read(c.Task(), 0)
-	}
+	v.sh.Read(c.Task(), 0)
 	return v.v
 }
 
 // Set performs an instrumented write.
 func (v *Var[T]) Set(c *task.Ctx, x T) {
 	c.CountAccess(v.reg, true)
-	if v.sited != nil {
-		v.sited.WriteAt(c.Task(), 0, callerSite())
-	} else {
-		v.sh.Write(c.Task(), 0)
-	}
+	v.sh.Write(c.Task(), 0)
 	v.v = x
 }
 
@@ -243,14 +184,8 @@ func (v *Var[T]) Unchecked() *T { return &v.v }
 func (v *Var[T]) Update(c *task.Ctx, f func(T) T) {
 	c.CountAccess(v.reg, false)
 	c.CountAccess(v.reg, true)
-	if v.sited != nil {
-		site := callerSite()
-		v.sited.ReadAt(c.Task(), 0, site)
-		v.sited.WriteAt(c.Task(), 0, site)
-	} else {
-		v.sh.Read(c.Task(), 0)
-		v.sh.Write(c.Task(), 0)
-	}
+	v.sh.Read(c.Task(), 0)
+	v.sh.Write(c.Task(), 0)
 	v.v = f(v.v)
 }
 

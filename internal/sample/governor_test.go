@@ -60,7 +60,7 @@ func TestGovernorRateFloor(t *testing.T) {
 // TestGovernorZeroBudget: budget 0 turns the feedback loop off; the
 // governor is a fixed-rate sampler factory.
 func TestGovernorZeroBudget(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Page, Rate: 0.25}, 0)
+	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 0.25}, 0)
 	g.Observe(heavy)
 	if got := g.Rate(); got != 0.25 {
 		t.Errorf("zero-budget governor moved the rate to %v", got)

@@ -6,14 +6,11 @@
 // Samples" shows a vanishing sampling rate retains most detection
 // power).
 //
-// Three strategies are provided:
+// Two strategies are provided:
 //
 //   - Bernoulli: one deterministic coin per (region, element). Both
 //     sides of a racing pair flip the same coin, so the probability of
 //     catching a racy location is the rate r itself, not r².
-//   - Page: one coin per aligned 64-element shadow page span. Cheaper
-//     decision reuse and the same both-sides property at page
-//     granularity; dense kernels that sweep rows sample whole stripes.
 //   - Burst: check everything for one task step out of N. Epoch 0 —
 //     every task's first step — is always inside the burst window, so a
 //     fresh detector (each replayed trace segment gets one) samples
@@ -57,8 +54,6 @@ const (
 	Off Mode = iota
 	// Bernoulli flips one deterministic coin per (region, element).
 	Bernoulli
-	// Page flips one coin per pageSpan-aligned element span.
-	Page
 	// Burst checks everything for one task step out of N.
 	Burst
 )
@@ -67,8 +62,6 @@ func (m Mode) String() string {
 	switch m {
 	case Bernoulli:
 		return "bernoulli"
-	case Page:
-		return "page"
 	case Burst:
 		return "burst"
 	default:
@@ -84,8 +77,8 @@ type Config struct {
 }
 
 // Parse parses a sampling spec of the form "mode:rate" — e.g.
-// "bernoulli:0.05", "page:0.01", "burst:0.1" — or "off"/"" for
-// disabled. The rate must be in (0, 1].
+// "bernoulli:0.05", "burst:0.1" — or "off"/"" for disabled. The rate
+// must be in (0, 1].
 func Parse(spec string) (Config, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "off" {
@@ -99,12 +92,10 @@ func Parse(spec string) (Config, error) {
 	switch mode {
 	case "bernoulli":
 		m = Bernoulli
-	case "page":
-		m = Page
 	case "burst":
 		m = Burst
 	default:
-		return Config{}, fmt.Errorf("sample: unknown mode %q (have bernoulli, page, burst, off)", mode)
+		return Config{}, fmt.Errorf("sample: unknown mode %q (have bernoulli, burst, off)", mode)
 	}
 	rate, err := strconv.ParseFloat(rateStr, 64)
 	if err != nil {
@@ -166,11 +157,6 @@ func (r *Rate) Load() float64 { return float64(r.v.Load()) / (1 << rateBits) }
 // load16 returns the fixed-point threshold compared against a 16-bit
 // hash slice on the hot path.
 func (r *Rate) load16() int64 { return r.v.Load() }
-
-// pageShift groups elements into 64-element spans for Page mode —
-// matching the shadow substrate's page-cache granularity closely enough
-// that one decision covers one hot span.
-const pageShift = 6
 
 // TaskState is per-task sampling state, embedded in the per-task record
 // of the layer that gates checks (detect.Task.Sample, for the registry's
@@ -278,7 +264,7 @@ func (s *Sampler) burstPeriod() int64 {
 
 // Admit reports whether the check for element idx of the given shadow
 // region should run. The decision is deterministic per (seed, location)
-// for Bernoulli/Page and per task-step epoch for Burst. Callers tally
+// for Bernoulli and per task-step epoch for Burst. Callers tally
 // the outcome into st.Checked/st.Skipped themselves (so layers that
 // batch counters differently can). Nil receivers admit everything.
 func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
@@ -291,8 +277,6 @@ func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
 			s.Step(st)
 		}
 		return st.burst
-	case Page:
-		idx >>= pageShift
 	case Off:
 		return true
 	}

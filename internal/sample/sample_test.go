@@ -17,10 +17,10 @@ func TestParse(t *testing.T) {
 		{"off", sample.Config{Mode: sample.Off}, true},
 		{"  off  ", sample.Config{Mode: sample.Off}, true},
 		{"bernoulli:0.05", sample.Config{Mode: sample.Bernoulli, Rate: 0.05}, true},
-		{"page:0.01", sample.Config{Mode: sample.Page, Rate: 0.01}, true},
 		{"burst:1", sample.Config{Mode: sample.Burst, Rate: 1}, true},
 		{"bernoulli", sample.Config{}, false},
 		{"coin:0.5", sample.Config{}, false},
+		{"page:0.01", sample.Config{}, false}, // mode removed in PR 13
 		{"bernoulli:0", sample.Config{}, false},
 		{"bernoulli:-0.1", sample.Config{}, false},
 		{"bernoulli:1.5", sample.Config{}, false},
@@ -149,7 +149,7 @@ func TestBernoulliRate(t *testing.T) {
 }
 
 func TestRateOneAdmitsEverything(t *testing.T) {
-	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Page, sample.Burst} {
+	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Burst} {
 		s := sample.New(sample.Config{Mode: mode, Rate: 1})
 		var st sample.TaskState
 		for i := 0; i < 1024; i++ {
@@ -157,30 +157,6 @@ func TestRateOneAdmitsEverything(t *testing.T) {
 				t.Errorf("%v at rate 1 rejected idx %d", mode, i)
 			}
 		}
-	}
-}
-
-// TestPageGrouping: Page mode makes one decision per aligned 64-element
-// span, and the per-span decisions track the rate.
-func TestPageGrouping(t *testing.T) {
-	s := sample.New(sample.Config{Mode: sample.Page, Rate: 0.5})
-	var st sample.TaskState
-	pages := 512
-	admittedPages := 0
-	for p := 0; p < pages; p++ {
-		first := s.Admit(&st, 9, p*64)
-		if first {
-			admittedPages++
-		}
-		for off := 1; off < 64; off++ {
-			if s.Admit(&st, 9, p*64+off) != first {
-				t.Fatalf("page %d: idx %d decided differently from idx %d", p, p*64+off, p*64)
-			}
-		}
-	}
-	got := float64(admittedPages) / float64(pages)
-	if got < 0.4 || got > 0.6 {
-		t.Errorf("admitted page fraction %v at rate 0.5", got)
 	}
 }
 

@@ -100,6 +100,7 @@ func TestSubmitQueryErrorsMatch(t *testing.T) {
 	}{
 		{"unknown detector", "?detector=nosuch", http.StatusNotFound, `or "all"`},
 		{"bad sample spec", "?sample=coin:2", http.StatusBadRequest, "bad sample spec"},
+		{"removed page mode", "?sample=page:0.05", http.StatusBadRequest, "have bernoulli, burst, off"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [2]ErrorReport

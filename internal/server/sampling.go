@@ -20,8 +20,8 @@ import (
 // means sampling off for every tenant.
 type SamplingConfig struct {
 	// Default is the sampling spec applied to every tenant without an
-	// explicit entry in Tenants — "bernoulli:0.01", "page:0.05",
-	// "burst:0.02", or "off". Empty means off.
+	// explicit entry in Tenants — "bernoulli:0.01", "burst:0.02", or
+	// "off". Empty means off.
 	Default string
 	// Budget is the overhead budget handed to each governor (0.05 =
 	// hold modeled check overhead at 5% of uninstrumented time). 0

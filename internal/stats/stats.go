@@ -182,9 +182,9 @@ const (
 	ChecksElidedStatic
 
 	// SampleChecked counts shadow accesses admitted by the dynamic
-	// check-sampling gate (internal/sample). Zero when sampling is off
-	// — the gate itself is compiled out of the hot path behind a nil
-	// check.
+	// check-sampling gate (internal/sample). Zero when sampling is off:
+	// the gate is a wrapper detect.New adds only for an enabled sampler,
+	// so an unsampled run has no gate on its path at all.
 	SampleChecked
 	// SampleSkipped counts shadow accesses elided by the sampling gate.
 	// checked/(checked+skipped) is the effective sampling rate a run

@@ -75,11 +75,6 @@ type Config struct {
 	// Detector is the race detector to drive; nil means the
 	// uninstrumented baseline (detect.Nop).
 	Detector detect.Detector
-	// CaptureSites makes the instrumented containers attach the source
-	// location of every access (via runtime.Caller), so race reports
-	// carry file:line for the access that completed the race. Costs
-	// roughly a stack-walk frame per access; off by default.
-	CaptureSites bool
 	// Stats is the observability recorder the runtime (and the
 	// instrumented containers) report into; nil disables the counters.
 	Stats *stats.Recorder
@@ -147,10 +142,6 @@ func (rt *Runtime) Executor() ExecKind { return rt.cfg.Executor }
 
 // Workers returns the configured worker count.
 func (rt *Runtime) Workers() int { return rt.cfg.Workers }
-
-// CaptureSites reports whether instrumented containers should capture
-// access source locations.
-func (rt *Runtime) CaptureSites() bool { return rt.cfg.CaptureSites }
 
 // NewLock registers a new instrumented lock with the detector.
 func (rt *Runtime) NewLock() *detect.Lock {

@@ -398,15 +398,12 @@ func (seqOnlyDetector) Name() string             { return "seq-only" }
 
 func TestRuntimeAccessors(t *testing.T) {
 	det := detect.Nop{}
-	rt, err := New(Config{Executor: Pool, Workers: 7, Detector: det, CaptureSites: true})
+	rt, err := New(Config{Executor: Pool, Workers: 7, Detector: det})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.Workers() != 7 {
 		t.Errorf("Workers = %d", rt.Workers())
-	}
-	if !rt.CaptureSites() {
-		t.Error("CaptureSites lost")
 	}
 	if rt.Detector() == nil {
 		t.Error("Detector lost")

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +79,35 @@ func TestReplayMatchesLiveVerdicts(t *testing.T) {
 				t.Fatalf("seed %d %s: live %v, replay %v\n%s", seed, name, live, rep, p)
 			}
 		}
+	}
+}
+
+// TestReplayIntoSiteCapturingSink: a replayed access has no container
+// method on the stack, so a sink with site capture on records exactly the
+// races — verdict, (kind, region, index) set and step strings, with no
+// " at file:line" suffix — of a sink without it.
+func TestReplayIntoSiteCapturingSink(t *testing.T) {
+	racy := 0
+	for seed := int64(0); seed < 150; seed++ {
+		data := record(t, progen.Generate(seed, progen.Config{}), task.Sequential, 1)
+		var got [2][]detect.Race
+		for i, sites := range []bool{false, true} {
+			sink := detect.NewSink(false, 0)
+			sink.SetCaptureSites(sites)
+			if err := Replay(bytes.NewReader(data), mkSPD3(sink)); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = sink.Races()
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("seed %d: plain sink %v, site-capturing sink %v", seed, got[0], got[1])
+		}
+		if len(got[0]) > 0 {
+			racy++
+		}
+	}
+	if racy == 0 {
+		t.Fatal("no racy program in the corpus: the comparison is vacuous")
 	}
 }
 

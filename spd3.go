@@ -5,7 +5,7 @@
 //
 // The package bundles a structured task runtime (work-stealing pool,
 // goroutine-per-task, or sequential depth-first execution), instrumented
-// shared-memory containers, and four interchangeable detectors:
+// shared-memory containers, and six interchangeable detectors:
 //
 //   - SPD3 (the paper's contribution): runs in parallel, O(1) space per
 //     monitored location, sound and precise for a given input.
@@ -13,6 +13,8 @@
 //   - FastTrack: handles arbitrary fork-join and locks, but pays O(n)
 //     space and time in the number of tasks.
 //   - Eraser: the lockset heuristic; fast but imprecise.
+//   - OSLabel: Offset-Span labeling, sound for strict fork-join only.
+//   - None: no detection, the measurement baseline.
 //
 // # Quick start
 //
@@ -196,8 +198,9 @@ type Options struct {
 	// be invoked concurrently for distinct races.
 	OnRace func(Race) (halt bool)
 	// CaptureSites attaches the file:line of the access completing a
-	// race to the report (supported by the SPD3 detectors). Costs one
-	// runtime.Caller per instrumented access; off by default.
+	// race to the report. Works with every detector and costs one stack
+	// walk per distinct reported race, nothing per access; off by
+	// default.
 	CaptureSites bool
 	// NoStats disables the observability counters (Report.Stats becomes
 	// a zero snapshot except for Footprint). Counters are on by default
@@ -216,8 +219,8 @@ type Options struct {
 // SamplingOptions selects a check-sampling strategy and, optionally, an
 // overhead budget for the feedback governor.
 type SamplingOptions struct {
-	// Spec is "mode:rate" — "bernoulli:0.05", "page:0.01", "burst:0.1"
-	// — or ""/"off" for disabled. See internal/sample for the strategy
+	// Spec is "mode:rate" — "bernoulli:0.05", "burst:0.1" — or
+	// ""/"off" for disabled. See internal/sample for the strategy
 	// semantics and the soundness argument (sampling can only miss
 	// races, never invent them).
 	Spec string
@@ -262,6 +265,7 @@ func New(opts Options) (*Engine, error) {
 	if opts.OnRace != nil {
 		sink.SetOnRace(opts.OnRace)
 	}
+	sink.SetCaptureSites(opts.CaptureSites)
 	var gov *sample.Governor
 	var smp *sample.Sampler
 	if opts.Sampling.Spec != "" || opts.Sampling.OverheadBudget != 0 {
@@ -285,11 +289,10 @@ func New(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("%w: detector %q requires sequential execution", ErrExecutorMismatch, opts.Detector)
 	}
 	rt, err := task.New(task.Config{
-		Workers:      opts.Workers,
-		Executor:     opts.Executor,
-		Detector:     det,
-		CaptureSites: opts.CaptureSites,
-		Stats:        rec,
+		Workers:  opts.Workers,
+		Executor: opts.Executor,
+		Detector: det,
+		Stats:    rec,
 	})
 	if err != nil {
 		return nil, err

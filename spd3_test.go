@@ -226,26 +226,48 @@ func TestOSLabelFacade(t *testing.T) {
 	}
 }
 
+// TestCaptureSites: the site is captured where the race is reported, so
+// every detector's reports carry it, not only SPD3's.
 func TestCaptureSites(t *testing.T) {
-	eng, err := spd3.New(spd3.Options{Detector: spd3.SPD3, Executor: spd3.Sequential,
-		CaptureSites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spd3.NewArray[int](eng, "a", 1)
-	rep, err := eng.Run(func(c *spd3.Ctx) {
-		c.FinishAsync(2, func(c *spd3.Ctx, i int) {
-			a.Set(c, 0, i) // the race completes here
+	for _, det := range spd3.Detectors() {
+		if det == spd3.None {
+			continue
+		}
+		eng, err := spd3.New(spd3.Options{Detector: det, Executor: spd3.Sequential,
+			CaptureSites: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := spd3.NewArray[int](eng, "a", 1)
+		rep, err := eng.Run(func(c *spd3.Ctx) {
+			c.FinishAsync(2, func(c *spd3.Ctx, i int) {
+				a.Set(c, 0, i) // the race completes here
+			})
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RaceFree() {
+			t.Fatalf("%s: race not reported", det)
+		}
+		if !strings.Contains(rep.Races[0].CurStep, " at spd3_test.go:") {
+			t.Fatalf("%s: race lacks source site: %v", det, rep.Races[0])
+		}
 	}
-	if rep.RaceFree() {
-		t.Fatal("race not reported")
+}
+
+// TestBadSamplingRejected: an unparsable spec is ErrBadSampling — and so
+// is "page", a mode that was removed.
+func TestBadSamplingRejected(t *testing.T) {
+	for _, spec := range []string{"page:0.05", "coin:0.5", "bernoulli:2", "burst"} {
+		_, err := spd3.New(spd3.Options{Sampling: spd3.SamplingOptions{Spec: spec}})
+		if !errors.Is(err, spd3.ErrBadSampling) {
+			t.Errorf("Sampling.Spec %q: err = %v, want ErrBadSampling", spec, err)
+		}
 	}
-	if !strings.Contains(rep.Races[0].CurStep, "spd3_test.go:") {
-		t.Fatalf("race lacks source site: %v", rep.Races[0])
+	_, err := spd3.New(spd3.Options{Sampling: spd3.SamplingOptions{Spec: "page:0.05"}})
+	if err == nil || !strings.Contains(err.Error(), "unknown mode") || !strings.Contains(err.Error(), "have bernoulli, burst, off") {
+		t.Errorf("page spec: err = %v, want the unknown-mode error listing bernoulli, burst, off", err)
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 )
 
 // TestOnRaceStreaming: with Options.OnRace set, each distinct race goes
-// to the callback and Report.Races stays empty.
+// to the callback — site already attached when CaptureSites is on — and
+// Report.Races stays empty.
 func TestOnRaceStreaming(t *testing.T) {
 	var got []spd3.Race
 	eng, err := spd3.New(spd3.Options{
-		Executor: spd3.Sequential, // callback runs inline: no locking needed
-		OnRace:   func(r spd3.Race) bool { got = append(got, r); return false },
+		Executor:     spd3.Sequential, // callback runs inline: no locking needed
+		OnRace:       func(r spd3.Race) bool { got = append(got, r); return false },
+		CaptureSites: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +43,9 @@ func TestOnRaceStreaming(t *testing.T) {
 	for _, r := range got {
 		if r.Region != "a" || r.Kind != spd3.WriteWrite {
 			t.Fatalf("unexpected race %v", r)
+		}
+		if !strings.Contains(r.CurStep, " at stats_api_test.go:") {
+			t.Fatalf("streamed race lacks source site: %v", r)
 		}
 		if seen[r.Index] {
 			t.Fatalf("location a[%d] streamed twice", r.Index)
