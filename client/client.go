@@ -158,7 +158,6 @@ type Statsz struct {
 	Version        string  `json:"version"`
 	UptimeSeconds  float64 `json:"uptime_seconds"`
 	InFlight       int     `json:"in_flight"`
-	MaxInFlight    int     `json:"max_in_flight"`
 	Draining       bool    `json:"draining"`
 	ShardWorkers   int     `json:"shard_workers"`
 	ShardBusy      int     `json:"shard_busy"`

@@ -30,11 +30,13 @@
 // online; a per-request sample= query parameter overrides both. The
 // live per-tenant rates and sample.* counters surface in /statsz.
 //
-// The daemon bounds concurrent analyses (-inflight, 429 beyond it), caps
-// upload size (-max-body, 413), enforces a per-request analysis deadline
-// that cancels the running replay (-timeout, 504), and drains in-flight
-// work before exiting on SIGINT/SIGTERM. Use cmd/spd3load to measure
-// its service-level throughput and latency.
+// Every submit is admitted before its body is read: 503 while draining,
+// 429 + Retry-After when the tenant's queue (-tenant-queue) or another
+// quota is exhausted. The daemon caps upload size (-max-body-mb, 413),
+// enforces a per-request deadline on /v1/analyze that cancels the
+// running replay (-timeout, 504), and drains admitted work before
+// exiting on SIGINT/SIGTERM (-drain). Use cmd/spd3load to measure its
+// service-level throughput and latency.
 package main
 
 import (
@@ -60,9 +62,8 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":7331", "listen address")
-		inflight     = flag.Int("inflight", 0, "max concurrent analyses (0 = GOMAXPROCS); excess requests get 429")
 		maxBodyMB    = flag.Int64("max-body-mb", 64, "trace upload cap in MiB; larger uploads get 413")
-		timeout      = flag.Duration("timeout", 60*time.Second, "per-request analysis deadline (cancels the replay); negative disables")
+		timeout      = flag.Duration("timeout", 60*time.Second, "/v1/analyze per-request deadline (cancels the replay); negative disables")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "HTTP write timeout")
 		drainWait    = flag.Duration("drain", 30*time.Second, "max wait for in-flight analyses on shutdown")
@@ -111,7 +112,6 @@ func main() {
 		}
 	}
 	srv, err := server.Open(server.Config{
-		MaxInFlight:       *inflight,
 		MaxBodyBytes:      *maxBodyMB << 20,
 		RequestTimeout:    *timeout,
 		MaxRacesPerReport: *races,
@@ -166,13 +166,13 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: refuse new analyses (503), let in-flight ones
+	// Graceful shutdown: refuse new submits (503), let admitted ones
 	// finish, then close the listener and idle connections.
-	logger.Printf("shutting down: draining %d in-flight analyses", srv.InFlight())
+	logger.Printf("shutting down: draining %d in-flight submits and jobs", srv.InFlight())
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Drain(drainCtx); err != nil {
-		logger.Printf("drain: %v (abandoning in-flight analyses)", err)
+		logger.Printf("drain: %v (unfinished jobs resume at the next start with the same -store)", err)
 	}
 	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("shutdown: %v", err)

@@ -35,7 +35,7 @@ func TestLoadAgainstDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{MaxInFlight: 64})
+	s := server.New(server.Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -79,7 +79,7 @@ func TestLoadAsyncDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{MaxInFlight: 64})
+	s := server.New(server.Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -1,13 +1,14 @@
-// The /v2 job API: asynchronous trace analysis over the persistent
-// store. POST /v2/jobs streams the upload through the same
-// limiter/cancel/splitter pipeline as /v1/analyze, but instead of
-// replaying inline it spills segments into the content-addressed store,
-// persists a manifest, and answers 202 with a job id; the replay runs
-// on the shard pool behind per-tenant quotas, and the client polls
+// The job path: the daemon's one submit→verdict lifecycle. A submit is
+// admitted (drain set, then tenant quota) before its body is read,
+// streams through the limiter/cancel/splitter pipeline into the
+// content-addressed store, persists a manifest and hands the job to the
+// executor, which replays the stored segments on the shard pool and
+// finalizes the manifest with the merged result. POST /v2/jobs answers
+// 202 with a job id as soon as the job is registered; the client polls
 // GET /v2/jobs/{id}, streams findings from /events, and collects the
-// merged envelope from /result. The old /v1/analyze endpoint is a thin
-// shim over exactly this path (submit an ephemeral job, wait, relay the
-// result), which is what lets every pre-redesign test double as a
+// envelope from /result. POST /v1/analyze (server.go) is a synchronous
+// client of the same path — submit, wait, relay the result, remove the
+// job — which is what lets every pre-redesign test double as a
 // compatibility oracle for the job machinery.
 package server
 
@@ -95,18 +96,15 @@ type Job struct {
 	cancelOnce sync.Once
 	done       chan struct{}
 	subs       map[chan jobEvent]struct{}
+}
 
-	// ephemeral marks a /v1 shim job: deleted as soon as the waiting
-	// request has relayed its result, so it never occupies quota or
-	// store space beyond the request lifetime.
-	ephemeral bool
-	// slotFreed guards the one-time release of the tenant's queue slot.
-	slotFreed bool
-	// noExec marks a queued job whose executor was refused because the
-	// server was draining: nothing in this process will ever run it (it
-	// resumes at the next Open), so DELETE removes it outright instead
-	// of issuing a cancellation no replay will observe.
-	noExec bool
+func newJob(m *Manifest) *Job {
+	return &Job{
+		m:        m,
+		cancelCh: make(chan struct{}),
+		done:     make(chan struct{}),
+		subs:     map[chan jobEvent]struct{}{},
+	}
 }
 
 // cancel requests cancellation; the replay observes it at its next
@@ -284,14 +282,12 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-// submitOpts parameterizes submitJob across its two callers (the /v2
-// handler and the /v1 shim).
+// submitOpts is a submit request's validated query (see parseSubmit).
 type submitOpts struct {
 	detector  string // validated registry name or "all"
 	tenant    string
 	withStats bool
 	shard     bool // run the splitter (pool exists and shard != "off")
-	ephemeral bool // /v1 shim job: delete after the response
 	estimate  int64
 	sampling  string // validated per-request sampling spec override, or ""
 }
@@ -326,21 +322,26 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts
 	}, true
 }
 
-// submitJob runs the submit half of a job: admission against the
-// tenant's quotas, the streaming spill of the request body into the
-// store, and the durable manifest write. On success the job is
-// registered, counted, and already handed to the executor. The returned
-// error is classified by the caller (quotaErr → 429, trace sentinels →
-// their /v1 statuses).
+// submitJob runs the submit half of a job: admission (a drain-set slot,
+// then the tenant's quotas) before a byte of the body is read, the
+// streaming spill of the body into the store, and the durable manifest
+// write. On success the job is registered, counted, and handed — with
+// its drain-set slot — to the executor; on failure nothing is
+// registered and both the slot and the tenant's queue slot are returned.
+// writeSubmitError classifies the error.
 func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts) (*Job, error) {
+	if err := s.acquire(); err != nil {
+		return nil, err
+	}
 	if err := s.quotas.admit(opts.tenant, opts.estimate); err != nil {
-		s.shard().Inc(stats.QuotaDenied)
+		s.release()
 		return nil, err
 	}
 	admitted := false
 	defer func() {
 		if !admitted {
 			s.quotas.releaseSlot(opts.tenant)
+			s.release()
 		}
 	}()
 
@@ -422,9 +423,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 
 	streamed := limiter.Count()
 	sh.Add(stats.SrvBytesRead, streamed)
-	if opts.shard || opts.detector != "all" {
-		sh.Add(stats.SrvStreamedBytes, streamed)
-	}
+	sh.Add(stats.SrvStreamedBytes, streamed)
 
 	now := time.Now()
 	m := &Manifest{
@@ -447,7 +446,6 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	// leaves no manifest behind, so the spilled blobs are garbage for
 	// the next sweep and the tenant's gauge never overshoots.
 	if err := s.quotas.charge(opts.tenant, m.StoredBytes(), opts.estimate); err != nil {
-		sh.Inc(stats.QuotaDenied)
 		return nil, err
 	}
 	if err := s.store.WriteManifest(m); err != nil {
@@ -456,13 +454,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	}
 	admitted = true
 
-	j := &Job{
-		m:         m,
-		cancelCh:  make(chan struct{}),
-		done:      make(chan struct{}),
-		subs:      map[chan jobEvent]struct{}{},
-		ephemeral: opts.ephemeral,
-	}
+	j := newJob(m)
 	s.jobsMu.Lock()
 	s.jobs[m.ID] = j
 	s.jobsMu.Unlock()
@@ -515,18 +507,11 @@ func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim 
 // runJob is the executor: it fans the job's (segment, detector) pairs
 // across the shard pool, bounded by the tenant's shard semaphore so one
 // tenant's backlog cannot monopolize the pool, then finalizes the
-// manifest with the merged result. It runs on its own goroutine; Drain
-// waits for it like any in-flight analysis.
+// manifest with the merged result. It runs on its own goroutine and
+// owns the drain-set slot its caller acquired, released once the job is
+// terminal.
 func (s *Server) runJob(j *Job) {
-	if !s.beginJob(j.ephemeral) {
-		// Draining: the job stays queued on disk and resumes when the
-		// next daemon opens the store.
-		j.mu.Lock()
-		j.noExec = true
-		j.mu.Unlock()
-		return
-	}
-	defer s.endJob()
+	defer s.release()
 
 	m := j.manifest()
 	names := []string{m.Detector}
@@ -756,30 +741,17 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 	case StateCanceled:
 		sh.Inc(stats.JobCanceled)
 	}
-	if !s.killed.Load() {
-		s.releaseSlotOnce(j)
-	}
+	s.quotas.releaseSlot(man.Tenant)
 	s.logf("job %s %s tenant=%s detector=%s segments=%d err=%v",
 		man.ID, man.State, man.Tenant, man.Detector, len(man.Segments), runErr)
 	j.finish()
 	s.sampleMem()
 }
 
-// releaseSlotOnce returns the job's tenant queue slot exactly once.
-func (s *Server) releaseSlotOnce(j *Job) {
-	j.mu.Lock()
-	freed := j.slotFreed
-	j.slotFreed = true
-	tenant := j.m.Tenant
-	j.mu.Unlock()
-	if !freed {
-		s.quotas.releaseSlot(tenant)
-	}
-}
-
 // removeJob deletes a job outright: manifest gone, stored bytes
 // released, dropped from the table. The blobs become garbage for the
-// next sweep. Callers must only remove terminal jobs.
+// next sweep. Callers must only remove terminal jobs (finalizeJob has
+// already returned their queue slot).
 func (s *Server) removeJob(j *Job) {
 	man := j.manifest()
 	s.jobsMu.Lock()
@@ -788,7 +760,6 @@ func (s *Server) removeJob(j *Job) {
 	if err := s.store.DeleteManifest(man.ID); err != nil {
 		s.logf("job %s: deleting manifest: %v", man.ID, err)
 	}
-	s.releaseSlotOnce(j)
 	s.quotas.releaseBytes(man.Tenant, man.StoredBytes())
 }
 
@@ -822,10 +793,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.Draining() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	j, err := s.submitJob(r.Context(), r.Body, opts)
 	if err != nil {
 		s.writeSubmitError(w, err)
@@ -836,21 +803,45 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusAccepted, st)
 }
 
-// writeSubmitError classifies a submitJob failure: quota exhaustion is
-// 429 with Retry-After, trace sentinels keep their /v1 statuses, and a
-// canceled upload (client gone) is 504.
+// writeSubmitError classifies and counts a refused or failed submit for
+// both endpoints: draining is 503 (srv.rejected), quota exhaustion 429
+// with Retry-After (quota.denied), a canceled upload or wait — deadline
+// or client gone — 504 (srv.canceled), and trace sentinels keep their
+// statusFor mapping.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var qe *quotaErr
-	if errors.As(err, &qe) {
+	switch {
+	case errors.Is(err, errDraining):
+		s.shard().Inc(stats.SrvRejected)
+		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.As(err, &qe):
+		s.shard().Inc(stats.QuotaDenied)
 		w.Header().Set("Retry-After", strconv.Itoa(int(qe.retryAfter.Seconds()+0.5)))
 		s.writeError(w, http.StatusTooManyRequests, "%v", qe)
-		return
+	case errors.Is(err, trace.ErrCanceled):
+		s.shard().Inc(stats.SrvCanceled)
+		s.writeError(w, http.StatusGatewayTimeout, "analysis canceled: %v", err)
+	default:
+		s.writeError(w, statusFor(err), "%v", err)
 	}
-	if errors.Is(err, trace.ErrCanceled) {
-		s.writeError(w, http.StatusGatewayTimeout, "upload canceled: %v", err)
-		return
+}
+
+// writeResult relays a terminal job's outcome; GET /v2/jobs/{id}/result
+// and /v1/analyze answer through it, so a verdict or failure reads the
+// same from either.
+func (s *Server) writeResult(w http.ResponseWriter, m Manifest) {
+	switch m.State {
+	case StateDone:
+		s.writeJSON(w, http.StatusOK, m.Result)
+	case StateFailed:
+		status := m.ErrorStatus
+		if status == 0 {
+			status = http.StatusInternalServerError
+		}
+		s.writeError(w, status, "%s", m.Error)
+	default:
+		s.writeError(w, http.StatusGatewayTimeout, "analysis canceled")
 	}
-	s.writeError(w, statusFor(err), "%v", err)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -897,23 +888,13 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	m := j.manifest()
-	switch m.State {
-	case StateDone:
-		s.writeJSON(w, http.StatusOK, m.Result)
-	case StateFailed:
-		status := m.ErrorStatus
-		if status == 0 {
-			status = http.StatusInternalServerError
-		}
-		s.writeError(w, status, "%s", m.Error)
-	case StateCanceled:
-		s.writeError(w, http.StatusGatewayTimeout, "analysis canceled")
-	default:
-		// Not terminal yet: answer like the 202 submit did, so pollers
-		// can hit /result in a loop until it turns into the envelope.
-		s.writeJSON(w, http.StatusAccepted, j.status())
+	if m := j.manifest(); terminalState(m.State) {
+		s.writeResult(w, m)
+		return
 	}
+	// Not terminal yet: answer like the 202 submit did, so pollers can
+	// hit /result in a loop until it turns into the envelope.
+	s.writeJSON(w, http.StatusAccepted, j.status())
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
@@ -922,32 +903,13 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if m := j.manifest(); !terminalState(m.State) {
-		// A queued job whose executor was refused during drain has no
-		// replay to observe a cancellation: finalize it to canceled here
-		// (exactly one request wins the queued→canceled transition) and
-		// fall through to removal, instead of leaving it non-terminal
-		// until the next daemon restart.
-		j.mu.Lock()
-		orphaned := j.m.State == StateQueued && j.noExec
-		if orphaned {
-			j.m.State = StateCanceled
-			j.m.Error = "analysis canceled"
-			j.m.UpdatedAt = time.Now()
-		}
-		j.mu.Unlock()
-		if !orphaned {
-			// Running or queued: DELETE is a cancellation request, routed
-			// through the same Limits.Cancel plumbing as /v1 deadlines.
-			// The job survives (state canceled) until deleted again.
-			j.cancel()
-			s.writeJSON(w, http.StatusAccepted, j.status())
-			return
-		}
-		sh := s.shard()
-		sh.Add(stats.JobQueued, -1)
-		sh.Inc(stats.JobCanceled)
-		j.finish()
+	if !terminalState(j.manifest().State) {
+		// Running or queued: DELETE is a cancellation request, routed
+		// through the same Limits.Cancel plumbing as /v1 deadlines.
+		// The job survives (state canceled) until deleted again.
+		j.cancel()
+		s.writeJSON(w, http.StatusAccepted, j.status())
+		return
 	}
 	s.removeJob(j)
 	w.WriteHeader(http.StatusNoContent)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spd3/internal/detect"
@@ -92,7 +94,7 @@ func jobState(s *Server, id string) string {
 // from either endpoint — status and message.
 func TestSubmitQueryErrorsMatch(t *testing.T) {
 	body := recordProgen(t, 1, true)
-	_, ts := newTestServer(t, Config{MaxInFlight: 4})
+	_, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
 		name, query string
 		status      int
@@ -121,11 +123,80 @@ func TestSubmitQueryErrorsMatch(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusalsMatch: admission happens once, inside submitJob, so
+// the two submit endpoints refuse alike — 503 and srv.rejected while
+// draining, 429 with Retry-After and quota.denied when the tenant's job
+// queue is full — each refusal moving its counter by exactly one.
+func TestSubmitRefusalsMatch(t *testing.T) {
+	body := synthTrace(t, 16)
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		refuse     func(t *testing.T, s *Server, base string) // put the server in the refusing state
+		status     int
+		counter    stats.Counter
+		retryAfter string
+	}{
+		{
+			name: "draining",
+			refuse: func(t *testing.T, s *Server, _ string) {
+				if err := s.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			},
+			status:  http.StatusServiceUnavailable,
+			counter: stats.SrvRejected,
+		},
+		{
+			name: "queue full",
+			cfg:  Config{Quota: QuotaConfig{MaxQueuedJobs: 1}},
+			refuse: func(t *testing.T, s *Server, base string) {
+				resp, data := submitV2(t, base, "?detector=test-gate", "", body)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("parking submit = %d\n%s", resp.StatusCode, data)
+				}
+			},
+			status:     http.StatusTooManyRequests,
+			counter:    stats.QuotaDenied,
+			retryAfter: "5",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := setGate()
+			defer release()
+			s, ts := newTestServer(t, tc.cfg)
+			defer s.Close()
+			tc.refuse(t, s, ts.URL)
+			submits := map[string]func() (*http.Response, []byte){
+				"v1": func() (*http.Response, []byte) { return post(t, ts.URL+"/v1/analyze", body) },
+				"v2": func() (*http.Response, []byte) { return submitV2(t, ts.URL, "", "", body) },
+			}
+			for endpoint, submit := range submits {
+				before := getStatsz(t, ts.URL).Stats.Get(tc.counter)
+				resp, data := submit()
+				if resp.StatusCode != tc.status {
+					t.Errorf("%s status = %d, want %d\n%s", endpoint, resp.StatusCode, tc.status, data)
+				}
+				if ra := resp.Header.Get("Retry-After"); ra != tc.retryAfter {
+					t.Errorf("%s Retry-After = %q, want %q", endpoint, ra, tc.retryAfter)
+				}
+				if moved := getStatsz(t, ts.URL).Stats.Get(tc.counter) - before; moved != 1 {
+					t.Errorf("%s moved %s by %d, want 1", endpoint, tc.counter, moved)
+				}
+			}
+			release()
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestJobLifecycleV2 drives the native async path over HTTP: submit is
 // 202 with a Location header, status moves queued→running→done, /result
 // returns the envelope, and a second DELETE removes the finished job.
 func TestJobLifecycleV2(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2})
+	s, ts := newTestServer(t, Config{})
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
 
@@ -176,7 +247,7 @@ func TestJobRestartResume(t *testing.T) {
 	dir := t.TempDir()
 	tr := recordRacyMonteCarlo(t)
 
-	s1, err := Open(Config{StoreDir: dir, MaxInFlight: 2, ShardWorkers: 2})
+	s1, err := Open(Config{StoreDir: dir, ShardWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +276,7 @@ func TestJobRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Config{StoreDir: dir, MaxInFlight: 2, ShardWorkers: 2})
+	s2, err := Open(Config{StoreDir: dir, ShardWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +313,6 @@ func TestJobRestartResume(t *testing.T) {
 // B's exhaustion never delays A.
 func TestTenantIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		MaxInFlight:  4,
 		ShardWorkers: 2,
 		Quota:        QuotaConfig{MaxQueuedJobs: 1},
 	})
@@ -296,7 +366,6 @@ func TestTenantIsolation(t *testing.T) {
 // the daemon finds.
 func TestDifferentialV1V2Amplified(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		MaxInFlight:     2,
 		ShardWorkers:    2,
 		MinSegmentBytes: 1 << 10,
 	})
@@ -370,7 +439,6 @@ func TestDifferentialV1V2Amplified(t *testing.T) {
 // makes the next GC pass reclaim every blob.
 func TestStoreDedupAndSweep(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		MaxInFlight:     2,
 		ShardWorkers:    2,
 		MinSegmentBytes: 1 << 10,
 	})
@@ -456,7 +524,7 @@ func TestSweepVsSubmitRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, serr := st.Sweep(0); serr != nil {
+			if _, serr := st.Sweep(); serr != nil {
 				t.Errorf("sweep: %v", serr)
 			}
 		}()
@@ -519,7 +587,7 @@ func listJobs(t *testing.T, base, tenant string) *JobList {
 // cross-tenant view — job ids grant status/result/cancel access, so a
 // headerless GET /v2/jobs must not enumerate other tenants' jobs.
 func TestJobListTenantScope(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, ShardWorkers: 2})
+	s, ts := newTestServer(t, Config{ShardWorkers: 2})
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
 
@@ -553,7 +621,6 @@ func TestJobListTenantScope(t *testing.T) {
 func TestChunkedSubmitStoredBytesQuota(t *testing.T) {
 	base := recordRacyMonteCarlo(t)
 	s, ts := newTestServer(t, Config{
-		MaxInFlight:     2,
 		ShardWorkers:    2,
 		MinSegmentBytes: 1 << 10,
 		Quota:           QuotaConfig{MaxStoredBytes: int64(2 * len(base))},
@@ -602,57 +669,146 @@ func TestChunkedSubmitStoredBytesQuota(t *testing.T) {
 	}
 }
 
-// TestDrainOrphanedQueuedJobDelete covers the drain-refused executor:
-// a job submitted while the server drains stays queued with nothing to
-// observe a cancellation, so DELETE must remove it outright (manifest
-// gone, quota released) rather than answering 202 forever.
-func TestDrainOrphanedQueuedJobDelete(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, ShardWorkers: 2})
+// tenantGauges reads one tenant's queue-slot and stored-bytes gauges.
+func tenantGauges(s *Server, tenant string) (jobs int, storedBytes int64) {
+	s.quotas.mu.Lock()
+	defer s.quotas.mu.Unlock()
+	ts := s.quotas.tenant(tenant)
+	return ts.jobs, ts.storedBytes
+}
+
+// TestSubmitAfterDrainRefused: a submit cannot slip in underneath the
+// handlers either. Once Drain has been called submitJob itself refuses
+// before reading the body: no job is registered, no manifest or blob is
+// written, and the tenant's gauges stay where they were — so no job can
+// be left queued with nothing in this process to run it.
+func TestSubmitAfterDrainRefused(t *testing.T) {
+	s, _ := newTestServer(t, Config{ShardWorkers: 2})
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	jobs0, bytes0 := tenantGauges(s, "default")
 
-	// The HTTP handler refuses submits while draining, so inject the
-	// job underneath it — the executor then refuses it at beginJob.
-	j, err := s.submitJob(context.Background(), bytes.NewReader(tr), submitOpts{
+	body := bytes.NewReader(tr)
+	j, err := s.submitJob(context.Background(), body, submitOpts{
 		detector: "spd3", tenant: "default",
 		shard: s.pool != nil, estimate: int64(len(tr)),
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, errDraining) || j != nil {
+		t.Fatalf("submitJob while draining = (%v, %v), want errDraining", j, err)
 	}
-	id := j.manifest().ID
-	waitFor(t, func() bool {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.noExec
-	}, "executor to refuse the job")
-	if st := jobState(s, id); st != StateQueued {
-		t.Fatalf("job state = %s, want queued", st)
+	if body.Len() != len(tr) {
+		t.Errorf("refused submit read %d body bytes", len(tr)-body.Len())
 	}
-
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+id, nil)
-	del, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	del.Body.Close()
-	if del.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete of orphaned queued job = %d, want 204", del.StatusCode)
-	}
-	if s.lookupJob(id) != nil {
-		t.Error("orphaned job still in table after delete")
+	s.jobsMu.Lock()
+	registered := len(s.jobs)
+	s.jobsMu.Unlock()
+	if registered != 0 {
+		t.Errorf("%d jobs registered by a refused submit", registered)
 	}
 	manifests, err := s.Store().LoadManifests()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range manifests {
-		if m.ID == id {
-			t.Error("orphaned job's manifest survived delete")
+	if n, _ := s.Store().Blobs(); len(manifests) != 0 || n != 0 {
+		t.Errorf("refused submit wrote %d manifests and %d blobs", len(manifests), n)
+	}
+	if jobs, stored := tenantGauges(s, "default"); jobs != jobs0 || stored != bytes0 {
+		t.Errorf("tenant gauges moved: jobs %d→%d, stored bytes %d→%d", jobs0, jobs, bytes0, stored)
+	}
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("InFlight = %d after a refused submit", n)
+	}
+}
+
+// TestDrainVsSubmitHammer races Drain against concurrent submits on both
+// endpoints (run it under -race). The drain set admits a submit and its
+// job as one unit, so every submit is either refused with 503 or reaches
+// a terminal state, Drain returns only once every admitted job is
+// terminal, and nothing is left queued for a later daemon.
+func TestDrainVsSubmitHammer(t *testing.T) {
+	tr := recordRacyMonteCarlo(t)
+	for round := 0; round < 4; round++ {
+		s, ts := newTestServer(t, Config{ShardWorkers: 2})
+		const clients = 8
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			accepted []string // ids of 202'd /v2 jobs
+			served   atomic.Int64
+		)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Each client submits until it is refused, so every one of
+				// them crosses the drain boundary.
+				for i := 0; ; i++ {
+					if (c+i)%2 == 0 {
+						resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr)
+						switch resp.StatusCode {
+						case http.StatusOK:
+							served.Add(1)
+							continue
+						case http.StatusServiceUnavailable:
+							return
+						}
+						t.Errorf("v1 submit = %d, want 200 or 503\n%s", resp.StatusCode, body)
+						return
+					}
+					resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
+					switch resp.StatusCode {
+					case http.StatusAccepted:
+						served.Add(1)
+						mu.Lock()
+						accepted = append(accepted, decodeJobStatus(t, body).ID)
+						mu.Unlock()
+						continue
+					case http.StatusServiceUnavailable:
+						return
+					}
+					t.Errorf("v2 submit = %d, want 202 or 503\n%s", resp.StatusCode, body)
+					return
+				}
+			}()
 		}
+		waitFor(t, func() bool { return served.Load() >= int64(2*round) }, "submits before the drain")
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// The instant Drain returns: nothing in flight, nothing live.
+		if n := s.InFlight(); n != 0 {
+			t.Errorf("round %d: InFlight = %d after Drain", round, n)
+		}
+		s.jobsMu.Lock()
+		for id, j := range s.jobs {
+			if st := j.manifest().State; !terminalState(st) {
+				t.Errorf("round %d: job %s is %s after Drain returned", round, id, st)
+			}
+		}
+		s.jobsMu.Unlock()
+		wg.Wait()
+		for _, id := range accepted {
+			if st := jobState(s, id); st != StateDone {
+				t.Errorf("round %d: accepted job %s state = %q, want done", round, id, st)
+			}
+		}
+		manifests, err := s.Store().LoadManifests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range manifests {
+			if !terminalState(m.State) {
+				t.Errorf("round %d: manifest %s left %s on disk", round, m.ID, m.State)
+			}
+		}
+		if jobs, _ := tenantGauges(s, "default"); jobs != 0 {
+			t.Errorf("round %d: tenant holds %d queue slots after Drain", round, jobs)
+		}
+		ts.Close()
+		s.Close()
 	}
 }
 
@@ -664,7 +820,7 @@ func TestDrainOrphanedQueuedJobDelete(t *testing.T) {
 // resurrecting a manifest no table entry owned — its blobs were then
 // pinned against every future sweep.)
 func TestDeleteAfterDoneLeavesNoManifest(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 4, ShardWorkers: 2})
+	s, ts := newTestServer(t, Config{ShardWorkers: 2})
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
 
@@ -696,7 +852,7 @@ func TestDeleteAfterDoneLeavesNoManifest(t *testing.T) {
 			}
 		}
 	}
-	if _, sweptBlobs, err := s.Store().Sweep(0); err != nil {
+	if sweptBlobs, err := s.Store().Sweep(); err != nil {
 		t.Fatal(err)
 	} else if n, b := s.Store().Blobs(); n != 0 || b != 0 {
 		t.Errorf("blobs pinned after all jobs deleted: %d blobs / %d bytes (swept %d)", n, b, sweptBlobs)
@@ -726,7 +882,6 @@ func postReader(t *testing.T, url string, body io.Reader) (*http.Response, []byt
 // refused at submit.
 func TestPerTenantSampling(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		MaxInFlight: 2,
 		Sampling: SamplingConfig{
 			Tenants: map[string]string{"sampled": "bernoulli:0.5"},
 		},

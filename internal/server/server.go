@@ -17,27 +17,29 @@
 //	GET  /healthz                      liveness (503 while draining)
 //	GET  /statsz                       merged stats snapshot + server counters
 //
-// Robustness is the point, not an afterthought: in-flight analyses are
-// semaphore-bounded (429 when saturated), bodies are size-capped (413),
-// per-request deadlines propagate into the replay loop through
-// trace.Limits.Cancel (a deadline-exceeded request stops the replay, it
-// does not run to completion in the background), and Drain lets the
-// daemon finish in-flight analyses while refusing new ones with 503.
-// Decode failures map to precise status codes via the trace package's
-// typed errors: 400 malformed, 413 over resource limits, 422
+// Robustness is the point, not an afterthought: every submit passes one
+// admission step before a byte of its body is read (503 while draining,
+// 429 + Retry-After when the tenant's job queue is full), bodies are
+// size-capped (413), /v1's per-request deadline propagates into the
+// replay loop through trace.Limits.Cancel (a deadline-exceeded request
+// stops the replay, it does not run to completion in the background),
+// and Drain lets the daemon finish admitted work while refusing new
+// submits. Decode failures map to precise status codes via the trace
+// package's typed errors: 400 malformed, 413 over resource limits, 422
 // sequential-only detector on a parallel trace, 404 unknown detector.
 //
-// The analyze path streams and shards. The request body is never
-// buffered in full: bytes flow through a counting limiter (overflow →
-// the same trace.ErrLimit → 413 path as declared-resource limits) and a
-// cancel-aware reader straight into the trace decoder, so daemon memory
-// stays proportional to the live task set of the replay — SPD3's O(1)
-// per-location space guarantee end-to-end — and a trace far larger than
-// the daemon's memory ceiling analyzes to the exact verdict a buffered
-// replay would reach. On top of that, a finish-scope splitter cuts the
-// stream into independently replayable segments fanned across a bounded
-// worker pool (see shard.go), so one giant trace parallelizes instead
-// of pinning a slot for its full serial replay time.
+// There is one submit→verdict lifecycle (job.go): the upload streams
+// through a counting limiter (overflow → the same trace.ErrLimit → 413
+// path as declared-resource limits), a cancel-aware reader and a
+// finish-scope splitter into the content-addressed store, never held in
+// memory in full; only then does the job replay, its segments fanned
+// across a bounded worker pool (shard.go). Daemon memory stays
+// proportional to one segment plus the live task set of the replays —
+// SPD3's O(1) per-location space guarantee end-to-end — so a trace far
+// larger than the daemon's memory ceiling analyzes to the exact verdict
+// a buffered replay would reach. POST /v2/jobs answers 202 once the
+// upload is stored; POST /v1/analyze is the same submit followed by a
+// wait and a relay of the result.
 package server
 
 import (
@@ -70,14 +72,11 @@ const (
 // Config tunes one Server. The zero value gets sensible defaults from
 // New.
 type Config struct {
-	// MaxInFlight bounds concurrent analyses; further analyze requests
-	// are rejected with 429. Defaults to GOMAXPROCS.
-	MaxInFlight int
 	// MaxBodyBytes caps the trace body size; larger uploads get 413.
 	// Defaults to 64 MiB.
 	MaxBodyBytes int64
-	// RequestTimeout is the per-request analysis deadline; when it
-	// expires the replay is canceled and the request answered with 504.
+	// RequestTimeout is /v1/analyze's per-request deadline; when it
+	// expires the job is canceled and the request answered with 504.
 	// Defaults to 60s; negative disables.
 	RequestTimeout time.Duration
 	// Limits bounds the resources one replay may demand. The zero
@@ -123,15 +122,14 @@ type Config struct {
 	Log *log.Logger
 }
 
-// Server is the spd3d request handler plus its admission control,
-// job table, trace store, and counters. Create with Open (or New,
+// Server is the spd3d request handler plus its drain set, job table,
+// trace store, and counters. Create with Open (or New,
 // which panics on store failure); serve via Handler; pair Drain with
 // http.Server.Shutdown; Close when done.
 type Server struct {
 	cfg      Config
 	rec      *stats.Recorder // srv.* counters, sharded by request sequence
 	reqSeq   atomic.Int64
-	sem      chan struct{}
 	pool     *shardPool // nil when sharding is disabled
 	store    *Store
 	quotas   *quotaTable
@@ -140,9 +138,9 @@ type Server struct {
 	start    time.Time
 	mux      *http.ServeMux
 
-	// storeEphemeral marks a store New created in a temp directory;
-	// Close removes it.
-	storeEphemeral bool
+	// tmpStore is the temp directory Open created for the store when
+	// StoreDir was empty; Close removes it.
+	tmpStore string
 	// killed simulates an abrupt daemon death for restart testing: set
 	// by Kill, it stops all manifest persistence so the on-disk state
 	// freezes exactly as a SIGKILL would leave it.
@@ -153,21 +151,17 @@ type Server struct {
 	jobsMu sync.Mutex
 	jobs   map[string]*Job
 
-	mu          sync.Mutex
-	draining    bool
-	active      int            // in-flight HTTP analyses (the /v1 shim and admission gate)
-	runningJobs int            // jobs currently executing; Drain waits for these too
-	idle        chan struct{}  // non-nil while a Drain waits for idleness
-	agg         stats.Snapshot // analysis counters merged across requests
+	mu       sync.Mutex
+	draining bool
+	inFlight int            // the drain set: submits being stored and jobs not yet terminal
+	idle     chan struct{}  // non-nil while a Drain waits for idleness
+	agg      stats.Snapshot // analysis counters merged across requests
 }
 
 // Open returns a Server with cfg's zero fields defaulted, its store
 // opened (resuming any jobs a previous daemon left queued or running),
 // and its GC sweeper started when configured.
 func Open(cfg Config) (*Server, error) {
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = runtime.GOMAXPROCS(0)
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
@@ -198,7 +192,6 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		rec:   stats.New(0),
-		sem:   make(chan struct{}, cfg.MaxInFlight),
 		start: time.Now(),
 		mux:   http.NewServeMux(),
 		jobs:  map[string]*Job{},
@@ -214,14 +207,11 @@ func Open(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		dir = tmp
-		s.storeEphemeral = true
+		dir, s.tmpStore = tmp, tmp
 	}
 	store, err := openStore(dir)
 	if err != nil {
-		if s.storeEphemeral {
-			os.RemoveAll(dir)
-		}
+		_ = s.Close() // removes the temp dir; the store error is the one to report
 		return nil, err
 	}
 	s.store = store
@@ -270,30 +260,25 @@ func (s *Server) resumeJobs() error {
 	}
 	sh := s.shard()
 	for _, m := range manifests {
-		j := &Job{
-			m:        m,
-			cancelCh: make(chan struct{}),
-			done:     make(chan struct{}),
-			subs:     map[chan jobEvent]struct{}{},
-		}
+		j := newJob(m)
 		live := !terminalState(m.State)
 		s.quotas.restore(m.Tenant, m.StoredBytes(), live)
+		s.jobsMu.Lock()
+		s.jobs[m.ID] = j
+		s.jobsMu.Unlock()
 		if !live {
-			j.slotFreed = true
 			close(j.done)
-			s.jobsMu.Lock()
-			s.jobs[m.ID] = j
-			s.jobsMu.Unlock()
 			continue
+		}
+		if err := s.acquire(); err != nil {
+			return err
 		}
 		m.State = StateQueued
 		m.UpdatedAt = time.Now()
 		if err := s.store.WriteManifest(m); err != nil {
+			s.release()
 			return err
 		}
-		s.jobsMu.Lock()
-		s.jobs[m.ID] = j
-		s.jobsMu.Unlock()
 		sh.Inc(stats.JobResumed)
 		sh.Inc(stats.JobQueued)
 		s.logf("job %s resumed tenant=%s detector=%s segments=%d",
@@ -338,7 +323,7 @@ func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 			sweptJobs++
 		}
 	}
-	_, sweptBlobs, err := s.store.Sweep(0)
+	sweptBlobs, err := s.store.Sweep()
 	if err != nil {
 		s.logf("gc: %v", err)
 	}
@@ -376,8 +361,8 @@ func (s *Server) Close() error {
 		<-s.gcDone
 		s.gcStop = nil
 	}
-	if s.storeEphemeral {
-		return os.RemoveAll(s.store.root)
+	if s.tmpStore != "" {
+		return os.RemoveAll(s.tmpStore)
 	}
 	return nil
 }
@@ -397,68 +382,45 @@ func (s *Server) shard() *stats.Shard {
 	return s.rec.Shard(int(s.reqSeq.Add(1)))
 }
 
-// begin admits one analysis into the drain set; false while draining.
-func (s *Server) begin() bool {
+// errDraining refuses a submit that arrives after Drain; 503 on the wire.
+var errDraining = errors.New("server is draining")
+
+// acquire takes one slot in the drain set, or refuses while draining.
+// A submit takes its slot before reading the body and hands it to the
+// executor, so everything Drain waits for was admitted before Drain
+// began and reaches a terminal state in this process.
+func (s *Server) acquire() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return false
+		return errDraining
 	}
-	s.active++
-	return true
+	s.inFlight++
+	return nil
 }
 
-// end retires one analysis and wakes a pending Drain when the last one
+// release returns a slot and wakes a pending Drain when the last one
 // leaves.
-func (s *Server) end() {
+func (s *Server) release() {
 	s.mu.Lock()
-	s.active--
-	s.wakeDrainLocked()
-	s.mu.Unlock()
-}
-
-// beginJob admits one job execution into the drain set; false while
-// draining (the job then stays queued on disk and resumes at the next
-// Open). force overrides the draining refusal: a /v1 shim job's
-// surrounding request was already admitted by begin, so drain is
-// obliged to let its replay finish. Jobs are tracked separately from
-// active so InFlight keeps its /v1 meaning: HTTP analyses, not
-// background replays.
-func (s *Server) beginJob(force bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining && !force {
-		return false
-	}
-	s.runningJobs++
-	return true
-}
-
-// endJob retires one job execution.
-func (s *Server) endJob() {
-	s.mu.Lock()
-	s.runningJobs--
-	s.wakeDrainLocked()
-	s.mu.Unlock()
-}
-
-func (s *Server) wakeDrainLocked() {
-	if s.active == 0 && s.runningJobs == 0 && s.draining && s.idle != nil {
+	s.inFlight--
+	if s.inFlight == 0 && s.idle != nil {
 		close(s.idle)
 		s.idle = nil
 	}
+	s.mu.Unlock()
 }
 
-// Drain switches the server into draining mode — new analyze requests
-// and job submits are refused with 503, /healthz flips to 503 — and
-// blocks until every in-flight analysis and running job has finished
-// or ctx expires. Queued jobs that have not started stay queued on
-// disk and resume at the next Open. It is the first half of a graceful
-// shutdown; pair it with http.Server.Shutdown and Close.
+// Drain switches the server into draining mode — submits on either
+// endpoint are refused with 503, /healthz flips to 503 — and blocks
+// until every admitted submit has failed or its job is terminal, or ctx
+// expires (jobs still running then stay "running" on disk and resume at
+// the next Open). It is the first half of a graceful shutdown; pair it
+// with http.Server.Shutdown and Close.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	if s.active == 0 && s.runningJobs == 0 {
+	if s.inFlight == 0 {
 		s.mu.Unlock()
 		return nil
 	}
@@ -482,11 +444,12 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// InFlight returns the number of analyses currently running.
+// InFlight returns the size of the drain set: submits being stored plus
+// jobs queued or running.
 func (s *Server) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.active
+	return s.inFlight
 }
 
 // Race is one reported race in wire form.
@@ -546,7 +509,6 @@ type Statsz struct {
 	Version       string  `json:"version"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	InFlight      int     `json:"in_flight"`
-	MaxInFlight   int     `json:"max_in_flight"`
 	Draining      bool    `json:"draining"`
 	// ShardWorkers is the shard pool's concurrency bound (0 when
 	// sharding is disabled); ShardBusy its live occupancy.
@@ -634,38 +596,15 @@ func eligibleDetectors(sequential bool) []string {
 	return names
 }
 
-// handleAnalyze is the /v1 compatibility shim: it submits an ephemeral
-// job through exactly the /v2 pipeline (stream → spill → shard-pool
-// replay), waits for it inline, relays the result with /v1's status
-// mapping, and deletes the job. Every /v1 behavior — status codes,
-// counters, deadline cancellation, drain semantics — rides on the job
-// machinery, which is what makes the pre-redesign test suite a
-// compatibility oracle for it.
+// handleAnalyze is the job path's synchronous client: submit, wait for
+// the job under the request deadline, relay its result, remove it. The
+// deadline is the one thing /v1 adds — the job never outlives the
+// request, so it holds quota and store space only that long.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	opts, ok := s.parseSubmit(w, r)
 	if !ok {
 		return
 	}
-	opts.ephemeral = true
-	name := opts.detector
-
-	// Admission control before touching the body: a saturated or
-	// draining server sheds load without reading uploads.
-	if !s.begin() {
-		s.shard().Inc(stats.SrvRejected)
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer s.end()
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.shard().Inc(stats.SrvRejected)
-		s.writeError(w, http.StatusTooManyRequests, "server saturated: %d analyses in flight", s.cfg.MaxInFlight)
-		return
-	}
-	defer func() { <-s.sem }()
-
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -678,63 +617,30 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// poll catches cancellation whenever bytes are flowing.
 		http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout)) //nolint:errcheck // best-effort; ResponseWriters without deadlines still get the per-read poll
 	}
-	defer s.sampleMem()
-
 	j, err := s.submitJob(ctx, r.Body, opts)
-	if err != nil {
-		// A failure on a canceled request reports as canceled even
-		// when the proximate error was a read deadline or a decode
-		// hiccup mid-abort: the deadline is the cause.
-		if errors.Is(err, trace.ErrCanceled) || ctx.Err() != nil {
-			s.shard().Inc(stats.SrvCanceled)
-			s.logf("analyze detector=%s: canceled (%v)", name, ctx.Err())
-			s.writeError(w, http.StatusGatewayTimeout, "analysis canceled: %v", ctx.Err())
-			return
-		}
-		s.logf("analyze detector=%s: %v", name, err)
-		s.writeSubmitError(w, err)
-		return
-	}
-	// The job never outlives the request: whatever state it ends in,
-	// its manifest and quota charge are released on the way out.
-	defer func() {
-		go func() {
-			<-j.done
+	if err == nil {
+		select {
+		case <-j.done:
+			s.writeResult(w, j.manifest())
 			s.removeJob(j)
-		}()
-	}()
-
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		// Deadline or client gone: cancel the replay through the same
-		// Limits.Cancel plumbing a /v2 DELETE uses and answer 504 now —
-		// the replay stops at its next cancellation poll.
-		j.cancel()
-		s.shard().Inc(stats.SrvCanceled)
-		s.logf("analyze detector=%s: canceled (%v)", name, ctx.Err())
-		s.writeError(w, http.StatusGatewayTimeout, "analysis canceled: %v", ctx.Err())
-		return
-	}
-
-	m := j.manifest()
-	switch m.State {
-	case StateDone:
-		s.logf("analyze detector=%s bytes=%d segments=%d verdicts=%d racy=%v",
-			name, m.TraceBytes, len(m.Segments), len(m.Result.Verdicts), m.Result.Verdicts[0].Racy)
-		s.writeJSON(w, http.StatusOK, m.Result)
-	case StateCanceled:
-		s.shard().Inc(stats.SrvCanceled)
-		s.logf("analyze detector=%s bytes=%d: canceled", name, m.TraceBytes)
-		s.writeError(w, http.StatusGatewayTimeout, "analysis canceled: %v", ctx.Err())
-	default:
-		status := m.ErrorStatus
-		if status == 0 {
-			status = http.StatusInternalServerError
+			return
+		case <-ctx.Done():
+			// Cancel the replay through the same Limits.Cancel plumbing
+			// a /v2 DELETE uses and answer now; the job is removed once
+			// the replay has observed the cancellation.
+			j.cancel()
+			go func() {
+				<-j.done
+				s.removeJob(j)
+			}()
 		}
-		s.logf("analyze detector=%s bytes=%d: %s", name, m.TraceBytes, m.Error)
-		s.writeError(w, status, "%s", m.Error)
 	}
+	if ctx.Err() != nil {
+		// The deadline (or the client leaving) is the cause, whatever
+		// read or decode error the aborted upload surfaced as.
+		err = fmt.Errorf("%w: %v", trace.ErrCanceled, ctx.Err())
+	}
+	s.writeSubmitError(w, err)
 }
 
 func (s *Server) handleDetectors(w http.ResponseWriter, r *http.Request) {
@@ -799,7 +705,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	snap := s.rec.Snapshot()
 	s.mu.Lock()
 	snap.Merge(s.agg)
-	inFlight, draining := s.active, s.draining
+	inFlight, draining := s.inFlight, s.draining
 	s.mu.Unlock()
 	heapAlloc, sys := s.sampleMem()
 	shardWorkers, shardBusy := 0, 0
@@ -824,7 +730,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Version:        Version,
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		InFlight:       inFlight,
-		MaxInFlight:    s.cfg.MaxInFlight,
 		Draining:       draining,
 		ShardWorkers:   shardWorkers,
 		ShardBusy:      shardBusy,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -206,7 +207,7 @@ func TestStatusCodes(t *testing.T) {
 	seqTrace := recordProgen(t, 1, true)
 	parTrace := recordProgen(t, 1, false)
 
-	_, ts := newTestServer(t, Config{MaxInFlight: 4})
+	_, ts := newTestServer(t, Config{})
 	analyze := ts.URL + "/v1/analyze"
 
 	t.Run("200 valid trace", func(t *testing.T) {
@@ -281,13 +282,15 @@ func TestResourceLimit413(t *testing.T) {
 	}
 }
 
-// TestSaturation429: with MaxInFlight=1 and one analysis parked on the
-// gate, the next request is shed with 429 and counted as rejected;
-// releasing the gate lets the parked analysis finish with 200.
+// TestSaturation429: saturation is the tenant's job queue. With
+// MaxQueuedJobs=1 and one analysis parked on the gate, the next request
+// is shed with 429 + Retry-After before its body is read and counted in
+// quota.denied; releasing the gate lets the parked analysis finish with
+// 200 and frees the slot.
 func TestSaturation429(t *testing.T) {
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{MaxInFlight: 1})
+	s, ts := newTestServer(t, Config{Quota: QuotaConfig{MaxQueuedJobs: 1}})
 
 	tr := synthTrace(t, 16)
 	type result struct {
@@ -305,6 +308,9 @@ func TestSaturation429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated status = %d, want 429", resp.StatusCode)
 	}
+	if ra := resp.Header.Get("Retry-After"); ra != "5" {
+		t.Errorf("saturated Retry-After = %q, want \"5\"", ra)
+	}
 
 	release()
 	r := <-done
@@ -312,8 +318,11 @@ func TestSaturation429(t *testing.T) {
 		t.Fatalf("gated analysis status = %d, want 200\n%s", r.status, r.body)
 	}
 	st := getStatsz(t, ts.URL)
-	if got := st.Stats.Get(stats.SrvRejected); got != 1 {
-		t.Fatalf("srv.rejected = %d, want 1", got)
+	if got := st.Stats.Get(stats.QuotaDenied); got != 1 {
+		t.Fatalf("quota.denied = %d, want 1", got)
+	}
+	if resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after release status = %d, want 200 (slot not freed?)\n%s", resp.StatusCode, body)
 	}
 }
 
@@ -324,7 +333,7 @@ func TestSaturation429(t *testing.T) {
 func TestDeadlineCancelsReplay(t *testing.T) {
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, RequestTimeout: 50 * time.Millisecond})
+	s, ts := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond})
 
 	// Enough events after MainTask that the post-gate replay must cross
 	// a cancellation poll before reaching EOF.
@@ -354,7 +363,7 @@ func TestDeadlineCancelsReplay(t *testing.T) {
 func TestGracefulShutdown(t *testing.T) {
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{MaxInFlight: 4})
+	s, ts := newTestServer(t, Config{})
 
 	tr := synthTrace(t, 16)
 	done := make(chan int, 1)
@@ -506,7 +515,7 @@ func TestConcurrentClients(t *testing.T) {
 		want[seed] = liveVerdict(t, seed, "spd3")
 	}
 
-	_, ts := newTestServer(t, Config{MaxInFlight: 64})
+	_, ts := newTestServer(t, Config{})
 	const clients, perClient = 8, 6
 	var wg sync.WaitGroup
 	errc := make(chan error, clients*perClient)
@@ -545,5 +554,77 @@ func TestConcurrentClients(t *testing.T) {
 	if st.Stats.Get(stats.SrvBytesRead) == 0 || st.Stats.Get(stats.CASClean)+st.Stats.Get(stats.CASPublish) == 0 {
 		t.Fatalf("stats aggregate empty: bytes=%d cas=%d/%d",
 			st.Stats.Get(stats.SrvBytesRead), st.Stats.Get(stats.CASClean), st.Stats.Get(stats.CASPublish))
+	}
+}
+
+// TestNoGoroutineLeak runs one of everything the lifecycle can do — a
+// /v1 verdict, a /v1 deadline that answers 504 while the job is still
+// parked (the remover goroutine), a /v2 job run to done, a /v2 job
+// canceled by DELETE (runJob's cancel watcher), a malformed upload —
+// then Drain and Close, and requires the goroutine count to come back
+// to where it was before the server existed.
+func TestNoGoroutineLeak(t *testing.T) {
+	tr := synthTrace(t, 3*4096)
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	release := setGate()
+	defer release()
+	s, ts := newTestServer(t, Config{RequestTimeout: 250 * time.Millisecond, GCInterval: time.Hour})
+
+	if resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("v1 = %d\n%s", resp.StatusCode, body)
+	}
+	if resp, _ := post(t, ts.URL+"/v1/analyze", []byte("NOTATRACE-NOTATRACE")); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed v1 = %d, want 400", resp.StatusCode)
+	}
+	resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("v2 = %d\n%s", resp.StatusCode, body)
+	}
+	doneID := decodeJobStatus(t, body).ID
+	waitFor(t, func() bool { return jobState(s, doneID) == StateDone }, "v2 job done")
+
+	// Both gated jobs are still parked when their request is answered.
+	if resp, body := post(t, ts.URL+"/v1/analyze?detector=test-gate", tr); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("gated v1 = %d, want 504\n%s", resp.StatusCode, body)
+	}
+	resp, body = submitV2(t, ts.URL, "?detector=test-gate", "", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("gated v2 = %d\n%s", resp.StatusCode, body)
+	}
+	gatedID := decodeJobStatus(t, body).ID
+	waitFor(t, func() bool { return jobState(s, gatedID) == StateRunning }, "gated v2 job running")
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+gatedID, nil)
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close()
+	if del.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE of a running job = %d, want 202", del.StatusCode)
+	}
+	release()
+
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := jobState(s, gatedID); st != StateCanceled {
+		t.Errorf("deleted job state = %q, want canceled", st)
+	}
+	waitFor(t, func() bool { return len(listJobs(t, ts.URL, "").Jobs) == 2 }, "the timed-out /v1 job to be removed")
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the server was opened:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

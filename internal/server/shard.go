@@ -12,11 +12,11 @@ import (
 // each admitted segment runs on its own goroutine and releases the slot
 // when the replay finishes, so an idle daemon carries no pool threads.
 //
-// The blocking acquire is the backpressure path. When every slot is
-// busy, the request handler stops pulling segments off the splitter,
-// the splitter stops reading the request body, and the stall propagates
-// down to TCP flow control — a flood of giant traces slows uploads
-// instead of ballooning daemon memory.
+// The blocking acquire is where a backlog waits: a job's executor parks
+// here (and on its tenant's narrower semaphore) before each segment
+// replay, so queued jobs cost one idle goroutine each, not memory.
+// Nothing replays during an upload — a job's segments are all in the
+// store before its executor starts — so the pool never stalls a body.
 type shardPool struct {
 	sem chan struct{}
 }

@@ -94,11 +94,12 @@ func (m *Manifest) StoredBytes() int64 {
 //	tmp/              staging for both, same filesystem so rename is atomic
 //
 // Durability: blobs and manifests are fsync'd before the rename that
-// publishes them, so a crash leaves either the old state or the new one,
-// never a torn file. Leftover tmp entries from a crash are swept at
-// open. Blob space is reclaimed by mark-and-sweep (Sweep): a blob is
-// garbage when no manifest references it, and manifest TTL expiry is
-// what creates garbage.
+// publishes them (publish is the one place that happens), so a crash
+// leaves either the old state or the new one, never a torn file.
+// Leftover tmp entries from a crash are swept at open. Blob space is
+// reclaimed by mark-and-sweep (Sweep): a blob is garbage when no
+// manifest references it, and deleting manifests (DELETE, TTL expiry in
+// Server.GC, refused submits) is what creates garbage.
 type Store struct {
 	root string
 
@@ -171,60 +172,97 @@ func (s *Store) blobPath(hash string) string {
 	return filepath.Join(s.root, "cas", hash[:2], hash)
 }
 
-// PutStream stores r's full contents as one blob, hashing while
-// spilling so nothing is held in memory, and returns its ref. dup
-// reports a CAS hit: the bytes were already stored (by this job's
-// earlier segments, another job, or a previous daemon run) and nothing
-// new was written.
-func (s *Store) PutStream(r io.Reader) (ref SegmentRef, dup bool, err error) {
-	f, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "put-*")
+// publish is the store's one durable write. It stages a file in tmp/,
+// has fill write it and name its destination, then fsyncs, closes and
+// renames it there (creating the destination directory), so dst either
+// keeps its old content or holds all of the new. A fill error (returned
+// as is), an empty dst (fill found nothing worth keeping) or any
+// failing step discards the staged file.
+func (s *Store) publish(fill func(w io.Writer) (dst string, err error)) error {
+	f, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "stage-*")
 	if err != nil {
-		return SegmentRef{}, false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	tmp := f.Name()
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(f, h), r)
-	if err != nil {
+	published := false
+	defer func() {
+		if !published {
+			os.Remove(f.Name())
+		}
+	}()
+	dst, err := fill(f)
+	if err != nil || dst == "" {
 		f.Close()
-		os.Remove(tmp)
-		return SegmentRef{}, false, err
-	}
-	hash := hex.EncodeToString(h.Sum(nil))
-	ref = SegmentRef{Hash: hash, Bytes: n}
-
-	s.mu.Lock()
-	_, have := s.blobs[hash]
-	s.mu.Unlock()
-	if have {
-		f.Close()
-		os.Remove(tmp)
-		return ref, true, nil
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
-		return SegmentRef{}, false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return SegmentRef{}, false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	dst := s.blobPath(hash)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		os.Remove(tmp)
-		return SegmentRef{}, false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return SegmentRef{}, false, fmt.Errorf("store: %w", err)
+	if err := os.Rename(f.Name(), dst); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
+	published = true
+	return nil
+}
+
+// publishBytes publishes data at dst.
+func (s *Store) publishBytes(dst string, data []byte) error {
+	return s.publish(func(w io.Writer) (string, error) {
+		_, err := w.Write(data)
+		return dst, err
+	})
+}
+
+// has reports whether the index already holds hash.
+func (s *Store) has(hash string) bool {
 	s.mu.Lock()
-	if _, have := s.blobs[hash]; !have { // a racing Put of the same bytes is idempotent
-		s.blobs[hash] = n
-		s.bytes += n
+	defer s.mu.Unlock()
+	_, have := s.blobs[hash]
+	return have
+}
+
+// index records a published blob. A racing put of the same bytes
+// published the same content, so the second record is a no-op.
+func (s *Store) index(ref SegmentRef) {
+	s.mu.Lock()
+	if _, have := s.blobs[ref.Hash]; !have {
+		s.blobs[ref.Hash] = ref.Bytes
+		s.bytes += ref.Bytes
 	}
 	s.mu.Unlock()
-	return ref, false, nil
+}
+
+// PutStream stores r's full contents as one blob, hashing while
+// spilling so nothing is held in memory, and returns its ref. dup
+// reports a CAS hit: the bytes were already stored (by this job's
+// earlier segments, another job, or a previous daemon run) and the
+// spilled copy was discarded. A read error from r is returned as is.
+func (s *Store) PutStream(r io.Reader) (ref SegmentRef, dup bool, err error) {
+	err = s.publish(func(w io.Writer) (string, error) {
+		h := sha256.New()
+		n, err := io.Copy(io.MultiWriter(w, h), r)
+		if err != nil {
+			return "", err
+		}
+		ref = SegmentRef{Hash: hex.EncodeToString(h.Sum(nil)), Bytes: n}
+		if dup = s.has(ref.Hash); dup {
+			return "", nil
+		}
+		return s.blobPath(ref.Hash), nil
+	})
+	if err != nil {
+		return SegmentRef{}, false, err
+	}
+	if !dup {
+		s.index(ref)
+	}
+	return ref, dup, nil
 }
 
 // Put stores one in-memory segment. The hash is computed first, so a
@@ -232,57 +270,15 @@ func (s *Store) PutStream(r io.Reader) (ref SegmentRef, dup bool, err error) {
 // whose repeated finish scopes are byte-identical segments.
 func (s *Store) Put(data []byte) (ref SegmentRef, dup bool, err error) {
 	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
-	ref = SegmentRef{Hash: hash, Bytes: int64(len(data))}
-
-	s.mu.Lock()
-	_, have := s.blobs[hash]
-	s.mu.Unlock()
-	if have {
+	ref = SegmentRef{Hash: hex.EncodeToString(sum[:]), Bytes: int64(len(data))}
+	if s.has(ref.Hash) {
 		return ref, true, nil
 	}
-	if err := s.putBytes(hash, data); err != nil {
+	if err := s.publishBytes(s.blobPath(ref.Hash), data); err != nil {
 		return SegmentRef{}, false, err
 	}
+	s.index(ref)
 	return ref, false, nil
-}
-
-// putBytes writes data to tmp and publishes it under hash.
-func (s *Store) putBytes(hash string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "put-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	dst := s.blobPath(hash)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	n := int64(len(data))
-	s.mu.Lock()
-	if _, have := s.blobs[hash]; !have {
-		s.blobs[hash] = n
-		s.bytes += n
-	}
-	s.mu.Unlock()
-	return nil
 }
 
 // Open returns a reader over one stored segment.
@@ -290,36 +286,15 @@ func (s *Store) Open(ref SegmentRef) (io.ReadCloser, error) {
 	return os.Open(s.blobPath(ref.Hash))
 }
 
-// WriteManifest persists m atomically: marshal to tmp, fsync, rename
-// over jobs/<id>.json. Every state transition goes through here, so the
-// on-disk manifest is always internally consistent.
+// WriteManifest persists m atomically over jobs/<id>.json. Every state
+// transition goes through here, so the on-disk manifest is always
+// internally consistent.
 func (s *Store) WriteManifest(m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	f, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "man-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, s.manifestPath(m.ID)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return s.publishBytes(s.manifestPath(m.ID), data)
 }
 
 func (s *Store) manifestPath(id string) string {
@@ -364,45 +339,29 @@ func (s *Store) DeleteManifest(id string) error {
 	return nil
 }
 
-// Sweep is the store's garbage collector. It expires terminal manifests
-// older than ttl (by UpdatedAt; ttl <= 0 keeps all manifests), then
-// deletes every blob no remaining manifest references. The blob phase
-// is skipped while any submit is in flight (BeginWrite), because a
-// just-put segment is unreferenced until its manifest lands.
-func (s *Store) Sweep(ttl time.Duration) (sweptJobs, sweptBlobs int, err error) {
-	manifests, err := s.LoadManifests()
-	if err != nil {
-		return 0, 0, err
-	}
-	now := time.Now()
-	for _, m := range manifests {
-		if ttl > 0 && terminalState(m.State) && now.Sub(m.UpdatedAt) > ttl {
-			if derr := s.DeleteManifest(m.ID); derr == nil {
-				sweptJobs++
-			}
-		}
-	}
-
-	// The blob phase runs entirely under the mutex: with the lock held
-	// no submit can BeginWrite, and writers == 0 means none is mid-spill,
-	// so segment references cannot appear between the live-set scan below
-	// and the file removals. Loading the manifests fresh here (rather
-	// than reusing the TTL scan above) closes the window where a submit
-	// completes after that scan and dedups onto a blob this sweep is
-	// about to delete — the job's manifest would then reference a file
-	// that no longer exists. Manifest directories are small, so the I/O
-	// held under the lock is a handful of reads and unlinks.
+// Sweep is the store's garbage collector: it deletes every blob no
+// manifest references. It does nothing while any submit is in flight
+// (BeginWrite), because a just-put segment is unreferenced until its
+// manifest lands.
+func (s *Store) Sweep() (sweptBlobs int, err error) {
+	// The sweep runs entirely under the mutex: with the lock held no
+	// submit can BeginWrite, and writers == 0 means none is mid-spill, so
+	// segment references cannot appear between the live-set scan below
+	// and the file removals — a submit that dedups onto a blob this sweep
+	// is about to delete would leave a manifest referencing a file that
+	// no longer exists. Manifest directories are small, so the I/O held
+	// under the lock is a handful of reads and unlinks.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writers > 0 {
-		return sweptJobs, 0, nil
+		return 0, nil
 	}
-	fresh, err := s.LoadManifests()
+	manifests, err := s.LoadManifests()
 	if err != nil {
-		return sweptJobs, 0, err
+		return 0, err
 	}
 	live := make(map[string]struct{})
-	for _, m := range fresh {
+	for _, m := range manifests {
 		for _, ref := range m.Segments {
 			live[ref.Hash] = struct{}{}
 		}
@@ -418,5 +377,5 @@ func (s *Store) Sweep(ttl time.Duration) (sweptJobs, sweptBlobs int, err error) 
 		s.bytes -= n
 		sweptBlobs++
 	}
-	return sweptJobs, sweptBlobs, nil
+	return sweptBlobs, nil
 }

@@ -102,23 +102,24 @@ const (
 	// daemon (all endpoints).
 	SrvRequests
 	// SrvBytesRead counts trace bytes read off the wire by the daemon's
-	// analyze endpoint.
+	// submit endpoints.
 	SrvBytesRead
 	// SrvAnalyses counts replays the daemon ran to completion (each
 	// detector of a differential request counts once).
 	SrvAnalyses
-	// SrvRejected counts analyze requests turned away with 429 because
-	// the in-flight semaphore was saturated, or 503 while draining.
+	// SrvRejected counts submits (on /v1/analyze or /v2/jobs) turned away
+	// with 503 because the daemon was draining. A full tenant queue is a
+	// 429 counted in QuotaDenied.
 	SrvRejected
-	// SrvCanceled counts replays aborted by a request deadline or a
-	// client disconnect (the trace.ErrCanceled path).
+	// SrvCanceled counts submits answered 504: an upload or a /v1 wait
+	// cut short by the request deadline or a client disconnect (the
+	// trace.ErrCanceled path).
 	SrvCanceled
 	// SrvStreamedBytes counts trace bytes the daemon consumed
-	// incrementally — pulled through the body limiter straight into the
-	// streaming decode, never buffered in full. SrvBytesRead counts all
-	// body bytes; the gap between the two is whatever a buffered
-	// fallback (shard=off differential mode, oversize unsplit) had to
-	// materialize.
+	// incrementally — pulled through the body limiter and the splitter
+	// into the store, never buffered in full. Every accepted upload
+	// takes that path, so it moves with SrvBytesRead; it is the counter
+	// the memory-ceiling smokes and the benchmark read.
 	SrvStreamedBytes
 	// TraceSegments counts finish-scope segments cut by the trace
 	// splitter on the daemon's sharded analyze path.
