@@ -4,12 +4,13 @@
 // /v1/analyze call, and the /v2 async job API (SubmitJob → WaitJob →
 // Result, with StreamEvents for live race findings over SSE).
 //
-// The package is deliberately free of internal imports: every wire
-// type is declared here from the daemon's stable JSON contract, so
-// external tooling can depend on it without reaching into internal/.
-// Daemon stats arrive as the expvar-style counters map (see
-// StatsSnapshot), keyed by the namespaced counter names documented in
-// the README (cas.*, dmhp.*, srv.*, job.*, store.*, quota.*, ...).
+// The package is the one definition of the daemon's JSON contract:
+// spd3d (internal/server) marshals the wire types declared here, and
+// docs/schema/*.json is checked against them. It imports nothing under
+// internal/, so external tooling can depend on it. Daemon stats arrive
+// as the expvar-style counters map (see StatsSnapshot), keyed by the
+// namespaced counter names documented in the README (cas.*, dmhp.*,
+// srv.*, job.*, store.*, quota.*, ...).
 package client
 
 import (
@@ -141,9 +142,14 @@ type Report struct {
 	Sequential bool      `json:"sequential"`
 	TraceBytes int64     `json:"trace_bytes"`
 	Verdicts   []Verdict `json:"verdicts"`
-	Sharded    bool      `json:"sharded,omitempty"`
-	Segments   int       `json:"segments,omitempty"`
-	Agree      *bool     `json:"agree,omitempty"`
+	// Sharded reports whether the analysis ran through the finish-scope
+	// splitter and worker pool; Segments is how many independently
+	// replayed units the trace was cut into.
+	Sharded  bool `json:"sharded,omitempty"`
+	Segments int  `json:"segments,omitempty"`
+	// Agree is set in differential mode: whether every detector
+	// reached the same racy/race-free verdict.
+	Agree *bool `json:"agree,omitempty"`
 }
 
 // Detector describes one registry entry from /v1/detectors.
@@ -152,7 +158,18 @@ type Detector struct {
 	Sequential bool   `json:"sequential"`
 }
 
-// Statsz is the /statsz response.
+// DetectorList is the /v1/detectors response.
+type DetectorList struct {
+	Tool      string     `json:"tool"`
+	Version   string     `json:"version"`
+	Detectors []Detector `json:"detectors"`
+}
+
+// Statsz is the /statsz response: server gauges plus the merged
+// observability snapshot. InFlight is the drain set (submits being
+// stored plus live jobs); StoreBlobs/StoreBytes count the CAS after
+// dedup; PeakHeapBytes and PeakRSSBytes are high-water marks, so one
+// read after a run sees the run's ceiling.
 type Statsz struct {
 	Tool           string  `json:"tool"`
 	Version        string  `json:"version"`
@@ -192,7 +209,9 @@ type DetectorProgress struct {
 	RaceCount    int    `json:"race_count"`
 }
 
-// Job states, as carried in JobStatus.State.
+// Job states, as carried in JobStatus.State and in stored manifests.
+// The machine is strictly forward: queued → running → one terminal
+// state; only a daemon restart moves a running job back to queued.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -228,24 +247,67 @@ type JobStatus struct {
 	UpdatedAt   time.Time          `json:"updated_at"`
 }
 
+// JobList is the GET /v2/jobs response: the caller's tenant's jobs,
+// oldest first.
+type JobList struct {
+	Tool    string      `json:"tool"`
+	Version string      `json:"version"`
+	Jobs    []JobStatus `json:"jobs"`
+}
+
 // Event is one frame from a job's SSE stream: Name is "race", "state",
 // or "done"; the payload fields are filled according to Name.
 type Event struct {
-	// Name is the SSE event name.
-	Name string
+	// Name is the SSE event name; it travels on the frame's event line,
+	// not in the data payload.
+	Name string `json:"-"`
 	// Detector and Race are set on "race" events.
-	Detector string `json:"detector"`
-	Race     *Race  `json:"race"`
+	Detector string `json:"detector,omitempty"`
+	Race     *Race  `json:"race,omitempty"`
 	// State is set on "state" and "done" events.
-	State string `json:"state"`
+	State string `json:"state,omitempty"`
 	// RaceCount and Error are set on "done" events.
-	RaceCount int    `json:"race_count"`
-	Error     string `json:"error"`
+	RaceCount int    `json:"race_count,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
-// errorReport is the daemon's JSON error body.
-type errorReport struct {
-	Error string `json:"error"`
+// MarshalJSON renders the frame's data payload: the fields its Name
+// carries and no others. A "done" frame states its race count even when
+// that is zero, which a field tag cannot express.
+func (e Event) MarshalJSON() ([]byte, error) {
+	if e.Name == "done" {
+		return json.Marshal(struct {
+			State     string `json:"state"`
+			RaceCount int    `json:"race_count"`
+			Error     string `json:"error,omitempty"`
+		}{e.State, e.RaceCount, e.Error})
+	}
+	type payload Event // the tags without this method
+	return json.Marshal(payload(e))
+}
+
+// ErrorReport is the JSON body of every non-2xx response.
+type ErrorReport struct {
+	Tool    string `json:"tool"`
+	Version string `json:"version"`
+	Status  int    `json:"status"`
+	Error   string `json:"error"`
+}
+
+// apiError decodes a non-2xx response into *APIError: the envelope's
+// message (the raw body when it is not one) and any Retry-After.
+func apiError(resp *http.Response, body []byte) *APIError {
+	apiErr := &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+	var er ErrorReport
+	if json.Unmarshal(body, &er) == nil && er.Error != "" {
+		apiErr.Message = er.Error
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if d, perr := time.ParseDuration(ra + "s"); perr == nil {
+			apiErr.RetryAfter = d
+		}
+	}
+	return apiErr
 }
 
 // do issues the request and decodes the response into out, converting
@@ -264,17 +326,7 @@ func (c *Client) do(req *http.Request, want int, out any) error {
 		return fmt.Errorf("spd3d: reading response: %w", err)
 	}
 	if resp.StatusCode != want {
-		apiErr := &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body))}
-		var er errorReport
-		if json.Unmarshal(body, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if d, perr := time.ParseDuration(ra + "s"); perr == nil {
-				apiErr.RetryAfter = d
-			}
-		}
-		return apiErr
+		return apiError(resp, body)
 	}
 	if out == nil {
 		return nil
@@ -328,9 +380,7 @@ func (c *Client) Detectors(ctx context.Context) ([]Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	var list struct {
-		Detectors []Detector `json:"detectors"`
-	}
+	var list DetectorList
 	if err := c.do(req, http.StatusOK, &list); err != nil {
 		return nil, err
 	}
@@ -474,12 +524,7 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) boo
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		apiErr := &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body))}
-		var er errorReport
-		if json.Unmarshal(body, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-		}
-		return apiErr
+		return apiError(resp, body)
 	}
 
 	sc := bufio.NewScanner(resp.Body)

@@ -13,6 +13,7 @@ import (
 	"spd3/internal/bench"
 	_ "spd3/internal/detectors" // populate the registry, as cmd/spd3d does
 	"spd3/internal/server"
+	"spd3/internal/server/quota"
 	"spd3/internal/task"
 	"spd3/internal/trace"
 )
@@ -222,7 +223,7 @@ func TestClientJobLifecycle(t *testing.T) {
 // TestClientQuotaRetryAfter pins the typed 429: an exhausted tenant
 // queue surfaces as a saturated *APIError carrying Retry-After.
 func TestClientQuotaRetryAfter(t *testing.T) {
-	_, c := newDaemon(t, server.Config{Quota: server.QuotaConfig{MaxQueuedJobs: 1}})
+	_, c := newDaemon(t, server.Config{Quota: quota.Config{MaxQueuedJobs: 1}})
 	c.Tenant = "tight"
 	ctx := context.Background()
 	tr := recordRacyMonteCarlo(t)

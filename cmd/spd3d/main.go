@@ -57,6 +57,7 @@ import (
 	_ "spd3/internal/detectors" // populate the detector registry
 	"spd3/internal/sample"
 	"spd3/internal/server"
+	"spd3/internal/server/quota"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func main() {
 		StoreDir:          *storeDir,
 		StoreTTL:          *storeTTL,
 		GCInterval:        *gcInterval,
-		Quota: server.QuotaConfig{
+		Quota: quota.Config{
 			MaxQueuedJobs:   *tenantQueue,
 			MaxStoredBytes:  tenantStore,
 			TenantShards:    *tenantShards,

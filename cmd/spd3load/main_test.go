@@ -35,7 +35,10 @@ func TestLoadAgainstDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{})
+	s, err := server.Open(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -79,7 +82,10 @@ func TestLoadAsyncDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{})
+	s, err := server.Open(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

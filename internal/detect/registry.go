@@ -28,8 +28,9 @@ type FactoryOpts struct {
 type Factory func(FactoryOpts) Detector
 
 type registryEntry struct {
-	factory Factory
-	hidden  bool
+	factory    Factory
+	hidden     bool
+	sequential bool // RequiresSequential, asked once at registration
 }
 
 var (
@@ -41,7 +42,10 @@ var (
 // by Names. It is intended to be called from a detector package's init
 // (in the style of database/sql drivers), so adding a detector to the
 // repository is one self-registering file. It panics if name is empty,
-// already registered, or f is nil.
+// already registered, or f is nil. Registration constructs the detector
+// once with empty FactoryOpts to record RequiresSequential, so factories
+// must tolerate a nil Sink and Stats at construction time (all in-repo
+// factories do — the sink is only dereferenced when a race is reported).
 func Register(name string, f Factory) {
 	register(name, f, false)
 }
@@ -61,12 +65,14 @@ func register(name string, f Factory, hidden bool) {
 	if f == nil {
 		panic("detect: Register with nil factory for " + name)
 	}
+	// Asked outside the lock: a variant's factory may itself call New.
+	sequential := f(FactoryOpts{}).RequiresSequential()
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic("detect: Register called twice for " + name)
 	}
-	registry[name] = registryEntry{factory: f, hidden: hidden}
+	registry[name] = registryEntry{factory: f, hidden: hidden, sequential: sequential}
 }
 
 // New builds the named detector. The error lists the registered names so
@@ -107,6 +113,14 @@ func Registered(name string) bool {
 	return ok
 }
 
+// Sequential reports whether the named detector (hidden or not) is only
+// correct under depth-first execution; false for an unknown name.
+func Sequential(name string) bool {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	return registry[name].sequential
+}
+
 // Description describes one registered detector for listing surfaces
 // (cmd tools, the spd3d daemon's /v1/detectors endpoint).
 type Description struct {
@@ -119,19 +133,12 @@ type Description struct {
 }
 
 // Describe returns a Description of every non-hidden detector, sorted by
-// name. It constructs each detector once with empty FactoryOpts to query
-// its capabilities; factories must therefore tolerate a nil Sink and
-// Stats at construction time (all in-repo factories do — the sink is
-// only dereferenced when a race is reported).
+// name. It reads the registry; no detector is constructed.
 func Describe() []Description {
 	names := Names()
 	out := make([]Description, 0, len(names))
 	for _, name := range names {
-		d, err := New(name, FactoryOpts{})
-		if err != nil {
-			continue // unregistered between Names and New; cannot happen in practice
-		}
-		out = append(out, Description{Name: name, Sequential: d.RequiresSequential()})
+		out = append(out, Description{Name: name, Sequential: Sequential(name)})
 	}
 	return out
 }

@@ -12,7 +12,8 @@ type seqStub struct {
 func (s seqStub) RequiresSequential() bool { return s.seq }
 
 func TestDescribe(t *testing.T) {
-	Register("registry-test-seq", func(FactoryOpts) Detector { return seqStub{seq: true} })
+	built := 0 // RequiresSequential is asked once, at registration
+	Register("registry-test-seq", func(FactoryOpts) Detector { built++; return seqStub{seq: true} })
 	Register("registry-test-par", func(FactoryOpts) Detector { return seqStub{} })
 	RegisterVariant("registry-test-hidden", func(FactoryOpts) Detector { return seqStub{} })
 
@@ -36,5 +37,11 @@ func TestDescribe(t *testing.T) {
 	}
 	if d, ok := got["none"]; !ok || d.Sequential {
 		t.Errorf("none: got %+v, want listed with Sequential=false", d)
+	}
+	if !Sequential("registry-test-seq") || Sequential("registry-test-hidden") || Sequential("registry-test-unknown") {
+		t.Error("Sequential: want true for registry-test-seq only")
+	}
+	if built != 1 {
+		t.Errorf("factory ran %d times across Register, Describe and Sequential, want 1", built)
 	}
 }

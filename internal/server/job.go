@@ -28,54 +28,25 @@ import (
 	"sync"
 	"time"
 
+	"spd3/client"
 	"spd3/internal/detect"
 	"spd3/internal/sample"
+	"spd3/internal/server/quota"
+	"spd3/internal/server/store"
 	"spd3/internal/stats"
 	"spd3/internal/trace"
 )
 
-// DetectorProgress is one detector's live progress inside a job status.
-type DetectorProgress struct {
-	Detector     string `json:"detector"`
-	SegmentsDone int    `json:"segments_done"`
-	RaceCount    int    `json:"race_count"`
-}
-
-// JobStatus is the machine-readable job state served by GET
-// /v2/jobs/{id} (and, with state "queued", the 202 body of POST
-// /v2/jobs). RaceCount and Progress move while the job runs, so a
-// poller watches partial results without touching /events.
-type JobStatus struct {
-	Tool        string             `json:"tool"`
-	Version     string             `json:"version"`
-	ID          string             `json:"job_id"`
-	Tenant      string             `json:"tenant"`
-	Detector    string             `json:"detector"`
-	Sequential  bool               `json:"sequential"`
-	State       string             `json:"state"`
-	TraceBytes  int64              `json:"trace_bytes"`
-	StoredBytes int64              `json:"stored_bytes"`
-	Segments    int                `json:"segments"`
-	Sharded     bool               `json:"sharded"`
-	Unsplit     bool               `json:"unsplit,omitempty"`
-	Progress    []DetectorProgress `json:"progress,omitempty"`
-	RaceCount   int                `json:"race_count"`
-	Error       string             `json:"error,omitempty"`
-	CreatedAt   time.Time          `json:"created_at"`
-	UpdatedAt   time.Time          `json:"updated_at"`
-}
-
-// JobList is the GET /v2/jobs response.
-type JobList struct {
-	Tool    string      `json:"tool"`
-	Version string      `json:"version"`
-	Jobs    []JobStatus `json:"jobs"`
-}
-
-// jobEvent is one SSE frame: an event name and its JSON payload.
+// jobEvent is one SSE frame, marshaled once for every subscriber: an
+// event name and its JSON payload.
 type jobEvent struct {
 	name string
 	data []byte
+}
+
+func frame(ev client.Event) jobEvent {
+	data, _ := json.Marshal(ev)
+	return jobEvent{name: ev.Name, data: data}
 }
 
 // Job is one analysis job's live state: the durable manifest plus the
@@ -84,7 +55,7 @@ type jobEvent struct {
 // the job reaches a terminal state.
 type Job struct {
 	mu sync.Mutex
-	m  *Manifest
+	m  *store.Manifest
 
 	// names and acc exist while the job runs: the detector fan-out set
 	// and one merged verdict per detector, deduplicated job-wide.
@@ -98,7 +69,7 @@ type Job struct {
 	subs       map[chan jobEvent]struct{}
 }
 
-func newJob(m *Manifest) *Job {
+func newJob(m *store.Manifest) *Job {
 	return &Job{
 		m:        m,
 		cancelCh: make(chan struct{}),
@@ -114,17 +85,17 @@ func (j *Job) cancel() {
 }
 
 // manifest returns a shallow copy of the job's manifest under the lock.
-func (j *Job) manifest() Manifest {
+func (j *Job) manifest() store.Manifest {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return *j.m
 }
 
 // status builds the wire status under the lock.
-func (j *Job) status() JobStatus {
+func (j *Job) status() client.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	st := client.JobStatus{
 		Tool:        Tool,
 		Version:     Version,
 		ID:          j.m.ID,
@@ -145,7 +116,7 @@ func (j *Job) status() JobStatus {
 		st.Segments = 0
 	}
 	for i, name := range j.names {
-		p := DetectorProgress{Detector: name, SegmentsDone: j.segsDone[i]}
+		p := client.DetectorProgress{Detector: name, SegmentsDone: j.segsDone[i]}
 		if j.acc != nil {
 			p.RaceCount = j.acc[i].count
 			st.RaceCount += j.acc[i].count
@@ -183,7 +154,7 @@ func (j *Job) subscribe() (ch chan jobEvent, replay []jobEvent) {
 		}
 	}
 	ch = make(chan jobEvent, 256)
-	if terminalState(j.m.State) {
+	if client.Terminal(j.m.State) {
 		replay = append(replay, j.finalEventLocked())
 		close(ch)
 		return ch, replay
@@ -229,12 +200,7 @@ func (j *Job) finish() {
 }
 
 func (j *Job) finalEventLocked() jobEvent {
-	data, _ := json.Marshal(struct {
-		State     string `json:"state"`
-		RaceCount int    `json:"race_count"`
-		Error     string `json:"error,omitempty"`
-	}{State: j.m.State, RaceCount: j.raceCountLocked(), Error: j.m.Error})
-	return jobEvent{name: "done", data: data}
+	return frame(client.Event{Name: "done", State: j.m.State, RaceCount: j.raceCountLocked(), Error: j.m.Error})
 }
 
 func (j *Job) raceCountLocked() int {
@@ -250,19 +216,8 @@ func (j *Job) raceCountLocked() int {
 	return n
 }
 
-func raceEvent(detector string, r Race) jobEvent {
-	data, _ := json.Marshal(struct {
-		Detector string `json:"detector"`
-		Race     Race   `json:"race"`
-	}{detector, r})
-	return jobEvent{name: "race", data: data}
-}
-
-func stateEvent(state string) jobEvent {
-	data, _ := json.Marshal(struct {
-		State string `json:"state"`
-	}{state})
-	return jobEvent{name: "state", data: data}
+func raceEvent(detector string, r client.Race) jobEvent {
+	return frame(client.Event{Name: "race", Detector: detector, Race: &r})
 }
 
 // newJobID returns a fresh, unguessable job id.
@@ -274,12 +229,23 @@ func newJobID() string {
 
 // tenantOf extracts the request's tenant: the X-SPD3-Tenant header, or
 // "default" when absent — single-tenant deployments never see quota
-// interference because every request lands in the same bucket.
-func tenantOf(r *http.Request) string {
-	if t := r.Header.Get("X-SPD3-Tenant"); t != "" {
-		return t
+// interference because every request lands in the same bucket. The name
+// keys the quota table, manifests and logs, so it is held to 1–64
+// characters of [A-Za-z0-9._-]; anything else is a 400.
+func tenantOf(r *http.Request) (string, error) {
+	t := r.Header.Get("X-SPD3-Tenant")
+	if t == "" {
+		return "default", nil
 	}
-	return "default"
+	ok := len(t) <= 64
+	for i := 0; ok && i < len(t); i++ {
+		c := t[i]
+		ok = c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '_' || c == '-'
+	}
+	if !ok {
+		return "", fmt.Errorf("bad X-SPD3-Tenant %q: want 1-64 characters of [A-Za-z0-9._-]", t)
+	}
+	return t, nil
 }
 
 // submitOpts is a submit request's validated query (see parseSubmit).
@@ -312,9 +278,14 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts
 		s.writeError(w, http.StatusBadRequest, "bad sample spec %q: %v", sampling, err)
 		return submitOpts{}, false
 	}
+	tenant, err := tenantOf(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return submitOpts{}, false
+	}
 	return submitOpts{
 		detector:  name,
-		tenant:    tenantOf(r),
+		tenant:    tenant,
 		withStats: q.Get("stats") != "",
 		shard:     s.pool != nil && q.Get("shard") != "off",
 		estimate:  max(r.ContentLength, 0),
@@ -333,14 +304,14 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	if err := s.acquire(); err != nil {
 		return nil, err
 	}
-	if err := s.quotas.admit(opts.tenant, opts.estimate); err != nil {
+	if err := s.quotas.Admit(opts.tenant, opts.estimate); err != nil {
 		s.release()
 		return nil, err
 	}
 	admitted := false
 	defer func() {
 		if !admitted {
-			s.quotas.releaseSlot(opts.tenant)
+			s.quotas.ReleaseSlot(opts.tenant)
 			s.release()
 		}
 	}()
@@ -355,20 +326,16 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.detector != "all" {
-		for _, d := range detect.Describe() {
-			if d.Name == opts.detector && d.Sequential && !sequential {
-				return nil, fmt.Errorf("detector %q requires a depth-first trace: %w", opts.detector, trace.ErrSequentialOnly)
-			}
-		}
+	if detect.Sequential(opts.detector) && !sequential {
+		return nil, fmt.Errorf("detector %q requires a depth-first trace: %w", opts.detector, trace.ErrSequentialOnly)
 	}
 
 	var (
-		refs    []SegmentRef
+		refs    []store.SegmentRef
 		unsplit bool
 	)
 	sh := s.shard()
-	putRef := func(ref SegmentRef, dup bool) {
+	putRef := func(ref store.SegmentRef, dup bool) {
 		refs = append(refs, ref)
 		if dup {
 			sh.Inc(stats.StoreDedupHits)
@@ -426,7 +393,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	sh.Add(stats.SrvStreamedBytes, streamed)
 
 	now := time.Now()
-	m := &Manifest{
+	m := &store.Manifest{
 		ID:         newJobID(),
 		Tenant:     opts.tenant,
 		Detector:   opts.detector,
@@ -437,7 +404,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 		Unsplit:    unsplit,
 		Segments:   refs,
 		TraceBytes: streamed,
-		State:      StateQueued,
+		State:      client.StateQueued,
 		CreatedAt:  now,
 		UpdatedAt:  now,
 	}
@@ -445,11 +412,11 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	// here (the upload's true size only became known during the spill)
 	// leaves no manifest behind, so the spilled blobs are garbage for
 	// the next sweep and the tenant's gauge never overshoots.
-	if err := s.quotas.charge(opts.tenant, m.StoredBytes(), opts.estimate); err != nil {
+	if err := s.quotas.Charge(opts.tenant, m.StoredBytes(), opts.estimate); err != nil {
 		return nil, err
 	}
 	if err := s.store.WriteManifest(m); err != nil {
-		s.quotas.releaseBytes(opts.tenant, m.StoredBytes())
+		s.quotas.ReleaseBytes(opts.tenant, m.StoredBytes())
 		return nil, err
 	}
 	admitted = true
@@ -523,9 +490,9 @@ func (s *Server) runJob(j *Job) {
 	j.segsDone = make([]int, len(names))
 	j.acc = make([]*mergedVerdict, len(names))
 	for i, n := range names {
-		j.acc[i] = &mergedVerdict{detector: n, seen: map[raceKey]struct{}{}, races: []Race{}}
+		j.acc[i] = &mergedVerdict{detector: n, seen: map[raceKey]struct{}{}, races: []client.Race{}}
 	}
-	j.m.State = StateRunning
+	j.m.State = client.StateRunning
 	j.m.UpdatedAt = time.Now()
 	man := *j.m
 	j.mu.Unlock()
@@ -535,7 +502,7 @@ func (s *Server) runJob(j *Job) {
 	if !s.killed.Load() {
 		s.store.WriteManifest(&man) //nolint:errcheck // progress persistence is best-effort; terminal write is checked
 	}
-	j.broadcast(stateEvent(StateRunning))
+	j.broadcast(frame(client.Event{Name: "state", State: client.StateRunning}))
 
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	defer cancelCtx()
@@ -569,8 +536,8 @@ func (s *Server) runJob(j *Job) {
 		return firstErr != nil
 	}
 
-	tsem := s.quotas.shardSem(m.Tenant)
-	segJob := func(di int, ref SegmentRef) {
+	tsem := s.quotas.ShardSem(m.Tenant)
+	segJob := func(di int, ref store.SegmentRef) {
 		rd, err := s.store.Open(ref)
 		if err != nil {
 			setErr(err)
@@ -636,7 +603,7 @@ fanout:
 // addRace folds one streamed race into the job accumulator (dedup is
 // job-wide per detector) and broadcasts fresh races to SSE subscribers.
 func (j *Job) addRace(di int, r detect.Race, maxRaces int) {
-	wire := Race{Kind: r.Kind.String(), Region: r.Region, Index: r.Index, Prev: r.PrevStep, Cur: r.CurStep}
+	wire := client.Race{Kind: r.Kind.String(), Region: r.Region, Index: r.Index, Prev: r.PrevStep, Cur: r.CurStep}
 	j.mu.Lock()
 	m := j.acc[di]
 	k := raceKey{wire.Kind, wire.Region, wire.Index}
@@ -670,21 +637,21 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 	j.mu.Lock()
 	man := *j.m
 	man.UpdatedAt = time.Now()
-	var verdicts []Verdict
+	var verdicts []client.Verdict
 	switch {
 	case runErr != nil && errors.Is(runErr, trace.ErrCanceled):
-		man.State = StateCanceled
+		man.State = client.StateCanceled
 		man.Error = "analysis canceled"
 	case runErr != nil:
-		man.State = StateFailed
+		man.State = client.StateFailed
 		man.Error = runErr.Error()
 		man.ErrorStatus = statusFor(runErr)
 	default:
-		man.State = StateDone
+		man.State = client.StateDone
 		ms := float64(wall) / float64(time.Millisecond)
-		verdicts = make([]Verdict, len(j.acc))
+		verdicts = make([]client.Verdict, len(j.acc))
 		for i, acc := range j.acc {
-			verdicts[i] = Verdict{
+			verdicts[i] = client.Verdict{
 				Detector:   acc.detector,
 				Racy:       acc.racy,
 				RaceCount:  acc.count,
@@ -694,11 +661,10 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 			}
 			sortWireRaces(verdicts[i].Races)
 			if man.WithStats {
-				snap := acc.stats
-				verdicts[i].Stats = &snap
+				verdicts[i].Stats = wireStats(acc.stats)
 			}
 		}
-		rep := &Report{
+		rep := &client.Report{
 			Tool:       Tool,
 			Version:    Version,
 			Detector:   man.Detector,
@@ -733,15 +699,15 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 	sh := s.shard()
 	sh.Add(stats.JobRunning, -1)
 	switch man.State {
-	case StateDone:
+	case client.StateDone:
 		sh.Inc(stats.JobDone)
 		sh.Add(stats.SrvAnalyses, int64(len(verdicts)))
-	case StateFailed:
+	case client.StateFailed:
 		sh.Inc(stats.JobFailed)
-	case StateCanceled:
+	case client.StateCanceled:
 		sh.Inc(stats.JobCanceled)
 	}
-	s.quotas.releaseSlot(man.Tenant)
+	s.quotas.ReleaseSlot(man.Tenant)
 	s.logf("job %s %s tenant=%s detector=%s segments=%d err=%v",
 		man.ID, man.State, man.Tenant, man.Detector, len(man.Segments), runErr)
 	j.finish()
@@ -760,7 +726,7 @@ func (s *Server) removeJob(j *Job) {
 	if err := s.store.DeleteManifest(man.ID); err != nil {
 		s.logf("job %s: deleting manifest: %v", man.ID, err)
 	}
-	s.quotas.releaseBytes(man.Tenant, man.StoredBytes())
+	s.quotas.ReleaseBytes(man.Tenant, man.StoredBytes())
 }
 
 // lookupJob finds one job by path id.
@@ -773,7 +739,7 @@ func (s *Server) lookupJob(id string) *Job {
 // sortWireRaces orders a verdict's races like detect.Sink does, so the
 // merged report is deterministic regardless of segment completion
 // order.
-func sortWireRaces(races []Race) {
+func sortWireRaces(races []client.Race) {
 	sort.Slice(races, func(i, k int) bool {
 		a, b := races[i], races[k]
 		if a.Region != b.Region {
@@ -809,14 +775,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // or client gone — 504 (srv.canceled), and trace sentinels keep their
 // statusFor mapping.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
-	var qe *quotaErr
+	var qe *quota.Error
 	switch {
 	case errors.Is(err, errDraining):
 		s.shard().Inc(stats.SrvRejected)
 		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.As(err, &qe):
 		s.shard().Inc(stats.QuotaDenied)
-		w.Header().Set("Retry-After", strconv.Itoa(int(qe.retryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(qe.RetryAfter.Seconds()+0.5)))
 		s.writeError(w, http.StatusTooManyRequests, "%v", qe)
 	case errors.Is(err, trace.ErrCanceled):
 		s.shard().Inc(stats.SrvCanceled)
@@ -829,11 +795,11 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 // writeResult relays a terminal job's outcome; GET /v2/jobs/{id}/result
 // and /v1/analyze answer through it, so a verdict or failure reads the
 // same from either.
-func (s *Server) writeResult(w http.ResponseWriter, m Manifest) {
+func (s *Server) writeResult(w http.ResponseWriter, m store.Manifest) {
 	switch m.State {
-	case StateDone:
+	case client.StateDone:
 		s.writeJSON(w, http.StatusOK, m.Result)
-	case StateFailed:
+	case client.StateFailed:
 		status := m.ErrorStatus
 		if status == 0 {
 			status = http.StatusInternalServerError
@@ -845,17 +811,21 @@ func (s *Server) writeResult(w http.ResponseWriter, m Manifest) {
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
+	// Same tenant mapping as submission: a missing header scopes the
+	// listing to "default" rather than exposing every tenant's job ids
+	// (which grant status/result/cancel access).
+	tenant, err := tenantOf(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	s.jobsMu.Lock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
 	s.jobsMu.Unlock()
-	list := JobList{Tool: Tool, Version: Version, Jobs: []JobStatus{}}
-	// Same tenant mapping as submission: a missing header scopes the
-	// listing to "default" rather than exposing every tenant's job ids
-	// (which grant status/result/cancel access).
-	tenant := tenantOf(r)
+	list := client.JobList{Tool: Tool, Version: Version, Jobs: []client.JobStatus{}}
 	for _, j := range jobs {
 		st := j.status()
 		if st.Tenant != tenant {
@@ -888,7 +858,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if m := j.manifest(); terminalState(m.State) {
+	if m := j.manifest(); client.Terminal(m.State) {
 		s.writeResult(w, m)
 		return
 	}
@@ -903,7 +873,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if !terminalState(j.manifest().State) {
+	if !client.Terminal(j.manifest().State) {
 		// Running or queued: DELETE is a cancellation request, routed
 		// through the same Limits.Cancel plumbing as /v1 deadlines.
 		// The job survives (state canceled) until deleted again.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,7 +17,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spd3/client"
 	"spd3/internal/detect"
+	"spd3/internal/server/quota"
+	"spd3/internal/server/store"
 	"spd3/internal/stats"
 	"spd3/internal/trace"
 )
@@ -71,9 +75,9 @@ func submitV2(t *testing.T, base, query, tenant string, body []byte) (*http.Resp
 	return resp, data
 }
 
-func decodeJobStatus(t *testing.T, data []byte) *JobStatus {
+func decodeJobStatus(t *testing.T, data []byte) *client.JobStatus {
 	t.Helper()
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatalf("decoding job status: %v\n%s", err, data)
 	}
@@ -105,7 +109,7 @@ func TestSubmitQueryErrorsMatch(t *testing.T) {
 		{"removed page mode", "?sample=page:0.05", http.StatusBadRequest, "have bernoulli, burst, off"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var got [2]ErrorReport
+			var got [2]client.ErrorReport
 			_, v1 := post(t, ts.URL+"/v1/analyze"+tc.query, body)
 			_, v2 := submitV2(t, ts.URL, tc.query, "", body)
 			for i, data := range [][]byte{v1, v2} {
@@ -149,7 +153,7 @@ func TestSubmitRefusalsMatch(t *testing.T) {
 		},
 		{
 			name: "queue full",
-			cfg:  Config{Quota: QuotaConfig{MaxQueuedJobs: 1}},
+			cfg:  Config{Quota: quota.Config{MaxQueuedJobs: 1}},
 			refuse: func(t *testing.T, s *Server, base string) {
 				resp, data := submitV2(t, base, "?detector=test-gate", "", body)
 				if resp.StatusCode != http.StatusAccepted {
@@ -212,7 +216,7 @@ func TestJobLifecycleV2(t *testing.T) {
 		t.Fatalf("Location = %q", loc)
 	}
 
-	waitFor(t, func() bool { return jobState(s, st.ID) == StateDone }, "job done")
+	waitFor(t, func() bool { return jobState(s, st.ID) == client.StateDone }, "job done")
 
 	res, err := http.Get(ts.URL + "/v2/jobs/" + st.ID + "/result")
 	if err != nil {
@@ -260,7 +264,7 @@ func TestJobRestartResume(t *testing.T) {
 		t.Fatalf("submit status = %d\n%s", resp.StatusCode, body)
 	}
 	id := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s1, id) == StateRunning }, "job running")
+	waitFor(t, func() bool { return jobState(s1, id) == client.StateRunning }, "job running")
 
 	// Die. Kill freezes all manifest persistence first, then releasing
 	// the gate lets the stuck replay goroutine drain away — whatever it
@@ -284,10 +288,10 @@ func TestJobRestartResume(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 
-	waitFor(t, func() bool { return terminalState(jobState(s2, id)) }, "resumed job terminal")
+	waitFor(t, func() bool { return client.Terminal(jobState(s2, id)) }, "resumed job terminal")
 	j := s2.lookupJob(id)
 	m := j.manifest()
-	if m.State != StateDone {
+	if m.State != client.StateDone {
 		t.Fatalf("resumed job state = %s (%s), want done", m.State, m.Error)
 	}
 	if len(m.Result.Verdicts) != 1 || !m.Result.Verdicts[0].Racy || m.Result.Verdicts[0].RaceCount == 0 {
@@ -314,7 +318,7 @@ func TestJobRestartResume(t *testing.T) {
 func TestTenantIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		ShardWorkers: 2,
-		Quota:        QuotaConfig{MaxQueuedJobs: 1},
+		Quota:        quota.Config{MaxQueuedJobs: 1},
 	})
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
@@ -327,7 +331,7 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatalf("tenant-b submit = %d\n%s", resp.StatusCode, body)
 	}
 	bID := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, bID) == StateRunning }, "tenant-b job running")
+	waitFor(t, func() bool { return jobState(s, bID) == client.StateRunning }, "tenant-b job running")
 
 	// B's second job overflows B's quota.
 	resp, body = submitV2(t, ts.URL, "?detector=spd3", "tenant-b", tr)
@@ -347,13 +351,13 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatalf("tenant-a submit = %d, want 202 (B's quota leaked across tenants)\n%s", resp.StatusCode, body)
 	}
 	aID := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, aID) == StateDone }, "tenant-a job done while B is parked")
+	waitFor(t, func() bool { return jobState(s, aID) == client.StateDone }, "tenant-a job done while B is parked")
 	if j := s.lookupJob(aID); !j.manifest().Result.Verdicts[0].Racy {
 		t.Error("tenant-a verdict lost its races")
 	}
 
 	release()
-	waitFor(t, func() bool { return terminalState(jobState(s, bID)) }, "tenant-b job finished after release")
+	waitFor(t, func() bool { return client.Terminal(jobState(s, bID)) }, "tenant-b job finished after release")
 	if st := getStatsz(t, ts.URL); st.Stats.Get(stats.QuotaDenied) != 1 {
 		t.Errorf("quota.denied = %d, want 1", st.Stats.Get(stats.QuotaDenied))
 	}
@@ -392,9 +396,9 @@ func TestDifferentialV1V2Amplified(t *testing.T) {
 		t.Fatalf("v2 submit = %d\n%s", resp.StatusCode, body)
 	}
 	id := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return terminalState(jobState(s, id)) }, "v2 job terminal")
+	waitFor(t, func() bool { return client.Terminal(jobState(s, id)) }, "v2 job terminal")
 	m := s.lookupJob(id).manifest()
-	if m.State != StateDone {
+	if m.State != client.StateDone {
 		t.Fatalf("v2 job state = %s (%s)", m.State, m.Error)
 	}
 	v2 := m.Result
@@ -482,7 +486,7 @@ func TestStoreDedupAndSweep(t *testing.T) {
 		t.Errorf("store.dedup_hits = %d, want >= %d (every second-job segment)", hits, st2.Segments)
 	}
 
-	waitFor(t, func() bool { return jobState(s, st1.ID) == StateDone && jobState(s, st2.ID) == StateDone }, "both jobs done")
+	waitFor(t, func() bool { return jobState(s, st1.ID) == client.StateDone && jobState(s, st2.ID) == client.StateDone }, "both jobs done")
 
 	for _, id := range []string{st1.ID, st2.ID} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+id, nil)
@@ -503,62 +507,8 @@ func TestStoreDedupAndSweep(t *testing.T) {
 	}
 }
 
-// TestSweepVsSubmitRace hammers the GC/submit interleaving the sweep
-// must survive: a garbage blob sits in the CAS, a sweep runs, and a
-// concurrent submit dedups onto that same blob and publishes a manifest
-// naming it. Whatever order the two land in, the manifest's segment
-// must remain openable — the sweep may never delete a blob a live
-// manifest references (the resubmit-after-expiry case).
-func TestSweepVsSubmitRace(t *testing.T) {
-	st, err := openStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		data := []byte(fmt.Sprintf("segment-%d-payload", i))
-		// Orphan the blob first: stored, referenced by no manifest.
-		if _, _, err := st.Put(data); err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, serr := st.Sweep(); serr != nil {
-				t.Errorf("sweep: %v", serr)
-			}
-		}()
-		st.BeginWrite()
-		ref, _, err := st.Put(data)
-		if err != nil {
-			st.EndWrite()
-			t.Fatal(err)
-		}
-		m := &Manifest{ID: fmt.Sprintf("race-%d", i), Tenant: "default",
-			State: StateQueued, Segments: []SegmentRef{ref}}
-		if err := st.WriteManifest(m); err != nil {
-			st.EndWrite()
-			t.Fatal(err)
-		}
-		st.EndWrite()
-		wg.Wait()
-		rc, err := st.Open(ref)
-		if err != nil {
-			t.Fatalf("iteration %d: live blob swept out from under its manifest: %v", i, err)
-		}
-		got, _ := io.ReadAll(rc)
-		rc.Close()
-		if !bytes.Equal(got, data) {
-			t.Fatalf("iteration %d: blob content corrupted", i)
-		}
-		if err := st.DeleteManifest(m.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // listJobs fetches GET /v2/jobs with an optional tenant header.
-func listJobs(t *testing.T, base, tenant string) *JobList {
+func listJobs(t *testing.T, base, tenant string) *client.JobList {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v2/jobs", nil)
 	if err != nil {
@@ -575,7 +525,7 @@ func listJobs(t *testing.T, base, tenant string) *JobList {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list status = %d", resp.StatusCode)
 	}
-	var list JobList
+	var list client.JobList
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +573,7 @@ func TestChunkedSubmitStoredBytesQuota(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		ShardWorkers:    2,
 		MinSegmentBytes: 1 << 10,
-		Quota:           QuotaConfig{MaxStoredBytes: int64(2 * len(base))},
+		Quota:           quota.Config{MaxStoredBytes: int64(2 * len(base))},
 	})
 	defer s.Close()
 
@@ -653,7 +603,7 @@ func TestChunkedSubmitStoredBytesQuota(t *testing.T) {
 		t.Fatalf("in-quota submit after refusal = %d (gauge leaked?)\n%s", resp.StatusCode, body)
 	}
 	id := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, id) == StateDone }, "in-quota job done")
+	waitFor(t, func() bool { return jobState(s, id) == client.StateDone }, "in-quota job done")
 
 	// The refused upload's spilled blobs have no manifest: one GC pass
 	// after deleting the good job empties the CAS.
@@ -671,10 +621,8 @@ func TestChunkedSubmitStoredBytesQuota(t *testing.T) {
 
 // tenantGauges reads one tenant's queue-slot and stored-bytes gauges.
 func tenantGauges(s *Server, tenant string) (jobs int, storedBytes int64) {
-	s.quotas.mu.Lock()
-	defer s.quotas.mu.Unlock()
-	ts := s.quotas.tenant(tenant)
-	return ts.jobs, ts.storedBytes
+	jobs, storedBytes, _ = s.quotas.Gauges(tenant)
+	return jobs, storedBytes
 }
 
 // TestSubmitAfterDrainRefused: a submit cannot slip in underneath the
@@ -784,14 +732,14 @@ func TestDrainVsSubmitHammer(t *testing.T) {
 		}
 		s.jobsMu.Lock()
 		for id, j := range s.jobs {
-			if st := j.manifest().State; !terminalState(st) {
+			if st := j.manifest().State; !client.Terminal(st) {
 				t.Errorf("round %d: job %s is %s after Drain returned", round, id, st)
 			}
 		}
 		s.jobsMu.Unlock()
 		wg.Wait()
 		for _, id := range accepted {
-			if st := jobState(s, id); st != StateDone {
+			if st := jobState(s, id); st != client.StateDone {
 				t.Errorf("round %d: accepted job %s state = %q, want done", round, id, st)
 			}
 		}
@@ -800,7 +748,7 @@ func TestDrainVsSubmitHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range manifests {
-			if !terminalState(m.State) {
+			if !client.Terminal(m.State) {
 				t.Errorf("round %d: manifest %s left %s on disk", round, m.ID, m.State)
 			}
 		}
@@ -832,7 +780,7 @@ func TestDeleteAfterDoneLeavesNoManifest(t *testing.T) {
 		id := decodeJobStatus(t, body).ID
 		// Poll the in-memory state as tightly as possible and DELETE the
 		// instant it turns terminal — the adversarial client schedule.
-		waitFor(t, func() bool { return terminalState(jobState(s, id)) }, "job terminal")
+		waitFor(t, func() bool { return client.Terminal(jobState(s, id)) }, "job terminal")
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+id, nil)
 		del, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -889,14 +837,14 @@ func TestPerTenantSampling(t *testing.T) {
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
 
-	runJob := func(query, tenant string) *Report {
+	runJob := func(query, tenant string) *client.Report {
 		t.Helper()
 		resp, body := submitV2(t, ts.URL, query, tenant, tr)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %q tenant %q = %d\n%s", query, tenant, resp.StatusCode, body)
 		}
 		id := decodeJobStatus(t, body).ID
-		waitFor(t, func() bool { return jobState(s, id) == StateDone }, "job done")
+		waitFor(t, func() bool { return jobState(s, id) == client.StateDone }, "job done")
 		res, err := http.Get(ts.URL + "/v2/jobs/" + id + "/result")
 		if err != nil {
 			t.Fatal(err)
@@ -928,7 +876,7 @@ func TestPerTenantSampling(t *testing.T) {
 	if checked == 0 || skipped == 0 {
 		t.Errorf("bernoulli:0.5 tallies checked=%d skipped=%d; want both nonzero", checked, skipped)
 	}
-	if len(st.Sampling) != 1 || st.Sampling[0] != (TenantSampling{Tenant: "sampled", Mode: "bernoulli", Rate: 0.5}) {
+	if len(st.Sampling) != 1 || st.Sampling[0] != (client.TenantSampling{Tenant: "sampled", Mode: "bernoulli", Rate: 0.5}) {
 		t.Errorf("sampling gauges = %+v, want one bernoulli:0.5 row for tenant sampled", st.Sampling)
 	}
 
@@ -942,7 +890,7 @@ func TestPerTenantSampling(t *testing.T) {
 	if len(st.Sampling) != 2 {
 		t.Fatalf("sampling gauges = %+v, want the override to add a burst row", st.Sampling)
 	}
-	if g := st.Sampling[0]; g != (TenantSampling{Tenant: "sampled", Mode: "bernoulli", Rate: 0.5}) {
+	if g := st.Sampling[0]; g != (client.TenantSampling{Tenant: "sampled", Mode: "bernoulli", Rate: 0.5}) {
 		t.Errorf("gauge[0] = %+v", g)
 	}
 	if g := st.Sampling[1]; g.Tenant != "sampled" || g.Mode != "burst" || g.Rate != 1 {
@@ -957,5 +905,220 @@ func TestPerTenantSampling(t *testing.T) {
 	resp, body = post(t, ts.URL+"/v1/analyze?detector=spd3&sample=bernoulli:7", tr)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("v1 bad sample spec = %d, want 400\n%s", resp.StatusCode, body)
+	}
+}
+
+// breakDir replaces the directory at path with a regular file — a fault
+// that fails every create, mkdir and rename beneath it with ENOTDIR,
+// root or not — and returns the repair.
+func breakDir(t *testing.T, path string) (repair func()) {
+	t.Helper()
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkReopen reopens the store at root and requires the rebuilt index
+// to count exactly the blobs on disk.
+func checkReopen(t *testing.T, root string) {
+	t.Helper()
+	st, err := store.Open(root)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	var files int
+	var size int64
+	err = filepath.WalkDir(filepath.Join(root, "cas"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		files, size = files+1, size+info.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, b := st.Blobs(); n != files || b != size {
+		t.Errorf("reopened index holds %d blobs / %d bytes, disk has %d / %d", n, b, files, size)
+	}
+}
+
+// TestSubmitManifestFault breaks the last step of a submit: the segments
+// spill, the quota is charged, and then the manifest cannot be
+// published. The submit answers 500 and unwinds completely — no job, no
+// queue slot, no stored bytes, nothing in the drain set — and the
+// spilled blobs are garbage the next sweep reclaims.
+func TestSubmitManifestFault(t *testing.T) {
+	root := t.TempDir()
+	s, ts := newTestServer(t, Config{StoreDir: root, ShardWorkers: 2})
+	defer s.Close()
+	tr := recordRacyMonteCarlo(t)
+
+	repair := breakDir(t, filepath.Join(root, "jobs"))
+	resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("submit with jobs/ broken = %d, want 500\n%s", resp.StatusCode, body)
+	}
+	if n := len(listJobs(t, ts.URL, "").Jobs); n != 0 {
+		t.Errorf("failed submit left %d jobs in the table", n)
+	}
+	if jobs, stored := tenantGauges(s, "default"); jobs != 0 || stored != 0 {
+		t.Errorf("failed submit holds %d queue slots and %d stored bytes", jobs, stored)
+	}
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("InFlight = %d after a failed submit", n)
+	}
+	if n, _ := s.Store().Blobs(); n == 0 {
+		t.Fatal("no blobs spilled before the manifest write; the fault hit too early to test the unwind")
+	}
+
+	repair()
+	if _, err := s.Store().Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := s.Store().Blobs(); n != 0 || b != 0 {
+		t.Errorf("spilled blobs not reclaimed: %d blobs / %d bytes", n, b)
+	}
+	checkReopen(t, root)
+
+	// The daemon is whole again: the same upload now runs to a verdict.
+	resp, body = submitV2(t, ts.URL, "?detector=spd3", "", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after repair = %d\n%s", resp.StatusCode, body)
+	}
+	id := decodeJobStatus(t, body).ID
+	waitFor(t, func() bool { return jobState(s, id) == client.StateDone }, "job done after repair")
+}
+
+// deleteJob issues DELETE /v2/jobs/{id} and returns the status code.
+func deleteJob(t *testing.T, base, id string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v2/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestTenantNameValidated: X-SPD3-Tenant keys the quota table, so every
+// endpoint that reads it refuses a name outside 1–64 characters of
+// [A-Za-z0-9._-] with a 400 envelope, before the table sees it.
+func TestTenantNameValidated(t *testing.T) {
+	s, ts := newTestServer(t, Config{ShardWorkers: 2})
+	defer s.Close()
+	tr := recordRacyMonteCarlo(t)
+	call := func(method, path, tenant string, body []byte) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-SPD3-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, data
+	}
+	endpoints := []struct {
+		method, path string
+		ok           int
+	}{
+		{http.MethodPost, "/v1/analyze", http.StatusOK},
+		{http.MethodPost, "/v2/jobs", http.StatusAccepted},
+		{http.MethodGet, "/v2/jobs", http.StatusOK},
+	}
+	for _, bad := range []string{"two words", "a/b", "tenant:1", "ténant", strings.Repeat("x", 65)} {
+		for _, ep := range endpoints {
+			status, body := call(ep.method, ep.path, bad, tr)
+			var er client.ErrorReport
+			if err := json.Unmarshal(body, &er); status != http.StatusBadRequest || err != nil ||
+				er.Status != http.StatusBadRequest || !strings.Contains(er.Error, "X-SPD3-Tenant") {
+				t.Errorf("%s %s as %q = %d %s, want a 400 envelope naming the header", ep.method, ep.path, bad, status, body)
+			}
+		}
+	}
+	if _, _, tenants := s.quotas.Gauges(""); tenants != 0 {
+		t.Errorf("refused names reached the quota table: %d tenants", tenants)
+	}
+	for _, good := range []string{"a", "Team-7_eu.west", strings.Repeat("x", 64)} {
+		for _, ep := range endpoints {
+			if status, body := call(ep.method, ep.path, good, tr); status != ep.ok {
+				t.Errorf("%s %s as %q = %d, want %d\n%s", ep.method, ep.path, good, status, ep.ok, body)
+			}
+		}
+	}
+}
+
+// TestTenantTableSwept: a tenant name costs the daemon memory only
+// while the tenant holds something. A thousand tenants that each run a
+// job to its result and delete it are all forgotten by the next GC; a
+// tenant with a live job and one with a stored result are not.
+func TestTenantTableSwept(t *testing.T) {
+	s, ts := newTestServer(t, Config{ShardWorkers: 2})
+	defer s.Close()
+	tr := recordRacyMonteCarlo(t)
+	run := func(tenant, query string) string {
+		t.Helper()
+		resp, body := submitV2(t, ts.URL, query, tenant, tr)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s submit = %d\n%s", tenant, resp.StatusCode, body)
+		}
+		return decodeJobStatus(t, body).ID
+	}
+	for i := 0; i < 1000; i++ {
+		id := run(fmt.Sprintf("tenant-%d", i), "?detector=spd3")
+		waitFor(t, func() bool { return jobState(s, id) == client.StateDone }, "job done")
+		if rep := decodeReport(t, getBody(t, ts.URL+"/v2/jobs/"+id+"/result")); len(rep.Verdicts) != 1 {
+			t.Fatalf("result: %+v", rep)
+		}
+		if status := deleteJob(t, ts.URL, id); status != http.StatusNoContent {
+			t.Fatalf("delete = %d", status)
+		}
+	}
+	release := setGate()
+	defer release()
+	liveID := run("live", "?detector=test-gate")
+	waitFor(t, func() bool { return jobState(s, liveID) == client.StateRunning }, "gated job running")
+	storedID := run("stored", "?detector=spd3")
+	waitFor(t, func() bool { return jobState(s, storedID) == client.StateDone }, "job done")
+
+	if _, _, tenants := s.quotas.Gauges(""); tenants != 1002 {
+		t.Fatalf("table holds %d tenants before GC, want 1002", tenants)
+	}
+	s.GC()
+	jobs, _, tenants := s.quotas.Gauges("live")
+	_, stored, _ := s.quotas.Gauges("stored")
+	if tenants != 2 || jobs != 1 || stored != int64(len(tr)) {
+		t.Fatalf("after GC: %d tenants, live holds %d jobs, stored holds %d bytes; want 2, 1, %d", tenants, jobs, stored, len(tr))
+	}
+
+	release()
+	waitFor(t, func() bool { return client.Terminal(jobState(s, liveID)) }, "gated job terminal")
+	for _, id := range []string{liveID, storedID} {
+		if status := deleteJob(t, ts.URL, id); status != http.StatusNoContent {
+			t.Fatalf("delete = %d", status)
+		}
+	}
+	s.GC()
+	if _, _, tenants := s.quotas.Gauges(""); tenants != 0 {
+		t.Errorf("table holds %d tenants after everything was deleted", tenants)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"spd3/client"
 	"spd3/internal/sample"
 )
 
@@ -46,14 +47,6 @@ func (c SamplingConfig) validate() error {
 		}
 	}
 	return nil
-}
-
-// TenantSampling is one live sampling gauge in /statsz: the mode and
-// current (governor-adapted) rate in effect for one tenant.
-type TenantSampling struct {
-	Tenant string  `json:"tenant"`
-	Mode   string  `json:"mode"`
-	Rate   float64 `json:"rate"`
 }
 
 // samplerTable owns the daemon's governors, created lazily per
@@ -104,16 +97,16 @@ func (st *samplerTable) governor(tenant, override string) *sample.Governor {
 
 // gauges snapshots every live governor for /statsz, ordered by tenant
 // then mode so the listing is deterministic.
-func (st *samplerTable) gauges() []TenantSampling {
+func (st *samplerTable) gauges() []client.TenantSampling {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if len(st.govs) == 0 {
 		return nil
 	}
-	out := make([]TenantSampling, 0, len(st.govs))
+	out := make([]client.TenantSampling, 0, len(st.govs))
 	for key, g := range st.govs {
 		tenant, _, _ := strings.Cut(key, "\x00")
-		out = append(out, TenantSampling{Tenant: tenant, Mode: g.Mode().String(), Rate: g.Rate()})
+		out = append(out, client.TenantSampling{Tenant: tenant, Mode: g.Mode().String(), Rate: g.Rate()})
 	}
 	sort.Slice(out, func(i, k int) bool {
 		if out[i].Tenant != out[k].Tenant {

@@ -40,6 +40,10 @@
 // a buffered replay would reach. POST /v2/jobs answers 202 once the
 // upload is stored; POST /v1/analyze is the same submit followed by a
 // wait and a relay of the result.
+//
+// This package is that lifecycle and nothing else: the JSON it speaks
+// is declared in spd3/client and marshaled here, the trace store is
+// internal/server/store and the tenant ledger internal/server/quota.
 package server
 
 import (
@@ -57,7 +61,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spd3/client"
 	"spd3/internal/detect"
+	"spd3/internal/server/quota"
+	"spd3/internal/server/store"
 	"spd3/internal/stats"
 	"spd3/internal/trace"
 )
@@ -112,8 +119,8 @@ type Config struct {
 	// and job deletion).
 	GCInterval time.Duration
 	// Quota bounds each tenant's queued jobs, stored bytes, submit byte
-	// rate, and concurrent shard slots. See QuotaConfig for defaults.
-	Quota QuotaConfig
+	// rate, and concurrent shard slots. See quota.Config for defaults.
+	Quota quota.Config
 	// Sampling configures per-tenant check sampling: a default spec, an
 	// overhead budget for the governors, and per-tenant overrides. The
 	// zero value means every check runs (sampling off).
@@ -123,16 +130,15 @@ type Config struct {
 }
 
 // Server is the spd3d request handler plus its drain set, job table,
-// trace store, and counters. Create with Open (or New,
-// which panics on store failure); serve via Handler; pair Drain with
-// http.Server.Shutdown; Close when done.
+// trace store, and counters. Create with Open; serve via Handler; pair
+// Drain with http.Server.Shutdown; Close when done.
 type Server struct {
 	cfg      Config
 	rec      *stats.Recorder // srv.* counters, sharded by request sequence
 	reqSeq   atomic.Int64
 	pool     *shardPool // nil when sharding is disabled
-	store    *Store
-	quotas   *quotaTable
+	store    *store.Store
+	quotas   *quota.Table
 	samplers *samplerTable
 	peakHeap atomic.Uint64
 	start    time.Time
@@ -199,7 +205,7 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.ShardWorkers > 0 {
 		s.pool = newShardPool(cfg.ShardWorkers)
 	}
-	s.quotas = newQuotaTable(cfg.Quota, cfg.ShardWorkers)
+	s.quotas = quota.New(cfg.Quota, cfg.ShardWorkers)
 	s.samplers = newSamplerTable(cfg.Sampling)
 	dir := cfg.StoreDir
 	if dir == "" {
@@ -209,12 +215,12 @@ func Open(cfg Config) (*Server, error) {
 		}
 		dir, s.tmpStore = tmp, tmp
 	}
-	store, err := openStore(dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		_ = s.Close() // removes the temp dir; the store error is the one to report
 		return nil, err
 	}
-	s.store = store
+	s.store = st
 
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("GET /v1/detectors", s.handleDetectors)
@@ -238,16 +244,6 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// New returns a Server with cfg's zero fields defaulted. It panics if
-// the trace store cannot be opened; use Open to handle that error.
-func New(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic("server: " + err.Error())
-	}
-	return s
-}
-
 // resumeJobs rebuilds the job table from the manifests a previous
 // daemon left behind. Terminal jobs come back as poll-able results;
 // queued or running jobs are re-queued and re-executed — the replay is
@@ -261,8 +257,8 @@ func (s *Server) resumeJobs() error {
 	sh := s.shard()
 	for _, m := range manifests {
 		j := newJob(m)
-		live := !terminalState(m.State)
-		s.quotas.restore(m.Tenant, m.StoredBytes(), live)
+		live := !client.Terminal(m.State)
+		s.quotas.Restore(m.Tenant, m.StoredBytes(), live)
 		s.jobsMu.Lock()
 		s.jobs[m.ID] = j
 		s.jobsMu.Unlock()
@@ -273,7 +269,7 @@ func (s *Server) resumeJobs() error {
 		if err := s.acquire(); err != nil {
 			return err
 		}
-		m.State = StateQueued
+		m.State = client.StateQueued
 		m.UpdatedAt = time.Now()
 		if err := s.store.WriteManifest(m); err != nil {
 			s.release()
@@ -306,14 +302,15 @@ func (s *Server) gcLoop() {
 
 // GC runs one garbage-collection pass: jobs in a terminal state whose
 // manifests are older than StoreTTL are deleted (releasing their quota
-// bytes), then unreferenced blobs are swept from the CAS.
+// bytes), unreferenced blobs are swept from the CAS, and tenants left
+// holding nothing are dropped from the quota table.
 func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 	if ttl := s.cfg.StoreTTL; ttl > 0 {
 		now := time.Now()
 		s.jobsMu.Lock()
 		var expired []*Job
 		for _, j := range s.jobs {
-			if m := j.manifest(); terminalState(m.State) && now.Sub(m.UpdatedAt) > ttl {
+			if m := j.manifest(); client.Terminal(m.State) && now.Sub(m.UpdatedAt) > ttl {
 				expired = append(expired, j)
 			}
 		}
@@ -327,6 +324,7 @@ func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 	if err != nil {
 		s.logf("gc: %v", err)
 	}
+	s.quotas.Sweep()
 	sh := s.shard()
 	sh.Add(stats.StoreSweptJobs, int64(sweptJobs))
 	sh.Add(stats.StoreSweptBlobs, int64(sweptBlobs))
@@ -334,7 +332,7 @@ func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 }
 
 // Store exposes the server's trace store (for tests and tooling).
-func (s *Server) Store() *Store { return s.store }
+func (s *Server) Store() *store.Store { return s.store }
 
 // Kill simulates an abrupt daemon death for restart testing: every job
 // is canceled and all further manifest persistence stops, so the
@@ -452,101 +450,22 @@ func (s *Server) InFlight() int {
 	return s.inFlight
 }
 
-// Race is one reported race in wire form.
-type Race struct {
-	Kind   string `json:"kind"`
-	Region string `json:"region"`
-	Index  int    `json:"index"`
-	Prev   string `json:"prev"`
-	Cur    string `json:"cur"`
-}
-
-// Verdict is one detector's result on one trace.
-type Verdict struct {
-	Detector   string          `json:"detector"`
-	Racy       bool            `json:"racy"`
-	RaceCount  int             `json:"race_count"`
-	Races      []Race          `json:"races"`
-	Capped     bool            `json:"capped,omitempty"`
-	DurationMS float64         `json:"duration_ms"`
-	Stats      *stats.Snapshot `json:"stats,omitempty"` // with ?stats=1
-}
-
-// Report is the analyze endpoint's response envelope.
-type Report struct {
-	Tool       string    `json:"tool"`
-	Version    string    `json:"version"`
-	Detector   string    `json:"detector"` // as requested; "all" for differential mode
-	Sequential bool      `json:"sequential"`
-	TraceBytes int64     `json:"trace_bytes"`
-	Verdicts   []Verdict `json:"verdicts"`
-	// Sharded reports whether the analysis ran through the finish-scope
-	// splitter and worker pool; Segments is how many independently
-	// replayed units the trace was cut into (1 when it had no interior
-	// top-level finish boundary).
-	Sharded  bool `json:"sharded,omitempty"`
-	Segments int  `json:"segments,omitempty"`
-	// Agree is set in differential mode: whether every detector
-	// reached the same racy/race-free verdict.
-	Agree *bool `json:"agree,omitempty"`
-}
-
-// ErrorReport is the JSON body of every non-200 response.
-type ErrorReport struct {
-	Tool    string `json:"tool"`
-	Version string `json:"version"`
-	Status  int    `json:"status"`
-	Error   string `json:"error"`
-}
-
-// Statsz is the /statsz response: server gauges plus the merged
-// observability snapshot (srv.* counters and the analysis counters
-// accumulated across every completed replay). The memory gauges exist
-// so the flat-ceiling claim is measurable from outside: spd3load polls
-// them while streaming traces far larger than the daemon's budget.
-type Statsz struct {
-	Tool          string  `json:"tool"`
-	Version       string  `json:"version"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	InFlight      int     `json:"in_flight"`
-	Draining      bool    `json:"draining"`
-	// ShardWorkers is the shard pool's concurrency bound (0 when
-	// sharding is disabled); ShardBusy its live occupancy.
-	ShardWorkers int `json:"shard_workers"`
-	ShardBusy    int `json:"shard_busy"`
-	// JobsQueued and JobsRunning are the job table's live states;
-	// JobsTotal counts every job the table knows, including finished
-	// ones awaiting TTL expiry.
-	JobsQueued  int `json:"jobs_queued"`
-	JobsRunning int `json:"jobs_running"`
-	JobsTotal   int `json:"jobs_total"`
-	// StoreBlobs and StoreBytes gauge the content-addressed trace
-	// store: distinct segments on disk and their total size (after
-	// dedup, so amplified traces show up far smaller than streamed).
-	StoreBlobs int   `json:"store_blobs"`
-	StoreBytes int64 `json:"store_bytes"`
-	// HeapAllocBytes and SysBytes are the Go runtime's live heap and
-	// total OS-claimed memory; PeakHeapBytes is the largest HeapAlloc
-	// the daemon has observed (sampled after every analysis and on
-	// every /statsz); PeakRSSBytes is the process's high-water resident
-	// set from the OS (0 where unavailable).
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	SysBytes       uint64 `json:"sys_bytes"`
-	PeakHeapBytes  uint64 `json:"peak_heap_bytes"`
-	PeakRSSBytes   int64  `json:"peak_rss_bytes"`
-	// Sampling lists the live per-tenant sampling gauges: one row per
-	// (tenant, spec) pair the daemon has replayed under, carrying the
-	// governor's current (budget-adapted) rate. Absent when no sampled
-	// replay has run.
-	Sampling []TenantSampling `json:"sampling,omitempty"`
-	Stats    stats.Snapshot   `json:"stats"`
-}
-
-// DetectorList is the /v1/detectors response.
-type DetectorList struct {
-	Tool      string               `json:"tool"`
-	Version   string               `json:"version"`
-	Detectors []detect.Description `json:"detectors"`
+// wireStats renders a snapshot in its wire form — the one conversion
+// between the engine's stats and the client's types; the JSON is what
+// stats.Snapshot's own MarshalJSON produces.
+func wireStats(snap stats.Snapshot) *client.StatsSnapshot {
+	out := &client.StatsSnapshot{
+		Counters:   snap.Map(),
+		Histograms: map[string][]int64{stats.HistCASRetry.String(): snap.CASRetryHist[:]},
+		Footprint:  client.Footprint(snap.Footprint),
+	}
+	if snap.Regions != nil { // nil and empty render differently
+		out.Regions = make([]client.RegionStats, len(snap.Regions))
+		for i, g := range snap.Regions {
+			out.Regions[i] = client.RegionStats(g)
+		}
+	}
+	return out
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -558,7 +477,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.writeJSON(w, status, ErrorReport{Tool: Tool, Version: Version, Status: status, Error: fmt.Sprintf(format, args...)})
+	s.writeJSON(w, status, client.ErrorReport{Tool: Tool, Version: Version, Status: status, Error: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -644,7 +563,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDetectors(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, DetectorList{Tool: Tool, Version: Version, Detectors: detect.Describe()})
+	list := client.DetectorList{Tool: Tool, Version: Version}
+	for _, d := range detect.Describe() {
+		list.Detectors = append(list.Detectors, client.Detector(d))
+	}
+	s.writeJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -717,15 +640,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.jobs {
 		total++
 		switch j.manifest().State {
-		case StateQueued:
+		case client.StateQueued:
 			queued++
-		case StateRunning:
+		case client.StateRunning:
 			running++
 		}
 	}
 	s.jobsMu.Unlock()
 	blobs, blobBytes := s.store.Blobs()
-	s.writeJSON(w, http.StatusOK, Statsz{
+	s.writeJSON(w, http.StatusOK, client.Statsz{
 		Tool:           Tool,
 		Version:        Version,
 		UptimeSeconds:  time.Since(s.start).Seconds(),
@@ -743,6 +666,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		PeakHeapBytes:  s.peakHeap.Load(),
 		PeakRSSBytes:   vmHWM(),
 		Sampling:       s.samplers.gauges(),
-		Stats:          snap,
+		Stats:          *wireStats(snap),
 	})
 }

@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"spd3/client"
 	"spd3/internal/bench"
 	"spd3/internal/detect"
 	_ "spd3/internal/detectors" // populate the registry, as cmd/spd3d does
 	"spd3/internal/progen"
+	"spd3/internal/server/quota"
 	"spd3/internal/stats"
 	"spd3/internal/task"
 	"spd3/internal/trace"
@@ -147,7 +149,10 @@ func synthTrace(t *testing.T, accesses int) []byte {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -167,23 +172,31 @@ func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	return resp, data
 }
 
-func decodeReport(t *testing.T, data []byte) *Report {
+func decodeReport(t *testing.T, data []byte) *client.Report {
 	t.Helper()
-	var rep Report
+	var rep client.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("decoding report: %v\n%s", err, data)
 	}
 	return &rep
 }
 
-func getStatsz(t *testing.T, base string) *Statsz {
+// statsz is /statsz as the tests read it: the client's gauges, with
+// the counters decoded back into a stats.Snapshot so they index by
+// stats.Counter.
+type statsz struct {
+	client.Statsz
+	Stats stats.Snapshot `json:"stats"`
+}
+
+func getStatsz(t *testing.T, base string) *statsz {
 	t.Helper()
 	resp, err := http.Get(base + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Statsz
+	var st statsz
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +253,7 @@ func TestStatusCodes(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("status = %d, want 404", resp.StatusCode)
 		}
-		var er ErrorReport
+		var er client.ErrorReport
 		if err := json.Unmarshal(body, &er); err != nil || er.Tool != Tool || er.Status != 404 {
 			t.Fatalf("bad error envelope: %s", body)
 		}
@@ -290,7 +303,7 @@ func TestResourceLimit413(t *testing.T) {
 func TestSaturation429(t *testing.T) {
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{Quota: QuotaConfig{MaxQueuedJobs: 1}})
+	s, ts := newTestServer(t, Config{Quota: quota.Config{MaxQueuedJobs: 1}})
 
 	tr := synthTrace(t, 16)
 	type result struct {
@@ -583,7 +596,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("v2 = %d\n%s", resp.StatusCode, body)
 	}
 	doneID := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, doneID) == StateDone }, "v2 job done")
+	waitFor(t, func() bool { return jobState(s, doneID) == client.StateDone }, "v2 job done")
 
 	// Both gated jobs are still parked when their request is answered.
 	if resp, body := post(t, ts.URL+"/v1/analyze?detector=test-gate", tr); resp.StatusCode != http.StatusGatewayTimeout {
@@ -594,7 +607,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("gated v2 = %d\n%s", resp.StatusCode, body)
 	}
 	gatedID := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, gatedID) == StateRunning }, "gated v2 job running")
+	waitFor(t, func() bool { return jobState(s, gatedID) == client.StateRunning }, "gated v2 job running")
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+gatedID, nil)
 	del, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -609,7 +622,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := jobState(s, gatedID); st != StateCanceled {
+	if st := jobState(s, gatedID); st != client.StateCanceled {
 		t.Errorf("deleted job state = %q, want canceled", st)
 	}
 	waitFor(t, func() bool { return len(listJobs(t, ts.URL, "").Jobs) == 2 }, "the timed-out /v1 job to be removed")

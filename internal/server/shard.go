@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"spd3/client"
 	"spd3/internal/stats"
 )
 
@@ -72,7 +73,7 @@ type mergedVerdict struct {
 	detector string
 	racy     bool
 	seen     map[raceKey]struct{}
-	races    []Race
+	races    []client.Race
 	count    int
 	capped   bool
 	stats    stats.Snapshot

@@ -1,4 +1,9 @@
-package server
+// Package store is spd3d's persistent trace store: a content-addressed
+// blob area for trace segments plus one manifest per job. It knows
+// nothing of HTTP or of the job lifecycle — a manifest's State is a
+// string it persists, not a machine it runs — so it can be opened,
+// filled, swept and fault-injected alone.
+package store
 
 import (
 	"crypto/sha256"
@@ -11,26 +16,9 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-)
 
-// Job lifecycle states, as carried in manifests and the /v2 wire forms.
-// The machine is strictly forward: queued → running → one terminal state
-// (done, failed, or canceled). A daemon restart may move a job back from
-// running to queued — the replay is a pure function of the stored
-// segments, so re-running it is always sound.
-const (
-	StateQueued   = "queued"
-	StateRunning  = "running"
-	StateDone     = "done"
-	StateFailed   = "failed"
-	StateCanceled = "canceled"
+	"spd3/client"
 )
-
-// terminalState reports whether a job in this state will never change
-// again, which is what makes its manifest eligible for TTL expiry.
-func terminalState(state string) bool {
-	return state == StateDone || state == StateFailed || state == StateCanceled
-}
 
 // SegmentRef names one stored trace segment by content hash. Jobs hold
 // ordered lists of these; the bytes live once in the CAS regardless of
@@ -42,11 +30,12 @@ type SegmentRef struct {
 }
 
 // Manifest is the durable record of one job: identity, input (segment
-// refs into the CAS), lifecycle state, and — once terminal — the error
-// or the full result envelope. It is the unit of crash recovery: a
-// manifest whose state is queued or running at daemon startup is
-// re-queued (the segments are still in the CAS), and a terminal manifest
-// serves /v2/jobs/{id}/result forever until the TTL sweep retires it.
+// refs into the CAS), lifecycle state (one of client's State names),
+// and — once terminal — the error or the full result envelope. It is
+// the unit of crash recovery: a manifest whose state is queued or
+// running at daemon startup is re-queued (the segments are still in the
+// CAS), and a terminal manifest serves /v2/jobs/{id}/result forever
+// until the TTL sweep retires it.
 type Manifest struct {
 	ID         string `json:"id"`
 	Tenant     string `json:"tenant"`
@@ -65,11 +54,11 @@ type Manifest struct {
 	State      string       `json:"state"`
 	// Error and ErrorStatus record a failed job's cause and the HTTP
 	// status /result replays for it.
-	Error       string    `json:"error,omitempty"`
-	ErrorStatus int       `json:"error_status,omitempty"`
-	Result      *Report   `json:"result,omitempty"`
-	CreatedAt   time.Time `json:"created_at"`
-	UpdatedAt   time.Time `json:"updated_at"`
+	Error       string         `json:"error,omitempty"`
+	ErrorStatus int            `json:"error_status,omitempty"`
+	Result      *client.Report `json:"result,omitempty"`
+	CreatedAt   time.Time      `json:"created_at"`
+	UpdatedAt   time.Time      `json:"updated_at"`
 }
 
 // StoredBytes returns the job's total stored segment bytes — the number
@@ -109,10 +98,10 @@ type Store struct {
 	writers int              // in-flight submits; blocks blob sweeps
 }
 
-// openStore opens (creating if needed) a store rooted at dir and scans
+// Open opens (creating if needed) a store rooted at dir and scans
 // the CAS to rebuild the in-memory blob index. Orphaned tmp files from
 // a crashed daemon are removed.
-func openStore(dir string) (*Store, error) {
+func Open(dir string) (*Store, error) {
 	s := &Store{root: dir, blobs: make(map[string]int64)}
 	for _, sub := range []string{"cas", "jobs", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {

@@ -1,15 +1,19 @@
-package server
+package store
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"io"
 	"io/fs"
 	"maps"
-	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"spd3/client"
 )
 
 // storeFiles lists every regular file under the store root, relative to
@@ -61,7 +65,7 @@ func breakDir(t *testing.T, path string) (repair func()) {
 // to equal the blobs actually on disk.
 func checkReopen(t *testing.T, root string) {
 	t.Helper()
-	st, err := openStore(root)
+	st, err := Open(root)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -83,7 +87,7 @@ func checkReopen(t *testing.T, root string) {
 // and a reopened store agrees with the disk.
 func TestStorePublishFaults(t *testing.T) {
 	root := t.TempDir()
-	st, err := openStore(root)
+	st, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestStorePublishFaults(t *testing.T) {
 	data := []byte("segment payload the faulty store must refuse")
 	sum := sha256.Sum256(data)
 	hash := hex.EncodeToString(sum[:])
-	manifest := &Manifest{ID: "jfault", Tenant: "default", State: StateQueued}
+	manifest := &Manifest{ID: "jfault", Tenant: "default", State: client.StateQueued}
 
 	puts := map[string]func() error{
 		"Put":           func() error { _, _, err := st.Put(data); return err },
@@ -141,49 +145,56 @@ func TestStorePublishFaults(t *testing.T) {
 	checkReopen(t, root)
 }
 
-// TestSubmitManifestFault breaks the last step of a submit: the segments
-// spill, the quota is charged, and then the manifest cannot be
-// published. The submit answers 500 and unwinds completely — no job, no
-// queue slot, no stored bytes, nothing in the drain set — and the
-// spilled blobs are garbage the next sweep reclaims.
-func TestSubmitManifestFault(t *testing.T) {
-	root := t.TempDir()
-	s, ts := newTestServer(t, Config{StoreDir: root, ShardWorkers: 2})
-	defer s.Close()
-	tr := recordRacyMonteCarlo(t)
-
-	repair := breakDir(t, filepath.Join(root, "jobs"))
-	resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("submit with jobs/ broken = %d, want 500\n%s", resp.StatusCode, body)
-	}
-	if n := len(listJobs(t, ts.URL, "").Jobs); n != 0 {
-		t.Errorf("failed submit left %d jobs in the table", n)
-	}
-	if jobs, stored := tenantGauges(s, "default"); jobs != 0 || stored != 0 {
-		t.Errorf("failed submit holds %d queue slots and %d stored bytes", jobs, stored)
-	}
-	if n := s.InFlight(); n != 0 {
-		t.Errorf("InFlight = %d after a failed submit", n)
-	}
-	if n, _ := s.Store().Blobs(); n == 0 {
-		t.Fatal("no blobs spilled before the manifest write; the fault hit too early to test the unwind")
-	}
-
-	repair()
-	if _, err := s.Store().Sweep(); err != nil {
+// TestSweepVsSubmitRace hammers the GC/submit interleaving the sweep
+// must survive: a garbage blob sits in the CAS, a sweep runs, and a
+// concurrent submit dedups onto that same blob and publishes a manifest
+// naming it. Whatever order the two land in, the manifest's segment
+// must remain openable — the sweep may never delete a blob a live
+// manifest references (the resubmit-after-expiry case).
+func TestSweepVsSubmitRace(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, b := s.Store().Blobs(); n != 0 || b != 0 {
-		t.Errorf("spilled blobs not reclaimed: %d blobs / %d bytes", n, b)
+	for i := 0; i < 200; i++ {
+		data := []byte(fmt.Sprintf("segment-%d-payload", i))
+		// Orphan the blob first: stored, referenced by no manifest.
+		if _, _, err := st.Put(data); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, serr := st.Sweep(); serr != nil {
+				t.Errorf("sweep: %v", serr)
+			}
+		}()
+		st.BeginWrite()
+		ref, _, err := st.Put(data)
+		if err != nil {
+			st.EndWrite()
+			t.Fatal(err)
+		}
+		m := &Manifest{ID: fmt.Sprintf("race-%d", i), Tenant: "default",
+			State: client.StateQueued, Segments: []SegmentRef{ref}}
+		if err := st.WriteManifest(m); err != nil {
+			st.EndWrite()
+			t.Fatal(err)
+		}
+		st.EndWrite()
+		wg.Wait()
+		rc, err := st.Open(ref)
+		if err != nil {
+			t.Fatalf("iteration %d: live blob swept out from under its manifest: %v", i, err)
+		}
+		got, _ := io.ReadAll(rc)
+		rc.Close()
+		if !bytes.Equal(got, data) {
+			t.Fatalf("iteration %d: blob content corrupted", i)
+		}
+		if err := st.DeleteManifest(m.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
-	checkReopen(t, root)
-
-	// The daemon is whole again: the same upload now runs to a verdict.
-	resp, body = submitV2(t, ts.URL, "?detector=spd3", "", tr)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit after repair = %d\n%s", resp.StatusCode, body)
-	}
-	id := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, id) == StateDone }, "job done after repair")
 }
