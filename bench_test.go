@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"spd3/internal/bench"
+	"spd3/internal/detect"
 	"spd3/internal/harness"
 	"spd3/internal/task"
 )
@@ -31,15 +32,15 @@ func cell(b *testing.B, bm *bench.Benchmark, tool harness.Tool, workers int, chu
 	var foot int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det, rec := harness.NewDetector(tool)
-		rt, err := task.New(task.Config{Executor: task.Auto, Workers: workers, Detector: det, Stats: rec})
+		ses := harness.Open(tool, detect.SessionOpts{})
+		rt, err := task.New(task.Config{Executor: task.Auto, Workers: workers, Detector: ses.Det, Stats: ses.Rec})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := bm.Run(rt, in); err != nil {
 			b.Fatal(err)
 		}
-		foot = det.Footprint().Total()
+		foot = ses.Det.Footprint().Total()
 	}
 	b.ReportMetric(float64(foot)/(1<<20), "shadow-MB")
 }
@@ -126,36 +127,16 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSync regenerates the §5.4 comparison: the versioned
-// CAS protocol vs per-word mutexes on read-shared-heavy benchmarks.
-func BenchmarkAblationSync(b *testing.B) {
-	for _, name := range []string{"Crypt", "Matmul", "Sparse", "LUFact"} {
-		bm, err := bench.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tool := range []harness.Tool{harness.SPD3, harness.SPD3Lock} {
-			for _, workers := range []int{1, 16} {
-				b.Run(name+"/"+string(tool)+"/w"+itoa(workers), func(b *testing.B) {
-					cell(b, bm, tool, workers, false)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkAblationDMHP regenerates the DMHP fast-path comparison on the
-// two monitoring-heavy kernels the ablation experiment highlights:
-// pointer-walk SPD3 vs packed fingerprints vs fingerprints plus the
-// per-task relation memo. The spd3-nostats cell isolates the cost of the
-// observability counters (the Options.NoStats ablation).
-func BenchmarkAblationDMHP(b *testing.B) {
+// BenchmarkStatsOverhead is the instrument of the <5% observability
+// budget: default SPD3 against the same detector with the stats recorder
+// disabled (Options.NoStats), on the two monitoring-heavy kernels.
+func BenchmarkStatsOverhead(b *testing.B) {
 	for _, name := range []string{"SOR", "LUFact"} {
 		bm, err := bench.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, tool := range []harness.Tool{harness.SPD3Walk, harness.SPD3FP, harness.SPD3, harness.SPD3NoStats} {
+		for _, tool := range []harness.Tool{harness.SPD3, harness.SPD3NoStats} {
 			b.Run(name+"/"+string(tool), func(b *testing.B) {
 				cell(b, bm, tool, 4, false)
 			})

@@ -23,8 +23,7 @@
 //	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v1/analyze?detector=all'
 //
 // Detectors come from the detect registry (see -detector's usage string
-// for the current list); hidden ablation variants such as spd3-walk are
-// accepted by name as well.
+// for the current list).
 package main
 
 import (
@@ -32,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -59,7 +59,7 @@ func main() {
 		record    = flag.String("record", "", "record the execution trace to this file instead of detecting (replay with -replay or POST to spd3d)")
 		replay    = flag.String("replay", "", "replay a recorded trace into -detector instead of executing")
 		statsDump = flag.Bool("stats", false, "append the run's observability snapshot as JSON")
-		workload  = flag.Bool("workload", false, "print workload statistics (tasks, finishes, per-region traffic) instead of detecting")
+		workload  = flag.Bool("workload", false, "print workload statistics (spawned tasks, per-region traffic) instead of detecting")
 		smpSpec   = flag.String("sample", "", "check-sampling spec mode:rate (bernoulli:0.01, burst:0.02); empty or off checks everything")
 		smpBudget = flag.String("overhead-budget", "", "sampling overhead budget (e.g. 5% or 0.05): a governor adapts the rate online to hold it; empty freezes the rate")
 	)
@@ -100,34 +100,18 @@ func main() {
 	}
 
 	if *workload {
-		st := detect.NewStats()
-		rt, err := task.New(task.Config{Executor: task.Pool, Workers: *workers, Detector: st})
-		if err != nil {
+		if err := profileWorkload(os.Stdout, run, *workers, bench.Input{Scale: *scale, Chunked: *chunked}); err != nil {
 			fmt.Fprintln(os.Stderr, "spd3:", err)
 			os.Exit(1)
-		}
-		if _, err := run(rt, bench.Input{Scale: *scale, Chunked: *chunked}); err != nil {
-			fmt.Fprintln(os.Stderr, "spd3:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("workload  : %s\n", st)
-		fmt.Println("regions   :")
-		for _, r := range st.Regions() {
-			fmt.Printf("  %-22s %8d elems  %10d reads  %10d writes\n",
-				r.Name, r.Elems, r.Reads.Load(), r.Writes.Load())
 		}
 		return
 	}
 
-	sink := detect.NewSink(*halt, 0)
-	statsRec := stats.New(0)
-	sink.SetStats(statsRec.Shard(0))
 	detName := *detector
 	if detName == "" {
 		detName = "spd3"
 	}
 	var gov *sample.Governor
-	var smp *sample.Sampler
 	if *smpSpec != "" || *smpBudget != "" {
 		cfg, err := sample.Parse(*smpSpec)
 		if err != nil {
@@ -141,25 +125,27 @@ func main() {
 		}
 		if cfg.Mode != sample.Off {
 			gov = sample.NewGovernor(cfg, budget)
-			smp = gov.Sampler()
 		}
 	}
-	det, err := detect.New(detName, detect.FactoryOpts{Sink: sink, Stats: statsRec, Sampler: smp})
+	ses, err := detect.Open(detName, detect.SessionOpts{Halt: *halt, Governor: gov})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3:", err)
 		os.Exit(2)
 	}
-	// printSampling reports the effective sampling state after a run and
-	// feeds the governor, so successive -replay invocations of a script
-	// can watch the adapted rate move.
-	printSampling := func(elapsed time.Duration) {
-		if gov == nil {
-			return
+	det := ses.Det
+	// report prints what follows a run or replay: the sampling state
+	// (the snapshot feeds the governor first, so the printed rate is the
+	// adapted one), the -stats dump, and the races.
+	report := func(elapsed time.Duration) {
+		snap := ses.Snapshot(elapsed)
+		if gov != nil {
+			fmt.Printf("sampling  : %s  rate: %.4f  checked: %d  skipped: %d\n",
+				gov.Mode(), gov.Rate(), snap.Get(stats.SampleChecked), snap.Get(stats.SampleSkipped))
 		}
-		snap := statsRec.Snapshot()
-		gov.ObserveSnapshot(snap, elapsed)
-		fmt.Printf("sampling  : %s  rate: %.4f  checked: %d  skipped: %d\n",
-			gov.Mode(), gov.Rate(), snap.Get(stats.SampleChecked), snap.Get(stats.SampleSkipped))
+		if *statsDump {
+			printStats(snap)
+		}
+		printRaces(ses.Sink, ses.Det)
 	}
 
 	if *replay != "" {
@@ -185,12 +171,9 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("replayed  : %s into %s in %v\n", *replay, det.Name(), time.Since(start))
-		printSampling(time.Since(start))
-		if *statsDump {
-			printStats(statsRec, det)
-		}
-		printRaces(sink, det)
+		elapsed := time.Since(start)
+		fmt.Printf("replayed  : %s into %s in %v\n", *replay, det.Name(), elapsed)
+		report(elapsed)
 		return
 	}
 
@@ -205,7 +188,7 @@ func main() {
 		rec = trace.NewRecorder(f, det.RequiresSequential())
 		det = rec
 	}
-	rt, err := task.New(task.Config{Executor: task.Auto, Workers: *workers, Detector: det, Stats: statsRec})
+	rt, err := task.New(task.Config{Executor: task.Auto, Workers: *workers, Detector: det, Stats: ses.Rec})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3:", err)
 		os.Exit(1)
@@ -237,17 +220,39 @@ func main() {
 		float64(fp.Total())/(1<<20), float64(fp.ShadowBytes)/(1<<20),
 		float64(fp.TreeBytes)/(1<<20), float64(fp.ClockBytes)/(1<<20),
 		float64(fp.SetBytes)/(1<<20))
-	printSampling(elapsed)
-	if *statsDump {
-		printStats(statsRec, det)
+	report(elapsed)
+}
+
+// profileWorkload runs the program under detector "none" — the
+// containers still tally their traffic into the session's recorder —
+// and prints the spawn count and one row per instrumented region: how
+// many locations are monitored and how hot they are is what explains the
+// per-benchmark slowdown spread of the paper's Figure 3.
+func profileWorkload(w io.Writer, run func(*task.Runtime, bench.Input) (float64, error), workers int, in bench.Input) error {
+	ses, err := detect.Open("none", detect.SessionOpts{})
+	if err != nil {
+		return err
 	}
-	printRaces(sink, det)
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: workers, Detector: ses.Det, Stats: ses.Rec})
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	if _, err := run(rt, in); err != nil {
+		return err
+	}
+	snap := ses.Snapshot(time.Since(start))
+	fmt.Fprintf(w, "workload  : tasks spawned %d, reads %d, writes %d\n",
+		snap.Get(stats.TaskSpawn), snap.Reads, snap.Writes)
+	fmt.Fprintln(w, "regions   :")
+	for _, r := range snap.Regions {
+		fmt.Fprintf(w, "  %-22s %8d elems  %10d reads  %10d writes\n", r.Name, r.Elems, r.Reads, r.Writes)
+	}
+	return nil
 }
 
 // printStats dumps the merged observability snapshot as indented JSON.
-func printStats(rec *stats.Recorder, det detect.Detector) {
-	snap := rec.Snapshot()
-	snap.Footprint = det.Footprint()
+func printStats(snap stats.Snapshot) {
 	out, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3:", err)
@@ -265,7 +270,7 @@ func printRaces(sink *detect.Sink, det detect.Detector) {
 	races := sink.Races()
 	if len(races) == 0 {
 		switch det.Name() {
-		case "spd3", "spd3-mutex", "espbags":
+		case "spd3", "espbags":
 			fmt.Println("races     : none (this input is certified race-free for all schedules)")
 		default:
 			fmt.Println("races     : none detected in this execution")

@@ -19,7 +19,7 @@ func runUnder(t *testing.T, b *Benchmark, in Input, cfg task.Config) (float64, [
 	t.Helper()
 	sink := detect.NewSink(false, 0)
 	if cfg.Detector == nil {
-		cfg.Detector = core.New(sink, core.SyncCAS)
+		cfg.Detector = core.New(sink, nil)
 	}
 	rt, err := task.New(cfg)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestAllRaceFreeUnderSPD3(t *testing.T) {
 				sink := detect.NewSink(false, 0)
 				rt, err := task.New(task.Config{
 					Executor: task.Pool, Workers: 4,
-					Detector: core.New(sink, core.SyncCAS),
+					Detector: core.New(sink, nil),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -203,7 +203,7 @@ func TestRacyVariantsReport(t *testing.T) {
 			for _, exec := range execs {
 				sink := detect.NewSink(false, 0)
 				rt, err := task.New(task.Config{Executor: exec, Workers: 4,
-					Detector: core.New(sink, core.SyncCAS)})
+					Detector: core.New(sink, nil)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func TestBarrierSORQuietUnderFastTrack(t *testing.T) {
 func TestMonteCarloBenignRace(t *testing.T) {
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Sequential,
-		Detector: core.New(sink, core.SyncCAS)})
+		Detector: core.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMonteCarloBenignRace(t *testing.T) {
 func TestBuggyBarrierRace(t *testing.T) {
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Sequential,
-		Detector: core.New(sink, core.SyncCAS)})
+		Detector: core.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

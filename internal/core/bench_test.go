@@ -10,11 +10,11 @@ import (
 // shadowAtDepth builds a detector state where the accessing steps sit
 // depth finish-levels below the root, so the per-access DMHP walks cost
 // O(depth) — the §5.3 "characteristic of the application" overhead.
-func shadowAtDepth(b *testing.B, mode SyncMode, depth int,
+func shadowAtDepth(b *testing.B, depth int,
 	body func(c *task.Ctx, sh detect.Shadow)) {
 	b.Helper()
 	sink := detect.NewSink(false, 0)
-	d := New(sink, mode)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		b.Fatal(err)
@@ -39,16 +39,12 @@ func shadowAtDepth(b *testing.B, mode SyncMode, depth int,
 // BenchmarkShadowWrite measures the Algorithm 1 fast path: repeated
 // writes by the owning step (w == s short-circuit).
 func BenchmarkShadowWriteSameStep(b *testing.B) {
-	for _, mode := range []SyncMode{SyncCAS, SyncMutex} {
-		b.Run(mode.String(), func(b *testing.B) {
-			shadowAtDepth(b, mode, 4, func(c *task.Ctx, sh detect.Shadow) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sh.Write(c.Task(), 0)
-				}
-			})
-		})
-	}
+	shadowAtDepth(b, 4, func(c *task.Ctx, sh detect.Shadow) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sh.Write(c.Task(), 0)
+		}
+	})
 }
 
 // BenchmarkShadowReadSteadyState measures the read-shared steady state
@@ -58,7 +54,7 @@ func BenchmarkShadowReadSteadyState(b *testing.B) {
 	for _, depth := range []int{2, 8, 24} {
 		depth := depth
 		b.Run(itoa(depth), func(b *testing.B) {
-			shadowAtDepth(b, SyncCAS, depth, func(c *task.Ctx, sh detect.Shadow) {
+			shadowAtDepth(b, depth, func(c *task.Ctx, sh detect.Shadow) {
 				// Install two parallel readers.
 				c.Finish(func(c *task.Ctx) {
 					c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
@@ -81,7 +77,7 @@ func BenchmarkShadowReadSteadyState(b *testing.B) {
 // (three node insertions).
 func BenchmarkTaskBoundary(b *testing.B) {
 	sink := detect.NewSink(false, 0)
-	d := New(sink, SyncCAS)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		b.Fatal(err)
@@ -153,7 +149,7 @@ func BenchmarkShadowSparse(b *testing.B) {
 	}{{"dense", denseIdx}, {"sparse", sparseIdx}} {
 		b.Run(pattern.name, func(b *testing.B) {
 			sink := detect.NewSink(false, 0)
-			d := New(sink, SyncCAS)
+			d := New(sink, nil)
 			rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 			if err != nil {
 				b.Fatal(err)

@@ -72,34 +72,51 @@ func (c *casCell) publish(x int64, m word) bool {
 	return true
 }
 
-func (s *casShadow) Read(t *detect.Task, i int)  { s.access(t, i, false) }
-func (s *casShadow) Write(t *detect.Task, i int) { s.access(t, i, true) }
-
-// access is the one memory action of the CAS protocol: resolve the
-// cell, then snapshot / check / publish until the action either leaves
-// the word unchanged or wins its CAS.
-func (s *casShadow) access(t *detect.Task, i int, write bool) {
+// Read is the read memory action: snapshot, Algorithm 2, and — when the
+// word changed — publish, restarting from the read stage on a lost CAS.
+func (s *casShadow) Read(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	ts := t.State.(*taskState)
-	c := s.pages.CellOf(&t.PC, i)
-	var retries int64
-	for {
+	ts, c := t.State.(*taskState), s.pages.CellOf(&t.PC, i)
+	for retries := int64(0); ; retries++ {
 		x, m := c.snapshot()
-		m, changed := s.d.check(m, ts, s.name, i, write)
-		if !changed {
+		if m, changed := s.d.readCheck(m, ts, s.name, i); !changed {
 			ts.nCASClean++
-			break
-		}
-		if c.publish(x, m) {
+		} else if c.publish(x, m) {
 			ts.nCASPublish++
-			break
+		} else {
+			continue
 		}
-		retries++
+		ts.countRetries(retries)
+		return
 	}
-	if retries > 0 {
-		ts.nCASRetry += retries
-		ts.retryBuckets[stats.HistBucket(retries)]++
+}
+
+// Write is the write memory action: as Read, with Algorithm 1.
+func (s *casShadow) Write(t *detect.Task, i int) {
+	if s.d.sink.Stopped() {
+		return
+	}
+	ts, c := t.State.(*taskState), s.pages.CellOf(&t.PC, i)
+	for retries := int64(0); ; retries++ {
+		x, m := c.snapshot()
+		if m, changed := s.d.writeCheck(m, ts, s.name, i); !changed {
+			ts.nCASClean++
+		} else if c.publish(x, m) {
+			ts.nCASPublish++
+		} else {
+			continue
+		}
+		ts.countRetries(retries)
+		return
+	}
+}
+
+// countRetries tallies the lost CASes of one finished memory action.
+func (ts *taskState) countRetries(n int64) {
+	if n > 0 {
+		ts.nCASRetry += n
+		ts.retryBuckets[stats.HistBucket(n)]++
 	}
 }

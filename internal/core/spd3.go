@@ -17,101 +17,45 @@
 // no race is missed — this is what gives SPD3 its O(1) space per location.
 //
 // On each access, Algorithms 1 (write) and 2 (read) query DMHP against the
-// recorded steps and update the shadow word. Two synchronization protocols
-// for the shadow word are provided, matching §5.4's discussion:
+// recorded steps and update the shadow word. The shadow word is
+// synchronized by §5.4's Lamport-style versioned snapshots (seqlock.go):
+// readers take a consistent snapshot bracketed by two version counters;
+// updates CAS the end version, write the fields, then publish the start
+// version. Memory actions that do not change the word — the common case
+// for read-shared data — proceed fully in parallel. (The per-word mutex
+// the paper measures 1.8× slower was an ablation here until PR 16;
+// EXPERIMENTS.md keeps its numbers.)
 //
-//   - SyncCAS (default): Lamport-style versioned snapshots. Readers take a
-//     consistent snapshot bracketed by two version counters; updates CAS
-//     the end version, write the fields, then publish the start version.
-//     Memory actions that do not change the word — the common case for
-//     read-shared data — proceed fully in parallel.
-//   - SyncMutex: a plain mutex per shadow word. Simpler, faster when
-//     uncontended, but serializes parallel readers; the paper reports it
-//     1.8× slower on average at 16 threads, which the ablation benchmark
-//     reproduces.
-//
-// Each protocol has exactly one access routine (casShadow.access,
-// mutexShadow.access) that resolves the paged shadow cell and runs
-// Detector.check on it; Read and Write only forward to it.
-// Check sampling is not this package's concern: detect.New wraps the
-// detector in the registry's gate when a sampler is enabled.
+// The detector is one configuration: New takes the race sink and the
+// stats recorder and nothing else. Check sampling is not this package's
+// concern: detect.New wraps the detector in the registry's gate when a
+// sampler is enabled.
 package core
 
 import (
-	"sync"
-
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
-// SyncMode selects the shadow-word synchronization protocol (§5.4).
-type SyncMode uint8
-
-const (
-	// SyncCAS is the versioned-snapshot (seqlock + CAS) protocol.
-	SyncCAS SyncMode = iota
-	// SyncMutex serializes each shadow word with a mutex.
-	SyncMutex
-)
-
-func (m SyncMode) String() string {
-	if m == SyncMutex {
-		return "mutex"
-	}
-	return "cas"
-}
-
-// Options tunes the detector beyond the paper's core algorithm.
-type Options struct {
-	// Sync selects the shadow-word synchronization protocol.
-	Sync SyncMode
-	// NoFingerprint forces every DMHP/LCA query through the §5.2
-	// pointer walk, disabling the packed-fingerprint fast path. On by
-	// default (i.e. fingerprints are used); disable only for the
-	// ablation-dmhp experiment and differential tests.
-	NoFingerprint bool
-	// NoDMHPMemo disables the per-task DMHP relation cache (see
-	// taskState.mhp). On by default; disable for ablation.
-	NoDMHPMemo bool
-	// Stats is the engine's observability recorder; nil disables the
-	// detector's counters. The detector batches its counts in plain
-	// task-owned integers and flushes them into a shard once per task
-	// (see taskState.flush), so the steady-state cost per event is one
-	// non-atomic increment.
-	Stats *stats.Recorder
-}
-
 // Detector is the SPD3 race detector. Create with New; wire into a
 // task.Runtime via Config.Detector.
 type Detector struct {
-	sink     *detect.Sink
-	tree     *dpst.Tree
-	mode     SyncMode
-	walkOnly bool // Options.NoFingerprint
-	memo     bool // !Options.NoDMHPMemo
-	st       *stats.Recorder
+	sink *detect.Sink
+	tree *dpst.Tree
+	st   *stats.Recorder
 
 	shadowBytes detect.Counter
 }
 
-// New returns an SPD3 detector reporting to sink using the given
-// shadow-word synchronization mode and default options.
-func New(sink *detect.Sink, mode SyncMode) *Detector {
-	return NewWith(sink, Options{Sync: mode})
-}
-
-// NewWith returns an SPD3 detector with explicit options.
-func NewWith(sink *detect.Sink, o Options) *Detector {
-	return &Detector{
-		sink:     sink,
-		tree:     dpst.New(),
-		mode:     o.Sync,
-		walkOnly: o.NoFingerprint,
-		memo:     !o.NoDMHPMemo,
-		st:       o.Stats,
-	}
+// New returns an SPD3 detector reporting to sink. rec is the engine's
+// observability recorder; nil disables the detector's counters. The
+// detector batches its counts in plain task-owned integers and flushes
+// them into a shard once per task (see taskState.flush), so the
+// steady-state cost per event is one non-atomic increment.
+func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
+	return &Detector{sink: sink, tree: dpst.New(), st: rec}
 }
 
 // Tree exposes the DPST (for tests and tooling).
@@ -121,12 +65,7 @@ func (d *Detector) Tree() *dpst.Tree { return d.tree }
 func (d *Detector) StepOf(t *detect.Task) *dpst.Node { return step(t) }
 
 // Name implements detect.Detector.
-func (d *Detector) Name() string {
-	if d.mode == SyncMutex {
-		return "spd3-mutex"
-	}
-	return "spd3"
-}
+func (d *Detector) Name() string { return "spd3" }
 
 // RequiresSequential implements detect.Detector: SPD3 runs in parallel.
 func (d *Detector) RequiresSequential() bool { return false }
@@ -152,7 +91,6 @@ type taskState struct {
 	nCASClean    int64
 	nCASPublish  int64
 	nCASRetry    int64
-	nMutexOps    int64
 	nDMHPFast    int64
 	nDMHPWalk    int64
 	nDMHPMemoHit int64
@@ -168,7 +106,6 @@ func (ts *taskState) flush() {
 	ts.sh.Add(stats.CASClean, ts.nCASClean)
 	ts.sh.Add(stats.CASPublish, ts.nCASPublish)
 	ts.sh.Add(stats.CASRetry, ts.nCASRetry)
-	ts.sh.Add(stats.MutexOps, ts.nMutexOps)
 	ts.sh.Add(stats.DMHPFast, ts.nDMHPFast)
 	ts.sh.Add(stats.DMHPWalk, ts.nDMHPWalk)
 	ts.sh.Add(stats.DMHPMemoHit, ts.nDMHPMemoHit)
@@ -176,7 +113,6 @@ func (ts *taskState) flush() {
 		ts.sh.AddBucket(stats.HistCASRetry, b, n)
 	}
 	ts.nCASClean, ts.nCASPublish, ts.nCASRetry = 0, 0, 0
-	ts.nMutexOps = 0
 	ts.nDMHPFast, ts.nDMHPWalk, ts.nDMHPMemoHit = 0, 0, 0
 	ts.retryBuckets = [stats.HistBuckets]int64{}
 }
@@ -202,8 +138,8 @@ func mhpSlot(n *dpst.Node) uint64 {
 }
 
 // relation answers Relation(other, ts.step) through the per-task
-// direct-mapped memo (unless disabled). Memoization is sound because
-// every DPST node field the query reads is immutable after creation, so
+// direct-mapped memo. Memoization is sound because every DPST node
+// field the query reads is immutable after creation, so
 // the relation of a fixed node pair can never change; and it is
 // effective because recorded writer/reader steps recur across thousands
 // of adjacent shadow words (one writer step covers a whole matrix row
@@ -213,9 +149,6 @@ func mhpSlot(n *dpst.Node) uint64 {
 func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lcaDepth int32) {
 	if other == nil || other == ts.step {
 		return false, -1
-	}
-	if !d.memo {
-		return d.rel(ts, other, ts.step)
 	}
 	e := &ts.mhp[mhpSlot(other)]
 	if e.other == other && e.step == ts.step {
@@ -227,14 +160,10 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 	return p, l
 }
 
-// rel dispatches one Relation query to the fingerprint fast path or,
-// under the walk-only ablation, the §5.2 pointer walk, attributing the
-// query to ts's fast/walk counters.
+// rel runs one Relation query, attributing it to ts's fast counter when
+// both fingerprints are valid and to the walk counter when the query
+// falls back to the §5.2 pointer walk (digit overflow).
 func (d *Detector) rel(ts *taskState, a, b *dpst.Node) (parallel bool, lcaDepth int32) {
-	if d.walkOnly {
-		ts.nDMHPWalk++
-		return dpst.RelationWalk(a, b)
-	}
 	if a.FastPath() && b.FastPath() {
 		ts.nDMHPFast++
 	} else {
@@ -331,13 +260,8 @@ func (d *Detector) Footprint() detect.Footprint {
 // lazily allocated pages (shadow.Pages), so a sparsely touched region
 // pays only for the pages it touches.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	if d.mode == SyncMutex {
-		s := &mutexShadow{d: d, name: spec.Name, pages: shadow.New[mutexCell](spec.Bound())}
-		s.pages.SetOnAlloc(d.pageAlloc(mutexCellBytes))
-		return s
-	}
 	s := &casShadow{d: d, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
-	s.pages.SetOnAlloc(d.pageAlloc(casCellBytes))
+	s.pages.SetOnAlloc(d.pageAlloc())
 	return s
 }
 
@@ -345,10 +269,10 @@ func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 // footprint plus the ShadowPagesAllocated counter. Allocation happens at
 // most once per PageSize cells, so the shard atomics are off the hot
 // path.
-func (d *Detector) pageAlloc(cellBytes int64) func(cells int) {
+func (d *Detector) pageAlloc() func(cells int) {
 	sh := d.st.Shard(0)
 	return func(cells int) {
-		d.shadowBytes.Add(int64(cells) * cellBytes)
+		d.shadowBytes.Add(int64(cells) * casCellBytes)
 		sh.Inc(stats.ShadowPagesAllocated)
 	}
 }
@@ -370,16 +294,6 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur 
 		PrevStep: prev.String(),
 		CurStep:  cur.String(),
 	})
-}
-
-// check runs Algorithm 1 (write) or 2 (read) on the snapshot m for the
-// accessing task's state ts. It reports any races and returns the
-// updated word and whether the word changed.
-func (d *Detector) check(m word, ts *taskState, region string, i int, write bool) (word, bool) {
-	if write {
-		return d.writeCheck(m, ts, region, i)
-	}
-	return d.readCheck(m, ts, region, i)
 }
 
 // writeCheck is Algorithm 1. Given a snapshot and the writing task's
@@ -457,38 +371,3 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word,
 }
 
 var _ detect.Detector = (*Detector)(nil)
-
-// ---- mutex-protected shadow words (SyncMutex) ----
-
-// mutexCell is one shadow word guarded by a mutex.
-type mutexCell struct {
-	mu sync.Mutex
-	m  word
-}
-
-const mutexCellBytes = 8 + 24 // sync.Mutex + three pointers
-
-type mutexShadow struct {
-	d     *Detector
-	name  string
-	pages *shadow.Pages[mutexCell]
-}
-
-func (s *mutexShadow) Read(t *detect.Task, i int)  { s.access(t, i, false) }
-func (s *mutexShadow) Write(t *detect.Task, i int) { s.access(t, i, true) }
-
-// access is the one memory action of the mutex protocol: the check runs
-// on the word in place, under the cell's lock.
-func (s *mutexShadow) access(t *detect.Task, i int, write bool) {
-	if s.d.sink.Stopped() {
-		return
-	}
-	ts := t.State.(*taskState)
-	ts.nMutexOps++
-	c := s.pages.CellOf(&t.PC, i)
-	c.mu.Lock()
-	if m, changed := s.d.check(c.m, ts, s.name, i, write); changed {
-		c.m = m
-	}
-	c.mu.Unlock()
-}

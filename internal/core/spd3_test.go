@@ -6,14 +6,16 @@ import (
 
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
+	"spd3/internal/graph"
+	"spd3/internal/stats"
 	"spd3/internal/task"
 )
 
 // newRT builds a runtime with a fresh SPD3 detector.
-func newRT(t *testing.T, mode SyncMode, exec task.ExecKind, workers int, halt bool) (*task.Runtime, *Detector, *detect.Sink) {
+func newRT(t *testing.T, exec task.ExecKind, workers int, halt bool) (*task.Runtime, *Detector, *detect.Sink) {
 	t.Helper()
 	sink := detect.NewSink(halt, 0)
-	d := New(sink, mode)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: exec, Workers: workers, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +27,7 @@ func newRT(t *testing.T, mode SyncMode, exec task.ExecKind, workers int, halt bo
 // checks that the detector builds exactly the paper's tree (plus the
 // continuation steps the figure elides because nothing follows them).
 func TestDPSTConstructionFigure1(t *testing.T) {
-	rt, d, _ := newRT(t, SyncCAS, task.Sequential, 1, false)
+	rt, d, _ := newRT(t, task.Sequential, 1, false)
 	var step1, step2, step3, step4, step5, step6 *dpst.Node
 	err := rt.Run(func(c *task.Ctx) {
 		step1 = d.StepOf(c.Task())  // S1; S2
@@ -100,7 +102,7 @@ func TestDPSTConstructionFigure1(t *testing.T) {
 // where every async and finish has a following continuation, which is how
 // the runtime always builds the tree.
 func TestDPSTNodeCount(t *testing.T) {
-	rt, d, _ := newRT(t, SyncCAS, task.Sequential, 1, false)
+	rt, d, _ := newRT(t, task.Sequential, 1, false)
 	const asyncs = 7
 	err := rt.Run(func(c *task.Ctx) {
 		c.Finish(func(c *task.Ctx) {
@@ -125,10 +127,10 @@ func TestDPSTNodeCount(t *testing.T) {
 // shadowProgram runs body with a 8-element shadow region and returns the
 // recorded races. Racy test programs drive the shadow directly (no real
 // data is touched) so that `go test -race` stays quiet.
-func shadowProgram(t *testing.T, mode SyncMode, exec task.ExecKind, workers int,
+func shadowProgram(t *testing.T, exec task.ExecKind, workers int,
 	body func(c *task.Ctx, sh detect.Shadow)) []detect.Race {
 	t.Helper()
-	rt, d, sink := newRT(t, mode, exec, workers, false)
+	rt, d, sink := newRT(t, exec, workers, false)
 	sh := d.NewShadow(detect.Spec("x", 8, 8))
 	if err := rt.Run(func(c *task.Ctx) { body(c, sh) }); err != nil {
 		t.Fatal(err)
@@ -136,98 +138,84 @@ func shadowProgram(t *testing.T, mode SyncMode, exec task.ExecKind, workers int,
 	return sink.Races()
 }
 
-var modes = []SyncMode{SyncCAS, SyncMutex}
-
 func TestWriteWriteRace(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
-			})
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
 		})
-		if len(races) != 1 || races[0].Kind != detect.WriteWrite {
-			t.Errorf("%v: races = %v, want one write-write", m, races)
-		}
+	})
+	if len(races) != 1 || races[0].Kind != detect.WriteWrite {
+		t.Errorf("races = %v, want one write-write", races)
 	}
 }
 
 func TestWriteReadRace(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 3) })
-				sh.Read(c.Task(), 3) // continuation reads in parallel with the async write
-			})
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 3) })
+			sh.Read(c.Task(), 3) // continuation reads in parallel with the async write
 		})
-		if len(races) != 1 || races[0].Kind != detect.WriteRead || races[0].Index != 3 {
-			t.Errorf("%v: races = %v, want one write-read at index 3", m, races)
-		}
+	})
+	if len(races) != 1 || races[0].Kind != detect.WriteRead || races[0].Index != 3 {
+		t.Errorf("races = %v, want one write-read at index 3", races)
 	}
 }
 
 func TestReadWriteRace(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
-			})
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
 		})
-		if len(races) != 1 || races[0].Kind != detect.ReadWrite {
-			t.Errorf("%v: races = %v, want one read-write", m, races)
-		}
+	})
+	if len(races) != 1 || races[0].Kind != detect.ReadWrite {
+		t.Errorf("races = %v, want one read-write", races)
 	}
 }
 
 func TestNoRaceOrderedBySpawn(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			sh.Write(c.Task(), 0) // before the spawn: ordered with the async
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) {
-					sh.Read(c.Task(), 0)
-					sh.Write(c.Task(), 0)
-				})
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		sh.Write(c.Task(), 0) // before the spawn: ordered with the async
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) {
+				sh.Read(c.Task(), 0)
+				sh.Write(c.Task(), 0)
 			})
-			sh.Read(c.Task(), 0) // after the finish: ordered
-			sh.Write(c.Task(), 0)
 		})
-		if len(races) != 0 {
-			t.Errorf("%v: races = %v, want none", m, races)
-		}
+		sh.Read(c.Task(), 0) // after the finish: ordered
+		sh.Write(c.Task(), 0)
+	})
+	if len(races) != 0 {
+		t.Errorf("races = %v, want none", races)
 	}
 }
 
 func TestNoRaceSameStep(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			sh.Read(c.Task(), 0)
-			sh.Write(c.Task(), 0)
-			sh.Read(c.Task(), 0)
-			sh.Write(c.Task(), 0)
-		})
-		if len(races) != 0 {
-			t.Errorf("%v: races = %v, want none", m, races)
-		}
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		sh.Read(c.Task(), 0)
+		sh.Write(c.Task(), 0)
+		sh.Read(c.Task(), 0)
+		sh.Write(c.Task(), 0)
+	})
+	if len(races) != 0 {
+		t.Errorf("races = %v, want none", races)
 	}
 }
 
 // TestParallelReadsNoRace is the read-shared pattern that motivates the
 // two-reader design: many parallel readers, then an ordered write.
 func TestParallelReadsNoRace(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				for i := 0; i < 10; i++ {
-					c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-				}
-			})
-			sh.Write(c.Task(), 0) // ordered after all reads by the finish
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			for i := 0; i < 10; i++ {
+				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
+			}
 		})
-		if len(races) != 0 {
-			t.Errorf("%v: races = %v, want none", m, races)
-		}
+		sh.Write(c.Task(), 0) // ordered after all reads by the finish
+	})
+	if len(races) != 0 {
+		t.Errorf("races = %v, want none", races)
 	}
 }
 
@@ -235,22 +223,20 @@ func TestParallelReadsNoRace(t *testing.T) {
 // beyond two loses no races: ten parallel readers, then a write parallel
 // with all of them must still be reported.
 func TestManyParallelReadersThenParallelWrite(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				for i := 0; i < 10; i++ {
-					c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-				}
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
-			})
-		})
-		if len(races) == 0 {
-			t.Errorf("%v: no race reported, want read-write", m)
-		}
-		for _, r := range races {
-			if r.Kind != detect.ReadWrite {
-				t.Errorf("%v: unexpected race kind %v", m, r.Kind)
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			for i := 0; i < 10; i++ {
+				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
 			}
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
+		})
+	})
+	if len(races) == 0 {
+		t.Errorf("no race reported, want read-write")
+	}
+	for _, r := range races {
+		if r.Kind != detect.ReadWrite {
+			t.Errorf("unexpected race kind %v", r.Kind)
 		}
 	}
 }
@@ -259,22 +245,20 @@ func TestManyParallelReadersThenParallelWrite(t *testing.T) {
 // under an inner finish are later joined by a reader with a higher LCA,
 // which must replace r1; a subsequent parallel write must be caught.
 func TestReaderReplacementLCA(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) {
-					c.Finish(func(c *task.Ctx) {
-						c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) }) // r1
-						c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) }) // r2
-					})
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) {
+				c.Finish(func(c *task.Ctx) {
+					c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) }) // r1
+					c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) }) // r2
 				})
-				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })  // S: LCA(r1,S) is higher
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) }) // parallel with all
 			})
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })  // S: LCA(r1,S) is higher
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) }) // parallel with all
 		})
-		if len(races) == 0 {
-			t.Errorf("%v: no race reported after reader replacement", m)
-		}
+	})
+	if len(races) == 0 {
+		t.Errorf("no race reported after reader replacement")
 	}
 }
 
@@ -282,35 +266,33 @@ func TestReaderReplacementLCA(t *testing.T) {
 // recorded readers replaces them, and a write parallel with the new reader
 // is still caught through it.
 func TestDiscardSafety(t *testing.T) {
-	for _, m := range modes {
-		races := shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-			})
-			sh.Read(c.Task(), 0) // ordered after both: supersedes
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) }) // parallel with the last read? no — ordered
-			})
+	races := shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
 		})
-		// The async write is inside a finish that starts after the last
-		// read, so it is ordered after it: no race.
-		if len(races) != 0 {
-			t.Errorf("%v: races = %v, want none", m, races)
-		}
+		sh.Read(c.Task(), 0) // ordered after both: supersedes
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) }) // parallel with the last read? no — ordered
+		})
+	})
+	// The async write is inside a finish that starts after the last
+	// read, so it is ordered after it: no race.
+	if len(races) != 0 {
+		t.Errorf("races = %v, want none", races)
+	}
 
-		races = shadowProgram(t, m, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-			})
-			c.Finish(func(c *task.Ctx) {
-				c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) }) // supersedes inside finish? no: parallel with nothing prior
-				c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
-			})
+	races = shadowProgram(t, task.Sequential, 1, func(c *task.Ctx, sh detect.Shadow) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
 		})
-		if len(races) == 0 {
-			t.Errorf("%v: missed read-write race after supersede", m)
-		}
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) }) // supersedes inside finish? no: parallel with nothing prior
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
+		})
+	})
+	if len(races) == 0 {
+		t.Errorf("missed read-write race after supersede")
 	}
 }
 
@@ -329,20 +311,18 @@ func TestRacyProgramDetectedUnderEveryExecutor(t *testing.T) {
 		{task.Pool, 16},
 	}
 	for _, e := range execs {
-		for _, m := range modes {
-			races := shadowProgram(t, m, e.kind, e.workers, func(c *task.Ctx, sh detect.Shadow) {
-				c.Finish(func(c *task.Ctx) {
-					for i := 0; i < 16; i++ {
-						c.Async(func(c *task.Ctx) {
-							sh.Read(c.Task(), 1)
-							sh.Write(c.Task(), 0)
-						})
-					}
-				})
+		races := shadowProgram(t, e.kind, e.workers, func(c *task.Ctx, sh detect.Shadow) {
+			c.Finish(func(c *task.Ctx) {
+				for i := 0; i < 16; i++ {
+					c.Async(func(c *task.Ctx) {
+						sh.Read(c.Task(), 1)
+						sh.Write(c.Task(), 0)
+					})
+				}
 			})
-			if len(races) == 0 {
-				t.Errorf("%v/%v/%d workers: racy program produced no report", m, e.kind, e.workers)
-			}
+		})
+		if len(races) == 0 {
+			t.Errorf("%v/%d workers: racy program produced no report", e.kind, e.workers)
 		}
 	}
 }
@@ -351,32 +331,30 @@ func TestRacyProgramDetectedUnderEveryExecutor(t *testing.T) {
 // quiet under heavy parallel execution (no false positives from the
 // versioned-snapshot protocol).
 func TestRaceFreeUnderParallelExecutors(t *testing.T) {
-	for _, m := range modes {
-		for _, workers := range []int{1, 4, 16} {
-			races := shadowProgram(t, m, task.Pool, workers, func(c *task.Ctx, sh detect.Shadow) {
-				for round := 0; round < 20; round++ {
-					// Disjoint writes, then shared reads: classic
-					// race-free phase structure.
-					c.Finish(func(c *task.Ctx) {
-						for i := 0; i < 8; i++ {
-							i := i
-							c.Async(func(c *task.Ctx) { sh.Write(c.Task(), i) })
-						}
-					})
-					c.Finish(func(c *task.Ctx) {
-						for i := 0; i < 8; i++ {
-							c.Async(func(c *task.Ctx) {
-								for j := 0; j < 8; j++ {
-									sh.Read(c.Task(), j)
-								}
-							})
-						}
-					})
-				}
-			})
-			if len(races) != 0 {
-				t.Errorf("%v/%d workers: false positives: %v", m, workers, races)
+	for _, workers := range []int{1, 4, 16} {
+		races := shadowProgram(t, task.Pool, workers, func(c *task.Ctx, sh detect.Shadow) {
+			for round := 0; round < 20; round++ {
+				// Disjoint writes, then shared reads: classic
+				// race-free phase structure.
+				c.Finish(func(c *task.Ctx) {
+					for i := 0; i < 8; i++ {
+						i := i
+						c.Async(func(c *task.Ctx) { sh.Write(c.Task(), i) })
+					}
+				})
+				c.Finish(func(c *task.Ctx) {
+					for i := 0; i < 8; i++ {
+						c.Async(func(c *task.Ctx) {
+							for j := 0; j < 8; j++ {
+								sh.Read(c.Task(), j)
+							}
+						})
+					}
+				})
 			}
+		})
+		if len(races) != 0 {
+			t.Errorf("%d workers: false positives: %v", workers, races)
 		}
 	}
 }
@@ -384,7 +362,7 @@ func TestRaceFreeUnderParallelExecutors(t *testing.T) {
 // TestHaltMode checks that halt-on-first-race stops further reporting.
 func TestHaltMode(t *testing.T) {
 	sink := detect.NewSink(true, 0)
-	d := New(sink, SyncCAS)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +388,8 @@ func TestHaltMode(t *testing.T) {
 	}
 }
 
-// TestVerdictsAgreeAcrossModes runs a battery of small programs under both
-// sync modes and both parallel executors and demands identical verdicts.
+// TestVerdictsAgreeAcrossModes runs a battery of small programs under
+// every execution mode and demands the same, known verdict from each.
 func TestVerdictsAgreeAcrossModes(t *testing.T) {
 	programs := []struct {
 		name string
@@ -436,11 +414,11 @@ func TestVerdictsAgreeAcrossModes(t *testing.T) {
 			})
 		}},
 	}
-	for _, m := range modes {
+	for _, exec := range []task.ExecKind{task.Sequential, task.Goroutines, task.Pool} {
 		for _, p := range programs {
-			races := shadowProgram(t, m, task.Pool, 4, p.body)
+			races := shadowProgram(t, exec, 4, p.body)
 			if got := len(races) > 0; got != p.racy {
-				t.Errorf("%v/%s: racy = %v, want %v (%v)", m, p.name, got, p.racy, races)
+				t.Errorf("%v/%s: racy = %v, want %v (%v)", exec, p.name, got, p.racy, races)
 			}
 		}
 	}
@@ -451,34 +429,32 @@ func TestVerdictsAgreeAcrossModes(t *testing.T) {
 // happening after everything an earlier run joined — even accesses made
 // by asyncs hanging directly off the implicit finish.
 func TestConsecutiveRunsAreOrdered(t *testing.T) {
-	for _, m := range modes {
-		sink := detect.NewSink(false, 0)
-		d := New(sink, m)
-		rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := d.NewShadow(detect.Spec("x", 1, 8))
-		if err := rt.Run(func(c *task.Ctx) {
-			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Run(func(c *task.Ctx) {
-			sh.Read(c.Task(), 0)
-			sh.Write(c.Task(), 0)
-			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if races := sink.Races(); len(races) != 0 {
-			t.Fatalf("%v: cross-run false positives: %v", m, races)
-		}
+	sink := detect.NewSink(false, 0)
+	d := New(sink, nil)
+	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := d.NewShadow(detect.Spec("x", 1, 8))
+	if err := rt.Run(func(c *task.Ctx) {
+		c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(func(c *task.Ctx) {
+		sh.Read(c.Task(), 0)
+		sh.Write(c.Task(), 0)
+		c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 0) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if races := sink.Races(); len(races) != 0 {
+		t.Fatalf("cross-run false positives: %v", races)
 	}
 }
 
 func TestFootprintConstantPerLocation(t *testing.T) {
-	rt, d, _ := newRT(t, SyncCAS, task.Sequential, 1, false)
+	rt, d, _ := newRT(t, task.Sequential, 1, false)
 	sh1 := d.NewShadow(detect.Spec("a", 1000, 8))
 	sh2 := d.NewShadow(detect.Spec("b", 1000, 8))
 	// Paged shadow: declaring regions allocates nothing.
@@ -511,5 +487,73 @@ func TestFootprintConstantPerLocation(t *testing.T) {
 func TestTaskStateSize(t *testing.T) {
 	if n := unsafe.Sizeof(taskState{}); n > 576 {
 		t.Errorf("taskState is %d bytes, want <= 576", n)
+	}
+}
+
+// TestWalkFallbackMatchesOracle keeps detector-level coverage of the §5.2
+// pointer walk. Every async adds two children to its finish (the async
+// node and the parent's continuation step), so past the 8192nd async the
+// sibling index no longer fits a fingerprint digit and those tasks'
+// steps answer DMHP by walking the tree. A write-write race seeded
+// between the last two siblings, and a race-free twin in which the late
+// siblings only share reads, must both get the computation-graph
+// oracle's verdict, with the walk counter showing the fallback ran.
+func TestWalkFallbackMatchesOracle(t *testing.T) {
+	const asyncs = 16400 // > 16383, the largest sibling index a digit holds
+	program := func(racy bool) func(c *task.Ctx, sh detect.Shadow) {
+		return func(c *task.Ctx, sh detect.Shadow) {
+			sh.Write(c.Task(), 0)
+			c.Finish(func(c *task.Ctx) {
+				for i := 0; i < asyncs; i++ {
+					i := i
+					c.Async(func(c *task.Ctx) {
+						sh.Write(c.Task(), 1+i)
+						if i >= asyncs-8 {
+							sh.Read(c.Task(), 0)
+						}
+						if racy && i == asyncs-1 {
+							sh.Write(c.Task(), i) // the previous sibling's cell
+						}
+					})
+				}
+			})
+			sh.Write(c.Task(), 0)
+		}
+	}
+	for _, racy := range []bool{false, true} {
+		oracle := graph.New()
+		ort, err := task.New(task.Config{Executor: task.Sequential, Detector: oracle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		osh := oracle.NewShadow(detect.Spec("x", asyncs+1, 8))
+		if err := ort.Run(func(c *task.Ctx) { program(racy)(c, osh) }); err != nil {
+			t.Fatal(err)
+		}
+		if oracle.HasRace() != racy {
+			t.Fatalf("racy=%v: oracle says %v; the test program is wrong", racy, oracle.HasRace())
+		}
+
+		sink := detect.NewSink(false, 0)
+		rec := stats.New(1)
+		d := New(sink, rec)
+		rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4, Detector: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := d.NewShadow(detect.Spec("x", asyncs+1, 8))
+		if err := rt.Run(func(c *task.Ctx) { program(racy)(c, sh) }); err != nil {
+			t.Fatal(err)
+		}
+		races := sink.Races()
+		if got := len(races) > 0; got != racy {
+			t.Errorf("racy=%v: spd3 reports %v", racy, races)
+		}
+		if racy && (len(races) != 1 || races[0].Kind != detect.WriteWrite || races[0].Index != asyncs-1) {
+			t.Errorf("races = %v, want one write-write on x[%d]", races, asyncs-1)
+		}
+		if walks := rec.Snapshot().Get(stats.DMHPWalk); walks == 0 {
+			t.Errorf("racy=%v: dmhp.walk = 0, the digit-overflow fallback never ran", racy)
+		}
 	}
 }

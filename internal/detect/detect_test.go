@@ -182,47 +182,6 @@ func TestNopDetector(t *testing.T) {
 	}
 }
 
-func TestStatsCounting(t *testing.T) {
-	s := NewStats()
-	main := &Task{}
-	fin := &Finish{}
-	s.MainTask(main, fin)
-	child := &Task{ID: 1}
-	s.BeforeSpawn(main, child)
-	s.BeforeSpawn(main, &Task{ID: 2})
-	s.FinishStart(main, &Finish{ID: 1})
-	l := &Lock{}
-	s.Acquire(main, l)
-	s.Release(main, l)
-
-	a := s.NewShadow(Spec("a", 10, 8))
-	b := s.NewShadow(Spec("b", 5, 8))
-	for i := 0; i < 7; i++ {
-		a.Read(main, 0)
-	}
-	a.Write(main, 1)
-	b.Write(main, 2)
-	b.Write(main, 3)
-
-	if s.Tasks.Load() != 3 || s.Finishes.Load() != 1 || s.LockOps.Load() != 2 {
-		t.Fatalf("counts: %s", s)
-	}
-	reads, writes := s.Accesses()
-	if reads != 7 || writes != 3 {
-		t.Fatalf("accesses = %d/%d", reads, writes)
-	}
-	regs := s.Regions()
-	if len(regs) != 2 || regs[0].Name != "a" || regs[1].Name != "b" {
-		t.Fatalf("region order = %v, %v", regs[0].Name, regs[1].Name)
-	}
-	if !strings.Contains(s.String(), "tasks 3") {
-		t.Fatalf("String() = %q", s.String())
-	}
-	if s.Name() != "stats" || s.RequiresSequential() || s.Footprint().Total() != 0 {
-		t.Fatal("stats detector misconfigured")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	if c.Add(5) != 5 || c.Add(-2) != 3 || c.Load() != 3 {

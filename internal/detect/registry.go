@@ -50,10 +50,11 @@ func Register(name string, f Factory) {
 	register(name, f, false)
 }
 
-// RegisterVariant registers an ablation or debugging variant: it is
-// constructible by name through New but omitted from Names, keeping the
-// user-facing detector list stable while cmd tools and the harness can
-// still reach the variant.
+// RegisterVariant registers a detector that is constructible by name
+// through New but omitted from Names, keeping the user-facing detector
+// list stable. No shipped detector uses it since SPD3's ablation
+// variants were removed; the daemon's tests register their gated test
+// doubles through it.
 func RegisterVariant(name string, f Factory) {
 	register(name, f, true)
 }

@@ -1,0 +1,81 @@
+package detect
+
+import (
+	"time"
+
+	"spd3/internal/sample"
+	"spd3/internal/stats"
+)
+
+// SessionOpts configures Open. The zero value is a log-mode sink with the
+// default race cap, stats on, and every check run.
+type SessionOpts struct {
+	// Halt stops checking after the first race (the paper's semantics);
+	// otherwise races are deduplicated per location up to MaxRaces
+	// (0 means the sink's default).
+	Halt     bool
+	MaxRaces int
+	// OnRace, when non-nil, streams each distinct race to the callback
+	// instead of buffering it (see Sink.SetOnRace).
+	OnRace func(Race) bool
+	// CaptureSites appends the completing access's file:line to kept
+	// races (see Sink.SetCaptureSites).
+	CaptureSites bool
+	// NoStats leaves the session without a recorder: Rec is nil and
+	// Snapshot carries only the footprint.
+	NoStats bool
+	// Shards sizes the recorder (stats.New: <= 0 means GOMAXPROCS).
+	Shards int
+	// Sampler gates the detector's checks at a fixed rate. Set it or
+	// Governor, not both.
+	Sampler *sample.Sampler
+	// Governor gates the checks behind its shared, adapting rate and is
+	// fed one observation by every Snapshot.
+	Governor *sample.Governor
+}
+
+// Session is one assembled detection run: a race sink, the stats
+// recorder it and the detector count into, and the named detector built
+// over both, gated when sampling is configured. It is the one place the
+// four are wired together; the engine, the cmd tools, the daemon's shard
+// replay and the harness all open one.
+type Session struct {
+	Det  Detector
+	Sink *Sink
+	Rec  *stats.Recorder  // nil under NoStats
+	Gov  *sample.Governor // nil unless SessionOpts.Governor was set
+}
+
+// Open builds the named registry detector and everything it reports to.
+func Open(name string, o SessionOpts) (*Session, error) {
+	s := &Session{Sink: NewSink(o.Halt, o.MaxRaces), Gov: o.Governor}
+	if !o.NoStats {
+		s.Rec = stats.New(o.Shards)
+		s.Sink.SetStats(s.Rec.Shard(0))
+	}
+	s.Sink.SetOnRace(o.OnRace)
+	s.Sink.SetCaptureSites(o.CaptureSites)
+	smp := o.Sampler
+	if o.Governor != nil {
+		smp = o.Governor.Sampler()
+	}
+	det, err := New(name, FactoryOpts{Sink: s.Sink, Stats: s.Rec, Sampler: smp})
+	if err != nil {
+		return nil, err
+	}
+	s.Det = det
+	return s, nil
+}
+
+// Snapshot merges the recorder's counters, folds in the detector's
+// footprint and, when the session is governed, feeds the governor one
+// observation of those counts over wall — the duration of the run or
+// replay that produced them.
+func (s *Session) Snapshot(wall time.Duration) stats.Snapshot {
+	snap := s.Rec.Snapshot()
+	snap.Footprint = s.Det.Footprint()
+	if s.Gov != nil {
+		s.Gov.ObserveSnapshot(snap, wall)
+	}
+	return snap
+}

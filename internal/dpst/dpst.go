@@ -266,7 +266,7 @@ func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 		d, da, db := fpRelate(a, b)
 		return digitsParallel(da, db), d
 	}
-	return RelationWalk(a, b)
+	return relationWalk(a, b)
 }
 
 // FastPath reports whether the node's packed fingerprint is valid — a
@@ -275,11 +275,10 @@ func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 // each DMHP query to the fast path or the walk.
 func (n *Node) FastPath() bool { return n.fp.valid() }
 
-// RelationWalk answers Relation via the §5.2 pointer walk regardless of
-// fingerprint validity; exported so the detector's walk-only ablation
-// and the differential tests can pin the two implementations against
-// each other.
-func RelationWalk(a, b *Node) (parallel bool, lcaDepth int32) {
+// relationWalk answers Relation via the §5.2 pointer walk regardless of
+// fingerprint validity: the fallback for nodes whose digits overflowed,
+// and the reference the differential tests pin the fast path against.
+func relationWalk(a, b *Node) (parallel bool, lcaDepth int32) {
 	if a == nil || b == nil {
 		return false, -1
 	}

@@ -77,7 +77,7 @@ func TestFingerprintOverflowFallsBack(t *testing.T) {
 			t.Errorf("DMHP(%v, %v) = %v, walk says %v", a, b, got, want)
 		}
 		gp, gd := Relation(a, b)
-		wp, wd := RelationWalk(a, b)
+		wp, wd := relationWalk(a, b)
 		if gp != wp || gd != wd {
 			t.Errorf("Relation(%v, %v) = (%v, %d), walk says (%v, %d)", a, b, gp, gd, wp, wd)
 		}
@@ -145,7 +145,7 @@ func TestQuickFingerprintAgainstWalk(t *testing.T) {
 			return false
 		}
 		gp, gd := Relation(a, b)
-		wp, wd := RelationWalk(a, b)
+		wp, wd := relationWalk(a, b)
 		if gp != wp || gd != wd {
 			t.Logf("seed %d: Relation(%v,%v) = (%v,%d), walk (%v,%d)", seed, a, b, gp, gd, wp, wd)
 			return false
@@ -201,7 +201,7 @@ func TestQuickFingerprintSpillExhaustive(t *testing.T) {
 				t.Fatalf("DMHP(%v,%v) = %v, walk %v", a, b, got, want)
 			}
 			gp, gd := Relation(a, b)
-			wp, wd := RelationWalk(a, b)
+			wp, wd := relationWalk(a, b)
 			if gp != wp || gd != wd {
 				t.Fatalf("Relation(%v,%v) = (%v,%d), walk (%v,%d)", a, b, gp, gd, wp, wd)
 			}

@@ -211,7 +211,7 @@ func TestBarrierEventsOrderPhases(t *testing.T) {
 // finish form before running SPD3 (§6.3).
 func TestSPD3SeesThroughNoBarriers(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	d := core.New(sink, core.SyncCAS)
+	d := core.New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Goroutines, Detector: d})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@
 // evaluation (§6) on the Go reproduction: Figure 3 (SPD3 scalability),
 // Figure 4 (ESP-bags vs SPD3), Table 2 (Eraser/FastTrack/SPD3 slowdown),
 // Table 3 (memory), Figure 5 (Crypt scaling), Figure 6 (LUFact memory),
-// plus Table 1 (the suite) and two ablations (§5.4 shadow-word
-// synchronization, §5.5-style dynamic check caching).
+// plus Table 1 (the suite), the observability profile, the sparse-shadow
+// footprint and the sampling ablation.
 //
 // Methodology follows the paper where the substrate allows: the reported
 // time for each configuration is the smallest of cfg.Repeats runs (§6:
@@ -72,44 +72,33 @@ func (c Config) maxThreads() int {
 // Tool names a detector configuration in the experiment tables.
 type Tool string
 
-// Tools. Each name (except the two below) is a detect registry name —
-// visible detectors or hidden ablation variants alike.
+// Tools. Each name except Base and SPD3NoStats is a detect registry name.
 const (
 	Base        Tool = "base"
-	SPD3        Tool = "spd3" // fingerprint fast path + per-task DMHP memo (the default)
-	SPD3Lock    Tool = "spd3-mutex"
-	SPD3Walk    Tool = "spd3-walk"    // DMHP via the §5.2 pointer walk only (ablation)
-	SPD3FP      Tool = "spd3-fp"      // fingerprints on, per-task memo off (ablation)
-	SPD3NoStats Tool = "spd3-nostats" // default SPD3 with the stats recorder disabled (ablation)
+	SPD3        Tool = "spd3"
+	SPD3NoStats Tool = "spd3-nostats" // SPD3 with the stats recorder disabled (the <5% observability budget's instrument)
 	ESPBags     Tool = "espbags"
 	FastTrack   Tool = "fasttrack"
 	Eraser      Tool = "eraser"
 )
 
-// NewDetector builds a fresh detector of the given kind through the
-// detect registry, reporting to a fresh log-mode sink, together with the
-// stats recorder wired into it (nil for Base and SPD3NoStats).
-func NewDetector(tool Tool) (detect.Detector, *stats.Recorder) {
-	sink := detect.NewSink(false, 0)
+// Open opens a fresh detect session for tool: o with the tool's registry
+// name and, for Base and SPD3NoStats, the recorder left out.
+func Open(tool Tool, o detect.SessionOpts) *detect.Session {
 	name := string(tool)
-	var rec *stats.Recorder
 	switch tool {
 	case Base:
-		name = "none"
+		name, o.NoStats = "none", true
 	case SPD3NoStats:
-		name = "spd3"
-	default:
-		rec = stats.New(0)
-		sink.SetStats(rec.Shard(0))
+		name, o.NoStats = "spd3", true
 	}
-	det, err := detect.New(name, detect.FactoryOpts{Sink: sink, Stats: rec})
+	ses, err := detect.Open(name, o)
 	if err != nil {
 		// Every Tool constant is registered; an unknown tool is a
-		// harness bug, matching the old switch's detect.Nop fallback
-		// would hide it.
+		// harness bug.
 		panic(err)
 	}
-	return det, rec
+	return ses
 }
 
 // Measurement is one experimental data point.
@@ -123,41 +112,45 @@ type Measurement struct {
 	AllocDelta int64
 }
 
+// runOnce runs b once under a fresh session of tool opened with o and
+// returns the session, the run's wall clock and its Go heap allocation
+// delta.
+func runOnce(b *bench.Benchmark, tool Tool, o detect.SessionOpts, workers int, in bench.Input) (*detect.Session, time.Duration, int64, error) {
+	ses := Open(tool, o)
+	rt, err := task.New(task.Config{Executor: task.Auto, Workers: workers, Detector: ses.Det, Stats: ses.Rec})
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	if _, err := b.Run(rt, in); err != nil {
+		return nil, 0, 0, fmt.Errorf("%s under %s: %w", b.Name, tool, err)
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return ses, elapsed, int64(m1.TotalAlloc - m0.TotalAlloc), nil
+}
+
 // measure runs benchmark b under tool with the given workers and input,
 // returning the best-of-Repeats measurement. ESP-bags forces the
 // sequential executor (it cannot run in parallel — that is Figure 4's
 // point).
 func (c Config) measure(b *bench.Benchmark, tool Tool, workers int, in bench.Input) (Measurement, error) {
+	if detect.Sequential(string(tool)) {
+		workers = 1
+	}
 	var best Measurement
 	best.Time = math.MaxInt64
 	for rep := 0; rep < c.Repeats; rep++ {
-		det, rec := NewDetector(tool)
-		if det.RequiresSequential() {
-			workers = 1
-		}
-		rt, err := task.New(task.Config{Executor: task.Auto, Workers: workers, Detector: det, Stats: rec})
+		ses, elapsed, alloc, err := runOnce(b, tool, detect.SessionOpts{}, workers, in)
 		if err != nil {
 			return Measurement{}, err
 		}
-		runtime.GC()
-		var m0 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		if _, err := b.Run(rt, in); err != nil {
-			return Measurement{}, fmt.Errorf("%s under %s: %w", b.Name, tool, err)
-		}
-		elapsed := time.Since(start)
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
 		if elapsed < best.Time {
-			snap := rec.Snapshot()
-			snap.Footprint = det.Footprint()
-			best = Measurement{
-				Time:       elapsed,
-				Footprint:  snap.Footprint,
-				Stats:      snap,
-				AllocDelta: int64(m1.TotalAlloc - m0.TotalAlloc),
-			}
+			snap := ses.Snapshot(elapsed)
+			best = Measurement{Time: elapsed, Footprint: snap.Footprint, Stats: snap, AllocDelta: alloc}
 		}
 	}
 	if c.OnStats != nil {
@@ -198,8 +191,6 @@ func Experiments() []Experiment {
 		{ID: "table3", Title: "Table 3: peak memory on JGF (chunked)", Run: table3},
 		{ID: "fig5", Title: "Figure 5: Crypt slowdown vs workers, all tools", Run: fig5},
 		{ID: "fig6", Title: "Figure 6: LUFact memory vs workers, all tools", Run: fig6},
-		{ID: "ablation-sync", Title: "§5.4 ablation: versioned-CAS vs per-word mutex", Run: ablationSync},
-		{ID: "ablation-dmhp", Title: "DMHP fast-path ablation: pointer walk vs fingerprints vs fingerprints+memo", Run: ablationDMHP},
 		{ID: "stats", Title: "Observability counters: per-benchmark SPD3 event profile", Run: statsTable},
 		{ID: "sparse", Title: "Sparse shadow: paged footprint on clustered touches", Run: sparseShadow},
 		{ID: "ablation-sample", Title: "Sampling ablation: overhead vs detection probability across modes and rates", Run: ablationSample},
@@ -435,92 +426,6 @@ func fig6(cfg Config) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
-}
-
-// ablationSync reproduces the §5.4 discussion: the versioned-CAS shadow
-// words against the per-word-mutex variant at 1 worker (where the paper
-// says the lock wins) and at the maximum (where CAS wins, by 1.8× on
-// average in the paper — a contention effect that needs real cores).
-func ablationSync(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	nmax := cfg.maxThreads()
-	t := &Table{
-		Title:  "Ablation §5.4: SPD3 shadow-word protocol, mutex time / CAS time (>1 means CAS wins)",
-		Header: []string{"Benchmark", "1-worker", fmt.Sprintf("%d-worker", nmax)},
-	}
-	in := bench.Input{Scale: cfg.Scale}
-	var r1s, rns []float64
-	for _, b := range bench.All() {
-		c1, err := cfg.measure(b, SPD3, 1, in)
-		if err != nil {
-			return nil, err
-		}
-		m1, err := cfg.measure(b, SPD3Lock, 1, in)
-		if err != nil {
-			return nil, err
-		}
-		cn, err := cfg.measure(b, SPD3, nmax, in)
-		if err != nil {
-			return nil, err
-		}
-		mn, err := cfg.measure(b, SPD3Lock, nmax, in)
-		if err != nil {
-			return nil, err
-		}
-		r1, rn := ratio(m1.Time, c1.Time), ratio(mn.Time, cn.Time)
-		r1s = append(r1s, r1)
-		rns = append(rns, rn)
-		t.AddRow(b.Name, r1, rn)
-	}
-	t.AddRow("GeoMean", geoMean(r1s), geoMean(rns))
-	return t, nil
-}
-
-// ablationDMHP isolates the two layers of the constant-time DMHP fast
-// path: SPD3 with the §5.2 pointer walk only, with the packed path
-// fingerprints, and with fingerprints plus the per-task relation memo
-// (the default). Unchunked variants at the maximum worker count — the
-// fine-grained regime where DMHP dominates the per-access cost.
-// Ratios below 1 mean the layer wins over the plain walk.
-func ablationDMHP(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	n := cfg.maxThreads()
-	t := &Table{
-		Title: fmt.Sprintf("Ablation: DMHP fast path at %d workers, time relative to pointer-walk SPD3 (<1 means the fast path wins)", n),
-		Notes: []string{
-			"fingerprint: packed root-path digits answer DMHP/LCA-depth without a tree walk",
-			"+memo: per-task direct-mapped cache of relations against recorded steps",
-		},
-		Header: []string{"Benchmark", "Walk(s)", "Fingerprint", "Fingerprint+Memo", "NoStats"},
-	}
-	t.Notes = append(t.Notes, "nostats: Fingerprint+Memo with the observability counters disabled (Options.NoStats)")
-	in := bench.Input{Scale: cfg.Scale}
-	var fps, memos, nostats []float64
-	for _, b := range bench.All() {
-		walk, err := cfg.measure(b, SPD3Walk, n, in)
-		if err != nil {
-			return nil, err
-		}
-		fp, err := cfg.measure(b, SPD3FP, n, in)
-		if err != nil {
-			return nil, err
-		}
-		full, err := cfg.measure(b, SPD3, n, in)
-		if err != nil {
-			return nil, err
-		}
-		bare, err := cfg.measure(b, SPD3NoStats, n, in)
-		if err != nil {
-			return nil, err
-		}
-		rf, rm, rn := ratio(fp.Time, walk.Time), ratio(full.Time, walk.Time), ratio(bare.Time, walk.Time)
-		fps = append(fps, rf)
-		memos = append(memos, rm)
-		nostats = append(nostats, rn)
-		t.AddRow(b.Name, fmt.Sprintf("%.3f", walk.Time.Seconds()), rf, rm, rn)
-	}
-	t.AddRow("GeoMean", "", geoMean(fps), geoMean(memos), geoMean(nostats))
 	return t, nil
 }
 

@@ -12,7 +12,7 @@ func tinyCfg() Config {
 	return Config{Scale: 0.08, Repeats: 1, Threads: []int{1, 2}}
 }
 
-// TestEveryExperimentRuns executes all nine experiments end to end at a
+// TestEveryExperimentRuns executes every experiment end to end at a
 // tiny scale and sanity-checks their tables.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantTitle := map[string]string{
@@ -23,8 +23,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"table3":          "Table 3",
 		"fig5":            "Figure 5",
 		"fig6":            "Figure 6",
-		"ablation-sync":   "Ablation §5.4",
-		"ablation-dmhp":   "Ablation: DMHP fast path",
 		"stats":           "Observability counters",
 		"sparse":          "Sparse shadow",
 		"ablation-sample": "Sampling ablation",

@@ -12,7 +12,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"spd3/internal/bench"
@@ -47,7 +46,7 @@ func ablationSample(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	// The reference row is SPD3 without the stats recorder: the sampled
-	// rows time a stats-off run too (see measureSampledWith), so every
+	// rows time a stats-off run too (see measureSampled), so every
 	// Overhead entry isolates detector cost from counter-tally cost.
 	full, err := cfg.measure(b, SPD3NoStats, n, in)
 	if err != nil {
@@ -69,7 +68,7 @@ func ablationSample(cfg Config) (*Table, error) {
 	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Burst} {
 		for _, rate := range samplePoints {
 			scfg := sample.Config{Mode: mode, Rate: rate}
-			m, err := cfg.measureSampled(b, scfg, 0, n, in)
+			m, err := cfg.measureSampled(b, fixedRate(scfg), n, in)
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +85,7 @@ func ablationSample(cfg Config) (*Table, error) {
 	// nothing, so its overhead is the cost of the gate itself — the
 	// bound no sampling rate can go below on this substrate (per-access
 	// instrumentation calls survive even when every check is skipped).
-	floor, err := cfg.measureSampled(b, sample.Config{Mode: sample.Bernoulli, Rate: sample.MinRate}, 0, n, in)
+	floor, err := cfg.measureSampled(b, fixedRate(sample.Config{Mode: sample.Bernoulli, Rate: sample.MinRate}), n, in)
 	if err != nil {
 		return nil, err
 	}
@@ -103,18 +102,18 @@ func ablationSample(cfg Config) (*Table, error) {
 	warm.Repeats = 1
 	for i := 0; i < 16; i++ {
 		before := gov.Rate()
-		if _, err := warm.measureSampledWith(b, func() *sample.Sampler { return gov.Sampler() }, gov, n, in); err != nil {
+		if _, err := warm.measureSampled(b, func() detect.SessionOpts { return detect.SessionOpts{Governor: gov} }, n, in); err != nil {
 			return nil, err
 		}
 		if after := gov.Rate(); after == before {
 			break
 		}
 	}
-	m, err := cfg.measureSampled(b, sample.Config{Mode: sample.Bernoulli, Rate: gov.Rate()}, 0, n, in)
+	settled := sample.Config{Mode: sample.Bernoulli, Rate: gov.Rate()}
+	m, err := cfg.measureSampled(b, fixedRate(settled), n, in)
 	if err != nil {
 		return nil, err
 	}
-	settled := sample.Config{Mode: sample.Bernoulli, Rate: gov.Rate()}
 	t.AddRow(fmt.Sprintf("governor 5%% on SOR (settled rate %.4f)", gov.Rate()),
 		ratio(m.Time, base.Time),
 		checkedFrac(m.Stats),
@@ -130,16 +129,16 @@ func ablationSample(cfg Config) (*Table, error) {
 	pgov := sample.NewGovernor(gcfg, 0.05)
 	for i := 0; i < 8; i++ {
 		before := pgov.Rate()
-		progenCorpus(racySeeds, "spd3", func(int64) *sample.Sampler { return pgov.Sampler() }, pgov)
+		progenCorpus(racySeeds, "spd3", func(int64) detect.SessionOpts { return detect.SessionOpts{Governor: pgov} })
 		if pgov.Rate() == before {
 			break
 		}
 	}
 	psettled := sample.Config{Mode: sample.Bernoulli, Rate: pgov.Rate()}
-	pbase, _ := progenCorpus(racySeeds, "none", nil, nil)
-	ptime, psnap := progenCorpus(racySeeds, "spd3", func(seed int64) *sample.Sampler {
-		return sample.NewSeeded(psettled, uint64(seed))
-	}, nil)
+	pbase, _ := progenCorpus(racySeeds, "none", func(int64) detect.SessionOpts { return detect.SessionOpts{} })
+	ptime, psnap := progenCorpus(racySeeds, "spd3", func(seed int64) detect.SessionOpts {
+		return detect.SessionOpts{Sampler: sample.NewSeeded(psettled, uint64(seed))}
+	})
 	t.AddRow(fmt.Sprintf("governor 5%% on progen (settled rate %.4f)", pgov.Rate()),
 		ratio(ptime, pbase), checkedFrac(psnap),
 		detectProb(racySeeds, func(seed int64) *sample.Sampler {
@@ -148,103 +147,71 @@ func ablationSample(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// fixedRate is measureSampled's gate for a fixed point of the sweep: a
+// fresh sampler at scfg's rate per session.
+func fixedRate(scfg sample.Config) func() detect.SessionOpts {
+	return func() detect.SessionOpts { return detect.SessionOpts{Sampler: sample.New(scfg)} }
+}
+
+// runProgen executes generated program seed on two pool workers under a
+// fresh session of the named detector and returns the session with the
+// run's wall clock.
+func runProgen(seed int64, name string, o detect.SessionOpts) (*detect.Session, time.Duration) {
+	ses, err := detect.Open(name, o)
+	if err != nil {
+		panic(err)
+	}
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: ses.Det, Stats: ses.Rec})
+	if err != nil {
+		panic(err)
+	}
+	start := time.Now()
+	if err := progen.Run(rt, progen.Generate(seed, progen.Config{}), nil); err != nil {
+		panic(err)
+	}
+	return ses, time.Since(start)
+}
+
 // progenCorpus runs every racy seed under one detector configuration,
 // returning the summed wall clock and the corpus' merged stats (gate
-// tallies included). mk gets the program seed (the corpus shares a
+// tallies included). opts gets the program seed (the corpus shares a
 // handful of shadow locations, so a fixed coin seed would collapse the
 // whole corpus onto one assignment — same reasoning as detectProb).
-// When gov is non-nil each program's snapshot and wall feed its loop —
-// the settle phase of the progen governor row.
-func progenCorpus(racySeeds []int64, name string, mk func(seed int64) *sample.Sampler, gov *sample.Governor) (time.Duration, stats.Snapshot) {
+// Governed sessions feed each program's snapshot and wall to their
+// governor — the settle phase of the progen governor row.
+func progenCorpus(racySeeds []int64, name string, opts func(seed int64) detect.SessionOpts) (time.Duration, stats.Snapshot) {
 	var total time.Duration
 	var agg stats.Snapshot
 	for _, seed := range racySeeds {
-		sink := detect.NewSink(false, 0)
-		rec := stats.New(0)
-		sink.SetStats(rec.Shard(0))
-		var smp *sample.Sampler
-		if mk != nil {
-			smp = mk(seed)
-		}
-		det, err := detect.New(name, detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
-		if err != nil {
-			panic(err)
-		}
-		rt, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: det, Stats: rec})
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		if err := progen.Run(rt, progen.Generate(seed, progen.Config{}), nil); err != nil {
-			panic(err)
-		}
-		elapsed := time.Since(start)
+		ses, elapsed := runProgen(seed, name, opts(seed))
 		total += elapsed
-		snap := rec.Snapshot()
-		if gov != nil {
-			gov.ObserveSnapshot(snap, elapsed)
-		}
-		agg.Merge(snap)
+		agg.Merge(ses.Snapshot(elapsed))
 	}
 	return total, agg
 }
 
-// measureSampled measures SPD3 gated behind a fresh fixed-rate sampler
-// per repeat; budget > 0 attaches a governor instead.
-func (c Config) measureSampled(b *bench.Benchmark, scfg sample.Config, budget float64, workers int, in bench.Input) (Measurement, error) {
-	if budget > 0 {
-		gov := sample.NewGovernor(scfg, budget)
-		return c.measureSampledWith(b, func() *sample.Sampler { return gov.Sampler() }, gov, workers, in)
-	}
-	return c.measureSampledWith(b, func() *sample.Sampler { return sample.New(scfg) }, nil, workers, in)
-}
-
-// measureSampledWith is cfg.measure for sampled SPD3. Each repeat is a
-// pair of runs: a stats-off run whose wall time is the Overhead signal
-// (a live recorder adds per-access tallies the uninstrumented baseline
-// never pays, which would smear recorder cost into the sampling
-// column), and a stats-on run whose snapshot supplies the gate counts.
-// When gov is non-nil it observes the counting run's tallies against
-// the timed run's wall clock — the deployment-shaped input: real counts,
-// real duration.
-func (c Config) measureSampledWith(b *bench.Benchmark, mk func() *sample.Sampler, gov *sample.Governor, workers int, in bench.Input) (Measurement, error) {
+// measureSampled is cfg.measure for sampled SPD3; gate supplies each
+// session's sampling options (fixedRate, or a persistent governor).
+// Each repeat is a pair of runs: a stats-off run whose wall time is the
+// Overhead signal (a live recorder adds per-access tallies the
+// uninstrumented baseline never pays, which would smear recorder cost
+// into the sampling column), and a stats-on run whose snapshot supplies
+// the gate counts. A governor observes the counting run's tallies
+// against the timed run's wall clock — the deployment-shaped input:
+// real counts, real duration.
+func (c Config) measureSampled(b *bench.Benchmark, gate func() detect.SessionOpts, workers int, in bench.Input) (Measurement, error) {
 	var best Measurement
 	best.Time = math.MaxInt64
 	for rep := 0; rep < c.Repeats; rep++ {
-		det, err := detect.New("spd3", detect.FactoryOpts{Sink: detect.NewSink(false, 0), Sampler: mk()})
+		_, elapsed, _, err := runOnce(b, SPD3NoStats, gate(), workers, in)
 		if err != nil {
 			return Measurement{}, err
 		}
-		rt, err := task.New(task.Config{Executor: task.Auto, Workers: workers, Detector: det})
+		counting, _, _, err := runOnce(b, SPD3, gate(), workers, in)
 		if err != nil {
 			return Measurement{}, err
 		}
-		runtime.GC()
-		start := time.Now()
-		if _, err := b.Run(rt, in); err != nil {
-			return Measurement{}, fmt.Errorf("%s sampled: %w", b.Name, err)
-		}
-		elapsed := time.Since(start)
-
-		sink := detect.NewSink(false, 0)
-		rec := stats.New(0)
-		sink.SetStats(rec.Shard(0))
-		cdet, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: mk()})
-		if err != nil {
-			return Measurement{}, err
-		}
-		crt, err := task.New(task.Config{Executor: task.Auto, Workers: workers, Detector: cdet, Stats: rec})
-		if err != nil {
-			return Measurement{}, err
-		}
-		if _, err := b.Run(crt, in); err != nil {
-			return Measurement{}, fmt.Errorf("%s sampled (counting): %w", b.Name, err)
-		}
-		snap := rec.Snapshot()
-		snap.Footprint = cdet.Footprint()
-		if gov != nil {
-			gov.ObserveSnapshot(snap, elapsed)
-		}
+		snap := counting.Snapshot(elapsed)
 		if elapsed < best.Time {
 			best = Measurement{Time: elapsed, Footprint: snap.Footprint, Stats: snap}
 		}
@@ -304,20 +271,6 @@ func detectProb(racySeeds []int64, mk func(seed int64) *sample.Sampler) float64 
 // progenRacy executes generated program seed under SPD3 (sampled when
 // smp is non-nil) and reports whether any race was detected.
 func progenRacy(seed int64, smp *sample.Sampler) bool {
-	sink := detect.NewSink(false, 0)
-	rec := stats.New(0)
-	sink.SetStats(rec.Shard(0))
-	det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
-	if err != nil {
-		panic(err)
-	}
-	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: det})
-	if err != nil {
-		panic(err)
-	}
-	p := progen.Generate(seed, progen.Config{})
-	if err := progen.Run(rt, p, nil); err != nil {
-		panic(err)
-	}
-	return len(sink.Races()) > 0
+	ses, _ := runProgen(seed, "spd3", detect.SessionOpts{Sampler: smp})
+	return !ses.Sink.Empty()
 }

@@ -18,7 +18,7 @@ func newRT(t *testing.T) (*task.Runtime, *detect.Sink) {
 	t.Helper()
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Sequential,
-		Detector: core.New(sink, core.SyncCAS)})
+		Detector: core.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestSiteCaptureAllContainers(t *testing.T) {
 		exec task.ExecKind
 		mk   func(*detect.Sink) detect.Detector
 	}{
-		{"spd3", task.Sequential, func(s *detect.Sink) detect.Detector { return core.New(s, core.SyncCAS) }},
+		{"spd3", task.Sequential, func(s *detect.Sink) detect.Detector { return core.New(s, nil) }},
 		{"fasttrack", task.Sequential, registry("fasttrack", nil)},
 		{"spd3-sampled", task.Sequential, registry("spd3", sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 1}))},
 		{"spd3-pool", task.Pool, registry("spd3", nil)},
@@ -389,7 +389,7 @@ func TestSiteCaptureAllContainers(t *testing.T) {
 func TestSiteCaptureOffByDefault(t *testing.T) {
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Sequential,
-		Detector: core.New(sink, core.SyncCAS)})
+		Detector: core.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestSiteCaptureOffByDefault(t *testing.T) {
 func TestMutexProvidesMutualExclusion(t *testing.T) {
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Goroutines,
-		Detector: core.New(sink, core.SyncCAS)})
+		Detector: core.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func FuzzSPD3VsOracle(f *testing.F) {
 
 		sink := detect.NewSink(false, 0)
 		rt, err = task.New(task.Config{Executor: task.Sequential,
-			Detector: core.New(sink, core.SyncCAS)})
+			Detector: core.New(sink, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 			return set
 		}
 		sink := detect.NewSink(false, 0)
-		paged := run(core.New(sink, core.SyncCAS), sink.Races)
+		paged := run(core.New(sink, nil), sink.Races)
 		oracle := graph.New()
 		want := run(oracle, oracle.Races)
 		if len(paged) != len(want) {

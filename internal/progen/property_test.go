@@ -56,22 +56,10 @@ func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
 	for seed := int64(0); seed < seqSeeds; seed++ {
 		p := Generate(seed, Config{})
 		want := truth(t, p)
-		for _, opt := range []core.Options{
-			{Sync: core.SyncCAS},
-			{Sync: core.SyncMutex},
-			// DMHP fast-path ablations: the pointer walk, the
-			// fingerprint path, and the per-task memo must all
-			// yield the oracle's verdict.
-			{Sync: core.SyncCAS, NoFingerprint: true, NoDMHPMemo: true},
-			{Sync: core.SyncCAS, NoDMHPMemo: true},
-			{Sync: core.SyncCAS, NoFingerprint: true},
-		} {
-			sink := detect.NewSink(false, 0)
-			got := verdict(t, p, core.NewWith(sink, opt), sink, task.Sequential, 1)
-			if got != want {
-				t.Fatalf("seed %d (%+v): spd3 verdict %v, oracle %v\n%s",
-					seed, opt, got, want, p)
-			}
+		sink := detect.NewSink(false, 0)
+		got := verdict(t, p, core.New(sink, nil), sink, task.Sequential, 1)
+		if got != want {
+			t.Fatalf("seed %d: spd3 verdict %v, oracle %v\n%s", seed, got, want, p)
 		}
 	}
 }
@@ -93,7 +81,7 @@ func TestSPD3ScheduleIndependence(t *testing.T) {
 		for _, e := range execs {
 			for rep := 0; rep < 3; rep++ { // several schedules
 				sink := detect.NewSink(false, 0)
-				got := verdict(t, p, core.New(sink, core.SyncCAS), sink, e.kind, e.workers)
+				got := verdict(t, p, core.New(sink, nil), sink, e.kind, e.workers)
 				if got != want {
 					t.Fatalf("seed %d %v rep %d: spd3 verdict %v, oracle %v\n%s",
 						seed, e.kind, rep, got, want, p)
@@ -160,7 +148,7 @@ func pathSig(n *dpst.Node) string {
 func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[int]string {
 	t.Helper()
 	sink := detect.NewSink(false, 0)
-	d := core.New(sink, core.SyncCAS)
+	d := core.New(sink, nil)
 	rt, err := task.New(task.Config{Executor: exec, Workers: workers, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +237,7 @@ func TestLockCorpusHasLockSensitiveCases(t *testing.T) {
 		}
 		// Same program, locks invisible: SPD3 sees only fork/join.
 		sink := detect.NewSink(false, 0)
-		if verdict(t, p, core.New(sink, core.SyncCAS), sink, task.Sequential, 1) {
+		if verdict(t, p, core.New(sink, nil), sink, task.Sequential, 1) {
 			sensitive++
 		}
 	}

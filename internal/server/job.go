@@ -441,30 +441,21 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 // rate cell, and the timed replay feeds the governor's feedback loop —
 // rates adapt across segments and across jobs.
 func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim trace.Limits, onRace func(detect.Race)) (stats.Snapshot, error) {
-	sink := detect.NewSink(false, s.cfg.MaxRacesPerReport)
-	rec := stats.New(1)
-	sink.SetStats(rec.Shard(0))
-	sink.SetOnRace(func(r detect.Race) bool {
-		onRace(r)
-		return false
+	ses, err := detect.Open(name, detect.SessionOpts{
+		MaxRaces: s.cfg.MaxRacesPerReport,
+		OnRace: func(r detect.Race) bool {
+			onRace(r)
+			return false
+		},
+		Shards:   1,
+		Governor: s.samplers.governor(tenant, sampling),
 	})
-	gov := s.samplers.governor(tenant, sampling)
-	var smp *sample.Sampler
-	if gov != nil {
-		smp = gov.Sampler()
-	}
-	det, err := detect.New(name, detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
 	if err != nil {
 		return stats.Snapshot{}, err
 	}
 	start := time.Now()
-	replayErr := trace.ReplayWithLimits(rd, det, lim)
-	wall := time.Since(start)
-	snap := rec.Snapshot()
-	snap.Footprint = det.Footprint()
-	if gov != nil {
-		gov.ObserveSnapshot(snap, wall)
-	}
+	replayErr := trace.ReplayWithLimits(rd, ses.Det, lim)
+	snap := ses.Snapshot(time.Since(start))
 	s.mu.Lock()
 	s.agg.Merge(snap)
 	s.mu.Unlock()

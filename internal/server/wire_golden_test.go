@@ -268,6 +268,22 @@ func TestOpensParentStore(t *testing.T) {
 		}
 	}
 
+	// The parent's manifests carry "mutex.ops", a counter retired since:
+	// it rides along untouched (the byte comparisons above and below),
+	// and a stats.Snapshot decoded from such a result ignores the key.
+	if !bytes.Contains(stored, []byte(`"mutex.ops"`)) {
+		t.Fatal("fixture no longer carries the retired mutex.ops key")
+	}
+	var old client.Report
+	if err := json.Unmarshal(stored, &old); err != nil || len(old.Verdicts) == 0 {
+		t.Fatalf("stored result: %v (%d verdicts)", err, len(old.Verdicts))
+	}
+	oldStats, _ := json.Marshal(old.Verdicts[0].Stats)
+	var snap stats.Snapshot
+	if err := json.Unmarshal(oldStats, &snap); err != nil || snap.Get(stats.CASPublish) != old.Verdicts[0].Stats.Get("cas.publish") {
+		t.Errorf("stats.Snapshot from a parent manifest: %v, cas.publish %d", err, snap.Get(stats.CASPublish))
+	}
+
 	release := setGate() // the running job was submitted under test-gate-spd3
 	release()
 	s, ts := newTestServer(t, Config{StoreDir: root, ShardWorkers: 1})

@@ -129,9 +129,6 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "mem: %d reads, %d writes", s.Reads, s.Writes)
 	fmt.Fprintf(&b, " | cas: %d clean, %d publish, %d retry",
 		s.Get(CASClean), s.Get(CASPublish), s.Get(CASRetry))
-	if v := s.Get(MutexOps); v != 0 {
-		fmt.Fprintf(&b, " | mutex: %d ops", v)
-	}
 	fmt.Fprintf(&b, " | dmhp: %d fast, %d walk, %d memo-hit",
 		s.Get(DMHPFast), s.Get(DMHPWalk), s.Get(DMHPMemoHit))
 	if c, k := s.Get(SampleChecked), s.Get(SampleSkipped); c != 0 || k != 0 {

@@ -58,14 +58,11 @@ const (
 	CASPublish
 	// CASRetry counts restarts of a memory action after a lost CAS.
 	CASRetry
-	// MutexOps counts shadow-word accesses under the per-word mutex
-	// protocol (the §5.4 ablation detector).
-	MutexOps
 	// DMHPFast counts DMHP/LCA queries answered from packed
 	// fingerprints without touching the tree.
 	DMHPFast
-	// DMHPWalk counts DMHP/LCA queries that fell back to (or were
-	// pinned to, under the walk-only ablation) the §5.2 pointer walk.
+	// DMHPWalk counts DMHP/LCA queries that fell back to the §5.2
+	// pointer walk (an operand's fingerprint digits overflowed).
 	DMHPWalk
 	// DMHPMemoHit counts DMHP queries answered from the per-task
 	// relation memo without recomputing.
@@ -202,7 +199,6 @@ var counterNames = [NumCounters]string{
 	CASClean:             "cas.clean",
 	CASPublish:           "cas.publish",
 	CASRetry:             "cas.retry",
-	MutexOps:             "mutex.ops",
 	DMHPFast:             "dmhp.fast",
 	DMHPWalk:             "dmhp.walk",
 	DMHPMemoHit:          "dmhp.memo_hit",

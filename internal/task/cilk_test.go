@@ -148,7 +148,7 @@ func TestCilkEmbeddingEvents(t *testing.T) {
 // and the post-sync access is ordered.
 func TestCilkRaceDetection(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	d := core.New(sink, core.SyncCAS)
+	d := core.New(sink, nil)
 	rt, err := New(Config{Executor: Sequential, Detector: d})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func BenchmarkReplayStreaming(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink := detect.NewSink(false, 0)
-		if err := Replay(bytes.NewReader(data), core.New(sink, core.SyncCAS)); err != nil {
+		if err := Replay(bytes.NewReader(data), core.New(sink, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkReplayBuffered(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink := detect.NewSink(false, 0)
-		if err := Replay(bytes.NewReader(all), core.New(sink, core.SyncCAS)); err != nil {
+		if err := Replay(bytes.NewReader(all), core.New(sink, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func synthTrace(t *testing.T, accesses int) []byte {
 // failure mode: the spd3d daemon maps these to HTTP status codes with
 // errors.Is, so each class must be reachable and distinguishable.
 func TestTypedErrors(t *testing.T) {
-	mk := func() detect.Detector { return core.New(detect.NewSink(false, 0), core.SyncCAS) }
+	mk := func() detect.Detector { return core.New(detect.NewSink(false, 0), nil) }
 	seq := record(t, progen.Generate(1, progen.Config{}), task.Sequential, 1)
 	par := record(t, progen.Generate(1, progen.Config{}), task.Pool, 4)
 
@@ -109,7 +109,7 @@ func TestPeekHeader(t *testing.T) {
 			t.Errorf("%s: sequential = %v, want %v", c.name, gotSeq, c.wantSeq)
 		}
 		// The peek must not consume: a full replay still works.
-		mk := core.New(detect.NewSink(false, 0), core.SyncCAS)
+		mk := core.New(detect.NewSink(false, 0), nil)
 		if rerr := Replay(br, mk); rerr != nil {
 			t.Errorf("%s: replay after peek: %v", c.name, rerr)
 		}

@@ -44,7 +44,7 @@ func analyzeReader(rd io.Reader) analysis {
 	sink := detect.NewSink(false, 0)
 	rec := stats.New(1)
 	sink.SetStats(rec.Shard(0))
-	det := core.New(sink, core.SyncCAS)
+	det := core.New(sink, nil)
 	err := Replay(rd, det)
 	snap := rec.Snapshot()
 	snap.Footprint = det.Footprint()
@@ -207,7 +207,7 @@ func TestSplitterHoldsCutWhileMainHoldsLock(t *testing.T) {
 		if err := Replay(bytes.NewReader(seg), fasttrack.New(sink)); err != nil {
 			t.Fatalf("segment %d not self-contained under fasttrack: %v", i, err)
 		}
-		if err := Replay(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), core.SyncCAS)); err != nil {
+		if err := Replay(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), nil)); err != nil {
 			t.Fatalf("segment %d not self-contained under spd3: %v", i, err)
 		}
 	}

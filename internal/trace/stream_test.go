@@ -55,7 +55,7 @@ func TestLimitedReaderUnlimited(t *testing.T) {
 // stream just stopped.
 func TestReplayThroughLimiter(t *testing.T) {
 	data := synthTrace(t, 2000)
-	mk := func() detect.Detector { return core.New(detect.NewSink(false, 0), core.SyncCAS) }
+	mk := func() detect.Detector { return core.New(detect.NewSink(false, 0), nil) }
 
 	err := Replay(NewLimitedReader(bytes.NewReader(data), int64(len(data)/2)), mk())
 	if !errors.Is(err, ErrLimit) {
@@ -120,7 +120,7 @@ func TestCancelReaderMidReplay(t *testing.T) {
 	lim := DefaultLimits()
 	lim.Cancel = cancel
 	cr := NewCancelReader(server, cancel, server.SetReadDeadline)
-	err := ReplayWithLimits(cr, core.New(detect.NewSink(false, 0), core.SyncCAS), lim)
+	err := ReplayWithLimits(cr, core.New(detect.NewSink(false, 0), nil), lim)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -131,7 +131,7 @@ func TestCancelReaderMidReplay(t *testing.T) {
 func TestCancelReaderPassThrough(t *testing.T) {
 	data := synthTrace(t, 500)
 	cr := NewCancelReader(bytes.NewReader(data), make(chan struct{}), nil)
-	if err := Replay(cr, core.New(detect.NewSink(false, 0), core.SyncCAS)); err != nil {
+	if err := Replay(cr, core.New(detect.NewSink(false, 0), nil)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -116,9 +116,15 @@ func (r *Recorder) Close() error {
 	return r.w.Flush()
 }
 
+// emit writes one event atomically with respect to other tasks' events.
 func (r *Recorder) emit(kind byte, args ...int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.put(kind, args...)
+}
+
+// put writes an event's kind and varint arguments; the caller holds r.mu.
+func (r *Recorder) put(kind byte, args ...int64) {
 	if r.err != nil {
 		return
 	}
@@ -135,9 +141,8 @@ func (r *Recorder) emit(kind byte, args ...int64) {
 	}
 }
 
-func (r *Recorder) emitString(s string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// putString writes a length-prefixed string; the caller holds r.mu.
+func (r *Recorder) putString(s string) {
 	if r.err != nil {
 		return
 	}
@@ -191,18 +196,22 @@ func (r *Recorder) Release(t *detect.Task, l *detect.Lock) {
 }
 
 // NewShadow implements detect.Detector. Growable regions get their own
-// event kind; bounded ones keep the original wire encoding.
+// event kind; bounded ones keep the original wire encoding. Tasks may
+// declare regions concurrently (NewArrayIn under the pool), and replay
+// requires ids in stream order with each name right behind its
+// declaration, so the id, the event and the name go out under one lock
+// hold.
 func (r *Recorder) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	id := r.regions
 	r.regions++
-	r.mu.Unlock()
 	if spec.Growable {
-		r.emit(evNewShadowGrow, id, int64(spec.ElemBytes))
+		r.put(evNewShadowGrow, id, int64(spec.ElemBytes))
 	} else {
-		r.emit(evNewShadow, id, int64(spec.Len), int64(spec.ElemBytes))
+		r.put(evNewShadow, id, int64(spec.Len), int64(spec.ElemBytes))
 	}
-	r.emitString(spec.Name)
+	r.putString(spec.Name)
 	return &recShadow{r: r, id: id}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"spd3/internal/detect"
 	"spd3/internal/espbags"
 	"spd3/internal/fasttrack"
+	"spd3/internal/mem"
 	"spd3/internal/progen"
 	"spd3/internal/task"
 )
@@ -57,7 +59,7 @@ func replayVerdict(t *testing.T, data []byte, mk func(*detect.Sink) detect.Detec
 	return !sink.Empty()
 }
 
-func mkSPD3(s *detect.Sink) detect.Detector      { return core.New(s, core.SyncCAS) }
+func mkSPD3(s *detect.Sink) detect.Detector      { return core.New(s, nil) }
 func mkFastTrack(s *detect.Sink) detect.Detector { return fasttrack.New(s) }
 func mkESPBags(s *detect.Sink) detect.Detector   { return espbags.New(s) }
 
@@ -125,6 +127,37 @@ func TestReplayParallelTrace(t *testing.T) {
 	}
 }
 
+// TestRecorderConcurrentRegionDecls: tasks that create containers in
+// parallel (Strassen's NewMatrixIn under the pool) must still record a
+// trace whose region ids arrive in order, each with its own name right
+// behind it — the decoder rejects anything else as malformed.
+func TestRecorderConcurrentRegionDecls(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, false)
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4, Detector: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks, perTask = 64, 32
+	err = rt.Run(func(c *task.Ctx) {
+		c.FinishAsync(tasks, func(c *task.Ctx, i int) {
+			for j := 0; j < perTask; j++ {
+				a := mem.NewArrayIn[int](c, fmt.Sprintf("a%d.%d", i, j), 2)
+				a.Set(c, 1, a.Get(c, 0)+j)
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if replayVerdict(t, buf.Bytes(), mkSPD3) {
+		t.Fatal("task-private arrays replayed racy")
+	}
+}
+
 // TestReplayRejectsSequentialDetectorOnParallelTrace pins the legality
 // check: ESP-bags needs a depth-first trace.
 func TestReplayRejectsSequentialDetectorOnParallelTrace(t *testing.T) {
@@ -152,21 +185,21 @@ func TestReplayWithLocks(t *testing.T) {
 
 func TestReplayMalformed(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	if err := Replay(bytes.NewReader(nil), core.New(sink, core.SyncCAS)); err == nil {
+	if err := Replay(bytes.NewReader(nil), core.New(sink, nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if err := Replay(strings.NewReader("NOTATRACE"), core.New(sink, core.SyncCAS)); err == nil {
+	if err := Replay(strings.NewReader("NOTATRACE"), core.New(sink, nil)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Valid header, then garbage event kind.
 	bad := append([]byte(magic), 1, 0xEE)
-	if err := Replay(bytes.NewReader(bad), core.New(sink, core.SyncCAS)); err == nil {
+	if err := Replay(bytes.NewReader(bad), core.New(sink, nil)); err == nil {
 		t.Fatal("garbage event accepted")
 	}
 	// Truncated mid-event.
 	p := progen.Generate(3, progen.Config{})
 	data := record(t, p, task.Sequential, 1)
-	if err := Replay(bytes.NewReader(data[:len(data)-1]), core.New(sink, core.SyncCAS)); err == nil {
+	if err := Replay(bytes.NewReader(data[:len(data)-1]), core.New(sink, nil)); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }

@@ -133,10 +133,6 @@ const (
 	None Detector = "none"
 	// SPD3 is the paper's parallel, O(1)-space, precise detector.
 	SPD3 Detector = "spd3"
-	// SPD3Mutex is SPD3 with per-word mutexes instead of the versioned
-	// CAS protocol (the §5.4 ablation). It constructs by name but is
-	// not listed by Detectors.
-	SPD3Mutex Detector = "spd3-mutex"
 	// ESPBags is the sequential baseline (forces Sequential executor).
 	ESPBags Detector = "espbags"
 	// FastTrack is the vector-clock baseline.
@@ -166,7 +162,7 @@ func Detectors() []Detector {
 }
 
 // Stats is the merged observability snapshot of one Run: shadow-protocol
-// outcomes (CAS clean/publish/retry, mutex ops), DMHP fast-path vs walk
+// outcomes (CAS clean/publish/retry), DMHP fast-path vs walk
 // vs memo-hit counts, task spawn/steal/inline counts, per-region
 // read/write traffic, and the detector's memory footprint. It has a
 // stable String() one-liner, a Map() of wire-named scalars, and a JSON
@@ -206,7 +202,7 @@ type Options struct {
 	// a zero snapshot except for Footprint). Counters are on by default
 	// and near-free — hot producers batch in task-local integers and the
 	// merge happens once per Run — so this exists mainly to measure that
-	// claim (the ablation-dmhp benchmark runs both ways).
+	// claim (BenchmarkStatsOverhead runs both ways).
 	NoStats bool
 	// Sampling configures the dynamic check-sampling subsystem
 	// (internal/sample): gate each access's race check behind a cheap
@@ -231,21 +227,18 @@ type SamplingOptions struct {
 	OverheadBudget float64
 }
 
-// Engine couples a task runtime with a detector, a race sink, and a
-// stats recorder.
+// Engine couples a task runtime with a detect session: the detector,
+// its race sink and its stats recorder.
 type Engine struct {
-	rt   *task.Runtime
-	det  detect.Detector
-	sink *detect.Sink
-	rec  *stats.Recorder
-	gov  *sample.Governor // nil when sampling is off
+	rt  *task.Runtime
+	ses *detect.Session
 }
 
 // New validates opts and builds an Engine. The detector is constructed
-// through the detect registry, so any registered name — including hidden
-// ablation variants — is accepted. Invalid options are reported through
-// the typed sentinels ErrBadWorkers, ErrUnknownDetector, and
-// ErrExecutorMismatch, which callers match with errors.Is.
+// through the detect registry, so any registered name is accepted.
+// Invalid options are reported through the typed sentinels
+// ErrBadWorkers, ErrUnknownDetector, ErrExecutorMismatch and
+// ErrBadSampling, which callers match with errors.Is.
 func New(opts Options) (*Engine, error) {
 	if opts.Detector == "" {
 		opts.Detector = SPD3
@@ -256,18 +249,7 @@ func New(opts Options) (*Engine, error) {
 	if !detect.Registered(string(opts.Detector)) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDetector, opts.Detector)
 	}
-	sink := detect.NewSink(opts.HaltOnFirstRace, opts.MaxRaces)
-	var rec *stats.Recorder
-	if !opts.NoStats {
-		rec = stats.New(0)
-		sink.SetStats(rec.Shard(0))
-	}
-	if opts.OnRace != nil {
-		sink.SetOnRace(opts.OnRace)
-	}
-	sink.SetCaptureSites(opts.CaptureSites)
 	var gov *sample.Governor
-	var smp *sample.Sampler
 	if opts.Sampling.Spec != "" || opts.Sampling.OverheadBudget != 0 {
 		cfg, err := sample.Parse(opts.Sampling.Spec)
 		if err != nil {
@@ -278,35 +260,41 @@ func New(opts Options) (*Engine, error) {
 		}
 		if cfg.Mode != sample.Off {
 			gov = sample.NewGovernor(cfg, opts.Sampling.OverheadBudget)
-			smp = gov.Sampler()
 		}
 	}
-	det, err := detect.New(string(opts.Detector), detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
+	ses, err := detect.Open(string(opts.Detector), detect.SessionOpts{
+		Halt:         opts.HaltOnFirstRace,
+		MaxRaces:     opts.MaxRaces,
+		OnRace:       opts.OnRace,
+		CaptureSites: opts.CaptureSites,
+		NoStats:      opts.NoStats,
+		Governor:     gov,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if det.RequiresSequential() && opts.Executor != Auto && opts.Executor != Sequential {
+	if ses.Det.RequiresSequential() && opts.Executor != Auto && opts.Executor != Sequential {
 		return nil, fmt.Errorf("%w: detector %q requires sequential execution", ErrExecutorMismatch, opts.Detector)
 	}
 	rt, err := task.New(task.Config{
 		Workers:  opts.Workers,
 		Executor: opts.Executor,
-		Detector: det,
-		Stats:    rec,
+		Detector: ses.Det,
+		Stats:    ses.Rec,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{rt: rt, det: det, sink: sink, rec: rec, gov: gov}, nil
+	return &Engine{rt: rt, ses: ses}, nil
 }
 
 // SamplingRate returns the engine's current check-sampling rate: the
 // governor's live (possibly adapted) rate, or 0 when sampling is off.
 func (e *Engine) SamplingRate() float64 {
-	if e.gov == nil {
+	if e.ses.Gov == nil {
 		return 0
 	}
-	return e.gov.Rate()
+	return e.ses.Gov.Rate()
 }
 
 // Report summarizes one Run.
@@ -341,23 +329,19 @@ func (r *Report) RaceFree() bool { return len(r.Races) == 0 }
 // during that run (duplicate reports for a location already reported in
 // an earlier run are suppressed).
 func (e *Engine) Run(root func(*Ctx)) (*Report, error) {
-	mark := e.sink.Mark()
-	e.rec.Reset()
+	mark := e.ses.Sink.Mark()
+	e.ses.Rec.Reset()
 	start := time.Now()
 	err := e.rt.Run(root)
 	elapsed := time.Since(start)
-	snap := e.rec.Snapshot()
-	snap.Footprint = e.det.Footprint()
-	if e.gov != nil {
-		// One feedback observation per Run: long-lived engines (serving
-		// loops, repeated measurements) converge onto the budget.
-		e.gov.ObserveSnapshot(snap, elapsed)
-	}
 	rep := &Report{
-		Races:     e.sink.RacesSince(mark),
-		Truncated: e.sink.Capped(),
-		Stats:     snap,
-		Duration:  elapsed,
+		Races:     e.ses.Sink.RacesSince(mark),
+		Truncated: e.ses.Sink.Capped(),
+		// The snapshot is also the governor's one feedback observation
+		// per Run: long-lived engines (serving loops, repeated
+		// measurements) converge onto the budget.
+		Stats:    e.ses.Snapshot(elapsed),
+		Duration: elapsed,
 	}
 	return rep, err
 }

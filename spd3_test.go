@@ -34,7 +34,7 @@ func TestQuickstartRaceDetected(t *testing.T) {
 }
 
 func TestRaceFreeCertified(t *testing.T) {
-	for _, det := range []spd3.Detector{spd3.SPD3, spd3.SPD3Mutex, spd3.ESPBags, spd3.FastTrack} {
+	for _, det := range []spd3.Detector{spd3.SPD3, spd3.ESPBags, spd3.FastTrack} {
 		eng, err := spd3.New(spd3.Options{Workers: 4, Detector: det})
 		if err != nil {
 			t.Fatal(err)
