@@ -156,7 +156,7 @@ func main() {
 		}
 		defer f.Close()
 		start := time.Now()
-		if err := trace.Replay(f, det); err != nil {
+		if err := trace.ReplayWithLimits(f, det, ses.Rec, trace.DefaultLimits()); err != nil {
 			// The typed trace errors let us say what went wrong with the
 			// file instead of dumping a decoder position.
 			switch {

@@ -69,7 +69,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "HTTP write timeout")
 		drainWait    = flag.Duration("drain", 30*time.Second, "max wait for in-flight analyses on shutdown")
 		races        = flag.Int("races", 256, "max races carried per JSON verdict")
-		shardWorkers = flag.Int("shard-workers", 0, "max concurrent segment replays across the daemon (0 = GOMAXPROCS, negative disables sharding)")
+		shardWorkers = flag.Int("shard-workers", 0, "max concurrent segment replays across the daemon (0 = GOMAXPROCS, 1 = serial)")
 		segMinKB     = flag.Int("segment-min-kb", 256, "coalesce finish-scope segments smaller than this many KiB")
 		segMaxMB     = flag.Int("segment-max-mb", 32, "fall back to single-stream analysis when one finish scope exceeds this many MiB")
 		quiet        = flag.Bool("quiet", false, "suppress per-analysis log lines")

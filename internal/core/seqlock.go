@@ -82,13 +82,13 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 	for retries := int64(0); ; retries++ {
 		x, m := c.snapshot()
 		if m, changed := s.d.readCheck(m, ts, s.name, i); !changed {
-			ts.nCASClean++
+			t.Tally.CASClean++
 		} else if c.publish(x, m) {
-			ts.nCASPublish++
+			t.Tally.CASPublish++
 		} else {
 			continue
 		}
-		ts.countRetries(retries)
+		s.countRetries(t, retries)
 		return
 	}
 }
@@ -102,21 +102,23 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 	for retries := int64(0); ; retries++ {
 		x, m := c.snapshot()
 		if m, changed := s.d.writeCheck(m, ts, s.name, i); !changed {
-			ts.nCASClean++
+			t.Tally.CASClean++
 		} else if c.publish(x, m) {
-			ts.nCASPublish++
+			t.Tally.CASPublish++
 		} else {
 			continue
 		}
-		ts.countRetries(retries)
+		s.countRetries(t, retries)
 		return
 	}
 }
 
-// countRetries tallies the lost CASes of one finished memory action.
-func (ts *taskState) countRetries(n int64) {
+// countRetries tallies the lost CASes of one finished memory action. The
+// histogram goes straight to a shard: a retry follows a lost CAS, so the
+// atomic add is off the uncontended path.
+func (s *casShadow) countRetries(t *detect.Task, n int64) {
 	if n > 0 {
-		ts.nCASRetry += n
-		ts.retryBuckets[stats.HistBucket(n)]++
+		t.Tally.CASRetry += n
+		s.d.st.Shard(int(t.ID)).Observe(stats.HistCASRetry, n)
 	}
 }

@@ -51,9 +51,10 @@ type Detector struct {
 
 // New returns an SPD3 detector reporting to sink. rec is the engine's
 // observability recorder; nil disables the detector's counters. The
-// detector batches its counts in plain task-owned integers and flushes
-// them into a shard once per task (see taskState.flush), so the
-// steady-state cost per event is one non-atomic increment.
+// per-access counts go into the accessing task's detect.Tally, which the
+// run's driver flushes, so the steady-state cost per event is one
+// non-atomic increment; rec itself is only touched off the hot path
+// (page allocation, the retry histogram after a lost CAS).
 func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
 	return &Detector{sink: sink, tree: dpst.New(), st: rec}
 }
@@ -77,44 +78,13 @@ func (d *Detector) RequiresSequential() bool { return false }
 //
 // mhp memoizes DMHP relations: see Detector.relation.
 //
-// The n* fields batch the detector's observability counters in plain
-// task-owned integers — no atomics, no sharing — and flush is called once
-// per task (TaskEnd, or the implicit FinishEnd for the main task) to move
-// them into the stats shard sh. A nil sh (stats disabled) makes flush a
-// no-op and the increments dead weight of one add each.
+// tally points at the owning task's detect.Tally, so the check routines,
+// which are handed the taskState, count without a second argument.
 type taskState struct {
 	step  *dpst.Node
 	scope *dpst.Node
 	mhp   [mhpMemoSize]mhpEntry
-
-	sh           *stats.Shard
-	nCASClean    int64
-	nCASPublish  int64
-	nCASRetry    int64
-	nDMHPFast    int64
-	nDMHPWalk    int64
-	nDMHPMemoHit int64
-	retryBuckets [stats.HistBuckets]int64
-}
-
-// flush moves the batched counters into the task's stats shard and zeroes
-// them; safe to call multiple times and with a nil shard.
-func (ts *taskState) flush() {
-	if ts.sh == nil {
-		return
-	}
-	ts.sh.Add(stats.CASClean, ts.nCASClean)
-	ts.sh.Add(stats.CASPublish, ts.nCASPublish)
-	ts.sh.Add(stats.CASRetry, ts.nCASRetry)
-	ts.sh.Add(stats.DMHPFast, ts.nDMHPFast)
-	ts.sh.Add(stats.DMHPWalk, ts.nDMHPWalk)
-	ts.sh.Add(stats.DMHPMemoHit, ts.nDMHPMemoHit)
-	for b, n := range ts.retryBuckets {
-		ts.sh.AddBucket(stats.HistCASRetry, b, n)
-	}
-	ts.nCASClean, ts.nCASPublish, ts.nCASRetry = 0, 0, 0
-	ts.nDMHPFast, ts.nDMHPWalk, ts.nDMHPMemoHit = 0, 0, 0
-	ts.retryBuckets = [stats.HistBuckets]int64{}
+	tally *detect.Tally
 }
 
 // mhpEntry is one slot of the per-task DMHP memo: the answer to
@@ -152,7 +122,7 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 	}
 	e := &ts.mhp[mhpSlot(other)]
 	if e.other == other && e.step == ts.step {
-		ts.nDMHPMemoHit++
+		ts.tally.DMHPMemoHit++
 		return e.parallel, e.lcaDepth
 	}
 	p, l := d.rel(ts, other, ts.step)
@@ -165,9 +135,9 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 // falls back to the §5.2 pointer walk (digit overflow).
 func (d *Detector) rel(ts *taskState, a, b *dpst.Node) (parallel bool, lcaDepth int32) {
 	if a.FastPath() && b.FastPath() {
-		ts.nDMHPFast++
+		ts.tally.DMHPFast++
 	} else {
-		ts.nDMHPWalk++
+		ts.tally.DMHPWalk++
 	}
 	return dpst.Relation(a, b)
 }
@@ -188,7 +158,7 @@ type finishState struct {
 func (d *Detector) MainTask(t *detect.Task, implicit *detect.Finish) {
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
 	step := d.tree.NewChild(run, dpst.StepNode)
-	ts := &taskState{step: step, scope: run, sh: d.st.Shard(int(t.ID))}
+	ts := &taskState{step: step, scope: run, tally: &t.Tally}
 	t.State = ts
 	implicit.State = &finishState{node: run}
 }
@@ -202,16 +172,13 @@ func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
 	ps := parent.State.(*taskState)
 	a := d.tree.NewChild(ps.scope, dpst.AsyncNode)
 	childStep := d.tree.NewChild(a, dpst.StepNode)
-	cs := &taskState{step: childStep, scope: a, sh: d.st.Shard(int(child.ID))}
+	cs := &taskState{step: childStep, scope: a, tally: &child.Tally}
 	child.State = cs
 	ps.step = d.tree.NewChild(ps.scope, dpst.StepNode)
 }
 
-// TaskEnd has no DPST effect (the join is represented by the finish
-// node); it flushes the task's batched stats counters.
-func (d *Detector) TaskEnd(t *detect.Task) {
-	t.State.(*taskState).flush()
-}
+// TaskEnd has no DPST effect: the join is represented by the finish node.
+func (d *Detector) TaskEnd(*detect.Task) {}
 
 // FinishStart implements §3.1 "Start Finish": a finish node under the
 // current scope, plus a step node for the computation starting inside it.
@@ -230,11 +197,7 @@ func (d *Detector) FinishStart(t *detect.Task, f *detect.Finish) {
 func (d *Detector) FinishEnd(t *detect.Task, f *detect.Finish) {
 	fs := f.State.(*finishState)
 	if fs.prevScope == nil {
-		// End of the implicit run-level finish: the main task gets no
-		// TaskEnd (the executors call its body directly), so its
-		// batched counters flush here.
-		t.State.(*taskState).flush()
-		return
+		return // the implicit run-level finish
 	}
 	ts := t.State.(*taskState)
 	ts.scope = fs.prevScope

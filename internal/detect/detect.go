@@ -14,13 +14,16 @@
 //   - internal/graph:     precise computation-DAG oracle (testing)
 //   - detect.Nop:         the uninstrumented baseline
 //
-// Event contract. All events are delivered from the goroutine currently
-// running the task named in the event. The runtime guarantees:
+// Event contract. A driver — the task runtime (package task) for a live
+// run, package trace's replay for a recorded one — delivers all events
+// from the goroutine currently running the task named in the event. It
+// guarantees:
 //
 //   - BeforeSpawn(parent, child) is called in the parent before the child
 //     can start, so detector state installed on child is visible to it.
 //   - TaskEnd(t) is the last event of a task, delivered before the task's
-//     completion is counted against its finish scope.
+//     completion is counted against its finish scope. The main task gets
+//     no TaskEnd: its last event is the FinishEnd of the implicit finish.
 //   - FinishEnd(t, f) is delivered after every task registered in f (and,
 //     transitively, their descendants registered in f) has completed, and
 //     after all of their TaskEnd events.
@@ -28,6 +31,11 @@
 // The runtime establishes the corresponding happens-before edges with
 // atomic operations, so a detector may hand state from TaskEnd to the
 // matching FinishEnd without additional synchronization of its own.
+//
+// Tallies. Layers on the check path count into the task's Tally block
+// and page cache, plain integers owned by the task's goroutine. Drivers
+// flush them (Task.Flush) at task end — after TaskEnd — and, for tasks
+// still live, at run end; detectors do not flush anything.
 package detect
 
 import (
@@ -45,10 +53,8 @@ type TaskID int64
 // Task is the runtime's record of one dynamic task instance. The detector
 // owns the State field and may store arbitrary per-task state there.
 type Task struct {
-	ID     TaskID
-	Parent *Task   // nil for the main task
-	IEF    *Finish // immediately enclosing finish at spawn time
-	Depth  int32   // spawn-tree depth; main task is 0
+	ID  TaskID
+	IEF *Finish // immediately enclosing finish at spawn time
 
 	// State is detector-private per-task state. It is written by the
 	// detector during MainTask/BeforeSpawn (in the parent's goroutine)
@@ -58,15 +64,46 @@ type Task struct {
 	// PC is the task's shadow page cache, threaded through the paged
 	// shadow hot path (shadow.Pages.CellOf). Shadow events are
 	// delivered from the task's own goroutine (see the event contract
-	// above), so the cache needs no synchronization; the runtime
-	// flushes its batched hit/miss tallies into the stats shards at
-	// task end.
+	// above), so the cache needs no synchronization.
 	PC shadow.PageCache
 
 	// Sample is the task's check-sampling state, used by the registry's
 	// sampling wrapper (sampling.go). Like PC it is only touched from
 	// the task's own goroutine.
 	Sample sample.TaskState
+
+	// Tally batches the task's hot-path counts; see Flush.
+	Tally Tally
+}
+
+// Tally is a task's batch of hot-path observability counts: one plain
+// integer per stats counter that moves once per checked access. Only the
+// task's own goroutine touches it, so counting costs one non-atomic
+// increment.
+type Tally struct {
+	CASClean, CASPublish, CASRetry  int64 // internal/core's shadow protocol
+	DMHPFast, DMHPWalk, DMHPMemoHit int64 // internal/core's DMHP queries
+	SampleChecked, SampleSkipped    int64 // the sampling gate (sampling.go)
+}
+
+// Flush moves the task's batched counts — the Tally block and the page
+// cache's hit/miss tallies — into sh and zeroes them. Drivers call it from
+// the task's goroutine at task end and, for tasks still live, at run end
+// (see the package comment). A nil shard discards the counts.
+func (t *Task) Flush(sh *stats.Shard) {
+	n := &t.Tally
+	sh.Add(stats.CASClean, n.CASClean)
+	sh.Add(stats.CASPublish, n.CASPublish)
+	sh.Add(stats.CASRetry, n.CASRetry)
+	sh.Add(stats.DMHPFast, n.DMHPFast)
+	sh.Add(stats.DMHPWalk, n.DMHPWalk)
+	sh.Add(stats.DMHPMemoHit, n.DMHPMemoHit)
+	sh.Add(stats.SampleChecked, n.SampleChecked)
+	sh.Add(stats.SampleSkipped, n.SampleSkipped)
+	*n = Tally{}
+	hits, misses := t.PC.TakeCounts()
+	sh.Add(stats.PageCacheHit, hits)
+	sh.Add(stats.PageCacheMiss, misses)
 }
 
 // Finish is the runtime's record of one dynamic finish instance, including

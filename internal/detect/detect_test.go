@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"spd3/internal/shadow"
+	"spd3/internal/stats"
 )
 
 func TestRaceString(t *testing.T) {
@@ -186,5 +189,50 @@ func TestCounter(t *testing.T) {
 	var c Counter
 	if c.Add(5) != 5 || c.Add(-2) != 3 || c.Load() != 3 {
 		t.Fatal("Counter arithmetic wrong")
+	}
+}
+
+// TestTaskFlush: Flush moves every count of the Tally block and the page
+// cache's hit/miss pair into the shard under its wire counter, adds
+// across calls, zeroes the task's copies, and discards into a nil shard.
+func TestTaskFlush(t *testing.T) {
+	rec := stats.New(1)
+	pages := shadow.New[int64](8)
+	var task Task
+	fill := func(base int64) {
+		task.Tally = Tally{
+			CASClean: base + 1, CASPublish: base + 2, CASRetry: base + 3,
+			DMHPFast: base + 4, DMHPWalk: base + 5, DMHPMemoHit: base + 6,
+			SampleChecked: base + 7, SampleSkipped: base + 8,
+		}
+		pages.CellOf(&task.PC, 0) // after a flush: one hit (the slot survives)
+		pages.CellOf(&task.PC, 1) // one hit
+	}
+	fill(0) // first touch: one miss, one hit
+	task.Flush(rec.Shard(0))
+	fill(10)
+	task.Flush(rec.Shard(0))
+	want := map[stats.Counter]int64{
+		stats.CASClean: 12, stats.CASPublish: 14, stats.CASRetry: 16,
+		stats.DMHPFast: 18, stats.DMHPWalk: 20, stats.DMHPMemoHit: 22,
+		stats.SampleChecked: 24, stats.SampleSkipped: 26,
+		stats.PageCacheHit: 3, stats.PageCacheMiss: 1,
+	}
+	snap := rec.Snapshot()
+	for c := stats.Counter(0); c < stats.NumCounters; c++ {
+		if got := snap.Get(c); got != want[c] {
+			t.Errorf("%s = %d, want %d", c, got, want[c])
+		}
+	}
+	if task.Tally != (Tally{}) {
+		t.Errorf("Flush left tally %+v, want zero", task.Tally)
+	}
+	if h, m := task.PC.TakeCounts(); h|m != 0 {
+		t.Errorf("Flush left page-cache counts %d/%d, want 0/0", h, m)
+	}
+	fill(0)
+	task.Flush(nil) // must not panic; counts still zeroed
+	if h, m := task.PC.TakeCounts(); task.Tally != (Tally{}) || h|m != 0 {
+		t.Error("Flush(nil) did not zero the counts")
 	}
 }

@@ -87,7 +87,7 @@ func New(name string, opts FactoryOpts) (Detector, error) {
 	}
 	d := e.factory(opts)
 	if opts.Sampler.Enabled() {
-		d = wrapSampled(d, opts.Sampler, opts.Stats)
+		d = wrapSampled(d, opts.Sampler)
 	}
 	return d, nil
 }

@@ -1,6 +1,9 @@
 package detect
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // seqStub is a registrable detector stub with a configurable
 // RequiresSequential answer.
@@ -11,11 +14,19 @@ type seqStub struct {
 
 func (s seqStub) RequiresSequential() bool { return s.seq }
 
+// The registry is process-global and refuses a second registration of a
+// name, so the stubs register once however often -count reruns the test.
+var (
+	registerStubs sync.Once
+	seqStubBuilt  int // RequiresSequential is asked once, at registration
+)
+
 func TestDescribe(t *testing.T) {
-	built := 0 // RequiresSequential is asked once, at registration
-	Register("registry-test-seq", func(FactoryOpts) Detector { built++; return seqStub{seq: true} })
-	Register("registry-test-par", func(FactoryOpts) Detector { return seqStub{} })
-	RegisterVariant("registry-test-hidden", func(FactoryOpts) Detector { return seqStub{} })
+	registerStubs.Do(func() {
+		Register("registry-test-seq", func(FactoryOpts) Detector { seqStubBuilt++; return seqStub{seq: true} })
+		Register("registry-test-par", func(FactoryOpts) Detector { return seqStub{} })
+		RegisterVariant("registry-test-hidden", func(FactoryOpts) Detector { return seqStub{} })
+	})
 
 	got := map[string]Description{}
 	prev := ""
@@ -41,7 +52,7 @@ func TestDescribe(t *testing.T) {
 	if !Sequential("registry-test-seq") || Sequential("registry-test-hidden") || Sequential("registry-test-unknown") {
 		t.Error("Sequential: want true for registry-test-seq only")
 	}
-	if built != 1 {
-		t.Errorf("factory ran %d times across Register, Describe and Sequential, want 1", built)
+	if seqStubBuilt != 1 {
+		t.Errorf("factory ran %d times across Register, Describe and Sequential, want 1", seqStubBuilt)
 	}
 }

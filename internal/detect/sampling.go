@@ -1,16 +1,13 @@
 package detect
 
-import (
-	"spd3/internal/sample"
-	"spd3/internal/stats"
-)
+import "spd3/internal/sample"
 
 // wrapSampled gates d's shadows behind smp. The wrapper preserves the
 // inner detector's optional BarrierObserver interface (losing it would
 // change FastTrack's verdict on barrier-phased programs, which sampling
 // must never do).
-func wrapSampled(d Detector, smp *sample.Sampler, rec *stats.Recorder) Detector {
-	sd := &sampledDetector{inner: d, smp: smp, rec: rec}
+func wrapSampled(d Detector, smp *sample.Sampler) Detector {
+	sd := &sampledDetector{inner: d, smp: smp}
 	if bo, ok := d.(BarrierObserver); ok {
 		return &sampledBarrierDetector{sampledDetector: sd, bo: bo}
 	}
@@ -20,13 +17,11 @@ func wrapSampled(d Detector, smp *sample.Sampler, rec *stats.Recorder) Detector 
 // sampledDetector is the one sampling gate, wrapped by New around every
 // registry detector when a sampler is enabled: structural events
 // pass straight through (sampling must never distort the task tree or
-// lock state, only which accesses are checked), shadows are gated, and
-// the per-task admit/skip tallies batched in Task.Sample are flushed
-// into the stats shards at task end.
+// lock state, only which accesses are checked) and shadows are gated,
+// counting each admit or skip into the task's Tally.
 type sampledDetector struct {
 	inner Detector
 	smp   *sample.Sampler
-	rec   *stats.Recorder
 	ids   Counter
 }
 
@@ -46,10 +41,7 @@ func (d *sampledDetector) BeforeSpawn(parent, child *Task) {
 	d.inner.BeforeSpawn(parent, child)
 }
 
-func (d *sampledDetector) TaskEnd(t *Task) {
-	t.Sample.Flush(d.rec.Shard(int(t.ID)))
-	d.inner.TaskEnd(t)
-}
+func (d *sampledDetector) TaskEnd(t *Task) { d.inner.TaskEnd(t) }
 
 // FinishStart and FinishEnd advance the burst epoch: detectors without
 // a step notion still get "one span out of N" sampling at finish-scope
@@ -62,9 +54,6 @@ func (d *sampledDetector) FinishStart(t *Task, f *Finish) {
 func (d *sampledDetector) FinishEnd(t *Task, f *Finish) {
 	d.smp.Step(&t.Sample)
 	d.inner.FinishEnd(t, f)
-	// The main task gets no TaskEnd (executors call its body directly);
-	// flushing after every finish end keeps its tallies from being lost.
-	t.Sample.Flush(d.rec.Shard(int(t.ID)))
 }
 
 func (d *sampledDetector) Acquire(t *Task, l *Lock) { d.inner.Acquire(t, l) }
@@ -98,10 +87,10 @@ type sampledShadow struct {
 
 func (s *sampledShadow) admit(t *Task, i int) bool {
 	if !s.d.smp.Admit(&t.Sample, s.id, i) {
-		t.Sample.Skipped++
+		t.Tally.SampleSkipped++
 		return false
 	}
-	t.Sample.Checked++
+	t.Tally.SampleChecked++
 	return true
 }
 

@@ -35,7 +35,7 @@ func sharedPair(depth int) (*Node, *Node) {
 }
 
 // overflowPair builds a deepPair whose paths start with a sibling index
-// past maxDigitSeq, so fingerprints are invalid and DMHP dispatches to
+// past maxDigitSeq, so fingerprints are invalid and Relation dispatches to
 // the pointer-walk fallback — the fallback's full cost, including the
 // validity check.
 func overflowPair(depth int) (*Node, *Node) {
@@ -79,29 +79,6 @@ func BenchmarkNewChildDeep(b *testing.B) {
 	}
 }
 
-func BenchmarkLCA(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := deepPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				LCA(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkDMHP is the fingerprint fast path (root-diverging pair).
-func BenchmarkDMHP(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := deepPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				DMHP(s1, s2)
-			}
-		})
-	}
-}
-
 // BenchmarkDMHPWalk is the §5.2 pointer walk on the same pairs: the
 // cost the fast path removes, and what overflow fallback degrades to.
 func BenchmarkDMHPWalk(b *testing.B) {
@@ -109,13 +86,13 @@ func BenchmarkDMHPWalk(b *testing.B) {
 		s1, s2 := deepPair(depth)
 		b.Run(itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dmhpWalk(s1, s2)
+				relationWalk(s1, s2)
 			}
 		})
 	}
 }
 
-// BenchmarkDMHPFallback routes through DMHP's public dispatch with
+// BenchmarkDMHPFallback routes through Relation's dispatch with
 // invalid fingerprints: the real price of the fallback (validity check
 // plus walk).
 func BenchmarkDMHPFallback(b *testing.B) {
@@ -123,7 +100,7 @@ func BenchmarkDMHPFallback(b *testing.B) {
 		s1, s2 := overflowPair(depth)
 		b.Run(itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DMHP(s1, s2)
+				Relation(s1, s2)
 			}
 		})
 	}
@@ -137,14 +114,15 @@ func BenchmarkDMHPSharedPrefix(b *testing.B) {
 		s1, s2 := sharedPair(depth)
 		b.Run(itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DMHP(s1, s2)
+				Relation(s1, s2)
 			}
 		})
 	}
 }
 
-// BenchmarkRelation measures the detector's actual hot-path query
-// (parallelism + LCA depth in one shot).
+// BenchmarkRelation is the fingerprint fast path on the root-diverging
+// pair: the detector's hot-path query (parallelism + LCA depth in one
+// shot).
 func BenchmarkRelation(b *testing.B) {
 	for _, depth := range benchDepths {
 		s1, s2 := deepPair(depth)

@@ -8,13 +8,13 @@
 // which mirrors the sequential order of the computations in their common
 // parent scope.
 //
-// The tree supports exactly the two queries race detection needs:
-//
-//   - LCA: the least common ancestor of two nodes, found by walking parent
-//     pointers after equalizing depths (§5.2).
-//   - DMHP: "dynamic may happen in parallel" — Theorem 1: two steps S1
-//     (left) and S2 may run in parallel iff the ancestor of S1 that is a
-//     child of LCA(S1,S2) is an async node.
+// The tree answers the one query race detection needs, Relation: whether
+// two steps may happen in parallel — DMHP, Theorem 1: S1 (left) and S2
+// may run in parallel iff the ancestor of S1 that is a child of
+// LCA(S1,S2) is an async node — and the depth of their least common
+// ancestor, which Algorithm 2 compares to pick the two readers to keep.
+// Packed root-path fingerprints (fingerprint.go) answer it without
+// touching the tree; the §5.2 walk up the parent pointers is the fallback.
 //
 // Concurrency. As in the paper's implementation (§5.1), no node field
 // requires synchronization: Parent, Depth, Seq, and Kind are written once
@@ -146,43 +146,13 @@ func (t *Tree) NewChild(parent *Node, kind Kind) *Node {
 	return n
 }
 
-// LCA returns the least common ancestor of a and b (§5.2). With valid
-// fingerprints the LCA depth comes from the packed-word comparison and
-// only the parent hops up to that depth remain; otherwise the full
-// lock-step walk runs.
-func LCA(a, b *Node) *Node {
-	lca, _, _ := Relate(a, b)
-	return lca
-}
-
-// Relate returns the least common ancestor of a and b together with the
-// child of the LCA on each side's path (childA is the ancestor-or-self of
-// a that is a direct child of the LCA, and likewise childB). If one node
-// is an ancestor of the other (possible only when a non-leaf is passed),
-// the corresponding child is nil. Relate(a, a) returns (a, nil, nil).
-func Relate(a, b *Node) (lca, childA, childB *Node) {
-	if a == nil || b == nil {
-		return nil, nil, nil
-	}
-	if a.fp.valid() && b.fp.valid() {
-		d, _, _ := fpRelate(a, b)
-		for a.Depth > d {
-			childA, a = a, a.Parent
-		}
-		for b.Depth > d {
-			childB, b = b, b.Parent
-		}
-		return a, childA, childB
-	}
-	return relateWalk(a, b)
-}
-
-// relateWalk is the §5.2 reference implementation of Relate: walk the
-// deeper node up to the shallower node's depth, then walk both up in
-// lock step until they meet. Cost is linear in the longer root path. It
-// is the always-correct fallback for nodes whose fingerprints
-// overflowed, and the oracle the fingerprint path is differentially
-// tested against.
+// relateWalk is the §5.2 walk: it returns the least common ancestor of a
+// and b together with the child of the LCA on each side's path (childA
+// is the ancestor-or-self of a that is a direct child of the LCA, and
+// likewise childB; nil when that node is itself the LCA, an ancestor of
+// the other). It walks the deeper node up to the shallower node's depth,
+// then both up in lock step until they meet, so cost is linear in the
+// longer root path.
 func relateWalk(a, b *Node) (lca, childA, childB *Node) {
 	if a == nil || b == nil {
 		return nil, nil, nil
@@ -200,61 +170,14 @@ func relateWalk(a, b *Node) (lca, childA, childB *Node) {
 	return a, childA, childB
 }
 
-// LeftOf reports whether a appears before b in the depth-first traversal
-// of the tree (Definition 3). Both must be distinct nodes of the same
-// tree, neither an ancestor of the other.
-func LeftOf(a, b *Node) bool {
-	if a == nil || b == nil || a == b {
-		return false
-	}
-	if a.fp.valid() && b.fp.valid() {
-		_, da, db := fpRelate(a, b)
-		return da != 0 && db != 0 && digitSeq(da) < digitSeq(db)
-	}
-	_, ca, cb := relateWalk(a, b)
-	return ca != nil && cb != nil && ca.Seq < cb.Seq
-}
-
-// DMHP implements Algorithm 3: it reports whether steps s1 and s2 may
-// happen in parallel in some schedule. By Theorem 1 this holds iff the
-// child of LCA(s1,s2) on the left step's path is an async node. A step
-// never runs in parallel with itself, and nil (no recorded access) is in
-// parallel with nothing.
-func DMHP(s1, s2 *Node) bool {
-	if s1 == nil || s2 == nil || s1 == s2 {
-		return false
-	}
-	if s1.fp.valid() && s2.fp.valid() {
-		_, d1, d2 := fpRelate(s1, s2)
-		return digitsParallel(d1, d2)
-	}
-	return dmhpWalk(s1, s2)
-}
-
-// dmhpWalk is Algorithm 3 over the pointer walk; the fallback and
-// differential reference for DMHP.
-func dmhpWalk(s1, s2 *Node) bool {
-	if s1 == nil || s2 == nil || s1 == s2 {
-		return false
-	}
-	_, c1, c2 := relateWalk(s1, s2)
-	if c1 == nil || c2 == nil {
-		// One is an ancestor of the other; cannot happen for two
-		// distinct leaves, but be defensive for interior nodes.
-		return false
-	}
-	if c1.Seq < c2.Seq {
-		return c1.Kind == AsyncNode
-	}
-	return c2.Kind == AsyncNode
-}
-
 // Relation answers, in one query, everything the detector's read and
 // write checks need about a pair of nodes: whether they may happen in
-// parallel (Theorem 1) and the depth of their LCA. With valid
-// fingerprints neither answer touches the tree — this is the detector's
-// near-O(1) hot path. Relation(a, a) is (false, a.Depth); a nil operand
-// yields (false, -1).
+// parallel (Algorithm 3 / Theorem 1: iff the child of their LCA on the
+// left node's path is an async node) and the depth of their LCA. With
+// valid fingerprints neither answer touches the tree — this is the
+// detector's near-O(1) hot path. A step never runs in parallel with
+// itself: Relation(a, a) is (false, a.Depth); nil (no recorded access) is
+// in parallel with nothing: a nil operand yields (false, -1).
 func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 	if a == nil || b == nil {
 		return false, -1

@@ -39,6 +39,12 @@ func buildFig1() fig1 {
 	return f
 }
 
+// dmhp is the parallelism half of Relation: Algorithm 3.
+func dmhp(a, b *Node) bool {
+	parallel, _ := Relation(a, b)
+	return parallel
+}
+
 func TestNewChildAssignsStructure(t *testing.T) {
 	f := buildFig1()
 	if f.f1.Depth != 0 || f.f1.Seq != 0 || f.f1.Kind != FinishNode {
@@ -76,6 +82,8 @@ func TestNewChildAssignsStructure(t *testing.T) {
 	}
 }
 
+// TestLCA: Relation's second answer is the depth of the least common
+// ancestor, in either operand order.
 func TestLCA(t *testing.T) {
 	f := buildFig1()
 	cases := []struct {
@@ -90,34 +98,36 @@ func TestLCA(t *testing.T) {
 		{f.s3, f.f1, f.f1},
 	}
 	for _, c := range cases {
-		if got := LCA(c.a, c.b); got != c.want {
-			t.Errorf("LCA(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		if _, got := Relation(c.a, c.b); got != c.want.Depth {
+			t.Errorf("Relation(%v, %v) LCA depth = %d, want %d (%v)", c.a, c.b, got, c.want.Depth, c.want)
 		}
-		if got := LCA(c.b, c.a); got != c.want {
-			t.Errorf("LCA(%v, %v) = %v, want %v", c.b, c.a, got, c.want)
+		if _, got := Relation(c.b, c.a); got != c.want.Depth {
+			t.Errorf("Relation(%v, %v) LCA depth = %d, want %d (%v)", c.b, c.a, got, c.want.Depth, c.want)
 		}
 	}
 }
 
+// TestRelateChildren pins the §5.2 walk, the reference the fingerprint
+// path is tested against: the LCA node and its child on each path.
 func TestRelateChildren(t *testing.T) {
 	f := buildFig1()
-	lca, ca, cb := Relate(f.s3, f.s5)
+	lca, ca, cb := relateWalk(f.s3, f.s5)
 	if lca != f.f1 || ca != f.a1 || cb != f.s5 {
-		t.Errorf("Relate(s3, s5) = (%v, %v, %v), want (f1, a1, s5)", lca, ca, cb)
+		t.Errorf("relateWalk(s3, s5) = (%v, %v, %v), want (f1, a1, s5)", lca, ca, cb)
 	}
-	lca, ca, cb = Relate(f.s3, f.f1)
-	if lca != f.f1 || ca == nil || cb != nil {
-		t.Errorf("Relate(s3, f1) = (%v, %v, %v), want (f1, a1-side, nil)", lca, ca, cb)
+	lca, ca, cb = relateWalk(f.s3, f.f1)
+	if lca != f.f1 || ca != f.a1 || cb != nil {
+		t.Errorf("relateWalk(s3, f1) = (%v, %v, %v), want (f1, a1, nil)", lca, ca, cb)
 	}
 }
 
 func TestDMHPPaperExamples(t *testing.T) {
 	f := buildFig1()
 	// The two worked examples from §3.2.
-	if !DMHP(f.s2, f.s5) {
+	if !dmhp(f.s2, f.s5) {
 		t.Error("DMHP(step2, step5) = false, want true (A1 is async)")
 	}
-	if DMHP(f.s6, f.s5) {
+	if dmhp(f.s6, f.s5) {
 		t.Error("DMHP(step6, step5) = true, want false (step5 precedes A3)")
 	}
 }
@@ -140,7 +150,7 @@ func TestDMHPMatrix(t *testing.T) {
 			k1 := names[i] + "|" + names[j]
 			k2 := names[j] + "|" + names[i]
 			expect := want[k1] || want[k2]
-			if got := DMHP(a, b); got != expect {
+			if got := dmhp(a, b); got != expect {
 				t.Errorf("DMHP(%s, %s) = %v, want %v", names[i], names[j], got, expect)
 			}
 		}
@@ -149,25 +159,11 @@ func TestDMHPMatrix(t *testing.T) {
 
 func TestDMHPDegenerate(t *testing.T) {
 	f := buildFig1()
-	if DMHP(nil, f.s1) || DMHP(f.s1, nil) || DMHP(nil, nil) {
+	if dmhp(nil, f.s1) || dmhp(f.s1, nil) || dmhp(nil, nil) {
 		t.Error("DMHP with nil operand must be false")
 	}
-	if DMHP(f.s1, f.s1) {
+	if dmhp(f.s1, f.s1) {
 		t.Error("DMHP(s, s) must be false")
-	}
-}
-
-func TestLeftOf(t *testing.T) {
-	f := buildFig1()
-	ordered := []*Node{f.s1, f.s2, f.s3, f.s4, f.s5, f.s6}
-	// Depth-first traversal order of the leaves is s1 s2 s3 s4 s5 s6.
-	for i := range ordered {
-		for j := range ordered {
-			got := LeftOf(ordered[i], ordered[j])
-			if want := i < j; got != want {
-				t.Errorf("LeftOf(s%d, s%d) = %v, want %v", i+1, j+1, got, want)
-			}
-		}
 	}
 }
 

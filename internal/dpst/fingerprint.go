@@ -26,7 +26,7 @@
 //     LCA on each path: its sibling position (Seq, for deciding which
 //     side is the left one) and its Kind (is it an async?).
 //
-// So DMHP, LeftOf, and the LCA *depth* need no tree walk at all: one or
+// So DMHP and the LCA *depth* need no tree walk at all: one or
 // two XORs in the common shallow case, a short word loop for deep
 // nodes. The encoding gives up when a digit overflows — a node with
 // sibling index above maxDigitSeq marks itself and (transitively) every

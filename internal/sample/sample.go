@@ -42,8 +42,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"spd3/internal/stats"
 )
 
 // Mode selects the sampling strategy.
@@ -162,26 +160,13 @@ func (r *Rate) load16() int64 { return r.v.Load() }
 // of the layer that gates checks (detect.Task.Sample, for the registry's
 // wrapper). It caches the current burst-window decision and a one-entry
 // location-coin memo so the sampled-out path is a predictable
-// compare-and-branch, and batches the admit/skip tallies in plain
-// task-owned integers.
+// compare-and-branch.
 type TaskState struct {
 	epoch   uint64
 	ready   bool
 	burst   bool
 	memoKey uint64
 	memoOK  bool
-
-	// Checked and Skipped batch the gate outcomes; the owning layer
-	// flushes them into a stats shard once per task (Flush).
-	Checked, Skipped int64
-}
-
-// Flush moves the batched tallies into sh and zeroes them; safe to call
-// repeatedly and with a nil shard.
-func (st *TaskState) Flush(sh *stats.Shard) {
-	sh.Add(stats.SampleChecked, st.Checked)
-	sh.Add(stats.SampleSkipped, st.Skipped)
-	st.Checked, st.Skipped = 0, 0
 }
 
 // Sampler decides, per access, whether the race check runs. A nil
@@ -264,9 +249,9 @@ func (s *Sampler) burstPeriod() int64 {
 
 // Admit reports whether the check for element idx of the given shadow
 // region should run. The decision is deterministic per (seed, location)
-// for Bernoulli and per task-step epoch for Burst. Callers tally
-// the outcome into st.Checked/st.Skipped themselves (so layers that
-// batch counters differently can). Nil receivers admit everything.
+// for Bernoulli and per task-step epoch for Burst. Callers tally the
+// outcome themselves (the registry's wrapper counts into detect.Task's
+// Tally). Nil receivers admit everything.
 func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
 	if s == nil {
 		return true

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spd3/internal/sample"
-	"spd3/internal/stats"
 )
 
 func TestParse(t *testing.T) {
@@ -196,28 +195,5 @@ func TestBurstEveryTaskPrologue(t *testing.T) {
 		if !s.Admit(&st, 1, 0) {
 			t.Fatalf("task %d: first epoch not sampled at rate 0.01", task)
 		}
-	}
-}
-
-func TestFlush(t *testing.T) {
-	rec := stats.New(1)
-	st := sample.TaskState{Checked: 3, Skipped: 5}
-	st.Flush(rec.Shard(0))
-	st.Checked, st.Skipped = 7, 11
-	st.Flush(rec.Shard(0))
-	snap := rec.Snapshot()
-	if got := snap.Get(stats.SampleChecked); got != 10 {
-		t.Errorf("sample.checked = %d, want 10", got)
-	}
-	if got := snap.Get(stats.SampleSkipped); got != 16 {
-		t.Errorf("sample.skipped = %d, want 16", got)
-	}
-	if st.Checked != 0 || st.Skipped != 0 {
-		t.Errorf("Flush left tallies %d/%d, want 0/0", st.Checked, st.Skipped)
-	}
-	st.Checked = 1
-	st.Flush(nil) // must not panic; tallies still zeroed
-	if st.Checked != 0 {
-		t.Error("Flush(nil) did not zero the tally")
 	}
 }

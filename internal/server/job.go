@@ -253,7 +253,7 @@ type submitOpts struct {
 	detector  string // validated registry name or "all"
 	tenant    string
 	withStats bool
-	shard     bool // run the splitter (pool exists and shard != "off")
+	shard     bool // run the splitter (shard != "off")
 	estimate  int64
 	sampling  string // validated per-request sampling spec override, or ""
 }
@@ -287,7 +287,7 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts
 		detector:  name,
 		tenant:    tenant,
 		withStats: q.Get("stats") != "",
-		shard:     s.pool != nil && q.Get("shard") != "off",
+		shard:     q.Get("shard") != "off",
 		estimate:  max(r.ContentLength, 0),
 		sampling:  sampling,
 	}, true
@@ -454,7 +454,7 @@ func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim 
 		return stats.Snapshot{}, err
 	}
 	start := time.Now()
-	replayErr := trace.ReplayWithLimits(rd, ses.Det, lim)
+	replayErr := trace.ReplayWithLimits(rd, ses.Det, ses.Rec, lim)
 	snap := ses.Snapshot(time.Since(start))
 	s.mu.Lock()
 	s.agg.Merge(snap)
@@ -568,19 +568,14 @@ fanout:
 					<-tsem
 				}
 			}
-			if s.pool != nil {
-				di, ref := di, ref
-				if !s.pool.run(ctx, s.shard(), &wg, func() {
-					defer release()
-					segJob(di, ref)
-				}) {
-					release()
-					setErr(trace.ErrCanceled)
-					break fanout
-				}
-			} else {
+			di, ref := di, ref
+			if !s.pool.run(ctx, s.shard(), &wg, func() {
+				defer release()
 				segJob(di, ref)
+			}) {
 				release()
+				setErr(trace.ErrCanceled)
+				break fanout
 			}
 		}
 	}

@@ -95,9 +95,8 @@ type Config struct {
 	// 256.
 	MaxRacesPerReport int
 	// ShardWorkers bounds concurrent segment replays across the whole
-	// daemon (the shard pool). 0 means GOMAXPROCS; negative disables
-	// sharding entirely, so every analysis streams through a single
-	// replay.
+	// daemon (the shard pool). Zero or negative means GOMAXPROCS; 1 is
+	// the serial configuration.
 	ShardWorkers int
 	// MinSegmentBytes coalesces tiny finish scopes before a cut.
 	// Defaults to 256 KiB.
@@ -136,7 +135,7 @@ type Server struct {
 	cfg      Config
 	rec      *stats.Recorder // srv.* counters, sharded by request sequence
 	reqSeq   atomic.Int64
-	pool     *shardPool // nil when sharding is disabled
+	pool     *shardPool
 	store    *store.Store
 	quotas   *quota.Table
 	samplers *samplerTable
@@ -180,7 +179,7 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.MaxRacesPerReport <= 0 {
 		cfg.MaxRacesPerReport = 256
 	}
-	if cfg.ShardWorkers == 0 {
+	if cfg.ShardWorkers <= 0 {
 		cfg.ShardWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MinSegmentBytes <= 0 {
@@ -201,9 +200,7 @@ func Open(cfg Config) (*Server, error) {
 		start: time.Now(),
 		mux:   http.NewServeMux(),
 		jobs:  map[string]*Job{},
-	}
-	if cfg.ShardWorkers > 0 {
-		s.pool = newShardPool(cfg.ShardWorkers)
+		pool:  newShardPool(cfg.ShardWorkers),
 	}
 	s.quotas = quota.New(cfg.Quota, cfg.ShardWorkers)
 	s.samplers = newSamplerTable(cfg.Sampling)
@@ -631,10 +628,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	inFlight, draining := s.inFlight, s.draining
 	s.mu.Unlock()
 	heapAlloc, sys := s.sampleMem()
-	shardWorkers, shardBusy := 0, 0
-	if s.pool != nil {
-		shardWorkers, shardBusy = s.pool.Workers(), s.pool.Busy()
-	}
 	var queued, running, total int
 	s.jobsMu.Lock()
 	for _, j := range s.jobs {
@@ -654,8 +647,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		InFlight:       inFlight,
 		Draining:       draining,
-		ShardWorkers:   shardWorkers,
-		ShardBusy:      shardBusy,
+		ShardWorkers:   s.pool.Workers(),
+		ShardBusy:      s.pool.Busy(),
 		JobsQueued:     queued,
 		JobsRunning:    running,
 		JobsTotal:      total,

@@ -89,20 +89,34 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
-// TestShardingDisabled: negative ShardWorkers turns the splitter off
-// entirely; analyses stream through a single replay.
+// TestShardingDisabled: shard=off is the one way to turn the splitter
+// off, per request; the whole trace is stored as one blob and each
+// detector streams through a single replay of it. The pool still bounds
+// those replays — here at ShardWorkers: 1, the serial configuration.
 func TestShardingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{ShardWorkers: -1})
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", amplified(t, 4))
+	_, ts := newTestServer(t, Config{ShardWorkers: 1, MinSegmentBytes: 1})
+	resp, body := post(t, ts.URL+"/v1/analyze?detector=all&shard=off", amplified(t, 4))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
 	}
 	rep := decodeReport(t, body)
 	if rep.Sharded || rep.Segments != 0 {
-		t.Fatalf("sharded=%v segments=%d with sharding disabled", rep.Sharded, rep.Segments)
+		t.Fatalf("sharded=%v segments=%d with shard=off", rep.Sharded, rep.Segments)
 	}
-	if !rep.Verdicts[0].Racy {
-		t.Fatal("verdict lost without sharding")
+	if rep.Agree == nil || !*rep.Agree || len(rep.Verdicts) < 2 {
+		t.Fatalf("agree = %v over %d verdicts, want every detector agreeing", rep.Agree, len(rep.Verdicts))
+	}
+	for _, v := range rep.Verdicts {
+		if !v.Racy {
+			t.Fatalf("detector %s lost the verdict without sharding", v.Detector)
+		}
+	}
+	st := getStatsz(t, ts.URL)
+	if st.ShardWorkers != 1 {
+		t.Errorf("shard_workers = %d, want 1", st.ShardWorkers)
+	}
+	if got := st.Stats.Get(stats.TraceSegments); got != 0 {
+		t.Errorf("trace.segments = %d, want 0: the splitter ran", got)
 	}
 }
 

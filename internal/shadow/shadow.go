@@ -208,8 +208,8 @@ func cacheSlot(region unsafe.Pointer) uintptr {
 // per-task DMHP memo. It is owned by the task's goroutine: the detect
 // event contract delivers every access from the accessing task's
 // goroutine, so no synchronization is needed. Hits and misses are
-// batched in plain integers; the runtime flushes them into the stats
-// shards at task end via TakeCounts.
+// batched in plain integers; detect.Task.Flush moves them into a stats
+// shard via TakeCounts.
 type PageCache struct {
 	slots  [cacheSlots]pageSlot
 	hits   int64

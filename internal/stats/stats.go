@@ -26,10 +26,10 @@
 // Snapshot merges all shards only when asked (the engine asks once, at
 // the end of Run).
 //
-// Hot producers batch even the atomic away: the SPD3 detector counts in
-// plain task-owned integers and flushes them into a shard once per task
-// (see internal/core), so the steady-state cost of a counter is one
-// non-atomic increment.
+// Hot producers batch even the atomic away: the layers on the check path
+// count in plain task-owned integers (detect.Task's Tally and page cache)
+// that the run's driver flushes into a shard once per task, so the
+// steady-state cost of a counter is one non-atomic increment.
 //
 // A nil *Recorder, *Shard, or *Region is valid and makes every method a
 // no-op; Options.NoStats hands nil recorders down the stack and the
@@ -90,7 +90,8 @@ const (
 	// address space really is.
 	ShadowPagesAllocated
 	// PageCacheHit counts shadow-cell lookups served from the task's
-	// page cache (detect.Task.PC) without touching the page table.
+	// page cache (detect.Task.PC) without touching the page table, in
+	// live runs and replays alike.
 	PageCacheHit
 	// PageCacheMiss counts shadow-cell lookups that walked the page
 	// table (and, on a region's first touch of a page, allocated it).
@@ -347,15 +348,6 @@ func (s *Shard) Observe(h HistID, v int64) {
 		return
 	}
 	s.hists[h][HistBucket(v)].Add(1)
-}
-
-// AddBucket adds n pre-bucketed observations to histogram h; used by
-// producers that batch in task-local space first. Safe on a nil shard.
-func (s *Shard) AddBucket(h HistID, bucket int, n int64) {
-	if s == nil || n == 0 {
-		return
-	}
-	s.hists[h][bucket].Add(n)
 }
 
 // Region tallies one instrumented memory region's traffic. Cells are

@@ -62,7 +62,7 @@ func (b *Barrier) Await(c *Ctx) {
 	b.mu.Lock()
 	gen := b.gen.Load()
 	if obs != nil {
-		obs.BarrierArrive(c.t, b.b, int(gen))
+		obs.BarrierArrive(&c.task, b.b, int(gen))
 	}
 	b.count++
 	if b.count == b.n {
@@ -76,6 +76,6 @@ func (b *Barrier) Await(c *Ctx) {
 		b.rt.exec.parkFor(c, func() bool { return b.gen.Load() != gen })
 	}
 	if obs != nil {
-		obs.BarrierDepart(c.t, b.b, int(gen))
+		obs.BarrierDepart(&c.task, b.b, int(gen))
 	}
 }

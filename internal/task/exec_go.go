@@ -7,36 +7,14 @@ package task
 // verdicts under this executor and the pool executor.
 type goExec struct{}
 
-func (goExec) run(rt *Runtime, main *ptask) {
-	c := &Ctx{rt: rt, t: main.t, fin: main.fin}
-	main.body(c)
-	c.flushRegion()
+func (goExec) run(rt *Runtime, main *Ctx) { rt.runMain(main) }
+
+func (goExec) spawn(parent, child *Ctx) { go parent.rt.runTask(child) }
+
+func (e goExec) wait(c *Ctx, s *scope) {
+	e.parkFor(c, func() bool { return s.pending.Load() == 0 })
 }
 
-func (goExec) spawn(c *Ctx, pt *ptask) {
-	rt := c.rt
-	go rt.runTask(pt, &Ctx{rt: rt, t: pt.t, fin: pt.fin})
-}
-
-func (goExec) wait(c *Ctx, s *scope) {
-	goExec{}.waitFor(c, func() bool { return s.pending.Load() == 0 })
-}
-
-func (goExec) waitFor(c *Ctx, done func() bool) {
-	rt := c.rt
-	for {
-		if done() {
-			return
-		}
-		ep := rt.ec.PrepareWait()
-		if done() {
-			rt.ec.CancelWait()
-			return
-		}
-		rt.ec.CommitWait(ep)
-	}
-}
-
-// parkFor is identical to waitFor: with a goroutine per task there is no
-// helping and no stack nesting to avoid.
-func (e goExec) parkFor(c *Ctx, done func() bool) { e.waitFor(c, done) }
+// parkFor also serves wait: with a goroutine per task there is no helping
+// and no stack nesting to avoid.
+func (goExec) parkFor(c *Ctx, done func() bool) { c.rt.park(done) }

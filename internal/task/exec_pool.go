@@ -29,7 +29,7 @@ type worker struct {
 	id  int
 	rt  *Runtime
 	p   *poolExec
-	dq  *sched.Deque[ptask]
+	dq  *sched.Deque[Ctx]
 	rng uint64
 
 	// nInline and nSteal batch the worker's task-acquisition counters in
@@ -44,7 +44,7 @@ func newPoolExec(n int) *poolExec {
 	return &poolExec{n: n}
 }
 
-func (p *poolExec) run(rt *Runtime, main *ptask) {
+func (p *poolExec) run(rt *Runtime, main *Ctx) {
 	p.done.Store(false)
 	p.workers = make([]*worker, p.n)
 	for i := range p.workers {
@@ -52,7 +52,7 @@ func (p *poolExec) run(rt *Runtime, main *ptask) {
 			id:  i,
 			rt:  rt,
 			p:   p,
-			dq:  sched.NewDeque[ptask](),
+			dq:  sched.NewDeque[Ctx](),
 			rng: uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		}
 	}
@@ -60,11 +60,9 @@ func (p *poolExec) run(rt *Runtime, main *ptask) {
 		p.wg.Add(1)
 		go p.workers[i].loop()
 	}
-	w0 := p.workers[0]
-	c := &Ctx{rt: rt, w: w0, t: main.t, fin: main.fin}
-	main.body(c)
-	c.flushRegion()
-	// main.body ends only after the implicit finish drained, so no task
+	main.w = p.workers[0]
+	rt.runMain(main)
+	// runMain ends only after the implicit finish drained, so no task
 	// can exist anywhere: shut the pool down.
 	p.done.Store(true)
 	rt.ec.Signal()
@@ -77,37 +75,33 @@ func (p *poolExec) run(rt *Runtime, main *ptask) {
 	p.workers = nil
 }
 
-func (p *poolExec) spawn(c *Ctx, pt *ptask) {
-	c.w.dq.Push(pt)
-	c.rt.ec.Signal()
+func (p *poolExec) spawn(parent, child *Ctx) {
+	parent.w.dq.Push(child)
+	parent.rt.ec.Signal()
 }
 
+// wait blocks until s has drained, helping by running other tasks so
+// that a fixed worker pool cannot deadlock on structured joins whose
+// tasks sit in some deque.
 func (p *poolExec) wait(c *Ctx, s *scope) {
-	p.waitFor(c, func() bool { return s.pending.Load() == 0 })
-}
-
-// waitFor blocks until done() holds, helping by running other tasks so
-// that a fixed worker pool cannot deadlock on structured joins or
-// barriers whose other participants sit in some deque.
-func (p *poolExec) waitFor(c *Ctx, done func() bool) {
 	w := c.w
 	rt := c.rt
 	for {
-		if done() {
+		if s.pending.Load() == 0 {
 			return
 		}
-		if pt := w.find(); pt != nil {
-			w.exec(pt)
+		if t := w.find(); t != nil {
+			w.exec(t)
 			continue
 		}
 		ep := rt.ec.PrepareWait()
-		if done() {
+		if s.pending.Load() == 0 {
 			rt.ec.CancelWait()
 			return
 		}
-		if pt := w.find(); pt != nil {
+		if t := w.find(); t != nil {
 			rt.ec.CancelWait()
-			w.exec(pt)
+			w.exec(t)
 			continue
 		}
 		rt.ec.CommitWait(ep)
@@ -119,28 +113,15 @@ func (p *poolExec) waitFor(c *Ctx, done func() bool) {
 // participants are picked up by idle workers stealing from this worker's
 // deque, which is why barriers on the pool executor need at least as
 // many workers as concurrently blocked tasks.
-func (p *poolExec) parkFor(c *Ctx, done func() bool) {
-	rt := c.rt
-	for {
-		if done() {
-			return
-		}
-		ep := rt.ec.PrepareWait()
-		if done() {
-			rt.ec.CancelWait()
-			return
-		}
-		rt.ec.CommitWait(ep)
-	}
-}
+func (p *poolExec) parkFor(c *Ctx, done func() bool) { c.rt.park(done) }
 
 // loop is the top-level routine of workers 1..n-1 (worker 0 is driven by
 // the Run caller). It runs until the pool is shut down.
 func (w *worker) loop() {
 	defer w.p.wg.Done()
 	for {
-		if pt := w.find(); pt != nil {
-			w.exec(pt)
+		if t := w.find(); t != nil {
+			w.exec(t)
 			continue
 		}
 		ep := w.rt.ec.PrepareWait()
@@ -148,9 +129,9 @@ func (w *worker) loop() {
 			w.rt.ec.CancelWait()
 			return
 		}
-		if pt := w.find(); pt != nil {
+		if t := w.find(); t != nil {
 			w.rt.ec.CancelWait()
-			w.exec(pt)
+			w.exec(t)
 			continue
 		}
 		w.rt.ec.CommitWait(ep)
@@ -160,21 +141,22 @@ func (w *worker) loop() {
 	}
 }
 
-func (w *worker) exec(pt *ptask) {
-	c := &Ctx{rt: w.rt, w: w, t: pt.t, fin: pt.fin}
-	w.rt.runTask(pt, c)
+// exec runs a task this worker popped or stole.
+func (w *worker) exec(c *Ctx) {
+	c.w = w
+	w.rt.runTask(c)
 }
 
 // find returns a runnable task: first from the worker's own deque, then
 // by stealing.
-func (w *worker) find() *ptask {
-	if pt := w.dq.Pop(); pt != nil {
+func (w *worker) find() *Ctx {
+	if c := w.dq.Pop(); c != nil {
 		w.nInline++
-		return pt
+		return c
 	}
-	if pt := w.steal(); pt != nil {
+	if c := w.steal(); c != nil {
 		w.nSteal++
-		return pt
+		return c
 	}
 	return nil
 }
@@ -182,7 +164,7 @@ func (w *worker) find() *ptask {
 // steal scans the other workers' deques from a random starting victim.
 // A sweep that only lost CAS races (rather than finding everything empty)
 // is retried a bounded number of times.
-func (w *worker) steal() *ptask {
+func (w *worker) steal() *Ctx {
 	n := len(w.p.workers)
 	if n <= 1 {
 		return nil
@@ -195,9 +177,9 @@ func (w *worker) steal() *ptask {
 			if v == w {
 				continue
 			}
-			pt, retry := v.dq.Steal()
-			if pt != nil {
-				return pt
+			c, retry := v.dq.Steal()
+			if c != nil {
+				return c
 			}
 			if retry {
 				contended = true

@@ -13,16 +13,12 @@ import (
 // siblings.
 type seqExec struct{}
 
-func (seqExec) run(rt *Runtime, main *ptask) {
-	c := &Ctx{rt: rt, t: main.t, fin: main.fin}
-	main.body(c)
-	c.flushRegion()
-}
+func (seqExec) run(rt *Runtime, main *Ctx) { rt.runMain(main) }
 
-func (seqExec) spawn(c *Ctx, pt *ptask) {
-	c.rt.st.Shard(c.ShardIndex()).Inc(stats.TaskInline)
-	child := &Ctx{rt: c.rt, t: pt.t, fin: pt.fin}
-	c.rt.runTask(pt, child)
+func (seqExec) spawn(parent, child *Ctx) {
+	rt := parent.rt
+	rt.st.Shard(parent.ShardIndex()).Inc(stats.TaskInline)
+	rt.runTask(child)
 }
 
 func (seqExec) wait(c *Ctx, s *scope) {
@@ -33,24 +29,11 @@ func (seqExec) wait(c *Ctx, s *scope) {
 	}
 }
 
-func (seqExec) waitFor(c *Ctx, done func() bool) {
+func (seqExec) parkFor(c *Ctx, done func() bool) {
 	// Depth-first execution cannot make progress while blocked:
 	// constructs that synchronize *between* live tasks (barriers) are
 	// incompatible with sequential execution by nature.
 	if !done() {
 		panic("task: blocking synchronization (barrier) deadlocks under the sequential executor")
 	}
-}
-
-func (e seqExec) parkFor(c *Ctx, done func() bool) { e.waitFor(c, done) }
-
-// runTask executes one spawned task body with panic capture and
-// end-of-life bookkeeping. The deferred calls run in LIFO order: capture
-// first (recovering any panic), then finishTask (TaskEnd event, scope
-// decrement, wakeup), so the scope always drains even on panic.
-func (rt *Runtime) runTask(pt *ptask, c *Ctx) {
-	defer rt.finishTask(pt)
-	defer rt.capture()
-	defer c.flushRegion()
-	pt.body(c)
 }

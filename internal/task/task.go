@@ -162,22 +162,13 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	defer rt.running.Store(false)
 	rt.failure.Store(nil)
 
-	main := &detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1)}
-	implicit := &detect.Finish{ID: rt.finishIDs.Add(1) - 1, Owner: main}
-	main.IEF = implicit
-	rt.det.MainTask(main, implicit)
-	rootScope := &scope{f: implicit}
-
-	body := func(c *Ctx) {
-		func() {
-			defer rt.capture()
-			root(c)
-		}()
-		rt.exec.wait(c, rootScope)
-		rt.det.FinishEnd(main, implicit)
-		rt.flushPageCache(main)
-	}
-	rt.exec.run(rt, &ptask{body: body, t: main, fin: rootScope})
+	main := &Ctx{rt: rt, task: detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1)}, body: root}
+	implicit := &detect.Finish{ID: rt.finishIDs.Add(1) - 1, Owner: &main.task}
+	main.task.IEF = implicit
+	main.join = &scope{f: implicit}
+	main.fin = main.join
+	rt.det.MainTask(&main.task, implicit)
+	rt.exec.run(rt, main)
 
 	if f := rt.failure.Load(); f != nil {
 		return f.err
@@ -194,6 +185,22 @@ func (rt *Runtime) capture() {
 	}
 }
 
+// park blocks the calling goroutine on the runtime's eventcount until
+// done() reports true.
+func (rt *Runtime) park(done func() bool) {
+	for {
+		if done() {
+			return
+		}
+		ep := rt.ec.PrepareWait()
+		if done() {
+			rt.ec.CancelWait()
+			return
+		}
+		rt.ec.CommitWait(ep)
+	}
+}
+
 // scope is the runtime state of one dynamic finish instance: the count of
 // live tasks registered to it. The counter can touch zero and rise again
 // while the owner is still inside the finish body, so waiters always
@@ -204,13 +211,19 @@ type scope struct {
 	pending atomic.Int64
 }
 
-// Ctx is a task's handle to the runtime. A Ctx is only valid within the
-// dynamic extent of the task body it was passed to; do not retain it.
+// Ctx is a task: its handle to the runtime and, embedded, the one record
+// of it — the detect.Task the detector and the containers see, the body
+// to run and the finish scopes. It is allocated once, by the spawning
+// Async (by Run for the main task); the deques hold it, and the executor
+// that picks it up only sets w. A Ctx is only valid within the dynamic
+// extent of the task body it was passed to; do not retain it.
 type Ctx struct {
-	rt  *Runtime
-	w   *worker // executing worker; nil outside the pool executor
-	t   *detect.Task
-	fin *scope // innermost active finish scope (the task's current IEF)
+	rt   *Runtime
+	w    *worker // executing worker; nil outside the pool executor
+	task detect.Task
+	body func(*Ctx) // cleared once the task has run, so a retained record pins no user data
+	join *scope     // the task's IEF: a spawned task drains from it, the main task waits on it
+	fin  *scope     // innermost active finish scope (where the task's asyncs register)
 
 	// Region-traffic batch (see CountAccess): counts against reg
 	// accumulate in plain task-owned integers and reach the sharded
@@ -221,7 +234,7 @@ type Ctx struct {
 }
 
 // Task returns the runtime record of the current task.
-func (c *Ctx) Task() *detect.Task { return c.t }
+func (c *Ctx) Task() *detect.Task { return &c.task }
 
 // WorkerID returns the executing pool worker's index in [0, Workers), or
 // -1 under the goroutine and sequential executors. Each worker is driven
@@ -244,7 +257,7 @@ func (c *Ctx) ShardIndex() int {
 	if c.w != nil {
 		return c.w.id
 	}
-	return int(c.t.ID)
+	return int(c.task.ID)
 }
 
 // CountAccess records one instrumented read or write against region g
@@ -273,21 +286,31 @@ func (c *Ctx) flushRegion() {
 	c.regReads, c.regWrites = 0, 0
 }
 
+// flush publishes everything the task batched — the region counts and
+// the record's tallies (detect.Task.Flush) — into the executing worker's
+// shard. The runtime calls it in two places, both on the task's own
+// goroutine: finishTask (task end) and runMain (run end).
+func (c *Ctx) flush() {
+	c.flushRegion()
+	c.task.Flush(c.rt.st.Shard(c.ShardIndex()))
+}
+
 // Async spawns body as a new child task. The child may run before, after,
 // or in parallel with the remainder of the parent (§2); it is joined at
 // the end of the innermost enclosing finish.
 func (c *Ctx) Async(body func(*Ctx)) {
 	rt := c.rt
-	child := &detect.Task{
-		ID:     detect.TaskID(rt.taskIDs.Add(1) - 1),
-		Parent: c.t,
-		IEF:    c.fin.f,
-		Depth:  c.t.Depth + 1,
+	child := &Ctx{
+		rt:   rt,
+		task: detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1), IEF: c.fin.f},
+		body: body,
+		join: c.fin,
+		fin:  c.fin,
 	}
-	rt.det.BeforeSpawn(c.t, child)
+	rt.det.BeforeSpawn(&c.task, &child.task)
 	rt.st.Shard(c.ShardIndex()).Inc(stats.TaskSpawn)
 	c.fin.pending.Add(1)
-	rt.exec.spawn(c, &ptask{body: body, t: child, fin: c.fin})
+	rt.exec.spawn(c, child)
 }
 
 // Finish executes body and then blocks until all tasks spawned within it
@@ -303,8 +326,8 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 // Cilk spawn/sync layer, which must hold a finish open across calls.
 func (c *Ctx) beginFinish() *scope {
 	rt := c.rt
-	f := &detect.Finish{ID: rt.finishIDs.Add(1) - 1, Owner: c.t}
-	rt.det.FinishStart(c.t, f)
+	f := &detect.Finish{ID: rt.finishIDs.Add(1) - 1, Owner: &c.task}
+	rt.det.FinishStart(&c.task, f)
 	s := &scope{f: f}
 	prev := c.fin
 	c.fin = s
@@ -318,7 +341,7 @@ func (c *Ctx) endFinish(prev *scope) {
 	s := c.fin
 	rt.exec.wait(c, s)
 	c.fin = prev
-	rt.det.FinishEnd(c.t, s.f)
+	rt.det.FinishEnd(&c.task, s.f)
 }
 
 // FinishAsync is the common `finish { for ... async }` idiom: it runs
@@ -371,64 +394,68 @@ func (c *Ctx) ChunkGrain(n int) int {
 
 // Acquire locks l's detector state; use via mem.Mutex, which pairs it
 // with a real sync.Mutex.
-func (c *Ctx) Acquire(l *detect.Lock) { c.rt.det.Acquire(c.t, l) }
+func (c *Ctx) Acquire(l *detect.Lock) { c.rt.det.Acquire(&c.task, l) }
 
 // Release is the counterpart of Acquire.
-func (c *Ctx) Release(l *detect.Lock) { c.rt.det.Release(c.t, l) }
+func (c *Ctx) Release(l *detect.Lock) { c.rt.det.Release(&c.task, l) }
 
-// ptask is a spawned-but-not-finished task: its body, runtime record, and
-// the finish scope it is registered in.
-type ptask struct {
-	body func(*Ctx)
-	t    *detect.Task
-	fin  *scope
+// runMain is the main task's life, called by the executor's run: the
+// root body, the join of the implicit finish, its FinishEnd — the main
+// task's last event, it has no TaskEnd — and the run-end flush (every
+// other task flushed in finishTask before the join let go).
+func (rt *Runtime) runMain(c *Ctx) {
+	func() {
+		defer rt.capture()
+		c.body(c)
+	}()
+	c.body = nil
+	rt.exec.wait(c, c.join)
+	rt.det.FinishEnd(&c.task, c.join.f)
+	c.flush()
 }
 
-// finishTask performs a task's end-of-life bookkeeping: the TaskEnd event,
-// then the scope decrement, then a wakeup for any worker blocked on the
-// scope. The detector event must precede the decrement so that FinishEnd
-// observes all TaskEnds (see the detect package contract).
-func (rt *Runtime) finishTask(pt *ptask) {
-	rt.det.TaskEnd(pt.t)
-	rt.flushPageCache(pt.t)
-	if pt.fin.pending.Add(-1) == 0 {
+// runTask executes one spawned task body with panic capture and
+// end-of-life bookkeeping. The deferred calls run in LIFO order: capture
+// first (recovering any panic), then finishTask, so the scope always
+// drains even on panic.
+func (rt *Runtime) runTask(c *Ctx) {
+	defer rt.finishTask(c)
+	defer rt.capture()
+	c.body(c)
+}
+
+// finishTask performs a task's end-of-life bookkeeping: the TaskEnd event
+// and the flush of the task's batched counts, then the scope decrement,
+// then a wakeup for any worker blocked on the scope. The detector event
+// must precede the decrement so that FinishEnd observes all TaskEnds (see
+// the detect package contract), and so must the flush, so that the end of
+// Run observes all counts.
+func (rt *Runtime) finishTask(c *Ctx) {
+	c.body = nil
+	rt.det.TaskEnd(&c.task)
+	c.flush()
+	if c.join.pending.Add(-1) == 0 {
 		rt.ec.Signal()
 	}
 }
 
-// flushPageCache moves the task's batched shadow page-cache tallies into
-// a stats shard. It runs on the task's own goroutine (finishTask for
-// spawned tasks, the end of Run for the main task), so reading the
-// task-owned cache is safe.
-func (rt *Runtime) flushPageCache(t *detect.Task) {
-	h, m := t.PC.TakeCounts()
-	if h|m == 0 || rt.st == nil {
-		return
-	}
-	sh := rt.st.Shard(int(t.ID))
-	sh.Add(stats.PageCacheHit, h)
-	sh.Add(stats.PageCacheMiss, m)
-}
-
 // executor abstracts over the three execution strategies.
 type executor interface {
-	// run executes the main ptask to completion (including its final
-	// wait on the implicit finish scope).
-	run(rt *Runtime, main *ptask)
-	// spawn makes pt runnable. Called from the parent's goroutine.
-	spawn(c *Ctx, pt *ptask)
-	// wait blocks the calling task until s has no pending tasks.
+	// run sets the strategy up, executes rt.runMain(main) and tears
+	// the strategy down.
+	run(rt *Runtime, main *Ctx)
+	// spawn makes child runnable. Called from the parent's goroutine.
+	spawn(parent, child *Ctx)
+	// wait blocks the calling task until s has no pending tasks,
+	// running other tasks meanwhile where the strategy allows (the pool
+	// executor "helps"; the sequential executor cannot and panics if s
+	// has not drained). Safe because joins are tree-shaped: helping
+	// cannot create cycles.
 	wait(c *Ctx, s *scope)
-	// waitFor blocks the calling task until done() reports true,
-	// running other tasks meanwhile where the strategy allows (the
-	// pool executor "helps"; the sequential executor cannot and
-	// panics if done() is not already true). done must be monotonic:
-	// once true, it stays true. Safe for tree-shaped dependencies
-	// (joins), where helping cannot create cycles.
-	waitFor(c *Ctx, done func() bool)
-	// parkFor blocks like waitFor but never helps: required for
-	// barrier-style waits, where running another participant on the
-	// blocked task's stack would nest it beneath the waiter and
-	// deadlock the generation.
+	// parkFor blocks the calling task until done() reports true and
+	// never helps: required for barrier-style waits, where running
+	// another participant on the blocked task's stack would nest it
+	// beneath the waiter and deadlock the generation. done must be
+	// monotonic: once true, it stays true.
 	parkFor(c *Ctx, done func() bool)
 }

@@ -255,17 +255,14 @@ func TestTaskIdentity(t *testing.T) {
 	forAllExecutors(t, func(t *testing.T, rt *Runtime) {
 		err := rt.Run(func(c *Ctx) {
 			main := c.Task()
-			if main.Parent != nil || main.Depth != 0 {
-				t.Errorf("main task: parent=%v depth=%d", main.Parent, main.Depth)
+			if main.ID != 0 || main.IEF == nil || main.IEF.Owner != main {
+				t.Errorf("main task: id=%d IEF=%+v, want 0 and the implicit finish it owns", main.ID, main.IEF)
 			}
 			c.Finish(func(c *Ctx) {
 				c.Async(func(c *Ctx) {
 					child := c.Task()
-					if child.Parent != main {
-						t.Errorf("child parent = %v, want main", child.Parent)
-					}
-					if child.Depth != 1 {
-						t.Errorf("child depth = %d, want 1", child.Depth)
+					if child == main || child.ID != 1 {
+						t.Errorf("child task = %p id %d, want a record of its own with id 1", child, child.ID)
 					}
 					if child.IEF == nil || child.IEF.Owner != main {
 						t.Errorf("child IEF = %+v, want finish owned by main", child.IEF)
@@ -457,5 +454,37 @@ func TestWorkerIDRanges(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpawnAllocs pins what a spawn allocates: the task's one record (the
+// Ctx, with the detect.Task embedded) and nothing else from the runtime.
+// Under detector "none" that is the whole cost; SPD3 adds its taskState
+// and the three DPST nodes of §3.1's task-creation rule.
+func TestSpawnAllocs(t *testing.T) {
+	for _, c := range []struct {
+		detector string
+		want     float64
+	}{
+		{"none", 1},
+		{"spd3", 5},
+	} {
+		ses, err := detect.Open(c.detector, detect.SessionOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(Config{Executor: Sequential, Detector: ses.Det, Stats: ses.Rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got float64
+		if err := rt.Run(func(c *Ctx) {
+			got = testing.AllocsPerRun(1000, func() { c.Async(func(*Ctx) {}) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("detector %s: one Async allocates %v objects, want %v", c.detector, got, c.want)
+		}
 	}
 }

@@ -66,7 +66,7 @@ func TestTypedErrors(t *testing.T) {
 	// A trace whose declared region exceeds the limits is ErrLimit, not a
 	// generic decode failure.
 	lim := Limits{MaxRegionElems: 2, MaxTotalElems: 2}
-	if err := ReplayWithLimits(bytes.NewReader(seq), mk(), lim); !errors.Is(err, ErrLimit) {
+	if err := ReplayWithLimits(bytes.NewReader(seq), mk(), nil, lim); !errors.Is(err, ErrLimit) {
 		t.Errorf("tiny limits: err = %v, want ErrLimit", err)
 	}
 }
@@ -148,7 +148,7 @@ func TestReplayCancelMidStream(t *testing.T) {
 	det := &countingDetector{trigger: 10, cancel: make(chan struct{})}
 	lim := DefaultLimits()
 	lim.Cancel = det.cancel
-	err := ReplayWithLimits(bytes.NewReader(data), det, lim)
+	err := ReplayWithLimits(bytes.NewReader(data), det, nil, lim)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -169,7 +169,7 @@ func TestReplayCancelBeforeStart(t *testing.T) {
 	close(det.cancel)
 	lim := DefaultLimits()
 	lim.Cancel = det.cancel
-	if err := ReplayWithLimits(bytes.NewReader(data), det, lim); !errors.Is(err, ErrCanceled) {
+	if err := ReplayWithLimits(bytes.NewReader(data), det, nil, lim); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if det.events != 0 {

@@ -58,7 +58,7 @@ func FuzzReplay(f *testing.F) {
 		// into large allocations.
 		lim := Limits{MaxRegionElems: 1 << 16, MaxTotalElems: 1 << 18}
 		rd := &chunkReader{r: bytes.NewReader(data), n: 5}
-		err := ReplayWithLimits(rd, core.New(sink, nil), lim)
+		err := ReplayWithLimits(rd, core.New(sink, nil), nil, lim)
 		if err != nil && !isDecodeSentinel(err) {
 			t.Fatalf("untyped error escaped the replay: %v", err)
 		}
@@ -89,7 +89,7 @@ func FuzzSplitter(f *testing.F) {
 				return
 			}
 			if errors.Is(err, ErrSegmentOversize) {
-				if rerr := ReplayWithLimits(sp.Unsplit(), core.New(detect.NewSink(false, 0), nil), lim); rerr != nil && !isDecodeSentinel(rerr) {
+				if rerr := ReplayWithLimits(sp.Unsplit(), core.New(detect.NewSink(false, 0), nil), nil, lim); rerr != nil && !isDecodeSentinel(rerr) {
 					t.Fatalf("untyped error from unsplit replay: %v", rerr)
 				}
 				return
@@ -100,7 +100,7 @@ func FuzzSplitter(f *testing.F) {
 				}
 				return
 			}
-			if rerr := ReplayWithLimits(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), nil), lim); rerr != nil && !isDecodeSentinel(rerr) {
+			if rerr := ReplayWithLimits(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), nil), nil, lim); rerr != nil && !isDecodeSentinel(rerr) {
 				t.Fatalf("untyped error from segment replay: %v", rerr)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"spd3/internal/detect"
+	"spd3/internal/stats"
 )
 
 // Limits bounds the resources a replayed trace may make the target
@@ -32,11 +33,12 @@ func DefaultLimits() Limits {
 	return Limits{MaxRegionElems: 1 << 26, MaxTotalElems: 1 << 27}
 }
 
-// Replay feeds a recorded trace into det with DefaultLimits and returns
-// an error on a malformed trace or an illegal pairing (sequential-only
-// detector on a parallel trace).
+// Replay feeds a recorded trace into det with DefaultLimits and no stats
+// recorder (the tasks' tallies are discarded) and returns an error on a
+// malformed trace or an illegal pairing (sequential-only detector on a
+// parallel trace).
 func Replay(rd io.Reader, det detect.Detector) error {
-	return ReplayWithLimits(rd, det, DefaultLimits())
+	return ReplayWithLimits(rd, det, nil, DefaultLimits())
 }
 
 // cancelCheckEvery is how many events replay processes between polls of
@@ -46,14 +48,18 @@ func Replay(rd io.Reader, det detect.Detector) error {
 // and slow uploads cancel mid-read too.
 const cancelCheckEvery = 4096
 
-// ReplayWithLimits is Replay with explicit resource bounds.
+// ReplayWithLimits is Replay with explicit resource bounds and the
+// recorder of the session det belongs to (nil for none). Replay is the
+// second driver of the detect event contract: like the task runtime it
+// flushes each task's tallies into rec when the task ends and, for the
+// tasks still live — the main task always is — when the replay ends.
 //
 // The input is consumed strictly forward through a fixed-size bufio
 // buffer and the replay table drops tasks and finishes as they end, so
 // memory stays proportional to the live task set and declared regions —
 // not to trace length. A multi-gigabyte trace streams straight off a
 // network body.
-func ReplayWithLimits(rd io.Reader, det detect.Detector, lim Limits) error {
+func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, lim Limits) error {
 	dec, err := newDecoder(rd)
 	if err != nil {
 		return err
@@ -61,16 +67,25 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, lim Limits) error {
 	if det.RequiresSequential() && !dec.sequential {
 		return fmt.Errorf("trace: %w: detector %q needs a depth-first trace; this one was recorded in parallel", ErrSequentialOnly, det.Name())
 	}
+	st := newReplayState(det, rec, lim)
+	err = st.run(dec)
+	for _, t := range st.tasks {
+		st.flush(t)
+	}
+	return err
+}
 
-	st := newReplayState(det, lim)
+// run applies dec's events until a clean end of stream or the first
+// error.
+func (st *replayState) run(dec *decoder) error {
 	countdown := 1 // poll Cancel on the very first event
 	var ev event
 	for {
-		if lim.Cancel != nil {
+		if st.lim.Cancel != nil {
 			if countdown--; countdown <= 0 {
 				countdown = cancelCheckEvery
 				select {
-				case <-lim.Cancel:
+				case <-st.lim.Cancel:
 					return fmt.Errorf("trace: %w", ErrCanceled)
 				default:
 				}
@@ -88,6 +103,10 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, lim Limits) error {
 		}
 	}
 }
+
+// flush publishes t's batched tallies, keyed like the live runtime's
+// non-pool executors by task ID.
+func (st *replayState) flush(t *detect.Task) { t.Flush(st.rec.Shard(int(t.ID))) }
 
 // eventArgs maps an event kind to its varint argument count; zero marks
 // an unknown kind. evNewShadow and evNewShadowGrow additionally carry a
@@ -237,6 +256,7 @@ func (d *decoder) readName() (string, error) {
 
 type replayState struct {
 	det      detect.Detector
+	rec      *stats.Recorder
 	lim      Limits
 	tasks    map[int64]*detect.Task
 	finishes map[int64]*detect.Finish
@@ -246,9 +266,10 @@ type replayState struct {
 	total    int64
 }
 
-func newReplayState(det detect.Detector, lim Limits) *replayState {
+func newReplayState(det detect.Detector, rec *stats.Recorder, lim Limits) *replayState {
 	return &replayState{
 		det:      det,
+		rec:      rec,
 		lim:      lim,
 		tasks:    map[int64]*detect.Task{},
 		finishes: map[int64]*detect.Finish{},
@@ -281,7 +302,7 @@ func (st *replayState) apply(ev *event) error {
 		if !ok {
 			return fmt.Errorf("trace: %w: spawn into unknown finish %d", ErrMalformed, a[2])
 		}
-		child := &detect.Task{ID: detect.TaskID(a[1]), Parent: parent, IEF: ief, Depth: parent.Depth + 1}
+		child := &detect.Task{ID: detect.TaskID(a[1]), IEF: ief}
 		st.tasks[a[1]] = child
 		st.det.BeforeSpawn(parent, child)
 	case evTaskEnd:
@@ -290,6 +311,7 @@ func (st *replayState) apply(ev *event) error {
 			return fmt.Errorf("trace: %w: end of unknown task %d", ErrMalformed, a[0])
 		}
 		st.det.TaskEnd(t)
+		st.flush(t)
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what
 		// bounds replay memory by the live task set instead of the total

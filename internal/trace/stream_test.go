@@ -120,7 +120,7 @@ func TestCancelReaderMidReplay(t *testing.T) {
 	lim := DefaultLimits()
 	lim.Cancel = cancel
 	cr := NewCancelReader(server, cancel, server.SetReadDeadline)
-	err := ReplayWithLimits(cr, core.New(detect.NewSink(false, 0), nil), lim)
+	err := ReplayWithLimits(cr, core.New(detect.NewSink(false, 0), nil), nil, lim)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -7,12 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"spd3/internal/bench"
 	"spd3/internal/core"
 	"spd3/internal/detect"
 	"spd3/internal/espbags"
 	"spd3/internal/fasttrack"
 	"spd3/internal/mem"
 	"spd3/internal/progen"
+	"spd3/internal/sample"
 	"spd3/internal/task"
 )
 
@@ -79,6 +81,82 @@ func TestReplayMatchesLiveVerdicts(t *testing.T) {
 			rep := replayVerdict(t, data, mk)
 			if live != rep {
 				t.Fatalf("seed %d %s: live %v, replay %v\n%s", seed, name, live, rep, p)
+			}
+		}
+	}
+}
+
+// TestReplayStatsMatchLive: replay is the second driver of the detect
+// event contract, so replaying a depth-first trace into a fresh session
+// must leave that session's recorder with the check-path counters of the
+// live run it was recorded from — shadow protocol, DMHP, page cache and
+// sampling gate alike, unsampled and behind a Bernoulli coin.
+func TestReplayStatsMatchLive(t *testing.T) {
+	sor, err := bench.ByName("SOR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := map[string]func(*task.Runtime) error{
+		"SOR": func(rt *task.Runtime) error {
+			_, err := sor.Run(rt, bench.Input{Scale: 0.2})
+			return err
+		},
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		p := progen.Generate(seed, progen.Config{})
+		programs[fmt.Sprintf("progen-%d", seed)] = func(rt *task.Runtime) error { return progen.Run(rt, p, nil) }
+	}
+	for name, run := range programs {
+		var buf bytes.Buffer
+		rec := NewRecorder(&buf, true)
+		rt, err := task.New(task.Config{Executor: task.Sequential, Detector: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(rt); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{"off", "bernoulli:0.5"} {
+			open := func() *detect.Session {
+				cfg, err := sample.Parse(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ses, err := detect.Open("spd3", detect.SessionOpts{Sampler: sample.New(cfg)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ses
+			}
+			live := open()
+			rt, err := task.New(task.Config{Executor: task.Sequential, Detector: live.Det, Stats: live.Rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(rt); err != nil {
+				t.Fatal(err)
+			}
+			replayed := open()
+			if err := ReplayWithLimits(bytes.NewReader(buf.Bytes()), replayed.Det, replayed.Rec, DefaultLimits()); err != nil {
+				t.Fatal(err)
+			}
+			want, got := live.Snapshot(0).Map(), replayed.Snapshot(0).Map()
+			for key, w := range want {
+				switch prefix, _, _ := strings.Cut(key, "."); prefix {
+				case "cas", "dmhp", "shadow", "sample":
+					if got[key] != w {
+						t.Errorf("%s sampling=%s: replay reports %s = %d, the live run %d", name, spec, key, got[key], w)
+					}
+				}
+			}
+			if spec == "off" && want["shadow.page_cache_hit"]+want["shadow.page_cache_miss"] == 0 {
+				t.Errorf("%s: the live run counted no page-cache lookups; the comparison is vacuous", name)
+			}
+			if spec != "off" && want["sample.checked"]+want["sample.skipped"] == 0 {
+				t.Errorf("%s: the sampled live run counted no gate outcomes; the comparison is vacuous", name)
 			}
 		}
 	}
