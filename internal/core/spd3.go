@@ -130,15 +130,10 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 	return p, l
 }
 
-// rel runs one Relation query, attributing it to ts's fast counter when
-// both fingerprints are valid and to the walk counter when the query
-// falls back to the §5.2 pointer walk (digit overflow).
+// rel runs one Relation query — the §5.2 walk — and counts it in ts's
+// tally.
 func (d *Detector) rel(ts *taskState, a, b *dpst.Node) (parallel bool, lcaDepth int32) {
-	if a.FastPath() && b.FastPath() {
-		ts.tally.DMHPFast++
-	} else {
-		ts.tally.DMHPWalk++
-	}
+	ts.tally.DMHPWalk++
 	return dpst.Relation(a, b)
 }
 
@@ -261,8 +256,8 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur 
 
 // writeCheck is Algorithm 1. Given a snapshot and the writing task's
 // state ts, it reports any races and returns the updated word and
-// whether the word changed. All DMHP queries go through the memoized
-// fingerprint fast path (Detector.relation).
+// whether the word changed. All DMHP queries go through the per-task
+// memo (Detector.relation).
 func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word, bool) {
 	s := ts.step
 	if m.w == s {

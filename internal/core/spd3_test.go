@@ -492,16 +492,15 @@ func TestTaskStateSize(t *testing.T) {
 	}
 }
 
-// TestWalkFallbackMatchesOracle keeps detector-level coverage of the §5.2
-// pointer walk. Every async adds two children to its finish (the async
-// node and the parent's continuation step), so past the 8192nd async the
-// sibling index no longer fits a fingerprint digit and those tasks'
-// steps answer DMHP by walking the tree. A write-write race seeded
-// between the last two siblings, and a race-free twin in which the late
-// siblings only share reads, must both get the computation-graph
-// oracle's verdict, with the walk counter showing the fallback ran.
-func TestWalkFallbackMatchesOracle(t *testing.T) {
-	const asyncs = 16400 // > 16383, the largest sibling index a digit holds
+// TestWideFinishMatchesOracle is the one detector-level test with
+// sibling indices past 16 383: 16 400 asyncs under one finish, each adding
+// two children (the async node and the parent's continuation step). A
+// write-write race seeded between the last two siblings, and a race-free
+// twin in which the late siblings only share reads, must both get the
+// computation-graph oracle's verdict, with the DMHP counters showing the
+// queries ran.
+func TestWideFinishMatchesOracle(t *testing.T) {
+	const asyncs = 16400
 	program := func(racy bool) func(c *task.Ctx, sh detect.Shadow) {
 		return func(c *task.Ctx, sh detect.Shadow) {
 			sh.Write(c.Task(), 0)
@@ -554,8 +553,8 @@ func TestWalkFallbackMatchesOracle(t *testing.T) {
 		if racy && (len(races) != 1 || races[0].Kind != detect.WriteWrite || races[0].Index != asyncs-1) {
 			t.Errorf("races = %v, want one write-write on x[%d]", races, asyncs-1)
 		}
-		if walks := rec.Snapshot().Get(stats.DMHPWalk); walks == 0 {
-			t.Errorf("racy=%v: dmhp.walk = 0, the digit-overflow fallback never ran", racy)
+		if snap := rec.Snapshot(); snap.Get(stats.DMHPWalk)+snap.Get(stats.DMHPMemoHit) == 0 {
+			t.Errorf("racy=%v: dmhp.walk + dmhp.memo_hit = 0, no DMHP query ran", racy)
 		}
 	}
 }

@@ -81,9 +81,9 @@ type Task struct {
 // task's own goroutine touches it, so counting costs one non-atomic
 // increment.
 type Tally struct {
-	CASClean, CASPublish, CASRetry  int64 // internal/core's shadow protocol
-	DMHPFast, DMHPWalk, DMHPMemoHit int64 // internal/core's DMHP queries
-	SampleChecked, SampleSkipped    int64 // the sampling gate (sampling.go)
+	CASClean, CASPublish, CASRetry int64 // internal/core's shadow protocol
+	DMHPWalk, DMHPMemoHit          int64 // internal/core's DMHP queries
+	SampleChecked, SampleSkipped   int64 // the sampling gate (sampling.go)
 }
 
 // Flush moves the task's batched counts — the Tally block and the page
@@ -95,7 +95,6 @@ func (t *Task) Flush(sh *stats.Shard) {
 	sh.Add(stats.CASClean, n.CASClean)
 	sh.Add(stats.CASPublish, n.CASPublish)
 	sh.Add(stats.CASRetry, n.CASRetry)
-	sh.Add(stats.DMHPFast, n.DMHPFast)
 	sh.Add(stats.DMHPWalk, n.DMHPWalk)
 	sh.Add(stats.DMHPMemoHit, n.DMHPMemoHit)
 	sh.Add(stats.SampleChecked, n.SampleChecked)

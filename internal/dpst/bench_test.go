@@ -1,12 +1,15 @@
 package dpst
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
-// deepPair builds two steps whose LCA is the root, depth levels above
-// them — the worst case for the §5.2 walk (it pointer-chases both full
-// root paths) and the best case for the fingerprint compare (the first
-// packed word already differs).
-func deepPair(depth int) (*Node, *Node) {
+// farPair builds two steps whose LCA is the root, depth levels above
+// them: the §5.2 walk's worst case (it pointer-chases both full root
+// paths), which no committed workload issues and which a path-label
+// scheme (ROADMAP's DePa item) has to beat.
+func farPair(depth int) (*Node, *Node) {
 	t := New()
 	left, right := t.Root(), t.Root()
 	for i := 0; i < depth; i++ {
@@ -18,54 +21,39 @@ func deepPair(depth int) (*Node, *Node) {
 	return t.NewChild(left, StepNode), t.NewChild(right, StepNode)
 }
 
-// sharedPair builds two steps under a common trunk of the given depth:
-// the LCA sits just above the leaves. This is the walk's best case (two
-// hops) and the fingerprint's worst (the whole shared prefix is
-// compared word by word), so together with deepPair it brackets both
-// implementations.
-func sharedPair(depth int) (*Node, *Node) {
+// nearPair builds two steps in sibling subtrees under a common trunk of
+// the given depth, the LCA two and three levels above them: the shape
+// every workload's queries have (4–7 parent hops at any tree depth; see
+// EXPERIMENTS.md).
+func nearPair(depth int) (*Node, *Node) {
 	t := New()
 	trunk := t.Root()
 	for i := 0; i < depth; i++ {
 		trunk = t.NewChild(trunk, FinishNode)
 	}
-	a := t.NewChild(t.NewChild(trunk, AsyncNode), StepNode)
+	a := t.NewChild(t.NewChild(t.NewChild(trunk, AsyncNode), FinishNode), StepNode)
 	b := t.NewChild(t.NewChild(trunk, AsyncNode), StepNode)
 	return a, b
 }
 
-// overflowPair builds a deepPair whose paths start with a sibling index
-// past maxDigitSeq, so fingerprints are invalid and Relation dispatches to
-// the pointer-walk fallback — the fallback's full cost, including the
-// validity check.
-func overflowPair(depth int) (*Node, *Node) {
-	t := New()
-	for i := 0; i <= maxDigitSeq; i++ {
-		t.NewChild(t.Root(), StepNode)
-	}
-	left, right := t.NewChild(t.Root(), AsyncNode), t.NewChild(t.Root(), FinishNode)
-	for i := 1; i < depth; i++ {
-		left = t.NewChild(left, AsyncNode)
-		right = t.NewChild(right, FinishNode)
-	}
-	return t.NewChild(left, StepNode), t.NewChild(right, StepNode)
-}
-
-// benchDepths spans the inline regime (8), a moderately deep spill
-// (64), and a very deep spill (512).
-var benchDepths = []int{8, 64, 512}
+// The sinks keep the measured calls alive: sinkNode puts the inlined
+// NewChild's node on the heap, as every real caller's is.
+var (
+	sinkNode  *Node
+	sinkDepth int32
+)
 
 func BenchmarkNewChild(b *testing.B) {
 	t := New()
 	parent := t.Root()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.NewChild(parent, StepNode)
+		sinkNode = t.NewChild(parent, StepNode)
 	}
 }
 
-// BenchmarkNewChildDeep measures insertion at depth 64, where every new
-// node copies its spill words.
+// BenchmarkNewChildDeep measures insertion at depth 64; it reads the
+// same as BenchmarkNewChild.
 func BenchmarkNewChildDeep(b *testing.B) {
 	t := New()
 	parent := t.Root()
@@ -75,75 +63,24 @@ func BenchmarkNewChildDeep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.NewChild(parent, StepNode)
+		sinkNode = t.NewChild(parent, StepNode)
 	}
 }
 
-// BenchmarkDMHPWalk is the §5.2 pointer walk on the same pairs: the
-// cost the fast path removes, and what overflow fallback degrades to.
-func BenchmarkDMHPWalk(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := deepPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				relationWalk(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkDMHPFallback routes through Relation's dispatch with
-// invalid fingerprints: the real price of the fallback (validity check
-// plus walk).
-func BenchmarkDMHPFallback(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := overflowPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Relation(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkDMHPSharedPrefix is the fingerprint path's worst shape: a
-// deep common trunk scanned word by word, where the walk would need
-// only two hops.
-func BenchmarkDMHPSharedPrefix(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := sharedPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Relation(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkRelation is the fingerprint fast path on the root-diverging
-// pair: the detector's hot-path query (parallelism + LCA depth in one
-// shot).
+// BenchmarkRelation is the detector's query (parallelism + LCA depth in
+// one shot) on the shape the workloads issue and on the worst case.
 func BenchmarkRelation(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := deepPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Relation(s1, s2)
-			}
-		})
+	for _, shape := range []struct {
+		name string
+		pair func(depth int) (*Node, *Node)
+	}{{"near", nearPair}, {"far", farPair}} {
+		for _, depth := range []int{8, 64, 512} {
+			s1, s2 := shape.pair(depth)
+			b.Run(shape.name+"/depth="+strconv.Itoa(depth), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_, sinkDepth = Relation(s1, s2)
+				}
+			})
+		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

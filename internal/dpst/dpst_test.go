@@ -1,6 +1,9 @@
 package dpst
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // fig1 builds the DPST of the paper's Figure 1 example by hand:
 //
@@ -107,8 +110,8 @@ func TestLCA(t *testing.T) {
 	}
 }
 
-// TestRelateChildren pins the §5.2 walk, the reference the fingerprint
-// path is tested against: the LCA node and its child on each path.
+// TestRelateChildren pins the §5.2 walk under Relation: the LCA node and
+// its child on each path.
 func TestRelateChildren(t *testing.T) {
 	f := buildFig1()
 	lca, ca, cb := relateWalk(f.s3, f.s5)
@@ -180,12 +183,49 @@ func TestNodeCountFormula(t *testing.T) {
 	}
 }
 
-func TestBytesAccounting(t *testing.T) {
-	tr := New()
-	for i := 0; i < 9; i++ {
-		tr.NewChild(tr.Root(), StepNode)
+// TestNodeIsThirtyTwoBytes pins the paper's node: parent, depth, seq_no
+// and kind, plus the child counter and the report ID, and nothing else.
+func TestNodeIsThirtyTwoBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != NodeBytes || NodeBytes != 32 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d, want both 32", got, NodeBytes)
 	}
-	if got, want := tr.Bytes(), int64(10*NodeBytes); got != want {
+}
+
+// TestNewChildIsConstantAtDepth: insertion under a depth-512 chain costs
+// what it costs under the root — one allocation, the node itself.
+func TestNewChildIsConstantAtDepth(t *testing.T) {
+	tr := New()
+	parent := tr.Root()
+	for i := 0; i < 512; i++ {
+		parent = tr.NewChild(parent, FinishNode)
+	}
+	if got := testing.AllocsPerRun(100, func() { sinkNode = tr.NewChild(parent, StepNode) }); got != 1 {
+		t.Fatalf("NewChild at depth 512: %v allocations per call, want 1", got)
+	}
+}
+
+// TestBytesAccounting: the analytic size is nodes × NodeBytes whatever
+// the shape — flat, a deep chain, or fan-out past 16 383 siblings.
+func TestBytesAccounting(t *testing.T) {
+	flat := New()
+	for i := 0; i < 9; i++ {
+		flat.NewChild(flat.Root(), StepNode)
+	}
+	if got, want := flat.Bytes(), int64(10*NodeBytes); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	deep := New()
+	n := deep.Root()
+	for i := 0; i < 512; i++ {
+		n = deep.NewChild(n, AsyncNode)
+	}
+	wide := New()
+	for i := 0; i < 16400; i++ {
+		wide.NewChild(wide.Root(), AsyncNode)
+	}
+	for name, tr := range map[string]*Tree{"deep": deep, "wide": wide} {
+		if tr.Bytes() != tr.Len()*NodeBytes {
+			t.Errorf("%s tree: Bytes = %d, want Len %d × %d", name, tr.Bytes(), tr.Len(), NodeBytes)
+		}
 	}
 }

@@ -91,9 +91,9 @@ func TestFig3RowsCoverSuite(t *testing.T) {
 // stays near-constant.
 func TestFig6MemoryShape(t *testing.T) {
 	// Scale must be large enough that per-location shadow state (O(n²)
-	// for LUFact) dominates the DPST (O(n·workers) when chunked, and
-	// now carrying a per-node path fingerprint); at real scales the gap
-	// is orders of magnitude (see EXPERIMENTS.md fig6).
+	// for LUFact) dominates the DPST (O(n·workers) when chunked); at
+	// real scales the gap is orders of magnitude (see EXPERIMENTS.md
+	// fig6).
 	cfg := Config{Scale: 0.4, Repeats: 1}
 	b, err := bench.ByName("LUFact")
 	if err != nil {

@@ -8,24 +8,18 @@ import (
 )
 
 // defaultCheckNS is the modeled cost of one admitted race check when no
-// better estimate exists: a DMHP fingerprint comparison plus the
+// better estimate exists: a memoized or 4–7-hop DMHP query plus the
 // shadow-word protocol, measured at roughly this order on the dense
 // kernels (EXPERIMENTS.md). The governor only needs it to be the right
 // order of magnitude — the feedback loop corrects the rest.
 const defaultCheckNS = 120.0
 
-// walkPenalty scales the modeled check cost for DMHP queries that fell
-// off the fingerprint fast path onto the §5.2 pointer walk.
-const walkPenalty = 4.0
-
 // Observation is one feedback sample for the governor: the gate
-// outcomes, the DMHP fast/walk split (a proxy for how expensive the
-// admitted checks were), and the wall clock of the replayed (or
-// executed) span that produced them.
+// outcomes and the wall clock of the replayed (or executed) span that
+// produced them.
 type Observation struct {
-	Checked, Skipped   int64
-	DMHPFast, DMHPWalk int64
-	Wall               time.Duration
+	Checked, Skipped int64
+	Wall             time.Duration
 }
 
 // Governor holds a sampling rate on target to a user-set overhead
@@ -36,8 +30,7 @@ type Observation struct {
 //	estimated overhead = modeled check time / (wall − modeled check time)
 //	rate ← rate × clamp(budget/overhead, ½, 2)
 //
-// The check-time model is checked × cost-per-check, with the per-check
-// cost scaled up when the DMHP walk fraction is high. A zero budget
+// The check-time model is checked × cost-per-check. A zero budget
 // turns the feedback loop off and the Governor degrades to a fixed-rate
 // sampler factory.
 type Governor struct {
@@ -90,11 +83,7 @@ func (g *Governor) Observe(o Observation) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cost := g.costNS
-	if q := o.DMHPFast + o.DMHPWalk; q > 0 {
-		cost *= (float64(o.DMHPFast) + walkPenalty*float64(o.DMHPWalk)) / float64(q)
-	}
-	checkNS := cost * float64(o.Checked)
+	checkNS := g.costNS * float64(o.Checked)
 	wallNS := float64(o.Wall.Nanoseconds())
 	base := wallNS - checkNS
 	// The model can overshoot the measured wall clock (cheap checks,
@@ -121,10 +110,8 @@ func (g *Governor) Observe(o Observation) {
 // stats snapshot as one observation over the given wall clock.
 func (g *Governor) ObserveSnapshot(s stats.Snapshot, wall time.Duration) {
 	g.Observe(Observation{
-		Checked:  s.Get(stats.SampleChecked),
-		Skipped:  s.Get(stats.SampleSkipped),
-		DMHPFast: s.Get(stats.DMHPFast),
-		DMHPWalk: s.Get(stats.DMHPWalk),
-		Wall:     wall,
+		Checked: s.Get(stats.SampleChecked),
+		Skipped: s.Get(stats.SampleSkipped),
+		Wall:    wall,
 	})
 }

@@ -115,22 +115,24 @@ func TestObserveSnapshot(t *testing.T) {
 	}
 }
 
-// TestGovernorWalkPenalty: a walk-heavy observation models costlier
-// checks, so it backs off where the same fast-path counts would not.
-func TestGovernorWalkPenalty(t *testing.T) {
-	base := sample.Observation{Checked: 40_000, Skipped: 0, Wall: 10 * time.Millisecond}
-
-	fast := base
-	fast.DMHPFast = 40_000
-	gf := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.5)
-	gf.Observe(fast)
-
-	walk := base
-	walk.DMHPWalk = 40_000
-	gw := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.5)
-	gw.Observe(walk)
-
-	if gw.Rate() >= gf.Rate() {
-		t.Errorf("walk-heavy rate %v not below fast-path rate %v", gw.Rate(), gf.Rate())
+// TestGovernorTrajectoryWithoutWalks pins the cost model, costNS ×
+// Checked, to the rates the governor produced at 7ccbfd3 for the same
+// sequence when every DMHP query was a fast-path one (the walk penalty
+// it had then multiplied the cost by 1): one DMHP path, one trajectory.
+func TestGovernorTrajectoryWithoutWalks(t *testing.T) {
+	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.5)
+	for i, step := range []struct {
+		o    sample.Observation
+		want float64
+	}{
+		{sample.Observation{Checked: 40_000, Wall: 10 * time.Millisecond}, 0.541656494140625},
+		{sample.Observation{Checked: 20_000, Skipped: 20_000, Wall: 8 * time.Millisecond}, 0.631927490234375},
+		{sample.Observation{Checked: 5_000, Skipped: 35_000, Wall: 6 * time.Millisecond}, 1},
+		{sample.Observation{Checked: 30_000, Skipped: 10_000, Wall: 9 * time.Millisecond}, 0.75},
+	} {
+		g.Observe(step.o)
+		if got := g.Rate(); got != step.want {
+			t.Errorf("after observation %d: rate = %v, want %v", i+1, got, step.want)
+		}
 	}
 }

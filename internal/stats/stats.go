@@ -1,7 +1,7 @@
 // Package stats is the runtime observability layer: a low-overhead,
 // shard-per-core set of counters, histograms, and per-region access
 // tallies threaded through the whole stack — the detector's shadow
-// protocol (internal/core), the DMHP fast path (internal/dpst via
+// protocol (internal/core), its DMHP queries (internal/dpst via
 // internal/core), the task runtime's executors (internal/task), the
 // instrumented containers (internal/mem), and the race sink
 // (internal/detect).
@@ -9,10 +9,9 @@
 // The paper's evaluation (§6) is entirely about measured behavior —
 // slowdowns, memory per location, scalability — and the per-benchmark
 // spread is explained by a handful of hot-path events: how often the
-// versioned-CAS shadow protocol retries, how often a DMHP query can be
-// answered from packed fingerprints versus the §5.2 pointer walk, how
-// well the per-task relation memo hits, and how work moves between
-// workers. This package makes those events visible without ad-hoc
+// versioned-CAS shadow protocol retries, how often a DMHP query walks
+// the tree (§5.2) and how often the per-task relation memo answers it
+// instead, and how work moves between workers. This package makes those events visible without ad-hoc
 // printf, cheaply enough to stay on by default.
 //
 // # Design
@@ -58,11 +57,8 @@ const (
 	CASPublish
 	// CASRetry counts restarts of a memory action after a lost CAS.
 	CASRetry
-	// DMHPFast counts DMHP/LCA queries answered from packed
-	// fingerprints without touching the tree.
-	DMHPFast
-	// DMHPWalk counts DMHP/LCA queries that fell back to the §5.2
-	// pointer walk (an operand's fingerprint digits overflowed).
+	// DMHPWalk counts DMHP/LCA queries answered by the §5.2 pointer
+	// walk: every query the relation memo did not answer.
 	DMHPWalk
 	// DMHPMemoHit counts DMHP queries answered from the per-task
 	// relation memo without recomputing.
@@ -200,7 +196,6 @@ var counterNames = [NumCounters]string{
 	CASClean:             "cas.clean",
 	CASPublish:           "cas.publish",
 	CASRetry:             "cas.retry",
-	DMHPFast:             "dmhp.fast",
 	DMHPWalk:             "dmhp.walk",
 	DMHPMemoHit:          "dmhp.memo_hit",
 	TaskSpawn:            "task.spawn",

@@ -46,13 +46,13 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			sh := r.Shard(g)
 			for i := 0; i < each; i++ {
-				sh.Inc(DMHPFast)
+				sh.Inc(DMHPWalk)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := r.Snapshot().Get(DMHPFast); got != goroutines*each {
-		t.Fatalf("DMHPFast = %d, want %d", got, goroutines*each)
+	if got := r.Snapshot().Get(DMHPWalk); got != goroutines*each {
+		t.Fatalf("DMHPWalk = %d, want %d", got, goroutines*each)
 	}
 }
 
@@ -137,17 +137,17 @@ func TestSnapshotForms(t *testing.T) {
 	g.Inc(0, true)
 	sh := r.Shard(0)
 	sh.Add(CASPublish, 3)
-	sh.Add(DMHPFast, 10)
+	sh.Add(DMHPWalk, 10)
 	sh.Inc(RaceReported)
 	s := r.Snapshot()
 	s.Footprint = Footprint{ShadowBytes: 100, TreeBytes: 28}
 
 	m := s.Map()
-	if m["cas.publish"] != 3 || m["dmhp.fast"] != 10 || m["mem.reads"] != 1 || m["footprint.total"] != 128 {
+	if m["cas.publish"] != 3 || m["dmhp.walk"] != 10 || m["mem.reads"] != 1 || m["footprint.total"] != 128 {
 		t.Fatalf("map = %v", m)
 	}
 	str := s.String()
-	for _, want := range []string{"1 reads", "3 publish", "10 fast", "1 reported", "128 B"} {
+	for _, want := range []string{"1 reads", "3 publish", "10 walk", "1 reported", "128 B"} {
 		if !containsStr(str, want) {
 			t.Errorf("String() = %q missing %q", str, want)
 		}

@@ -162,8 +162,8 @@ func Detectors() []Detector {
 }
 
 // Stats is the merged observability snapshot of one Run: shadow-protocol
-// outcomes (CAS clean/publish/retry), DMHP fast-path vs walk
-// vs memo-hit counts, task spawn/steal/inline counts, per-region
+// outcomes (CAS clean/publish/retry), DMHP walk vs memo-hit
+// counts, task spawn/steal/inline counts, per-region
 // read/write traffic, and the detector's memory footprint. It has a
 // stable String() one-liner, a Map() of wire-named scalars, and a JSON
 // form (see stats.Snapshot).

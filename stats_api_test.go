@@ -112,7 +112,7 @@ func TestStatsReported(t *testing.T) {
 			t.Errorf("%s = 0, want > 0 (map: %v)", key, m)
 		}
 	}
-	if m["dmhp.fast"]+m["dmhp.walk"]+m["dmhp.memo_hit"] == 0 {
+	if m["dmhp.walk"]+m["dmhp.memo_hit"] == 0 {
 		t.Errorf("no DMHP queries recorded (map: %v)", m)
 	}
 	if rep.Stats.Footprint.ShadowBytes == 0 {
