@@ -71,68 +71,26 @@ func (d *Detector) Name() string { return "spd3" }
 // RequiresSequential implements detect.Detector: SPD3 runs in parallel.
 func (d *Detector) RequiresSequential() bool { return false }
 
-// taskState is SPD3's per-task state: the task's current step and the
-// DPST node under which the task appends new children — the innermost
-// finish the task itself started, or else the task's own async node
-// (§3.1's insertion rules).
-//
-// mhp memoizes DMHP relations: see Detector.relation.
+// taskState is SPD3's per-task state, the paper's two fields: the task's
+// current step and the DPST node under which the task appends new
+// children — the innermost finish the task itself started, or else the
+// task's own async node (§3.1's insertion rules).
 //
 // tally points at the owning task's detect.Tally, so the check routines,
 // which are handed the taskState, count without a second argument.
 type taskState struct {
 	step  *dpst.Node
 	scope *dpst.Node
-	mhp   [mhpMemoSize]mhpEntry
 	tally *detect.Tally
 }
 
-// mhpEntry is one slot of the per-task DMHP memo: the answer to
-// Relation(other, step), tagged with both operands.
-type mhpEntry struct {
-	other    *dpst.Node
-	step     *dpst.Node
-	parallel bool
-	lcaDepth int32
-}
-
-// mhpMemoSize is kept small (16 × 24 bytes) because taskState is
-// allocated per task and fine-grained programs spawn one task per loop
-// iteration; a step checks against only a handful of distinct recorded
-// steps (the writers/readers of the rows it touches), so a small
-// direct-mapped memo already captures the reuse.
-const mhpMemoSize = 16 // power of two
-
-func mhpSlot(n *dpst.Node) uint64 {
-	return uint64(n.ID) * 0x9e3779b97f4a7c15 >> 60 // top 4 bits: mhpMemoSize == 16
-}
-
-// relation answers Relation(other, ts.step) through the per-task
-// direct-mapped memo. Memoization is sound because every DPST node
-// field the query reads is immutable after creation, so
-// the relation of a fixed node pair can never change; and it is
-// effective because recorded writer/reader steps recur across thousands
-// of adjacent shadow words (one writer step covers a whole matrix row
-// in SOR or LUFact). The memo lives in task-owned state, so no
-// synchronization is needed, and entries are tagged with ts.step: a
-// step advance invalidates them for free.
-func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lcaDepth int32) {
-	if other == nil || other == ts.step {
+// relation answers DMHP for a recorded step and another — the §5.2 walk,
+// counted in the task's tally. An empty shadow field (nil) and the
+// accessing step itself are in parallel with nothing and cost no query.
+func (ts *taskState) relation(a, b *dpst.Node) (parallel bool, lcaDepth int32) {
+	if a == nil || a == b {
 		return false, -1
 	}
-	e := &ts.mhp[mhpSlot(other)]
-	if e.other == other && e.step == ts.step {
-		ts.tally.DMHPMemoHit++
-		return e.parallel, e.lcaDepth
-	}
-	p, l := d.rel(ts, other, ts.step)
-	*e = mhpEntry{other: other, step: ts.step, parallel: p, lcaDepth: l}
-	return p, l
-}
-
-// rel runs one Relation query — the §5.2 walk — and counts it in ts's
-// tally.
-func (d *Detector) rel(ts *taskState, a, b *dpst.Node) (parallel bool, lcaDepth int32) {
 	ts.tally.DMHPWalk++
 	return dpst.Relation(a, b)
 }
@@ -256,8 +214,7 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur 
 
 // writeCheck is Algorithm 1. Given a snapshot and the writing task's
 // state ts, it reports any races and returns the updated word and
-// whether the word changed. All DMHP queries go through the per-task
-// memo (Detector.relation).
+// whether the word changed.
 func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word, bool) {
 	s := ts.step
 	if m.w == s {
@@ -265,13 +222,13 @@ func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word
 		// (a second write by the very step that already owns w).
 		return m, false
 	}
-	if p, _ := d.relation(ts, m.r1); p {
+	if p, _ := ts.relation(m.r1, s); p {
 		d.report(detect.ReadWrite, region, i, m.r1, s)
 	}
-	if p, _ := d.relation(ts, m.r2); p {
+	if p, _ := ts.relation(m.r2, s); p {
 		d.report(detect.ReadWrite, region, i, m.r2, s)
 	}
-	if p, _ := d.relation(ts, m.w); p {
+	if p, _ := ts.relation(m.w, s); p {
 		d.report(detect.WriteWrite, region, i, m.w, s)
 		return m, false
 	}
@@ -289,11 +246,11 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word,
 		// (One of the paper's redundant-check eliminations, §5.5.)
 		return m, false
 	}
-	if p, _ := d.relation(ts, m.w); p {
+	if p, _ := ts.relation(m.w, s); p {
 		d.report(detect.WriteRead, region, i, m.w, s)
 	}
-	p1, lca1s := d.relation(ts, m.r1)
-	p2, _ := d.relation(ts, m.r2)
+	p1, lca1s := ts.relation(m.r1, s)
+	p2, _ := ts.relation(m.r2, s)
 	switch {
 	case !p1 && !p2:
 		// s is ordered after every recorded reader (and, by the
@@ -314,7 +271,7 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word,
 		// LCA(r1,s) = LCA(r2,s) and replacing r1 with s lifts the
 		// subtree to cover all three. lca1s is the LCA depth the
 		// DMHP(r1,s) relation above already computed.
-		_, lca12 := d.rel(ts, m.r1, m.r2)
+		_, lca12 := ts.relation(m.r1, m.r2)
 		if lca1s < lca12 {
 			m.r1 = s
 			return m, true

@@ -483,12 +483,76 @@ func TestFootprintConstantPerLocation(t *testing.T) {
 
 // TestTaskStateSize: engines allocate one taskState per spawned task
 // (a quarter of a million on a Cilk-style fib), so its size is a
-// per-spawn cost; growing it past the allocator's 416-byte size class —
-// the memo plus three pointers, the counters live in detect.Tally —
-// needs a reason.
+// per-spawn cost. It is the paper's two fields (§3.1) plus the tally
+// pointer; anything more needs a reason.
 func TestTaskStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(taskState{}); n > 416 {
-		t.Errorf("taskState is %d bytes, want <= 416", n)
+	if n := unsafe.Sizeof(taskState{}); n > 24 {
+		t.Errorf("taskState is %d bytes, want <= 24", n)
+	}
+}
+
+// TestDMHPQueriesPerAccess pins what dmhp.walk counts: every DMHP query
+// Algorithms 1 and 2 issue, one per non-empty shadow field that is not
+// the accessing step itself, plus the LCA(r1, r2) depth when a read is
+// parallel with both recorded readers. Nothing sits in front of the walk,
+// so a step that meets the same recorded step 100 times walks 100 times.
+func TestDMHPQueriesPerAccess(t *testing.T) {
+	rt, d, sink := newRT(t, task.Sequential, 1, false)
+	sh := d.NewShadow(detect.Spec("x", 128, 8))
+	// walks runs f in c's task and returns the queries it issued.
+	walks := func(c *task.Ctx, f func(tk *detect.Task)) int64 {
+		tk := c.Task()
+		before := tk.Tally.DMHPWalk
+		f(tk)
+		return tk.Tally.DMHPWalk - before
+	}
+	expect := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %d DMHP queries, want %d", what, got, want)
+		}
+	}
+	err := rt.Run(func(c *task.Ctx) {
+		expect("first write of 100 untouched words", walks(c, func(tk *detect.Task) {
+			for i := 0; i < 100; i++ {
+				sh.Write(tk, i)
+			}
+		}), 0)
+		expect("same-step re-write, read and re-read", walks(c, func(tk *detect.Task) {
+			sh.Write(tk, 110)
+			sh.Write(tk, 110)
+			sh.Read(tk, 110)
+			sh.Read(tk, 110)
+		}), 0)
+		expect("read of an untouched word", walks(c, func(tk *detect.Task) { sh.Read(tk, 111) }), 0)
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) {
+				expect("100 reads of one ordered writer's cells", walks(c, func(tk *detect.Task) {
+					for i := 0; i < 100; i++ {
+						sh.Read(tk, i)
+					}
+				}), 100)
+			})
+		})
+		// w, r1 and r2 of word 120 become three distinct, mutually
+		// parallel steps; the races this reports are beside the point.
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 120) })
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 120) })
+			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 120) })
+			c.Async(func(c *task.Ctx) {
+				expect("read against parallel w, r1, r2", walks(c, func(tk *detect.Task) { sh.Read(tk, 120) }), 4)
+			})
+			c.Async(func(c *task.Ctx) {
+				expect("write against parallel w, r1, r2", walks(c, func(tk *detect.Task) { sh.Write(tk, 120) }), 3)
+			})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.Races()) == 0 {
+		t.Error("word 120's accesses were meant to be parallel, but no race was reported")
 	}
 }
 
@@ -553,8 +617,8 @@ func TestWideFinishMatchesOracle(t *testing.T) {
 		if racy && (len(races) != 1 || races[0].Kind != detect.WriteWrite || races[0].Index != asyncs-1) {
 			t.Errorf("races = %v, want one write-write on x[%d]", races, asyncs-1)
 		}
-		if snap := rec.Snapshot(); snap.Get(stats.DMHPWalk)+snap.Get(stats.DMHPMemoHit) == 0 {
-			t.Errorf("racy=%v: dmhp.walk + dmhp.memo_hit = 0, no DMHP query ran", racy)
+		if rec.Snapshot().Get(stats.DMHPWalk) == 0 {
+			t.Errorf("racy=%v: dmhp.walk = 0, no DMHP query ran", racy)
 		}
 	}
 }

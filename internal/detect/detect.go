@@ -11,6 +11,7 @@
 //   - internal/espbags:   ESP-bags (sequential depth-first baseline)
 //   - internal/fasttrack: FastTrack (vector-clock baseline)
 //   - internal/eraser:    Eraser (lockset baseline, imprecise)
+//   - internal/oslabel:   Offset-Span labeling (§7 baseline, strict fork-join only)
 //   - internal/graph:     precise computation-DAG oracle (testing)
 //   - detect.Nop:         the uninstrumented baseline
 //
@@ -82,7 +83,7 @@ type Task struct {
 // increment.
 type Tally struct {
 	CASClean, CASPublish, CASRetry int64 // internal/core's shadow protocol
-	DMHPWalk, DMHPMemoHit          int64 // internal/core's DMHP queries
+	DMHPWalk                       int64 // internal/core's DMHP queries
 	SampleChecked, SampleSkipped   int64 // the sampling gate (sampling.go)
 }
 
@@ -96,7 +97,6 @@ func (t *Task) Flush(sh *stats.Shard) {
 	sh.Add(stats.CASPublish, n.CASPublish)
 	sh.Add(stats.CASRetry, n.CASRetry)
 	sh.Add(stats.DMHPWalk, n.DMHPWalk)
-	sh.Add(stats.DMHPMemoHit, n.DMHPMemoHit)
 	sh.Add(stats.SampleChecked, n.SampleChecked)
 	sh.Add(stats.SampleSkipped, n.SampleSkipped)
 	*n = Tally{}

@@ -202,7 +202,7 @@ func TestTaskFlush(t *testing.T) {
 	fill := func(base int64) {
 		task.Tally = Tally{
 			CASClean: base + 1, CASPublish: base + 2, CASRetry: base + 3,
-			DMHPWalk: base + 5, DMHPMemoHit: base + 6,
+			DMHPWalk:      base + 5,
 			SampleChecked: base + 7, SampleSkipped: base + 8,
 		}
 		pages.CellOf(&task.PC, 0) // after a flush: one hit (the slot survives)
@@ -214,7 +214,7 @@ func TestTaskFlush(t *testing.T) {
 	task.Flush(rec.Shard(0))
 	want := map[stats.Counter]int64{
 		stats.CASClean: 12, stats.CASPublish: 14, stats.CASRetry: 16,
-		stats.DMHPWalk: 20, stats.DMHPMemoHit: 22,
+		stats.DMHPWalk:      20,
 		stats.SampleChecked: 24, stats.SampleSkipped: 26,
 		stats.PageCacheHit: 3, stats.PageCacheMiss: 1,
 	}

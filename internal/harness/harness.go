@@ -431,7 +431,7 @@ func fig6(cfg Config) (*Table, error) {
 
 // statsTable profiles every benchmark under the default SPD3 detector at
 // the maximum worker count through the observability subsystem: shadow
-// protocol outcomes, DMHP walks and memo hits, scheduler behaviour, and memory
+// protocol outcomes, DMHP walks, scheduler behaviour, and memory
 // traffic. Counts come from the fastest repeat, so ratios — not absolute
 // totals — are the stable signal.
 func statsTable(cfg Config) (*Table, error) {
@@ -441,11 +441,11 @@ func statsTable(cfg Config) (*Table, error) {
 		Title: fmt.Sprintf("Observability counters: SPD3 at %d workers, unchunked", n),
 		Notes: []string{
 			"cas: versioned-CAS outcomes per shadow access (clean = no metadata change)",
-			"dmhp: walk = §5.2 pointer walk, memo = per-task cache hit",
+			"dmhp: walk = DMHP queries, each a §5.2 pointer walk",
 			"sched: tasks acquired by spawn/inline-pop/steal; mem: instrumented reads+writes",
 		},
 		Header: []string{"Benchmark", "CASClean", "CASPublish", "CASRetry",
-			"DMHPWalk", "DMHPMemo", "Spawn", "Steal", "Reads", "Writes"},
+			"DMHPWalk", "Spawn", "Steal", "Reads", "Writes"},
 	}
 	in := bench.Input{Scale: cfg.Scale}
 	for _, b := range bench.All() {
@@ -457,7 +457,7 @@ func statsTable(cfg Config) (*Table, error) {
 		t.AddRow(b.Name,
 			fmt.Sprint(s.Get(stats.CASClean)), fmt.Sprint(s.Get(stats.CASPublish)),
 			fmt.Sprint(s.Get(stats.CASRetry)),
-			fmt.Sprint(s.Get(stats.DMHPWalk)), fmt.Sprint(s.Get(stats.DMHPMemoHit)),
+			fmt.Sprint(s.Get(stats.DMHPWalk)),
 			fmt.Sprint(s.Get(stats.TaskSpawn)), fmt.Sprint(s.Get(stats.TaskSteal)),
 			fmt.Sprint(s.Reads), fmt.Sprint(s.Writes))
 	}

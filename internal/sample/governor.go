@@ -8,10 +8,10 @@ import (
 )
 
 // defaultCheckNS is the modeled cost of one admitted race check when no
-// better estimate exists: a memoized or 4–7-hop DMHP query plus the
-// shadow-word protocol, measured at roughly this order on the dense
-// kernels (EXPERIMENTS.md). The governor only needs it to be the right
-// order of magnitude — the feedback loop corrects the rest.
+// better estimate exists: a 4–7-hop DMHP query plus the shadow-word
+// protocol, measured at roughly this order on the dense kernels
+// (EXPERIMENTS.md). The governor only needs it to be the right order of
+// magnitude — the feedback loop corrects the rest.
 const defaultCheckNS = 120.0
 
 // Observation is one feedback sample for the governor: the gate
@@ -39,7 +39,6 @@ type Governor struct {
 	rate   Rate
 
 	mu      sync.Mutex
-	costNS  float64
 	observe int64 // observations applied (for tests and gauges)
 }
 
@@ -47,7 +46,7 @@ type Governor struct {
 // budget (a fraction; 0 disables adaptation). The initial rate is
 // cfg.Rate.
 func NewGovernor(cfg Config, budget float64) *Governor {
-	g := &Governor{cfg: cfg, budget: budget, costNS: defaultCheckNS}
+	g := &Governor{cfg: cfg, budget: budget}
 	g.rate.Store(cfg.Rate)
 	return g
 }
@@ -83,7 +82,7 @@ func (g *Governor) Observe(o Observation) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	checkNS := g.costNS * float64(o.Checked)
+	checkNS := defaultCheckNS * float64(o.Checked)
 	wallNS := float64(o.Wall.Nanoseconds())
 	base := wallNS - checkNS
 	// The model can overshoot the measured wall clock (cheap checks,

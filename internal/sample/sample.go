@@ -99,7 +99,7 @@ func Parse(spec string) (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("sample: spec %q: bad rate: %v", spec, err)
 	}
-	if rate <= 0 || rate > 1 {
+	if !(rate > 0 && rate <= 1) { // also refuses NaN
 		return Config{}, fmt.Errorf("sample: spec %q: rate must be in (0, 1]", spec)
 	}
 	return Config{Mode: m, Rate: rate}, nil
@@ -121,7 +121,7 @@ func ParseBudget(s string) (float64, error) {
 	if pct {
 		v /= 100
 	}
-	if v <= 0 || v > 1 {
+	if !(v > 0 && v <= 1) { // also refuses NaN
 		return 0, fmt.Errorf("sample: overhead budget %q out of (0%%, 100%%]", s)
 	}
 	return v, nil
@@ -138,9 +138,9 @@ const MinRate = 1.0 / (1 << (rateBits - 4))
 // hot path; the governor stores into it from its feedback loop.
 type Rate struct{ v atomic.Int64 }
 
-// Store sets the rate, clamped to [MinRate, 1].
+// Store sets the rate, clamped to [MinRate, 1]; NaN stores MinRate.
 func (r *Rate) Store(f float64) {
-	if f < MinRate {
+	if !(f >= MinRate) {
 		f = MinRate
 	}
 	if f > 1 {

@@ -1,6 +1,7 @@
 package sample_test
 
 import (
+	"math"
 	"testing"
 
 	"spd3/internal/sample"
@@ -24,6 +25,9 @@ func TestParse(t *testing.T) {
 		{"bernoulli:-0.1", sample.Config{}, false},
 		{"bernoulli:1.5", sample.Config{}, false},
 		{"bernoulli:x", sample.Config{}, false},
+		{"bernoulli:NaN", sample.Config{}, false}, // ParseFloat accepts it; no comparison with NaN is true
+		{"burst:nan", sample.Config{}, false},
+		{"bernoulli:Inf", sample.Config{}, false},
 	}
 	for _, c := range cases {
 		got, err := sample.Parse(c.spec)
@@ -54,6 +58,9 @@ func TestParseBudget(t *testing.T) {
 		{"150%", 0, false},
 		{"1.5", 0, false},
 		{"x", 0, false},
+		{"NaN", 0, false},
+		{"nan%", 0, false},
+		{"Inf", 0, false},
 	}
 	for _, c := range cases {
 		got, err := sample.ParseBudget(c.in)
@@ -80,6 +87,16 @@ func TestRateClamp(t *testing.T) {
 	r.Store(0.5)
 	if got := r.Load(); got != 0.5 {
 		t.Errorf("Store(0.5): Load = %v, want 0.5", got)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(-1)} {
+		r.Store(f)
+		if got := r.Load(); got != sample.MinRate {
+			t.Errorf("Store(%v): Load = %v, want MinRate %v", f, got, sample.MinRate)
+		}
+	}
+	r.Store(math.Inf(1))
+	if got := r.Load(); got != 1 {
+		t.Errorf("Store(+Inf): Load = %v, want 1", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -107,6 +108,7 @@ func TestSubmitQueryErrorsMatch(t *testing.T) {
 		{"unknown detector", "?detector=nosuch", http.StatusNotFound, `or "all"`},
 		{"bad sample spec", "?sample=coin:2", http.StatusBadRequest, "bad sample spec"},
 		{"removed page mode", "?sample=page:0.05", http.StatusBadRequest, "have bernoulli, burst, off"},
+		{"NaN sample rate", "?sample=bernoulli:NaN", http.StatusBadRequest, "rate must be in (0, 1]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [2]client.ErrorReport
@@ -905,6 +907,23 @@ func TestPerTenantSampling(t *testing.T) {
 	resp, body = post(t, ts.URL+"/v1/analyze?detector=spd3&sample=bernoulli:7", tr)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("v1 bad sample spec = %d, want 400\n%s", resp.StatusCode, body)
+	}
+}
+
+// TestSamplingConfigRejected: a sampling configuration the gate cannot
+// honour fails Open, NaN included — no range comparison with NaN is true,
+// so it has to be refused on purpose.
+func TestSamplingConfigRejected(t *testing.T) {
+	for name, cfg := range map[string]SamplingConfig{
+		"default rate NaN": {Default: "bernoulli:NaN"},
+		"tenant rate NaN":  {Tenants: map[string]string{"a": "burst:NaN"}},
+		"budget NaN":       {Default: "bernoulli:0.5", Budget: math.NaN()},
+		"budget above 1":   {Default: "bernoulli:0.5", Budget: 1.5},
+	} {
+		if s, err := Open(Config{Sampling: cfg}); err == nil {
+			s.Close()
+			t.Errorf("%s: Open accepted %+v", name, cfg)
+		}
 	}
 }
 

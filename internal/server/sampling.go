@@ -38,7 +38,7 @@ func (c SamplingConfig) validate() error {
 	if _, err := sample.Parse(c.Default); err != nil {
 		return fmt.Errorf("sampling default %q: %w", c.Default, err)
 	}
-	if c.Budget < 0 || c.Budget > 1 {
+	if !(c.Budget >= 0 && c.Budget <= 1) { // also refuses NaN
 		return fmt.Errorf("sampling budget %v out of [0, 1]", c.Budget)
 	}
 	for t, spec := range c.Tenants {

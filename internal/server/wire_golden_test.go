@@ -270,7 +270,8 @@ func TestOpensParentStore(t *testing.T) {
 
 	// The parent's manifests carry counters retired since: "mutex.ops"
 	// (PR 16) and, under dmhp.*, the fast-path counter of the DPST's
-	// packed paths (PR 18). They ride along untouched (the byte
+	// packed paths (PR 18) and "dmhp.memo_hit" of the per-task relation
+	// memo (PR 19). They ride along untouched (the byte
 	// comparisons above and below), and a stats.Snapshot decoded from
 	// such a result ignores the keys. The fixture is deliberately not
 	// rewritten.

@@ -204,9 +204,8 @@ func cacheSlot(region unsafe.Pointer) uintptr {
 
 // PageCache is a small direct-mapped cache of (region, page) → page
 // pointer, embedded in each runtime task (detect.Task.PC) and threaded
-// through the shadow hot path — the paging analogue of the detector's
-// per-task DMHP memo. It is owned by the task's goroutine: the detect
-// event contract delivers every access from the accessing task's
+// through the shadow hot path. It is owned by the task's goroutine: the
+// detect event contract delivers every access from the accessing task's
 // goroutine, so no synchronization is needed. Hits and misses are
 // batched in plain integers; detect.Task.Flush moves them into a stats
 // shard via TakeCounts.

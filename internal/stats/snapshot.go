@@ -129,7 +129,7 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "mem: %d reads, %d writes", s.Reads, s.Writes)
 	fmt.Fprintf(&b, " | cas: %d clean, %d publish, %d retry",
 		s.Get(CASClean), s.Get(CASPublish), s.Get(CASRetry))
-	fmt.Fprintf(&b, " | dmhp: %d walk, %d memo-hit", s.Get(DMHPWalk), s.Get(DMHPMemoHit))
+	fmt.Fprintf(&b, " | dmhp: %d walk", s.Get(DMHPWalk))
 	if c, k := s.Get(SampleChecked), s.Get(SampleSkipped); c != 0 || k != 0 {
 		fmt.Fprintf(&b, " | sample: %d checked, %d skipped", c, k)
 	}

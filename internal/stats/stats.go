@@ -10,9 +10,9 @@
 // slowdowns, memory per location, scalability — and the per-benchmark
 // spread is explained by a handful of hot-path events: how often the
 // versioned-CAS shadow protocol retries, how often a DMHP query walks
-// the tree (§5.2) and how often the per-task relation memo answers it
-// instead, and how work moves between workers. This package makes those events visible without ad-hoc
-// printf, cheaply enough to stay on by default.
+// the tree (§5.2), and how work moves between workers. This package
+// makes those events visible without ad-hoc printf, cheaply enough to
+// stay on by default.
 //
 // # Design
 //
@@ -57,12 +57,9 @@ const (
 	CASPublish
 	// CASRetry counts restarts of a memory action after a lost CAS.
 	CASRetry
-	// DMHPWalk counts DMHP/LCA queries answered by the §5.2 pointer
-	// walk: every query the relation memo did not answer.
+	// DMHPWalk counts DMHP/LCA queries, each answered by the §5.2
+	// pointer walk.
 	DMHPWalk
-	// DMHPMemoHit counts DMHP queries answered from the per-task
-	// relation memo without recomputing.
-	DMHPMemoHit
 	// TaskSpawn counts spawned tasks (every Async).
 	TaskSpawn
 	// TaskSteal counts tasks obtained by stealing from another pool
@@ -128,8 +125,8 @@ const (
 	// streamed replay of the remainder.
 	SrvUnsplit
 
-	// JobSubmitted counts jobs accepted by the async /v2/jobs API
-	// (including the v1 shim's ephemeral jobs).
+	// JobSubmitted counts jobs accepted by either submit endpoint
+	// (/v2/jobs, and /v1/analyze, which runs the same lifecycle).
 	JobSubmitted
 	// JobDone counts jobs that reached the done state.
 	JobDone
@@ -197,7 +194,6 @@ var counterNames = [NumCounters]string{
 	CASPublish:           "cas.publish",
 	CASRetry:             "cas.retry",
 	DMHPWalk:             "dmhp.walk",
-	DMHPMemoHit:          "dmhp.memo_hit",
 	TaskSpawn:            "task.spawn",
 	TaskSteal:            "task.steal",
 	TaskInline:           "task.inline",

@@ -1,26 +1,46 @@
 package task
 
-import "testing"
+import (
+	"testing"
+
+	"spd3/internal/detect"
+)
 
 // BenchmarkSpawnJoin measures raw task overhead: one finish joining many
 // empty asyncs, the operation whose O(1)-per-event cost §5.3 analyzes.
+// The bare cells run without a detector; the /spd3 cells run the same
+// loop in a detect session of SPD3 (as TestSpawnAllocs does), so B/op
+// there is the runtime's Ctx plus the detector's three DPST nodes and its
+// per-task state.
 func BenchmarkSpawnJoin(b *testing.B) {
 	for _, e := range []struct {
-		name string
-		cfg  Config
+		name     string
+		detector string
+		cfg      Config
 	}{
-		{"sequential", Config{Executor: Sequential}},
-		{"pool-1", Config{Executor: Pool, Workers: 1}},
-		{"pool-4", Config{Executor: Pool, Workers: 4}},
-		{"goroutines", Config{Executor: Goroutines}},
+		{"sequential", "", Config{Executor: Sequential}},
+		{"pool-1", "", Config{Executor: Pool, Workers: 1}},
+		{"pool-4", "", Config{Executor: Pool, Workers: 4}},
+		{"goroutines", "", Config{Executor: Goroutines}},
+		{"sequential/spd3", "spd3", Config{Executor: Sequential}},
+		{"pool-1/spd3", "spd3", Config{Executor: Pool, Workers: 1}},
 	} {
-		rt, err := New(e.cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(e.name, func(b *testing.B) {
+			cfg := e.cfg
+			if e.detector != "" {
+				ses, err := detect.Open(e.detector, detect.SessionOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg.Detector, cfg.Stats = ses.Det, ses.Rec
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
-			err := rt.Run(func(c *Ctx) {
+			b.ResetTimer()
+			err = rt.Run(func(c *Ctx) {
 				c.Finish(func(c *Ctx) {
 					for i := 0; i < b.N; i++ {
 						c.Async(func(c *Ctx) {})

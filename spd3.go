@@ -162,11 +162,10 @@ func Detectors() []Detector {
 }
 
 // Stats is the merged observability snapshot of one Run: shadow-protocol
-// outcomes (CAS clean/publish/retry), DMHP walk vs memo-hit
-// counts, task spawn/steal/inline counts, per-region
-// read/write traffic, and the detector's memory footprint. It has a
-// stable String() one-liner, a Map() of wire-named scalars, and a JSON
-// form (see stats.Snapshot).
+// outcomes (CAS clean/publish/retry), DMHP walk counts, task
+// spawn/steal/inline counts, per-region read/write traffic, and the
+// detector's memory footprint. It has a stable String() one-liner, a
+// Map() of wire-named scalars, and a JSON form (see stats.Snapshot).
 type Stats = stats.Snapshot
 
 // Options configures an Engine.
@@ -255,7 +254,7 @@ func New(opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSampling, err)
 		}
-		if b := opts.Sampling.OverheadBudget; b < 0 || b > 1 {
+		if b := opts.Sampling.OverheadBudget; !(b >= 0 && b <= 1) { // also refuses NaN
 			return nil, fmt.Errorf("%w: overhead budget %v out of [0, 1]", ErrBadSampling, b)
 		}
 		if cfg.Mode != sample.Off {

@@ -2,6 +2,7 @@ package spd3_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -270,12 +271,19 @@ func TestCaptureSites(t *testing.T) {
 }
 
 // TestBadSamplingRejected: an unparsable spec is ErrBadSampling — and so
-// is "page", a mode that was removed.
+// are "page", a mode that was removed, and a NaN rate or budget, which
+// no range comparison catches by accident.
 func TestBadSamplingRejected(t *testing.T) {
-	for _, spec := range []string{"page:0.05", "coin:0.5", "bernoulli:2", "burst"} {
+	for _, spec := range []string{"page:0.05", "coin:0.5", "bernoulli:2", "burst", "bernoulli:NaN"} {
 		_, err := spd3.New(spd3.Options{Sampling: spd3.SamplingOptions{Spec: spec}})
 		if !errors.Is(err, spd3.ErrBadSampling) {
 			t.Errorf("Sampling.Spec %q: err = %v, want ErrBadSampling", spec, err)
+		}
+	}
+	for _, budget := range []float64{-0.1, 1.5, math.NaN()} {
+		_, err := spd3.New(spd3.Options{Sampling: spd3.SamplingOptions{Spec: "bernoulli:0.5", OverheadBudget: budget}})
+		if !errors.Is(err, spd3.ErrBadSampling) {
+			t.Errorf("Sampling.OverheadBudget %v: err = %v, want ErrBadSampling", budget, err)
 		}
 	}
 	_, err := spd3.New(spd3.Options{Sampling: spd3.SamplingOptions{Spec: "page:0.05"}})

@@ -107,13 +107,10 @@ func TestStatsReported(t *testing.T) {
 		t.Fatalf("unexpected races: %v", rep.Races)
 	}
 	m := rep.Stats.Map()
-	for _, key := range []string{"cas.publish", "task.spawn", "mem.reads", "mem.writes"} {
+	for _, key := range []string{"cas.publish", "dmhp.walk", "task.spawn", "mem.reads", "mem.writes"} {
 		if m[key] == 0 {
 			t.Errorf("%s = 0, want > 0 (map: %v)", key, m)
 		}
-	}
-	if m["dmhp.walk"]+m["dmhp.memo_hit"] == 0 {
-		t.Errorf("no DMHP queries recorded (map: %v)", m)
 	}
 	if rep.Stats.Footprint.ShadowBytes == 0 {
 		t.Errorf("Stats.Footprint not populated: %+v", rep.Stats.Footprint)
