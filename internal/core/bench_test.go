@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spd3/internal/detect"
+	"spd3/internal/dpst"
 	"spd3/internal/task"
 )
 
@@ -170,5 +171,81 @@ func BenchmarkShadowSparse(b *testing.B) {
 			}
 			b.ReportMetric(float64(d.Footprint().ShadowBytes), "shadow-B")
 		})
+	}
+}
+
+// BenchmarkShadowPublish measures the update stage, the memory actions
+// that do change the word, one sub-benchmark per kind of change:
+//
+//	write           Algorithm 1 replacing an ordered previous writer
+//	read-supersede  Algorithm 2 replacing the recorded readers with one
+//	                ordered after them
+//	read-second     Algorithm 2 recording a second, parallel reader
+//
+// each on one cell (the line stays in L1, so the figure is the protocol's
+// instructions) and sweeping a 4096-cell page (64 KiB of 16-byte words).
+// The steps are hand-built so that two tasks can alternate on a cell
+// without a runtime in between: under one finish, a step, an async with
+// its step, and the continuation step — the continuation is parallel with
+// the async's step — and, after the finish, a step ordered after all
+// three. read-second needs r1 set and r2 empty before every timed read,
+// which on one cell would put the timer toggles inside the loop; it is
+// measured on the sweep only, where an untimed pass re-arms the page.
+func BenchmarkShadowPublish(b *testing.B) {
+	const sweep = 4096
+	d := New(detect.NewSink(false, 0), nil)
+	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
+	fin := d.tree.NewChild(run, dpst.FinishNode)
+	taskAt := func(scope *dpst.Node) *detect.Task {
+		t := &detect.Task{}
+		t.State = &taskState{step: d.tree.NewChild(scope, dpst.StepNode), scope: scope, tally: &t.Tally}
+		return t
+	}
+	first := taskAt(fin)
+	async := d.tree.NewChild(fin, dpst.AsyncNode)
+	par := taskAt(async)
+	cont := taskAt(fin) // parallel with par, ordered after first
+	after := taskAt(run)
+	// alternate times op by two mutually ordered tasks in turn, so every
+	// call finds the other's step recorded and publishes its own.
+	alternate := func(op func(sh detect.Shadow, t *detect.Task, i int)) func(b *testing.B, cells int) {
+		return func(b *testing.B, cells int) {
+			sh := d.NewShadow(detect.Spec("x", sweep, 8))
+			pair := [2]*detect.Task{first, after}
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				t := pair[(n/cells)&1]
+				for i := 0; i < cells && n < b.N; i, n = i+1, n+1 {
+					op(sh, t, i)
+				}
+			}
+		}
+	}
+	for _, bench := range []struct {
+		name string
+		run  func(b *testing.B, cells int)
+	}{
+		{"write", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Write(t, i) })},
+		{"read-supersede", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Read(t, i) })},
+	} {
+		b.Run(bench.name+"/cell", func(b *testing.B) { bench.run(b, 1) })
+		b.Run(bench.name+"/sweep", func(b *testing.B) { bench.run(b, sweep) })
+	}
+	b.Run("read-second/sweep", func(b *testing.B) {
+		sh := d.NewShadow(detect.Spec("x", sweep, 8))
+		for n := 0; n < b.N; {
+			b.StopTimer()
+			for i := 0; i < sweep; i++ {
+				sh.Read(after, i) // supersedes (cont, par)
+				sh.Read(cont, i)  // supersedes after: r1 = cont, r2 empty
+			}
+			b.StartTimer()
+			for i := 0; i < sweep && n < b.N; i, n = i+1, n+1 {
+				sh.Read(par, i)
+			}
+		}
+	})
+	if !d.sink.Empty() {
+		b.Fatal("benchmark program raced")
 	}
 }

@@ -1,74 +1,131 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"spd3/internal/detect"
-	"spd3/internal/dpst"
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
 // casShadow implements the §5.4 versioned-snapshot protocol, Lamport's
 // solution to the concurrent reading-and-writing problem applied to the
-// shadow word. Each cell carries two version counters:
+// shadow word, at the paper's size: 16 bytes per location, two 64-bit
+// atomics, the recorded steps held as 32-bit DPST arena ids (dpst.Node.ID;
+// 0, the root, is never a step and means "empty").
 //
-//	read stage:    x := start; load w,r1,r2; if end != x, restart
+//	A = version:32 | w:32        B = r1:32 | r2:32
+//
+// An even version is stable; an odd one says a reader update is between
+// its two stores.
+//
+//	read stage:    a := A (again while odd); b := B; if A != a, restart
 //	compute stage: run Algorithm 1 or 2 on the local snapshot
-//	update stage:  CAS(end, x, x+1); store fields; start = x+1
+//	update stage:  a write action changes only w:
+//	                   CAS(A, a, (version+2, w'))                — one CAS
+//	               a read action changes only r1/r2:
+//	                   CAS(A, a, (version+1, w)); B := (r1', r2');
+//	                   A := (version+2, w)                       — a CAS and two stores
 //
-// A successful read stage saw start == end == x, i.e. no update was in
-// flight and none completed in between (Go's atomics are sequentially
-// consistent, providing the fence §5.4 inserts between the field loads and
-// the end-version load). The CAS in the update stage fails iff some other
-// memory action updated the cell since our snapshot; the whole action then
-// restarts. Memory actions that do not update the word — the common case
-// when data is read-shared, exactly the pattern that makes FastTrack slow
-// — never perform a CAS and proceed fully in parallel.
+// A successful read stage saw the same even A on both sides of the B
+// load, i.e. no update was in flight and none completed in between (Go's
+// atomics are sequentially consistent, providing the fence §5.4 inserts
+// between the field loads and the second version load). Every update
+// linearises on A: its CAS fails iff some other memory action updated the
+// cell since the snapshot, and the whole action then restarts. That is
+// why B is never CASed on its own, cheaper though it would be for a read
+// action: a read action CASing only B and a parallel write action CASing
+// only A would both succeed from the same snapshot, each having checked
+// against a word that lacks the other — the write-read race between them
+// would go unreported. Memory actions that do not update the word — the
+// common case when data is read-shared, exactly the pattern that makes
+// FastTrack slow — never perform a CAS and proceed fully in parallel;
+// their cost is the read stage's three loads.
 //
-// Note the counter roles: an updater bumps end first and start last, so a
-// torn snapshot always fails the end != x comparison.
+// Version wrap. The version is 32 bits and moves by 2 per update, so a
+// memory action that stalls between its first load of A and its last use
+// of that value (the read stage's reload, or the update stage's CAS)
+// while a multiple of 2^31 updates of that one cell complete, the last
+// leaving the same w, takes the cell for unchanged and may pair a stale B
+// with it. It is the exposure the paper's int version counters have, at
+// half the period.
+//
 // Shadow words live in lazily allocated pages (shadow.Pages) resolved
-// through the accessing task's page cache.
+// through the accessing task's page cache; a page of cells holds no
+// pointers, so the garbage collector never scans shadow memory.
 type casShadow struct {
 	d     *Detector
 	name  string
 	pages *shadow.Pages[casCell]
 }
 
-// casCell is one versioned shadow word.
+// casCell is one versioned shadow word; see casShadow for the layout.
 type casCell struct {
-	start atomic.Int64
-	end   atomic.Int64
-	w     atomic.Pointer[dpst.Node]
-	r1    atomic.Pointer[dpst.Node]
-	r2    atomic.Pointer[dpst.Node]
+	a atomic.Uint64 // version:32 | w:32
+	b atomic.Uint64 // r1:32 | r2:32
 }
 
-const casCellBytes = 8 + 8 + 24 // two versions + three pointers
+const (
+	casCellBytes = 16
 
-// snapshot performs the read stage, spinning until it captures a
-// consistent (version, word) pair.
-func (c *casCell) snapshot() (int64, word) {
-	for {
-		x := c.start.Load()
-		m := word{w: c.w.Load(), r1: c.r1.Load(), r2: c.r2.Load()}
-		if c.end.Load() == x {
-			return x, m
+	versionOne = 1 << 32 // A's version field counts in these
+
+	// snapshotSpins is how many failed read stages a snapshot makes before
+	// it yields the processor. A publisher is inside its odd window for
+	// two stores, so on a free core a couple of retries outlast it; one
+	// that was descheduled there (more workers than cores) will not move
+	// until it runs again, and spinning a whole time slice at it is
+	// wasted.
+	snapshotSpins = 16
+)
+
+// load is one attempt at the read stage: the two words, and whether they
+// are a consistent pair — A's version even and unchanged across the load
+// of B. It is small enough to inline into the memory actions, so the
+// uncontended read stage is three loads and a compare with no call.
+func (c *casCell) load() (a, b uint64, ok bool) {
+	a, b = c.a.Load(), c.b.Load()
+	return a, b, a&versionOne == 0 && c.a.Load() == a
+}
+
+// snapshot performs the read stage after a failed first attempt: it
+// repeats load until it captures a consistent pair, yielding the
+// processor every snapshotSpins failures.
+func (c *casCell) snapshot() (a, b uint64) {
+	for spins := 1; ; spins++ {
+		if a, b, ok := c.load(); ok {
+			return a, b
+		}
+		if spins%snapshotSpins == 0 {
+			runtime.Gosched()
 		}
 	}
 }
 
-// publish performs the update stage. It returns false when the CAS lost
-// and the memory action must restart from the read stage.
-func (c *casCell) publish(x int64, m word) bool {
-	if !c.end.CompareAndSwap(x, x+1) {
+// unpack decodes a consistent pair into the word Algorithms 1 and 2 work
+// on.
+func unpack(a, b uint64) word {
+	return word{w: uint32(a), r1: uint32(b >> 32), r2: uint32(b)}
+}
+
+// publishWriter performs a write action's update stage: the word
+// snapshotted as a gets writer w and the next stable version, in one CAS.
+// It returns false when the CAS lost and the memory action must restart
+// from the read stage.
+func (c *casCell) publishWriter(a uint64, w uint32) bool {
+	return c.a.CompareAndSwap(a, (a>>32+2)<<32|uint64(w))
+}
+
+// publishReaders performs a read action's update stage: the word
+// snapshotted as a gets readers r1 and r2. It returns false when the CAS
+// lost and the memory action must restart from the read stage.
+func (c *casCell) publishReaders(a uint64, r1, r2 uint32) bool {
+	if !c.a.CompareAndSwap(a, a+versionOne) {
 		return false
 	}
-	c.w.Store(m.w)
-	c.r1.Store(m.r1)
-	c.r2.Store(m.r2)
-	c.start.Store(x + 1)
+	c.b.Store(uint64(r1)<<32 | uint64(r2))
+	c.a.Store(a + 2*versionOne)
 	return true
 }
 
@@ -80,10 +137,13 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 	}
 	ts, c := t.State.(*taskState), s.pages.CellOf(&t.PC, i)
 	for retries := int64(0); ; retries++ {
-		x, m := c.snapshot()
-		if m, changed := s.d.readCheck(m, ts, s.name, i); !changed {
+		a, b, ok := c.load()
+		if !ok {
+			a, b = c.snapshot()
+		}
+		if m, changed := s.d.readCheck(unpack(a, b), ts, s.name, i); !changed {
 			t.Tally.CASClean++
-		} else if c.publish(x, m) {
+		} else if c.publishReaders(a, m.r1, m.r2) {
 			t.Tally.CASPublish++
 		} else {
 			continue
@@ -100,10 +160,13 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 	}
 	ts, c := t.State.(*taskState), s.pages.CellOf(&t.PC, i)
 	for retries := int64(0); ; retries++ {
-		x, m := c.snapshot()
-		if m, changed := s.d.writeCheck(m, ts, s.name, i); !changed {
+		a, b, ok := c.load()
+		if !ok {
+			a, b = c.snapshot()
+		}
+		if m, changed := s.d.writeCheck(unpack(a, b), ts, s.name, i); !changed {
 			t.Tally.CASClean++
-		} else if c.publish(x, m) {
+		} else if c.publishWriter(a, m.w) {
 			t.Tally.CASPublish++
 		} else {
 			continue

@@ -17,14 +17,19 @@
 // no race is missed — this is what gives SPD3 its O(1) space per location.
 //
 // On each access, Algorithms 1 (write) and 2 (read) query DMHP against the
-// recorded steps and update the shadow word. The shadow word is
-// synchronized by §5.4's Lamport-style versioned snapshots (seqlock.go):
-// readers take a consistent snapshot bracketed by two version counters;
-// updates CAS the end version, write the fields, then publish the start
-// version. Memory actions that do not change the word — the common case
-// for read-shared data — proceed fully in parallel. (The per-word mutex
-// the paper measures 1.8× slower was an ablation here until PR 16;
-// EXPERIMENTS.md keeps its numbers.)
+// recorded steps and update the shadow word. The shadow word is 16 bytes
+// — two 64-bit atomics, version:32|w:32 and r1:32|r2:32, the steps held
+// as 32-bit ids into the DPST's arena and resolved to nodes only when a
+// DMHP walk or a race report needs one — synchronized by §5.4's
+// Lamport-style versioned snapshots (seqlock.go): a memory action takes a
+// consistent snapshot bracketed by two loads of the version word; a write
+// action, which changes only w, publishes with one CAS on that word; a
+// read action, which changes r1/r2, CASes the version odd, stores the
+// readers and stores the version even again. Memory actions that do not
+// change the word — the common case for read-shared data — cost three
+// loads and proceed fully in parallel. (The per-word mutex the paper
+// measures 1.8× slower was an ablation here until PR 16; EXPERIMENTS.md
+// keeps its numbers.)
 //
 // The detector is one configuration: New takes the race sink and the
 // stats recorder and nothing else. Check sampling is not this package's
@@ -84,15 +89,16 @@ type taskState struct {
 	tally *detect.Tally
 }
 
-// relation answers DMHP for a recorded step and another — the §5.2 walk,
-// counted in the task's tally. An empty shadow field (nil) and the
-// accessing step itself are in parallel with nothing and cost no query.
-func (ts *taskState) relation(a, b *dpst.Node) (parallel bool, lcaDepth int32) {
-	if a == nil || a == b {
+// relation answers DMHP for a recorded step, by id, and another — the
+// §5.2 walk, counted in ts's tally. An empty shadow field (id 0) and the
+// other step itself are in parallel with nothing and cost no query, nor
+// the id's resolution to a node.
+func (d *Detector) relation(ts *taskState, a uint32, b *dpst.Node) (parallel bool, lcaDepth int32) {
+	if a == 0 || a == b.ID {
 		return false, -1
 	}
 	ts.tally.DMHPWalk++
-	return dpst.Relation(a, b)
+	return dpst.Relation(d.tree.Node(a), b)
 }
 
 // finishState remembers the finish's DPST node and the scope to restore
@@ -119,15 +125,13 @@ func (d *Detector) MainTask(t *detect.Task, implicit *detect.Finish) {
 // BeforeSpawn implements §3.1 "Task creation": an async node becomes the
 // rightmost child of the parent's current scope, a step node for the
 // child's starting computation goes under it, and a step node for the
-// parent's continuation becomes the async node's right sibling. All three
-// insertions are O(1) and synchronization-free.
+// parent's continuation becomes the async node's right sibling — one O(1),
+// synchronization-free insertion of three nodes (dpst.Tree.Spawn).
 func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
 	ps := parent.State.(*taskState)
-	a := d.tree.NewChild(ps.scope, dpst.AsyncNode)
-	childStep := d.tree.NewChild(a, dpst.StepNode)
-	cs := &taskState{step: childStep, scope: a, tally: &child.Tally}
-	child.State = cs
-	ps.step = d.tree.NewChild(ps.scope, dpst.StepNode)
+	a, childStep, cont := d.tree.Spawn(ps.scope)
+	child.State = &taskState{step: childStep, scope: a, tally: &child.Tally}
+	ps.step = cont
 }
 
 // TaskEnd has no DPST effect: the join is represented by the finish node.
@@ -193,21 +197,23 @@ func (d *Detector) pageAlloc() func(cells int) {
 	}
 }
 
-// word is a consistent snapshot of one shadow word.
+// word is a consistent snapshot of one shadow word: the ids (dpst.Node.ID)
+// of the recorded steps, 0 where none is recorded — the root is never a
+// step.
 type word struct {
-	w, r1, r2 *dpst.Node
+	w, r1, r2 uint32
 }
 
 // step extracts the current step of the accessing task.
 func step(t *detect.Task) *dpst.Node { return t.State.(*taskState).step }
 
-// report emits one race.
-func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur *dpst.Node) {
+// report emits one race between the recorded step prev and cur.
+func (d *Detector) report(kind detect.RaceKind, region string, i int, prev uint32, cur *dpst.Node) {
 	d.sink.Report(detect.Race{
 		Kind:     kind,
 		Region:   region,
 		Index:    i,
-		PrevStep: prev.String(),
+		PrevStep: d.tree.Node(prev).String(),
 		CurStep:  cur.String(),
 	})
 }
@@ -217,22 +223,22 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur 
 // whether the word changed.
 func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word, bool) {
 	s := ts.step
-	if m.w == s {
+	if m.w == s.ID {
 		// Same step rewrote the element; nothing can have changed
 		// (a second write by the very step that already owns w).
 		return m, false
 	}
-	if p, _ := ts.relation(m.r1, s); p {
+	if p, _ := d.relation(ts, m.r1, s); p {
 		d.report(detect.ReadWrite, region, i, m.r1, s)
 	}
-	if p, _ := ts.relation(m.r2, s); p {
+	if p, _ := d.relation(ts, m.r2, s); p {
 		d.report(detect.ReadWrite, region, i, m.r2, s)
 	}
-	if p, _ := ts.relation(m.w, s); p {
+	if p, _ := d.relation(ts, m.w, s); p {
 		d.report(detect.WriteWrite, region, i, m.w, s)
 		return m, false
 	}
-	m.w = s
+	m.w = s.ID
 	return m, true
 }
 
@@ -241,27 +247,27 @@ func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word
 // races and returns the updated word and whether the word changed.
 func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word, bool) {
 	s := ts.step
-	if m.r1 == s || m.r2 == s {
+	if m.r1 == s.ID || m.r2 == s.ID {
 		// This step is already recorded; re-reading changes nothing.
 		// (One of the paper's redundant-check eliminations, §5.5.)
 		return m, false
 	}
-	if p, _ := ts.relation(m.w, s); p {
+	if p, _ := d.relation(ts, m.w, s); p {
 		d.report(detect.WriteRead, region, i, m.w, s)
 	}
-	p1, lca1s := ts.relation(m.r1, s)
-	p2, _ := ts.relation(m.r2, s)
+	p1, lca1s := d.relation(ts, m.r1, s)
+	p2, _ := d.relation(ts, m.r2, s)
 	switch {
 	case !p1 && !p2:
 		// s is ordered after every recorded reader (and, by the
 		// discard-safety lemma, after every reader they cover):
 		// s supersedes them both.
-		m.r1 = s
-		m.r2 = nil
+		m.r1 = s.ID
+		m.r2 = 0
 		return m, true
-	case p1 && m.r2 == nil:
+	case p1 && m.r2 == 0:
 		// Second parallel reader: record it.
-		m.r2 = s
+		m.r2 = s.ID
 		return m, true
 	case p1 && p2:
 		// Keep the two of {r1, r2, s} whose LCA is highest. s lies
@@ -271,9 +277,9 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word,
 		// LCA(r1,s) = LCA(r2,s) and replacing r1 with s lifts the
 		// subtree to cover all three. lca1s is the LCA depth the
 		// DMHP(r1,s) relation above already computed.
-		_, lca12 := ts.relation(m.r1, m.r2)
+		_, lca12 := d.relation(ts, m.r1, d.tree.Node(m.r2))
 		if lca1s < lca12 {
-			m.r1 = s
+			m.r1 = s.ID
 			return m, true
 		}
 		return m, false

@@ -50,7 +50,7 @@ func TestDPSTConstructionFigure1(t *testing.T) {
 	// The run's implicit finish (the paper's F1) is a finish node
 	// directly under the tree root.
 	root := step1.Parent
-	if root.Kind != dpst.FinishNode || root.Parent != d.Tree().Root() {
+	if root.Kind() != dpst.FinishNode || root.Parent != d.Tree().Root() {
 		t.Fatalf("run finish = %v (parent %v), want finish under root", root, root.Parent)
 	}
 	// Parent structure: step1 under F1; step2 under A1 under F1;
@@ -62,22 +62,22 @@ func TestDPSTConstructionFigure1(t *testing.T) {
 	if step1.Parent != root || step5.Parent != root {
 		t.Error("step1/step5 must hang off the root finish")
 	}
-	if a1.Kind != dpst.AsyncNode || a1.Parent != root {
+	if a1.Kind() != dpst.AsyncNode || a1.Parent != root {
 		t.Errorf("A1 = %v (parent %v), want async under root", a1, a1.Parent)
 	}
-	if a2.Kind != dpst.AsyncNode || a2.Parent != a1 {
+	if a2.Kind() != dpst.AsyncNode || a2.Parent != a1 {
 		t.Errorf("A2 = %v (parent %v), want async under A1", a2, a2.Parent)
 	}
 	if step4.Parent != a1 {
 		t.Errorf("step4 parent = %v, want A1", step4.Parent)
 	}
-	if a3.Kind != dpst.AsyncNode || a3.Parent != root {
+	if a3.Kind() != dpst.AsyncNode || a3.Parent != root {
 		t.Errorf("A3 = %v (parent %v), want async under root", a3, a3.Parent)
 	}
 	// Sibling order under the root: step1 < A1 < step5 < A3.
-	if !(step1.Seq < a1.Seq && a1.Seq < step5.Seq && step5.Seq < a3.Seq) {
+	if !(step1.Seq() < a1.Seq() && a1.Seq() < step5.Seq() && step5.Seq() < a3.Seq()) {
 		t.Errorf("root sibling order: step1=%d A1=%d step5=%d A3=%d",
-			step1.Seq, a1.Seq, step5.Seq, a3.Seq)
+			step1.Seq(), a1.Seq(), step5.Seq(), a3.Seq())
 	}
 	// DMHP (Theorem 1) on the §3.2 worked examples and more pairs
 	// implied by the program.

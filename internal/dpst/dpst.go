@@ -17,14 +17,29 @@
 // LCA, O(distance to the LCA) — four to seven hops for every query the
 // committed workloads issue, whatever the tree's depth.
 //
+// Storage. Nodes live in a tree-owned arena: fixed-size chunks of
+// chunkNodes nodes (96 KiB), allocated on first use, CAS-published into a
+// two-level directory and never moved or freed while the tree is
+// reachable. The creation counter every insertion bumps is the arena
+// index, so a node's ID is both its position in creation order (root = 0,
+// what race reports print) and a 32-bit handle that Tree.Node turns back
+// into the node with two directory loads — what lets the detector's shadow
+// word record steps as ids, not pointers. A tree holds at most 2^32 nodes;
+// the insertion that would exceed it panics.
+//
 // Concurrency. As in the paper's implementation (§5.1), no node field
-// requires synchronization: Parent, Depth, Seq, and Kind are written once
-// at creation and are immutable afterwards; the child counter of a node is
-// only ever advanced by the single task that owns that scope, because a
-// task appends new children either under a finish it itself started or
-// under its own async node. Nodes become visible to other tasks only via
-// the scheduler's task hand-off or the detector's atomic shadow-word
-// stores, both of which establish the necessary happens-before edges.
+// requires synchronization: Parent, Depth, Seq, Kind and ID are written
+// once at creation and are immutable afterwards; the child counter of a
+// node is only ever advanced by the single task that owns that scope,
+// because a task appends new children either under a finish it itself
+// started or under its own async node. Concurrent insertions draw distinct
+// ids from the counter and therefore write distinct arena slots; the only
+// shared write is the publication of a fresh chunk, one CAS that the loser
+// abandons. Nodes become visible to other tasks only via the scheduler's
+// task hand-off or the detector's atomic shadow-word stores, both of which
+// establish the necessary happens-before edges (and a task that can see an
+// id can see the chunk it indexes: the chunk was published before the node
+// was written into it).
 package dpst
 
 import (
@@ -58,75 +73,183 @@ func (k Kind) String() string {
 	}
 }
 
-// Node is one DPST node. All exported fields are immutable after creation
-// (§5.1: parent, depth and seq_no are written only on initialization).
+// Node is one DPST node. Everything but the child counter is immutable
+// after creation (§5.1: parent, depth and seq_no are written only on
+// initialization).
 type Node struct {
 	Parent *Node
 	Depth  int32
-	Seq    int32 // position among siblings, from 1, left to right
-	Kind   Kind
+	ID     uint32 // arena index: unique per tree, in creation order, root = 0
+
+	// seqKind is seq_no<<kindBits | kind: the position among siblings,
+	// from 1, left to right, and the node type, sharing one immutable
+	// word (the child counter below is not immutable, so Kind cannot
+	// live there).
+	seqKind uint32
 
 	// nchildren counts this node's children so far. Only the task that
 	// owns this scope appends children, so plain (non-atomic) access is
-	// safe; see the package comment. (Placed here to share Kind's
-	// padding hole; see NodeBytes.)
-	nchildren int32
-
-	ID int64 // unique per tree, in creation order; for reports
+	// safe; see the package comment.
+	nchildren uint32
 }
 
-// NodeBytes is the heap size of one Node, used for the analytic
-// footprint accounting that reproduces the paper's Table 3: 32 bytes
-// with padding (nchildren sits in Kind's padding hole).
-const NodeBytes = 32
+const (
+	kindBits = 2
+	kindMask = 1<<kindBits - 1
+)
+
+// Kind returns the node's type.
+func (n *Node) Kind() Kind { return Kind(n.seqKind & kindMask) }
+
+// Seq returns the node's position among its siblings, from 1, left to
+// right (0 for the root). It is for tooling and tests — Relation orders
+// siblings by ID — and wraps past 2^30 children of one node.
+func (n *Node) Seq() int32 { return int32(n.seqKind >> kindBits) }
+
+// NodeBytes is the size of one Node, used for the analytic footprint
+// accounting that reproduces the paper's Table 3: an 8-byte parent
+// pointer and four 32-bit words.
+const NodeBytes = 24
 
 // String renders a node as e.g. "step#17" for race reports.
 func (n *Node) String() string {
 	if n == nil {
 		return "<nil>"
 	}
-	return fmt.Sprintf("%s#%d", n.Kind, n.ID)
+	return fmt.Sprintf("%s#%d", n.Kind(), n.ID)
 }
+
+// The arena's geometry. An id splits into a block index (top 10 bits), a
+// chunk index within the block (10 bits) and a node index within the
+// chunk (12 bits); the root directory is part of the Tree, so resolving
+// an id is two dependent pointer loads and an offset.
+const (
+	chunkShift  = 12
+	chunkNodes  = 1 << chunkShift // 4096 nodes x 24 B = 96 KiB
+	blockShift  = 10
+	blockChunks = 1 << blockShift
+	dirBlocks   = 1 << (32 - chunkShift - blockShift)
+
+	// maxNodes is the number of nodes one tree can hold: ids are 32 bits.
+	maxNodes = 1 << 32
+)
+
+type (
+	chunk [chunkNodes]Node
+	block [blockChunks]atomic.Pointer[chunk]
+)
 
 // Tree is a DPST under construction. The zero value is not usable; call
 // New.
 type Tree struct {
-	root  *Node
 	count atomic.Int64 // nodes so far; also the next ID
+	dir   [dirBlocks]atomic.Pointer[block]
 }
 
 // New creates a tree containing only the root finish node, which
 // corresponds to the implicit finish enclosing the program's main body.
 func New() *Tree {
 	t := &Tree{}
-	t.root = &Node{Kind: FinishNode, ID: 0}
+	*t.slot(0) = Node{seqKind: uint32(FinishNode)}
 	t.count.Store(1)
 	return t
 }
 
 // Root returns the root finish node.
-func (t *Tree) Root() *Node { return t.root }
+func (t *Tree) Root() *Node { return t.Node(0) }
 
 // Len returns the number of nodes created so far.
 func (t *Tree) Len() int64 { return t.count.Load() }
 
-// Bytes returns the analytic size of the tree in bytes.
+// Bytes returns the analytic size of the tree in bytes: the nodes created,
+// not the arena capacity reserved for them.
 func (t *Tree) Bytes() int64 { return t.count.Load() * NodeBytes }
 
-// NewChild appends a new rightmost child of parent and returns it.
-// It takes O(1) time and space at any depth — one allocation and one
-// shared atomic — and, per the ownership discipline described in the
-// package comment, must only be called by the task that owns the parent
-// scope.
-func (t *Tree) NewChild(parent *Node, kind Kind) *Node {
-	parent.nchildren++
-	return &Node{
-		Parent: parent,
-		Depth:  parent.Depth + 1,
-		Seq:    parent.nchildren,
-		Kind:   kind,
-		ID:     t.count.Add(1) - 1,
+// Node resolves an ID to its node. id must be the ID of a node of this
+// tree that the caller learned through a synchronizing operation (see the
+// package comment); any other id may hit an unallocated chunk and fault.
+func (t *Tree) Node(id uint32) *Node {
+	b := t.dir[id>>(chunkShift+blockShift)].Load()
+	c := b[id>>chunkShift&(blockChunks-1)].Load()
+	return &c[id&(chunkNodes-1)]
+}
+
+// slot returns the arena slot of a freshly drawn id, allocating and
+// publishing its chunk (and the chunk's directory block) when id is the
+// first to land there.
+func (t *Tree) slot(id uint32) *Node {
+	bp := &t.dir[id>>(chunkShift+blockShift)]
+	b := bp.Load()
+	if b == nil {
+		b = publishNew(bp)
 	}
+	cp := &b[id>>chunkShift&(blockChunks-1)]
+	c := cp.Load()
+	if c == nil {
+		c = publishNew(cp)
+	}
+	return &c[id&(chunkNodes-1)]
+}
+
+// publishNew fills the empty p with a zero T. A lost publication race
+// drops its allocation and adopts the winner's.
+func publishNew[T any](p *atomic.Pointer[T]) *T {
+	v := new(T)
+	if p.CompareAndSwap(nil, v) {
+		return v
+	}
+	return p.Load()
+}
+
+// NewChild appends a new rightmost child of parent and returns it.
+// It takes O(1) time and space at any depth — one shared atomic, and one
+// allocation per chunkNodes insertions — and, per the ownership
+// discipline described in the package comment, must only be called by the
+// task that owns the parent scope. It panics when the tree is full.
+func (t *Tree) NewChild(parent *Node, kind Kind) *Node {
+	return t.place(t.draw(1), parent, kind)
+}
+
+// Spawn is §3.1's task-creation rule as one insertion: an async node as
+// the rightmost child of scope, a step under it for the child task's
+// starting computation, and a step as the async's right sibling for the
+// parent's continuation — what three NewChild calls build, on three
+// consecutive ids drawn with one atomic. Besides saving two shared
+// atomics per task, that keeps the three nodes, which the spawning worker
+// writes and DMHP walks visit together, side by side in the arena instead
+// of interleaved with whatever the other workers insert meanwhile. Like
+// NewChild, it is for the task that owns scope and panics when the tree
+// is full, inserting nothing.
+func (t *Tree) Spawn(scope *Node) (async, childStep, cont *Node) {
+	id := t.draw(3)
+	async = t.place(id, scope, AsyncNode)
+	childStep = t.place(id+1, async, StepNode)
+	cont = t.place(id+2, scope, StepNode)
+	return async, childStep, cont
+}
+
+// draw reserves n consecutive ids and returns the first.
+func (t *Tree) draw(n int64) uint32 {
+	end := t.count.Add(n)
+	if end > maxNodes {
+		t.count.Add(-n)
+		panic("dpst: tree is full: node ids are 32 bits, so one tree holds at most 2^32 nodes")
+	}
+	return uint32(end - n)
+}
+
+// place makes the arena slot of a drawn id the new rightmost child of
+// parent.
+func (t *Tree) place(id uint32, parent *Node, kind Kind) *Node {
+	parent.nchildren++
+	n := t.slot(id)
+	*n = Node{
+		Parent:  parent,
+		Depth:   parent.Depth + 1,
+		ID:      id,
+		seqKind: parent.nchildren<<kindBits | uint32(kind),
+	}
+	return n
 }
 
 // relateWalk is the §5.2 walk: it returns the least common ancestor of
@@ -165,9 +288,11 @@ func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 	if ca == nil || cb == nil {
 		return false, lca.Depth
 	}
+	// Siblings are appended left to right by their one owner, so the
+	// left one is the one created first.
 	left := ca
-	if cb.Seq < ca.Seq {
+	if cb.ID < ca.ID {
 		left = cb
 	}
-	return left.Kind == AsyncNode, lca.Depth
+	return left.Kind() == AsyncNode, lca.Depth
 }

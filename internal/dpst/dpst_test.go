@@ -1,6 +1,9 @@
 package dpst
 
 import (
+	"math"
+	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -50,8 +53,8 @@ func dmhp(a, b *Node) bool {
 
 func TestNewChildAssignsStructure(t *testing.T) {
 	f := buildFig1()
-	if f.f1.Depth != 0 || f.f1.Seq != 0 || f.f1.Kind != FinishNode {
-		t.Fatalf("root = depth %d seq %d kind %v", f.f1.Depth, f.f1.Seq, f.f1.Kind)
+	if f.f1.Depth != 0 || f.f1.Seq() != 0 || f.f1.Kind() != FinishNode {
+		t.Fatalf("root = depth %d seq %d kind %v", f.f1.Depth, f.f1.Seq(), f.f1.Kind())
 	}
 	checks := []struct {
 		n      *Node
@@ -76,8 +79,8 @@ func TestNewChildAssignsStructure(t *testing.T) {
 		if c.n.Depth != c.depth {
 			t.Errorf("%v: depth = %d, want %d", c.n, c.n.Depth, c.depth)
 		}
-		if c.n.Seq != c.seq {
-			t.Errorf("%v: seq = %d, want %d", c.n, c.n.Seq, c.seq)
+		if c.n.Seq() != c.seq {
+			t.Errorf("%v: seq = %d, want %d", c.n, c.n.Seq(), c.seq)
 		}
 	}
 	if f.t.Len() != 10 {
@@ -183,25 +186,197 @@ func TestNodeCountFormula(t *testing.T) {
 	}
 }
 
-// TestNodeIsThirtyTwoBytes pins the paper's node: parent, depth, seq_no
-// and kind, plus the child counter and the report ID, and nothing else.
-func TestNodeIsThirtyTwoBytes(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != NodeBytes || NodeBytes != 32 {
-		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d, want both 32", got, NodeBytes)
+// TestNodeIsTwentyFourBytes pins the paper's node: parent, depth, seq_no
+// with the kind folded in, the child counter and the arena ID, and
+// nothing else.
+func TestNodeIsTwentyFourBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != NodeBytes || NodeBytes != 24 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d, want both 24", got, NodeBytes)
+	}
+	if got := unsafe.Sizeof(chunk{}); got > 128<<10 {
+		t.Fatalf("an arena chunk is %d bytes, want at most 128 KiB", got)
 	}
 }
 
 // TestNewChildIsConstantAtDepth: insertion under a depth-512 chain costs
-// what it costs under the root — one allocation, the node itself.
+// what it costs near the root — no allocation but the arena's, one chunk
+// per chunkNodes calls.
 func TestNewChildIsConstantAtDepth(t *testing.T) {
+	for _, depth := range []int{8, 512} {
+		tr := New()
+		parent := tr.Root()
+		for i := 0; i < depth; i++ {
+			parent = tr.NewChild(parent, FinishNode)
+		}
+		const chunks = 3
+		got := testing.AllocsPerRun(1, func() {
+			for i := 0; i < chunks*chunkNodes; i++ {
+				sinkNode = tr.NewChild(parent, StepNode)
+			}
+		})
+		if got > chunks {
+			t.Errorf("depth %d: %v allocations in %d chunks of NewChild calls, want at most one per chunk", depth, got, chunks)
+		}
+	}
+}
+
+// TestNodeResolvesID: Tree.Node is the inverse of Node.ID on both sides
+// of a chunk boundary, ids are creation order from root = 0, and a
+// report string is kind#id.
+func TestNodeResolvesID(t *testing.T) {
 	tr := New()
-	parent := tr.Root()
-	for i := 0; i < 512; i++ {
-		parent = tr.NewChild(parent, FinishNode)
+	if tr.Root().ID != 0 || tr.Node(0) != tr.Root() {
+		t.Fatalf("root = %v, Node(0) = %v", tr.Root(), tr.Node(0))
 	}
-	if got := testing.AllocsPerRun(100, func() { sinkNode = tr.NewChild(parent, StepNode) }); got != 1 {
-		t.Fatalf("NewChild at depth 512: %v allocations per call, want 1", got)
+	scope := tr.NewChild(tr.Root(), AsyncNode)
+	nodes := []*Node{tr.Root(), scope}
+	for i := 0; i < chunkNodes+10; i++ {
+		nodes = append(nodes, tr.NewChild(scope, StepNode))
 	}
+	for i, n := range nodes {
+		if n.ID != uint32(i) || tr.Node(n.ID) != n {
+			t.Fatalf("node %d: ID = %d, Node(ID) = %p, want %p", i, n.ID, tr.Node(n.ID), n)
+		}
+	}
+	if got := nodes[chunkNodes+1].String(); got != "step#4097" {
+		t.Errorf("String() = %q, want step#4097", got)
+	}
+	if got := scope.String(); got != "async#1" {
+		t.Errorf("String() = %q, want async#1", got)
+	}
+}
+
+// TestSpawnIsThreeNewChildren: Spawn builds what §3.1's three insertions
+// build — same ids, parents, depths, sequence numbers and kinds — on both
+// sides of a chunk boundary.
+func TestSpawnIsThreeNewChildren(t *testing.T) {
+	one, three := New(), New()
+	s1 := one.NewChild(one.Root(), FinishNode)
+	s3 := three.NewChild(three.Root(), FinishNode)
+	for i := 0; i < chunkNodes/2; i++ {
+		a1, c1, k1 := one.Spawn(s1)
+		a3 := three.NewChild(s3, AsyncNode)
+		c3 := three.NewChild(a3, StepNode)
+		k3 := three.NewChild(s3, StepNode)
+		for _, p := range [][2]*Node{{a1, a3}, {c1, c3}, {k1, k3}} {
+			got, want := p[0], p[1]
+			if got.ID != want.ID || got.Parent.ID != want.Parent.ID || got.Depth != want.Depth ||
+				got.Seq() != want.Seq() || got.Kind() != want.Kind() || one.Node(got.ID) != got {
+				t.Fatalf("spawn %d: Spawn made %v (parent %v depth %d seq %d), NewChild made %v (parent %v depth %d seq %d)",
+					i, got, got.Parent, got.Depth, got.Seq(), want, want.Parent, want.Depth, want.Seq())
+			}
+		}
+		s1, s3 = a1, a3 // nest, so depth and scope vary too
+	}
+	if one.Len() != three.Len() {
+		t.Fatalf("Len = %d with Spawn, %d with NewChild", one.Len(), three.Len())
+	}
+}
+
+// TestArenaConcurrentAlloc: tasks inserting in parallel, each under its
+// own scope as the ownership discipline requires, across several chunk
+// boundaries: ids are dense and unique, every id resolves to its node,
+// the fields written at creation are intact, and the accounting is exact.
+func TestArenaConcurrentAlloc(t *testing.T) {
+	const (
+		workers = 8
+		perTask = 3*chunkNodes/workers + 17 // together: past three chunk boundaries
+	)
+	tr := New()
+	scopes := make([]*Node, workers)
+	for w := range scopes {
+		scopes[w] = tr.NewChild(tr.Root(), AsyncNode)
+	}
+	made := make([][]*Node, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			kind := []Kind{StepNode, FinishNode, AsyncNode}[w%3]
+			for i := 0; i < perTask; i++ {
+				made[w] = append(made[w], tr.NewChild(scopes[w], kind))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	total := int64(1 + workers + workers*perTask)
+	if tr.Len() != total || tr.Bytes() != total*NodeBytes {
+		t.Fatalf("Len = %d, Bytes = %d, want %d nodes, %d bytes", tr.Len(), tr.Bytes(), total, total*NodeBytes)
+	}
+	seen := make([]bool, total)
+	for w, nodes := range made {
+		kind := []Kind{StepNode, FinishNode, AsyncNode}[w%3]
+		for i, n := range nodes {
+			if int64(n.ID) >= total || seen[n.ID] {
+				t.Fatalf("worker %d child %d: id %d out of range or handed out twice", w, i, n.ID)
+			}
+			seen[n.ID] = true
+			if tr.Node(n.ID) != n {
+				t.Fatalf("Node(%d) = %p, want %p", n.ID, tr.Node(n.ID), n)
+			}
+			if n.Parent != scopes[w] || n.Depth != 2 || n.Seq() != int32(i+1) || n.Kind() != kind {
+				t.Fatalf("worker %d child %d = {parent %v depth %d seq %d kind %v}, want {%v 2 %d %v}",
+					w, i, n.Parent, n.Depth, n.Seq(), n.Kind(), scopes[w], i+1, kind)
+			}
+			if i > 0 && n.ID <= nodes[i-1].ID {
+				t.Fatalf("worker %d: ids not in creation order: %d then %d", w, nodes[i-1].ID, n.ID)
+			}
+		}
+	}
+	for id := 0; id <= workers; id++ {
+		seen[id] = true // the root and the scopes
+	}
+	for id, ok := range seen {
+		if !ok {
+			t.Fatalf("id %d was never handed out: ids are not dense", id)
+		}
+	}
+}
+
+// TestIDExhaustionPanics: the insertion that would need a 33-bit id panics
+// and says why; the ones before it succeed, touching only the last chunk.
+func TestIDExhaustionPanics(t *testing.T) {
+	tr := New()
+	tr.count.Store(maxNodes - 2)
+	func() {
+		defer func() {
+			if recover() == nil || tr.Len() != maxNodes-2 {
+				t.Errorf("Spawn with two ids left: want a panic and nothing inserted; Len = %d", tr.Len())
+			}
+		}()
+		tr.Spawn(tr.Root())
+	}()
+	for _, want := range []uint32{math.MaxUint32 - 1, math.MaxUint32} {
+		if n := tr.NewChild(tr.Root(), StepNode); n.ID != want || tr.Node(want) != n {
+			t.Fatalf("NewChild near the limit: ID = %d, want %d", n.ID, want)
+		}
+	}
+	chunks := 0
+	for b := range tr.dir {
+		if blk := tr.dir[b].Load(); blk != nil {
+			for c := range blk {
+				if blk[c].Load() != nil {
+					chunks++
+				}
+			}
+		}
+	}
+	if chunks != 2 {
+		t.Errorf("%d chunks allocated, want 2 (the root's and the last)", chunks)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "dpst:") || !strings.Contains(msg, "2^32 nodes") {
+			t.Errorf("panic = %q, want a dpst: message naming the 2^32 node limit", msg)
+		}
+		if tr.Len() != maxNodes {
+			t.Errorf("Len after the refused insertion = %d, want %d", tr.Len(), int64(maxNodes))
+		}
+	}()
+	tr.NewChild(tr.Root(), StepNode)
+	t.Error("NewChild past 2^32 nodes returned")
 }
 
 // TestBytesAccounting: the analytic size is nodes × NodeBytes whatever

@@ -136,10 +136,10 @@ func naiveDMHP(a, b *Node) bool {
 		return false
 	}
 	left := ca
-	if cb.Seq < ca.Seq {
+	if cb.Seq() < ca.Seq() {
 		left = cb
 	}
-	return left.Kind == AsyncNode
+	return left.Kind() == AsyncNode
 }
 
 // TestQuickLCAAgainstNaive: Relation's LCA depth must equal the depth of
@@ -209,11 +209,11 @@ func TestQuickPathInvariants(t *testing.T) {
 				return false
 			}
 			if n.Parent != nil {
-				if n.Seq < 1 {
+				if n.Seq() < 1 {
 					return false
 				}
-				if n.Seq > maxSeq[n.Parent] {
-					maxSeq[n.Parent] = n.Seq
+				if n.Seq() > maxSeq[n.Parent] {
+					maxSeq[n.Parent] = n.Seq()
 				}
 			}
 		}

@@ -126,7 +126,7 @@ func pathSig(n *dpst.Node) string {
 	var parts []string
 	for ; n != nil; n = n.Parent {
 		var k byte
-		switch n.Kind {
+		switch n.Kind() {
 		case dpst.FinishNode:
 			k = 'f'
 		case dpst.AsyncNode:
@@ -134,7 +134,7 @@ func pathSig(n *dpst.Node) string {
 		default:
 			k = 's'
 		}
-		parts = append(parts, fmt.Sprintf("%d%c", n.Seq, k))
+		parts = append(parts, fmt.Sprintf("%d%c", n.Seq(), k))
 	}
 	// reverse
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {

@@ -42,7 +42,7 @@ import (
 const (
 	// PageShift is log2 of the page size. 4096 cells per page keeps the
 	// lazy-allocation granularity fine enough that a 1-element Var pays
-	// one short page, while a page of 40-byte SPD3 CAS cells (160 KiB)
+	// one short page, while a page of 16-byte SPD3 shadow words (64 KiB)
 	// amortizes its table slot and allocation over thousands of
 	// accesses; it also makes the in-page offset a single AND.
 	PageShift = 12
