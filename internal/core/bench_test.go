@@ -197,9 +197,7 @@ func BenchmarkShadowPublish(b *testing.B) {
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
 	fin := d.tree.NewChild(run, dpst.FinishNode)
 	taskAt := func(scope *dpst.Node) *detect.Task {
-		t := &detect.Task{}
-		t.State = &taskState{step: d.tree.NewChild(scope, dpst.StepNode), scope: scope, tally: &t.Tally}
-		return t
+		return &detect.Task{State: d.tree.NewChild(scope, dpst.StepNode)}
 	}
 	first := taskAt(fin)
 	async := d.tree.NewChild(fin, dpst.AsyncNode)

@@ -135,13 +135,13 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	ts, c := t.State.(*taskState), s.pages.CellOf(&t.PC, i)
+	st, c := step(t), s.pages.CellOf(&t.PC, i)
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
 			a, b = c.snapshot()
 		}
-		if m, changed := s.d.readCheck(unpack(a, b), ts, s.name, i); !changed {
+		if m, changed := s.d.readCheck(unpack(a, b), t, st, s.name, i); !changed {
 			t.Tally.CASClean++
 		} else if c.publishReaders(a, m.r1, m.r2) {
 			t.Tally.CASPublish++
@@ -158,13 +158,13 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	ts, c := t.State.(*taskState), s.pages.CellOf(&t.PC, i)
+	st, c := step(t), s.pages.CellOf(&t.PC, i)
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
 			a, b = c.snapshot()
 		}
-		if m, changed := s.d.writeCheck(unpack(a, b), ts, s.name, i); !changed {
+		if m, changed := s.d.writeCheck(unpack(a, b), t, st, s.name, i); !changed {
 			t.Tally.CASClean++
 		} else if c.publishWriter(a, m.w) {
 			t.Tally.CASPublish++

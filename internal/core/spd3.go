@@ -31,6 +31,14 @@
 // measures 1.8× slower was an ablation here until PR 16; EXPERIMENTS.md
 // keeps its numbers.)
 //
+// The tree is also all the detector keeps per task and per finish: a
+// task's State is its current step node, and its insertion scope — the
+// innermost finish the task itself started, or else its own async node —
+// is that node's parent, because each of §3.1's four insertion rules
+// creates the task's new step under the scope it leaves in force. That
+// the finish which ends is the task's scope is the nesting rule of the
+// detect event contract: the runtime keeps it, trace replay enforces it.
+//
 // The detector is one configuration: New takes the race sink and the
 // stats recorder and nothing else. Check sampling is not this package's
 // concern: detect.New wraps the detector in the registry's gate when a
@@ -38,6 +46,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
 	"spd3/internal/shadow"
@@ -51,7 +61,7 @@ type Detector struct {
 	tree *dpst.Tree
 	st   *stats.Recorder
 
-	shadowBytes detect.Counter
+	shadowBytes atomic.Int64
 }
 
 // New returns an SPD3 detector reporting to sink. rec is the engine's
@@ -76,36 +86,16 @@ func (d *Detector) Name() string { return "spd3" }
 // RequiresSequential implements detect.Detector: SPD3 runs in parallel.
 func (d *Detector) RequiresSequential() bool { return false }
 
-// taskState is SPD3's per-task state, the paper's two fields: the task's
-// current step and the DPST node under which the task appends new
-// children — the innermost finish the task itself started, or else the
-// task's own async node (§3.1's insertion rules).
-//
-// tally points at the owning task's detect.Tally, so the check routines,
-// which are handed the taskState, count without a second argument.
-type taskState struct {
-	step  *dpst.Node
-	scope *dpst.Node
-	tally *detect.Tally
-}
-
 // relation answers DMHP for a recorded step, by id, and another — the
-// §5.2 walk, counted in ts's tally. An empty shadow field (id 0) and the
+// §5.2 walk, counted in t's tally. An empty shadow field (id 0) and the
 // other step itself are in parallel with nothing and cost no query, nor
 // the id's resolution to a node.
-func (d *Detector) relation(ts *taskState, a uint32, b *dpst.Node) (parallel bool, lcaDepth int32) {
+func (d *Detector) relation(t *detect.Task, a uint32, b *dpst.Node) (parallel bool, lcaDepth int32) {
 	if a == 0 || a == b.ID {
 		return false, -1
 	}
-	ts.tally.DMHPWalk++
+	t.Tally.DMHPWalk++
 	return dpst.Relation(d.tree.Node(a), b)
-}
-
-// finishState remembers the finish's DPST node and the scope to restore
-// when the finish ends.
-type finishState struct {
-	node      *dpst.Node
-	prevScope *dpst.Node
 }
 
 // MainTask roots one run: a finish node under the tree root represents
@@ -114,12 +104,9 @@ type finishState struct {
 // node so that a detector reused across several consecutive runs orders
 // them correctly: a later run's steps are to the right of an earlier
 // run's *finish* node, hence serialized after everything it joined.
-func (d *Detector) MainTask(t *detect.Task, implicit *detect.Finish) {
+func (d *Detector) MainTask(t *detect.Task, _ *detect.Finish) {
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
-	step := d.tree.NewChild(run, dpst.StepNode)
-	ts := &taskState{step: step, scope: run, tally: &t.Tally}
-	t.State = ts
-	implicit.State = &finishState{node: run}
+	t.State = d.tree.NewChild(run, dpst.StepNode)
 }
 
 // BeforeSpawn implements §3.1 "Task creation": an async node becomes the
@@ -128,10 +115,8 @@ func (d *Detector) MainTask(t *detect.Task, implicit *detect.Finish) {
 // parent's continuation becomes the async node's right sibling — one O(1),
 // synchronization-free insertion of three nodes (dpst.Tree.Spawn).
 func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
-	ps := parent.State.(*taskState)
-	a, childStep, cont := d.tree.Spawn(ps.scope)
-	child.State = &taskState{step: childStep, scope: a, tally: &child.Tally}
-	ps.step = cont
+	_, childStep, cont := d.tree.Spawn(step(parent).Parent)
+	child.State, parent.State = childStep, cont
 }
 
 // TaskEnd has no DPST effect: the join is represented by the finish node.
@@ -140,25 +125,22 @@ func (d *Detector) TaskEnd(*detect.Task) {}
 // FinishStart implements §3.1 "Start Finish": a finish node under the
 // current scope, plus a step node for the computation starting inside it.
 // The finish becomes the task's insertion scope.
-func (d *Detector) FinishStart(t *detect.Task, f *detect.Finish) {
-	ts := t.State.(*taskState)
-	fn := d.tree.NewChild(ts.scope, dpst.FinishNode)
-	f.State = &finishState{node: fn, prevScope: ts.scope}
-	ts.scope = fn
-	ts.step = d.tree.NewChild(fn, dpst.StepNode)
+func (d *Detector) FinishStart(t *detect.Task, _ *detect.Finish) {
+	fn := d.tree.NewChild(step(t).Parent, dpst.FinishNode)
+	t.State = d.tree.NewChild(fn, dpst.StepNode)
 }
 
-// FinishEnd implements §3.1 "End Finish": restore the scope and add a
-// step node for the continuation after the finish. The implicit top-level
-// finish has no continuation.
-func (d *Detector) FinishEnd(t *detect.Task, f *detect.Finish) {
-	fs := f.State.(*finishState)
-	if fs.prevScope == nil {
-		return // the implicit run-level finish
+// FinishEnd implements §3.1 "End Finish": the finish that ends is t's
+// scope (a task ends its innermost open finish), the scope reverts to its
+// parent and a step node for the continuation goes there. The run-level
+// finish, directly under the root, has no continuation — a test on the
+// tree's shape, so no order of events inserts under the root.
+func (d *Detector) FinishEnd(t *detect.Task, _ *detect.Finish) {
+	fn := step(t).Parent
+	if fn.Parent == d.tree.Root() {
+		return
 	}
-	ts := t.State.(*taskState)
-	ts.scope = fs.prevScope
-	ts.step = d.tree.NewChild(fs.prevScope, dpst.StepNode)
+	t.State = d.tree.NewChild(fn.Parent, dpst.StepNode)
 }
 
 // Acquire is a no-op: SPD3 targets lock-free async/finish programs (§2).
@@ -204,8 +186,9 @@ type word struct {
 	w, r1, r2 uint32
 }
 
-// step extracts the current step of the accessing task.
-func step(t *detect.Task) *dpst.Node { return t.State.(*taskState).step }
+// step extracts the current step of the accessing task, SPD3's whole
+// per-task state; the task's insertion scope is the step's Parent.
+func step(t *detect.Task) *dpst.Node { return t.State.(*dpst.Node) }
 
 // report emits one race between the recorded step prev and cur.
 func (d *Detector) report(kind detect.RaceKind, region string, i int, prev uint32, cur *dpst.Node) {
@@ -218,23 +201,22 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev uint3
 	})
 }
 
-// writeCheck is Algorithm 1. Given a snapshot and the writing task's
-// state ts, it reports any races and returns the updated word and
-// whether the word changed.
-func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word, bool) {
-	s := ts.step
+// writeCheck is Algorithm 1. Given a snapshot and the writing task t at
+// step s, it reports any races and returns the updated word and whether
+// the word changed.
+func (d *Detector) writeCheck(m word, t *detect.Task, s *dpst.Node, region string, i int) (word, bool) {
 	if m.w == s.ID {
 		// Same step rewrote the element; nothing can have changed
 		// (a second write by the very step that already owns w).
 		return m, false
 	}
-	if p, _ := d.relation(ts, m.r1, s); p {
+	if p, _ := d.relation(t, m.r1, s); p {
 		d.report(detect.ReadWrite, region, i, m.r1, s)
 	}
-	if p, _ := d.relation(ts, m.r2, s); p {
+	if p, _ := d.relation(t, m.r2, s); p {
 		d.report(detect.ReadWrite, region, i, m.r2, s)
 	}
-	if p, _ := d.relation(ts, m.w, s); p {
+	if p, _ := d.relation(t, m.w, s); p {
 		d.report(detect.WriteWrite, region, i, m.w, s)
 		return m, false
 	}
@@ -243,20 +225,19 @@ func (d *Detector) writeCheck(m word, ts *taskState, region string, i int) (word
 }
 
 // readCheck is Algorithm 2 with the null-reader cases made explicit.
-// Given a snapshot and the reading task's state ts, it reports any
+// Given a snapshot and the reading task t at step s, it reports any
 // races and returns the updated word and whether the word changed.
-func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word, bool) {
-	s := ts.step
+func (d *Detector) readCheck(m word, t *detect.Task, s *dpst.Node, region string, i int) (word, bool) {
 	if m.r1 == s.ID || m.r2 == s.ID {
 		// This step is already recorded; re-reading changes nothing.
 		// (One of the paper's redundant-check eliminations, §5.5.)
 		return m, false
 	}
-	if p, _ := d.relation(ts, m.w, s); p {
+	if p, _ := d.relation(t, m.w, s); p {
 		d.report(detect.WriteRead, region, i, m.w, s)
 	}
-	p1, lca1s := d.relation(ts, m.r1, s)
-	p2, _ := d.relation(ts, m.r2, s)
+	p1, lca1s := d.relation(t, m.r1, s)
+	p2, _ := d.relation(t, m.r2, s)
 	switch {
 	case !p1 && !p2:
 		// s is ordered after every recorded reader (and, by the
@@ -277,7 +258,7 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int) (word,
 		// LCA(r1,s) = LCA(r2,s) and replacing r1 with s lifts the
 		// subtree to cover all three. lca1s is the LCA depth the
 		// DMHP(r1,s) relation above already computed.
-		_, lca12 := d.relation(ts, m.r1, d.tree.Node(m.r2))
+		_, lca12 := d.relation(t, m.r1, d.tree.Node(m.r2))
 		if lca1s < lca12 {
 			m.r1 = s.ID
 			return m, true

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"testing"
-	"unsafe"
 
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
 	"spd3/internal/graph"
+	"spd3/internal/progen"
 	"spd3/internal/stats"
 	"spd3/internal/task"
+	"spd3/internal/trace"
 )
 
 // newRT builds a runtime with a fresh SPD3 detector.
@@ -481,13 +486,59 @@ func TestFootprintConstantPerLocation(t *testing.T) {
 	}
 }
 
-// TestTaskStateSize: engines allocate one taskState per spawned task
-// (a quarter of a million on a Cilk-style fib), so its size is a
-// per-spawn cost. It is the paper's two fields (§3.1) plus the tally
-// pointer; anything more needs a reason.
-func TestTaskStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(taskState{}); n > 24 {
-		t.Errorf("taskState is %d bytes, want <= 24", n)
+// TestTreeShapePinned: SPD3 keeps no per-task or per-finish state beside
+// the task's current step — the insertion scope is read off the tree — so
+// what has to hold is that the tree comes out as it did when the scopes
+// were stored. For progen seeds 1..50, live under the sequential executor
+// and again through record → replay, the hash of every node's (parent id,
+// kind) in id order and the node count equal the values recorded at
+// 30071af, the last commit with a stored scope.
+func TestTreeShapePinned(t *testing.T) {
+	const (
+		wantHash  = 0x22b46b747b2bc236
+		wantNodes = 21201
+	)
+	live, replayed := fnv.New64a(), fnv.New64a()
+	var liveNodes, replayedNodes int64
+	fold := func(h hash.Hash64, tree *dpst.Tree) int64 {
+		var b [5]byte
+		for id := int64(1); id < tree.Len(); id++ {
+			n := tree.Node(uint32(id))
+			binary.LittleEndian.PutUint32(b[:], n.Parent.ID)
+			b[4] = byte(n.Kind())
+			h.Write(b[:])
+		}
+		return tree.Len()
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		p := progen.Generate(seed, progen.Config{MaxStmts: 120, Loops: true})
+		d := New(detect.NewSink(false, 0), nil)
+		var buf bytes.Buffer
+		rec := trace.NewRecorder(&buf, true)
+		for _, det := range []detect.Detector{d, rec} {
+			rt, err := task.New(task.Config{Executor: task.Sequential, Detector: det})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := progen.Run(rt, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		liveNodes += fold(live, d.Tree())
+		r := New(detect.NewSink(false, 0), nil)
+		if err := trace.Replay(&buf, r); err != nil {
+			t.Fatalf("seed %d: replay: %v", seed, err)
+		}
+		replayedNodes += fold(replayed, r.Tree())
+	}
+	if live.Sum64() != wantHash || liveNodes != wantNodes {
+		t.Errorf("live trees: hash %#x over %d nodes, want %#x over %d", live.Sum64(), liveNodes, uint64(wantHash), wantNodes)
+	}
+	if replayed.Sum64() != wantHash || replayedNodes != wantNodes {
+		t.Errorf("replayed trees: hash %#x over %d nodes, want %#x over %d", replayed.Sum64(), replayedNodes, uint64(wantHash), wantNodes)
 	}
 }
 

@@ -28,6 +28,15 @@
 //   - FinishEnd(t, f) is delivered after every task registered in f (and,
 //     transitively, their descendants registered in f) has completed, and
 //     after all of their TaskEnd events.
+//   - Nesting: a task's finishes are a stack, the main task's opening
+//     with the implicit finish. FinishEnd(t, f) ends the innermost finish
+//     t has open, and BeforeSpawn's child has that finish as its IEF —
+//     t's own IEF when t has none open. A detector may therefore keep a
+//     finish's saved state in the task, or derive it from the task's
+//     position, instead of looking it up by f. A task whose body
+//     panicked inside a finish ends (TaskEnd) with finishes open; a main
+//     task that did delivers no further event. The runtime keeps the
+//     rule by construction; replay checks it.
 //
 // The runtime establishes the corresponding happens-before edges with
 // atomic operations, so a detector may hand state from TaskEnd to the
@@ -40,8 +49,6 @@
 package detect
 
 import (
-	"sync/atomic"
-
 	"spd3/internal/sample"
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
@@ -59,7 +66,8 @@ type Task struct {
 
 	// State is detector-private per-task state. It is written by the
 	// detector during MainTask/BeforeSpawn (in the parent's goroutine)
-	// and thereafter read and written only by the task itself.
+	// and thereafter read and written only by the task itself. A
+	// pointer stored here allocates nothing: SPD3's is the task's step.
 	State any
 
 	// PC is the task's shadow page cache, threaded through the paged
@@ -106,11 +114,11 @@ func (t *Task) Flush(sh *stats.Shard) {
 }
 
 // Finish is the runtime's record of one dynamic finish instance, including
-// the implicit finish that encloses the whole program. The detector owns
-// State.
+// the implicit finish that encloses the whole program; drivers embed it in
+// their own per-finish record (task.scope). The detector owns State (SPD3
+// leaves it nil: its finish is a DPST node, found from the task's step).
 type Finish struct {
-	ID    int64
-	Owner *Task // task that executes the finish statement
+	ID int64
 
 	// State is detector-private. Detectors that accumulate join state
 	// (e.g. FastTrack's joined vector clock) must synchronize their own
@@ -284,13 +292,3 @@ type nopShadow struct{}
 
 func (nopShadow) Read(*Task, int)  {}
 func (nopShadow) Write(*Task, int) {}
-
-// Counter is a small atomic helper used by detectors for ID assignment and
-// byte accounting.
-type Counter struct{ v atomic.Int64 }
-
-// Add adds delta and returns the new value.
-func (c *Counter) Add(delta int64) int64 { return c.v.Add(delta) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }

@@ -185,13 +185,6 @@ func TestNopDetector(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Add(5) != 5 || c.Add(-2) != 3 || c.Load() != 3 {
-		t.Fatal("Counter arithmetic wrong")
-	}
-}
-
 // TestTaskFlush: Flush moves every count of the Tally block and the page
 // cache's hit/miss pair into the shard under its wire counter, adds
 // across calls, zeroes the task's copies, and discards into a nil shard.

@@ -1,6 +1,10 @@
 package detect
 
-import "spd3/internal/sample"
+import (
+	"sync/atomic"
+
+	"spd3/internal/sample"
+)
 
 // wrapSampled gates d's shadows behind smp. The wrapper preserves the
 // inner detector's optional BarrierObserver interface (losing it would
@@ -22,7 +26,7 @@ func wrapSampled(d Detector, smp *sample.Sampler) Detector {
 type sampledDetector struct {
 	inner Detector
 	smp   *sample.Sampler
-	ids   Counter
+	ids   atomic.Int64
 }
 
 func (d *sampledDetector) Name() string             { return d.inner.Name() }

@@ -34,6 +34,7 @@ package oslabel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"spd3/internal/detect"
 	"spd3/internal/shadow"
@@ -96,8 +97,8 @@ type Detector struct {
 	sink *detect.Sink
 	st   *stats.Recorder
 
-	labelWords detect.Counter
-	shadowCnt  detect.Counter // allocated shadow cells (paged, not declared)
+	labelWords atomic.Int64
+	shadowCnt  atomic.Int64 // allocated shadow cells (paged, not declared)
 }
 
 // New returns an OS-labeling detector reporting to sink.

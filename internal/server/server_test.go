@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -133,7 +134,7 @@ func synthTrace(t *testing.T, accesses int) []byte {
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf, true)
 	mt := &detect.Task{ID: 0}
-	fin := &detect.Finish{ID: 0, Owner: mt}
+	fin := &detect.Finish{ID: 0}
 	mt.IEF = fin
 	rec.MainTask(mt, fin)
 	sh := rec.NewShadow(detect.Spec("synth", 8, 8))
@@ -274,6 +275,39 @@ func TestStatusCodes(t *testing.T) {
 			t.Fatalf("status = %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestHostileNestingIs400: testdata/nesting_crasher.trc is well framed
+// but has a task end a finish it did not open, which every detector that
+// restores per-finish state trusts the driver not to do (it panicked
+// oslabel in a shard-pool goroutine, which nothing recovers, at 30071af).
+// Replay refuses it for every detector, the daemon answers 400 and
+// stays up with nothing left in flight.
+func TestHostileNestingIs400(t *testing.T) {
+	crasher, err := os.ReadFile("testdata/nesting_crasher.trc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{})
+	// Under "all" the first detector to fail cancels the rest of the
+	// fan-out, so oslabel is also asked for by name.
+	for _, det := range []string{"oslabel", "all"} {
+		resp, body := post(t, ts.URL+"/v1/analyze?shard=off&detector="+det, crasher)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("detector=%s: status = %d, want 400\n%s", det, resp.StatusCode, body)
+		}
+	}
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Errorf("/healthz = %d after the hostile upload, want 200", hz.StatusCode)
+	}
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("InFlight = %d after the hostile upload", n)
+	}
 }
 
 // TestBodyCap413: uploads over MaxBodyBytes are refused with 413.

@@ -52,10 +52,10 @@ func (rt *Runtime) NewBarrier(n int) *Barrier {
 
 // Await blocks until n tasks of the current generation have arrived.
 func (b *Barrier) Await(c *Ctx) {
-	if b.rt.cfg.Executor == Pool && b.n > b.rt.cfg.Workers {
+	if b.rt.kind == Pool && b.n > b.rt.workers {
 		panic(fmt.Sprintf(
 			"task: barrier for %d participants needs >= %d pool workers (have %d); use more workers or the goroutine executor",
-			b.n, b.n, b.rt.cfg.Workers))
+			b.n, b.n, b.rt.workers))
 	}
 	obs, _ := b.rt.det.(detect.BarrierObserver)
 

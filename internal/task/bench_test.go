@@ -10,8 +10,8 @@ import (
 // empty asyncs, the operation whose O(1)-per-event cost §5.3 analyzes.
 // The bare cells run without a detector; the /spd3 cells run the same
 // loop in a detect session of SPD3 (as TestSpawnAllocs does), so B/op
-// there is the runtime's Ctx plus the detector's three DPST nodes and its
-// per-task state.
+// there is the runtime's Ctx plus the detector's three DPST nodes — it has
+// no other per-task state.
 func BenchmarkSpawnJoin(b *testing.B) {
 	for _, e := range []struct {
 		name     string

@@ -82,11 +82,12 @@ type Config struct {
 
 // Runtime executes async/finish programs and drives a detector.
 type Runtime struct {
-	cfg  Config
-	det  detect.Detector
-	exec executor
-	ec   *sched.EventCount
-	st   *stats.Recorder
+	det     detect.Detector
+	st      *stats.Recorder
+	kind    ExecKind // resolved, never Auto
+	workers int
+	exec    executor
+	ec      *sched.EventCount
 
 	taskIDs   atomic.Int64
 	finishIDs atomic.Int64
@@ -117,7 +118,7 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("task: detector %q requires the sequential executor (got %s)",
 			cfg.Detector.Name(), cfg.Executor)
 	}
-	rt := &Runtime{cfg: cfg, det: cfg.Detector, ec: sched.NewEventCount(), st: cfg.Stats}
+	rt := &Runtime{det: cfg.Detector, st: cfg.Stats, kind: cfg.Executor, workers: cfg.Workers, ec: sched.NewEventCount()}
 	switch cfg.Executor {
 	case Pool:
 		rt.exec = newPoolExec(cfg.Workers)
@@ -138,10 +139,10 @@ func (rt *Runtime) Detector() detect.Detector { return rt.det }
 func (rt *Runtime) Stats() *stats.Recorder { return rt.st }
 
 // Executor returns the resolved executor kind (never Auto).
-func (rt *Runtime) Executor() ExecKind { return rt.cfg.Executor }
+func (rt *Runtime) Executor() ExecKind { return rt.kind }
 
 // Workers returns the configured worker count.
-func (rt *Runtime) Workers() int { return rt.cfg.Workers }
+func (rt *Runtime) Workers() int { return rt.workers }
 
 // NewLock registers a new instrumented lock with the detector.
 func (rt *Runtime) NewLock() *detect.Lock {
@@ -162,12 +163,10 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	defer rt.running.Store(false)
 	rt.failure.Store(nil)
 
-	main := &Ctx{rt: rt, task: detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1)}, body: root}
-	implicit := &detect.Finish{ID: rt.finishIDs.Add(1) - 1, Owner: &main.task}
-	main.task.IEF = implicit
-	main.join = &scope{f: implicit}
-	main.fin = main.join
-	rt.det.MainTask(&main.task, implicit)
+	implicit := &scope{f: detect.Finish{ID: rt.finishIDs.Add(1) - 1}}
+	main := &Ctx{rt: rt, body: root, join: implicit, fin: implicit}
+	main.task = detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1), IEF: &implicit.f}
+	rt.det.MainTask(&main.task, &implicit.f)
 	rt.exec.run(rt, main)
 
 	if f := rt.failure.Load(); f != nil {
@@ -201,13 +200,14 @@ func (rt *Runtime) park(done func() bool) {
 	}
 }
 
-// scope is the runtime state of one dynamic finish instance: the count of
-// live tasks registered to it. The counter can touch zero and rise again
+// scope is the one record of a dynamic finish instance: the detect.Finish
+// the detector sees (a task's IEF points at it) and the count of live
+// tasks registered to it. The counter can touch zero and rise again
 // while the owner is still inside the finish body, so waiters always
 // re-check it under the eventcount protocol rather than relying on a
 // one-shot completion signal.
 type scope struct {
-	f       *detect.Finish
+	f       detect.Finish
 	pending atomic.Int64
 }
 
@@ -302,7 +302,7 @@ func (c *Ctx) Async(body func(*Ctx)) {
 	rt := c.rt
 	child := &Ctx{
 		rt:   rt,
-		task: detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1), IEF: c.fin.f},
+		task: detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1), IEF: &c.fin.f},
 		body: body,
 		join: c.fin,
 		fin:  c.fin,
@@ -326,9 +326,8 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 // Cilk spawn/sync layer, which must hold a finish open across calls.
 func (c *Ctx) beginFinish() *scope {
 	rt := c.rt
-	f := &detect.Finish{ID: rt.finishIDs.Add(1) - 1, Owner: &c.task}
-	rt.det.FinishStart(&c.task, f)
-	s := &scope{f: f}
+	s := &scope{f: detect.Finish{ID: rt.finishIDs.Add(1) - 1}}
+	rt.det.FinishStart(&c.task, &s.f)
 	prev := c.fin
 	c.fin = s
 	return prev
@@ -341,7 +340,7 @@ func (c *Ctx) endFinish(prev *scope) {
 	s := c.fin
 	rt.exec.wait(c, s)
 	c.fin = prev
-	rt.det.FinishEnd(&c.task, s.f)
+	rt.det.FinishEnd(&c.task, &s.f)
 }
 
 // FinishAsync is the common `finish { for ... async }` idiom: it runs
@@ -381,7 +380,7 @@ func (c *Ctx) ParallelFor(lo, hi, grain int, body func(c *Ctx, i int)) {
 // ChunkGrain returns the grain that splits n iterations into one chunk
 // per worker, the decomposition the chunked benchmark variants use.
 func (c *Ctx) ChunkGrain(n int) int {
-	w := c.rt.cfg.Workers
+	w := c.rt.workers
 	if w < 1 {
 		w = 1
 	}
@@ -402,7 +401,9 @@ func (c *Ctx) Release(l *detect.Lock) { c.rt.det.Release(&c.task, l) }
 // runMain is the main task's life, called by the executor's run: the
 // root body, the join of the implicit finish, its FinishEnd — the main
 // task's last event, it has no TaskEnd — and the run-end flush (every
-// other task flushed in finishTask before the join let go).
+// other task flushed in finishTask before the join let go). A body that
+// panicked inside a Finish left it open, and ending the implicit finish
+// over it would break the event contract's nesting rule: no FinishEnd.
 func (rt *Runtime) runMain(c *Ctx) {
 	func() {
 		defer rt.capture()
@@ -410,7 +411,9 @@ func (rt *Runtime) runMain(c *Ctx) {
 	}()
 	c.body = nil
 	rt.exec.wait(c, c.join)
-	rt.det.FinishEnd(&c.task, c.join.f)
+	if c.fin == c.join {
+		rt.det.FinishEnd(&c.task, &c.join.f)
+	}
 	c.flush()
 }
 

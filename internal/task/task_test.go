@@ -1,9 +1,11 @@
 package task
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"spd3/internal/detect"
 )
@@ -219,6 +221,57 @@ func TestPanicInRootPropagates(t *testing.T) {
 	})
 }
 
+// nestingDetector checks the nesting rule of the event contract: every
+// FinishEnd names the innermost finish its task has open. Sequential
+// executor only (no locking).
+type nestingDetector struct {
+	detect.Nop
+	open map[detect.TaskID][]*detect.Finish
+	bad  []string
+}
+
+func (d *nestingDetector) MainTask(t *detect.Task, f *detect.Finish) {
+	d.open = map[detect.TaskID][]*detect.Finish{t.ID: {f}}
+}
+func (d *nestingDetector) FinishStart(t *detect.Task, f *detect.Finish) {
+	d.open[t.ID] = append(d.open[t.ID], f)
+}
+func (d *nestingDetector) FinishEnd(t *detect.Task, f *detect.Finish) {
+	s := d.open[t.ID]
+	if len(s) == 0 || s[len(s)-1] != f {
+		d.bad = append(d.bad, fmt.Sprintf("task %d ended finish %d over %d open", t.ID, f.ID, len(s)))
+		return
+	}
+	d.open[t.ID] = s[:len(s)-1]
+}
+
+// TestPanicInsideFinishKeepsNesting: a body that panics inside a Finish
+// leaves that finish open for good, in a spawned task and in the main
+// task alike; the runtime must not end an enclosing finish over it.
+func TestPanicInsideFinishKeepsNesting(t *testing.T) {
+	det := &nestingDetector{}
+	rt, err := New(Config{Executor: Sequential, Detector: det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run(func(c *Ctx) {
+		c.Finish(func(c *Ctx) {})
+		c.Finish(func(c *Ctx) {
+			c.Async(func(c *Ctx) { c.Finish(func(*Ctx) { panic("child boom") }) })
+			panic("main boom")
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "child boom") {
+		t.Fatalf("err = %v, want the first panic", err)
+	}
+	if len(det.bad) != 0 {
+		t.Errorf("nesting rule broken: %v", det.bad)
+	}
+	if n := len(det.open[0]); n != 2 {
+		t.Errorf("main task ended with %d finishes open, want the implicit one and the one it panicked in", n)
+	}
+}
+
 func TestRunReusable(t *testing.T) {
 	forAllExecutors(t, func(t *testing.T, rt *Runtime) {
 		for round := 0; round < 3; round++ {
@@ -251,29 +304,58 @@ func TestNestedRunRejected(t *testing.T) {
 	}
 }
 
+// finishLog records the finish records the runtime hands the detector.
+// Only the main task opens finishes in TestTaskIdentity, and a child
+// reads the log after the spawn that made it, so it needs no lock.
+type finishLog struct {
+	detect.Nop
+	implicit *detect.Finish
+	started  []*detect.Finish
+}
+
+func (d *finishLog) MainTask(_ *detect.Task, f *detect.Finish) { d.implicit = f }
+func (d *finishLog) FinishStart(_ *detect.Task, f *detect.Finish) {
+	d.started = append(d.started, f)
+}
+
+// TestTaskIdentity: every task is a record of its own, and its IEF is the
+// very detect.Finish the detector was shown when that finish began — the
+// run's implicit one for a task spawned outside every explicit finish.
 func TestTaskIdentity(t *testing.T) {
-	forAllExecutors(t, func(t *testing.T, rt *Runtime) {
-		err := rt.Run(func(c *Ctx) {
-			main := c.Task()
-			if main.ID != 0 || main.IEF == nil || main.IEF.Owner != main {
-				t.Errorf("main task: id=%d IEF=%+v, want 0 and the implicit finish it owns", main.ID, main.IEF)
+	for _, e := range executors {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			det := &finishLog{}
+			cfg := e.cfg
+			cfg.Detector = det
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.Finish(func(c *Ctx) {
+			err = rt.Run(func(c *Ctx) {
+				main := c.Task()
+				if main.ID != 0 || main.IEF == nil || main.IEF != det.implicit {
+					t.Errorf("main task: id=%d IEF=%p, want 0 and the implicit finish %p", main.ID, main.IEF, det.implicit)
+				}
 				c.Async(func(c *Ctx) {
-					child := c.Task()
-					if child == main || child.ID != 1 {
-						t.Errorf("child task = %p id %d, want a record of its own with id 1", child, child.ID)
-					}
-					if child.IEF == nil || child.IEF.Owner != main {
-						t.Errorf("child IEF = %+v, want finish owned by main", child.IEF)
+					if child := c.Task(); child == main || child.ID != 1 || child.IEF != det.implicit {
+						t.Errorf("child task = %p id %d IEF %p, want a record of its own with id 1 in the implicit finish %p",
+							child, child.ID, child.IEF, det.implicit)
 					}
 				})
+				c.Finish(func(c *Ctx) {
+					c.Async(func(c *Ctx) {
+						if child := c.Task(); len(det.started) != 1 || child.IEF != det.started[0] {
+							t.Errorf("child IEF = %p, want the finish the detector saw start (%v)", child.IEF, det.started)
+						}
+					})
+				})
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
 }
 
 // countingDetector verifies the event contract: BeforeSpawn precedes the
@@ -457,36 +539,58 @@ func TestWorkerIDRanges(t *testing.T) {
 	}
 }
 
+// allocsPerOp opens a session of the named detector on the sequential
+// executor and returns what one call of op allocates inside the main task.
+func allocsPerOp(t *testing.T, detector string, op func(c *Ctx)) float64 {
+	t.Helper()
+	ses, err := detect.Open(detector, detect.SessionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Executor: Sequential, Detector: ses.Det, Stats: ses.Rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got float64
+	if err := rt.Run(func(c *Ctx) {
+		got = testing.AllocsPerRun(1000, func() { op(c) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestSpawnAllocs pins what a spawn allocates: the task's one record (the
-// Ctx, with the detect.Task embedded) and nothing else from the runtime.
-// Under detector "none" that is the whole cost; SPD3 adds its taskState —
-// the three DPST nodes of §3.1's task-creation rule come out of the
-// tree's arena, one allocation per 4096 nodes, which AllocsPerRun's
-// integer average rounds away.
+// Ctx, with the detect.Task embedded) and nothing else, with or without
+// SPD3 — its per-task state is a pointer into the DPST, and the three
+// nodes of §3.1's task-creation rule come out of the tree's arena, one
+// allocation per 4096 nodes, which AllocsPerRun's integer average rounds
+// away.
 func TestSpawnAllocs(t *testing.T) {
-	for _, c := range []struct {
-		detector string
-		want     float64
-	}{
-		{"none", 1},
-		{"spd3", 2},
-	} {
-		ses, err := detect.Open(c.detector, detect.SessionOpts{})
-		if err != nil {
-			t.Fatal(err)
+	body := func(*Ctx) {}
+	for _, detector := range []string{"none", "spd3"} {
+		if got := allocsPerOp(t, detector, func(c *Ctx) { c.Async(body) }); got != 1 {
+			t.Errorf("detector %s: one Async allocates %v objects, want 1", detector, got)
 		}
-		rt, err := New(Config{Executor: Sequential, Detector: ses.Det, Stats: ses.Rec})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestFinishAllocs is TestSpawnAllocs for a finish: its one record (the
+// scope, with the detect.Finish embedded) and, under SPD3, two arena
+// nodes.
+func TestFinishAllocs(t *testing.T) {
+	body := func(*Ctx) {}
+	for _, detector := range []string{"none", "spd3"} {
+		if got := allocsPerOp(t, detector, func(c *Ctx) { c.Finish(body) }); got != 1 {
+			t.Errorf("detector %s: one Finish allocates %v objects, want 1", detector, got)
 		}
-		var got float64
-		if err := rt.Run(func(c *Ctx) {
-			got = testing.AllocsPerRun(1000, func() { c.Async(func(*Ctx) {}) })
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("detector %s: one Async allocates %v objects, want %v", c.detector, got, c.want)
-		}
+	}
+}
+
+// TestCtxSizeClass: a Ctx is allocated per spawn, so its size class is a
+// per-spawn cost; 288 bytes is the class it is in.
+func TestCtxSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Ctx{}); n > 288 {
+		t.Errorf("Ctx is %d bytes, want <= 288", n)
 	}
 }

@@ -129,7 +129,7 @@ func TestAmplifyLeadingRegionDecls(t *testing.T) {
 	rec := NewRecorder(&buf, true)
 	sh := rec.NewShadow(detect.Spec("early", 8, 8)) // declared before MainTask
 	mt := &detect.Task{ID: 0}
-	f0 := &detect.Finish{ID: 0, Owner: mt}
+	f0 := &detect.Finish{ID: 0}
 	mt.IEF = f0
 	rec.MainTask(mt, f0)
 	const accesses = 100

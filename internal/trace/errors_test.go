@@ -22,7 +22,7 @@ func synthTrace(t *testing.T, accesses int) []byte {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf, true)
 	mt := &detect.Task{ID: 0}
-	fin := &detect.Finish{ID: 0, Owner: mt}
+	fin := &detect.Finish{ID: 0}
 	mt.IEF = fin
 	rec.MainTask(mt, fin)
 	sh := rec.NewShadow(detect.Spec("synth", 8, 8))
@@ -43,11 +43,27 @@ func TestTypedErrors(t *testing.T) {
 	mk := func() detect.Detector { return core.New(detect.NewSink(false, 0), nil) }
 	seq := record(t, progen.Generate(1, progen.Config{}), task.Sequential, 1)
 	par := record(t, progen.Generate(1, progen.Config{}), task.Pool, 4)
+	// nest replays a hand-assembled sequential trace that opens with
+	// main task 0 under implicit finish 0; an event is {kind, args...}.
+	type e = []int64
+	nest := func(evs ...e) error {
+		b := appendEvent(append([]byte(magic), 1), evMainTask, 0, 0)
+		for _, e := range evs {
+			b = appendEvent(b, byte(e[0]), e[1:]...)
+		}
+		return Replay(bytes.NewReader(b), mk())
+	}
+	const (
+		spawn  = int64(evSpawn)
+		tend   = int64(evTaskEnd)
+		fstart = int64(evFinishStart)
+		fend   = int64(evFinishEnd)
+	)
 
 	cases := []struct {
 		name string
 		err  error
-		want error
+		want error // nil: the replay must succeed
 	}{
 		{"empty input", Replay(bytes.NewReader(nil), mk()), ErrBadMagic},
 		{"wrong magic", Replay(bytes.NewReader([]byte("NOTATRACE")), mk()), ErrBadMagic},
@@ -56,6 +72,14 @@ func TestTypedErrors(t *testing.T) {
 		{"truncated mid-event", Replay(bytes.NewReader(seq[:len(seq)-1]), mk()), ErrTruncated},
 		{"garbage event kind", Replay(bytes.NewReader(append([]byte(magic), 1, 0xEE)), mk()), ErrMalformed},
 		{"sequential-only on parallel trace", Replay(bytes.NewReader(par), espbags.New(detect.NewSink(false, 0))), ErrSequentialOnly},
+		// The nesting rules of the driver contract (package detect).
+		{"FinishEnd out of LIFO order", nest(e{fstart, 0, 1}, e{fstart, 0, 2}, e{fend, 0, 1}), ErrMalformed},
+		{"FinishEnd of another task's finish", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1}, e{fend, 0, 1}), ErrMalformed},
+		{"child ends its own IEF", nest(e{fstart, 0, 1}, e{spawn, 0, 1, 1}, e{fend, 1, 1}), ErrMalformed},
+		{"spawn into a non-innermost finish", nest(e{fstart, 0, 1}, e{spawn, 0, 1, 0}), ErrMalformed},
+		{"FinishEnd twice", nest(e{fend, 0, 0}, e{fend, 0, 0}), ErrMalformed},
+		{"TaskEnd with a finish open (a body that panicked inside it)", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1},
+			e{spawn, 1, 2, 1}, e{tend, 2}, e{tend, 1}, e{fend, 0, 0}), nil},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, c.want) {

@@ -8,6 +8,7 @@ import (
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
+	_ "spd3/internal/detectors"
 	"spd3/internal/progen"
 	"spd3/internal/task"
 )
@@ -47,20 +48,32 @@ func isDecodeSentinel(err error) bool {
 }
 
 // FuzzReplay feeds arbitrary bytes to the trace parser through a
-// chunked reader (exercising the incremental refill paths): it must
-// never panic, and any failure must carry exactly one of the typed
-// sentinels — an untyped error would reach clients as a 500.
+// chunked reader (exercising the incremental refill paths) and on into
+// every registry detector: none may panic — replay is what stands
+// between hostile bytes and detectors that trust the driver contract —
+// and any failure must carry exactly one of the typed sentinels; an
+// untyped error would reach clients as a 500. The executor byte is forced
+// to "sequential" so the depth-first-only detectors are eligible too.
 func FuzzReplay(f *testing.F) {
 	fuzzSeeds(f)
+	names := detect.Names()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sink := detect.NewSink(false, 0)
+		if len(data) > len(magic) {
+			data = bytes.Clone(data)
+			data[len(magic)] = 1
+		}
 		// Tight limits keep hostile region declarations from turning
 		// into large allocations.
 		lim := Limits{MaxRegionElems: 1 << 16, MaxTotalElems: 1 << 18}
-		rd := &chunkReader{r: bytes.NewReader(data), n: 5}
-		err := ReplayWithLimits(rd, core.New(sink, nil), nil, lim)
-		if err != nil && !isDecodeSentinel(err) {
-			t.Fatalf("untyped error escaped the replay: %v", err)
+		for _, name := range names {
+			det, err := detect.New(name, detect.FactoryOpts{Sink: detect.NewSink(false, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := &chunkReader{r: bytes.NewReader(data), n: 5}
+			if err := ReplayWithLimits(rd, det, nil, lim); err != nil && !isDecodeSentinel(err) {
+				t.Fatalf("%s: untyped error escaped the replay: %v", name, err)
+			}
 		}
 	})
 }

@@ -55,10 +55,10 @@ const cancelCheckEvery = 4096
 // tasks still live — the main task always is — when the replay ends.
 //
 // The input is consumed strictly forward through a fixed-size bufio
-// buffer and the replay table drops tasks and finishes as they end, so
-// memory stays proportional to the live task set and declared regions —
-// not to trace length. A multi-gigabyte trace streams straight off a
-// network body.
+// buffer and the replay table drops tasks, and each task the finishes it
+// opened, as they end, so memory stays proportional to the live task set
+// and declared regions — not to trace length. A multi-gigabyte trace
+// streams straight off a network body.
 func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, lim Limits) error {
 	dec, err := newDecoder(rd)
 	if err != nil {
@@ -70,7 +70,7 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, li
 	st := newReplayState(det, rec, lim)
 	err = st.run(dec)
 	for _, t := range st.tasks {
-		st.flush(t)
+		st.flush(&t.Task)
 	}
 	return err
 }
@@ -255,25 +255,45 @@ func (d *decoder) readName() (string, error) {
 }
 
 type replayState struct {
-	det      detect.Detector
-	rec      *stats.Recorder
-	lim      Limits
-	tasks    map[int64]*detect.Task
-	finishes map[int64]*detect.Finish
-	locks    map[int64]*detect.Lock
-	shadows  []detect.Shadow
-	sizes    []int64
-	total    int64
+	det     detect.Detector
+	rec     *stats.Recorder
+	lim     Limits
+	tasks   map[int64]*replayTask
+	locks   map[int64]*detect.Lock
+	shadows []detect.Shadow
+	sizes   []int64
+	total   int64
+}
+
+// replayTask is replay's record of one live task: the detect.Task the
+// detector sees and, innermost last, the finishes the task has started
+// and not yet ended. The stack is how apply holds a trace to the nesting
+// rules of the driver contract (package detect): detectors may derive a
+// finish from the task's position — SPD3 takes the scope a FinishEnd
+// closes from the task's current step — so a trace that ends or spawns
+// into any other finish must not reach them.
+type replayTask struct {
+	detect.Task
+	open []*detect.Finish
+}
+
+// innermost returns the finish t's next spawn registers in: the innermost
+// finish t has open or, for a task with none, the task's own IEF (the
+// runtime's IEF rule, task.Ctx.Async).
+func (t *replayTask) innermost() *detect.Finish {
+	if n := len(t.open); n > 0 {
+		return t.open[n-1]
+	}
+	return t.IEF
 }
 
 func newReplayState(det detect.Detector, rec *stats.Recorder, lim Limits) *replayState {
 	return &replayState{
-		det:      det,
-		rec:      rec,
-		lim:      lim,
-		tasks:    map[int64]*detect.Task{},
-		finishes: map[int64]*detect.Finish{},
-		locks:    map[int64]*detect.Lock{},
+		det:   det,
+		rec:   rec,
+		lim:   lim,
+		tasks: map[int64]*replayTask{},
+		locks: map[int64]*detect.Lock{},
 	}
 }
 
@@ -287,31 +307,33 @@ func (st *replayState) apply(ev *event) error {
 	a := &ev.args
 	switch ev.kind {
 	case evMainTask:
-		t := &detect.Task{ID: detect.TaskID(a[0])}
-		f := &detect.Finish{ID: a[1], Owner: t}
-		t.IEF = f
+		// The implicit finish is the main task's to end, so it opens the
+		// stack.
+		f := &detect.Finish{ID: a[1]}
+		t := &replayTask{Task: detect.Task{ID: detect.TaskID(a[0]), IEF: f}, open: []*detect.Finish{f}}
 		st.tasks[a[0]] = t
-		st.finishes[a[1]] = f
-		st.det.MainTask(t, f)
+		st.det.MainTask(&t.Task, f)
 	case evSpawn:
 		parent, ok := st.tasks[a[0]]
 		if !ok {
 			return fmt.Errorf("trace: %w: spawn from unknown task %d", ErrMalformed, a[0])
 		}
-		ief, ok := st.finishes[a[2]]
-		if !ok {
-			return fmt.Errorf("trace: %w: spawn into unknown finish %d", ErrMalformed, a[2])
+		ief := parent.innermost()
+		if ief.ID != a[2] {
+			return fmt.Errorf("trace: %w: task %d spawns into finish %d, not its innermost finish %d", ErrMalformed, a[0], a[2], ief.ID)
 		}
-		child := &detect.Task{ID: detect.TaskID(a[1]), IEF: ief}
+		child := &replayTask{Task: detect.Task{ID: detect.TaskID(a[1]), IEF: ief}}
 		st.tasks[a[1]] = child
-		st.det.BeforeSpawn(parent, child)
+		st.det.BeforeSpawn(&parent.Task, &child.Task)
 	case evTaskEnd:
 		t, ok := st.tasks[a[0]]
 		if !ok {
 			return fmt.Errorf("trace: %w: end of unknown task %d", ErrMalformed, a[0])
 		}
-		st.det.TaskEnd(t)
-		st.flush(t)
+		// Finishes still open are legal here: it is what a task whose
+		// body panicked inside a finish records.
+		st.det.TaskEnd(&t.Task)
+		st.flush(&t.Task)
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what
 		// bounds replay memory by the live task set instead of the total
@@ -322,18 +344,21 @@ func (st *replayState) apply(ev *event) error {
 		if !ok {
 			return fmt.Errorf("trace: %w: finish in unknown task %d", ErrMalformed, a[0])
 		}
-		f := &detect.Finish{ID: a[1], Owner: t}
-		st.finishes[a[1]] = f
-		st.det.FinishStart(t, f)
+		f := &detect.Finish{ID: a[1]}
+		t.open = append(t.open, f)
+		st.det.FinishStart(&t.Task, f)
 	case evFinishEnd:
-		t, f := st.tasks[a[0]], st.finishes[a[1]]
-		if t == nil || f == nil {
-			return fmt.Errorf("trace: %w: finish-end with unknown task %d or finish %d", ErrMalformed, a[0], a[1])
+		t, ok := st.tasks[a[0]]
+		if !ok {
+			return fmt.Errorf("trace: %w: finish-end in unknown task %d", ErrMalformed, a[0])
 		}
-		st.det.FinishEnd(t, f)
-		// FinishEnd is a finish's final event (all spawns into it happen
-		// before it, by the event contract); drop it like ended tasks.
-		delete(st.finishes, a[1])
+		n := len(t.open)
+		if n == 0 || t.open[n-1].ID != a[1] {
+			return fmt.Errorf("trace: %w: task %d ends finish %d, not the innermost finish it has open", ErrMalformed, a[0], a[1])
+		}
+		f := t.open[n-1]
+		t.open = t.open[:n-1]
+		st.det.FinishEnd(&t.Task, f)
 	case evAcquire, evRelease:
 		t := st.tasks[a[0]]
 		if t == nil {
@@ -345,9 +370,9 @@ func (st *replayState) apply(ev *event) error {
 			st.locks[a[1]] = l
 		}
 		if ev.kind == evAcquire {
-			st.det.Acquire(t, l)
+			st.det.Acquire(&t.Task, l)
 		} else {
-			st.det.Release(t, l)
+			st.det.Release(&t.Task, l)
 		}
 	case evNewShadow:
 		if a[1] < 0 || a[1] > st.lim.MaxRegionElems {
@@ -391,9 +416,9 @@ func (st *replayState) apply(ev *event) error {
 			return fmt.Errorf("trace: %w: access by unknown task %d", ErrMalformed, a[1])
 		}
 		if ev.kind == evRead {
-			st.shadows[a[0]].Read(t, int(a[2]))
+			st.shadows[a[0]].Read(&t.Task, int(a[2]))
 		} else {
-			st.shadows[a[0]].Write(t, int(a[2]))
+			st.shadows[a[0]].Write(&t.Task, int(a[2]))
 		}
 	default:
 		return fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, ev.kind)

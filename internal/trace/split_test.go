@@ -158,20 +158,20 @@ func TestSplitterHoldsCutWhileMainHoldsLock(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf, true)
 	mt := &detect.Task{ID: 0}
-	f0 := &detect.Finish{ID: 0, Owner: mt}
+	f0 := &detect.Finish{ID: 0}
 	mt.IEF = f0
 	rec.MainTask(mt, f0)
 	sh := rec.NewShadow(detect.Spec("r", 8, 8))
 	lk := &detect.Lock{ID: 1}
 
 	rec.Acquire(mt, lk)
-	f1 := &detect.Finish{ID: 1, Owner: mt}
+	f1 := &detect.Finish{ID: 1}
 	rec.FinishStart(mt, f1)
 	sh.Write(mt, 0)
 	rec.FinishEnd(mt, f1) // top-level boundary shape, but the lock is held
 	rec.Release(mt, lk)
 
-	f2 := &detect.Finish{ID: 2, Owner: mt}
+	f2 := &detect.Finish{ID: 2}
 	rec.FinishStart(mt, f2)
 	sh.Write(mt, 1)
 	rec.FinishEnd(mt, f2) // legal boundary
@@ -220,7 +220,7 @@ func TestSplitterMultiRunTrace(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf, true)
 	mt1 := &detect.Task{ID: 0}
-	f0 := &detect.Finish{ID: 0, Owner: mt1}
+	f0 := &detect.Finish{ID: 0}
 	mt1.IEF = f0
 	rec.MainTask(mt1, f0)
 	shA := rec.NewShadow(detect.Spec("a", 8, 8))
@@ -230,7 +230,7 @@ func TestSplitterMultiRunTrace(t *testing.T) {
 	rec.TaskEnd(mt1)
 
 	mt2 := &detect.Task{ID: 1}
-	f1 := &detect.Finish{ID: 1, Owner: mt2}
+	f1 := &detect.Finish{ID: 1}
 	mt2.IEF = f1
 	rec.MainTask(mt2, f1)
 	shB := rec.NewShadow(detect.Spec("b", 8, 8)) // region 1: IDs continue across runs

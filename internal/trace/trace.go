@@ -17,6 +17,20 @@
 // executor); Replay enforces this by refusing sequential-only detectors
 // unless the trace is marked sequential.
 //
+// Replay is a driver of the detect event contract and a trace is outside
+// bytes, so replay checks what detectors are entitled to assume, beyond
+// framing and known ids. Nesting: every task carries the stack of finishes
+// it has started and not ended (the main task's opens with the implicit
+// finish); a FinishEnd must name the top of its task's stack, and a Spawn's
+// finish must be the top of the parent's stack or, with nothing open, the
+// parent's own IEF. Anything else is ErrMalformed — detectors restore
+// per-finish state from the task (SPD3 reads the finish off the task's
+// DPST step, Offset-Span truncates the task's label), and a FinishEnd by a
+// task that did not open the finish used to panic one of them. A TaskEnd
+// with finishes still open is legal: a task whose body panicked inside a
+// finish records exactly that. The Recorder's output, the Splitter's
+// segments and the Amplifier's copies satisfy the rules by construction.
+//
 // Format: "SPD3TRC1", then events as varints — kind, then arguments.
 // Shadow regions are announced with their name and size before use.
 package trace
