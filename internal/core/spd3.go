@@ -115,8 +115,7 @@ func (d *Detector) MainTask(t *detect.Task, _ *detect.Finish) {
 // parent's continuation becomes the async node's right sibling — one O(1),
 // synchronization-free insertion of three nodes (dpst.Tree.Spawn).
 func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
-	_, childStep, cont := d.tree.Spawn(step(parent).Parent)
-	child.State, parent.State = childStep, cont
+	child.State, parent.State = d.tree.Spawn(step(parent).Parent)
 }
 
 // TaskEnd has no DPST effect: the join is represented by the finish node.

@@ -80,9 +80,9 @@ func TestDPSTConstructionFigure1(t *testing.T) {
 		t.Errorf("A3 = %v (parent %v), want async under root", a3, a3.Parent)
 	}
 	// Sibling order under the root: step1 < A1 < step5 < A3.
-	if !(step1.Seq() < a1.Seq() && a1.Seq() < step5.Seq() && step5.Seq() < a3.Seq()) {
+	if !(step1.ID < a1.ID && a1.ID < step5.ID && step5.ID < a3.ID) {
 		t.Errorf("root sibling order: step1=%d A1=%d step5=%d A3=%d",
-			step1.Seq(), a1.Seq(), step5.Seq(), a3.Seq())
+			step1.ID, a1.ID, step5.ID, a3.ID)
 	}
 	// DMHP (Theorem 1) on the §3.2 worked examples and more pairs
 	// implied by the program.

@@ -2,6 +2,7 @@ package dpst
 
 import (
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -65,6 +66,28 @@ func BenchmarkNewChildDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkNode = t.NewChild(parent, StepNode)
 	}
+}
+
+// BenchmarkSpawnTwoOwners is the engine_spawn shape: two workers inserting
+// into one tree at once, each spawning under a scope it owns (b.N spawns
+// between them), so all they share is the id counter and the cache lines
+// where their freshly drawn slots meet.
+func BenchmarkSpawnTwoOwners(b *testing.B) {
+	t := New()
+	scopes := [2]*Node{t.NewChild(t.Root(), AsyncNode), t.NewChild(t.Root(), AsyncNode)}
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, scope := range scopes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N/2; i++ {
+				t.Spawn(scope)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkRelation is the detector's query (parallelism + LCA depth in

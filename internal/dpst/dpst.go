@@ -17,29 +17,32 @@
 // LCA, O(distance to the LCA) — four to seven hops for every query the
 // committed workloads issue, whatever the tree's depth.
 //
-// Storage. Nodes live in a tree-owned arena: fixed-size chunks of
-// chunkNodes nodes (96 KiB), allocated on first use, CAS-published into a
-// two-level directory and never moved or freed while the tree is
-// reachable. The creation counter every insertion bumps is the arena
-// index, so a node's ID is both its position in creation order (root = 0,
-// what race reports print) and a 32-bit handle that Tree.Node turns back
-// into the node with two directory loads — what lets the detector's shadow
-// word record steps as ids, not pointers. A tree holds at most 2^32 nodes;
-// the insertion that would exceed it panics.
+// Storage. A node is 16 bytes — the parent pointer, the id and one word
+// holding depth and kind — and lives in a tree-owned arena: fixed-size
+// chunks of chunkNodes nodes (64 KiB, four nodes to a cache line and none
+// straddling one), allocated on first use, CAS-published into a two-level
+// directory and never moved or freed while the tree is reachable. The
+// creation counter every insertion bumps is the arena index, so a node's
+// ID is both its position in creation order (root = 0, what race reports
+// print) and a 32-bit handle that Tree.Node turns back into the node with
+// two directory loads — what lets the detector's shadow word record steps
+// as ids, not pointers. The paper's seq_no is that same ID: siblings are
+// ordered by it. A tree holds at most 2^32 nodes and is at most 2^30 - 1
+// deep; the insertion that would exceed either panics.
 //
-// Concurrency. As in the paper's implementation (§5.1), no node field
-// requires synchronization: Parent, Depth, Seq, Kind and ID are written
-// once at creation and are immutable afterwards; the child counter of a
-// node is only ever advanced by the single task that owns that scope,
-// because a task appends new children either under a finish it itself
-// started or under its own async node. Concurrent insertions draw distinct
-// ids from the counter and therefore write distinct arena slots; the only
-// shared write is the publication of a fresh chunk, one CAS that the loser
-// abandons. Nodes become visible to other tasks only via the scheduler's
-// task hand-off or the detector's atomic shadow-word stores, both of which
-// establish the necessary happens-before edges (and a task that can see an
-// id can see the chunk it indexes: the chunk was published before the node
-// was written into it).
+// Concurrency. A node is written once, by the insertion that creates it,
+// and never again: an insertion draws fresh ids from the counter, writes
+// those arena slots and reads — never writes — its parent, so concurrent
+// insertions touch disjoint memory and no node field needs synchronization
+// (§5.1). The only shared write is the publication of a fresh chunk, one
+// CAS that the loser abandons. Nodes become visible to other tasks only
+// via the scheduler's task hand-off or the detector's atomic shadow-word
+// stores, both of which establish the necessary happens-before edges (and
+// a task that can see an id can see the chunk it indexes: the chunk was
+// published before the node was written into it). The paper's ownership
+// rule — a task appends children only under a finish it itself started or
+// under its own async node — protects no memory here; it is what makes the
+// id order of siblings their program order.
 package dpst
 
 import (
@@ -73,43 +76,33 @@ func (k Kind) String() string {
 	}
 }
 
-// Node is one DPST node. Everything but the child counter is immutable
-// after creation (§5.1: parent, depth and seq_no are written only on
+// Node is one DPST node: what DMHP reads and nothing else. It is immutable
+// after the insertion that creates it (§5.1: written only on
 // initialization).
 type Node struct {
-	Parent *Node
-	Depth  int32
-	ID     uint32 // arena index: unique per tree, in creation order, root = 0
-
-	// seqKind is seq_no<<kindBits | kind: the position among siblings,
-	// from 1, left to right, and the node type, sharing one immutable
-	// word (the child counter below is not immutable, so Kind cannot
-	// live there).
-	seqKind uint32
-
-	// nchildren counts this node's children so far. Only the task that
-	// owns this scope appends children, so plain (non-atomic) access is
-	// safe; see the package comment.
-	nchildren uint32
+	Parent    *Node
+	ID        uint32 // arena index: unique per tree, in creation order, root = 0
+	depthKind uint32 // depth<<kindBits | kind
 }
 
 const (
 	kindBits = 2
 	kindMask = 1<<kindBits - 1
+
+	// maxDepth is the deepest a node can be: depths are 30 bits.
+	maxDepth = 1<<(32-kindBits) - 1
 )
 
 // Kind returns the node's type.
-func (n *Node) Kind() Kind { return Kind(n.seqKind & kindMask) }
+func (n *Node) Kind() Kind { return Kind(n.depthKind & kindMask) }
 
-// Seq returns the node's position among its siblings, from 1, left to
-// right (0 for the root). It is for tooling and tests — Relation orders
-// siblings by ID — and wraps past 2^30 children of one node.
-func (n *Node) Seq() int32 { return int32(n.seqKind >> kindBits) }
+// Depth returns the length of the node's root path (0 for the root).
+func (n *Node) Depth() int32 { return int32(n.depthKind >> kindBits) }
 
 // NodeBytes is the size of one Node, used for the analytic footprint
 // accounting that reproduces the paper's Table 3: an 8-byte parent
-// pointer and four 32-bit words.
-const NodeBytes = 24
+// pointer and two 32-bit words.
+const NodeBytes = 16
 
 // String renders a node as e.g. "step#17" for race reports.
 func (n *Node) String() string {
@@ -125,7 +118,7 @@ func (n *Node) String() string {
 // an id is two dependent pointer loads and an offset.
 const (
 	chunkShift  = 12
-	chunkNodes  = 1 << chunkShift // 4096 nodes x 24 B = 96 KiB
+	chunkNodes  = 1 << chunkShift // 4096 nodes x 16 B = 64 KiB
 	blockShift  = 10
 	blockChunks = 1 << blockShift
 	dirBlocks   = 1 << (32 - chunkShift - blockShift)
@@ -150,7 +143,7 @@ type Tree struct {
 // corresponds to the implicit finish enclosing the program's main body.
 func New() *Tree {
 	t := &Tree{}
-	*t.slot(0) = Node{seqKind: uint32(FinishNode)}
+	*t.slot(0) = Node{depthKind: uint32(FinishNode)}
 	t.count.Store(1)
 	return t
 }
@@ -205,9 +198,10 @@ func publishNew[T any](p *atomic.Pointer[T]) *T {
 // It takes O(1) time and space at any depth — one shared atomic, and one
 // allocation per chunkNodes insertions — and, per the ownership
 // discipline described in the package comment, must only be called by the
-// task that owns the parent scope. It panics when the tree is full.
+// task that owns the parent scope. It panics when the tree is full or
+// parent is at the depth limit.
 func (t *Tree) NewChild(parent *Node, kind Kind) *Node {
-	return t.place(t.draw(1), parent, kind)
+	return t.place(t.draw(1, parent, 1), parent, kind)
 }
 
 // Spawn is §3.1's task-creation rule as one insertion: an async node as
@@ -219,17 +213,20 @@ func (t *Tree) NewChild(parent *Node, kind Kind) *Node {
 // writes and DMHP walks visit together, side by side in the arena instead
 // of interleaved with whatever the other workers insert meanwhile. Like
 // NewChild, it is for the task that owns scope and panics when the tree
-// is full, inserting nothing.
-func (t *Tree) Spawn(scope *Node) (async, childStep, cont *Node) {
-	id := t.draw(3)
-	async = t.place(id, scope, AsyncNode)
-	childStep = t.place(id+1, async, StepNode)
-	cont = t.place(id+2, scope, StepNode)
-	return async, childStep, cont
+// is full or too deep, inserting nothing. The async node is
+// childStep.Parent.
+func (t *Tree) Spawn(scope *Node) (childStep, cont *Node) {
+	id := t.draw(3, scope, 2)
+	async := t.place(id, scope, AsyncNode)
+	return t.place(id+1, async, StepNode), t.place(id+2, scope, StepNode)
 }
 
-// draw reserves n consecutive ids and returns the first.
-func (t *Tree) draw(n int64) uint32 {
+// draw reserves n consecutive ids, for an insertion reaching levels below
+// scope, and returns the first.
+func (t *Tree) draw(n int64, scope *Node, levels int32) uint32 {
+	if scope.Depth() > maxDepth-levels {
+		panic("dpst: tree is too deep: node depths are 30 bits, so no node lies 2^30 or more levels below the root")
+	}
 	end := t.count.Add(n)
 	if end > maxNodes {
 		t.count.Add(-n)
@@ -239,15 +236,13 @@ func (t *Tree) draw(n int64) uint32 {
 }
 
 // place makes the arena slot of a drawn id the new rightmost child of
-// parent.
+// parent, which it only reads.
 func (t *Tree) place(id uint32, parent *Node, kind Kind) *Node {
-	parent.nchildren++
 	n := t.slot(id)
 	*n = Node{
-		Parent:  parent,
-		Depth:   parent.Depth + 1,
-		ID:      id,
-		seqKind: parent.nchildren<<kindBits | uint32(kind),
+		Parent:    parent,
+		ID:        id,
+		depthKind: uint32(parent.Depth()+1)<<kindBits | uint32(kind),
 	}
 	return n
 }
@@ -260,10 +255,12 @@ func (t *Tree) place(id uint32, parent *Node, kind Kind) *Node {
 // node's depth, then both up in lock step until they meet, so cost is
 // linear in the distance from the deeper node to the LCA.
 func relateWalk(a, b *Node) (lca, childA, childB *Node) {
-	for a.Depth > b.Depth {
+	// Depth sits above the kind bits, so a node is deeper than n exactly
+	// when its packed word exceeds n's with the kind bits filled.
+	for level := b.depthKind | kindMask; a.depthKind > level; {
 		childA, a = a, a.Parent
 	}
-	for b.Depth > a.Depth {
+	for level := a.depthKind | kindMask; b.depthKind > level; {
 		childB, b = b, b.Parent
 	}
 	for a != b {
@@ -277,7 +274,7 @@ func relateWalk(a, b *Node) (lca, childA, childB *Node) {
 // write checks need about a pair of nodes: whether they may happen in
 // parallel (Algorithm 3 / Theorem 1: iff the child of their LCA on the
 // left node's path is an async node) and the depth of their LCA. A step
-// never runs in parallel with itself: Relation(a, a) is (false, a.Depth);
+// never runs in parallel with itself: Relation(a, a) is (false, a.Depth());
 // nil (no recorded access) is in parallel with nothing: a nil operand
 // yields (false, -1).
 func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
@@ -286,7 +283,7 @@ func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 	}
 	lca, ca, cb := relateWalk(a, b)
 	if ca == nil || cb == nil {
-		return false, lca.Depth
+		return false, lca.Depth()
 	}
 	// Siblings are appended left to right by their one owner, so the
 	// left one is the one created first.
@@ -294,5 +291,5 @@ func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 	if cb.ID < ca.ID {
 		left = cb
 	}
-	return left.Kind() == AsyncNode, lca.Depth
+	return left.Kind() == AsyncNode, lca.Depth()
 }

@@ -51,10 +51,23 @@ func dmhp(a, b *Node) bool {
 	return parallel
 }
 
+// siblingRank is the paper's seq_no, which no node stores: n's position
+// among its siblings, from 1, left to right (0 for the root), counted over
+// the arena.
+func siblingRank(t *Tree, n *Node) int32 {
+	rank := int32(0)
+	for id := uint32(1); id <= n.ID; id++ {
+		if t.Node(id).Parent == n.Parent {
+			rank++
+		}
+	}
+	return rank
+}
+
 func TestNewChildAssignsStructure(t *testing.T) {
 	f := buildFig1()
-	if f.f1.Depth != 0 || f.f1.Seq() != 0 || f.f1.Kind() != FinishNode {
-		t.Fatalf("root = depth %d seq %d kind %v", f.f1.Depth, f.f1.Seq(), f.f1.Kind())
+	if f.f1.Depth() != 0 || f.f1.Parent != nil || f.f1.Kind() != FinishNode {
+		t.Fatalf("root = depth %d parent %v kind %v", f.f1.Depth(), f.f1.Parent, f.f1.Kind())
 	}
 	checks := []struct {
 		n      *Node
@@ -76,11 +89,11 @@ func TestNewChildAssignsStructure(t *testing.T) {
 		if c.n.Parent != c.parent {
 			t.Errorf("%v: parent = %v, want %v", c.n, c.n.Parent, c.parent)
 		}
-		if c.n.Depth != c.depth {
-			t.Errorf("%v: depth = %d, want %d", c.n, c.n.Depth, c.depth)
+		if c.n.Depth() != c.depth {
+			t.Errorf("%v: depth = %d, want %d", c.n, c.n.Depth(), c.depth)
 		}
-		if c.n.Seq() != c.seq {
-			t.Errorf("%v: seq = %d, want %d", c.n, c.n.Seq(), c.seq)
+		if got := siblingRank(f.t, c.n); got != c.seq {
+			t.Errorf("%v: seq = %d, want %d", c.n, got, c.seq)
 		}
 	}
 	if f.t.Len() != 10 {
@@ -104,11 +117,11 @@ func TestLCA(t *testing.T) {
 		{f.s3, f.f1, f.f1},
 	}
 	for _, c := range cases {
-		if _, got := Relation(c.a, c.b); got != c.want.Depth {
-			t.Errorf("Relation(%v, %v) LCA depth = %d, want %d (%v)", c.a, c.b, got, c.want.Depth, c.want)
+		if _, got := Relation(c.a, c.b); got != c.want.Depth() {
+			t.Errorf("Relation(%v, %v) LCA depth = %d, want %d (%v)", c.a, c.b, got, c.want.Depth(), c.want)
 		}
-		if _, got := Relation(c.b, c.a); got != c.want.Depth {
-			t.Errorf("Relation(%v, %v) LCA depth = %d, want %d (%v)", c.b, c.a, got, c.want.Depth, c.want)
+		if _, got := Relation(c.b, c.a); got != c.want.Depth() {
+			t.Errorf("Relation(%v, %v) LCA depth = %d, want %d (%v)", c.b, c.a, got, c.want.Depth(), c.want)
 		}
 	}
 }
@@ -186,15 +199,36 @@ func TestNodeCountFormula(t *testing.T) {
 	}
 }
 
-// TestNodeIsTwentyFourBytes pins the paper's node: parent, depth, seq_no
-// with the kind folded in, the child counter and the arena ID, and
-// nothing else.
-func TestNodeIsTwentyFourBytes(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != NodeBytes || NodeBytes != 24 {
-		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d, want both 24", got, NodeBytes)
+// TestNodeIsSixteenBytes pins the node at what DMHP reads: parent, the
+// arena ID that doubles as seq_no, depth with the kind folded in, and
+// nothing else — so four nodes fill a cache line and a chunk is 64 KiB.
+func TestNodeIsSixteenBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != NodeBytes || NodeBytes != 16 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d, want both 16", got, NodeBytes)
 	}
-	if got := unsafe.Sizeof(chunk{}); got > 128<<10 {
-		t.Fatalf("an arena chunk is %d bytes, want at most 128 KiB", got)
+	if got := unsafe.Sizeof(chunk{}); got > 64<<10 {
+		t.Fatalf("an arena chunk is %d bytes, want at most 64 KiB", got)
+	}
+}
+
+// TestInsertionLeavesPublishedNodesUntouched: a node is written by the
+// insertion that creates it and never again — NewChild and Spawn under a
+// scope change no byte of the scope or of the children it already has.
+func TestInsertionLeavesPublishedNodesUntouched(t *testing.T) {
+	tr := New()
+	scope := tr.NewChild(tr.Root(), FinishNode)
+	published := []*Node{tr.Root(), scope, tr.NewChild(scope, StepNode), tr.NewChild(scope, AsyncNode)}
+	var before []Node // a Node has no padding, so == compares all 16 bytes
+	for _, n := range published {
+		before = append(before, *n)
+	}
+	tr.NewChild(scope, StepNode)
+	tr.Spawn(scope)
+	tr.NewChild(scope, FinishNode)
+	for i, n := range published {
+		if *n != before[i] {
+			t.Errorf("%v changed under insertion: %+v, was %+v", n, *n, before[i])
+		}
 	}
 }
 
@@ -247,23 +281,24 @@ func TestNodeResolvesID(t *testing.T) {
 }
 
 // TestSpawnIsThreeNewChildren: Spawn builds what §3.1's three insertions
-// build — same ids, parents, depths, sequence numbers and kinds — on both
-// sides of a chunk boundary.
+// build — same ids (hence sibling order), parents, depths and kinds — on
+// both sides of a chunk boundary.
 func TestSpawnIsThreeNewChildren(t *testing.T) {
 	one, three := New(), New()
 	s1 := one.NewChild(one.Root(), FinishNode)
 	s3 := three.NewChild(three.Root(), FinishNode)
 	for i := 0; i < chunkNodes/2; i++ {
-		a1, c1, k1 := one.Spawn(s1)
+		c1, k1 := one.Spawn(s1)
+		a1 := c1.Parent
 		a3 := three.NewChild(s3, AsyncNode)
 		c3 := three.NewChild(a3, StepNode)
 		k3 := three.NewChild(s3, StepNode)
 		for _, p := range [][2]*Node{{a1, a3}, {c1, c3}, {k1, k3}} {
 			got, want := p[0], p[1]
-			if got.ID != want.ID || got.Parent.ID != want.Parent.ID || got.Depth != want.Depth ||
-				got.Seq() != want.Seq() || got.Kind() != want.Kind() || one.Node(got.ID) != got {
-				t.Fatalf("spawn %d: Spawn made %v (parent %v depth %d seq %d), NewChild made %v (parent %v depth %d seq %d)",
-					i, got, got.Parent, got.Depth, got.Seq(), want, want.Parent, want.Depth, want.Seq())
+			if got.ID != want.ID || got.Parent.ID != want.Parent.ID || got.Depth() != want.Depth() ||
+				got.Kind() != want.Kind() || one.Node(got.ID) != got {
+				t.Fatalf("spawn %d: Spawn made %v (parent %v depth %d), NewChild made %v (parent %v depth %d)",
+					i, got, got.Parent, got.Depth(), want, want.Parent, want.Depth())
 			}
 		}
 		s1, s3 = a1, a3 // nest, so depth and scope vary too
@@ -316,10 +351,12 @@ func TestArenaConcurrentAlloc(t *testing.T) {
 			if tr.Node(n.ID) != n {
 				t.Fatalf("Node(%d) = %p, want %p", n.ID, tr.Node(n.ID), n)
 			}
-			if n.Parent != scopes[w] || n.Depth != 2 || n.Seq() != int32(i+1) || n.Kind() != kind {
-				t.Fatalf("worker %d child %d = {parent %v depth %d seq %d kind %v}, want {%v 2 %d %v}",
-					w, i, n.Parent, n.Depth, n.Seq(), n.Kind(), scopes[w], i+1, kind)
+			if n.Parent != scopes[w] || n.Depth() != 2 || n.Kind() != kind {
+				t.Fatalf("worker %d child %d = {parent %v depth %d kind %v}, want {%v 2 %v}",
+					w, i, n.Parent, n.Depth(), n.Kind(), scopes[w], kind)
 			}
+			// A scope's children, by id, are in the order their one
+			// owner created them: the sibling order Relation uses.
 			if i > 0 && n.ID <= nodes[i-1].ID {
 				t.Fatalf("worker %d: ids not in creation order: %d then %d", w, nodes[i-1].ID, n.ID)
 			}
@@ -377,6 +414,39 @@ func TestIDExhaustionPanics(t *testing.T) {
 	}()
 	tr.NewChild(tr.Root(), StepNode)
 	t.Error("NewChild past 2^32 nodes returned")
+}
+
+// TestDepthExhaustionPanics: depths are 30 bits. Insertions that reach
+// depth 2^30 - 1 succeed; one that would need depth 2^30 panics, says why,
+// and inserts nothing.
+func TestDepthExhaustionPanics(t *testing.T) {
+	tr := New()
+	parent := tr.NewChild(tr.Root(), FinishNode)
+	parent.depthKind = (maxDepth-1)<<kindBits | uint32(FinishNode)
+	deepest := tr.NewChild(parent, FinishNode)
+	if s := tr.NewChild(parent, StepNode); deepest.Depth() != maxDepth || s.Depth() != maxDepth || s.Parent != parent {
+		t.Fatalf("children of a depth 2^30-2 node at depth %d and %d, want %d", deepest.Depth(), s.Depth(), maxDepth)
+	}
+	size := tr.Len()
+	for name, insert := range map[string]func(){
+		"NewChild under the deepest node": func() { tr.NewChild(deepest, StepNode) },
+		"Spawn under the deepest node":    func() { tr.Spawn(deepest) },
+		"Spawn one level above it":        func() { tr.Spawn(parent) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "dpst: tree is too deep") || !strings.Contains(msg, "30 bits") {
+					t.Errorf("%s: panic = %q, want a dpst: message naming the 30-bit depth limit", name, msg)
+				}
+				if tr.Len() != size {
+					t.Errorf("%s: Len = %d after the refused insertion, want %d", name, tr.Len(), size)
+				}
+			}()
+			insert()
+			t.Errorf("%s returned", name)
+		}()
+	}
 }
 
 // TestBytesAccounting: the analytic size is nodes × NodeBytes whatever

@@ -6,14 +6,37 @@ import (
 	"testing/quick"
 )
 
-// randomTree grows a tree by repeatedly attaching children (alternating
-// kinds) to random existing interior nodes, returning all nodes.
-func randomTree(seed int64, size int) []*Node {
-	rng := rand.New(rand.NewSource(seed))
+// seqTree is a test tree that keeps the paper's seq_no beside it: each
+// node's position among its siblings, from 1, left to right, recorded as
+// the builder inserts it — a sibling order independent of the ids that
+// Relation compares. nodes are the ones worth querying.
+type seqTree struct {
+	t     *Tree
+	seq   map[*Node]int32
+	kids  map[*Node]int32
+	nodes []*Node
+}
+
+func newSeqTree() *seqTree {
 	t := New()
-	nodes := []*Node{t.Root()}
-	interior := []*Node{t.Root()}
-	for len(nodes) < size {
+	return &seqTree{t: t, seq: map[*Node]int32{}, kids: map[*Node]int32{}, nodes: []*Node{t.Root()}}
+}
+
+// add inserts a new rightmost child of parent and records its seq_no.
+func (b *seqTree) add(parent *Node, kind Kind) *Node {
+	n := b.t.NewChild(parent, kind)
+	b.kids[parent]++
+	b.seq[n] = b.kids[parent]
+	return n
+}
+
+// randomTree grows a tree by repeatedly attaching children (alternating
+// kinds) to random existing interior nodes; every node is worth querying.
+func randomTree(seed int64, size int) *seqTree {
+	rng := rand.New(rand.NewSource(seed))
+	b := newSeqTree()
+	interior := []*Node{b.t.Root()}
+	for len(b.nodes) < size {
 		parent := interior[rng.Intn(len(interior))]
 		var kind Kind
 		switch rng.Intn(3) {
@@ -24,24 +47,24 @@ func randomTree(seed int64, size int) []*Node {
 		default:
 			kind = StepNode
 		}
-		n := t.NewChild(parent, kind)
-		nodes = append(nodes, n)
+		n := b.add(parent, kind)
+		b.nodes = append(b.nodes, n)
 		if kind != StepNode {
 			interior = append(interior, n)
 		}
 	}
-	return nodes
+	return b
 }
 
 // diffTree grows a randomized tree of the shapes randomTree rarely
 // reaches: long chains (each case-0 draw descends chain levels) and wide
-// fan-out (each case-1 draw appends fan siblings), returning all nodes.
-func diffTree(seed int64, size, chain, fan int) []*Node {
+// fan-out (each case-1 draw appends fan siblings); every node is worth
+// querying.
+func diffTree(seed int64, size, chain, fan int) *seqTree {
 	rng := rand.New(rand.NewSource(seed))
-	t := New()
-	nodes := []*Node{t.Root()}
-	interior := []*Node{t.Root()}
-	for len(nodes) < size {
+	b := newSeqTree()
+	interior := []*Node{b.t.Root()}
+	for len(b.nodes) < size {
 		parent := interior[rng.Intn(len(interior))]
 		switch rng.Intn(3) {
 		case 0:
@@ -51,8 +74,8 @@ func diffTree(seed int64, size, chain, fan int) []*Node {
 				if i%2 == 1 {
 					kind = FinishNode
 				}
-				n = t.NewChild(n, kind)
-				nodes = append(nodes, n)
+				n = b.add(n, kind)
+				b.nodes = append(b.nodes, n)
 				interior = append(interior, n)
 			}
 		case 1:
@@ -61,42 +84,43 @@ func diffTree(seed int64, size, chain, fan int) []*Node {
 				if i%2 == 0 {
 					kind = StepNode
 				}
-				n := t.NewChild(parent, kind)
-				nodes = append(nodes, n)
+				n := b.add(parent, kind)
+				b.nodes = append(b.nodes, n)
 				if kind != StepNode {
 					interior = append(interior, n)
 				}
 			}
 		default:
-			nodes = append(nodes, t.NewChild(parent, StepNode))
+			b.nodes = append(b.nodes, b.add(parent, StepNode))
 		}
 	}
-	return nodes
+	return b
 }
 
 // wideTree hangs 16 400 asyncs under one finish — sibling indices past
 // 16 383 — and a step under each of the last few, plus one async beside
-// the finish; it returns the nodes worth querying.
-func wideTree() []*Node {
-	t := New()
-	wide := t.NewChild(t.Root(), FinishNode)
-	nodes := []*Node{t.Root(), wide}
+// the finish; only those ends are worth querying.
+func wideTree() *seqTree {
+	b := newSeqTree()
+	wide := b.add(b.t.Root(), FinishNode)
+	b.nodes = append(b.nodes, wide)
 	for i := 0; i < 16400; i++ {
-		n := t.NewChild(wide, AsyncNode)
+		n := b.add(wide, AsyncNode)
 		if i < 4 || i >= 16380 {
-			nodes = append(nodes, n, t.NewChild(n, StepNode))
+			b.nodes = append(b.nodes, n, b.add(n, StepNode))
 		}
 	}
-	side := t.NewChild(t.Root(), AsyncNode)
-	return append(nodes, side, t.NewChild(side, StepNode))
+	side := b.add(b.t.Root(), AsyncNode)
+	b.nodes = append(b.nodes, side, b.add(side, StepNode))
+	return b
 }
 
 var wideNodes = wideTree()
 
 // quickTrees are the inputs of the naive-reference checks: the uniform
 // random tree, the deep-chain/fan-out tree, and the very wide one.
-func quickTrees(seed int64) [][]*Node {
-	return [][]*Node{randomTree(seed, 120), diffTree(seed, 160, 24, 9), wideNodes}
+func quickTrees(seed int64) []*seqTree {
+	return []*seqTree{randomTree(seed, 120), diffTree(seed, 160, 24, 9), wideNodes}
 }
 
 // naiveLCA finds the least common ancestor by materializing a's ancestor
@@ -125,8 +149,9 @@ func childToward(lca, n *Node) *Node {
 	return prev
 }
 
-// naiveDMHP re-states Theorem 1 from the naive primitives.
-func naiveDMHP(a, b *Node) bool {
+// naiveDMHP re-states Theorem 1 from the naive primitives, taking left-of
+// from the recorded seq_no.
+func naiveDMHP(seq map[*Node]int32, a, b *Node) bool {
 	if a == nil || b == nil || a == b {
 		return false
 	}
@@ -136,7 +161,7 @@ func naiveDMHP(a, b *Node) bool {
 		return false
 	}
 	left := ca
-	if cb.Seq() < ca.Seq() {
+	if seq[cb] < seq[ca] {
 		left = cb
 	}
 	return left.Kind() == AsyncNode
@@ -146,10 +171,10 @@ func naiveDMHP(a, b *Node) bool {
 // the ancestor-set LCA for every node pair of random, deep and wide trees.
 func TestQuickLCAAgainstNaive(t *testing.T) {
 	check := func(seed int64, ai, bi uint16) bool {
-		for _, nodes := range quickTrees(seed) {
-			a := nodes[int(ai)%len(nodes)]
-			b := nodes[int(bi)%len(nodes)]
-			if _, d := Relation(a, b); d != naiveLCA(a, b).Depth {
+		for _, tr := range quickTrees(seed) {
+			a := tr.nodes[int(ai)%len(tr.nodes)]
+			b := tr.nodes[int(bi)%len(tr.nodes)]
+			if _, d := Relation(a, b); d != naiveLCA(a, b).Depth() {
 				return false
 			}
 		}
@@ -164,10 +189,10 @@ func TestQuickLCAAgainstNaive(t *testing.T) {
 // restatement over naive primitives.
 func TestQuickDMHPAgainstNaive(t *testing.T) {
 	check := func(seed int64, ai, bi uint16) bool {
-		for _, nodes := range quickTrees(seed) {
-			a := nodes[int(ai)%len(nodes)]
-			b := nodes[int(bi)%len(nodes)]
-			if dmhp(a, b) != naiveDMHP(a, b) {
+		for _, tr := range quickTrees(seed) {
+			a := tr.nodes[int(ai)%len(tr.nodes)]
+			b := tr.nodes[int(bi)%len(tr.nodes)]
+			if dmhp(a, b) != naiveDMHP(tr.seq, a, b) {
 				return false
 			}
 		}
@@ -181,7 +206,7 @@ func TestQuickDMHPAgainstNaive(t *testing.T) {
 // TestQuickDMHPSymmetric: DMHP is symmetric and irreflexive on any tree.
 func TestQuickDMHPSymmetric(t *testing.T) {
 	check := func(seed int64, ai, bi uint16) bool {
-		nodes := randomTree(seed, 80)
+		nodes := randomTree(seed, 80).nodes
 		a := nodes[int(ai)%len(nodes)]
 		b := nodes[int(bi)%len(nodes)]
 		if a == b {
@@ -194,38 +219,25 @@ func TestQuickDMHPSymmetric(t *testing.T) {
 	}
 }
 
-// TestQuickPathInvariants: depth equals root-path length and sibling
-// sequence numbers are dense from 1.
+// TestQuickPathInvariants: depth equals root-path length, and under every
+// parent the order of ids — what Relation calls left-of — is the order of
+// the recorded sequence numbers.
 func TestQuickPathInvariants(t *testing.T) {
 	check := func(seed int64) bool {
-		nodes := randomTree(seed, 150)
-		maxSeq := map[*Node]int32{}
-		for _, n := range nodes {
-			d := int32(0)
-			for p := n.Parent; p != nil; p = p.Parent {
-				d++
-			}
-			if d != n.Depth {
-				return false
-			}
-			if n.Parent != nil {
-				if n.Seq() < 1 {
+		for _, tr := range []*seqTree{randomTree(seed, 150), diffTree(seed, 160, 24, 9)} {
+			for _, n := range tr.nodes {
+				d := int32(0)
+				for p := n.Parent; p != nil; p = p.Parent {
+					d++
+				}
+				if d != n.Depth() {
 					return false
 				}
-				if n.Seq() > maxSeq[n.Parent] {
-					maxSeq[n.Parent] = n.Seq()
+				for _, m := range tr.nodes {
+					if m.Parent == n.Parent && (m.ID < n.ID) != (tr.seq[m] < tr.seq[n]) {
+						return false
+					}
 				}
-			}
-		}
-		counts := map[*Node]int32{}
-		for _, n := range nodes {
-			if n.Parent != nil {
-				counts[n.Parent]++
-			}
-		}
-		for p, c := range counts {
-			if maxSeq[p] != c {
-				return false // sequence numbers not dense
 			}
 		}
 		return true

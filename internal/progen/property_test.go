@@ -120,9 +120,10 @@ func TestFastTrackMatchesOracle(t *testing.T) {
 }
 
 // pathSig canonically names a DPST node by the child-sequence path from
-// the root, e.g. "f/2a/1s": stable across executions by the §3.2
-// path-invariance property.
-func pathSig(n *dpst.Node) string {
+// the root, e.g. "0f/2a/1s": stable across executions by the §3.2
+// path-invariance property. rank holds each node's position among its
+// siblings (the paper's seq_no), indexed by id.
+func pathSig(n *dpst.Node, rank []int32) string {
 	var parts []string
 	for ; n != nil; n = n.Parent {
 		var k byte
@@ -134,7 +135,7 @@ func pathSig(n *dpst.Node) string {
 		default:
 			k = 's'
 		}
-		parts = append(parts, fmt.Sprintf("%d%c", n.Seq(), k))
+		parts = append(parts, fmt.Sprintf("%d%c", rank[n.ID], k))
 	}
 	// reverse
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
@@ -143,8 +144,25 @@ func pathSig(n *dpst.Node) string {
 	return strings.Join(parts, "/")
 }
 
+// siblingRanks numbers every node among its siblings, from 1, left to
+// right (0 for the root), in one pass over the arena: a scope's children
+// are created in program order, so counting them in id order recovers the
+// rank whatever the schedule interleaved between them.
+func siblingRanks(tr *dpst.Tree) []int32 {
+	rank := make([]int32, tr.Len())
+	children := make([]int32, tr.Len())
+	for id := 1; id < len(rank); id++ {
+		parent := tr.Node(uint32(id)).Parent.ID
+		children[parent]++
+		rank[id] = children[parent]
+	}
+	return rank
+}
+
 // signatures runs p under the given executor with SPD3 attached and
-// returns site → DPST path of the step performing that access.
+// returns site → DPST path of the step performing that access. The run
+// records only the step nodes; the paths are derived afterwards, since
+// ids, unlike ranks, depend on the schedule.
 func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[int]string {
 	t.Helper()
 	sink := detect.NewSink(false, 0)
@@ -153,16 +171,21 @@ func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[i
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := make(map[int]string, p.Sites)
+	steps := make(map[int]*dpst.Node, p.Sites)
 	var mu sync.Mutex
 	hook := func(c *task.Ctx, site int, isWrite bool) {
-		sig := pathSig(d.StepOf(c.Task()))
+		s := d.StepOf(c.Task())
 		mu.Lock()
-		sigs[site] = sig
+		steps[site] = s
 		mu.Unlock()
 	}
 	if err := Run(rt, p, hook); err != nil {
 		t.Fatal(err)
+	}
+	rank := siblingRanks(d.Tree())
+	sigs := make(map[int]string, len(steps))
+	for site, s := range steps {
+		sigs[site] = pathSig(s, rank)
 	}
 	return sigs
 }
