@@ -74,6 +74,68 @@ func BenchmarkShadowReadSteadyState(b *testing.B) {
 	}
 }
 
+// sweepCells applies op, a shadow's Read or Write, n times in c's task,
+// cycling over the first cells cells.
+func sweepCells(c *task.Ctx, op func(t *detect.Task, i int), cells, n int) {
+	for i := 0; i < n; i++ {
+		op(c.Task(), i%cells)
+	}
+}
+
+// BenchmarkShadowReadThirdReader measures a read that changes nothing and
+// cannot be answered short of Algorithm 2's last case: the 64 cells hold an
+// ordered writer and two parallel readers, and a third reader, parallel
+// with both and inside the subtree under their LCA, sweeps them — three
+// walks a read.
+func BenchmarkShadowReadThirdReader(b *testing.B) {
+	shadowAtDepth(b, 4, func(c *task.Ctx, sh detect.Shadow) {
+		sweepCells(c, sh.Write, 64, 64)
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sweepCells(c, sh.Read, 64, 64) })
+			c.Async(func(c *task.Ctx) { sweepCells(c, sh.Read, 64, 64) })
+			c.Async(func(c *task.Ctx) {
+				b.ResetTimer()
+				sweepCells(c, sh.Read, 64, b.N)
+			})
+		})
+	})
+}
+
+// BenchmarkShadowReadClosedPhase measures reads of what a closed top-level
+// finish recorded — the phase structure of the stencil's own cells and of
+// gather's read-shared arrays: every phase is a top-level finish in which
+// two tasks each read a page of cells written in the first phase, so the
+// first meets w, r1 and r2 from closed phases and supersedes the readers,
+// and the second meets w from a closed phase and the first as r1.
+func BenchmarkShadowReadClosedPhase(b *testing.B) {
+	const page = 4096
+	sink := detect.NewSink(false, 0)
+	d := New(sink, nil)
+	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh := d.NewShadow(detect.Spec("x", page, 8))
+	if err := rt.Run(func(c *task.Ctx) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sweepCells(c, sh.Write, page, page) })
+		})
+		b.ResetTimer()
+		for n := 0; n < b.N; n += 2 * page {
+			c.Finish(func(c *task.Ctx) {
+				for r := 0; r < 2; r++ {
+					c.Async(func(c *task.Ctx) { sweepCells(c, sh.Read, page, page) })
+				}
+			})
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if !sink.Empty() {
+		b.Fatal("benchmark program raced")
+	}
+}
+
 // BenchmarkTaskBoundary measures the O(1) DPST maintenance per async
 // (three node insertions).
 func BenchmarkTaskBoundary(b *testing.B) {

@@ -39,6 +39,17 @@
 // the finish which ends is the task's scope is the nesting rule of the
 // detect event contract: the runtime keeps it, trace replay enforces it.
 //
+// One fact about the tree is kept beside it, the watermark: every node
+// with an id below it is ordered before every step with an id at or above
+// it, so a recorded step below it is "not parallel" by one compare — no
+// walk, no touch of an old node — exactly as the walk would answer. It
+// moves where the tree's shape proves that (DESIGN §7, invariant W): at a
+// run's start (earlier runs hang under finish nodes to the left) and at the
+// end of a top-level finish while the run node has no async child (all
+// nodes so far lie under its step and finish children, all later ones to
+// their right). It is a plain word: only the main task writes it, with no
+// other task running, and every later reader is spawned after the write.
+//
 // The detector is one configuration: New takes the race sink and the
 // stats recorder and nothing else. Check sampling is not this package's
 // concern: detect.New wraps the detector in the registry's gate when a
@@ -61,6 +72,9 @@ type Detector struct {
 	tree *dpst.Tree
 	st   *stats.Recorder
 
+	watermark uint32 // see the package comment; never below 1
+	escaped   bool   // the current run's node has an async child: the watermark stays
+
 	shadowBytes atomic.Int64
 }
 
@@ -71,7 +85,7 @@ type Detector struct {
 // non-atomic increment; rec itself is only touched off the hot path
 // (page allocation, the retry histogram after a lost CAS).
 func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
-	return &Detector{sink: sink, tree: dpst.New(), st: rec}
+	return &Detector{sink: sink, tree: dpst.New(), st: rec, watermark: 1}
 }
 
 // Tree exposes the DPST (for tests and tooling).
@@ -86,16 +100,17 @@ func (d *Detector) Name() string { return "spd3" }
 // RequiresSequential implements detect.Detector: SPD3 runs in parallel.
 func (d *Detector) RequiresSequential() bool { return false }
 
-// relation answers DMHP for a recorded step, by id, and another — the
-// §5.2 walk, counted in t's tally. An empty shadow field (id 0) and the
-// other step itself are in parallel with nothing and cost no query, nor
-// the id's resolution to a node.
-func (d *Detector) relation(t *detect.Task, a uint32, b *dpst.Node) (parallel bool, lcaDepth int32) {
-	if a == 0 || a == b.ID {
-		return false, -1
+// relation answers DMHP for a recorded step, by id, and the accessing step
+// s — the §5.2 walk, counted in t's tally — with the side of their LCA the
+// recorded step is on. A step below the watermark (an empty field, id 0,
+// always is) and s itself are in parallel with nothing and cost no walk,
+// nor the id's resolution to a node.
+func (d *Detector) relation(t *detect.Task, a uint32, s *dpst.Node) (parallel bool, side *dpst.Node) {
+	if a < d.watermark || a == s.ID {
+		return false, nil
 	}
 	t.Tally.DMHPWalk++
-	return dpst.Relation(d.tree.Node(a), b)
+	return dpst.DMHP(d.tree.Node(a), s)
 }
 
 // MainTask roots one run: a finish node under the tree root represents
@@ -103,9 +118,11 @@ func (d *Detector) relation(t *detect.Task, a uint32, b *dpst.Node) (parallel bo
 // main task's starting computation (§3.1). Each Run gets its own finish
 // node so that a detector reused across several consecutive runs orders
 // them correctly: a later run's steps are to the right of an earlier
-// run's *finish* node, hence serialized after everything it joined.
+// run's *finish* node, hence serialized after everything it joined — which
+// is the watermark's invariant at the run node's id.
 func (d *Detector) MainTask(t *detect.Task, _ *detect.Finish) {
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
+	d.watermark, d.escaped = run.ID, false
 	t.State = d.tree.NewChild(run, dpst.StepNode)
 }
 
@@ -113,9 +130,15 @@ func (d *Detector) MainTask(t *detect.Task, _ *detect.Finish) {
 // rightmost child of the parent's current scope, a step node for the
 // child's starting computation goes under it, and a step node for the
 // parent's continuation becomes the async node's right sibling — one O(1),
-// synchronization-free insertion of three nodes (dpst.Tree.Spawn).
+// synchronization-free insertion of three nodes (dpst.Tree.Spawn). An
+// async under the run node (depth 1: the spawner is the main task) outlives
+// every top-level finish, so it pins the watermark.
 func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
-	child.State, parent.State = d.tree.Spawn(step(parent).Parent)
+	scope := step(parent).Parent
+	if scope.Depth() == 1 {
+		d.escaped = true
+	}
+	child.State, parent.State = d.tree.Spawn(scope)
 }
 
 // TaskEnd has no DPST effect: the join is represented by the finish node.
@@ -133,13 +156,18 @@ func (d *Detector) FinishStart(t *detect.Task, _ *detect.Finish) {
 // scope (a task ends its innermost open finish), the scope reverts to its
 // parent and a step node for the continuation goes there. The run-level
 // finish, directly under the root, has no continuation — a test on the
-// tree's shape, so no order of events inserts under the root.
+// tree's shape, so no order of events inserts under the root. A top-level
+// finish (depth 2) ending with no async beside it moves the watermark.
 func (d *Detector) FinishEnd(t *detect.Task, _ *detect.Finish) {
 	fn := step(t).Parent
 	if fn.Parent == d.tree.Root() {
 		return
 	}
-	t.State = d.tree.NewChild(fn.Parent, dpst.StepNode)
+	cont := d.tree.NewChild(fn.Parent, dpst.StepNode)
+	t.State = cont
+	if fn.Depth() == 2 && !d.escaped {
+		d.watermark = cont.ID
+	}
 }
 
 // Acquire is a no-op: SPD3 targets lock-free async/finish programs (§2).
@@ -235,8 +263,8 @@ func (d *Detector) readCheck(m word, t *detect.Task, s *dpst.Node, region string
 	if p, _ := d.relation(t, m.w, s); p {
 		d.report(detect.WriteRead, region, i, m.w, s)
 	}
-	p1, lca1s := d.relation(t, m.r1, s)
-	p2, _ := d.relation(t, m.r2, s)
+	p1, c1 := d.relation(t, m.r1, s)
+	p2, c2 := d.relation(t, m.r2, s)
 	switch {
 	case !p1 && !p2:
 		// s is ordered after every recorded reader (and, by the
@@ -250,15 +278,14 @@ func (d *Detector) readCheck(m word, t *detect.Task, s *dpst.Node, region string
 		m.r2 = s.ID
 		return m, true
 	case p1 && p2:
-		// Keep the two of {r1, r2, s} whose LCA is highest. s lies
-		// outside the subtree under LCA(r1,r2) exactly when
-		// LCA(r1,s) is a proper ancestor of LCA(r1,r2); both are on
-		// r1's root path, so comparing depths suffices. In that case
-		// LCA(r1,s) = LCA(r2,s) and replacing r1 with s lifts the
-		// subtree to cover all three. lca1s is the LCA depth the
-		// DMHP(r1,s) relation above already computed.
-		_, lca12 := d.relation(t, m.r1, d.tree.Node(m.r2))
-		if lca1s < lca12 {
+		// Keep the two of {r1, r2, s} whose LCA is highest. c1 and
+		// c2 are the children of LCA(r1,s) and LCA(r2,s) that r1 and
+		// r2 hang under. With s outside the subtree under LCA(r1,r2)
+		// the two are one proper ancestor of it, so c1 == c2, and
+		// replacing r1 with s lifts the subtree to cover all three;
+		// with s inside, both are at or below LCA(r1,r2) and no
+		// child of either holds r1 and r2 together.
+		if c1 == c2 {
 			m.r1 = s.ID
 			return m, true
 		}

@@ -542,15 +542,19 @@ func TestTreeShapePinned(t *testing.T) {
 	}
 }
 
-// TestDMHPQueriesPerAccess pins what dmhp.walk counts: every DMHP query
-// Algorithms 1 and 2 issue, one per non-empty shadow field that is not
-// the accessing step itself, plus the LCA(r1, r2) depth when a read is
-// parallel with both recorded readers. Nothing sits in front of the walk,
-// so a step that meets the same recorded step 100 times walks 100 times.
+// TestDMHPQueriesPerAccess pins what dmhp.walk counts: the walks
+// Algorithms 1 and 2 make, one per shadow field that holds a step at or
+// above the watermark other than the accessing step itself — at most three
+// a memory action: a read parallel with both recorded readers takes
+// LCA(r1, r2)'s side of it from the two walks it already made. Only the
+// watermark sits in front of the walk: a step that meets the same recorded
+// step of its own phase 100 times walks 100 times; one from a closed
+// top-level finish or an earlier run costs nothing — unless an async under
+// the implicit finish keeps the watermark at the run node.
 func TestDMHPQueriesPerAccess(t *testing.T) {
 	rt, d, sink := newRT(t, task.Sequential, 1, false)
 	sh := d.NewShadow(detect.Spec("x", 128, 8))
-	// walks runs f in c's task and returns the queries it issued.
+	// walks runs f in c's task and returns the walks it made.
 	walks := func(c *task.Ctx, f func(tk *detect.Task)) int64 {
 		tk := c.Task()
 		before := tk.Tally.DMHPWalk
@@ -560,15 +564,18 @@ func TestDMHPQueriesPerAccess(t *testing.T) {
 	expect := func(what string, got, want int64) {
 		t.Helper()
 		if got != want {
-			t.Errorf("%s: %d DMHP queries, want %d", what, got, want)
+			t.Errorf("%s: %d DMHP walks, want %d", what, got, want)
+		}
+	}
+	sweep := func(op func(tk *detect.Task, i int)) func(tk *detect.Task) {
+		return func(tk *detect.Task) {
+			for i := 0; i < 100; i++ {
+				op(tk, i)
+			}
 		}
 	}
 	err := rt.Run(func(c *task.Ctx) {
-		expect("first write of 100 untouched words", walks(c, func(tk *detect.Task) {
-			for i := 0; i < 100; i++ {
-				sh.Write(tk, i)
-			}
-		}), 0)
+		expect("first write of 100 untouched words", walks(c, sweep(sh.Write)), 0)
 		expect("same-step re-write, read and re-read", walks(c, func(tk *detect.Task) {
 			sh.Write(tk, 110)
 			sh.Write(tk, 110)
@@ -578,11 +585,7 @@ func TestDMHPQueriesPerAccess(t *testing.T) {
 		expect("read of an untouched word", walks(c, func(tk *detect.Task) { sh.Read(tk, 111) }), 0)
 		c.Finish(func(c *task.Ctx) {
 			c.Async(func(c *task.Ctx) {
-				expect("100 reads of one ordered writer's cells", walks(c, func(tk *detect.Task) {
-					for i := 0; i < 100; i++ {
-						sh.Read(tk, i)
-					}
-				}), 100)
+				expect("100 reads of one ordered writer's cells", walks(c, sweep(sh.Read)), 100)
 			})
 		})
 		// w, r1 and r2 of word 120 become three distinct, mutually
@@ -592,7 +595,7 @@ func TestDMHPQueriesPerAccess(t *testing.T) {
 			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 120) })
 			c.Async(func(c *task.Ctx) { sh.Read(c.Task(), 120) })
 			c.Async(func(c *task.Ctx) {
-				expect("read against parallel w, r1, r2", walks(c, func(tk *detect.Task) { sh.Read(tk, 120) }), 4)
+				expect("read against parallel w, r1, r2", walks(c, func(tk *detect.Task) { sh.Read(tk, 120) }), 3)
 			})
 			c.Async(func(c *task.Ctx) {
 				expect("write against parallel w, r1, r2", walks(c, func(tk *detect.Task) { sh.Write(tk, 120) }), 3)
@@ -604,6 +607,51 @@ func TestDMHPQueriesPerAccess(t *testing.T) {
 	}
 	if len(sink.Races()) == 0 {
 		t.Error("word 120's accesses were meant to be parallel, but no race was reported")
+	}
+
+	// Cells written inside one top-level finish, read from an async inside
+	// the next; with escape, an async spawned directly under the implicit
+	// finish comes first.
+	phases := func(escape bool) (got int64) {
+		rt, d, sink := newRT(t, task.Sequential, 1, false)
+		sh := d.NewShadow(detect.Spec("x", 128, 8))
+		if err := rt.Run(func(c *task.Ctx) {
+			if escape {
+				c.Async(func(c *task.Ctx) {})
+			}
+			c.Finish(func(c *task.Ctx) {
+				c.Async(func(c *task.Ctx) { sweep(sh.Write)(c.Task()) })
+			})
+			c.Finish(func(c *task.Ctx) {
+				c.Async(func(c *task.Ctx) { got = walks(c, sweep(sh.Read)) })
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !sink.Empty() {
+			t.Errorf("escape=%v: races %v, want none", escape, sink.Races())
+		}
+		return got
+	}
+	expect("100 reads of cells written inside a closed top-level finish", phases(false), 0)
+	expect("the same behind an async under the implicit finish", phases(true), 100)
+
+	// A second run meets what the first one recorded, here from an async
+	// that kept the first run's watermark at its run node.
+	rt, d, sink = newRT(t, task.Sequential, 1, false)
+	sh = d.NewShadow(detect.Spec("x", 128, 8))
+	if err := rt.Run(func(c *task.Ctx) {
+		c.Async(func(c *task.Ctx) { sweep(sh.Write)(c.Task()) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(func(c *task.Ctx) {
+		expect("100 reads of cells an earlier run wrote", walks(c, sweep(sh.Read)), 0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !sink.Empty() {
+		t.Errorf("second run: races %v, want none", sink.Races())
 	}
 }
 

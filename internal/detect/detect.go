@@ -91,7 +91,7 @@ type Task struct {
 // increment.
 type Tally struct {
 	CASClean, CASPublish, CASRetry int64 // internal/core's shadow protocol
-	DMHPWalk                       int64 // internal/core's DMHP queries
+	DMHPWalk                       int64 // internal/core's DMHP walks
 	SampleChecked, SampleSkipped   int64 // the sampling gate (sampling.go)
 }
 

@@ -39,10 +39,7 @@ func nearPair(depth int) (*Node, *Node) {
 
 // The sinks keep the measured calls alive: sinkNode puts the inlined
 // NewChild's node on the heap, as every real caller's is.
-var (
-	sinkNode  *Node
-	sinkDepth int32
-)
+var sinkNode *Node
 
 func BenchmarkNewChild(b *testing.B) {
 	t := New()
@@ -90,8 +87,9 @@ func BenchmarkSpawnTwoOwners(b *testing.B) {
 	wg.Wait()
 }
 
-// BenchmarkRelation is the detector's query (parallelism + LCA depth in
-// one shot) on the shape the workloads issue and on the worst case.
+// BenchmarkRelation is the detector's query, DMHP (parallelism + the first
+// node's side of the LCA in one walk), on the shape the workloads issue and
+// on the worst case.
 func BenchmarkRelation(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -101,7 +99,7 @@ func BenchmarkRelation(b *testing.B) {
 			s1, s2 := shape.pair(depth)
 			b.Run(shape.name+"/depth="+strconv.Itoa(depth), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, sinkDepth = Relation(s1, s2)
+					_, sinkNode = DMHP(s1, s2)
 				}
 			})
 		}

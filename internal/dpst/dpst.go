@@ -8,14 +8,15 @@
 // which mirrors the sequential order of the computations in their common
 // parent scope.
 //
-// The tree answers the one query race detection needs, Relation: whether
-// two steps may happen in parallel — DMHP, Theorem 1: S1 (left) and S2
-// may run in parallel iff the ancestor of S1 that is a child of
-// LCA(S1,S2) is an async node — and the depth of their least common
-// ancestor, which Algorithm 2 compares to pick the two readers to keep.
-// It is answered the way §5.2 does: walk the parent pointers up to the
-// LCA, O(distance to the LCA) — four to seven hops for every query the
-// committed workloads issue, whatever the tree's depth.
+// The tree answers the one query race detection needs, DMHP: whether two
+// steps may happen in parallel — Theorem 1: S1 (left) and S2 may run in
+// parallel iff the ancestor of S1 that is a child of LCA(S1,S2) is an
+// async node — and that child, the side of the LCA the first step is on:
+// Algorithm 2 keeps the two readers whose LCA is highest, and a step lies
+// outside the subtree under LCA(r1,r2) exactly when r1 and r2 are on the
+// same side of it. It is answered the way §5.2 does: walk the parent
+// pointers up to the LCA, O(distance to the LCA) — four to seven hops for
+// every query the committed workloads issue, whatever the tree's depth.
 //
 // Storage. A node is 16 bytes — the parent pointer, the id and one word
 // holding depth and kind — and lives in a tree-owned arena: fixed-size
@@ -270,26 +271,38 @@ func relateWalk(a, b *Node) (lca, childA, childB *Node) {
 	return a, childA, childB
 }
 
-// Relation answers, in one query, everything the detector's read and
-// write checks need about a pair of nodes: whether they may happen in
-// parallel (Algorithm 3 / Theorem 1: iff the child of their LCA on the
-// left node's path is an async node) and the depth of their LCA. A step
-// never runs in parallel with itself: Relation(a, a) is (false, a.Depth());
-// nil (no recorded access) is in parallel with nothing: a nil operand
-// yields (false, -1).
-func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
-	if a == nil || b == nil {
-		return false, -1
-	}
-	lca, ca, cb := relateWalk(a, b)
-	if ca == nil || cb == nil {
-		return false, lca.Depth()
+// DMHP answers, in one walk, everything the detector's read and write
+// checks need about a recorded node a and a step s: whether they may happen
+// in parallel (Algorithm 3 / Theorem 1: iff the child of their LCA on the
+// left node's path is an async node) and side, the child of their LCA on
+// a's path — nil, with nothing parallel, when one is the other or its
+// ancestor. Of two nodes both parallel with s, s lies outside the subtree
+// under their LCA exactly when their sides are the same node.
+func DMHP(a, s *Node) (parallel bool, side *Node) {
+	_, ca, cs := relateWalk(a, s)
+	if ca == nil || cs == nil {
+		return false, nil
 	}
 	// Siblings are appended left to right by their one owner, so the
 	// left one is the one created first.
 	left := ca
-	if cb.ID < ca.ID {
-		left = cb
+	if cs.ID < ca.ID {
+		left = cs
 	}
-	return left.Kind() == AsyncNode, lca.Depth()
+	return left.Kind() == AsyncNode, ca
+}
+
+// Relation is DMHP with the depth of the LCA in place of the side: one
+// level above the side or, of a node and its ancestor, the ancestor's own.
+// A step never runs in parallel with itself: Relation(a, a) is (false,
+// a.Depth()); a nil operand (no recorded access) yields (false, -1).
+func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
+	if a == nil || b == nil {
+		return false, -1
+	}
+	parallel, side := DMHP(a, b)
+	if side == nil {
+		return false, min(a.Depth(), b.Depth())
+	}
+	return parallel, side.Depth() - 1
 }

@@ -246,3 +246,51 @@ func TestQuickPathInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSideRuleMatchesLCADepths holds DMHP's second result to what the
+// detector takes from it. Algorithm 2 keeps the two of r1, r2 and a third
+// reader s, parallel with both, whose LCA is highest: s replaces r1 when
+// LCA(r1, s) lies above LCA(r1, r2), and the detector reads that off the
+// sides — side(r1, s) == side(r2, s). On random, deep and wide trees the
+// two rules agree for every such triple of steps, the depths taken from
+// the ancestor-set LCA; and a side is nil exactly when one node is the
+// other or its ancestor.
+func TestSideRuleMatchesLCADepths(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, tr := range quickTrees(seed) {
+			var steps []*Node
+			for _, n := range tr.nodes {
+				if n.Kind() == StepNode {
+					steps = append(steps, n)
+				}
+			}
+			lcaDepth := map[[2]*Node]int32{}
+			for _, a := range tr.nodes {
+				for _, b := range tr.nodes {
+					l := naiveLCA(a, b)
+					lcaDepth[[2]*Node{a, b}] = l.Depth()
+					if _, side := DMHP(a, b); (side == nil) != (l == a || l == b) {
+						t.Fatalf("seed %d: DMHP(%v, %v) side = %v, LCA %v", seed, a, b, side, l)
+					}
+				}
+			}
+			for _, s := range steps {
+				var par, sides []*Node // the steps parallel with s, and their sides
+				for _, r := range steps {
+					if p, side := DMHP(r, s); p {
+						par, sides = append(par, r), append(sides, side)
+					}
+				}
+				for i, r1 := range par {
+					for j, r2 := range par {
+						above := lcaDepth[[2]*Node{r1, s}] < lcaDepth[[2]*Node{r1, r2}]
+						if (sides[i] == sides[j]) != above {
+							t.Fatalf("seed %d: r1 %v, r2 %v, s %v: same side %v, LCA(r1, s) above LCA(r1, r2) %v",
+								seed, r1, r2, s, sides[i] == sides[j], above)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package stats is the runtime observability layer: a low-overhead,
 // shard-per-core set of counters, histograms, and per-region access
 // tallies threaded through the whole stack — the detector's shadow
-// protocol (internal/core), its DMHP queries (internal/dpst via
+// protocol (internal/core), its DMHP walks (internal/dpst via
 // internal/core), the task runtime's executors (internal/task), the
 // instrumented containers (internal/mem), and the race sink
 // (internal/detect).
@@ -57,8 +57,8 @@ const (
 	CASPublish
 	// CASRetry counts restarts of a memory action after a lost CAS.
 	CASRetry
-	// DMHPWalk counts DMHP/LCA queries, each answered by the §5.2
-	// pointer walk.
+	// DMHPWalk counts §5.2 pointer walks: the DMHP queries against a
+	// recorded step that the detector's watermark does not answer.
 	DMHPWalk
 	// TaskSpawn counts spawned tasks (every Async).
 	TaskSpawn
