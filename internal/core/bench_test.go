@@ -258,8 +258,9 @@ func BenchmarkShadowPublish(b *testing.B) {
 	d := New(detect.NewSink(false, 0), nil)
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
 	fin := d.tree.NewChild(run, dpst.FinishNode)
+	var local detect.Local
 	taskAt := func(scope *dpst.Node) *detect.Task {
-		return &detect.Task{State: d.tree.NewChild(scope, dpst.StepNode)}
+		return &detect.Task{State: d.tree.NewChild(scope, dpst.StepNode), L: &local}
 	}
 	first := taskAt(fin)
 	async := d.tree.NewChild(fin, dpst.AsyncNode)

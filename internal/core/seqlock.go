@@ -49,11 +49,16 @@ import (
 // while a multiple of 2^31 updates of that one cell complete, the last
 // leaving the same w, takes the cell for unchanged and may pair a stale B
 // with it. It is the exposure the paper's int version counters have, at
-// half the period.
+// half the period. TestVersionWrapExposure builds that state and watches
+// the stale CAS succeed; TestVersionWrapCell and TestVersionWrapChecks pin
+// that the wrap itself — 2^32-2 to 0, through the odd 2^32-1 for a read
+// action — costs nothing: the protocol and Algorithms 1 and 2 behave as at
+// any other version.
 //
 // Shadow words live in lazily allocated pages (shadow.Pages) resolved
-// through the accessing task's page cache; a page of cells holds no
-// pointers, so the garbage collector never scans shadow memory.
+// through the page cache of the goroutine executing the accessing task
+// (detect.Local.PC); a page of cells holds no pointers, so the garbage
+// collector never scans shadow memory.
 type casShadow struct {
 	d     *Detector
 	name  string
@@ -135,20 +140,21 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	st, c := step(t), s.pages.CellOf(&t.PC, i)
+	l, st := t.L, step(t)
+	c := s.pages.CellOf(&l.PC, i)
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
 			a, b = c.snapshot()
 		}
-		if m, changed := s.d.readCheck(unpack(a, b), t, st, s.name, i); !changed {
-			t.Tally.CASClean++
+		if m, changed := s.d.readCheck(unpack(a, b), l, st, s.name, i); !changed {
+			l.Tally[stats.CASClean]++
 		} else if c.publishReaders(a, m.r1, m.r2) {
-			t.Tally.CASPublish++
+			l.Tally[stats.CASPublish]++
 		} else {
 			continue
 		}
-		s.countRetries(t, retries)
+		s.countRetries(l, retries)
 		return
 	}
 }
@@ -158,20 +164,21 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	st, c := step(t), s.pages.CellOf(&t.PC, i)
+	l, st := t.L, step(t)
+	c := s.pages.CellOf(&l.PC, i)
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
 			a, b = c.snapshot()
 		}
-		if m, changed := s.d.writeCheck(unpack(a, b), t, st, s.name, i); !changed {
-			t.Tally.CASClean++
+		if m, changed := s.d.writeCheck(unpack(a, b), l, st, s.name, i); !changed {
+			l.Tally[stats.CASClean]++
 		} else if c.publishWriter(a, m.w) {
-			t.Tally.CASPublish++
+			l.Tally[stats.CASPublish]++
 		} else {
 			continue
 		}
-		s.countRetries(t, retries)
+		s.countRetries(l, retries)
 		return
 	}
 }
@@ -179,9 +186,9 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 // countRetries tallies the lost CASes of one finished memory action. The
 // histogram goes straight to a shard: a retry follows a lost CAS, so the
 // atomic add is off the uncontended path.
-func (s *casShadow) countRetries(t *detect.Task, n int64) {
+func (s *casShadow) countRetries(l *detect.Local, n int64) {
 	if n > 0 {
-		t.Tally.CASRetry += n
-		s.d.st.Shard(int(t.ID)).Observe(stats.HistCASRetry, n)
+		l.Tally[stats.CASRetry] += n
+		s.d.st.Shard(l.Key).Observe(stats.HistCASRetry, n)
 	}
 }

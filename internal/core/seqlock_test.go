@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"spd3/internal/detect"
+	"spd3/internal/task"
 )
 
 // TestCellIsSixteenPointerFreeBytes pins the shadow word at the paper's
@@ -70,15 +73,115 @@ func TestPublishTouchesWhatItSays(t *testing.T) {
 	if a2, m2 := c.read(); a2 != a || m2 != m {
 		t.Errorf("a lost publish changed the cell: version %d %v", a2>>32, m2)
 	}
+}
 
-	// The version field wraps without disturbing w.
-	c.seed(1<<32-2, word{w: 5, r1: 6, r2: 7})
-	a, _ = c.read()
-	if !c.publishWriter(a, 50) {
+// lastVersion is the last even value of the 32-bit version field: the next
+// update wraps it to 0.
+const lastVersion = 1<<32 - 2
+
+// TestVersionWrapCell takes one cell across the 32-bit version wrap with
+// each kind of update: the version goes 2^32-2 → 0 (a read action by way
+// of the odd 2^32-1, which the read stage refuses like any odd version),
+// the fields it does not own are untouched, and a snapshot from before
+// the wrap is as stale as any other.
+func TestVersionWrapCell(t *testing.T) {
+	var c casCell
+	c.seed(lastVersion, word{w: 5, r1: 6, r2: 7})
+	before, _ := c.read()
+	if !c.publishWriter(before, 50) {
 		t.Fatal("publishWriter at the last version lost its CAS")
 	}
-	if a, m = c.read(); m != (word{50, 6, 7}) || a>>32 != 0 {
-		t.Errorf("across the version wrap: version %d %v, want 0 {50 6 7}", a>>32, m)
+	if a, m := c.read(); m != (word{50, 6, 7}) || a>>32 != 0 {
+		t.Errorf("write action across the wrap: version %d %v, want 0 {50 6 7}", a>>32, m)
+	}
+
+	c.seed(lastVersion, word{w: 5, r1: 6, r2: 7})
+	c.a.Store(before + versionOne) // a read action between its two stores, at version 2^32-1
+	if _, _, ok := c.load(); ok {
+		t.Error("the read stage accepted the odd version 2^32-1")
+	}
+	c.a.Store(before)
+	if !c.publishReaders(before, 60, 0) {
+		t.Fatal("publishReaders at the last version lost its CAS")
+	}
+	a, m := c.read()
+	if m != (word{5, 60, 0}) || a>>32 != 0 {
+		t.Errorf("read action across the wrap: version %d %v, want 0 {5 60 0}", a>>32, m)
+	}
+	if c.publishWriter(before, 1) || c.publishReaders(before, 1, 1) {
+		t.Error("a publish from a snapshot taken before the wrap succeeded")
+	}
+	if a2, m2 := c.read(); a2 != a || m2 != m {
+		t.Errorf("a lost publish changed the cell: version %d %v", a2>>32, m2)
+	}
+}
+
+// TestVersionWrapExposure constructs the exposure seqlock.go documents
+// under "Version wrap": a memory action holds a value of A while a
+// multiple of 2^31 updates of the cell complete, the last leaving the same
+// w. A is then bit-identical to the held value, so the action's CAS
+// succeeds against a cell whose readers have moved on. The updates are
+// not performed — the cell is put in the state they leave.
+func TestVersionWrapExposure(t *testing.T) {
+	var c casCell
+	c.seed(4, word{w: 5, r1: 6, r2: 7})
+	held, m := c.read()
+	c.seed(4, word{w: 5, r1: 8, r2: 9}) // 2^31 updates later: same version, same w, other readers
+	if now, _ := c.read(); now != held {
+		t.Fatalf("the reconstructed A is %#x, the held one %#x: the test does not build the exposure", now, held)
+	}
+	if !c.publishWriter(held, 50) {
+		t.Fatal("the stalled action's CAS lost: the exposure is gone, and so should its paragraph in seqlock.go be")
+	}
+	if _, got := c.read(); m.r1 == got.r1 || got != (word{50, 8, 9}) {
+		t.Errorf("after the stalled publish the cell is %v: it checked against readers {6 7} and published over {8 9}", got)
+	}
+}
+
+// TestVersionWrapChecks runs Algorithms 1 and 2 over cells whose next
+// update wraps the version: the write action and the read action that
+// cross it record their step, and the parallel accesses that follow are
+// checked against what was recorded — one write-read and one read-write
+// race, as on a cell at version 0.
+func TestVersionWrapChecks(t *testing.T) {
+	rt, d, sink := newRT(t, task.Sequential, 1, false)
+	sh := d.NewShadow(detect.Spec("x", 2, 8)).(*casShadow)
+	written, read := sh.pages.Cell(0), sh.pages.Cell(1)
+	written.seed(lastVersion, word{})
+	read.seed(lastVersion, word{})
+	if err := rt.Run(func(c *task.Ctx) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) {
+				sh.Write(c.Task(), 0)
+				sh.Read(c.Task(), 1)
+				id := d.StepOf(c.Task()).ID
+				if a, m := written.read(); a>>32 != 0 || m != (word{w: id}) {
+					t.Errorf("x[0] after the write across the wrap: version %d %v, want 0 {%d 0 0}", a>>32, m, id)
+				}
+				if a, m := read.read(); a>>32 != 0 || m != (word{r1: id}) {
+					t.Errorf("x[1] after the read across the wrap: version %d %v, want 0 {0 %d 0}", a>>32, m, id)
+				}
+			})
+			c.Async(func(c *task.Ctx) {
+				sh.Read(c.Task(), 0)
+				sh.Write(c.Task(), 1)
+			})
+		})
+		sh.Write(c.Task(), 0) // ordered after both asyncs
+		sh.Write(c.Task(), 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	races := sink.Races()
+	if len(races) != 2 || races[0].Kind != detect.WriteRead || races[0].Index != 0 ||
+		races[1].Kind != detect.ReadWrite || races[1].Index != 1 {
+		t.Errorf("races across the wrap: %v, want a write-read on x[0] and a read-write on x[1]", races)
+	}
+	for i, cell := range []*casCell{written, read} {
+		// Three updates each: the first async's, the second's, the main task's.
+		if a, _ := cell.read(); a>>32 != 4 {
+			t.Errorf("x[%d] ends at version %d, want 4 (2^32-2 + 3 updates)", i, a>>32)
+		}
 	}
 }
 

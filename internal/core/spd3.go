@@ -80,10 +80,11 @@ type Detector struct {
 
 // New returns an SPD3 detector reporting to sink. rec is the engine's
 // observability recorder; nil disables the detector's counters. The
-// per-access counts go into the accessing task's detect.Tally, which the
-// run's driver flushes, so the steady-state cost per event is one
-// non-atomic increment; rec itself is only touched off the hot path
-// (page allocation, the retry histogram after a lost CAS).
+// per-access counts go into the detect.Local of the goroutine executing
+// the accessing task, which that goroutine's owner flushes, so the
+// steady-state cost per event is one non-atomic increment; rec itself is
+// only touched off the hot path (page allocation, the retry histogram
+// after a lost CAS).
 func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
 	return &Detector{sink: sink, tree: dpst.New(), st: rec, watermark: 1}
 }
@@ -101,15 +102,15 @@ func (d *Detector) Name() string { return "spd3" }
 func (d *Detector) RequiresSequential() bool { return false }
 
 // relation answers DMHP for a recorded step, by id, and the accessing step
-// s — the §5.2 walk, counted in t's tally — with the side of their LCA the
+// s — the §5.2 walk, counted in l — with the side of their LCA the
 // recorded step is on. A step below the watermark (an empty field, id 0,
 // always is) and s itself are in parallel with nothing and cost no walk,
 // nor the id's resolution to a node.
-func (d *Detector) relation(t *detect.Task, a uint32, s *dpst.Node) (parallel bool, side *dpst.Node) {
+func (d *Detector) relation(l *detect.Local, a uint32, s *dpst.Node) (parallel bool, side *dpst.Node) {
 	if a < d.watermark || a == s.ID {
 		return false, nil
 	}
-	t.Tally.DMHPWalk++
+	l.Tally[stats.DMHPWalk]++
 	return dpst.DMHP(d.tree.Node(a), s)
 }
 
@@ -228,22 +229,22 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev uint3
 	})
 }
 
-// writeCheck is Algorithm 1. Given a snapshot and the writing task t at
-// step s, it reports any races and returns the updated word and whether
-// the word changed.
-func (d *Detector) writeCheck(m word, t *detect.Task, s *dpst.Node, region string, i int) (word, bool) {
+// writeCheck is Algorithm 1. Given a snapshot and the writing task's step
+// s (its walks counted in l), it reports any races and returns the updated
+// word and whether the word changed.
+func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, region string, i int) (word, bool) {
 	if m.w == s.ID {
 		// Same step rewrote the element; nothing can have changed
 		// (a second write by the very step that already owns w).
 		return m, false
 	}
-	if p, _ := d.relation(t, m.r1, s); p {
+	if p, _ := d.relation(l, m.r1, s); p {
 		d.report(detect.ReadWrite, region, i, m.r1, s)
 	}
-	if p, _ := d.relation(t, m.r2, s); p {
+	if p, _ := d.relation(l, m.r2, s); p {
 		d.report(detect.ReadWrite, region, i, m.r2, s)
 	}
-	if p, _ := d.relation(t, m.w, s); p {
+	if p, _ := d.relation(l, m.w, s); p {
 		d.report(detect.WriteWrite, region, i, m.w, s)
 		return m, false
 	}
@@ -252,19 +253,20 @@ func (d *Detector) writeCheck(m word, t *detect.Task, s *dpst.Node, region strin
 }
 
 // readCheck is Algorithm 2 with the null-reader cases made explicit.
-// Given a snapshot and the reading task t at step s, it reports any
-// races and returns the updated word and whether the word changed.
-func (d *Detector) readCheck(m word, t *detect.Task, s *dpst.Node, region string, i int) (word, bool) {
+// Given a snapshot and the reading task's step s (its walks counted in
+// l), it reports any races and returns the updated word and whether the
+// word changed.
+func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, region string, i int) (word, bool) {
 	if m.r1 == s.ID || m.r2 == s.ID {
 		// This step is already recorded; re-reading changes nothing.
 		// (One of the paper's redundant-check eliminations, §5.5.)
 		return m, false
 	}
-	if p, _ := d.relation(t, m.w, s); p {
+	if p, _ := d.relation(l, m.w, s); p {
 		d.report(detect.WriteRead, region, i, m.w, s)
 	}
-	p1, c1 := d.relation(t, m.r1, s)
-	p2, c2 := d.relation(t, m.r2, s)
+	p1, c1 := d.relation(l, m.r1, s)
+	p2, c2 := d.relation(l, m.r2, s)
 	switch {
 	case !p1 && !p2:
 		// s is ordered after every recorded reader (and, by the

@@ -557,9 +557,9 @@ func TestDMHPQueriesPerAccess(t *testing.T) {
 	// walks runs f in c's task and returns the walks it made.
 	walks := func(c *task.Ctx, f func(tk *detect.Task)) int64 {
 		tk := c.Task()
-		before := tk.Tally.DMHPWalk
+		before := tk.L.Tally[stats.DMHPWalk]
 		f(tk)
-		return tk.Tally.DMHPWalk - before
+		return tk.L.Tally[stats.DMHPWalk] - before
 	}
 	expect := func(what string, got, want int64) {
 		t.Helper()

@@ -42,10 +42,11 @@
 // atomic operations, so a detector may hand state from TaskEnd to the
 // matching FinishEnd without additional synchronization of its own.
 //
-// Tallies. Layers on the check path count into the task's Tally block
-// and page cache, plain integers owned by the task's goroutine. Drivers
-// flush them (Task.Flush) at task end — after TaskEnd — and, for tasks
-// still live, at run end; detectors do not flush anything.
+// Scratch. What the check path needs besides the task — page cache,
+// tallies, region batch — is a Local block owned by the goroutine that
+// executes the task. Whoever owns a goroutine that executes tasks owns one
+// block, points each task it starts to run at it (Task.L) and flushes it
+// once, when the goroutine has run its last task; detectors flush nothing.
 package detect
 
 import (
@@ -70,47 +71,79 @@ type Task struct {
 	// pointer stored here allocates nothing: SPD3's is the task's step.
 	State any
 
-	// PC is the task's shadow page cache, threaded through the paged
-	// shadow hot path (shadow.Pages.CellOf). Shadow events are
-	// delivered from the task's own goroutine (see the event contract
-	// above), so the cache needs no synchronization.
-	PC shadow.PageCache
+	// L is the scratch block of the goroutine executing the task, set by
+	// the driver before the task's body starts to run: MainTask, and
+	// BeforeSpawn for its child, may find it nil.
+	L *Local
 
 	// Sample is the task's check-sampling state, used by the registry's
-	// sampling wrapper (sampling.go). Like PC it is only touched from
-	// the task's own goroutine.
+	// sampling wrapper (sampling.go). It is only touched from the task's
+	// own goroutine.
 	Sample sample.TaskState
-
-	// Tally batches the task's hot-path counts; see Flush.
-	Tally Tally
 }
 
-// Tally is a task's batch of hot-path observability counts: one plain
-// integer per stats counter that moves once per checked access. Only the
-// task's own goroutine touches it, so counting costs one non-atomic
-// increment.
-type Tally struct {
-	CASClean, CASPublish, CASRetry int64 // internal/core's shadow protocol
-	DMHPWalk                       int64 // internal/core's DMHP walks
-	SampleChecked, SampleSkipped   int64 // the sampling gate (sampling.go)
+// Local is the check path's scratch (see the package comment). Exactly
+// one goroutine touches a block, so nothing in it is synchronized, and it
+// outlives the tasks that borrow it: a page one task looked up is still
+// cached for the next.
+type Local struct {
+	// PC is the shadow page cache, threaded through the paged shadow hot
+	// path (shadow.Pages.CellOf).
+	PC shadow.PageCache
+	// Tally batches the counters below stats.NumBatched: a layer that
+	// counts once per checked access or per task pays one non-atomic
+	// increment.
+	Tally [stats.NumBatched]int64
+	// Key picks the stats shard and region cell the block flushes into.
+	// Owners that run side by side set distinct keys (the pool worker's
+	// index, the task goroutine's task ID).
+	Key int
+
+	// The region-traffic batch (CountAccess).
+	reg                 *stats.Region
+	regReads, regWrites int64
 }
 
-// Flush moves the task's batched counts — the Tally block and the page
-// cache's hit/miss tallies — into sh and zeroes them. Drivers call it from
-// the task's goroutine at task end and, for tasks still live, at run end
-// (see the package comment). A nil shard discards the counts.
-func (t *Task) Flush(sh *stats.Shard) {
-	n := &t.Tally
-	sh.Add(stats.CASClean, n.CASClean)
-	sh.Add(stats.CASPublish, n.CASPublish)
-	sh.Add(stats.CASRetry, n.CASRetry)
-	sh.Add(stats.DMHPWalk, n.DMHPWalk)
-	sh.Add(stats.SampleChecked, n.SampleChecked)
-	sh.Add(stats.SampleSkipped, n.SampleSkipped)
-	*n = Tally{}
-	hits, misses := t.PC.TakeCounts()
-	sh.Add(stats.PageCacheHit, hits)
-	sh.Add(stats.PageCacheMiss, misses)
+// CountAccess records one instrumented read or write against region g
+// (nil g — stats disabled — is a no-op). Tight loops over one container
+// pay no atomics: the batch reaches g when the goroutine moves to another
+// region or the block is flushed.
+func (l *Local) CountAccess(g *stats.Region, write bool) {
+	if g == nil {
+		return
+	}
+	if g != l.reg {
+		l.enter(g)
+	}
+	if write {
+		l.regWrites++
+	} else {
+		l.regReads++
+	}
+}
+
+// enter publishes the batch of the region the block was counting against
+// and starts one for g.
+func (l *Local) enter(g *stats.Region) {
+	if l.regReads|l.regWrites != 0 {
+		l.reg.Add(l.Key, l.regReads, l.regWrites)
+		l.regReads, l.regWrites = 0, 0
+	}
+	l.reg = g
+}
+
+// Flush moves everything the block batched — the region counts, the Tally
+// and the page cache's hit/miss tallies — into rec under the block's Key
+// and zeroes it; the cached pages stay. Only the block's owner calls it,
+// from its goroutine. A nil recorder discards the counts.
+func (l *Local) Flush(rec *stats.Recorder) {
+	l.enter(nil)
+	l.Tally[stats.PageCacheHit], l.Tally[stats.PageCacheMiss] = l.PC.TakeCounts()
+	sh := rec.Shard(l.Key)
+	for c, n := range l.Tally {
+		sh.Add(stats.Counter(c), n)
+	}
+	l.Tally = [stats.NumBatched]int64{}
 }
 
 // Finish is the runtime's record of one dynamic finish instance, including

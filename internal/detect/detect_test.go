@@ -185,30 +185,38 @@ func TestNopDetector(t *testing.T) {
 	}
 }
 
-// TestTaskFlush: Flush moves every count of the Tally block and the page
-// cache's hit/miss pair into the shard under its wire counter, adds
-// across calls, zeroes the task's copies, and discards into a nil shard.
-func TestTaskFlush(t *testing.T) {
-	rec := stats.New(1)
+// TestLocalFlush: Flush moves every count of the Tally block, the page
+// cache's hit/miss pair and the region batch into the recorder under its
+// wire name and the block's Key, adds across calls, zeroes the block's
+// copies, and discards into a nil recorder.
+func TestLocalFlush(t *testing.T) {
+	rec := stats.New(4)
+	g := rec.Region("r", 8)
 	pages := shadow.New[int64](8)
-	var task Task
+	l := Local{Key: 2}
 	fill := func(base int64) {
-		task.Tally = Tally{
-			CASClean: base + 1, CASPublish: base + 2, CASRetry: base + 3,
-			DMHPWalk:      base + 5,
-			SampleChecked: base + 7, SampleSkipped: base + 8,
+		l.Tally = [stats.NumBatched]int64{
+			stats.CASClean: base + 1, stats.CASPublish: base + 2, stats.CASRetry: base + 3,
+			stats.DMHPWalk:      base + 5,
+			stats.SampleChecked: base + 7, stats.SampleSkipped: base + 8,
+			stats.TaskSpawn: base + 9, stats.TaskInline: base + 11, stats.TaskSteal: base + 12,
 		}
-		pages.CellOf(&task.PC, 0) // after a flush: one hit (the slot survives)
-		pages.CellOf(&task.PC, 1) // one hit
+		pages.CellOf(&l.PC, 0) // after a flush: one hit (the slot survives)
+		pages.CellOf(&l.PC, 1) // one hit
+		l.CountAccess(g, false)
+		l.CountAccess(g, true)
+		l.CountAccess(g, true)
+		l.CountAccess(nil, true) // stats off for that container: no count, no region switch
 	}
 	fill(0) // first touch: one miss, one hit
-	task.Flush(rec.Shard(0))
+	l.Flush(rec)
 	fill(10)
-	task.Flush(rec.Shard(0))
+	l.Flush(rec)
 	want := map[stats.Counter]int64{
 		stats.CASClean: 12, stats.CASPublish: 14, stats.CASRetry: 16,
 		stats.DMHPWalk:      20,
 		stats.SampleChecked: 24, stats.SampleSkipped: 26,
+		stats.TaskSpawn: 28, stats.TaskInline: 32, stats.TaskSteal: 34,
 		stats.PageCacheHit: 3, stats.PageCacheMiss: 1,
 	}
 	snap := rec.Snapshot()
@@ -217,15 +225,19 @@ func TestTaskFlush(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c, got, want[c])
 		}
 	}
-	if task.Tally != (Tally{}) {
-		t.Errorf("Flush left tally %+v, want zero", task.Tally)
+	if r, w := g.Counts(); r != 2 || w != 4 {
+		t.Errorf("region counts %d/%d, want 2/4", r, w)
 	}
-	if h, m := task.PC.TakeCounts(); h|m != 0 {
-		t.Errorf("Flush left page-cache counts %d/%d, want 0/0", h, m)
+	zeroed := func() bool {
+		h, m := l.PC.TakeCounts()
+		return l.Tally == [stats.NumBatched]int64{} && h|m == 0 && l.regReads|l.regWrites == 0
+	}
+	if !zeroed() {
+		t.Errorf("Flush left counts behind: %+v", l)
 	}
 	fill(0)
-	task.Flush(nil) // must not panic; counts still zeroed
-	if h, m := task.PC.TakeCounts(); task.Tally != (Tally{}) || h|m != 0 {
+	l.Flush(nil) // must not panic; counts still zeroed
+	if !zeroed() {
 		t.Error("Flush(nil) did not zero the counts")
 	}
 }

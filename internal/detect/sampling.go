@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"spd3/internal/sample"
+	"spd3/internal/stats"
 )
 
 // wrapSampled gates d's shadows behind smp. The wrapper preserves the
@@ -22,7 +23,7 @@ func wrapSampled(d Detector, smp *sample.Sampler) Detector {
 // registry detector when a sampler is enabled: structural events
 // pass straight through (sampling must never distort the task tree or
 // lock state, only which accesses are checked) and shadows are gated,
-// counting each admit or skip into the task's Tally.
+// counting each admit or skip into the executing goroutine's Tally.
 type sampledDetector struct {
 	inner Detector
 	smp   *sample.Sampler
@@ -91,10 +92,10 @@ type sampledShadow struct {
 
 func (s *sampledShadow) admit(t *Task, i int) bool {
 	if !s.d.smp.Admit(&t.Sample, s.id, i) {
-		t.Tally.SampleSkipped++
+		t.L.Tally[stats.SampleSkipped]++
 		return false
 	}
-	t.Tally.SampleChecked++
+	t.L.Tally[stats.SampleChecked]++
 	return true
 }
 

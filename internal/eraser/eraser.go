@@ -187,7 +187,7 @@ func (s *regionShadow) access(t *detect.Task, i int, isWrite bool) {
 		return
 	}
 	ts := t.State.(*taskState)
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 

@@ -249,7 +249,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	if inP(v.w) {
 		s.report(detect.WriteRead, i, v.w, t)
 	}
@@ -265,7 +265,7 @@ func (s *regionShadow) Write(t *detect.Task, i int) {
 	if s.d.sink.Stopped() {
 		return
 	}
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	if inP(v.r) {
 		s.report(detect.ReadWrite, i, v.r, t)
 	}

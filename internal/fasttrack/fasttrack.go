@@ -293,7 +293,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 		return
 	}
 	ts := t.State.(*taskState)
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
@@ -331,7 +331,7 @@ func (s *regionShadow) Write(t *detect.Task, i int) {
 		return
 	}
 	ts := t.State.(*taskState)
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 

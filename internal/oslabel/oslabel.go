@@ -238,7 +238,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 		return
 	}
 	l := t.State.(*taskState).label
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if mhp(v.w, l) {
@@ -265,7 +265,7 @@ func (s *regionShadow) Write(t *detect.Task, i int) {
 		return
 	}
 	l := t.State.(*taskState).label
-	v := s.vars.CellOf(&t.PC, i)
+	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if mhp(v.r1, l) {

@@ -250,8 +250,8 @@ func (s *Sampler) burstPeriod() int64 {
 // Admit reports whether the check for element idx of the given shadow
 // region should run. The decision is deterministic per (seed, location)
 // for Bernoulli and per task-step epoch for Burst. Callers tally the
-// outcome themselves (the registry's wrapper counts into detect.Task's
-// Tally). Nil receivers admit everything.
+// outcome themselves (the registry's wrapper counts into the executing
+// goroutine's detect.Tally). Nil receivers admit everything.
 func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
 	if s == nil {
 		return true

@@ -1,7 +1,8 @@
 // Package shadow provides the paged shadow-memory substrate shared by
 // every detector: a two-level, lazily allocated page table of generic
-// shadow cells, plus the per-task page cache that keeps the dense-access
-// hot path at one compare and one pointer chase.
+// shadow cells, plus the page cache — one per goroutine that executes
+// tasks — that keeps the dense-access hot path at one compare and one
+// pointer chase.
 //
 // The paper sizes shadow memory eagerly — one word per monitored element
 // at allocation time — which is fine for its dense PLDI kernels but fatal
@@ -153,9 +154,9 @@ func (p *Pages[C]) Cell(i int) *C {
 	return &(*p.pageRef(uint64(i) >> PageShift))[i&PageMask]
 }
 
-// CellOf is Cell through a task-owned page cache: a hit costs one
-// owner+page compare and one bounds-checked index — the dense sequential
-// hot path. pc must be owned by the calling goroutine (it is mutated
+// CellOf is Cell through the calling goroutine's page cache: a hit costs
+// one owner+page compare and one bounds-checked index — the dense
+// sequential hot path. pc must be owned by the calling goroutine (it is mutated
 // without synchronization); the cached page pointers stay valid forever
 // because published pages are never moved or freed.
 func (p *Pages[C]) CellOf(pc *PageCache, i int) *C {
@@ -195,20 +196,22 @@ func (p *Pages[C]) Range(f func(start int, cells []C)) {
 // regions (read plain, write crypt) keep one page each.
 const cacheSlots = 4
 
-// cacheSlot picks a PageCache slot from a region's identity. Heap
-// objects are at least 16-byte aligned, so the low bits above the
-// alignment carry the entropy.
+// cacheSlot picks a PageCache slot from a region's identity. A Pages[C]
+// is 448 bytes for every C — seven 64-byte units, a size class of its own
+// on 8 KiB-aligned spans — so bits 6–7 of regions allocated one after the
+// other, which is what a kernel alternates between, step through all four
+// slots. Bits 4–5 are zero for every region.
 func cacheSlot(region unsafe.Pointer) uintptr {
-	return (uintptr(region) >> 4) & (cacheSlots - 1)
+	return (uintptr(region) >> 6) & (cacheSlots - 1)
 }
 
 // PageCache is a small direct-mapped cache of (region, page) → page
-// pointer, embedded in each runtime task (detect.Task.PC) and threaded
-// through the shadow hot path. It is owned by the task's goroutine: the
-// detect event contract delivers every access from the accessing task's
-// goroutine, so no synchronization is needed. Hits and misses are
-// batched in plain integers; detect.Task.Flush moves them into a stats
-// shard via TakeCounts.
+// pointer, embedded in the scratch block of each goroutine that executes
+// tasks (detect.Local.PC) and threaded through the shadow hot path. Only
+// that goroutine touches it, so it is unsynchronized, and an entry serves
+// whichever task runs there next: pages are a region's, not a task's.
+// Hits and misses are batched in plain integers; detect.Local.Flush moves
+// them into a stats shard via TakeCounts.
 type PageCache struct {
 	slots  [cacheSlots]pageSlot
 	hits   int64

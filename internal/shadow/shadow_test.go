@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestSparseRandomIndexes is the paging property test: hammer random
@@ -160,6 +161,47 @@ func TestPageCacheCounts(t *testing.T) {
 	}
 	if h, m := pc.TakeCounts(); h != 0 || m != 0 {
 		t.Fatalf("TakeCounts did not drain: %d/%d", h, m)
+	}
+}
+
+// TestCacheSlotsSpread: regions allocated one after the other — what a
+// kernel alternates between — land on different cache slots, so a loop
+// over two of them hits. The slot hash once read address bits that are
+// zero for every Pages, and the four-slot cache was a one-slot cache: an
+// alternating loop missed on every access.
+func TestCacheSlotsSpread(t *testing.T) {
+	const n = 64
+	regions := make([]*Pages[int64], n)
+	var perSlot [cacheSlots]int
+	for i := range regions {
+		regions[i] = New[int64](PageSize)
+		perSlot[cacheSlot(unsafe.Pointer(regions[i]))]++
+	}
+	for s, c := range perSlot {
+		if c == 0 || c > n/2 {
+			t.Fatalf("%d fresh regions map to slots %v: slot %d is unused or takes more than half", n, perSlot, s)
+		}
+	}
+	// The allocator may hand out a recycled address now and then, so
+	// "neighbours differ" is asserted for most pairs, not all.
+	differ, a, b := 0, -1, -1
+	for i := 0; i+1 < n; i++ {
+		if cacheSlot(unsafe.Pointer(regions[i])) != cacheSlot(unsafe.Pointer(regions[i+1])) {
+			if differ++; a < 0 {
+				a, b = i, i+1
+			}
+		}
+	}
+	if differ < 3*(n-1)/4 {
+		t.Fatalf("only %d of %d consecutively allocated pairs use different slots", differ, n-1)
+	}
+	var pc PageCache
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		*regions[a].CellOf(&pc, i) += *regions[b].CellOf(&pc, i)
+	}
+	if hits, misses := pc.TakeCounts(); misses != 2 || hits != 2*rounds-2 {
+		t.Fatalf("alternating over two regions: %d hits, %d misses, want %d and 2 (one first touch each)", hits, misses, 2*rounds-2)
 	}
 }
 

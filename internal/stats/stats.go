@@ -26,9 +26,12 @@
 // the end of Run).
 //
 // Hot producers batch even the atomic away: the layers on the check path
-// count in plain task-owned integers (detect.Task's Tally and page cache)
-// that the run's driver flushes into a shard once per task, so the
-// steady-state cost of a counter is one non-atomic increment.
+// and the task runtime count in plain integers owned by the goroutine
+// that executes tasks (detect.Local: its Tally, page cache and region
+// batch), which that goroutine's owner flushes into a shard once — per
+// pool worker, per sequential run, per task goroutine, per replay — so
+// the steady-state cost of a counter is one non-atomic increment and the
+// flushes number O(workers), not O(tasks).
 //
 // A nil *Recorder, *Shard, or *Region is valid and makes every method a
 // no-op; Options.NoStats hands nil recorders down the stack and the
@@ -47,7 +50,9 @@ import (
 // across shards by Snapshot.
 type Counter uint8
 
-// Counters. The groups mirror the layers that produce them.
+// Counters. The groups mirror the layers that produce them; the first
+// NumBatched of them are the ones that move once per checked access or per
+// task.
 const (
 	// CASClean counts memory actions under the versioned-CAS shadow
 	// protocol that completed without needing to update the word — the
@@ -69,6 +74,26 @@ const (
 	// (own-deque pops on the pool executor, inline runs on the
 	// sequential executor).
 	TaskInline
+	// PageCacheHit counts shadow-cell lookups served from the executing
+	// goroutine's page cache (detect.Local.PC) without touching the page
+	// table, in live runs and replays alike. The cache outlives a task —
+	// a pool worker's next task finds the pages the last one touched —
+	// so only the sum with PageCacheMiss is independent of the executor
+	// and the schedule.
+	PageCacheHit
+	// PageCacheMiss counts shadow-cell lookups that walked the page
+	// table (and, on a region's first touch of a page, allocated it).
+	PageCacheMiss
+	// SampleChecked counts shadow accesses admitted by the dynamic
+	// check-sampling gate (internal/sample). Zero when sampling is off:
+	// the gate is a wrapper detect.New adds only for an enabled sampler,
+	// so an unsampled run has no gate on its path at all.
+	SampleChecked
+	// SampleSkipped counts shadow accesses elided by the sampling gate.
+	// checked/(checked+skipped) is the effective sampling rate a run
+	// actually experienced, which the governor holds to its budget.
+	SampleSkipped
+
 	// RaceReported counts distinct races delivered by the sink.
 	RaceReported
 	// RaceDeduped counts race reports suppressed as duplicates of an
@@ -82,13 +107,6 @@ const (
 	// with footprint.shadow it shows how sparse a workload's monitored
 	// address space really is.
 	ShadowPagesAllocated
-	// PageCacheHit counts shadow-cell lookups served from the task's
-	// page cache (detect.Task.PC) without touching the page table, in
-	// live runs and replays alike.
-	PageCacheHit
-	// PageCacheMiss counts shadow-cell lookups that walked the page
-	// table (and, on a region's first touch of a page, allocated it).
-	PageCacheMiss
 	// SrvRequests counts HTTP requests accepted by the spd3d analysis
 	// daemon (all endpoints).
 	SrvRequests
@@ -173,20 +191,16 @@ const (
 	// proved away.
 	ChecksElidedStatic
 
-	// SampleChecked counts shadow accesses admitted by the dynamic
-	// check-sampling gate (internal/sample). Zero when sampling is off:
-	// the gate is a wrapper detect.New adds only for an enabled sampler,
-	// so an unsampled run has no gate on its path at all.
-	SampleChecked
-	// SampleSkipped counts shadow accesses elided by the sampling gate.
-	// checked/(checked+skipped) is the effective sampling rate a run
-	// actually experienced, which the governor holds to its budget.
-	SampleSkipped
-
 	// NumCounters is the number of Counter values; not itself a
 	// counter.
 	NumCounters
 )
+
+// NumBatched bounds the counters producers batch in plain integers of the
+// goroutine that executes tasks (detect.Local.Tally is indexed by them)
+// and that detect.Local.Flush alone writes: CASClean through SampleSkipped.
+// Every other counter is written straight to a shard by its producer.
+const NumBatched = SampleSkipped + 1
 
 // counterNames are the stable wire names used by Map and the JSON form.
 var counterNames = [NumCounters]string{
@@ -373,7 +387,8 @@ func (g *Region) Inc(i int, write bool) {
 }
 
 // Add records a batch of accesses from shard key i. Safe on a nil
-// region; used by producers that accumulate in task-local space first.
+// region; used by producers that accumulate in goroutine-owned space first
+// (detect.Local.CountAccess).
 func (g *Region) Add(i int, reads, writes int64) {
 	if g == nil {
 		return

@@ -6,13 +6,18 @@ import (
 	"spd3/internal/detect"
 )
 
-// BenchmarkSpawnJoin measures raw task overhead: one finish joining many
-// empty asyncs, the operation whose O(1)-per-event cost §5.3 analyzes.
-// The bare cells run without a detector; the /spd3 cells run the same
-// loop in a detect session of SPD3 (as TestSpawnAllocs does), so B/op
-// there is the runtime's Ctx plus the detector's three DPST nodes — it has
-// no other per-task state.
+// BenchmarkSpawnJoin measures raw task overhead: finishes joining empty
+// asyncs, the operation whose O(1)-per-event cost §5.3 analyzes. The
+// asyncs come in finishes of spawnJoinBatch — the shape every engine
+// workload has — so the live records are bounded and ns/op is a steady
+// state: under one finish of b.N the pool keeps all b.N records in a
+// deque until the body ends, and the reading grows with -benchtime. The
+// bare cells run without a detector; the /spd3 cells run the same loop in
+// a detect session of SPD3 (as TestSpawnAllocs does), so B/op there is the
+// runtime's Ctx plus the detector's three DPST nodes — it has no other
+// per-task state.
 func BenchmarkSpawnJoin(b *testing.B) {
+	const spawnJoinBatch = 1024
 	for _, e := range []struct {
 		name     string
 		detector string
@@ -41,11 +46,14 @@ func BenchmarkSpawnJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = rt.Run(func(c *Ctx) {
-				c.Finish(func(c *Ctx) {
-					for i := 0; i < b.N; i++ {
-						c.Async(func(c *Ctx) {})
-					}
-				})
+				for left := b.N; left > 0; left -= spawnJoinBatch {
+					n := min(left, spawnJoinBatch)
+					c.Finish(func(c *Ctx) {
+						for i := 0; i < n; i++ {
+							c.Async(func(c *Ctx) {})
+						}
+					})
+				}
 			})
 			if err != nil {
 				b.Fatal(err)

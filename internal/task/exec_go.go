@@ -1,5 +1,7 @@
 package task
 
+import "spd3/internal/detect"
+
 // goExec runs one goroutine per task and lets the Go scheduler multiplex
 // them. It exists to demonstrate scheduler independence: SPD3's guarantees
 // do not depend on work-stealing (§7 contrasts this with SP-hybrid, which
@@ -7,9 +9,18 @@ package task
 // verdicts under this executor and the pool executor.
 type goExec struct{}
 
-func (goExec) run(rt *Runtime, main *Ctx) { rt.runMain(main) }
+func (goExec) run(rt *Runtime, main *Ctx) { rt.runMainAlone(main) }
 
-func (goExec) spawn(parent, child *Ctx) { go parent.rt.runTask(child) }
+func (goExec) spawn(parent, child *Ctx) { go parent.rt.goTask(child) }
+
+// goTask is a task goroutine's life: it owns a block for its one task and
+// flushes it before the task leaves its scope.
+func (rt *Runtime) goTask(c *Ctx) {
+	l := detect.Local{Key: int(c.task.ID)}
+	rt.runTask(c, &l)
+	l.Flush(rt.st)
+	rt.leave(c)
+}
 
 func (e goExec) wait(c *Ctx, s *scope) {
 	e.parkFor(c, func() bool { return s.pending.Load() == 0 })

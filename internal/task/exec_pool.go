@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spd3/internal/detect"
 	"spd3/internal/sched"
 	"spd3/internal/stats"
 )
@@ -22,9 +23,9 @@ type poolExec struct {
 	wg      sync.WaitGroup
 }
 
-// worker is one pool worker. Its deque is owned by whatever goroutine is
-// currently executing tasks on its behalf; that is always exactly one
-// goroutine.
+// worker is one pool worker. Its deque and its scratch block are owned by
+// whatever goroutine is currently executing tasks on its behalf; that is
+// always exactly one goroutine.
 type worker struct {
 	id  int
 	rt  *Runtime
@@ -32,12 +33,13 @@ type worker struct {
 	dq  *sched.Deque[Ctx]
 	rng uint64
 
-	// nInline and nSteal batch the worker's task-acquisition counters in
-	// plain fields (the deque owner is always exactly one goroutine);
-	// poolExec.run flushes them into the stats recorder after the pool
-	// has quiesced.
-	nInline int64
-	nSteal  int64
+	// local is the block every task this worker executes points at;
+	// poolExec.run flushes it after the pool has quiesced. Workers are
+	// allocated back to back and the block's tail is written on every
+	// counted access: the pad keeps it off the cache line of the next
+	// worker's head, which that worker reads for every task.
+	local detect.Local
+	_     [64]byte
 }
 
 func newPoolExec(n int) *poolExec {
@@ -49,11 +51,12 @@ func (p *poolExec) run(rt *Runtime, main *Ctx) {
 	p.workers = make([]*worker, p.n)
 	for i := range p.workers {
 		p.workers[i] = &worker{
-			id:  i,
-			rt:  rt,
-			p:   p,
-			dq:  sched.NewDeque[Ctx](),
-			rng: uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+			id:    i,
+			rt:    rt,
+			p:     p,
+			dq:    sched.NewDeque[Ctx](),
+			rng:   uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+			local: detect.Local{Key: i},
 		}
 	}
 	for i := 1; i < p.n; i++ {
@@ -61,16 +64,14 @@ func (p *poolExec) run(rt *Runtime, main *Ctx) {
 		go p.workers[i].loop()
 	}
 	main.w = p.workers[0]
-	rt.runMain(main)
+	rt.runMain(main, &main.w.local)
 	// runMain ends only after the implicit finish drained, so no task
 	// can exist anywhere: shut the pool down.
 	p.done.Store(true)
 	rt.ec.Signal()
 	p.wg.Wait()
 	for _, w := range p.workers {
-		sh := rt.st.Shard(w.id)
-		sh.Add(stats.TaskInline, w.nInline)
-		sh.Add(stats.TaskSteal, w.nSteal)
+		w.local.Flush(rt.st)
 	}
 	p.workers = nil
 }
@@ -144,18 +145,19 @@ func (w *worker) loop() {
 // exec runs a task this worker popped or stole.
 func (w *worker) exec(c *Ctx) {
 	c.w = w
-	w.rt.runTask(c)
+	w.rt.runTask(c, &w.local)
+	w.rt.leave(c)
 }
 
 // find returns a runnable task: first from the worker's own deque, then
 // by stealing.
 func (w *worker) find() *Ctx {
 	if c := w.dq.Pop(); c != nil {
-		w.nInline++
+		w.local.Tally[stats.TaskInline]++
 		return c
 	}
 	if c := w.steal(); c != nil {
-		w.nSteal++
+		w.local.Tally[stats.TaskSteal]++
 		return c
 	}
 	return nil

@@ -13,12 +13,13 @@ import (
 // siblings.
 type seqExec struct{}
 
-func (seqExec) run(rt *Runtime, main *Ctx) { rt.runMain(main) }
+func (seqExec) run(rt *Runtime, main *Ctx) { rt.runMainAlone(main) }
 
 func (seqExec) spawn(parent, child *Ctx) {
-	rt := parent.rt
-	rt.st.Shard(parent.ShardIndex()).Inc(stats.TaskInline)
-	rt.runTask(child)
+	rt, l := parent.rt, parent.task.L
+	l.Tally[stats.TaskInline]++
+	rt.runTask(child, l)
+	rt.leave(child)
 }
 
 func (seqExec) wait(c *Ctx, s *scope) {

@@ -175,9 +175,8 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	return nil
 }
 
-// capture records a panicking task body as the run's failure. It must be
-// deferred around every task body so that finish counters still drain and
-// Run can unblock and report the error.
+// capture records a panicking task body as the run's failure; runBody
+// defers it around every task body.
 func (rt *Runtime) capture() {
 	if p := recover(); p != nil {
 		rt.failure.CompareAndSwap(nil, &taskFailure{err: fmt.Errorf("task: panic in task body: %v", p)})
@@ -212,25 +211,21 @@ type scope struct {
 }
 
 // Ctx is a task: its handle to the runtime and, embedded, the one record
-// of it — the detect.Task the detector and the containers see, the body
-// to run and the finish scopes. It is allocated once, by the spawning
-// Async (by Run for the main task); the deques hold it, and the executor
-// that picks it up only sets w. A Ctx is only valid within the dynamic
-// extent of the task body it was passed to; do not retain it.
+// of it — the detect.Task the detector and the containers see (the
+// paper's task: id, IEF, detector state), the body to run and the finish
+// scopes — and nothing of whoever runs it: what the check path needs
+// meanwhile is the executing goroutine's detect.Local. It is allocated
+// once, by the spawning Async (by Run for the main task); the deques hold
+// it, and the executor that starts it only sets w and task.L. A Ctx is
+// only valid within the dynamic extent of the task body it was passed to;
+// do not retain it.
 type Ctx struct {
 	rt   *Runtime
 	w    *worker // executing worker; nil outside the pool executor
 	task detect.Task
-	body func(*Ctx) // cleared once the task has run, so a retained record pins no user data
+	body func(*Ctx) // cleared when the task starts to run, so a retained record pins no user data
 	join *scope     // the task's IEF: a spawned task drains from it, the main task waits on it
 	fin  *scope     // innermost active finish scope (where the task's asyncs register)
-
-	// Region-traffic batch (see CountAccess): counts against reg
-	// accumulate in plain task-owned integers and reach the sharded
-	// recorder only when the task switches regions or ends, so tight
-	// loops over one container pay no atomics.
-	reg                 *stats.Region
-	regReads, regWrites int64
 }
 
 // Task returns the runtime record of the current task.
@@ -249,51 +244,9 @@ func (c *Ctx) WorkerID() int {
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }
 
-// ShardIndex returns a cheap stable stats shard key for work done by the
-// current task: the executing pool worker's index, or the task ID under
-// the other executors. Distinct concurrent writers thus land on distinct
-// shards (pool workers) or spread by task (goroutines).
-func (c *Ctx) ShardIndex() int {
-	if c.w != nil {
-		return c.w.id
-	}
-	return int(c.task.ID)
-}
-
-// CountAccess records one instrumented read or write against region g
-// (nil g — stats disabled — is a no-op). Counts are batched per task and
-// flushed on region switch and at task end.
-func (c *Ctx) CountAccess(g *stats.Region, write bool) {
-	if g == nil {
-		return
-	}
-	if g != c.reg {
-		c.flushRegion()
-		c.reg = g
-	}
-	if write {
-		c.regWrites++
-	} else {
-		c.regReads++
-	}
-}
-
-// flushRegion publishes the batched region counts, if any.
-func (c *Ctx) flushRegion() {
-	if c.reg != nil && c.regReads|c.regWrites != 0 {
-		c.reg.Add(c.ShardIndex(), c.regReads, c.regWrites)
-	}
-	c.regReads, c.regWrites = 0, 0
-}
-
-// flush publishes everything the task batched — the region counts and
-// the record's tallies (detect.Task.Flush) — into the executing worker's
-// shard. The runtime calls it in two places, both on the task's own
-// goroutine: finishTask (task end) and runMain (run end).
-func (c *Ctx) flush() {
-	c.flushRegion()
-	c.task.Flush(c.rt.st.Shard(c.ShardIndex()))
-}
+// CountAccess records one instrumented read or write against region g in
+// the executing goroutine's batch (detect.Local.CountAccess).
+func (c *Ctx) CountAccess(g *stats.Region, write bool) { c.task.L.CountAccess(g, write) }
 
 // Async spawns body as a new child task. The child may run before, after,
 // or in parallel with the remainder of the parent (§2); it is joined at
@@ -308,7 +261,7 @@ func (c *Ctx) Async(body func(*Ctx)) {
 		fin:  c.fin,
 	}
 	rt.det.BeforeSpawn(&c.task, &child.task)
-	rt.st.Shard(c.ShardIndex()).Inc(stats.TaskSpawn)
+	c.task.L.Tally[stats.TaskSpawn]++
 	c.fin.pending.Add(1)
 	rt.exec.spawn(c, child)
 }
@@ -398,45 +351,53 @@ func (c *Ctx) Acquire(l *detect.Lock) { c.rt.det.Acquire(&c.task, l) }
 // Release is the counterpart of Acquire.
 func (c *Ctx) Release(l *detect.Lock) { c.rt.det.Release(&c.task, l) }
 
-// runMain is the main task's life, called by the executor's run: the
-// root body, the join of the implicit finish, its FinishEnd — the main
-// task's last event, it has no TaskEnd — and the run-end flush (every
-// other task flushed in finishTask before the join let go). A body that
-// panicked inside a Finish left it open, and ending the implicit finish
-// over it would break the event contract's nesting rule: no FinishEnd.
-func (rt *Runtime) runMain(c *Ctx) {
-	func() {
-		defer rt.capture()
-		c.body(c)
-	}()
+// runBody runs c's body on the calling goroutine, which owns l, and
+// records a panic in it as the run's failure, so the callers always go on
+// to join, end and leave: finish counters drain and Run can unblock.
+func (rt *Runtime) runBody(c *Ctx, l *detect.Local) {
+	c.task.L = l
+	body := c.body
 	c.body = nil
+	defer rt.capture()
+	body(c)
+}
+
+// runMain is the main task's life, called by the executor's run: the
+// root body, the join of the implicit finish and its FinishEnd — the main
+// task's last event, it has no TaskEnd. A body that panicked inside a
+// Finish left it open, and ending the implicit finish over it would break
+// the event contract's nesting rule: no FinishEnd.
+func (rt *Runtime) runMain(c *Ctx, l *detect.Local) {
+	rt.runBody(c, l)
 	rt.exec.wait(c, c.join)
 	if c.fin == c.join {
 		rt.det.FinishEnd(&c.task, &c.join.f)
 	}
-	c.flush()
 }
 
-// runTask executes one spawned task body with panic capture and
-// end-of-life bookkeeping. The deferred calls run in LIFO order: capture
-// first (recovering any panic), then finishTask, so the scope always
-// drains even on panic.
-func (rt *Runtime) runTask(c *Ctx) {
-	defer rt.finishTask(c)
-	defer rt.capture()
-	c.body(c)
+// runMainAlone is run for the executors without workers: the calling
+// goroutine owns a block for the main task (and, under the sequential
+// executor, for every task: they all run on it) and flushes it when the
+// main task is done — also when its body panicked.
+func (rt *Runtime) runMainAlone(c *Ctx) {
+	l := detect.Local{Key: int(c.task.ID)}
+	rt.runMain(c, &l)
+	l.Flush(rt.st)
 }
 
-// finishTask performs a task's end-of-life bookkeeping: the TaskEnd event
-// and the flush of the task's batched counts, then the scope decrement,
-// then a wakeup for any worker blocked on the scope. The detector event
-// must precede the decrement so that FinishEnd observes all TaskEnds (see
-// the detect package contract), and so must the flush, so that the end of
-// Run observes all counts.
-func (rt *Runtime) finishTask(c *Ctx) {
-	c.body = nil
+// runTask is a spawned task's life up to its last event, TaskEnd; the
+// caller goes on to leave.
+func (rt *Runtime) runTask(c *Ctx, l *detect.Local) {
+	rt.runBody(c, l)
 	rt.det.TaskEnd(&c.task)
-	c.flush()
+}
+
+// leave counts c's completion against its IEF and wakes any worker blocked
+// on the scope. It follows runTask: the TaskEnd event must precede the
+// decrement so that FinishEnd observes all TaskEnds (see the detect package
+// contract), and so must a task goroutine's flush of its own block, so
+// that the end of Run observes all counts.
+func (rt *Runtime) leave(c *Ctx) {
 	if c.join.pending.Add(-1) == 0 {
 		rt.ec.Signal()
 	}
@@ -444,8 +405,9 @@ func (rt *Runtime) finishTask(c *Ctx) {
 
 // executor abstracts over the three execution strategies.
 type executor interface {
-	// run sets the strategy up, executes rt.runMain(main) and tears
-	// the strategy down.
+	// run sets the strategy up, executes rt.runMain on a block of the
+	// calling goroutine, tears the strategy down and flushes the blocks
+	// of the goroutines it owned.
 	run(rt *Runtime, main *Ctx)
 	// spawn makes child runnable. Called from the parent's goroutine.
 	spawn(parent, child *Ctx)

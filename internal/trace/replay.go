@@ -34,9 +34,9 @@ func DefaultLimits() Limits {
 }
 
 // Replay feeds a recorded trace into det with DefaultLimits and no stats
-// recorder (the tasks' tallies are discarded) and returns an error on a
-// malformed trace or an illegal pairing (sequential-only detector on a
-// parallel trace).
+// recorder (the check path's tallies are discarded) and returns an error
+// on a malformed trace or an illegal pairing (sequential-only detector on
+// a parallel trace).
 func Replay(rd io.Reader, det detect.Detector) error {
 	return ReplayWithLimits(rd, det, nil, DefaultLimits())
 }
@@ -50,9 +50,10 @@ const cancelCheckEvery = 4096
 
 // ReplayWithLimits is Replay with explicit resource bounds and the
 // recorder of the session det belongs to (nil for none). Replay is the
-// second driver of the detect event contract: like the task runtime it
-// flushes each task's tallies into rec when the task ends and, for the
-// tasks still live — the main task always is — when the replay ends.
+// second driver of the detect event contract: its one goroutine executes
+// every task, so like a sequential run it owns one detect.Local, points
+// every task at it and flushes it into rec when the replay ends, cleanly
+// or not.
 //
 // The input is consumed strictly forward through a fixed-size bufio
 // buffer and the replay table drops tasks, and each task the finishes it
@@ -67,11 +68,9 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, li
 	if det.RequiresSequential() && !dec.sequential {
 		return fmt.Errorf("trace: %w: detector %q needs a depth-first trace; this one was recorded in parallel", ErrSequentialOnly, det.Name())
 	}
-	st := newReplayState(det, rec, lim)
+	st := &replayState{det: det, lim: lim, tasks: map[int64]*replayTask{}, locks: map[int64]*detect.Lock{}}
 	err = st.run(dec)
-	for _, t := range st.tasks {
-		st.flush(&t.Task)
-	}
+	st.local.Flush(rec)
 	return err
 }
 
@@ -103,10 +102,6 @@ func (st *replayState) run(dec *decoder) error {
 		}
 	}
 }
-
-// flush publishes t's batched tallies, keyed like the live runtime's
-// non-pool executors by task ID.
-func (st *replayState) flush(t *detect.Task) { t.Flush(st.rec.Shard(int(t.ID))) }
 
 // eventArgs maps an event kind to its varint argument count; zero marks
 // an unknown kind. evNewShadow and evNewShadowGrow additionally carry a
@@ -256,8 +251,8 @@ func (d *decoder) readName() (string, error) {
 
 type replayState struct {
 	det     detect.Detector
-	rec     *stats.Recorder
 	lim     Limits
+	local   detect.Local // the replaying goroutine's block: every task's L
 	tasks   map[int64]*replayTask
 	locks   map[int64]*detect.Lock
 	shadows []detect.Shadow
@@ -287,16 +282,6 @@ func (t *replayTask) innermost() *detect.Finish {
 	return t.IEF
 }
 
-func newReplayState(det detect.Detector, rec *stats.Recorder, lim Limits) *replayState {
-	return &replayState{
-		det:   det,
-		rec:   rec,
-		lim:   lim,
-		tasks: map[int64]*replayTask{},
-		locks: map[int64]*detect.Lock{},
-	}
-}
-
 // Fixed sanity limits independent of Limits.
 const (
 	maxElemBytes = 1 << 20
@@ -310,7 +295,7 @@ func (st *replayState) apply(ev *event) error {
 		// The implicit finish is the main task's to end, so it opens the
 		// stack.
 		f := &detect.Finish{ID: a[1]}
-		t := &replayTask{Task: detect.Task{ID: detect.TaskID(a[0]), IEF: f}, open: []*detect.Finish{f}}
+		t := &replayTask{Task: detect.Task{ID: detect.TaskID(a[0]), IEF: f, L: &st.local}, open: []*detect.Finish{f}}
 		st.tasks[a[0]] = t
 		st.det.MainTask(&t.Task, f)
 	case evSpawn:
@@ -322,7 +307,7 @@ func (st *replayState) apply(ev *event) error {
 		if ief.ID != a[2] {
 			return fmt.Errorf("trace: %w: task %d spawns into finish %d, not its innermost finish %d", ErrMalformed, a[0], a[2], ief.ID)
 		}
-		child := &replayTask{Task: detect.Task{ID: detect.TaskID(a[1]), IEF: ief}}
+		child := &replayTask{Task: detect.Task{ID: detect.TaskID(a[1]), IEF: ief, L: &st.local}}
 		st.tasks[a[1]] = child
 		st.det.BeforeSpawn(&parent.Task, &child.Task)
 	case evTaskEnd:
@@ -333,7 +318,6 @@ func (st *replayState) apply(ev *event) error {
 		// Finishes still open are legal here: it is what a task whose
 		// body panicked inside a finish records.
 		st.det.TaskEnd(&t.Task)
-		st.flush(&t.Task)
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what
 		// bounds replay memory by the live task set instead of the total

@@ -90,7 +90,10 @@ func TestReplayMatchesLiveVerdicts(t *testing.T) {
 // event contract, so replaying a depth-first trace into a fresh session
 // must leave that session's recorder with the check-path counters of the
 // live run it was recorded from — shadow protocol, DMHP, page cache and
-// sampling gate alike, unsampled and behind a Bernoulli coin.
+// sampling gate alike, unsampled and behind a Bernoulli coin. Both sides
+// work through one detect.Local (a sequential run's, the replay's) in the
+// same access order, so even the page cache's hit/miss split agrees; under
+// any other executor only its sum would.
 func TestReplayStatsMatchLive(t *testing.T) {
 	sor, err := bench.ByName("SOR")
 	if err != nil {

@@ -199,8 +199,9 @@ type Options struct {
 	CaptureSites bool
 	// NoStats disables the observability counters (Report.Stats becomes
 	// a zero snapshot except for Footprint). Counters are on by default
-	// and near-free — hot producers batch in task-local integers and the
-	// merge happens once per Run — so this exists mainly to measure that
+	// and near-free — hot producers batch in plain integers owned by the
+	// goroutine executing the task, flushed once per worker and merged
+	// once per Run — so this exists mainly to measure that
 	// claim (BenchmarkStatsOverhead runs both ways).
 	NoStats bool
 	// Sampling configures the dynamic check-sampling subsystem

@@ -175,3 +175,119 @@ func TestEngineReuseStatsReset(t *testing.T) {
 		}
 	}
 }
+
+// TestExecutorsCountExactly: the check path's counts live in the scratch
+// block of whichever goroutine executes tasks (detect.Local) and reach
+// the recorder once, when that goroutine's owner flushes it. Whatever the
+// executor, a run's report holds every count of the run and nothing else:
+// of a second run on the same engine only its own, of a run whose main
+// body panicked everything up to the panic.
+func TestExecutorsCountExactly(t *testing.T) {
+	const tasks, n, part = 16, 64, 8
+	for _, e := range []struct {
+		name string
+		opts spd3.Options
+	}{
+		{"sequential", spd3.Options{Executor: spd3.Sequential}},
+		{"pool-1", spd3.Options{Executor: spd3.Pool, Workers: 1}},
+		{"pool-4", spd3.Options{Executor: spd3.Pool, Workers: 4}},
+		{"goroutines", spd3.Options{Executor: spd3.Goroutines}},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			eng, err := spd3.New(e.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := spd3.NewArray[int](eng, "src", n)
+			out := spd3.NewArray[int](eng, "out", tasks)
+			// The main task writes src; each of `tasks` asyncs reads
+			// all of it, has a child read a part again and writes its
+			// own out cell; the main task reads half of out back, panics
+			// if told to — outside any finish of its own, where every task
+			// it spawned has been joined — and reads the other half.
+			program := func(giveUp bool) func(c *spd3.Ctx) {
+				return func(c *spd3.Ctx) {
+					for i := 0; i < n; i++ {
+						src.Set(c, i, i)
+					}
+					c.Finish(func(c *spd3.Ctx) {
+						for id := 0; id < tasks; id++ {
+							c.Async(func(c *spd3.Ctx) {
+								sum := 0
+								for i := 0; i < n; i++ {
+									sum += src.Get(c, i)
+								}
+								c.Finish(func(c *spd3.Ctx) {
+									c.Async(func(c *spd3.Ctx) {
+										for i := 0; i < part; i++ {
+											sum += src.Get(c, i)
+										}
+									})
+								})
+								out.Set(c, id, sum)
+							})
+						}
+					})
+					for id := 0; id < tasks; id++ {
+						if giveUp && id == tasks/2 {
+							panic("main body gives up")
+						}
+						out.Get(c, id)
+					}
+				}
+			}
+			check := func(what string, rep *spd3.Report, outReads int64) {
+				t.Helper()
+				if !rep.RaceFree() {
+					t.Fatalf("%s: unexpected races: %v", what, rep.Races)
+				}
+				want := map[string][2]int64{"src": {tasks * (n + part), n}, "out": {outReads, tasks}}
+				if len(rep.Stats.Regions) != len(want) {
+					t.Errorf("%s: the report names %d regions, want %d", what, len(rep.Stats.Regions), len(want))
+				}
+				for _, g := range rep.Stats.Regions {
+					if w := want[g.Name]; g.Reads != w[0] || g.Writes != w[1] {
+						t.Errorf("%s: region %s counts %d reads, %d writes, want %d and %d", what, g.Name, g.Reads, g.Writes, w[0], w[1])
+					}
+				}
+				accesses := int64(tasks*(n+part+1)+n) + outReads
+				m := rep.Stats.Map()
+				for _, c := range []struct {
+					what      string
+					got, want int64
+				}{
+					{"mem.reads + mem.writes", m["mem.reads"] + m["mem.writes"], accesses},
+					{"task.spawn", m["task.spawn"], 2 * tasks},
+					{"cas.clean + cas.publish", m["cas.clean"] + m["cas.publish"], accesses},
+					{"shadow.page_cache_hit + shadow.page_cache_miss", m["shadow.page_cache_hit"] + m["shadow.page_cache_miss"], accesses},
+				} {
+					if c.got != c.want {
+						t.Errorf("%s: %s = %d, want %d", what, c.what, c.got, c.want)
+					}
+				}
+				ran := int64(0) // the tasks a worker picked up, or ran inline
+				if e.opts.Executor != spd3.Goroutines {
+					ran = 2 * tasks
+				}
+				if got := m["task.inline"] + m["task.steal"]; got != ran {
+					t.Errorf("%s: task.inline + task.steal = %d, want %d", what, got, ran)
+				}
+				if e.opts.Executor == spd3.Sequential && m["task.steal"] != 0 {
+					t.Errorf("%s: the sequential executor stole %d tasks", what, m["task.steal"])
+				}
+			}
+			for _, run := range []string{"first run", "second run"} {
+				rep, err := eng.Run(program(false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(run, rep, tasks)
+			}
+			rep, err := eng.Run(program(true))
+			if err == nil {
+				t.Fatal("a panicking main body returned no error")
+			}
+			check("panicking run", rep, tasks/2)
+		})
+	}
+}
