@@ -46,7 +46,14 @@
 // tallies, region batch — is a Local block owned by the goroutine that
 // executes the task. Whoever owns a goroutine that executes tasks owns one
 // block, points each task it starts to run at it (Task.L) and flushes it
-// once, when the goroutine has run its last task; detectors flush nothing.
+// once, when the goroutine has run its last task (a block that is pooled
+// between task goroutines is flushed before it goes back, and is one
+// goroutine's between Get and Put); detectors flush nothing. Both caches
+// in the block are keyed so that a loop interleaving several regions hits
+// them: the page cache by (shadow.Pages id, page), the region batch by the
+// region's registration number. An eviction from the first is one page
+// table walk, from the second one stats.Region.Add; a hit in either
+// touches no word another goroutine reads.
 package detect
 
 import (
@@ -99,37 +106,52 @@ type Local struct {
 	// index, the task goroutine's task ID).
 	Key int
 
-	// The region-traffic batch (CountAccess).
-	reg                 *stats.Region
-	regReads, regWrites int64
+	// The region-traffic batch (CountAccess): direct-mapped on the
+	// region's registration number.
+	regs [regionSlots]regionBatch
+}
+
+// regionSlots sizes the region batch. A recorder numbers its regions
+// densely, so a kernel that interleaves up to eight arrays created one
+// after the other — every committed kernel's inner loop — evicts nothing;
+// past eight an eviction costs what every region switch used to (one
+// Region.Add). EXPERIMENTS.md "Check-path caches" has the measurement.
+const regionSlots = 8
+
+// regionBatch is the block's unpublished traffic against one region.
+type regionBatch struct {
+	reg           *stats.Region
+	reads, writes int64
 }
 
 // CountAccess records one instrumented read or write against region g
-// (nil g — stats disabled — is a no-op). Tight loops over one container
-// pay no atomics: the batch reaches g when the goroutine moves to another
-// region or the block is flushed.
+// (nil g — stats disabled — is a no-op). Loops over a few containers pay
+// no atomics: a batch reaches g when a region that shares its entry evicts
+// it or the block is flushed.
 func (l *Local) CountAccess(g *stats.Region, write bool) {
 	if g == nil {
 		return
 	}
-	if g != l.reg {
-		l.enter(g)
+	e := &l.regs[g.Index()&(regionSlots-1)]
+	if e.reg != g {
+		l.evict(e, g)
 	}
 	if write {
-		l.regWrites++
+		e.writes++
 	} else {
-		l.regReads++
+		e.reads++
 	}
 }
 
-// enter publishes the batch of the region the block was counting against
-// and starts one for g.
-func (l *Local) enter(g *stats.Region) {
-	if l.regReads|l.regWrites != 0 {
-		l.reg.Add(l.Key, l.regReads, l.regWrites)
-		l.regReads, l.regWrites = 0, 0
-	}
-	l.reg = g
+// evict publishes the batch in e and hands the entry to g. It stays out of
+// line: inlined, its atomics and its pointer store's write barrier cost
+// every hit in CountAccess a frame (BenchmarkCountAccess/3regions 3.8 →
+// 2.7 ns).
+//
+//go:noinline
+func (l *Local) evict(e *regionBatch, g *stats.Region) {
+	e.reg.Add(l.Key, e.reads, e.writes)
+	*e = regionBatch{reg: g}
 }
 
 // Flush moves everything the block batched — the region counts, the Tally
@@ -137,7 +159,9 @@ func (l *Local) enter(g *stats.Region) {
 // and zeroes it; the cached pages stay. Only the block's owner calls it,
 // from its goroutine. A nil recorder discards the counts.
 func (l *Local) Flush(rec *stats.Recorder) {
-	l.enter(nil)
+	for i := range l.regs {
+		l.evict(&l.regs[i], nil)
+	}
 	l.Tally[stats.PageCacheHit], l.Tally[stats.PageCacheMiss] = l.PC.TakeCounts()
 	sh := rec.Shard(l.Key)
 	for c, n := range l.Tally {

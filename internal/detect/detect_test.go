@@ -1,10 +1,13 @@
 package detect
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
@@ -206,7 +209,7 @@ func TestLocalFlush(t *testing.T) {
 		l.CountAccess(g, false)
 		l.CountAccess(g, true)
 		l.CountAccess(g, true)
-		l.CountAccess(nil, true) // stats off for that container: no count, no region switch
+		l.CountAccess(nil, true) // stats off for that container: no count, no eviction
 	}
 	fill(0) // first touch: one miss, one hit
 	l.Flush(rec)
@@ -230,7 +233,7 @@ func TestLocalFlush(t *testing.T) {
 	}
 	zeroed := func() bool {
 		h, m := l.PC.TakeCounts()
-		return l.Tally == [stats.NumBatched]int64{} && h|m == 0 && l.regReads|l.regWrites == 0
+		return l.Tally == [stats.NumBatched]int64{} && h|m == 0
 	}
 	if !zeroed() {
 		t.Errorf("Flush left counts behind: %+v", l)
@@ -239,5 +242,102 @@ func TestLocalFlush(t *testing.T) {
 	l.Flush(nil) // must not panic; counts still zeroed
 	if !zeroed() {
 		t.Error("Flush(nil) did not zero the counts")
+	}
+	l.Flush(rec) // the region batch went to g, recorder or not, and only once
+	if r, w := g.Counts(); r != 3 || w != 6 {
+		t.Errorf("region counts %d/%d after a third batch, want 3/6", r, w)
+	}
+}
+
+// newRegions registers n one-element regions r0, r1, … with rec.
+func newRegions(rec *stats.Recorder, n int) []*stats.Region {
+	gs := make([]*stats.Region, n)
+	for i := range gs {
+		gs[i] = rec.Region(fmt.Sprint("r", i), 1)
+	}
+	return gs
+}
+
+// TestRegionBatch: the block batches traffic per region, not per run of
+// accesses to one region. A loop that interleaves a few regions — every
+// multi-array kernel's inner loop — publishes nothing until Flush and
+// everything at it; more regions than the table holds evict each other and
+// the counts stay exact, reads and writes apart; regions of a container
+// without stats, and a run without a recorder, cost nothing and break
+// nothing.
+func TestRegionBatch(t *testing.T) {
+	counts := func(gs []*stats.Region) (reads, writes []int64) {
+		for _, g := range gs {
+			r, w := g.Counts()
+			reads, writes = append(reads, r), append(writes, w)
+		}
+		return reads, writes
+	}
+
+	t.Run("interleaved", func(t *testing.T) {
+		rec := stats.New(2)
+		gs := newRegions(rec, 3)
+		l := Local{Key: 1}
+		const rounds = 10_000
+		for i := 0; i < rounds; i++ {
+			l.CountAccess(gs[0], false)
+			l.CountAccess(gs[1], false)
+			l.CountAccess(gs[2], i%4 == 0)
+		}
+		if r, w := counts(gs); !reflect.DeepEqual(r, []int64{0, 0, 0}) || !reflect.DeepEqual(w, []int64{0, 0, 0}) {
+			t.Fatalf("before Flush the regions read %v reads, %v writes: a switch of region published a batch", r, w)
+		}
+		l.Flush(rec)
+		if r, w := counts(gs); !reflect.DeepEqual(r, []int64{rounds, rounds, rounds * 3 / 4}) || !reflect.DeepEqual(w, []int64{0, 0, rounds / 4}) {
+			t.Fatalf("after Flush the regions read %v reads, %v writes", r, w)
+		}
+	})
+
+	t.Run("colliding", func(t *testing.T) {
+		rec := stats.New(2)
+		gs := newRegions(rec, 20) // the table holds regionSlots
+		l := Local{Key: 1}
+		wantR, wantW := make([]int64, len(gs)), make([]int64, len(gs))
+		for i := 0; i < 5000; i++ {
+			k := (i * 7) % len(gs)
+			write := i%3 == 0
+			l.CountAccess(gs[k], write)
+			l.CountAccess(nil, !write)
+			if write {
+				wantW[k]++
+			} else {
+				wantR[k]++
+			}
+		}
+		l.Flush(rec)
+		if r, w := counts(gs); !reflect.DeepEqual(r, wantR) || !reflect.DeepEqual(w, wantW) {
+			t.Fatalf("20 regions through %d entries: reads %v, writes %v, want %v and %v", regionSlots, r, w, wantR, wantW)
+		}
+		snap := rec.Snapshot()
+		if snap.Reads+snap.Writes != 5000 {
+			t.Fatalf("snapshot counts %d accesses, want 5000", snap.Reads+snap.Writes)
+		}
+	})
+
+	t.Run("no stats", func(t *testing.T) {
+		var rec *stats.Recorder
+		l := Local{}
+		g := rec.Region("off", 1) // nil: what a container of a NoStats engine holds
+		for i := 0; i < 100; i++ {
+			l.CountAccess(g, i%2 == 0)
+		}
+		l.Flush(rec)
+		if l != (Local{}) {
+			t.Fatalf("counting against a nil region left %+v in the block", l)
+		}
+	})
+}
+
+// TestLocalSize: every pool worker embeds a block, every replay holds one
+// and the goroutine executor keeps a pool of them. The next cache that
+// wants room here is a decision, not an accident.
+func TestLocalSize(t *testing.T) {
+	if size := unsafe.Sizeof(Local{}); size > 2048 {
+		t.Fatalf("detect.Local is %d bytes, more than 2048", size)
 	}
 }

@@ -1,8 +1,8 @@
 // Package shadow provides the paged shadow-memory substrate shared by
 // every detector: a two-level, lazily allocated page table of generic
 // shadow cells, plus the page cache — one per goroutine that executes
-// tasks — that keeps the dense-access hot path at one compare and one
-// pointer chase.
+// tasks — that keeps the hot path of a kernel sweeping a few regions at
+// one multiply, one compare and one pointer chase.
 //
 // The paper sizes shadow memory eagerly — one word per monitored element
 // at allocation time — which is fine for its dense PLDI kernels but fatal
@@ -64,7 +64,8 @@ const dirBlocks = 52
 // lazily allocated pages of C cells. All methods are safe for concurrent
 // use. The zero value is not usable; call New.
 type Pages[C any] struct {
-	bound   int64 // cells in the region; -1 = growable (unbounded)
+	id      uint64 // process-unique, never 0, never reused: the page cache's key
+	bound   int64  // cells in the region; -1 = growable (unbounded)
 	npages  atomic.Int64
 	ncells  atomic.Int64
 	onAlloc func(cells int)
@@ -78,12 +79,15 @@ type Pages[C any] struct {
 // means growable (any non-negative index is valid and pages are
 // allocated as the region extends).
 func New[C any](bound int) *Pages[C] {
-	p := &Pages[C]{bound: int64(bound)}
+	p := &Pages[C]{id: lastID.Add(1), bound: int64(bound)}
 	if bound < 0 {
 		p.bound = -1
 	}
 	return p
 }
+
+// lastID numbers every Pages of the process, whatever its cell type.
+var lastID atomic.Uint64
 
 // Bound returns the region's cell count, or -1 for a growable region.
 func (p *Pages[C]) Bound() int { return int(p.bound) }
@@ -155,20 +159,20 @@ func (p *Pages[C]) Cell(i int) *C {
 }
 
 // CellOf is Cell through the calling goroutine's page cache: a hit costs
-// one owner+page compare and one bounds-checked index — the dense
-// sequential hot path. pc must be owned by the calling goroutine (it is mutated
-// without synchronization); the cached page pointers stay valid forever
-// because published pages are never moved or freed.
+// the slot hash, one id+page compare and one bounds-checked index. pc must
+// be owned by the calling goroutine (it is mutated without
+// synchronization); the cached page pointers stay valid forever because
+// published pages are never moved or freed.
 func (p *Pages[C]) CellOf(pc *PageCache, i int) *C {
-	g := int64(uint64(i) >> PageShift)
-	sl := &pc.slots[cacheSlot(unsafe.Pointer(p))]
-	if sl.owner == unsafe.Pointer(p) && sl.page == g {
+	g := uint64(i) >> PageShift
+	sl := &pc.slots[slotOf(p.id, g)]
+	if sl.id == p.id && sl.page == g {
 		pc.hits++
 		return &(*(*[]C)(sl.data))[i&PageMask]
 	}
 	pc.misses++
-	ref := p.pageRef(uint64(g))
-	*sl = pageSlot{owner: unsafe.Pointer(p), page: g, data: unsafe.Pointer(ref)}
+	ref := p.pageRef(g)
+	*sl = pageSlot{id: p.id, page: g, data: unsafe.Pointer(ref)}
 	return &(*ref)[i&PageMask]
 }
 
@@ -190,19 +194,27 @@ func (p *Pages[C]) Range(f func(start int, cells []C)) {
 	}
 }
 
-// cacheSlots is the page-cache associativity. Direct-mapping by region
-// identity (not page number) keeps a region's slot stable under dense
-// sweeps; four slots let the common kernels that alternate between a few
-// regions (read plain, write crypt) keep one page each.
-const cacheSlots = 4
+// The page cache is direct-mapped on (region id, page): the page number
+// is spread by a multiplicative (Fibonacci) hash, so the pages one region
+// walks at any stride — a row-major sweep, an ELLPACK diagonal — keep
+// apart, and the region's id is added to the result, so regions created
+// one after the other and indexed in lockstep (A/B/C, vals/cols) sit in
+// neighbouring slots instead of on top of each other. Whether two entries
+// collide therefore depends on their page numbers and on the difference
+// of their ids alone: a run's hit/miss split does not move with how many
+// regions the process created before it, nor with where the allocator put
+// them. 64 slots hold the working set of the widest committed inner loop
+// (the sparse gather: 16 + 16 + 4 + 1 pages); EXPERIMENTS.md "Check-path
+// caches" has the hit ratios at 16, 32 and 64.
+const (
+	cacheBits  = 6
+	cacheSlots = 1 << cacheBits
+	pageHash   = 0x9E3779B97F4A7C15 // 2^64 / φ
+)
 
-// cacheSlot picks a PageCache slot from a region's identity. A Pages[C]
-// is 448 bytes for every C — seven 64-byte units, a size class of its own
-// on 8 KiB-aligned spans — so bits 6–7 of regions allocated one after the
-// other, which is what a kernel alternates between, step through all four
-// slots. Bits 4–5 are zero for every region.
-func cacheSlot(region unsafe.Pointer) uintptr {
-	return (uintptr(region) >> 6) & (cacheSlots - 1)
+// slotOf is the cache slot of page g of the region numbered id.
+func slotOf(id, g uint64) uint64 {
+	return (g*pageHash>>(64-cacheBits) + id) & (cacheSlots - 1)
 }
 
 // PageCache is a small direct-mapped cache of (region, page) → page
@@ -218,14 +230,16 @@ type PageCache struct {
 	misses int64
 }
 
-// pageSlot caches one region's last-touched page. owner discriminates
-// regions (and cell types: distinct Pages[C] instantiations are distinct
-// owners, so a type-mismatched reinterpretation is impossible — data is
-// only ever read back through the owner's own C).
+// pageSlot caches one page of one region. id discriminates regions and
+// cell types alike: ids are unique across every Pages[C] instantiation
+// and never reused, and a zero slot matches none (ids start at 1), so a
+// type-mismatched reinterpretation is impossible — data is only ever read
+// back through the C of the Pages that stored it. A miss stores one
+// pointer, not two: the key is an integer and needs no write barrier.
 type pageSlot struct {
-	owner unsafe.Pointer // the *Pages[C] this entry belongs to
-	page  int64
-	data  unsafe.Pointer // the stable *[]C published in the page table
+	id   uint64 // Pages.id of the region the entry belongs to
+	page uint64
+	data unsafe.Pointer // the stable *[]C published in the page table
 }
 
 // TakeCounts returns the batched hit/miss tallies and zeroes them.

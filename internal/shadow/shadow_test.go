@@ -2,10 +2,10 @@ package shadow
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 )
 
 // TestSparseRandomIndexes is the paging property test: hammer random
@@ -164,44 +164,101 @@ func TestPageCacheCounts(t *testing.T) {
 	}
 }
 
-// TestCacheSlotsSpread: regions allocated one after the other — what a
-// kernel alternates between — land on different cache slots, so a loop
-// over two of them hits. The slot hash once read address bits that are
-// zero for every Pages, and the four-slot cache was a one-slot cache: an
-// alternating loop missed on every access.
-func TestCacheSlotsSpread(t *testing.T) {
-	const n = 64
-	regions := make([]*Pages[int64], n)
-	var perSlot [cacheSlots]int
-	for i := range regions {
-		regions[i] = New[int64](PageSize)
-		perSlot[cacheSlot(unsafe.Pointer(regions[i]))]++
-	}
-	for s, c := range perSlot {
-		if c == 0 || c > n/2 {
-			t.Fatalf("%d fresh regions map to slots %v: slot %d is unused or takes more than half", n, perSlot, s)
+// access is one lookup of a recorded stream: a region's number and a cell.
+type access struct{ region, index int }
+
+// gatherStream is the sparse gather's inner loop over rows rows: an
+// ELLPACK matrix stored by diagonal, so the k entries of a row lie stride
+// cells apart in vals (region 0) and in cols (1), a vector x (2) of xLen
+// cells read at seeded random indices and a dense result y (3).
+func gatherStream(k, stride, rows, xLen int) []access {
+	rng := rand.New(rand.NewSource(7))
+	var seq []access
+	for r := 0; r < rows; r++ {
+		for e := 0; e < k; e++ {
+			seq = append(seq, access{0, e*stride + r}, access{1, e*stride + r}, access{2, rng.Intn(xLen)})
 		}
+		seq = append(seq, access{3, r})
 	}
-	// The allocator may hand out a recycled address now and then, so
-	// "neighbours differ" is asserted for most pairs, not all.
-	differ, a, b := 0, -1, -1
-	for i := 0; i+1 < n; i++ {
-		if cacheSlot(unsafe.Pointer(regions[i])) != cacheSlot(unsafe.Pointer(regions[i+1])) {
-			if differ++; a < 0 {
-				a, b = i, i+1
+	return seq
+}
+
+// stencilStream is the five-point stencil's inner loop over the interior
+// of a grid (region 0) of rows rows of n cells: up, down, left, right,
+// centre.
+func stencilStream(n, rows int) []access {
+	var seq []access
+	for i := 1; i < rows-1; i++ {
+		for j := 1; j < n-1; j++ {
+			for _, c := range [...]int{(i-1)*n + j, (i+1)*n + j, i*n + j - 1, i*n + j + 1, i*n + j} {
+				seq = append(seq, access{0, c})
 			}
 		}
 	}
-	if differ < 3*(n-1)/4 {
-		t.Fatalf("only %d of %d consecutively allocated pairs use different slots", differ, n-1)
+	return seq
+}
+
+// ellpackCounts drives one cache through gatherStream and returns its
+// counts. between runs after each New: the regions' addresses are
+// whatever it leaves.
+func ellpackCounts(k, stride int, between func()) (hits, misses int64) {
+	const rows, xLen = 1500, 4 * PageSize
+	var regions []*Pages[int8]
+	for _, bound := range []int{k * stride, k * stride, xLen, rows} {
+		regions = append(regions, New[int8](bound))
+		between()
 	}
 	var pc PageCache
-	const rounds = 1000
-	for i := 0; i < rounds; i++ {
-		*regions[a].CellOf(&pc, i) += *regions[b].CellOf(&pc, i)
+	for _, a := range gatherStream(k, stride, rows, xLen) {
+		regions[a.region].CellOf(&pc, a.index)
 	}
-	if hits, misses := pc.TakeCounts(); misses != 2 || hits != 2*rounds-2 {
-		t.Fatalf("alternating over two regions: %d hits, %d misses, want %d and 2 (one first touch each)", hits, misses, 2*rounds-2)
+	return pc.TakeCounts()
+}
+
+// TestPageCacheGatherShape pins the cache by access shape: the gather's
+// loop, whose working set fits the cache (engine_gather's 16 + 16 + 4 + 1
+// pages, diagonals four pages apart; eight diagonals sixteen pages apart),
+// hits at least every other lookup, and takes the very same hits and
+// misses wherever the allocator puts the regions — the slot is a function
+// of page numbers and id differences, not of addresses. (Sixteen diagonals
+// sixteen pages apart read 0.43: pages 144 — a Fibonacci number — apart
+// share a slot under the Fibonacci hash.)
+func TestPageCacheGatherShape(t *testing.T) {
+	var keep [][]byte
+	junk := func() {
+		for _, n := range []int{24, 448, 100, 3000, 64, 9000} {
+			keep = append(keep, make([]byte, n))
+		}
+	}
+	for _, shape := range []struct{ k, pagesApart int }{{16, 4}, {8, 16}} {
+		k, stride := shape.k, shape.pagesApart*PageSize
+		hits, misses := ellpackCounts(k, stride, func() {})
+		if ratio := float64(hits) / float64(hits+misses); ratio < 0.5 {
+			t.Errorf("%d diagonals %d pages apart: %d hits, %d misses, ratio %.2f < 0.5", k, shape.pagesApart, hits, misses, ratio)
+		}
+		if h, m := ellpackCounts(k, stride, junk); h != hits || m != misses {
+			t.Errorf("%d diagonals %d pages apart: %d/%d hits/misses, but %d/%d with other allocations between the regions",
+				k, shape.pagesApart, hits, misses, h, m)
+		}
+	}
+	runtime.KeepAlive(keep)
+}
+
+// TestPageCacheStencilWindow: a three-row window sliding down a grid of
+// eight rows to the page — up, down, left, right, centre — crosses three
+// page boundaries and takes exactly one miss per distinct page.
+func TestPageCacheStencilWindow(t *testing.T) {
+	const n, rows = PageSize / 8, 32
+	p := New[int64](n * rows)
+	var pc PageCache
+	seq := stencilStream(n, rows)
+	for _, a := range seq {
+		p.CellOf(&pc, a.index)
+	}
+	lookups := int64(len(seq))
+	pages, _ := p.Allocated()
+	if hits, misses := pc.TakeCounts(); misses != pages || hits != lookups-pages || pages != rows/8 {
+		t.Fatalf("%d hits, %d misses over %d lookups of %d pages, want one miss per page", hits, misses, lookups, pages)
 	}
 }
 
@@ -234,7 +291,9 @@ func TestRange(t *testing.T) {
 }
 
 // TestDistinctRegionsShareCache: two regions used through one cache must
-// not corrupt each other's lookups even when they collide on a slot.
+// not corrupt each other's lookups even when they collide on a slot —
+// whether they hold the same cell type or, forced onto one slot, cells of
+// different types and sizes.
 func TestDistinctRegionsShareCache(t *testing.T) {
 	var pc PageCache
 	a := New[int64](PageSize)
@@ -247,5 +306,27 @@ func TestDistinctRegionsShareCache(t *testing.T) {
 		if *a.CellOf(&pc, i) != int64(i) || *b.CellOf(&pc, i) != int64(-i) {
 			t.Fatalf("cross-region corruption at %d", i)
 		}
+	}
+
+	wide := New[[3]int64](-1)
+	page := uint64(0) // the page of wide that shares a slot with a's page 0
+	for slotOf(wide.id, page) != slotOf(a.id, 0) {
+		page++
+	}
+	pc.TakeCounts()
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		w := wide.CellOf(&pc, int(page)<<PageShift+i)
+		*w = [3]int64{int64(i), -1, -1}
+		if got := *a.CellOf(&pc, i); got != int64(i) {
+			t.Fatalf("a[%d] = %d after a write through the colliding %T region", i, got, *w)
+		}
+		if got := *wide.CellOf(&pc, int(page)<<PageShift+i); got != [3]int64{int64(i), -1, -1} {
+			t.Fatalf("wide cell %d = %v", i, got)
+		}
+		a.CellOf(&pc, i)
+	}
+	if hits, misses := pc.TakeCounts(); hits != 0 || misses != 4*rounds {
+		t.Fatalf("%d hits, %d misses: the two regions were meant to evict each other on every lookup", hits, misses)
 	}
 }

@@ -363,9 +363,16 @@ type Region struct {
 	// Elems is the region's element count.
 	Elems int
 
+	index int // dense registration number within the recorder (Index)
 	mask  uint32
 	cells []regionCell
 }
+
+// Index returns the region's registration number: the recorder numbers
+// its regions 0, 1, 2, … in the order Region created them, so the arrays
+// one kernel interleaves fall on distinct entries of a small table indexed
+// by it (detect.Local's region batch). g must not be nil.
+func (g *Region) Index() int { return g.index }
 
 // regionCell is a read/write pair padded to a cache line.
 type regionCell struct {
@@ -455,15 +462,16 @@ func (r *Recorder) Shard(i int) *Shard {
 	return &r.shards[uint32(i)&r.mask]
 }
 
-// Region registers a new instrumented region with the recorder and
-// returns its tally. Returns nil (a valid no-op region) on a nil
-// recorder.
+// Region registers a new instrumented region with the recorder, numbers
+// it (Region.Index) and returns its tally. Returns nil (a valid no-op
+// region) on a nil recorder.
 func (r *Recorder) Region(name string, elems int) *Region {
 	if r == nil {
 		return nil
 	}
 	g := &Region{Name: name, Elems: elems, mask: r.mask, cells: make([]regionCell, len(r.shards))}
 	r.mu.Lock()
+	g.index = len(r.regions)
 	r.regions = append(r.regions, g)
 	r.mu.Unlock()
 	return g

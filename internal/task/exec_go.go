@@ -13,12 +13,17 @@ func (goExec) run(rt *Runtime, main *Ctx) { rt.runMainAlone(main) }
 
 func (goExec) spawn(parent, child *Ctx) { go parent.rt.goTask(child) }
 
-// goTask is a task goroutine's life: it owns a block for its one task and
-// flushes it before the task leaves its scope.
+// goTask is a task goroutine's life: it borrows a block from the runtime
+// for its one task and flushes it before the task leaves its scope. The
+// block is the goroutine's alone between Get and Put, and the pool is the
+// runtime's, not the package's: a pooled block's cached pages die with
+// the engine.
 func (rt *Runtime) goTask(c *Ctx) {
-	l := detect.Local{Key: int(c.task.ID)}
-	rt.runTask(c, &l)
+	l := rt.locals.Get().(*detect.Local)
+	l.Key = int(c.task.ID)
+	rt.runTask(c, l)
 	l.Flush(rt.st)
+	rt.locals.Put(l)
 	rt.leave(c)
 }
 

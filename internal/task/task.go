@@ -26,6 +26,7 @@ package task
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"spd3/internal/detect"
@@ -95,6 +96,8 @@ type Runtime struct {
 
 	failure atomic.Pointer[taskFailure]
 	running atomic.Bool
+
+	locals sync.Pool // *detect.Local, flushed: the goroutine executor's blocks (goTask)
 }
 
 type taskFailure struct{ err error }
@@ -119,6 +122,7 @@ func New(cfg Config) (*Runtime, error) {
 			cfg.Detector.Name(), cfg.Executor)
 	}
 	rt := &Runtime{det: cfg.Detector, st: cfg.Stats, kind: cfg.Executor, workers: cfg.Workers, ec: sched.NewEventCount()}
+	rt.locals.New = func() any { return new(detect.Local) }
 	switch cfg.Executor {
 	case Pool:
 		rt.exec = newPoolExec(cfg.Workers)

@@ -1,6 +1,7 @@
 package spd3_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -288,6 +289,56 @@ func TestExecutorsCountExactly(t *testing.T) {
 				t.Fatal("a panicking main body returned no error")
 			}
 			check("panicking run", rep, tasks/2)
+
+			// Every task interleaves twelve arrays in its inner loop —
+			// more regions than the block's batch holds entries, so
+			// batches evict each other all along — and each region's
+			// counts are still exact.
+			const arrays = 12
+			wide, err := spd3.New(e.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var in [arrays - 1]*spd3.Array[int]
+			for a := range in {
+				in[a] = spd3.NewArray[int](wide, fmt.Sprint("in", a), n)
+			}
+			sums := spd3.NewArray[int](wide, "sums", tasks*n)
+			rep, err = wide.Run(func(c *spd3.Ctx) {
+				for i := 0; i < n; i++ {
+					for a := range in {
+						in[a].Set(c, i, a+i)
+					}
+				}
+				c.Finish(func(c *spd3.Ctx) {
+					for id := 0; id < tasks; id++ {
+						c.Async(func(c *spd3.Ctx) {
+							for i := 0; i < n; i++ {
+								sum := 0
+								for a := range in {
+									sum += in[a].Get(c, i)
+								}
+								sums.Set(c, id*n+i, sum)
+							}
+						})
+					}
+				})
+			})
+			if err != nil || !rep.RaceFree() {
+				t.Fatalf("twelve arrays: err %v, races %v", err, rep.Races)
+			}
+			if len(rep.Stats.Regions) != arrays {
+				t.Errorf("twelve arrays: the report names %d regions", len(rep.Stats.Regions))
+			}
+			for _, g := range rep.Stats.Regions {
+				wantR, wantW := int64(tasks*n), int64(n)
+				if g.Name == "sums" {
+					wantR, wantW = 0, tasks*n
+				}
+				if g.Reads != wantR || g.Writes != wantW {
+					t.Errorf("twelve arrays: region %s counts %d reads, %d writes, want %d and %d", g.Name, g.Reads, g.Writes, wantR, wantW)
+				}
+			}
 		})
 	}
 }
