@@ -157,9 +157,9 @@ func TestBurstCatchesPrologueRace(t *testing.T) {
 // be visible in a snapshot exactly when sampling is on.
 func TestSampleCountersFlow(t *testing.T) {
 	run := func(smp *sample.Sampler) stats.Snapshot {
-		rec := stats.New(0)
+		rec := stats.New()
 		sink := detect.NewSink(false, 0)
-		sink.SetStats(rec.Shard(0))
+		sink.SetStats(rec)
 		det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
 		if err != nil {
 			t.Fatal(err)

@@ -184,11 +184,11 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 }
 
 // countRetries tallies the lost CASes of one finished memory action. The
-// histogram goes straight to a shard: a retry follows a lost CAS, so the
-// atomic add is off the uncontended path.
+// histogram goes straight to the recorder: a retry follows a lost CAS, so
+// the atomic add is off the uncontended path.
 func (s *casShadow) countRetries(l *detect.Local, n int64) {
 	if n > 0 {
 		l.Tally[stats.CASRetry] += n
-		s.d.st.Shard(l.Key).Observe(stats.HistCASRetry, n)
+		s.d.st.Observe(stats.HistCASRetry, n)
 	}
 }

@@ -191,20 +191,16 @@ func (d *Detector) Footprint() detect.Footprint {
 // pays only for the pages it touches.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	s := &casShadow{d: d, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
-	s.pages.SetOnAlloc(d.pageAlloc())
+	s.pages.SetOnAlloc(d.pageAlloc)
 	return s
 }
 
-// pageAlloc returns the paged substrate's allocation hook: analytic
-// footprint plus the ShadowPagesAllocated counter. Allocation happens at
-// most once per PageSize cells, so the shard atomics are off the hot
-// path.
-func (d *Detector) pageAlloc() func(cells int) {
-	sh := d.st.Shard(0)
-	return func(cells int) {
-		d.shadowBytes.Add(int64(cells) * casCellBytes)
-		sh.Inc(stats.ShadowPagesAllocated)
-	}
+// pageAlloc is the paged substrate's allocation hook: analytic footprint
+// plus the ShadowPagesAllocated counter. Allocation happens at most once
+// per PageSize cells, so the recorder's atomics are off the hot path.
+func (d *Detector) pageAlloc(cells int) {
+	d.shadowBytes.Add(int64(cells) * casCellBytes)
+	d.st.Inc(stats.ShadowPagesAllocated)
 }
 
 // word is a consistent snapshot of one shadow word: the ids (dpst.Node.ID)

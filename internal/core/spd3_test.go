@@ -699,7 +699,7 @@ func TestWideFinishMatchesOracle(t *testing.T) {
 		}
 
 		sink := detect.NewSink(false, 0)
-		rec := stats.New(1)
+		rec := stats.New()
 		d := New(sink, rec)
 		rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4, Detector: d, Stats: rec})
 		if err != nil {

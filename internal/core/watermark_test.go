@@ -81,8 +81,8 @@ func spyRuns(t *testing.T, what string, exec task.ExecKind, workers int, progs .
 	// The sink keeps one report per (kind, region, index) for as long as it
 	// lives and every run's region is "v": a run's verdict is whether it
 	// reported at all, duplicates of an earlier run's included.
-	sink, rec := detect.NewSink(false, 0), stats.New(1)
-	sink.SetStats(rec.Shard(0))
+	sink, rec := detect.NewSink(false, 0), stats.New()
+	sink.SetStats(rec)
 	reports := func() int64 {
 		snap := rec.Snapshot()
 		return snap.Get(stats.RaceReported) + snap.Get(stats.RaceDeduped)

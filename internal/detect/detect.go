@@ -43,17 +43,16 @@
 // matching FinishEnd without additional synchronization of its own.
 //
 // Scratch. What the check path needs besides the task — page cache,
-// tallies, region batch — is a Local block owned by the goroutine that
+// tallies, per-region counts — is a Local block owned by the goroutine that
 // executes the task. Whoever owns a goroutine that executes tasks owns one
 // block, points each task it starts to run at it (Task.L) and flushes it
 // once, when the goroutine has run its last task (a block that is pooled
 // between task goroutines is flushed before it goes back, and is one
-// goroutine's between Get and Put); detectors flush nothing. Both caches
-// in the block are keyed so that a loop interleaving several regions hits
-// them: the page cache by (shadow.Pages id, page), the region batch by the
-// region's registration number. An eviction from the first is one page
-// table walk, from the second one stats.Region.Add; a hit in either
-// touches no word another goroutine reads.
+// goroutine's between Get and Put); detectors flush nothing. A loop that
+// interleaves several regions pays for neither: the page cache is keyed by
+// (shadow.Pages id, page), and the region counts are a slice indexed by
+// the region's registration number, exact for any number of regions. A
+// count touches no word another goroutine reads until the flush.
 package detect
 
 import (
@@ -92,7 +91,10 @@ type Task struct {
 // Local is the check path's scratch (see the package comment). Exactly
 // one goroutine touches a block, so nothing in it is synchronized, and it
 // outlives the tasks that borrow it: a page one task looked up is still
-// cached for the next.
+// cached for the next. A block counts against the regions of one
+// stats.Recorder only, the one it is flushed into: a pool worker's, a
+// pooled task goroutine's and a replay's block each belong to one runtime
+// or session, which has one recorder.
 type Local struct {
 	// PC is the shadow page cache, threaded through the paged shadow hot
 	// path (shadow.Pages.CellOf).
@@ -101,71 +103,64 @@ type Local struct {
 	// counts once per checked access or per task pays one non-atomic
 	// increment.
 	Tally [stats.NumBatched]int64
-	// Key picks the stats shard and region cell the block flushes into.
-	// Owners that run side by side set distinct keys (the pool worker's
-	// index, the task goroutine's task ID).
-	Key int
 
-	// The region-traffic batch (CountAccess): direct-mapped on the
-	// region's registration number.
-	regs [regionSlots]regionBatch
+	// regs is the block's unpublished region traffic (CountAccess),
+	// indexed by stats.Region.Index and grown on first touch.
+	regs []regionCount
 }
 
-// regionSlots sizes the region batch. A recorder numbers its regions
-// densely, so a kernel that interleaves up to eight arrays created one
-// after the other — every committed kernel's inner loop — evicts nothing;
-// past eight an eviction costs what every region switch used to (one
-// Region.Add). EXPERIMENTS.md "Check-path caches" has the measurement.
-const regionSlots = 8
-
-// regionBatch is the block's unpublished traffic against one region.
-type regionBatch struct {
-	reg           *stats.Region
-	reads, writes int64
-}
+// regionCount is the block's unpublished traffic against one region.
+type regionCount struct{ reads, writes int64 }
 
 // CountAccess records one instrumented read or write against region g
-// (nil g — stats disabled — is a no-op). Loops over a few containers pay
-// no atomics: a batch reaches g when a region that shares its entry evicts
-// it or the block is flushed.
+// (nil g — stats disabled — is a no-op). It pays no atomics: the counts
+// reach g when the block is flushed.
 func (l *Local) CountAccess(g *stats.Region, write bool) {
 	if g == nil {
 		return
 	}
-	e := &l.regs[g.Index()&(regionSlots-1)]
-	if e.reg != g {
-		l.evict(e, g)
+	i := g.Index()
+	if i >= len(l.regs) {
+		l.grow(i)
 	}
 	if write {
-		e.writes++
+		l.regs[i].writes++
 	} else {
-		e.reads++
+		l.regs[i].reads++
 	}
 }
 
-// evict publishes the batch in e and hands the entry to g. It stays out of
-// line: inlined, its atomics and its pointer store's write barrier cost
-// every hit in CountAccess a frame (BenchmarkCountAccess/3regions 3.8 →
-// 2.7 ns).
-//
-//go:noinline
-func (l *Local) evict(e *regionBatch, g *stats.Region) {
-	e.reg.Add(l.Key, e.reads, e.writes)
-	*e = regionBatch{reg: g}
+// grow extends regs to cover index i. Lengths are powers of two from eight
+// entries up, so an allocation is a whole number of cache lines (128 bytes
+// at least, its own size class): two blocks' counts never share a line.
+func (l *Local) grow(i int) {
+	n := 8
+	for n <= i {
+		n <<= 1
+	}
+	regs := make([]regionCount, n)
+	copy(regs, l.regs)
+	l.regs = regs
 }
 
 // Flush moves everything the block batched — the region counts, the Tally
-// and the page cache's hit/miss tallies — into rec under the block's Key
-// and zeroes it; the cached pages stay. Only the block's owner calls it,
-// from its goroutine. A nil recorder discards the counts.
+// and the page cache's hit/miss tallies — into rec and zeroes it; the
+// cached pages stay. Only the block's owner calls it, from its goroutine.
+// A nil recorder discards the tallies; it has no regions, so region counts
+// (there are none in a run without a recorder) stay where they are.
 func (l *Local) Flush(rec *stats.Recorder) {
-	for i := range l.regs {
-		l.evict(&l.regs[i], nil)
+	if rec != nil {
+		regions := rec.Regions()
+		for i, c := range l.regs {
+			if c != (regionCount{}) {
+				regions[i].Add(c.reads, c.writes)
+			}
+		}
+		clear(l.regs)
 	}
 	l.Tally[stats.PageCacheHit], l.Tally[stats.PageCacheMiss] = l.PC.TakeCounts()
-	sh := rec.Shard(l.Key)
 	for c, n := range l.Tally {
-		sh.Add(stats.Counter(c), n)
+		rec.Add(stats.Counter(c), n)
 	}
 	l.Tally = [stats.NumBatched]int64{}
 }

@@ -81,7 +81,7 @@ type Sink struct {
 	limit  int
 
 	onRace func(Race) bool
-	st     *stats.Shard
+	st     *stats.Recorder
 }
 
 // NewSink returns a race sink. If haltFirst is true the first report
@@ -106,12 +106,12 @@ func (s *Sink) SetOnRace(fn func(Race) bool) {
 	s.onRace = fn
 }
 
-// SetStats points the sink at a stats shard for its reported / deduped /
-// dropped counters. A nil shard (the default) is a no-op sink for them.
-func (s *Sink) SetStats(sh *stats.Shard) {
+// SetStats points the sink at a recorder for its reported / deduped /
+// dropped counters. A nil recorder (the default) is a no-op sink for them.
+func (s *Sink) SetStats(rec *stats.Recorder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st = sh
+	s.st = rec
 }
 
 // SetCaptureSites makes Report append " at file.go:NN" to CurStep: the

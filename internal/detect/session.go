@@ -24,8 +24,6 @@ type SessionOpts struct {
 	// NoStats leaves the session without a recorder: Rec is nil and
 	// Snapshot carries only the footprint.
 	NoStats bool
-	// Shards sizes the recorder (stats.New: <= 0 means GOMAXPROCS).
-	Shards int
 	// Sampler gates the detector's checks at a fixed rate. Set it or
 	// Governor, not both.
 	Sampler *sample.Sampler
@@ -50,8 +48,8 @@ type Session struct {
 func Open(name string, o SessionOpts) (*Session, error) {
 	s := &Session{Sink: NewSink(o.Halt, o.MaxRaces), Gov: o.Governor}
 	if !o.NoStats {
-		s.Rec = stats.New(o.Shards)
-		s.Sink.SetStats(s.Rec.Shard(0))
+		s.Rec = stats.New()
+		s.Sink.SetStats(s.Rec)
 	}
 	s.Sink.SetOnRace(o.OnRace)
 	s.Sink.SetCaptureSites(o.CaptureSites)

@@ -161,8 +161,7 @@ type regionShadow struct {
 // so untouched locations cost nothing.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	s := &regionShadow{d: d, name: spec.Name, vars: shadow.New[evar](spec.Bound())}
-	sh := d.st.Shard(0)
-	s.vars.SetOnAlloc(func(int) { sh.Inc(stats.ShadowPagesAllocated) })
+	s.vars.SetOnAlloc(func(int) { d.st.Inc(stats.ShadowPagesAllocated) })
 	d.mu.Lock()
 	d.shadows = append(d.shadows, s)
 	d.mu.Unlock()

@@ -200,8 +200,7 @@ func (d *Detector) Release(*detect.Task, *detect.Lock) {}
 // lazily allocated pages, so only touched pages cost memory.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	s := &regionShadow{d: d, name: spec.Name, vars: shadow.New[svar](spec.Bound())}
-	sh := d.st.Shard(0)
-	s.vars.SetOnAlloc(func(int) { sh.Inc(stats.ShadowPagesAllocated) })
+	s.vars.SetOnAlloc(func(int) { d.st.Inc(stats.ShadowPagesAllocated) })
 	d.shadows = append(d.shadows, s)
 	return s
 }

@@ -206,10 +206,9 @@ type regionShadow struct {
 // shadowCnt now counts allocated cells rather than declared length.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	s := &regionShadow{d: d, name: spec.Name, vars: shadow.New[osVar](spec.Bound())}
-	sh := d.st.Shard(0)
 	s.vars.SetOnAlloc(func(cells int) {
 		d.shadowCnt.Add(int64(cells))
-		sh.Inc(stats.ShadowPagesAllocated)
+		d.st.Inc(stats.ShadowPagesAllocated)
 	})
 	return s
 }

@@ -102,9 +102,8 @@ func TestGovernorSamplerSharesRate(t *testing.T) {
 
 // TestObserveSnapshot: the stats-snapshot adapter feeds the same loop.
 func TestObserveSnapshot(t *testing.T) {
-	rec := stats.New(1)
-	sh := rec.Shard(0)
-	sh.Add(stats.SampleChecked, 1_000_000)
+	rec := stats.New()
+	rec.Add(stats.SampleChecked, 1_000_000)
 	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.05)
 	g.ObserveSnapshot(rec.Snapshot(), 10*time.Millisecond)
 	if got := g.Rate(); got != 0.5 {

@@ -334,13 +334,12 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 		refs    []store.SegmentRef
 		unsplit bool
 	)
-	sh := s.shard()
 	putRef := func(ref store.SegmentRef, dup bool) {
 		refs = append(refs, ref)
 		if dup {
-			sh.Inc(stats.StoreDedupHits)
+			s.rec.Inc(stats.StoreDedupHits)
 		} else {
-			sh.Add(stats.StorePutBytes, ref.Bytes)
+			s.rec.Add(stats.StorePutBytes, ref.Bytes)
 		}
 	}
 	if opts.shard {
@@ -368,7 +367,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 				}
 				putRef(ref, dup)
 				unsplit = true
-				sh.Inc(stats.SrvUnsplit)
+				s.rec.Inc(stats.SrvUnsplit)
 				break split
 			case err != nil:
 				return nil, err
@@ -379,7 +378,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 			}
 			putRef(ref, dup)
 		}
-		sh.Add(stats.TraceSegments, int64(len(refs)))
+		s.rec.Add(stats.TraceSegments, int64(len(refs)))
 	} else {
 		ref, dup, perr := s.store.PutStream(br)
 		if perr != nil {
@@ -389,8 +388,8 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	}
 
 	streamed := limiter.Count()
-	sh.Add(stats.SrvBytesRead, streamed)
-	sh.Add(stats.SrvStreamedBytes, streamed)
+	s.rec.Add(stats.SrvBytesRead, streamed)
+	s.rec.Add(stats.SrvStreamedBytes, streamed)
 
 	now := time.Now()
 	m := &store.Manifest{
@@ -425,8 +424,8 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	s.jobsMu.Lock()
 	s.jobs[m.ID] = j
 	s.jobsMu.Unlock()
-	sh.Inc(stats.JobSubmitted)
-	sh.Inc(stats.JobQueued)
+	s.rec.Inc(stats.JobSubmitted)
+	s.rec.Inc(stats.JobQueued)
 	s.logf("job %s submitted tenant=%s detector=%s bytes=%d segments=%d",
 		m.ID, opts.tenant, opts.detector, streamed, len(refs))
 	go s.runJob(j)
@@ -447,7 +446,6 @@ func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim 
 			onRace(r)
 			return false
 		},
-		Shards:   1,
 		Governor: s.samplers.governor(tenant, sampling),
 	})
 	if err != nil {
@@ -487,9 +485,8 @@ func (s *Server) runJob(j *Job) {
 	j.m.UpdatedAt = time.Now()
 	man := *j.m
 	j.mu.Unlock()
-	sh := s.shard()
-	sh.Add(stats.JobQueued, -1)
-	sh.Inc(stats.JobRunning)
+	s.rec.Add(stats.JobQueued, -1)
+	s.rec.Inc(stats.JobRunning)
 	if !s.killed.Load() {
 		s.store.WriteManifest(&man) //nolint:errcheck // progress persistence is best-effort; terminal write is checked
 	}
@@ -535,7 +532,7 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 		defer rd.Close()
-		s.shard().Inc(stats.JobSegmentReplays)
+		s.rec.Inc(stats.JobSegmentReplays)
 		snap, err := s.replaySegment(names[di], m.Tenant, m.Sampling, bufio.NewReaderSize(rd, 64<<10), lim, func(r detect.Race) {
 			j.addRace(di, r, s.cfg.MaxRacesPerReport)
 		})
@@ -569,7 +566,7 @@ fanout:
 				}
 			}
 			di, ref := di, ref
-			if !s.pool.run(ctx, s.shard(), &wg, func() {
+			if !s.pool.run(ctx, s.rec, &wg, func() {
 				defer release()
 				segJob(di, ref)
 			}) {
@@ -682,16 +679,15 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 	*j.m = man
 	j.mu.Unlock()
 
-	sh := s.shard()
-	sh.Add(stats.JobRunning, -1)
+	s.rec.Add(stats.JobRunning, -1)
 	switch man.State {
 	case client.StateDone:
-		sh.Inc(stats.JobDone)
-		sh.Add(stats.SrvAnalyses, int64(len(verdicts)))
+		s.rec.Inc(stats.JobDone)
+		s.rec.Add(stats.SrvAnalyses, int64(len(verdicts)))
 	case client.StateFailed:
-		sh.Inc(stats.JobFailed)
+		s.rec.Inc(stats.JobFailed)
 	case client.StateCanceled:
-		sh.Inc(stats.JobCanceled)
+		s.rec.Inc(stats.JobCanceled)
 	}
 	s.quotas.ReleaseSlot(man.Tenant)
 	s.logf("job %s %s tenant=%s detector=%s segments=%d err=%v",
@@ -764,14 +760,14 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var qe *quota.Error
 	switch {
 	case errors.Is(err, errDraining):
-		s.shard().Inc(stats.SrvRejected)
+		s.rec.Inc(stats.SrvRejected)
 		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.As(err, &qe):
-		s.shard().Inc(stats.QuotaDenied)
+		s.rec.Inc(stats.QuotaDenied)
 		w.Header().Set("Retry-After", strconv.Itoa(int(qe.RetryAfter.Seconds()+0.5)))
 		s.writeError(w, http.StatusTooManyRequests, "%v", qe)
 	case errors.Is(err, trace.ErrCanceled):
-		s.shard().Inc(stats.SrvCanceled)
+		s.rec.Inc(stats.SrvCanceled)
 		s.writeError(w, http.StatusGatewayTimeout, "analysis canceled: %v", err)
 	default:
 		s.writeError(w, statusFor(err), "%v", err)

@@ -133,8 +133,7 @@ type Config struct {
 // Drain with http.Server.Shutdown; Close when done.
 type Server struct {
 	cfg      Config
-	rec      *stats.Recorder // srv.* counters, sharded by request sequence
-	reqSeq   atomic.Int64
+	rec      *stats.Recorder // srv.*, job.*, store.* and quota.* counters
 	pool     *shardPool
 	store    *store.Store
 	quotas   *quota.Table
@@ -196,7 +195,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		rec:   stats.New(0),
+		rec:   stats.New(),
 		start: time.Now(),
 		mux:   http.NewServeMux(),
 		jobs:  map[string]*Job{},
@@ -251,7 +250,6 @@ func (s *Server) resumeJobs() error {
 	if err != nil {
 		return err
 	}
-	sh := s.shard()
 	for _, m := range manifests {
 		j := newJob(m)
 		live := !client.Terminal(m.State)
@@ -272,8 +270,8 @@ func (s *Server) resumeJobs() error {
 			s.release()
 			return err
 		}
-		sh.Inc(stats.JobResumed)
-		sh.Inc(stats.JobQueued)
+		s.rec.Inc(stats.JobResumed)
+		s.rec.Inc(stats.JobQueued)
 		s.logf("job %s resumed tenant=%s detector=%s segments=%d",
 			m.ID, m.Tenant, m.Detector, len(m.Segments))
 		go s.runJob(j)
@@ -322,9 +320,8 @@ func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 		s.logf("gc: %v", err)
 	}
 	s.quotas.Sweep()
-	sh := s.shard()
-	sh.Add(stats.StoreSweptJobs, int64(sweptJobs))
-	sh.Add(stats.StoreSweptBlobs, int64(sweptBlobs))
+	s.rec.Add(stats.StoreSweptJobs, int64(sweptJobs))
+	s.rec.Add(stats.StoreSweptBlobs, int64(sweptBlobs))
 	return sweptJobs, sweptBlobs
 }
 
@@ -366,15 +363,9 @@ func (s *Server) Close() error {
 // into the srv.requests counter before routing.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.shard().Inc(stats.SrvRequests)
+		s.rec.Inc(stats.SrvRequests)
 		s.mux.ServeHTTP(w, r)
 	})
-}
-
-// shard picks a stats shard by request arrival order, so concurrent
-// requests bump srv.* counters without sharing a cache line.
-func (s *Server) shard() *stats.Shard {
-	return s.rec.Shard(int(s.reqSeq.Add(1)))
 }
 
 // errDraining refuses a submit that arrives after Drain; 503 on the wire.

@@ -35,7 +35,7 @@ func (p *shardPool) Busy() int { return len(p.sem) }
 // run executes fn on a pool slot, tracking occupancy in the
 // srv.shard_workers_busy gauge and wg. It blocks until a slot frees up;
 // a done ctx while waiting returns false without running fn.
-func (p *shardPool) run(ctx context.Context, busy *stats.Shard, wg *sync.WaitGroup, fn func()) bool {
+func (p *shardPool) run(ctx context.Context, busy *stats.Recorder, wg *sync.WaitGroup, fn func()) bool {
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():

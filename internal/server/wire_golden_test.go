@@ -317,14 +317,14 @@ func TestOpensParentStore(t *testing.T) {
 // type, so its JSON must be stats.Snapshot's own, nil and empty region
 // lists included.
 func TestWireStats(t *testing.T) {
-	rec := stats.New(1)
-	rec.Shard(0).Add(stats.CASClean, 7)
-	rec.Shard(0).Observe(stats.HistCASRetry, 3)
+	rec := stats.New()
+	rec.Add(stats.CASClean, 7)
+	rec.Observe(stats.HistCASRetry, 3)
 	full := rec.Snapshot()
 	full.Regions = []stats.RegionSnapshot{{Name: "a", Elems: 4, Reads: 2, Writes: 1}}
 	full.Reads, full.Writes = 2, 1
 	full.Footprint = stats.Footprint{ShadowBytes: 64, TreeBytes: 32}
-	for name, snap := range map[string]stats.Snapshot{"zero": {}, "empty regions": stats.New(1).Snapshot(), "full": full} {
+	for name, snap := range map[string]stats.Snapshot{"zero": {}, "empty regions": stats.New().Snapshot(), "full": full} {
 		want, _ := json.Marshal(snap)
 		got, _ := json.Marshal(wireStats(snap))
 		if !bytes.Equal(got, want) {

@@ -223,7 +223,7 @@ func slotOf(id, g uint64) uint64 {
 // that goroutine touches it, so it is unsynchronized, and an entry serves
 // whichever task runs there next: pages are a region's, not a task's.
 // Hits and misses are batched in plain integers; detect.Local.Flush moves
-// them into a stats shard via TakeCounts.
+// them into the recorder via TakeCounts.
 type PageCache struct {
 	slots  [cacheSlots]pageSlot
 	hits   int64

@@ -1,10 +1,9 @@
-// Package stats is the runtime observability layer: a low-overhead,
-// shard-per-core set of counters, histograms, and per-region access
-// tallies threaded through the whole stack — the detector's shadow
-// protocol (internal/core), its DMHP walks (internal/dpst via
-// internal/core), the task runtime's executors (internal/task), the
-// instrumented containers (internal/mem), and the race sink
-// (internal/detect).
+// Package stats is the runtime observability layer: a low-overhead set
+// of counters, histograms, and per-region access tallies threaded through
+// the whole stack — the detector's shadow protocol (internal/core), its
+// DMHP walks (internal/dpst via internal/core), the task runtime's
+// executors (internal/task), the instrumented containers (internal/mem),
+// and the race sink (internal/detect).
 //
 // The paper's evaluation (§6) is entirely about measured behavior —
 // slowdowns, memory per location, scalability — and the per-benchmark
@@ -16,38 +15,32 @@
 //
 // # Design
 //
-// A Recorder owns a power-of-two number of Shards (default: enough for
-// GOMAXPROCS). Each shard is a padded block of atomic cells, so two
-// workers bumping the same Counter on different shards never share a
-// cache line. Writers pick a shard by any cheap stable small integer —
-// the pool worker index or the task ID — and increment with a single
-// uncontended atomic add. Nothing is aggregated on the hot path: a
-// Snapshot merges all shards only when asked (the engine asks once, at
-// the end of Run).
+// Counting has two levels. A Recorder is one block of atomic cells — a
+// cell per Counter, a row per histogram, a read/write pair per registered
+// Region — that Snapshot copies when asked (the engine asks once, at the
+// end of Run). Nothing on a hot path writes it: the layers on the check
+// path and the task runtime count in plain integers owned by the goroutine
+// that executes tasks (detect.Local: its Tally, page-cache tallies and
+// per-region counts), which that goroutine's owner flushes into the
+// recorder once — per pool worker, per sequential run, per task goroutine,
+// per replay — so the steady-state cost of a counter is one non-atomic
+// increment and the flushes number O(workers), not O(tasks). What is
+// written to the recorder directly is rare by construction: a page
+// allocation, a race report, a lost CAS, a daemon request.
 //
-// Hot producers batch even the atomic away: the layers on the check path
-// and the task runtime count in plain integers owned by the goroutine
-// that executes tasks (detect.Local: its Tally, page cache and region
-// batch), which that goroutine's owner flushes into a shard once — per
-// pool worker, per sequential run, per task goroutine, per replay — so
-// the steady-state cost of a counter is one non-atomic increment and the
-// flushes number O(workers), not O(tasks).
-//
-// A nil *Recorder, *Shard, or *Region is valid and makes every method a
-// no-op; Options.NoStats hands nil recorders down the stack and the
+// A nil *Recorder or *Region is valid and makes every method a no-op;
+// Options.NoStats hands nil recorders down the stack and the
 // instrumentation vanishes behind a predictable branch.
 package stats
 
 import (
 	"math/bits"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter identifies one global event counter. Counters are merged
-// across shards by Snapshot.
+// Counter identifies one global event counter.
 type Counter uint8
 
 // Counters. The groups mirror the layers that produce them; the first
@@ -199,7 +192,7 @@ const (
 // NumBatched bounds the counters producers batch in plain integers of the
 // goroutine that executes tasks (detect.Local.Tally is indexed by them)
 // and that detect.Local.Flush alone writes: CASClean through SampleSkipped.
-// Every other counter is written straight to a shard by its producer.
+// Every other counter is written straight to the recorder by its producer.
 const NumBatched = SampleSkipped + 1
 
 // counterNames are the stable wire names used by Map and the JSON form.
@@ -319,148 +312,82 @@ func HistBucket(v int64) int {
 	return b
 }
 
-// cacheLine is the assumed cache-line size for padding.
-const cacheLine = 64
-
-// Shard is one padded block of atomic cells. Writers that share a shard
-// remain correct (the cells are atomic) but may contend; the point of
-// sharding is that writers with distinct shard keys never do.
-type Shard struct {
-	counters [NumCounters]atomic.Int64
-	hists    [NumHists][HistBuckets]atomic.Int64
-	_        [cacheLine]byte // keep the next shard's hot head off our tail line
-}
-
-// Inc adds 1 to counter c. Safe on a nil shard (no-op).
-func (s *Shard) Inc(c Counter) {
-	if s == nil {
+// Inc adds 1 to counter c. Safe on a nil recorder (no-op).
+func (r *Recorder) Inc(c Counter) {
+	if r == nil {
 		return
 	}
-	s.counters[c].Add(1)
+	r.counters[c].Add(1)
 }
 
-// Add adds n to counter c. Safe on a nil shard; n == 0 is free.
-func (s *Shard) Add(c Counter, n int64) {
-	if s == nil || n == 0 {
+// Add adds n to counter c. Safe on a nil recorder; n == 0 is free.
+func (r *Recorder) Add(c Counter, n int64) {
+	if r == nil || n == 0 {
 		return
 	}
-	s.counters[c].Add(n)
+	r.counters[c].Add(n)
 }
 
-// Observe records one value into histogram h. Safe on a nil shard.
-func (s *Shard) Observe(h HistID, v int64) {
-	if s == nil {
+// Observe records one value into histogram h. Safe on a nil recorder.
+func (r *Recorder) Observe(h HistID, v int64) {
+	if r == nil {
 		return
 	}
-	s.hists[h][HistBucket(v)].Add(1)
+	r.hists[h][HistBucket(v)].Add(1)
 }
 
-// Region tallies one instrumented memory region's traffic. Cells are
-// sharded like counters; Inc picks one by the caller's shard key.
+// Region tallies one instrumented memory region's traffic.
 type Region struct {
 	// Name is the label passed to the instrumented container.
 	Name string
 	// Elems is the region's element count.
 	Elems int
 
-	index int // dense registration number within the recorder (Index)
-	mask  uint32
-	cells []regionCell
+	index         int // dense registration number within the recorder (Index)
+	reads, writes atomic.Int64
 }
 
 // Index returns the region's registration number: the recorder numbers
-// its regions 0, 1, 2, … in the order Region created them, so the arrays
-// one kernel interleaves fall on distinct entries of a small table indexed
-// by it (detect.Local's region batch). g must not be nil.
+// its regions 0, 1, 2, … in the order Region created them, and
+// Recorder.Regions()[g.Index()] is g. Producers that batch traffic in their
+// own space index it by this number (detect.Local). g must not be nil.
 func (g *Region) Index() int { return g.index }
 
-// regionCell is a read/write pair padded to a cache line.
-type regionCell struct {
-	reads, writes atomic.Int64
-	_             [cacheLine - 16]byte
-}
-
-// Inc records one access from shard key i. Safe on a nil region.
-func (g *Region) Inc(i int, write bool) {
+// Add records a batch of accesses. Safe on a nil region; producers
+// accumulate in goroutine-owned space first (detect.Local.CountAccess).
+func (g *Region) Add(reads, writes int64) {
 	if g == nil {
 		return
 	}
-	c := &g.cells[uint32(i)&g.mask]
-	if write {
-		c.writes.Add(1)
-	} else {
-		c.reads.Add(1)
-	}
-}
-
-// Add records a batch of accesses from shard key i. Safe on a nil
-// region; used by producers that accumulate in goroutine-owned space first
-// (detect.Local.CountAccess).
-func (g *Region) Add(i int, reads, writes int64) {
-	if g == nil {
-		return
-	}
-	c := &g.cells[uint32(i)&g.mask]
 	if reads != 0 {
-		c.reads.Add(reads)
+		g.reads.Add(reads)
 	}
 	if writes != 0 {
-		c.writes.Add(writes)
+		g.writes.Add(writes)
 	}
 }
 
-// Counts returns the region's merged read and write totals.
+// Counts returns the region's read and write totals.
 func (g *Region) Counts() (reads, writes int64) {
 	if g == nil {
 		return 0, 0
 	}
-	for i := range g.cells {
-		reads += g.cells[i].reads.Load()
-		writes += g.cells[i].writes.Load()
-	}
-	return reads, writes
+	return g.reads.Load(), g.writes.Load()
 }
 
-// Recorder owns the shards and registered regions of one engine (or one
-// measurement). The zero value is not usable; call New. A nil *Recorder
-// is a valid no-op sink for every method.
+// Recorder owns the counters, histograms and registered regions of one
+// engine (or one measurement). A nil *Recorder is a valid no-op sink for
+// every method.
 type Recorder struct {
-	shards []Shard
-	mask   uint32
+	counters [NumCounters]atomic.Int64
+	hists    [NumHists][HistBuckets]atomic.Int64
 
 	mu      sync.Mutex
-	regions []*Region
+	regions []*Region // append-only
 }
 
-// New returns a recorder with the given shard count rounded up to a
-// power of two; shards <= 0 sizes it for the current GOMAXPROCS.
-func New(shards int) *Recorder {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	return &Recorder{shards: make([]Shard, n), mask: uint32(n - 1)}
-}
-
-// Shards returns the shard count (a power of two).
-func (r *Recorder) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
-// Shard returns the shard for key i (any cheap stable small integer: a
-// worker index, a task ID). Returns nil on a nil recorder.
-func (r *Recorder) Shard(i int) *Shard {
-	if r == nil {
-		return nil
-	}
-	return &r.shards[uint32(i)&r.mask]
-}
+// New returns an empty recorder.
+func New() *Recorder { return &Recorder{} }
 
 // Region registers a new instrumented region with the recorder, numbers
 // it (Region.Index) and returns its tally. Returns nil (a valid no-op
@@ -469,12 +396,24 @@ func (r *Recorder) Region(name string, elems int) *Region {
 	if r == nil {
 		return nil
 	}
-	g := &Region{Name: name, Elems: elems, mask: r.mask, cells: make([]regionCell, len(r.shards))}
+	g := &Region{Name: name, Elems: elems}
 	r.mu.Lock()
 	g.index = len(r.regions)
 	r.regions = append(r.regions, g)
 	r.mu.Unlock()
 	return g
+}
+
+// Regions returns the regions registered so far, indexed by Region.Index.
+// The list only grows and an entry never changes, so the caller reads the
+// returned slice without the lock; nil on a nil recorder.
+func (r *Recorder) Regions() []*Region {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.regions[:len(r.regions):len(r.regions)]
 }
 
 // Reset zeroes every counter, histogram, and region tally while keeping
@@ -485,49 +424,36 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	for i := range r.shards {
-		s := &r.shards[i]
-		for c := range s.counters {
-			s.counters[c].Store(0)
-		}
-		for h := range s.hists {
-			for b := range s.hists[h] {
-				s.hists[h][b].Store(0)
-			}
+	for c := range r.counters {
+		r.counters[c].Store(0)
+	}
+	for h := range r.hists {
+		for b := range r.hists[h] {
+			r.hists[h][b].Store(0)
 		}
 	}
-	r.mu.Lock()
-	regions := append([]*Region(nil), r.regions...)
-	r.mu.Unlock()
-	for _, g := range regions {
-		for i := range g.cells {
-			g.cells[i].reads.Store(0)
-			g.cells[i].writes.Store(0)
-		}
+	for _, g := range r.Regions() {
+		g.reads.Store(0)
+		g.writes.Store(0)
 	}
 }
 
-// Snapshot merges every shard and region into one immutable snapshot.
-// This is the only aggregation point; it is intended to run once per
-// Run, not on the hot path. A nil recorder yields the zero snapshot.
+// Snapshot copies every counter and region into one immutable snapshot.
+// It is intended to run once per Run, not on the hot path. A nil recorder
+// yields the zero snapshot.
 func (r *Recorder) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		for c := range sh.counters {
-			s.Counters[c] += sh.counters[c].Load()
-		}
-		for b := range sh.hists[HistCASRetry] {
-			s.CASRetryHist[b] += sh.hists[HistCASRetry][b].Load()
-		}
+	for c := range r.counters {
+		s.Counters[c] = r.counters[c].Load()
+	}
+	for b := range r.hists[HistCASRetry] {
+		s.CASRetryHist[b] = r.hists[HistCASRetry][b].Load()
 	}
 	s.Counters[ChecksElidedStatic] += staticElided.Load()
-	r.mu.Lock()
-	regions := append([]*Region(nil), r.regions...)
-	r.mu.Unlock()
+	regions := r.Regions()
 	s.Regions = make([]RegionSnapshot, 0, len(regions))
 	for _, g := range regions {
 		reads, writes := g.Counts()

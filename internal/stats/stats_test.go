@@ -6,49 +6,20 @@ import (
 	"testing"
 )
 
-func TestCountersMergeAcrossShards(t *testing.T) {
-	r := New(4)
-	if r.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", r.Shards())
-	}
-	for i := 0; i < 16; i++ {
-		r.Shard(i).Inc(TaskSpawn) // keys wrap around the mask
-	}
-	r.Shard(1).Add(CASRetry, 5)
-	r.Shard(2).Add(CASRetry, 7)
-	s := r.Snapshot()
-	if got := s.Get(TaskSpawn); got != 16 {
-		t.Errorf("TaskSpawn = %d, want 16", got)
-	}
-	if got := s.Get(CASRetry); got != 12 {
-		t.Errorf("CASRetry = %d, want 12", got)
-	}
-}
-
-func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}} {
-		if got := New(tc.in).Shards(); got != tc.want {
-			t.Errorf("New(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	if New(0).Shards() < 1 {
-		t.Error("default shard count not positive")
-	}
-}
-
+// TestConcurrentIncrements: the recorder is one block of atomics, so
+// writers that share a cell stay exact.
 func TestConcurrentIncrements(t *testing.T) {
-	r := New(8)
+	r := New()
 	const goroutines, each = 8, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			sh := r.Shard(g)
 			for i := 0; i < each; i++ {
-				sh.Inc(DMHPWalk)
+				r.Inc(DMHPWalk)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	if got := r.Snapshot().Get(DMHPWalk); got != goroutines*each {
@@ -65,9 +36,9 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("HistBucket(%d) = %d, want %d", tc.v, got, tc.bucket)
 		}
 	}
-	r := New(1)
-	r.Shard(0).Observe(HistCASRetry, 1)
-	r.Shard(0).Observe(HistCASRetry, 3)
+	r := New()
+	r.Observe(HistCASRetry, 1)
+	r.Observe(HistCASRetry, 3)
 	s := r.Snapshot()
 	if s.CASRetryHist[0] != 1 || s.CASRetryHist[1] != 1 {
 		t.Fatalf("hist = %v", s.CASRetryHist)
@@ -75,13 +46,11 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestRegionsSortedByTraffic(t *testing.T) {
-	r := New(2)
+	r := New()
 	cold := r.Region("cold", 10)
 	hot := r.Region("hot", 10)
-	for i := 0; i < 5; i++ {
-		hot.Inc(i, i%2 == 0)
-	}
-	cold.Inc(0, false)
+	hot.Add(2, 3)
+	cold.Add(1, 0)
 	s := r.Snapshot()
 	if len(s.Regions) != 2 || s.Regions[0].Name != "hot" {
 		t.Fatalf("regions = %+v", s.Regions)
@@ -95,11 +64,11 @@ func TestRegionsSortedByTraffic(t *testing.T) {
 }
 
 func TestResetKeepsRegions(t *testing.T) {
-	r := New(2)
+	r := New()
 	g := r.Region("g", 4)
-	g.Inc(0, true)
-	r.Shard(0).Inc(TaskSteal)
-	r.Shard(0).Observe(HistCASRetry, 2)
+	g.Add(0, 1)
+	r.Inc(TaskSteal)
+	r.Observe(HistCASRetry, 2)
 	r.Reset()
 	s := r.Snapshot()
 	if s.Get(TaskSteal) != 0 || s.Writes != 0 || s.CASRetryHist[1] != 0 {
@@ -108,7 +77,7 @@ func TestResetKeepsRegions(t *testing.T) {
 	if len(s.Regions) != 1 || s.Regions[0].Name != "g" {
 		t.Fatalf("reset dropped regions: %+v", s.Regions)
 	}
-	g.Inc(1, false) // region handle stays live after reset
+	g.Add(1, 0) // region handle stays live after reset
 	if got := r.Snapshot().Reads; got != 1 {
 		t.Fatalf("post-reset reads = %d, want 1", got)
 	}
@@ -117,12 +86,12 @@ func TestResetKeepsRegions(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Reset()
-	r.Shard(3).Inc(CASClean)
-	r.Shard(3).Add(CASClean, 9)
-	r.Shard(3).Observe(HistCASRetry, 2)
-	r.Region("x", 1).Inc(0, true)
-	if r.Shards() != 0 {
-		t.Error("nil recorder has shards")
+	r.Inc(CASClean)
+	r.Add(CASClean, 9)
+	r.Observe(HistCASRetry, 2)
+	r.Region("x", 1).Add(0, 1)
+	if r.Regions() != nil {
+		t.Error("nil recorder has regions")
 	}
 	s := r.Snapshot()
 	if s.Get(CASClean) != 0 || len(s.Regions) != 0 {
@@ -131,14 +100,12 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSnapshotForms(t *testing.T) {
-	r := New(1)
+	r := New()
 	g := r.Region("a", 8)
-	g.Inc(0, false)
-	g.Inc(0, true)
-	sh := r.Shard(0)
-	sh.Add(CASPublish, 3)
-	sh.Add(DMHPWalk, 10)
-	sh.Inc(RaceReported)
+	g.Add(1, 1)
+	r.Add(CASPublish, 3)
+	r.Add(DMHPWalk, 10)
+	r.Inc(RaceReported)
 	s := r.Snapshot()
 	s.Footprint = Footprint{ShadowBytes: 100, TreeBytes: 28}
 

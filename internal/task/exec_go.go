@@ -20,7 +20,6 @@ func (goExec) spawn(parent, child *Ctx) { go parent.rt.goTask(child) }
 // the engine.
 func (rt *Runtime) goTask(c *Ctx) {
 	l := rt.locals.Get().(*detect.Local)
-	l.Key = int(c.task.ID)
 	rt.runTask(c, l)
 	l.Flush(rt.st)
 	rt.locals.Put(l)

@@ -35,9 +35,9 @@ type worker struct {
 
 	// local is the block every task this worker executes points at;
 	// poolExec.run flushes it after the pool has quiesced. Workers are
-	// allocated back to back and the block's tail is written on every
-	// counted access: the pad keeps it off the cache line of the next
-	// worker's head, which that worker reads for every task.
+	// allocated back to back and the block's tail (its Tally) is written
+	// on every checked access: the pad keeps it off the cache line of the
+	// next worker's head, which that worker reads for every task.
 	local detect.Local
 	_     [64]byte
 }
@@ -51,12 +51,11 @@ func (p *poolExec) run(rt *Runtime, main *Ctx) {
 	p.workers = make([]*worker, p.n)
 	for i := range p.workers {
 		p.workers[i] = &worker{
-			id:    i,
-			rt:    rt,
-			p:     p,
-			dq:    sched.NewDeque[Ctx](),
-			rng:   uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
-			local: detect.Local{Key: i},
+			id:  i,
+			rt:  rt,
+			p:   p,
+			dq:  sched.NewDeque[Ctx](),
+			rng: uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		}
 	}
 	for i := 1; i < p.n; i++ {

@@ -249,7 +249,7 @@ func (c *Ctx) WorkerID() int {
 func (c *Ctx) Runtime() *Runtime { return c.rt }
 
 // CountAccess records one instrumented read or write against region g in
-// the executing goroutine's batch (detect.Local.CountAccess).
+// the executing goroutine's block (detect.Local.CountAccess).
 func (c *Ctx) CountAccess(g *stats.Region, write bool) { c.task.L.CountAccess(g, write) }
 
 // Async spawns body as a new child task. The child may run before, after,
@@ -384,7 +384,7 @@ func (rt *Runtime) runMain(c *Ctx, l *detect.Local) {
 // executor, for every task: they all run on it) and flushes it when the
 // main task is done — also when its body panicked.
 func (rt *Runtime) runMainAlone(c *Ctx) {
-	l := detect.Local{Key: int(c.task.ID)}
+	var l detect.Local
 	rt.runMain(c, &l)
 	l.Flush(rt.st)
 }

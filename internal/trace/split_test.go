@@ -42,8 +42,8 @@ type analysis struct {
 // the way the daemon wires them.
 func analyzeReader(rd io.Reader) analysis {
 	sink := detect.NewSink(false, 0)
-	rec := stats.New(1)
-	sink.SetStats(rec.Shard(0))
+	rec := stats.New()
+	sink.SetStats(rec)
 	det := core.New(sink, nil)
 	err := Replay(rd, det)
 	snap := rec.Snapshot()

@@ -200,9 +200,9 @@ type Options struct {
 	// NoStats disables the observability counters (Report.Stats becomes
 	// a zero snapshot except for Footprint). Counters are on by default
 	// and near-free — hot producers batch in plain integers owned by the
-	// goroutine executing the task, flushed once per worker and merged
-	// once per Run — so this exists mainly to measure that
-	// claim (BenchmarkStatsOverhead runs both ways).
+	// goroutine executing the task and flushed into the run's recorder
+	// once per worker — so this exists mainly to measure that claim
+	// (BenchmarkStatsOverhead runs both ways).
 	NoStats bool
 	// Sampling configures the dynamic check-sampling subsystem
 	// (internal/sample): gate each access's race check behind a cheap

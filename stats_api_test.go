@@ -290,10 +290,8 @@ func TestExecutorsCountExactly(t *testing.T) {
 			}
 			check("panicking run", rep, tasks/2)
 
-			// Every task interleaves twelve arrays in its inner loop —
-			// more regions than the block's batch holds entries, so
-			// batches evict each other all along — and each region's
-			// counts are still exact.
+			// Every task interleaves twelve arrays in its inner loop and
+			// each region's counts are exact.
 			const arrays = 12
 			wide, err := spd3.New(e.opts)
 			if err != nil {
@@ -337,6 +335,64 @@ func TestExecutorsCountExactly(t *testing.T) {
 				}
 				if g.Reads != wantR || g.Writes != wantW {
 					t.Errorf("twelve arrays: region %s counts %d reads, %d writes, want %d and %d", g.Name, g.Reads, g.Writes, wantR, wantW)
+				}
+			}
+
+			// Containers allocated inside tasks: 2 × tasks regions are
+			// registered mid-run, from whichever workers run the tasks,
+			// and touched by children and the main task — on goroutines
+			// whose block has not seen a region numbered that high.
+			// A creation write goes to the shadow only; every Get and Set
+			// is counted.
+			late, err := spd3.New(e.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const readers = 3
+			vars := make([]*spd3.Var[int], tasks)
+			arrs := make([]*spd3.Array[int], tasks)
+			rep, err = late.Run(func(c *spd3.Ctx) {
+				c.Finish(func(c *spd3.Ctx) {
+					for id := 0; id < tasks; id++ {
+						c.Async(func(c *spd3.Ctx) {
+							v := spd3.NewVarIn(c, fmt.Sprint("v", id), id)
+							a := spd3.NewArrayIn[int](c, fmt.Sprint("a", id), part)
+							vars[id], arrs[id] = v, a
+							for i := 0; i < part; i++ {
+								a.Set(c, i, i)
+							}
+							c.Finish(func(c *spd3.Ctx) {
+								for r := 0; r < readers; r++ {
+									c.Async(func(c *spd3.Ctx) {
+										sum := v.Get(c)
+										for i := 0; i < part; i++ {
+											sum += a.Get(c, i)
+										}
+									})
+								}
+							})
+							v.Set(c, id+1)
+						})
+					}
+				})
+				for id := 0; id < tasks; id++ {
+					vars[id].Get(c)
+					arrs[id].Get(c, 0)
+				}
+			})
+			if err != nil || !rep.RaceFree() {
+				t.Fatalf("late regions: err %v, races %v", err, rep.Races)
+			}
+			if len(rep.Stats.Regions) != 2*tasks {
+				t.Errorf("late regions: the report names %d regions, want %d", len(rep.Stats.Regions), 2*tasks)
+			}
+			for _, g := range rep.Stats.Regions {
+				wantR, wantW := int64(readers+1), int64(1)
+				if g.Name[0] == 'a' {
+					wantR, wantW = readers*part+1, part
+				}
+				if g.Reads != wantR || g.Writes != wantW {
+					t.Errorf("late regions: region %s counts %d reads, %d writes, want %d and %d", g.Name, g.Reads, g.Writes, wantR, wantW)
 				}
 			}
 		})
