@@ -122,7 +122,12 @@ type Footprint struct {
 	SetBytes    int64 `json:"set_bytes"`
 }
 
-// Verdict is one detector's result on one trace.
+// Verdict is one detector's result on one trace. DurationMS is the
+// job's wall time from its executor starting — just after the upload's
+// header was read — to the merged verdict: the daemon replays stored
+// segments while the rest of the body is still arriving, so it includes
+// the part of the upload the replays ran beside, and it is the same for
+// every verdict of one job.
 type Verdict struct {
 	Detector   string         `json:"detector"`
 	Racy       bool           `json:"racy"`

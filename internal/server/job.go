@@ -1,15 +1,19 @@
 // The job path: the daemon's one submit→verdict lifecycle. A submit is
-// admitted (drain set, then tenant quota) before its body is read,
-// streams through the limiter/cancel/splitter pipeline into the
-// content-addressed store, persists a manifest and hands the job to the
-// executor, which replays the stored segments on the shard pool and
-// finalizes the manifest with the merged result. POST /v2/jobs answers
-// 202 with a job id as soon as the job is registered; the client polls
-// GET /v2/jobs/{id}, streams findings from /events, and collects the
-// envelope from /result. POST /v1/analyze (server.go) is a synchronous
-// client of the same path — submit, wait, relay the result, remove the
-// job — which is what lets every pre-redesign test double as a
-// compatibility oracle for the job machinery.
+// admitted (drain set, then tenant quota) before its body is read; its
+// executor starts once the header has been peeked, and the body streams
+// through the limiter/cancel/splitter pipeline into the content-addressed
+// store, each segment handed to the executor the moment it is stored, so
+// the shard pool replays the head of an upload while its tail is still
+// arriving. When the body ends the manifest is persisted and the job
+// registered; the executor, its last replay back, finalizes the manifest
+// with the merged result. A body that fails on the way cancels its
+// replays, waits for them and leaves nothing — the job was never visible.
+// POST /v2/jobs answers 202 with a job id as soon as the job is
+// registered; the client polls GET /v2/jobs/{id}, streams findings from
+// /events, and collects the envelope from /result. POST /v1/analyze
+// (server.go) is a synchronous client of the same path — submit, wait,
+// relay the result, remove the job — which is what lets every
+// pre-redesign test double as a compatibility oracle for the job machinery.
 package server
 
 import (
@@ -63,26 +67,63 @@ type Job struct {
 	acc      []*mergedVerdict
 	segsDone []int
 
-	cancelCh   chan struct{}
-	cancelOnce sync.Once
-	done       chan struct{}
-	subs       map[chan jobEvent]struct{}
+	// The hand-off from an upload to its executor is m.Segments itself:
+	// feed appends a ref as the store returns it, and the executor, which
+	// walks the list by index, waits on fed at its end while spilling is
+	// set. settle clears it; aborted then says the upload failed. A loaded
+	// manifest's job is born settled. storedAt: when the last ref was fed.
+	fed      sync.Cond
+	spilling bool
+	aborted  bool
+	storedAt time.Time
+
+	ctx  context.Context // done once cancel has been called
+	stop context.CancelFunc
+	done chan struct{}
+	subs map[chan jobEvent]struct{}
 }
 
 func newJob(m *store.Manifest) *Job {
-	return &Job{
-		m:        m,
-		cancelCh: make(chan struct{}),
-		done:     make(chan struct{}),
-		subs:     map[chan jobEvent]struct{}{},
+	j := &Job{m: m, done: make(chan struct{}), subs: map[chan jobEvent]struct{}{}}
+	j.ctx, j.stop = context.WithCancel(context.Background())
+	j.fed.L = &j.mu
+	return j
+}
+
+// feed hands the executor one more stored segment.
+func (j *Job) feed(ref store.SegmentRef) {
+	j.mu.Lock()
+	j.m.Segments = append(j.m.Segments, ref)
+	j.storedAt = time.Now()
+	j.mu.Unlock()
+	j.fed.Signal()
+}
+
+// settle ends the spill; ok says a durable, registered job came of it.
+func (j *Job) settle(ok bool) {
+	j.mu.Lock()
+	j.spilling, j.aborted = false, !ok
+	j.mu.Unlock()
+	j.fed.Signal()
+}
+
+// segment returns the job's i'th stored segment, waiting for it while the
+// upload spills; ok is false past a settled list's end, or once it failed.
+func (j *Job) segment(i int) (ref store.SegmentRef, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i >= len(j.m.Segments) && j.spilling {
+		j.fed.Wait()
 	}
+	if i >= len(j.m.Segments) || j.aborted {
+		return ref, false
+	}
+	return j.m.Segments[i], true
 }
 
 // cancel requests cancellation; the replay observes it at its next
 // Limits.Cancel poll. Idempotent.
-func (j *Job) cancel() {
-	j.cancelOnce.Do(func() { close(j.cancelCh) })
-}
+func (j *Job) cancel() { j.stop() }
 
 // manifest returns a shallow copy of the job's manifest under the lock.
 func (j *Job) manifest() store.Manifest {
@@ -295,11 +336,14 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts
 
 // submitJob runs the submit half of a job: admission (a drain-set slot,
 // then the tenant's quotas) before a byte of the body is read, the
-// streaming spill of the body into the store, and the durable manifest
-// write. On success the job is registered, counted, and handed — with
-// its drain-set slot — to the executor; on failure nothing is
-// registered and both the slot and the tenant's queue slot are returned.
-// writeSubmitError classifies the error.
+// streaming spill of the body into the store — each stored segment fed
+// to the job's executor, started once the header has been peeked — and
+// the durable manifest write. On success the job is registered, counted,
+// marked running and left — with its drain-set slot — to that executor
+// to finalize; on failure the replays in flight are canceled and waited
+// for, nothing is registered, and both slots are returned. The body
+// reader never waits on a replay: all blocking on the shard pool is the
+// executor's. writeSubmitError classifies the error.
 func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts) (*Job, error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
@@ -308,12 +352,20 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 		s.release()
 		return nil, err
 	}
+	var j *Job
 	admitted := false
 	defer func() {
-		if !admitted {
-			s.quotas.ReleaseSlot(opts.tenant)
-			s.release()
+		if admitted {
+			return
 		}
+		if j != nil {
+			// Drain must not return with a replay of this upload still on the pool.
+			j.cancel()
+			j.settle(false)
+			<-j.done
+		}
+		s.quotas.ReleaseSlot(opts.tenant)
+		s.release()
 	}()
 
 	s.store.BeginWrite()
@@ -330,12 +382,23 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 		return nil, fmt.Errorf("detector %q requires a depth-first trace: %w", opts.detector, trace.ErrSequentialOnly)
 	}
 
-	var (
-		refs    []store.SegmentRef
-		unsplit bool
-	)
+	// In memory only — no table entry, no manifest — until the body is stored.
+	j = newJob(&store.Manifest{
+		ID:         newJobID(),
+		Tenant:     opts.tenant,
+		Detector:   opts.detector,
+		Sequential: sequential,
+		WithStats:  opts.withStats,
+		Sampling:   opts.sampling,
+		Sharded:    opts.shard,
+		State:      client.StateQueued,
+	})
+	j.spilling = true
+	go s.runJob(j)
+
+	unsplit := false
 	putRef := func(ref store.SegmentRef, dup bool) {
-		refs = append(refs, ref)
+		j.feed(ref)
 		if dup {
 			s.rec.Inc(stats.StoreDedupHits)
 		} else {
@@ -378,7 +441,6 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 			}
 			putRef(ref, dup)
 		}
-		s.rec.Add(stats.TraceSegments, int64(len(refs)))
 	} else {
 		ref, dup, perr := s.store.PutStream(br)
 		if perr != nil {
@@ -391,21 +453,14 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	s.rec.Add(stats.SrvBytesRead, streamed)
 	s.rec.Add(stats.SrvStreamedBytes, streamed)
 
-	now := time.Now()
-	m := &store.Manifest{
-		ID:         newJobID(),
-		Tenant:     opts.tenant,
-		Detector:   opts.detector,
-		Sequential: sequential,
-		WithStats:  opts.withStats,
-		Sampling:   opts.sampling,
-		Sharded:    opts.shard,
-		Unsplit:    unsplit,
-		Segments:   refs,
-		TraceBytes: streamed,
-		State:      client.StateQueued,
-		CreatedAt:  now,
-		UpdatedAt:  now,
+	j.mu.Lock()
+	j.m.Unsplit, j.m.TraceBytes = unsplit, streamed
+	j.m.CreatedAt = time.Now()
+	j.m.UpdatedAt = j.m.CreatedAt
+	m := *j.m
+	j.mu.Unlock()
+	if opts.shard {
+		s.rec.Add(stats.TraceSegments, int64(len(m.Segments)))
 	}
 	// Settle the real stored bytes before the manifest lands: a refusal
 	// here (the upload's true size only became known during the spill)
@@ -414,21 +469,21 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	if err := s.quotas.Charge(opts.tenant, m.StoredBytes(), opts.estimate); err != nil {
 		return nil, err
 	}
-	if err := s.store.WriteManifest(m); err != nil {
+	if err := s.store.WriteManifest(&m); err != nil {
 		s.quotas.ReleaseBytes(opts.tenant, m.StoredBytes())
 		return nil, err
 	}
 	admitted = true
 
-	j := newJob(m)
 	s.jobsMu.Lock()
 	s.jobs[m.ID] = j
 	s.jobsMu.Unlock()
 	s.rec.Inc(stats.JobSubmitted)
 	s.rec.Inc(stats.JobQueued)
 	s.logf("job %s submitted tenant=%s detector=%s bytes=%d segments=%d",
-		m.ID, opts.tenant, opts.detector, streamed, len(refs))
-	go s.runJob(j)
+		m.ID, opts.tenant, opts.detector, streamed, len(m.Segments))
+	s.markRunning(j)
+	j.settle(true)
 	return j, nil
 }
 
@@ -460,15 +515,31 @@ func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim 
 	return snap, replayErr
 }
 
-// runJob is the executor: it fans the job's (segment, detector) pairs
-// across the shard pool, bounded by the tenant's shard semaphore so one
-// tenant's backlog cannot monopolize the pool, then finalizes the
-// manifest with the merged result. It runs on its own goroutine and
-// owns the drain-set slot its caller acquired, released once the job is
-// terminal.
-func (s *Server) runJob(j *Job) {
-	defer s.release()
+// markRunning moves a queued job — registered, its manifest durable — to
+// running, before its executor is allowed to finalize it.
+func (s *Server) markRunning(j *Job) {
+	j.mu.Lock()
+	j.m.State = client.StateRunning
+	j.m.UpdatedAt = time.Now()
+	man := *j.m
+	j.mu.Unlock()
+	s.rec.Add(stats.JobQueued, -1)
+	s.rec.Inc(stats.JobRunning)
+	if !s.killed.Load() {
+		s.store.WriteManifest(&man) //nolint:errcheck // progress persistence is best-effort; terminal write is checked
+	}
+	j.broadcast(frame(client.Event{Name: "state", State: client.StateRunning}))
+}
 
+// runJob is the executor: it fans the job's (segment, detector) pairs
+// across the shard pool as the segments become available — all at once
+// for a resumed job, one by one behind a spilling upload — bounded by
+// the tenant's shard semaphore so one tenant's backlog cannot monopolize
+// the pool, then, the upload settled, finalizes the manifest with the
+// merged result. It runs on its own goroutine and owns its caller's
+// drain-set slot, released once the job is terminal — unless the upload
+// failed: then it only reports that its replays are over.
+func (s *Server) runJob(j *Job) {
 	m := j.manifest()
 	names := []string{m.Detector}
 	if m.Detector == "all" {
@@ -481,47 +552,20 @@ func (s *Server) runJob(j *Job) {
 	for i, n := range names {
 		j.acc[i] = &mergedVerdict{detector: n, seen: map[raceKey]struct{}{}, races: []client.Race{}}
 	}
-	j.m.State = client.StateRunning
-	j.m.UpdatedAt = time.Now()
-	man := *j.m
 	j.mu.Unlock()
-	s.rec.Add(stats.JobQueued, -1)
-	s.rec.Inc(stats.JobRunning)
-	if !s.killed.Load() {
-		s.store.WriteManifest(&man) //nolint:errcheck // progress persistence is best-effort; terminal write is checked
-	}
-	j.broadcast(frame(client.Event{Name: "state", State: client.StateRunning}))
 
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	defer cancelCtx()
-	go func() {
-		select {
-		case <-j.cancelCh:
-			cancelCtx()
-		case <-ctx.Done():
-		}
-	}()
 	lim := s.cfg.Limits
-	lim.Cancel = j.cancelCh
+	lim.Cancel = j.ctx.Done()
 
 	start := time.Now()
 	var (
 		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
+		errOnce  sync.Once
+		firstErr error // set once, read after wg.Wait
 	)
 	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+		errOnce.Do(func() { firstErr = err })
 		j.cancel() // one failed segment aborts the rest of the fan-out
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
 	}
 
 	tsem := s.quotas.ShardSem(m.Tenant)
@@ -546,18 +590,22 @@ func (s *Server) runJob(j *Job) {
 		j.mu.Unlock()
 	}
 
+	// Canceled, it starts nothing more but walks on to where the upload settles.
 fanout:
-	for _, ref := range m.Segments {
+	for i := 0; ; i++ {
+		ref, ok := j.segment(i)
+		if !ok {
+			break
+		}
 		for di := range names {
-			if failed() {
-				break fanout
+			if j.ctx.Err() != nil {
+				continue fanout
 			}
 			if tsem != nil {
 				select {
 				case tsem <- struct{}{}:
-				case <-ctx.Done():
-					setErr(trace.ErrCanceled)
-					break fanout
+				case <-j.ctx.Done():
+					continue fanout
 				}
 			}
 			release := func() {
@@ -565,22 +613,28 @@ fanout:
 					<-tsem
 				}
 			}
-			di, ref := di, ref
-			if !s.pool.run(ctx, s.rec, &wg, func() {
+			if !s.pool.run(j.ctx, s.rec, &wg, func() {
 				defer release()
 				segJob(di, ref)
 			}) {
 				release()
-				setErr(trace.ErrCanceled)
-				break fanout
+				continue fanout
 			}
 		}
 	}
 	wg.Wait()
-	if ctx.Err() != nil && !failed() {
+	j.mu.Lock()
+	aborted := j.aborted
+	j.mu.Unlock()
+	if aborted {
+		close(j.done) // the submitter still holds both slots and is waiting to return them
+		return
+	}
+	defer s.release()
+	if j.ctx.Err() != nil {
 		setErr(trace.ErrCanceled)
 	}
-	s.finalizeJob(j, names, firstErr, time.Since(start))
+	s.finalizeJob(j, firstErr, start)
 }
 
 // addRace folds one streamed race into the job accumulator (dedup is
@@ -610,7 +664,7 @@ func (j *Job) addRace(di int, r detect.Race, maxRaces int) {
 // finalizeJob moves the job to its terminal state, persists the result
 // (skipped after Kill, simulating a daemon that died mid-replay), and
 // settles counters and quota.
-func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Duration) {
+func (s *Server) finalizeJob(j *Job, runErr error, start time.Time) {
 	// The terminal state is computed on a copy and persisted to disk
 	// BEFORE it becomes visible through the in-memory job: a poller that
 	// saw "done" could DELETE immediately, and if that removal's
@@ -620,6 +674,9 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 	j.mu.Lock()
 	man := *j.m
 	man.UpdatedAt = time.Now()
+	// wall runs from the executor's start: spill (upload overlapped) + tail.
+	wall := man.UpdatedAt.Sub(start)
+	spill := min(max(j.storedAt.Sub(start), 0), wall)
 	var verdicts []client.Verdict
 	switch {
 	case runErr != nil && errors.Is(runErr, trace.ErrCanceled):
@@ -690,8 +747,9 @@ func (s *Server) finalizeJob(j *Job, names []string, runErr error, wall time.Dur
 		s.rec.Inc(stats.JobCanceled)
 	}
 	s.quotas.ReleaseSlot(man.Tenant)
-	s.logf("job %s %s tenant=%s detector=%s segments=%d err=%v",
-		man.ID, man.State, man.Tenant, man.Detector, len(man.Segments), runErr)
+	s.logf("job %s %s tenant=%s detector=%s segments=%d spill=%dms tail=%dms err=%v",
+		man.ID, man.State, man.Tenant, man.Detector, len(man.Segments),
+		spill.Milliseconds(), (wall - spill).Milliseconds(), runErr)
 	j.finish()
 	s.sampleMem()
 }

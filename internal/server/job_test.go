@@ -316,24 +316,32 @@ func TestJobRestartResume(t *testing.T) {
 // TestTenantIsolation is the acceptance criterion for quotas: tenant
 // B exhausting its per-tenant job quota is rejected with 429 +
 // Retry-After, while tenant A's jobs submit and complete untouched —
-// B's exhaustion never delays A.
+// neither B's exhaustion nor B's backlog of segments waiting for B's one
+// shard slot ever delays A.
 func TestTenantIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		ShardWorkers: 2,
-		Quota:        quota.Config{MaxQueuedJobs: 1},
+		ShardWorkers:    2,
+		MinSegmentBytes: 1,
+		Quota:           quota.Config{MaxQueuedJobs: 1, TenantShards: 1},
 	})
 	defer s.Close()
-	tr := recordRacyMonteCarlo(t)
+	tr := amplified(t, 6)
 	release := setGate()
 	defer release()
 
-	// B's one allowed job parks on the gate.
+	// B's one allowed job parks on the gate: its first segment holds B's
+	// shard slot, the rest queue behind it in B's executor — none of
+	// which kept the upload from being read and answered.
 	resp, body := submitV2(t, ts.URL, "?detector=test-gate", "tenant-b", tr)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tenant-b submit = %d\n%s", resp.StatusCode, body)
 	}
-	bID := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return jobState(s, bID) == client.StateRunning }, "tenant-b job running")
+	bJob := decodeJobStatus(t, body)
+	if bJob.Segments < 6 {
+		t.Fatalf("tenant-b job has %d segments, want a backlog", bJob.Segments)
+	}
+	bID := bJob.ID
+	waitFor(t, func() bool { return jobState(s, bID) == client.StateRunning && s.pool.Busy() == 1 }, "tenant-b job running, one replay parked")
 
 	// B's second job overflows B's quota.
 	resp, body = submitV2(t, ts.URL, "?detector=spd3", "tenant-b", tr)
@@ -676,12 +684,17 @@ func TestSubmitAfterDrainRefused(t *testing.T) {
 // TestDrainVsSubmitHammer races Drain against concurrent submits on both
 // endpoints (run it under -race). The drain set admits a submit and its
 // job as one unit, so every submit is either refused with 503 or reaches
-// a terminal state, Drain returns only once every admitted job is
-// terminal, and nothing is left queued for a later daemon.
+// a terminal state (or, its upload failing under replays already begun,
+// is unwound), Drain returns only once every admitted job is terminal and
+// no replay is left on the pool, and nothing is left queued for a later
+// daemon.
 func TestDrainVsSubmitHammer(t *testing.T) {
 	tr := recordRacyMonteCarlo(t)
+	// Every third submit dies after a dozen of its segments were stored
+	// and handed to the pool: admitted, then unwound with no job.
+	doomed := append(amplified(t, 12), bytes.Repeat([]byte{0xff}, 64)...)
 	for round := 0; round < 4; round++ {
-		s, ts := newTestServer(t, Config{ShardWorkers: 2})
+		s, ts := newTestServer(t, Config{ShardWorkers: 2, MinSegmentBytes: 1})
 		const clients = 8
 		var (
 			wg       sync.WaitGroup
@@ -696,6 +709,18 @@ func TestDrainVsSubmitHammer(t *testing.T) {
 				// Each client submits until it is refused, so every one of
 				// them crosses the drain boundary.
 				for i := 0; ; i++ {
+					if (c+i)%3 == 2 {
+						resp, body := submitV2(t, ts.URL, "?detector=spd3", "", doomed)
+						switch resp.StatusCode {
+						case http.StatusBadRequest:
+							served.Add(1)
+							continue
+						case http.StatusServiceUnavailable:
+							return
+						}
+						t.Errorf("doomed v2 submit = %d, want 400 or 503\n%s", resp.StatusCode, body)
+						return
+					}
 					if (c+i)%2 == 0 {
 						resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr)
 						switch resp.StatusCode {
@@ -729,8 +754,8 @@ func TestDrainVsSubmitHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The instant Drain returns: nothing in flight, nothing live.
-		if n := s.InFlight(); n != 0 {
-			t.Errorf("round %d: InFlight = %d after Drain", round, n)
+		if n, busy := s.InFlight(), s.pool.Busy(); n != 0 || busy != 0 {
+			t.Errorf("round %d: InFlight = %d, %d replays on the pool after Drain", round, n, busy)
 		}
 		s.jobsMu.Lock()
 		for id, j := range s.jobs {

@@ -32,7 +32,7 @@
 // through a counting limiter (overflow → the same trace.ErrLimit → 413
 // path as declared-resource limits), a cancel-aware reader and a
 // finish-scope splitter into the content-addressed store, never held in
-// memory in full; only then does the job replay, its segments fanned
+// memory in full, while the segments already stored replay, fanned
 // across a bounded worker pool (shard.go). Daemon memory stays
 // proportional to one segment plus the live task set of the replays —
 // SPD3's O(1) per-location space guarantee end-to-end — so a trace far
@@ -264,16 +264,11 @@ func (s *Server) resumeJobs() error {
 		if err := s.acquire(); err != nil {
 			return err
 		}
-		m.State = client.StateQueued
-		m.UpdatedAt = time.Now()
-		if err := s.store.WriteManifest(m); err != nil {
-			s.release()
-			return err
-		}
 		s.rec.Inc(stats.JobResumed)
 		s.rec.Inc(stats.JobQueued)
 		s.logf("job %s resumed tenant=%s detector=%s segments=%d",
 			m.ID, m.Tenant, m.Detector, len(m.Segments))
+		s.markRunning(j)
 		go s.runJob(j)
 	}
 	return nil

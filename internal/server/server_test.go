@@ -82,30 +82,42 @@ func recordProgen(t *testing.T, seed int64, seq bool) []byte {
 	return buf.Bytes()
 }
 
-// recordRacyMonteCarlo records the paper's benign-race benchmark under
-// the depth-first executor, so every detector (including ESP-bags) can
-// legally consume the trace.
-func recordRacyMonteCarlo(t *testing.T) []byte {
+// recordKernel records one internal/bench program, racy variants
+// included, under the depth-first executor, so every detector (including
+// ESP-bags) can legally consume the trace.
+func recordKernel(t *testing.T, name string, scale float64) []byte {
 	t.Helper()
+	var run func(*task.Runtime, bench.Input) (float64, error)
+	if b, err := bench.ByName(name); err == nil {
+		run = b.Run
+	}
+	for _, rb := range bench.Racy() {
+		if rb.Name == name {
+			run = rb.Run
+		}
+	}
+	if run == nil {
+		t.Fatalf("%s is neither in bench.All() nor in bench.Racy()", name)
+	}
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf, true)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rb := range bench.Racy() {
-		if rb.Name == "RacyMonteCarlo" {
-			if _, err := rb.Run(rt, bench.Input{Scale: 0.2}); err != nil {
-				t.Fatal(err)
-			}
-			if err := rec.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
+	if _, err := run(rt, bench.Input{Scale: scale}); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("RacyMonteCarlo not in bench.Racy()")
-	return nil
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// recordRacyMonteCarlo records the paper's benign-race benchmark.
+func recordRacyMonteCarlo(t *testing.T) []byte {
+	t.Helper()
+	return recordKernel(t, "RacyMonteCarlo", 0.2)
 }
 
 // liveVerdict runs the program live under the named detector.
@@ -607,8 +619,9 @@ func TestConcurrentClients(t *testing.T) {
 // TestNoGoroutineLeak runs one of everything the lifecycle can do — a
 // /v1 verdict, a /v1 deadline that answers 504 while the job is still
 // parked (the remover goroutine), a /v2 job run to done, a /v2 job
-// canceled by DELETE (runJob's cancel watcher), a malformed upload —
-// then Drain and Close, and requires the goroutine count to come back
+// canceled by DELETE (runJob's cancel watcher), a malformed upload, an
+// upload that turns malformed after its executor and a dozen replays
+// have started — then Drain and Close, and requires the goroutine count to come back
 // to where it was before the server existed.
 func TestNoGoroutineLeak(t *testing.T) {
 	tr := synthTrace(t, 3*4096)
@@ -617,13 +630,17 @@ func TestNoGoroutineLeak(t *testing.T) {
 
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{RequestTimeout: 250 * time.Millisecond, GCInterval: time.Hour})
+	s, ts := newTestServer(t, Config{RequestTimeout: 250 * time.Millisecond, GCInterval: time.Hour, MinSegmentBytes: 1})
 
 	if resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("v1 = %d\n%s", resp.StatusCode, body)
 	}
 	if resp, _ := post(t, ts.URL+"/v1/analyze", []byte("NOTATRACE-NOTATRACE")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed v1 = %d, want 400", resp.StatusCode)
+	}
+	doomed := append(amplified(t, 12), bytes.Repeat([]byte{0xff}, 64)...)
+	if resp, body := submitV2(t, ts.URL, "?detector=spd3", "", doomed); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("upload malformed past its twelfth segment = %d, want 400\n%s", resp.StatusCode, body)
 	}
 	resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
 	if resp.StatusCode != http.StatusAccepted {

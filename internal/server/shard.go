@@ -15,9 +15,9 @@ import (
 //
 // The blocking acquire is where a backlog waits: a job's executor parks
 // here (and on its tenant's narrower semaphore) before each segment
-// replay, so queued jobs cost one idle goroutine each, not memory.
-// Nothing replays during an upload — a job's segments are all in the
-// store before its executor starts — so the pool never stalls a body.
+// replay, so queued jobs cost one idle goroutine each, not memory. Only
+// executors park: an upload hands each stored segment to its executor
+// and reads on, so a full pool never stalls a body.
 type shardPool struct {
 	sem chan struct{}
 }

@@ -162,24 +162,18 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	j := newJob(&store.Manifest{
+	j := adoptJob(t, s, &store.Manifest{
 		ID: "jlive", Tenant: "default", Detector: "spd3", Sequential: true,
 		Sharded: true, Segments: []store.SegmentRef{ref}, TraceBytes: int64(len(tr)),
 		State: client.StateQueued, CreatedAt: now, UpdatedAt: now,
 	})
-	if err := s.acquire(); err != nil {
-		t.Fatal(err)
-	}
-	s.quotas.Restore("default", ref.Bytes, true)
-	s.jobsMu.Lock()
-	s.jobs["jlive"] = j
-	s.jobsMu.Unlock()
 	rec("v2_status_queued", normalizeWire(getBody(t, ts.URL+"/v2/jobs/jlive")))
 	rec("v2_result_202", normalizeWire(getBody(t, ts.URL+"/v2/jobs/jlive/result")))
 	stream, err := http.Get(ts.URL + "/v2/jobs/jlive/events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.markRunning(j)
 	go s.runJob(j)
 	frames, err := io.ReadAll(stream.Body)
 	stream.Body.Close()

@@ -70,24 +70,72 @@ func BenchmarkReplayBuffered(b *testing.B) {
 	}
 }
 
-// BenchmarkSplitter measures the cost of cutting a trace into segments
-// — pure decode + re-encode, no detector work.
-func BenchmarkSplitter(b *testing.B) {
-	data := benchTrace(b, 16)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp, err := NewSplitter(bytes.NewReader(data), SplitConfig{MinSegmentBytes: 1})
-		if err != nil {
-			b.Fatal(err)
+// scopedTrace hand-drives the recorder through a kernel-shaped run: one
+// region, and scopes top-level finishes of a few thousand accesses each
+// (their lengths differ, so neighbouring segments do too).
+func scopedTrace(tb testing.TB, scopes int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	mt, fin := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
+	mt.IEF = fin
+	rec.MainTask(mt, fin)
+	sh := rec.NewShadow(detect.Spec("grid", 4096, 8))
+	for f := 1; f <= scopes; f++ {
+		scope := &detect.Finish{ID: int64(f)}
+		rec.FinishStart(mt, scope)
+		for i := 0; i < 2000+f%7*300; i++ {
+			sh.Read(mt, i%4096)
+			sh.Write(mt, (i+f)%4096)
 		}
-		for {
-			if _, err := sp.Next(); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				b.Fatal(err)
+		rec.FinishEnd(mt, scope)
+	}
+	rec.TaskEnd(mt)
+	if err := rec.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// drainSplitter cuts data into segments and returns how many it got.
+func drainSplitter(tb testing.TB, data []byte, cfg SplitConfig) int {
+	sp, err := NewSplitter(bytes.NewReader(data), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		if _, err := sp.Next(); err != nil {
+			if errors.Is(err, io.EOF) {
+				return sp.Segments()
 			}
+			tb.Fatal(err)
 		}
+	}
+}
+
+// daemonSplit is spd3d's default segment sizing.
+var daemonSplit = SplitConfig{MinSegmentBytes: 256 << 10, MaxSegmentBytes: 32 << 20}
+
+// BenchmarkSplitter measures the cost of cutting a trace into segments
+// — pure decode + re-encode, no detector work — at a cut per finish
+// scope and at the daemon's 256 KiB segments.
+func BenchmarkSplitter(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		data []byte
+		cfg  SplitConfig
+	}{
+		{"min1", benchTrace(b, 16), SplitConfig{MinSegmentBytes: 1}},
+		{"256KiB", scopedTrace(b, 200), daemonSplit},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			data := bc.data
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drainSplitter(b, data, bc.cfg)
+			}
+		})
 	}
 }

@@ -58,7 +58,8 @@ type regionDecl struct {
 //
 // Each segment is a complete trace: magic, executor byte, a synthetic
 // main-task event carrying the original IDs, and re-declarations of
-// every shadow region seen so far, followed by the buffered events.
+// every shadow region seen so far, followed by the buffered events —
+// built once, in place: begin writes the header before a buffer's first event.
 type Splitter struct {
 	dec *decoder
 	cfg SplitConfig
@@ -82,11 +83,17 @@ type Splitter struct {
 	openSpawns map[int64]int
 	unjoined   int
 
-	buf        []byte
-	bufHasMain bool // buffer already contains a real evMainTask
-	pending    *event
-	segments   int
-	done       bool
+	// buf is the segment under construction (nil between segments), hdr
+	// its header's length: Min/MaxSegmentBytes bound the event bytes
+	// behind it. prevLen plus an eighth sizes the next buffer: the headroom
+	// keeps a run of slowly lengthening segments (ids widen as a trace
+	// goes on) from each outgrowing its buffer and being copied after all.
+	buf      []byte
+	hdr      int
+	prevLen  int
+	pending  *event
+	segments int
+	done     bool
 }
 
 // NewSplitter consumes the trace header off rd and returns a splitter
@@ -126,7 +133,7 @@ func (s *Splitter) Next() ([]byte, error) {
 	}
 	var ev event
 	for {
-		if s.cfg.MaxSegmentBytes > 0 && len(s.buf) > s.cfg.MaxSegmentBytes {
+		if s.cfg.MaxSegmentBytes > 0 && len(s.buf)-s.hdr > s.cfg.MaxSegmentBytes {
 			return nil, ErrSegmentOversize
 		}
 		err := s.dec.next(&ev)
@@ -150,7 +157,7 @@ func (s *Splitter) Next() ([]byte, error) {
 		}
 		s.track(&ev)
 		s.appendEv(&ev)
-		if s.boundary(&ev) && len(s.buf) >= s.cfg.MinSegmentBytes {
+		if s.boundary(&ev) && len(s.buf)-s.hdr >= s.cfg.MinSegmentBytes {
 			return s.cut(), nil
 		}
 	}
@@ -225,10 +232,10 @@ func (s *Splitter) track(ev *event) {
 	}
 }
 
-// appendEv re-encodes ev onto the segment buffer.
+// appendEv re-encodes ev onto the segment buffer, opening it first.
 func (s *Splitter) appendEv(ev *event) {
-	if ev.kind == evMainTask {
-		s.bufHasMain = true
+	if len(s.buf) == 0 {
+		s.begin(ev.kind == evMainTask)
 	}
 	n := eventArgs[ev.kind]
 	s.buf = appendEvent(s.buf, ev.kind, ev.args[:n]...)
@@ -237,53 +244,53 @@ func (s *Splitter) appendEv(ev *event) {
 	}
 }
 
-// cut seals the buffered events into a self-contained segment.
+// begin starts a segment buffer with the header that makes what follows a
+// complete trace: magic + executor byte, a synthetic main-task event
+// (unless the buffer opens with the real one), and re-declarations of
+// every region announced in earlier segments.
+func (s *Splitter) begin(realMain bool) {
+	s.buf = append(make([]byte, 0, s.prevLen+s.prevLen/8), magic...)
+	if s.dec.sequential {
+		s.buf = append(s.buf, 1)
+	} else {
+		s.buf = append(s.buf, 0)
+	}
+	if s.haveMain && !realMain {
+		s.buf = appendEvent(s.buf, evMainTask, s.mainTask, s.mainFin)
+	}
+	for i, r := range s.regions[:s.declared] {
+		if r.growable {
+			s.buf = appendEvent(s.buf, evNewShadowGrow, int64(i), r.elemBytes)
+		} else {
+			s.buf = appendEvent(s.buf, evNewShadow, int64(i), r.elems, r.elemBytes)
+		}
+		s.buf = appendName(s.buf, r.name)
+	}
+	s.hdr = len(s.buf)
+}
+
+// cut hands the buffer over as a segment; the next event opens a fresh one.
 func (s *Splitter) cut() []byte {
-	seg := s.assemble()
+	seg := s.buf
+	s.buf, s.hdr, s.prevLen = nil, 0, len(seg)
 	s.segments++
-	s.buf = nil // the returned segment escapes; start fresh
-	s.bufHasMain = false
 	s.declared = len(s.regions)
 	return seg
 }
 
-// assemble prefixes the buffered events with a header that makes them a
-// complete trace: magic + executor byte, a synthetic main-task event
-// (unless the buffer opens with the real one), and re-declarations of
-// every region announced in earlier segments.
-func (s *Splitter) assemble() []byte {
-	seg := make([]byte, 0, len(magic)+1+16+32*s.declared+len(s.buf))
-	seg = append(seg, magic...)
-	if s.dec.sequential {
-		seg = append(seg, 1)
-	} else {
-		seg = append(seg, 0)
-	}
-	if s.haveMain && !s.bufHasMain {
-		seg = appendEvent(seg, evMainTask, s.mainTask, s.mainFin)
-	}
-	for i := 0; i < s.declared; i++ {
-		r := s.regions[i]
-		if r.growable {
-			seg = appendEvent(seg, evNewShadowGrow, int64(i), r.elemBytes)
-		} else {
-			seg = appendEvent(seg, evNewShadow, int64(i), r.elems, r.elemBytes)
-		}
-		seg = appendName(seg, r.name)
-	}
-	return append(seg, s.buf...)
-}
-
 // Unsplit abandons sharding and returns a reader for the whole
-// remaining trace: the buffered prefix re-wrapped as a self-contained
-// trace, followed by the still-undecoded tail of the stream. Call it
-// after ErrSegmentOversize to fall back to single-stream analysis
-// without losing the bytes already consumed.
+// remaining trace: the buffered prefix (a self-contained trace already),
+// followed by the still-undecoded tail of the stream. Call it after
+// ErrSegmentOversize to fall back to single-stream analysis without
+// losing the bytes already consumed.
 func (s *Splitter) Unsplit() io.Reader {
 	if s.done {
 		return bytes.NewReader(nil)
 	}
-	seg := s.assemble()
+	if len(s.buf) == 0 {
+		s.begin(false)
+	}
+	seg := s.buf
 	s.buf = nil
 	s.done = true
 	if s.pending != nil {

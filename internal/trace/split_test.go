@@ -331,3 +331,28 @@ func TestSplitterSingleSegment(t *testing.T) {
 		t.Fatalf("second Next = %v, want io.EOF", err)
 	}
 }
+
+// TestSplitterAllocsPerSegment: a segment is assembled once, in the
+// buffer its events were re-encoded into, which was sized by the segment
+// before it — so at the daemon's 256 KiB setting a further segment costs
+// at most two allocations (the buffer, and one growth when it outruns
+// its predecessor), where copying the events behind a separately built
+// header cost the copy plus every doubling from nil. What a trace costs
+// once (decoder, reader, the first buffer's growth) cancels out between
+// a trace and one twice as long.
+func TestSplitterAllocsPerSegment(t *testing.T) {
+	measure := func(scopes int) (segs int, allocs float64) {
+		data := scopedTrace(t, scopes)
+		segs = drainSplitter(t, data, daemonSplit)
+		return segs, testing.AllocsPerRun(5, func() { drainSplitter(t, data, daemonSplit) })
+	}
+	segs1, allocs1 := measure(100)
+	segs2, allocs2 := measure(200)
+	if segs2-segs1 < 8 {
+		t.Fatalf("%d and %d segments; the traces are too short to say anything", segs1, segs2)
+	}
+	if perSeg := (allocs2 - allocs1) / float64(segs2-segs1); perSeg > 2 {
+		t.Errorf("%.0f allocations for %d segments, %.0f for %d: %.2f per further segment, want <= 2",
+			allocs1, segs1, allocs2, segs2, perSeg)
+	}
+}
