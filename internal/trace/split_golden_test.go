@@ -18,7 +18,7 @@ import (
 	"spd3/internal/task"
 )
 
-var updateSplitGolden = flag.Bool("update", false, "rewrite testdata/split/*.trc and testdata/split.golden from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens under testdata (and testdata/split/*.trc) from this run")
 
 // splitPins are the (trace, configuration) pairs whose segments are
 // pinned byte for byte. The daemon stores a segment under the hash of
@@ -128,7 +128,7 @@ func writeSplitTraces(t *testing.T, dir string) {
 // parent commit's splitter produced.
 func TestSplitterSegmentsPinned(t *testing.T) {
 	dir := filepath.Join("testdata", "split")
-	if *updateSplitGolden {
+	if *updateGolden {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestSplitterSegmentsPinned(t *testing.T) {
 		}
 	}
 	golden := filepath.Join("testdata", "split.golden")
-	if *updateSplitGolden {
+	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
