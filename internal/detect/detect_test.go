@@ -77,6 +77,15 @@ func TestSinkHaltMode(t *testing.T) {
 	if !s.Stopped() {
 		t.Fatal("sink not stopped after report")
 	}
+	// A detector that passed its Stopped poll before the first report
+	// landed may still report a distinct race: the sink keeps only the
+	// first.
+	if halt := s.Report(Race{Region: "b"}); !halt {
+		t.Fatal("a stopped sink must keep requesting halt")
+	}
+	if races := s.Races(); len(races) != 1 || races[0].Region != "a" {
+		t.Fatalf("races after stop = %v, want only the first", races)
+	}
 }
 
 func TestSinkLimit(t *testing.T) {

@@ -153,6 +153,8 @@ func accessSite() string {
 }
 
 // Report records a race. It returns true when execution should halt.
+// A stopped sink records and streams nothing more: a detector that passed
+// its Stopped poll before another task's report landed may still call.
 func (s *Sink) Report(r Race) bool {
 	s.mu.Lock()
 	k := key{r.Kind, r.Region, r.Index}
@@ -161,6 +163,10 @@ func (s *Sink) Report(r Race) bool {
 		s.mu.Unlock()
 		st.Inc(stats.RaceDeduped)
 		return s.stopped.Load()
+	}
+	if s.stopped.Load() {
+		s.mu.Unlock()
+		return true
 	}
 	s.seen[k] = struct{}{}
 	onRace, st := s.onRace, s.st
@@ -177,11 +183,12 @@ func (s *Sink) Report(r Race) bool {
 		}
 	}
 	halt := s.halt
+	if halt {
+		s.stopped.Store(true)
+	}
 	s.mu.Unlock()
 	if onRace != nil && onRace(r) {
 		halt = true
-	}
-	if halt {
 		s.stopped.Store(true)
 	}
 	return halt

@@ -372,7 +372,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	defer s.store.EndWrite()
 
 	limiter := trace.NewLimitedReader(body, s.cfg.MaxBodyBytes)
-	br := bufio.NewReaderSize(trace.NewCancelReader(limiter, ctx.Done(), nil), 64<<10)
+	br := bufio.NewReaderSize(trace.NewCancelReader(limiter, ctx.Done()), 64<<10)
 
 	sequential, err := trace.PeekHeader(br)
 	if err != nil {

@@ -512,11 +512,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
-		// The HTTP body's read deadline is sticky once exceeded, so one
-		// absolute deadline (rather than CancelReader's re-arming
-		// slices) guarantees no body read outlives the request even if
-		// the client stalls mid-upload; the CancelReader's per-read
-		// poll catches cancellation whenever bytes are flowing.
+		// One absolute read deadline guarantees no body read outlives
+		// the request even if the client stalls mid-upload; the
+		// CancelReader's per-read poll catches cancellation whenever
+		// bytes are flowing.
 		http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout)) //nolint:errcheck // best-effort; ResponseWriters without deadlines still get the per-read poll
 	}
 	j, err := s.submitJob(ctx, r.Body, opts)

@@ -22,27 +22,31 @@ import (
 //	...base body, IDs remapped...
 //	FinishEnd(M, W_k)
 //
-// Task, finish, and lock IDs shift by a per-copy stride past the base's
-// maxima; region IDs shift by the base's region count, keeping the
-// sequential-declaration invariant. Because W_k closes before W_{k+1}
-// opens, the DPST orders the copies totally: the amplified trace is
-// race-free iff the base is, every race in a copy is the base's race
-// relocated, and the layout stays depth-first, so sequential-only
-// detectors remain legal. Each FinishEnd(M, W_k) is also a top-level
-// finish boundary, which is what lets the Splitter shard amplified
-// load back into base-sized segments.
+// Every id shifts by a per-copy stride of its ID space (formats): task,
+// finish and lock ids past the base's maxima, region ids by the base's
+// region count, keeping the sequential-declaration invariant. Because W_k
+// closes before W_{k+1} opens, the DPST orders the copies totally: the
+// amplified trace is race-free iff the base is, every race in a copy is
+// the base's race relocated, and the layout stays depth-first, so
+// sequential-only detectors remain legal. Each FinishEnd(M, W_k) is also
+// a top-level finish boundary, which is what lets the Splitter shard
+// amplified load back into base-sized segments.
 type Amplifier struct {
 	base   []byte
 	copies int
 	seq    bool
 
 	mainTask, mainFin int64
-	taskStride        int64
-	finStride         int64
-	lockStride        int64
-	regionsPer        int64
-	hasMainEnd        bool
-	hasFinEnd         bool
+	// stride is max id + 1 of each ID space in the base (for regions the
+	// declaration count: replay takes region ids in declaration order);
+	// plain arguments have stride 0.
+	stride     [numSpaces]int64
+	hasMainEnd bool // the base ends its main task
+	hasFinEnd  bool // the base ends its implicit finish
+	// closeF0: a copy ends F0_k itself — the base never ends its implicit
+	// finish, and its main neither ended nor left a finish of its own
+	// open (what a main body that panicked inside a finish records).
+	closeF0 bool
 
 	stage int // 0 prologue, 1 copies, 2 epilogue, 3 done
 	k     int
@@ -62,16 +66,9 @@ func NewAmplifier(base []byte, copies int) (*Amplifier, error) {
 		return nil, err
 	}
 	a := &Amplifier{base: base, copies: copies, seq: dec.sequential}
-	var (
-		ev    event
-		first = true
-	)
-	maxTask, maxFin, maxLock := int64(-1), int64(-1), int64(-1)
-	bump := func(m *int64, v int64) {
-		if v > *m {
-			*m = v
-		}
-	}
+	first := true
+	mainOpen := 0 // explicit finishes the main task has open
+	var ev event
 	for {
 		err := dec.next(&ev)
 		if err == io.EOF {
@@ -80,60 +77,43 @@ func NewAmplifier(base []byte, copies int) (*Amplifier, error) {
 		if err != nil {
 			return nil, err
 		}
-		if first {
-			// Real recordings declare shadow regions created before the
-			// runtime starts ahead of the main-task event; emitCopy
-			// remaps declarations wherever they appear, so the pre-scan
-			// only needs to count them.
-			if ev.kind == evNewShadow || ev.kind == evNewShadowGrow {
-				a.regionsPer++
+		f := &formats[ev.kind]
+		for i, sp := range f.args[:f.n] {
+			if sp == plain {
 				continue
 			}
-			if ev.kind != evMainTask {
-				return nil, fmt.Errorf("trace: %w: amplify base must open with its main task", ErrMalformed)
+			if ev.args[i] < 0 {
+				return nil, fmt.Errorf("trace: %w: amplify base has a negative id %d", ErrMalformed, ev.args[i])
+			}
+			a.stride[sp] = max(a.stride[sp], ev.args[i]+1)
+		}
+		switch {
+		case ev.kind == evMainTask:
+			if !first {
+				return nil, fmt.Errorf("trace: %w: amplify base contains more than one run", ErrMalformed)
 			}
 			a.mainTask, a.mainFin = ev.args[0], ev.args[1]
 			first = false
-			bump(&maxTask, ev.args[0])
-			bump(&maxFin, ev.args[1])
-			continue
-		}
-		switch ev.kind {
-		case evMainTask:
-			return nil, fmt.Errorf("trace: %w: amplify base contains more than one run", ErrMalformed)
-		case evSpawn:
-			bump(&maxTask, ev.args[0])
-			bump(&maxTask, ev.args[1])
-			bump(&maxFin, ev.args[2])
-		case evTaskEnd:
-			bump(&maxTask, ev.args[0])
-			if ev.args[0] == a.mainTask {
-				a.hasMainEnd = true
+		case first:
+			// Real recordings declare shadow regions created before the
+			// runtime starts ahead of the main-task event.
+			if ev.kind != evNewShadow && ev.kind != evNewShadowGrow {
+				return nil, fmt.Errorf("trace: %w: amplify base must open with its main task", ErrMalformed)
 			}
-		case evFinishStart:
-			bump(&maxTask, ev.args[0])
-			bump(&maxFin, ev.args[1])
-		case evFinishEnd:
-			bump(&maxTask, ev.args[0])
-			bump(&maxFin, ev.args[1])
-			if ev.args[1] == a.mainFin {
-				a.hasFinEnd = true
-			}
-		case evAcquire, evRelease:
-			bump(&maxTask, ev.args[0])
-			bump(&maxLock, ev.args[1])
-		case evNewShadow, evNewShadowGrow:
-			a.regionsPer++
-		case evRead, evWrite:
-			bump(&maxTask, ev.args[1])
+		case ev.kind == evTaskEnd && ev.args[0] == a.mainTask:
+			a.hasMainEnd = true
+		case ev.kind == evFinishEnd && ev.args[1] == a.mainFin:
+			a.hasFinEnd = true
+		case ev.kind == evFinishStart && ev.args[0] == a.mainTask:
+			mainOpen++
+		case ev.kind == evFinishEnd && ev.args[0] == a.mainTask:
+			mainOpen--
 		}
 	}
 	if first {
 		return nil, fmt.Errorf("trace: %w: amplify base has no events", ErrMalformed)
 	}
-	a.taskStride = maxTask + 1
-	a.finStride = maxFin + 1
-	a.lockStride = maxLock + 1
+	a.closeF0 = !a.hasFinEnd && !a.hasMainEnd && mainOpen == 0
 	return a, nil
 }
 
@@ -154,14 +134,7 @@ func (a *Amplifier) Read(p []byte) (int, error) {
 		}
 		switch a.stage {
 		case 0:
-			a.out.Reset()
-			a.out.WriteString(magic)
-			if a.seq {
-				a.out.WriteByte(1)
-			} else {
-				a.out.WriteByte(0)
-			}
-			a.out.Write(appendEvent(nil, evMainTask, a.mainTask, a.mainFin))
+			a.out.Write(appendEvent(appendHeader(a.out.AvailableBuffer(), a.seq), evMainTask, a.mainTask, a.mainFin))
 			a.stage = 1
 		case 1:
 			if a.k == a.copies {
@@ -195,21 +168,20 @@ func (a *Amplifier) emitCopy(k int) {
 		a.err = err // unreachable: the prescan decoded the same bytes
 		return
 	}
-	ts := a.taskStride * int64(k+1)
-	fs := a.finStride * int64(k+1)
-	ls := a.lockStride * int64(k+1)
-	rs := a.regionsPer * int64(k)
+	var shift [numSpaces]int64
+	for sp, stride := range a.stride {
+		shift[sp] = stride * int64(k+1)
+	}
+	shift[regionID] = a.stride[regionID] * int64(k)
 	// Wrap-finish IDs live past every per-copy shifted range.
-	wrapF := a.finStride*int64(a.copies+1) + int64(k)
-	mt, f0 := a.mainTask, a.mainFin
-	cm, cf := mt+ts, f0+fs
+	wrapF := a.stride[finishID]*int64(a.copies+1) + int64(k)
+	mt := a.mainTask
+	cm, cf := mt+shift[taskID], a.mainFin+shift[finishID]
 
 	buf := a.out.AvailableBuffer()
 	buf = appendEvent(buf, evFinishStart, mt, wrapF)
 	buf = appendEvent(buf, evSpawn, mt, cm, wrapF)
 	buf = appendEvent(buf, evFinishStart, cm, cf)
-
-	sawFinEnd, sawMainEnd := false, false
 	var ev event
 	for {
 		err := dec.next(&ev)
@@ -220,42 +192,22 @@ func (a *Amplifier) emitCopy(k int) {
 			a.err = err // unreachable, as above
 			return
 		}
-		switch ev.kind {
-		case evMainTask:
-			// Replaced by the wrap prologue above.
-		case evSpawn:
-			buf = appendEvent(buf, evSpawn, ev.args[0]+ts, ev.args[1]+ts, ev.args[2]+fs)
-		case evTaskEnd:
-			if ev.args[0] == mt {
-				sawMainEnd = true
-			}
-			buf = appendEvent(buf, evTaskEnd, ev.args[0]+ts)
-		case evFinishStart:
-			buf = appendEvent(buf, evFinishStart, ev.args[0]+ts, ev.args[1]+fs)
-		case evFinishEnd:
-			if ev.args[1] == f0 {
-				sawFinEnd = true
-			}
-			buf = appendEvent(buf, evFinishEnd, ev.args[0]+ts, ev.args[1]+fs)
-		case evAcquire, evRelease:
-			buf = appendEvent(buf, ev.kind, ev.args[0]+ts, ev.args[1]+ls)
-		case evNewShadow:
-			buf = appendEvent(buf, evNewShadow, ev.args[0]+rs, ev.args[1], ev.args[2])
-			buf = appendName(buf, ev.name)
-		case evNewShadowGrow:
-			buf = appendEvent(buf, evNewShadowGrow, ev.args[0]+rs, ev.args[1])
-			buf = appendName(buf, ev.name)
-		case evRead, evWrite:
-			buf = appendEvent(buf, ev.kind, ev.args[0]+rs, ev.args[1]+ts, ev.args[2])
+		if ev.kind == evMainTask {
+			continue // replaced by the wrap prologue above
 		}
+		f := &formats[ev.kind]
+		for i, sp := range f.args[:f.n] {
+			ev.args[i] += shift[sp]
+		}
+		buf = appendEv(buf, &ev)
 	}
 	// Close what the base left open, in contract order: a copy whose
-	// stand-in main already ended cannot legally close F0_k afterwards,
-	// so it stays dangling exactly like the base's implicit finish.
-	if !sawFinEnd && !sawMainEnd {
+	// stand-in main cannot legally close F0_k leaves it dangling exactly
+	// like the base's implicit finish.
+	if a.closeF0 {
 		buf = appendEvent(buf, evFinishEnd, cm, cf)
 	}
-	if !sawMainEnd {
+	if !a.hasMainEnd {
 		buf = appendEvent(buf, evTaskEnd, cm)
 	}
 	buf = appendEvent(buf, evFinishEnd, mt, wrapF)

@@ -78,6 +78,8 @@ func TestTypedErrors(t *testing.T) {
 		{"child ends its own IEF", nest(e{fstart, 0, 1}, e{spawn, 0, 1, 1}, e{fend, 1, 1}), ErrMalformed},
 		{"spawn into a non-innermost finish", nest(e{fstart, 0, 1}, e{spawn, 0, 1, 0}), ErrMalformed},
 		{"FinishEnd twice", nest(e{fend, 0, 0}, e{fend, 0, 0}), ErrMalformed},
+		{"main acts after ending its implicit finish", nest(e{fend, 0, 0}, e{fstart, 0, 1}), ErrMalformed},
+		{"spawn of a live task id", nest(e{spawn, 0, 0, 0}), ErrMalformed},
 		{"TaskEnd with a finish open (a body that panicked inside it)", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1},
 			e{spawn, 1, 2, 1}, e{tend, 2}, e{tend, 1}, e{fend, 0, 0}), nil},
 	}

@@ -78,6 +78,38 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
+// FuzzAmplify: a base that replays cleanly into SPD3 amplifies ×2 into a
+// trace that replays cleanly to the same verdict; a base the amplifier
+// refuses is refused with a typed sentinel.
+func FuzzAmplify(f *testing.F) {
+	fuzzSeeds(f)
+	verdict := func(data []byte, maxTotal int64) (bool, error) {
+		sink := detect.NewSink(false, 0)
+		err := ReplayWithLimits(bytes.NewReader(data), core.New(sink, nil), nil, Limits{MaxRegionElems: 1 << 16, MaxTotalElems: maxTotal})
+		return !sink.Empty(), err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		racy, err := verdict(data, 1<<17)
+		if err != nil {
+			return
+		}
+		amp, err := AmplifyBytes(data, 2)
+		if err != nil {
+			if !isDecodeSentinel(err) {
+				t.Fatalf("untyped amplifier error: %v", err)
+			}
+			return
+		}
+		got, err := verdict(amp, 1<<18)
+		if err != nil {
+			t.Fatalf("the base replays cleanly, its ×2 amplification does not: %v", err)
+		}
+		if got != racy {
+			t.Fatalf("base racy=%v, ×2 amplification racy=%v", racy, got)
+		}
+	})
+}
+
 // FuzzSplitter drives the segment splitter over arbitrary bytes: no
 // panics, only sentinel errors (plus ErrSegmentOversize, which Unsplit
 // must then absorb), and every produced segment must itself replay

@@ -43,9 +43,9 @@ func Replay(rd io.Reader, det detect.Detector) error {
 
 // cancelCheckEvery is how many events replay processes between polls of
 // Limits.Cancel. The first event always polls, so an already-expired
-// deadline aborts before any detector work happens. Reads that block
-// between polls are the CancelReader's problem: wrap the input in one
-// and slow uploads cancel mid-read too.
+// deadline aborts before any detector work happens. A CancelReader around
+// the input checks between reads too; a read that blocks is bounded by
+// the stream's own deadline.
 const cancelCheckEvery = 4096
 
 // ReplayWithLimits is Replay with explicit resource bounds and the
@@ -103,21 +103,64 @@ func (st *replayState) run(dec *decoder) error {
 	}
 }
 
-// eventArgs maps an event kind to its varint argument count; zero marks
-// an unknown kind. evNewShadow and evNewShadowGrow additionally carry a
-// length-prefixed name after their arguments.
-var eventArgs = [256]int8{
-	evMainTask:      2,
-	evSpawn:         3,
-	evTaskEnd:       1,
-	evFinishStart:   2,
-	evFinishEnd:     2,
-	evAcquire:       2,
-	evRelease:       2,
-	evNewShadow:     3,
-	evRead:          3,
-	evWrite:         3,
-	evNewShadowGrow: 2,
+const magic = "SPD3TRC1"
+
+// HeaderLen is the byte length of a trace header: the magic followed by
+// the executor byte.
+const HeaderLen = len(magic) + 1
+
+// Event kinds.
+const (
+	evMainTask byte = iota + 1
+	evSpawn
+	evTaskEnd
+	evFinishStart
+	evFinishEnd
+	evAcquire
+	evRelease
+	evNewShadow
+	evRead
+	evWrite
+	evNewShadowGrow
+)
+
+// space names what an event argument's value identifies. The amplifier
+// shifts each copy's ids by a per-space stride; a plain argument (a size,
+// an index) is never shifted.
+type space uint8
+
+const (
+	plain space = iota
+	taskID
+	finishID
+	lockID
+	regionID
+	numSpaces
+)
+
+// format is one event kind's encoding: n varint arguments in the ID
+// spaces args[:n], then, when named, a length-prefixed name.
+type format struct {
+	n     uint8 // 0 marks an unknown kind
+	named bool
+	args  [3]space
+}
+
+// formats is the trace format, one row per kind (DESIGN.md §7, "Trace
+// format"). A new kind is one row appended after evNewShadowGrow plus its
+// case in apply, so traces without it stay byte-identical.
+var formats = [256]format{
+	evMainTask:      {2, false, [3]space{taskID, finishID}},         // main task, its implicit finish
+	evSpawn:         {3, false, [3]space{taskID, taskID, finishID}}, // parent, child, the child's IEF
+	evTaskEnd:       {1, false, [3]space{taskID}},
+	evFinishStart:   {2, false, [3]space{taskID, finishID}},
+	evFinishEnd:     {2, false, [3]space{taskID, finishID}},
+	evAcquire:       {2, false, [3]space{taskID, lockID}},
+	evRelease:       {2, false, [3]space{taskID, lockID}},
+	evNewShadow:     {3, true, [3]space{regionID, plain, plain}},   // region, elems, elemBytes; name
+	evRead:          {3, false, [3]space{regionID, taskID, plain}}, // region, task, index
+	evWrite:         {3, false, [3]space{regionID, taskID, plain}}, // region, task, index
+	evNewShadowGrow: {2, true, [3]space{regionID, plain}},          // region, elemBytes; name
 }
 
 // event is one decoded trace event. The decoder reuses one of these per
@@ -125,7 +168,70 @@ var eventArgs = [256]int8{
 type event struct {
 	kind byte
 	args [3]int64
-	name string // only evNewShadow / evNewShadowGrow
+	name string // only for a named kind
+}
+
+// appendHeader encodes a trace header onto dst: the magic, then the
+// executor byte (1: recorded depth-first).
+func appendHeader(dst []byte, sequential bool) []byte {
+	dst = append(dst, magic...)
+	if sequential {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// appendEvent encodes an event of an unnamed kind onto dst: the kind,
+// then its varint arguments.
+func appendEvent(dst []byte, kind byte, args ...int64) []byte {
+	dst = append(dst, kind)
+	for _, a := range args {
+		dst = binary.AppendVarint(dst, a)
+	}
+	return dst
+}
+
+// appendEv encodes ev onto dst, with its name when the kind is named: the
+// write-side twin of decoder.next.
+func appendEv(dst []byte, ev *event) []byte {
+	f := &formats[ev.kind]
+	dst = appendEvent(dst, ev.kind, ev.args[:f.n]...)
+	if f.named {
+		dst = binary.AppendUvarint(dst, uint64(len(ev.name)))
+		dst = append(dst, ev.name...)
+	}
+	return dst
+}
+
+// regionDecl is a shadow-region declaration without its id. The splitter
+// keeps one per region so a later segment can declare it again: accesses
+// to a region may appear arbitrarily far from its declaration, and every
+// segment must be a self-contained trace.
+type regionDecl struct {
+	growable  bool
+	elems     int64 // unused when growable
+	elemBytes int64
+	name      string
+}
+
+// declOf returns the declaration ev, an evNewShadow or evNewShadowGrow,
+// makes.
+func declOf(ev *event) regionDecl {
+	if ev.kind == evNewShadowGrow {
+		return regionDecl{growable: true, elemBytes: ev.args[1], name: ev.name}
+	}
+	return regionDecl{elems: ev.args[1], elemBytes: ev.args[2], name: ev.name}
+}
+
+// appendDecl encodes the declaration of region id onto dst. A growable
+// region has its own kind, so traces without one stay byte-identical to
+// those recorded before growable regions existed.
+func appendDecl(dst []byte, id int64, d regionDecl) []byte {
+	ev := event{kind: evNewShadow, args: [3]int64{id, d.elems, d.elemBytes}, name: d.name}
+	if d.growable {
+		ev = event{kind: evNewShadowGrow, args: [3]int64{id, d.elemBytes}, name: d.name}
+	}
+	return appendEv(dst, &ev)
 }
 
 // decoder pulls events off a trace stream one at a time. It validates
@@ -136,54 +242,37 @@ type decoder struct {
 	sequential bool
 }
 
-// newDecoder consumes the magic and executor byte and returns a decoder
-// positioned at the first event. Errors are the same sentinel classes
-// Replay has always returned for bad headers.
+// newDecoder consumes the header and returns a decoder positioned at the
+// first event.
 func newDecoder(rd io.Reader) (*decoder, error) {
 	br, ok := rd.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(rd, 64<<10)
 	}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("trace: %w: %d-byte input", ErrBadMagic, len(head))
-		}
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("trace: %w: header %q", ErrBadMagic, head)
-	}
-	seqByte, err := br.ReadByte()
+	sequential, err := PeekHeader(br)
 	if err != nil {
-		return nil, readErr("missing executor byte", err)
+		return nil, err
 	}
-	return &decoder{br: br, sequential: seqByte == 1}, nil
+	br.Discard(HeaderLen) //nolint:errcheck // PeekHeader buffered the header
+	return &decoder{br: br, sequential: sequential}, nil
 }
-
-// HeaderLen is the byte length of a trace header: the magic followed by
-// the executor byte.
-const HeaderLen = len(magic) + 1
 
 // PeekHeader validates the trace header at the front of br without
 // consuming it and reports the executor byte: true means the trace was
 // recorded depth-first, so sequential-only detectors may consume it.
-// Errors are the same sentinel classes newDecoder returns, so callers
-// (the spd3d job store spilling an unsplit trace to disk) classify bad
-// uploads identically whether or not the splitter is in the path.
+// Every decoder reads the header through it, so callers (the spd3d job
+// store spilling an unsplit trace to disk) classify bad uploads
+// identically whether or not the splitter is in the path.
 func PeekHeader(br *bufio.Reader) (sequential bool, err error) {
 	head, err := br.Peek(HeaderLen)
-	if err != nil {
-		if len(head) < len(magic) {
-			return false, fmt.Errorf("trace: %w: %d-byte input", ErrBadMagic, len(head))
-		}
-		if string(head[:len(magic)]) != magic {
-			return false, fmt.Errorf("trace: %w: header %q", ErrBadMagic, head[:len(magic)])
-		}
-		return false, readErr("missing executor byte", err)
+	if len(head) < len(magic) {
+		return false, fmt.Errorf("trace: %w: %d-byte input", ErrBadMagic, len(head))
 	}
 	if string(head[:len(magic)]) != magic {
 		return false, fmt.Errorf("trace: %w: header %q", ErrBadMagic, head[:len(magic)])
+	}
+	if err != nil {
+		return false, readErr("missing executor byte", err)
 	}
 	return head[len(magic)] == 1, nil
 }
@@ -210,20 +299,20 @@ func (d *decoder) next(ev *event) error {
 		}
 		return readErr("event kind", err)
 	}
-	n := eventArgs[kind]
-	if n == 0 {
+	f := formats[kind]
+	if f.n == 0 {
 		return fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, kind)
 	}
 	ev.kind = kind
 	ev.name = ""
-	for i := int8(0); i < n; i++ {
+	for i := uint8(0); i < f.n; i++ {
 		v, err := binary.ReadVarint(d.br)
 		if err != nil {
 			return readErr(fmt.Sprintf("event %d", kind), err)
 		}
 		ev.args[i] = v
 	}
-	if kind == evNewShadow || kind == evNewShadowGrow {
+	if f.named {
 		name, err := d.readName()
 		if err != nil {
 			return err
@@ -307,6 +396,11 @@ func (st *replayState) apply(ev *event) error {
 		if ief.ID != a[2] {
 			return fmt.Errorf("trace: %w: task %d spawns into finish %d, not its innermost finish %d", ErrMalformed, a[0], a[2], ief.ID)
 		}
+		// Detectors key per-task state by id (FastTrack's clock slots), so
+		// a child may not take the id of a task still live.
+		if _, live := st.tasks[a[1]]; live {
+			return fmt.Errorf("trace: %w: task %d spawns task %d, which is still live", ErrMalformed, a[0], a[1])
+		}
 		child := &replayTask{Task: detect.Task{ID: detect.TaskID(a[1]), IEF: ief, L: &st.local}}
 		st.tasks[a[1]] = child
 		st.det.BeforeSpawn(&parent.Task, &child.Task)
@@ -343,6 +437,12 @@ func (st *replayState) apply(ev *event) error {
 		f := t.open[n-1]
 		t.open = t.open[:n-1]
 		st.det.FinishEnd(&t.Task, f)
+		if f == t.IEF {
+			// Only the main task has its own IEF open, and the contract
+			// makes ending it the main task's last event: as at a TaskEnd,
+			// the task leaves the table.
+			delete(st.tasks, a[0])
+		}
 	case evAcquire, evRelease:
 		t := st.tasks[a[0]]
 		if t == nil {
@@ -358,32 +458,30 @@ func (st *replayState) apply(ev *event) error {
 		} else {
 			st.det.Release(&t.Task, l)
 		}
-	case evNewShadow:
-		if a[1] < 0 || a[1] > st.lim.MaxRegionElems {
-			return fmt.Errorf("trace: %w: region size %d out of range", ErrLimit, a[1])
+	case evNewShadow, evNewShadowGrow:
+		d := declOf(ev)
+		if !d.growable {
+			if d.elems < 0 || d.elems > st.lim.MaxRegionElems {
+				return fmt.Errorf("trace: %w: region size %d out of range", ErrLimit, d.elems)
+			}
+			if st.total += d.elems; st.total > st.lim.MaxTotalElems {
+				return fmt.Errorf("trace: %w: total region size exceeds limit of %d elements", ErrLimit, st.lim.MaxTotalElems)
+			}
 		}
-		if st.total += a[1]; st.total > st.lim.MaxTotalElems {
-			return fmt.Errorf("trace: %w: total region size exceeds limit of %d elements", ErrLimit, st.lim.MaxTotalElems)
-		}
-		if a[2] < 0 || a[2] > maxElemBytes {
-			return fmt.Errorf("trace: %w: element size %d out of range", ErrMalformed, a[2])
-		}
-		if int(a[0]) != len(st.shadows) {
-			return fmt.Errorf("trace: %w: region %d out of order", ErrMalformed, a[0])
-		}
-		st.shadows = append(st.shadows, st.det.NewShadow(detect.Spec(ev.name, int(a[1]), int(a[2]))))
-		st.sizes = append(st.sizes, a[1])
-	case evNewShadowGrow:
-		if a[1] < 0 || a[1] > maxElemBytes {
-			return fmt.Errorf("trace: %w: element size %d out of range", ErrMalformed, a[1])
+		if d.elemBytes < 0 || d.elemBytes > maxElemBytes {
+			return fmt.Errorf("trace: %w: element size %d out of range", ErrMalformed, d.elemBytes)
 		}
 		if int(a[0]) != len(st.shadows) {
 			return fmt.Errorf("trace: %w: region %d out of order", ErrMalformed, a[0])
 		}
-		st.shadows = append(st.shadows, st.det.NewShadow(detect.GrowableSpec(ev.name, int(a[1]))))
-		// Growable: no declared size. Indices are still bounded by
-		// MaxRegionElems so a hostile trace cannot force huge pages.
-		st.sizes = append(st.sizes, -1)
+		spec, size := detect.Spec(d.name, int(d.elems), int(d.elemBytes)), d.elems
+		if d.growable {
+			// No declared size. Indices are still bounded by
+			// MaxRegionElems so a hostile trace cannot force huge pages.
+			spec, size = detect.GrowableSpec(d.name, int(d.elemBytes)), -1
+		}
+		st.shadows = append(st.shadows, st.det.NewShadow(spec))
+		st.sizes = append(st.sizes, size)
 	case evRead, evWrite:
 		if a[0] < 0 || int(a[0]) >= len(st.shadows) {
 			return fmt.Errorf("trace: %w: access to unknown region %d", ErrMalformed, a[0])
@@ -408,21 +506,4 @@ func (st *replayState) apply(ev *event) error {
 		return fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, ev.kind)
 	}
 	return nil
-}
-
-// appendEvent encodes one event (kind + varint args) onto dst — the
-// write-side twin of decoder.next, used by the splitter and amplifier
-// to re-emit events they have decoded.
-func appendEvent(dst []byte, kind byte, args ...int64) []byte {
-	dst = append(dst, kind)
-	for _, a := range args {
-		dst = binary.AppendVarint(dst, a)
-	}
-	return dst
-}
-
-// appendName encodes a length-prefixed region name onto dst.
-func appendName(dst []byte, name string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	return append(dst, name...)
 }

@@ -26,17 +26,6 @@ type SplitConfig struct {
 
 const defaultMinSegmentBytes = 64 << 10
 
-// regionDecl remembers a shadow-region declaration so later segments
-// can re-declare it: accesses to a region may appear arbitrarily far
-// from its declaration, and every segment must be a self-contained
-// trace.
-type regionDecl struct {
-	growable  bool
-	elems     int64
-	elemBytes int64
-	name      string
-}
-
 // Splitter cuts a trace into independently replayable segments at
 // top-level finish boundaries.
 //
@@ -125,38 +114,39 @@ func (s *Splitter) Next() ([]byte, error) {
 	if s.done {
 		return nil, io.EOF
 	}
-	if s.pending != nil {
-		ev := s.pending
-		s.pending = nil
-		s.track(ev)
-		s.appendEv(ev)
-	}
 	var ev event
 	for {
-		if s.cfg.MaxSegmentBytes > 0 && len(s.buf)-s.hdr > s.cfg.MaxSegmentBytes {
-			return nil, ErrSegmentOversize
-		}
-		err := s.dec.next(&ev)
-		if errors.Is(err, io.EOF) {
-			s.done = true
-			if len(s.buf) == 0 {
-				return nil, io.EOF
+		if s.pending != nil {
+			ev, s.pending = *s.pending, nil
+		} else {
+			if s.cfg.MaxSegmentBytes > 0 && len(s.buf)-s.hdr > s.cfg.MaxSegmentBytes {
+				return nil, ErrSegmentOversize
 			}
-			return s.cut(), nil
-		}
-		if err != nil {
-			s.done = true
-			return nil, err
-		}
-		if ev.kind == evMainTask && s.haveMain && len(s.buf) > 0 {
-			// A second main task means a trace of several back-to-back
-			// runs; the gap between runs is itself a top-level boundary.
-			p := ev
-			s.pending = &p
-			return s.cut(), nil
+			err := s.dec.next(&ev)
+			if errors.Is(err, io.EOF) {
+				s.done = true
+				if len(s.buf) == 0 {
+					return nil, io.EOF
+				}
+				return s.cut(), nil
+			}
+			if err != nil {
+				s.done = true
+				return nil, err
+			}
+			if ev.kind == evMainTask && s.haveMain && len(s.buf) > 0 {
+				// A second main task means a trace of several back-to-back
+				// runs; the gap between runs is itself a top-level boundary.
+				p := ev
+				s.pending = &p
+				return s.cut(), nil
+			}
 		}
 		s.track(&ev)
-		s.appendEv(&ev)
+		if len(s.buf) == 0 {
+			s.begin(ev.kind == evMainTask)
+		}
+		s.buf = appendEv(s.buf, &ev)
 		if s.boundary(&ev) && len(s.buf)-s.hdr >= s.cfg.MinSegmentBytes {
 			return s.cut(), nil
 		}
@@ -225,22 +215,8 @@ func (s *Splitter) track(ev *event) {
 		if s.haveMain && ev.args[0] == s.mainTask && s.mainLocks > 0 {
 			s.mainLocks--
 		}
-	case evNewShadow:
-		s.regions = append(s.regions, regionDecl{elems: ev.args[1], elemBytes: ev.args[2], name: ev.name})
-	case evNewShadowGrow:
-		s.regions = append(s.regions, regionDecl{growable: true, elemBytes: ev.args[1], name: ev.name})
-	}
-}
-
-// appendEv re-encodes ev onto the segment buffer, opening it first.
-func (s *Splitter) appendEv(ev *event) {
-	if len(s.buf) == 0 {
-		s.begin(ev.kind == evMainTask)
-	}
-	n := eventArgs[ev.kind]
-	s.buf = appendEvent(s.buf, ev.kind, ev.args[:n]...)
-	if ev.kind == evNewShadow || ev.kind == evNewShadowGrow {
-		s.buf = appendName(s.buf, ev.name)
+	case evNewShadow, evNewShadowGrow:
+		s.regions = append(s.regions, declOf(ev))
 	}
 }
 
@@ -249,22 +225,12 @@ func (s *Splitter) appendEv(ev *event) {
 // (unless the buffer opens with the real one), and re-declarations of
 // every region announced in earlier segments.
 func (s *Splitter) begin(realMain bool) {
-	s.buf = append(make([]byte, 0, s.prevLen+s.prevLen/8), magic...)
-	if s.dec.sequential {
-		s.buf = append(s.buf, 1)
-	} else {
-		s.buf = append(s.buf, 0)
-	}
+	s.buf = appendHeader(make([]byte, 0, s.prevLen+s.prevLen/8), s.dec.sequential)
 	if s.haveMain && !realMain {
 		s.buf = appendEvent(s.buf, evMainTask, s.mainTask, s.mainFin)
 	}
-	for i, r := range s.regions[:s.declared] {
-		if r.growable {
-			s.buf = appendEvent(s.buf, evNewShadowGrow, int64(i), r.elemBytes)
-		} else {
-			s.buf = appendEvent(s.buf, evNewShadow, int64(i), r.elems, r.elemBytes)
-		}
-		s.buf = appendName(s.buf, r.name)
+	for i, d := range s.regions[:s.declared] {
+		s.buf = appendDecl(s.buf, int64(i), d)
 	}
 	s.hdr = len(s.buf)
 }
@@ -294,8 +260,7 @@ func (s *Splitter) Unsplit() io.Reader {
 	s.buf = nil
 	s.done = true
 	if s.pending != nil {
-		n := eventArgs[s.pending.kind]
-		seg = appendEvent(seg, s.pending.kind, s.pending.args[:n]...)
+		seg = appendEv(seg, s.pending)
 		s.pending = nil
 	}
 	return io.MultiReader(bytes.NewReader(seg), s.dec.br)

@@ -3,9 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
-	"time"
 )
 
 // LimitedReader caps how many bytes may be read from an underlying
@@ -60,76 +58,28 @@ func (l *LimitedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// cancelPollSlice bounds how long a CancelReader read can sit blocked
-// before re-checking the cancel channel. Without it a stalled upload
-// would keep a canceled analysis pinned until TCP gives up.
-const cancelPollSlice = 100 * time.Millisecond
-
-// CancelReader makes a blocking reader cancelable. Every Read first
-// polls the cancel channel; if a deadline setter is available (HTTP
-// request bodies via http.ResponseController), the read itself is
-// sliced into cancelPollSlice chunks so even a read that never returns
-// observes cancellation within one slice. Errors are wrapped with
-// ErrCanceled, which readErr passes through to replay's callers.
+// CancelReader makes a reader cancelable: every Read first polls the
+// cancel channel and fails with an ErrCanceled-wrapped error once it is
+// closed, which readErr passes through to replay's callers. A Read
+// already blocked is bounded by the stream's own deadline — on spd3d the
+// absolute per-request read deadline on /v1 and the HTTP server's
+// ReadTimeout on /v2 — so whenever bytes are flowing, cancellation is
+// seen at the next Read.
 type CancelReader struct {
-	r           io.Reader
-	cancel      <-chan struct{}
-	setDeadline func(time.Time) error
-	deadlines   bool
+	r      io.Reader
+	cancel <-chan struct{}
 }
 
 // NewCancelReader wraps r. cancel is typically ctx.Done().
-//
-// setDeadline must allow re-arming after an expired deadline (net.Conn
-// and net.Pipe do). Pass nil for streams without that property — an
-// net/http request body, whose read deadline is sticky once exceeded —
-// and arm one absolute deadline on the stream yourself so a read can
-// never outlive the request; the per-Read poll still catches
-// cancellation whenever bytes are flowing.
-func NewCancelReader(r io.Reader, cancel <-chan struct{}, setDeadline func(time.Time) error) *CancelReader {
-	c := &CancelReader{r: r, cancel: cancel, setDeadline: setDeadline}
-	if setDeadline != nil {
-		// Probe once: servers that don't support deadlines report it on
-		// the first call and we fall back to poll-per-Read.
-		if err := setDeadline(time.Now().Add(time.Hour)); err == nil {
-			c.deadlines = true
-		}
-	}
-	return c
-}
-
-func (c *CancelReader) errCanceled() error {
-	return fmt.Errorf("%w: request canceled while reading", ErrCanceled)
+func NewCancelReader(r io.Reader, cancel <-chan struct{}) *CancelReader {
+	return &CancelReader{r: r, cancel: cancel}
 }
 
 func (c *CancelReader) Read(p []byte) (int, error) {
 	select {
 	case <-c.cancel:
-		return 0, c.errCanceled()
+		return 0, fmt.Errorf("%w: request canceled while reading", ErrCanceled)
 	default:
-	}
-	if !c.deadlines {
 		return c.r.Read(p)
-	}
-	for {
-		if err := c.setDeadline(time.Now().Add(cancelPollSlice)); err != nil {
-			// Deadline support vanished (e.g. hijacked connection):
-			// degrade to plain blocking reads.
-			c.deadlines = false
-			return c.r.Read(p)
-		}
-		n, err := c.r.Read(p)
-		if n > 0 || err == nil {
-			return n, err
-		}
-		if os.IsTimeout(err) {
-			select {
-			case <-c.cancel:
-				return 0, c.errCanceled()
-			default:
-				continue // slice expired with no data: re-arm and retry
-			}
-		}
-		return n, err
 	}
 }

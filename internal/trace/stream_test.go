@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
@@ -74,63 +72,11 @@ func TestReplayThroughLimiter(t *testing.T) {
 	}
 }
 
-// TestCancelReaderBlockedRead proves the 100ms-slice mechanism: a read
-// blocked on a stream that never produces bytes observes cancellation
-// instead of hanging until the peer gives up.
-func TestCancelReaderBlockedRead(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	cancel := make(chan struct{})
-	cr := NewCancelReader(server, cancel, server.SetReadDeadline)
-
-	time.AfterFunc(50*time.Millisecond, func() { close(cancel) })
-	done := make(chan error, 1)
-	go func() {
-		_, err := cr.Read(make([]byte, 16))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked read did not observe cancellation")
-	}
-}
-
-// TestCancelReaderMidReplay wires the full chain the server uses: a
-// trace arrives partially over a pipe, the upload stalls, the request is
-// canceled, and the replay returns ErrCanceled (not ErrTruncated).
-func TestCancelReaderMidReplay(t *testing.T) {
-	data := synthTrace(t, 8*cancelCheckEvery)
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	go func() {
-		client.Write(data[:len(data)/2]) //nolint:errcheck
-		// ...and then the upload stalls forever.
-	}()
-
-	cancel := make(chan struct{})
-	time.AfterFunc(100*time.Millisecond, func() { close(cancel) })
-	lim := DefaultLimits()
-	lim.Cancel = cancel
-	cr := NewCancelReader(server, cancel, server.SetReadDeadline)
-	err := ReplayWithLimits(cr, core.New(detect.NewSink(false, 0), nil), nil, lim)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
 // TestCancelReaderPassThrough: with no cancellation in sight the reader
 // is transparent.
 func TestCancelReaderPassThrough(t *testing.T) {
 	data := synthTrace(t, 500)
-	cr := NewCancelReader(bytes.NewReader(data), make(chan struct{}), nil)
+	cr := NewCancelReader(bytes.NewReader(data), make(chan struct{}))
 	if err := Replay(cr, core.New(detect.NewSink(false, 0), nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +87,7 @@ func TestCancelReaderPassThrough(t *testing.T) {
 func TestCancelReaderPreCanceled(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
-	cr := NewCancelReader(strings.NewReader("data"), cancel, nil)
+	cr := NewCancelReader(strings.NewReader("data"), cancel)
 	if _, err := cr.Read(make([]byte, 4)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

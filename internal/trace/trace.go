@@ -28,24 +28,26 @@
 // DPST step, Offset-Span truncates the task's label), and a FinishEnd by a
 // task that did not open the finish used to panic one of them. A TaskEnd
 // with finishes still open is legal: a task whose body panicked inside a
-// finish records exactly that. The Recorder's output, the Splitter's
-// segments and the Amplifier's copies satisfy the rules by construction.
+// finish records exactly that. Ending the implicit finish is the main
+// task's last event, and a spawned child may not take a live task's id
+// (detectors key per-task state by it). The Recorder's output, the
+// Splitter's segments and the Amplifier's copies satisfy the rules by
+// construction.
 //
-// Format: "SPD3TRC1", then events as varints — kind, then arguments.
-// Shadow regions are announced with their name and size before use.
+// Format: a header ("SPD3TRC1", then an executor byte), then events: a
+// kind byte, varint arguments and, for a region declaration, a
+// length-prefixed name. The per-kind table formats in replay.go is the
+// one definition every reader and writer uses.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"io"
 	"sync"
 
 	"spd3/internal/detect"
 )
-
-const magic = "SPD3TRC1"
 
 // Typed decode errors. Replay and ReplayWithLimits wrap one of these
 // sentinels into every error they return, so callers (notably the spd3d
@@ -73,24 +75,6 @@ var (
 	ErrCanceled = errors.New("replay canceled")
 )
 
-// event kinds
-const (
-	evMainTask byte = iota + 1
-	evSpawn
-	evTaskEnd
-	evFinishStart
-	evFinishEnd
-	evAcquire
-	evRelease
-	evNewShadow
-	evRead
-	evWrite
-	// evNewShadowGrow announces a growable region (no declared length):
-	// id, elemBytes, then the name. Appended after the original kinds so
-	// traces without growable regions stay byte-identical to format 1.
-	evNewShadowGrow
-)
-
 // Recorder is a detect.Detector that writes the event stream to w. It
 // performs no detection itself.
 type Recorder struct {
@@ -98,7 +82,7 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	w       *bufio.Writer
-	buf     [2 * binary.MaxVarintLen64]byte
+	enc     []byte // the event being written, reused under mu
 	regions int64
 	err     error
 }
@@ -108,15 +92,7 @@ type Recorder struct {
 // the trace can legally replay into.
 func NewRecorder(w io.Writer, sequential bool) *Recorder {
 	r := &Recorder{sequential: sequential, w: bufio.NewWriter(w)}
-	_, err := r.w.WriteString(magic)
-	if err == nil {
-		if sequential {
-			err = r.w.WriteByte(1)
-		} else {
-			err = r.w.WriteByte(0)
-		}
-	}
-	r.err = err
+	_, r.err = r.w.Write(appendHeader(nil, sequential))
 	return r
 }
 
@@ -134,39 +110,15 @@ func (r *Recorder) Close() error {
 func (r *Recorder) emit(kind byte, args ...int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.put(kind, args...)
+	r.write(appendEvent(r.enc[:0], kind, args...))
 }
 
-// put writes an event's kind and varint arguments; the caller holds r.mu.
-func (r *Recorder) put(kind byte, args ...int64) {
-	if r.err != nil {
-		return
-	}
-	if err := r.w.WriteByte(kind); err != nil {
-		r.err = err
-		return
-	}
-	for _, a := range args {
-		n := binary.PutVarint(r.buf[:], a)
-		if _, err := r.w.Write(r.buf[:n]); err != nil {
-			r.err = err
-			return
-		}
-	}
-}
-
-// putString writes a length-prefixed string; the caller holds r.mu.
-func (r *Recorder) putString(s string) {
-	if r.err != nil {
-		return
-	}
-	n := binary.PutUvarint(r.buf[:], uint64(len(s)))
-	if _, err := r.w.Write(r.buf[:n]); err != nil {
-		r.err = err
-		return
-	}
-	if _, err := r.w.WriteString(s); err != nil {
-		r.err = err
+// write hands one encoded event to the stream and keeps its buffer for
+// the next; the caller holds r.mu.
+func (r *Recorder) write(enc []byte) {
+	r.enc = enc
+	if r.err == nil {
+		_, r.err = r.w.Write(enc)
 	}
 }
 
@@ -209,23 +161,17 @@ func (r *Recorder) Release(t *detect.Task, l *detect.Lock) {
 	r.emit(evRelease, int64(t.ID), l.ID)
 }
 
-// NewShadow implements detect.Detector. Growable regions get their own
-// event kind; bounded ones keep the original wire encoding. Tasks may
-// declare regions concurrently (NewArrayIn under the pool), and replay
-// requires ids in stream order with each name right behind its
-// declaration, so the id, the event and the name go out under one lock
-// hold.
+// NewShadow implements detect.Detector. Tasks may declare regions
+// concurrently (NewArrayIn under the pool), and replay requires ids in
+// stream order, so the id is drawn and the declaration written under one
+// lock hold.
 func (r *Recorder) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := r.regions
 	r.regions++
-	if spec.Growable {
-		r.put(evNewShadowGrow, id, int64(spec.ElemBytes))
-	} else {
-		r.put(evNewShadow, id, int64(spec.Len), int64(spec.ElemBytes))
-	}
-	r.putString(spec.Name)
+	d := regionDecl{growable: spec.Growable, elems: int64(spec.Len), elemBytes: int64(spec.ElemBytes), name: spec.Name}
+	r.write(appendDecl(r.enc[:0], id, d))
 	return &recShadow{r: r, id: id}
 }
 
@@ -247,6 +193,7 @@ func (s *recShadow) Write(t *detect.Task, i int) {
 
 var _ detect.Detector = (*Recorder)(nil)
 
-// Replay, the decoder, the finish-scope splitter, and the trace
-// amplifier live in replay.go, split.go, and amplify.go; the streaming
-// reader adapters (LimitedReader, CancelReader) live in stream.go.
+// The format and its writers, Replay and the decoder live in replay.go,
+// the finish-scope splitter and the trace amplifier in split.go and
+// amplify.go; the streaming reader adapters (LimitedReader,
+// CancelReader) live in stream.go.
