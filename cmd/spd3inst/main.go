@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"go/token"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -116,13 +117,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *write:
+		files := make(map[string][]byte, changed)
 		for _, pr := range results {
-			for name, content := range pr.res.Files {
-				if err := os.WriteFile(name, content, 0o644); err != nil {
-					fmt.Fprintln(stderr, "spd3inst:", err)
-					return 2
-				}
-			}
+			maps.Copy(files, pr.res.Files)
+		}
+		if err := analysis.WriteFiles(files); err != nil {
+			fmt.Fprintln(stderr, "spd3inst:", err)
+			return 2
 		}
 		reportSkips(stderr, loader, results)
 		if *jsonOut {
@@ -159,13 +160,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *diffOut:
 		for _, pr := range results {
 			for _, name := range sortedFiles(pr.res) {
-				old, err := os.ReadFile(name)
-				if err != nil {
-					fmt.Fprintln(stderr, "spd3inst:", err)
-					return 2
-				}
 				fmt.Fprintf(stdout, "--- %s\n+++ %s\n", display(name), display(name))
-				writeUnified(stdout, splitLines(string(old)), splitLines(string(pr.res.Files[name])))
+				writeUnified(stdout, splitLines(string(pr.pkg.Src[name])), splitLines(string(pr.res.Files[name])))
 			}
 		}
 		if changed > 0 {
@@ -223,12 +219,12 @@ func elidePackage(dir string) (*elideOutcome, error) {
 	if len(pkg.TypeErrors) > 0 {
 		return nil, fmt.Errorf("rewritten package does not type-check: %v", pkg.TypeErrors[0])
 	}
-	res, err := checkelim.Analyze(pkg, checkelim.Options{})
+	res, err := checkelim.Analyze(pkg)
 	if err != nil {
 		return nil, err
 	}
 	if n := len(res.Elisions); n > 0 {
-		if _, _, err := analysis.ApplyFixes(pkg.Fset, res.Diags); err != nil {
+		if _, _, err := analysis.ApplyFixes([]*analysis.Package{pkg}, res.Diags); err != nil {
 			return nil, err
 		}
 		if err := stampElided(dir, pkg.Types.Name(), n); err != nil {
@@ -258,8 +254,9 @@ func init() { spd3.RegisterStaticElided(spd3optElidedStatic) }
 	return os.WriteFile(filepath.Join(dir, "zz_spd3opt.go"), []byte(src), 0o644)
 }
 
-// writePackage materializes the full rewritten package — changed files
-// from the result, unchanged files copied from disk — into dir.
+// writePackage materializes the full rewritten package into dir:
+// changed files from the result, unchanged ones from the loaded source,
+// and the files the loader did not parse (tests) copied from disk.
 func writePackage(dir string, pkg *analysis.Package, res *rewrite.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -274,6 +271,9 @@ func writePackage(dir string, pkg *analysis.Package, res *rewrite.Result) error 
 		}
 		src := filepath.Join(pkg.Dir, e.Name())
 		content, ok := res.Files[src]
+		if !ok {
+			content, ok = pkg.Src[src]
+		}
 		if !ok {
 			if content, err = os.ReadFile(src); err != nil {
 				return err

@@ -20,9 +20,8 @@ import (
 // sets from that source, and each program is then interpreted twice
 // under the sequential executor — all checks vs the elision set
 // applied (elided sites use Unchecked forms; hoisted reads check once
-// at loop entry). Default rules must preserve the verdict AND the race
-// digest byte for byte; the opt-in writedom rule must preserve the
-// verdict.
+// at loop entry). Elision must preserve the verdict AND the race digest
+// byte for byte.
 func TestProgenElisionDifferential(t *testing.T) {
 	const seeds = 150
 	cfg := progen.Config{Vars: 3, MaxDepth: 4, MaxStmts: 30, Locks: 1, Loops: true}
@@ -78,7 +77,7 @@ func TestProgenElisionDifferential(t *testing.T) {
 		return sets
 	}
 
-	res, err := checkelim.Analyze(pkg, checkelim.Options{})
+	res, err := checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestProgenElisionDifferential(t *testing.T) {
 	if total == 0 {
 		t.Fatal("150 seeds produced no elisions; the differential is vacuous")
 	}
-	t.Logf("default rules: %d elisions across %d seeds (%v)", total, seeds, res.Counts())
+	t.Logf("%d elisions across %d seeds (%v)", total, seeds, res.Counts())
 
 	for pi, p := range progs {
 		base := interpret(t, p, nil)
@@ -98,24 +97,6 @@ func TestProgenElisionDifferential(t *testing.T) {
 		if base != opt {
 			t.Errorf("seed %d: elision changed the outcome\nbase: %+v\nopt:  %+v\nelided: %v\nprogram:\n%s",
 				pi+1, base, opt, sets[pi], p)
-		}
-	}
-
-	// The writedom rule is verdict-preserving but not digest-preserving
-	// (an elided read records no reader slot, so a later writer's race
-	// may be attributed to the dominating write instead): compare
-	// verdicts only.
-	resWD, err := checkelim.Analyze(pkg, checkelim.Options{WriteDom: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setsWD := elisionSets(resWD)
-	for pi, p := range progs {
-		base := interpret(t, p, nil)
-		opt := interpret(t, p, setsWD[pi])
-		if base.racy != opt.racy {
-			t.Errorf("seed %d: writedom elision changed the verdict from %v to %v\nelided: %v\nprogram:\n%s",
-				pi+1, base.racy, opt.racy, setsWD[pi], p)
 		}
 	}
 }
@@ -126,8 +107,8 @@ type outcome struct {
 }
 
 // interpret executes p against the public spd3 API under the
-// sequential executor, applying the given elision set: dup/writedom
-// sites access unchecked, hoisted sites are checked once at their
+// sequential executor, applying the given elision set: dup sites
+// access unchecked, hoisted sites are checked once at their
 // innermost loop's entry (mirroring the hoisted declaration the fix
 // inserts) and unchecked inside the body.
 func interpret(t *testing.T, p *progen.Program, elided map[int]checkelim.Rule) outcome {

@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analysis.SortDiagnostics(loader.Fset, all)
 
 	if *fix {
-		remaining, applied, err := analysis.ApplyFixes(loader.Fset, all)
+		remaining, applied, err := analysis.ApplyFixes(pkgs, all)
 		if err != nil {
 			fmt.Fprintln(stderr, "spd3vet:", err)
 			return 2

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -59,20 +58,25 @@ type Analyzer struct {
 }
 
 // A Pass provides one analyzer run over one package: the syntax, the
-// type information, and the report sink. The same package is shared by
-// every analyzer; passes must not mutate it.
+// type information, the source bytes, and the report sink. The same
+// package is shared by every analyzer; passes must not mutate it.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	*Package
 
-	diags *[]Diagnostic
+	diags    *[]Diagnostic
+	reported map[token.Pos]bool
 }
 
-// Report records one finding against the pass's analyzer.
+// Report records one finding against the pass's analyzer. A second
+// finding at a position the analyzer already reported is dropped, so an
+// analyzer whose walks overlap (nested task bodies) reports each site
+// once.
 func (p *Pass) Report(d Diagnostic) {
+	if p.reported[d.Pos] {
+		return
+	}
+	p.reported[d.Pos] = true
 	d.Analyzer = p.Analyzer.Name
 	*p.diags = append(*p.diags, d)
 }
@@ -117,14 +121,7 @@ type TextEdit struct {
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			diags:    &diags,
-		}
+		pass := &Pass{Analyzer: a, Package: pkg, diags: &diags, reported: make(map[token.Pos]bool)}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 		}
@@ -149,4 +146,45 @@ func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
+}
+
+// A FuncScope is one function with a body: a declaration or a literal.
+type FuncScope struct {
+	// Func is the *ast.FuncDecl or *ast.FuncLit; its span includes the
+	// parameter list.
+	Func ast.Node
+	Type *ast.FuncType
+	Body *ast.BlockStmt
+}
+
+// FuncScopes returns every function with a body in files, each
+// enclosing function before the ones nested in it.
+func FuncScopes(files ...*ast.File) []FuncScope {
+	var out []FuncScope
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					out = append(out, FuncScope{Func: n, Type: n.Type, Body: n.Body})
+				}
+			case *ast.FuncLit:
+				out = append(out, FuncScope{Func: n, Type: n.Type, Body: n.Body})
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// Innermost returns the tightest of scopes whose body contains pos, or
+// nil when none does. scopes must be in FuncScopes order.
+func Innermost(scopes []FuncScope, pos token.Pos) *FuncScope {
+	var best *FuncScope
+	for i := range scopes {
+		if s := &scopes[i]; s.Body.Pos() <= pos && pos <= s.Body.End() {
+			best = s
+		}
+	}
+	return best
 }

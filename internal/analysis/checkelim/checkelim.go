@@ -13,7 +13,7 @@
 // the recorded reader slots, and a second write check early-outs on
 // the recorded writer, with any re-found race deduplicating to the
 // same (kind, region, index) record. Deleting the second check is
-// therefore invisible to the verdict and to the race-set digest. Three
+// therefore invisible to the verdict and to the race-set digest. Two
 // rules exploit this:
 //
 //   - dup: a Get (Set) to the same (container, index, ctx) as an
@@ -25,15 +25,12 @@
 //     read into a local above the loop, provided the loop provably
 //     runs at least once (constant-folded bounds) and the loop body
 //     never writes the container.
-//   - writedom: a read of a cell the same step already wrote. The
-//     write check subsumes the read check's verdict, but eliding the
-//     read also skips its reader-slot recording, which later writers'
-//     checks compare against — so while the racy/race-free verdict is
-//     preserved (any race the recording would surface implies a
-//     write-write race that is still reported), the race-set digest
-//     may lose read-write pairs. The rule is therefore opt-in
-//     (Options.WriteDom) and excluded from digest-differential
-//     pipelines.
+//
+// A read of a cell the same step already wrote is kept and recorded as
+// a writedom skip: the write check subsumes the read's verdict, but
+// eliding the read would also drop its reader-slot record, which later
+// writers' checks compare against, so the race-set digest could change
+// (DESIGN §9).
 //
 // The pass is deliberately conservative: any call it cannot classify
 // (unknown functions, Update callbacks, Ctx methods, locks) is a
@@ -58,18 +55,10 @@ const (
 	RuleDup Rule = "dup"
 	// RuleHoist is the loop-invariant read hoist.
 	RuleHoist Rule = "hoist"
-	// RuleWriteDom is the opt-in write-dominates-read rule.
+	// RuleWriteDom names the skip of a read whose cell the same step
+	// already wrote; it never elides.
 	RuleWriteDom Rule = "writedom"
 )
-
-// Options configures a run of the eliminator.
-type Options struct {
-	// WriteDom enables the write-dominates-read rule. It preserves the
-	// racy/race-free verdict but not necessarily the race-set digest
-	// (see the package comment), so it is off by default and must stay
-	// off in digest-differential pipelines.
-	WriteDom bool
-}
 
 // An Elision is one checked access the pass proved redundant.
 type Elision struct {
@@ -79,8 +68,8 @@ type Elision struct {
 	Pos, End token.Pos
 	// Container is the container kind ("Array", "Matrix", "Var").
 	Container string
-	// DomPos is the dominating access (dup/writedom) or the loop the
-	// read was hoisted out of (hoist).
+	// DomPos is the dominating access (dup) or the loop the read was
+	// hoisted out of (hoist).
 	DomPos token.Pos
 }
 
@@ -113,9 +102,7 @@ func (r *Result) Counts() map[string]int {
 	return c
 }
 
-// Analyzer is the registered spd3vet analyzer: the default-rule pass
-// (dup + hoist; writedom stays opt-in via the package API because its
-// fixes are not digest-preserving).
+// Analyzer is the registered spd3vet analyzer.
 const analyzerName = "checkelim"
 
 var Analyzer = &analysis.Analyzer{
@@ -131,13 +118,7 @@ var Analyzer = &analysis.Analyzer{
 func init() { analysis.Register(Analyzer) }
 
 func runAnalyzer(pass *analysis.Pass) error {
-	pkg := &analysis.Package{
-		Fset:  pass.Fset,
-		Files: pass.Files,
-		Types: pass.Pkg,
-		Info:  pass.Info,
-	}
-	res, err := Analyze(pkg, Options{})
+	res, err := Analyze(pass.Package)
 	if err != nil {
 		return err
 	}
@@ -148,56 +129,32 @@ func runAnalyzer(pass *analysis.Pass) error {
 }
 
 // Analyze runs the eliminator over one loaded package.
-func Analyze(pkg *analysis.Package, opts Options) (*Result, error) {
+func Analyze(pkg *analysis.Package) (*Result, error) {
 	res := &Result{}
 	pkgFacts := scanPackage(pkg)
 	for _, f := range pkg.Files {
-		src, err := fileSource(pkg.Fset, f)
-		if err != nil {
-			return nil, fmt.Errorf("checkelim: %w", err)
+		name := pkg.Fset.File(f.Pos()).Name()
+		src, ok := pkg.Src[name]
+		if !ok {
+			return nil, fmt.Errorf("checkelim: no source for %s", name)
 		}
 		fb := newFixBuilder(pkg.Fset, src, f)
-		for _, reg := range regions(f) {
-			if hasLabels(reg.body) {
+		// Every function body — declaration or literal — is a region,
+		// analyzed independently: within one invocation its statements
+		// run in order on one task, which is all straight-line
+		// domination needs. The walker skips literal bodies (defining a
+		// closure runs nothing); they are regions of their own.
+		for _, sc := range analysis.FuncScopes(f) {
+			if hasLabels(sc.Body) {
 				continue // goto could loop; straight-line domination is off
 			}
-			w := newWalker(pkg.Info, opts, res, pkgFacts, fb, reg)
-			w.stmts(reg.body.List)
+			w := newWalker(pkg.Info, res, pkgFacts, fb, sc)
+			w.stmts(sc.Body.List)
 		}
 		fb.flush(pkg.Fset, res)
 	}
 	sortResult(pkg.Fset, res)
 	return res, nil
-}
-
-// A region is one function body plus the position span of its whole
-// function (the span includes the parameter list, so "declared in this
-// region" covers parameters).
-type region struct {
-	body     *ast.BlockStmt
-	pos, end token.Pos
-}
-
-// regions returns every function body in f — declarations and
-// literals — each of which is analyzed independently: within one
-// invocation its statements run in order on one task, which is all
-// straight-line domination needs. Literal bodies are excluded from
-// their enclosing region's walk (defining a closure runs nothing) and
-// analyzed on their own.
-func regions(f *ast.File) []region {
-	var out []region
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				out = append(out, region{body: n.Body, pos: n.Pos(), end: n.End()})
-			}
-		case *ast.FuncLit:
-			out = append(out, region{body: n.Body, pos: n.Pos(), end: n.End()})
-		}
-		return true
-	})
-	return out
 }
 
 // hasLabels reports whether body contains a labeled statement (the

@@ -25,28 +25,6 @@ func TestNoElideGolden(t *testing.T) {
 	atest.RunGolden(t, "testdata/noelide", checkelim.Analyzer)
 }
 
-// writeDomAnalyzer is the rule-3-enabled variant, unregistered (the
-// registry carries only the digest-preserving default).
-var writeDomAnalyzer = &analysis.Analyzer{
-	Name: "checkelim",
-	Doc:  "checkelim with the opt-in writedom rule",
-	Run: func(pass *analysis.Pass) error {
-		pkg := &analysis.Package{Fset: pass.Fset, Files: pass.Files, Types: pass.Pkg, Info: pass.Info}
-		res, err := checkelim.Analyze(pkg, checkelim.Options{WriteDom: true})
-		if err != nil {
-			return err
-		}
-		for _, d := range res.Diags {
-			pass.Report(d)
-		}
-		return nil
-	},
-}
-
-func TestWriteDomGolden(t *testing.T) {
-	atest.RunGolden(t, "testdata/writedom", writeDomAnalyzer)
-}
-
 func load(t *testing.T, dir string) *analysis.Package {
 	t.Helper()
 	loader, err := analysis.NewLoader(".")
@@ -63,20 +41,20 @@ func load(t *testing.T, dir string) *analysis.Package {
 	return pkg
 }
 
-// TestWriteDomDefault pins the tiering: by default the write-dominated
-// read is kept and surfaces as a skip naming the opt-in.
+// TestWriteDomDefault pins that a write-dominated read is kept and
+// surfaces as a writedom skip.
 func TestWriteDomDefault(t *testing.T) {
 	pkg := load(t, "testdata/writedom")
-	res, err := checkelim.Analyze(pkg, checkelim.Options{})
+	res, err := checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(res.Elisions); n != 0 {
-		t.Errorf("default rules elided %d accesses in the writedom fixture, want 0", n)
+		t.Errorf("elided %d accesses in the writedom fixture, want 0", n)
 	}
 	found := false
 	for _, s := range res.Skips {
-		if s.Rule == checkelim.RuleWriteDom && strings.Contains(s.Reason, "writedom") {
+		if s.Rule == checkelim.RuleWriteDom && strings.Contains(s.Reason, "read after same-step write") {
 			found = true
 		}
 	}
@@ -89,7 +67,7 @@ func TestWriteDomDefault(t *testing.T) {
 // reports aggregate.
 func TestCounts(t *testing.T) {
 	pkg := load(t, "testdata/dup")
-	res, err := checkelim.Analyze(pkg, checkelim.Options{})
+	res, err := checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +90,7 @@ func TestCounts(t *testing.T) {
 	}
 
 	pkg = load(t, "testdata/noelide")
-	res, err = checkelim.Analyze(pkg, checkelim.Options{})
+	res, err = checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +117,7 @@ func TestCounts(t *testing.T) {
 // TestHoistCountsAndSkips pins rule-2 accounting on the hoist fixture.
 func TestHoistCountsAndSkips(t *testing.T) {
 	pkg := load(t, "testdata/hoist")
-	res, err := checkelim.Analyze(pkg, checkelim.Options{})
+	res, err := checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +126,7 @@ func TestHoistCountsAndSkips(t *testing.T) {
 	}
 
 	pkg = load(t, "testdata/noelide")
-	res, err = checkelim.Analyze(pkg, checkelim.Options{})
+	res, err = checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +168,14 @@ func roundTrip(t *testing.T, dir string) {
 	}
 
 	pkg := load(t, tmp)
-	res, err := checkelim.Analyze(pkg, checkelim.Options{})
+	res, err := checkelim.Analyze(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Elisions) == 0 {
 		t.Fatal("fixture produced no elisions; round trip is vacuous")
 	}
-	if _, applied, err := analysis.ApplyFixes(pkg.Fset, res.Diags); err != nil || applied == 0 {
+	if _, applied, err := analysis.ApplyFixes([]*analysis.Package{pkg}, res.Diags); err != nil || applied == 0 {
 		t.Fatalf("ApplyFixes: applied=%d err=%v", applied, err)
 	}
 
@@ -211,7 +189,7 @@ func roundTrip(t *testing.T, dir string) {
 		t.Errorf("rewritten fixture not vet-clean: %s: %s [%s]",
 			pkg2.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	res2, err := checkelim.Analyze(pkg2, checkelim.Options{})
+	res2, err := checkelim.Analyze(pkg2)
 	if err != nil {
 		t.Fatal(err)
 	}

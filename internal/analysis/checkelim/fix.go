@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"os"
 	"sort"
 	"strings"
 
@@ -18,17 +17,19 @@ import (
 //   - Nesting. An elided Get can sit inside an elided Set's value (or
 //     inside a hoist-replaced occurrence). Only the outermost rewrite
 //     gets a text edit; inner rewrites are spliced into the outer
-//     replacement text, so ApplyFixes never sees overlapping spans.
-//   - Same-offset inserts. ApplyFixes sorts edits with an unstable
-//     sort, so two inserts at one offset land in arbitrary order. All
-//     elision markers for one line merge into one insert, and all
-//     hoisted declarations for one loop merge into one insert.
+//     replacement text, so analysis.Apply never sees overlapping spans.
+//   - One insert per anchor. All elision markers for one line merge
+//     into one //spd3opt:elided comment naming every dominator, and
+//     all hoisted declarations for one loop merge into one insert
+//     above it.
 type fixBuilder struct {
 	fset *token.FileSet
 	src  []byte
-	// file is the parsed file, for line arithmetic and for locating
-	// existing trailing comments.
+	// file is the parsed file, for line arithmetic.
 	file *ast.File
+	// comments holds the first comment on each line, where a marker
+	// must go in front of it.
+	comments map[int]*ast.Comment
 	// names holds every identifier spelled in the file, for fresh
 	// hoist-local names.
 	names    map[string]bool
@@ -39,9 +40,10 @@ type fixBuilder struct {
 	repls []*repl
 }
 
+// A pendElision is a proven-redundant access awaiting flush: a later
+// hoist of the same key may still subsume it.
 type pendElision struct {
 	a      *access
-	rule   Rule
 	domPos token.Pos
 	// cancelled marks dup elisions subsumed by a hoist of the same key
 	// (the hoist replaces the whole occurrence).
@@ -56,11 +58,12 @@ type pendHoist struct {
 
 func newFixBuilder(fset *token.FileSet, src []byte, f *ast.File) *fixBuilder {
 	fb := &fixBuilder{
-		fset:   fset,
-		src:    src,
-		file:   f,
-		names:  make(map[string]bool),
-		byCall: make(map[*ast.CallExpr]*pendElision),
+		fset:     fset,
+		src:      src,
+		file:     f,
+		comments: analysis.CommentsByLine(fset, f, ""),
+		names:    make(map[string]bool),
+		byCall:   make(map[*ast.CallExpr]*pendElision),
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
@@ -71,18 +74,13 @@ func newFixBuilder(fset *token.FileSet, src []byte, f *ast.File) *fixBuilder {
 	return fb
 }
 
-// fileSource reads the bytes the file was parsed from.
-func fileSource(fset *token.FileSet, f *ast.File) ([]byte, error) {
-	return os.ReadFile(fset.Position(f.Pos()).Filename)
-}
-
 // at renders a position as "line N" for messages.
 func (fb *fixBuilder) at(pos token.Pos) string {
 	return fmt.Sprintf("line %d", fb.fset.Position(pos).Line)
 }
 
-func (fb *fixBuilder) addElision(a *access, rule Rule, domPos token.Pos) {
-	p := &pendElision{a: a, rule: rule, domPos: domPos}
+func (fb *fixBuilder) addElision(a *access, domPos token.Pos) {
+	p := &pendElision{a: a, domPos: domPos}
 	fb.elisions = append(fb.elisions, p)
 	fb.byCall[a.call] = p
 }
@@ -211,7 +209,7 @@ func (fb *fixBuilder) flush(fset *token.FileSet, res *Result) {
 
 	for _, p := range active {
 		res.Elisions = append(res.Elisions, Elision{
-			Rule:      p.rule,
+			Rule:      RuleDup,
 			Pos:       p.a.call.Pos(),
 			End:       p.a.call.End(),
 			Container: p.a.kind,
@@ -352,17 +350,12 @@ func (fb *fixBuilder) textFor(p *pendElision) string {
 }
 
 func (fb *fixBuilder) msgFor(p *pendElision) string {
-	switch {
-	case p.rule == RuleWriteDom:
-		return fmt.Sprintf("redundant read check: cell already write-checked at %s in the same step "+
-			"(verdict-preserving elision)", fb.at(p.domPos))
-	case p.a.write:
+	if p.a.write {
 		return fmt.Sprintf("redundant write check: cell already write-checked at %s in the same step",
 			fb.at(p.domPos))
-	default:
-		return fmt.Sprintf("redundant read check: cell already read-checked at %s in the same step",
-			fb.at(p.domPos))
 	}
+	return fmt.Sprintf("redundant read check: cell already read-checked at %s in the same step",
+		fb.at(p.domPos))
 }
 
 // markerEdit builds the end-of-line //spd3opt:elided insert for line.
@@ -380,12 +373,8 @@ func (fb *fixBuilder) markerEdit(line int, domLines []int) analysis.TextEdit {
 	// If the line already carries a comment, insert before it — text
 	// appended after a // comment would become part of that comment and
 	// the marker scan would never see it.
-	for _, cg := range fb.file.Comments {
-		for _, c := range cg.List {
-			if fb.fset.Position(c.Pos()).Line == line {
-				return analysis.TextEdit{Pos: c.Pos(), End: c.Pos(), NewText: strings.TrimPrefix(marker, " ") + " "}
-			}
-		}
+	if c := fb.comments[line]; c != nil {
+		return analysis.TextEdit{Pos: c.Pos(), End: c.Pos(), NewText: strings.TrimPrefix(marker, " ") + " "}
 	}
 	pos := fb.lineEnd(line)
 	return analysis.TextEdit{Pos: pos, End: pos, NewText: marker}

@@ -1,6 +1,6 @@
-// Package writedom exercises rule 3 (opt-in): a read of a cell the
-// same step already wrote. The golden test runs a WriteDom-enabled
-// analyzer; the default analyzer must instead record a skip here.
+// Package writedom holds a read of a cell the same step already wrote.
+// The eliminator keeps it — eliding it would drop the reader record
+// later write checks compare against — and records a writedom skip.
 package writedom
 
 import "spd3"
@@ -10,7 +10,7 @@ func writeThenRead(eng *spd3.Engine) {
 	_, _ = eng.Run(func(c *spd3.Ctx) {
 		c.FinishAsync(2, func(c *spd3.Ctx, i int) {
 			u.Set(c, i, i*2)
-			_ = u.Get(c, i) // want `redundant read check: cell already write-checked at line \d+ in the same step \(verdict-preserving elision\)`
+			_ = u.Get(c, i)
 		})
 	})
 }

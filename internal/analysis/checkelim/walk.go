@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"spd3/internal/analysis"
 )
 
 // A fact records that the current step has already checked one
@@ -31,7 +33,6 @@ type killInfo struct {
 // access.
 type walker struct {
 	info *types.Info
-	opts Options
 	res  *Result
 	pkgf *pkgFacts
 	fb   *fixBuilder
@@ -47,15 +48,14 @@ type walker struct {
 	stmtCall *ast.CallExpr
 }
 
-func newWalker(info *types.Info, opts Options, res *Result, pkgf *pkgFacts, fb *fixBuilder, reg region) *walker {
+func newWalker(info *types.Info, res *Result, pkgf *pkgFacts, fb *fixBuilder, sc analysis.FuncScope) *walker {
 	return &walker{
 		info:      info,
-		opts:      opts,
 		res:       res,
 		pkgf:      pkgf,
 		fb:        fb,
-		regionPos: reg.pos,
-		regionEnd: reg.end,
+		regionPos: sc.Func.Pos(),
+		regionEnd: sc.Func.End(),
 		facts:     make(map[string]*fact),
 		kills:     make(map[string]killInfo),
 	}
@@ -346,7 +346,7 @@ func (w *walker) access(a *access, stmtLevel bool) {
 	pos := a.call.Pos()
 	if a.write {
 		if f != nil && f.wrotePos.IsValid() && stmtLevel {
-			w.elide(a, RuleDup, f.wrotePos)
+			w.fb.addElision(a, f.wrotePos)
 			return
 		}
 		if f != nil && f.wrotePos.IsValid() {
@@ -366,18 +366,12 @@ func (w *walker) access(a *access, stmtLevel bool) {
 	}
 	// Read.
 	if f != nil && f.readPos.IsValid() {
-		w.elide(a, RuleDup, f.readPos)
+		w.fb.addElision(a, f.readPos)
 		return
 	}
 	if f != nil && f.wrotePos.IsValid() {
-		if w.opts.WriteDom {
-			// The elided read performs no check and records no reader,
-			// so the fact's read flavor deliberately stays unset.
-			w.elide(a, RuleWriteDom, f.wrotePos)
-			return
-		}
 		w.skipf(pos, RuleWriteDom,
-			"read after same-step write at %s: verdict-preserving elision needs the opt-in writedom rule (not digest-preserving)",
+			"read after same-step write at %s: eliding it would drop the reader record later write checks compare against",
 			w.fb.at(f.wrotePos))
 		f.readPos = pos
 		return
@@ -397,13 +391,6 @@ func (w *walker) newFact(key string, deps []types.Object, kind string, pos token
 	}
 	w.facts[key] = f
 	delete(w.kills, key)
-}
-
-// elide records a proven-redundant access. The fix builder owns it
-// from here: a later hoist of the same key may subsume it, and the
-// Result entries materialize at flush.
-func (w *walker) elide(a *access, rule Rule, domPos token.Pos) {
-	w.fb.addElision(a, rule, domPos)
 }
 
 func (w *walker) skipf(pos token.Pos, rule Rule, format string, args ...any) {
@@ -575,18 +562,8 @@ func scanEffects(info *types.Info, nodes ...ast.Node) *effects {
 		}
 	}
 	for _, node := range nodes {
-		if node == nil || node == ast.Node(nil) {
+		if node == nil {
 			continue
-		}
-		switch n := node.(type) {
-		case ast.Expr:
-			if n == nil {
-				continue
-			}
-		case ast.Stmt:
-			if n == nil {
-				continue
-			}
 		}
 		ast.Inspect(node, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -31,22 +30,14 @@ var CtxEscapeAnalyzer = &Analyzer{
 }
 
 func runCtxEscape(pass *Pass) error {
-	reported := make(map[token.Pos]bool)
-	report := func(pos token.Pos, format string, args ...any) {
-		if !reported[pos] {
-			reported[pos] = true
-			pass.Reportf(pos, format, args...)
-		}
-	}
-
 	// Capture by a spawned closure: an identifier of Ctx type inside
 	// the closure body that resolves to a declaration outside it.
-	for _, tc := range taskClosures(pass) {
-		if !tc.spawned {
+	for _, tc := range TaskClosures(pass.Package) {
+		if !tc.Spawned {
 			continue
 		}
 		seen := make(map[types.Object]bool)
-		ast.Inspect(tc.lit.Body, func(n ast.Node) bool {
+		ast.Inspect(tc.Lit.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
@@ -55,11 +46,11 @@ func runCtxEscape(pass *Pass) error {
 			if obj == nil || seen[obj] {
 				return true
 			}
-			if v, ok := obj.(*types.Var); ok && !v.IsField() && isCtx(v.Type()) && declaredOutside(tc.lit, obj) {
+			if v, ok := obj.(*types.Var); ok && !v.IsField() && isCtx(v.Type()) && tc.Captures(obj) {
 				seen[obj] = true
-				report(id.Pos(),
+				pass.Reportf(id.Pos(),
 					"*spd3.Ctx %q captured by a task spawned by %s: accesses through it are attributed to the wrong DPST step; use the spawned closure's own Ctx parameter",
-					id.Name, tc.api)
+					id.Name, tc.API)
 			}
 			return true
 		})
@@ -81,12 +72,12 @@ func runCtxEscape(pass *Pass) error {
 					}
 					switch l := lhs.(type) {
 					case *ast.SelectorExpr:
-						report(n.Rhs[i].Pos(), "*spd3.Ctx stored in a struct field: a Ctx is only valid within its task body and must not outlive it")
+						pass.Reportf(n.Rhs[i].Pos(), "*spd3.Ctx stored in a struct field: a Ctx is only valid within its task body and must not outlive it")
 					case *ast.IndexExpr:
-						report(n.Rhs[i].Pos(), "*spd3.Ctx stored in a collection element: a Ctx is only valid within its task body and must not outlive it")
+						pass.Reportf(n.Rhs[i].Pos(), "*spd3.Ctx stored in a collection element: a Ctx is only valid within its task body and must not outlive it")
 					case *ast.Ident:
-						if obj := pass.Info.Uses[l]; obj != nil && obj.Parent() == pass.Pkg.Scope() {
-							report(n.Rhs[i].Pos(), "*spd3.Ctx stored in package-level variable %q: a Ctx is only valid within its task body and must not outlive it", l.Name)
+						if obj := pass.Info.Uses[l]; obj != nil && obj.Parent() == pass.Types.Scope() {
+							pass.Reportf(n.Rhs[i].Pos(), "*spd3.Ctx stored in package-level variable %q: a Ctx is only valid within its task body and must not outlive it", l.Name)
 						}
 					}
 				}
@@ -97,7 +88,7 @@ func runCtxEscape(pass *Pass) error {
 						v = kv.Value
 					}
 					if tv, ok := pass.Info.Types[v]; ok && isCtx(tv.Type) {
-						report(v.Pos(), "*spd3.Ctx stored in a composite literal: a Ctx is only valid within its task body and must not outlive it")
+						pass.Reportf(v.Pos(), "*spd3.Ctx stored in a composite literal: a Ctx is only valid within its task body and must not outlive it")
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -45,7 +44,7 @@ type deprecatedSelector struct {
 func runDeprecated(pass *Pass) error {
 	isContainer := func(p *Pass, x ast.Expr) bool {
 		tv, ok := p.Info.Types[x]
-		return ok && isMemContainer(tv.Type)
+		return ok && ContainerKind(tv.Type) != ""
 	}
 	isMatrix := func(p *Pass, x ast.Expr) bool {
 		tv, ok := p.Info.Types[x]
@@ -105,37 +104,9 @@ var ctorInForms = map[string]string{
 // inside a function that has a named *Ctx parameter, and offers the
 // machine-applicable rewrite to the Ctx-scoped form.
 func runEngineScopedCtors(pass *Pass, f *ast.File) {
-	// Collect every function scope so the innermost one enclosing a
-	// call — the only one whose Ctx parameter is safe to substitute —
-	// can be found by position.
-	type funcScope struct {
-		body *ast.BlockStmt
-		ft   *ast.FuncType
-	}
-	var scopes []funcScope
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				scopes = append(scopes, funcScope{n.Body, n.Type})
-			}
-		case *ast.FuncLit:
-			scopes = append(scopes, funcScope{n.Body, n.Type})
-		}
-		return true
-	})
-	innermost := func(pos token.Pos) *funcScope {
-		var best *funcScope
-		for i := range scopes {
-			s := &scopes[i]
-			if s.body.Pos() <= pos && pos <= s.body.End() {
-				if best == nil || s.body.Pos() > best.body.Pos() {
-					best = s
-				}
-			}
-		}
-		return best
-	}
+	// The innermost function enclosing a call is the only one whose Ctx
+	// parameter is safe to substitute.
+	scopes := FuncScopes(f)
 
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -163,11 +134,11 @@ func runEngineScopedCtors(pass *Pass, f *ast.File) {
 		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != rootPkgPath {
 			return true
 		}
-		sc := innermost(call.Pos())
+		sc := Innermost(scopes, call.Pos())
 		if sc == nil {
 			return true
 		}
-		ctxName := CtxParamName(pass.Info, sc.ft)
+		ctxName := CtxParamName(pass.Info, sc.Type)
 		if ctxName == "" {
 			return true
 		}

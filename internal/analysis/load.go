@@ -24,6 +24,9 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
+	// Src holds the bytes each file was parsed from, by filename. Tools
+	// that edit source start from these, never from a second read.
+	Src   map[string][]byte
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors holds any type-check errors. Loading is tolerant:
@@ -244,12 +247,18 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		l.pkgs[path] = nil
 		return nil, nil
 	}
+	src := make(map[string][]byte, len(names))
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
+		f, err := parser.ParseFile(l.Fset, name, data, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		files = append(files, f)
+		src[name] = data
 	}
 
 	pkg := &Package{
@@ -257,6 +266,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		Dir:   dir,
 		Fset:  l.Fset,
 		Files: files,
+		Src:   src,
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),

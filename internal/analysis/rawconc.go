@@ -29,13 +29,6 @@ var RawConcAnalyzer = &Analyzer{
 }
 
 func runRawConc(pass *Pass) error {
-	reported := make(map[token.Pos]bool)
-	report := func(pos token.Pos, format string, args ...any) {
-		if !reported[pos] {
-			reported[pos] = true
-			pass.Reportf(pos, format, args...)
-		}
-	}
 	isChan := func(e ast.Expr) bool {
 		tv, ok := pass.Info.Types[e]
 		if !ok || tv.Type == nil {
@@ -44,37 +37,37 @@ func runRawConc(pass *Pass) error {
 		_, ok = tv.Type.Underlying().(*types.Chan)
 		return ok
 	}
-	closures := taskClosures(pass)
+	closures := TaskClosures(pass.Package)
 	nested := make(map[*ast.FuncLit]bool, len(closures))
 	for _, tc := range closures {
-		nested[tc.lit] = true
+		nested[tc.Lit] = true
 	}
 	for _, tc := range closures {
-		api := tc.api
-		ast.Inspect(tc.lit.Body, func(n ast.Node) bool {
+		api := tc.API
+		ast.Inspect(tc.Lit.Body, func(n ast.Node) bool {
 			// A nested task-body closure is walked separately under its
 			// own API label.
-			if lit, ok := n.(*ast.FuncLit); ok && lit != tc.lit && nested[lit] {
+			if lit, ok := n.(*ast.FuncLit); ok && lit != tc.Lit && nested[lit] {
 				return false
 			}
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				report(n.Pos(), "go statement inside a task body (%s): the spawned goroutine is invisible to the DPST and races in or with it go undetected; use Ctx.Async", api)
+				pass.Reportf(n.Pos(), "go statement inside a task body (%s): the spawned goroutine is invisible to the DPST and races in or with it go undetected; use Ctx.Async", api)
 			case *ast.SendStmt:
-				report(n.Pos(), "channel send inside a task body (%s): channel ordering is invisible to the DPST; use async/finish joins or spd3.Mutex", api)
+				pass.Reportf(n.Pos(), "channel send inside a task body (%s): channel ordering is invisible to the DPST; use async/finish joins or spd3.Mutex", api)
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
-					report(n.Pos(), "channel receive inside a task body (%s): channel ordering is invisible to the DPST; use async/finish joins or spd3.Mutex", api)
+					pass.Reportf(n.Pos(), "channel receive inside a task body (%s): channel ordering is invisible to the DPST; use async/finish joins or spd3.Mutex", api)
 				}
 			case *ast.SelectStmt:
-				report(n.Pos(), "select statement inside a task body (%s): channel ordering is invisible to the DPST", api)
+				pass.Reportf(n.Pos(), "select statement inside a task body (%s): channel ordering is invisible to the DPST", api)
 			case *ast.RangeStmt:
 				if isChan(n.X) {
-					report(n.Pos(), "range over a channel inside a task body (%s): channel ordering is invisible to the DPST", api)
+					pass.Reportf(n.Pos(), "range over a channel inside a task body (%s): channel ordering is invisible to the DPST", api)
 				}
 			case *ast.CallExpr:
 				if pkg, name, ok := syncCall(pass.Info, n); ok {
-					report(n.Pos(), "%s.%s inside a task body (%s): synchronization the DPST does not model; use spd3.Mutex (or an Accumulator) instead", pkg, name, api)
+					pass.Reportf(n.Pos(), "%s.%s inside a task body (%s): synchronization the DPST does not model; use spd3.Mutex (or an Accumulator) instead", pkg, name, api)
 				}
 			}
 			return true

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"spd3/internal/analysis"
 )
@@ -51,8 +50,7 @@ func kindOf(t types.Type) (kind, bool) {
 		}
 		return kindVar, true
 	case *types.Slice:
-		if inner, ok := u.Elem().Underlying().(*types.Slice); ok {
-			_ = inner
+		if _, ok := u.Elem().Underlying().(*types.Slice); ok {
 			return kindMatrix, true
 		}
 		return kindArray, true
@@ -67,19 +65,6 @@ func kindOf(t types.Type) (kind, bool) {
 		}
 	}
 	return 0, false
-}
-
-// typeMentionsSpd3 reports whether t involves a type from this module
-// (Engine, Ctx, the containers): such variables are already part of the
-// instrumented world and are never rewrite candidates.
-func typeMentionsSpd3(t types.Type) bool {
-	return strings.Contains(types.TypeString(t, nil), "spd3")
-}
-
-// declaredOutside reports whether obj was declared outside lit, i.e.
-// the closure captures it as a free variable.
-func declaredOutside(lit *ast.FuncLit, obj types.Object) bool {
-	return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
 }
 
 // buildParents records the parent of every node in f.
@@ -100,45 +85,6 @@ func buildParents(f *ast.File) map[ast.Node]ast.Node {
 	return parents
 }
 
-// A funcScope is one function body (declaration or literal) used to
-// resolve the innermost function enclosing a position.
-type funcScope struct {
-	fd   *ast.FuncDecl // non-nil for declarations
-	body *ast.BlockStmt
-	ft   *ast.FuncType
-}
-
-// collectScopes gathers every function scope in the package.
-func (r *rewriter) collectScopes() {
-	for _, f := range r.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					r.scopes = append(r.scopes, funcScope{fd: n, body: n.Body, ft: n.Type})
-				}
-			case *ast.FuncLit:
-				r.scopes = append(r.scopes, funcScope{body: n.Body, ft: n.Type})
-			}
-			return true
-		})
-	}
-}
-
-// innermost returns the tightest function scope containing pos.
-func (r *rewriter) innermost(pos token.Pos) *funcScope {
-	var best *funcScope
-	for i := range r.scopes {
-		s := &r.scopes[i]
-		if s.body.Pos() <= pos && pos <= s.body.End() {
-			if best == nil || s.body.Pos() > best.body.Pos() {
-				best = s
-			}
-		}
-	}
-	return best
-}
-
 // An accessMode says how an access site reaches the detector.
 type accessMode int
 
@@ -157,15 +103,15 @@ const (
 // modeAt classifies the function scope around pos and returns the Ctx
 // parameter name for modeCtx.
 func (r *rewriter) modeAt(pos token.Pos) (accessMode, string) {
-	sc := r.innermost(pos)
+	sc := analysis.Innermost(r.scopes, pos)
 	if sc == nil {
 		return modeNone, ""
 	}
-	if name := analysis.CtxParamName(r.pkg.Info, sc.ft); name != "" {
+	if name := analysis.CtxParamName(r.pkg.Info, sc.Type); name != "" {
 		return modeCtx, name
 	}
-	if sc.fd != nil {
-		if _, ok := r.drivers[sc.fd]; ok {
+	if fd, ok := sc.Func.(*ast.FuncDecl); ok {
+		if _, ok := r.drivers[fd]; ok {
 			return modeSeq, ""
 		}
 	}
@@ -266,7 +212,7 @@ func isWriteLike(k kind, id *ast.Ident, parents map[ast.Node]ast.Node) bool {
 		}
 		return false
 	case *ast.CallExpr:
-		if name, ok := builtinName(p.Fun, parents); ok {
+		if name, ok := builtinName(p.Fun); ok {
 			switch name {
 			case "len", "cap":
 				return false
@@ -290,8 +236,7 @@ func isWriteLike(k kind, id *ast.Ident, parents map[ast.Node]ast.Node) bool {
 
 // builtinName returns the name of fun when it resolves to a Go
 // builtin.
-func builtinName(fun ast.Expr, parents map[ast.Node]ast.Node) (string, bool) {
-	_ = parents
+func builtinName(fun ast.Expr) (string, bool) {
 	id, ok := fun.(*ast.Ident)
 	if !ok {
 		return "", false
@@ -343,10 +288,9 @@ func (r *rewriter) collectCandidates() {
 				return true
 			}
 			v, ok := r.pkg.Info.Uses[id].(*types.Var)
-			if !ok || v.IsField() || !declaredOutside(tc.Lit, v) {
-				return true
-			}
-			if typeMentionsSpd3(v.Type()) {
+			// Values of spd3 API types (Engine, Ctx, the containers) are
+			// already part of the instrumented world.
+			if !ok || v.IsField() || !tc.Captures(v) || analysis.MentionsAPI(v.Type()) {
 				return true
 			}
 			if _, ok := captured[v]; !ok {
@@ -491,10 +435,9 @@ func (r *rewriter) findDecl(c *candidate) string {
 	}
 	// Container name: "<enclosing function>.<var>".
 	fn := "pkg"
-	for i := range r.scopes {
-		s := &r.scopes[i]
-		if s.fd != nil && s.body.Pos() <= declID.Pos() && declID.Pos() <= s.body.End() {
-			fn = s.fd.Name.Name
+	for _, d := range declFile.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && fd.Body.Pos() <= declID.Pos() && declID.Pos() <= fd.Body.End() {
+			fn = fd.Name.Name
 		}
 	}
 	c.name = fn + "." + c.obj.Name()

@@ -7,35 +7,31 @@ import (
 	"go/types"
 	"path/filepath"
 	"strings"
+
+	"spd3/internal/analysis"
 )
 
 // A plan accumulates the edits for one candidate; it is merged into the
 // rewriter only if every declaration and use of the variable converts.
 type plan struct {
 	r          *rewriter
-	edits      map[string][]edit
-	erasedSync map[string]int
-	needsSpd3  map[string]bool
+	edits      []analysis.TextEdit
+	erasedSync map[*ast.File]int
+	needsSpd3  map[*ast.File]bool
 }
 
 func newPlan(r *rewriter) *plan {
 	return &plan{
 		r:          r,
-		edits:      make(map[string][]edit),
-		erasedSync: make(map[string]int),
-		needsSpd3:  make(map[string]bool),
+		erasedSync: make(map[*ast.File]int),
+		needsSpd3:  make(map[*ast.File]bool),
 	}
 }
 
-// repl replaces [pos, end) with text.
-func (p *plan) repl(pos, end token.Pos, text string) {
-	name, off := p.r.offset(pos)
-	_, to := p.r.offset(end)
-	p.edits[name] = append(p.edits[name], edit{off: off, end: to, text: text})
+// edit replaces [pos, end) with text; pos == end inserts.
+func (p *plan) edit(pos, end token.Pos, text string) {
+	p.edits = append(p.edits, analysis.TextEdit{Pos: pos, End: end, NewText: text})
 }
-
-// ins inserts text at pos.
-func (p *plan) ins(pos token.Pos, text string) { p.repl(pos, pos, text) }
 
 // at renders pos for skip reasons: base filename, line, column. The
 // base keeps golden output stable across checkouts.
@@ -62,14 +58,12 @@ func (r *rewriter) plan(c *candidate) {
 		r.skip(c, reason)
 		return
 	}
-	for name, edits := range p.edits {
-		r.edits[name] = append(r.edits[name], edits...)
+	r.edits = append(r.edits, p.edits...)
+	for f, n := range p.erasedSync {
+		r.erasedSync[f] += n
 	}
-	for name, n := range p.erasedSync {
-		r.erasedSync[name] += n
-	}
-	for name := range p.needsSpd3 {
-		r.needsSpd3[name] = true
+	for f := range p.needsSpd3 {
+		r.needsSpd3[f] = true
 	}
 	r.res.Rewritten = append(r.res.Rewritten, Rewritten{
 		Var:       c.obj.Name(),
@@ -88,8 +82,8 @@ func (p *plan) ctorForm(c *candidate) (ctor, firstArg, reason string) {
 	case modeCtx:
 		return "spd3.New" + c.kind.String() + "In", ctx, ""
 	case modeSeq:
-		sc := p.r.innermost(c.declStmt.Pos())
-		eng := p.r.drivers[sc.fd]
+		fd, _ := analysis.Innermost(p.r.scopes, c.declStmt.Pos()).Func.(*ast.FuncDecl)
+		eng := p.r.drivers[fd]
 		if eng == "" {
 			return "", "", "no unique *spd3.Engine variable in the driver function"
 		}
@@ -105,8 +99,7 @@ func (p *plan) declEdits(c *candidate) string {
 	if reason != "" {
 		return reason
 	}
-	name, _ := p.r.offset(c.declStmt.Pos())
-	p.needsSpd3[name] = true
+	p.needsSpd3[p.r.fileOf(c.declStmt.Pos())] = true
 	argPrefix := first + ", \"" + c.name + "\", "
 
 	// Resolve the initializer expression and, for var-form decls, the
@@ -179,7 +172,7 @@ func (p *plan) varDecl(c *candidate, ctor, argPrefix string, init ast.Expr, spec
 		case basic.Info()&types.IsString != 0:
 			zero = `""`
 		}
-		p.repl(c.declStmt.Pos(), c.declStmt.End(),
+		p.edit(c.declStmt.Pos(), c.declStmt.End(),
 			varName+" := "+ctor+"["+p.r.text(spec.Type)+"]("+argPrefix+zero+")")
 		return ""
 	}
@@ -190,11 +183,11 @@ func (p *plan) varDecl(c *candidate, ctor, argPrefix string, init ast.Expr, spec
 		prefix = ctor + "[" + p.r.text(spec.Type) + "](" + argPrefix
 	}
 	if spec != nil {
-		p.repl(c.declStmt.Pos(), init.Pos(), varName+" := "+prefix)
+		p.edit(c.declStmt.Pos(), init.Pos(), varName+" := "+prefix)
 	} else {
-		p.ins(init.Pos(), prefix)
+		p.edit(init.Pos(), init.Pos(), prefix)
 	}
-	p.ins(init.End(), ")")
+	p.edit(init.End(), init.End(), ")")
 	return ""
 }
 
@@ -216,7 +209,7 @@ func makeCall(init ast.Expr) *ast.CallExpr {
 // edits.
 func (p *plan) varFormPrefix(c *candidate, init ast.Expr, spec *ast.ValueSpec) {
 	if spec != nil {
-		p.repl(c.declStmt.Pos(), init.Pos(), c.obj.Name()+" := ")
+		p.edit(c.declStmt.Pos(), init.Pos(), c.obj.Name()+" := ")
 	}
 }
 
@@ -234,8 +227,8 @@ func (p *plan) arrayDecl(c *candidate, ctor, argPrefix string, init ast.Expr, sp
 	}
 	c.elem = p.r.text(at.Elt)
 	p.varFormPrefix(c, init, spec)
-	p.repl(call.Pos(), call.Args[1].Pos(), ctor+"["+c.elem+"]("+argPrefix)
-	p.repl(call.Args[1].End(), call.End(), ")")
+	p.edit(call.Pos(), call.Args[1].Pos(), ctor+"["+c.elem+"]("+argPrefix)
+	p.edit(call.Args[1].End(), call.End(), ")")
 	return ""
 }
 
@@ -259,12 +252,9 @@ func (p *plan) matrixDecl(c *candidate, ctor, argPrefix string, init ast.Expr, s
 	}
 	c.initLoop = loop
 	p.varFormPrefix(c, init, spec)
-	p.repl(call.Pos(), call.Args[1].Pos(), ctor+"["+c.elem+"]("+argPrefix)
-	p.repl(call.Args[1].End(), call.End(), ", "+cols+")")
-	_, from := p.r.lineStart(loop.Pos())
-	name, _ := p.r.offset(loop.Pos())
-	_, to := p.r.offset(loop.End())
-	p.edits[name] = append(p.edits[name], edit{off: from, end: to, text: ""})
+	p.edit(call.Pos(), call.Args[1].Pos(), ctor+"["+c.elem+"]("+argPrefix)
+	p.edit(call.Args[1].End(), call.End(), ", "+cols+")")
+	p.edit(p.r.lineStart(loop.Pos()), loop.End(), "")
 	return ""
 }
 
@@ -385,7 +375,7 @@ func (p *plan) mapDecl(c *candidate, ctor, argPrefix string, init ast.Expr, spec
 	}
 	c.key, c.val = p.r.text(mt.Key), p.r.text(mt.Value)
 	p.varFormPrefix(c, init, spec)
-	p.repl(span.Pos(), span.End(),
+	p.edit(span.Pos(), span.End(),
 		ctor+"["+c.key+", "+c.val+"]("+strings.TrimSuffix(argPrefix, ", ")+")")
 	return ""
 }
@@ -394,13 +384,10 @@ func (p *plan) mutexDecl(c *candidate, ctor, first string, spec *ast.ValueSpec) 
 	if spec == nil || spec.Type == nil || len(spec.Values) != 0 {
 		return "mutex not declared as var mu sync.Mutex"
 	}
-	sel, ok := spec.Type.(*ast.SelectorExpr)
-	if !ok {
+	if _, ok := spec.Type.(*ast.SelectorExpr); !ok {
 		return "mutex not declared as var mu sync.Mutex"
 	}
-	_ = sel
-	p.repl(c.declStmt.Pos(), c.declStmt.End(), c.obj.Name()+" := "+ctor+"("+first+")")
-	name, _ := p.r.offset(c.declStmt.Pos())
-	p.erasedSync[name]++ // the sync.Mutex qualifier inside the replaced span
+	p.edit(c.declStmt.Pos(), c.declStmt.End(), c.obj.Name()+" := "+ctor+"("+first+")")
+	p.erasedSync[p.r.fileOf(c.declStmt.Pos())]++ // the sync.Mutex qualifier inside the replaced span
 	return ""
 }

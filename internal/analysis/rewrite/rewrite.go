@@ -51,9 +51,7 @@ import (
 	"go/format"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
-	"strings"
 
 	"spd3/internal/analysis"
 )
@@ -100,22 +98,14 @@ func Rewrite(pkg *analysis.Package) (*Result, error) {
 	r := &rewriter{
 		pkg:        pkg,
 		parents:    make(map[*ast.File]map[ast.Node]ast.Node),
-		edits:      make(map[string][]edit),
-		src:        make(map[string][]byte),
-		erasedSync: make(map[string]int),
-		needsSpd3:  make(map[string]bool),
+		erasedSync: make(map[*ast.File]int),
+		needsSpd3:  make(map[*ast.File]bool),
 		res:        &Result{Package: pkg.Path, Files: make(map[string][]byte)},
 	}
 	for _, f := range pkg.Files {
 		r.parents[f] = buildParents(f)
-		name := pkg.Fset.Position(f.Pos()).Filename
-		src, err := readFile(name)
-		if err != nil {
-			return nil, fmt.Errorf("rewrite: %w", err)
-		}
-		r.src[name] = src
 	}
-	r.collectScopes()
+	r.scopes = analysis.FuncScopes(pkg.Files...)
 	r.collectDrivers()
 	r.collectCandidates()
 	sort.Slice(r.cands, func(i, j int) bool { return r.cands[i].obj.Pos() < r.cands[j].obj.Pos() })
@@ -134,23 +124,16 @@ func Rewrite(pkg *analysis.Package) (*Result, error) {
 type rewriter struct {
 	pkg     *analysis.Package
 	parents map[*ast.File]map[ast.Node]ast.Node
-	scopes  []funcScope
+	scopes  []analysis.FuncScope
 	drivers map[*ast.FuncDecl]string // driver FuncDecl -> engine var name ("" if ambiguous)
 	cands   []*candidate
-	src     map[string][]byte
-	edits   map[string][]edit
+	edits   []analysis.TextEdit
 	// erasedSync counts sync-package qualifier uses removed per file,
 	// to decide whether the sync import can be dropped.
-	erasedSync map[string]int
+	erasedSync map[*ast.File]int
 	// needsSpd3 marks files whose rewrites reference the spd3 package.
-	needsSpd3 map[string]bool
+	needsSpd3 map[*ast.File]bool
 	res       *Result
-}
-
-// An edit replaces src[off:end) with text; off==end inserts.
-type edit struct {
-	off, end int
-	text     string
 }
 
 // fileOf returns the syntax file containing pos.
@@ -163,40 +146,18 @@ func (r *rewriter) fileOf(pos token.Pos) *ast.File {
 	return nil
 }
 
-// offset converts pos to a byte offset, with its filename.
-func (r *rewriter) offset(pos token.Pos) (string, int) {
-	p := r.pkg.Fset.Position(pos)
-	return p.Filename, p.Offset
-}
-
 // textAt returns the source text of [pos, end).
 func (r *rewriter) textAt(pos, end token.Pos) string {
-	name, off := r.offset(pos)
-	_, to := r.offset(end)
-	return string(r.src[name][off:to])
+	tf := r.pkg.Fset.File(pos)
+	return string(r.pkg.Src[tf.Name()][tf.Offset(pos):tf.Offset(end)])
 }
 
 // text returns the source text of n.
 func (r *rewriter) text(n ast.Node) string { return r.textAt(n.Pos(), n.End()) }
 
-// edit records a replacement of [pos, end) with text.
-func (r *rewriter) edit(pos, end token.Pos, text string) edit {
-	name, off := r.offset(pos)
-	_, to := r.offset(end)
-	_ = name
-	return edit{off: off, end: to, text: text}
-}
-
-// commit adds edits to the file containing pos.
-func (r *rewriter) commit(pos token.Pos, edits []edit) {
-	name, _ := r.offset(pos)
-	r.edits[name] = append(r.edits[name], edits...)
-}
-
-// lineStart returns the offset of the first byte of pos's line.
-func (r *rewriter) lineStart(pos token.Pos) (string, int) {
-	p := r.pkg.Fset.Position(pos)
-	return p.Filename, p.Offset - (p.Column - 1)
+// lineStart returns the position of the first byte of pos's line.
+func (r *rewriter) lineStart(pos token.Pos) token.Pos {
+	return pos - token.Pos(r.pkg.Fset.Position(pos).Column-1)
 }
 
 // skipAt records a skip diagnostic with no associated declaration.
@@ -214,8 +175,8 @@ func (r *rewriter) skip(c *candidate, reason string) {
 	}
 	r.skipAt(pos, c.obj.Name(), reason)
 	if c.declStmt != nil {
-		name, off := r.lineStart(c.declStmt.Pos())
-		r.edits[name] = append(r.edits[name], edit{off: off, end: off, text: Directive + " " + reason + "\n"})
+		at := r.lineStart(c.declStmt.Pos())
+		r.edits = append(r.edits, analysis.TextEdit{Pos: at, End: at, NewText: Directive + " " + reason + "\n"})
 	}
 }
 
@@ -226,66 +187,43 @@ func (r *rewriter) hasDirective(n ast.Node) bool {
 	if f == nil {
 		return false
 	}
+	lines := analysis.CommentsByLine(r.pkg.Fset, f, Directive)
 	line := r.pkg.Fset.Position(n.Pos()).Line
-	for _, cg := range f.Comments {
-		for _, cmt := range cg.List {
-			if !strings.HasPrefix(cmt.Text, strings.TrimPrefix(Directive, "//")) &&
-				!strings.HasPrefix(cmt.Text, Directive) {
-				continue
-			}
-			cl := r.pkg.Fset.Position(cmt.Pos()).Line
-			if cl == line || cl == line-1 {
-				return true
-			}
-		}
-	}
-	return false
+	return lines[line] != nil || lines[line-1] != nil
 }
 
-// apply materializes the accumulated edits: per changed file, apply in
-// offset order, fix imports, and gofmt.
+// apply materializes the accumulated edits: per changed file, splice
+// them in, fix imports, and gofmt.
 func (r *rewriter) apply() error {
 	for _, f := range r.pkg.Files {
-		name := r.pkg.Fset.Position(f.Pos()).Filename
-		edits := r.edits[name]
+		tf := r.pkg.Fset.File(f.Pos())
+		var edits []analysis.TextEdit
+		for _, e := range r.edits {
+			if r.pkg.Fset.File(e.Pos) == tf {
+				edits = append(edits, e)
+			}
+		}
 		if len(edits) == 0 {
 			continue
 		}
-		edits = append(edits, r.importEdits(f, name)...)
-		// Ascending order; ties put insertions before replacements so a
-		// prefix inserted at an expression start lands before rewrites
-		// of that expression's first token.
-		sort.SliceStable(edits, func(i, j int) bool {
-			if edits[i].off != edits[j].off {
-				return edits[i].off < edits[j].off
-			}
-			return edits[i].end < edits[j].end
-		})
-		src := r.src[name]
-		var out []byte
-		last := 0
-		for _, e := range edits {
-			if e.off < last {
-				continue // contained in an earlier replacement (e.g. a deleted init loop)
-			}
-			out = append(out, src[last:e.off]...)
-			out = append(out, e.text...)
-			last = e.end
+		edits = append(edits, r.importEdits(f)...)
+		out, err := analysis.Apply(tf, r.pkg.Src[tf.Name()], edits)
+		if err != nil {
+			return fmt.Errorf("rewrite: %w", err)
 		}
-		out = append(out, src[last:]...)
 		fmted, err := format.Source(out)
 		if err != nil {
-			return fmt.Errorf("rewrite: %s: generated invalid Go: %w", name, err)
+			return fmt.Errorf("rewrite: %s: generated invalid Go: %w", tf.Name(), err)
 		}
-		r.res.Files[name] = fmted
+		r.res.Files[tf.Name()] = fmted
 	}
 	return nil
 }
 
 // importEdits adds the spd3 import when the rewritten file needs it and
 // drops the sync import when every use of it was erased.
-func (r *rewriter) importEdits(f *ast.File, name string) []edit {
-	var edits []edit
+func (r *rewriter) importEdits(f *ast.File) []analysis.TextEdit {
+	var edits []analysis.TextEdit
 	hasSpd3 := false
 	var syncSpec *ast.ImportSpec
 	var syncDecl *ast.GenDecl
@@ -305,25 +243,25 @@ func (r *rewriter) importEdits(f *ast.File, name string) []edit {
 			}
 		}
 	}
-	if !hasSpd3 && r.needsSpd3[name] {
-		_, off := r.offset(f.Name.End())
-		edits = append(edits, edit{off: off, end: off, text: "\n\nimport \"spd3\""})
+	if !hasSpd3 && r.needsSpd3[f] {
+		at := f.Name.End()
+		edits = append(edits, analysis.TextEdit{Pos: at, End: at, NewText: "\n\nimport \"spd3\""})
 	}
-	if syncSpec != nil && r.erasedSync[name] > 0 && r.erasedSync[name] >= r.syncUses(f) {
+	if syncSpec != nil && r.erasedSync[f] > 0 && r.erasedSync[f] >= r.syncUses(f) {
 		target := ast.Node(syncSpec)
 		if len(syncDecl.Specs) == 1 {
 			target = syncDecl
 		}
-		_, from := r.lineStart(target.Pos())
-		_, to := r.offset(target.End())
-		src := r.src[name]
+		tf := r.pkg.Fset.File(f.Pos())
+		src := r.pkg.Src[tf.Name()]
+		to := tf.Offset(target.End())
 		for to < len(src) && src[to] != '\n' {
 			to++
 		}
 		if to < len(src) {
 			to++ // take the newline too
 		}
-		edits = append(edits, edit{off: from, end: to, text: ""})
+		edits = append(edits, analysis.TextEdit{Pos: r.lineStart(target.Pos()), End: tf.Pos(to)})
 	}
 	return edits
 }
@@ -341,6 +279,3 @@ func (r *rewriter) syncUses(f *ast.File) int {
 	})
 	return n
 }
-
-// readFile reads a source file; a variable so tests can interpose.
-var readFile = os.ReadFile

@@ -102,7 +102,7 @@ func (p *plan) varUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.Node
 		if u, ok := parents[id].(*ast.UnaryExpr); ok && u.Op == token.AND {
 			return "address taken at " + p.r.at(id.Pos())
 		}
-		p.repl(id.Pos(), id.End(), "(*"+id.Name+".Unchecked())")
+		p.edit(id.Pos(), id.End(), "(*"+id.Name+".Unchecked())")
 		return ""
 	}
 	switch par := parents[id].(type) {
@@ -118,26 +118,26 @@ func (p *plan) varUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.Node
 		}
 		rhs := par.Rhs[0]
 		if par.Tok == token.ASSIGN {
-			p.repl(id.Pos(), rhs.Pos(), id.Name+".Set("+ctx+", ")
-			p.ins(rhs.End(), ")")
+			p.edit(id.Pos(), rhs.Pos(), id.Name+".Set("+ctx+", ")
+			p.edit(rhs.End(), rhs.End(), ")")
 			return ""
 		}
-		p.repl(id.Pos(), rhs.Pos(), id.Name+".Set("+ctx+", "+id.Name+".Get("+ctx+") "+opText(par.Tok)+" (")
-		p.ins(rhs.End(), "))")
+		p.edit(id.Pos(), rhs.Pos(), id.Name+".Set("+ctx+", "+id.Name+".Get("+ctx+") "+opText(par.Tok)+" (")
+		p.edit(rhs.End(), rhs.End(), "))")
 		return ""
 	case *ast.IncDecStmt:
 		op := "+"
 		if par.Tok == token.DEC {
 			op = "-"
 		}
-		p.repl(par.Pos(), par.End(), id.Name+".Set("+ctx+", "+id.Name+".Get("+ctx+")"+op+"1)")
+		p.edit(par.Pos(), par.End(), id.Name+".Set("+ctx+", "+id.Name+".Get("+ctx+")"+op+"1)")
 		return ""
 	case *ast.UnaryExpr:
 		if par.Op == token.AND {
 			return "address taken at " + p.r.at(id.Pos())
 		}
 	}
-	p.repl(id.Pos(), id.End(), id.Name+".Get("+ctx+")")
+	p.edit(id.Pos(), id.End(), id.Name+".Get("+ctx+")")
 	return ""
 }
 
@@ -151,7 +151,7 @@ func (p *plan) arrayUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.No
 	}
 	if mode == modeSeq {
 		// Driver code is sequential; the raw slice is safe everywhere.
-		p.repl(id.Pos(), id.End(), id.Name+".Unchecked()")
+		p.edit(id.Pos(), id.End(), id.Name+".Unchecked()")
 		return ""
 	}
 	switch par := par.(type) {
@@ -162,7 +162,7 @@ func (p *plan) arrayUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.No
 		return p.indexedUse(c, id, par, nil, parents, ctx, c.elem)
 	case *ast.CallExpr:
 		if isLenCall(par, id) {
-			p.repl(par.Pos(), par.End(), id.Name+".Len()")
+			p.edit(par.Pos(), par.End(), id.Name+".Len()")
 			return ""
 		}
 		return "passed as an argument at " + p.r.at(id.Pos())
@@ -185,9 +185,9 @@ func (p *plan) arrayUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.No
 func (p *plan) indexedUse(c *candidate, id *ast.Ident, p1 *ast.IndexExpr, p2 *ast.IndexExpr, parents map[ast.Node]ast.Node, ctx, elem string) string {
 	top := ast.Expr(p1)
 	idxArgs := func(method string) {
-		p.repl(id.Pos(), p1.Index.Pos(), id.Name+"."+method+"("+ctx+", ")
+		p.edit(id.Pos(), p1.Index.Pos(), id.Name+"."+method+"("+ctx+", ")
 		if p2 != nil {
-			p.repl(p1.Index.End(), p2.Index.Pos(), ", ")
+			p.edit(p1.Index.End(), p2.Index.Pos(), ", ")
 		}
 	}
 	lastIdx := p1.Index
@@ -206,16 +206,16 @@ func (p *plan) indexedUse(c *candidate, id *ast.Ident, p1 *ast.IndexExpr, p2 *as
 		rhs := g.Rhs[0]
 		if g.Tok == token.ASSIGN {
 			idxArgs("Set")
-			p.repl(lastIdx.End(), rhs.Pos(), ", ")
-			p.ins(rhs.End(), ")")
+			p.edit(lastIdx.End(), rhs.Pos(), ", ")
+			p.edit(rhs.End(), rhs.End(), ")")
 			return ""
 		}
 		if containsIdentNamed(rhs, "old") {
 			return "compound assignment at " + p.r.at(g.Pos()) + " uses the identifier \"old\""
 		}
 		idxArgs("Update")
-		p.repl(lastIdx.End(), rhs.Pos(), ", func(old "+elem+") "+elem+" { return old "+opText(g.Tok)+" (")
-		p.ins(rhs.End(), ") })")
+		p.edit(lastIdx.End(), rhs.Pos(), ", func(old "+elem+") "+elem+" { return old "+opText(g.Tok)+" (")
+		p.edit(rhs.End(), rhs.End(), ") })")
 		return ""
 	case *ast.IncDecStmt:
 		op := "+"
@@ -223,7 +223,7 @@ func (p *plan) indexedUse(c *candidate, id *ast.Ident, p1 *ast.IndexExpr, p2 *as
 			op = "-"
 		}
 		idxArgs("Update")
-		p.repl(lastIdx.End(), g.End(), ", func(old "+elem+") "+elem+" { return old "+op+" 1 })")
+		p.edit(lastIdx.End(), g.End(), ", func(old "+elem+") "+elem+" { return old "+op+" 1 })")
 		return ""
 	case *ast.UnaryExpr:
 		if g.Op == token.AND {
@@ -231,7 +231,7 @@ func (p *plan) indexedUse(c *candidate, id *ast.Ident, p1 *ast.IndexExpr, p2 *as
 		}
 	}
 	idxArgs("Get")
-	p.repl(lastIdx.End(), top.End(), ")")
+	p.edit(lastIdx.End(), top.End(), ")")
 	return ""
 }
 
@@ -243,13 +243,13 @@ func (p *plan) sliceRange(c *candidate, id *ast.Ident, rng *ast.RangeStmt, ctx s
 	}
 	if rng.Key == nil {
 		// for range x
-		p.repl(id.Pos(), id.End(), id.Name+".Len()")
+		p.edit(id.Pos(), id.End(), id.Name+".Len()")
 		return ""
 	}
 	if rng.Value == nil || isBlank(rng.Value) {
-		p.repl(id.Pos(), id.End(), id.Name+".Len()")
+		p.edit(id.Pos(), id.End(), id.Name+".Len()")
 		if rng.Value != nil {
-			p.repl(rng.Key.End(), rng.Value.End(), "")
+			p.edit(rng.Key.End(), rng.Value.End(), "")
 		}
 		return ""
 	}
@@ -267,11 +267,11 @@ func (p *plan) sliceRange(c *candidate, id *ast.Ident, rng *ast.RangeStmt, ctx s
 		if containsIdentNamed(rng, "ri") {
 			return "range at " + p.r.at(rng.Pos()) + " needs a fresh index name but \"ri\" is taken"
 		}
-		p.repl(keyID.Pos(), keyID.End(), keyName)
+		p.edit(keyID.Pos(), keyID.End(), keyName)
 	}
-	p.repl(rng.Key.End(), rng.Value.End(), "")
-	p.repl(id.Pos(), id.End(), id.Name+".Len()")
-	p.ins(rng.Body.Lbrace+1, "\n"+valID.Name+" := "+id.Name+".Get("+ctx+", "+keyName+")\n")
+	p.edit(rng.Key.End(), rng.Value.End(), "")
+	p.edit(id.Pos(), id.End(), id.Name+".Len()")
+	p.edit(rng.Body.Lbrace+1, rng.Body.Lbrace+1, "\n"+valID.Name+" := "+id.Name+".Get("+ctx+", "+keyName+")\n")
 	return ""
 }
 
@@ -294,7 +294,7 @@ func (p *plan) matrixUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.N
 			if call, isCall := parents[par].(*ast.CallExpr); isCall && isLenCall(call, par) {
 				switch par.Index.(type) {
 				case *ast.Ident, *ast.BasicLit:
-					p.repl(call.Pos(), call.End(), id.Name+".Cols()")
+					p.edit(call.Pos(), call.End(), id.Name+".Cols()")
 					return ""
 				}
 				return "len of a row with a complex index at " + p.r.at(par.Pos())
@@ -303,14 +303,14 @@ func (p *plan) matrixUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.N
 		}
 		if mode == modeSeq {
 			// x[i][j] -> x.UncheckedRow(i)[j]; works for reads and writes.
-			p.repl(id.Pos(), par.Index.Pos(), id.Name+".UncheckedRow(")
-			p.repl(par.Index.End(), p2.Index.Pos(), ")[")
+			p.edit(id.Pos(), par.Index.Pos(), id.Name+".UncheckedRow(")
+			p.edit(par.Index.End(), p2.Index.Pos(), ")[")
 			return ""
 		}
 		return p.indexedUse(c, id, par, p2, parents, ctx, c.elem)
 	case *ast.CallExpr:
 		if isLenCall(par, id) {
-			p.repl(par.Pos(), par.End(), id.Name+".Rows()")
+			p.edit(par.Pos(), par.End(), id.Name+".Rows()")
 			return ""
 		}
 		return "passed as an argument at " + p.r.at(id.Pos())
@@ -319,9 +319,9 @@ func (p *plan) matrixUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.N
 			if par.Tok == token.ASSIGN || (par.Value != nil && !isBlank(par.Value)) {
 				return "range over matrix rows at " + p.r.at(par.Pos())
 			}
-			p.repl(id.Pos(), id.End(), id.Name+".Rows()")
+			p.edit(id.Pos(), id.End(), id.Name+".Rows()")
 			if par.Value != nil {
-				p.repl(par.Key.End(), par.Value.End(), "")
+				p.edit(par.Key.End(), par.Value.End(), "")
 			}
 			return ""
 		}
@@ -353,8 +353,8 @@ func (p *plan) mapUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.Node
 		// v, ok := x[k]
 		if as, ok := g.(*ast.AssignStmt); ok && !lhsContains(as, par) &&
 			len(as.Rhs) == 1 && as.Rhs[0] == ast.Expr(par) && len(as.Lhs) == 2 {
-			p.repl(id.Pos(), par.Index.Pos(), id.Name+".Lookup("+ctx+", ")
-			p.repl(par.Index.End(), par.End(), ")")
+			p.edit(id.Pos(), par.Index.Pos(), id.Name+".Lookup("+ctx+", ")
+			p.edit(par.Index.End(), par.End(), ")")
 			return ""
 		}
 		switch g := g.(type) {
@@ -367,38 +367,38 @@ func (p *plan) mapUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.Node
 			}
 			rhs := g.Rhs[0]
 			if g.Tok == token.ASSIGN {
-				p.repl(id.Pos(), par.Index.Pos(), id.Name+".Set("+ctx+", ")
-				p.repl(par.Index.End(), rhs.Pos(), ", ")
-				p.ins(rhs.End(), ")")
+				p.edit(id.Pos(), par.Index.Pos(), id.Name+".Set("+ctx+", ")
+				p.edit(par.Index.End(), rhs.Pos(), ", ")
+				p.edit(rhs.End(), rhs.End(), ")")
 				return ""
 			}
 			if containsIdentNamed(rhs, "old") {
 				return "compound assignment at " + p.r.at(g.Pos()) + " uses the identifier \"old\""
 			}
-			p.repl(id.Pos(), par.Index.Pos(), id.Name+".Update("+ctx+", ")
-			p.repl(par.Index.End(), rhs.Pos(), ", func(old "+c.val+") "+c.val+" { return old "+opText(g.Tok)+" (")
-			p.ins(rhs.End(), ") })")
+			p.edit(id.Pos(), par.Index.Pos(), id.Name+".Update("+ctx+", ")
+			p.edit(par.Index.End(), rhs.Pos(), ", func(old "+c.val+") "+c.val+" { return old "+opText(g.Tok)+" (")
+			p.edit(rhs.End(), rhs.End(), ") })")
 			return ""
 		case *ast.IncDecStmt:
 			op := "+"
 			if g.Tok == token.DEC {
 				op = "-"
 			}
-			p.repl(id.Pos(), par.Index.Pos(), id.Name+".Update("+ctx+", ")
-			p.repl(par.Index.End(), g.End(), ", func(old "+c.val+") "+c.val+" { return old "+op+" 1 })")
+			p.edit(id.Pos(), par.Index.Pos(), id.Name+".Update("+ctx+", ")
+			p.edit(par.Index.End(), g.End(), ", func(old "+c.val+") "+c.val+" { return old "+op+" 1 })")
 			return ""
 		}
 		// Plain read.
-		p.repl(id.Pos(), par.Index.Pos(), id.Name+".Get("+ctx+", ")
-		p.repl(par.Index.End(), par.End(), ")")
+		p.edit(id.Pos(), par.Index.Pos(), id.Name+".Get("+ctx+", ")
+		p.edit(par.Index.End(), par.End(), ")")
 		return ""
 	case *ast.CallExpr:
 		if isLenCall(par, id) {
-			p.repl(par.Pos(), par.End(), id.Name+".Len("+ctx+")")
+			p.edit(par.Pos(), par.End(), id.Name+".Len("+ctx+")")
 			return ""
 		}
 		if fn, ok := par.Fun.(*ast.Ident); ok && fn.Name == "delete" && len(par.Args) == 2 && par.Args[0] == ast.Expr(id) {
-			p.repl(par.Pos(), par.Args[1].Pos(), id.Name+".Delete("+ctx+", ")
+			p.edit(par.Pos(), par.Args[1].Pos(), id.Name+".Delete("+ctx+", ")
 			return ""
 		}
 		return "passed as an argument at " + p.r.at(id.Pos())
@@ -431,7 +431,7 @@ func (p *plan) seqMapUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.N
 			return "map written in driver scope at " + p.r.at(id.Pos())
 		}
 	}
-	p.repl(id.Pos(), id.End(), id.Name+".Unchecked()")
+	p.edit(id.Pos(), id.End(), id.Name+".Unchecked()")
 	return ""
 }
 
@@ -450,6 +450,6 @@ func (p *plan) mutexUse(c *candidate, id *ast.Ident, parents map[ast.Node]ast.No
 	if mode != modeCtx {
 		return "mutex locked outside a task body at " + p.r.at(id.Pos())
 	}
-	p.ins(call.Rparen, ctx)
+	p.edit(call.Rparen, call.Rparen, ctx)
 	return ""
 }

@@ -42,11 +42,66 @@ func namedIn(t types.Type, pkgPath, name string) bool {
 // isCtx reports whether t is task.Ctx / *task.Ctx (a.k.a. spd3.Ctx).
 func isCtx(t types.Type) bool { return namedIn(t, taskPkgPath, "Ctx") }
 
-// isMemContainer reports whether t is (a pointer to) one of the
-// instrumented containers in internal/mem.
-func isMemContainer(t types.Type) bool {
-	for _, name := range [...]string{"Array", "Matrix", "Var", "List", "Map"} {
+// IsEngine reports whether t is (a pointer to) spd3.Engine.
+func IsEngine(t types.Type) bool { return namedIn(t, rootPkgPath, "Engine") }
+
+// ContainerKind returns the bare name of the instrumented container
+// type t ("Array", "Matrix", "Var", "List", "Map", "Mutex"), or ""
+// when t is not (a pointer to) one of them.
+func ContainerKind(t types.Type) string {
+	for _, name := range [...]string{"Array", "Matrix", "Var", "List", "Map", "Mutex"} {
 		if namedIn(t, memPkgPath, name) {
+			return name
+		}
+	}
+	return ""
+}
+
+// MentionsAPI reports whether t is built from a type of the spd3 API —
+// the root package, internal/mem or internal/task — directly or as an
+// element, key, field, parameter, result or type argument. Such values
+// already live in the instrumented world. Named types from elsewhere,
+// including this module's own, are opaque: only their type arguments
+// are looked into.
+func MentionsAPI(t types.Type) bool {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		if p := t.Obj().Pkg(); p != nil {
+			switch p.Path() {
+			case rootPkgPath, memPkgPath, taskPkgPath:
+				return true
+			}
+		}
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if MentionsAPI(t.TypeArgs().At(i)) {
+				return true
+			}
+		}
+	case *types.Pointer:
+		return MentionsAPI(t.Elem())
+	case *types.Slice:
+		return MentionsAPI(t.Elem())
+	case *types.Array:
+		return MentionsAPI(t.Elem())
+	case *types.Chan:
+		return MentionsAPI(t.Elem())
+	case *types.Map:
+		return MentionsAPI(t.Key()) || MentionsAPI(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if MentionsAPI(t.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Signature:
+		return tupleMentionsAPI(t.Params()) || tupleMentionsAPI(t.Results())
+	}
+	return false
+}
+
+func tupleMentionsAPI(t *types.Tuple) bool {
+	for i := 0; i < t.Len(); i++ {
+		if MentionsAPI(t.At(i).Type()) {
 			return true
 		}
 	}
@@ -61,10 +116,10 @@ var uncheckedMethods = map[string]bool{
 	"UncheckedAt":  true,
 }
 
-// recvType returns the type of a method call's receiver expression, or
+// RecvType returns the type of a method call's receiver expression, or
 // nil when the call is not a selector call or the receiver did not
 // type-check.
-func recvType(info *types.Info, call *ast.CallExpr) types.Type {
+func RecvType(info *types.Info, call *ast.CallExpr) types.Type {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil
@@ -84,24 +139,31 @@ func isUncheckedCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if !ok || !uncheckedMethods[sel.Sel.Name] {
 		return "", false
 	}
-	if !isMemContainer(recvType(info, call)) {
+	if ContainerKind(RecvType(info, call)) == "" {
 		return "", false
 	}
 	return sel.Sel.Name, true
 }
 
-// A taskClosure is a function literal that executes as a task body.
-type taskClosure struct {
-	lit *ast.FuncLit
-	// api is the spawning call ("Async", "ParallelFor", "Run", ...).
-	api string
-	// spawned is true when the literal runs as a *different* task than
+// A TaskClosure is a function literal that executes as a task body.
+type TaskClosure struct {
+	// Lit is the function literal that runs as a task body.
+	Lit *ast.FuncLit
+	// API is the spawning call ("Async", "ParallelFor", "Run", ...).
+	API string
+	// Spawned is true when the literal runs as a *different* task than
 	// the enclosing code (Async, FinishAsync, ParallelFor, Cilk.Spawn):
 	// free variables of such a closure are shared across tasks. It is
 	// false for bodies that run on the current task (Engine.Run,
 	// Runtime.Run, Ctx.Finish, RunCilk), which still execute under the
 	// detector and so matter to the rawconc analyzer.
-	spawned bool
+	Spawned bool
+}
+
+// Captures reports whether obj was declared outside the closure, i.e.
+// the closure refers to it as a captured free variable.
+func (tc TaskClosure) Captures(obj types.Object) bool {
+	return obj.Pos() < tc.Lit.Pos() || obj.Pos() > tc.Lit.End()
 }
 
 // closureArg describes where a task-body literal sits in an API call's
@@ -119,25 +181,19 @@ var ctxBodyArgs = map[string]closureArg{
 	"Finish":      {arg: 0, spawned: false},
 }
 
-// taskClosures finds every function literal in the pass that is passed
-// directly to a task-body API call site.
-func taskClosures(pass *Pass) []taskClosure {
-	return findTaskClosures(pass.Files, pass.Info)
-}
-
-// findTaskClosures is the file/info form of taskClosures, shared with
-// the exported TaskClosures surface the rewrite package builds on.
-func findTaskClosures(files []*ast.File, info *types.Info) []taskClosure {
-	var out []taskClosure
+// TaskClosures finds every function literal in pkg that is passed
+// directly to a task-body API call site, outer literals first.
+func TaskClosures(pkg *Package) []TaskClosure {
+	var out []TaskClosure
 	add := func(call *ast.CallExpr, ca closureArg, api string) {
 		if ca.arg >= len(call.Args) {
 			return
 		}
 		if lit, ok := call.Args[ca.arg].(*ast.FuncLit); ok {
-			out = append(out, taskClosure{lit: lit, api: api, spawned: ca.spawned})
+			out = append(out, TaskClosure{Lit: lit, API: api, Spawned: ca.spawned})
 		}
 	}
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -151,7 +207,7 @@ func findTaskClosures(files []*ast.File, info *types.Info) []taskClosure {
 			// Package-level RunCilk(c, body): body runs on the current
 			// task.
 			if name == "RunCilk" {
-				if obj, ok := info.Uses[sel.Sel]; ok {
+				if obj, ok := pkg.Info.Uses[sel.Sel]; ok {
 					if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil &&
 						(fn.Pkg().Path() == taskPkgPath || fn.Pkg().Path() == rootPkgPath) && fn.Type().(*types.Signature).Recv() == nil {
 						add(call, closureArg{arg: 1, spawned: false}, "RunCilk")
@@ -159,7 +215,7 @@ func findTaskClosures(files []*ast.File, info *types.Info) []taskClosure {
 					}
 				}
 			}
-			rt := recvType(info, call)
+			rt := RecvType(pkg.Info, call)
 			if rt == nil {
 				return true
 			}
@@ -170,7 +226,7 @@ func findTaskClosures(files []*ast.File, info *types.Info) []taskClosure {
 				}
 			case namedIn(rt, taskPkgPath, "Cilk") && name == "Spawn":
 				add(call, closureArg{arg: 0, spawned: true}, "Spawn")
-			case (namedIn(rt, rootPkgPath, "Engine") || namedIn(rt, taskPkgPath, "Runtime")) && name == "Run":
+			case (IsEngine(rt) || namedIn(rt, taskPkgPath, "Runtime")) && name == "Run":
 				add(call, closureArg{arg: 0, spawned: false}, "Run")
 			}
 			return true
@@ -178,58 +234,6 @@ func findTaskClosures(files []*ast.File, info *types.Info) []taskClosure {
 	}
 	return out
 }
-
-// TaskClosure is the exported form of a task-body function literal, for
-// tools built on this package (the spd3inst rewriter).
-type TaskClosure struct {
-	// Lit is the function literal that runs as a task body.
-	Lit *ast.FuncLit
-	// API is the spawning call ("Async", "ParallelFor", "Run", ...).
-	API string
-	// Spawned is true when the literal runs as a different task than
-	// the enclosing code, so its free variables are shared across
-	// tasks.
-	Spawned bool
-}
-
-// TaskClosures finds every function literal in pkg that is passed
-// directly to a task-body API call site.
-func TaskClosures(pkg *Package) []TaskClosure {
-	var out []TaskClosure
-	for _, tc := range findTaskClosures(pkg.Files, pkg.Info) {
-		out = append(out, TaskClosure{Lit: tc.lit, API: tc.api, Spawned: tc.spawned})
-	}
-	return out
-}
-
-// IsCtx reports whether t is (a pointer to) the task context type
-// (spd3.Ctx / task.Ctx).
-func IsCtx(t types.Type) bool { return isCtx(t) }
-
-// ContainerKind returns the bare name of the instrumented container
-// type t ("Array", "Matrix", "Var", "List", "Map", "Mutex"), or ""
-// when t is not (a pointer to) one of them.
-func ContainerKind(t types.Type) string {
-	for _, name := range [...]string{"Array", "Matrix", "Var", "List", "Map", "Mutex"} {
-		if namedIn(t, memPkgPath, name) {
-			return name
-		}
-	}
-	return ""
-}
-
-// RecvType returns the type of a method call's receiver expression, or
-// nil when the call is not a selector call or the receiver did not
-// type-check.
-func RecvType(info *types.Info, call *ast.CallExpr) types.Type {
-	return recvType(info, call)
-}
-
-// IsRuntime reports whether t is (a pointer to) task.Runtime.
-func IsRuntime(t types.Type) bool { return namedIn(t, taskPkgPath, "Runtime") }
-
-// IsEngine reports whether t is (a pointer to) spd3.Engine.
-func IsEngine(t types.Type) bool { return namedIn(t, rootPkgPath, "Engine") }
 
 // CtxParamName returns the name of ft's *Ctx parameter, or "" when the
 // function type has none (or it is blank). Tools use it to know which
@@ -250,15 +254,4 @@ func CtxParamName(info *types.Info, ft *ast.FuncType) string {
 		}
 	}
 	return ""
-}
-
-// within reports whether pos lies inside lit's body.
-func within(lit *ast.FuncLit, n ast.Node) bool {
-	return n.Pos() >= lit.Body.Pos() && n.End() <= lit.Body.End()
-}
-
-// declaredOutside reports whether obj was declared outside lit, i.e.
-// the closure refers to it as a captured free variable.
-func declaredOutside(lit *ast.FuncLit, obj types.Object) bool {
-	return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
 }

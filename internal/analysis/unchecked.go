@@ -79,44 +79,41 @@ func runUnchecked(pass *Pass) error {
 	// §5.5 elisions: the Unchecked call there is backed by a dominating
 	// checked access in the same step (see ElidedMarker), so it is not
 	// an instrumentation hole.
-	elided := make(map[string]map[int]bool)
+	elided := make(map[string]map[int]*ast.Comment)
 	for _, f := range pass.Files {
 		name := pass.Fset.Position(f.Pos()).Filename
-		elided[name] = elidedLines(pass.Fset, f)
+		elided[name] = CommentsByLine(pass.Fset, f, "//"+ElidedMarker)
 	}
 	isElided := func(pos token.Pos) bool {
 		p := pass.Fset.Position(pos)
-		return elided[p.Filename][p.Line]
+		return elided[p.Filename][p.Line] != nil
 	}
 
 	// Pass 2: inside every spawned closure, flag direct Unchecked*
 	// calls and captured tainted variables.
-	reported := make(map[token.Pos]bool)
-	for _, tc := range taskClosures(pass) {
-		if !tc.spawned {
+	for _, tc := range TaskClosures(pass.Package) {
+		if !tc.Spawned {
 			continue
 		}
 		seen := make(map[types.Object]bool)
-		ast.Inspect(tc.lit.Body, func(n ast.Node) bool {
+		ast.Inspect(tc.Lit.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if name, ok := isUncheckedCall(pass.Info, n); ok && !reported[n.Pos()] && !isElided(n.Pos()) {
-					reported[n.Pos()] = true
+				if name, ok := isUncheckedCall(pass.Info, n); ok && !isElided(n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"%s() inside a task spawned by %s bypasses instrumentation: the detector cannot see these accesses and its race-freedom certificate no longer covers them",
-						name, tc.api)
+						name, tc.API)
 				}
 			case *ast.Ident:
 				obj := pass.Info.Uses[n]
 				if obj == nil {
 					return true
 				}
-				if pos, ok := tainted[obj]; ok && declaredOutside(tc.lit, obj) && !seen[obj] && !reported[n.Pos()] {
+				if pos, ok := tainted[obj]; ok && tc.Captures(obj) && !seen[obj] {
 					seen[obj] = true
-					reported[n.Pos()] = true
 					pass.Reportf(n.Pos(),
 						"uninstrumented data %q (from the Unchecked call at %s) is captured by a task spawned by %s: accesses through it are invisible to the detector",
-						n.Name, pass.Fset.Position(pos), tc.api)
+						n.Name, pass.Fset.Position(pos), tc.API)
 				}
 			}
 			return true
