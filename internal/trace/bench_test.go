@@ -117,7 +117,7 @@ func drainSplitter(tb testing.TB, data []byte, cfg SplitConfig) int {
 var daemonSplit = SplitConfig{MinSegmentBytes: 256 << 10, MaxSegmentBytes: 32 << 20}
 
 // BenchmarkSplitter measures the cost of cutting a trace into segments
-// — pure decode + re-encode, no detector work — at a cut per finish
+// — scan and verbatim copy, no detector work — at a cut per finish
 // scope and at the daemon's 256 KiB segments.
 func BenchmarkSplitter(b *testing.B) {
 	for _, bc := range []struct {
@@ -137,5 +137,30 @@ func BenchmarkSplitter(b *testing.B) {
 				drainSplitter(b, data, bc.cfg)
 			}
 		})
+	}
+}
+
+// BenchmarkDecode times the decoder alone over the daemon-shaped trace
+// BenchmarkSplitter/256KiB cuts: the "decode" stage, no detector work.
+func BenchmarkDecode(b *testing.B) {
+	data := scopedTrace(b, 200)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec, err := newDecoder(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ev event
+		for {
+			err := dec.next(&ev)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -59,6 +59,14 @@ func TestTypedErrors(t *testing.T) {
 		fstart = int64(evFinishStart)
 		fend   = int64(evFinishEnd)
 	)
+	// readIndex replays main task 0, an 8-element region and one evRead
+	// whose index varint is the raw bytes idx.
+	readIndex := func(idx ...byte) error {
+		b := appendEvent(append([]byte(magic), 1), evMainTask, 0, 0)
+		b = appendDecl(b, 0, regionDecl{elems: 8, elemBytes: 8, name: "r"})
+		b = append(appendEvent(b, evRead, 0, 0), idx...)
+		return Replay(bytes.NewReader(b), mk())
+	}
 
 	cases := []struct {
 		name string
@@ -71,6 +79,10 @@ func TestTypedErrors(t *testing.T) {
 		{"missing executor byte", Replay(bytes.NewReader([]byte(magic)), mk()), ErrTruncated},
 		{"truncated mid-event", Replay(bytes.NewReader(seq[:len(seq)-1]), mk()), ErrTruncated},
 		{"garbage event kind", Replay(bytes.NewReader(append([]byte(magic), 1, 0xEE)), mk()), ErrMalformed},
+		{"minimal index varint", readIndex(0x02), nil},
+		{"truncated index varint", readIndex(0x80), ErrTruncated},
+		{"non-minimal index varint", readIndex(0x80, 0x00), ErrMalformed},
+		{"index varint overflowing 64 bits", readIndex(0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), ErrMalformed},
 		{"sequential-only on parallel trace", Replay(bytes.NewReader(par), espbags.New(detect.NewSink(false, 0))), ErrSequentialOnly},
 		// The nesting rules of the driver contract (package detect).
 		{"FinishEnd out of LIFO order", nest(e{fstart, 0, 1}, e{fstart, 0, 2}, e{fend, 0, 1}), ErrMalformed},

@@ -166,9 +166,10 @@ var formats = [256]format{
 // event is one decoded trace event. The decoder reuses one of these per
 // loop, so replay allocates nothing per event.
 type event struct {
-	kind byte
-	args [3]int64
-	name string // only for a named kind
+	kind    byte
+	args    [3]int64
+	nameLen int    // only for a named kind: the name's length, parsed by scan
+	name    string // only for a named kind: read after the event's span
 }
 
 // appendHeader encodes a trace header onto dst: the magic, then the
@@ -192,7 +193,7 @@ func appendEvent(dst []byte, kind byte, args ...int64) []byte {
 }
 
 // appendEv encodes ev onto dst, with its name when the kind is named: the
-// write-side twin of decoder.next.
+// write-side twin of scan and readName.
 func appendEv(dst []byte, ev *event) []byte {
 	f := &formats[ev.kind]
 	dst = appendEvent(dst, ev.kind, ev.args[:f.n]...)
@@ -235,18 +236,24 @@ func appendDecl(dst []byte, id int64, d regionDecl) []byte {
 }
 
 // decoder pulls events off a trace stream one at a time. It validates
-// framing (known kinds, complete varints, bounded names) but not
+// framing (known kinds, complete minimal varints, bounded names) but not
 // semantics — apply does the task/region bookkeeping.
 type decoder struct {
 	br         *bufio.Reader
 	sequential bool
 }
 
+// maxSpan bounds an event's span: the kind byte and at most four varints
+// (three arguments and a name's length prefix). scan decides every event
+// within this many bytes, so a window this large never ends undecided.
+const maxSpan = 1 + 4*binary.MaxVarintLen64
+
 // newDecoder consumes the header and returns a decoder positioned at the
-// first event.
+// first event. A caller's bufio.Reader is used as it stands when its
+// buffer holds a maximal span, and wrapped otherwise.
 func newDecoder(rd io.Reader) (*decoder, error) {
 	br, ok := rd.(*bufio.Reader)
-	if !ok {
+	if !ok || br.Size() < maxSpan {
 		br = bufio.NewReaderSize(rd, 64<<10)
 	}
 	sequential, err := PeekHeader(br)
@@ -289,53 +296,118 @@ func readErr(context string, err error) error {
 	return fmt.Errorf("trace: %w: %s: %v", ErrTruncated, context, err)
 }
 
-// next decodes one event into ev. It returns io.EOF at a clean end of
-// stream (between events) and a sentinel-wrapped error otherwise.
-func (d *decoder) next(ev *event) error {
-	kind, err := d.br.ReadByte()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return readErr("event kind", err)
+// errShort is scan's answer when p ends inside the event: read on.
+var errShort = errors.New("trace: event continues past the buffered bytes")
+
+// scan parses the event at the front of p into ev and returns the length
+// of its span: the kind byte, the varint arguments and, for a named kind,
+// the name's length prefix (the name itself follows the span). It is the
+// one parser of event arguments. A varint must be minimal — the encoding
+// appendEvent writes — so an event's bytes are exactly its re-encoding
+// and the splitter may copy them verbatim; a padded or overflowing varint
+// is ErrMalformed.
+func scan(p []byte, ev *event) (n int, err error) {
+	if len(p) == 0 {
+		return 0, errShort
 	}
-	f := formats[kind]
+	kind := p[0]
+	f := &formats[kind]
 	if f.n == 0 {
-		return fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, kind)
+		return 0, fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, kind)
 	}
-	ev.kind = kind
-	ev.name = ""
-	for i := uint8(0); i < f.n; i++ {
-		v, err := binary.ReadVarint(d.br)
-		if err != nil {
-			return readErr(fmt.Sprintf("event %d", kind), err)
+	ev.kind, n = kind, 1
+	for i := range f.n {
+		u, m := uvarint(p[n:])
+		if m <= 0 {
+			return 0, varintErr(kind, m)
 		}
-		ev.args[i] = v
+		ev.args[i] = int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
+		n += m
 	}
 	if f.named {
-		name, err := d.readName()
-		if err != nil {
-			return err
+		u, m := uvarint(p[n:])
+		if m <= 0 {
+			return 0, varintErr(kind, m)
 		}
-		ev.name = name
+		if u > maxNameLen {
+			return 0, fmt.Errorf("trace: %w: region name of %d bytes", ErrMalformed, u)
+		}
+		ev.nameLen = int(u)
+		n += m
+	}
+	return n, nil
+}
+
+// uvarint is binary.Uvarint, with a one-byte fast path, that also
+// refuses a non-minimal encoding: m > 0 is the varint's length, m == 0
+// means p ends inside it, m < 0 that it overflows or is padded.
+func uvarint(p []byte) (u uint64, m int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	u, m = binary.Uvarint(p)
+	if m > 1 && p[m-1] == 0 {
+		return 0, -m
+	}
+	return u, m
+}
+
+// varintErr is scan's error for a varint uvarint did not accept.
+func varintErr(kind byte, m int) error {
+	if m == 0 {
+		return errShort
+	}
+	return fmt.Errorf("trace: %w: event %d: overflowing or non-minimal varint", ErrMalformed, kind)
+}
+
+// peek parses the next event into ev without consuming it and returns
+// the buffered window it opens and the length of its span, reading on
+// while the window ends inside the span. It returns io.EOF at a clean end
+// of stream (between events) and a sentinel-wrapped error otherwise.
+func (d *decoder) peek(ev *event) (win []byte, n int, err error) {
+	win, _ = d.br.Peek(d.br.Buffered())
+	for {
+		n, err = scan(win, ev)
+		if err != errShort {
+			return win, n, err
+		}
+		if more, rerr := d.br.Peek(len(win) + 1); len(more) == len(win) {
+			switch {
+			case len(win) > 0:
+				return nil, 0, readErr(fmt.Sprintf("event %d", win[0]), rerr)
+			case errors.Is(rerr, io.EOF):
+				return nil, 0, io.EOF
+			default:
+				return nil, 0, readErr("event kind", rerr)
+			}
+		}
+		win, _ = d.br.Peek(d.br.Buffered())
+	}
+}
+
+// next decodes one event into ev and consumes it, name included.
+func (d *decoder) next(ev *event) error {
+	_, n, err := d.peek(ev)
+	if err != nil {
+		return err
+	}
+	d.br.Discard(n) //nolint:errcheck // peek buffered the span
+	ev.name = ""
+	if formats[ev.kind].named {
+		return d.readName(ev)
 	}
 	return nil
 }
 
-// readName reads a length-prefixed region name off the stream.
-func (d *decoder) readName() (string, error) {
-	n, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return "", readErr("region name length", err)
-	}
-	if n > maxNameLen {
-		return "", fmt.Errorf("trace: %w: region name of %d bytes", ErrMalformed, n)
-	}
-	name := make([]byte, n)
+// readName consumes the name that follows a named event's span into
+// ev.name.
+func (d *decoder) readName(ev *event) error {
+	name := make([]byte, ev.nameLen)
 	if _, err := io.ReadFull(d.br, name); err != nil {
-		return "", readErr("region name", err)
+		return readErr("region name", err)
 	}
-	return string(name), nil
+	ev.name = string(name)
+	return nil
 }
 
 type replayState struct {

@@ -80,7 +80,6 @@ type Splitter struct {
 	buf      []byte
 	hdr      int
 	prevLen  int
-	pending  *event
 	segments int
 	done     bool
 }
@@ -116,41 +115,69 @@ func (s *Splitter) Next() ([]byte, error) {
 	}
 	var ev event
 	for {
-		if s.pending != nil {
-			ev, s.pending = *s.pending, nil
-		} else {
-			if s.cfg.MaxSegmentBytes > 0 && len(s.buf)-s.hdr > s.cfg.MaxSegmentBytes {
-				return nil, ErrSegmentOversize
-			}
-			err := s.dec.next(&ev)
-			if errors.Is(err, io.EOF) {
-				s.done = true
-				if len(s.buf) == 0 {
-					return nil, io.EOF
-				}
-				return s.cut(), nil
-			}
-			if err != nil {
-				s.done = true
-				return nil, err
-			}
-			if ev.kind == evMainTask && s.haveMain && len(s.buf) > 0 {
-				// A second main task means a trace of several back-to-back
-				// runs; the gap between runs is itself a top-level boundary.
-				p := ev
-				s.pending = &p
-				return s.cut(), nil
-			}
+		if s.cfg.MaxSegmentBytes > 0 && len(s.buf)-s.hdr > s.cfg.MaxSegmentBytes {
+			return nil, ErrSegmentOversize
 		}
-		s.track(&ev)
+		win, n, err := s.dec.peek(&ev)
+		if errors.Is(err, io.EOF) {
+			s.done = true
+			if len(s.buf) == 0 {
+				return nil, io.EOF
+			}
+			return s.cut(), nil
+		}
+		if err != nil {
+			s.done = true
+			return nil, err
+		}
+		if ev.kind == evMainTask && s.haveMain && len(s.buf) > 0 {
+			// A second main task means a trace of several back-to-back
+			// runs; the gap between runs is itself a top-level boundary.
+			// The event stays unread: it opens the next, empty buffer.
+			return s.cut(), nil
+		}
 		if len(s.buf) == 0 {
 			s.begin(ev.kind == evMainTask)
 		}
-		s.buf = appendEv(s.buf, &ev)
+		if ev.kind == evRead || ev.kind == evWrite {
+			n = s.accessRun(win, n)
+		}
+		// Verbatim: scan's minimal varints make this a re-encode's bytes.
+		s.buf = append(s.buf, win[:n]...)
+		s.dec.br.Discard(n) //nolint:errcheck // peek buffered the span
+		if formats[ev.kind].named {
+			if err := s.dec.readName(&ev); err != nil {
+				s.done = true
+				return nil, err
+			}
+			s.buf = append(s.buf, ev.name...)
+		}
+		s.track(&ev)
 		if s.boundary(&ev) && len(s.buf)-s.hdr >= s.cfg.MinSegmentBytes {
 			return s.cut(), nil
 		}
 	}
+}
+
+// accessRun extends the span n of the access event opening win over the
+// access events that follow it in the window, which track ignores and no
+// boundary follows, so they are copied with one append. The run stops at
+// the event that takes the segment past MaxSegmentBytes — Next's check
+// then fires at the event boundary it would after one event at a time —
+// and before an event the window does not hold whole or that does not
+// parse (the next peek reads on or reports it).
+func (s *Splitter) accessRun(win []byte, n int) int {
+	room := s.cfg.MaxSegmentBytes - (len(s.buf) - s.hdr)
+	var ev event
+	for n < len(win) && (win[n] == evRead || win[n] == evWrite) &&
+		(s.cfg.MaxSegmentBytes <= 0 || n <= room) {
+		m, err := scan(win[n:], &ev)
+		if err != nil {
+			break
+		}
+		n += m
+	}
+	return n
 }
 
 // boundary reports whether, after ev, the stream sits at a top-level
@@ -259,9 +286,5 @@ func (s *Splitter) Unsplit() io.Reader {
 	seg := s.buf
 	s.buf = nil
 	s.done = true
-	if s.pending != nil {
-		seg = appendEv(seg, s.pending)
-		s.pending = nil
-	}
 	return io.MultiReader(bytes.NewReader(seg), s.dec.br)
 }

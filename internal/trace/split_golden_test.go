@@ -141,35 +141,7 @@ func TestSplitterSegmentsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&out, "-- %s min=%d max=%d unsplit-after=%d --\n", pin.trace, pin.cfg.MinSegmentBytes, pin.cfg.MaxSegmentBytes, pin.unsplitAfter)
-		sp, err := NewSplitter(bytes.NewReader(data), pin.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unsplit := func() {
-			rest, err := io.ReadAll(sp.Unsplit())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&out, "unsplit %d %x\n", len(rest), sha256.Sum256(rest))
-		}
-		for n := 0; ; n++ {
-			if n == pin.unsplitAfter {
-				unsplit()
-				break
-			}
-			seg, err := sp.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if errors.Is(err, ErrSegmentOversize) {
-				unsplit()
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&out, "segment %d %x\n", len(seg), sha256.Sum256(seg))
-		}
+		out.WriteString(splitDigest(t, bytes.NewReader(data), pin.cfg, pin.unsplitAfter))
 	}
 	golden := filepath.Join("testdata", "split.golden")
 	if *updateGolden {
@@ -185,4 +157,43 @@ func TestSplitterSegmentsPinned(t *testing.T) {
 	if out.String() != string(want) {
 		t.Errorf("segments differ from testdata/split.golden\ngot:\n%s\nwant:\n%s", out.String(), want)
 	}
+}
+
+// splitDigest splits rd under cfg, calling Unsplit once unsplitAfter
+// segments have been cut (negative: only on ErrSegmentOversize), and
+// returns one line per segment and per Unsplit stream: its length and
+// SHA-256.
+func splitDigest(t *testing.T, rd io.Reader, cfg SplitConfig, unsplitAfter int) string {
+	t.Helper()
+	var out strings.Builder
+	sp, err := NewSplitter(rd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsplit := func() {
+		rest, err := io.ReadAll(sp.Unsplit())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "unsplit %d %x\n", len(rest), sha256.Sum256(rest))
+	}
+	for n := 0; ; n++ {
+		if n == unsplitAfter {
+			unsplit()
+			break
+		}
+		seg, err := sp.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if errors.Is(err, ErrSegmentOversize) {
+			unsplit()
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "segment %d %x\n", len(seg), sha256.Sum256(seg))
+	}
+	return out.String()
 }

@@ -1,11 +1,16 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
@@ -73,6 +78,101 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 		}
 		if !reflect.DeepEqual(buffered.snap, streaming.snap) {
 			t.Fatalf("seed %d: stats snapshots diverge\nbuffered:  %v\nstreaming: %v", seed, buffered.snap, streaming.snap)
+		}
+	}
+}
+
+// chunking is one way a test delivers a trace's bytes.
+type chunking struct {
+	name string
+	wrap func([]byte) io.Reader
+}
+
+// chunkings delivers a trace whole, a byte per Read, half of each Read,
+// in 1- to 7-byte chunks, and through a caller's bufio.Reader too small
+// to hold an event's span, which the decoder must wrap rather than fail
+// on with bufio.ErrBufferFull.
+func chunkings() []chunking {
+	cs := []chunking{
+		{"bytes", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+		{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+		{"bufio16", func(b []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 16) }},
+	}
+	for n := 1; n <= 7; n++ {
+		cs = append(cs, chunking{fmt.Sprintf("chunk%d", n), func(b []byte) io.Reader { return &chunkReader{r: bytes.NewReader(b), n: n} }})
+	}
+	return cs
+}
+
+// wideTrace records two top-level finishes, each spawning a task whose
+// write the main task races with, with ids so large that a spawn's span
+// (24 bytes) outgrows a 16-byte bufio.Reader.
+func wideTrace(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	mt, implicit := &detect.Task{ID: 1 << 40}, &detect.Finish{ID: 1 << 60}
+	mt.IEF = implicit
+	rec.MainTask(mt, implicit)
+	sh := rec.NewShadow(detect.Spec("wide", 1<<20, 8))
+	for k := int64(0); k < 2; k++ {
+		f := &detect.Finish{ID: 1<<61 + k}
+		rec.FinishStart(mt, f)
+		child := &detect.Task{ID: 1<<50 + detect.TaskID(k), IEF: f}
+		rec.BeforeSpawn(mt, child)
+		sh.Write(child, 1<<19)
+		sh.Read(mt, 1<<19) // races with the child's write
+		rec.TaskEnd(child)
+		rec.FinishEnd(mt, f)
+	}
+	rec.FinishEnd(mt, implicit)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResultIndependentOfChunking: how a trace's bytes arrive changes
+// neither a segment's bytes nor a verdict. The decoder parses events out
+// of its buffered window and the splitter copies spans out of it, so a
+// window that ends inside an event must read on, not misparse or cut.
+// Every committed split trace under each of its pinned configurations,
+// and progen recordings and wideTrace cut at every boundary, split and
+// replay under every chunking exactly as they do from a bytes.Reader.
+func TestResultIndependentOfChunking(t *testing.T) {
+	type input struct {
+		name         string
+		data         []byte
+		cfg          SplitConfig
+		unsplitAfter int
+	}
+	var inputs []input
+	for _, pin := range splitPins {
+		data, err := os.ReadFile(filepath.Join("testdata", "split", pin.trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{pin.trace, data, pin.cfg, pin.unsplitAfter})
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		data := record(t, progen.Generate(seed, progen.Config{Locks: 1}), task.Sequential, 1)
+		inputs = append(inputs, input{fmt.Sprintf("progen seed %d", seed), data, SplitConfig{MinSegmentBytes: 1}, -1})
+	}
+	inputs = append(inputs, input{"wide ids", wideTrace(t), SplitConfig{MinSegmentBytes: 1}, -1})
+	for _, in := range inputs {
+		wantSegs := splitDigest(t, bytes.NewReader(in.data), in.cfg, in.unsplitAfter)
+		want := analyzeReader(bytes.NewReader(in.data))
+		if want.err != nil {
+			t.Fatalf("%s: %v", in.name, want.err)
+		}
+		for _, c := range chunkings() {
+			if got := splitDigest(t, c.wrap(in.data), in.cfg, in.unsplitAfter); got != wantSegs {
+				t.Errorf("%s, %s: segments differ\ngot:\n%s\nwant:\n%s", in.name, c.name, got, wantSegs)
+			}
+			if got := analyzeReader(c.wrap(in.data)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: replay differs\ngot:  %+v\nwant: %+v", in.name, c.name, got, want)
+			}
 		}
 	}
 }
@@ -333,7 +433,7 @@ func TestSplitterSingleSegment(t *testing.T) {
 }
 
 // TestSplitterAllocsPerSegment: a segment is assembled once, in the
-// buffer its events were re-encoded into, which was sized by the segment
+// buffer its events were copied into verbatim, which was sized by the segment
 // before it — so at the daemon's 256 KiB setting a further segment costs
 // at most two allocations (the buffer, and one growth when it outruns
 // its predecessor), where copying the events behind a separately built

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
@@ -90,5 +91,88 @@ func TestCancelReaderPreCanceled(t *testing.T) {
 	cr := NewCancelReader(strings.NewReader("data"), cancel)
 	if _, err := cr.Read(make([]byte, 4)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// cancelAt closes cancel the moment n bytes have been read through it.
+type cancelAt struct {
+	r      io.Reader
+	n      int
+	cancel chan struct{}
+}
+
+func (c *cancelAt) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	m, err := c.r.Read(p)
+	if c.n -= m; c.n == 0 && m > 0 {
+		close(c.cancel)
+	}
+	return m, err
+}
+
+// TestStopMidEventKeepsItsCause: a limit or a cancellation that stops
+// the input one byte into an access event's index varint reaches the
+// caller as ErrLimit or ErrCanceled, from Replay and from the splitter
+// alike — never as ErrTruncated, although the decoder's window ends
+// inside an event.
+func TestStopMidEventKeepsItsCause(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	mt, fin := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
+	mt.IEF = fin
+	rec.MainTask(mt, fin)
+	sh := rec.NewShadow(detect.Spec("r", 4096, 8))
+	for i := 0; i < 100; i++ {
+		sh.Read(mt, 3000) // a two-byte index varint
+	}
+	rec.TaskEnd(mt)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The trace ends with the last read's index varint, then TaskEnd's two
+	// bytes: cut after the varint's first byte.
+	cut := len(data) - 3
+	if data[cut-1] < 0x80 || data[cut-4] != evRead {
+		t.Fatalf("byte %d does not continue the last read's index varint", cut-1)
+	}
+
+	split := func(rd io.Reader) error {
+		sp, err := NewSplitter(rd, SplitConfig{MinSegmentBytes: 1})
+		if err != nil {
+			return err
+		}
+		for {
+			if _, err := sp.Next(); err != nil {
+				return err
+			}
+		}
+	}
+	for _, inner := range []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"one-byte", iotest.OneByteReader},
+	} {
+		for _, path := range []struct {
+			name string
+			run  func(io.Reader) error
+		}{
+			{"replay", func(rd io.Reader) error { return Replay(rd, core.New(detect.NewSink(false, 0), nil)) }},
+			{"split", split},
+		} {
+			err := path.run(NewLimitedReader(inner.wrap(bytes.NewReader(data)), int64(cut)))
+			if !errors.Is(err, ErrLimit) || errors.Is(err, ErrTruncated) {
+				t.Errorf("%s, %s, limited: err = %v, want ErrLimit only", inner.name, path.name, err)
+			}
+			cancel := make(chan struct{})
+			err = path.run(NewCancelReader(&cancelAt{r: inner.wrap(bytes.NewReader(data)), n: cut, cancel: cancel}, cancel))
+			if !errors.Is(err, ErrCanceled) || errors.Is(err, ErrTruncated) {
+				t.Errorf("%s, %s, canceled: err = %v, want ErrCanceled only", inner.name, path.name, err)
+			}
+		}
 	}
 }
