@@ -1,8 +1,8 @@
 // Package client is the typed Go client for a running spd3d daemon —
 // the public successor to the helpers that used to live in
-// internal/server. It speaks both API generations: the synchronous
-// /v1/analyze call, and the /v2 async job API (SubmitJob → WaitJob →
-// Result, with StreamEvents for live race findings over SSE).
+// internal/server. It speaks the /v2 job API (SubmitJob → WaitJob →
+// Result → DeleteJob, with StreamEvents for live race findings over
+// SSE); Analyze runs that sequence as one call.
 //
 // The package is the one definition of the daemon's JSON contract:
 // spd3d (internal/server) marshals the wire types declared here, and
@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,7 +40,7 @@ type Client struct {
 	// request, scoping jobs and quotas to that tenant.
 	Tenant string
 	// Sample, when set, is sent as the sample= query parameter on
-	// Analyze and SubmitJob: a sampling spec like "bernoulli:0.01" or
+	// SubmitJob (and so on Analyze): a sampling spec like "bernoulli:0.01" or
 	// "burst:0.02" overriding the daemon's per-tenant sampling config
 	// for this client's submissions ("off" forces every check to run).
 	Sample string
@@ -138,8 +139,7 @@ type Verdict struct {
 	Stats      *StatsSnapshot `json:"stats,omitempty"`
 }
 
-// Report is the merged analysis envelope: the /v1/analyze response and
-// the /v2 job result.
+// Report is the merged analysis envelope: the /v2 job result.
 type Report struct {
 	Tool       string    `json:"tool"`
 	Version    string    `json:"version"`
@@ -157,13 +157,13 @@ type Report struct {
 	Agree *bool `json:"agree,omitempty"`
 }
 
-// Detector describes one registry entry from /v1/detectors.
+// Detector describes one registry entry from /v2/detectors.
 type Detector struct {
 	Name       string `json:"name"`
 	Sequential bool   `json:"sequential"`
 }
 
-// DetectorList is the /v1/detectors response.
+// DetectorList is the /v2/detectors response.
 type DetectorList struct {
 	Tool      string     `json:"tool"`
 	Version   string     `json:"version"`
@@ -342,46 +342,11 @@ func (c *Client) do(req *http.Request, want int, out any) error {
 	return nil
 }
 
-// submitURL builds a submission URL (Analyze or SubmitJob) carrying
-// the optional detector and sampling-override query parameters.
-func (c *Client) submitURL(path, detector string) string {
-	q := url.Values{}
-	if detector != "" {
-		q.Set("detector", detector)
-	}
-	if c.Sample != "" {
-		q.Set("sample", c.Sample)
-	}
-	u := c.BaseURL + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	return u
-}
-
-// ---- /v1 + shared endpoints ----
-
-// Analyze POSTs a recorded trace to the synchronous /v1/analyze
-// endpoint and returns the race report. detector is a registry name,
-// or "all" for differential mode; "" selects the daemon default
-// (spd3). For large traces prefer SubmitJob, which does not hold the
-// connection for the whole replay.
-func (c *Client) Analyze(ctx context.Context, detector string, tr io.Reader) (*Report, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.submitURL("/v1/analyze", detector), tr)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	var rep Report
-	if err := c.do(req, http.StatusOK, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
+// ---- shared endpoints ----
 
 // Detectors returns the daemon's registry listing.
 func (c *Client) Detectors(ctx context.Context) ([]Detector, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/detectors", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v2/detectors", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -416,11 +381,51 @@ func (c *Client) Stats(ctx context.Context) (*Statsz, error) {
 
 // ---- /v2 job API ----
 
+// Analyze is the one-call form of the job API: SubmitJob, WaitJob,
+// Result, then DeleteJob, so the job holds the tenant's quota only for
+// the call. detector is a registry name, or "all" for differential mode;
+// "" selects the daemon default (spd3). A job that failed or was
+// canceled surfaces as *APIError with the daemon's recorded status. If
+// ctx ends after the submit, the DELETE cancels the still-live job and
+// Analyze returns ctx's error.
+func (c *Client) Analyze(ctx context.Context, detector string, tr io.Reader) (*Report, error) {
+	st, err := c.SubmitJob(ctx, detector, tr)
+	if err != nil {
+		return nil, err
+	}
+	var rep *Report
+	if _, err = c.WaitJob(ctx, st.ID); err == nil {
+		rep, err = c.Result(ctx, st.ID)
+	}
+	// One best-effort DELETE either way, on a context of its own: ctx
+	// may be the reason the wait ended.
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+	defer cancel()
+	c.DeleteJob(dctx, st.ID) //nolint:errcheck // a live job answers 202, not DeleteJob's 204
+	if err != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return rep, err
+}
+
 // SubmitJob streams a recorded trace to POST /v2/jobs and returns the
 // accepted job's status (state "queued"). The upload is the only
 // synchronous part; pair with WaitJob/Result to collect the analysis.
+// detector is a registry name, "all", or "" for the daemon default;
+// Sample rides along as sample=.
 func (c *Client) SubmitJob(ctx context.Context, detector string, tr io.Reader) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.submitURL("/v2/jobs", detector), tr)
+	q := url.Values{}
+	if detector != "" {
+		q.Set("detector", detector)
+	}
+	if c.Sample != "" {
+		q.Set("sample", c.Sample)
+	}
+	u := c.BaseURL + "/v2/jobs"
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -509,10 +514,12 @@ func (c *Client) DeleteJob(ctx context.Context, id string) error {
 // StreamEvents subscribes to a job's SSE stream and delivers each
 // event to fn: races as they are found, state transitions, and a final
 // "done" event after which the stream ends and StreamEvents returns
-// nil. fn returning false detaches early. The call blocks until the
-// stream ends, fn detaches, or ctx is canceled; it uses a transport
-// without the client's overall timeout, since a healthy stream can
-// legitimately outlive it.
+// nil. fn returning false detaches early, also with nil. The call
+// blocks until then or until ctx ends (ctx's error); a stream the
+// daemon cut before its done frame — a write timeout, a shutdown — is
+// an error wrapping io.ErrUnexpectedEOF. It uses a transport without the
+// client's overall timeout, since a healthy stream can legitimately
+// outlive it.
 func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v2/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -556,8 +563,9 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) boo
 			ev = Event{}
 		}
 	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
-	return nil
+	cut := fmt.Errorf("spd3d: event stream of job %s ended before its done frame: %w", id, io.ErrUnexpectedEOF)
+	return errors.Join(cut, sc.Err())
 }

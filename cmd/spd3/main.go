@@ -17,10 +17,12 @@
 //	spd3 -replay sor.trc -detector fasttrack
 //
 // Recorded traces are also the unit of work of the spd3d analysis
-// service: POST one to a running daemon instead of replaying locally
-// (see cmd/spd3d, and cmd/spd3load for service-level benchmarks):
+// service: submit one to a running daemon instead of replaying locally,
+// then fetch the job's result (see cmd/spd3d, and cmd/spd3load for
+// service-level benchmarks):
 //
-//	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v1/analyze?detector=all'
+//	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v2/jobs?detector=all'
+//	curl -fsS http://127.0.0.1:7331/v2/jobs/<job_id>/result
 //
 // Detectors come from the detect registry (see -detector's usage string
 // for the current list).

@@ -5,17 +5,16 @@
 // Usage:
 //
 //	spd3d -addr :7331
-//	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v1/analyze?detector=spd3'
-//	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v1/analyze?detector=all'
-//	curl -fsS http://127.0.0.1:7331/v1/detectors
-//	curl -fsS http://127.0.0.1:7331/statsz
-//
-// The async /v2 job API spills uploads into a content-addressed trace
-// store and replays them in the background:
-//
 //	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v2/jobs?detector=all'
 //	curl -fsS http://127.0.0.1:7331/v2/jobs/<job_id>
 //	curl -fsS http://127.0.0.1:7331/v2/jobs/<job_id>/result
+//	curl -fsS -X DELETE http://127.0.0.1:7331/v2/jobs/<job_id>
+//	curl -fsS http://127.0.0.1:7331/v2/detectors
+//	curl -fsS http://127.0.0.1:7331/statsz
+//
+// A submit answers 202 once the upload is stored in a content-addressed
+// trace store; the job replays meanwhile, and /result answers 202 until
+// it is terminal. spd3/client's Analyze is the one-call form.
 //
 // -store names the store directory (empty = a throwaway temp dir);
 // pointing a restarted daemon at the same -store resumes interrupted
@@ -33,8 +32,7 @@
 // Every submit is admitted before its body is read: 503 while draining,
 // 429 + Retry-After when the tenant's queue (-tenant-queue) or another
 // quota is exhausted. The daemon caps upload size (-max-body-mb, 413),
-// enforces a per-request deadline on /v1/analyze that cancels the
-// running replay (-timeout, 504), and drains admitted work before
+// cancels a live job's replay on DELETE, and drains admitted work before
 // exiting on SIGINT/SIGTERM (-drain). Use cmd/spd3load to measure its
 // service-level throughput and latency.
 package main
@@ -64,7 +62,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":7331", "listen address")
 		maxBodyMB    = flag.Int64("max-body-mb", 64, "trace upload cap in MiB; larger uploads get 413")
-		timeout      = flag.Duration("timeout", 60*time.Second, "/v1/analyze per-request deadline (cancels the replay); negative disables")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "HTTP write timeout")
 		drainWait    = flag.Duration("drain", 30*time.Second, "max wait for in-flight analyses on shutdown")
@@ -114,7 +111,6 @@ func main() {
 	}
 	srv, err := server.Open(server.Config{
 		MaxBodyBytes:      *maxBodyMB << 20,
-		RequestTimeout:    *timeout,
 		MaxRacesPerReport: *races,
 		ShardWorkers:      *shardWorkers,
 		MinSegmentBytes:   *segMinKB << 10,

@@ -1,8 +1,9 @@
 // Command spd3load measures the service-level performance of a running
 // spd3d daemon: it records one benchmark trace in-process (record once —
 // SPD3's Theorem 1 makes that single trace certify all schedules of the
-// input), then hammers the daemon's analyze endpoint with N concurrent
-// connections and prints throughput and latency percentiles.
+// input), then drives N concurrent one-call analyses (client.Analyze:
+// submit, wait, result, delete over /v2) and prints throughput and
+// latency percentiles.
 //
 // Usage:
 //
@@ -10,7 +11,7 @@
 //	spd3load -addr http://127.0.0.1:7331 -bench SOR -size 0.2 -c 8 -n 200
 //	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -detector all -d 10s
 //	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -scale 64 -c 2 -n 8
-//	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -async -tenant ci -digest
+//	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -tenant ci -digest
 //
 // -scale N streams an N×-amplified trace per request without ever
 // materializing it client-side (trace.Amplifier synthesizes the bytes on
@@ -19,13 +20,10 @@
 // heap, peak RSS, and how many bytes and finish-scope segments it
 // streamed through the sharded analyze path.
 //
-// -async drives the /v2 job API instead of the synchronous /v1 endpoint:
-// each request submits a job, polls it to a terminal state, and fetches
-// the result envelope, so the measured latency covers the full
-// submit→done lifecycle. -tenant scopes the jobs (and the daemon's
-// quotas) to a named tenant. -digest prints a stable SHA-256 over the
-// run's deduplicated race set, which is how CI compares the v1 and v2
-// paths on the same trace: same digest, same races.
+// Each measured latency covers the whole job lifecycle, submit to
+// result. -tenant scopes the jobs (and the daemon's quotas) to a named
+// tenant. -digest prints a stable SHA-256 over the run's deduplicated
+// race set: same digest, same races.
 //
 // Rejections from the daemon's admission control (429 saturated / 503
 // draining) are counted separately from hard failures: saturating the
@@ -67,9 +65,8 @@ func main() {
 		conc     = flag.Int("c", 8, "concurrent connections")
 		total    = flag.Int("n", 100, "total requests (ignored when -d is set)")
 		duration = flag.Duration("d", 0, "run for this long instead of a fixed request count")
-		async    = flag.Bool("async", false, "drive the /v2 job API (submit, poll to done, fetch result) instead of /v1/analyze")
 		tenant   = flag.String("tenant", "", "X-SPD3-Tenant header: scope jobs and quotas to this tenant")
-		digest   = flag.Bool("digest", false, "print a SHA-256 over the run's deduplicated race set (CI differential oracle)")
+		digest   = flag.Bool("digest", false, "print a SHA-256 over the run's deduplicated race set (equal digests, equal races)")
 		sampleSp = flag.String("sample", "", "per-request sampling spec override sent as sample= (e.g. bernoulli:0.01, burst:0.02, off)")
 	)
 	flag.Parse()
@@ -111,7 +108,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	res := run(ctx, cl, *detector, data, *scale, *conc, *total, *duration, *async)
+	res := run(ctx, cl, *detector, data, *scale, *conc, *total, *duration)
 	fmt.Print(res.summary(*detector, wireBytes))
 	if *digest {
 		fmt.Printf("digest    : %s\n", res.raceDigest())
@@ -245,8 +242,8 @@ func (r *result) recordReport(rep *client.Report) {
 }
 
 // raceDigest returns a SHA-256 over the sorted, deduplicated race set —
-// stable across request ordering and across the v1/v2 paths, so CI can
-// diff the two APIs on the same trace by comparing digests.
+// stable across request ordering, so two runs on the same trace can be
+// compared by their digests.
 func (r *result) raceDigest() string {
 	keys := make([]string, 0, len(r.races))
 	for k := range r.races {
@@ -260,38 +257,10 @@ func (r *result) raceDigest() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// analyzeOnce issues one request through the selected API generation and
-// returns the report. The async path is submit → poll → result, so its
-// latency covers the whole job lifecycle.
-func analyzeOnce(ctx context.Context, cl *client.Client, detector string, body io.Reader, async bool) (*client.Report, error) {
-	if !async {
-		return cl.Analyze(ctx, detector, body)
-	}
-	st, err := cl.SubmitJob(ctx, detector, body)
-	if err != nil {
-		return nil, err
-	}
-	fin, err := cl.WaitJob(ctx, st.ID)
-	if err != nil {
-		return nil, err
-	}
-	if fin.State != client.StateDone {
-		return nil, fmt.Errorf("job %s ended %s: %s", fin.ID, fin.State, fin.Error)
-	}
-	rep, err := cl.Result(ctx, st.ID)
-	if err != nil {
-		return nil, err
-	}
-	// Finished jobs are kept for polling until TTL; a load run has no
-	// further use for them, so free the tenant's quota eagerly.
-	cl.DeleteJob(ctx, st.ID) //nolint:errcheck // best-effort cleanup
-	return rep, nil
-}
-
 // run hammers the daemon with conc connections until total requests have
 // been issued (or d has elapsed, when d > 0). When scale > 1 each
 // request streams a fresh scale×-amplified trace straight onto the wire.
-func run(ctx context.Context, cl *client.Client, detector string, data []byte, scale, conc, total int, d time.Duration, async bool) *result {
+func run(ctx context.Context, cl *client.Client, detector string, data []byte, scale, conc, total int, d time.Duration) *result {
 	var (
 		issued   atomic.Int64
 		deadline time.Time
@@ -332,7 +301,7 @@ func run(ctx context.Context, cl *client.Client, detector string, data []byte, s
 					body = amp
 				}
 				t0 := time.Now()
-				rep, err := analyzeOnce(ctx, cl, detector, body, async)
+				rep, err := cl.Analyze(ctx, detector, body)
 				lat := time.Since(t0)
 				switch {
 				case err == nil:

@@ -29,55 +29,9 @@ func TestPercentile(t *testing.T) {
 }
 
 // TestLoadAgainstDaemon drives the real load loop against an in-process
-// daemon: record once, analyze n times, verdicts and counts must add up.
+// daemon: record once, analyze n times, verdicts and counts must add up,
+// the race digest is the same run after run, and every job is deleted.
 func TestLoadAgainstDaemon(t *testing.T) {
-	data, err := recordTrace("", "RacyMonteCarlo", 0.2, false, false, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := server.Open(server.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	cl := client.New(ts.URL)
-	res := run(context.Background(), cl, "spd3", data, 1, 4, 20, 0, false)
-	if res.ok != 20 || res.rejected != 0 || res.failed != 0 {
-		t.Fatalf("ok/rejected/failed = %d/%d/%d (first err %v), want 20/0/0",
-			res.ok, res.rejected, res.failed, res.firstErr)
-	}
-	if !res.racy {
-		t.Fatal("RacyMonteCarlo analyzed race-free")
-	}
-	if len(res.latencies) != 20 || percentile(res.latencies, 1) <= 0 {
-		t.Fatalf("latencies = %d samples, max %v", len(res.latencies), percentile(res.latencies, 1))
-	}
-
-	// -scale streams an amplified trace per request; the verdict must
-	// survive amplification and the daemon must report the larger body.
-	res = run(context.Background(), cl, "spd3", data, 4, 2, 4, 0, false)
-	if res.ok != 4 || res.failed != 0 {
-		t.Fatalf("scaled ok/failed = %d/%d (first err %v), want 4/0", res.ok, res.failed, res.firstErr)
-	}
-	if !res.racy {
-		t.Fatal("amplified RacyMonteCarlo analyzed race-free")
-	}
-	st, err := cl.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed := st.Stats.Get("srv.streamed_bytes"); streamed < int64(len(data))*4*4 {
-		t.Fatalf("srv.streamed_bytes = %d, want at least %d (4 requests × 4 copies)", streamed, len(data)*16)
-	}
-}
-
-// TestLoadAsyncDifferential runs the same trace through /v1 and the
-// async /v2 path and pins the digest oracle CI relies on: identical
-// race sets, identical digests, racy verdict on both.
-func TestLoadAsyncDifferential(t *testing.T) {
 	data, err := recordTrace("", "RacyMonteCarlo", 0.2, false, false, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -93,30 +47,40 @@ func TestLoadAsyncDifferential(t *testing.T) {
 	cl := client.New(ts.URL)
 	cl.Tenant = "loadtest"
 	ctx := context.Background()
+	res := run(ctx, cl, "spd3", data, 1, 4, 20, 0)
+	if res.ok != 20 || res.rejected != 0 || res.failed != 0 {
+		t.Fatalf("ok/rejected/failed = %d/%d/%d (first err %v), want 20/0/0",
+			res.ok, res.rejected, res.failed, res.firstErr)
+	}
+	if !res.racy {
+		t.Fatal("RacyMonteCarlo analyzed race-free")
+	}
+	if len(res.latencies) != 20 || percentile(res.latencies, 1) <= 0 {
+		t.Fatalf("latencies = %d samples, max %v", len(res.latencies), percentile(res.latencies, 1))
+	}
+	again := run(ctx, cl, "spd3", data, 1, 2, 4, 0)
+	if len(res.races) == 0 || again.raceDigest() != res.raceDigest() {
+		t.Fatalf("race digests differ: %s (%d races) vs %s (%d races)",
+			res.raceDigest(), len(res.races), again.raceDigest(), len(again.races))
+	}
 
-	v1 := run(ctx, cl, "spd3", data, 1, 2, 4, 0, false)
-	if v1.ok != 4 || v1.failed != 0 {
-		t.Fatalf("v1 ok/failed = %d/%d (first err %v), want 4/0", v1.ok, v1.failed, v1.firstErr)
+	// -scale streams an amplified trace per request; the verdict must
+	// survive amplification and the daemon must report the larger body.
+	res = run(ctx, cl, "spd3", data, 4, 2, 4, 0)
+	if res.ok != 4 || res.failed != 0 {
+		t.Fatalf("scaled ok/failed = %d/%d (first err %v), want 4/0", res.ok, res.failed, res.firstErr)
 	}
-	v2 := run(ctx, cl, "spd3", data, 1, 2, 4, 0, true)
-	if v2.ok != 4 || v2.failed != 0 {
-		t.Fatalf("v2 ok/failed = %d/%d (first err %v), want 4/0", v2.ok, v2.failed, v2.firstErr)
+	if !res.racy {
+		t.Fatal("amplified RacyMonteCarlo analyzed race-free")
 	}
-	if !v1.racy || !v2.racy {
-		t.Fatalf("racy: v1=%v v2=%v, want both true", v1.racy, v2.racy)
-	}
-	if len(v1.races) == 0 || v1.raceDigest() != v2.raceDigest() {
-		t.Fatalf("race digests differ: v1 %s (%d races) vs v2 %s (%d races)",
-			v1.raceDigest(), len(v1.races), v2.raceDigest(), len(v2.races))
-	}
-
-	// The async runs deleted their jobs; the daemon should report none
-	// left over for this run (finished v1 shim jobs are ephemeral too).
 	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.JobsQueued != 0 || st.JobsRunning != 0 {
-		t.Fatalf("leftover jobs: queued %d running %d", st.JobsQueued, st.JobsRunning)
+	if streamed := st.Stats.Get("srv.streamed_bytes"); streamed < int64(len(data))*4*4 {
+		t.Fatalf("srv.streamed_bytes = %d, want at least %d (4 requests × 4 copies)", streamed, len(data)*16)
+	}
+	if st.JobsTotal != 0 {
+		t.Fatalf("%d jobs left on the daemon after the runs", st.JobsTotal)
 	}
 }

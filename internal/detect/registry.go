@@ -123,7 +123,7 @@ func Sequential(name string) bool {
 }
 
 // Description describes one registered detector for listing surfaces
-// (cmd tools, the spd3d daemon's /v1/detectors endpoint).
+// (cmd tools, the spd3d daemon's /v2/detectors endpoint).
 type Description struct {
 	// Name is the registry name the detector is constructible under.
 	Name string `json:"name"`

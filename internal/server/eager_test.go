@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"reflect"
@@ -45,10 +46,11 @@ type httpResult struct {
 	body   []byte
 }
 
-// postAsync POSTs body (chunked, as it is read) and delivers the answer.
-func postAsync(t *testing.T, url, tenant string, body io.Reader) <-chan httpResult {
+// postAsync POSTs body (chunked, as it is read) and delivers the answer;
+// a request that ctx ended delivers the zero httpResult.
+func postAsync(t *testing.T, ctx context.Context, url, tenant string, body io.Reader) <-chan httpResult {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,9 @@ func postAsync(t *testing.T, url, tenant string, body io.Reader) <-chan httpResu
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			t.Errorf("POST %s: %v", url, err)
+			if ctx.Err() == nil {
+				t.Errorf("POST %s: %v", url, err)
+			}
 			done <- httpResult{}
 			return
 		}
@@ -73,25 +77,24 @@ func postAsync(t *testing.T, url, tenant string, body io.Reader) <-chan httpResu
 // TestUploadFailsMidReplay forces each way an upload can die after the
 // daemon has begun replaying it: three or more segments are stored and
 // the pool holds gated replays of them when the body turns hostile (400),
-// outgrows MaxBodyBytes (413), or stalls past the /v1 deadline (504). The
-// submit must cancel those replays and wait them out — the answer cannot
-// come, nor the drain-set slot go back, while one is still on the pool —
-// and then leave nothing: no job, no manifest, no slot, no quota, no
-// count.
+// outgrows MaxBodyBytes (413), or its client leaves mid-body (504, to
+// nobody, counted in srv.canceled). The submit must cancel those replays
+// and wait them out — the answer cannot come, nor the drain-set slot go
+// back, while one is still on the pool — and then leave nothing: no job,
+// no manifest, no slot, no quota, no count.
 func TestUploadFailsMidReplay(t *testing.T) {
 	tr := amplified(t, 24)
 	cut := len(tr) / 2
-	const deadline = 400 * time.Millisecond
 	for _, tc := range []struct {
-		name, path string
-		cfg        Config
-		tail       []byte
-		stall      bool // the tail never comes
-		status     int
+		name   string
+		cfg    Config
+		tail   []byte
+		leave  bool // the client cancels its request instead of sending the tail
+		status int
 	}{
-		{name: "hostile bytes 400", path: "/v2/jobs", tail: bytes.Repeat([]byte{0xff}, 64), status: http.StatusBadRequest},
-		{name: "body cap 413", path: "/v2/jobs", cfg: Config{MaxBodyBytes: int64(cut) + 16}, tail: tr[cut:], status: http.StatusRequestEntityTooLarge},
-		{name: "v1 deadline 504", path: "/v1/analyze", cfg: Config{RequestTimeout: deadline}, stall: true, status: http.StatusGatewayTimeout},
+		{name: "hostile bytes 400", tail: bytes.Repeat([]byte{0xff}, 64), status: http.StatusBadRequest},
+		{name: "body cap 413", cfg: Config{MaxBodyBytes: int64(cut) + 16}, tail: tr[cut:], status: http.StatusRequestEntityTooLarge},
+		{name: "client gone 504", leave: true, status: http.StatusGatewayTimeout},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			release := setGate()
@@ -101,44 +104,58 @@ func TestUploadFailsMidReplay(t *testing.T) {
 			s, ts := newTestServer(t, cfg)
 			defer s.Close()
 			jobs0, bytes0 := tenantGauges(s, "mid")
-			submitted0 := s.rec.Snapshot().Get(stats.JobSubmitted)
+			snap0 := s.rec.Snapshot()
 
+			ctx, leave := context.WithCancel(context.Background())
+			defer leave()
 			body, resume := stalledBody(tr[:cut], tc.tail)
 			defer resume()
-			done := postAsync(t, ts.URL+tc.path+"?detector=test-gate-spd3", "mid", body)
+			done := postAsync(t, ctx, ts.URL+"/v2/jobs?detector=test-gate-spd3", "mid", body)
 			waitFor(t, func() bool { return stored(s) >= 3 && s.pool.Busy() >= 1 }, "three stored segments and a replay on the pool")
 
 			// Fail the upload, then keep the gate shut a while longer: the
-			// replays cannot return, so neither may the submit.
-			heldFor := 150 * time.Millisecond
-			if tc.stall {
-				heldFor += deadline
+			// replays cannot return, so neither may the submit. A client
+			// that left hears nothing; the daemon's 504 shows in its count.
+			if tc.leave {
+				leave()
 			} else {
 				resume()
 			}
-			var res httpResult
-			opened := time.After(heldFor)
+			answer := func() (status int, ok bool) {
+				if tc.leave {
+					return http.StatusGatewayTimeout, s.rec.Snapshot().Get(stats.SrvCanceled) > snap0.Get(stats.SrvCanceled)
+				}
+				select {
+				case res := <-done:
+					return res.status, true
+				default:
+					return 0, false
+				}
+			}
+			opened := time.After(150 * time.Millisecond)
+			var status int
 			for gateOpen, answered := false, false; !answered; {
 				select {
-				case res = <-done:
-					if !gateOpen {
-						t.Fatalf("answered %d while its replays were still parked on the gate", res.status)
-					}
-					answered = true
 				case <-opened:
 					release()
 					gateOpen = true
 				default:
-					// Busy is read second: a replay seen on the pool after
-					// the drain set was seen empty outlived its upload.
-					if s.InFlight() == 0 && s.pool.Busy() > 0 {
-						t.Fatal("drain-set slot returned while a replay of the failed upload was still running")
-					}
-					time.Sleep(time.Millisecond)
 				}
+				if status, answered = answer(); answered {
+					if !gateOpen {
+						t.Fatalf("answered %d while its replays were still parked on the gate", status)
+					}
+					break
+				}
+				// Busy is read second: a replay seen on the pool after
+				// the drain set was seen empty outlived its upload.
+				if s.InFlight() == 0 && s.pool.Busy() > 0 {
+					t.Fatal("drain-set slot returned while a replay of the failed upload was still running")
+				}
+				time.Sleep(time.Millisecond)
 			}
-			if res.status != tc.status {
-				t.Fatalf("status = %d, want %d\n%s", res.status, tc.status, res.body)
+			if status != tc.status {
+				t.Fatalf("status = %d, want %d", status, tc.status)
 			}
 
 			if n := len(listJobs(t, ts.URL, "mid").Jobs); n != 0 {
@@ -157,11 +174,18 @@ func TestUploadFailsMidReplay(t *testing.T) {
 			if jobs, stored := tenantGauges(s, "mid"); jobs != jobs0 || stored != bytes0 {
 				t.Errorf("tenant gauges moved: jobs %d→%d, stored bytes %d→%d", jobs0, jobs, bytes0, stored)
 			}
-			if n := snap.Get(stats.JobSubmitted); n != submitted0 {
-				t.Errorf("job.submitted moved %d→%d", submitted0, n)
+			if n := snap.Get(stats.JobSubmitted); n != snap0.Get(stats.JobSubmitted) {
+				t.Errorf("job.submitted moved %d→%d", snap0.Get(stats.JobSubmitted), n)
 			}
 			if n := snap.Get(stats.JobRunning) + snap.Get(stats.JobQueued); n != 0 {
 				t.Errorf("job.running + job.queued = %d", n)
+			}
+			want := snap0.Get(stats.SrvCanceled)
+			if tc.leave {
+				want++
+			}
+			if n := snap.Get(stats.SrvCanceled); n != want {
+				t.Errorf("srv.canceled = %d, want %d", n, want)
 			}
 		})
 	}
@@ -182,7 +206,7 @@ func TestNoBackpressure(t *testing.T) {
 	for _, tenant := range []string{"first", "second"} {
 		var res httpResult
 		select {
-		case res = <-postAsync(t, ts.URL+"/v2/jobs?detector=test-gate-spd3", tenant, bytes.NewReader(tr)):
+		case res = <-postAsync(t, context.Background(), ts.URL+"/v2/jobs?detector=test-gate-spd3", tenant, bytes.NewReader(tr)):
 		case <-time.After(5 * time.Second):
 			t.Fatalf("tenant %s: no answer with the pool full: the upload is waiting on a replay", tenant)
 		}
@@ -249,7 +273,7 @@ func TestEagerReplayMatchesResume(t *testing.T) {
 				replays0 := s.rec.Snapshot().Get(stats.JobSegmentReplays)
 				body, resume := stalledBody(tr[:len(tr)/2], tr[len(tr)/2:])
 				t.Cleanup(resume)
-				done := postAsync(t, ts.URL+"/v2/jobs?stats=1&detector="+detector, "", body)
+				done := postAsync(t, context.Background(), ts.URL+"/v2/jobs?stats=1&detector="+detector, "", body)
 				if form == "x8" {
 					// Four copies, each closing with a cut: the first half
 					// alone gets replays going.

@@ -10,10 +10,7 @@
 // replays, waits for them and leaves nothing — the job was never visible.
 // POST /v2/jobs answers 202 with a job id as soon as the job is
 // registered; the client polls GET /v2/jobs/{id}, streams findings from
-// /events, and collects the envelope from /result. POST /v1/analyze
-// (server.go) is a synchronous client of the same path — submit, wait,
-// relay the result, remove the job — which is what lets every
-// pre-redesign test double as a compatibility oracle for the job machinery.
+// /events, collects the envelope from /result, and DELETEs the job.
 package server
 
 import (
@@ -299,10 +296,8 @@ type submitOpts struct {
 	sampling  string // validated per-request sampling spec override, or ""
 }
 
-// parseSubmit validates a submit request's query string. Both submit
-// endpoints go through it, so an unknown detector or a bad sampling
-// spec gets the same status and message from either. On failure it has
-// written the error response and returns false.
+// parseSubmit validates a submit request's query string. On failure it
+// has written the error response and returns false.
 func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts, bool) {
 	q := r.URL.Query()
 	name := q.Get("detector")
@@ -801,6 +796,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.submitJob(r.Context(), r.Body, opts)
 	if err != nil {
+		if ctx := r.Context(); ctx.Err() != nil {
+			// The client leaving is the cause, whatever read or decode
+			// error the aborted upload surfaced as.
+			err = fmt.Errorf("%w: %v", trace.ErrCanceled, ctx.Err())
+		}
 		s.writeSubmitError(w, err)
 		return
 	}
@@ -809,11 +809,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusAccepted, st)
 }
 
-// writeSubmitError classifies and counts a refused or failed submit for
-// both endpoints: draining is 503 (srv.rejected), quota exhaustion 429
-// with Retry-After (quota.denied), a canceled upload or wait — deadline
-// or client gone — 504 (srv.canceled), and trace sentinels keep their
-// statusFor mapping.
+// writeSubmitError classifies and counts a refused or failed submit:
+// draining is 503 (srv.rejected), quota exhaustion 429 with Retry-After
+// (quota.denied), an upload canceled by the client leaving 504
+// (srv.canceled), and trace sentinels keep their statusFor mapping.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var qe *quota.Error
 	switch {
@@ -832,9 +831,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeResult relays a terminal job's outcome; GET /v2/jobs/{id}/result
-// and /v1/analyze answer through it, so a verdict or failure reads the
-// same from either.
+// writeResult relays a terminal job's outcome on GET /v2/jobs/{id}/result.
 func (s *Server) writeResult(w http.ResponseWriter, m store.Manifest) {
 	switch m.State {
 	case client.StateDone:
@@ -915,8 +912,8 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if !client.Terminal(j.manifest().State) {
 		// Running or queued: DELETE is a cancellation request, routed
-		// through the same Limits.Cancel plumbing as /v1 deadlines.
-		// The job survives (state canceled) until deleted again.
+		// into the replay through Limits.Cancel. The job survives
+		// (state canceled) until deleted again.
 		j.cancel()
 		s.writeJSON(w, http.StatusAccepted, j.status())
 		return

@@ -94,9 +94,9 @@ func jobState(s *Server, id string) string {
 	return j.manifest().State
 }
 
-// TestSubmitQueryErrorsMatch: /v1/analyze and POST /v2/jobs validate
-// their query through one helper, so a rejected submit reads the same
-// from either endpoint — status and message.
+// TestSubmitQueryErrorsMatch: a submit whose query does not validate is
+// refused before its body is read, with the status and message its
+// error class is pinned to.
 func TestSubmitQueryErrorsMatch(t *testing.T) {
 	body := recordProgen(t, 1, true)
 	_, ts := newTestServer(t, Config{})
@@ -111,28 +111,22 @@ func TestSubmitQueryErrorsMatch(t *testing.T) {
 		{"NaN sample rate", "?sample=bernoulli:NaN", http.StatusBadRequest, "rate must be in (0, 1]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var got [2]client.ErrorReport
-			_, v1 := post(t, ts.URL+"/v1/analyze"+tc.query, body)
-			_, v2 := submitV2(t, ts.URL, tc.query, "", body)
-			for i, data := range [][]byte{v1, v2} {
-				if err := json.Unmarshal(data, &got[i]); err != nil {
-					t.Fatalf("decoding error envelope: %v\n%s", err, data)
-				}
+			resp, data := submitV2(t, ts.URL, tc.query, "", body)
+			var got client.ErrorReport
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatalf("decoding error envelope: %v\n%s", err, data)
 			}
-			if got[0] != got[1] {
-				t.Fatalf("v1 answered %+v, v2 answered %+v", got[0], got[1])
-			}
-			if got[0].Status != tc.status || !strings.Contains(got[0].Error, tc.hint) {
-				t.Fatalf("error = %+v, want status %d mentioning %q", got[0], tc.status, tc.hint)
+			if resp.StatusCode != tc.status || got.Status != tc.status || !strings.Contains(got.Error, tc.hint) {
+				t.Fatalf("%d %+v, want status %d mentioning %q", resp.StatusCode, got, tc.status, tc.hint)
 			}
 		})
 	}
 }
 
-// TestSubmitRefusalsMatch: admission happens once, inside submitJob, so
-// the two submit endpoints refuse alike — 503 and srv.rejected while
-// draining, 429 with Retry-After and quota.denied when the tenant's job
-// queue is full — each refusal moving its counter by exactly one.
+// TestSubmitRefusalsMatch: each admission refusal matches its pinned
+// answer — 503 and srv.rejected while draining, 429 with Retry-After and
+// quota.denied when the tenant's job queue is full — and moves its
+// counter by exactly one.
 func TestSubmitRefusalsMatch(t *testing.T) {
 	body := synthTrace(t, 16)
 	for _, tc := range []struct {
@@ -173,22 +167,16 @@ func TestSubmitRefusalsMatch(t *testing.T) {
 			s, ts := newTestServer(t, tc.cfg)
 			defer s.Close()
 			tc.refuse(t, s, ts.URL)
-			submits := map[string]func() (*http.Response, []byte){
-				"v1": func() (*http.Response, []byte) { return post(t, ts.URL+"/v1/analyze", body) },
-				"v2": func() (*http.Response, []byte) { return submitV2(t, ts.URL, "", "", body) },
+			before := getStatsz(t, ts.URL).Stats.Get(tc.counter)
+			resp, data := submitV2(t, ts.URL, "", "", body)
+			if resp.StatusCode != tc.status {
+				t.Errorf("status = %d, want %d\n%s", resp.StatusCode, tc.status, data)
 			}
-			for endpoint, submit := range submits {
-				before := getStatsz(t, ts.URL).Stats.Get(tc.counter)
-				resp, data := submit()
-				if resp.StatusCode != tc.status {
-					t.Errorf("%s status = %d, want %d\n%s", endpoint, resp.StatusCode, tc.status, data)
-				}
-				if ra := resp.Header.Get("Retry-After"); ra != tc.retryAfter {
-					t.Errorf("%s Retry-After = %q, want %q", endpoint, ra, tc.retryAfter)
-				}
-				if moved := getStatsz(t, ts.URL).Stats.Get(tc.counter) - before; moved != 1 {
-					t.Errorf("%s moved %s by %d, want 1", endpoint, tc.counter, moved)
-				}
+			if ra := resp.Header.Get("Retry-After"); ra != tc.retryAfter {
+				t.Errorf("Retry-After = %q, want %q", ra, tc.retryAfter)
+			}
+			if moved := getStatsz(t, ts.URL).Stats.Get(tc.counter) - before; moved != 1 {
+				t.Errorf("moved %s by %d, want 1", tc.counter, moved)
 			}
 			release()
 			if err := s.Drain(context.Background()); err != nil {
@@ -373,83 +361,10 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestDifferentialV1V2Amplified runs the same amplified trace through
-// the synchronous /v1 path and a native /v2 job and requires identical
-// results: same verdicts, same race sets, same segment count. This is
-// the acceptance differential — the job machinery may not change what
-// the daemon finds.
-func TestDifferentialV1V2Amplified(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		ShardWorkers:    2,
-		MinSegmentBytes: 1 << 10,
-	})
-	defer s.Close()
-	base := recordRacyMonteCarlo(t)
-
-	const scale = 64
-	amp1, err := trace.NewAmplifier(base, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postReader(t, ts.URL+"/v1/analyze?detector=all", amp1)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 status = %d\n%s", resp.StatusCode, body)
-	}
-	v1 := decodeReport(t, body)
-
-	amp2, err := trace.NewAmplifier(base, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body = postReader(t, ts.URL+"/v2/jobs?detector=all", amp2)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("v2 submit = %d\n%s", resp.StatusCode, body)
-	}
-	id := decodeJobStatus(t, body).ID
-	waitFor(t, func() bool { return client.Terminal(jobState(s, id)) }, "v2 job terminal")
-	m := s.lookupJob(id).manifest()
-	if m.State != client.StateDone {
-		t.Fatalf("v2 job state = %s (%s)", m.State, m.Error)
-	}
-	v2 := m.Result
-
-	if v1.Sequential != v2.Sequential || v1.TraceBytes != v2.TraceBytes {
-		t.Errorf("envelope drift: v1 seq=%v bytes=%d, v2 seq=%v bytes=%d",
-			v1.Sequential, v1.TraceBytes, v2.Sequential, v2.TraceBytes)
-	}
-	if v1.Segments != v2.Segments || !v1.Sharded || !v2.Sharded || v1.Segments < 2 {
-		t.Errorf("segments: v1 %d (sharded=%v) v2 %d (sharded=%v), want equal and >1",
-			v1.Segments, v1.Sharded, v2.Segments, v2.Sharded)
-	}
-	if len(v1.Verdicts) != len(v2.Verdicts) {
-		t.Fatalf("verdict count: v1 %d v2 %d", len(v1.Verdicts), len(v2.Verdicts))
-	}
-	for i := range v1.Verdicts {
-		a, b := v1.Verdicts[i], v2.Verdicts[i]
-		if a.Detector != b.Detector || a.Racy != b.Racy || a.RaceCount != b.RaceCount {
-			t.Errorf("verdict %s: v1 racy=%v count=%d, v2 %s racy=%v count=%d",
-				a.Detector, a.Racy, a.RaceCount, b.Detector, b.Racy, b.RaceCount)
-			continue
-		}
-		if len(a.Races) != len(b.Races) {
-			t.Errorf("%s: race list length %d vs %d", a.Detector, len(a.Races), len(b.Races))
-			continue
-		}
-		// Compare by the dedup identity (kind, region, index): the
-		// Prev/Cur witnesses depend on which shard saw the access
-		// first, which varies with scheduling.
-		for k := range a.Races {
-			ra, rb := a.Races[k], b.Races[k]
-			if ra.Kind != rb.Kind || ra.Region != rb.Region || ra.Index != rb.Index {
-				t.Errorf("%s race %d: v1 %+v v2 %+v", a.Detector, k, ra, rb)
-			}
-		}
-	}
-}
-
 // TestStoreDedupAndSweep pins the CAS economics: submitting the same
-// trace twice stores its segments once (the second job is pure dedup
-// hits, but its quota charge stays pre-dedup), and deleting both jobs
+// amplified trace twice stores its segments once (the second job is pure
+// dedup hits, but its quota charge stays pre-dedup), each result is
+// sharded into the segments its status counted, and deleting both jobs
 // makes the next GC pass reclaim every blob.
 func TestStoreDedupAndSweep(t *testing.T) {
 	s, ts := newTestServer(t, Config{
@@ -497,6 +412,11 @@ func TestStoreDedupAndSweep(t *testing.T) {
 	}
 
 	waitFor(t, func() bool { return jobState(s, st1.ID) == client.StateDone && jobState(s, st2.ID) == client.StateDone }, "both jobs done")
+	for _, st := range []*client.JobStatus{st1, st2} {
+		if rep := s.lookupJob(st.ID).manifest().Result; !rep.Sharded || rep.Segments != st.Segments || !rep.Verdicts[0].Racy {
+			t.Errorf("job %s result: sharded=%v, %d segments of %d, racy=%v", st.ID, rep.Sharded, rep.Segments, st.Segments, rep.Verdicts[0].Racy)
+		}
+	}
 
 	for _, id := range []string{st1.ID, st2.ID} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+id, nil)
@@ -681,8 +601,8 @@ func TestSubmitAfterDrainRefused(t *testing.T) {
 	}
 }
 
-// TestDrainVsSubmitHammer races Drain against concurrent submits on both
-// endpoints (run it under -race). The drain set admits a submit and its
+// TestDrainVsSubmitHammer races Drain against concurrent submits (run it
+// under -race), some of them analyses that wait for their verdict. The drain set admits a submit and its
 // job as one unit, so every submit is either refused with 503 or reaches
 // a terminal state (or, its upload failing under replays already begun,
 // is unwound), Drain returns only once every admitted job is terminal and
@@ -722,15 +642,15 @@ func TestDrainVsSubmitHammer(t *testing.T) {
 						return
 					}
 					if (c+i)%2 == 0 {
-						resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr)
-						switch resp.StatusCode {
+						status, body := analyze(t, ts.URL, "?detector=spd3", tr)
+						switch status {
 						case http.StatusOK:
 							served.Add(1)
 							continue
 						case http.StatusServiceUnavailable:
 							return
 						}
-						t.Errorf("v1 submit = %d, want 200 or 503\n%s", resp.StatusCode, body)
+						t.Errorf("analysis = %d, want 200 or 503\n%s", status, body)
 						return
 					}
 					resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
@@ -924,14 +844,11 @@ func TestPerTenantSampling(t *testing.T) {
 		t.Errorf("gauge[1] = %+v, want tenant sampled burst rate 1", g)
 	}
 
-	// Bad specs are refused before any bytes are stored, on both APIs.
-	resp, body := submitV2(t, ts.URL, "?detector=spd3&sample=coin:0.5", "", tr)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("v2 bad sample spec = %d, want 400\n%s", resp.StatusCode, body)
-	}
-	resp, body = post(t, ts.URL+"/v1/analyze?detector=spd3&sample=bernoulli:7", tr)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("v1 bad sample spec = %d, want 400\n%s", resp.StatusCode, body)
+	// Bad specs are refused before any bytes are stored.
+	for _, spec := range []string{"coin:0.5", "bernoulli:7"} {
+		if resp, body := submitV2(t, ts.URL, "?detector=spd3&sample="+spec, "", tr); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad sample spec %s = %d, want 400\n%s", spec, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -1085,7 +1002,6 @@ func TestTenantNameValidated(t *testing.T) {
 		method, path string
 		ok           int
 	}{
-		{http.MethodPost, "/v1/analyze", http.StatusOK},
 		{http.MethodPost, "/v2/jobs", http.StatusAccepted},
 		{http.MethodGet, "/v2/jobs", http.StatusOK},
 	}

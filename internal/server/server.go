@@ -11,22 +11,27 @@
 //
 // API:
 //
-//	POST /v1/analyze?detector=<name>   trace body → JSON race report
-//	POST /v1/analyze?detector=all      differential: every legal detector, verdict agreement
-//	GET  /v1/detectors                 registry listing
-//	GET  /healthz                      liveness (503 while draining)
-//	GET  /statsz                       merged stats snapshot + server counters
+//	POST   /v2/jobs?detector=<name>   trace body → 202 + job status, once the upload is stored
+//	POST   /v2/jobs?detector=all      differential: every legal detector, verdict agreement
+//	GET    /v2/jobs                   the caller's tenant's jobs
+//	GET    /v2/jobs/{id}              job status
+//	GET    /v2/jobs/{id}/result       JSON race report (202 while the job runs)
+//	GET    /v2/jobs/{id}/events       SSE: races as found, then a done frame
+//	DELETE /v2/jobs/{id}              cancel a live job, remove a finished one
+//	GET    /v2/detectors              registry listing
+//	GET    /healthz                   liveness (503 while draining)
+//	GET    /statsz                    merged stats snapshot + server counters
 //
 // Robustness is the point, not an afterthought: every submit passes one
 // admission step before a byte of its body is read (503 while draining,
 // 429 + Retry-After when the tenant's job queue is full), bodies are
-// size-capped (413), /v1's per-request deadline propagates into the
-// replay loop through trace.Limits.Cancel (a deadline-exceeded request
-// stops the replay, it does not run to completion in the background),
-// and Drain lets the daemon finish admitted work while refusing new
-// submits. Decode failures map to precise status codes via the trace
-// package's typed errors: 400 malformed, 413 over resource limits, 422
-// sequential-only detector on a parallel trace, 404 unknown detector.
+// size-capped (413), a DELETE of a live job propagates into the replay
+// loop through trace.Limits.Cancel (the replay stops, it does not run to
+// completion in the background), and Drain lets the daemon finish
+// admitted work while refusing new submits. Decode failures map to
+// precise status codes via the trace package's typed errors: 400
+// malformed, 413 over resource limits, 422 sequential-only detector on a
+// parallel trace, 404 unknown detector.
 //
 // There is one submit→verdict lifecycle (job.go): the upload streams
 // through a counting limiter (overflow → the same trace.ErrLimit → 413
@@ -38,8 +43,8 @@
 // SPD3's O(1) per-location space guarantee end-to-end — so a trace far
 // larger than the daemon's memory ceiling analyzes to the exact verdict
 // a buffered replay would reach. POST /v2/jobs answers 202 once the
-// upload is stored; POST /v1/analyze is the same submit followed by a
-// wait and a relay of the result.
+// upload is stored; spd3/client's Analyze is the one-call form (submit,
+// wait, result, delete).
 //
 // This package is that lifecycle and nothing else: the JSON it speaks
 // is declared in spd3/client and marshaled here, the trace store is
@@ -82,13 +87,9 @@ type Config struct {
 	// MaxBodyBytes caps the trace body size; larger uploads get 413.
 	// Defaults to 64 MiB.
 	MaxBodyBytes int64
-	// RequestTimeout is /v1/analyze's per-request deadline; when it
-	// expires the job is canceled and the request answered with 504.
-	// Defaults to 60s; negative disables.
-	RequestTimeout time.Duration
 	// Limits bounds the resources one replay may demand. The zero
 	// value means trace.DefaultLimits. Cancel is overwritten per
-	// request.
+	// job.
 	Limits trace.Limits
 	// MaxRacesPerReport caps the races carried in one JSON verdict
 	// (the verdict stays exact; Capped marks truncation). Defaults to
@@ -169,9 +170,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 60 * time.Second
-	}
 	if cfg.Limits == (trace.Limits{}) {
 		cfg.Limits = trace.DefaultLimits()
 	}
@@ -218,8 +216,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.store = st
 
-	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("GET /v1/detectors", s.handleDetectors)
+	s.mux.HandleFunc("GET /v2/detectors", s.handleDetectors)
 	s.mux.HandleFunc("POST /v2/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v2/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleJobStatus)
@@ -496,52 +493,6 @@ func eligibleDetectors(sequential bool) []string {
 		names = append(names, d.Name)
 	}
 	return names
-}
-
-// handleAnalyze is the job path's synchronous client: submit, wait for
-// the job under the request deadline, relay its result, remove it. The
-// deadline is the one thing /v1 adds — the job never outlives the
-// request, so it holds quota and store space only that long.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	opts, ok := s.parseSubmit(w, r)
-	if !ok {
-		return
-	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-		// One absolute read deadline guarantees no body read outlives
-		// the request even if the client stalls mid-upload; the
-		// CancelReader's per-read poll catches cancellation whenever
-		// bytes are flowing.
-		http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout)) //nolint:errcheck // best-effort; ResponseWriters without deadlines still get the per-read poll
-	}
-	j, err := s.submitJob(ctx, r.Body, opts)
-	if err == nil {
-		select {
-		case <-j.done:
-			s.writeResult(w, j.manifest())
-			s.removeJob(j)
-			return
-		case <-ctx.Done():
-			// Cancel the replay through the same Limits.Cancel plumbing
-			// a /v2 DELETE uses and answer now; the job is removed once
-			// the replay has observed the cancellation.
-			j.cancel()
-			go func() {
-				<-j.done
-				s.removeJob(j)
-			}()
-		}
-	}
-	if ctx.Err() != nil {
-		// The deadline (or the client leaving) is the cause, whatever
-		// read or decode error the aborted upload surfaced as.
-		err = fmt.Errorf("%w: %v", trace.ErrCanceled, ctx.Err())
-	}
-	s.writeSubmitError(w, err)
 }
 
 func (s *Server) handleDetectors(w http.ResponseWriter, r *http.Request) {

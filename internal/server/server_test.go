@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -171,18 +172,35 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+// analyze is the one-call analysis the tests use where a verdict or a
+// failure is the subject, submit → wait → result → delete as
+// client.Analyze runs it: a refused submit answers with its own status
+// and body, an accepted one with /result's once the job is terminal.
+func analyze(t *testing.T, base, query string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	resp, data := submitV2(t, base, query, "", body)
+	if resp.StatusCode != http.StatusAccepted {
+		return resp.StatusCode, data
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	id := decodeJobStatus(t, data).ID
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		res, err := http.Get(base + "/v2/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err = io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusAccepted {
+			deleteJob(t, base, id)
+			return res.StatusCode, data
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s not terminal after 30s", id)
+		}
 	}
-	return resp, data
 }
 
 func decodeReport(t *testing.T, data []byte) *client.Report {
@@ -228,18 +246,18 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 	}
 }
 
-// TestStatusCodes pins the exact HTTP status of every analyze outcome.
+// TestStatusCodes pins the exact HTTP status of every analysis outcome,
+// whether the submit refuses it or the job's /result reports it.
 func TestStatusCodes(t *testing.T) {
 	seqTrace := recordProgen(t, 1, true)
 	parTrace := recordProgen(t, 1, false)
 
 	_, ts := newTestServer(t, Config{})
-	analyze := ts.URL + "/v1/analyze"
 
 	t.Run("200 valid trace", func(t *testing.T) {
-		resp, body := post(t, analyze+"?detector=spd3", seqTrace)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200\n%s", resp.StatusCode, body)
+		status, body := analyze(t, ts.URL, "?detector=spd3", seqTrace)
+		if status != http.StatusOK {
+			t.Fatalf("status = %d, want 200\n%s", status, body)
 		}
 		rep := decodeReport(t, body)
 		if rep.Tool != Tool || rep.Version != Version || len(rep.Verdicts) != 1 || rep.Verdicts[0].Detector != "spd3" {
@@ -250,21 +268,19 @@ func TestStatusCodes(t *testing.T) {
 		}
 	})
 	t.Run("400 not a trace", func(t *testing.T) {
-		resp, _ := post(t, analyze, []byte("NOTATRACE-NOTATRACE"))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		if status, _ := analyze(t, ts.URL, "", []byte("NOTATRACE-NOTATRACE")); status != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", status)
 		}
 	})
 	t.Run("400 truncated trace", func(t *testing.T) {
-		resp, _ := post(t, analyze, seqTrace[:len(seqTrace)-1])
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		if status, _ := analyze(t, ts.URL, "", seqTrace[:len(seqTrace)-1]); status != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", status)
 		}
 	})
 	t.Run("404 unknown detector", func(t *testing.T) {
-		resp, body := post(t, analyze+"?detector=nosuch", seqTrace)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status = %d, want 404", resp.StatusCode)
+		status, body := analyze(t, ts.URL, "?detector=nosuch", seqTrace)
+		if status != http.StatusNotFound {
+			t.Fatalf("status = %d, want 404", status)
 		}
 		var er client.ErrorReport
 		if err := json.Unmarshal(body, &er); err != nil || er.Tool != Tool || er.Status != 404 {
@@ -272,13 +288,13 @@ func TestStatusCodes(t *testing.T) {
 		}
 	})
 	t.Run("422 sequential-only detector on parallel trace", func(t *testing.T) {
-		resp, _ := post(t, analyze+"?detector=espbags", parTrace)
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("status = %d, want 422", resp.StatusCode)
+		if status, _ := analyze(t, ts.URL, "?detector=espbags", parTrace); status != http.StatusUnprocessableEntity {
+			t.Fatalf("status = %d, want 422", status)
 		}
 	})
 	t.Run("405 wrong method", func(t *testing.T) {
-		resp, err := http.Get(analyze)
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v2/jobs", nil)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,9 +320,8 @@ func TestHostileNestingIs400(t *testing.T) {
 	// Under "all" the first detector to fail cancels the rest of the
 	// fan-out, so oslabel is also asked for by name.
 	for _, det := range []string{"oslabel", "all"} {
-		resp, body := post(t, ts.URL+"/v1/analyze?shard=off&detector="+det, crasher)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("detector=%s: status = %d, want 400\n%s", det, resp.StatusCode, body)
+		if status, body := analyze(t, ts.URL, "?shard=off&detector="+det, crasher); status != http.StatusBadRequest {
+			t.Fatalf("detector=%s: status = %d, want 400\n%s", det, status, body)
 		}
 	}
 	hz, err := http.Get(ts.URL + "/healthz")
@@ -325,9 +340,8 @@ func TestHostileNestingIs400(t *testing.T) {
 // TestBodyCap413: uploads over MaxBodyBytes are refused with 413.
 func TestBodyCap413(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	resp, _ := post(t, ts.URL+"/v1/analyze", synthTrace(t, 1000))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	if status, _ := analyze(t, ts.URL, "", synthTrace(t, 1000)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", status)
 	}
 }
 
@@ -335,35 +349,29 @@ func TestBodyCap413(t *testing.T) {
 // with 413 via trace.ErrLimit, not misfiled as 400.
 func TestResourceLimit413(t *testing.T) {
 	_, ts := newTestServer(t, Config{Limits: trace.Limits{MaxRegionElems: 2, MaxTotalElems: 2}})
-	resp, _ := post(t, ts.URL+"/v1/analyze", synthTrace(t, 4))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	if status, _ := analyze(t, ts.URL, "", synthTrace(t, 4)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", status)
 	}
 }
 
 // TestSaturation429: saturation is the tenant's job queue. With
-// MaxQueuedJobs=1 and one analysis parked on the gate, the next request
-// is shed with 429 + Retry-After before its body is read and counted in
-// quota.denied; releasing the gate lets the parked analysis finish with
-// 200 and frees the slot.
+// MaxQueuedJobs=1 and one job parked on the gate, the next submit is
+// shed with 429 + Retry-After before its body is read and counted in
+// quota.denied; releasing the gate lets the parked job finish and frees
+// the slot.
 func TestSaturation429(t *testing.T) {
 	release := setGate()
 	defer release()
 	s, ts := newTestServer(t, Config{Quota: quota.Config{MaxQueuedJobs: 1}})
 
 	tr := synthTrace(t, 16)
-	type result struct {
-		status int
-		body   []byte
+	resp, body := submitV2(t, ts.URL, "?detector=test-gate", "", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("gated submit = %d\n%s", resp.StatusCode, body)
 	}
-	done := make(chan result, 1)
-	go func() {
-		resp, body := post(t, ts.URL+"/v1/analyze?detector=test-gate", tr)
-		done <- result{resp.StatusCode, body}
-	}()
-	waitFor(t, func() bool { return s.InFlight() == 1 }, "gated analysis in flight")
+	gated := decodeJobStatus(t, body).ID
 
-	resp, _ := post(t, ts.URL+"/v1/analyze?detector=spd3", tr)
+	resp, _ = submitV2(t, ts.URL, "?detector=spd3", "", tr)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated status = %d, want 429", resp.StatusCode)
 	}
@@ -372,73 +380,73 @@ func TestSaturation429(t *testing.T) {
 	}
 
 	release()
-	r := <-done
-	if r.status != http.StatusOK {
-		t.Fatalf("gated analysis status = %d, want 200\n%s", r.status, r.body)
-	}
+	waitFor(t, func() bool { return jobState(s, gated) == client.StateDone }, "gated job done")
 	st := getStatsz(t, ts.URL)
 	if got := st.Stats.Get(stats.QuotaDenied); got != 1 {
 		t.Fatalf("quota.denied = %d, want 1", got)
 	}
-	if resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr); resp.StatusCode != http.StatusOK {
-		t.Fatalf("after release status = %d, want 200 (slot not freed?)\n%s", resp.StatusCode, body)
+	if status, body := analyze(t, ts.URL, "?detector=spd3", tr); status != http.StatusOK {
+		t.Fatalf("after release status = %d, want 200 (slot not freed?)\n%s", status, body)
 	}
 }
 
-// TestDeadlineCancelsReplay is the acceptance-criteria proof: a request
-// whose deadline expires mid-analysis stops the underlying replay (the
-// canceled counter increments and the response is 504), instead of the
-// replay running to completion in the background.
+// TestDeadlineCancelsReplay: a client whose deadline expires while its
+// job is parked gets the context's error back from client.Analyze, whose
+// DELETE cancels the job. The replay stops at its next cancellation poll
+// instead of running to completion in the background, and the job ends
+// canceled.
 func TestDeadlineCancelsReplay(t *testing.T) {
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond})
+	s, ts := newTestServer(t, Config{})
 
 	// Enough events after MainTask that the post-gate replay must cross
 	// a cancellation poll before reaching EOF.
-	tr := synthTrace(t, 3*4096)
-	done := make(chan int, 1)
-	go func() {
-		resp, _ := post(t, ts.URL+"/v1/analyze?detector=test-gate", tr)
-		done <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return s.InFlight() == 1 }, "gated analysis in flight")
-	// Hold the gate until the 50ms deadline has long expired, then let
-	// the replay continue into its next cancellation poll.
-	time.Sleep(300 * time.Millisecond)
+	const accesses = 3 * 4096
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	if _, err := client.New(ts.URL).Analyze(ctx, "test-gate-spd3", bytes.NewReader(synthTrace(t, accesses))); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Analyze = %v, want the context's deadline error", err)
+	}
+	jobs := listJobs(t, ts.URL, "").Jobs
+	if len(jobs) != 1 {
+		t.Fatalf("%d jobs after the deadline, want the canceled one", len(jobs))
+	}
+	id := jobs[0].ID
 	release()
-
-	if status := <-done; status != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", status)
+	waitFor(t, func() bool { return client.Terminal(jobState(s, id)) }, "job terminal")
+	if st := jobState(s, id); st != client.StateCanceled {
+		t.Fatalf("job state = %q, want canceled", st)
 	}
 	st := getStatsz(t, ts.URL)
-	if got := st.Stats.Get(stats.SrvCanceled); got != 1 {
-		t.Fatalf("srv.canceled = %d, want 1", got)
+	if got := st.Stats.Get(stats.JobCanceled); got != 1 {
+		t.Fatalf("job.canceled = %d, want 1", got)
+	}
+	if n := st.Stats.Get(stats.CASClean) + st.Stats.Get(stats.CASPublish); n >= accesses {
+		t.Fatalf("the canceled replay checked %d of %d accesses: it ran to the end", n, accesses)
 	}
 }
 
-// TestGracefulShutdown: Drain lets the in-flight analysis finish (200)
-// while new requests get 503 and /healthz flips to draining.
+// TestGracefulShutdown: Drain lets the in-flight job finish while new
+// submits get 503 and /healthz flips to draining.
 func TestGracefulShutdown(t *testing.T) {
 	release := setGate()
 	defer release()
 	s, ts := newTestServer(t, Config{})
 
 	tr := synthTrace(t, 16)
-	done := make(chan int, 1)
-	go func() {
-		resp, _ := post(t, ts.URL+"/v1/analyze?detector=test-gate", tr)
-		done <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return s.InFlight() == 1 }, "gated analysis in flight")
+	resp, body := submitV2(t, ts.URL, "?detector=test-gate", "", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("gated submit = %d\n%s", resp.StatusCode, body)
+	}
+	gated := decodeJobStatus(t, body).ID
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
 	waitFor(t, s.Draining, "server draining")
 
-	resp, _ := post(t, ts.URL+"/v1/analyze?detector=spd3", tr)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status while draining = %d, want 503", resp.StatusCode)
+	if status, _ := analyze(t, ts.URL, "?detector=spd3", tr); status != http.StatusServiceUnavailable {
+		t.Fatalf("status while draining = %d, want 503", status)
 	}
 	hresp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -451,7 +459,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	select {
 	case err := <-drained:
-		t.Fatalf("Drain returned (%v) while an analysis was still in flight", err)
+		t.Fatalf("Drain returned (%v) while a job was still in flight", err)
 	default:
 	}
 
@@ -459,8 +467,8 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if status := <-done; status != http.StatusOK {
-		t.Fatalf("in-flight analysis status = %d, want 200 (drain must not kill it)", status)
+	if st := jobState(s, gated); st != client.StateDone {
+		t.Fatalf("in-flight job state = %q, want done (drain must not kill it)", st)
 	}
 }
 
@@ -494,9 +502,9 @@ func TestEndToEndRacyMonteCarlo(t *testing.T) {
 	}
 
 	for _, detName := range []string{"spd3", "fasttrack"} {
-		resp, body := post(t, ts.URL+"/v1/analyze?detector="+detName, tr)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d\n%s", detName, resp.StatusCode, body)
+		status, body := analyze(t, ts.URL, "?detector="+detName, tr)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d\n%s", detName, status, body)
 		}
 		rep := decodeReport(t, body)
 		if len(rep.Verdicts) != 1 || !rep.Verdicts[0].Racy {
@@ -514,9 +522,9 @@ func TestDifferentialAll(t *testing.T) {
 	tr := recordRacyMonteCarlo(t)
 	_, ts := newTestServer(t, Config{})
 
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=all&stats=1", tr)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	status, body := analyze(t, ts.URL, "?detector=all&stats=1", tr)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
 	if rep.Agree == nil {
@@ -550,9 +558,9 @@ func TestDifferentialAll(t *testing.T) {
 
 	// A parallel trace must exclude the sequential-only detectors.
 	parTrace := recordProgen(t, 1, false)
-	resp, body = post(t, ts.URL+"/v1/analyze?detector=all", parTrace)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("parallel all: status = %d\n%s", resp.StatusCode, body)
+	status, body = analyze(t, ts.URL, "?detector=all", parTrace)
+	if status != http.StatusOK {
+		t.Fatalf("parallel all: status = %d\n%s", status, body)
 	}
 	rep = decodeReport(t, body)
 	for _, v := range rep.Verdicts {
@@ -585,9 +593,9 @@ func TestConcurrentClients(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				seed := seeds[(c+i)%len(seeds)]
 				detName := []string{"spd3", "fasttrack"}[i%2]
-				resp, body := post(t, ts.URL+"/v1/analyze?detector="+detName, traces[seed])
-				if resp.StatusCode != http.StatusOK {
-					errc <- fmt.Errorf("seed %d %s: status %d: %s", seed, detName, resp.StatusCode, body)
+				status, body := analyze(t, ts.URL, "?detector="+detName, traces[seed])
+				if status != http.StatusOK {
+					errc <- fmt.Errorf("seed %d %s: status %d: %s", seed, detName, status, body)
 					return
 				}
 				rep := decodeReport(t, body)
@@ -617,12 +625,11 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestNoGoroutineLeak runs one of everything the lifecycle can do — a
-// /v1 verdict, a /v1 deadline that answers 504 while the job is still
-// parked (the remover goroutine), a /v2 job run to done, a /v2 job
-// canceled by DELETE (runJob's cancel watcher), a malformed upload, an
-// upload that turns malformed after its executor and a dozen replays
-// have started — then Drain and Close, and requires the goroutine count to come back
-// to where it was before the server existed.
+// verdict, a malformed upload, an upload that turns malformed after its
+// executor and a dozen replays have started, an upload whose client
+// leaves mid-body, a job run to done, a job canceled by DELETE while it
+// is parked — then Drain and Close, and requires the goroutine count to
+// come back to where it was before the server existed.
 func TestNoGoroutineLeak(t *testing.T) {
 	tr := synthTrace(t, 3*4096)
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
@@ -630,18 +637,27 @@ func TestNoGoroutineLeak(t *testing.T) {
 
 	release := setGate()
 	defer release()
-	s, ts := newTestServer(t, Config{RequestTimeout: 250 * time.Millisecond, GCInterval: time.Hour, MinSegmentBytes: 1})
+	s, ts := newTestServer(t, Config{GCInterval: time.Hour, MinSegmentBytes: 1})
 
-	if resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", tr); resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 = %d\n%s", resp.StatusCode, body)
+	if status, body := analyze(t, ts.URL, "?detector=spd3", tr); status != http.StatusOK {
+		t.Fatalf("verdict = %d\n%s", status, body)
 	}
-	if resp, _ := post(t, ts.URL+"/v1/analyze", []byte("NOTATRACE-NOTATRACE")); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed v1 = %d, want 400", resp.StatusCode)
+	if status, _ := analyze(t, ts.URL, "", []byte("NOTATRACE-NOTATRACE")); status != http.StatusBadRequest {
+		t.Fatalf("malformed = %d, want 400", status)
 	}
 	doomed := append(amplified(t, 12), bytes.Repeat([]byte{0xff}, 64)...)
 	if resp, body := submitV2(t, ts.URL, "?detector=spd3", "", doomed); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("upload malformed past its twelfth segment = %d, want 400\n%s", resp.StatusCode, body)
 	}
+
+	ctx, leave := context.WithCancel(context.Background())
+	stalled, resume := stalledBody(tr[:len(tr)/2], tr[len(tr)/2:])
+	postAsync(t, ctx, ts.URL+"/v2/jobs?detector=spd3", "", stalled)
+	waitFor(t, func() bool { return s.InFlight() == 1 }, "the stalled upload in flight")
+	leave()
+	waitFor(t, func() bool { return s.rec.Snapshot().Get(stats.SrvCanceled) == 1 }, "the abandoned upload unwound")
+	resume() // the client's transport is still reading the body
+
 	resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("v2 = %d\n%s", resp.StatusCode, body)
@@ -649,24 +665,14 @@ func TestNoGoroutineLeak(t *testing.T) {
 	doneID := decodeJobStatus(t, body).ID
 	waitFor(t, func() bool { return jobState(s, doneID) == client.StateDone }, "v2 job done")
 
-	// Both gated jobs are still parked when their request is answered.
-	if resp, body := post(t, ts.URL+"/v1/analyze?detector=test-gate", tr); resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("gated v1 = %d, want 504\n%s", resp.StatusCode, body)
-	}
 	resp, body = submitV2(t, ts.URL, "?detector=test-gate", "", tr)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("gated v2 = %d\n%s", resp.StatusCode, body)
 	}
 	gatedID := decodeJobStatus(t, body).ID
 	waitFor(t, func() bool { return jobState(s, gatedID) == client.StateRunning }, "gated v2 job running")
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/jobs/"+gatedID, nil)
-	del, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	del.Body.Close()
-	if del.StatusCode != http.StatusAccepted {
-		t.Fatalf("DELETE of a running job = %d, want 202", del.StatusCode)
+	if status := deleteJob(t, ts.URL, gatedID); status != http.StatusAccepted {
+		t.Fatalf("DELETE of a running job = %d, want 202", status)
 	}
 	release()
 
@@ -676,7 +682,9 @@ func TestNoGoroutineLeak(t *testing.T) {
 	if st := jobState(s, gatedID); st != client.StateCanceled {
 		t.Errorf("deleted job state = %q, want canceled", st)
 	}
-	waitFor(t, func() bool { return len(listJobs(t, ts.URL, "").Jobs) == 2 }, "the timed-out /v1 job to be removed")
+	if n := len(listJobs(t, ts.URL, "").Jobs); n != 2 {
+		t.Errorf("%d jobs listed, want the done and the canceled one", n)
+	}
 	ts.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

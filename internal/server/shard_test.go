@@ -28,9 +28,9 @@ func TestShardedAnalyze(t *testing.T) {
 	amp := amplified(t, 12)
 	_, ts := newTestServer(t, Config{MinSegmentBytes: 1})
 
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", amp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	status, body := analyze(t, ts.URL, "?detector=spd3", amp)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
 	if !rep.Sharded {
@@ -48,9 +48,9 @@ func TestShardedAnalyze(t *testing.T) {
 
 	// shard=off forces the single-stream replay; the verdict must not
 	// change, only the execution strategy.
-	resp, body = post(t, ts.URL+"/v1/analyze?detector=spd3&shard=off", amp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard=off status = %d\n%s", resp.StatusCode, body)
+	status, body = analyze(t, ts.URL, "?detector=spd3&shard=off", amp)
+	if status != http.StatusOK {
+		t.Fatalf("shard=off status = %d\n%s", status, body)
 	}
 	off := decodeReport(t, body)
 	if off.Sharded || off.Segments != 0 {
@@ -68,9 +68,9 @@ func TestShardedDifferential(t *testing.T) {
 	amp := amplified(t, 6)
 	_, ts := newTestServer(t, Config{MinSegmentBytes: 1})
 
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=all", amp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	status, body := analyze(t, ts.URL, "?detector=all", amp)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
 	if !rep.Sharded || rep.Segments <= 1 {
@@ -95,9 +95,9 @@ func TestShardedDifferential(t *testing.T) {
 // those replays — here at ShardWorkers: 1, the serial configuration.
 func TestShardingDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{ShardWorkers: 1, MinSegmentBytes: 1})
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=all&shard=off", amplified(t, 4))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	status, body := analyze(t, ts.URL, "?detector=all&shard=off", amplified(t, 4))
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
 	if rep.Sharded || rep.Segments != 0 {
@@ -127,9 +127,9 @@ func TestShardedUnsplitFallback(t *testing.T) {
 	data := synthTrace(t, 30_000) // no interior boundary
 	_, ts := newTestServer(t, Config{MinSegmentBytes: 1, MaxSegmentBytes: 1024})
 
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", data)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	status, body := analyze(t, ts.URL, "?detector=spd3", data)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
 	if !rep.Sharded || rep.Segments != 1 {
@@ -148,9 +148,9 @@ func TestShardObservability(t *testing.T) {
 	amp := amplified(t, 8)
 	_, ts := newTestServer(t, Config{MinSegmentBytes: 1})
 
-	resp, body := post(t, ts.URL+"/v1/analyze?detector=spd3", amp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	status, body := analyze(t, ts.URL, "?detector=spd3", amp)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
 

@@ -113,11 +113,11 @@ func TestWireGolden(t *testing.T) {
 		got[name] = body
 	}
 
-	_, body := post(t, ts.URL+"/v1/analyze?detector=spd3&stats=1", tr)
-	rec("v1_analyze_stats", normalizeWire(body))
-	_, body = post(t, ts.URL+"/v1/analyze?detector=all", tr)
-	rec("v1_analyze_all", normalizeWire(body))
-	_, body = post(t, ts.URL+"/v1/analyze?detector=nosuch", tr)
+	_, body := analyze(t, ts.URL, "?detector=spd3&stats=1", tr)
+	rec("v2_result_stats", normalizeWire(body))
+	_, body = analyze(t, ts.URL, "?detector=all", tr)
+	rec("v2_result_all", normalizeWire(body))
+	_, body = analyze(t, ts.URL, "?detector=nosuch", tr)
 	rec("error_envelope", normalizeWire(body))
 
 	resp, body := submitV2(t, ts.URL, "?detector=spd3", "", tr)
@@ -137,7 +137,7 @@ func TestWireGolden(t *testing.T) {
 	rec("v2_result", normalizeWire(getBody(t, ts.URL+"/v2/jobs/"+id+"/result")))
 	rec("v2_list", normalizeWire(getBody(t, ts.URL+"/v2/jobs")))
 	rec("sse_replayed", string(getBody(t, ts.URL+"/v2/jobs/"+id+"/events")))
-	rec("v1_detectors", string(getBody(t, ts.URL+"/v1/detectors")))
+	rec("v2_detectors", string(getBody(t, ts.URL+"/v2/detectors")))
 	rec("statsz_keys", keySet(t, getBody(t, ts.URL+"/statsz"),
 		"stats", "stats.counters", "stats.histograms", "stats.footprint"))
 

@@ -109,13 +109,12 @@ const (
 	// SrvAnalyses counts replays the daemon ran to completion (each
 	// detector of a differential request counts once).
 	SrvAnalyses
-	// SrvRejected counts submits (on /v1/analyze or /v2/jobs) turned away
-	// with 503 because the daemon was draining. A full tenant queue is a
+	// SrvRejected counts submits (POST /v2/jobs) turned away with 503
+	// because the daemon was draining. A full tenant queue is a
 	// 429 counted in QuotaDenied.
 	SrvRejected
-	// SrvCanceled counts submits answered 504: an upload or a /v1 wait
-	// cut short by the request deadline or a client disconnect (the
-	// trace.ErrCanceled path).
+	// SrvCanceled counts submits answered 504: an upload cut short by
+	// its client leaving (the trace.ErrCanceled path).
 	SrvCanceled
 	// SrvStreamedBytes counts trace bytes the daemon consumed
 	// incrementally — pulled through the body limiter and the splitter
@@ -136,15 +135,14 @@ const (
 	// streamed replay of the remainder.
 	SrvUnsplit
 
-	// JobSubmitted counts jobs accepted by either submit endpoint
-	// (/v2/jobs, and /v1/analyze, which runs the same lifecycle).
+	// JobSubmitted counts jobs accepted by POST /v2/jobs.
 	JobSubmitted
 	// JobDone counts jobs that reached the done state.
 	JobDone
 	// JobFailed counts jobs that reached the failed state.
 	JobFailed
-	// JobCanceled counts jobs that reached the canceled state (DELETE,
-	// request deadline on the v1 shim, or client disconnect).
+	// JobCanceled counts jobs that reached the canceled state: a DELETE
+	// of a live job, client.Analyze's included when its context ends.
 	JobCanceled
 	// JobResumed counts jobs re-enqueued from the persistent store at
 	// daemon startup (they were queued or running when it last stopped).

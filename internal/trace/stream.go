@@ -62,9 +62,8 @@ func (l *LimitedReader) Read(p []byte) (int, error) {
 // cancel channel and fails with an ErrCanceled-wrapped error once it is
 // closed, which readErr passes through to replay's callers. A Read
 // already blocked is bounded by the stream's own deadline — on spd3d the
-// absolute per-request read deadline on /v1 and the HTTP server's
-// ReadTimeout on /v2 — so whenever bytes are flowing, cancellation is
-// seen at the next Read.
+// HTTP server's ReadTimeout — so whenever bytes are flowing,
+// cancellation is seen at the next Read.
 type CancelReader struct {
 	r      io.Reader
 	cancel <-chan struct{}
