@@ -216,7 +216,10 @@ type DetectorProgress struct {
 
 // Job states, as carried in JobStatus.State and in stored manifests.
 // The machine is strictly forward: queued → running → one terminal
-// state; only a daemon restart moves a running job back to queued.
+// state. Queued is only ever on disk: a job's first manifest records it,
+// and the daemon marks the job running before anyone can see it, so the
+// 202 body of a submit and every job a restarted daemon resumes read
+// running.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -409,7 +412,8 @@ func (c *Client) Analyze(ctx context.Context, detector string, tr io.Reader) (*R
 }
 
 // SubmitJob streams a recorded trace to POST /v2/jobs and returns the
-// accepted job's status (state "queued"). The upload is the only
+// accepted job's status: state "running", or already terminal when the
+// replay finished before the reply was written. The upload is the only
 // synchronous part; pair with WaitJob/Result to collect the analysis.
 // detector is a registry name, "all", or "" for the daemon default;
 // Sample rides along as sample=.

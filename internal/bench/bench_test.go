@@ -109,7 +109,7 @@ func TestChecksumsAgreeAcrossExecutorsAndDetectors(t *testing.T) {
 			check("goroutines/spd3", got)
 			sink := detect.NewSink(false, 0)
 			got, _ = runUnder(t, b, tiny, task.Config{Executor: task.Sequential,
-				Detector: espbags.New(sink)})
+				Detector: espbags.New(sink, nil)})
 			check("sequential/espbags", got)
 		})
 	}
@@ -241,7 +241,7 @@ func TestBarrierSORQuietUnderFastTrack(t *testing.T) {
 	}
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4,
-		Detector: fasttrack.New(sink)})
+		Detector: fasttrack.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,7 +255,8 @@ func BenchmarkShadowSparse(b *testing.B) {
 // measured on the sweep only, where an untimed pass re-arms the page.
 func BenchmarkShadowPublish(b *testing.B) {
 	const sweep = 4096
-	d := New(detect.NewSink(false, 0), nil)
+	sink := detect.NewSink(false, 0)
+	d := New(sink, nil)
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
 	fin := d.tree.NewChild(run, dpst.FinishNode)
 	var local detect.Local
@@ -306,7 +307,7 @@ func BenchmarkShadowPublish(b *testing.B) {
 			}
 		}
 	})
-	if !d.sink.Empty() {
+	if !sink.Empty() {
 		b.Fatal("benchmark program raced")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"spd3/internal/detect"
-	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
@@ -55,14 +54,11 @@ import (
 // action — costs nothing: the protocol and Algorithms 1 and 2 behave as at
 // any other version.
 //
-// Shadow words live in lazily allocated pages (shadow.Pages) resolved
-// through the page cache of the goroutine executing the accessing task
-// (detect.Local.PC); a page of cells holds no pointers, so the garbage
-// collector never scans shadow memory.
+// The words live in the region's pages (detect.Cells); a page of cells
+// holds no pointers, so the garbage collector never scans shadow memory.
 type casShadow struct {
-	d     *Detector
-	name  string
-	pages *shadow.Pages[casCell]
+	d *Detector
+	detect.Cells[casCell]
 }
 
 // casCell is one versioned shadow word; see casShadow for the layout.
@@ -72,8 +68,6 @@ type casCell struct {
 }
 
 const (
-	casCellBytes = 16
-
 	versionOne = 1 << 32 // A's version field counts in these
 
 	// snapshotSpins is how many failed read stages a snapshot makes before
@@ -137,17 +131,17 @@ func (c *casCell) publishReaders(a uint64, r1, r2 uint32) bool {
 // Read is the read memory action: snapshot, Algorithm 2, and — when the
 // word changed — publish, restarting from the read stage on a lost CAS.
 func (s *casShadow) Read(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	c := s.At(t.L, i)
+	if c == nil {
 		return
 	}
 	l, st := t.L, step(t)
-	c := s.pages.CellOf(&l.PC, i)
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
 			a, b = c.snapshot()
 		}
-		if m, changed := s.d.readCheck(unpack(a, b), l, st, s.name, i); !changed {
+		if m, changed := s.d.readCheck(unpack(a, b), l, st, &s.Cells, i); !changed {
 			l.Tally[stats.CASClean]++
 		} else if c.publishReaders(a, m.r1, m.r2) {
 			l.Tally[stats.CASPublish]++
@@ -161,17 +155,17 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 
 // Write is the write memory action: as Read, with Algorithm 1.
 func (s *casShadow) Write(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	c := s.At(t.L, i)
+	if c == nil {
 		return
 	}
 	l, st := t.L, step(t)
-	c := s.pages.CellOf(&l.PC, i)
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
 			a, b = c.snapshot()
 		}
-		if m, changed := s.d.writeCheck(unpack(a, b), l, st, s.name, i); !changed {
+		if m, changed := s.d.writeCheck(unpack(a, b), l, st, &s.Cells, i); !changed {
 			l.Tally[stats.CASClean]++
 		} else if c.publishWriter(a, m.w) {
 			l.Tally[stats.CASPublish]++

@@ -17,8 +17,8 @@ import (
 // size and keeps it out of the garbage collector's sight: a page of cells
 // with no pointer in them is allocated noscan.
 func TestCellIsSixteenPointerFreeBytes(t *testing.T) {
-	if got := unsafe.Sizeof(casCell{}); got != casCellBytes || casCellBytes != 16 {
-		t.Fatalf("unsafe.Sizeof(casCell{}) = %d, casCellBytes = %d, want both 16", got, casCellBytes)
+	if got := unsafe.Sizeof(casCell{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(casCell{}) = %d, want 16", got)
 	}
 	ty := reflect.TypeOf(casCell{})
 	for i := 0; i < ty.NumField(); i++ {
@@ -146,7 +146,8 @@ func TestVersionWrapExposure(t *testing.T) {
 func TestVersionWrapChecks(t *testing.T) {
 	rt, d, sink := newRT(t, task.Sequential, 1, false)
 	sh := d.NewShadow(detect.Spec("x", 2, 8)).(*casShadow)
-	written, read := sh.pages.Cell(0), sh.pages.Cell(1)
+	var l detect.Local // a scratch block of the test's own
+	written, read := sh.At(&l, 0), sh.At(&l, 1)
 	written.seed(lastVersion, word{})
 	read.seed(lastVersion, word{})
 	if err := rt.Run(func(c *task.Ctx) {

@@ -57,25 +57,20 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
-	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
 // Detector is the SPD3 race detector. Create with New; wire into a
 // task.Runtime via Config.Detector.
 type Detector struct {
-	sink *detect.Sink
-	tree *dpst.Tree
-	st   *stats.Recorder
+	tree    *dpst.Tree
+	st      *stats.Recorder
+	regions *detect.Regions[casCell]
 
 	watermark uint32 // see the package comment; never below 1
 	escaped   bool   // the current run's node has an async child: the watermark stays
-
-	shadowBytes atomic.Int64
 }
 
 // New returns an SPD3 detector reporting to sink. rec is the engine's
@@ -86,7 +81,11 @@ type Detector struct {
 // only touched off the hot path (page allocation, the retry histogram
 // after a lost CAS).
 func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
-	return &Detector{sink: sink, tree: dpst.New(), st: rec, watermark: 1}
+	return &Detector{tree: dpst.New(), st: rec, regions: detect.NewRegions[casCell](sink, rec), watermark: 1}
+}
+
+func init() {
+	detect.Register("spd3", func(o detect.FactoryOpts) detect.Detector { return New(o.Sink, o.Stats) })
 }
 
 // Tree exposes the DPST (for tests and tooling).
@@ -181,26 +180,14 @@ func (d *Detector) Release(*detect.Task, *detect.Lock) {}
 // location; TreeBytes grows with the number of tasks, not threads.
 func (d *Detector) Footprint() detect.Footprint {
 	return detect.Footprint{
-		ShadowBytes: d.shadowBytes.Load(),
+		ShadowBytes: d.regions.Bytes(),
 		TreeBytes:   d.tree.Bytes(),
 	}
 }
 
-// NewShadow builds the region's shadow: one word per element, held in
-// lazily allocated pages (shadow.Pages), so a sparsely touched region
-// pays only for the pages it touches.
+// NewShadow implements detect.Detector: one shadow word per element.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	s := &casShadow{d: d, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
-	s.pages.SetOnAlloc(d.pageAlloc)
-	return s
-}
-
-// pageAlloc is the paged substrate's allocation hook: analytic footprint
-// plus the ShadowPagesAllocated counter. Allocation happens at most once
-// per PageSize cells, so the recorder's atomics are off the hot path.
-func (d *Detector) pageAlloc(cells int) {
-	d.shadowBytes.Add(int64(cells) * casCellBytes)
-	d.st.Inc(stats.ShadowPagesAllocated)
+	return &casShadow{d: d, Cells: d.regions.New(spec)}
 }
 
 // word is a consistent snapshot of one shadow word: the ids (dpst.Node.ID)
@@ -214,34 +201,26 @@ type word struct {
 // per-task state; the task's insertion scope is the step's Parent.
 func step(t *detect.Task) *dpst.Node { return t.State.(*dpst.Node) }
 
-// report emits one race between the recorded step prev and cur.
-func (d *Detector) report(kind detect.RaceKind, region string, i int, prev uint32, cur *dpst.Node) {
-	d.sink.Report(detect.Race{
-		Kind:     kind,
-		Region:   region,
-		Index:    i,
-		PrevStep: d.tree.Node(prev).String(),
-		CurStep:  cur.String(),
-	})
-}
+// stepName names the recorded step id in race reports.
+func (d *Detector) stepName(id uint32) string { return d.tree.Node(id).String() }
 
-// writeCheck is Algorithm 1. Given a snapshot and the writing task's step
-// s (its walks counted in l), it reports any races and returns the updated
-// word and whether the word changed.
-func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, region string, i int) (word, bool) {
+// writeCheck is Algorithm 1. Given a snapshot of element i of c and the
+// writing task's step s (its walks counted in l), it reports any races and
+// returns the updated word and whether the word changed.
+func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Cells[casCell], i int) (word, bool) {
 	if m.w == s.ID {
 		// Same step rewrote the element; nothing can have changed
 		// (a second write by the very step that already owns w).
 		return m, false
 	}
 	if p, _ := d.relation(l, m.r1, s); p {
-		d.report(detect.ReadWrite, region, i, m.r1, s)
+		c.Report(detect.ReadWrite, i, d.stepName(m.r1), s.String())
 	}
 	if p, _ := d.relation(l, m.r2, s); p {
-		d.report(detect.ReadWrite, region, i, m.r2, s)
+		c.Report(detect.ReadWrite, i, d.stepName(m.r2), s.String())
 	}
 	if p, _ := d.relation(l, m.w, s); p {
-		d.report(detect.WriteWrite, region, i, m.w, s)
+		c.Report(detect.WriteWrite, i, d.stepName(m.w), s.String())
 		return m, false
 	}
 	m.w = s.ID
@@ -249,17 +228,17 @@ func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, region stri
 }
 
 // readCheck is Algorithm 2 with the null-reader cases made explicit.
-// Given a snapshot and the reading task's step s (its walks counted in
-// l), it reports any races and returns the updated word and whether the
-// word changed.
-func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, region string, i int) (word, bool) {
+// Given a snapshot of element i of c and the reading task's step s (its
+// walks counted in l), it reports any races and returns the updated word
+// and whether the word changed.
+func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Cells[casCell], i int) (word, bool) {
 	if m.r1 == s.ID || m.r2 == s.ID {
 		// This step is already recorded; re-reading changes nothing.
 		// (One of the paper's redundant-check eliminations, §5.5.)
 		return m, false
 	}
 	if p, _ := d.relation(l, m.w, s); p {
-		d.report(detect.WriteRead, region, i, m.w, s)
+		c.Report(detect.WriteRead, i, d.stepName(m.w), s.String())
 	}
 	p1, c1 := d.relation(l, m.r1, s)
 	p2, c2 := d.relation(l, m.r2, s)

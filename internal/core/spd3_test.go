@@ -479,11 +479,6 @@ func TestFootprintConstantPerLocation(t *testing.T) {
 	if f2-f1 != f1 {
 		t.Errorf("shadow bytes not linear in touched regions: %d then %d", f1, f2)
 	}
-	// A 1000-element region fits one clipped page, so a single touch
-	// materializes exactly 1000 cells.
-	if per := f1 / 1000; per != casCellBytes {
-		t.Errorf("bytes per location = %d, want %d", per, casCellBytes)
-	}
 }
 
 // TestTreeShapePinned: SPD3 keeps no per-task or per-finish state beside

@@ -15,6 +15,14 @@
 //   - internal/graph:     precise computation-DAG oracle (testing)
 //   - detect.Nop:         the uninstrumented baseline
 //
+// Shadow regions. A detector is its events, a cell type C and two per-cell
+// rules, Read and Write. Its Shadow embeds a Cells[C] allocated from the
+// detector's Regions[C] (cells.go), which own the rest, the same for every
+// detector: the region's name in race reports, its paged storage
+// (shadow.Pages), the shadow.pages_allocated count, the analytic shadow
+// bytes (allocated cells × unsafe.Sizeof(C)), the halt poll — Cells.At
+// returns nil once a halt-mode sink has stopped — and Cells.Report.
+//
 // Event contract. A driver — the task runtime (package task) for a live
 // run, package trace's replay for a recorded one — delivers all events
 // from the goroutine currently running the task named in the event. It

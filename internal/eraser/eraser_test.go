@@ -10,7 +10,7 @@ import (
 func newRT(t *testing.T) (*task.Runtime, *Detector, *detect.Sink) {
 	t.Helper()
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		t.Fatal(err)

@@ -21,9 +21,9 @@ package espbags
 
 import (
 	"fmt"
+	"unsafe"
 
 	"spd3/internal/detect"
-	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
@@ -74,9 +74,6 @@ type elem struct {
 	id     detect.TaskID
 }
 
-// elemBytes is the approximate size of one union-find node.
-const elemBytes = 8 + 1 + 8 + 8 + 7
-
 // find returns e's root with path compression.
 func find(e *elem) *elem {
 	for e.parent != nil {
@@ -114,22 +111,21 @@ func inS(e *elem) bool { return e != nil && find(e).bag.k == sBag }
 
 // Detector is the ESP-bags detector.
 type Detector struct {
-	sink *detect.Sink
-	st   *stats.Recorder
+	regions *detect.Regions[svar]
 
-	elems   int64
-	bags    int64
-	shadows []*regionShadow
+	elems int64
+	bags  int64
 }
 
-// New returns an ESP-bags detector reporting to sink.
-func New(sink *detect.Sink) *Detector {
-	return &Detector{sink: sink}
+// New returns an ESP-bags detector reporting to sink and counting into
+// rec (nil is fine).
+func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
+	return &Detector{regions: detect.NewRegions[svar](sink, rec)}
 }
 
-// SetStats wires the engine's observability recorder (nil is fine);
-// call before the first NewShadow.
-func (d *Detector) SetStats(st *stats.Recorder) { d.st = st }
+func init() {
+	detect.Register("espbags", func(o detect.FactoryOpts) detect.Detector { return New(o.Sink, o.Stats) })
+}
 
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "espbags" }
@@ -196,25 +192,18 @@ func (d *Detector) Acquire(*detect.Task, *detect.Lock) {}
 // Release is unsupported; see Acquire.
 func (d *Detector) Release(*detect.Task, *detect.Lock) {}
 
-// NewShadow implements detect.Detector: per-location state lives in
-// lazily allocated pages, so only touched pages cost memory.
+// NewShadow implements detect.Detector.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	s := &regionShadow{d: d, name: spec.Name, vars: shadow.New[svar](spec.Bound())}
-	s.vars.SetOnAlloc(func(int) { d.st.Inc(stats.ShadowPagesAllocated) })
-	d.shadows = append(d.shadows, s)
-	return s
+	return &regionShadow{d.regions.New(spec)}
 }
 
 // Footprint implements detect.Detector: O(1) shadow space per touched
 // location plus one union-find element per task.
 func (d *Detector) Footprint() detect.Footprint {
-	var f detect.Footprint
-	for _, s := range d.shadows {
-		_, cells := s.vars.Allocated()
-		f.ShadowBytes += cells * svarBytes
+	return detect.Footprint{
+		ShadowBytes: d.regions.Bytes(),
+		TreeBytes:   d.elems*int64(unsafe.Sizeof(elem{})) + d.bags*17,
 	}
-	f.TreeBytes = d.elems*elemBytes + d.bags*17
-	return f
 }
 
 // svar is the per-location shadow: the last writer and one reader.
@@ -223,34 +212,21 @@ type svar struct {
 	r *elem
 }
 
-const svarBytes = 16
+type regionShadow struct{ detect.Cells[svar] }
 
-type regionShadow struct {
-	d    *Detector
-	name string
-	vars *shadow.Pages[svar]
-}
-
-func (s *regionShadow) report(k detect.RaceKind, i int, prev *elem, cur *detect.Task) {
-	s.d.sink.Report(detect.Race{
-		Kind:     k,
-		Region:   s.name,
-		Index:    i,
-		PrevStep: fmt.Sprintf("task#%d", prev.id),
-		CurStep:  fmt.Sprintf("task#%d", cur.ID),
-	})
-}
+// taskName names a task in race reports.
+func taskName(id detect.TaskID) string { return fmt.Sprintf("task#%d", id) }
 
 // Read implements the SP-bags read rule: a write-read race if the
 // recorded writer is in a P-bag; the reader field is replaced only when
 // the previous reader is serialized (or absent).
 func (s *regionShadow) Read(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	v := s.At(t.L, i)
+	if v == nil {
 		return
 	}
-	v := s.vars.CellOf(&t.L.PC, i)
 	if inP(v.w) {
-		s.report(detect.WriteRead, i, v.w, t)
+		s.Report(detect.WriteRead, i, taskName(v.w.id), taskName(t.ID))
 	}
 	if v.r == nil || inS(v.r) {
 		v.r = t.State.(*taskState).e
@@ -261,15 +237,15 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 // or writer is in a P-bag; the writer field always becomes the current
 // task.
 func (s *regionShadow) Write(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	v := s.At(t.L, i)
+	if v == nil {
 		return
 	}
-	v := s.vars.CellOf(&t.L.PC, i)
 	if inP(v.r) {
-		s.report(detect.ReadWrite, i, v.r, t)
+		s.Report(detect.ReadWrite, i, taskName(v.r.id), taskName(t.ID))
 	}
 	if inP(v.w) {
-		s.report(detect.WriteWrite, i, v.w, t)
+		s.Report(detect.WriteWrite, i, taskName(v.w.id), taskName(t.ID))
 	}
 	v.w = t.State.(*taskState).e
 }

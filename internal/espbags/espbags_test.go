@@ -10,7 +10,7 @@ import (
 func run(t *testing.T, body func(c *task.Ctx, sh detect.Shadow)) []detect.Race {
 	t.Helper()
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func run(t *testing.T, body func(c *task.Ctx, sh detect.Shadow)) []detect.Race {
 }
 
 func TestRequiresSequential(t *testing.T) {
-	d := New(detect.NewSink(false, 0))
+	d := New(detect.NewSink(false, 0), nil)
 	if !d.RequiresSequential() {
 		t.Fatal("ESP-bags must demand sequential execution")
 	}
@@ -157,7 +157,7 @@ func TestManyReadersParallelWriteCaught(t *testing.T) {
 
 func TestConstantShadowFootprint(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	sh := d.NewShadow(detect.Spec("a", 1000, 8))
 	// Paged shadow: nothing allocated until a location is touched.
 	if f := d.Footprint().ShadowBytes; f != 0 {
@@ -167,14 +167,20 @@ func TestConstantShadowFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Run(func(c *task.Ctx) { sh.Write(c.Task(), 0) }); err != nil {
+	var one int64
+	if err := rt.Run(func(c *task.Ctx) {
+		sh.Write(c.Task(), 0)
+		one = d.Footprint().ShadowBytes
+		for i := 1; i < 1000; i++ {
+			sh.Write(c.Task(), i)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// A 1000-element region fits one clipped page, so one touch
-	// materializes exactly 1000 cells.
-	f := d.Footprint()
-	if per := f.ShadowBytes / 1000; per != svarBytes {
-		t.Fatalf("bytes per location = %d, want %d", per, svarBytes)
+	// A 1000-element region fits one clipped page: the first touch
+	// materializes it, and touching every other location costs nothing.
+	if f := d.Footprint().ShadowBytes; one == 0 || f != one {
+		t.Fatalf("shadow bytes = %d after one touch, %d after all", one, f)
 	}
 }
 

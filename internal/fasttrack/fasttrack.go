@@ -23,31 +23,29 @@ import (
 	"sync"
 
 	"spd3/internal/detect"
-	"spd3/internal/shadow"
 	"spd3/internal/stats"
 	"spd3/internal/vc"
 )
 
 // Detector is the FastTrack baseline detector.
 type Detector struct {
-	sink *detect.Sink
-	st   *stats.Recorder
+	regions *detect.Regions[ftVar]
 
-	mu      sync.Mutex
-	tids    vc.TID
-	shadows []*regionShadow
-	tasks   []*taskState
-	locks   []*lockState
+	mu    sync.Mutex
+	tids  vc.TID
+	tasks []*taskState
+	locks []*lockState
 }
 
-// New returns a FastTrack detector reporting to sink.
-func New(sink *detect.Sink) *Detector {
-	return &Detector{sink: sink}
+// New returns a FastTrack detector reporting to sink and counting into
+// rec (nil is fine).
+func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
+	return &Detector{regions: detect.NewRegions[ftVar](sink, rec)}
 }
 
-// SetStats wires the engine's observability recorder (nil is fine);
-// call before the first NewShadow.
-func (d *Detector) SetStats(st *stats.Recorder) { d.st = st }
+func init() {
+	detect.Register("fasttrack", func(o detect.FactoryOpts) detect.Detector { return New(o.Sink, o.Stats) })
+}
 
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "fasttrack" }
@@ -217,12 +215,16 @@ func (d *Detector) lockState(l *detect.Lock) *lockState {
 // — the quantities whose growth with parallelism the paper's Table 3 and
 // Figure 6 chart.
 func (d *Detector) Footprint() detect.Footprint {
+	f := detect.Footprint{ShadowBytes: d.regions.Bytes()}
+	d.regions.Range(func(v *ftVar) {
+		v.mu.Lock()
+		if v.rv != nil {
+			f.ShadowBytes += v.rv.Bytes()
+		}
+		v.mu.Unlock()
+	})
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var f detect.Footprint
-	for _, s := range d.shadows {
-		f.ShadowBytes += s.bytes()
-	}
 	for _, ts := range d.tasks {
 		f.ClockBytes += ts.c.Bytes()
 	}
@@ -232,15 +234,9 @@ func (d *Detector) Footprint() detect.Footprint {
 	return f
 }
 
-// NewShadow implements detect.Detector: ftVar state is paged in lazily,
-// so untouched locations cost nothing.
+// NewShadow implements detect.Detector.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	s := &regionShadow{d: d, name: spec.Name, vars: shadow.New[ftVar](spec.Bound())}
-	s.vars.SetOnAlloc(func(int) { d.st.Inc(stats.ShadowPagesAllocated) })
-	d.mu.Lock()
-	d.shadows = append(d.shadows, s)
-	d.mu.Unlock()
-	return s
+	return &regionShadow{d.regions.New(spec)}
 }
 
 // ftVar is the per-location FastTrack state: a write epoch and either a
@@ -252,47 +248,18 @@ type ftVar struct {
 	rv *vc.VC // non-nil iff read-shared
 }
 
-// ftVarBytes is the fixed part of a location's shadow state.
-const ftVarBytes = 8 + 8 + 8 + 8 // mutex + two epochs + pointer
+type regionShadow struct{ detect.Cells[ftVar] }
 
-type regionShadow struct {
-	d    *Detector
-	name string
-	vars *shadow.Pages[ftVar]
-}
-
-func (s *regionShadow) bytes() int64 {
-	_, cells := s.vars.Allocated()
-	total := cells * ftVarBytes
-	s.vars.Range(func(_ int, vars []ftVar) {
-		for i := range vars {
-			vars[i].mu.Lock()
-			if vars[i].rv != nil {
-				total += vars[i].rv.Bytes()
-			}
-			vars[i].mu.Unlock()
-		}
-	})
-	return total
-}
-
-func (s *regionShadow) report(kind detect.RaceKind, i int, prev string, cur vc.TID) {
-	s.d.sink.Report(detect.Race{
-		Kind:     kind,
-		Region:   s.name,
-		Index:    i,
-		PrevStep: prev,
-		CurStep:  fmt.Sprintf("task@tid%d", cur),
-	})
-}
+// tidName names the task holding clock slot tid in race reports.
+func tidName(tid vc.TID) string { return fmt.Sprintf("task@tid%d", tid) }
 
 // Read implements the [FT READ] rules.
 func (s *regionShadow) Read(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	v := s.At(t.L, i)
+	if v == nil {
 		return
 	}
 	ts := t.State.(*taskState)
-	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
@@ -305,7 +272,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 	}
 	// Write-read check.
 	if !v.w.LEQ(ts.c) {
-		s.report(detect.WriteRead, i, v.w.String(), ts.tid)
+		s.Report(detect.WriteRead, i, v.w.String(), tidName(ts.tid))
 	}
 	if v.rv != nil {
 		// Read shared.
@@ -326,11 +293,11 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 
 // Write implements the [FT WRITE] rules.
 func (s *regionShadow) Write(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	v := s.At(t.L, i)
+	if v == nil {
 		return
 	}
 	ts := t.State.(*taskState)
-	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
@@ -340,18 +307,18 @@ func (s *regionShadow) Write(t *detect.Task, i int) {
 	}
 	// Write-write check.
 	if !v.w.LEQ(ts.c) {
-		s.report(detect.WriteWrite, i, v.w.String(), ts.tid)
+		s.Report(detect.WriteWrite, i, v.w.String(), tidName(ts.tid))
 	}
 	// Read-write checks.
 	if v.rv != nil {
 		if bad := v.rv.AnyGT(ts.c); bad >= 0 {
-			s.report(detect.ReadWrite, i, fmt.Sprintf("task@tid%d", bad), ts.tid)
+			s.Report(detect.ReadWrite, i, tidName(bad), tidName(ts.tid))
 		}
 		// Write shared: clear the read clock.
 		v.rv = nil
 		v.r = vc.Zero
 	} else if v.r != vc.Zero && !v.r.LEQ(ts.c) {
-		s.report(detect.ReadWrite, i, v.r.String(), ts.tid)
+		s.Report(detect.ReadWrite, i, v.r.String(), tidName(ts.tid))
 	}
 	v.w = ts.epoch()
 }

@@ -12,7 +12,7 @@ func run(t *testing.T, exec task.ExecKind, workers int,
 	body func(c *task.Ctx, d *Detector, sh detect.Shadow)) []detect.Race {
 	t.Helper()
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: exec, Workers: workers, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestLockOrdersCriticalSections(t *testing.T) {
 	// orders them, so no race — this exercises the lock clocks that
 	// SPD3 does not need.
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestLockOrdersCriticalSections(t *testing.T) {
 
 func TestUnlockedConflictStillRaces(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func barrierPhased(rt *task.Runtime, sh detect.Shadow, parts, phases int) error 
 // sharing as race-free.
 func TestBarrierEventsOrderPhases(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	d := New(sink)
+	d := New(sink, nil)
 	rt, err := task.New(task.Config{Executor: task.Goroutines, Detector: d})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestSPD3SeesThroughNoBarriers(t *testing.T) {
 func TestClockBytesGrowWithTasks(t *testing.T) {
 	grow := func(tasks int) int64 {
 		sink := detect.NewSink(false, 0)
-		d := New(sink)
+		d := New(sink, nil)
 		rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
 		if err != nil {
 			t.Fatal(err)

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"spd3/internal/detect"
-	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
@@ -94,21 +93,19 @@ func prefixLen(a, b Label) int {
 
 // Detector is the Offset-Span labeling race detector.
 type Detector struct {
-	sink *detect.Sink
-	st   *stats.Recorder
-
+	regions    *detect.Regions[osVar]
 	labelWords atomic.Int64
-	shadowCnt  atomic.Int64 // allocated shadow cells (paged, not declared)
 }
 
-// New returns an OS-labeling detector reporting to sink.
-func New(sink *detect.Sink) *Detector {
-	return &Detector{sink: sink}
+// New returns an OS-labeling detector reporting to sink and counting into
+// rec (nil is fine).
+func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
+	return &Detector{regions: detect.NewRegions[osVar](sink, rec)}
 }
 
-// SetStats wires the engine's observability recorder (nil is fine);
-// call before the first NewShadow.
-func (d *Detector) SetStats(st *stats.Recorder) { d.st = st }
+func init() {
+	detect.Register("oslabel", func(o detect.FactoryOpts) detect.Detector { return New(o.Sink, o.Stats) })
+}
 
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "oslabel" }
@@ -194,54 +191,32 @@ type osVar struct {
 	r2 Label
 }
 
-const osVarBytes = 8 + 3*24 // mutex + three label headers
+type regionShadow struct{ detect.Cells[osVar] }
 
-type regionShadow struct {
-	d    *Detector
-	name string
-	vars *shadow.Pages[osVar]
-}
-
-// NewShadow implements detect.Detector: osVar state is paged in lazily;
-// shadowCnt now counts allocated cells rather than declared length.
+// NewShadow implements detect.Detector.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	s := &regionShadow{d: d, name: spec.Name, vars: shadow.New[osVar](spec.Bound())}
-	s.vars.SetOnAlloc(func(cells int) {
-		d.shadowCnt.Add(int64(cells))
-		d.st.Inc(stats.ShadowPagesAllocated)
-	})
-	return s
+	return &regionShadow{d.regions.New(spec)}
 }
 
 // Footprint implements detect.Detector.
 func (d *Detector) Footprint() detect.Footprint {
 	return detect.Footprint{
-		ShadowBytes: d.shadowCnt.Load() * osVarBytes,
+		ShadowBytes: d.regions.Bytes(),
 		TreeBytes:   d.labelWords.Load() * 8,
 	}
 }
 
-func (s *regionShadow) report(kind detect.RaceKind, i int, prev Label, t *detect.Task) {
-	s.d.sink.Report(detect.Race{
-		Kind:     kind,
-		Region:   s.name,
-		Index:    i,
-		PrevStep: prev.String(),
-		CurStep:  t.State.(*taskState).label.String(),
-	})
-}
-
 // Read mirrors SPD3's Algorithm 2 on labels.
 func (s *regionShadow) Read(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	v := s.At(t.L, i)
+	if v == nil {
 		return
 	}
 	l := t.State.(*taskState).label
-	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if mhp(v.w, l) {
-		s.report(detect.WriteRead, i, v.w, t)
+		s.Report(detect.WriteRead, i, v.w.String(), l.String())
 	}
 	p1 := mhp(v.r1, l)
 	p2 := mhp(v.r2, l)
@@ -260,21 +235,21 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 
 // Write mirrors SPD3's Algorithm 1 on labels.
 func (s *regionShadow) Write(t *detect.Task, i int) {
-	if s.d.sink.Stopped() {
+	v := s.At(t.L, i)
+	if v == nil {
 		return
 	}
 	l := t.State.(*taskState).label
-	v := s.vars.CellOf(&t.L.PC, i)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if mhp(v.r1, l) {
-		s.report(detect.ReadWrite, i, v.r1, t)
+		s.Report(detect.ReadWrite, i, v.r1.String(), l.String())
 	}
 	if mhp(v.r2, l) {
-		s.report(detect.ReadWrite, i, v.r2, t)
+		s.Report(detect.ReadWrite, i, v.r2.String(), l.String())
 	}
 	if mhp(v.w, l) {
-		s.report(detect.WriteWrite, i, v.w, t)
+		s.Report(detect.WriteWrite, i, v.w.String(), l.String())
 		return
 	}
 	v.w = l

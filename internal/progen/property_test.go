@@ -97,7 +97,7 @@ func TestESPBagsMatchesOracle(t *testing.T) {
 		p := Generate(seed, Config{})
 		want := truth(t, p)
 		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, espbags.New(sink), sink, task.Sequential, 1)
+		got := verdict(t, p, espbags.New(sink, nil), sink, task.Sequential, 1)
 		if got != want {
 			t.Fatalf("seed %d: esp-bags verdict %v, oracle %v\n%s", seed, got, want, p)
 		}
@@ -112,7 +112,7 @@ func TestFastTrackMatchesOracle(t *testing.T) {
 		p := Generate(seed, Config{})
 		want := truth(t, p)
 		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, fasttrack.New(sink), sink, task.Sequential, 1)
+		got := verdict(t, p, fasttrack.New(sink, nil), sink, task.Sequential, 1)
 		if got != want {
 			t.Fatalf("seed %d: fasttrack verdict %v, oracle %v\n%s", seed, got, want, p)
 		}
@@ -236,7 +236,7 @@ func TestFastTrackMatchesLockOracle(t *testing.T) {
 		want := o.HasRace()
 
 		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, fasttrack.New(sink), sink, task.Sequential, 1)
+		got := verdict(t, p, fasttrack.New(sink, nil), sink, task.Sequential, 1)
 		if got != want {
 			t.Fatalf("seed %d: fasttrack verdict %v, lock oracle %v\n%s", seed, got, want, p)
 		}

@@ -83,7 +83,7 @@ func TestTypedErrors(t *testing.T) {
 		{"truncated index varint", readIndex(0x80), ErrTruncated},
 		{"non-minimal index varint", readIndex(0x80, 0x00), ErrMalformed},
 		{"index varint overflowing 64 bits", readIndex(0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), ErrMalformed},
-		{"sequential-only on parallel trace", Replay(bytes.NewReader(par), espbags.New(detect.NewSink(false, 0))), ErrSequentialOnly},
+		{"sequential-only on parallel trace", Replay(bytes.NewReader(par), espbags.New(detect.NewSink(false, 0), nil)), ErrSequentialOnly},
 		// The nesting rules of the driver contract (package detect).
 		{"FinishEnd out of LIFO order", nest(e{fstart, 0, 1}, e{fstart, 0, 2}, e{fend, 0, 1}), ErrMalformed},
 		{"FinishEnd of another task's finish", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1}, e{fend, 0, 1}), ErrMalformed},

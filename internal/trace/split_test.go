@@ -304,7 +304,7 @@ func TestSplitterHoldsCutWhileMainHoldsLock(t *testing.T) {
 	}
 	for i, seg := range segs {
 		sink := detect.NewSink(false, 0)
-		if err := Replay(bytes.NewReader(seg), fasttrack.New(sink)); err != nil {
+		if err := Replay(bytes.NewReader(seg), fasttrack.New(sink, nil)); err != nil {
 			t.Fatalf("segment %d not self-contained under fasttrack: %v", i, err)
 		}
 		if err := Replay(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), nil)); err != nil {

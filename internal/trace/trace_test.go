@@ -62,8 +62,8 @@ func replayVerdict(t *testing.T, data []byte, mk func(*detect.Sink) detect.Detec
 }
 
 func mkSPD3(s *detect.Sink) detect.Detector      { return core.New(s, nil) }
-func mkFastTrack(s *detect.Sink) detect.Detector { return fasttrack.New(s) }
-func mkESPBags(s *detect.Sink) detect.Detector   { return espbags.New(s) }
+func mkFastTrack(s *detect.Sink) detect.Detector { return fasttrack.New(s, nil) }
+func mkESPBags(s *detect.Sink) detect.Detector   { return espbags.New(s, nil) }
 
 // TestReplayMatchesLiveVerdicts: recording a sequential execution and
 // replaying it into each detector yields the same verdict as running the
@@ -245,7 +245,7 @@ func TestReplayRejectsSequentialDetectorOnParallelTrace(t *testing.T) {
 	p := progen.Generate(1, progen.Config{})
 	data := record(t, p, task.Pool, 4)
 	sink := detect.NewSink(false, 0)
-	err := Replay(bytes.NewReader(data), espbags.New(sink))
+	err := Replay(bytes.NewReader(data), espbags.New(sink, nil))
 	if err == nil || !strings.Contains(err.Error(), "depth-first") {
 		t.Fatalf("err = %v, want depth-first rejection", err)
 	}
