@@ -202,7 +202,7 @@ func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 func (d *Detector) Footprint() detect.Footprint {
 	return detect.Footprint{
 		ShadowBytes: d.regions.Bytes(),
-		TreeBytes:   d.elems*int64(unsafe.Sizeof(elem{})) + d.bags*17,
+		TreeBytes:   d.elems*int64(unsafe.Sizeof(elem{})) + d.bags*int64(unsafe.Sizeof(bag{})),
 	}
 }
 
