@@ -113,21 +113,15 @@ func main() {
 	if detName == "" {
 		detName = "spd3"
 	}
-	var gov *sample.Governor
-	if *smpSpec != "" || *smpBudget != "" {
-		cfg, err := sample.Parse(*smpSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spd3: -sample:", err)
-			os.Exit(2)
-		}
-		budget, err := sample.ParseBudget(*smpBudget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spd3: -overhead-budget:", err)
-			os.Exit(2)
-		}
-		if cfg.Mode != sample.Off {
-			gov = sample.NewGovernor(cfg, budget)
-		}
+	budget, err := sample.ParseBudget(*smpBudget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spd3: -overhead-budget:", err)
+		os.Exit(2)
+	}
+	gov, err := sample.Govern(*smpSpec, budget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spd3: -sample:", err)
+		os.Exit(2)
 	}
 	ses, err := detect.Open(detName, detect.SessionOpts{Halt: *halt, Governor: gov})
 	if err != nil {

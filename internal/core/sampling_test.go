@@ -38,19 +38,25 @@ func raceKeys(sink *detect.Sink) []string {
 // function of (seed, smp).
 func progenRaces(t *testing.T, seed int64, smp *sample.Sampler) []string {
 	t.Helper()
-	sink := detect.NewSink(false, 0)
-	det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Sampler: smp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := task.New(task.Config{Executor: task.Sequential, Workers: 1, Detector: det})
+	ses := openSPD3(t, detect.SessionOpts{Sampler: smp, NoStats: true})
+	rt, err := task.New(task.Config{Executor: task.Sequential, Workers: 1, Detector: ses.Det})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := progen.Run(rt, progen.Generate(seed, progen.Config{}), nil); err != nil {
 		t.Fatal(err)
 	}
-	return raceKeys(sink)
+	return raceKeys(ses.Sink)
+}
+
+// openSPD3 opens a registry SPD3 session.
+func openSPD3(t *testing.T, o detect.SessionOpts) *detect.Session {
+	t.Helper()
+	ses, err := detect.Open("spd3", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ses
 }
 
 // subset reports whether every element of a appears in b (both sorted).
@@ -101,7 +107,7 @@ func TestSampledRacesAreSubset(t *testing.T) {
 // TestSampledDigestsGolden pins which accesses the registry's gate
 // admits for SPD3: one SHA-256 per mode over the sorted race sets of the
 // progen corpus at rate 0.3, recorded at 8f828a1 when core still gated
-// its own check path. A drift in the wrapper's semantics — region ids
+// its own check path. A drift in the gate's semantics — region ids
 // numbered differently, a burst epoch that stops advancing at spawn or
 // finish — changes a digest.
 func TestSampledDigestsGolden(t *testing.T) {
@@ -131,7 +137,8 @@ func TestSampledDigestsGolden(t *testing.T) {
 func TestBurstCatchesPrologueRace(t *testing.T) {
 	smp := sample.New(sample.Config{Mode: sample.Burst, Rate: 0.01})
 	sink := detect.NewSink(false, 0)
-	det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Sampler: smp})
+	sink.SetSampler(smp)
+	det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,21 +164,15 @@ func TestBurstCatchesPrologueRace(t *testing.T) {
 // be visible in a snapshot exactly when sampling is on.
 func TestSampleCountersFlow(t *testing.T) {
 	run := func(smp *sample.Sampler) stats.Snapshot {
-		rec := stats.New()
-		sink := detect.NewSink(false, 0)
-		sink.SetStats(rec)
-		det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := task.New(task.Config{Executor: task.Sequential, Workers: 1, Detector: det, Stats: rec})
+		ses := openSPD3(t, detect.SessionOpts{Sampler: smp})
+		rt, err := task.New(task.Config{Executor: task.Sequential, Workers: 1, Detector: ses.Det, Stats: ses.Rec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := progen.Run(rt, progen.Generate(1, progen.Config{}), nil); err != nil {
 			t.Fatal(err)
 		}
-		return rec.Snapshot()
+		return ses.Rec.Snapshot()
 	}
 
 	snap := run(sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 0.5}))
@@ -182,5 +183,38 @@ func TestSampleCountersFlow(t *testing.T) {
 	snap = run(nil)
 	if n := snap.Get(stats.SampleChecked) + snap.Get(stats.SampleSkipped); n != 0 {
 		t.Errorf("sampling off: %d sample.* tallies recorded, want 0", n)
+	}
+}
+
+// TestSampleCountersStopAtHalt: the gate sits behind the halt bit, so once
+// a halt-mode sink has stopped, sample.checked and sample.skipped stop
+// with the checks — they count the accesses up to the race, not the ones
+// the halted detector ignores.
+func TestSampleCountersStopAtHalt(t *testing.T) {
+	ses := openSPD3(t, detect.SessionOpts{Halt: true, Sampler: sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 1})})
+	rt, err := task.New(task.Config{Executor: task.Sequential, Workers: 1, Detector: ses.Det, Stats: ses.Rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := rt.Detector().NewShadow(detect.Spec("v", 4, 8))
+	const after = 10
+	err = rt.Run(func(c *task.Ctx) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) })
+			c.Async(func(c *task.Ctx) { sh.Write(c.Task(), 0) }) // the race: the sink stops
+		})
+		for i := 0; i < after; i++ {
+			sh.Write(c.Task(), i%4)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ses.Sink.Stopped() {
+		t.Fatal("the sibling writes did not stop the halt-mode sink")
+	}
+	snap := ses.Snapshot(0)
+	if got, skipped := snap.Get(stats.SampleChecked), snap.Get(stats.SampleSkipped); got != 2 || skipped != 0 {
+		t.Errorf("sample.checked = %d, sample.skipped = %d; want the 2 accesses up to the race and 0", got, skipped)
 	}
 }

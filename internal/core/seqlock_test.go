@@ -146,8 +146,8 @@ func TestVersionWrapExposure(t *testing.T) {
 func TestVersionWrapChecks(t *testing.T) {
 	rt, d, sink := newRT(t, task.Sequential, 1, false)
 	sh := d.NewShadow(detect.Spec("x", 2, 8)).(*casShadow)
-	var l detect.Local // a scratch block of the test's own
-	written, read := sh.At(&l, 0), sh.At(&l, 1)
+	tk := &detect.Task{L: new(detect.Local)} // a scratch block of the test's own
+	written, read := sh.At(tk, 0), sh.At(tk, 1)
 	written.seed(lastVersion, word{})
 	read.seed(lastVersion, word{})
 	if err := rt.Run(func(c *task.Ctx) {

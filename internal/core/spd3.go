@@ -52,8 +52,8 @@
 //
 // The detector is one configuration: New takes the race sink and the
 // stats recorder and nothing else. Check sampling is not this package's
-// concern: detect.New wraps the detector in the registry's gate when a
-// sampler is enabled.
+// concern: the sink carries the sampler, and detect.Cells.At, which every
+// memory action starts with, asks it before the action checks anything.
 package core
 
 import (

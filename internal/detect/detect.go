@@ -20,8 +20,11 @@
 // detector's Regions[C] (cells.go), which own the rest, the same for every
 // detector: the region's name in race reports, its paged storage
 // (shadow.Pages), the shadow.pages_allocated count, the analytic shadow
-// bytes (allocated cells × unsafe.Sizeof(C)), the halt poll — Cells.At
-// returns nil once a halt-mode sink has stopped — and Cells.Report.
+// bytes (allocated cells × unsafe.Sizeof(C)), the gate and Cells.Report.
+// The gate is one word of the sink's that Cells.At tests before every
+// check: zero runs it; otherwise At returns nil once a halt-mode sink has
+// stopped, and else runs the check only if the sink's sampler
+// (Sink.SetSampler) admits it, counting sample.checked or sample.skipped.
 //
 // Event contract. A driver — the task runtime (package task) for a live
 // run, package trace's replay for a recorded one — delivers all events
@@ -45,6 +48,11 @@
 //     panicked inside a finish ends (TaskEnd) with finishes open; a main
 //     task that did delivers no further event. The runtime keeps the
 //     rule by construction; replay checks it.
+//   - Steps: before MainTask(t), BeforeSpawn(parent, child) — for child
+//     and then parent — FinishStart(t) and FinishEnd(t), the points where
+//     the DPST gains a step node, the driver advances the task's burst
+//     epoch (t.Sample.Step()). The sampler decides a burst window per
+//     epoch, so both drivers must advance it at the same events.
 //
 // The runtime establishes the corresponding happens-before edges with
 // atomic operations, so a detector may hand state from TaskEnd to the
@@ -90,9 +98,10 @@ type Task struct {
 	// BeforeSpawn for its child, may find it nil.
 	L *Local
 
-	// Sample is the task's check-sampling state, used by the registry's
-	// sampling wrapper (sampling.go). It is only touched from the task's
-	// own goroutine.
+	// Sample is the task's check-sampling state: the driver advances its
+	// epoch (see the package comment), and Cells.At hands it to the
+	// sink's sampler. It is only touched from the task's own goroutine,
+	// and from its parent's before the task starts.
 	Sample sample.TaskState
 }
 

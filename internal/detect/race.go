@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spd3/internal/sample"
 	"spd3/internal/stats"
 )
 
@@ -70,7 +71,11 @@ type key struct {
 // streaming: distinct races are delivered to the callback instead of the
 // races slice, so arbitrarily long runs never accumulate reports.
 type Sink struct {
-	stopped atomic.Bool // set on first report in halt mode; hot-path readable
+	// gate is the word every region's accessor (Cells.At) tests: zero
+	// means check, gateStopped that a halt-mode sink has stopped,
+	// gateSampled that the sampler decides which checks run.
+	gate    atomic.Uint32
+	sampler *sample.Sampler
 
 	mu     sync.Mutex
 	halt   bool // halt on first race
@@ -104,6 +109,24 @@ func (s *Sink) SetOnRace(fn func(Race) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onRace = fn
+}
+
+// The bits of Sink.gate.
+const (
+	gateStopped = 1 << iota
+	gateSampled
+)
+
+// SetSampler makes smp decide which checks every region reporting to the
+// sink runs; nil or an Off sampler runs them all. Call it once, before
+// the run starts.
+func (s *Sink) SetSampler(smp *sample.Sampler) {
+	s.sampler = smp
+	if smp.Enabled() {
+		s.gate.Or(gateSampled)
+	} else {
+		s.gate.And(^uint32(gateSampled))
+	}
 }
 
 // SetStats points the sink at a recorder for its reported / deduped /
@@ -162,9 +185,9 @@ func (s *Sink) Report(r Race) bool {
 		st := s.st
 		s.mu.Unlock()
 		st.Inc(stats.RaceDeduped)
-		return s.stopped.Load()
+		return s.Stopped()
 	}
-	if s.stopped.Load() {
+	if s.Stopped() {
 		s.mu.Unlock()
 		return true
 	}
@@ -184,12 +207,12 @@ func (s *Sink) Report(r Race) bool {
 	}
 	halt := s.halt
 	if halt {
-		s.stopped.Store(true)
+		s.gate.Or(gateStopped)
 	}
 	s.mu.Unlock()
 	if onRace != nil && onRace(r) {
 		halt = true
-		s.stopped.Store(true)
+		s.gate.Or(gateStopped)
 	}
 	return halt
 }
@@ -198,7 +221,7 @@ func (s *Sink) Report(r Race) bool {
 // Detectors consult it on their hot paths to stop checking, emulating the
 // paper's "report a race and halt" semantics without cancelling the
 // program's execution.
-func (s *Sink) Stopped() bool { return s.stopped.Load() }
+func (s *Sink) Stopped() bool { return s.gate.Load()&gateStopped != 0 }
 
 // Mark returns a cursor for RacesSince: races recorded so far.
 func (s *Sink) Mark() int {

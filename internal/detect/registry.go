@@ -5,23 +5,17 @@ import (
 	"sort"
 	"sync"
 
-	"spd3/internal/sample"
 	"spd3/internal/stats"
 )
 
 // FactoryOpts carries the shared dependencies a detector factory may wire
-// into the detector it builds: the race sink every detector reports to,
+// into the detector it builds: the race sink every detector reports to
+// (its sampler, if any, gates the detector's checks; see Sink.SetSampler),
 // and the engine's stats recorder (nil when stats are disabled — factories
 // must pass it through as-is, never substitute their own).
 type FactoryOpts struct {
 	Sink  *Sink
 	Stats *stats.Recorder
-
-	// Sampler, when enabled, gates the detector's per-access check path
-	// (internal/sample). Factories ignore it: New wraps whatever they
-	// build with the shadow-gating wrapper (sampling.go), so sampling
-	// works uniformly across the registry.
-	Sampler *sample.Sampler
 }
 
 // Factory builds one detector instance for one engine.
@@ -85,11 +79,7 @@ func New(name string, opts FactoryOpts) (Detector, error) {
 	if !ok {
 		return nil, fmt.Errorf("spd3: unknown detector %q (have %v)", name, Names())
 	}
-	d := e.factory(opts)
-	if opts.Sampler.Enabled() {
-		d = wrapSampled(d, opts.Sampler)
-	}
-	return d, nil
+	return e.factory(opts), nil
 }
 
 // Names returns the registered, non-hidden detector names, sorted.

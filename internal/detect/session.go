@@ -32,10 +32,10 @@ type SessionOpts struct {
 	Governor *sample.Governor
 }
 
-// Session is one assembled detection run: a race sink, the stats
-// recorder it and the detector count into, and the named detector built
-// over both, gated when sampling is configured. It is the one place the
-// four are wired together; the engine, the cmd tools, the daemon's shard
+// Session is one assembled detection run: a race sink (with the sampler,
+// when sampling is configured), the stats recorder it and the detector
+// count into, and the named detector built over both. It is the one place
+// they are wired together; the engine, the cmd tools, the daemon's shard
 // replay and the harness all open one.
 type Session struct {
 	Det  Detector
@@ -57,7 +57,8 @@ func Open(name string, o SessionOpts) (*Session, error) {
 	if o.Governor != nil {
 		smp = o.Governor.Sampler()
 	}
-	det, err := New(name, FactoryOpts{Sink: s.Sink, Stats: s.Rec, Sampler: smp})
+	s.Sink.SetSampler(smp)
+	det, err := New(name, FactoryOpts{Sink: s.Sink, Stats: s.Rec})
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ func (d *Detector) Footprint() detect.Footprint {
 }
 
 func (s *regionShadow) access(t *detect.Task, i int, isWrite bool) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}

@@ -221,7 +221,7 @@ func taskName(id detect.TaskID) string { return fmt.Sprintf("task#%d", id) }
 // recorded writer is in a P-bag; the reader field is replaced only when
 // the previous reader is serialized (or absent).
 func (s *regionShadow) Read(t *detect.Task, i int) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}
@@ -237,7 +237,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 // or writer is in a P-bag; the writer field always becomes the current
 // task.
 func (s *regionShadow) Write(t *detect.Task, i int) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}

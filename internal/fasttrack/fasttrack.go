@@ -255,7 +255,7 @@ func tidName(tid vc.TID) string { return fmt.Sprintf("task@tid%d", tid) }
 
 // Read implements the [FT READ] rules.
 func (s *regionShadow) Read(t *detect.Task, i int) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}
@@ -293,7 +293,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 
 // Write implements the [FT WRITE] rules.
 func (s *regionShadow) Write(t *detect.Task, i int) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}

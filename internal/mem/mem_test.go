@@ -320,12 +320,13 @@ func siteCases(rt *task.Runtime) []siteCase {
 // TestSiteCaptureAllContainers: with site capture on, a race completed
 // through any checked method of Array, Matrix, Var, List or Map carries
 // the file:line of the user's call — never a line inside this package's
-// containers — under SPD3, a rival detector, the sampling wrapper and a
+// containers — under SPD3, a rival detector, the sampling gate and a
 // parallel executor alike.
 func TestSiteCaptureAllContainers(t *testing.T) {
 	registry := func(name string, smp *sample.Sampler) func(*detect.Sink) detect.Detector {
 		return func(sink *detect.Sink) detect.Detector {
-			det, err := detect.New(name, detect.FactoryOpts{Sink: sink, Sampler: smp})
+			sink.SetSampler(smp)
+			det, err := detect.New(name, detect.FactoryOpts{Sink: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,6 +342,7 @@ func TestSiteCaptureAllContainers(t *testing.T) {
 		{"fasttrack", task.Sequential, registry("fasttrack", nil)},
 		{"spd3-sampled", task.Sequential, registry("spd3", sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 1}))},
 		{"spd3-pool", task.Pool, registry("spd3", nil)},
+		{"spd3-sampled-pool", task.Pool, registry("spd3", sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 1}))},
 	}
 	for _, cfg := range configs {
 		sink := detect.NewSink(false, 0)

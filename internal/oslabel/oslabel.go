@@ -208,7 +208,7 @@ func (d *Detector) Footprint() detect.Footprint {
 
 // Read mirrors SPD3's Algorithm 2 on labels.
 func (s *regionShadow) Read(t *detect.Task, i int) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}
@@ -235,7 +235,7 @@ func (s *regionShadow) Read(t *detect.Task, i int) {
 
 // Write mirrors SPD3's Algorithm 1 on labels.
 func (s *regionShadow) Write(t *detect.Task, i int) {
-	v := s.At(t.L, i)
+	v := s.At(t, i)
 	if v == nil {
 		return
 	}

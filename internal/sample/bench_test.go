@@ -39,7 +39,7 @@ func BenchmarkAdmitBernoulliHit(b *testing.B) {
 func BenchmarkAdmitBurst(b *testing.B) {
 	s := sample.New(sample.Config{Mode: sample.Burst, Rate: 0.01})
 	var st sample.TaskState
-	s.Step(&st)
+	st.Step()
 	n := 0
 	for i := 0; i < b.N; i++ {
 		if s.Admit(&st, 1, i) {

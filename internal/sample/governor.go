@@ -51,6 +51,17 @@ func NewGovernor(cfg Config, budget float64) *Governor {
 	return g
 }
 
+// Govern parses spec and returns a governor for it with the given
+// budget, or nil when spec is off: the one path from a sampling spec to
+// a gate.
+func Govern(spec string, budget float64) (*Governor, error) {
+	cfg, err := Parse(spec)
+	if err != nil || cfg.Mode == Off {
+		return nil, err
+	}
+	return NewGovernor(cfg, budget), nil
+}
+
 // Sampler returns a sampler bound to the governor's shared rate cell.
 // Each replay should take a fresh one (TaskState is per-task anyway;
 // the handle itself is stateless), but sharing one is also safe.

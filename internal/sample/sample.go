@@ -156,18 +156,22 @@ func (r *Rate) Load() float64 { return float64(r.v.Load()) / (1 << rateBits) }
 // hash slice on the hot path.
 func (r *Rate) load16() int64 { return r.v.Load() }
 
-// TaskState is per-task sampling state, embedded in the per-task record
-// of the layer that gates checks (detect.Task.Sample, for the registry's
-// wrapper). It caches the current burst-window decision and a one-entry
-// location-coin memo so the sampled-out path is a predictable
-// compare-and-branch.
+// TaskState is per-task sampling state (detect.Task.Sample). The driver
+// announces each new step with Step; Admit keeps the current epoch's
+// burst-window decision and a one-entry location-coin memo so the
+// sampled-out path is a predictable compare-and-branch.
 type TaskState struct {
-	epoch   uint64
-	ready   bool
-	burst   bool
+	steps   uint64 // Step calls so far
+	burstAt uint64 // steps+1 when burst was decided; 0 before the first decision
 	memoKey uint64
+	burst   bool
 	memoOK  bool
 }
+
+// Step announces that the task entered a new step. A task's first step
+// is epoch 0 whether or not it was announced, so a state that never saw a
+// Step samples like one that saw exactly one.
+func (st *TaskState) Step() { st.steps++ }
 
 // Sampler decides, per access, whether the race check runs. A nil
 // Sampler admits everything. Samplers are cheap handles onto a shared
@@ -219,20 +223,6 @@ func (s *Sampler) RateValue() float64 {
 	return s.rate.Load()
 }
 
-// Step announces a task-step advance: Burst mode recomputes the cached
-// window decision for the new epoch. Epoch 0 — every task's first step
-// — is always sampled, so fresh detectors deterministically check each
-// task's prologue. Nil-safe; a no-op for location-coin modes.
-func (s *Sampler) Step(st *TaskState) {
-	if s == nil || s.mode != Burst {
-		return
-	}
-	e := st.epoch
-	st.epoch++
-	st.ready = true
-	st.burst = e%uint64(s.burstPeriod()) == 0
-}
-
 // burstPeriod derives the burst window period from the current rate:
 // one sampled step out of period.
 func (s *Sampler) burstPeriod() int64 {
@@ -249,17 +239,22 @@ func (s *Sampler) burstPeriod() int64 {
 
 // Admit reports whether the check for element idx of the given shadow
 // region should run. The decision is deterministic per (seed, location)
-// for Bernoulli and per task-step epoch for Burst. Callers tally the
-// outcome themselves (the registry's wrapper counts into the executing
-// goroutine's detect.Tally). Nil receivers admit everything.
+// for Bernoulli and per task-step epoch for Burst: the first Admit of an
+// epoch decides its window, in or out, from the rate at that moment.
+// Epoch 0 — every task's first step — is always sampled, so fresh
+// detectors deterministically check each task's prologue. Callers tally
+// the outcome themselves (detect.Cells counts into the executing
+// goroutine's Tally). Nil receivers admit everything.
 func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
 	if s == nil {
 		return true
 	}
 	switch s.mode {
 	case Burst:
-		if !st.ready {
-			s.Step(st)
+		if st.burstAt != st.steps+1 {
+			st.burstAt = st.steps + 1
+			e := max(st.steps, 1) - 1
+			st.burst = e%uint64(s.burstPeriod()) == 0
 		}
 		return st.burst
 	case Off:

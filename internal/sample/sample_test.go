@@ -114,7 +114,7 @@ func TestNilSampler(t *testing.T) {
 	if s.RateValue() != 0 {
 		t.Errorf("nil sampler RateValue = %v, want 0", s.RateValue())
 	}
-	s.Step(&st)
+	st.Step()
 	if !s.Admit(&st, 1, 2) {
 		t.Error("nil sampler rejected a check")
 	}
@@ -182,7 +182,7 @@ func TestBurstPattern(t *testing.T) {
 	s := sample.New(sample.Config{Mode: sample.Burst, Rate: 0.25})
 	var st sample.TaskState
 	for e := 0; e < 16; e++ {
-		s.Step(&st)
+		st.Step()
 		want := e%4 == 0
 		if got := s.Admit(&st, 1, e); got != want {
 			t.Errorf("epoch %d: Admit = %v, want %v", e, got, want)
@@ -208,7 +208,7 @@ func TestBurstEveryTaskPrologue(t *testing.T) {
 	s := sample.New(sample.Config{Mode: sample.Burst, Rate: 0.01})
 	for task := 0; task < 32; task++ {
 		var st sample.TaskState
-		s.Step(&st)
+		st.Step()
 		if !s.Admit(&st, 1, 0) {
 			t.Fatalf("task %d: first epoch not sampled at rate 0.01", task)
 		}

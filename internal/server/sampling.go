@@ -80,17 +80,15 @@ func (st *samplerTable) specFor(tenant, override string) string {
 // sampling off rather than panicking mid-replay.
 func (st *samplerTable) governor(tenant, override string) *sample.Governor {
 	spec := st.specFor(tenant, override)
-	cfg, err := sample.Parse(spec)
-	if err != nil || cfg.Mode == sample.Off {
-		return nil
-	}
 	key := tenant + "\x00" + spec
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	g := st.govs[key]
 	if g == nil {
-		g = sample.NewGovernor(cfg, st.cfg.Budget)
-		st.govs[key] = g
+		g, _ = sample.Govern(spec, st.cfg.Budget)
+		if g != nil {
+			st.govs[key] = g
+		}
 	}
 	return g
 }

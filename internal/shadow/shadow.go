@@ -164,17 +164,18 @@ func (p *Pages[C]) Cell(i int) *C {
 // synchronization); the cached page pointers stay valid forever because
 // published pages are never moved or freed.
 func (p *Pages[C]) CellOf(pc *PageCache, i int) *C {
-	g := uint64(i) >> PageShift
-	sl := &pc.slots[slotOf(p.id, g)]
-	if sl.id == p.id && sl.page == g {
-		pc.hits++
-		return &(*(*[]C)(sl.data))[i&PageMask]
+	if pg := pc.Page(p.id, i); pg != nil {
+		return In[C](pg, i)
 	}
+	g := uint64(i) >> PageShift
 	pc.misses++
 	ref := p.pageRef(g)
-	*sl = pageSlot{id: p.id, page: g, data: unsafe.Pointer(ref)}
+	pc.slots[slotOf(p.id, g)] = pageSlot{id: p.id, page: g, data: unsafe.Pointer(ref)}
 	return &(*ref)[i&PageMask]
 }
+
+// Key returns the region's page-cache key, for PageCache.Page.
+func (p *Pages[C]) Key() uint64 { return p.id }
 
 // Range calls f with every allocated page — the region index of its
 // first cell and its cell slice — in ascending page order. Pages
@@ -241,6 +242,23 @@ type pageSlot struct {
 	page uint64
 	data unsafe.Pointer // the stable *[]C published in the page table
 }
+
+// Page is CellOf's hit path: the page holding cell i of the region keyed
+// key (Pages.Key) when pc has it, counting a hit, else nil, counting
+// nothing — the caller goes on to CellOf. Unlike CellOf it is not
+// generic, so it inlines into a caller that then takes the cell with In.
+func (pc *PageCache) Page(key uint64, i int) unsafe.Pointer {
+	g := uint64(i) >> PageShift
+	sl := &pc.slots[slotOf(key, g)]
+	if sl.id != key || sl.page != g {
+		return nil
+	}
+	pc.hits++
+	return sl.data
+}
+
+// In returns cell i of page, a PageCache.Page result for a Pages[C].
+func In[C any](page unsafe.Pointer, i int) *C { return &(*(*[]C)(page))[i&PageMask] }
 
 // TakeCounts returns the batched hit/miss tallies and zeroes them.
 func (pc *PageCache) TakeCounts() (hits, misses int64) {

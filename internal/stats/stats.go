@@ -78,9 +78,9 @@ const (
 	// table (and, on a region's first touch of a page, allocated it).
 	PageCacheMiss
 	// SampleChecked counts shadow accesses admitted by the dynamic
-	// check-sampling gate (internal/sample). Zero when sampling is off:
-	// the gate is a wrapper detect.New adds only for an enabled sampler,
-	// so an unsampled run has no gate on its path at all.
+	// check-sampling gate (internal/sample, asked by detect.Cells.At).
+	// Zero when sampling is off, and after a halt-mode sink has stopped:
+	// the gate is then not asked.
 	SampleChecked
 	// SampleSkipped counts shadow accesses elided by the sampling gate.
 	// checked/(checked+skipped) is the effective sampling rate a run

@@ -170,6 +170,7 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	implicit := &scope{f: detect.Finish{ID: rt.finishIDs.Add(1) - 1}}
 	main := &Ctx{rt: rt, body: root, join: implicit, fin: implicit}
 	main.task = detect.Task{ID: detect.TaskID(rt.taskIDs.Add(1) - 1), IEF: &implicit.f}
+	main.task.Sample.Step()
 	rt.det.MainTask(&main.task, &implicit.f)
 	rt.exec.run(rt, main)
 
@@ -264,6 +265,8 @@ func (c *Ctx) Async(body func(*Ctx)) {
 		join: c.fin,
 		fin:  c.fin,
 	}
+	child.task.Sample.Step()
+	c.task.Sample.Step()
 	rt.det.BeforeSpawn(&c.task, &child.task)
 	c.task.L.Tally[stats.TaskSpawn]++
 	c.fin.pending.Add(1)
@@ -284,6 +287,7 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 func (c *Ctx) beginFinish() *scope {
 	rt := c.rt
 	s := &scope{f: detect.Finish{ID: rt.finishIDs.Add(1) - 1}}
+	c.task.Sample.Step()
 	rt.det.FinishStart(&c.task, &s.f)
 	prev := c.fin
 	c.fin = s
@@ -297,6 +301,7 @@ func (c *Ctx) endFinish(prev *scope) {
 	s := c.fin
 	rt.exec.wait(c, s)
 	c.fin = prev
+	c.task.Sample.Step()
 	rt.det.FinishEnd(&c.task, &s.f)
 }
 
@@ -375,6 +380,7 @@ func (rt *Runtime) runMain(c *Ctx, l *detect.Local) {
 	rt.runBody(c, l)
 	rt.exec.wait(c, c.join)
 	if c.fin == c.join {
+		c.task.Sample.Step()
 		rt.det.FinishEnd(&c.task, &c.join.f)
 	}
 }

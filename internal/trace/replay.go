@@ -458,6 +458,7 @@ func (st *replayState) apply(ev *event) error {
 		f := &detect.Finish{ID: a[1]}
 		t := &replayTask{Task: detect.Task{ID: detect.TaskID(a[0]), IEF: f, L: &st.local}, open: []*detect.Finish{f}}
 		st.tasks[a[0]] = t
+		t.Sample.Step()
 		st.det.MainTask(&t.Task, f)
 	case evSpawn:
 		parent, ok := st.tasks[a[0]]
@@ -475,6 +476,8 @@ func (st *replayState) apply(ev *event) error {
 		}
 		child := &replayTask{Task: detect.Task{ID: detect.TaskID(a[1]), IEF: ief, L: &st.local}}
 		st.tasks[a[1]] = child
+		child.Sample.Step()
+		parent.Sample.Step()
 		st.det.BeforeSpawn(&parent.Task, &child.Task)
 	case evTaskEnd:
 		t, ok := st.tasks[a[0]]
@@ -496,6 +499,7 @@ func (st *replayState) apply(ev *event) error {
 		}
 		f := &detect.Finish{ID: a[1]}
 		t.open = append(t.open, f)
+		t.Sample.Step()
 		st.det.FinishStart(&t.Task, f)
 	case evFinishEnd:
 		t, ok := st.tasks[a[0]]
@@ -508,6 +512,7 @@ func (st *replayState) apply(ev *event) error {
 		}
 		f := t.open[n-1]
 		t.open = t.open[:n-1]
+		t.Sample.Step()
 		st.det.FinishEnd(&t.Task, f)
 		if f == t.IEF {
 			// Only the main task has its own IEF open, and the contract

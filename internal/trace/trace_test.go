@@ -90,10 +90,12 @@ func TestReplayMatchesLiveVerdicts(t *testing.T) {
 // event contract, so replaying a depth-first trace into a fresh session
 // must leave that session's recorder with the check-path counters of the
 // live run it was recorded from — shadow protocol, DMHP, page cache and
-// sampling gate alike, unsampled and behind a Bernoulli coin. Both sides
-// work through one detect.Local (a sequential run's, the replay's) in the
-// same access order, so even the page cache's hit/miss split agrees; under
-// any other executor only its sum would.
+// sampling gate alike, unsampled, behind a Bernoulli coin and in burst
+// windows (which pins that both drivers advance a task's burst epoch at
+// the same events). Both sides work through one detect.Local (a
+// sequential run's, the replay's) in the same access order, so even the
+// page cache's hit/miss split agrees; under any other executor only its
+// sum would.
 func TestReplayStatsMatchLive(t *testing.T) {
 	sor, err := bench.ByName("SOR")
 	if err != nil {
@@ -122,7 +124,7 @@ func TestReplayStatsMatchLive(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range []string{"off", "bernoulli:0.5"} {
+		for _, spec := range []string{"off", "bernoulli:0.5", "burst:0.3"} {
 			open := func() *detect.Session {
 				cfg, err := sample.Parse(spec)
 				if err != nil {

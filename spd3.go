@@ -249,18 +249,12 @@ func New(opts Options) (*Engine, error) {
 	if !detect.Registered(string(opts.Detector)) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDetector, opts.Detector)
 	}
-	var gov *sample.Governor
-	if opts.Sampling.Spec != "" || opts.Sampling.OverheadBudget != 0 {
-		cfg, err := sample.Parse(opts.Sampling.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSampling, err)
-		}
-		if b := opts.Sampling.OverheadBudget; !(b >= 0 && b <= 1) { // also refuses NaN
-			return nil, fmt.Errorf("%w: overhead budget %v out of [0, 1]", ErrBadSampling, b)
-		}
-		if cfg.Mode != sample.Off {
-			gov = sample.NewGovernor(cfg, opts.Sampling.OverheadBudget)
-		}
+	gov, err := sample.Govern(opts.Sampling.Spec, opts.Sampling.OverheadBudget)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSampling, err)
+	}
+	if b := opts.Sampling.OverheadBudget; !(b >= 0 && b <= 1) { // also refuses NaN
+		return nil, fmt.Errorf("%w: overhead budget %v out of [0, 1]", ErrBadSampling, b)
 	}
 	ses, err := detect.Open(string(opts.Detector), detect.SessionOpts{
 		Halt:         opts.HaltOnFirstRace,
