@@ -124,8 +124,6 @@ func (s *Sink) SetSampler(smp *sample.Sampler) {
 	s.sampler = smp
 	if smp.Enabled() {
 		s.gate.Or(gateSampled)
-	} else {
-		s.gate.And(^uint32(gateSampled))
 	}
 }
 
@@ -218,9 +216,9 @@ func (s *Sink) Report(r Race) bool {
 }
 
 // Stopped reports whether a halt-mode sink has already recorded a race.
-// Detectors consult it on their hot paths to stop checking, emulating the
-// paper's "report a race and halt" semantics without cancelling the
-// program's execution.
+// Its bit in the gate word stops every region's checks (Cells.At),
+// emulating the paper's "report a race and halt" semantics without
+// cancelling the program's execution.
 func (s *Sink) Stopped() bool { return s.gate.Load()&gateStopped != 0 }
 
 // Mark returns a cursor for RacesSince: races recorded so far.
