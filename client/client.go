@@ -193,14 +193,14 @@ type Statsz struct {
 	PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
 	PeakRSSBytes   int64   `json:"peak_rss_bytes"`
 	// Sampling lists the daemon's live per-tenant sampling gauges: one
-	// row per (tenant, spec) pair it has replayed under, carrying the
-	// governor's current rate.
+	// row per (tenant, spec) pair it has replayed under and not yet
+	// forgotten with its tenant, carrying the sampler's current rate.
 	Sampling []TenantSampling `json:"sampling,omitempty"`
 	Stats    StatsSnapshot    `json:"stats"`
 }
 
 // TenantSampling is one live sampling gauge: the mode and current
-// (governor-adapted) sampling rate in effect for one tenant.
+// (budget-adapted) sampling rate in effect for one tenant.
 type TenantSampling struct {
 	Tenant string  `json:"tenant"`
 	Mode   string  `json:"mode"`

@@ -63,7 +63,7 @@ func main() {
 		statsDump = flag.Bool("stats", false, "append the run's observability snapshot as JSON")
 		workload  = flag.Bool("workload", false, "print workload statistics (spawned tasks, per-region traffic) instead of detecting")
 		smpSpec   = flag.String("sample", "", "check-sampling spec mode:rate (bernoulli:0.01, burst:0.02); empty or off checks everything")
-		smpBudget = flag.String("overhead-budget", "", "sampling overhead budget (e.g. 5% or 0.05): a governor adapts the rate online to hold it; empty freezes the rate")
+		smpBudget = flag.String("overhead-budget", "", "sampling overhead budget (e.g. 5% or 0.05): a feedback loop adapts the rate online to hold it; empty freezes the rate")
 	)
 	flag.Parse()
 
@@ -118,25 +118,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spd3: -overhead-budget:", err)
 		os.Exit(2)
 	}
-	gov, err := sample.Govern(*smpSpec, budget)
+	smp, err := sample.Govern(*smpSpec, budget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3: -sample:", err)
 		os.Exit(2)
 	}
-	ses, err := detect.Open(detName, detect.SessionOpts{Halt: *halt, Governor: gov})
+	ses, err := detect.Open(detName, detect.SessionOpts{Halt: *halt, Sampler: smp})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3:", err)
 		os.Exit(2)
 	}
 	det := ses.Det
-	// report prints what follows a run or replay: the sampling state
-	// (the snapshot feeds the governor first, so the printed rate is the
-	// adapted one), the -stats dump, and the races.
+	// report prints what follows a run or replay: the sampling state at
+	// the rate the snapshot just adapted, the -stats dump, and the races.
 	report := func(elapsed time.Duration) {
 		snap := ses.Snapshot(elapsed)
-		if gov != nil {
+		if smp != nil {
 			fmt.Printf("sampling  : %s  rate: %.4f  checked: %d  skipped: %d\n",
-				gov.Mode(), gov.Rate(), snap.Get(stats.SampleChecked), snap.Get(stats.SampleSkipped))
+				smp.Mode(), smp.Rate(), snap.Get(stats.SampleChecked), snap.Get(stats.SampleSkipped))
 		}
 		if *statsDump {
 			printStats(snap)

@@ -24,9 +24,9 @@
 // bytes, concurrent shard slots, and submitted byte rate.
 //
 // -sample sets a default check-sampling spec (mode:rate), -tenant-sample
-// overrides it per tenant, and -overhead-budget hands each sampling
-// governor a modeled overhead target to hold by adapting the rate
-// online; a per-request sample= query parameter overrides both. The
+// overrides it per tenant, and -overhead-budget hands each sampler a
+// modeled overhead target to hold by adapting its rate online; a
+// per-request sample= query parameter overrides both. The
 // live per-tenant rates and sample.* counters surface in /statsz.
 //
 // Every submit is admitted before its body is read: 503 while draining,
@@ -80,7 +80,7 @@ func main() {
 		tenantRateMB  = flag.Int64("tenant-rate-mb", 0, "per-tenant submitted-bytes rate limit in MiB/s (0 disables)")
 
 		sampleSpec   = flag.String("sample", "", "default check-sampling spec for every tenant (mode:rate, e.g. bernoulli:0.01, burst:0.02; empty or off = check everything)")
-		budgetSpec   = flag.String("overhead-budget", "", "sampling overhead budget for the governors (e.g. 5% or 0.05); empty freezes rates at their configured values")
+		budgetSpec   = flag.String("overhead-budget", "", "sampling overhead budget for the samplers (e.g. 5% or 0.05); empty freezes rates at their configured values")
 		tenantSample = flag.String("tenant-sample", "", "per-tenant sampling overrides as tenant=spec[,tenant=spec...]")
 	)
 	flag.Parse()

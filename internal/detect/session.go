@@ -24,12 +24,9 @@ type SessionOpts struct {
 	// NoStats leaves the session without a recorder: Rec is nil and
 	// Snapshot carries only the footprint.
 	NoStats bool
-	// Sampler gates the detector's checks at a fixed rate. Set it or
-	// Governor, not both.
-	Sampler *sample.Sampler
-	// Governor gates the checks behind its shared, adapting rate and is
+	// Sampler gates the detector's checks. One with an overhead budget is
 	// fed one observation by every Snapshot.
-	Governor *sample.Governor
+	Sampler *sample.Sampler
 }
 
 // Session is one assembled detection run: a race sink (with the sampler,
@@ -38,26 +35,22 @@ type SessionOpts struct {
 // they are wired together; the engine, the cmd tools, the daemon's shard
 // replay and the harness all open one.
 type Session struct {
-	Det  Detector
-	Sink *Sink
-	Rec  *stats.Recorder  // nil under NoStats
-	Gov  *sample.Governor // nil unless SessionOpts.Governor was set
+	Det     Detector
+	Sink    *Sink
+	Rec     *stats.Recorder // nil under NoStats
+	Sampler *sample.Sampler // SessionOpts.Sampler; nil when every check runs
 }
 
 // Open builds the named registry detector and everything it reports to.
 func Open(name string, o SessionOpts) (*Session, error) {
-	s := &Session{Sink: NewSink(o.Halt, o.MaxRaces), Gov: o.Governor}
+	s := &Session{Sink: NewSink(o.Halt, o.MaxRaces), Sampler: o.Sampler}
 	if !o.NoStats {
 		s.Rec = stats.New()
 		s.Sink.SetStats(s.Rec)
 	}
 	s.Sink.SetOnRace(o.OnRace)
 	s.Sink.SetCaptureSites(o.CaptureSites)
-	smp := o.Sampler
-	if o.Governor != nil {
-		smp = o.Governor.Sampler()
-	}
-	s.Sink.SetSampler(smp)
+	s.Sink.SetSampler(o.Sampler)
 	det, err := New(name, FactoryOpts{Sink: s.Sink, Stats: s.Rec})
 	if err != nil {
 		return nil, err
@@ -67,14 +60,12 @@ func Open(name string, o SessionOpts) (*Session, error) {
 }
 
 // Snapshot merges the recorder's counters, folds in the detector's
-// footprint and, when the session is governed, feeds the governor one
-// observation of those counts over wall — the duration of the run or
-// replay that produced them.
+// footprint and feeds the sampler one observation of those counts over
+// wall — the duration of the run or replay that produced them. Without
+// a sampler or its budget the observation does nothing.
 func (s *Session) Snapshot(wall time.Duration) stats.Snapshot {
 	snap := s.Rec.Snapshot()
 	snap.Footprint = s.Det.Footprint()
-	if s.Gov != nil {
-		s.Gov.ObserveSnapshot(snap, wall)
-	}
+	s.Sampler.ObserveSnapshot(snap, wall)
 	return snap
 }

@@ -5,8 +5,8 @@
 // detection probability over a corpus of randomly generated programs
 // whose races full SPD3 finds — the measured form of the soundness
 // argument in DESIGN: sampling never invents a race, it only trades
-// detection probability for overhead. A final row runs the governor at
-// a 5% budget and reports the rate it settled on.
+// detection probability for overhead. The final rows run a sampler's
+// feedback loop at a 5% budget and report the rate it settled on.
 package harness
 
 import (
@@ -68,7 +68,7 @@ func ablationSample(cfg Config) (*Table, error) {
 	for _, mode := range []sample.Mode{sample.Bernoulli, sample.Burst} {
 		for _, rate := range samplePoints {
 			scfg := sample.Config{Mode: mode, Rate: rate}
-			m, err := cfg.measureSampled(b, fixedRate(scfg), n, in)
+			m, err := cfg.measureSampled(b, sample.New(scfg), n, in)
 			if err != nil {
 				return nil, err
 			}
@@ -81,28 +81,28 @@ func ablationSample(cfg Config) (*Table, error) {
 		}
 	}
 
-	// The floor row: Bernoulli at the governor's MinRate admits almost
+	// The floor row: Bernoulli at MinRate admits almost
 	// nothing, so its overhead is the cost of the gate itself — the
 	// bound no sampling rate can go below on this substrate (per-access
 	// instrumentation calls survive even when every check is skipped).
-	floor, err := cfg.measureSampled(b, fixedRate(sample.Config{Mode: sample.Bernoulli, Rate: sample.MinRate}), n, in)
+	floor, err := cfg.measureSampled(b, sample.New(sample.Config{Mode: sample.Bernoulli, Rate: sample.MinRate}), n, in)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("gate floor (bernoulli:min)", ratio(floor.Time, base.Time), checkedFrac(floor.Stats), 0.0)
 
-	// The governor row: one persistent governor observes repeated runs
+	// The governor row: one budgeted sampler observes repeated runs
 	// until its rate stops moving (a deployment's replay segments give it
 	// the same stream), then the settled configuration is measured like
 	// any fixed point. On a kernel this dense a 5% budget drives the rate
-	// to the floor — the overhead left is the gate itself.
-	gcfg := sample.Config{Mode: sample.Bernoulli, Rate: 1}
-	gov := sample.NewGovernor(gcfg, 0.05)
+	// to the floor — the overhead left is the gate itself. (Govern cannot
+	// fail on this constant spec and budget.)
+	gov, _ := sample.Govern("bernoulli:1", 0.05)
 	warm := cfg
 	warm.Repeats = 1
 	for i := 0; i < 16; i++ {
 		before := gov.Rate()
-		if _, err := warm.measureSampled(b, func() detect.SessionOpts { return detect.SessionOpts{Governor: gov} }, n, in); err != nil {
+		if _, err := warm.measureSampled(b, gov, n, in); err != nil {
 			return nil, err
 		}
 		if after := gov.Rate(); after == before {
@@ -110,7 +110,7 @@ func ablationSample(cfg Config) (*Table, error) {
 		}
 	}
 	settled := sample.Config{Mode: sample.Bernoulli, Rate: gov.Rate()}
-	m, err := cfg.measureSampled(b, fixedRate(settled), n, in)
+	m, err := cfg.measureSampled(b, sample.New(settled), n, in)
 	if err != nil {
 		return nil, err
 	}
@@ -125,32 +125,22 @@ func ablationSample(cfg Config) (*Table, error) {
 	// itself, where a 5% budget affords a high rate. This is the
 	// deployment-matched detection number — the rate the governor holds
 	// on the workload whose races it is asked to catch, not a rate
-	// imported from a hotter kernel.
-	pgov := sample.NewGovernor(gcfg, 0.05)
+	// imported from a hotter kernel. Govern cannot fail here either.
+	pgov, _ := sample.Govern("bernoulli:1", 0.05)
 	for i := 0; i < 8; i++ {
 		before := pgov.Rate()
-		progenCorpus(racySeeds, "spd3", func(int64) detect.SessionOpts { return detect.SessionOpts{Governor: pgov} })
+		progenCorpus(racySeeds, "spd3", func(int64) *sample.Sampler { return pgov })
 		if pgov.Rate() == before {
 			break
 		}
 	}
 	psettled := sample.Config{Mode: sample.Bernoulli, Rate: pgov.Rate()}
-	pbase, _ := progenCorpus(racySeeds, "none", func(int64) detect.SessionOpts { return detect.SessionOpts{} })
-	ptime, psnap := progenCorpus(racySeeds, "spd3", func(seed int64) detect.SessionOpts {
-		return detect.SessionOpts{Sampler: sample.NewSeeded(psettled, uint64(seed))}
-	})
+	seeded := func(seed int64) *sample.Sampler { return sample.NewSeeded(psettled, uint64(seed)) }
+	pbase, _ := progenCorpus(racySeeds, "none", nil)
+	ptime, psnap := progenCorpus(racySeeds, "spd3", seeded)
 	t.AddRow(fmt.Sprintf("governor 5%% on progen (settled rate %.4f)", pgov.Rate()),
-		ratio(ptime, pbase), checkedFrac(psnap),
-		detectProb(racySeeds, func(seed int64) *sample.Sampler {
-			return sample.NewSeeded(psettled, uint64(seed))
-		}))
+		ratio(ptime, pbase), checkedFrac(psnap), detectProb(racySeeds, seeded))
 	return t, nil
-}
-
-// fixedRate is measureSampled's gate for a fixed point of the sweep: a
-// fresh sampler at scfg's rate per session.
-func fixedRate(scfg sample.Config) func() detect.SessionOpts {
-	return func() detect.SessionOpts { return detect.SessionOpts{Sampler: sample.New(scfg)} }
 }
 
 // runProgen executes generated program seed on two pool workers under a
@@ -172,42 +162,46 @@ func runProgen(seed int64, name string, o detect.SessionOpts) (*detect.Session, 
 	return ses, time.Since(start)
 }
 
-// progenCorpus runs every racy seed under one detector configuration,
-// returning the summed wall clock and the corpus' merged stats (gate
-// tallies included). opts gets the program seed (the corpus shares a
-// handful of shadow locations, so a fixed coin seed would collapse the
-// whole corpus onto one assignment — same reasoning as detectProb).
-// Governed sessions feed each program's snapshot and wall to their
-// governor — the settle phase of the progen governor row.
-func progenCorpus(racySeeds []int64, name string, opts func(seed int64) detect.SessionOpts) (time.Duration, stats.Snapshot) {
+// progenCorpus runs every racy seed under one detector, sampled when mk
+// is non-nil, returning the summed wall clock and the corpus' merged
+// stats (gate tallies included). mk gets the program seed (the corpus
+// shares a handful of shadow locations, so a fixed coin seed would
+// collapse the whole corpus onto one assignment — same reasoning as
+// detectProb). A budgeted sampler is fed each program's snapshot and
+// wall — the settle phase of the progen governor row.
+func progenCorpus(racySeeds []int64, name string, mk func(seed int64) *sample.Sampler) (time.Duration, stats.Snapshot) {
 	var total time.Duration
 	var agg stats.Snapshot
 	for _, seed := range racySeeds {
-		ses, elapsed := runProgen(seed, name, opts(seed))
+		var smp *sample.Sampler
+		if mk != nil {
+			smp = mk(seed)
+		}
+		ses, elapsed := runProgen(seed, name, detect.SessionOpts{Sampler: smp})
 		total += elapsed
 		agg.Merge(ses.Snapshot(elapsed))
 	}
 	return total, agg
 }
 
-// measureSampled is cfg.measure for sampled SPD3; gate supplies each
-// session's sampling options (fixedRate, or a persistent governor).
-// Each repeat is a pair of runs: a stats-off run whose wall time is the
-// Overhead signal (a live recorder adds per-access tallies the
-// uninstrumented baseline never pays, which would smear recorder cost
-// into the sampling column), and a stats-on run whose snapshot supplies
-// the gate counts. A governor observes the counting run's tallies
-// against the timed run's wall clock — the deployment-shaped input:
-// real counts, real duration.
-func (c Config) measureSampled(b *bench.Benchmark, gate func() detect.SessionOpts, workers int, in bench.Input) (Measurement, error) {
+// measureSampled is cfg.measure for SPD3 gated by smp, which every
+// session shares. Each repeat is a pair of runs: a stats-off run whose
+// wall time is the Overhead signal (a live recorder adds per-access
+// tallies the uninstrumented baseline never pays, which would smear
+// recorder cost into the sampling column), and a stats-on run whose
+// snapshot supplies the gate counts. A budgeted sampler observes the
+// counting run's tallies against the timed run's wall clock — the
+// deployment-shaped input: real counts, real duration.
+func (c Config) measureSampled(b *bench.Benchmark, smp *sample.Sampler, workers int, in bench.Input) (Measurement, error) {
 	var best Measurement
 	best.Time = math.MaxInt64
+	o := detect.SessionOpts{Sampler: smp}
 	for rep := 0; rep < c.Repeats; rep++ {
-		_, elapsed, _, err := runOnce(b, SPD3NoStats, gate(), workers, in)
+		_, elapsed, _, err := runOnce(b, SPD3NoStats, o, workers, in)
 		if err != nil {
 			return Measurement{}, err
 		}
-		counting, _, _, err := runOnce(b, SPD3, gate(), workers, in)
+		counting, _, _, err := runOnce(b, SPD3, o, workers, in)
 		if err != nil {
 			return Measurement{}, err
 		}

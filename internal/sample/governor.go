@@ -1,7 +1,7 @@
 package sample
 
 import (
-	"sync"
+	"fmt"
 	"time"
 
 	"spd3/internal/stats"
@@ -10,89 +10,65 @@ import (
 // defaultCheckNS is the modeled cost of one admitted race check when no
 // better estimate exists: a 4–7-hop DMHP query plus the shadow-word
 // protocol, measured at roughly this order on the dense kernels
-// (EXPERIMENTS.md). The governor only needs it to be the right order of
-// magnitude — the feedback loop corrects the rest.
+// (EXPERIMENTS.md). The feedback loop only needs it to be the right
+// order of magnitude — it corrects the rest.
 const defaultCheckNS = 120.0
 
-// Observation is one feedback sample for the governor: the gate
-// outcomes and the wall clock of the replayed (or executed) span that
-// produced them.
+// Observation is one feedback sample: the gate outcomes and the wall
+// clock of the replayed (or executed) span that produced them.
 type Observation struct {
 	Checked, Skipped int64
 	Wall             time.Duration
 }
 
-// Governor holds a sampling rate on target to a user-set overhead
-// budget. It owns the shared Rate cell its Samplers load on the hot
-// path and retunes it after every observation with a damped
-// multiplicative step:
-//
-//	estimated overhead = modeled check time / (wall − modeled check time)
-//	rate ← rate × clamp(budget/overhead, ½, 2)
-//
-// The check-time model is checked × cost-per-check. A zero budget
-// turns the feedback loop off and the Governor degrades to a fixed-rate
-// sampler factory.
-type Governor struct {
-	cfg    Config
-	budget float64
-	rate   Rate
-
-	mu      sync.Mutex
-	observe int64 // observations applied (for tests and gauges)
-}
-
-// NewGovernor returns a governor for the given strategy and overhead
-// budget (a fraction; 0 disables adaptation). The initial rate is
-// cfg.Rate.
-func NewGovernor(cfg Config, budget float64) *Governor {
-	g := &Governor{cfg: cfg, budget: budget}
-	g.rate.Store(cfg.Rate)
-	return g
-}
-
-// Govern parses spec and returns a governor for it with the given
-// budget, or nil when spec is off: the one path from a sampling spec to
-// a gate.
-func Govern(spec string, budget float64) (*Governor, error) {
+// Govern parses spec and returns a sampler for it that holds the given
+// overhead budget (a fraction; 0 keeps the rate fixed at spec's), or nil
+// when spec is off. It is the one path from a spec and a budget to a
+// gate and the one place the budget is range-checked — before the off
+// return, so an off spec with a bad budget is still refused.
+func Govern(spec string, budget float64) (*Sampler, error) {
+	if err := checkBudget(budget); err != nil {
+		return nil, err
+	}
 	cfg, err := Parse(spec)
 	if err != nil || cfg.Mode == Off {
 		return nil, err
 	}
-	return NewGovernor(cfg, budget), nil
+	s := New(cfg)
+	s.budget = budget
+	return s, nil
 }
 
-// Sampler returns a sampler bound to the governor's shared rate cell.
-// Each replay should take a fresh one (TaskState is per-task anyway;
-// the handle itself is stateless), but sharing one is also safe.
-func (g *Governor) Sampler() *Sampler {
-	return &Sampler{mode: g.cfg.Mode, rate: &g.rate, seed: defaultSeed}
+// checkBudget refuses an overhead budget outside [0, 1], NaN included.
+func checkBudget(b float64) error {
+	if !(b >= 0 && b <= 1) {
+		return fmt.Errorf("sample: overhead budget %v out of [0, 1]", b)
+	}
+	return nil
 }
-
-// Mode returns the governed strategy.
-func (g *Governor) Mode() Mode { return g.cfg.Mode }
-
-// Rate returns the current (possibly adapted) sampling rate.
-func (g *Governor) Rate() float64 { return g.rate.Load() }
-
-// Budget returns the overhead budget fraction (0 when fixed-rate).
-func (g *Governor) Budget() float64 { return g.budget }
 
 // Observations returns how many feedback samples have been applied.
-func (g *Governor) Observations() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.observe
+func (s *Sampler) Observations() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.observe
 }
 
-// Observe applies one feedback sample and retunes the shared rate.
-// No-op when the budget is zero or the observation is empty.
-func (g *Governor) Observe(o Observation) {
-	if g.budget <= 0 || o.Wall <= 0 || o.Checked+o.Skipped <= 0 {
+// Observe applies one feedback sample and retunes the rate with a
+// damped multiplicative step:
+//
+//	modeled check time = checked × defaultCheckNS
+//	estimated overhead = modeled check time / (wall − modeled check time)
+//	rate ← rate × clamp(budget/overhead, ½, 2)
+//
+// No-op on a nil sampler, without a budget, or when the observation is
+// empty.
+func (s *Sampler) Observe(o Observation) {
+	if s == nil || s.budget <= 0 || o.Wall <= 0 || o.Checked+o.Skipped <= 0 {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	checkNS := defaultCheckNS * float64(o.Checked)
 	wallNS := float64(o.Wall.Nanoseconds())
 	base := wallNS - checkNS
@@ -105,23 +81,23 @@ func (g *Governor) Observe(o Observation) {
 	overhead := checkNS / base
 	adj := 2.0
 	if overhead > 0 {
-		adj = g.budget / overhead
+		adj = s.budget / overhead
 		if adj > 2 {
 			adj = 2
 		} else if adj < 0.5 {
 			adj = 0.5
 		}
 	}
-	g.rate.Store(g.rate.Load() * adj)
-	g.observe++
+	s.setRate(s.Rate() * adj)
+	s.observe++
 }
 
 // ObserveSnapshot applies the sampling-relevant counters of a merged
-// stats snapshot as one observation over the given wall clock.
-func (g *Governor) ObserveSnapshot(s stats.Snapshot, wall time.Duration) {
-	g.Observe(Observation{
-		Checked: s.Get(stats.SampleChecked),
-		Skipped: s.Get(stats.SampleSkipped),
+// stats snapshot as one observation over the given wall clock; nil-safe.
+func (s *Sampler) ObserveSnapshot(snap stats.Snapshot, wall time.Duration) {
+	s.Observe(Observation{
+		Checked: snap.Get(stats.SampleChecked),
+		Skipped: snap.Get(stats.SampleSkipped),
 		Wall:    wall,
 	})
 }

@@ -1,6 +1,8 @@
 package sample_test
 
 import (
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,8 +19,18 @@ var heavy = sample.Observation{Checked: 1_000_000, Wall: 10 * time.Millisecond}
 // wall: overhead far below budget, so the rate should double.
 var light = sample.Observation{Checked: 10, Skipped: 1_000_000, Wall: time.Second}
 
+// governed returns Govern's sampler for spec and budget.
+func governed(t *testing.T, spec string, budget float64) *sample.Sampler {
+	t.Helper()
+	s, err := sample.Govern(spec, budget)
+	if err != nil || s == nil {
+		t.Fatalf("Govern(%q, %v): no sampler, err %v", spec, budget, err)
+	}
+	return s
+}
+
 func TestGovernorBacksOffOverBudget(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.05)
+	g := governed(t, "bernoulli:1", 0.05)
 	g.Observe(heavy)
 	if got := g.Rate(); got != 0.5 {
 		t.Errorf("after one over-budget observation: rate = %v, want 0.5 (max damped step)", got)
@@ -33,12 +45,12 @@ func TestGovernorBacksOffOverBudget(t *testing.T) {
 }
 
 func TestGovernorRampsUpUnderBudget(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 0.1}, 0.05)
+	g := governed(t, "bernoulli:0.1", 0.05)
 	g.Observe(light)
 	if got := g.Rate(); got < 0.19 || got > 0.21 {
 		t.Errorf("after one under-budget observation: rate = %v, want ~0.2 (doubling cap)", got)
 	}
-	// The ramp is capped at 1 by the rate cell.
+	// The ramp is capped at 1.
 	for i := 0; i < 8; i++ {
 		g.Observe(light)
 	}
@@ -48,7 +60,7 @@ func TestGovernorRampsUpUnderBudget(t *testing.T) {
 }
 
 func TestGovernorRateFloor(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.01)
+	g := governed(t, "bernoulli:1", 0.01)
 	for i := 0; i < 64; i++ {
 		g.Observe(heavy)
 	}
@@ -58,9 +70,9 @@ func TestGovernorRateFloor(t *testing.T) {
 }
 
 // TestGovernorZeroBudget: budget 0 turns the feedback loop off; the
-// governor is a fixed-rate sampler factory.
+// sampler keeps its configured rate.
 func TestGovernorZeroBudget(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 0.25}, 0)
+	g := governed(t, "bernoulli:0.25", 0)
 	g.Observe(heavy)
 	if got := g.Rate(); got != 0.25 {
 		t.Errorf("zero-budget governor moved the rate to %v", got)
@@ -71,7 +83,7 @@ func TestGovernorZeroBudget(t *testing.T) {
 }
 
 func TestGovernorIgnoresEmptyObservations(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 0.5}, 0.05)
+	g := governed(t, "bernoulli:0.5", 0.05)
 	g.Observe(sample.Observation{Wall: time.Second})                // no gate outcomes
 	g.Observe(sample.Observation{Checked: 100, Skipped: 100})       // no wall clock
 	g.Observe(sample.Observation{Checked: 100, Wall: -time.Second}) // negative wall
@@ -83,20 +95,79 @@ func TestGovernorIgnoresEmptyObservations(t *testing.T) {
 	}
 }
 
-// TestGovernorSamplerSharesRate: samplers handed out before an
-// adaptation see the new rate — the cell is shared, not copied.
-func TestGovernorSamplerSharesRate(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.05)
-	s := g.Sampler()
-	if got := s.RateValue(); got != 1 {
-		t.Fatalf("initial sampler rate = %v, want 1", got)
+// TestGovern: an off spec is no sampler, and the budget is checked
+// before that early return.
+func TestGovern(t *testing.T) {
+	for _, spec := range []string{"", "off"} {
+		if s, err := sample.Govern(spec, 0.05); s != nil || err != nil {
+			t.Errorf("Govern(%q, 0.05) = %v, %v; want nil, nil", spec, s, err)
+		}
 	}
-	g.Observe(heavy)
-	if got := s.RateValue(); got != 0.5 {
-		t.Errorf("sampler rate after adaptation = %v, want 0.5", got)
+	for _, budget := range []float64{-0.1, 1.5, math.NaN()} {
+		for _, spec := range []string{"off", "bernoulli:0.5"} {
+			if _, err := sample.Govern(spec, budget); err == nil {
+				t.Errorf("Govern(%q, %v) accepted the budget", spec, budget)
+			}
+		}
+	}
+	if _, err := sample.Govern("coin:0.5", 0); err == nil {
+		t.Error("Govern accepted an unknown mode")
+	}
+}
+
+// TestGovernorSamplerSharesRate: Admit reads the rate the feedback loop
+// stores, so every session holding the sampler gates at the adapted rate
+// on its next access.
+func TestGovernorSamplerSharesRate(t *testing.T) {
+	s := governed(t, "bernoulli:1", 0.05)
+	admitted := func() float64 {
+		var st sample.TaskState
+		n := 0
+		for i := 0; i < 1<<14; i++ {
+			if s.Admit(&st, 9, i) {
+				n++
+			}
+		}
+		return float64(n) / (1 << 14)
+	}
+	if got := admitted(); got != 1 {
+		t.Fatalf("at rate 1 admitted %v of the locations, want all", got)
+	}
+	s.Observe(heavy)
+	if got := admitted(); got < 0.47 || got > 0.53 {
+		t.Errorf("after adaptation to %v admitted %v of the locations, want ~0.5", s.Rate(), got)
 	}
 	if s.Mode() != sample.Bernoulli {
 		t.Errorf("sampler mode = %v, want bernoulli", s.Mode())
+	}
+}
+
+// TestSamplerSharedAcrossGoroutines: concurrent sessions admit through
+// one sampler while others feed its loop — the daemon's shard replays of
+// one (tenant, spec) do exactly this. Run under -race.
+func TestSamplerSharedAcrossGoroutines(t *testing.T) {
+	s := governed(t, "bernoulli:1", 0.05)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var st sample.TaskState
+			for i := 0; i < 1000; i++ {
+				st.Step()
+				s.Admit(&st, uint64(g), i)
+				if i%100 == 0 {
+					s.Observe(heavy)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := s.Observations(); got != 40 {
+		t.Errorf("Observations = %d, want 40", got)
+	}
+	if got := s.Rate(); got != sample.MinRate {
+		t.Errorf("rate after 40 halvings = %v, want MinRate %v", got, sample.MinRate)
 	}
 }
 
@@ -104,7 +175,7 @@ func TestGovernorSamplerSharesRate(t *testing.T) {
 func TestObserveSnapshot(t *testing.T) {
 	rec := stats.New()
 	rec.Add(stats.SampleChecked, 1_000_000)
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.05)
+	g := governed(t, "bernoulli:1", 0.05)
 	g.ObserveSnapshot(rec.Snapshot(), 10*time.Millisecond)
 	if got := g.Rate(); got != 0.5 {
 		t.Errorf("rate after snapshot observation = %v, want 0.5", got)
@@ -119,7 +190,7 @@ func TestObserveSnapshot(t *testing.T) {
 // sequence when every DMHP query was a fast-path one (the walk penalty
 // it had then multiplied the cost by 1): one DMHP path, one trajectory.
 func TestGovernorTrajectoryWithoutWalks(t *testing.T) {
-	g := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.5)
+	g := governed(t, "bernoulli:1", 0.5)
 	for i, step := range []struct {
 		o    sample.Observation
 		want float64

@@ -27,9 +27,11 @@
 // which is what makes verdicts reproducible and lets CI assert that a
 // seeded race is still caught at a 1% rate.
 //
-// The sampling rate lives in a shared fixed-point cell (Rate) so a
-// Governor can retune it online while replays are running; see
-// governor.go.
+// A Sampler holds its rate as an atomic fixed-point field. With an
+// overhead budget it also runs the feedback loop that retunes that rate
+// online (governor.go), and one Sampler is shared by every session it
+// gates: Admit reads only the immutable mode and seed and the atomic
+// rate, so replays in flight see a new rate on their next access.
 //
 // Soundness: a skipped check only *omits* recording an access in the
 // shadow word. Every recorded step still really performed its access,
@@ -41,6 +43,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -106,55 +109,35 @@ func Parse(spec string) (Config, error) {
 }
 
 // ParseBudget parses an overhead budget: "5%" or "0.05" both mean a 5%
-// target; "" means no budget (governor disabled). The result must be in
-// (0, 1] when nonzero.
+// target; "" means no budget (the rate stays fixed), so a written zero
+// is refused. The range check is the one Govern applies.
 func ParseBudget(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, nil
 	}
-	pct := strings.HasSuffix(s, "%")
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
 	if err != nil {
 		return 0, fmt.Errorf("sample: bad overhead budget %q: %v", s, err)
 	}
-	if pct {
+	if strings.HasSuffix(s, "%") {
 		v /= 100
 	}
-	if !(v > 0 && v <= 1) { // also refuses NaN
-		return 0, fmt.Errorf("sample: overhead budget %q out of (0%%, 100%%]", s)
+	if v == 0 {
+		return 0, fmt.Errorf("sample: overhead budget %q is zero; leave it empty for a fixed rate", s)
+	}
+	if err := checkBudget(v); err != nil {
+		return 0, err
 	}
 	return v, nil
 }
 
-// rateBits is the fixed-point precision of the shared rate cell.
+// rateBits is the fixed-point precision of a sampler's rate.
 const rateBits = 16
 
-// MinRate is the floor the governor never adapts below, so a sampler
-// under budget pressure still observes a sliver of the run.
+// MinRate is the floor the feedback loop never adapts below, so a
+// sampler under budget pressure still observes a sliver of the run.
 const MinRate = 1.0 / (1 << (rateBits - 4))
-
-// Rate is a shared fixed-point sampling rate. Samplers load it on the
-// hot path; the governor stores into it from its feedback loop.
-type Rate struct{ v atomic.Int64 }
-
-// Store sets the rate, clamped to [MinRate, 1]; NaN stores MinRate.
-func (r *Rate) Store(f float64) {
-	if !(f >= MinRate) {
-		f = MinRate
-	}
-	if f > 1 {
-		f = 1
-	}
-	r.v.Store(int64(f * (1 << rateBits)))
-}
-
-// Load returns the rate as a float in [MinRate, 1].
-func (r *Rate) Load() float64 { return float64(r.v.Load()) / (1 << rateBits) }
-
-// load16 returns the fixed-point threshold compared against a 16-bit
-// hash slice on the hot path.
-func (r *Rate) load16() int64 { return r.v.Load() }
 
 // TaskState is per-task sampling state (detect.Task.Sample). The driver
 // announces each new step with Step; Admit keeps the current epoch's
@@ -174,19 +157,23 @@ type TaskState struct {
 func (st *TaskState) Step() { st.steps++ }
 
 // Sampler decides, per access, whether the race check runs. A nil
-// Sampler admits everything. Samplers are cheap handles onto a shared
-// Rate cell; Governor.Sampler hands out one per replay.
+// Sampler admits everything. One Sampler is shared by every session it
+// gates; with a budget it also retunes its rate (governor.go).
 type Sampler struct {
 	mode Mode
-	rate *Rate
 	seed uint64
+	rate atomic.Int64 // fixed point with rateBits fraction bits, in [MinRate, 1]
+
+	budget  float64    // overhead budget; 0 keeps the rate fixed
+	mu      sync.Mutex // serializes Observe's read-modify-write of rate
+	observe int64      // observations applied
 }
 
-// New returns a sampler with its own (fixed) rate cell. Use
-// Governor.Sampler for a governed one.
+// New returns a sampler at cfg's fixed rate. Govern returns one that
+// holds an overhead budget.
 func New(cfg Config) *Sampler {
-	s := &Sampler{mode: cfg.Mode, rate: &Rate{}, seed: defaultSeed}
-	s.rate.Store(cfg.Rate)
+	s := &Sampler{mode: cfg.Mode, seed: defaultSeed}
+	s.setRate(cfg.Rate)
 	return s
 }
 
@@ -215,18 +202,26 @@ func (s *Sampler) Mode() Mode {
 	return s.mode
 }
 
-// RateValue returns the current rate; nil-safe.
-func (s *Sampler) RateValue() float64 {
+// Rate returns the current (possibly adapted) rate; 0 for nil.
+func (s *Sampler) Rate() float64 {
 	if s == nil {
 		return 0
 	}
-	return s.rate.Load()
+	return float64(s.rate.Load()) / (1 << rateBits)
+}
+
+// setRate stores f clamped to [MinRate, 1]; NaN stores MinRate.
+func (s *Sampler) setRate(f float64) {
+	if !(f >= MinRate) {
+		f = MinRate
+	}
+	s.rate.Store(int64(min(f, 1) * (1 << rateBits)))
 }
 
 // burstPeriod derives the burst window period from the current rate:
 // one sampled step out of period.
 func (s *Sampler) burstPeriod() int64 {
-	r := s.rate.load16()
+	r := s.rate.Load()
 	if r <= 0 {
 		r = 1
 	}
@@ -264,7 +259,7 @@ func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
 	if key == st.memoKey {
 		return st.memoOK
 	}
-	ok := int64(mix(key^s.seed)&((1<<rateBits)-1)) < s.rate.load16()
+	ok := int64(mix(key^s.seed)&((1<<rateBits)-1)) < s.rate.Load()
 	st.memoKey, st.memoOK = key, ok
 	return ok
 }

@@ -75,28 +75,17 @@ func TestParseBudget(t *testing.T) {
 }
 
 func TestRateClamp(t *testing.T) {
-	var r sample.Rate
-	r.Store(0)
-	if got := r.Load(); got != sample.MinRate {
-		t.Errorf("Store(0): Load = %v, want MinRate %v", got, sample.MinRate)
-	}
-	r.Store(2)
-	if got := r.Load(); got != 1 {
-		t.Errorf("Store(2): Load = %v, want 1", got)
-	}
-	r.Store(0.5)
-	if got := r.Load(); got != 0.5 {
-		t.Errorf("Store(0.5): Load = %v, want 0.5", got)
-	}
-	for _, f := range []float64{math.NaN(), math.Inf(-1)} {
-		r.Store(f)
-		if got := r.Load(); got != sample.MinRate {
-			t.Errorf("Store(%v): Load = %v, want MinRate %v", f, got, sample.MinRate)
+	for _, c := range []struct{ in, want float64 }{
+		{0, sample.MinRate},
+		{2, 1},
+		{0.5, 0.5},
+		{math.NaN(), sample.MinRate},
+		{math.Inf(-1), sample.MinRate},
+		{math.Inf(1), 1},
+	} {
+		if got := sample.New(sample.Config{Mode: sample.Bernoulli, Rate: c.in}).Rate(); got != c.want {
+			t.Errorf("rate %v: Rate = %v, want %v", c.in, got, c.want)
 		}
-	}
-	r.Store(math.Inf(1))
-	if got := r.Load(); got != 1 {
-		t.Errorf("Store(+Inf): Load = %v, want 1", got)
 	}
 }
 
@@ -111,9 +100,10 @@ func TestNilSampler(t *testing.T) {
 	if s.Mode() != sample.Off {
 		t.Errorf("nil sampler Mode = %v, want Off", s.Mode())
 	}
-	if s.RateValue() != 0 {
-		t.Errorf("nil sampler RateValue = %v, want 0", s.RateValue())
+	if s.Rate() != 0 {
+		t.Errorf("nil sampler Rate = %v, want 0", s.Rate())
 	}
+	s.Observe(heavy) // no-op, no panic
 	st.Step()
 	if !s.Admit(&st, 1, 2) {
 		t.Error("nil sampler rejected a check")

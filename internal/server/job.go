@@ -486,9 +486,9 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 // named detector, streaming each distinct race through onRace (the
 // job-level accumulator) and folding the run's stats into the server
 // aggregate. When sampling is in effect for (tenant, sampling) the
-// detector is gated behind the tenant's persistent governor's shared
-// rate cell, and the timed replay feeds the governor's feedback loop —
-// rates adapt across segments and across jobs.
+// detector is gated behind that pair's shared sampler, and the timed
+// replay feeds the sampler's feedback loop — rates adapt across
+// segments and across jobs.
 func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim trace.Limits, onRace func(detect.Race)) (stats.Snapshot, error) {
 	ses, err := detect.Open(name, detect.SessionOpts{
 		MaxRaces: s.cfg.MaxRacesPerReport,
@@ -496,7 +496,7 @@ func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim 
 			onRace(r)
 			return false
 		},
-		Governor: s.samplers.governor(tenant, sampling),
+		Sampler: s.samplers.sampler(tenant, sampling),
 	})
 	if err != nil {
 		return stats.Snapshot{}, err

@@ -1029,10 +1029,11 @@ func TestTenantNameValidated(t *testing.T) {
 
 // TestTenantTableSwept: a tenant name costs the daemon memory only
 // while the tenant holds something. A thousand tenants that each run a
-// job to its result and delete it are all forgotten by the next GC; a
-// tenant with a live job and one with a stored result are not.
+// job to its result and delete it are all forgotten by the next GC, in
+// the quota table and in the sampler table; a tenant with a live job and
+// one with a stored result are not.
 func TestTenantTableSwept(t *testing.T) {
-	s, ts := newTestServer(t, Config{ShardWorkers: 2})
+	s, ts := newTestServer(t, Config{ShardWorkers: 2, Sampling: SamplingConfig{Default: "bernoulli:0.5"}})
 	defer s.Close()
 	tr := recordRacyMonteCarlo(t)
 	run := func(tenant, query string) string {
@@ -1057,6 +1058,7 @@ func TestTenantTableSwept(t *testing.T) {
 	defer release()
 	liveID := run("live", "?detector=test-gate")
 	waitFor(t, func() bool { return jobState(s, liveID) == client.StateRunning }, "gated job running")
+	waitFor(t, func() bool { return len(s.samplers.gauges()) == 1001 }, "gated replay holding its sampler")
 	storedID := run("stored", "?detector=spd3")
 	waitFor(t, func() bool { return jobState(s, storedID) == client.StateDone }, "job done")
 
@@ -1069,6 +1071,11 @@ func TestTenantTableSwept(t *testing.T) {
 	if tenants != 2 || jobs != 1 || stored != int64(len(tr)) {
 		t.Fatalf("after GC: %d tenants, live holds %d jobs, stored holds %d bytes; want 2, 1, %d", tenants, jobs, stored, len(tr))
 	}
+	// The sampler table forgets with the quota table: one row each for
+	// the live and the stored tenant, not one per name ever sent.
+	if rows := getStatsz(t, ts.URL).Sampling; len(rows) != 2 || rows[0].Tenant != "live" || rows[1].Tenant != "stored" {
+		t.Fatalf("after GC: %d sampling rows (first %+v), want one for live and one for stored", len(rows), rows[:min(len(rows), 2)])
+	}
 
 	release()
 	waitFor(t, func() bool { return client.Terminal(jobState(s, liveID)) }, "gated job terminal")
@@ -1080,5 +1087,8 @@ func TestTenantTableSwept(t *testing.T) {
 	s.GC()
 	if _, _, tenants := s.quotas.Gauges(""); tenants != 0 {
 		t.Errorf("table holds %d tenants after everything was deleted", tenants)
+	}
+	if rows := getStatsz(t, ts.URL).Sampling; len(rows) != 0 {
+		t.Errorf("%d sampling rows after everything was deleted", len(rows))
 	}
 }

@@ -242,10 +242,10 @@ func (q *Table) Gauges(tenant string) (jobs int, storedBytes int64, tenants int)
 }
 
 // Sweep forgets every tenant that holds nothing — no live job, no
-// stored bytes, a full token bucket — and returns how many it forgot.
-// Such a tenant's next submit recreates exactly the state dropped here,
-// so forgetting it is invisible to admission.
-func (q *Table) Sweep() (forgotten int) {
+// stored bytes, a full token bucket — and returns their names. Such a
+// tenant's next submit recreates exactly the state dropped here, so
+// forgetting it is invisible to admission.
+func (q *Table) Sweep() (forgotten []string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for name, t := range q.tenants {
@@ -258,7 +258,7 @@ func (q *Table) Sweep() (forgotten int) {
 			}
 		}
 		delete(q.tenants, name)
-		forgotten++
+		forgotten = append(forgotten, name)
 	}
 	return forgotten
 }

@@ -1,16 +1,16 @@
 // Per-tenant check sampling for the daemon. Each tenant replays under
 // a sampling spec resolved from (per-job override, tenant config,
 // daemon default), and every distinct (tenant, spec) pair gets ONE
-// persistent governor for the daemon's lifetime: successive jobs keep
-// feeding the same feedback loop, so the adapted rate carries across
-// jobs instead of restarting cold on every segment. The live rates are
-// exported as /statsz gauges next to the sample.* counters.
+// sampler, shared by every replay of it and forgotten with its tenant:
+// successive jobs keep feeding the same feedback loop, so the adapted
+// rate carries across jobs instead of restarting cold on every segment.
+// The live rates are /statsz gauges next to the sample.* counters.
 package server
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"spd3/client"
@@ -24,22 +24,19 @@ type SamplingConfig struct {
 	// explicit entry in Tenants — "bernoulli:0.01", "burst:0.02", or
 	// "off". Empty means off.
 	Default string
-	// Budget is the overhead budget handed to each governor (0.05 =
-	// hold modeled check overhead at 5% of uninstrumented time). 0
-	// freezes rates at their configured values.
+	// Budget is each sampler's overhead budget (0.05 = hold modeled
+	// check overhead at 5% of uninstrumented time); 0 keeps rates fixed.
 	Budget float64
 	// Tenants maps tenant name → sampling spec, overriding Default.
 	Tenants map[string]string
 }
 
-// validate parses every configured spec so a typo fails at Open, not
-// at the first job that lands on the misconfigured tenant.
+// validate parses every configured spec and checks the budget so a typo
+// fails at Open, not at the first job that lands on the misconfigured
+// tenant.
 func (c SamplingConfig) validate() error {
-	if _, err := sample.Parse(c.Default); err != nil {
-		return fmt.Errorf("sampling default %q: %w", c.Default, err)
-	}
-	if !(c.Budget >= 0 && c.Budget <= 1) { // also refuses NaN
-		return fmt.Errorf("sampling budget %v out of [0, 1]", c.Budget)
+	if _, err := sample.Govern(c.Default, c.Budget); err != nil {
+		return fmt.Errorf("sampling default %q, budget %v: %w", c.Default, c.Budget, err)
 	}
 	for t, spec := range c.Tenants {
 		if _, err := sample.Parse(spec); err != nil {
@@ -49,68 +46,70 @@ func (c SamplingConfig) validate() error {
 	return nil
 }
 
-// samplerTable owns the daemon's governors, created lazily per
-// (tenant, spec) actually seen and kept forever after.
+// samplerTable owns the daemon's samplers: one per tenant and parsed
+// spec actually seen, so two spellings of a spec ("bernoulli:0.5",
+// "bernoulli:0.50") share one, kept until GC forgets the tenant.
 type samplerTable struct {
 	cfg  SamplingConfig
 	mu   sync.Mutex
-	govs map[string]*sample.Governor
+	rows map[string]map[sample.Config]*sample.Sampler // tenant → spec → sampler
 }
 
 func newSamplerTable(cfg SamplingConfig) *samplerTable {
-	return &samplerTable{cfg: cfg, govs: map[string]*sample.Governor{}}
+	return &samplerTable{cfg: cfg, rows: map[string]map[sample.Config]*sample.Sampler{}}
 }
 
-// specFor resolves the spec in effect for a tenant: the per-job
-// override when present, else the tenant's configured spec, else the
-// daemon default.
-func (st *samplerTable) specFor(tenant, override string) string {
+// sampler returns the sampler every replay of tenant shares under the
+// per-job override, else the tenant's spec, else the daemon default; nil
+// when that spec is off. Specs were validated at Open and at submit, so
+// a parse failure here degrades to sampling off, not a mid-replay panic.
+func (st *samplerTable) sampler(tenant, override string) *sample.Sampler {
+	spec, ok := st.cfg.Tenants[tenant]
 	if override != "" {
-		return override
+		spec = override
+	} else if !ok {
+		spec = st.cfg.Default
 	}
-	if spec, ok := st.cfg.Tenants[tenant]; ok {
-		return spec
+	cfg, err := sample.Parse(spec)
+	if err != nil || cfg.Mode == sample.Off {
+		return nil
 	}
-	return st.cfg.Default
-}
-
-// governor returns the persistent governor for (tenant, override), or
-// nil when sampling is off for that pair. Specs were validated at Open
-// (config) and submit (override), so a parse failure here degrades to
-// sampling off rather than panicking mid-replay.
-func (st *samplerTable) governor(tenant, override string) *sample.Governor {
-	spec := st.specFor(tenant, override)
-	key := tenant + "\x00" + spec
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	g := st.govs[key]
-	if g == nil {
-		g, _ = sample.Govern(spec, st.cfg.Budget)
-		if g != nil {
-			st.govs[key] = g
-		}
+	specs := st.rows[tenant]
+	if specs == nil {
+		specs = map[sample.Config]*sample.Sampler{}
+		st.rows[tenant] = specs
 	}
-	return g
+	if specs[cfg] == nil { // spec just parsed, budget checked at Open: Govern cannot fail
+		specs[cfg], _ = sample.Govern(spec, st.cfg.Budget)
+	}
+	return specs[cfg]
 }
 
-// gauges snapshots every live governor for /statsz, ordered by tenant
-// then mode so the listing is deterministic.
+// forget drops the samplers of tenants the quota table forgot; one that
+// submitted again in between restarts at its configured rate.
+func (st *samplerTable) forget(tenants []string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, t := range tenants {
+		delete(st.rows, t)
+	}
+}
+
+// gauges snapshots every live sampler for /statsz, ordered by tenant,
+// mode and rate so the listing is deterministic.
 func (st *samplerTable) gauges() []client.TenantSampling {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.govs) == 0 {
-		return nil
-	}
-	out := make([]client.TenantSampling, 0, len(st.govs))
-	for key, g := range st.govs {
-		tenant, _, _ := strings.Cut(key, "\x00")
-		out = append(out, client.TenantSampling{Tenant: tenant, Mode: g.Mode().String(), Rate: g.Rate()})
-	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Tenant != out[k].Tenant {
-			return out[i].Tenant < out[k].Tenant
+	var out []client.TenantSampling
+	for tenant, specs := range st.rows {
+		for _, s := range specs {
+			out = append(out, client.TenantSampling{Tenant: tenant, Mode: s.Mode().String(), Rate: s.Rate()})
 		}
-		return out[i].Mode < out[k].Mode
+	}
+	slices.SortFunc(out, func(a, b client.TenantSampling) int {
+		return cmp.Or(cmp.Compare(a.Tenant, b.Tenant), cmp.Compare(a.Mode, b.Mode), cmp.Compare(a.Rate, b.Rate))
 	})
 	return out
 }

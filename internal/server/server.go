@@ -122,7 +122,7 @@ type Config struct {
 	// rate, and concurrent shard slots. See quota.Config for defaults.
 	Quota quota.Config
 	// Sampling configures per-tenant check sampling: a default spec, an
-	// overhead budget for the governors, and per-tenant overrides. The
+	// overhead budget for the samplers, and per-tenant overrides. The
 	// zero value means every check runs (sampling off).
 	Sampling SamplingConfig
 	// Log receives one line per analysis; nil disables.
@@ -290,7 +290,8 @@ func (s *Server) gcLoop() {
 // GC runs one garbage-collection pass: jobs in a terminal state whose
 // manifests are older than StoreTTL are deleted (releasing their quota
 // bytes), unreferenced blobs are swept from the CAS, and tenants left
-// holding nothing are dropped from the quota table.
+// holding nothing are dropped from the quota table and, with their
+// samplers, from the sampler table.
 func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 	if ttl := s.cfg.StoreTTL; ttl > 0 {
 		now := time.Now()
@@ -311,7 +312,7 @@ func (s *Server) GC() (sweptJobs, sweptBlobs int) {
 	if err != nil {
 		s.logf("gc: %v", err)
 	}
-	s.quotas.Sweep()
+	s.samplers.forget(s.quotas.Sweep())
 	s.rec.Add(stats.StoreSweptJobs, int64(sweptJobs))
 	s.rec.Add(stats.StoreSweptBlobs, int64(sweptBlobs))
 	return sweptJobs, sweptBlobs

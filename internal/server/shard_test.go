@@ -177,3 +177,30 @@ func TestShardObservability(t *testing.T) {
 		t.Errorf("peak heap %d implausibly below current heap %d", st.PeakHeapBytes, st.HeapAllocBytes)
 	}
 }
+
+// TestShardedSamplingSharesOneSampler: the segment replays of one
+// (tenant, spec) run concurrently behind one sampler and each feeds its
+// feedback loop; a second spelling of the spec finds the same row. Under
+// -race this is the sharing the daemon relies on.
+func TestShardedSamplingSharesOneSampler(t *testing.T) {
+	amp := amplified(t, 12)
+	s, ts := newTestServer(t, Config{ShardWorkers: 4, MinSegmentBytes: 1, Sampling: SamplingConfig{Budget: 0.5}})
+	segments := 0
+	for _, spec := range []string{"bernoulli:0.5", "bernoulli:0.50"} {
+		status, body := analyze(t, ts.URL, "?detector=spd3&sample="+spec, amp)
+		if status != http.StatusOK {
+			t.Fatalf("sample=%s: status = %d\n%s", spec, status, body)
+		}
+		rep := decodeReport(t, body)
+		if !rep.Sharded || rep.Segments <= 1 {
+			t.Fatalf("sample=%s: sharded=%v segments=%d, want a sharded replay", spec, rep.Sharded, rep.Segments)
+		}
+		segments += rep.Segments
+	}
+	if rows := getStatsz(t, ts.URL).Sampling; len(rows) != 1 || rows[0].Tenant != "default" || rows[0].Mode != "bernoulli" {
+		t.Fatalf("sampling rows %+v, want one bernoulli row for tenant default", rows)
+	}
+	if n := s.samplers.sampler("default", "bernoulli:0.5").Observations(); n < 2 || n > int64(segments) {
+		t.Errorf("shared sampler applied %d observations over %d segment replays", n, segments)
+	}
+}

@@ -66,6 +66,11 @@ func (k ExecKind) String() string {
 	}
 }
 
+// ErrExecutorMismatch reports an explicit executor the detector cannot
+// run under (a sequential-only detector with Pool or Goroutines); New
+// returns it wrapped.
+var ErrExecutorMismatch = errors.New("task: detector incompatible with selected executor")
+
 // Config configures a Runtime.
 type Config struct {
 	// Workers is the number of worker goroutines for the Pool executor
@@ -118,8 +123,8 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 	if cfg.Detector.RequiresSequential() && cfg.Executor != Sequential {
-		return nil, fmt.Errorf("task: detector %q requires the sequential executor (got %s)",
-			cfg.Detector.Name(), cfg.Executor)
+		return nil, fmt.Errorf("%w: detector %q requires the sequential executor (got %s)",
+			ErrExecutorMismatch, cfg.Detector.Name(), cfg.Executor)
 	}
 	rt := &Runtime{det: cfg.Detector, st: cfg.Stats, kind: cfg.Executor, workers: cfg.Workers, ec: sched.NewEventCount()}
 	rt.locals.New = func() any { return new(detect.Local) }

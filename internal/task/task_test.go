@@ -1,6 +1,7 @@
 package task
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -462,8 +463,8 @@ func TestChunkGrain(t *testing.T) {
 
 func TestSequentialDetectorPairing(t *testing.T) {
 	seqOnly := seqOnlyDetector{}
-	if _, err := New(Config{Executor: Pool, Detector: seqOnly}); err == nil {
-		t.Fatal("pairing a sequential-only detector with the pool executor must fail")
+	if _, err := New(Config{Executor: Pool, Detector: seqOnly}); !errors.Is(err, ErrExecutorMismatch) {
+		t.Fatalf("pairing a sequential-only detector with the pool executor: err = %v, want ErrExecutorMismatch", err)
 	}
 	if _, err := New(Config{Executor: Sequential, Detector: seqOnly}); err != nil {
 		t.Fatalf("sequential pairing failed: %v", err)

@@ -56,8 +56,9 @@ var (
 	// the registry.
 	ErrUnknownDetector = errors.New("spd3: unknown detector")
 	// ErrExecutorMismatch reports an explicit Options.Executor the
-	// selected detector cannot run under (e.g. ESPBags with Pool).
-	ErrExecutorMismatch = errors.New("spd3: detector incompatible with selected executor")
+	// selected detector cannot run under (e.g. ESPBags with Pool). It is
+	// the task runtime's sentinel: the runtime makes that check.
+	ErrExecutorMismatch = task.ErrExecutorMismatch
 	// ErrBadSampling reports an unparsable Options.Sampling spec or
 	// overhead budget.
 	ErrBadSampling = errors.New("spd3: invalid sampling configuration")
@@ -213,14 +214,14 @@ type Options struct {
 }
 
 // SamplingOptions selects a check-sampling strategy and, optionally, an
-// overhead budget for the feedback governor.
+// overhead budget for the sampler's feedback loop.
 type SamplingOptions struct {
 	// Spec is "mode:rate" — "bernoulli:0.05", "burst:0.1" — or
 	// ""/"off" for disabled. See internal/sample for the strategy
 	// semantics and the soundness argument (sampling can only miss
 	// races, never invent them).
 	Spec string
-	// OverheadBudget, when nonzero, enables the governor: after every
+	// OverheadBudget, when nonzero, enables the feedback loop: after every
 	// Run it re-estimates the checking overhead from the run's stats
 	// counters and wall clock and retunes the rate toward this target
 	// fraction (0.05 = 5%). Zero keeps the rate fixed at Spec's.
@@ -249,12 +250,9 @@ func New(opts Options) (*Engine, error) {
 	if !detect.Registered(string(opts.Detector)) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDetector, opts.Detector)
 	}
-	gov, err := sample.Govern(opts.Sampling.Spec, opts.Sampling.OverheadBudget)
+	smp, err := sample.Govern(opts.Sampling.Spec, opts.Sampling.OverheadBudget)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSampling, err)
-	}
-	if b := opts.Sampling.OverheadBudget; !(b >= 0 && b <= 1) { // also refuses NaN
-		return nil, fmt.Errorf("%w: overhead budget %v out of [0, 1]", ErrBadSampling, b)
 	}
 	ses, err := detect.Open(string(opts.Detector), detect.SessionOpts{
 		Halt:         opts.HaltOnFirstRace,
@@ -262,13 +260,10 @@ func New(opts Options) (*Engine, error) {
 		OnRace:       opts.OnRace,
 		CaptureSites: opts.CaptureSites,
 		NoStats:      opts.NoStats,
-		Governor:     gov,
+		Sampler:      smp,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if ses.Det.RequiresSequential() && opts.Executor != Auto && opts.Executor != Sequential {
-		return nil, fmt.Errorf("%w: detector %q requires sequential execution", ErrExecutorMismatch, opts.Detector)
 	}
 	rt, err := task.New(task.Config{
 		Workers:  opts.Workers,
@@ -283,13 +278,8 @@ func New(opts Options) (*Engine, error) {
 }
 
 // SamplingRate returns the engine's current check-sampling rate: the
-// governor's live (possibly adapted) rate, or 0 when sampling is off.
-func (e *Engine) SamplingRate() float64 {
-	if e.ses.Gov == nil {
-		return 0
-	}
-	return e.ses.Gov.Rate()
-}
+// sampler's live (possibly adapted) rate, or 0 when sampling is off.
+func (e *Engine) SamplingRate() float64 { return e.ses.Sampler.Rate() }
 
 // Report summarizes one Run.
 type Report struct {
@@ -331,7 +321,7 @@ func (e *Engine) Run(root func(*Ctx)) (*Report, error) {
 	rep := &Report{
 		Races:     e.ses.Sink.RacesSince(mark),
 		Truncated: e.ses.Sink.Capped(),
-		// The snapshot is also the governor's one feedback observation
+		// The snapshot is also the sampler's one feedback observation
 		// per Run: long-lived engines (serving loops, repeated
 		// measurements) converge onto the budget.
 		Stats:    e.ses.Snapshot(elapsed),

@@ -292,6 +292,40 @@ func TestBadSamplingRejected(t *testing.T) {
 	}
 }
 
+// TestSamplingRate reads Engine.SamplingRate through the session's
+// sampler: 0 when off, the configured rate without a budget, and below
+// the configured rate after one check-dense Run under a 1% budget.
+func TestSamplingRate(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		budget float64
+		check  func(rate float64) bool
+		want   string
+	}{
+		{"off", 0, func(r float64) bool { return r == 0 }, "0"},
+		{"bernoulli:0.5", 0, func(r float64) bool { return r == 0.5 }, "0.5"},
+		{"bernoulli:1", 0.01, func(r float64) bool { return r < 1 }, "below 1"},
+	} {
+		eng, err := spd3.New(spd3.Options{Workers: 2, Sampling: spd3.SamplingOptions{Spec: tc.spec, OverheadBudget: tc.budget}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := spd3.NewArray[int](eng, "a", 1<<12)
+		if _, err := eng.Run(func(c *spd3.Ctx) {
+			c.ParallelFor(0, a.Len(), 64, func(c *spd3.Ctx, i int) {
+				for k := 0; k < 8; k++ {
+					a.Set(c, i, a.Get(c, i)+k)
+				}
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.SamplingRate(); !tc.check(got) {
+			t.Errorf("%s at budget %v: SamplingRate = %v after a Run, want %s", tc.spec, tc.budget, got, tc.want)
+		}
+	}
+}
+
 func TestUnknownDetectorRejected(t *testing.T) {
 	_, err := spd3.New(spd3.Options{Detector: "quantum"})
 	if err == nil {
