@@ -1,16 +1,15 @@
 // Command spd3vet statically checks programs written against the spd3
 // API for uses that void the detector's soundness guarantee: escape-
 // hatch data crossing spawn boundaries, task contexts escaping their
-// task, raw Go concurrency inside task bodies, and retired API. It
-// also carries the §5.5 checkelim optimizer as an analyzer: checks it
-// proves redundant are reported as findings whose fixes (-fix) rewrite
-// them to unchecked accesses under a //spd3opt:elided marker.
+// task, and raw Go concurrency inside task bodies. It also carries the
+// §5.5 checkelim optimizer as an opt-in analyzer: checks it proves
+// redundant are reported as findings whose fixes (-fix) rewrite them to
+// unchecked accesses under a //spd3opt:elided marker.
 //
 // Usage:
 //
 //	spd3vet ./...                      # analyze packages, exit 1 on findings
 //	spd3vet -json ./...                # JSON envelope (tool, version, findings)
-//	spd3vet -fix ./...                 # apply machine-applicable rewrites
 //	spd3vet -analyzers unchecked,rawconc ./internal/bench
 //	spd3vet -analyzers checkelim -fix ./pkg   # elide provably redundant checks
 //

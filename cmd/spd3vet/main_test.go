@@ -11,7 +11,11 @@ import (
 	"spd3/internal/analysis"
 )
 
-const fixtures = "../../internal/analysis/testdata"
+const (
+	fixtures = "../../internal/analysis/testdata"
+	// hoist is a checkelim fixture: two findings, both with fixes.
+	hoist = "../../internal/analysis/checkelim/testdata/hoist"
+)
 
 func TestDriverExitCodes(t *testing.T) {
 	cases := []struct {
@@ -54,15 +58,15 @@ func TestDriverPositionAccurate(t *testing.T) {
 
 func TestDriverJSONEnvelope(t *testing.T) {
 	var out, errOut strings.Builder
-	if got := run([]string{"-json", fixtures + "/deprecated/bad"}, &out, &errOut); got != 1 {
+	if got := run([]string{"-json", "-analyzers", "checkelim", hoist}, &out, &errOut); got != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", got, errOut.String())
 	}
 	var rep analysis.JSONReport
 	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
-	if rep.Tool != "spd3vet" || rep.Version != analysis.Version || len(rep.Findings) != 3 {
-		t.Errorf("envelope = %q/%q with %d findings, want spd3vet/%s with 3",
+	if rep.Tool != "spd3vet" || rep.Version != analysis.Version || len(rep.Findings) != 2 {
+		t.Errorf("envelope = %q/%q with %d findings, want spd3vet/%s with 2",
 			rep.Tool, rep.Version, len(rep.Findings), analysis.Version)
 	}
 
@@ -78,25 +82,28 @@ func TestDriverJSONEnvelope(t *testing.T) {
 }
 
 func TestDriverFix(t *testing.T) {
-	src, err := os.ReadFile(fixtures + "/deprecated/bad/bad.go")
+	src, err := os.ReadFile(hoist + "/hoist.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.go"), src, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "hoist.go"), src, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
-	if got := run([]string{"-fix", dir}, &out, &errOut); got != 0 {
+	if got := run([]string{"-analyzers", "checkelim", "-fix", dir}, &out, &errOut); got != 0 {
 		t.Fatalf("exit = %d, want 0 (all findings fixable); stdout:\n%s\nstderr:\n%s",
 			got, out.String(), errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "applied 3 fix(es)") {
-		t.Errorf("stderr = %q, want applied 3 fix(es)", errOut.String())
+	if !strings.Contains(errOut.String(), "applied 2 fix(es)") {
+		t.Errorf("stderr = %q, want applied 2 fix(es)", errOut.String())
 	}
-	// Second run over the rewritten source is clean.
-	if got := run([]string{dir}, &out, &errOut); got != 0 {
-		t.Errorf("exit after fix = %d, want 0", got)
+	// Second runs over the rewritten source, under checkelim and the
+	// default suite, are clean.
+	for _, args := range [][]string{{"-analyzers", "checkelim", dir}, {dir}} {
+		if got := run(args, &out, &errOut); got != 0 {
+			t.Errorf("exit after fix of %v = %d, want 0", args, got)
+		}
 	}
 }
 

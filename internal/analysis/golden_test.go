@@ -2,12 +2,15 @@ package analysis_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"spd3/internal/analysis"
 	"spd3/internal/analysis/atest"
+	"spd3/internal/analysis/checkelim"
 )
 
 // TestRegistryGoldens drives the known-bad fixtures from the analyzer
@@ -18,7 +21,7 @@ import (
 func TestRegistryGoldens(t *testing.T) {
 	covered := atest.RegistryGoldens(t, "testdata")
 	sort.Strings(covered)
-	want := []string{"ctxescape", "deprecated", "rawconc", "unchecked"}
+	want := []string{"ctxescape", "rawconc", "unchecked"}
 	for _, name := range want {
 		found := false
 		for _, c := range covered {
@@ -42,10 +45,6 @@ func mustLookup(t *testing.T, name string) *analysis.Analyzer {
 		t.Fatalf("analyzer %q not registered", name)
 	}
 	return a
-}
-
-func TestDeprecatedEngineScopedGolden(t *testing.T) {
-	atest.RunGolden(t, "testdata/deprecated/enginescoped", mustLookup(t, "deprecated"))
 }
 
 func TestSuppressGolden(t *testing.T) {
@@ -111,14 +110,14 @@ func TestDiagnosticPositions(t *testing.T) {
 // names and reject unknown ones.
 func TestRegistryLookup(t *testing.T) {
 	all := analysis.All()
-	if len(all) < 4 {
-		t.Fatalf("All() = %d analyzers, want at least the built-in 4", len(all))
+	if len(all) < 3 {
+		t.Fatalf("All() = %d analyzers, want at least the built-in 3", len(all))
 	}
 	all[0] = nil
 	if analysis.All()[0] == nil {
 		t.Error("All() returned an aliased slice: caller mutation leaked into the registry")
 	}
-	for _, name := range []string{"unchecked", "ctxescape", "rawconc", "deprecated"} {
+	for _, name := range []string{"unchecked", "ctxescape", "rawconc"} {
 		if _, ok := analysis.Lookup(name); !ok {
 			t.Errorf("Lookup(%q) missed a built-in analyzer", name)
 		}
@@ -135,15 +134,8 @@ func TestRegistryLookup(t *testing.T) {
 // TestJSONEnvelope pins the wire format: the same tool/version header
 // over a findings array that the other commands' -stats dumps use.
 func TestJSONEnvelope(t *testing.T) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir("testdata/deprecated/bad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{mustLookup(t, "deprecated")})
+	pkg := loadClean(t, "checkelim/testdata/hoist")
+	diags, err := analysis.Run(pkg, []*analysis.Analyzer{checkelim.Analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +143,11 @@ func TestJSONEnvelope(t *testing.T) {
 	if rep.Tool != "spd3vet" || rep.Version != analysis.Version {
 		t.Errorf("envelope header = %q/%q", rep.Tool, rep.Version)
 	}
-	if len(rep.Findings) != 3 {
-		t.Fatalf("findings = %d, want 3", len(rep.Findings))
+	if len(rep.Findings) != 2 {
+		t.Fatalf("findings = %d, want 2", len(rep.Findings))
 	}
 	for _, f := range rep.Findings {
-		if f.Analyzer != "deprecated" || f.Line == 0 || f.Col == 0 || f.Fix == "" {
+		if f.Analyzer != "checkelim" || f.Line == 0 || f.Col == 0 || f.Fix == "" {
 			t.Errorf("incomplete finding: %+v", f)
 		}
 	}
@@ -168,4 +160,80 @@ func TestJSONEnvelope(t *testing.T) {
 			t.Errorf("JSON output missing %s:\n%s", want, sb.String())
 		}
 	}
+}
+
+// TestApplyFixesRoundTrip copies a checkelim fixture into a 0600 file,
+// applies the suggested rewrites, and verifies the result keeps its
+// file mode, type-checks, and re-analyzes to zero findings under the
+// default suite and checkelim itself.
+func TestApplyFixesRoundTrip(t *testing.T) {
+	src, err := os.ReadFile("checkelim/testdata/hoist/hoist.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	target := filepath.Join(dir, "hoist.go")
+	if err := os.WriteFile(target, src, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	pkg := loadClean(t, dir)
+	diags, err := analysis.Run(pkg, []*analysis.Analyzer{checkelim.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 2 {
+		t.Fatalf("diagnostics = %d, want 2: %v", len(diags), diags)
+	}
+	remaining, applied, err := analysis.ApplyFixes([]*analysis.Package{pkg}, diags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 2 || len(remaining) != 0 {
+		t.Fatalf("applied = %d remaining = %d, want 2/0", applied, len(remaining))
+	}
+
+	info, err := os.Stat(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o600 {
+		t.Errorf("fixed file mode = %v, want 0600", info.Mode().Perm())
+	}
+	fixed, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sInv := s.Get(c) //spd3opt:hoisted", "* sInv", "wInv := w.Get(c) //spd3opt:hoisted", "*wInv)"} {
+		if !strings.Contains(string(fixed), want) {
+			t.Errorf("fixed file missing %q:\n%s", want, fixed)
+		}
+	}
+
+	// A fresh load of the rewritten file must type-check and be clean.
+	diags2, err := analysis.Run(loadClean(t, dir), append(analysis.All(), checkelim.Analyzer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags2) != 0 {
+		t.Fatalf("rewritten fixture still has findings: %v", diags2)
+	}
+}
+
+// loadClean loads the package in dir through a fresh loader and fails
+// the test on type errors.
+func loadClean(t *testing.T, dir string) *analysis.Package {
+	t.Helper()
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.TypeErrors) != 0 {
+		t.Fatalf("%s has type errors: %v", dir, pkg.TypeErrors)
+	}
+	return pkg
 }

@@ -30,9 +30,9 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors holds any type-check errors. Loading is tolerant:
-	// analyzers run on best-effort type information, which is what lets
-	// the deprecated analyzer flag uses of API that no longer exists
-	// (the receiver still type-checks even when the selection fails).
+	// analyzers run on best-effort type information, and the tools that
+	// rewrite source (rewrite.Rewrite, spd3inst) refuse a package with
+	// type errors.
 	TypeErrors []error
 }
 

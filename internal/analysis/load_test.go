@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -82,5 +84,29 @@ func TestLoaderUnknownDir(t *testing.T) {
 	}
 	if _, err := loader.LoadDir("testdata/nonexistent"); err == nil {
 		t.Error("expected error for missing directory")
+	}
+}
+
+// TestLoaderToleratesTypeErrors: a package that does not type-check
+// still loads, with its errors on the package, and the suite runs on it.
+func TestLoaderToleratesTypeErrors(t *testing.T) {
+	dir := t.TempDir()
+	src := "package p\n\nimport \"spd3\"\n\nvar _ = spd3.NoSuchName\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.TypeErrors) == 0 {
+		t.Fatal("no type error recorded for an undefined selector")
+	}
+	if _, err := Run(pkg, All()); err != nil {
+		t.Errorf("suite refused a package with type errors: %v", err)
 	}
 }

@@ -33,7 +33,6 @@ func init() {
 		UncheckedAnalyzer,
 		CtxEscapeAnalyzer,
 		RawConcAnalyzer,
-		DeprecatedAnalyzer,
 	} {
 		Register(a)
 	}

@@ -73,23 +73,22 @@ func (r *rewriter) plan(c *candidate) {
 	})
 }
 
-// ctorForm resolves the constructor spelling for c's declaration scope:
-// the Ctx-scoped In-form inside a task body, the Engine form in a
+// ctorForm resolves the constructor and its scope argument for c's
+// declaration: the task's Ctx inside a task body, the Engine in a
 // driver function.
-func (p *plan) ctorForm(c *candidate) (ctor, firstArg, reason string) {
-	mode, ctx := p.r.modeAt(c.declStmt.Pos())
+func (p *plan) ctorForm(c *candidate) (ctor, scope, reason string) {
+	mode, scope := p.r.modeAt(c.declStmt.Pos())
 	switch mode {
-	case modeCtx:
-		return "spd3.New" + c.kind.String() + "In", ctx, ""
+	case modeCtx: // scope is the Ctx parameter
 	case modeSeq:
 		fd, _ := analysis.Innermost(p.r.scopes, c.declStmt.Pos()).Func.(*ast.FuncDecl)
-		eng := p.r.drivers[fd]
-		if eng == "" {
+		if scope = p.r.drivers[fd]; scope == "" {
 			return "", "", "no unique *spd3.Engine variable in the driver function"
 		}
-		return "spd3.New" + c.kind.String(), eng, ""
+	default:
+		return "", "", "declared at " + p.r.at(c.declStmt.Pos()) + " outside any task or driver scope"
 	}
-	return "", "", "declared at " + p.r.at(c.declStmt.Pos()) + " outside any task or driver scope"
+	return "spd3.New" + c.kind.String(), scope, ""
 }
 
 // declEdits rewrites c's declaration to a container constructor and

@@ -33,7 +33,7 @@ func load(t *testing.T, dir string) *analysis.Package {
 // construct family. Each fixture is a single main.go; the expected
 // output lives next to it as main.go.golden (refresh with -update).
 func TestGolden(t *testing.T) {
-	for _, name := range []string{"array", "matrix", "mapmutex", "skips", "localstruct"} {
+	for _, name := range []string{"array", "matrix", "mapmutex", "skips", "localstruct", "taskscoped"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", name)
 			pkg := load(t, dir)
@@ -151,7 +151,7 @@ func writeResult(t *testing.T, srcDir string, res *Result) string {
 // spd3vet suite, and re-rewrites to a fixed point (idempotence — the
 // second pass sees containers and directives, not plain shared data).
 func TestRewriteRoundTrip(t *testing.T) {
-	for _, name := range []string{"array", "matrix", "mapmutex", "skips", "localstruct"} {
+	for _, name := range []string{"array", "matrix", "mapmutex", "skips", "localstruct", "taskscoped"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", name)
 			res, err := Rewrite(load(t, dir))

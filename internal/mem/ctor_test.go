@@ -18,7 +18,7 @@ func TestNewArrayInCreationWriteVsSiblingRead(t *testing.T) {
 	var a *Array[int]
 	err := rt.Run(func(c *task.Ctx) {
 		c.Finish(func(c *task.Ctx) {
-			c.Async(func(c *task.Ctx) { a = NewArrayIn[int](c, "a", 4) })
+			c.Async(func(c *task.Ctx) { a = NewArray[int](c, "a", 4) })
 			c.Async(func(c *task.Ctx) { _ = a.Get(c, 2) })
 		})
 	})
@@ -35,7 +35,7 @@ func TestNewVarInCreationWriteVsSiblingWrite(t *testing.T) {
 	var v *Var[int]
 	err := rt.Run(func(c *task.Ctx) {
 		c.Finish(func(c *task.Ctx) {
-			c.Async(func(c *task.Ctx) { v = NewVarIn(c, "v", 0) })
+			c.Async(func(c *task.Ctx) { v = NewVar(c, "v", 0) })
 			c.Async(func(c *task.Ctx) { v.Set(c, 1) })
 		})
 	})
@@ -52,7 +52,7 @@ func TestNewMapInCreationWriteVsSiblingInsert(t *testing.T) {
 	var m *Map[int, int]
 	err := rt.Run(func(c *task.Ctx) {
 		c.Finish(func(c *task.Ctx) {
-			c.Async(func(c *task.Ctx) { m = NewMapIn[int, int](c, "m") })
+			c.Async(func(c *task.Ctx) { m = NewMap[int, int](c, "m") })
 			c.Async(func(c *task.Ctx) { m.Set(c, 1, 1) })
 		})
 	})
@@ -70,12 +70,12 @@ func TestCtxScopedCreationThenDescendantUseIsClean(t *testing.T) {
 	// spd3inst's rewrites produce for allocations in the root body.
 	rt, sink := newRT(t)
 	err := rt.Run(func(c *task.Ctx) {
-		a := NewArrayIn[int](c, "a", 8)
-		m := NewMatrixIn[int](c, "m", 2, 4)
-		v := NewVarIn(c, "v", 0)
-		l := NewListIn[int](c, "l")
-		mp := NewMapIn[int, int](c, "mp")
-		mu := NewMutexIn(c)
+		a := NewArray[int](c, "a", 8)
+		m := NewMatrix[int](c, "m", 2, 4)
+		v := NewVar(c, "v", 0)
+		l := NewList[int](c, "l")
+		mp := NewMap[int, int](c, "mp")
+		mu := NewMutex(c)
 		c.FinishAsync(8, func(c *task.Ctx, i int) {
 			a.Set(c, i, i)
 			m.Set(c, i/4, i%4, i)

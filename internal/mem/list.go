@@ -34,9 +34,11 @@ type List[T any] struct {
 
 // NewList allocates an empty instrumented list named name in race
 // reports.
-func NewList[T any](rt *task.Runtime, name string) *List[T] {
+func NewList[T any](s task.Scope, name string) *List[T] {
+	rt, t := s.Scope()
 	var zero T
 	sh := rt.Detector().NewShadow(detect.GrowableSpec(name, int(unsafe.Sizeof(zero))))
+	created(sh, t, lengthCell+1) // the length cell
 	return &List[T]{
 		data: shadow.New[T](-1),
 		sh:   sh,

@@ -46,9 +46,11 @@ type Map[K comparable, V any] struct {
 
 // NewMap allocates an empty instrumented map named name in race
 // reports.
-func NewMap[K comparable, V any](rt *task.Runtime, name string) *Map[K, V] {
+func NewMap[K comparable, V any](s task.Scope, name string) *Map[K, V] {
+	rt, t := s.Scope()
 	var zero V
 	sh := rt.Detector().NewShadow(detect.GrowableSpec(name, int(unsafe.Sizeof(zero))))
+	created(sh, t, lengthCell+1) // the length cell
 	return &Map[K, V]{
 		sh:   sh,
 		reg:  rt.Stats().Region(name, 0),

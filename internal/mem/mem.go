@@ -21,6 +21,21 @@
 // container costs shadow memory proportional to the pages actually
 // accessed, not its declared length. List additionally uses a growable
 // region with no declared length at all.
+//
+// Every constructor takes a task.Scope: a *task.Runtime before Run, or
+// the allocating task's *task.Ctx inside a task body, the only handle
+// mechanical instrumentation (spd3inst) has in scope there. Allocating a
+// container zeroes its memory, which is a write by the allocating task.
+// A *Ctx scope records that write in the shadow, one per cell for the
+// fixed-size containers and one on the length cell for List and Map, so
+// a task that reads a container unordered with the sibling that created
+// it is reported, exactly as if the sibling had Set every element: in
+// the paper's model the initializing writes belong to the allocating
+// step. A *Runtime scope elides them: allocation before Run happens-
+// before every step of the program, so every later access is ordered
+// after those writes and recording them would be pure overhead.
+// Allocating through a root Ctx before the first spawn is equivalent for
+// the same reason.
 package mem
 
 import (
@@ -41,10 +56,23 @@ type Array[T any] struct {
 
 // NewArray allocates an instrumented array of n elements named name in
 // race reports.
-func NewArray[T any](rt *task.Runtime, name string, n int) *Array[T] {
+func NewArray[T any](s task.Scope, name string, n int) *Array[T] {
+	rt, t := s.Scope()
 	var zero T
 	sh := rt.Detector().NewShadow(detect.Spec(name, n, int(unsafe.Sizeof(zero))))
+	created(sh, t, n)
 	return &Array[T]{data: make([]T, n), sh: sh, reg: rt.Stats().Region(name, n)}
+}
+
+// created records t's creation writes of cells [0, n) of sh; a nil t
+// elides them (see the package doc).
+func created(sh detect.Shadow, t *detect.Task, n int) {
+	if t == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		sh.Write(t, i)
+	}
 }
 
 // Len returns the number of elements.
@@ -89,9 +117,11 @@ type Matrix[T any] struct {
 }
 
 // NewMatrix allocates an instrumented rows×cols matrix.
-func NewMatrix[T any](rt *task.Runtime, name string, rows, cols int) *Matrix[T] {
+func NewMatrix[T any](s task.Scope, name string, rows, cols int) *Matrix[T] {
+	rt, t := s.Scope()
 	var zero T
 	sh := rt.Detector().NewShadow(detect.Spec(name, rows*cols, int(unsafe.Sizeof(zero))))
+	created(sh, t, rows*cols)
 	return &Matrix[T]{
 		rows: rows,
 		cols: cols,
@@ -152,9 +182,11 @@ type Var[T any] struct {
 }
 
 // NewVar allocates an instrumented variable with initial value init.
-func NewVar[T any](rt *task.Runtime, name string, init T) *Var[T] {
+func NewVar[T any](s task.Scope, name string, init T) *Var[T] {
+	rt, t := s.Scope()
 	var zero T
 	sh := rt.Detector().NewShadow(detect.Spec(name, 1, int(unsafe.Sizeof(zero))))
+	created(sh, t, 1)
 	return &Var[T]{v: init, sh: sh, reg: rt.Stats().Region(name, 1)}
 }
 

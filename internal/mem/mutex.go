@@ -2,8 +2,10 @@ package mem
 
 import "spd3/internal/task"
 
-// NewMutex returns an instrumented lock registered with rt's detector.
-func NewMutex(rt *task.Runtime) *Mutex {
+// NewMutex returns an instrumented lock registered with the scope's
+// runtime. A lock has no shadowed cells, so it has no creation write.
+func NewMutex(s task.Scope) *Mutex {
+	rt, _ := s.Scope()
 	return &Mutex{l: rt.NewLock()}
 }
 

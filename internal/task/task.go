@@ -158,6 +158,20 @@ func (rt *Runtime) NewLock() *detect.Lock {
 	return &detect.Lock{ID: rt.lockIDs.Add(1)}
 }
 
+// Running reports whether a Run is in progress.
+func (rt *Runtime) Running() bool { return rt.running.Load() }
+
+// A Scope is where an instrumented container is allocated (package mem).
+// Scope returns the runtime the container belongs to and the task its
+// creation writes are attributed to, or nil when they are elided. The
+// result types are internal, so only this module implements Scope.
+type Scope interface {
+	Scope() (*Runtime, *detect.Task)
+}
+
+// Scope makes rt an allocation scope that elides the creation writes.
+func (rt *Runtime) Scope() (*Runtime, *detect.Task) { return rt, nil }
+
 // ErrNested is returned by Run when the runtime is already running.
 var ErrNested = errors.New("task: Run called on a running runtime")
 
@@ -253,6 +267,10 @@ func (c *Ctx) WorkerID() int {
 
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }
+
+// Scope makes c an allocation scope that records the creation writes
+// against c's task.
+func (c *Ctx) Scope() (*Runtime, *detect.Task) { return c.rt, &c.task }
 
 // CountAccess records one instrumented read or write against region g in
 // the executing goroutine's block (detect.Local.CountAccess).

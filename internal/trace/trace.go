@@ -162,9 +162,9 @@ func (r *Recorder) Release(t *detect.Task, l *detect.Lock) {
 }
 
 // NewShadow implements detect.Detector. Tasks may declare regions
-// concurrently (NewArrayIn under the pool), and replay requires ids in
-// stream order, so the id is drawn and the declaration written under one
-// lock hold.
+// concurrently (containers allocated in tasks under the pool), and
+// replay requires ids in stream order, so the id is drawn and the
+// declaration written under one lock hold.
 func (r *Recorder) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -211,7 +211,8 @@ func TestReplayParallelTrace(t *testing.T) {
 }
 
 // TestRecorderConcurrentRegionDecls: tasks that create containers in
-// parallel (Strassen's NewMatrixIn under the pool) must still record a
+// parallel (here through their *Ctx; Strassen's temporaries go through
+// c.Runtime()) under the pool must still record a
 // trace whose region ids arrive in order, each with its own name right
 // behind it — the decoder rejects anything else as malformed.
 func TestRecorderConcurrentRegionDecls(t *testing.T) {
@@ -225,7 +226,7 @@ func TestRecorderConcurrentRegionDecls(t *testing.T) {
 	err = rt.Run(func(c *task.Ctx) {
 		c.FinishAsync(tasks, func(c *task.Ctx, i int) {
 			for j := 0; j < perTask; j++ {
-				a := mem.NewArrayIn[int](c, fmt.Sprintf("a%d.%d", i, j), 2)
+				a := mem.NewArray[int](c, fmt.Sprintf("a%d.%d", i, j), 2)
 				a.Set(c, 1, a.Get(c, 0)+j)
 			}
 		})

@@ -330,76 +330,53 @@ func (e *Engine) Run(root func(*Ctx)) (*Report, error) {
 	return rep, err
 }
 
+// Scope is where a container is allocated, the first argument of every
+// container constructor. An *Engine scope is for allocation before Run:
+// it happens-before every task, so the container's initializing writes
+// are elided. A *Ctx scope is for allocation inside a task body: those
+// writes are recorded against the allocating task, so a task that uses
+// the container unordered with its creation is reported. Only this
+// module's types implement Scope.
+type Scope = task.Scope
+
+// Scope makes e an allocation scope for use before Run. It panics while
+// Run is in progress: allocation inside a task body goes through the
+// task's *Ctx, which records the creation writes an *Engine would drop.
+func (e *Engine) Scope() (*task.Runtime, *detect.Task) {
+	if e.rt.Running() {
+		panic("spd3: container allocated through the *Engine during Run; " +
+			"pass the task's *Ctx instead: spd3.NewArray[T](c, name, n)")
+	}
+	return e.rt.Scope()
+}
+
 // NewArray allocates an instrumented array of n elements of type T.
-func NewArray[T any](e *Engine, name string, n int) *Array[T] {
-	return mem.NewArray[T](e.rt, name, n)
+func NewArray[T any](s Scope, name string, n int) *Array[T] {
+	return mem.NewArray[T](s, name, n)
 }
 
 // NewMatrix allocates an instrumented rows×cols matrix.
-func NewMatrix[T any](e *Engine, name string, rows, cols int) *Matrix[T] {
-	return mem.NewMatrix[T](e.rt, name, rows, cols)
+func NewMatrix[T any](s Scope, name string, rows, cols int) *Matrix[T] {
+	return mem.NewMatrix[T](s, name, rows, cols)
 }
 
 // NewVar allocates an instrumented shared variable.
-func NewVar[T any](e *Engine, name string, init T) *Var[T] {
-	return mem.NewVar(e.rt, name, init)
+func NewVar[T any](s Scope, name string, init T) *Var[T] {
+	return mem.NewVar(s, name, init)
 }
 
 // NewList allocates an empty growable instrumented list.
-func NewList[T any](e *Engine, name string) *List[T] {
-	return mem.NewList[T](e.rt, name)
+func NewList[T any](s Scope, name string) *List[T] {
+	return mem.NewList[T](s, name)
 }
 
 // NewMap allocates an empty instrumented map.
-func NewMap[K comparable, V any](e *Engine, name string) *Map[K, V] {
-	return mem.NewMap[K, V](e.rt, name)
+func NewMap[K comparable, V any](s Scope, name string) *Map[K, V] {
+	return mem.NewMap[K, V](s, name)
 }
 
 // NewMutex allocates an instrumented lock.
-func NewMutex(e *Engine) *Mutex { return mem.NewMutex(e.rt) }
-
-// Ctx-scoped constructors. Containers allocated from inside a task body
-// — where only the task's *Ctx is in scope, the situation mechanical
-// instrumentation (cmd/spd3inst) produces — use these forms. They differ
-// from the *Engine forms only in creation-point semantics: allocation
-// zeroes the container, and the In forms record those initializing
-// writes against the allocating task, so a task that reads the
-// container unordered with the task that created it is correctly
-// reported. The *Engine forms are the same constructors with the
-// creation writes elided, which is sound exactly because pre-Run
-// allocation happens-before every task (see mem's package docs).
-
-// NewArrayIn allocates an instrumented array from inside a task body,
-// attributing the initializing writes to c's task.
-func NewArrayIn[T any](c *Ctx, name string, n int) *Array[T] {
-	return mem.NewArrayIn[T](c, name, n)
-}
-
-// NewMatrixIn allocates an instrumented matrix from inside a task body,
-// attributing the initializing writes to c's task.
-func NewMatrixIn[T any](c *Ctx, name string, rows, cols int) *Matrix[T] {
-	return mem.NewMatrixIn[T](c, name, rows, cols)
-}
-
-// NewVarIn allocates an instrumented variable from inside a task body,
-// attributing the initializing write to c's task.
-func NewVarIn[T any](c *Ctx, name string, init T) *Var[T] {
-	return mem.NewVarIn(c, name, init)
-}
-
-// NewListIn allocates an empty instrumented list from inside a task
-// body.
-func NewListIn[T any](c *Ctx, name string) *List[T] {
-	return mem.NewListIn[T](c, name)
-}
-
-// NewMapIn allocates an empty instrumented map from inside a task body.
-func NewMapIn[K comparable, V any](c *Ctx, name string) *Map[K, V] {
-	return mem.NewMapIn[K, V](c, name)
-}
-
-// NewMutexIn allocates an instrumented lock from inside a task body.
-func NewMutexIn(c *Ctx) *Mutex { return mem.NewMutexIn(c) }
+func NewMutex(s Scope) *Mutex { return mem.NewMutex(s) }
 
 // Cilk provides Cilk-style spawn/sync parallelism as sugar over
 // async/finish (§2: async/finish generalizes spawn/sync, so every

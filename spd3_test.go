@@ -2,6 +2,7 @@ package spd3_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -401,6 +402,52 @@ func TestEngineReusable(t *testing.T) {
 		if v != 3 {
 			t.Fatalf("a[%d] = %d, want 3", i, v)
 		}
+	}
+}
+
+// TestEngineScopeInsideRunPanics: a constructor given the *Engine while
+// its Run is in progress would drop the creation writes, so it panics
+// and names the *Ctx form; unrecovered, the panic is Run's error. After
+// Run returns, the engine allocates normally again and stays reusable.
+func TestEngineScopeInsideRunPanics(t *testing.T) {
+	eng, err := spd3.New(spd3.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ctxForm = "spd3.NewArray[T](c, name, n)"
+	ctors := map[string]func(){
+		"NewArray":  func() { spd3.NewArray[int](eng, "a", 4) },
+		"NewMatrix": func() { spd3.NewMatrix[int](eng, "m", 2, 2) },
+		"NewVar":    func() { spd3.NewVar(eng, "v", 0) },
+		"NewList":   func() { spd3.NewList[int](eng, "l") },
+		"NewMap":    func() { spd3.NewMap[int, int](eng, "mp") },
+		"NewMutex":  func() { spd3.NewMutex(eng) },
+	}
+	for name, ctor := range ctors {
+		var msg string
+		if _, err := eng.Run(func(c *spd3.Ctx) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			ctor()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(msg, ctxForm) {
+			t.Errorf("%s(eng) inside Run: panic %q, want one naming %s", name, msg, ctxForm)
+		}
+	}
+	_, err = eng.Run(func(c *spd3.Ctx) {
+		c.FinishAsync(2, func(c *spd3.Ctx, i int) { spd3.NewVar(eng, "v", i) })
+	})
+	if err == nil || !strings.Contains(err.Error(), ctxForm) {
+		t.Fatalf("Run error = %v, want the panic naming %s", err, ctxForm)
+	}
+
+	a := spd3.NewArray[int](eng, "after", 4)
+	rep, err := eng.Run(func(c *spd3.Ctx) {
+		c.FinishAsync(4, func(c *spd3.Ctx, i int) { a.Set(c, i, i) })
+	})
+	if err != nil || !rep.RaceFree() {
+		t.Fatalf("Run after the failed ones: err %v, races %v", err, rep.Races)
 	}
 }
 

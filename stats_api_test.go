@@ -355,8 +355,8 @@ func TestExecutorsCountExactly(t *testing.T) {
 				c.Finish(func(c *spd3.Ctx) {
 					for id := 0; id < tasks; id++ {
 						c.Async(func(c *spd3.Ctx) {
-							v := spd3.NewVarIn(c, fmt.Sprint("v", id), id)
-							a := spd3.NewArrayIn[int](c, fmt.Sprint("a", id), part)
+							v := spd3.NewVar(c, fmt.Sprint("v", id), id)
+							a := spd3.NewArray[int](c, fmt.Sprint("a", id), part)
 							vars[id], arrs[id] = v, a
 							for i := 0; i < part; i++ {
 								a.Set(c, i, i)
