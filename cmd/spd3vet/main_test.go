@@ -13,8 +13,9 @@ import (
 
 const (
 	fixtures = "../../internal/analysis/testdata"
-	// hoist is a checkelim fixture: two findings, both with fixes.
-	hoist = "../../internal/analysis/checkelim/testdata/hoist"
+	// dup is a checkelim fixture: seven findings, one of them nested
+	// inside another's rewrite.
+	dup = "../../internal/analysis/checkelim/testdata/dup"
 )
 
 func TestDriverExitCodes(t *testing.T) {
@@ -58,15 +59,15 @@ func TestDriverPositionAccurate(t *testing.T) {
 
 func TestDriverJSONEnvelope(t *testing.T) {
 	var out, errOut strings.Builder
-	if got := run([]string{"-json", "-analyzers", "checkelim", hoist}, &out, &errOut); got != 1 {
+	if got := run([]string{"-json", "-analyzers", "checkelim", dup}, &out, &errOut); got != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", got, errOut.String())
 	}
 	var rep analysis.JSONReport
 	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
-	if rep.Tool != "spd3vet" || rep.Version != analysis.Version || len(rep.Findings) != 2 {
-		t.Errorf("envelope = %q/%q with %d findings, want spd3vet/%s with 2",
+	if rep.Tool != "spd3vet" || rep.Version != analysis.Version || len(rep.Findings) != 7 {
+		t.Errorf("envelope = %q/%q with %d findings, want spd3vet/%s with 7",
 			rep.Tool, rep.Version, len(rep.Findings), analysis.Version)
 	}
 
@@ -82,12 +83,13 @@ func TestDriverJSONEnvelope(t *testing.T) {
 }
 
 func TestDriverFix(t *testing.T) {
-	src, err := os.ReadFile(hoist + "/hoist.go")
+	src, err := os.ReadFile(dup + "/dup.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "hoist.go"), src, 0o644); err != nil {
+	target := filepath.Join(dir, "dup.go")
+	if err := os.WriteFile(target, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
@@ -95,8 +97,15 @@ func TestDriverFix(t *testing.T) {
 		t.Fatalf("exit = %d, want 0 (all findings fixable); stdout:\n%s\nstderr:\n%s",
 			got, out.String(), errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "applied 2 fix(es)") {
-		t.Errorf("stderr = %q, want applied 2 fix(es)", errOut.String())
+	if !strings.Contains(errOut.String(), "applied 7 fix(es)") {
+		t.Errorf("stderr = %q, want applied 7 fix(es)", errOut.String())
+	}
+	fixed, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(fixed), ".Unchecked"); n != 7 {
+		t.Errorf("%d sites rewritten, want all 7:\n%s", n, fixed)
 	}
 	// Second runs over the rewritten source, under checkelim and the
 	// default suite, are clean.

@@ -220,6 +220,9 @@ func (fb *fixBuilder) flush(fset *token.FileSet, res *Result) {
 			Analyzer: analyzerName,
 			Message:  fb.msgFor(p),
 		}
+		// A nested rewrite's fix has no edits: its text is spliced
+		// into the outer access's edit, so applying that fixes both.
+		d.Fix = &analysis.SuggestedFix{Message: "rewritten inside the enclosing access's fix"}
 		r := fb.replAt(p.a.call.Pos(), p.a.call.End())
 		if outermost[r] {
 			edits := []analysis.TextEdit{{Pos: r.pos, End: r.end, NewText: r.text()}}

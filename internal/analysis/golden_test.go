@@ -134,7 +134,7 @@ func TestRegistryLookup(t *testing.T) {
 // TestJSONEnvelope pins the wire format: the same tool/version header
 // over a findings array that the other commands' -stats dumps use.
 func TestJSONEnvelope(t *testing.T) {
-	pkg := loadClean(t, "checkelim/testdata/hoist")
+	pkg := loadClean(t, "checkelim/testdata/dup")
 	diags, err := analysis.Run(pkg, []*analysis.Analyzer{checkelim.Analyzer})
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,8 @@ func TestJSONEnvelope(t *testing.T) {
 	if rep.Tool != "spd3vet" || rep.Version != analysis.Version {
 		t.Errorf("envelope header = %q/%q", rep.Tool, rep.Version)
 	}
-	if len(rep.Findings) != 2 {
-		t.Fatalf("findings = %d, want 2", len(rep.Findings))
+	if len(rep.Findings) != 7 {
+		t.Fatalf("findings = %d, want 7", len(rep.Findings))
 	}
 	for _, f := range rep.Findings {
 		if f.Analyzer != "checkelim" || f.Line == 0 || f.Col == 0 || f.Fix == "" {
@@ -165,14 +165,16 @@ func TestJSONEnvelope(t *testing.T) {
 // TestApplyFixesRoundTrip copies a checkelim fixture into a 0600 file,
 // applies the suggested rewrites, and verifies the result keeps its
 // file mode, type-checks, and re-analyzes to zero findings under the
-// default suite and checkelim itself.
+// default suite and checkelim itself. The fixture nests one elided read
+// inside an elided write: its fix has no edits of its own, and it does
+// not remain outstanding.
 func TestApplyFixesRoundTrip(t *testing.T) {
-	src, err := os.ReadFile("checkelim/testdata/hoist/hoist.go")
+	src, err := os.ReadFile("checkelim/testdata/dup/dup.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	target := filepath.Join(dir, "hoist.go")
+	target := filepath.Join(dir, "dup.go")
 	if err := os.WriteFile(target, src, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +184,15 @@ func TestApplyFixesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 {
-		t.Fatalf("diagnostics = %d, want 2: %v", len(diags), diags)
+	if len(diags) != 7 {
+		t.Fatalf("diagnostics = %d, want 7: %v", len(diags), diags)
 	}
 	remaining, applied, err := analysis.ApplyFixes([]*analysis.Package{pkg}, diags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 2 || len(remaining) != 0 {
-		t.Fatalf("applied = %d remaining = %d, want 2/0", applied, len(remaining))
+	if applied != 7 || len(remaining) != 0 {
+		t.Fatalf("applied = %d remaining = %d, want 7/0", applied, len(remaining))
 	}
 
 	info, err := os.Stat(target)
@@ -204,7 +206,8 @@ func TestApplyFixesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sInv := s.Get(c) //spd3opt:hoisted", "* sInv", "wInv := w.Get(c) //spd3opt:hoisted", "*wInv)"} {
+	for _, want := range []string{"y := a.Unchecked()[i]", "m.UncheckedRow(i)[0] = float64(y)", "*v.Unchecked() = y",
+		"a.Unchecked()[i] = a.Unchecked()[i] + 1"} {
 		if !strings.Contains(string(fixed), want) {
 			t.Errorf("fixed file missing %q:\n%s", want, fixed)
 		}

@@ -11,7 +11,6 @@
 //   - internal/espbags:   ESP-bags (sequential depth-first baseline)
 //   - internal/fasttrack: FastTrack (vector-clock baseline)
 //   - internal/eraser:    Eraser (lockset baseline, imprecise)
-//   - internal/oslabel:   Offset-Span labeling (§7 baseline, strict fork-join only)
 //   - internal/graph:     precise computation-DAG oracle (testing)
 //   - detect.Nop:         the uninstrumented baseline
 //

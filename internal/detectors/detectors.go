@@ -14,5 +14,4 @@ import (
 	_ "spd3/internal/eraser"
 	_ "spd3/internal/espbags"
 	_ "spd3/internal/fasttrack"
-	_ "spd3/internal/oslabel"
 )

@@ -16,7 +16,7 @@ import (
 // allocates both of its pages, 4096 + 904 cells; one write leaves
 // FastTrack no read clock, so nothing else counts.
 func TestShadowBytesAreCellsTimesCellSize(t *testing.T) {
-	cellBytes := map[string]uintptr{"spd3": 16, "espbags": 16, "eraser": 56, "fasttrack": 32, "oslabel": 80}
+	cellBytes := map[string]uintptr{"spd3": 16, "espbags": 16, "eraser": 56, "fasttrack": 32}
 	const cells = 5000
 	for _, name := range detect.Names() {
 		if name == "none" {

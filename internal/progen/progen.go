@@ -71,13 +71,6 @@ type Config struct {
 	MaxDepth int // nesting bound (default 5)
 	MaxStmts int // approximate statement budget (default 40)
 
-	// Strict restricts generation to strict fork-join shape: asyncs
-	// appear only as the immediate (and only) children of a finish,
-	// so a forking scope performs no accesses or spawns of its own
-	// while children are live. This is the program class Offset-Span
-	// labeling supports (paper §7); general async/finish is not.
-	Strict bool
-
 	// Locks > 0 adds that many mutexes and generates well-nested
 	// critical sections around access runs. Lock-order ground truth is
 	// per observed trace; compare against FastTrack, not SPD3.
@@ -130,25 +123,13 @@ func (g *generator) fill(parent *Node, depth int) {
 func (g *generator) stmt(depth int) *Node {
 	r := g.rng.Intn(100)
 	switch {
-	case !g.cfg.Strict && depth < g.cfg.MaxDepth && r < 25:
+	case depth < g.cfg.MaxDepth && r < 25:
 		n := &Node{Op: Async}
 		g.fill(n, depth+1)
 		return n
 	case depth < g.cfg.MaxDepth && r < 40:
 		n := &Node{Op: Finish}
-		if g.cfg.Strict {
-			// Strict: the finish is a pure fork — only asyncs
-			// inside, each with a recursively strict body.
-			k := 1 + g.rng.Intn(3)
-			for i := 0; i < k && g.budget > 0; i++ {
-				g.budget--
-				a := &Node{Op: Async}
-				g.fill(a, depth+1)
-				n.Children = append(n.Children, a)
-			}
-		} else {
-			g.fill(n, depth+1)
-		}
+		g.fill(n, depth+1)
 		return n
 	case g.cfg.Locks > 0 && r < 55:
 		n := &Node{Op: Locked, Var: g.rng.Intn(g.cfg.Locks)}

@@ -19,6 +19,7 @@ import (
 	"spd3/internal/bench"
 	"spd3/internal/detect"
 	_ "spd3/internal/detectors" // populate the registry, as cmd/spd3d does
+	"spd3/internal/mem"
 	"spd3/internal/progen"
 	"spd3/internal/server/quota"
 	"spd3/internal/stats"
@@ -307,10 +308,10 @@ func TestStatusCodes(t *testing.T) {
 
 // TestHostileNestingIs400: testdata/nesting_crasher.trc is well framed
 // but has a task end a finish it did not open, which every detector that
-// restores per-finish state trusts the driver not to do (it panicked
-// oslabel in a shard-pool goroutine, which nothing recovers, at 30071af).
-// Replay refuses it for every detector, the daemon answers 400 and
-// stays up with nothing left in flight.
+// restores per-finish state trusts the driver not to do (the same bytes
+// panicked a since-retired detector in a shard-pool goroutine, which
+// nothing recovers, at 30071af). Replay refuses it for every detector,
+// the daemon answers 400 and stays up with nothing left in flight.
 func TestHostileNestingIs400(t *testing.T) {
 	crasher, err := os.ReadFile("testdata/nesting_crasher.trc")
 	if err != nil {
@@ -318,8 +319,9 @@ func TestHostileNestingIs400(t *testing.T) {
 	}
 	s, ts := newTestServer(t, Config{})
 	// Under "all" the first detector to fail cancels the rest of the
-	// fan-out, so oslabel is also asked for by name.
-	for _, det := range []string{"oslabel", "all"} {
+	// fan-out, so every registry detector but none is also asked for by
+	// name.
+	for _, det := range append(eligibleDetectors(true), "all") {
 		if status, body := analyze(t, ts.URL, "?shard=off&detector="+det, crasher); status != http.StatusBadRequest {
 			t.Fatalf("detector=%s: status = %d, want 400\n%s", det, status, body)
 		}
@@ -566,6 +568,73 @@ func TestDifferentialAll(t *testing.T) {
 	for _, v := range rep.Verdicts {
 		if v.Detector == "espbags" {
 			t.Fatal("sequential-only espbags ran on a parallel trace in differential mode")
+		}
+	}
+}
+
+// recordEscapingAsync records, under the depth-first executor,
+//
+//	finish { async { write x }; finish { async {} }; write x }
+//
+// The first async escapes the inner finish, which joins only the task
+// spawned inside it, so the two writes to x are parallel: a detector
+// that treats the inner finish as a join of everything spawned before
+// it misses the race.
+func recordEscapingAsync(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := trace.NewRecorder(&buf, true)
+	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mem.NewVar(rt, "x", 0)
+	err = rt.Run(func(c *task.Ctx) {
+		c.Finish(func(c *task.Ctx) {
+			c.Async(func(c *task.Ctx) { x.Set(c, 1) })
+			c.Finish(func(c *task.Ctx) { c.Async(func(*task.Ctx) {}) })
+			x.Set(c, 2)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEscapingAsyncAgrees: testdata/escaping_async.trc is
+// recordEscapingAsync's output byte for byte (-update rewrites it), and
+// under detector=all every detector reports its race.
+func TestEscapingAsyncAgrees(t *testing.T) {
+	tr := recordEscapingAsync(t)
+	const path = "testdata/escaping_async.trc"
+	if *updateGolden {
+		if err := os.WriteFile(path, tr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tr, committed) {
+		t.Fatalf("%s differs from a fresh recording (%d bytes, want %d)", path, len(committed), len(tr))
+	}
+	_, ts := newTestServer(t, Config{})
+	status, body := analyze(t, ts.URL, "?detector=all", committed)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d\n%s", status, body)
+	}
+	rep := decodeReport(t, body)
+	if rep.Agree == nil || !*rep.Agree || len(rep.Verdicts) != len(eligibleDetectors(true)) {
+		t.Fatalf("agree = %v over %d verdicts, want every detector agreeing\n%s", rep.Agree, len(rep.Verdicts), body)
+	}
+	for _, v := range rep.Verdicts {
+		if !v.Racy {
+			t.Errorf("%s: verdict race-free, want the escaping async's write-write race", v.Detector)
 		}
 	}
 }

@@ -307,6 +307,59 @@ func TestOpensParentStore(t *testing.T) {
 	}
 }
 
+// TestResumedRetiredDetectorFails: a stored job naming a detector this
+// build no longer registers ("oslabel", retired after 7f98e63) resumes to
+// a failed job whose /result carries the registry's unknown-detector
+// message, and the daemon stays up with nothing in flight. The fixture is
+// copied and only the copy's running manifest is rewritten.
+func TestResumedRetiredDetectorFails(t *testing.T) {
+	const runningID = "j960e2057cebbeca1"
+	root := t.TempDir()
+	if err := os.CopyFS(root, os.DirFS("testdata/store_7f98e63")); err != nil {
+		t.Fatal(err)
+	}
+	path := root + "/jobs/" + runningID + ".json"
+	m, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(`"detector": "test-gate-spd3"`)
+	if !bytes.Contains(m, old) {
+		t.Fatalf("fixture's running manifest no longer names test-gate-spd3:\n%s", m)
+	}
+	if err := os.WriteFile(path, bytes.Replace(m, old, []byte(`"detector": "oslabel"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{StoreDir: root, ShardWorkers: 1})
+	defer s.Close()
+	waitFor(t, func() bool { return client.Terminal(jobState(s, runningID)) }, "resumed job terminal")
+	if st := jobState(s, runningID); st != client.StateFailed {
+		t.Fatalf("resumed job state = %q, want %q", st, client.StateFailed)
+	}
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + runningID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `unknown detector \"oslabel\"`) {
+		t.Errorf("/result = %d, want 500 with the unknown-detector message\n%s", resp.StatusCode, body)
+	}
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Errorf("/healthz = %d after the failed resume, want 200", hz.StatusCode)
+	}
+	waitFor(t, func() bool { return s.InFlight() == 0 }, "nothing in flight")
+}
+
 // TestWireStats: wireStats is the server's one conversion into a client
 // type, so its JSON must be stats.Snapshot's own, nil and empty region
 // lists included.

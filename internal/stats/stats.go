@@ -246,17 +246,6 @@ var staticElided atomic.Int64
 // zz_spd3opt.go) calls this from an init via spd3.RegisterStaticElided.
 func AddStaticElided(n int64) { staticElided.Add(n) }
 
-// StaticElided returns the process-wide statically-elided site count.
-func StaticElided() int64 { return staticElided.Load() }
-
-// ResetStaticElided zeroes the process-wide statically-elided tally and
-// returns the previous value. It exists for tests that run back-to-back
-// engines in one process: the tally is process-global by design (the
-// sites are gone from the compiled program, not from one run), so
-// without a reset a second engine's snapshots would inherit the first's
-// mem.checks_elided_static.
-func ResetStaticElided() int64 { return staticElided.Swap(0) }
-
 // String returns the counter's stable wire name.
 func (c Counter) String() string {
 	if c < NumCounters {

@@ -25,8 +25,8 @@
 // finish must be the top of the parent's stack or, with nothing open, the
 // parent's own IEF. Anything else is ErrMalformed — detectors restore
 // per-finish state from the task (SPD3 reads the finish off the task's
-// DPST step, Offset-Span truncates the task's label), and a FinishEnd by a
-// task that did not open the finish used to panic one of them. A TaskEnd
+// DPST step, ESP-bags and FastTrack its bag or clock), and a FinishEnd
+// by a task that did not open the finish once panicked one. A TaskEnd
 // with finishes still open is legal: a task whose body panicked inside a
 // finish records exactly that. Ending the implicit finish is the main
 // task's last event, and a spawned child may not take a live task's id

@@ -5,7 +5,7 @@
 //
 // The package bundles a structured task runtime (work-stealing pool,
 // goroutine-per-task, or sequential depth-first execution), instrumented
-// shared-memory containers, and six interchangeable detectors:
+// shared-memory containers, and five interchangeable detectors:
 //
 //   - SPD3 (the paper's contribution): runs in parallel, O(1) space per
 //     monitored location, sound and precise for a given input.
@@ -13,7 +13,6 @@
 //   - FastTrack: handles arbitrary fork-join and locks, but pays O(n)
 //     space and time in the number of tasks.
 //   - Eraser: the lockset heuristic; fast but imprecise.
-//   - OSLabel: Offset-Span labeling, sound for strict fork-join only.
 //   - None: no detection, the measurement baseline.
 //
 // # Quick start
@@ -140,12 +139,6 @@ const (
 	FastTrack Detector = "fasttrack"
 	// Eraser is the lockset baseline (imprecise).
 	Eraser Detector = "eraser"
-	// OSLabel is Offset-Span labeling (Mellor-Crummey 1991), the §7
-	// related-work baseline. Sound only for strict fork-join programs
-	// (every finish contains only asyncs and its owner neither spawns
-	// outside it nor touches shared data inside it); general
-	// async/finish programs need SPD3.
-	OSLabel Detector = "oslabel"
 )
 
 // Detectors lists every registered detector kind, sorted by name. The

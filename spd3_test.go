@@ -221,26 +221,6 @@ func TestBarrierFacade(t *testing.T) {
 	}
 }
 
-func TestOSLabelFacade(t *testing.T) {
-	eng, err := spd3.New(racy(spd3.Options{Workers: 2, Detector: spd3.OSLabel}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := spd3.NewArray[int](eng, "a", 4)
-	rep, err := eng.Run(func(c *spd3.Ctx) {
-		c.Finish(func(c *spd3.Ctx) {
-			c.Async(func(c *spd3.Ctx) { a.Set(c, 0, 1) })
-			c.Async(func(c *spd3.Ctx) { a.Set(c, 0, 2) })
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RaceFree() {
-		t.Fatal("oslabel missed a strict fork-join race")
-	}
-}
-
 // TestCaptureSites: the site is captured where the race is reported, so
 // every detector's reports carry it, not only SPD3's.
 func TestCaptureSites(t *testing.T) {
@@ -349,7 +329,7 @@ func TestNegativeWorkersRejected(t *testing.T) {
 
 func TestDetectorsList(t *testing.T) {
 	ds := spd3.Detectors()
-	if len(ds) != 6 {
+	if len(ds) != 5 {
 		t.Fatalf("Detectors() = %v", ds)
 	}
 	for _, d := range ds {
