@@ -147,9 +147,9 @@ type Report struct {
 	Sequential bool      `json:"sequential"`
 	TraceBytes int64     `json:"trace_bytes"`
 	Verdicts   []Verdict `json:"verdicts"`
-	// Sharded reports whether the analysis ran through the finish-scope
-	// splitter and worker pool; Segments is how many independently
-	// replayed units the trace was cut into.
+	// Sharded is true for every job this daemon version stores: the
+	// finish-scope splitter cuts each upload. Segments is how many
+	// independently replayed units the trace was stored as.
 	Sharded  bool `json:"sharded,omitempty"`
 	Segments int  `json:"segments,omitempty"`
 	// Agree is set in differential mode: whether every detector
@@ -246,7 +246,7 @@ type JobStatus struct {
 	TraceBytes  int64              `json:"trace_bytes"`
 	StoredBytes int64              `json:"stored_bytes"`
 	Segments    int                `json:"segments"`
-	Sharded     bool               `json:"sharded"`
+	Sharded     bool               `json:"sharded"` // as Report.Sharded
 	Unsplit     bool               `json:"unsplit,omitempty"`
 	Progress    []DetectorProgress `json:"progress,omitempty"`
 	RaceCount   int                `json:"race_count"`

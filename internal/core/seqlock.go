@@ -188,6 +188,6 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 func (s *casShadow) countRetries(l *detect.Local, n int64) {
 	if n > 0 {
 		l.Tally[stats.CASRetry] += n
-		s.d.st.Observe(stats.HistCASRetry, n)
+		s.d.st.ObserveCASRetry(n)
 	}
 }

@@ -147,25 +147,14 @@ func (j *Job) status() client.JobStatus {
 		Sharded:     j.m.Sharded,
 		Unsplit:     j.m.Unsplit,
 		Error:       j.m.Error,
+		RaceCount:   j.raceCountLocked(),
 		CreatedAt:   j.m.CreatedAt,
 		UpdatedAt:   j.m.UpdatedAt,
 	}
-	if !j.m.Sharded {
-		st.Segments = 0
-	}
 	for i, name := range j.names {
-		p := client.DetectorProgress{Detector: name, SegmentsDone: j.segsDone[i]}
-		if j.acc != nil {
-			p.RaceCount = j.acc[i].count
-			st.RaceCount += j.acc[i].count
-		}
-		st.Progress = append(st.Progress, p)
-	}
-	if j.m.Result != nil {
-		st.RaceCount = 0
-		for _, v := range j.m.Result.Verdicts {
-			st.RaceCount += v.RaceCount
-		}
+		st.Progress = append(st.Progress, client.DetectorProgress{
+			Detector: name, SegmentsDone: j.segsDone[i], RaceCount: j.acc[i].count,
+		})
 	}
 	return st
 }
@@ -291,7 +280,6 @@ type submitOpts struct {
 	detector  string // validated registry name or "all"
 	tenant    string
 	withStats bool
-	shard     bool // run the splitter (shard != "off")
 	estimate  int64
 	sampling  string // validated per-request sampling spec override, or ""
 }
@@ -323,7 +311,6 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (submitOpts
 		detector:  name,
 		tenant:    tenant,
 		withStats: q.Get("stats") != "",
-		shard:     q.Get("shard") != "off",
 		estimate:  max(r.ContentLength, 0),
 		sampling:  sampling,
 	}, true
@@ -385,7 +372,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 		Sequential: sequential,
 		WithStats:  opts.withStats,
 		Sampling:   opts.sampling,
-		Sharded:    opts.shard,
+		Sharded:    true,
 		State:      client.StateQueued,
 	})
 	j.spilling = true
@@ -400,44 +387,36 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 			s.rec.Add(stats.StorePutBytes, ref.Bytes)
 		}
 	}
-	if opts.shard {
-		sp, err := trace.NewSplitter(br, trace.SplitConfig{
-			MinSegmentBytes: s.cfg.MinSegmentBytes,
-			MaxSegmentBytes: s.cfg.MaxSegmentBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-	split:
-		for {
-			seg, err := sp.Next()
-			switch {
-			case errors.Is(err, io.EOF):
-				break split
-			case errors.Is(err, trace.ErrSegmentOversize):
-				// One finish scope refuses to fit a segment: the rest of
-				// the stream (including the splitter's buffered prefix)
-				// spills to the store as a single blob, hashed while
-				// streaming so nothing is materialized in memory.
-				ref, dup, perr := s.store.PutStream(sp.Unsplit())
-				if perr != nil {
-					return nil, perr
-				}
-				putRef(ref, dup)
-				unsplit = true
-				s.rec.Inc(stats.SrvUnsplit)
-				break split
-			case err != nil:
-				return nil, err
-			}
-			ref, dup, perr := s.store.Put(seg)
+	sp, err := trace.NewSplitter(br, trace.SplitConfig{
+		MinSegmentBytes: s.cfg.MinSegmentBytes,
+		MaxSegmentBytes: s.cfg.MaxSegmentBytes,
+	})
+	if err != nil {
+		return nil, err
+	}
+split:
+	for {
+		seg, err := sp.Next()
+		switch {
+		case errors.Is(err, io.EOF):
+			break split
+		case errors.Is(err, trace.ErrSegmentOversize):
+			// One finish scope refuses to fit a segment: the rest of
+			// the stream (including the splitter's buffered prefix)
+			// spills to the store as a single blob, hashed while
+			// streaming so nothing is materialized in memory.
+			ref, dup, perr := s.store.PutStream(sp.Unsplit())
 			if perr != nil {
 				return nil, perr
 			}
 			putRef(ref, dup)
+			unsplit = true
+			s.rec.Inc(stats.SrvUnsplit)
+			break split
+		case err != nil:
+			return nil, err
 		}
-	} else {
-		ref, dup, perr := s.store.PutStream(br)
+		ref, dup, perr := s.store.Put(seg)
 		if perr != nil {
 			return nil, perr
 		}
@@ -445,7 +424,6 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	}
 
 	streamed := limiter.Count()
-	s.rec.Add(stats.SrvBytesRead, streamed)
 	s.rec.Add(stats.SrvStreamedBytes, streamed)
 
 	j.mu.Lock()
@@ -454,9 +432,7 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	j.m.UpdatedAt = j.m.CreatedAt
 	m := *j.m
 	j.mu.Unlock()
-	if opts.shard {
-		s.rec.Add(stats.TraceSegments, int64(len(m.Segments)))
-	}
+	s.rec.Add(stats.TraceSegments, int64(len(m.Segments)))
 	// Settle the real stored bytes before the manifest lands: a refusal
 	// here (the upload's true size only became known during the spill)
 	// leaves no manifest behind, so the spilled blobs are garbage for
@@ -474,7 +450,6 @@ func (s *Server) submitJob(ctx context.Context, body io.Reader, opts submitOpts)
 	s.jobs[m.ID] = j
 	s.jobsMu.Unlock()
 	s.rec.Inc(stats.JobSubmitted)
-	s.rec.Inc(stats.JobQueued)
 	s.logf("job %s submitted tenant=%s detector=%s bytes=%d segments=%d",
 		m.ID, opts.tenant, opts.detector, streamed, len(m.Segments))
 	s.markRunning(j)
@@ -518,8 +493,6 @@ func (s *Server) markRunning(j *Job) {
 	j.m.UpdatedAt = time.Now()
 	man := *j.m
 	j.mu.Unlock()
-	s.rec.Add(stats.JobQueued, -1)
-	s.rec.Inc(stats.JobRunning)
 	if !s.killed.Load() {
 		s.store.WriteManifest(&man) //nolint:errcheck // progress persistence is best-effort; terminal write is checked
 	}
@@ -544,8 +517,8 @@ func (s *Server) runJob(j *Job) {
 	j.names = names
 	j.segsDone = make([]int, len(names))
 	j.acc = make([]*mergedVerdict, len(names))
-	for i, n := range names {
-		j.acc[i] = &mergedVerdict{detector: n, seen: map[raceKey]struct{}{}, races: []client.Race{}}
+	for i := range names {
+		j.acc[i] = &mergedVerdict{seen: map[raceKey]struct{}{}, races: []client.Race{}}
 	}
 	j.mu.Unlock()
 
@@ -608,7 +581,7 @@ fanout:
 					<-tsem
 				}
 			}
-			if !s.pool.run(j.ctx, s.rec, &wg, func() {
+			if !s.pool.run(j.ctx, &wg, func() {
 				defer release()
 				segJob(di, ref)
 			}) {
@@ -644,7 +617,6 @@ func (j *Job) addRace(di int, r detect.Race, maxRaces int) {
 		return
 	}
 	m.seen[k] = struct{}{}
-	m.racy = true
 	m.count++
 	if len(m.races) < maxRaces {
 		m.races = append(m.races, wire)
@@ -687,8 +659,8 @@ func (s *Server) finalizeJob(j *Job, runErr error, start time.Time) {
 		verdicts = make([]client.Verdict, len(j.acc))
 		for i, acc := range j.acc {
 			verdicts[i] = client.Verdict{
-				Detector:   acc.detector,
-				Racy:       acc.racy,
+				Detector:   j.names[i],
+				Racy:       acc.count > 0,
 				RaceCount:  acc.count,
 				Races:      acc.races,
 				Capped:     acc.capped,
@@ -707,9 +679,7 @@ func (s *Server) finalizeJob(j *Job, runErr error, start time.Time) {
 			TraceBytes: man.TraceBytes,
 			Verdicts:   verdicts,
 			Sharded:    man.Sharded,
-		}
-		if man.Sharded {
-			rep.Segments = len(man.Segments)
+			Segments:   len(man.Segments),
 		}
 		if man.Detector == "all" {
 			agree := true
@@ -731,7 +701,6 @@ func (s *Server) finalizeJob(j *Job, runErr error, start time.Time) {
 	*j.m = man
 	j.mu.Unlock()
 
-	s.rec.Add(stats.JobRunning, -1)
 	switch man.State {
 	case client.StateDone:
 		s.rec.Inc(stats.JobDone)

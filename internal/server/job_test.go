@@ -571,8 +571,7 @@ func TestSubmitAfterDrainRefused(t *testing.T) {
 
 	body := bytes.NewReader(tr)
 	j, err := s.submitJob(context.Background(), body, submitOpts{
-		detector: "spd3", tenant: "default",
-		shard: s.pool != nil, estimate: int64(len(tr)),
+		detector: "spd3", tenant: "default", estimate: int64(len(tr)),
 	})
 	if !errors.Is(err, errDraining) || j != nil {
 		t.Fatalf("submitJob while draining = (%v, %v), want errDraining", j, err)

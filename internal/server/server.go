@@ -262,7 +262,6 @@ func (s *Server) resumeJobs() error {
 			return err
 		}
 		s.rec.Inc(stats.JobResumed)
-		s.rec.Inc(stats.JobQueued)
 		s.logf("job %s resumed tenant=%s detector=%s segments=%d",
 			m.ID, m.Tenant, m.Detector, len(m.Segments))
 		s.markRunning(j)
@@ -437,7 +436,7 @@ func (s *Server) InFlight() int {
 func wireStats(snap stats.Snapshot) *client.StatsSnapshot {
 	out := &client.StatsSnapshot{
 		Counters:   snap.Map(),
-		Histograms: map[string][]int64{stats.HistCASRetry.String(): snap.CASRetryHist[:]},
+		Histograms: map[string][]int64{stats.CASRetryHistName: snap.CASRetryHist[:]},
 		Footprint:  client.Footprint(snap.Footprint),
 	}
 	if snap.Regions != nil { // nil and empty render differently

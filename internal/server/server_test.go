@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -306,12 +307,14 @@ func TestStatusCodes(t *testing.T) {
 	})
 }
 
-// TestHostileNestingIs400: testdata/nesting_crasher.trc is well framed
-// but has a task end a finish it did not open, which every detector that
-// restores per-finish state trusts the driver not to do (the same bytes
-// panicked a since-retired detector in a shard-pool goroutine, which
-// nothing recovers, at 30071af). Replay refuses it for every detector,
-// the daemon answers 400 and stays up with nothing left in flight.
+// TestHostileNestingIs400: testdata/nesting_crasher.trc has a task end a
+// finish it did not open, which every detector that restores per-finish
+// state trusts the driver not to do (the same bytes panicked a
+// since-retired detector in a shard-pool goroutine, which nothing
+// recovers, at 30071af). Its last byte is no event kind, so the splitter
+// refuses the whole file at submit; without that byte it is well framed,
+// is stored, and replay refuses it for every detector. Either way the
+// daemon answers 400 and stays up with nothing left in flight.
 func TestHostileNestingIs400(t *testing.T) {
 	crasher, err := os.ReadFile("testdata/nesting_crasher.trc")
 	if err != nil {
@@ -322,8 +325,13 @@ func TestHostileNestingIs400(t *testing.T) {
 	// fan-out, so every registry detector but none is also asked for by
 	// name.
 	for _, det := range append(eligibleDetectors(true), "all") {
-		if status, body := analyze(t, ts.URL, "?shard=off&detector="+det, crasher); status != http.StatusBadRequest {
+		if status, body := analyze(t, ts.URL, "?detector="+det, crasher); status != http.StatusBadRequest {
 			t.Fatalf("detector=%s: status = %d, want 400\n%s", det, status, body)
+		}
+		framed := crasher[:len(crasher)-1]
+		if status, body := analyze(t, ts.URL, "?detector="+det, framed); status != http.StatusBadRequest ||
+			!strings.Contains(string(body), "not the innermost finish") {
+			t.Fatalf("detector=%s, framed: status = %d, want replay's 400\n%s", det, status, body)
 		}
 	}
 	hz, err := http.Get(ts.URL + "/healthz")
@@ -687,9 +695,9 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	// Region totals stay zero on replay (only live mem containers feed
 	// them); the detector-side counters must have accumulated instead.
-	if st.Stats.Get(stats.SrvBytesRead) == 0 || st.Stats.Get(stats.CASClean)+st.Stats.Get(stats.CASPublish) == 0 {
+	if st.Stats.Get(stats.SrvStreamedBytes) == 0 || st.Stats.Get(stats.CASClean)+st.Stats.Get(stats.CASPublish) == 0 {
 		t.Fatalf("stats aggregate empty: bytes=%d cas=%d/%d",
-			st.Stats.Get(stats.SrvBytesRead), st.Stats.Get(stats.CASClean), st.Stats.Get(stats.CASPublish))
+			st.Stats.Get(stats.SrvStreamedBytes), st.Stats.Get(stats.CASClean), st.Stats.Get(stats.CASPublish))
 	}
 }
 

@@ -32,20 +32,17 @@ func (p *shardPool) Workers() int { return cap(p.sem) }
 // Busy returns how many segment replays are running right now.
 func (p *shardPool) Busy() int { return len(p.sem) }
 
-// run executes fn on a pool slot, tracking occupancy in the
-// srv.shard_workers_busy gauge and wg. It blocks until a slot frees up;
-// a done ctx while waiting returns false without running fn.
-func (p *shardPool) run(ctx context.Context, busy *stats.Recorder, wg *sync.WaitGroup, fn func()) bool {
+// run executes fn on a pool slot, tracked by wg. It blocks until a slot
+// frees up; a done ctx while waiting returns false without running fn.
+func (p *shardPool) run(ctx context.Context, wg *sync.WaitGroup, fn func()) bool {
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
 		return false
 	}
-	busy.Inc(stats.SrvShardBusy)
 	wg.Add(1)
 	go func() {
 		defer func() {
-			busy.Add(stats.SrvShardBusy, -1)
 			<-p.sem
 			wg.Done()
 		}()
@@ -70,11 +67,9 @@ type raceKey struct {
 // lost to the cuts. Races recurring across segments (the same program
 // point relocated, e.g. by an amplified trace) deduplicate by raceKey.
 type mergedVerdict struct {
-	detector string
-	racy     bool
-	seen     map[raceKey]struct{}
-	races    []client.Race
-	count    int
-	capped   bool
-	stats    stats.Snapshot
+	seen   map[raceKey]struct{}
+	races  []client.Race
+	count  int // distinct races: the verdict is racy iff count > 0
+	capped bool
+	stats  stats.Snapshot
 }

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"testing"
 
+	"spd3/internal/detect"
 	"spd3/internal/stats"
 	"spd3/internal/trace"
 )
@@ -20,10 +22,10 @@ func amplified(t *testing.T, copies int) []byte {
 	return amp
 }
 
-// TestShardedAnalyze is the tentpole's end-to-end shape: a large
+// TestShardedAnalyze is the daemon's end-to-end shape: a large
 // amplified trace streams in, splits at finish boundaries, fans across
 // the worker pool, and the merged report carries the same verdict a
-// whole-trace replay reaches.
+// whole-trace replay reaches in process.
 func TestShardedAnalyze(t *testing.T) {
 	amp := amplified(t, 12)
 	_, ts := newTestServer(t, Config{MinSegmentBytes: 1})
@@ -46,19 +48,20 @@ func TestShardedAnalyze(t *testing.T) {
 		t.Fatalf("trace_bytes = %d, want %d", rep.TraceBytes, len(amp))
 	}
 
-	// shard=off forces the single-stream replay; the verdict must not
-	// change, only the execution strategy.
-	status, body = analyze(t, ts.URL, "?detector=spd3&shard=off", amp)
-	if status != http.StatusOK {
-		t.Fatalf("shard=off status = %d\n%s", status, body)
+	// The reference: one replay of the whole trace into one session.
+	whole := 0
+	ses, err := detect.Open("spd3", detect.SessionOpts{OnRace: func(detect.Race) bool {
+		whole++
+		return false
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	off := decodeReport(t, body)
-	if off.Sharded || off.Segments != 0 {
-		t.Fatalf("shard=off report sharded=%v segments=%d", off.Sharded, off.Segments)
+	if err := trace.ReplayWithLimits(bytes.NewReader(amp), ses.Det, ses.Rec, trace.DefaultLimits()); err != nil {
+		t.Fatal(err)
 	}
-	if off.Verdicts[0].Racy != rep.Verdicts[0].Racy || off.Verdicts[0].RaceCount != rep.Verdicts[0].RaceCount {
-		t.Fatalf("sharded verdict (racy=%v races=%d) != streamed verdict (racy=%v races=%d)",
-			rep.Verdicts[0].Racy, rep.Verdicts[0].RaceCount, off.Verdicts[0].Racy, off.Verdicts[0].RaceCount)
+	if v := rep.Verdicts[0]; v.Racy != (whole > 0) || v.RaceCount != whole {
+		t.Fatalf("sharded verdict (racy=%v races=%d) != whole-trace replay (races=%d)", v.Racy, v.RaceCount, whole)
 	}
 }
 
@@ -89,34 +92,33 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
-// TestShardingDisabled: shard=off is the one way to turn the splitter
-// off, per request; the whole trace is stored as one blob and each
-// detector streams through a single replay of it. The pool still bounds
-// those replays — here at ShardWorkers: 1, the serial configuration.
-func TestShardingDisabled(t *testing.T) {
+// TestSerialShardPool: at ShardWorkers: 1, the serial configuration,
+// one replay runs at a time and every detector still agrees. A request
+// that names shard=off is split like any other: the key means nothing.
+func TestSerialShardPool(t *testing.T) {
 	_, ts := newTestServer(t, Config{ShardWorkers: 1, MinSegmentBytes: 1})
 	status, body := analyze(t, ts.URL, "?detector=all&shard=off", amplified(t, 4))
 	if status != http.StatusOK {
 		t.Fatalf("status = %d\n%s", status, body)
 	}
 	rep := decodeReport(t, body)
-	if rep.Sharded || rep.Segments != 0 {
-		t.Fatalf("sharded=%v segments=%d with shard=off", rep.Sharded, rep.Segments)
+	if !rep.Sharded || rep.Segments <= 1 {
+		t.Fatalf("sharded=%v segments=%d, want a sharded multi-segment report", rep.Sharded, rep.Segments)
 	}
 	if rep.Agree == nil || !*rep.Agree || len(rep.Verdicts) < 2 {
 		t.Fatalf("agree = %v over %d verdicts, want every detector agreeing", rep.Agree, len(rep.Verdicts))
 	}
 	for _, v := range rep.Verdicts {
 		if !v.Racy {
-			t.Fatalf("detector %s lost the verdict without sharding", v.Detector)
+			t.Fatalf("detector %s lost the verdict on the serial pool", v.Detector)
 		}
 	}
 	st := getStatsz(t, ts.URL)
 	if st.ShardWorkers != 1 {
 		t.Errorf("shard_workers = %d, want 1", st.ShardWorkers)
 	}
-	if got := st.Stats.Get(stats.TraceSegments); got != 0 {
-		t.Errorf("trace.segments = %d, want 0: the splitter ran", got)
+	if got := st.Stats.Get(stats.TraceSegments); got != int64(rep.Segments) {
+		t.Errorf("trace.segments = %d, report says %d", got, rep.Segments)
 	}
 }
 
@@ -157,9 +159,6 @@ func TestShardObservability(t *testing.T) {
 	st := getStatsz(t, ts.URL)
 	if got := st.Stats.Get(stats.SrvStreamedBytes); got != int64(len(amp)) {
 		t.Errorf("srv.streamed_bytes = %d, want %d", got, len(amp))
-	}
-	if got := st.Stats.Get(stats.SrvBytesRead); got != int64(len(amp)) {
-		t.Errorf("srv.bytes_read = %d, want %d", got, len(amp))
 	}
 	if got := st.Stats.Get(stats.TraceSegments); got != int64(rep.Segments) {
 		t.Errorf("trace.segments = %d, report says %d", got, rep.Segments)

@@ -360,13 +360,66 @@ func TestResumedRetiredDetectorFails(t *testing.T) {
 	waitFor(t, func() bool { return s.InFlight() == 0 }, "nothing in flight")
 }
 
+// TestResumesUnshardedParentJob: a job an older daemon stored whole
+// (?shard=off, "sharded": false) resumes on this one to the verdict the
+// same job reaches when it was stored sharded, reporting its one stored
+// blob as one segment. The fixture is copied and only the copy's running
+// manifest is rewritten.
+func TestResumesUnshardedParentJob(t *testing.T) {
+	const runningID = "j960e2057cebbeca1"
+	release := setGate() // the running job was submitted under test-gate-spd3
+	release()
+	resume := func(sharded bool) (*client.JobStatus, []client.Verdict) {
+		t.Helper()
+		root := t.TempDir()
+		if err := os.CopyFS(root, os.DirFS("testdata/store_7f98e63")); err != nil {
+			t.Fatal(err)
+		}
+		if !sharded {
+			path := root + "/jobs/" + runningID + ".json"
+			m, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := []byte(`"sharded": true`)
+			if !bytes.Contains(m, old) {
+				t.Fatalf("fixture's running manifest is no longer sharded:\n%s", m)
+			}
+			if err := os.WriteFile(path, bytes.Replace(m, old, []byte(`"sharded": false`), 1), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, ts := newTestServer(t, Config{StoreDir: root, ShardWorkers: 1})
+		defer s.Close()
+		waitFor(t, func() bool { return client.Terminal(jobState(s, runningID)) }, "resumed job terminal")
+		st := decodeJobStatus(t, getBody(t, ts.URL+"/v2/jobs/"+runningID))
+		rep := decodeReport(t, getBody(t, ts.URL+"/v2/jobs/"+runningID+"/result"))
+		waitFor(t, func() bool { return s.InFlight() == 0 }, "nothing in flight")
+		if st.Sharded != sharded {
+			t.Errorf("sharded=%v: status says sharded=%v", sharded, st.Sharded)
+		}
+		for i := range rep.Verdicts {
+			rep.Verdicts[i].DurationMS = 0
+		}
+		return st, rep.Verdicts
+	}
+	st, got := resume(false)
+	_, want := resume(true)
+	if st.State != client.StateDone || st.Segments != 1 {
+		t.Errorf("unsharded job: state %q, %d segments; want done, 1", st.State, st.Segments)
+	}
+	if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w || len(got) != 1 || got[0].RaceCount != 1 {
+		t.Errorf("unsharded job's verdicts = %s, want %s with one race", g, w)
+	}
+}
+
 // TestWireStats: wireStats is the server's one conversion into a client
 // type, so its JSON must be stats.Snapshot's own, nil and empty region
 // lists included.
 func TestWireStats(t *testing.T) {
 	rec := stats.New()
 	rec.Add(stats.CASClean, 7)
-	rec.Observe(stats.HistCASRetry, 3)
+	rec.ObserveCASRetry(3)
 	full := rec.Snapshot()
 	full.Regions = []stats.RegionSnapshot{{Name: "a", Elems: 4, Reads: 2, Writes: 1}}
 	full.Reads, full.Writes = 2, 1

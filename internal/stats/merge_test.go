@@ -90,11 +90,10 @@ func TestSampleCounterNames(t *testing.T) {
 // /statsz consumers can rely on them.
 func TestSrvCounterNames(t *testing.T) {
 	want := map[Counter]string{
-		SrvRequests:  "srv.requests",
-		SrvBytesRead: "srv.bytes_read",
-		SrvAnalyses:  "srv.analyses",
-		SrvRejected:  "srv.rejected",
-		SrvCanceled:  "srv.canceled",
+		SrvRequests: "srv.requests",
+		SrvAnalyses: "srv.analyses",
+		SrvRejected: "srv.rejected",
+		SrvCanceled: "srv.canceled",
 	}
 	for c, name := range want {
 		if c.String() != name {

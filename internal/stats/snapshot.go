@@ -33,12 +33,12 @@ type RegionSnapshot struct {
 }
 
 // Snapshot is the merged, immutable result of one Run: every counter,
-// the histograms, per-region traffic sorted by total accesses
+// the cas.retry histogram, per-region traffic sorted by total accesses
 // descending, the access totals, and the detector's analytic footprint.
 type Snapshot struct {
 	// Counters holds the merged global counters, indexed by Counter.
 	Counters [NumCounters]int64
-	// CASRetryHist is the HistCASRetry distribution: bucket i counts
+	// CASRetryHist is the cas.retry histogram: bucket i counts
 	// contended shadow-word actions that took about 2^i retries.
 	CASRetryHist [HistBuckets]int64
 	// Regions holds per-region traffic, hottest first.
@@ -173,7 +173,7 @@ type jsonSnapshot struct {
 func (s Snapshot) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonSnapshot{
 		Counters:   s.Map(),
-		Histograms: map[string][]int64{HistCASRetry.String(): append([]int64(nil), s.CASRetryHist[:]...)},
+		Histograms: map[string][]int64{CASRetryHistName: append([]int64(nil), s.CASRetryHist[:]...)},
 		Regions:    s.Regions,
 		Footprint:  s.Footprint,
 	})
@@ -193,7 +193,7 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	}
 	s.Reads = j.Counters["mem.reads"]
 	s.Writes = j.Counters["mem.writes"]
-	for b, v := range j.Histograms[HistCASRetry.String()] {
+	for b, v := range j.Histograms[CASRetryHistName] {
 		if b < HistBuckets {
 			s.CASRetryHist[b] = v
 		}

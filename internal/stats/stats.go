@@ -1,5 +1,5 @@
 // Package stats is the runtime observability layer: a low-overhead set
-// of counters, histograms, and per-region access tallies threaded through
+// of counters, a histogram, and per-region access tallies threaded through
 // the whole stack — the detector's shadow protocol (internal/core), its
 // DMHP walks (internal/dpst via internal/core), the task runtime's
 // executors (internal/task), the instrumented containers (internal/mem),
@@ -16,7 +16,7 @@
 // # Design
 //
 // Counting has two levels. A Recorder is one block of atomic cells — a
-// cell per Counter, a row per histogram, a read/write pair per registered
+// cell per Counter, a row for the histogram, a read/write pair per registered
 // Region — that Snapshot copies when asked (the engine asks once, at the
 // end of Run). Nothing on a hot path writes it: the layers on the check
 // path and the task runtime count in plain integers owned by the goroutine
@@ -103,9 +103,6 @@ const (
 	// SrvRequests counts HTTP requests accepted by the spd3d analysis
 	// daemon (all endpoints).
 	SrvRequests
-	// SrvBytesRead counts trace bytes read off the wire by the daemon's
-	// submit endpoints.
-	SrvBytesRead
 	// SrvAnalyses counts replays the daemon ran to completion (each
 	// detector of a differential request counts once).
 	SrvAnalyses
@@ -116,20 +113,15 @@ const (
 	// SrvCanceled counts submits answered 504: an upload cut short by
 	// its client leaving (the trace.ErrCanceled path).
 	SrvCanceled
-	// SrvStreamedBytes counts trace bytes the daemon consumed
-	// incrementally — pulled through the body limiter and the splitter
-	// into the store, never buffered in full. Every accepted upload
-	// takes that path, so it moves with SrvBytesRead; it is the counter
+	// SrvStreamedBytes counts trace bytes the daemon's submit endpoint
+	// read off the wire — pulled through the body limiter and the
+	// splitter into the store, never buffered in full. It is the counter
 	// the memory-ceiling smokes and the benchmark read.
 	SrvStreamedBytes
-	// TraceSegments counts finish-scope segments cut by the trace
-	// splitter on the daemon's sharded analyze path.
+	// TraceSegments counts the segments the daemon's submits stored:
+	// finish-scope segments cut by the trace splitter, plus one for an
+	// upload's unsplit remainder.
 	TraceSegments
-	// SrvShardBusy is a gauge of shard-pool workers currently replaying
-	// a segment: incremented when a worker picks a segment up,
-	// decremented when it finishes, so a snapshot reads the live
-	// occupancy (and an idle daemon reads zero).
-	SrvShardBusy
 	// SrvUnsplit counts analyses that abandoned sharding because one
 	// finish scope outgrew the segment cap and fell back to a single
 	// streamed replay of the remainder.
@@ -147,11 +139,6 @@ const (
 	// JobResumed counts jobs re-enqueued from the persistent store at
 	// daemon startup (they were queued or running when it last stopped).
 	JobResumed
-	// JobQueued is a gauge of jobs waiting to start: incremented on
-	// submit, decremented when the executor picks the job up.
-	JobQueued
-	// JobRunning is a gauge of jobs currently executing.
-	JobRunning
 	// JobSegmentReplays counts (segment, detector) replay units the job
 	// executor completed.
 	JobSegmentReplays
@@ -209,21 +196,17 @@ var counterNames = [NumCounters]string{
 	PageCacheHit:         "shadow.page_cache_hit",
 	PageCacheMiss:        "shadow.page_cache_miss",
 	SrvRequests:          "srv.requests",
-	SrvBytesRead:         "srv.bytes_read",
 	SrvAnalyses:          "srv.analyses",
 	SrvRejected:          "srv.rejected",
 	SrvCanceled:          "srv.canceled",
 	SrvStreamedBytes:     "srv.streamed_bytes",
 	TraceSegments:        "trace.segments",
-	SrvShardBusy:         "srv.shard_workers_busy",
 	SrvUnsplit:           "srv.unsplit",
 	JobSubmitted:         "job.submitted",
 	JobDone:              "job.done",
 	JobFailed:            "job.failed",
 	JobCanceled:          "job.canceled",
 	JobResumed:           "job.resumed",
-	JobQueued:            "job.queued",
-	JobRunning:           "job.running",
 	JobSegmentReplays:    "job.segment_replays",
 	StorePutBytes:        "store.put_bytes",
 	StoreDedupHits:       "store.dedup_hits",
@@ -254,34 +237,13 @@ func (c Counter) String() string {
 	return "counter.unknown"
 }
 
-// HistID identifies one histogram.
-type HistID uint8
+// CASRetryHistName is the stable wire name of the one histogram: the
+// distribution of retries per contended shadow-word memory action
+// (actions that completed without a retry are counted by
+// CASClean/CASPublish, not observed here).
+const CASRetryHistName = "cas.retry"
 
-// Histograms.
-const (
-	// HistCASRetry is the distribution of retries per contended shadow
-	//-word memory action (actions that completed without a retry are
-	// counted by CASClean/CASPublish, not observed here).
-	HistCASRetry HistID = iota
-
-	// NumHists is the number of HistID values; not itself a histogram.
-	NumHists
-)
-
-// histNames are the stable wire names of the histograms.
-var histNames = [NumHists]string{
-	HistCASRetry: "cas.retry",
-}
-
-// String returns the histogram's stable wire name.
-func (h HistID) String() string {
-	if h < NumHists {
-		return histNames[h]
-	}
-	return "hist.unknown"
-}
-
-// HistBuckets is the number of power-of-two buckets per histogram:
+// HistBuckets is the number of power-of-two buckets in the histogram:
 // bucket i counts observations v with 2^i <= v < 2^(i+1) (bucket 0
 // holds v == 1; the last bucket absorbs everything larger).
 const HistBuckets = 8
@@ -315,12 +277,13 @@ func (r *Recorder) Add(c Counter, n int64) {
 	r.counters[c].Add(n)
 }
 
-// Observe records one value into histogram h. Safe on a nil recorder.
-func (r *Recorder) Observe(h HistID, v int64) {
+// ObserveCASRetry records one contended action's retry count into the
+// cas.retry histogram. Safe on a nil recorder.
+func (r *Recorder) ObserveCASRetry(v int64) {
 	if r == nil {
 		return
 	}
-	r.hists[h][HistBucket(v)].Add(1)
+	r.casRetry[HistBucket(v)].Add(1)
 }
 
 // Region tallies one instrumented memory region's traffic.
@@ -362,12 +325,12 @@ func (g *Region) Counts() (reads, writes int64) {
 	return g.reads.Load(), g.writes.Load()
 }
 
-// Recorder owns the counters, histograms and registered regions of one
+// Recorder owns the counters, the histogram and registered regions of one
 // engine (or one measurement). A nil *Recorder is a valid no-op sink for
 // every method.
 type Recorder struct {
 	counters [NumCounters]atomic.Int64
-	hists    [NumHists][HistBuckets]atomic.Int64
+	casRetry [HistBuckets]atomic.Int64
 
 	mu      sync.Mutex
 	regions []*Region // append-only
@@ -414,10 +377,8 @@ func (r *Recorder) Reset() {
 	for c := range r.counters {
 		r.counters[c].Store(0)
 	}
-	for h := range r.hists {
-		for b := range r.hists[h] {
-			r.hists[h][b].Store(0)
-		}
+	for b := range r.casRetry {
+		r.casRetry[b].Store(0)
 	}
 	for _, g := range r.Regions() {
 		g.reads.Store(0)
@@ -436,8 +397,8 @@ func (r *Recorder) Snapshot() Snapshot {
 	for c := range r.counters {
 		s.Counters[c] = r.counters[c].Load()
 	}
-	for b := range r.hists[HistCASRetry] {
-		s.CASRetryHist[b] = r.hists[HistCASRetry][b].Load()
+	for b := range r.casRetry {
+		s.CASRetryHist[b] = r.casRetry[b].Load()
 	}
 	s.Counters[ChecksElidedStatic] += staticElided.Load()
 	regions := r.Regions()

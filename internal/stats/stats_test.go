@@ -37,8 +37,8 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 	}
 	r := New()
-	r.Observe(HistCASRetry, 1)
-	r.Observe(HistCASRetry, 3)
+	r.ObserveCASRetry(1)
+	r.ObserveCASRetry(3)
 	s := r.Snapshot()
 	if s.CASRetryHist[0] != 1 || s.CASRetryHist[1] != 1 {
 		t.Fatalf("hist = %v", s.CASRetryHist)
@@ -68,7 +68,7 @@ func TestResetKeepsRegions(t *testing.T) {
 	g := r.Region("g", 4)
 	g.Add(0, 1)
 	r.Inc(TaskSteal)
-	r.Observe(HistCASRetry, 2)
+	r.ObserveCASRetry(2)
 	r.Reset()
 	s := r.Snapshot()
 	if s.Get(TaskSteal) != 0 || s.Writes != 0 || s.CASRetryHist[1] != 0 {
@@ -88,7 +88,7 @@ func TestNilSafety(t *testing.T) {
 	r.Reset()
 	r.Inc(CASClean)
 	r.Add(CASClean, 9)
-	r.Observe(HistCASRetry, 2)
+	r.ObserveCASRetry(2)
 	r.Region("x", 1).Add(0, 1)
 	if r.Regions() != nil {
 		t.Error("nil recorder has regions")
