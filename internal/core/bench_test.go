@@ -136,6 +136,51 @@ func BenchmarkShadowReadClosedPhase(b *testing.B) {
 	}
 }
 
+// BenchmarkShadowUpdate measures the stencil's memory actions: red-black
+// relaxation of a 66×66 grid, each phase a top-level finish with an async
+// per interior row, in which every cell of the phase's colour is read at
+// its four neighbours and then updated (detect.Update) — four reads and a
+// read-modify-write, one op. A neighbour was written in the phase before
+// and is read by three row tasks of this one, so the reads meet parallel
+// readers of their own phase; the update meets its cell's readers from the
+// phase before, which the watermark answers.
+func BenchmarkShadowUpdate(b *testing.B) {
+	const n = 66
+	sink := detect.NewSink(false, 0)
+	d := New(sink, nil)
+	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh := d.NewShadow(detect.Spec("grid", n*n, 8))
+	left := b.N
+	if err := rt.Run(func(c *task.Ctx) {
+		b.ResetTimer()
+		for col := 0; left > 0; col ^= 1 {
+			c.Finish(func(c *task.Ctx) {
+				for i := 1; i < n-1 && left > 0; i++ {
+					c.Async(func(c *task.Ctx) {
+						t := c.Task()
+						for j := 1 + (i+1+col)%2; j < n-1 && left > 0; j, left = j+2, left-1 {
+							k := i*n + j
+							sh.Read(t, k-n)
+							sh.Read(t, k+n)
+							sh.Read(t, k-1)
+							sh.Read(t, k+1)
+							detect.Update(sh, t, k)
+						}
+					})
+				}
+			})
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if !sink.Empty() {
+		b.Fatal("benchmark program raced")
+	}
+}
+
 // BenchmarkTaskBoundary measures the O(1) DPST maintenance per async
 // (three node insertions).
 func BenchmarkTaskBoundary(b *testing.B) {

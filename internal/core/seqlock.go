@@ -31,6 +31,10 @@ import (
 //	               a read action changes only r1/r2:
 //	                   CAS(A, a, (version+1, w)); B := (r1', r2');
 //	                   A := (version+2, w)                       — a CAS and two stores
+//	               an update action (a read-modify-write) changes
+//	               whatever Algorithm 2 and then 1 change: w alone as a
+//	               write action does, else as a read action does, with
+//	               w' in the final store of A
 //
 // A successful read stage saw the same even A on both sides of the B
 // load, i.e. no update was in flight and none completed in between (Go's
@@ -122,14 +126,17 @@ func (c *casCell) publishWriter(a uint64, w uint32) bool {
 }
 
 // publishReaders performs a read action's update stage: the word
-// snapshotted as a gets readers r1 and r2. It returns false when the CAS
-// lost and the memory action must restart from the read stage.
-func (c *casCell) publishReaders(a uint64, r1, r2 uint32) bool {
+// snapshotted as a becomes m, whose readers are new. A read action's m
+// keeps a's writer; an update action's may carry a new one, which the
+// final store of A publishes with the next stable version. It returns
+// false when the CAS lost and the memory action must restart from the
+// read stage.
+func (c *casCell) publishReaders(a uint64, m word) bool {
 	if !c.a.CompareAndSwap(a, a+versionOne) {
 		return false
 	}
-	c.b.Store(uint64(r1)<<32 | uint64(r2))
-	c.a.Store(a + 2*versionOne)
+	c.b.Store(uint64(m.r1)<<32 | uint64(m.r2))
+	c.a.Store((a>>32+2)<<32 | uint64(m.w))
 	return true
 }
 
@@ -148,7 +155,7 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 		}
 		if m, changed := s.d.readCheck(unpack(a, b), l, st, &s.Cells, i); !changed {
 			l.Tally[stats.CASClean]++
-		} else if c.publishReaders(a, m.r1, m.r2) {
+		} else if c.publishReaders(a, m) {
 			l.Tally[stats.CASPublish]++
 		} else {
 			continue
@@ -173,6 +180,38 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 		if m, changed := s.d.writeCheck(unpack(a, b), l, st, &s.Cells, i); !changed {
 			l.Tally[stats.CASClean]++
 		} else if c.publishWriter(a, m.w) {
+			l.Tally[stats.CASPublish]++
+		} else {
+			continue
+		}
+		s.countRetries(l, retries)
+		return
+	}
+}
+
+// Update is the update memory action, a checked read-modify-write
+// (detect.Updater): one At and one snapshot, Algorithm 2 and then
+// Algorithm 1 on it, and at most one publish — the write's one CAS when
+// only w changed, else the read's protocol carrying the new w. On the
+// snapshot's version it is Read and then Write with nothing between them:
+// the same reports, the same word, and the write's queries find the
+// read's answers in the relation memo.
+func (s *casShadow) Update(t *detect.Task, i int) {
+	c := s.At(t, i)
+	if c == nil {
+		return
+	}
+	l, st := t.L, step(t)
+	for retries := int64(0); ; retries++ {
+		a, b, ok := c.load()
+		if !ok {
+			a, b = c.snapshot()
+		}
+		m, readers := s.d.readCheck(unpack(a, b), l, st, &s.Cells, i)
+		m, writer := s.d.writeCheck(m, l, st, &s.Cells, i)
+		if !readers && !writer {
+			l.Tally[stats.CASClean]++
+		} else if readers && c.publishReaders(a, m) || !readers && c.publishWriter(a, m.w) {
 			l.Tally[stats.CASPublish]++
 		} else {
 			continue

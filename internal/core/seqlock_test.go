@@ -61,13 +61,13 @@ func TestPublishTouchesWhatItSays(t *testing.T) {
 	if a, m = c.read(); m != (word{70, 8, 9}) || a>>32 != 2 {
 		t.Fatalf("after publishWriter: version %d %v, want 2 {70 8 9}", a>>32, m)
 	}
-	if !c.publishReaders(a, 80, 0) {
+	if !c.publishReaders(a, word{w: 70, r1: 80}) {
 		t.Fatal("uncontended publishReaders lost its CAS")
 	}
 	if a, m = c.read(); m != (word{70, 80, 0}) || a>>32 != 4 {
 		t.Fatalf("after publishReaders: version %d %v, want 4 {70 80 0}", a>>32, m)
 	}
-	if c.publishWriter(stale, 1) || c.publishReaders(stale, 1, 1) {
+	if c.publishWriter(stale, 1) || c.publishReaders(stale, word{r1: 1, r2: 1}) {
 		t.Error("a publish from a stale snapshot succeeded")
 	}
 	if a2, m2 := c.read(); a2 != a || m2 != m {
@@ -101,14 +101,14 @@ func TestVersionWrapCell(t *testing.T) {
 		t.Error("the read stage accepted the odd version 2^32-1")
 	}
 	c.a.Store(before)
-	if !c.publishReaders(before, 60, 0) {
+	if !c.publishReaders(before, word{w: 5, r1: 60}) {
 		t.Fatal("publishReaders at the last version lost its CAS")
 	}
 	a, m := c.read()
 	if m != (word{5, 60, 0}) || a>>32 != 0 {
 		t.Errorf("read action across the wrap: version %d %v, want 0 {5 60 0}", a>>32, m)
 	}
-	if c.publishWriter(before, 1) || c.publishReaders(before, 1, 1) {
+	if c.publishWriter(before, 1) || c.publishReaders(before, word{r1: 1, r2: 1}) {
 		t.Error("a publish from a snapshot taken before the wrap succeeded")
 	}
 	if a2, m2 := c.read(); a2 != a || m2 != m {
@@ -187,10 +187,12 @@ func TestVersionWrapChecks(t *testing.T) {
 }
 
 // TestCellProtocolHammer drives one cell from many goroutines through
-// both kinds of update. The cell walks a chain of states in which the
-// triple is written as a unit: (k, k+1, k+2) after a read action, and
-// (k+3, k+1, k+2) once a write action has followed it; a read action then
-// makes it (k+3, k+4, k+5). Every single update is legal from exactly one
+// all three kinds of update. The cell walks a chain of states in which the
+// triple is written as a unit: (k, k+1, k+2) after a read or an update
+// action, and (k+3, k+1, k+2) once a write action has followed it; a read
+// action then makes it (k+3, k+4, k+5), and an update action, from the
+// first shape, makes it (k+3, k+4, k+5) at once — the read protocol
+// carrying the new writer. Every single update is legal from exactly one
 // state, so a snapshot that paired an A and a B from states more than one
 // update apart — a torn read — fits neither shape, and an update that got
 // through on a stale snapshot breaks the chain for everyone after it.
@@ -201,21 +203,26 @@ func TestCellProtocolHammer(t *testing.T) {
 	)
 	var c casCell
 	c.seed(0, word{w: 1, r1: 2, r2: 3})
-	var writes, reads, torn atomic.Int64
+	var writes, reads, updates, torn atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			updater := g%3 == 2 // the others write from the first shape
 			for i := 0; i < attempts; i++ {
 				a, m := c.read()
 				switch {
-				case m.r2 == m.r1+1 && m.w == m.r1-1: // (k, k+1, k+2)
+				case m.r2 == m.r1+1 && m.w == m.r1-1 && updater: // (k, k+1, k+2)
+					if c.publishReaders(a, word{w: m.r2 + 1, r1: m.r2 + 2, r2: m.r2 + 3}) {
+						updates.Add(1)
+					}
+				case m.r2 == m.r1+1 && m.w == m.r1-1:
 					if c.publishWriter(a, m.r2+1) {
 						writes.Add(1)
 					}
 				case m.r2 == m.r1+1 && m.w == m.r1+2: // (k+3, k+1, k+2)
-					if c.publishReaders(a, m.w+1, m.w+2) {
+					if c.publishReaders(a, word{w: m.w, r1: m.w + 1, r2: m.w + 2}) {
 						reads.Add(1)
 					}
 				default:
@@ -228,16 +235,17 @@ func TestCellProtocolHammer(t *testing.T) {
 	if n := torn.Load(); n != 0 {
 		t.Errorf("%d snapshots returned a mixed triple", n)
 	}
-	w, r := writes.Load(), reads.Load()
-	if w+r == 0 || w-r < 0 || w-r > 1 {
-		t.Errorf("%d write and %d read publishes: the two must alternate, write first", w, r)
+	w, r, u := writes.Load(), reads.Load(), updates.Load()
+	if u == 0 || w+r == 0 || w-r < 0 || w-r > 1 {
+		t.Errorf("%d write, %d read and %d update publishes: reads must follow writes one for one, and every kind must publish", w, r, u)
 	}
 	a, m := c.read()
-	if got, want := uint32(a>>32), uint32(2*(w+r)); got != want {
-		t.Errorf("final version = %d, want %d = 2 x %d successful publishes", got, want, w+r)
+	if got, want := uint32(a>>32), uint32(2*(w+r+u)); got != want {
+		t.Errorf("final version = %d, want %d = 2 x %d successful publishes", got, want, w+r+u)
 	}
-	// Each publish moved its side three ids up the chain from (1, 2, 3).
-	if want := (word{w: uint32(1 + 3*w), r1: uint32(2 + 3*r), r2: uint32(3 + 3*r)}); m != want {
+	// Each publish moved its side three ids up the chain from (1, 2, 3);
+	// an update moved both.
+	if want := (word{w: uint32(1 + 3*(w+u)), r1: uint32(2 + 3*(r+u)), r2: uint32(3 + 3*(r+u))}); m != want {
 		t.Errorf("final word = %v, want %v", m, want)
 	}
 }

@@ -25,9 +25,11 @@
 // consistent snapshot bracketed by two loads of the version word; a write
 // action, which changes only w, publishes with one CAS on that word; a
 // read action, which changes r1/r2, CASes the version odd, stores the
-// readers and stores the version even again. Memory actions that do not
-// change the word — the common case for read-shared data — cost three
-// loads and proceed fully in parallel. (The per-word mutex the paper
+// readers and stores the version even again; an update action, a checked
+// read-modify-write (detect.Update), runs Algorithm 2 and then 1 on one
+// snapshot and publishes once, as whichever of the two it needs. Memory
+// actions that do not change the word — the common case for read-shared
+// data — cost three loads and proceed fully in parallel. (The per-word mutex the paper
 // measures 1.8× slower was an ablation here until PR 16; EXPERIMENTS.md
 // keeps its numbers.)
 //
@@ -49,6 +51,9 @@
 // nodes so far lie under its step and finish children, all later ones to
 // their right). It is a plain word: only the main task writes it, with no
 // other task running, and every later reader is spawned after the write.
+// Behind the watermark sits the relation memo of the executing goroutine
+// (detect.RelMemo), so a step that meets one recorded step again does not
+// walk again.
 //
 // The detector is one configuration: New takes the race sink and the
 // stats recorder and nothing else. Check sampling is not this package's
@@ -101,16 +106,38 @@ func (d *Detector) Name() string { return "spd3" }
 func (d *Detector) RequiresSequential() bool { return false }
 
 // relation answers DMHP for a recorded step, by id, and the accessing step
-// s — the §5.2 walk, counted in l — with the side of their LCA the
-// recorded step is on. A step below the watermark (an empty field, id 0,
-// always is) and s itself are in parallel with nothing and cost no walk,
-// nor the id's resolution to a node.
-func (d *Detector) relation(l *detect.Local, a uint32, s *dpst.Node) (parallel bool, side *dpst.Node) {
-	if a < d.watermark || a == s.ID {
-		return false, nil
+// s, with the id of the side of their LCA the recorded step is on (0 for
+// none). A step below the watermark (an empty field, id 0, always is) and
+// s itself are in parallel with nothing and cost no walk, nor the id's
+// resolution to a node. Any other pair is looked up in the relation memo
+// of l (detect.RelMemo), and only a miss makes the §5.2 walk, counted in
+// l, and memoises its answer. relation is the watermark compare alone, so
+// that it inlines into the checks (at the inliner's budget, which CI
+// guards): the commonest query, a step of a closed phase, makes no call.
+func (d *Detector) relation(l *detect.Local, a uint32, s *dpst.Node) (bool, uint32) {
+	if a < d.watermark {
+		return false, 0
+	}
+	return d.lookup(l, a, s)
+}
+
+// lookup is relation past the watermark compare: s itself, the memo, and
+// on a miss the walk.
+func (d *Detector) lookup(l *detect.Local, a uint32, s *dpst.Node) (parallel bool, side uint32) {
+	if a == s.ID {
+		return false, 0
+	}
+	e := l.Memo.Slot(a, s.ID)
+	if e.A == a && e.S == s.ID {
+		return e.Parallel, e.Side
 	}
 	l.Tally[stats.DMHPWalk]++
-	return dpst.DMHP(d.tree.Node(a), s)
+	parallel, c := dpst.DMHP(d.tree.Node(a), s)
+	if c != nil {
+		side = c.ID
+	}
+	*e = detect.RelEntry{A: a, S: s.ID, Side: side, Parallel: parallel}
+	return parallel, side
 }
 
 // MainTask roots one run: a finish node under the tree root represents
@@ -205,8 +232,8 @@ func step(t *detect.Task) *dpst.Node { return t.State.(*dpst.Node) }
 func (d *Detector) stepName(id uint32) string { return d.tree.Node(id).String() }
 
 // writeCheck is Algorithm 1. Given a snapshot of element i of c and the
-// writing task's step s (its walks counted in l), it reports any races and
-// returns the updated word and whether the word changed.
+// writing task's step s (its queries answered through l), it reports any
+// races and returns the updated word and whether the word changed.
 func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Cells[casCell], i int) (word, bool) {
 	if m.w == s.ID {
 		// Same step rewrote the element; nothing can have changed
@@ -229,8 +256,8 @@ func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, c *detect.C
 
 // readCheck is Algorithm 2 with the null-reader cases made explicit.
 // Given a snapshot of element i of c and the reading task's step s (its
-// walks counted in l), it reports any races and returns the updated word
-// and whether the word changed.
+// queries answered through l), it reports any races and returns the
+// updated word and whether the word changed.
 func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Cells[casCell], i int) (word, bool) {
 	if m.r1 == s.ID || m.r2 == s.ID {
 		// This step is already recorded; re-reading changes nothing.
@@ -256,12 +283,13 @@ func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Ce
 		return m, true
 	case p1 && p2:
 		// Keep the two of {r1, r2, s} whose LCA is highest. c1 and
-		// c2 are the children of LCA(r1,s) and LCA(r2,s) that r1 and
-		// r2 hang under. With s outside the subtree under LCA(r1,r2)
-		// the two are one proper ancestor of it, so c1 == c2, and
-		// replacing r1 with s lifts the subtree to cover all three;
-		// with s inside, both are at or below LCA(r1,r2) and no
-		// child of either holds r1 and r2 together.
+		// c2 are (the ids of) the children of LCA(r1,s) and
+		// LCA(r2,s) that r1 and r2 hang under. With s outside the
+		// subtree under LCA(r1,r2) the two are one proper ancestor
+		// of it, so c1 == c2, and replacing r1 with s lifts the
+		// subtree to cover all three; with s inside, both are at or
+		// below LCA(r1,r2) and no child of either holds r1 and r2
+		// together.
 		if c1 == c2 {
 			m.r1 = s.ID
 			return m, true

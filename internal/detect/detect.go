@@ -58,9 +58,10 @@
 // matching FinishEnd without additional synchronization of its own.
 //
 // Scratch. What the check path needs besides the task — page cache,
-// tallies, per-region counts — is a Local block owned by the goroutine that
-// executes the task. Whoever owns a goroutine that executes tasks owns one
-// block, points each task it starts to run at it (Task.L) and flushes it
+// tallies, the relation memo, per-region counts — is a Local block owned
+// by the goroutine that executes the task. Whoever owns a goroutine that
+// executes tasks owns one block, points each task it starts to run at it
+// (Task.L) and flushes it
 // once, when the goroutine has run its last task (a block that is pooled
 // between task goroutines is flushed before it goes back, and is one
 // goroutine's between Get and Put); detectors flush nothing. A loop that
@@ -119,10 +120,40 @@ type Local struct {
 	// counts once per checked access or per task pays one non-atomic
 	// increment.
 	Tally [stats.NumBatched]int64
+	// Memo is the relation memo of the detector whose tasks the block
+	// runs (see RelMemo).
+	Memo RelMemo
 
 	// regs is the block's unpublished region traffic (CountAccess),
 	// indexed by stats.Region.Index and grown on first touch.
 	regs []regionCount
+}
+
+// RelMemo is a direct-mapped memo of DMHP answers, eight entries keyed
+// (recorded step id, accessing step id), each holding whether the two
+// steps may run in parallel and the side of their LCA the recorded step
+// is on, by id (0 for none). SPD3 consults it after its watermark compare
+// and walks the tree only on a miss. No entry is ever invalidated: a DPST
+// node is written once, so the answer about two ids never changes, and a
+// block serves one runtime, whose one detector owns the ids. The memo
+// therefore costs nothing per task or per spawn. A consulted key never
+// holds id 0 (the watermark answers it), so a zero entry matches nothing.
+type RelMemo [relMemoSize]RelEntry
+
+// relMemoSize is RelMemo's entry count: 128 bytes. Sixteen and sixty-four
+// entries were measured too (EXPERIMENTS.md "Check-path caches").
+const relMemoSize = 8
+
+// RelEntry is one memoised answer; see RelMemo.
+type RelEntry struct {
+	A, S, Side uint32
+	Parallel   bool
+}
+
+// Slot returns the entry that key (a, s) maps to, which holds its answer
+// when e.A == a and e.S == s.
+func (m *RelMemo) Slot(a, s uint32) *RelEntry {
+	return &m[((a^s<<13)*0x9E3779B1)>>29]
 }
 
 // regionCount is the block's unpublished traffic against one region.
@@ -161,7 +192,8 @@ func (l *Local) grow(i int) {
 
 // Flush moves everything the block batched — the region counts, the Tally
 // and the page cache's hit/miss tallies — into rec and zeroes it; the
-// cached pages stay. Only the block's owner calls it, from its goroutine.
+// cached pages and the relation memo stay. Only the block's owner calls
+// it, from its goroutine.
 // A nil recorder discards the tallies; it has no regions, so region counts
 // (there are none in a run without a recorder) stay where they are.
 func (l *Local) Flush(rec *stats.Recorder) {
@@ -286,6 +318,25 @@ type Shadow interface {
 	Write(t *Task, i int)
 }
 
+// Updater is optionally implemented by a Shadow that checks a
+// read-modify-write of element i as one memory action. Its effect — the
+// races reported and the state left behind — must be that of Read(t, i)
+// followed by Write(t, i) with no other access to i in between.
+type Updater interface {
+	Update(t *Task, i int)
+}
+
+// Update checks a read-modify-write of element i by t: one memory action
+// when sh is an Updater, else Read and then Write.
+func Update(sh Shadow, t *Task, i int) {
+	if u, ok := sh.(Updater); ok {
+		u.Update(t, i)
+		return
+	}
+	sh.Read(t, i)
+	sh.Write(t, i)
+}
+
 // Detector is implemented by every race-detection algorithm.
 type Detector interface {
 	// Name returns a short stable identifier ("spd3", "fasttrack", ...).
@@ -358,5 +409,6 @@ func (Nop) Footprint() Footprint        { return Footprint{} }
 
 type nopShadow struct{}
 
-func (nopShadow) Read(*Task, int)  {}
-func (nopShadow) Write(*Task, int) {}
+func (nopShadow) Read(*Task, int)   {}
+func (nopShadow) Write(*Task, int)  {}
+func (nopShadow) Update(*Task, int) {}

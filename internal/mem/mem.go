@@ -92,12 +92,13 @@ func (a *Array[T]) Set(c *task.Ctx, i int, v T) {
 	a.data[i] = v
 }
 
-// Update applies f to element i as an instrumented read-modify-write.
+// Update applies f to element i as an instrumented read-modify-write: a
+// read and a write of the element, checked as one memory action where the
+// detector can (detect.Update).
 func (a *Array[T]) Update(c *task.Ctx, i int, f func(T) T) {
 	c.CountAccess(a.reg, false)
 	c.CountAccess(a.reg, true)
-	a.sh.Read(c.Task(), i)
-	a.sh.Write(c.Task(), i)
+	detect.Update(a.sh, c.Task(), i)
 	a.data[i] = f(a.data[i])
 }
 
@@ -160,8 +161,7 @@ func (m *Matrix[T]) Update(c *task.Ctx, i, j int, f func(T) T) {
 	c.CountAccess(m.reg, false)
 	c.CountAccess(m.reg, true)
 	k := i*m.cols + j
-	m.sh.Read(c.Task(), k)
-	m.sh.Write(c.Task(), k)
+	detect.Update(m.sh, c.Task(), k)
 	m.data[k] = f(m.data[k])
 }
 
@@ -216,8 +216,7 @@ func (v *Var[T]) Unchecked() *T { return &v.v }
 func (v *Var[T]) Update(c *task.Ctx, f func(T) T) {
 	c.CountAccess(v.reg, false)
 	c.CountAccess(v.reg, true)
-	v.sh.Read(c.Task(), 0)
-	v.sh.Write(c.Task(), 0)
+	detect.Update(v.sh, c.Task(), 0)
 	v.v = f(v.v)
 }
 

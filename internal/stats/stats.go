@@ -46,17 +46,26 @@ type Counter uint8
 // Counters. The groups mirror the layers that produce them; the first
 // NumBatched of them are the ones that move once per checked access or per
 // task.
+//
+// Accesses and memory actions differ by the read-modify-writes. The
+// containers count accesses (Region reads and writes: an Update is one
+// of each); the check path counts memory actions, and SPD3 checks an
+// Update as one (detect.Update). So, per run, CASClean + CASPublish,
+// PageCacheHit + PageCacheMiss and SampleChecked + SampleSkipped each
+// come to reads + writes − updates.
 const (
 	// CASClean counts memory actions under the versioned-CAS shadow
 	// protocol that completed without needing to update the word — the
 	// read-shared common case that makes SPD3 scale (§5.4).
 	CASClean Counter = iota
-	// CASPublish counts successful shadow-word updates (CAS won).
+	// CASPublish counts memory actions that updated the word (CAS won):
+	// one publish per action, an update's included.
 	CASPublish
 	// CASRetry counts restarts of a memory action after a lost CAS.
 	CASRetry
 	// DMHPWalk counts §5.2 pointer walks: the DMHP queries against a
-	// recorded step that the detector's watermark does not answer.
+	// recorded step that neither the detector's watermark nor the
+	// executing goroutine's relation memo (detect.RelMemo) answers.
 	DMHPWalk
 	// TaskSpawn counts spawned tasks (every Async).
 	TaskSpawn
@@ -77,12 +86,12 @@ const (
 	// PageCacheMiss counts shadow-cell lookups that walked the page
 	// table (and, on a region's first touch of a page, allocated it).
 	PageCacheMiss
-	// SampleChecked counts shadow accesses admitted by the dynamic
+	// SampleChecked counts memory actions admitted by the dynamic
 	// check-sampling gate (internal/sample, asked by detect.Cells.At).
 	// Zero when sampling is off, and after a halt-mode sink has stopped:
 	// the gate is then not asked.
 	SampleChecked
-	// SampleSkipped counts shadow accesses elided by the sampling gate.
+	// SampleSkipped counts memory actions elided by the sampling gate.
 	// checked/(checked+skipped) is the effective sampling rate a run
 	// actually experienced, which the governor holds to its budget.
 	SampleSkipped

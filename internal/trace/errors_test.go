@@ -68,6 +68,15 @@ func TestTypedErrors(t *testing.T) {
 		return Replay(bytes.NewReader(b), mk())
 	}
 
+	// update replays main task 0, an 8-element region and one evUpdate
+	// with args region, task and the raw bytes idx.
+	update := func(region, task int64, idx ...byte) error {
+		b := appendEvent(append([]byte(magic), 1), evMainTask, 0, 0)
+		b = appendDecl(b, 0, regionDecl{elems: 8, elemBytes: 8, name: "r"})
+		b = append(appendEvent(b, evUpdate, region, task), idx...)
+		return Replay(bytes.NewReader(b), mk())
+	}
+
 	cases := []struct {
 		name string
 		err  error
@@ -83,6 +92,11 @@ func TestTypedErrors(t *testing.T) {
 		{"truncated index varint", readIndex(0x80), ErrTruncated},
 		{"non-minimal index varint", readIndex(0x80, 0x00), ErrMalformed},
 		{"index varint overflowing 64 bits", readIndex(0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), ErrMalformed},
+		{"update", update(0, 0, 0x0e), nil},
+		{"update of an unknown region", update(1, 0, 0x00), ErrMalformed},
+		{"update by an unknown task", update(0, 1, 0x00), ErrMalformed},
+		{"update past the region's bound", update(0, 0, 0x10), ErrMalformed},
+		{"truncated update index varint", update(0, 0, 0x80), ErrTruncated},
 		{"sequential-only on parallel trace", Replay(bytes.NewReader(par), espbags.New(detect.NewSink(false, 0), nil)), ErrSequentialOnly},
 		// The nesting rules of the driver contract (package detect).
 		{"FinishEnd out of LIFO order", nest(e{fstart, 0, 1}, e{fstart, 0, 2}, e{fend, 0, 1}), ErrMalformed},

@@ -122,6 +122,7 @@ const (
 	evRead
 	evWrite
 	evNewShadowGrow
+	evUpdate
 )
 
 // space names what an event argument's value identifies. The amplifier
@@ -161,6 +162,7 @@ var formats = [256]format{
 	evRead:          {3, false, [3]space{regionID, taskID, plain}}, // region, task, index
 	evWrite:         {3, false, [3]space{regionID, taskID, plain}}, // region, task, index
 	evNewShadowGrow: {2, true, [3]space{regionID, plain}},          // region, elemBytes; name
+	evUpdate:        {3, false, [3]space{regionID, taskID, plain}}, // region, task, index
 }
 
 // event is one decoded trace event. The decoder reuses one of these per
@@ -559,7 +561,7 @@ func (st *replayState) apply(ev *event) error {
 		}
 		st.shadows = append(st.shadows, st.det.NewShadow(spec))
 		st.sizes = append(st.sizes, size)
-	case evRead, evWrite:
+	case evRead, evWrite, evUpdate:
 		if a[0] < 0 || int(a[0]) >= len(st.shadows) {
 			return fmt.Errorf("trace: %w: access to unknown region %d", ErrMalformed, a[0])
 		}
@@ -574,10 +576,13 @@ func (st *replayState) apply(ev *event) error {
 		if t == nil {
 			return fmt.Errorf("trace: %w: access by unknown task %d", ErrMalformed, a[1])
 		}
-		if ev.kind == evRead {
-			st.shadows[a[0]].Read(&t.Task, int(a[2]))
-		} else {
-			st.shadows[a[0]].Write(&t.Task, int(a[2]))
+		switch sh := st.shadows[a[0]]; ev.kind {
+		case evRead:
+			sh.Read(&t.Task, int(a[2]))
+		case evWrite:
+			sh.Write(&t.Task, int(a[2]))
+		default:
+			detect.Update(sh, &t.Task, int(a[2]))
 		}
 	default:
 		return fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, ev.kind)

@@ -139,7 +139,7 @@ func (s *Splitter) Next() ([]byte, error) {
 		if len(s.buf) == 0 {
 			s.begin(ev.kind == evMainTask)
 		}
-		if ev.kind == evRead || ev.kind == evWrite {
+		if isAccess(ev.kind) {
 			n = s.accessRun(win, n)
 		}
 		// Verbatim: scan's minimal varints make this a re-encode's bytes.
@@ -169,7 +169,7 @@ func (s *Splitter) Next() ([]byte, error) {
 func (s *Splitter) accessRun(win []byte, n int) int {
 	room := s.cfg.MaxSegmentBytes - (len(s.buf) - s.hdr)
 	var ev event
-	for n < len(win) && (win[n] == evRead || win[n] == evWrite) &&
+	for n < len(win) && isAccess(win[n]) &&
 		(s.cfg.MaxSegmentBytes <= 0 || n <= room) {
 		m, err := scan(win[n:], &ev)
 		if err != nil {
@@ -178,6 +178,12 @@ func (s *Splitter) accessRun(win []byte, n int) int {
 		n += m
 	}
 	return n
+}
+
+// isAccess reports whether kind is a memory access: a read, a write or an
+// update.
+func isAccess(kind byte) bool {
+	return kind == evRead || kind == evWrite || kind == evUpdate
 }
 
 // boundary reports whether, after ev, the stream sits at a top-level

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"spd3/internal/bench"
 	"spd3/internal/core"
 	"spd3/internal/detect"
 	"spd3/internal/fasttrack"
@@ -196,17 +197,17 @@ func keySet(races []detect.Race) map[segKey]struct{} {
 // TestSplitterUnionMatchesWhole: splitting at every available finish
 // boundary and unioning per-segment results must reproduce the
 // whole-trace verdict and race set — the soundness property the sharded
-// server path rests on.
+// server path rests on — on progen recordings, and on kernel recordings
+// whose read-modify-writes are evUpdate events.
 func TestSplitterUnionMatchesWhole(t *testing.T) {
-	multi := 0
-	for seed := int64(0); seed < 150; seed++ {
-		p := progen.Generate(seed, progen.Config{Locks: 1})
-		data := record(t, p, task.Sequential, 1)
+	// segments checks one recording and returns how many segments it
+	// split into.
+	segments := func(what string, data []byte) int {
+		t.Helper()
 		whole := analyzeReader(bytes.NewReader(data))
 		if whole.err != nil {
 			t.Fatal(whole.err)
 		}
-
 		sp, err := NewSplitter(bytes.NewReader(data), SplitConfig{MinSegmentBytes: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -220,12 +221,12 @@ func TestSplitterUnionMatchesWhole(t *testing.T) {
 				break
 			}
 			if err != nil {
-				t.Fatalf("seed %d: segment %d: %v", seed, segs, err)
+				t.Fatalf("%s: segment %d: %v", what, segs, err)
 			}
 			segs++
 			a := analyzeReader(bytes.NewReader(seg))
 			if a.err != nil {
-				t.Fatalf("seed %d: segment %d replay: %v", seed, segs, a.err)
+				t.Fatalf("%s: segment %d replay: %v", what, segs, a.err)
 			}
 			racy = racy || a.racy
 			for k := range keySet(a.races) {
@@ -233,20 +234,61 @@ func TestSplitterUnionMatchesWhole(t *testing.T) {
 			}
 		}
 		if segs != sp.Segments() {
-			t.Fatalf("seed %d: counted %d segments, splitter says %d", seed, segs, sp.Segments())
-		}
-		if segs > 1 {
-			multi++
+			t.Fatalf("%s: counted %d segments, splitter says %d", what, segs, sp.Segments())
 		}
 		if racy != whole.racy {
-			t.Fatalf("seed %d: union racy=%v, whole racy=%v (%d segments)\n%s", seed, racy, whole.racy, segs, p)
+			t.Fatalf("%s: union racy=%v, whole racy=%v (%d segments)", what, racy, whole.racy, segs)
 		}
 		if !reflect.DeepEqual(union, keySet(whole.races)) {
-			t.Fatalf("seed %d: race sets diverge\nunion: %v\nwhole: %v", seed, union, keySet(whole.races))
+			t.Fatalf("%s: race sets diverge\nunion: %v\nwhole: %v", what, union, keySet(whole.races))
+		}
+		return segs
+	}
+	multi := 0
+	for seed := int64(0); seed < 150; seed++ {
+		p := progen.Generate(seed, progen.Config{Locks: 1})
+		if segments(fmt.Sprintf("seed %d\n%s", seed, p), record(t, p, task.Sequential, 1)) > 1 {
+			multi++
 		}
 	}
 	if multi == 0 {
 		t.Fatal("no seed produced a multi-segment split; the test is vacuous")
+	}
+	for _, name := range []string{"SOR", "LUFact"} {
+		kernel, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := recordRun(t, func(rt *task.Runtime) error {
+			_, err := kernel.Run(rt, bench.Input{Scale: 0.05})
+			return err
+		})
+		if !hasKind(t, data, evUpdate) {
+			t.Fatalf("%s: the recording has no evUpdate", name)
+		}
+		if segments(name, data) < 2 {
+			t.Fatalf("%s: the recording did not split", name)
+		}
+	}
+}
+
+// hasKind reports whether the trace data holds an event of kind.
+func hasKind(t *testing.T, data []byte, kind byte) bool {
+	t.Helper()
+	dec, err := newDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev event
+	for {
+		switch err := dec.next(&ev); {
+		case err == io.EOF:
+			return false
+		case err != nil:
+			t.Fatal(err)
+		case ev.kind == kind:
+			return true
+		}
 	}
 }
 

@@ -191,6 +191,12 @@ func (s *recShadow) Write(t *detect.Task, i int) {
 	s.r.emit(evWrite, s.id, int64(t.ID), int64(i))
 }
 
+// Update records a read-modify-write as one event, so replay checks it
+// as the live run did: through detect.Update.
+func (s *recShadow) Update(t *detect.Task, i int) {
+	s.r.emit(evUpdate, s.id, int64(t.ID), int64(i))
+}
+
 var _ detect.Detector = (*Recorder)(nil)
 
 // The format and its writers, Replay and the decoder live in replay.go,

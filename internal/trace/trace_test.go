@@ -15,6 +15,7 @@ import (
 	"spd3/internal/mem"
 	"spd3/internal/progen"
 	"spd3/internal/sample"
+	"spd3/internal/stats"
 	"spd3/internal/task"
 )
 
@@ -300,5 +301,74 @@ func TestTraceCompact(t *testing.T) {
 	perEvent := float64(len(data)) / float64(accesses)
 	if perEvent > 32 {
 		t.Fatalf("trace too fat: %.1f bytes per access event", perEvent)
+	}
+}
+
+// TestUpdateReplaysAsOneAction: the Recorder writes a read-modify-write
+// as one evUpdate, and replay applies it through detect.Update — one
+// memory action to SPD3, which fuses it, and a read and then a write to a
+// detector that does not (FastTrack), each with the verdict of the two
+// accesses.
+func TestUpdateReplaysAsOneAction(t *testing.T) {
+	const n = 8
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	mt := &detect.Task{ID: 0}
+	f0, f1 := &detect.Finish{ID: 0}, &detect.Finish{ID: 1}
+	mt.IEF = f0
+	rec.MainTask(mt, f0)
+	sh := rec.NewShadow(detect.Spec("r", n, 8))
+	rec.FinishStart(mt, f1)
+	kids := [2]*detect.Task{{ID: 1, IEF: f1}, {ID: 2, IEF: f1}}
+	for _, k := range kids {
+		rec.BeforeSpawn(mt, k)
+		for i := 0; i < n; i++ {
+			detect.Update(sh, k, i) // the second child's races with the first's
+		}
+		rec.TaskEnd(k)
+	}
+	rec.FinishEnd(mt, f1)
+	rec.FinishEnd(mt, f0)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	updates := 0
+	dec, err := newDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ev := (event{}); dec.next(&ev) == nil; {
+		switch ev.kind {
+		case evUpdate:
+			updates++
+		case evRead, evWrite:
+			t.Fatalf("the recording holds a kind %d event", ev.kind)
+		}
+	}
+	if updates != 2*n {
+		t.Fatalf("%d evUpdate events, want %d", updates, 2*n)
+	}
+	for _, c := range []struct {
+		name    string
+		actions int64 // cas.clean + cas.publish
+	}{{"spd3", 2 * n}, {"fasttrack", 0}} {
+		ses, err := detect.Open(c.name, detect.SessionOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ReplayWithLimits(bytes.NewReader(buf.Bytes()), ses.Det, ses.Rec, DefaultLimits()); err != nil {
+			t.Fatal(err)
+		}
+		snap := ses.Rec.Snapshot()
+		if got := snap.Get(stats.CASClean) + snap.Get(stats.CASPublish); got != c.actions {
+			t.Errorf("%s: cas.clean + cas.publish = %d, want %d", c.name, got, c.actions)
+		}
+		racy := map[int]bool{}
+		for _, r := range ses.Sink.Races() {
+			racy[r.Index] = true
+		}
+		if len(racy) != n {
+			t.Errorf("%s: races on %d cells, want all %d", c.name, len(racy), n)
+		}
 	}
 }

@@ -398,3 +398,85 @@ func TestExecutorsCountExactly(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdatesCountOneMemoryAction: an Update is one read and one write of
+// its element to the containers' counts (mem.reads, mem.writes, the region
+// rows) and one memory action to the detector's, which count memory
+// actions: cas.clean + cas.publish and the page-cache lookups, with
+// sampling off, and sample.checked + sample.skipped, with it on, each come
+// to reads + writes − updates — under every executor, for Array, Matrix
+// and Var alike.
+func TestUpdatesCountOneMemoryAction(t *testing.T) {
+	const tasks, n = 8, 32
+	inc := func(x int) int { return x + 1 }
+	for _, e := range []struct {
+		name string
+		opts spd3.Options
+	}{
+		{"sequential", spd3.Options{Executor: spd3.Sequential}},
+		{"pool-4", spd3.Options{Executor: spd3.Pool, Workers: 4}},
+		{"goroutines", spd3.Options{Executor: spd3.Goroutines}},
+	} {
+		for _, spec := range []string{"off", "bernoulli:0.5"} {
+			opts := e.opts
+			opts.Sampling.Spec = spec
+			eng, err := spd3.New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arr := spd3.NewArray[int](eng, "arr", tasks*n)
+			mat := spd3.NewMatrix[int](eng, "mat", tasks, n)
+			v := spd3.NewVar(eng, "v", 0)
+			// Each task updates its own cells of arr and mat and reads its
+			// arr cells back; then the main task updates v.
+			rep, err := eng.Run(func(c *spd3.Ctx) {
+				c.Finish(func(c *spd3.Ctx) {
+					for id := 0; id < tasks; id++ {
+						c.Async(func(c *spd3.Ctx) {
+							for i := 0; i < n; i++ {
+								arr.Update(c, id*n+i, inc)
+								mat.Update(c, id, i, inc)
+								arr.Get(c, id*n+i)
+							}
+						})
+					}
+				})
+				for i := 0; i < n; i++ {
+					v.Update(c, inc)
+				}
+			})
+			if err != nil || !rep.RaceFree() {
+				t.Fatalf("%s, %s: err %v, races %v", e.name, spec, err, rep.Races)
+			}
+			if got := *v.Unchecked(); got != n {
+				t.Fatalf("%s, %s: v = %d, want %d", e.name, spec, got, n)
+			}
+			updates := int64(2*tasks*n + n)
+			reads, writes := updates+tasks*n, updates
+			actions := reads + writes - updates
+			m := rep.Stats.Map()
+			type count struct {
+				what      string
+				got, want int64
+			}
+			want := []count{
+				{"mem.reads", m["mem.reads"], reads},
+				{"mem.writes", m["mem.writes"], writes},
+			}
+			if spec == "off" {
+				want = append(want,
+					count{"cas.clean + cas.publish", m["cas.clean"] + m["cas.publish"], actions},
+					count{"shadow.page_cache_hit + shadow.page_cache_miss", m["shadow.page_cache_hit"] + m["shadow.page_cache_miss"], actions})
+			} else {
+				want = append(want,
+					count{"sample.checked + sample.skipped", m["sample.checked"] + m["sample.skipped"], actions},
+					count{"cas.clean + cas.publish", m["cas.clean"] + m["cas.publish"], m["sample.checked"]})
+			}
+			for _, c := range want {
+				if c.got != c.want {
+					t.Errorf("%s, sampling %s: %s = %d, want %d", e.name, spec, c.what, c.got, c.want)
+				}
+			}
+		}
+	}
+}
