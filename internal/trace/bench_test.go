@@ -38,17 +38,72 @@ func benchTrace(b *testing.B, copies int) []byte {
 
 // BenchmarkReplayStreaming is the new analyze path: events decode
 // straight off the reader into the detector with no intermediate copy
-// of the trace.
+// of the trace. "progen" is a generated program amplified ×16;
+// "amplified" is the event shape spd3d receives (gatherTrace).
 func BenchmarkReplayStreaming(b *testing.B) {
-	data := benchTrace(b, 16)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink := detect.NewSink(false, 0)
-		if err := Replay(bytes.NewReader(data), core.New(sink, nil)); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		data []byte
+	}{
+		{"progen", benchTrace(b, 16)},
+		{"amplified", gatherTrace(b, 16)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			data := bc.data
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink := detect.NewSink(false, 0)
+				if err := Replay(bytes.NewReader(data), core.New(sink, nil)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// gatherTrace hand-drives the recorder through a gather-shaped run and
+// amplifies it copies times: per top-level finish, one task per row
+// reads eight scattered elements of x and writes its row of y. Task ids
+// start past 1<<13, where a runtime with thousands of spawns behind it
+// is, and the amplifier shifts them further per copy, so nearly every
+// event is an access of a 1-byte region, a 3-byte task and a 2-byte
+// index: the shape of spd3d's uploads.
+func gatherTrace(tb testing.TB, copies int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	mt, fin := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
+	mt.IEF = fin
+	rec.MainTask(mt, fin)
+	x := rec.NewShadow(detect.Spec("x", 4096, 8))
+	y := rec.NewShadow(detect.Spec("y", 256, 8))
+	id := detect.TaskID(1 << 13)
+	for f := int64(1); f <= 4; f++ {
+		scope := &detect.Finish{ID: f}
+		rec.FinishStart(mt, scope)
+		for row := 0; row < 256; row++ {
+			child := &detect.Task{ID: id, IEF: scope}
+			id++
+			rec.BeforeSpawn(mt, child)
+			for k := 0; k < 8; k++ {
+				x.Read(child, (row*577+k*1031+int(f)*97)%4096)
+			}
+			y.Write(child, row)
+			rec.TaskEnd(child)
+		}
+		rec.FinishEnd(mt, scope)
+	}
+	rec.FinishEnd(mt, fin)
+	if err := rec.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := AmplifyBytes(buf.Bytes(), copies)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // BenchmarkReplayBuffered is the pre-streaming server shape: materialize
@@ -140,27 +195,43 @@ func BenchmarkSplitter(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode times the decoder alone over the daemon-shaped trace
-// BenchmarkSplitter/256KiB cuts: the "decode" stage, no detector work.
+// BenchmarkDecode times the decoder alone: the "decode" stage, no
+// detector work. "scoped" is the daemon-shaped trace
+// BenchmarkSplitter/256KiB cuts, read event by event through dec.next;
+// "amplified" replays gatherTrace into a detector that ignores every
+// event, the window loop replay and the benchmark's decode stage run.
 func BenchmarkDecode(b *testing.B) {
-	data := scopedTrace(b, 200)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec, err := newDecoder(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ev event
-		for {
-			err := dec.next(&ev)
-			if err == io.EOF {
-				break
-			}
+	b.Run("scoped", func(b *testing.B) {
+		data := scopedTrace(b, 200)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec, err := newDecoder(bytes.NewReader(data))
 			if err != nil {
 				b.Fatal(err)
 			}
+			var ev event
+			for {
+				err := dec.next(&ev)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	}
+	})
+	b.Run("amplified", func(b *testing.B) {
+		data := gatherTrace(b, 16)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := Replay(bytes.NewReader(data), &countingDetector{trigger: -1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

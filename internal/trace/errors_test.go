@@ -3,7 +3,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"spd3/internal/core"
@@ -77,6 +80,37 @@ func TestTypedErrors(t *testing.T) {
 		return Replay(bytes.NewReader(b), mk())
 	}
 
+	// accesses replays nest's opening, an 8-element region 0 and evs,
+	// where {rd, task} is a read of element 0 by task, into det.
+	const rd = int64(evRead)
+	accesses := func(det detect.Detector, evs ...e) error {
+		b := appendEvent(append([]byte(magic), 1), evMainTask, 0, 0)
+		b = appendDecl(b, 0, regionDecl{elems: 8, elemBytes: 8, name: "r"})
+		for _, ev := range evs {
+			if ev[0] == rd {
+				ev = e{rd, 0, ev[1], 0}
+			}
+			b = appendEvent(b, byte(ev[0]), ev[1:]...)
+		}
+		return ReplayWithLimits(bytes.NewReader(b), det, nil, DefaultLimits())
+	}
+	// Replay remembers the task of the last access; these are the ways a
+	// remembered task can leave the table.
+	endedTask := accesses(mk(), e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{rd, 1})
+	endedMain := accesses(mk(), e{rd, 0}, e{fend, 0, 0}, e{rd, 0})
+	// reused replays evs, each read by the task started last, and fails
+	// unless every read reaches the detector with that task.
+	reused := func(evs ...e) error {
+		log := &taskLog{}
+		if err := accesses(log, evs...); err != nil {
+			return err
+		}
+		if log.stale > 0 {
+			return fmt.Errorf("%d reads arrived with a task that had left the table", log.stale)
+		}
+		return nil
+	}
+
 	cases := []struct {
 		name string
 		err  error
@@ -108,10 +142,19 @@ func TestTypedErrors(t *testing.T) {
 		{"spawn of a live task id", nest(e{spawn, 0, 0, 0}), ErrMalformed},
 		{"TaskEnd with a finish open (a body that panicked inside it)", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1},
 			e{spawn, 1, 2, 1}, e{tend, 2}, e{tend, 1}, e{fend, 0, 0}), nil},
+		{"access by a task that has ended", endedTask, ErrMalformed},
+		{"access by main after it ends its implicit finish", endedMain, ErrMalformed},
+		{"access after a spawn reuses an ended task's id", reused(e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{spawn, 0, 1, 0}, e{rd, 1}), nil},
+		{"access after a second main task takes a live main's id", reused(e{rd, 0}, e{int64(evMainTask), 0, 1}, e{rd, 0}), nil},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, c.want) {
 			t.Errorf("%s: err = %v, want errors.Is(err, %v)", c.name, c.err, c.want)
+		}
+	}
+	for _, err := range []error{endedTask, endedMain} {
+		if err == nil || !strings.Contains(err.Error(), "access by unknown task") {
+			t.Errorf("err = %v, want an access by unknown task", err)
 		}
 	}
 
@@ -122,6 +165,112 @@ func TestTypedErrors(t *testing.T) {
 		t.Errorf("tiny limits: err = %v, want ErrLimit", err)
 	}
 }
+
+// TestScanMatchesVarint holds scan's varint decoding to binary.Varint at
+// every 7-bit width boundary, from 1 to 10 bytes, in each argument
+// position, and pins what it refuses: a 2- or 3-byte encoding padded
+// with a 0x00 group is malformed, and a 3-byte varint cut after two
+// bytes reads on, which at the end of a trace is a truncation.
+func TestScanMatchesVarint(t *testing.T) {
+	var vals []int64
+	for w := 1; w <= 10; w++ {
+		// The first and last zigzag values that encode in w bytes.
+		lo, hi := uint64(1)<<(7*(w-1)), uint64(1)<<(7*w)-1
+		if w == 1 {
+			lo = 0
+		}
+		if w == 10 {
+			hi = ^uint64(0)
+		}
+		for _, u := range []uint64{lo, hi} {
+			v := int64(u>>1) ^ -int64(u&1)
+			if got := len(binary.AppendVarint(nil, v)); got != w {
+				t.Fatalf("%d encodes in %d bytes, want %d", v, got, w)
+			}
+			vals = append(vals, v)
+		}
+	}
+	for _, v := range vals {
+		for pos := range 3 {
+			args := []int64{5, -7, 300}
+			args[pos] = v
+			p := appendEvent(nil, evRead, args...)
+			var ev event
+			n, err := scan(p, &ev)
+			if err != nil || n != len(p) {
+				t.Fatalf("%d in position %d: n = %d, err = %v; want %d, nil", v, pos, n, err, len(p))
+			}
+			enc := binary.AppendVarint(nil, v)
+			if want, _ := binary.Varint(enc); ev.args[pos] != want {
+				t.Errorf("%d in position %d: scan gives %d, binary.Varint %d", v, pos, ev.args[pos], want)
+			}
+		}
+	}
+	for _, pad := range [][]byte{{0x80, 0x00}, {0x80, 0x80, 0x00}} {
+		for pos := range 3 {
+			p := []byte{evRead}
+			for i := range 3 {
+				if i == pos {
+					p = append(p, pad...)
+				} else {
+					p = append(p, 0x02)
+				}
+			}
+			var ev event
+			if _, err := scan(p, &ev); !errors.Is(err, ErrMalformed) {
+				t.Errorf("padded %x in position %d: err = %v, want ErrMalformed", pad, pos, err)
+			}
+		}
+	}
+	cut := []byte{evRead, 0x00, 0x00, 0x80, 0x80}
+	var ev event
+	if _, err := scan(cut, &ev); err != errShort {
+		t.Errorf("3-byte index cut after two bytes: err = %v, want errShort", err)
+	}
+	b := appendEvent(append([]byte(magic), 1), evMainTask, 0, 0)
+	b = appendDecl(b, 0, regionDecl{elems: 8, elemBytes: 8, name: "r"})
+	if err := Replay(bytes.NewReader(append(b, cut...)), core.New(detect.NewSink(false, 0), nil)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("trace ending in a 3-byte index cut after two bytes: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestReplayAllocsPerAccess: an access allocates nothing in replay, so a
+// trace with twice the accesses allocates no more.
+func TestReplayAllocsPerAccess(t *testing.T) {
+	allocs := func(accesses int) float64 {
+		data := synthTrace(t, accesses)
+		return testing.AllocsPerRun(5, func() {
+			if err := Replay(bytes.NewReader(data), core.New(detect.NewSink(false, 0), nil)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 4 * cancelCheckEvery
+	if a1, a2 := allocs(n), allocs(2*n); a2 > a1 {
+		t.Errorf("replaying %d accesses allocates %.0f times, %d accesses %.0f", n, a1, 2*n, a2)
+	}
+}
+
+// taskLog counts the reads that do not arrive with the task a replay
+// started last.
+type taskLog struct {
+	detect.Nop
+	last  *detect.Task
+	stale int
+}
+
+func (l *taskLog) MainTask(t *detect.Task, _ *detect.Finish) { l.last = t }
+func (l *taskLog) BeforeSpawn(_, child *detect.Task)         { l.last = child }
+func (l *taskLog) NewShadow(detect.ShadowSpec) detect.Shadow { return (*taskLogShadow)(l) }
+
+type taskLogShadow taskLog
+
+func (s *taskLogShadow) Read(t *detect.Task, _ int) {
+	if t != s.last {
+		s.stale++
+	}
+}
+func (s *taskLogShadow) Write(*detect.Task, int) {}
 
 // TestPeekHeader pins the non-consuming header probe the job store uses
 // before spilling an unsplittable trace to disk: classification must
@@ -229,8 +378,9 @@ func TestReplayCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestReplayNilCancel: the zero Limits (and DefaultLimits) replay to
-// completion with no cancellation channel allocated.
+// TestReplayNilCancel: DefaultLimits carry no cancellation channel, and a
+// replay under them runs to completion. (The zero Limits would refuse the
+// trace's region, so they are not a stand-in.)
 func TestReplayNilCancel(t *testing.T) {
 	data := synthTrace(t, 2*cancelCheckEvery)
 	det := &countingDetector{trigger: -1, cancel: nil}

@@ -75,21 +75,40 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, li
 }
 
 // run applies dec's events until a clean end of stream or the first
-// error.
+// error. It works a buffered window at a time: every whole unnamed event
+// in the window is scanned and applied in place, and the bytes consumed
+// are discarded at once when the window runs out. An event that runs past
+// the window's end, carries a name or does not parse goes to dec.next,
+// which reads on, reads the name or reports the error.
 func (st *replayState) run(dec *decoder) error {
 	countdown := 1 // poll Cancel on the very first event
 	var ev event
 	for {
-		if st.lim.Cancel != nil {
-			if countdown--; countdown <= 0 {
-				countdown = cancelCheckEvery
-				select {
-				case <-st.lim.Cancel:
-					return fmt.Errorf("trace: %w", ErrCanceled)
-				default:
+		win, _ := dec.br.Peek(dec.br.Buffered())
+		used := 0
+		for {
+			if st.lim.Cancel != nil {
+				if countdown--; countdown <= 0 {
+					countdown = cancelCheckEvery
+					select {
+					case <-st.lim.Cancel:
+						dec.br.Discard(used) //nolint:errcheck // used bytes are buffered
+						return fmt.Errorf("trace: %w", ErrCanceled)
+					default:
+					}
 				}
 			}
+			n, err := scan(win[used:], &ev)
+			if err != nil || formats[ev.kind].named {
+				break
+			}
+			used += n
+			if err := st.apply(&ev); err != nil {
+				dec.br.Discard(used) //nolint:errcheck // used bytes are buffered
+				return err
+			}
 		}
+		dec.br.Discard(used) //nolint:errcheck // used bytes are buffered
 		err := dec.next(&ev)
 		if err == io.EOF {
 			return nil
@@ -308,6 +327,11 @@ var errShort = errors.New("trace: event continues past the buffered bytes")
 // appendEvent writes — so an event's bytes are exactly its re-encoding
 // and the splitter may copy them verbatim; a padded or overflowing varint
 // is ErrMalformed.
+//
+// Varints of one to three bytes — nearly every argument of a daemon's
+// trace, whose amplified task ids take three — decode inline; a longer,
+// cut or refused one goes to uvarint. A 2- or 3-byte encoding whose last
+// group is 0x00 is padded and also goes to uvarint, which refuses it.
 func scan(p []byte, ev *event) (n int, err error) {
 	if len(p) == 0 {
 		return 0, errShort
@@ -318,35 +342,42 @@ func scan(p []byte, ev *event) (n int, err error) {
 		return 0, fmt.Errorf("trace: %w: unknown event kind %d", ErrMalformed, kind)
 	}
 	ev.kind, n = kind, 1
-	for i := range f.n {
-		u, m := uvarint(p[n:])
-		if m <= 0 {
-			return 0, varintErr(kind, m)
-		}
-		ev.args[i] = int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
-		n += m
-	}
+	nv := f.n
 	if f.named {
-		u, m := uvarint(p[n:])
-		if m <= 0 {
-			return 0, varintErr(kind, m)
+		nv++ // the name's length prefix
+	}
+	for i := range nv {
+		var u uint64
+		var m int
+		switch q := p[n:]; {
+		case len(q) > 0 && q[0] < 0x80:
+			u, m = uint64(q[0]), 1
+		case len(q) > 1 && q[1]-1 < 0x7f: // q[1] in [1, 0x80)
+			u, m = uint64(q[0]&0x7f)|uint64(q[1])<<7, 2
+		case len(q) > 2 && q[1] >= 0x80 && q[2]-1 < 0x7f:
+			u, m = uint64(q[0]&0x7f)|uint64(q[1]&0x7f)<<7|uint64(q[2])<<14, 3
+		default:
+			if u, m = uvarint(q); m <= 0 {
+				return 0, varintErr(kind, m)
+			}
+		}
+		n += m
+		if i < f.n {
+			ev.args[i] = int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
+			continue
 		}
 		if u > maxNameLen {
 			return 0, fmt.Errorf("trace: %w: region name of %d bytes", ErrMalformed, u)
 		}
 		ev.nameLen = int(u)
-		n += m
 	}
 	return n, nil
 }
 
-// uvarint is binary.Uvarint, with a one-byte fast path, that also
-// refuses a non-minimal encoding: m > 0 is the varint's length, m == 0
-// means p ends inside it, m < 0 that it overflows or is padded.
+// uvarint is binary.Uvarint that also refuses a non-minimal encoding:
+// m > 0 is the varint's length, m == 0 means p ends inside it, m < 0 that
+// it overflows or is padded.
 func uvarint(p []byte) (u uint64, m int) {
-	if len(p) > 0 && p[0] < 0x80 {
-		return uint64(p[0]), 1
-	}
 	u, m = binary.Uvarint(p)
 	if m > 1 && p[m-1] == 0 {
 		return 0, -m
@@ -417,6 +448,7 @@ type replayState struct {
 	lim     Limits
 	local   detect.Local // the replaying goroutine's block: every task's L
 	tasks   map[int64]*replayTask
+	last    *replayTask // the task of the last access while it is in tasks, else nil
 	locks   map[int64]*detect.Lock
 	shadows []detect.Shadow
 	sizes   []int64
@@ -459,7 +491,7 @@ func (st *replayState) apply(ev *event) error {
 		// stack.
 		f := &detect.Finish{ID: a[1]}
 		t := &replayTask{Task: detect.Task{ID: detect.TaskID(a[0]), IEF: f, L: &st.local}, open: []*detect.Finish{f}}
-		st.tasks[a[0]] = t
+		st.tasks[a[0]], st.last = t, nil
 		t.Sample.Step()
 		st.det.MainTask(&t.Task, f)
 	case evSpawn:
@@ -494,6 +526,7 @@ func (st *replayState) apply(ev *event) error {
 		// bounds replay memory by the live task set instead of the total
 		// task count — the property the streaming server relies on.
 		delete(st.tasks, a[0])
+		st.last = nil
 	case evFinishStart:
 		t, ok := st.tasks[a[0]]
 		if !ok {
@@ -521,6 +554,7 @@ func (st *replayState) apply(ev *event) error {
 			// makes ending it the main task's last event: as at a TaskEnd,
 			// the task leaves the table.
 			delete(st.tasks, a[0])
+			st.last = nil
 		}
 	case evAcquire, evRelease:
 		t := st.tasks[a[0]]
@@ -572,9 +606,15 @@ func (st *replayState) apply(ev *event) error {
 		if a[2] < 0 || a[2] >= bound {
 			return fmt.Errorf("trace: %w: access index %d outside region of %d elements", ErrMalformed, a[2], bound)
 		}
-		t := st.tasks[a[1]]
-		if t == nil {
-			return fmt.Errorf("trace: %w: access by unknown task %d", ErrMalformed, a[1])
+		// Nearly every access is by the task of the one before it. Live
+		// ids are unique and last is cleared whenever a task leaves the
+		// table, so a hit is the task the table would return.
+		t := st.last
+		if t == nil || t.ID != detect.TaskID(a[1]) {
+			if t = st.tasks[a[1]]; t == nil {
+				return fmt.Errorf("trace: %w: access by unknown task %d", ErrMalformed, a[1])
+			}
+			st.last = t
 		}
 		switch sh := st.shadows[a[0]]; ev.kind {
 		case evRead:

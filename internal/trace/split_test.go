@@ -90,15 +90,19 @@ type chunking struct {
 }
 
 // chunkings delivers a trace whole, a byte per Read, half of each Read,
-// in 1- to 7-byte chunks, and through a caller's bufio.Reader too small
-// to hold an event's span, which the decoder must wrap rather than fail
-// on with bufio.ErrBufferFull.
+// in 1- to 7-byte chunks, through a caller's bufio.Reader too small to
+// hold an event's span, which the decoder must wrap rather than fail on
+// with bufio.ErrBufferFull, and through one that holds exactly a maximal
+// span, which the decoder uses as it stands: its window ends every few
+// events, so replay and the splitter meet an event cut at a window's
+// edge over and over.
 func chunkings() []chunking {
 	cs := []chunking{
 		{"bytes", func(b []byte) io.Reader { return bytes.NewReader(b) }},
 		{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
 		{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
 		{"bufio16", func(b []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 16) }},
+		{"bufioSpan", func(b []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(b), maxSpan) }},
 	}
 	for n := 1; n <= 7; n++ {
 		cs = append(cs, chunking{fmt.Sprintf("chunk%d", n), func(b []byte) io.Reader { return &chunkReader{r: bytes.NewReader(b), n: n} }})
