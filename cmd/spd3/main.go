@@ -123,7 +123,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spd3: -sample:", err)
 		os.Exit(2)
 	}
-	ses, err := detect.Open(detName, detect.SessionOpts{Halt: *halt, Sampler: smp})
+	// A replay drives the detector from this goroutine alone: it is owned.
+	ses, err := detect.Open(detName, detect.SessionOpts{Halt: *halt, Sampler: smp, Owned: *replay != ""})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3:", err)
 		os.Exit(2)

@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -267,7 +268,7 @@ func run(ctx context.Context, cl *client.Client, detector string, data []byte, s
 	)
 	if d > 0 {
 		deadline = time.Now().Add(d)
-		total = 1 << 62 // bounded by the deadline instead
+		total = math.MaxInt // bounded by the deadline instead
 	}
 	more := func() bool {
 		if !deadline.IsZero() && time.Now().After(deadline) {

@@ -298,6 +298,8 @@ func BenchmarkShadowSparse(b *testing.B) {
 // three. read-second needs r1 set and r2 empty before every timed read,
 // which on one cell would put the timer toggles inside the loop; it is
 // measured on the sweep only, where an untimed pass re-arms the page.
+// Each runs on the shared detector and, under owned/, on an owned one,
+// whose publishes are plain stores.
 func BenchmarkShadowPublish(b *testing.B) {
 	const sweep = 4096
 	sink := detect.NewSink(false, 0)
@@ -328,30 +330,33 @@ func BenchmarkShadowPublish(b *testing.B) {
 			}
 		}
 	}
-	for _, bench := range []struct {
-		name string
-		run  func(b *testing.B, cells int)
-	}{
-		{"write", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Write(t, i) })},
-		{"read-supersede", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Read(t, i) })},
-	} {
-		b.Run(bench.name+"/cell", func(b *testing.B) { bench.run(b, 1) })
-		b.Run(bench.name+"/sweep", func(b *testing.B) { bench.run(b, sweep) })
-	}
-	b.Run("read-second/sweep", func(b *testing.B) {
-		sh := d.NewShadow(detect.Spec("x", sweep, 8))
-		for n := 0; n < b.N; {
-			b.StopTimer()
-			for i := 0; i < sweep; i++ {
-				sh.Read(after, i) // supersedes (cont, par)
-				sh.Read(cont, i)  // supersedes after: r1 = cont, r2 empty
-			}
-			b.StartTimer()
-			for i := 0; i < sweep && n < b.N; i, n = i+1, n+1 {
-				sh.Read(par, i)
-			}
+	for _, prefix := range []string{"", "owned/"} {
+		d.owned = prefix != ""
+		for _, bench := range []struct {
+			name string
+			run  func(b *testing.B, cells int)
+		}{
+			{"write", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Write(t, i) })},
+			{"read-supersede", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Read(t, i) })},
+		} {
+			b.Run(prefix+bench.name+"/cell", func(b *testing.B) { bench.run(b, 1) })
+			b.Run(prefix+bench.name+"/sweep", func(b *testing.B) { bench.run(b, sweep) })
 		}
-	})
+		b.Run(prefix+"read-second/sweep", func(b *testing.B) {
+			sh := d.NewShadow(detect.Spec("x", sweep, 8))
+			for n := 0; n < b.N; {
+				b.StopTimer()
+				for i := 0; i < sweep; i++ {
+					sh.Read(after, i) // supersedes (cont, par)
+					sh.Read(cont, i)  // supersedes after: r1 = cont, r2 empty
+				}
+				b.StartTimer()
+				for i := 0; i < sweep && n < b.N; i, n = i+1, n+1 {
+					sh.Read(par, i)
+				}
+			}
+		})
+	}
 	if !sink.Empty() {
 		b.Fatal("benchmark program raced")
 	}

@@ -16,7 +16,7 @@ import (
 // casShadow implements the §5.4 versioned-snapshot protocol, Lamport's
 // solution to the concurrent reading-and-writing problem applied to the
 // shadow word, at the paper's size: 16 bytes per location, two 64-bit
-// atomics, the recorded steps held as 32-bit DPST arena ids (dpst.Node.ID;
+// words, the recorded steps held as 32-bit DPST arena ids (dpst.Node.ID;
 // 0, the root, is never a step and means "empty").
 //
 //	A = version:32 | w:32        B = r1:32 | r2:32
@@ -63,6 +63,23 @@ import (
 // action — costs nothing: the protocol and Algorithms 1 and 2 behave as at
 // any other version.
 //
+// Owned. The protocol exists so that parallel tasks can check one cell at
+// once. A detector that one goroutine drives from start to end — a trace
+// replay, a run under the sequential executor — has no such tasks: no
+// other memory action can come between its snapshot and its publish, nor
+// see a publish half done. Whether it is owned is fixed when detect.Open
+// builds it (detect.FactoryOpts.Owned, Detector.owned) and never changes,
+// and task.New refuses an owned detector under a parallel executor, so the
+// one goroutine is a fact, not a hope. An owned detector's publish stores
+// the very word the shared one would — the next even version, w', r1',
+// r2' — with plain stores: no odd version between them, no CAS and so no
+// retry. The snapshot, Algorithms 1 and 2 and the tallies are the same on
+// both paths (an owned cell's loads are still atomic loads, a plain MOV
+// on amd64), so a replay counts cas.clean and cas.publish exactly as a
+// live run does, and cas.retry stays 0. The cost of the choice is one
+// predictable branch per publish, on a field the memory action already
+// reads.
+//
 // The words live in the region's pages (detect.Cells); a page of cells
 // holds no pointers, so the garbage collector never scans shadow memory.
 type casShadow struct {
@@ -70,10 +87,14 @@ type casShadow struct {
 	detect.Cells[casCell]
 }
 
-// casCell is one versioned shadow word; see casShadow for the layout.
+// casCell is one versioned shadow word; see casShadow for the layout. The
+// fields are plain words at offsets 0 and 8, so every cell of a page
+// (make([]casCell, n)) is 8-aligned for the 64-bit sync/atomic functions,
+// on 32-bit platforms too. Every access goes through those functions but
+// an owned detector's publish (see casShadow, "Owned").
 type casCell struct {
-	a atomic.Uint64 // version:32 | w:32
-	b atomic.Uint64 // r1:32 | r2:32
+	a uint64 // version:32 | w:32
+	b uint64 // r1:32 | r2:32
 }
 
 const (
@@ -93,8 +114,8 @@ const (
 // of B. It is small enough to inline into the memory actions, so the
 // uncontended read stage is three loads and a compare with no call.
 func (c *casCell) load() (a, b uint64, ok bool) {
-	a, b = c.a.Load(), c.b.Load()
-	return a, b, a&versionOne == 0 && c.a.Load() == a
+	a, b = atomic.LoadUint64(&c.a), atomic.LoadUint64(&c.b)
+	return a, b, a&versionOne == 0 && atomic.LoadUint64(&c.a) == a
 }
 
 // snapshot performs the read stage after a failed first attempt: it
@@ -118,25 +139,35 @@ func unpack(a, b uint64) word {
 }
 
 // publishWriter performs a write action's update stage: the word
-// snapshotted as a gets writer w and the next stable version, in one CAS.
-// It returns false when the CAS lost and the memory action must restart
-// from the read stage.
-func (c *casCell) publishWriter(a uint64, w uint32) bool {
-	return c.a.CompareAndSwap(a, (a>>32+2)<<32|uint64(w))
+// snapshotted as a gets writer w and the next stable version, in one CAS,
+// or, owned, in one plain store. It returns false when the CAS lost and
+// the memory action must restart from the read stage.
+func (c *casCell) publishWriter(a uint64, w uint32, owned bool) bool {
+	next := (a>>32+2)<<32 | uint64(w)
+	if owned {
+		c.a = next
+		return true
+	}
+	return atomic.CompareAndSwapUint64(&c.a, a, next)
 }
 
 // publishReaders performs a read action's update stage: the word
 // snapshotted as a becomes m, whose readers are new. A read action's m
 // keeps a's writer; an update action's may carry a new one, which the
-// final store of A publishes with the next stable version. It returns
-// false when the CAS lost and the memory action must restart from the
-// read stage.
-func (c *casCell) publishReaders(a uint64, m word) bool {
-	if !c.a.CompareAndSwap(a, a+versionOne) {
+// final store of A publishes with the next stable version. Owned, it is
+// the two final stores, plain. It returns false when the CAS lost and the
+// memory action must restart from the read stage.
+func (c *casCell) publishReaders(a uint64, m word, owned bool) bool {
+	next := (a>>32+2)<<32 | uint64(m.w)
+	if owned {
+		c.b, c.a = uint64(m.r1)<<32|uint64(m.r2), next
+		return true
+	}
+	if !atomic.CompareAndSwapUint64(&c.a, a, a+versionOne) {
 		return false
 	}
-	c.b.Store(uint64(m.r1)<<32 | uint64(m.r2))
-	c.a.Store((a>>32+2)<<32 | uint64(m.w))
+	atomic.StoreUint64(&c.b, uint64(m.r1)<<32|uint64(m.r2))
+	atomic.StoreUint64(&c.a, next)
 	return true
 }
 
@@ -155,7 +186,7 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 		}
 		if m, changed := s.d.readCheck(unpack(a, b), l, st, &s.Cells, i); !changed {
 			l.Tally[stats.CASClean]++
-		} else if c.publishReaders(a, m) {
+		} else if c.publishReaders(a, m, s.d.owned) {
 			l.Tally[stats.CASPublish]++
 		} else {
 			continue
@@ -179,7 +210,7 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 		}
 		if m, changed := s.d.writeCheck(unpack(a, b), l, st, &s.Cells, i); !changed {
 			l.Tally[stats.CASClean]++
-		} else if c.publishWriter(a, m.w) {
+		} else if c.publishWriter(a, m.w, s.d.owned) {
 			l.Tally[stats.CASPublish]++
 		} else {
 			continue
@@ -211,7 +242,7 @@ func (s *casShadow) Update(t *detect.Task, i int) {
 		m, writer := s.d.writeCheck(m, l, st, &s.Cells, i)
 		if !readers && !writer {
 			l.Tally[stats.CASClean]++
-		} else if readers && c.publishReaders(a, m) || !readers && c.publishWriter(a, m.w) {
+		} else if readers && c.publishReaders(a, m, s.d.owned) || !readers && c.publishWriter(a, m.w, s.d.owned) {
 			l.Tally[stats.CASPublish]++
 		} else {
 			continue

@@ -15,15 +15,21 @@ import (
 
 // TestCellIsSixteenPointerFreeBytes pins the shadow word at the paper's
 // size and keeps it out of the garbage collector's sight: a page of cells
-// with no pointer in them is allocated noscan.
+// with no pointer in them is allocated noscan. The two fields are plain
+// uint64 words at offsets 0 and 8, so in a page (make([]casCell, n)), whose
+// first word the allocator 8-aligns, every cell's words are 8-aligned, as
+// the 64-bit sync/atomic functions require on 32-bit platforms.
 func TestCellIsSixteenPointerFreeBytes(t *testing.T) {
 	if got := unsafe.Sizeof(casCell{}); got != 16 {
 		t.Fatalf("unsafe.Sizeof(casCell{}) = %d, want 16", got)
 	}
 	ty := reflect.TypeOf(casCell{})
+	if ty.NumField() != 2 {
+		t.Fatalf("casCell has %d fields, want 2", ty.NumField())
+	}
 	for i := 0; i < ty.NumField(); i++ {
-		if f := ty.Field(i); f.Type != reflect.TypeOf(atomic.Uint64{}) {
-			t.Errorf("casCell.%s is a %v, want atomic.Uint64: a pointer in the cell makes the GC scan shadow pages", f.Name, f.Type)
+		if f := ty.Field(i); f.Type != reflect.TypeOf(uint64(0)) || f.Offset != uintptr(8*i) {
+			t.Errorf("casCell.%s is a %v at offset %d, want a uint64 at %d: a pointer in the cell makes the GC scan shadow pages, and a misaligned word breaks the 64-bit atomics", f.Name, f.Type, f.Offset, 8*i)
 		}
 	}
 }
@@ -36,42 +42,72 @@ func (c *casCell) read() (uint64, word) {
 
 // seed puts the cell in a stable state without going through the protocol.
 func (c *casCell) seed(version uint32, m word) {
-	c.b.Store(uint64(m.r1)<<32 | uint64(m.r2))
-	c.a.Store(uint64(version)<<32 | uint64(m.w))
+	atomic.StoreUint64(&c.b, uint64(m.r1)<<32|uint64(m.r2))
+	atomic.StoreUint64(&c.a, uint64(version)<<32|uint64(m.w))
 }
 
 // TestPublishTouchesWhatItSays: a write action is one CAS on A and leaves
 // B alone, a read action leaves w alone, each moves the version by 2, and
-// a publish from a stale snapshot changes nothing.
+// a publish from a stale snapshot changes nothing. Owned, each publish
+// leaves exactly the words the shared one does, and no odd version: it
+// stores the final A directly, as only its own goroutine reads the cell.
 func TestPublishTouchesWhatItSays(t *testing.T) {
-	var c casCell
-	c.seed(0, word{w: 7, r1: 8, r2: 9})
-	a, m := c.read()
-	if m != (word{7, 8, 9}) || a>>32 != 0 {
-		t.Fatalf("snapshot = version %d %v", a>>32, m)
+	for _, owned := range []bool{false, true} {
+		var c casCell
+		c.seed(0, word{w: 7, r1: 8, r2: 9})
+		a, m := c.read()
+		if m != (word{7, 8, 9}) || a>>32 != 0 {
+			t.Fatalf("owned=%v: snapshot = version %d %v", owned, a>>32, m)
+		}
+		b := atomic.LoadUint64(&c.b)
+		if !c.publishWriter(a, 70, owned) {
+			t.Fatalf("owned=%v: uncontended publishWriter lost its CAS", owned)
+		}
+		if atomic.LoadUint64(&c.b) != b {
+			t.Errorf("owned=%v: publishWriter touched B", owned)
+		}
+		stale := a
+		if a, m = c.read(); m != (word{70, 8, 9}) || a>>32 != 2 {
+			t.Fatalf("owned=%v: after publishWriter: version %d %v, want 2 {70 8 9}", owned, a>>32, m)
+		}
+		if !c.publishReaders(a, word{w: 70, r1: 80}, owned) {
+			t.Fatalf("owned=%v: uncontended publishReaders lost its CAS", owned)
+		}
+		if a, m = c.read(); m != (word{70, 80, 0}) || a>>32 != 4 {
+			t.Fatalf("owned=%v: after publishReaders: version %d %v, want 4 {70 80 0}", owned, a>>32, m)
+		}
+		if owned {
+			continue
+		}
+		if c.publishWriter(stale, 1, false) || c.publishReaders(stale, word{r1: 1, r2: 1}, false) {
+			t.Error("a publish from a stale snapshot succeeded")
+		}
+		if a2, m2 := c.read(); a2 != a || m2 != m {
+			t.Errorf("a lost publish changed the cell: version %d %v", a2>>32, m2)
+		}
 	}
-	b := c.b.Load()
-	if !c.publishWriter(a, 70) {
-		t.Fatal("uncontended publishWriter lost its CAS")
-	}
-	if c.b.Load() != b {
-		t.Error("publishWriter touched B")
-	}
-	stale := a
-	if a, m = c.read(); m != (word{70, 8, 9}) || a>>32 != 2 {
-		t.Fatalf("after publishWriter: version %d %v, want 2 {70 8 9}", a>>32, m)
-	}
-	if !c.publishReaders(a, word{w: 70, r1: 80}) {
-		t.Fatal("uncontended publishReaders lost its CAS")
-	}
-	if a, m = c.read(); m != (word{70, 80, 0}) || a>>32 != 4 {
-		t.Fatalf("after publishReaders: version %d %v, want 4 {70 80 0}", a>>32, m)
-	}
-	if c.publishWriter(stale, 1) || c.publishReaders(stale, word{r1: 1, r2: 1}) {
-		t.Error("a publish from a stale snapshot succeeded")
-	}
-	if a2, m2 := c.read(); a2 != a || m2 != m {
-		t.Errorf("a lost publish changed the cell: version %d %v", a2>>32, m2)
+
+	// The owned publishes store the same words as the shared ones from
+	// every state, a read action's too: the version is never odd.
+	for _, from := range []word{{}, {w: 5}, {w: 5, r1: 6}, {w: 5, r1: 6, r2: 7}} {
+		for _, to := range []word{{w: 50}, {w: 5, r1: 60}, {w: 50, r1: 60, r2: 70}} {
+			for _, version := range []uint32{0, 2, lastVersion} {
+				var shared, owned casCell
+				shared.seed(version, from)
+				owned.seed(version, from)
+				a, _ := shared.read()
+				if shared.publishWriter(a, to.w, false) != owned.publishWriter(a, to.w, true) || shared != owned {
+					t.Errorf("publishWriter %v → w %d at version %d: shared leaves %+v, owned %+v", from, to.w, version, shared, owned)
+				}
+				a, _ = shared.read()
+				if shared.publishReaders(a, to, false) != owned.publishReaders(a, to, true) || shared != owned {
+					t.Errorf("publishReaders %v → %v at version %d+2: shared leaves %+v, owned %+v", from, to, version, shared, owned)
+				}
+				if owned.a&versionOne != 0 {
+					t.Errorf("owned publish left the odd version %d", owned.a>>32)
+				}
+			}
+		}
 	}
 }
 
@@ -88,7 +124,7 @@ func TestVersionWrapCell(t *testing.T) {
 	var c casCell
 	c.seed(lastVersion, word{w: 5, r1: 6, r2: 7})
 	before, _ := c.read()
-	if !c.publishWriter(before, 50) {
+	if !c.publishWriter(before, 50, false) {
 		t.Fatal("publishWriter at the last version lost its CAS")
 	}
 	if a, m := c.read(); m != (word{50, 6, 7}) || a>>32 != 0 {
@@ -96,19 +132,19 @@ func TestVersionWrapCell(t *testing.T) {
 	}
 
 	c.seed(lastVersion, word{w: 5, r1: 6, r2: 7})
-	c.a.Store(before + versionOne) // a read action between its two stores, at version 2^32-1
+	atomic.StoreUint64(&c.a, before+versionOne) // a read action between its two stores, at version 2^32-1
 	if _, _, ok := c.load(); ok {
 		t.Error("the read stage accepted the odd version 2^32-1")
 	}
-	c.a.Store(before)
-	if !c.publishReaders(before, word{w: 5, r1: 60}) {
+	atomic.StoreUint64(&c.a, before)
+	if !c.publishReaders(before, word{w: 5, r1: 60}, false) {
 		t.Fatal("publishReaders at the last version lost its CAS")
 	}
 	a, m := c.read()
 	if m != (word{5, 60, 0}) || a>>32 != 0 {
 		t.Errorf("read action across the wrap: version %d %v, want 0 {5 60 0}", a>>32, m)
 	}
-	if c.publishWriter(before, 1) || c.publishReaders(before, word{r1: 1, r2: 1}) {
+	if c.publishWriter(before, 1, false) || c.publishReaders(before, word{r1: 1, r2: 1}, false) {
 		t.Error("a publish from a snapshot taken before the wrap succeeded")
 	}
 	if a2, m2 := c.read(); a2 != a || m2 != m {
@@ -130,7 +166,7 @@ func TestVersionWrapExposure(t *testing.T) {
 	if now, _ := c.read(); now != held {
 		t.Fatalf("the reconstructed A is %#x, the held one %#x: the test does not build the exposure", now, held)
 	}
-	if !c.publishWriter(held, 50) {
+	if !c.publishWriter(held, 50, false) {
 		t.Fatal("the stalled action's CAS lost: the exposure is gone, and so should its paragraph in seqlock.go be")
 	}
 	if _, got := c.read(); m.r1 == got.r1 || got != (word{50, 8, 9}) {
@@ -214,15 +250,15 @@ func TestCellProtocolHammer(t *testing.T) {
 				a, m := c.read()
 				switch {
 				case m.r2 == m.r1+1 && m.w == m.r1-1 && updater: // (k, k+1, k+2)
-					if c.publishReaders(a, word{w: m.r2 + 1, r1: m.r2 + 2, r2: m.r2 + 3}) {
+					if c.publishReaders(a, word{w: m.r2 + 1, r1: m.r2 + 2, r2: m.r2 + 3}, false) {
 						updates.Add(1)
 					}
 				case m.r2 == m.r1+1 && m.w == m.r1-1:
-					if c.publishWriter(a, m.r2+1) {
+					if c.publishWriter(a, m.r2+1, false) {
 						writes.Add(1)
 					}
 				case m.r2 == m.r1+1 && m.w == m.r1+2: // (k+3, k+1, k+2)
-					if c.publishReaders(a, word{w: m.w, r1: m.w + 1, r2: m.w + 2}) {
+					if c.publishReaders(a, word{w: m.w, r1: m.w + 1, r2: m.w + 2}, false) {
 						reads.Add(1)
 					}
 				default:
@@ -263,7 +299,7 @@ func TestStalledPublisherDoesNotStarveReaders(t *testing.T) {
 	slow := 0
 	for k := uint32(1); k <= rounds; k++ {
 		a, _ := c.read()
-		if !c.a.CompareAndSwap(a, a+versionOne) { // first half of publishReaders
+		if !atomic.CompareAndSwapUint64(&c.a, a, a+versionOne) { // first half of publishReaders
 			t.Fatal("uncontended CAS lost")
 		}
 		var spinning atomic.Bool
@@ -279,8 +315,8 @@ func TestStalledPublisherDoesNotStarveReaders(t *testing.T) {
 		}
 		// The reader now owns the only processor and finds the version
 		// odd; this goroutine runs again only when the reader gives way.
-		c.b.Store(uint64(k)<<32 | uint64(k+1)) // second half of publishReaders
-		c.a.Store(a + 2*versionOne)
+		atomic.StoreUint64(&c.b, uint64(k)<<32|uint64(k+1)) // second half of publishReaders
+		atomic.StoreUint64(&c.a, a+2*versionOne)
 		if m := <-got; m != (word{w: 0, r1: k, r2: k + 1}) {
 			t.Fatalf("round %d: snapshot = %v, want the published {0 %d %d}", k, m, k, k+1)
 		}

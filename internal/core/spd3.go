@@ -18,7 +18,7 @@
 //
 // On each access, Algorithms 1 (write) and 2 (read) query DMHP against the
 // recorded steps and update the shadow word. The shadow word is 16 bytes
-// — two 64-bit atomics, version:32|w:32 and r1:32|r2:32, the steps held
+// — two 64-bit words, version:32|w:32 and r1:32|r2:32, the steps held
 // as 32-bit ids into the DPST's arena and resolved to nodes only when a
 // DMHP walk or a race report needs one — synchronized by §5.4's
 // Lamport-style versioned snapshots (seqlock.go): a memory action takes a
@@ -32,6 +32,16 @@
 // data — cost three loads and proceed fully in parallel. (The per-word mutex the paper
 // measures 1.8× slower was an ablation here until PR 16; EXPERIMENTS.md
 // keeps its numbers.)
+//
+// The protocol is for parallel tasks. A detector is owned or shared, fixed
+// when detect.Open builds it (detect.FactoryOpts.Owned) and never changed.
+// An owned one — a trace replay, a run under the sequential executor — is
+// driven by one goroutine from start to end, so nothing can come between
+// a snapshot and its publish: it publishes the same words with plain
+// stores, with no odd version, CAS or retry (seqlock.go, "Owned"). The
+// task runtime refuses an owned detector under a parallel executor, so
+// the one goroutine is enforced where the detector is paired with its
+// driver.
 //
 // The tree is also all the detector keeps per task and per finish: a
 // task's State is its current step node, and its insertion scope — the
@@ -76,9 +86,10 @@ type Detector struct {
 
 	watermark uint32 // see the package comment; never below 1
 	escaped   bool   // the current run's node has an async child: the watermark stays
+	owned     bool   // one goroutine makes every memory action: plain-store publishes (seqlock.go)
 }
 
-// New returns an SPD3 detector reporting to sink. rec is the engine's
+// New returns a shared SPD3 detector reporting to sink. rec is the engine's
 // observability recorder; nil disables the detector's counters. The
 // per-access counts go into the detect.Local of the goroutine executing
 // the accessing task, which that goroutine's owner flushes, so the
@@ -90,8 +101,16 @@ func New(sink *detect.Sink, rec *stats.Recorder) *Detector {
 }
 
 func init() {
-	detect.Register("spd3", func(o detect.FactoryOpts) detect.Detector { return New(o.Sink, o.Stats) })
+	detect.Register("spd3", func(o detect.FactoryOpts) detect.Detector {
+		d := New(o.Sink, o.Stats)
+		d.owned = o.Owned
+		return d
+	})
 }
+
+// Owned reports whether the detector was built owned (detect.Owned): its
+// publishes are plain stores, so only one goroutine may drive it.
+func (d *Detector) Owned() bool { return d.owned }
 
 // Tree exposes the DPST (for tests and tooling).
 func (d *Detector) Tree() *dpst.Tree { return d.tree }

@@ -109,7 +109,7 @@ func TestUpdateMatchesReadWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		var o outcome
-		d.regions.Range(func(c *casCell) { o.words = append(o.words, unpack(c.a.Load(), c.b.Load())) })
+		d.regions.Range(func(c *casCell) { o.words = append(o.words, unpack(atomic.LoadUint64(&c.a), atomic.LoadUint64(&c.b))) })
 		snap := rec.Snapshot()
 		o.races = sink.Races()
 		o.reports = snap.Get(stats.RaceReported) + snap.Get(stats.RaceDeduped)
@@ -254,7 +254,9 @@ func TestRelationMemoAgreesWithWalk(t *testing.T) {
 			memoPrograms(t, m, task.Sequential, 1, seed)
 			snap := rec.Snapshot()
 			out[k] = outcome{races: sink.Races(), reports: snap.Get(stats.RaceReported) + snap.Get(stats.RaceDeduped), walks: snap.Get(stats.DMHPWalk)}
-			m.regions.Range(func(c *casCell) { out[k].words = append(out[k].words, unpack(c.a.Load(), c.b.Load())) })
+			m.regions.Range(func(c *casCell) {
+				out[k].words = append(out[k].words, unpack(atomic.LoadUint64(&c.a), atomic.LoadUint64(&c.b)))
+			})
 		}
 		memo, cold := out[0], out[1]
 		if !reflect.DeepEqual(memo.races, cold.races) || memo.reports != cold.reports || !reflect.DeepEqual(memo.words, cold.words) {

@@ -11,11 +11,26 @@ import (
 // FactoryOpts carries the shared dependencies a detector factory may wire
 // into the detector it builds: the race sink every detector reports to
 // (its sampler, if any, gates the detector's checks; see Sink.SetSampler),
-// and the engine's stats recorder (nil when stats are disabled — factories
-// must pass it through as-is, never substitute their own).
+// the engine's stats recorder (nil when stats are disabled — factories
+// must pass it through as-is, never substitute their own), and whether
+// the detector is owned by one goroutine (see Owned). A factory that has
+// no use for ownership ignores it.
 type FactoryOpts struct {
 	Sink  *Sink
 	Stats *stats.Recorder
+	Owned bool
+}
+
+// Owned reports whether d was built for one goroutine: every memory
+// action it will ever check is made by the same goroutine, as in a trace
+// replay or a run under the sequential executor, so it may publish its
+// shadow state without synchronization. A detector says so through an
+// optional Owned method; one without it is shared. Ownership is fixed
+// when the detector is built (FactoryOpts.Owned) and never changes, and
+// the task runtime refuses an owned detector under a parallel executor.
+func Owned(d Detector) bool {
+	o, ok := d.(interface{ Owned() bool })
+	return ok && o.Owned()
 }
 
 // Factory builds one detector instance for one engine.

@@ -27,6 +27,10 @@ type SessionOpts struct {
 	// Sampler gates the detector's checks. One with an overhead budget is
 	// fed one observation by every Snapshot.
 	Sampler *sample.Sampler
+	// Owned promises that one goroutine makes all of the detector's
+	// memory actions: a replay, or a run under the sequential executor.
+	// It reaches the factory as FactoryOpts.Owned; see Owned.
+	Owned bool
 }
 
 // Session is one assembled detection run: a race sink (with the sampler,
@@ -51,7 +55,7 @@ func Open(name string, o SessionOpts) (*Session, error) {
 	s.Sink.SetOnRace(o.OnRace)
 	s.Sink.SetCaptureSites(o.CaptureSites)
 	s.Sink.SetSampler(o.Sampler)
-	det, err := New(name, FactoryOpts{Sink: s.Sink, Stats: s.Rec})
+	det, err := New(name, FactoryOpts{Sink: s.Sink, Stats: s.Rec, Owned: o.Owned})
 	if err != nil {
 		return nil, err
 	}

@@ -457,10 +457,10 @@ split:
 	return j, nil
 }
 
-// replaySegment replays one stored segment into a fresh instance of the
-// named detector, streaming each distinct race through onRace (the
-// job-level accumulator) and folding the run's stats into the server
-// aggregate. When sampling is in effect for (tenant, sampling) the
+// replaySegment replays one stored segment into a fresh, owned instance
+// of the named detector (detect.Owned), streaming each distinct race
+// through onRace (the job-level accumulator) and folding the run's stats
+// into the server aggregate. When sampling is in effect for (tenant, sampling) the
 // detector is gated behind that pair's shared sampler, and the timed
 // replay feeds the sampler's feedback loop — rates adapt across
 // segments and across jobs.
@@ -472,6 +472,7 @@ func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim 
 			return false
 		},
 		Sampler: s.samplers.sampler(tenant, sampling),
+		Owned:   true, // this goroutine alone replays the segment
 	})
 	if err != nil {
 		return stats.Snapshot{}, err

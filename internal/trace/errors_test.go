@@ -251,6 +251,55 @@ func TestReplayAllocsPerAccess(t *testing.T) {
 	}
 }
 
+// spawnTrace records a main task that spawns n tasks in turn, each reading
+// one element and ending before the next is spawned: a race-free trace
+// whose only per-task work is the spawn and the end.
+func spawnTrace(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	mt, fin := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
+	mt.IEF = fin
+	rec.MainTask(mt, fin)
+	sh := rec.NewShadow(detect.Spec("spawned", 8, 8))
+	for i := 1; i <= n; i++ {
+		child := &detect.Task{ID: detect.TaskID(i), IEF: fin}
+		rec.BeforeSpawn(mt, child)
+		sh.Read(child, i%8)
+		rec.TaskEnd(child)
+	}
+	rec.FinishEnd(mt, fin)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReplayAllocsPerTask: replay reuses the records of ended tasks, so a
+// trace with twice the spawn/end pairs allocates no more, into a shared
+// and into an owned SPD3. The DPST nodes of both traces fit in its first
+// chunk.
+func TestReplayAllocsPerTask(t *testing.T) {
+	for _, owned := range []bool{false, true} {
+		allocs := func(tasks int) float64 {
+			data := spawnTrace(t, tasks)
+			return testing.AllocsPerRun(5, func() {
+				ses, err := detect.Open("spd3", detect.SessionOpts{Owned: owned})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ReplayWithLimits(bytes.NewReader(data), ses.Det, ses.Rec, DefaultLimits()); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const n = 512
+		if a1, a2 := allocs(n), allocs(2*n); a2 > a1 {
+			t.Errorf("owned=%v: replaying %d spawn/end pairs allocates %.0f times, %d pairs %.0f", owned, n, a1, 2*n, a2)
+		}
+	}
+}
+
 // taskLog counts the reads that do not arrive with the task a replay
 // started last.
 type taskLog struct {

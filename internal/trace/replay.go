@@ -448,7 +448,8 @@ type replayState struct {
 	lim     Limits
 	local   detect.Local // the replaying goroutine's block: every task's L
 	tasks   map[int64]*replayTask
-	last    *replayTask // the task of the last access while it is in tasks, else nil
+	last    *replayTask   // the task of the last access while it is in tasks, else nil
+	free    []*replayTask // records of ended tasks, for newTask to reuse
 	locks   map[int64]*detect.Lock
 	shadows []detect.Shadow
 	sizes   []int64
@@ -477,6 +478,26 @@ func (t *replayTask) innermost() *detect.Finish {
 	return t.IEF
 }
 
+// newTask returns the record of a task entering the table with IEF ief:
+// an ended task's, reset, when there is one, else a new one. Ended records
+// are reused because no detector keeps a *detect.Task past its TaskEnd
+// (the event contract makes it the task's final event) and every detector
+// sets the child's State in BeforeSpawn. The free list holds at most the
+// peak number of live tasks, so replay memory stays proportional to the
+// live set, and a trace of many short tasks stops allocating one record
+// per task.
+func (st *replayState) newTask(id int64, ief *detect.Finish) *replayTask {
+	dt := detect.Task{ID: detect.TaskID(id), IEF: ief, L: &st.local}
+	n := len(st.free)
+	if n == 0 {
+		return &replayTask{Task: dt}
+	}
+	t := st.free[n-1]
+	st.free = st.free[:n-1]
+	*t = replayTask{Task: dt, open: t.open[:0]}
+	return t
+}
+
 // Fixed sanity limits independent of Limits.
 const (
 	maxElemBytes = 1 << 20
@@ -490,7 +511,8 @@ func (st *replayState) apply(ev *event) error {
 		// The implicit finish is the main task's to end, so it opens the
 		// stack.
 		f := &detect.Finish{ID: a[1]}
-		t := &replayTask{Task: detect.Task{ID: detect.TaskID(a[0]), IEF: f, L: &st.local}, open: []*detect.Finish{f}}
+		t := st.newTask(a[0], f)
+		t.open = append(t.open, f)
 		st.tasks[a[0]], st.last = t, nil
 		t.Sample.Step()
 		st.det.MainTask(&t.Task, f)
@@ -508,7 +530,7 @@ func (st *replayState) apply(ev *event) error {
 		if _, live := st.tasks[a[1]]; live {
 			return fmt.Errorf("trace: %w: task %d spawns task %d, which is still live", ErrMalformed, a[0], a[1])
 		}
-		child := &replayTask{Task: detect.Task{ID: detect.TaskID(a[1]), IEF: ief, L: &st.local}}
+		child := st.newTask(a[1], ief)
 		st.tasks[a[1]] = child
 		child.Sample.Step()
 		parent.Sample.Step()
@@ -524,9 +546,11 @@ func (st *replayState) apply(ev *event) error {
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what
 		// bounds replay memory by the live task set instead of the total
-		// task count — the property the streaming server relies on.
+		// task count — the property the streaming server relies on. The
+		// record itself goes to the free list for the next spawn.
 		delete(st.tasks, a[0])
 		st.last = nil
+		st.free = append(st.free, t)
 	case evFinishStart:
 		t, ok := st.tasks[a[0]]
 		if !ok {

@@ -169,7 +169,9 @@ type Options struct {
 	// Executor selects the scheduling strategy. The default, Auto,
 	// resolves to Pool — or Sequential when the detector requires it
 	// (ESPBags). Explicitly selecting an executor the detector cannot
-	// run under is an error.
+	// run under is an error. Under Sequential every task runs on Run's
+	// goroutine, so an SPD3 engine publishes its shadow words without
+	// atomics.
 	Executor Executor
 	// Detector selects the algorithm; default SPD3.
 	Detector Detector
@@ -254,6 +256,8 @@ func New(opts Options) (*Engine, error) {
 		CaptureSites: opts.CaptureSites,
 		NoStats:      opts.NoStats,
 		Sampler:      smp,
+		// The sequential executor runs every task on Run's goroutine.
+		Owned: opts.Executor == Sequential,
 	})
 	if err != nil {
 		return nil, err

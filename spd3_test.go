@@ -1,13 +1,19 @@
 package spd3_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"spd3"
+	"spd3/internal/progen"
 )
 
 // racy returns the options for a test whose program under test races by
@@ -458,6 +464,53 @@ func TestSequentialExecutorOption(t *testing.T) {
 		if v != i {
 			t.Fatalf("sequential executor ran out of order: %v", order.Unchecked())
 		}
+	}
+}
+
+// TestSequentialEngineMatchesPool: an engine on the sequential executor
+// opens its SPD3 owned by Run's goroutine, publishing shadow words with
+// plain stores. Over the progen corpus it reports what a pool engine
+// does: per program the same racy locations, and over the corpus the same
+// digest of them. (Which access of a racing pair comes second, and with
+// it a race's kind, is the schedule's; where races are is not.)
+func TestSequentialEngineMatchesPool(t *testing.T) {
+	digest := func(exec spd3.Executor) (string, [][]string) {
+		h := sha256.New()
+		var all [][]string
+		for seed := int64(0); seed < 150; seed++ {
+			var (
+				mu   sync.Mutex // the pool's workers report concurrently
+				locs []string
+			)
+			eng, err := spd3.New(spd3.Options{Executor: exec, Workers: 4, OnRace: func(r spd3.Race) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				locs = append(locs, fmt.Sprintf("%s[%d]", r.Region, r.Index))
+				return false
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, _ := eng.Scope()
+			if err := progen.Run(rt, progen.Generate(seed, progen.Config{Locks: 1}), nil); err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(locs)
+			locs = slices.Compact(locs)
+			fmt.Fprintf(h, "seed %d: %v\n", seed, locs)
+			all = append(all, locs)
+		}
+		return hex.EncodeToString(h.Sum(nil)), all
+	}
+	seq, seqLocs := digest(spd3.Sequential)
+	pool, poolLocs := digest(spd3.Pool)
+	for seed := range seqLocs {
+		if !slices.Equal(seqLocs[seed], poolLocs[seed]) {
+			t.Errorf("seed %d: sequential engine reports races at %v, pool engine at %v", seed, seqLocs[seed], poolLocs[seed])
+		}
+	}
+	if seq != pool {
+		t.Errorf("race digest: sequential %s, pool %s", seq, pool)
 	}
 }
 
