@@ -13,8 +13,8 @@ import (
 )
 
 // watermarkSpy is a Detector that notes, after each of the two events that
-// may move the watermark, where it stands, how many nodes the tree holds
-// and whether the run node has an async child.
+// may move the watermark, where it stands, how many ids the tree has handed
+// out, the noting task's step and whether the run node has an async child.
 type watermarkSpy struct {
 	*Detector
 	marks []mark
@@ -23,17 +23,18 @@ type watermarkSpy struct {
 type mark struct {
 	w       uint32
 	len     int64
-	run     bool // noted by MainTask: w is the new run node's id
+	step    uint32 // the noting task's step: after a FinishEnd, its continuation
+	run     bool   // noted by MainTask: w is the new run node's id
 	escaped bool
 }
 
-func (s *watermarkSpy) note(run bool) {
-	s.marks = append(s.marks, mark{s.watermark, s.tree.Len(), run, s.escaped})
+func (s *watermarkSpy) note(t *detect.Task, run bool) {
+	s.marks = append(s.marks, mark{s.watermark, s.tree.Len(), s.StepOf(t).ID, run, s.escaped})
 }
 
 func (s *watermarkSpy) MainTask(t *detect.Task, f *detect.Finish) {
 	s.Detector.MainTask(t, f)
-	s.note(true)
+	s.note(t, true)
 }
 
 // FinishEnd notes the ends of top-level finishes and of the run's own —
@@ -43,7 +44,7 @@ func (s *watermarkSpy) FinishEnd(t *detect.Task, f *detect.Finish) {
 	top := step(t).Parent.Depth() <= 2
 	s.Detector.FinishEnd(t, f)
 	if top {
-		s.note(false)
+		s.note(t, false)
 	}
 }
 
@@ -74,8 +75,10 @@ func phasedProgram(seed int64, phases, escapeAt int) *progen.Program {
 // seen at must satisfy invariant W against the finished tree — every node
 // below it is not parallel with any step at or above it — and its moves
 // must be the ones the tree's shape allows: never backwards, to a run node
-// or to the step just created with nothing else inserting, and nowhere
-// while the run node has an async child. It returns the last run's marks.
+// or to the continuation just placed, the last id handed out (rule R2 of
+// package dpst: it comes from the shared counter, and nothing else
+// inserts), and nowhere while the run node has an async child. It returns
+// the last run's marks.
 func spyRuns(t *testing.T, what string, exec task.ExecKind, workers int, progs ...*progen.Program) []mark {
 	t.Helper()
 	// The sink keeps one report per (kind, region, index) for as long as it
@@ -123,8 +126,8 @@ func spyRuns(t *testing.T, what string, exec task.ExecKind, workers int, progs .
 			t.Fatalf("%s: watermark went back, %d to %d", what, prev.w, m.w)
 		case m.run && (m.w != uint32(m.len)-2 || tree.Node(m.w).Parent != tree.Root()):
 			t.Fatalf("%s: run starts with watermark %d in a tree of %d nodes, want the run node", what, m.w, m.len)
-		case !m.run && m.w != prev.w && (m.escaped || m.w != uint32(m.len)-1):
-			t.Fatalf("%s: watermark moved %d to %d (escaped %v) in a tree of %d nodes", what, prev.w, m.w, m.escaped, m.len)
+		case !m.run && m.w != prev.w && (m.escaped || m.w != m.step || m.w != uint32(m.len)-1):
+			t.Fatalf("%s: watermark moved %d to %d (escaped %v, continuation %d) in a tree of %d nodes", what, prev.w, m.w, m.escaped, m.step, m.len)
 		}
 		if m.w == checked {
 			continue

@@ -58,7 +58,8 @@
 // matching FinishEnd without additional synchronization of its own.
 //
 // Scratch. What the check path needs besides the task — page cache,
-// tallies, the relation memo, per-region counts — is a Local block owned
+// tallies, the relation memo, per-region counts — and the id blocks that
+// spawns, finishes and DPST insertions draw from are a Local block owned
 // by the goroutine that executes the task. Whoever owns a goroutine that
 // executes tasks owns one block, points each task it starts to run at it
 // (Task.L) and flushes it
@@ -72,13 +73,17 @@
 package detect
 
 import (
+	"spd3/internal/ids"
 	"spd3/internal/sample"
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
 
-// TaskID identifies a dynamic task instance. The main task has ID 0; IDs
-// are assigned densely in spawn order.
+// TaskID identifies a dynamic task instance: unique within a runtime, the
+// main task of its first run 0. The task runtime's spawns take their ids
+// from the executing goroutine's block (Local.Tasks), so under a parallel
+// executor they are neither dense nor in spawn order; under the
+// sequential executor, and across the runs of one runtime, they are both.
 type TaskID int64
 
 // Task is the runtime's record of one dynamic task instance. The detector
@@ -123,6 +128,12 @@ type Local struct {
 	// Memo is the relation memo of the detector whose tasks the block
 	// runs (see RelMemo).
 	Memo RelMemo
+
+	// Nodes, Tasks and Finishes are the goroutine's blocks of DPST node,
+	// task and finish ids (package ids): what lets an insertion, a spawn
+	// and a finish draw their ids without a shared atomic. Flush releases
+	// them.
+	Nodes, Tasks, Finishes ids.Block
 
 	// regs is the block's unpublished region traffic (CountAccess),
 	// indexed by stats.Region.Index and grown on first touch.
@@ -191,9 +202,9 @@ func (l *Local) grow(i int) {
 }
 
 // Flush moves everything the block batched — the region counts, the Tally
-// and the page cache's hit/miss tallies — into rec and zeroes it; the
-// cached pages and the relation memo stay. Only the block's owner calls
-// it, from its goroutine.
+// and the page cache's hit/miss tallies — into rec and zeroes it, and
+// releases the id blocks; the cached pages and the relation memo stay.
+// Only the block's owner calls it, from its goroutine.
 // A nil recorder discards the tallies; it has no regions, so region counts
 // (there are none in a run without a recorder) stay where they are.
 func (l *Local) Flush(rec *stats.Recorder) {
@@ -211,6 +222,9 @@ func (l *Local) Flush(rec *stats.Recorder) {
 		rec.Add(stats.Counter(c), n)
 	}
 	l.Tally = [stats.NumBatched]int64{}
+	l.Nodes.Release()
+	l.Tasks.Release()
+	l.Finishes.Release()
 }
 
 // Finish is the runtime's record of one dynamic finish instance, including

@@ -1,0 +1,318 @@
+package dpst
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"spd3/internal/ids"
+)
+
+// progOp is one statement of a generated async/finish program: a spawn of
+// a task running body, or a finish around body. Its three nodes carry the
+// labels label, label+1 and label+2: the async, the child's step and the
+// spawner's continuation, or the finish, the step inside it and the
+// continuation after it. Labels 0 and 1 are the run node and main's
+// first step.
+type progOp struct {
+	spawn bool
+	body  []*progOp
+	label int
+}
+
+// genProgram draws a program of at most maxOps statements nested at most
+// six deep, and returns its main body and its label count.
+func genProgram(rng *rand.Rand, maxOps int) ([]*progOp, int) {
+	labels := 2
+	var body func(depth int) []*progOp
+	body = func(depth int) []*progOp {
+		var ops []*progOp
+		for n := rng.Intn(5); n > 0 && labels < 2+3*maxOps; n-- {
+			op := &progOp{spawn: rng.Intn(3) > 0, label: labels}
+			labels += 3
+			if depth < 6 {
+				op.body = body(depth + 1)
+			}
+			ops = append(ops, op)
+		}
+		return ops
+	}
+	var main []*progOp
+	for labels < 2+3*maxOps/2 {
+		main = append(main, body(0)...)
+	}
+	return main, labels
+}
+
+// singleOwner builds prog's tree the way the sequential executor does,
+// depth first with each child run at its spawn, from one owner: the shared
+// counter when b is nil, else b, released after a random quarter of the
+// tasks (as a goroutine-executor task's block is). seq records each node's
+// position among its siblings, from 1, as it is inserted.
+func singleOwner(rng *rand.Rand, prog []*progOp, labels int, b *ids.Block) (tr *Tree, nodes []*Node, seq map[*Node]int32) {
+	tr, nodes, seq = New(), make([]*Node, labels), map[*Node]int32{}
+	kids := map[*Node]int32{}
+	add := func(label int, parent *Node, kind Kind) *Node {
+		var n *Node
+		if b == nil {
+			n = tr.NewChild(parent, kind)
+		} else {
+			n = tr.NewChildFrom(b, parent, kind)
+		}
+		kids[parent]++
+		nodes[label], seq[n] = n, kids[parent]
+		return n
+	}
+	var run func(ops []*progOp, scope *Node)
+	run = func(ops []*progOp, scope *Node) {
+		for _, op := range ops {
+			if op.spawn {
+				async := add(op.label, scope, AsyncNode)
+				add(op.label+1, async, StepNode)
+				add(op.label+2, scope, StepNode)
+				run(op.body, async)
+				if b != nil && rng.Intn(4) == 0 {
+					b.Release()
+				}
+				continue
+			}
+			fin := add(op.label, scope, FinishNode)
+			add(op.label+1, fin, StepNode)
+			run(op.body, fin)
+			add(op.label+2, scope, StepNode)
+		}
+	}
+	runNode := tr.NewChild(tr.Root(), FinishNode) // MainTask's two nodes: the shared counter
+	mainStep := tr.NewChild(runNode, StepNode)
+	nodes[0], nodes[1] = runNode, mainStep
+	seq[runNode], seq[mainStep], kids[runNode] = 1, 1, 1
+	run(prog, runNode)
+	if b != nil {
+		b.Release()
+	}
+	return tr, nodes, seq
+}
+
+// ownerTask is a task of multiOwner's schedule: the block it runs on for
+// its whole life and its open scopes, innermost last.
+type ownerTask struct {
+	block  int
+	frames []ownerFrame
+}
+
+// ownerFrame is a scope a task inserts under — its async node or a
+// finish it started — with the statements left to run in it.
+type ownerFrame struct {
+	scope *Node
+	fin   *progOp // the finish statement; nil for the task's own body
+	ops   []*progOp
+}
+
+// multiOwner builds prog's tree from k id blocks, as a pool of k workers
+// would: every task runs on one block for its life, chosen at random when
+// it starts (a steal), and the live tasks' statements interleave at
+// random. A task's block may be older than its async node, whose id the
+// spawner drew from a block of its own: below counts those starts. A
+// block is released when its task ends, one time in four, and all of them
+// at the end, as the runtime's flushes do.
+func multiOwner(rng *rand.Rand, prog []*progOp, labels, k int) (tr *Tree, nodes []*Node, below int) {
+	tr, nodes = New(), make([]*Node, labels)
+	blocks := make([]ids.Block, k)
+	last := make([]int64, k) // the largest id each block gave, for below
+	nodes[0] = tr.NewChild(tr.Root(), FinishNode)
+	nodes[1] = tr.NewChild(nodes[0], StepNode)
+	tasks := []*ownerTask{{block: rng.Intn(k), frames: []ownerFrame{{scope: nodes[0], ops: prog}}}}
+	for len(tasks) > 0 {
+		i := rng.Intn(len(tasks))
+		t := tasks[i]
+		b := &blocks[t.block]
+		f := &t.frames[len(t.frames)-1]
+		note := func(ns ...*Node) {
+			for _, n := range ns {
+				last[t.block] = max(last[t.block], int64(n.ID))
+			}
+		}
+		switch {
+		case len(f.ops) > 0:
+			op := f.ops[0]
+			f.ops = f.ops[1:]
+			if op.spawn {
+				child, cont := tr.SpawnFrom(b, f.scope)
+				nodes[op.label], nodes[op.label+1], nodes[op.label+2] = child.Parent, child, cont
+				note(child, cont)
+				c := &ownerTask{block: rng.Intn(k), frames: []ownerFrame{{scope: child.Parent, ops: op.body}}}
+				if last[c.block] > 0 && last[c.block] < int64(child.ID) && len(op.body) > 0 {
+					below++
+				}
+				tasks = append(tasks, c)
+				continue
+			}
+			fin := tr.NewChildFrom(b, f.scope, FinishNode)
+			nodes[op.label], nodes[op.label+1] = fin, tr.NewChildFrom(b, fin, StepNode)
+			note(nodes[op.label+1])
+			t.frames = append(t.frames, ownerFrame{scope: fin, fin: op, ops: op.body})
+		case f.fin != nil:
+			t.frames = t.frames[:len(t.frames)-1]
+			cont := tr.NewChildFrom(b, f.scope.Parent, StepNode)
+			nodes[f.fin.label+2] = cont
+			note(cont)
+		default:
+			tasks[i] = tasks[len(tasks)-1]
+			tasks = tasks[:len(tasks)-1]
+			if rng.Intn(4) == 0 {
+				b.Release()
+			}
+		}
+	}
+	for i := range blocks {
+		blocks[i].Release()
+	}
+	return tr, nodes, below
+}
+
+// TestQuickBlocksAgainstSingleOwner holds the id-block rules of the
+// package comment to what they must keep. Each random program is built
+// three ways: from the shared counter and from one block, depth first (the
+// sequential executor), and from up to four blocks with random steals and
+// interleavings (the pool). One owner's block gives every node the shared
+// counter's id (R3). Under many owners every id exceeds its parent's (R1),
+// siblings' ids are in their creation order, every id below Len resolves
+// — a placed one to its node, an unused one to a node without a parent —
+// and once every block is released Bytes counts exactly the nodes placed.
+// Every pair of up to 150 steps gets the DMHP answer that naiveDMHP gives
+// on the single-owner tree, with left-of from the recorded positions.
+func TestQuickBlocksAgainstSingleOwner(t *testing.T) {
+	var below int
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		prog, labels := genProgram(rng, 40+rng.Intn(400))
+		ref, want, seq := singleOwner(rng, prog, labels, nil)
+		one, got, _ := singleOwner(rng, prog, labels, &ids.Block{})
+		if one.Len() != ref.Len() || one.Bytes() != ref.Bytes() || ref.Bytes() != int64(labels+1)*NodeBytes {
+			t.Errorf("seed %d: one owner's block: Len %d, Bytes %d; shared counter: Len %d, Bytes %d; %d nodes",
+				seed, one.Len(), one.Bytes(), ref.Len(), ref.Bytes(), labels+1)
+			return false
+		}
+		for l := range want {
+			if got[l].ID != want[l].ID {
+				t.Errorf("seed %d: one owner's block gave node %d id %d, the shared counter %d", seed, l, got[l].ID, want[l].ID)
+				return false
+			}
+		}
+
+		k := 1 + rng.Intn(4)
+		tr, nodes, b := multiOwner(rng, prog, labels, k)
+		below += b
+		if tr.Bytes() != int64(labels+1)*NodeBytes {
+			t.Errorf("seed %d, %d owners: Bytes %d after every release, want %d nodes", seed, k, tr.Bytes(), labels+1)
+			return false
+		}
+		label := map[*Node]int{}
+		for l, n := range want {
+			label[n] = l
+		}
+		placed := map[uint32]bool{0: true}
+		for l, n := range nodes {
+			wp, p := want[l].Parent, tr.Root()
+			if wp != ref.Root() {
+				p = nodes[label[wp]]
+			}
+			if tr.Node(n.ID) != n || n.Parent != p || p.ID >= n.ID || n.Kind() != want[l].Kind() || n.Depth() != want[l].Depth() {
+				t.Errorf("seed %d, %d owners: node %d is %v under %v, depth %d; want %v under %v, depth %d, its id above the parent's",
+					seed, k, l, n, n.Parent, n.Depth(), want[l], p, want[l].Depth())
+				return false
+			}
+			placed[n.ID] = true
+		}
+		for id := uint32(1); int64(id) < tr.Len(); id++ {
+			if n := tr.Node(id); (n.Parent != nil) != placed[id] {
+				t.Errorf("seed %d, %d owners: id %d resolves to %v under %v, placed %v", seed, k, id, n, n.Parent, placed[id])
+				return false
+			}
+		}
+		// Siblings: a node's id order against every other child of its
+		// parent is its creation order.
+		children := map[*Node][]int{}
+		for l := range want {
+			children[want[l].Parent] = append(children[want[l].Parent], l)
+		}
+		for _, ls := range children {
+			for _, a := range ls {
+				for _, c := range ls {
+					if (nodes[a].ID < nodes[c].ID) != (seq[want[a]] < seq[want[c]]) {
+						t.Errorf("seed %d, %d owners: siblings %v and %v, created %d and %d", seed, k, nodes[a], nodes[c], seq[want[a]], seq[want[c]])
+						return false
+					}
+				}
+			}
+		}
+		var steps []int
+		for l := range want {
+			if want[l].Kind() == StepNode && len(steps) < 150 {
+				steps = append(steps, l)
+			}
+		}
+		for _, a := range steps {
+			for _, c := range steps {
+				if dmhp(nodes[a], nodes[c]) != naiveDMHP(seq, want[a], want[c]) {
+					t.Errorf("seed %d, %d owners: DMHP(%v, %v) = %v, the single-owner tree says otherwise",
+						seed, k, nodes[a], nodes[c], dmhp(nodes[a], nodes[c]))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if below == 0 {
+		t.Fatal("no task started on a block older than its async node: the schedule never exercised R1")
+	}
+}
+
+// TestBlocksConcurrentOwners: goroutines inserting in parallel from blocks
+// of their own, each spawning under a scope it owns, across several chunk
+// boundaries: every id resolves to its node with the fields written at
+// creation, and after the releases the accounting is exact.
+func TestBlocksConcurrentOwners(t *testing.T) {
+	const (
+		owners   = 4
+		perOwner = chunkNodes/2 + 7 // spawns: together past five chunk boundaries
+	)
+	tr := New()
+	scopes := make([]*Node, owners)
+	for w := range scopes {
+		scopes[w] = tr.NewChild(tr.Root(), AsyncNode)
+	}
+	made := make([][]*Node, owners)
+	var wg sync.WaitGroup
+	for w := 0; w < owners; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var b ids.Block
+			for i := 0; i < perOwner; i++ {
+				child, cont := tr.SpawnFrom(&b, scopes[w])
+				made[w] = append(made[w], child.Parent, child, cont)
+			}
+			b.Release()
+		}(w)
+	}
+	wg.Wait()
+	if want := int64(1+owners+owners*perOwner*3) * NodeBytes; tr.Bytes() != want {
+		t.Fatalf("Bytes = %d after the releases, want %d", tr.Bytes(), want)
+	}
+	for w, nodes := range made {
+		for i, n := range nodes {
+			parent := scopes[w]
+			if i%3 == 1 {
+				parent = nodes[i-1]
+			}
+			if tr.Node(n.ID) != n || n.Parent != parent || n.ID <= parent.ID || (i%3 > 0 && n.ID != nodes[i-1].ID+1) {
+				t.Fatalf("owner %d, node %d: %v under %v, want consecutive ids under %v", w, i, n, n.Parent, parent)
+			}
+		}
+	}
+}

@@ -147,12 +147,17 @@ func pathSig(n *dpst.Node, rank []int32) string {
 // siblingRanks numbers every node among its siblings, from 1, left to
 // right (0 for the root), in one pass over the arena: a scope's children
 // are created in program order, so counting them in id order recovers the
-// rank whatever the schedule interleaved between them.
+// rank whatever the schedule interleaved between them. An id a block
+// handed out and no insertion placed (its node has no parent) has no rank.
 func siblingRanks(tr *dpst.Tree) []int32 {
 	rank := make([]int32, tr.Len())
 	children := make([]int32, tr.Len())
 	for id := 1; id < len(rank); id++ {
-		parent := tr.Node(uint32(id)).Parent.ID
+		p := tr.Node(uint32(id)).Parent
+		if p == nil {
+			continue
+		}
+		parent := p.ID
 		children[parent]++
 		rank[id] = children[parent]
 	}

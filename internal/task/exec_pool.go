@@ -23,15 +23,20 @@ type poolExec struct {
 	wg      sync.WaitGroup
 }
 
-// worker is one pool worker. Its deque and its scratch block are owned by
-// whatever goroutine is currently executing tasks on its behalf; that is
-// always exactly one goroutine.
+// worker is one pool worker, or the sequential executor's one. Its deque,
+// its free list and its scratch block are owned by whatever goroutine is
+// currently executing tasks on its behalf; that is always exactly one
+// goroutine.
 type worker struct {
 	id  int
 	rt  *Runtime
 	p   *poolExec
 	dq  *sched.Deque[Ctx]
 	rng uint64
+
+	// free holds the records of tasks this worker ran to the end, for
+	// its next spawns (record, recycle); at most maxFree of them.
+	free []*Ctx
 
 	// local is the block every task this worker executes points at;
 	// poolExec.run flushes it after the pool has quiesced. Workers are
@@ -146,6 +151,37 @@ func (w *worker) exec(c *Ctx) {
 	c.w = w
 	w.rt.runTask(c, &w.local)
 	w.rt.leave(c)
+	w.recycle(c)
+}
+
+// maxFree bounds a worker's free list: 256 records, 28 KiB.
+const maxFree = 256
+
+// record returns a zero record for a task the worker's current task
+// spawns: one from the free list, or a new one (always, for a nil worker:
+// the goroutine executor's tasks).
+func (w *worker) record() *Ctx {
+	if w != nil {
+		if n := len(w.free); n > 0 {
+			c := w.free[n-1]
+			w.free = w.free[:n-1]
+			return c
+		}
+	}
+	return new(Ctx)
+}
+
+// recycle takes back the record of a task that has left its scope
+// (Runtime.leave, which reads it, must come first): nothing holds it any
+// more — the deque gave it up, the parent kept no reference, and no
+// detector keeps a *detect.Task past its TaskEnd. It is cleared here, so
+// that a record on the free list pins no scope and no detector state, and
+// a reused one is what a new one would be.
+func (w *worker) recycle(c *Ctx) {
+	*c = Ctx{}
+	if len(w.free) < maxFree {
+		w.free = append(w.free, c)
+	}
 }
 
 // find returns a runnable task: first from the worker's own deque, then

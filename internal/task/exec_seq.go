@@ -10,16 +10,23 @@ import (
 // execution model that SP-bags and ESP-bags require (§1: "the parallel
 // program must be processed in a sequential order, usually depth-first").
 // The left-to-right execution order equals the left-to-right order of DPST
-// siblings.
+// siblings. Every task runs on the calling goroutine, which is one worker
+// (id -1, no deque): every task's block and the one free list of records.
 type seqExec struct{}
 
-func (seqExec) run(rt *Runtime, main *Ctx) { rt.runMainAlone(main) }
+func (seqExec) run(rt *Runtime, main *Ctx) {
+	w := &worker{id: -1, rt: rt}
+	main.w = w
+	rt.runMain(main, &w.local)
+	w.local.Flush(rt.st)
+}
 
 func (seqExec) spawn(parent, child *Ctx) {
-	rt, l := parent.rt, parent.task.L
-	l.Tally[stats.TaskInline]++
-	rt.runTask(child, l)
+	rt, w := parent.rt, parent.w
+	w.local.Tally[stats.TaskInline]++
+	rt.runTask(child, &w.local)
 	rt.leave(child)
+	w.recycle(child)
 }
 
 func (seqExec) wait(c *Ctx, s *scope) {
