@@ -29,6 +29,7 @@ func BenchmarkSpawnJoin(b *testing.B) {
 		{"goroutines", "", Config{Executor: Goroutines}},
 		{"sequential/spd3", "spd3", Config{Executor: Sequential}},
 		{"pool-1/spd3", "spd3", Config{Executor: Pool, Workers: 1}},
+		{"goroutines/spd3", "spd3", Config{Executor: Goroutines}},
 	} {
 		b.Run(e.name, func(b *testing.B) {
 			cfg := e.cfg

@@ -372,3 +372,71 @@ func TestUpdateReplaysAsOneAction(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiRunReplayMatchesLiveTree: replaying a recording of several
+// runs on one sequential runtime builds SPD3 the tree the live runs
+// built, id for id, so the race reports name the same steps. Each run
+// ends with insertions past its last watermark move (an async under the
+// implicit finish, racing with main), so the next run's node is drawn
+// right after ids still in the insertion block: replay, which keeps one
+// block for the whole trace, must hand them back before drawing it, as a
+// live run's end does.
+func TestMultiRunReplayMatchesLiveTree(t *testing.T) {
+	runs := func(rt *task.Runtime) {
+		for run := 0; run < 3; run++ {
+			a := mem.NewArray[int](rt, fmt.Sprintf("run%d", run), 2)
+			if err := rt.Run(func(c *task.Ctx) {
+				c.Finish(func(c *task.Ctx) { c.Async(func(c *task.Ctx) { a.Set(c, 1, 1) }) })
+				c.Async(func(c *task.Ctx) { a.Set(c, 0, 1) })
+				a.Set(c, 0, 2)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, true)
+	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs(rt)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	liveSink := detect.NewSink(false, 0)
+	live := core.New(liveSink, nil)
+	if rt, err = task.New(task.Config{Executor: task.Sequential, Detector: live}); err != nil {
+		t.Fatal(err)
+	}
+	runs(rt)
+	repSink := detect.NewSink(false, 0)
+	rep := core.New(repSink, nil)
+	if err := Replay(bytes.NewReader(buf.Bytes()), rep); err != nil {
+		t.Fatal(err)
+	}
+
+	lt, rtr := live.Tree(), rep.Tree()
+	if lt.Len() != rtr.Len() || lt.Bytes() != rtr.Bytes() {
+		t.Fatalf("replay: Len %d, Bytes %d; live: Len %d, Bytes %d", rtr.Len(), rtr.Bytes(), lt.Len(), lt.Bytes())
+	}
+	if lt.Bytes() != lt.Len()*16 {
+		t.Fatalf("live: Bytes %d for Len %d: ids are not dense", lt.Bytes(), lt.Len())
+	}
+	for id := uint32(1); int64(id) < lt.Len(); id++ {
+		l, r := lt.Node(id), rtr.Node(id)
+		if l.String() != r.String() || l.Parent.String() != r.Parent.String() {
+			t.Fatalf("node %d: replay %v under %v, live %v under %v", id, r, r.Parent, l, l.Parent)
+		}
+	}
+	var lr, rr []string
+	for _, r := range liveSink.Races() {
+		lr = append(lr, r.String())
+	}
+	for _, r := range repSink.Races() {
+		rr = append(rr, r.String())
+	}
+	if len(lr) != 3 || !reflect.DeepEqual(lr, rr) {
+		t.Fatalf("replay reports %q, live reports %q, want one race a run", rr, lr)
+	}
+}
