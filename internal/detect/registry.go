@@ -33,6 +33,14 @@ func Owned(d Detector) bool {
 	return ok && o.Owned()
 }
 
+// VerdictVersion names what every listed detector reports and counts when
+// it replays a trace: its races, in emission order, and its stats
+// snapshot. spd3d keeps a verdict record per stored segment and detector
+// and trusts only records of this version, so a change to any listed
+// detector's races or counters must bump it (internal/server's
+// verdicts.golden fails until it does).
+const VerdictVersion = 1
+
 // Factory builds one detector instance for one engine.
 type Factory func(FactoryOpts) Detector
 

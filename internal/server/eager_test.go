@@ -255,7 +255,7 @@ func adoptJob(t *testing.T, s *Server, m *store.Manifest) *Job {
 // TestEagerReplayMatchesResume: what a job finds does not depend on when
 // its segments reached the executor. A job fed segment by segment while
 // the second half of its body was held back — until a replay of the first
-// half had started — ends with the same verdicts, race sets, segment
+// half had started — ends with the same verdicts, races (witnesses too), segment
 // count and merged cas.*/dmhp.*/mem.* counters as a job handed the same
 // refs all at once, the way resumeJobs hands over a loaded manifest.
 func TestEagerReplayMatchesResume(t *testing.T) {
@@ -320,8 +320,8 @@ func TestEagerReplayMatchesResume(t *testing.T) {
 					if va.Detector != vb.Detector || va.Racy != vb.Racy || va.RaceCount != vb.RaceCount || va.Capped != vb.Capped {
 						t.Errorf("%s %s: racy=%v count=%d eager, racy=%v count=%d resumed", name, va.Detector, va.Racy, va.RaceCount, vb.Racy, vb.RaceCount)
 					}
-					if !reflect.DeepEqual(raceKeys(va.Races), raceKeys(vb.Races)) {
-						t.Errorf("%s %s: race sets differ\n eager   %v\n resumed %v", name, va.Detector, raceKeys(va.Races), raceKeys(vb.Races))
+					if !reflect.DeepEqual(va.Races, vb.Races) {
+						t.Errorf("%s %s: races differ\n eager   %v\n resumed %v", name, va.Detector, va.Races, vb.Races)
 					}
 					for key, n := range va.Stats.Counters {
 						if !strings.HasPrefix(key, "cas.") && !strings.HasPrefix(key, "dmhp.") && !strings.HasPrefix(key, "mem.") {
@@ -338,14 +338,4 @@ func TestEagerReplayMatchesResume(t *testing.T) {
 			}
 		}
 	}
-}
-
-// raceKeys is a verdict's race list by merge identity (the witnesses
-// depend on which replay met the cell first).
-func raceKeys(races []client.Race) []raceKey {
-	keys := make([]raceKey, len(races))
-	for i, r := range races {
-		keys[i] = raceKey{r.Kind, r.Region, r.Index}
-	}
-	return keys
 }

@@ -15,6 +15,7 @@ package server
 
 import (
 	"bufio"
+	"container/heap"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,8 +170,8 @@ func (j *Job) subscribe() (ch chan jobEvent, replay []jobEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i, m := range j.acc {
-		for _, r := range m.races {
-			replay = append(replay, raceEvent(j.names[i], r))
+		for _, r := range m.kept {
+			replay = append(replay, raceEvent(j.names[i], r.Race))
 		}
 	}
 	if j.m.Result != nil && j.acc == nil {
@@ -459,19 +461,18 @@ split:
 
 // replaySegment replays one stored segment into a fresh, owned instance
 // of the named detector (detect.Owned), streaming each distinct race
-// through onRace (the job-level accumulator) and folding the run's stats
-// into the server aggregate. When sampling is in effect for (tenant, sampling) the
-// detector is gated behind that pair's shared sampler, and the timed
-// replay feeds the sampler's feedback loop — rates adapt across
-// segments and across jobs.
-func (s *Server) replaySegment(name, tenant, sampling string, rd io.Reader, lim trace.Limits, onRace func(detect.Race)) (stats.Snapshot, error) {
+// through onRace and folding the run's stats into the server aggregate.
+// A non-nil sampler — the job's (tenant, sampling) pair's shared one —
+// gates the detector, and the timed replay feeds the sampler's feedback
+// loop: rates adapt across segments and across jobs.
+func (s *Server) replaySegment(name string, sampler *sample.Sampler, rd io.Reader, lim trace.Limits, onRace func(client.Race)) (stats.Snapshot, error) {
 	ses, err := detect.Open(name, detect.SessionOpts{
 		MaxRaces: s.cfg.MaxRacesPerReport,
 		OnRace: func(r detect.Race) bool {
-			onRace(r)
+			onRace(client.Race{Kind: r.Kind.String(), Region: r.Region, Index: r.Index, Prev: r.PrevStep, Cur: r.CurStep})
 			return false
 		},
-		Sampler: s.samplers.sampler(tenant, sampling),
+		Sampler: sampler,
 		Owned:   true, // this goroutine alone replays the segment
 	})
 	if err != nil {
@@ -519,12 +520,21 @@ func (s *Server) runJob(j *Job) {
 	j.segsDone = make([]int, len(names))
 	j.acc = make([]*mergedVerdict, len(names))
 	for i := range names {
-		j.acc[i] = &mergedVerdict{seen: map[raceKey]struct{}{}, races: []client.Race{}}
+		j.acc[i] = &mergedVerdict{seen: map[raceKey]*keptRace{}}
 	}
 	j.mu.Unlock()
 
 	lim := s.cfg.Limits
 	lim.Cancel = j.ctx.Done()
+	maxRaces := s.cfg.MaxRacesPerReport
+	// Unsampled replays under listed detectors keep verdict records
+	// (verdict.go); hidden test variants and sampled jobs always replay.
+	sampler := s.samplers.sampler(m.Tenant, m.Sampling)
+	listed := detect.Names()
+	recorded := make([]bool, len(names))
+	for i, name := range names {
+		recorded[i] = sampler == nil && slices.Contains(listed, name)
+	}
 
 	start := time.Now()
 	var (
@@ -538,7 +548,28 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	tsem := s.quotas.ShardSem(m.Tenant)
-	segJob := func(di int, ref store.SegmentRef) {
+	segDone := func(di int, snap stats.Snapshot) {
+		j.mu.Lock()
+		j.acc[di].stats.Merge(snap)
+		j.segsDone[di]++
+		j.mu.Unlock()
+	}
+	segJob := func(di, seg int, ref store.SegmentRef) {
+		name := names[di]
+		if recorded[di] {
+			if rec, ok := s.readRecord(ref.Hash, name, lim); ok {
+				for _, r := range rec.Races {
+					j.addRace(di, seg, r, maxRaces)
+				}
+				// No replay ran, so /statsz counts no work; its footprint
+				// still accounts for the detector memory the verdict stands for.
+				s.mu.Lock()
+				s.agg.Merge(stats.Snapshot{Footprint: rec.Stats.Footprint})
+				s.mu.Unlock()
+				segDone(di, rec.Stats)
+				return
+			}
+		}
 		rd, err := s.store.Open(ref)
 		if err != nil {
 			setErr(err)
@@ -546,17 +577,25 @@ func (s *Server) runJob(j *Job) {
 		}
 		defer rd.Close()
 		s.rec.Inc(stats.JobSegmentReplays)
-		snap, err := s.replaySegment(names[di], m.Tenant, m.Sampling, bufio.NewReaderSize(rd, 64<<10), lim, func(r detect.Race) {
-			j.addRace(di, r, s.cfg.MaxRacesPerReport)
+		var races []client.Race
+		keep := recorded[di]
+		snap, err := s.replaySegment(name, sampler, bufio.NewReaderSize(rd, 64<<10), lim, func(r client.Race) {
+			j.addRace(di, seg, r, maxRaces)
+			// More races than a verdict carries: no record.
+			if keep = keep && len(races) < maxRaces; keep {
+				races = append(races, r)
+			}
 		})
 		if err != nil {
 			setErr(err)
 			return
 		}
-		j.mu.Lock()
-		j.acc[di].stats.Merge(snap)
-		j.segsDone[di]++
-		j.mu.Unlock()
+		if keep {
+			s.writeRecord(ref.Hash, name, verdictRecord{
+				Version: detect.VerdictVersion, Limits: limitsOf(lim), Races: races, Stats: snap,
+			})
+		}
+		segDone(di, snap)
 	}
 
 	// Canceled, it starts nothing more but walks on to where the upload settles.
@@ -584,7 +623,7 @@ fanout:
 			}
 			if !s.pool.run(j.ctx, &wg, func() {
 				defer release()
-				segJob(di, ref)
+				segJob(di, i, ref)
 			}) {
 				release()
 				continue fanout
@@ -606,27 +645,37 @@ fanout:
 	s.finalizeJob(j, firstErr, start)
 }
 
-// addRace folds one streamed race into the job accumulator (dedup is
-// job-wide per detector) and broadcasts fresh races to SSE subscribers.
-func (j *Job) addRace(di int, r detect.Race, maxRaces int) {
-	wire := client.Race{Kind: r.Kind.String(), Region: r.Region, Index: r.Index, Prev: r.PrevStep, Cur: r.CurStep}
+// addRace folds one race that segment seg reported into the job
+// accumulator (dedup is job-wide per detector; see mergedVerdict for why
+// the outcome does not depend on arrival order) and broadcasts fresh
+// races to SSE subscribers.
+func (j *Job) addRace(di, seg int, r client.Race, maxRaces int) {
 	j.mu.Lock()
 	m := j.acc[di]
-	k := raceKey{wire.Kind, wire.Region, wire.Index}
-	if _, dup := m.seen[k]; dup {
+	k := keyOf(r)
+	if kept, dup := m.seen[k]; dup {
+		if kept != nil && seg < kept.seg {
+			kept.Prev, kept.Cur, kept.seg = r.Prev, r.Cur, seg
+		}
 		j.mu.Unlock()
 		return
 	}
-	m.seen[k] = struct{}{}
 	m.count++
-	if len(m.races) < maxRaces {
-		m.races = append(m.races, wire)
-	} else {
-		m.capped = true
+	kept := &keptRace{Race: r, seg: seg}
+	switch {
+	case len(m.kept) < maxRaces:
+		heap.Push(&m.kept, kept)
+	case raceLess(r, m.kept[0].Race):
+		m.seen[keyOf(m.kept[0].Race)] = nil
+		m.kept[0] = kept
+		heap.Fix(&m.kept, 0)
+	default:
+		kept = nil
 	}
+	m.seen[k] = kept
 	name := j.names[di]
 	j.mu.Unlock()
-	j.broadcast(raceEvent(name, wire))
+	j.broadcast(raceEvent(name, r))
 }
 
 // finalizeJob moves the job to its terminal state, persists the result
@@ -663,11 +712,10 @@ func (s *Server) finalizeJob(j *Job, runErr error, start time.Time) {
 				Detector:   j.names[i],
 				Racy:       acc.count > 0,
 				RaceCount:  acc.count,
-				Races:      acc.races,
-				Capped:     acc.capped,
+				Races:      acc.races(),
+				Capped:     acc.count > len(acc.kept),
 				DurationMS: ms,
 			}
-			sortWireRaces(verdicts[i].Races)
 			if man.WithStats {
 				verdicts[i].Stats = wireStats(acc.stats)
 			}
@@ -739,22 +787,6 @@ func (s *Server) lookupJob(id string) *Job {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	return s.jobs[id]
-}
-
-// sortWireRaces orders a verdict's races like detect.Sink does, so the
-// merged report is deterministic regardless of segment completion
-// order.
-func sortWireRaces(races []client.Race) {
-	sort.Slice(races, func(i, k int) bool {
-		a, b := races[i], races[k]
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if a.Index != b.Index {
-			return a.Index < b.Index
-		}
-		return a.Kind < b.Kind
-	})
 }
 
 // ---- /v2 handlers ----

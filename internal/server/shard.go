@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"sort"
 	"sync"
 
 	"spd3/client"
@@ -59,6 +60,20 @@ type raceKey struct {
 	index  int
 }
 
+func keyOf(r client.Race) raceKey { return raceKey{r.Kind, r.Region, r.Index} }
+
+// raceLess is the order of a verdict's races, detect.Sink's: region,
+// index, kind.
+func raceLess(a, b client.Race) bool {
+	if a.Region != b.Region {
+		return a.Region < b.Region
+	}
+	if a.Index != b.Index {
+		return a.Index < b.Index
+	}
+	return a.Kind < b.Kind
+}
+
 // mergedVerdict accumulates one detector's per-segment results across
 // a job's fan-out (see Job.addRace). The segment boundary invariant
 // (everything before a cut happens before everything after it) makes
@@ -66,10 +81,44 @@ type raceKey struct {
 // every race pairs two accesses inside a single segment, so nothing is
 // lost to the cuts. Races recurring across segments (the same program
 // point relocated, e.g. by an amplified trace) deduplicate by raceKey.
+//
+// The merge does not depend on the order replays finish in: a key keeps
+// the race of the lowest segment that reported it, and under the cap
+// the kept races are the smallest keys in raceLess order, held in a
+// bounded max-heap whose top is the next to go.
 type mergedVerdict struct {
-	seen   map[raceKey]struct{}
-	races  []client.Race
-	count  int // distinct races: the verdict is racy iff count > 0
-	capped bool
-	stats  stats.Snapshot
+	seen  map[raceKey]*keptRace // nil: counted, but not among the kept
+	kept  raceHeap
+	count int // distinct races: the verdict is racy iff count > 0
+	stats stats.Snapshot
+}
+
+// keptRace is a race the verdict carries and the segment it came from.
+type keptRace struct {
+	client.Race
+	seg int
+}
+
+// raceHeap is a max-heap in raceLess order (container/heap).
+type raceHeap []*keptRace
+
+func (h raceHeap) Len() int           { return len(h) }
+func (h raceHeap) Less(i, k int) bool { return raceLess(h[k].Race, h[i].Race) }
+func (h raceHeap) Swap(i, k int)      { h[i], h[k] = h[k], h[i] }
+func (h *raceHeap) Push(x any)        { *h = append(*h, x.(*keptRace)) }
+func (h *raceHeap) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return r
+}
+
+// races returns the kept races, sorted.
+func (m *mergedVerdict) races() []client.Race {
+	out := make([]client.Race, len(m.kept))
+	for i, r := range m.kept {
+		out[i] = r.Race
+	}
+	sort.Slice(out, func(i, k int) bool { return raceLess(out[i], out[k]) })
+	return out
 }

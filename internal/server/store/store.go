@@ -1,5 +1,6 @@
 // Package store is spd3d's persistent trace store: a content-addressed
-// blob area for trace segments plus one manifest per job. It knows
+// blob area for trace segments, the verdict records of their replays,
+// and one manifest per job. It knows
 // nothing of HTTP or of the job lifecycle — a manifest's State is a
 // string it persists, not a machine it runs — so it can be opened,
 // filled, swept and fault-injected alone.
@@ -14,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -79,16 +81,23 @@ func (m *Manifest) StoredBytes() int64 {
 //
 //	cas/<hh>/<hash>   segment blobs, named by their SHA-256, sharded
 //	                  by the first hash byte to keep directories small
+//	verdicts/<hh>/<hash>.<detector>
+//	                  one verdict record per blob and detector: bytes
+//	                  the daemon encodes and checks, opaque here
 //	jobs/<id>.json    one manifest per job, written atomically
-//	tmp/              staging for both, same filesystem so rename is atomic
+//	tmp/              staging for all three, same filesystem so rename
+//	                  is atomic
 //
-// Durability: blobs and manifests are fsync'd before the rename that
-// publishes them (publish is the one place that happens), so a crash
-// leaves either the old state or the new one, never a torn file.
+// Durability: blobs, records and manifests are fsync'd before the
+// rename that publishes them (publish is the one place that happens),
+// so a crash leaves either the old state or the new one, never a torn
+// file.
 // Leftover tmp entries from a crash are swept at open. Blob space is
 // reclaimed by mark-and-sweep (Sweep): a blob is garbage when no
 // manifest references it, and deleting manifests (DELETE, TTL expiry in
-// Server.GC, refused submits) is what creates garbage.
+// Server.GC, refused submits) is what creates garbage. A verdict record
+// is garbage once its blob is: records stay out of the blob index and
+// its gauges, and Sweep deletes every record whose blob is not indexed.
 type Store struct {
 	root string
 
@@ -275,6 +284,22 @@ func (s *Store) Open(ref SegmentRef) (io.ReadCloser, error) {
 	return os.Open(s.blobPath(ref.Hash))
 }
 
+func (s *Store) verdictPath(hash, detector string) string {
+	return filepath.Join(s.root, "verdicts", hash[:2], hash+"."+detector)
+}
+
+// PutVerdict publishes data as the verdict record of blob hash under
+// detector, replacing any record there.
+func (s *Store) PutVerdict(hash, detector string, data []byte) error {
+	return s.publishBytes(s.verdictPath(hash, detector), data)
+}
+
+// Verdict returns the verdict record of blob hash under detector; an
+// error satisfying errors.Is(err, fs.ErrNotExist) means there is none.
+func (s *Store) Verdict(hash, detector string) ([]byte, error) {
+	return os.ReadFile(s.verdictPath(hash, detector))
+}
+
 // WriteManifest persists m atomically over jobs/<id>.json. Every state
 // transition goes through here, so the on-disk manifest is always
 // internally consistent.
@@ -329,9 +354,10 @@ func (s *Store) DeleteManifest(id string) error {
 }
 
 // Sweep is the store's garbage collector: it deletes every blob no
-// manifest references. It does nothing while any submit is in flight
-// (BeginWrite), because a just-put segment is unreferenced until its
-// manifest lands.
+// manifest references, then every verdict record whose blob is not in
+// the index — the swept blobs' and any orphan's. It does nothing while
+// any submit is in flight (BeginWrite), because a just-put segment is
+// unreferenced until its manifest lands.
 func (s *Store) Sweep() (sweptBlobs int, err error) {
 	// The sweep runs entirely under the mutex: with the lock held no
 	// submit can BeginWrite, and writers == 0 means none is mid-spill, so
@@ -366,5 +392,18 @@ func (s *Store) Sweep() (sweptBlobs int, err error) {
 		s.bytes -= n
 		sweptBlobs++
 	}
+	// A record only needs its blob to be sound, but a replay still
+	// running for an upload that failed can write one after its blob
+	// went: the next sweep finds it here.
+	filepath.WalkDir(filepath.Join(s.root, "verdicts"), func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // an unreadable record directory waits for the next sweep
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		hash, _, _ := strings.Cut(d.Name(), ".")
+		if _, ok := s.blobs[hash]; !ok {
+			os.Remove(path)
+		}
+		return nil
+	})
 	return sweptBlobs, nil
 }

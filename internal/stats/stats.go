@@ -149,7 +149,8 @@ const (
 	// daemon startup (they were queued or running when it last stopped).
 	JobResumed
 	// JobSegmentReplays counts (segment, detector) replay units the job
-	// executor completed.
+	// executor started. A unit answered from the segment's verdict
+	// record is not a replay and is not counted.
 	JobSegmentReplays
 	// StorePutBytes counts bytes physically written to the trace
 	// store's content-addressed blob area (dedup hits write nothing).
