@@ -9,7 +9,7 @@
 //	experiments -list
 //
 // Experiment IDs: table1, fig3, fig4, table2, table3, fig5, fig6,
-// stats, sparse, ablation-sample.
+// stats, ablation-sample.
 //
 // With -stats, the rendered tables are replaced by a JSON array with one
 // element per measurement — {"benchmark", "tool", "workers", "stats"} —

@@ -105,8 +105,6 @@ func TestChecksumsAgreeAcrossExecutorsAndDetectors(t *testing.T) {
 			got, _ = runUnder(t, b, Input{Scale: tiny.Scale, Chunked: true},
 				task.Config{Executor: task.Pool, Workers: 4})
 			check("pool-4/spd3/chunked", got)
-			got, _ = runUnder(t, b, tiny, task.Config{Executor: task.Goroutines})
-			check("goroutines/spd3", got)
 			sink := detect.NewSink(false, 0)
 			got, _ = runUnder(t, b, tiny, task.Config{Executor: task.Sequential,
 				Detector: espbags.New(sink, nil)})
@@ -200,17 +198,17 @@ func TestRacyVariantsReport(t *testing.T) {
 	for _, rb := range Racy() {
 		rb := rb
 		t.Run(rb.Name, func(t *testing.T) {
-			execs := []task.ExecKind{task.Sequential, task.Pool}
+			cfgs := []task.Config{{Executor: task.Sequential}, {Executor: task.Pool, Workers: 4}}
 			if raceEnabled {
-				execs = execs[:1]
+				cfgs = cfgs[:1]
 			}
 			if rb.NeedsParallel {
-				execs = []task.ExecKind{task.Pool, task.Goroutines}
+				cfgs = []task.Config{{Executor: task.Pool, Workers: 4}, {Executor: task.Pool, Workers: 16}}
 			}
-			for _, exec := range execs {
+			for _, cfg := range cfgs {
 				sink := detect.NewSink(false, 0)
-				rt, err := task.New(task.Config{Executor: exec, Workers: 4,
-					Detector: core.New(sink, nil)})
+				cfg.Detector = core.New(sink, nil)
+				rt, err := task.New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,7 +216,7 @@ func TestRacyVariantsReport(t *testing.T) {
 					t.Fatal(err)
 				}
 				if sink.Empty() {
-					t.Errorf("%v: no race reported on racy program", exec)
+					t.Errorf("%v-%d: no race reported on racy program", cfg.Executor, cfg.Workers)
 				}
 			}
 		})

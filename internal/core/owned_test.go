@@ -105,14 +105,12 @@ func recordProgram(t *testing.T, p *progen.Program, exec task.ExecKind, workers 
 // would check its cells from two goroutines; the sequential executor, and
 // Auto, which resolves to it, run it.
 func TestOwnedDetectorRefusesParallelExecutors(t *testing.T) {
-	for _, exec := range []task.ExecKind{task.Pool, task.Goroutines} {
-		_, err := task.New(task.Config{Executor: exec, Workers: 2, Detector: openOwned(t, true).Det})
-		if !errors.Is(err, task.ErrExecutorMismatch) {
-			t.Errorf("owned spd3 under %v: err = %v, want ErrExecutorMismatch", exec, err)
-		}
-		if _, err := task.New(task.Config{Executor: exec, Workers: 2, Detector: openOwned(t, false).Det}); err != nil {
-			t.Errorf("shared spd3 under %v: %v", exec, err)
-		}
+	_, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: openOwned(t, true).Det})
+	if !errors.Is(err, task.ErrExecutorMismatch) {
+		t.Errorf("owned spd3 under the pool: err = %v, want ErrExecutorMismatch", err)
+	}
+	if _, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: openOwned(t, false).Det}); err != nil {
+		t.Errorf("shared spd3 under the pool: %v", err)
 	}
 	for _, exec := range []task.ExecKind{task.Sequential, task.Auto} {
 		ses := openOwned(t, true)

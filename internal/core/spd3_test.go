@@ -310,7 +310,6 @@ func TestRacyProgramDetectedUnderEveryExecutor(t *testing.T) {
 		workers int
 	}{
 		{task.Sequential, 1},
-		{task.Goroutines, 1},
 		{task.Pool, 1},
 		{task.Pool, 4},
 		{task.Pool, 16},
@@ -419,11 +418,14 @@ func TestVerdictsAgreeAcrossModes(t *testing.T) {
 			})
 		}},
 	}
-	for _, exec := range []task.ExecKind{task.Sequential, task.Goroutines, task.Pool} {
+	for _, e := range []struct {
+		kind    task.ExecKind
+		workers int
+	}{{task.Sequential, 1}, {task.Pool, 4}, {task.Pool, 16}} {
 		for _, p := range programs {
-			races := shadowProgram(t, exec, 4, p.body)
+			races := shadowProgram(t, e.kind, e.workers, p.body)
 			if got := len(races) > 0; got != p.racy {
-				t.Errorf("%v/%s: racy = %v, want %v (%v)", exec, p.name, got, p.racy, races)
+				t.Errorf("%v-%d/%s: racy = %v, want %v (%v)", e.kind, e.workers, p.name, got, p.racy, races)
 			}
 		}
 	}

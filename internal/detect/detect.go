@@ -61,15 +61,14 @@
 // tallies, the relation memo, per-region counts — and the id blocks that
 // spawns, finishes and DPST insertions draw from are a Local block owned
 // by the goroutine that executes the task. Whoever owns a goroutine that
-// executes tasks owns one block, points each task it starts to run at it
-// (Task.L) and flushes it
-// once, when the goroutine has run its last task (a block that is pooled
-// between task goroutines is flushed before it goes back, and is one
-// goroutine's between Get and Put); detectors flush nothing. A loop that
-// interleaves several regions pays for neither: the page cache is keyed by
-// (shadow.Pages id, page), and the region counts are a slice indexed by
-// the region's registration number, exact for any number of regions. A
-// count touches no word another goroutine reads until the flush.
+// executes tasks — a task runtime's worker, a replay — owns one block,
+// points each task it starts to run at it (Task.L) and flushes it once,
+// when the goroutine has run its last task; detectors flush nothing. A
+// loop that interleaves several regions pays for neither: the page cache
+// is keyed by (shadow.Pages id, page), and the region counts are a slice
+// indexed by the region's registration number, exact for any number of
+// regions. A count touches no word another goroutine reads until the
+// flush.
 package detect
 
 import (
@@ -114,9 +113,9 @@ type Task struct {
 // one goroutine touches a block, so nothing in it is synchronized, and it
 // outlives the tasks that borrow it: a page one task looked up is still
 // cached for the next. A block counts against the regions of one
-// stats.Recorder only, the one it is flushed into: a pool worker's, a
-// pooled task goroutine's and a replay's block each belong to one runtime
-// or session, which has one recorder.
+// stats.Recorder only, the one it is flushed into: a worker's and a
+// replay's block each belong to one runtime or session, which has one
+// recorder.
 type Local struct {
 	// PC is the shadow page cache, threaded through the paged shadow hot
 	// path (shadow.Pages.CellOf).

@@ -452,13 +452,12 @@ func TestCountAccessAllocs(t *testing.T) {
 	}
 }
 
-// TestLocalSize: every pool worker embeds a block, every replay holds one
-// and the goroutine executor keeps a pool of them. The next cache that
-// wants room here is a decision, not an accident. The bound is the block's
-// size with its region counts a slice header (1 664 bytes; 1 840 with the
-// eight-entry batch inline), the 8-entry relation memo (128 bytes) and the
-// three id blocks of 24 bytes each (72 bytes) that keep insertion off the
-// shared counters.
+// TestLocalSize: every worker embeds a block and every replay holds one.
+// The next cache that wants room here is a decision, not an accident. The
+// bound is the block's size with its region counts a slice header (1 664
+// bytes; 1 840 with the eight-entry batch inline), the 8-entry relation
+// memo (128 bytes) and the three id blocks of 24 bytes each (72 bytes)
+// that keep insertion off the shared counters.
 func TestLocalSize(t *testing.T) {
 	if size := unsafe.Sizeof(Local{}); size > 1864 {
 		t.Fatalf("detect.Local is %d bytes, more than 1864", size)

@@ -62,14 +62,13 @@
 // Ids that blocks hand out and nobody places are spent: at most one
 // block's remainder each time a block is retired — when a worker runs a
 // task spawned from a newer block than its own (a steal), or inserts
-// after a watermark move — or released when someone drew past it. An
-// owner that lives for one task, a goroutine executor's task goroutine,
-// draws exactly what each insertion needs (ids.Block.Exact) and spends
-// nothing. A block's chunks are published when it is drawn (a shared
-// draw's as its nodes are placed), so every id below Len resolves once
-// the insertions in flight return; an id that was never placed reads as
-// a node with a nil Parent. Bytes counts the ids placed, exactly once
-// every block has been released.
+// after a watermark move — or released when someone drew past it, and at
+// most two ids when a refill cannot extend a block short of its take. A
+// block's chunks are published when it is drawn (a shared draw's as its
+// nodes are placed), so every id below Len resolves once the insertions
+// in flight return; an id that was never placed reads as a node with a
+// nil Parent. Bytes counts the ids placed, exactly once every block has
+// been released.
 //
 // Concurrency. A node is written once, by the insertion that creates it,
 // and never again: an insertion takes fresh ids, writes those arena slots

@@ -192,7 +192,7 @@ func barrierPhased(rt *task.Runtime, sh detect.Shadow, parts, phases int) error 
 func TestBarrierEventsOrderPhases(t *testing.T) {
 	sink := detect.NewSink(false, 0)
 	d := New(sink, nil)
-	rt, err := task.New(task.Config{Executor: task.Goroutines, Detector: d})
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4, Detector: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBarrierEventsOrderPhases(t *testing.T) {
 func TestSPD3SeesThroughNoBarriers(t *testing.T) {
 	sink := detect.NewSink(false, 0)
 	d := core.New(sink, nil)
-	rt, err := task.New(task.Config{Executor: task.Goroutines, Detector: d})
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4, Detector: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // evaluation (§6) on the Go reproduction: Figure 3 (SPD3 scalability),
 // Figure 4 (ESP-bags vs SPD3), Table 2 (Eraser/FastTrack/SPD3 slowdown),
 // Table 3 (memory), Figure 5 (Crypt scaling), Figure 6 (LUFact memory),
-// plus Table 1 (the suite), the observability profile, the sparse-shadow
-// footprint and the sampling ablation.
+// plus Table 1 (the suite), the observability profile and the sampling
+// ablation.
 //
 // Methodology follows the paper where the substrate allows: the reported
 // time for each configuration is the smallest of cfg.Repeats runs (§6:
@@ -192,7 +192,6 @@ func Experiments() []Experiment {
 		{ID: "fig5", Title: "Figure 5: Crypt slowdown vs workers, all tools", Run: fig5},
 		{ID: "fig6", Title: "Figure 6: LUFact memory vs workers, all tools", Run: fig6},
 		{ID: "stats", Title: "Observability counters: per-benchmark SPD3 event profile", Run: statsTable},
-		{ID: "sparse", Title: "Sparse shadow: paged footprint on clustered touches", Run: sparseShadow},
 		{ID: "ablation-sample", Title: "Sampling ablation: overhead vs detection probability across modes and rates", Run: ablationSample},
 	}
 }
@@ -472,32 +471,3 @@ func ratio(a, b time.Duration) float64 {
 }
 
 func mb(bytes int64) float64 { return float64(bytes) / (1 << 20) }
-
-// sparseShadow measures the paged shadow memory on a workload that
-// touches ~1% of a large region in page-sized clusters: the footprint
-// tracks the touched pages, not the declared elements. The table shows
-// it beside the page-allocation and page-cache counters.
-func sparseShadow(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	n := cfg.maxThreads()
-	t := &Table{
-		Title:  fmt.Sprintf("Sparse shadow: paged footprint on clustered 1%% touches at %d workers", n),
-		Header: []string{"Tool", "Time(s)", "Shadow MB", "Pages", "CacheHit", "CacheMiss"},
-	}
-	b := bench.SparseTouchBench()
-	in := bench.Input{Scale: cfg.Scale}
-	for _, tool := range []Tool{Base, SPD3} {
-		m, err := cfg.measure(b, tool, n, in)
-		if err != nil {
-			return nil, err
-		}
-		s := m.Stats
-		t.AddRow(string(tool),
-			fmt.Sprintf("%.3f", m.Time.Seconds()),
-			fmt.Sprintf("%.3f", mb(m.Footprint.ShadowBytes)),
-			fmt.Sprint(s.Get(stats.ShadowPagesAllocated)),
-			fmt.Sprint(s.Get(stats.PageCacheHit)),
-			fmt.Sprint(s.Get(stats.PageCacheMiss)))
-	}
-	return t, nil
-}

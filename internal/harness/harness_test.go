@@ -24,7 +24,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"fig5":            "Figure 5",
 		"fig6":            "Figure 6",
 		"stats":           "Observability counters",
-		"sparse":          "Sparse shadow",
 		"ablation-sample": "Sampling ablation",
 	}
 	exps := Experiments()

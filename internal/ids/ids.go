@@ -1,5 +1,5 @@
-// Package ids hands out unique ids from a shared Counter, one exact draw
-// at a time or in per-owner Blocks: an owner that takes its ids from a
+// Package ids hands out unique ids from a shared Counter, one draw at a
+// time or in per-owner Blocks: an owner that takes its ids from a
 // Block touches the shared counter once per BlockSize ids instead of once
 // per id. The DPST's node ids and the task runtime's task and finish ids
 // all come from here.
@@ -11,8 +11,7 @@
 // in between) and a release that cannot hand the remainder back count the
 // unused remainder as lost. Under one owner nothing is lost — each refill
 // extends the block and the release returns what is left — so the ids
-// are exactly those of one shared counter. An Exact block draws only what
-// each take needs and so loses nothing under any number of owners.
+// are exactly those of one shared counter.
 package ids
 
 import "sync/atomic"
@@ -61,17 +60,11 @@ func (c *Counter) Draw(n int64) (first int64, ok bool) {
 // Block is an owner's run [next, next+left) of ids drawn from src. The
 // zero value is an empty block. A refill extends a block only when its
 // remainder is short of a take, so a remainder stays below two draws: its
-// length fits 32 bits and the flag fits beside it, and a Block is three
-// words.
+// length fits 32 bits, and a Block is three words.
 type Block struct {
 	src  *Counter
 	next int64
 	left uint32
-	// Exact makes every refill draw only the ids its take needs: one
-	// shared draw per take, as without a block, and no id is ever lost.
-	// It is for an owner that lives too briefly to use a block — a
-	// goroutine that runs one task. Release keeps it.
-	Exact bool
 }
 
 // Take returns the first of n consecutive ids of b, all above floor; ok is
@@ -88,16 +81,13 @@ func (b *Block) Take(n, floor int64) (first int64, ok bool) {
 // floor src handed out and someone used, and returns the range [lo, hi)
 // it drew; ok is false, with b unchanged, when src's limit leaves fewer
 // than n ids. A refill draws BlockSize ids (at least n), or exactly n
-// near the limit or when b is Exact. It extends b when the fresh range
+// near the limit. It extends b when the fresh range
 // starts where b ends, and otherwise counts b's remainder as lost. Every
 // id src handed out before lies below lo, so such a floor lies below b's
 // remainder when b is extended (nobody used those ids) and below lo when
 // it is not.
 func (b *Block) Refill(src *Counter, n int64) (lo, hi int64, ok bool) {
-	size := n
-	if !b.Exact {
-		size = max(n, BlockSize)
-	}
+	size := max(n, BlockSize)
 	if lo, ok = src.Draw(size); !ok && size > n {
 		size = n
 		lo, ok = src.Draw(n)
@@ -130,7 +120,7 @@ func (b *Block) Release() {
 	if b.src != nil && b.left > 0 && !b.src.next.CompareAndSwap(b.end(), b.next) {
 		b.retire()
 	}
-	*b = Block{Exact: b.Exact}
+	*b = Block{}
 }
 
 // end is one past b's last id.

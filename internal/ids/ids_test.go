@@ -95,24 +95,3 @@ func TestFailedDrawInflatesNothing(t *testing.T) {
 		t.Fatalf("draw at the limit: ok %v, Len %d, want false and %d", ok, c.Len(), limit)
 	}
 }
-
-// TestExactBlocksLoseNothing: Exact blocks of two owners that take in
-// turn each draw one id per take, so their ids interleave densely and no
-// id is lost, with or without the releases.
-func TestExactBlocksLoseNothing(t *testing.T) {
-	var c Counter
-	a, b := Block{Exact: true}, Block{Exact: true}
-	for want := int64(0); want < 2*BlockSize; want += 2 {
-		if x, y := a.Next(&c), b.Next(&c); x != want || y != want+1 {
-			t.Fatalf("takes in turn gave %d and %d, want %d and %d", x, y, want, want+1)
-		}
-	}
-	if c.Used() != c.Len() {
-		t.Fatalf("before the releases: Used %d, Len %d", c.Used(), c.Len())
-	}
-	a.Release()
-	b.Release()
-	if !a.Exact || !b.Exact || c.Used() != 2*BlockSize || c.Len() != 2*BlockSize {
-		t.Fatalf("after the releases: Exact %v %v, Used %d, Len %d, want %d", a.Exact, b.Exact, c.Used(), c.Len(), 2*BlockSize)
-	}
-}

@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"sync"
+	"fmt"
 
 	"spd3/internal/task"
 )
@@ -11,23 +11,19 @@ import (
 // readable once those tasks have been joined (typically right after the
 // enclosing finish).
 //
-// Accumulators are race-free by construction — Put goes to a per-worker
-// partial (or a mutex under non-pool executors) and Value combines the
-// partials — so they carry no shadow memory and cost the detector
-// nothing. They are the idiomatic replacement for the read-modify-write
-// reduction races that SPD3 flags (see examples/quickstart): instead of
-// fixing such a race with a manual partial-sums array, use an
-// Accumulator.
+// Accumulators are race-free by construction — Put goes to the partial of
+// the worker running the task and Value combines the partials — so they
+// carry no shadow memory and cost the detector nothing. They are the
+// idiomatic replacement for the read-modify-write reduction races that
+// SPD3 flags (see examples/quickstart): instead of fixing such a race with
+// a manual partial-sums array, use an Accumulator.
 //
 // The combine function must be associative and commutative; Put order
 // across tasks is not defined.
 type Accumulator[T any] struct {
+	rt      *task.Runtime // whose workers the slots are
 	combine func(a, b T) T
 	slots   []accSlot[T]
-
-	mu      sync.Mutex
-	rest    T
-	hasRest bool
 }
 
 // accSlot is one worker's partial, padded to avoid false sharing between
@@ -43,29 +39,25 @@ type accSlot[T any] struct {
 // into a slot stores rather than combines.
 func NewAccumulator[T any](rt *task.Runtime, combine func(a, b T) T) *Accumulator[T] {
 	return &Accumulator[T]{
+		rt:      rt,
 		combine: combine,
 		slots:   make([]accSlot[T], rt.Workers()),
 	}
 }
 
-// Put folds v into the accumulator. Safe to call from any task.
+// Put folds v into the partial of c's worker. Safe to call from any task
+// of the accumulator's runtime; it panics on a task of another runtime,
+// whose workers would share the slots unsynchronized.
 func (a *Accumulator[T]) Put(c *task.Ctx, v T) {
-	if id := c.WorkerID(); id >= 0 && id < len(a.slots) {
-		s := &a.slots[id]
-		if s.set {
-			s.v = a.combine(s.v, v)
-		} else {
-			s.v, s.set = v, true
-		}
-		return
+	if rt := c.Runtime(); rt != a.rt {
+		panic(fmt.Sprintf("mem: Put into an accumulator of runtime %p from a task of runtime %p", a.rt, rt))
 	}
-	a.mu.Lock()
-	if a.hasRest {
-		a.rest = a.combine(a.rest, v)
+	s := &a.slots[c.WorkerID()]
+	if s.set {
+		s.v = a.combine(s.v, v)
 	} else {
-		a.rest, a.hasRest = v, true
+		s.v, s.set = v, true
 	}
-	a.mu.Unlock()
 }
 
 // Value combines and returns all partials. Call it only after the tasks
@@ -87,22 +79,10 @@ func (a *Accumulator[T]) Value() (T, bool) {
 			fold(a.slots[i].v)
 		}
 	}
-	a.mu.Lock()
-	if a.hasRest {
-		fold(a.rest)
-	}
-	a.mu.Unlock()
 	return acc, have
 }
 
 // Reset clears the accumulator for reuse.
 func (a *Accumulator[T]) Reset() {
-	for i := range a.slots {
-		var zero T
-		a.slots[i].v, a.slots[i].set = zero, false
-	}
-	a.mu.Lock()
-	var zero T
-	a.rest, a.hasRest = zero, false
-	a.mu.Unlock()
+	clear(a.slots)
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"spd3/internal/task"
@@ -30,11 +32,33 @@ func sumAcc(t *testing.T, cfg task.Config) {
 func TestAccumulatorSum(t *testing.T) {
 	for _, cfg := range []task.Config{
 		{Executor: task.Sequential},
-		{Executor: task.Goroutines},
 		{Executor: task.Pool, Workers: 1},
 		{Executor: task.Pool, Workers: 8},
 	} {
 		sumAcc(t, cfg)
+	}
+}
+
+// TestAccumulatorRefusesForeignTask: an accumulator's slots are its
+// runtime's workers', so a Put from a task of another runtime — whose
+// worker ids are in range too — would share a slot unsynchronized with
+// this runtime's tasks; it panics instead, naming both runtimes.
+func TestAccumulatorRefusesForeignTask(t *testing.T) {
+	own, err := task.New(task.Config{Executor: task.Pool, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := task.New(task.Config{Executor: task.Pool, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := NewAccumulator(own, func(a, b int) int { return a + b })
+	err = other.Run(func(c *task.Ctx) { acc.Put(c, 1) })
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%p", own)) || !strings.Contains(err.Error(), fmt.Sprintf("%p", other)) {
+		t.Fatalf("Put from another runtime's task: err = %v, want a panic naming runtimes %p and %p", err, own, other)
+	}
+	if _, ok := acc.Value(); ok {
+		t.Fatal("the refused Put reached a slot")
 	}
 }
 

@@ -224,6 +224,10 @@ func (v *Var[T]) Update(c *task.Ctx, f func(T) T) {
 // sync.Mutex and reports acquire/release to the detector, which FastTrack
 // and Eraser use for their lock semantics. SPD3 and ESP-bags, which
 // target pure async/finish programs, ignore the events.
+//
+// Do not hold a Mutex across the end of a finish. A pool worker waiting
+// there helps by running other tasks on its stack, and a sibling it picks
+// up that takes the same lock blocks that worker forever: a deadlock.
 type Mutex struct {
 	mu sync.Mutex
 	l  *detect.Lock

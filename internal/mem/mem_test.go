@@ -410,7 +410,7 @@ func TestSiteCaptureOffByDefault(t *testing.T) {
 
 func TestMutexProvidesMutualExclusion(t *testing.T) {
 	sink := detect.NewSink(false, 0)
-	rt, err := task.New(task.Config{Executor: task.Goroutines,
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 16,
 		Detector: core.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)

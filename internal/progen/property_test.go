@@ -65,7 +65,8 @@ func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
 }
 
 // TestSPD3ScheduleIndependence re-checks a subset of seeds under the
-// work-stealing pool and the goroutine executor: by Theorems 2–3 the
+// work-stealing pool at four workers and at sixteen, more than the cores,
+// so the Go scheduler preempts workers mid-task: by Theorems 2–3 the
 // verdict must not depend on the schedule.
 func TestSPD3ScheduleIndependence(t *testing.T) {
 	execs := []struct {
@@ -73,7 +74,7 @@ func TestSPD3ScheduleIndependence(t *testing.T) {
 		workers int
 	}{
 		{task.Pool, 4},
-		{task.Goroutines, 1},
+		{task.Pool, 16},
 	}
 	for seed := int64(0); seed < parallelSeeds; seed++ {
 		p := Generate(seed, Config{})
@@ -83,8 +84,8 @@ func TestSPD3ScheduleIndependence(t *testing.T) {
 				sink := detect.NewSink(false, 0)
 				got := verdict(t, p, core.New(sink, nil), sink, e.kind, e.workers)
 				if got != want {
-					t.Fatalf("seed %d %v rep %d: spd3 verdict %v, oracle %v\n%s",
-						seed, e.kind, rep, got, want, p)
+					t.Fatalf("seed %d %v-%d rep %d: spd3 verdict %v, oracle %v\n%s",
+						seed, e.kind, e.workers, rep, got, want, p)
 				}
 			}
 		}
@@ -197,7 +198,8 @@ func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[i
 
 // TestDPSTDeterminism checks the §3.2 property: for a given input, every
 // execution yields the same DPST — each access site lands on a step with
-// an identical root path under sequential, pool, and goroutine execution.
+// an identical root path under sequential execution and the pool at four
+// and at sixteen workers.
 func TestDPSTDeterminism(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < parallelSeeds*2 && checked < parallelSeeds; seed++ {
@@ -206,15 +208,15 @@ func TestDPSTDeterminism(t *testing.T) {
 		for _, e := range []struct {
 			kind    task.ExecKind
 			workers int
-		}{{task.Pool, 4}, {task.Goroutines, 1}} {
+		}{{task.Pool, 4}, {task.Pool, 16}} {
 			got := signatures(t, p, e.kind, e.workers)
 			if len(got) != len(ref) {
-				t.Fatalf("seed %d %v: %d sites, want %d", seed, e.kind, len(got), len(ref))
+				t.Fatalf("seed %d %v-%d: %d sites, want %d", seed, e.kind, e.workers, len(got), len(ref))
 			}
 			for site, sig := range ref {
 				if got[site] != sig {
-					t.Fatalf("seed %d %v: site %d path %q, want %q\n%s",
-						seed, e.kind, site, got[site], sig, p)
+					t.Fatalf("seed %d %v-%d: site %d path %q, want %q\n%s",
+						seed, e.kind, e.workers, site, got[site], sig, p)
 				}
 			}
 		}

@@ -22,9 +22,9 @@
 // path and the task runtime count in plain integers owned by the goroutine
 // that executes tasks (detect.Local: its Tally, page-cache tallies and
 // per-region counts), which that goroutine's owner flushes into the
-// recorder once — per pool worker, per sequential run, per task goroutine,
-// per replay — so the steady-state cost of a counter is one non-atomic
-// increment and the flushes number O(workers), not O(tasks). What is
+// recorder once — per pool worker, per sequential run, per replay — so
+// the steady-state cost of a counter is one non-atomic increment and the
+// flushes number O(workers), not O(tasks). What is
 // written to the recorder directly is rare by construction: a page
 // allocation, a race report, a lost CAS, a daemon request.
 //

@@ -23,11 +23,10 @@ import (
 // Executor requirements. A barrier wait cannot "help" run other tasks —
 // a helper could nest another participant beneath the blocked one and
 // deadlock the generation — so blocked participants occupy their worker.
-// On the pool executor a barrier for n tasks therefore needs Workers >=
-// n (enforced at Await; the original JGF programs likewise ran one
-// barrier thread per core). The goroutine executor has no such limit,
-// and the sequential executor cannot run barrier programs at all (Await
-// panics, surfacing as a Run error).
+// A barrier for n tasks therefore needs a pool of Workers >= n (enforced
+// at Await; the original JGF programs likewise ran one barrier thread per
+// core), and the sequential executor cannot run barrier programs at all
+// (Await panics, surfacing as a Run error).
 type Barrier struct {
 	rt *Runtime
 	b  *detect.BarrierInfo
@@ -54,7 +53,7 @@ func (rt *Runtime) NewBarrier(n int) *Barrier {
 func (b *Barrier) Await(c *Ctx) {
 	if b.rt.kind == Pool && b.n > b.rt.workers {
 		panic(fmt.Sprintf(
-			"task: barrier for %d participants needs >= %d pool workers (have %d); use more workers or the goroutine executor",
+			"task: barrier for %d participants needs >= %d pool workers (have %d)",
 			b.n, b.n, b.rt.workers))
 	}
 	obs, _ := b.rt.det.(detect.BarrierObserver)

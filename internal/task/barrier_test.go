@@ -12,7 +12,6 @@ func TestBarrierPhases(t *testing.T) {
 	for _, cfg := range []Config{
 		{Executor: Pool, Workers: 4}, // one worker per participant
 		{Executor: Pool, Workers: 8},
-		{Executor: Goroutines},
 	} {
 		cfg := cfg
 		t.Run(cfg.Executor.String(), func(t *testing.T) {

@@ -26,10 +26,8 @@ func BenchmarkSpawnJoin(b *testing.B) {
 		{"sequential", "", Config{Executor: Sequential}},
 		{"pool-1", "", Config{Executor: Pool, Workers: 1}},
 		{"pool-4", "", Config{Executor: Pool, Workers: 4}},
-		{"goroutines", "", Config{Executor: Goroutines}},
 		{"sequential/spd3", "spd3", Config{Executor: Sequential}},
 		{"pool-1/spd3", "spd3", Config{Executor: Pool, Workers: 1}},
-		{"goroutines/spd3", "spd3", Config{Executor: Goroutines}},
 	} {
 		b.Run(e.name, func(b *testing.B) {
 			cfg := e.cfg

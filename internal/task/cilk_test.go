@@ -13,7 +13,6 @@ func TestCilkFib(t *testing.T) {
 	// synchronized by the implicit sync before each return.
 	for _, cfg := range []Config{
 		{Executor: Sequential},
-		{Executor: Goroutines},
 		{Executor: Pool, Workers: 4},
 	} {
 		rt, err := New(cfg)

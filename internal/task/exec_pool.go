@@ -68,7 +68,7 @@ func (p *poolExec) run(rt *Runtime, main *Ctx) {
 		go p.workers[i].loop()
 	}
 	main.w = p.workers[0]
-	rt.runMain(main, &main.w.local)
+	rt.runMain(main)
 	// runMain ends only after the implicit finish drained, so no task
 	// can exist anywhere: shut the pool down.
 	p.done.Store(true)
@@ -149,7 +149,7 @@ func (w *worker) loop() {
 // exec runs a task this worker popped or stole.
 func (w *worker) exec(c *Ctx) {
 	c.w = w
-	w.rt.runTask(c, &w.local)
+	w.rt.runTask(c)
 	w.rt.leave(c)
 	w.recycle(c)
 }
@@ -158,15 +158,12 @@ func (w *worker) exec(c *Ctx) {
 const maxFree = 256
 
 // record returns a zero record for a task the worker's current task
-// spawns: one from the free list, or a new one (always, for a nil worker:
-// the goroutine executor's tasks).
+// spawns: one from the free list, or a new one.
 func (w *worker) record() *Ctx {
-	if w != nil {
-		if n := len(w.free); n > 0 {
-			c := w.free[n-1]
-			w.free = w.free[:n-1]
-			return c
-		}
+	if n := len(w.free); n > 0 {
+		c := w.free[n-1]
+		w.free = w.free[:n-1]
+		return c
 	}
 	return new(Ctx)
 }

@@ -10,21 +10,22 @@ import (
 // execution model that SP-bags and ESP-bags require (§1: "the parallel
 // program must be processed in a sequential order, usually depth-first").
 // The left-to-right execution order equals the left-to-right order of DPST
-// siblings. Every task runs on the calling goroutine, which is one worker
-// (id -1, no deque): every task's block and the one free list of records.
+// siblings. Every task runs on the calling goroutine, which drives one
+// worker (id 0, no deque): every task's block and the one free list of
+// records.
 type seqExec struct{}
 
 func (seqExec) run(rt *Runtime, main *Ctx) {
-	w := &worker{id: -1, rt: rt}
+	w := &worker{rt: rt}
 	main.w = w
-	rt.runMain(main, &w.local)
+	rt.runMain(main)
 	w.local.Flush(rt.st)
 }
 
 func (seqExec) spawn(parent, child *Ctx) {
 	rt, w := parent.rt, parent.w
 	w.local.Tally[stats.TaskInline]++
-	rt.runTask(child, &w.local)
+	rt.runTask(child)
 	rt.leave(child)
 	w.recycle(child)
 }

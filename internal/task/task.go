@@ -6,16 +6,18 @@
 // parent, and `finish { s }` runs s and then blocks until every task
 // (transitively) spawned inside s whose immediately enclosing finish (IEF)
 // is this finish has completed. Go has no structured fork-join runtime, so
-// this package rebuilds one with three interchangeable executors:
+// this package rebuilds one with two interchangeable executors:
 //
 //   - Pool: a fixed set of workers with Chase–Lev work-stealing deques;
 //     a worker blocked at an end-finish helps by running other tasks
-//     (this mirrors the HJ scheduler the paper evaluates on).
-//   - Goroutines: one goroutine per task, scheduled by the Go runtime;
-//     used to demonstrate that SPD3 — unlike SP-hybrid — is independent
-//     of the scheduler (§7).
+//     (this mirrors the HJ scheduler the paper evaluates on). SPD3 —
+//     unlike SP-hybrid — does not depend on the scheduler (§7): its
+//     verdicts agree at every worker count, 1 to 16.
 //   - Sequential: depth-first inline execution of every async; this is
 //     the execution model ESP-bags and SP-bags require (§1).
+//
+// Either way every task runs on one of the runtime's workers, so a task's
+// WorkerID is always in [0, Workers()).
 //
 // The runtime drives a detect.Detector: it emits task/finish lifecycle
 // events at exactly the program points the paper instruments, and the
@@ -26,7 +28,6 @@ package task
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"spd3/internal/detect"
@@ -47,8 +48,6 @@ const (
 	Auto ExecKind = iota
 	// Pool is the work-stealing worker pool (the parallel default).
 	Pool
-	// Goroutines runs one goroutine per task.
-	Goroutines
 	// Sequential executes asyncs inline, depth-first left-to-right.
 	Sequential
 )
@@ -59,8 +58,6 @@ func (k ExecKind) String() string {
 		return "auto"
 	case Pool:
 		return "pool"
-	case Goroutines:
-		return "goroutines"
 	case Sequential:
 		return "sequential"
 	default:
@@ -69,14 +66,14 @@ func (k ExecKind) String() string {
 }
 
 // ErrExecutorMismatch reports an explicit executor the detector cannot
-// run under (a sequential-only or an owned detector with Pool or
-// Goroutines); New returns it wrapped.
+// run under (a sequential-only or an owned detector with Pool); New
+// returns it wrapped.
 var ErrExecutorMismatch = errors.New("task: detector incompatible with selected executor")
 
 // Config configures a Runtime.
 type Config struct {
 	// Workers is the number of worker goroutines for the Pool executor
-	// (ignored by the others). Zero means 1.
+	// (the sequential executor has one). Zero means 1.
 	Workers int
 	// Executor selects the execution strategy.
 	Executor ExecKind
@@ -97,14 +94,12 @@ type Runtime struct {
 	exec    executor
 	ec      *sched.EventCount
 
-	taskIDs   ids.Counter // spawned tasks draw from their goroutine's detect.Local block
+	taskIDs   ids.Counter // spawned tasks draw from their worker's detect.Local block
 	finishIDs ids.Counter // likewise finishes
 	lockIDs   atomic.Int64
 
 	failure atomic.Pointer[taskFailure]
 	running atomic.Bool
-
-	locals sync.Pool // *detect.Local, flushed: the goroutine executor's blocks (goTask)
 }
 
 type taskFailure struct{ err error }
@@ -136,12 +131,9 @@ func New(cfg Config) (*Runtime, error) {
 			ErrExecutorMismatch, cfg.Detector.Name(), cfg.Executor)
 	}
 	rt := &Runtime{det: cfg.Detector, st: cfg.Stats, kind: cfg.Executor, workers: cfg.Workers, ec: sched.NewEventCount()}
-	rt.locals.New = func() any { return newGoLocal() }
 	switch cfg.Executor {
 	case Pool:
 		rt.exec = newPoolExec(cfg.Workers)
-	case Goroutines:
-		rt.exec = goExec{}
 	case Sequential:
 		rt.exec = seqExec{}
 	default:
@@ -249,7 +241,7 @@ type scope struct {
 // of it — the detect.Task the detector and the containers see (the
 // paper's task: id, IEF, detector state), the body to run and the finish
 // scopes — and nothing of whoever runs it: what the check path needs
-// meanwhile is the executing goroutine's detect.Local. The spawning Async
+// meanwhile is the executing worker's detect.Local. The spawning Async
 // takes it from its worker's free list, or allocates it (Run allocates
 // the main task's); the deques hold it, and the executor that starts it
 // only sets w and task.L. Once the task has left its scope the executing
@@ -258,7 +250,7 @@ type scope struct {
 // retain it.
 type Ctx struct {
 	rt   *Runtime
-	w    *worker // executing worker: a pool worker or the sequential executor's one; nil under the goroutine executor
+	w    *worker // executing worker: a pool worker or the sequential executor's one
 	task detect.Task
 	body func(*Ctx) // cleared when the task starts to run, so a retained record pins no user data
 	join *scope     // the task's IEF: a spawned task drains from it, the main task waits on it
@@ -268,15 +260,10 @@ type Ctx struct {
 // Task returns the runtime record of the current task.
 func (c *Ctx) Task() *detect.Task { return &c.task }
 
-// WorkerID returns the executing pool worker's index in [0, Workers), or
-// -1 under the goroutine and sequential executors. Each worker is driven
-// by exactly one goroutine, so worker-indexed state needs no locking.
-func (c *Ctx) WorkerID() int {
-	if c.w == nil {
-		return -1
-	}
-	return c.w.id
-}
+// WorkerID returns the executing worker's index in [0, Workers): a pool
+// worker's, or 0 under the sequential executor. Each worker is driven by
+// exactly one goroutine, so worker-indexed state needs no locking.
+func (c *Ctx) WorkerID() int { return c.w.id }
 
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }
@@ -286,15 +273,14 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 func (c *Ctx) Scope() (*Runtime, *detect.Task) { return c.rt, &c.task }
 
 // CountAccess records one instrumented read or write against region g in
-// the executing goroutine's block (detect.Local.CountAccess).
+// the executing worker's block (detect.Local.CountAccess).
 func (c *Ctx) CountAccess(g *stats.Region, write bool) { c.task.L.CountAccess(g, write) }
 
 // Async spawns body as a new child task. The child may run before, after,
 // or in parallel with the remainder of the parent (§2); it is joined at
 // the end of the innermost enclosing finish. Its record and its id come
-// from what the executing goroutine owns — the worker's free list, the
-// goroutine's id block — so a spawn touches no shared word but the
-// finish's pending count.
+// from what the executing worker owns — its free list, its id block — so
+// a spawn touches no shared word but the finish's pending count.
 func (c *Ctx) Async(body func(*Ctx)) {
 	rt := c.rt
 	child := c.w.record()
@@ -395,11 +381,11 @@ func (c *Ctx) Acquire(l *detect.Lock) { c.rt.det.Acquire(&c.task, l) }
 // Release is the counterpart of Acquire.
 func (c *Ctx) Release(l *detect.Lock) { c.rt.det.Release(&c.task, l) }
 
-// runBody runs c's body on the calling goroutine, which owns l, and
-// records a panic in it as the run's failure, so the callers always go on
-// to join, end and leave: finish counters drain and Run can unblock.
-func (rt *Runtime) runBody(c *Ctx, l *detect.Local) {
-	c.task.L = l
+// runBody runs c's body on its worker's block and records a panic in it
+// as the run's failure, so the callers always go on to join, end and
+// leave: finish counters drain and Run can unblock.
+func (rt *Runtime) runBody(c *Ctx) {
+	c.task.L = &c.w.local
 	body := c.body
 	c.body = nil
 	defer rt.capture()
@@ -411,8 +397,8 @@ func (rt *Runtime) runBody(c *Ctx, l *detect.Local) {
 // task's last event, it has no TaskEnd. A body that panicked inside a
 // Finish left it open, and ending the implicit finish over it would break
 // the event contract's nesting rule: no FinishEnd.
-func (rt *Runtime) runMain(c *Ctx, l *detect.Local) {
-	rt.runBody(c, l)
+func (rt *Runtime) runMain(c *Ctx) {
+	rt.runBody(c)
 	rt.exec.wait(c, c.join)
 	if c.fin == c.join {
 		c.task.Sample.Step()
@@ -422,27 +408,26 @@ func (rt *Runtime) runMain(c *Ctx, l *detect.Local) {
 
 // runTask is a spawned task's life up to its last event, TaskEnd; the
 // caller goes on to leave.
-func (rt *Runtime) runTask(c *Ctx, l *detect.Local) {
-	rt.runBody(c, l)
+func (rt *Runtime) runTask(c *Ctx) {
+	rt.runBody(c)
 	rt.det.TaskEnd(&c.task)
 }
 
 // leave counts c's completion against its IEF and wakes any worker blocked
 // on the scope. It follows runTask: the TaskEnd event must precede the
 // decrement so that FinishEnd observes all TaskEnds (see the detect package
-// contract), and so must a task goroutine's flush of its own block, so
-// that the end of Run observes all counts.
+// contract).
 func (rt *Runtime) leave(c *Ctx) {
 	if c.join.pending.Add(-1) == 0 {
 		rt.ec.Signal()
 	}
 }
 
-// executor abstracts over the three execution strategies.
+// executor abstracts over the two execution strategies.
 type executor interface {
-	// run sets the strategy up, executes rt.runMain on a block of the
-	// calling goroutine, tears the strategy down and flushes the blocks
-	// of the goroutines it owned.
+	// run sets the strategy up, executes rt.runMain on a worker driven by
+	// the calling goroutine, tears the strategy down and flushes its
+	// workers' blocks.
 	run(rt *Runtime, main *Ctx)
 	// spawn makes child runnable. Called from the parent's goroutine.
 	spawn(parent, child *Ctx)

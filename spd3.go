@@ -3,9 +3,9 @@
 // Dynamic Datarace Detection for Structured Parallelism" (Raman, Zhao,
 // Sarkar, Vechev, Yahav — PLDI 2012).
 //
-// The package bundles a structured task runtime (work-stealing pool,
-// goroutine-per-task, or sequential depth-first execution), instrumented
-// shared-memory containers, and five interchangeable detectors:
+// The package bundles a structured task runtime (a work-stealing pool or
+// sequential depth-first execution), instrumented shared-memory
+// containers, and five interchangeable detectors:
 //
 //   - SPD3 (the paper's contribution): runs in parallel, O(1) space per
 //     monitored location, sound and precise for a given input.
@@ -118,8 +118,6 @@ const (
 	Auto = task.Auto
 	// Pool schedules tasks on a fixed work-stealing worker pool.
 	Pool = task.Pool
-	// Goroutines runs one goroutine per task.
-	Goroutines = task.Goroutines
 	// Sequential runs asyncs inline, depth-first (required by ESPBags).
 	Sequential = task.Sequential
 )

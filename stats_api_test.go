@@ -192,7 +192,6 @@ func TestExecutorsCountExactly(t *testing.T) {
 		{"sequential", spd3.Options{Executor: spd3.Sequential}},
 		{"pool-1", spd3.Options{Executor: spd3.Pool, Workers: 1}},
 		{"pool-4", spd3.Options{Executor: spd3.Pool, Workers: 4}},
-		{"goroutines", spd3.Options{Executor: spd3.Goroutines}},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			eng, err := spd3.New(e.opts)
@@ -266,12 +265,8 @@ func TestExecutorsCountExactly(t *testing.T) {
 						t.Errorf("%s: %s = %d, want %d", what, c.what, c.got, c.want)
 					}
 				}
-				ran := int64(0) // the tasks a worker picked up, or ran inline
-				if e.opts.Executor != spd3.Goroutines {
-					ran = 2 * tasks
-				}
-				if got := m["task.inline"] + m["task.steal"]; got != ran {
-					t.Errorf("%s: task.inline + task.steal = %d, want %d", what, got, ran)
+				if got := m["task.inline"] + m["task.steal"]; got != m["task.spawn"] {
+					t.Errorf("%s: task.inline + task.steal = %d, want task.spawn %d", what, got, m["task.spawn"])
 				}
 				if e.opts.Executor == spd3.Sequential && m["task.steal"] != 0 {
 					t.Errorf("%s: the sequential executor stole %d tasks", what, m["task.steal"])
@@ -415,7 +410,6 @@ func TestUpdatesCountOneMemoryAction(t *testing.T) {
 	}{
 		{"sequential", spd3.Options{Executor: spd3.Sequential}},
 		{"pool-4", spd3.Options{Executor: spd3.Pool, Workers: 4}},
-		{"goroutines", spd3.Options{Executor: spd3.Goroutines}},
 	} {
 		for _, spec := range []string{"off", "bernoulli:0.5"} {
 			opts := e.opts
