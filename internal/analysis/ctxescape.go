@@ -1,12 +1,13 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 )
 
-// CtxEscapeAnalyzer flags *spd3.Ctx values that leave the dynamic
-// extent of the task they belong to.
+// CtxEscapeAnalyzer flags *spd3.Ctx and *spd3.Cilk values that leave
+// the dynamic extent of the task or Cilk procedure they belong to.
 //
 // A Ctx is the runtime's handle to one task's position in the DPST: the
 // detector attributes every instrumented access made through it to that
@@ -17,20 +18,48 @@ import (
 // Theorem-1 DMHP answers the shadow memory relies on are computed
 // between the wrong nodes. The detector then has no false-negative
 // guarantee and can also report phantom races: both halves of the
-// soundness/precision claim fail.
+// soundness/precision claim fail. Both handles are recycled: the
+// runtime hands a finished task's Ctx record to its next spawn and a
+// returned procedure's Cilk frame to its next RunCilk, so a retained one
+// is, besides, another task's or procedure's.
 //
-// The task runtime itself (spd3/internal/task) legitimately constructs
-// and stores Ctx values; it suppresses its one finding with an
-// explicit //spd3vet:ignore.
+// The task runtime itself (spd3/internal/task) legitimately stores a
+// Ctx in the Cilk frame it hands a procedure; it suppresses that one
+// finding with an explicit //spd3vet:ignore.
 var CtxEscapeAnalyzer = &Analyzer{
 	Name: "ctxescape",
-	Doc: "report *spd3.Ctx values captured by spawned tasks or stored in " +
+	Doc: "report *spd3.Ctx and *spd3.Cilk values captured by spawned tasks or stored in " +
 		"structs, globals, or collections, which misattribute accesses in the DPST",
 	Run: runCtxEscape,
 }
 
+// A handle is a per-task value that must not outlive its extent.
+type handle struct {
+	name    string // "Ctx" or "Cilk"
+	extent  string // what it is valid within
+	capture string // why a spawned closure must not capture it
+}
+
+var (
+	ctxHandle = &handle{"Ctx", "its task body",
+		"accesses through it are attributed to the wrong DPST step; use the spawned closure's own Ctx parameter"}
+	cilkHandle = &handle{"Cilk", "its procedure",
+		"it is the spawning procedure's frame, recycled once that procedure returns; use the spawned closure's own parameter"}
+)
+
+// handleOf returns the handle t is, or nil.
+func handleOf(t types.Type) *handle {
+	switch {
+	case isCtx(t):
+		return ctxHandle
+	case isCilk(t):
+		return cilkHandle
+	}
+	return nil
+}
+
 func runCtxEscape(pass *Pass) error {
-	// Capture by a spawned closure: an identifier of Ctx type inside
+	// Capture by a spawned closure: an identifier of handle type inside
 	// the closure body that resolves to a declaration outside it.
 	for _, tc := range TaskClosures(pass.Package) {
 		if !tc.Spawned {
@@ -46,19 +75,26 @@ func runCtxEscape(pass *Pass) error {
 			if obj == nil || seen[obj] {
 				return true
 			}
-			if v, ok := obj.(*types.Var); ok && !v.IsField() && isCtx(v.Type()) && tc.Captures(obj) {
-				seen[obj] = true
-				pass.Reportf(id.Pos(),
-					"*spd3.Ctx %q captured by a task spawned by %s: accesses through it are attributed to the wrong DPST step; use the spawned closure's own Ctx parameter",
-					id.Name, tc.API)
+			if v, ok := obj.(*types.Var); ok && !v.IsField() && tc.Captures(obj) {
+				if h := handleOf(v.Type()); h != nil {
+					seen[obj] = true
+					pass.Reportf(id.Pos(), "*spd3.%s %q captured by a task spawned by %s: %s", h.name, id.Name, tc.API, h.capture)
+				}
 			}
 			return true
 		})
 	}
 
-	// Stores: a Ctx assigned into a struct field, map/slice element,
+	// Stores: a handle assigned into a struct field, map/slice element,
 	// or package-level variable, or placed in a composite literal,
-	// outlives the task body it was valid in.
+	// outlives the extent it was valid in.
+	stored := func(e ast.Expr, where string) {
+		if tv, ok := pass.Info.Types[e]; ok {
+			if h := handleOf(tv.Type); h != nil {
+				pass.Reportf(e.Pos(), "*spd3.%s stored in %s: a %s is only valid within %s and must not outlive it", h.name, where, h.name, h.extent)
+			}
+		}
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -67,17 +103,14 @@ func runCtxEscape(pass *Pass) error {
 					if i >= len(n.Rhs) {
 						break
 					}
-					if tv, ok := pass.Info.Types[n.Rhs[i]]; !ok || !isCtx(tv.Type) {
-						continue
-					}
 					switch l := lhs.(type) {
 					case *ast.SelectorExpr:
-						pass.Reportf(n.Rhs[i].Pos(), "*spd3.Ctx stored in a struct field: a Ctx is only valid within its task body and must not outlive it")
+						stored(n.Rhs[i], "a struct field")
 					case *ast.IndexExpr:
-						pass.Reportf(n.Rhs[i].Pos(), "*spd3.Ctx stored in a collection element: a Ctx is only valid within its task body and must not outlive it")
+						stored(n.Rhs[i], "a collection element")
 					case *ast.Ident:
 						if obj := pass.Info.Uses[l]; obj != nil && obj.Parent() == pass.Types.Scope() {
-							pass.Reportf(n.Rhs[i].Pos(), "*spd3.Ctx stored in package-level variable %q: a Ctx is only valid within its task body and must not outlive it", l.Name)
+							stored(n.Rhs[i], fmt.Sprintf("package-level variable %q", l.Name))
 						}
 					}
 				}
@@ -87,9 +120,7 @@ func runCtxEscape(pass *Pass) error {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
 						v = kv.Value
 					}
-					if tv, ok := pass.Info.Types[v]; ok && isCtx(tv.Type) {
-						pass.Reportf(v.Pos(), "*spd3.Ctx stored in a composite literal: a Ctx is only valid within its task body and must not outlive it")
-					}
+					stored(v, "a composite literal")
 				}
 			}
 			return true

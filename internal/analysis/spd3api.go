@@ -42,6 +42,9 @@ func namedIn(t types.Type, pkgPath, name string) bool {
 // isCtx reports whether t is task.Ctx / *task.Ctx (a.k.a. spd3.Ctx).
 func isCtx(t types.Type) bool { return namedIn(t, taskPkgPath, "Ctx") }
 
+// isCilk reports whether t is task.Cilk / *task.Cilk (a.k.a. spd3.Cilk).
+func isCilk(t types.Type) bool { return namedIn(t, taskPkgPath, "Cilk") }
+
 // IsEngine reports whether t is (a pointer to) spd3.Engine.
 func IsEngine(t types.Type) bool { return namedIn(t, rootPkgPath, "Engine") }
 
@@ -224,7 +227,7 @@ func TaskClosures(pkg *Package) []TaskClosure {
 				if ca, ok := ctxBodyArgs[name]; ok {
 					add(call, ca, name)
 				}
-			case namedIn(rt, taskPkgPath, "Cilk") && name == "Spawn":
+			case isCilk(rt) && name == "Spawn":
 				add(call, closureArg{arg: 0, spawned: true}, "Spawn")
 			case (IsEngine(rt) || namedIn(rt, taskPkgPath, "Runtime")) && name == "Run":
 				add(call, closureArg{arg: 0, spawned: false}, "Run")

@@ -1,5 +1,6 @@
-// Package bad exercises the ctxescape analyzer: task contexts leaving
-// the dynamic extent of the task they belong to.
+// Package bad exercises the ctxescape analyzer: task contexts and Cilk
+// frames leaving the dynamic extent of the task or procedure they belong
+// to.
 package bad
 
 import "spd3"
@@ -24,4 +25,34 @@ func escapes(eng *spd3.Engine) {
 		_ = holder{c: c} // want `stored in a composite literal`
 	})
 	_, _ = h, box
+}
+
+var leakedFrame *spd3.Cilk
+
+type frameHolder struct{ k *spd3.Cilk }
+
+func frameEscapes(eng *spd3.Engine) {
+	var h frameHolder
+	frames := map[int]*spd3.Cilk{}
+	_, _ = eng.Run(func(c *spd3.Ctx) {
+		spd3.RunCilk(c, func(k *spd3.Cilk) {
+			k.Spawn(func(k *spd3.Cilk) {
+				k.Sync() // the spawned procedure's own frame: fine
+			})
+			spd3.RunCilk(k.Ctx(), func(inner *spd3.Cilk) {
+				k.Sync() // a nested procedure on the same task: fine
+			})
+			k.Spawn(func(child *spd3.Cilk) {
+				k.Sync() // want `\*spd3\.Cilk "k" captured by a task spawned by Spawn`
+			})
+			c.Async(func(c *spd3.Ctx) {
+				k.Spawn(func(*spd3.Cilk) {}) // want `\*spd3\.Cilk "k" captured by a task spawned by Async`
+			})
+			leakedFrame = k     // want `\*spd3\.Cilk stored in package-level variable "leakedFrame"`
+			h.k = k             // want `\*spd3\.Cilk stored in a struct field: a Cilk is only valid within its procedure`
+			frames[0] = k       // want `\*spd3\.Cilk stored in a collection element`
+			_ = []*spd3.Cilk{k} // want `\*spd3\.Cilk stored in a composite literal`
+		})
+	})
+	_, _ = h, frames
 }

@@ -21,14 +21,14 @@
 // Storage. A node is 16 bytes — the parent pointer, the id and one word
 // holding depth and kind — and lives in a tree-owned arena: fixed-size
 // chunks of chunkNodes nodes (64 KiB, four nodes to a cache line and none
-// straddling one), allocated on first use, CAS-published into a two-level
-// directory and never moved or freed while the tree is reachable. A node's
-// ID is its arena index: a 32-bit handle that Tree.Node turns back into
-// the node with two directory loads — what lets the detector's shadow word
-// record steps as ids, not pointers — and the paper's seq_no: siblings
-// are ordered by it (root = 0; race reports print it). A tree holds at
-// most 2^32 ids and is at most 2^30 - 1 deep; the insertion that would
-// exceed either panics, inserting nothing.
+// straddling one), allocated once, on first use, published into a
+// two-level directory and never moved or freed while the tree is
+// reachable. A node's ID is its arena index: a 32-bit handle that
+// Tree.Node turns back into the node with two directory loads — what lets
+// the detector's shadow word record steps as ids, not pointers — and the
+// paper's seq_no: siblings are ordered by it (root = 0; race reports
+// print it). A tree holds at most 2^32 ids and is at most 2^30 - 1 deep;
+// the insertion that would exceed either panics, inserting nothing.
 //
 // Ids. Ids come from the tree's counter (package ids), either drawn one
 // insertion at a time (NewChild: one shared atomic each) or taken from an
@@ -75,18 +75,23 @@
 // and reads — never writes — its parent, so concurrent insertions touch
 // disjoint memory and no node field needs synchronization (§5.1). The
 // only shared writes are the counter's draws and the publication of a
-// fresh chunk, one CAS that the loser abandons. Nodes become visible to
-// other tasks only via the scheduler's task hand-off or the detector's
-// atomic shadow-word stores, both of which establish the necessary
-// happens-before edges (and a task that can see an id can see the chunk
-// it indexes: the chunk was published before the node was written). The
-// paper's ownership rule — a task appends children only under a finish it
+// fresh chunk or directory block. An insertion that finds one missing
+// takes the tree's mutex, looks again and allocates only if it is still
+// missing, so each is allocated exactly once and no allocation is
+// dropped; the mutex is taken once per chunk per owner at most, and an
+// owner that meets the chunk its block needs already published takes
+// nothing. Nodes become visible to other tasks only via the scheduler's
+// task hand-off or the detector's atomic shadow-word stores, both of which
+// establish the necessary happens-before edges (and a task that can see
+// an id can see the chunk it indexes: the chunk was published before the
+// node was written). The paper's ownership rule — a task appends children only under a finish it
 // itself started or under its own async node — protects no memory here;
 // with R1 it is what makes the id order of siblings their program order.
 package dpst
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"spd3/internal/ids"
@@ -179,6 +184,7 @@ type (
 type Tree struct {
 	count ids.Counter // node ids; Len is the next one
 	dir   [dirBlocks]atomic.Pointer[block]
+	grow  sync.Mutex // held to allocate a chunk or directory block (slot)
 }
 
 // New creates a tree containing only the root finish node, which
@@ -218,24 +224,29 @@ func (t *Tree) slot(id uint32) *Node {
 	bp := &t.dir[id>>(chunkShift+blockShift)]
 	b := bp.Load()
 	if b == nil {
-		b = publishNew(bp)
+		b = allocOnce(&t.grow, bp)
 	}
 	cp := &b[id>>chunkShift&(blockChunks-1)]
 	c := cp.Load()
 	if c == nil {
-		c = publishNew(cp)
+		c = allocOnce(&t.grow, cp)
 	}
 	return &c[id&(chunkNodes-1)]
 }
 
-// publishNew fills the empty p with a zero T. A lost publication race
-// drops its allocation and adopts the winner's.
-func publishNew[T any](p *atomic.Pointer[T]) *T {
-	v := new(T)
-	if p.CompareAndSwap(nil, v) {
-		return v
+// allocOnce fills p with a zero T unless it is filled already, and
+// returns what p holds. It runs under mu, so of two insertions that both
+// found p empty the second waits for the first's allocation and adopts
+// it instead of making one of its own.
+func allocOnce[T any](mu *sync.Mutex, p *atomic.Pointer[T]) *T {
+	mu.Lock()
+	defer mu.Unlock()
+	v := p.Load()
+	if v == nil {
+		v = new(T)
+		p.Store(v)
 	}
-	return p.Load()
+	return v
 }
 
 // NewChild appends a new rightmost child of parent and returns it, its id

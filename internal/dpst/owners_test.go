@@ -2,9 +2,11 @@ package dpst
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spd3/internal/ids"
 )
@@ -314,5 +316,50 @@ func TestBlocksConcurrentOwners(t *testing.T) {
 				t.Fatalf("owner %d, node %d: %v under %v, want consecutive ids under %v", w, i, n, n.Parent, parent)
 			}
 		}
+	}
+}
+
+// TestChunkAllocatedOnce: two owners inserting into one tree at once
+// allocate each arena chunk once. Each refill publishes the chunks of the
+// ids it drew, and where the owners' blocks meet a chunk boundary both can
+// find the chunk missing at the same time: the second must adopt the
+// first's chunk, not allocate one of its own and drop it. So all the
+// insertions allocate is the chunks their ids span, at most one directory
+// block, and a slack of one chunk for the goroutines and the test itself.
+func TestChunkAllocatedOnce(t *testing.T) {
+	const (
+		owners   = 2
+		perOwner = 65 * chunkNodes / (3 * owners) // spawns: together past 64 chunk boundaries
+	)
+	tr := New()
+	scopes := [owners]*Node{tr.NewChild(tr.Root(), AsyncNode), tr.NewChild(tr.Root(), AsyncNode)}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, scope := range scopes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b ids.Block
+			<-start
+			for i := 0; i < perOwner; i++ {
+				tr.SpawnFrom(&b, scope)
+			}
+			b.Release()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	spanned := uint64(tr.Len()-1) >> chunkShift // chunk 0 came with New
+	if spanned < 64 {
+		t.Fatalf("the insertions spanned %d chunks, want at least 64", spanned)
+	}
+	chunkBytes := uint64(unsafe.Sizeof(chunk{}))
+	bound := spanned*chunkBytes + uint64(unsafe.Sizeof(block{})) + chunkBytes
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("inserting across %d chunks allocated %d bytes, more than %d: %.1f chunks dropped",
+			spanned, got, bound, float64(got-spanned*chunkBytes)/float64(chunkBytes))
 	}
 }

@@ -14,25 +14,37 @@ package task
 //
 // The embedding: the spawns between two syncs of one procedure live in
 // one finish scope, opened lazily at the first Spawn and closed at the
-// next Sync; each spawned child is an async whose body is itself run
-// under RunCilk, giving it the implicit final sync. Detectors therefore
-// see plain async/finish events and need no spawn/sync support — SPD3's
-// DPST for a Cilk program is exactly the tree its §2 discussion
-// describes.
+// next Sync; each spawned child is an async whose procedure runs under
+// RunCilk, giving it the implicit final sync. Detectors therefore see
+// plain async/finish events and need no spawn/sync support — SPD3's DPST
+// for a Cilk program is exactly the tree its §2 discussion describes.
+//
+// A Cilk is a procedure's frame: the task it runs on and the scope its
+// sync regions open, one after another. RunCilk takes it from the
+// executing worker's free list and returns it there after the final
+// Sync, so a *Cilk is valid only inside its procedure, like a Ctx inside
+// its task body: do not retain it, and do not use it from a spawned
+// child, which gets a frame of its own.
 type Cilk struct {
 	c    *Ctx
-	prev *scope
-	open bool
+	prev *scope // the scope to restore at the next Sync
+	open bool   // a sync region is open: s is c's innermost finish
+	s    scope
 }
 
 // RunCilk executes body as a Cilk procedure on the current task: body
 // may Spawn and Sync, and a final implicit Sync runs before RunCilk
-// returns.
+// returns. A body that panics drops its frame instead of returning it:
+// its children may still be registered in the frame's scope.
 func RunCilk(c *Ctx, body func(k *Cilk)) {
-	//spd3vet:ignore runtime-internal: Cilk is a same-task view over c, never passed across a spawn (Spawn wraps children in RunCilk with their own Ctx)
-	k := &Cilk{c: c}
+	w := c.w
+	k := w.frames.get()
+	//spd3vet:ignore runtime-internal: the frame is a same-task view over c, returned to the worker below before c's body goes on; a spawned child runs in a frame of its own
+	k.c = c
 	body(k)
 	k.Sync()
+	k.c = nil
+	w.frames.put(k)
 }
 
 // Ctx returns the underlying task context (for instrumented memory
@@ -43,10 +55,10 @@ func (k *Cilk) Ctx() *Ctx { return k.c }
 // remainder of this procedure, joined at the next Sync.
 func (k *Cilk) Spawn(child func(k *Cilk)) {
 	if !k.open {
-		k.prev = k.c.beginFinish()
+		k.prev = k.c.beginFinish(&k.s)
 		k.open = true
 	}
-	k.c.Async(func(c *Ctx) { RunCilk(c, child) })
+	k.c.spawn(nil, child)
 }
 
 // Sync blocks until every procedure spawned so far (and its transitive

@@ -1,11 +1,14 @@
 package task
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
-	"spd3/internal/core"
 	"spd3/internal/detect"
+	_ "spd3/internal/espbags"
+	_ "spd3/internal/fasttrack"
+	"spd3/internal/graph"
 )
 
 func TestCilkFib(t *testing.T) {
@@ -142,33 +145,195 @@ func TestCilkEmbeddingEvents(t *testing.T) {
 	}
 }
 
-// TestCilkRaceDetection: spawn/sync programs run under SPD3 through the
-// embedding — a spawned child racing with the continuation is caught,
-// and the post-sync access is ordered.
+// TestCilkRaceDetection: spawn/sync programs run under the race
+// detectors through the embedding — a spawned child racing with the
+// continuation is caught, and the post-sync accesses are ordered — with
+// the same verdict from SPD3, FastTrack, ESP-bags and the computation-DAG
+// oracle, on the sequential executor and, for the detectors that run in
+// parallel, on a pool, where procedures run in recycled frames.
 func TestCilkRaceDetection(t *testing.T) {
-	sink := detect.NewSink(false, 0)
-	d := core.New(sink, nil)
-	rt, err := New(Config{Executor: Sequential, Detector: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := d.NewShadow(detect.Spec("x", 2, 8))
-	err = rt.Run(func(c *Ctx) {
-		RunCilk(c, func(k *Cilk) {
-			k.Spawn(func(k *Cilk) { sh.Write(k.Ctx().Task(), 0) })
-			sh.Write(k.Ctx().Task(), 0) // races with the spawn
-			k.Sync()
-			sh.Write(k.Ctx().Task(), 1) // ordered: no race
-			k.Spawn(func(k *Cilk) { sh.Write(k.Ctx().Task(), 1) })
-			// implicit sync
+	for _, e := range []struct {
+		detector string
+		cfg      Config
+	}{
+		{"spd3", Config{Executor: Sequential}},
+		{"spd3", Config{Executor: Pool, Workers: 4}},
+		{"fasttrack", Config{Executor: Sequential}},
+		{"fasttrack", Config{Executor: Pool, Workers: 4}},
+		{"espbags", Config{Executor: Sequential}},
+		{"graph", Config{Executor: Sequential}},
+	} {
+		t.Run(e.detector+"/"+e.cfg.Executor.String(), func(t *testing.T) {
+			var races func() []detect.Race
+			cfg := e.cfg
+			if e.detector == "graph" {
+				o := graph.New()
+				cfg.Detector, races = o, o.Races
+			} else {
+				ses, err := detect.Open(e.detector, detect.SessionOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Detector, cfg.Stats, races = ses.Det, ses.Rec, ses.Sink.Races
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := cfg.Detector.NewShadow(detect.Spec("x", 2, 8))
+			err = rt.Run(func(c *Ctx) {
+				RunCilk(c, func(k *Cilk) {
+					k.Spawn(func(k *Cilk) { sh.Write(k.Ctx().Task(), 0) })
+					sh.Write(k.Ctx().Task(), 0) // races with the spawn
+					k.Sync()
+					sh.Write(k.Ctx().Task(), 1) // ordered: no race
+					k.Spawn(func(k *Cilk) { sh.Write(k.Ctx().Task(), 1) })
+					// implicit sync
+				})
+				sh.Write(c.Task(), 1) // ordered after the implicit sync
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := races(); len(got) != 1 || got[0].Index != 0 {
+				t.Fatalf("races = %v, want exactly one on index 0", got)
+			}
 		})
-		sh.Write(c.Task(), 1) // ordered after the implicit sync
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	races := sink.Races()
-	if len(races) != 1 || races[0].Index != 0 {
-		t.Fatalf("races = %v, want exactly one on index 0", races)
+}
+
+// liveScopes checks that every finish scope and every Cilk frame arrives
+// as a new one would. A task's State is its stack of open finishes, its
+// IEF at the bottom. stale counts finishes that start with detector
+// state on them — a scope reused without clearing its detect.Finish;
+// misplaced counts spawns whose IEF is not the spawning task's innermost
+// open finish and FinishEnds of any other finish — a frame or scope that
+// two procedures or finishes share.
+type liveScopes struct {
+	detect.Nop
+	stale, misplaced atomic.Int64
+}
+
+type openFinishes []*detect.Finish
+
+func (d *liveScopes) MainTask(t *detect.Task, f *detect.Finish) {
+	f.State, t.State = t, &openFinishes{f}
+}
+
+func (d *liveScopes) BeforeSpawn(p, c *detect.Task) {
+	if open := *p.State.(*openFinishes); c.IEF != open[len(open)-1] {
+		d.misplaced.Add(1)
+	}
+	c.State = &openFinishes{c.IEF}
+}
+
+func (d *liveScopes) FinishStart(t *detect.Task, f *detect.Finish) {
+	if f.State != nil {
+		d.stale.Add(1)
+	}
+	f.State = t
+	open := t.State.(*openFinishes)
+	*open = append(*open, f)
+}
+
+func (d *liveScopes) FinishEnd(t *detect.Task, f *detect.Finish) {
+	open := t.State.(*openFinishes)
+	if n := len(*open); (*open)[n-1] != f {
+		d.misplaced.Add(1)
+	} else {
+		*open = (*open)[:n-1]
+	}
+}
+
+// recycledProc is a Cilk procedure of the given depth that reuses frames
+// and scopes every way a program can: three Spawn/Sync rounds, a child
+// whose plain Async registers in its parent's sync region, a nested
+// RunCilk on one task, a Finish inside RunCilk and a RunCilk inside a
+// Finish. Every procedure and async adds one to ran:
+// recycledRan(depth) in all.
+func recycledProc(k *Cilk, depth int, ran *atomic.Int64) {
+	ran.Add(1)
+	if depth == 0 {
+		return
+	}
+	for round := 0; round < 3; round++ {
+		k.Spawn(func(k *Cilk) { recycledProc(k, depth-1, ran) })
+		k.Spawn(func(k *Cilk) {
+			k.Ctx().Async(func(*Ctx) { ran.Add(1) })
+			RunCilk(k.Ctx(), func(k *Cilk) {
+				k.Spawn(func(*Cilk) { ran.Add(1) })
+				k.Ctx().Finish(func(c *Ctx) {
+					c.Async(func(c *Ctx) {
+						RunCilk(c, func(k *Cilk) { k.Spawn(func(*Cilk) { ran.Add(1) }) })
+					})
+				})
+			})
+		})
+		k.Sync()
+	}
+}
+
+// recycledRan is what recycledProc(depth) adds to ran.
+func recycledRan(depth int) int64 {
+	if depth == 0 {
+		return 1
+	}
+	return 1 + 3*(recycledRan(depth-1)+3)
+}
+
+// TestRecycledScopesAndFrames: finish scopes and Cilk frames come from
+// the executing worker's free lists, and a reused one is what a new one
+// would be — no detector state on its finish, no other procedure's or
+// finish's spawns in it — under every executor, after a child that
+// panicked with a sync region and a finish open (it drops both: its
+// children are still registered there) as much as before. Every
+// procedure and async runs once.
+func TestRecycledScopesAndFrames(t *testing.T) {
+	for _, e := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sequential", Config{Executor: Sequential}},
+		{"pool-4", Config{Executor: Pool, Workers: 4}},
+		{"pool-16", Config{Executor: Pool, Workers: 16}},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			det := &liveScopes{}
+			cfg := e.cfg
+			cfg.Detector = det
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const depth = 4
+			var ran, orphans atomic.Int64
+			err = rt.Run(func(c *Ctx) {
+				RunCilk(c, func(k *Cilk) {
+					recycledProc(k, depth, &ran)
+					k.Spawn(func(k *Cilk) {
+						k.Spawn(func(*Cilk) { orphans.Add(1) })
+						k.Ctx().Finish(func(c *Ctx) {
+							c.Async(func(*Ctx) { orphans.Add(1) })
+							panic("boom")
+						})
+					})
+					k.Sync()
+					recycledProc(k, depth, &ran)
+				})
+				c.Finish(func(c *Ctx) { RunCilk(c, func(k *Cilk) { recycledProc(k, depth, &ran) }) })
+			})
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("Run = %v, want the child's panic", err)
+			}
+			if n := det.stale.Load(); n != 0 {
+				t.Errorf("%d finishes started with another finish's detector state", n)
+			}
+			if n := det.misplaced.Load(); n != 0 {
+				t.Errorf("%d spawns or finish ends were not in the innermost open finish", n)
+			}
+			if got, want := ran.Load(), 3*recycledRan(depth); got != want {
+				t.Errorf("%d procedures and asyncs ran, want %d", got, want)
+			}
+		})
 	}
 }

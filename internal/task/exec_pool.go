@@ -24,7 +24,7 @@ type poolExec struct {
 }
 
 // worker is one pool worker, or the sequential executor's one. Its deque,
-// its free list and its scratch block are owned by whatever goroutine is
+// its free lists and its scratch block are owned by whatever goroutine is
 // currently executing tasks on its behalf; that is always exactly one
 // goroutine.
 type worker struct {
@@ -35,8 +35,13 @@ type worker struct {
 	rng uint64
 
 	// free holds the records of tasks this worker ran to the end, for
-	// its next spawns (record, recycle); at most maxFree of them.
-	free []*Ctx
+	// its next spawns (recycle); scopes the finish scopes and frames the
+	// Cilk frames its tasks closed, for their next Finish and RunCilk. A
+	// task runs on one worker from start to end, so it returns a scope or
+	// a frame to the list it took it from.
+	free   freeList[Ctx]
+	scopes freeList[scope]
+	frames freeList[Cilk]
 
 	// local is the block every task this worker executes points at;
 	// poolExec.run flushes it after the pool has quiesced. Workers are
@@ -82,7 +87,7 @@ func (p *poolExec) run(rt *Runtime, main *Ctx) {
 
 func (p *poolExec) spawn(parent, child *Ctx) {
 	parent.w.dq.Push(child)
-	parent.rt.ec.Signal()
+	parent.w.rt.ec.Signal()
 }
 
 // wait blocks until s has drained, helping by running other tasks so
@@ -90,7 +95,7 @@ func (p *poolExec) spawn(parent, child *Ctx) {
 // tasks sit in some deque.
 func (p *poolExec) wait(c *Ctx, s *scope) {
 	w := c.w
-	rt := c.rt
+	rt := w.rt
 	for {
 		if s.pending.Load() == 0 {
 			return
@@ -118,7 +123,7 @@ func (p *poolExec) wait(c *Ctx, s *scope) {
 // participants are picked up by idle workers stealing from this worker's
 // deque, which is why barriers on the pool executor need at least as
 // many workers as concurrently blocked tasks.
-func (p *poolExec) parkFor(c *Ctx, done func() bool) { c.rt.park(done) }
+func (p *poolExec) parkFor(c *Ctx, done func() bool) { c.w.rt.park(done) }
 
 // loop is the top-level routine of workers 1..n-1 (worker 0 is driven by
 // the Run caller). It runs until the pool is shut down.
@@ -154,18 +159,31 @@ func (w *worker) exec(c *Ctx) {
 	w.recycle(c)
 }
 
-// maxFree bounds a worker's free list: 256 records, 28 KiB.
+// maxFree bounds each of a worker's free lists: 256 records, 28 KiB;
+// 256 scopes, 8 KiB; 256 frames, 16 KiB.
 const maxFree = 256
 
-// record returns a zero record for a task the worker's current task
-// spawns: one from the free list, or a new one.
-func (w *worker) record() *Ctx {
-	if n := len(w.free); n > 0 {
-		c := w.free[n-1]
-		w.free = w.free[:n-1]
-		return c
+// freeList is a worker's stack of records it has done with, at most
+// maxFree of them. What is put is as get would return it new: a task
+// record is cleared by recycle, a scope by endFinish, and a frame by
+// RunCilk's final Sync.
+type freeList[T any] []*T
+
+// get returns a record from the list, or a new one.
+func (l *freeList[T]) get() *T {
+	if n := len(*l); n > 0 {
+		v := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return v
 	}
-	return new(Ctx)
+	return new(T)
+}
+
+// put gives v back to the list, or drops it when the list is full.
+func (l *freeList[T]) put(v *T) {
+	if len(*l) < maxFree {
+		*l = append(*l, v)
+	}
 }
 
 // recycle takes back the record of a task that has left its scope
@@ -176,9 +194,7 @@ func (w *worker) record() *Ctx {
 // a reused one is what a new one would be.
 func (w *worker) recycle(c *Ctx) {
 	*c = Ctx{}
-	if len(w.free) < maxFree {
-		w.free = append(w.free, c)
-	}
+	w.free.put(c)
 }
 
 // find returns a runnable task: first from the worker's own deque, then

@@ -11,8 +11,8 @@ import (
 // program must be processed in a sequential order, usually depth-first").
 // The left-to-right execution order equals the left-to-right order of DPST
 // siblings. Every task runs on the calling goroutine, which drives one
-// worker (id 0, no deque): every task's block and the one free list of
-// records.
+// worker (id 0, no deque): every task's block and the one set of free
+// lists.
 type seqExec struct{}
 
 func (seqExec) run(rt *Runtime, main *Ctx) {
@@ -23,7 +23,8 @@ func (seqExec) run(rt *Runtime, main *Ctx) {
 }
 
 func (seqExec) spawn(parent, child *Ctx) {
-	rt, w := parent.rt, parent.w
+	w := parent.w
+	rt := w.rt
 	w.local.Tally[stats.TaskInline]++
 	rt.runTask(child)
 	rt.leave(child)

@@ -19,6 +19,13 @@
 // Either way every task runs on one of the runtime's workers, so a task's
 // WorkerID is always in [0, Workers()).
 //
+// In steady state a spawn, a finish and a Cilk procedure allocate
+// nothing: a worker keeps the task records, finish scopes and Cilk frames
+// its tasks are done with and hands them to its next spawns, finishes and
+// RunCilk calls. A *Ctx is therefore valid only inside the task body it
+// was passed to, and a *Cilk only inside its procedure: the same memory
+// is another task's, or another procedure's, once that has returned.
+//
 // The runtime drives a detect.Detector: it emits task/finish lifecycle
 // events at exactly the program points the paper instruments, and the
 // instrumented containers in package mem route every read and write
@@ -190,7 +197,7 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	fid, _ := rt.finishIDs.Draw(1)
 	tid, _ := rt.taskIDs.Draw(1)
 	implicit := &scope{f: detect.Finish{ID: fid}}
-	main := &Ctx{rt: rt, body: root, join: implicit, fin: implicit}
+	main := &Ctx{body: root, join: implicit, fin: implicit}
 	main.task = detect.Task{ID: detect.TaskID(tid), IEF: &implicit.f}
 	main.task.Sample.Step()
 	rt.det.MainTask(&main.task, &implicit.f)
@@ -231,30 +238,32 @@ func (rt *Runtime) park(done func() bool) {
 // tasks registered to it. The counter can touch zero and rise again
 // while the owner is still inside the finish body, so waiters always
 // re-check it under the eventcount protocol rather than relying on a
-// one-shot completion signal.
+// one-shot completion signal. Run allocates the implicit finish's scope;
+// a Finish takes one from the executing worker's free list, and a Cilk
+// sync region uses its frame's.
 type scope struct {
 	f       detect.Finish
 	pending atomic.Int64
 }
 
-// Ctx is a task: its handle to the runtime and, embedded, the one record
-// of it — the detect.Task the detector and the containers see (the
-// paper's task: id, IEF, detector state), the body to run and the finish
-// scopes — and nothing of whoever runs it: what the check path needs
-// meanwhile is the executing worker's detect.Local. The spawning Async
-// takes it from its worker's free list, or allocates it (Run allocates
-// the main task's); the deques hold it, and the executor that starts it
-// only sets w and task.L. Once the task has left its scope the executing
+// Ctx is a task: its handle to the runtime (through the executing worker)
+// and, embedded, the one record of it — the detect.Task the detector and
+// the containers see (the paper's task: id, IEF, detector state), the body
+// or Cilk procedure to run and the finish scopes — and nothing of whoever
+// runs it: what the check path needs meanwhile is the executing worker's
+// detect.Local. The spawning Async takes it from its worker's free list,
+// or allocates it (Run allocates the main task's); the deques hold it,
+// and the executor that starts it only sets w and task.L. Once the task has left its scope the executing
 // worker takes the record back (worker.recycle). A Ctx is only valid
 // within the dynamic extent of the task body it was passed to; do not
 // retain it.
 type Ctx struct {
-	rt   *Runtime
 	w    *worker // executing worker: a pool worker or the sequential executor's one
 	task detect.Task
-	body func(*Ctx) // cleared when the task starts to run, so a retained record pins no user data
-	join *scope     // the task's IEF: a spawned task drains from it, the main task waits on it
-	fin  *scope     // innermost active finish scope (where the task's asyncs register)
+	body func(*Ctx)  // cleared when the task starts to run, so a retained record pins no user data
+	proc func(*Cilk) // a Cilk child's procedure, run under RunCilk in place of body; likewise cleared
+	join *scope      // the task's IEF: a spawned task drains from it, the main task waits on it
+	fin  *scope      // innermost active finish scope (where the task's asyncs register)
 }
 
 // Task returns the runtime record of the current task.
@@ -266,11 +275,11 @@ func (c *Ctx) Task() *detect.Task { return &c.task }
 func (c *Ctx) WorkerID() int { return c.w.id }
 
 // Runtime returns the owning runtime.
-func (c *Ctx) Runtime() *Runtime { return c.rt }
+func (c *Ctx) Runtime() *Runtime { return c.w.rt }
 
 // Scope makes c an allocation scope that records the creation writes
 // against c's task.
-func (c *Ctx) Scope() (*Runtime, *detect.Task) { return c.rt, &c.task }
+func (c *Ctx) Scope() (*Runtime, *detect.Task) { return c.w.rt, &c.task }
 
 // CountAccess records one instrumented read or write against region g in
 // the executing worker's block (detect.Local.CountAccess).
@@ -281,10 +290,16 @@ func (c *Ctx) CountAccess(g *stats.Region, write bool) { c.task.L.CountAccess(g,
 // the end of the innermost enclosing finish. Its record and its id come
 // from what the executing worker owns — its free list, its id block — so
 // a spawn touches no shared word but the finish's pending count.
-func (c *Ctx) Async(body func(*Ctx)) {
-	rt := c.rt
-	child := c.w.record()
-	child.rt, child.w, child.body, child.join, child.fin = rt, c.w, body, c.fin, c.fin
+func (c *Ctx) Async(body func(*Ctx)) { c.spawn(body, nil) }
+
+// spawn is Async of body or, for Cilk.Spawn, of the Cilk procedure proc,
+// which runBody runs under RunCilk: the child's record holds whichever is
+// set, so a Cilk spawn wraps its procedure in no closure.
+func (c *Ctx) spawn(body func(*Ctx), proc func(*Cilk)) {
+	w := c.w
+	rt := w.rt
+	child := w.free.get()
+	child.w, child.body, child.proc, child.join, child.fin = w, body, proc, c.fin, c.fin
 	child.task.ID, child.task.IEF = detect.TaskID(c.task.L.Tasks.Next(&rt.taskIDs)), &c.fin.f
 	child.task.Sample.Step()
 	c.task.Sample.Step()
@@ -295,19 +310,25 @@ func (c *Ctx) Async(body func(*Ctx)) {
 }
 
 // Finish executes body and then blocks until all tasks spawned within it
-// (transitively, whose IEF is this finish) have completed.
+// (transitively, whose IEF is this finish) have completed. Its scope comes
+// from the executing worker's free list and goes back there once the
+// finish has ended; a body that panics drops it.
 func (c *Ctx) Finish(body func(*Ctx)) {
-	prev := c.beginFinish()
+	w := c.w
+	s := w.scopes.get()
+	prev := c.beginFinish(s)
 	body(c)
 	c.endFinish(prev)
+	w.scopes.put(s)
 }
 
-// beginFinish opens a finish scope and returns the scope to restore at
-// the matching endFinish. The non-block-structured form exists for the
-// Cilk spawn/sync layer, which must hold a finish open across calls.
-func (c *Ctx) beginFinish() *scope {
-	rt := c.rt
-	s := &scope{f: detect.Finish{ID: c.task.L.Finishes.Next(&rt.finishIDs)}}
+// beginFinish opens the finish scope s, drained and cleared, and returns
+// the scope to restore at the matching endFinish. The non-block-structured
+// form exists for the Cilk spawn/sync layer, which must hold a finish open
+// across calls.
+func (c *Ctx) beginFinish(s *scope) *scope {
+	rt := c.w.rt
+	s.f.ID = c.task.L.Finishes.Next(&rt.finishIDs)
 	c.task.Sample.Step()
 	rt.det.FinishStart(&c.task, &s.f)
 	prev := c.fin
@@ -316,14 +337,18 @@ func (c *Ctx) beginFinish() *scope {
 }
 
 // endFinish joins the innermost finish opened by beginFinish and
-// restores the enclosing scope.
+// restores the enclosing scope. It leaves that scope drained and its
+// detect.Finish cleared — every task registered in it has left, and no
+// detector keeps a *detect.Finish past its FinishEnd — so the scope can
+// open the next finish as a new one would and pins no detector state.
 func (c *Ctx) endFinish(prev *scope) {
-	rt := c.rt
+	rt := c.w.rt
 	s := c.fin
 	rt.exec.wait(c, s)
 	c.fin = prev
 	c.task.Sample.Step()
 	rt.det.FinishEnd(&c.task, &s.f)
+	s.f = detect.Finish{}
 }
 
 // FinishAsync is the common `finish { for ... async }` idiom: it runs
@@ -363,7 +388,7 @@ func (c *Ctx) ParallelFor(lo, hi, grain int, body func(c *Ctx, i int)) {
 // ChunkGrain returns the grain that splits n iterations into one chunk
 // per worker, the decomposition the chunked benchmark variants use.
 func (c *Ctx) ChunkGrain(n int) int {
-	w := c.rt.workers
+	w := c.w.rt.workers
 	if w < 1 {
 		w = 1
 	}
@@ -376,19 +401,24 @@ func (c *Ctx) ChunkGrain(n int) int {
 
 // Acquire locks l's detector state; use via mem.Mutex, which pairs it
 // with a real sync.Mutex.
-func (c *Ctx) Acquire(l *detect.Lock) { c.rt.det.Acquire(&c.task, l) }
+func (c *Ctx) Acquire(l *detect.Lock) { c.w.rt.det.Acquire(&c.task, l) }
 
 // Release is the counterpart of Acquire.
-func (c *Ctx) Release(l *detect.Lock) { c.rt.det.Release(&c.task, l) }
+func (c *Ctx) Release(l *detect.Lock) { c.w.rt.det.Release(&c.task, l) }
 
-// runBody runs c's body on its worker's block and records a panic in it
-// as the run's failure, so the callers always go on to join, end and
-// leave: finish counters drain and Run can unblock.
+// runBody runs c's body, or its Cilk procedure under RunCilk, on its
+// worker's block and records a panic in it as the run's failure, so the
+// callers always go on to join, end and leave: finish counters drain and
+// Run can unblock.
 func (rt *Runtime) runBody(c *Ctx) {
 	c.task.L = &c.w.local
-	body := c.body
-	c.body = nil
+	body, proc := c.body, c.proc
+	c.body, c.proc = nil, nil
 	defer rt.capture()
+	if proc != nil {
+		RunCilk(c, proc)
+		return
+	}
 	body(c)
 }
 

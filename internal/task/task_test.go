@@ -571,11 +571,14 @@ func allocsPerOp(t *testing.T, cfg Config, detector string, op func(c *Ctx)) flo
 // record (the Ctx, with the detect.Task embedded) and nothing else, with
 // or without SPD3 — its per-task state is a pointer into the DPST, and the
 // three nodes of §3.1's task-creation rule come out of the tree's arena,
-// one allocation per 4096 nodes, which AllocsPerRun's integer average
-// rounds away, as it does the doublings of the deque the one pool worker
-// pushes the records onto. Under the sequential executor the record is the
-// one the previous task left on the free list: nothing. Under one pool
-// worker the records queue until the main body is done, so each is new.
+// one allocation per 4096 nodes (each chunk allocated once, however many
+// workers reach it at once), which AllocsPerRun's integer average rounds
+// away, as it does the doublings of the deque the one pool worker pushes
+// the records onto. Under the sequential executor the record is the one
+// the previous task left on the free list: nothing. Under one pool worker
+// the records queue until the main body is done, so each is new. A Cilk
+// spawn costs the same (TestCilkAllocs): its procedure rides in the
+// child's record, wrapped in no closure.
 func TestSpawnAllocs(t *testing.T) {
 	body := func(*Ctx) {}
 	for _, want := range []struct {
@@ -590,14 +593,34 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
-// TestFinishAllocs is TestSpawnAllocs for a finish: its one record (the
-// scope, with the detect.Finish embedded) and, under SPD3, two arena
-// nodes.
+// TestFinishAllocs is TestSpawnAllocs for a finish: its one record, the
+// scope with the detect.Finish embedded, is the one the previous finish
+// gave back to the worker's free list, and SPD3's three nodes come out of
+// the arena: nothing.
 func TestFinishAllocs(t *testing.T) {
 	body := func(*Ctx) {}
 	for _, detector := range []string{"none", "spd3"} {
-		if got := allocsPerOp(t, Config{Executor: Sequential}, detector, func(c *Ctx) { c.Finish(body) }); got != 1 {
-			t.Errorf("detector %s: one Finish allocates %v objects, want 1", detector, got)
+		if got := allocsPerOp(t, Config{Executor: Sequential}, detector, func(c *Ctx) { c.Finish(body) }); got != 0 {
+			t.Errorf("detector %s: one Finish allocates %v objects, want 0", detector, got)
+		}
+	}
+}
+
+// TestCilkAllocs: a Cilk procedure allocates nothing in steady state.
+// RunCilk's frame, which holds the scope of its sync regions, comes from
+// the worker's free list, and Spawn puts the child's procedure in the
+// child's record rather than in a closure around RunCilk. So a procedure
+// that spawns a child capturing nothing and syncs, the child's own frame
+// included, allocates nothing under the sequential executor, with or
+// without SPD3.
+func TestCilkAllocs(t *testing.T) {
+	round := func(k *Cilk) {
+		k.Spawn(func(*Cilk) {})
+		k.Sync()
+	}
+	for _, detector := range []string{"none", "spd3"} {
+		if got := allocsPerOp(t, Config{Executor: Sequential}, detector, func(c *Ctx) { RunCilk(c, round) }); got != 0 {
+			t.Errorf("detector %s: RunCilk with one Spawn/Sync round allocates %v objects, want 0", detector, got)
 		}
 	}
 }
