@@ -16,7 +16,7 @@ import (
 // casShadow implements the §5.4 versioned-snapshot protocol, Lamport's
 // solution to the concurrent reading-and-writing problem applied to the
 // shadow word, at the paper's size: 16 bytes per location, two 64-bit
-// words, the recorded steps held as 32-bit DPST arena ids (dpst.Node.ID;
+// words, the recorded steps held as their 32-bit DPST ids (detect.Task.Step;
 // 0, the root, is never a step and means "empty").
 //
 //	A = version:32 | w:32        B = r1:32 | r2:32
@@ -178,7 +178,7 @@ func (s *casShadow) Read(t *detect.Task, i int) {
 	if c == nil {
 		return
 	}
-	l, st := t.L, step(t)
+	l, st := t.L, t.Step
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
@@ -202,7 +202,7 @@ func (s *casShadow) Write(t *detect.Task, i int) {
 	if c == nil {
 		return
 	}
-	l, st := t.L, step(t)
+	l, st := t.L, t.Step
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {
@@ -232,7 +232,7 @@ func (s *casShadow) Update(t *detect.Task, i int) {
 	if c == nil {
 		return
 	}
-	l, st := t.L, step(t)
+	l, st := t.L, t.Step
 	for retries := int64(0); ; retries++ {
 		a, b, ok := c.load()
 		if !ok {

@@ -191,7 +191,7 @@ func TestVersionWrapChecks(t *testing.T) {
 			c.Async(func(c *task.Ctx) {
 				sh.Write(c.Task(), 0)
 				sh.Read(c.Task(), 1)
-				id := d.StepOf(c.Task()).ID
+				id := d.StepOf(c.Task())
 				if a, m := written.read(); a>>32 != 0 || m != (word{w: id}) {
 					t.Errorf("x[0] after the write across the wrap: version %d %v, want 0 {%d 0 0}", a>>32, m, id)
 				}

@@ -19,8 +19,8 @@
 // On each access, Algorithms 1 (write) and 2 (read) query DMHP against the
 // recorded steps and update the shadow word. The shadow word is 16 bytes
 // — two 64-bit words, version:32|w:32 and r1:32|r2:32, the steps held
-// as 32-bit ids into the DPST's arena and resolved to nodes only when a
-// DMHP walk or a race report needs one — synchronized by §5.4's
+// as their 32-bit DPST ids, by which the DMHP walk and race reports read
+// the tree's arena — synchronized by §5.4's
 // Lamport-style versioned snapshots (seqlock.go): a memory action takes a
 // consistent snapshot bracketed by two loads of the version word; a write
 // action, which changes only w, publishes with one CAS on that word; a
@@ -44,9 +44,9 @@
 // driver.
 //
 // The tree is also all the detector keeps per task and per finish: a
-// task's State is its current step node, and its insertion scope — the
-// innermost finish the task itself started, or else its own async node —
-// is that node's parent, because each of §3.1's four insertion rules
+// task's Step is the id of its current step node, and its insertion scope
+// — the innermost finish the task itself started, or else its own async
+// node — is that node's parent, because each of §3.1's four insertion rules
 // creates the task's new step under the scope it leaves in force. That
 // the finish which ends is the task's scope is the nesting rule of the
 // detect event contract: the runtime keeps it, trace replay enforces it.
@@ -115,8 +115,9 @@ func (d *Detector) Owned() bool { return d.owned }
 // Tree exposes the DPST (for tests and tooling).
 func (d *Detector) Tree() *dpst.Tree { return d.tree }
 
-// StepOf returns t's current step node (for tests and tooling).
-func (d *Detector) StepOf(t *detect.Task) *dpst.Node { return step(t) }
+// StepOf returns the id of t's current step node (for tests and
+// tooling).
+func (d *Detector) StepOf(t *detect.Task) uint32 { return t.Step }
 
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "spd3" }
@@ -124,16 +125,16 @@ func (d *Detector) Name() string { return "spd3" }
 // RequiresSequential implements detect.Detector: SPD3 runs in parallel.
 func (d *Detector) RequiresSequential() bool { return false }
 
-// relation answers DMHP for a recorded step, by id, and the accessing step
-// s, with the id of the side of their LCA the recorded step is on (0 for
-// none). A step below the watermark (an empty field, id 0, always is) and
-// s itself are in parallel with nothing and cost no walk, nor the id's
-// resolution to a node. Any other pair is looked up in the relation memo
+// relation answers DMHP for a recorded step a and the accessing step s,
+// both by id, with the id of the side of their LCA the recorded step is
+// on (0 for none). A step below the watermark (an empty field, id 0,
+// always is) and s itself are in parallel with nothing and cost no walk,
+// nor a read of the arena. Any other pair is looked up in the relation memo
 // of l (detect.RelMemo), and only a miss makes the §5.2 walk, counted in
 // l, and memoises its answer. relation is the watermark compare alone, so
 // that it inlines into the checks (at the inliner's budget, which CI
 // guards): the commonest query, a step of a closed phase, makes no call.
-func (d *Detector) relation(l *detect.Local, a uint32, s *dpst.Node) (bool, uint32) {
+func (d *Detector) relation(l *detect.Local, a, s uint32) (bool, uint32) {
 	if a < d.watermark {
 		return false, 0
 	}
@@ -142,20 +143,17 @@ func (d *Detector) relation(l *detect.Local, a uint32, s *dpst.Node) (bool, uint
 
 // lookup is relation past the watermark compare: s itself, the memo, and
 // on a miss the walk.
-func (d *Detector) lookup(l *detect.Local, a uint32, s *dpst.Node) (parallel bool, side uint32) {
-	if a == s.ID {
+func (d *Detector) lookup(l *detect.Local, a, s uint32) (parallel bool, side uint32) {
+	if a == s {
 		return false, 0
 	}
-	e := l.Memo.Slot(a, s.ID)
-	if e.A == a && e.S == s.ID {
+	e := l.Memo.Slot(a, s)
+	if e.A == a && e.S == s {
 		return e.Parallel, e.Side
 	}
 	l.Tally[stats.DMHPWalk]++
-	parallel, c := dpst.DMHP(d.tree.Node(a), s)
-	if c != nil {
-		side = c.ID
-	}
-	*e = detect.RelEntry{A: a, S: s.ID, Side: side, Parallel: parallel}
+	parallel, side = d.tree.DMHP(a, s)
+	*e = detect.RelEntry{A: a, S: s, Side: side, Parallel: parallel}
 	return parallel, side
 }
 
@@ -174,9 +172,9 @@ func (d *Detector) MainTask(t *detect.Task, _ *detect.Finish) {
 	if t.L != nil {
 		t.L.Nodes.Release()
 	}
-	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
-	d.watermark, d.escaped = run.ID, false
-	t.State = d.tree.NewChild(run, dpst.StepNode)
+	run := d.tree.NewChildFrom(nil, 0, dpst.FinishNode)
+	d.watermark, d.escaped = run, false
+	t.Step = d.tree.NewChildFrom(nil, run, dpst.StepNode)
 }
 
 // BeforeSpawn implements §3.1 "Task creation": an async node becomes the
@@ -188,11 +186,11 @@ func (d *Detector) MainTask(t *detect.Task, _ *detect.Finish) {
 // node (depth 1: the spawner is the main task) outlives every top-level
 // finish, so it pins the watermark.
 func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
-	scope := step(parent).Parent
-	if scope.Depth() == 1 {
+	scope := d.tree.Parent(parent.Step)
+	if d.tree.Depth(scope) == 1 {
 		d.escaped = true
 	}
-	child.State, parent.State = d.tree.SpawnFrom(&parent.L.Nodes, scope)
+	child.Step, parent.Step = d.tree.SpawnFrom(&parent.L.Nodes, scope)
 }
 
 // TaskEnd has no DPST effect: the join is represented by the finish node.
@@ -202,8 +200,8 @@ func (d *Detector) TaskEnd(*detect.Task) {}
 // current scope, plus a step node for the computation starting inside it.
 // The finish becomes the task's insertion scope.
 func (d *Detector) FinishStart(t *detect.Task, _ *detect.Finish) {
-	fn := d.tree.NewChildFrom(&t.L.Nodes, step(t).Parent, dpst.FinishNode)
-	t.State = d.tree.NewChildFrom(&t.L.Nodes, fn, dpst.StepNode)
+	fn := d.tree.NewChildFrom(&t.L.Nodes, d.tree.Parent(t.Step), dpst.FinishNode)
+	t.Step = d.tree.NewChildFrom(&t.L.Nodes, fn, dpst.StepNode)
 }
 
 // FinishEnd implements §3.1 "End Finish": the finish that ends is t's
@@ -216,18 +214,18 @@ func (d *Detector) FinishStart(t *detect.Task, _ *detect.Finish) {
 // t's block (rule R2 in package dpst): every id handed out before the move
 // lies below it.
 func (d *Detector) FinishEnd(t *detect.Task, _ *detect.Finish) {
-	fn := step(t).Parent
-	if fn.Parent == d.tree.Root() {
+	fn := d.tree.Parent(t.Step)
+	scope := d.tree.Parent(fn)
+	if scope == 0 {
 		return
 	}
-	if fn.Depth() != 2 || d.escaped {
-		t.State = d.tree.NewChildFrom(&t.L.Nodes, fn.Parent, dpst.StepNode)
+	if d.tree.Depth(fn) != 2 || d.escaped {
+		t.Step = d.tree.NewChildFrom(&t.L.Nodes, scope, dpst.StepNode)
 		return
 	}
 	t.L.Nodes.Release()
-	cont := d.tree.NewChild(fn.Parent, dpst.StepNode)
-	t.State = cont
-	d.watermark = cont.ID
+	t.Step = d.tree.NewChildFrom(nil, scope, dpst.StepNode)
+	d.watermark = t.Step
 }
 
 // Acquire is a no-op: SPD3 targets lock-free async/finish programs (§2).
@@ -250,40 +248,35 @@ func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	return &casShadow{d: d, Cells: d.regions.New(spec)}
 }
 
-// word is a consistent snapshot of one shadow word: the ids (dpst.Node.ID)
-// of the recorded steps, 0 where none is recorded — the root is never a
-// step.
+// word is a consistent snapshot of one shadow word: the DPST ids of the
+// recorded steps, 0 where none is recorded — the root is never a step.
 type word struct {
 	w, r1, r2 uint32
 }
 
-// step extracts the current step of the accessing task, SPD3's whole
-// per-task state; the task's insertion scope is the step's Parent.
-func step(t *detect.Task) *dpst.Node { return t.State.(*dpst.Node) }
-
-// stepName names the recorded step id in race reports.
-func (d *Detector) stepName(id uint32) string { return d.tree.Node(id).String() }
+// stepName names the step id in race reports.
+func (d *Detector) stepName(id uint32) string { return d.tree.Name(id) }
 
 // writeCheck is Algorithm 1. Given a snapshot of element i of c and the
 // writing task's step s (its queries answered through l), it reports any
 // races and returns the updated word and whether the word changed.
-func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Cells[casCell], i int) (word, bool) {
-	if m.w == s.ID {
+func (d *Detector) writeCheck(m word, l *detect.Local, s uint32, c *detect.Cells[casCell], i int) (word, bool) {
+	if m.w == s {
 		// Same step rewrote the element; nothing can have changed
 		// (a second write by the very step that already owns w).
 		return m, false
 	}
 	if p, _ := d.relation(l, m.r1, s); p {
-		c.Report(detect.ReadWrite, i, d.stepName(m.r1), s.String())
+		c.Report(detect.ReadWrite, i, d.stepName(m.r1), d.stepName(s))
 	}
 	if p, _ := d.relation(l, m.r2, s); p {
-		c.Report(detect.ReadWrite, i, d.stepName(m.r2), s.String())
+		c.Report(detect.ReadWrite, i, d.stepName(m.r2), d.stepName(s))
 	}
 	if p, _ := d.relation(l, m.w, s); p {
-		c.Report(detect.WriteWrite, i, d.stepName(m.w), s.String())
+		c.Report(detect.WriteWrite, i, d.stepName(m.w), d.stepName(s))
 		return m, false
 	}
-	m.w = s.ID
+	m.w = s
 	return m, true
 }
 
@@ -291,14 +284,14 @@ func (d *Detector) writeCheck(m word, l *detect.Local, s *dpst.Node, c *detect.C
 // Given a snapshot of element i of c and the reading task's step s (its
 // queries answered through l), it reports any races and returns the
 // updated word and whether the word changed.
-func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Cells[casCell], i int) (word, bool) {
-	if m.r1 == s.ID || m.r2 == s.ID {
+func (d *Detector) readCheck(m word, l *detect.Local, s uint32, c *detect.Cells[casCell], i int) (word, bool) {
+	if m.r1 == s || m.r2 == s {
 		// This step is already recorded; re-reading changes nothing.
 		// (One of the paper's redundant-check eliminations, §5.5.)
 		return m, false
 	}
 	if p, _ := d.relation(l, m.w, s); p {
-		c.Report(detect.WriteRead, i, d.stepName(m.w), s.String())
+		c.Report(detect.WriteRead, i, d.stepName(m.w), d.stepName(s))
 	}
 	p1, c1 := d.relation(l, m.r1, s)
 	p2, c2 := d.relation(l, m.r2, s)
@@ -307,12 +300,12 @@ func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Ce
 		// s is ordered after every recorded reader (and, by the
 		// discard-safety lemma, after every reader they cover):
 		// s supersedes them both.
-		m.r1 = s.ID
+		m.r1 = s
 		m.r2 = 0
 		return m, true
 	case p1 && m.r2 == 0:
 		// Second parallel reader: record it.
-		m.r2 = s.ID
+		m.r2 = s
 		return m, true
 	case p1 && p2:
 		// Keep the two of {r1, r2, s} whose LCA is highest. c1 and
@@ -324,7 +317,7 @@ func (d *Detector) readCheck(m word, l *detect.Local, s *dpst.Node, c *detect.Ce
 		// below LCA(r1,r2) and no child of either holds r1 and r2
 		// together.
 		if c1 == c2 {
-			m.r1 = s.ID
+			m.r1 = s
 			return m, true
 		}
 		return m, false

@@ -33,7 +33,7 @@ func newRT(t *testing.T, exec task.ExecKind, workers int, halt bool) (*task.Runt
 // continuation steps the figure elides because nothing follows them).
 func TestDPSTConstructionFigure1(t *testing.T) {
 	rt, d, _ := newRT(t, task.Sequential, 1, false)
-	var step1, step2, step3, step4, step5, step6 *dpst.Node
+	var step1, step2, step3, step4, step5, step6 uint32
 	err := rt.Run(func(c *task.Ctx) {
 		step1 = d.StepOf(c.Task())  // S1; S2
 		c.Async(func(c *task.Ctx) { // A1
@@ -52,42 +52,43 @@ func TestDPSTConstructionFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	tr := d.Tree()
 	// The run's implicit finish (the paper's F1) is a finish node
 	// directly under the tree root.
-	root := step1.Parent
-	if root.Kind() != dpst.FinishNode || root.Parent != d.Tree().Root() {
-		t.Fatalf("run finish = %v (parent %v), want finish under root", root, root.Parent)
+	root := tr.Parent(step1)
+	if tr.Kind(root) != dpst.FinishNode || tr.Depth(root) != 1 {
+		t.Fatalf("run finish = %s (depth %d), want finish under root", tr.Name(root), tr.Depth(root))
 	}
 	// Parent structure: step1 under F1; step2 under A1 under F1;
 	// step3 under A2 under A1; step4 under A1; step5 under F1;
 	// step6 under A3 under F1.
-	a1 := step2.Parent
-	a2 := step3.Parent
-	a3 := step6.Parent
-	if step1.Parent != root || step5.Parent != root {
+	a1 := tr.Parent(step2)
+	a2 := tr.Parent(step3)
+	a3 := tr.Parent(step6)
+	if tr.Parent(step1) != root || tr.Parent(step5) != root {
 		t.Error("step1/step5 must hang off the root finish")
 	}
-	if a1.Kind() != dpst.AsyncNode || a1.Parent != root {
-		t.Errorf("A1 = %v (parent %v), want async under root", a1, a1.Parent)
+	if tr.Kind(a1) != dpst.AsyncNode || tr.Parent(a1) != root {
+		t.Errorf("A1 = %s (parent %d), want async under root", tr.Name(a1), tr.Parent(a1))
 	}
-	if a2.Kind() != dpst.AsyncNode || a2.Parent != a1 {
-		t.Errorf("A2 = %v (parent %v), want async under A1", a2, a2.Parent)
+	if tr.Kind(a2) != dpst.AsyncNode || tr.Parent(a2) != a1 {
+		t.Errorf("A2 = %s (parent %d), want async under A1", tr.Name(a2), tr.Parent(a2))
 	}
-	if step4.Parent != a1 {
-		t.Errorf("step4 parent = %v, want A1", step4.Parent)
+	if tr.Parent(step4) != a1 {
+		t.Errorf("step4 parent = %d, want A1", tr.Parent(step4))
 	}
-	if a3.Kind() != dpst.AsyncNode || a3.Parent != root {
-		t.Errorf("A3 = %v (parent %v), want async under root", a3, a3.Parent)
+	if tr.Kind(a3) != dpst.AsyncNode || tr.Parent(a3) != root {
+		t.Errorf("A3 = %s (parent %d), want async under root", tr.Name(a3), tr.Parent(a3))
 	}
 	// Sibling order under the root: step1 < A1 < step5 < A3.
-	if !(step1.ID < a1.ID && a1.ID < step5.ID && step5.ID < a3.ID) {
+	if !(step1 < a1 && a1 < step5 && step5 < a3) {
 		t.Errorf("root sibling order: step1=%d A1=%d step5=%d A3=%d",
-			step1.ID, a1.ID, step5.ID, a3.ID)
+			step1, a1, step5, a3)
 	}
 	// DMHP (Theorem 1) on the §3.2 worked examples and more pairs
 	// implied by the program.
 	for _, c := range []struct {
-		a, b *dpst.Node
+		a, b uint32
 		want bool
 		why  string
 	}{
@@ -97,8 +98,8 @@ func TestDPSTConstructionFigure1(t *testing.T) {
 		{step1, step2, false, "spawn order"},
 		{step3, step6, true, "A2 subtree vs A3"},
 	} {
-		if got, _ := dpst.Relation(c.a, c.b); got != c.want {
-			t.Errorf("DMHP(%v, %v) = %v, want %v (%s)", c.a, c.b, got, c.want, c.why)
+		if got, _ := tr.DMHP(c.a, c.b); got != c.want {
+			t.Errorf("DMHP(%s, %s) = %v, want %v (%s)", tr.Name(c.a), tr.Name(c.b), got, c.want, c.why)
 		}
 	}
 }
@@ -500,9 +501,8 @@ func TestTreeShapePinned(t *testing.T) {
 	fold := func(h hash.Hash64, tree *dpst.Tree) int64 {
 		var b [5]byte
 		for id := int64(1); id < tree.Len(); id++ {
-			n := tree.Node(uint32(id))
-			binary.LittleEndian.PutUint32(b[:], n.Parent.ID)
-			b[4] = byte(n.Kind())
+			binary.LittleEndian.PutUint32(b[:], tree.Parent(uint32(id)))
+			b[4] = byte(tree.Kind(uint32(id)))
 			h.Write(b[:])
 		}
 		return tree.Len()

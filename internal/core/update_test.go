@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spd3/internal/detect"
-	"spd3/internal/dpst"
 	"spd3/internal/progen"
 	"spd3/internal/stats"
 	"spd3/internal/task"
@@ -180,11 +179,7 @@ func (m *memoAudit) after(l *detect.Local) {
 			continue
 		}
 		m.entries.Add(1)
-		parallel, c := dpst.DMHP(m.tree.Node(e.A), m.tree.Node(e.S))
-		var side uint32
-		if c != nil {
-			side = c.ID
-		}
+		parallel, side := m.tree.DMHP(e.A, e.S)
 		if parallel != e.Parallel || side != e.Side {
 			m.t.Errorf("memo holds (%d, %d) → parallel %v, side %d; the walk answers %v, %d", e.A, e.S, e.Parallel, e.Side, parallel, side)
 		}

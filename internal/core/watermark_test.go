@@ -29,7 +29,7 @@ type mark struct {
 }
 
 func (s *watermarkSpy) note(t *detect.Task, run bool) {
-	s.marks = append(s.marks, mark{s.watermark, s.tree.Len(), s.StepOf(t).ID, run, s.escaped})
+	s.marks = append(s.marks, mark{s.watermark, s.tree.Len(), s.StepOf(t), run, s.escaped})
 }
 
 func (s *watermarkSpy) MainTask(t *detect.Task, f *detect.Finish) {
@@ -41,7 +41,7 @@ func (s *watermarkSpy) MainTask(t *detect.Task, f *detect.Finish) {
 // the main task's, alone at depth 1 and 2 — so that the plain words are
 // read, and marks appended, by the one task that writes them.
 func (s *watermarkSpy) FinishEnd(t *detect.Task, f *detect.Finish) {
-	top := step(t).Parent.Depth() <= 2
+	top := s.tree.Depth(s.tree.Parent(t.Step)) <= 2
 	s.Detector.FinishEnd(t, f)
 	if top {
 		s.note(t, false)
@@ -124,7 +124,7 @@ func spyRuns(t *testing.T, what string, exec task.ExecKind, workers int, progs .
 		switch {
 		case m.w < prev.w:
 			t.Fatalf("%s: watermark went back, %d to %d", what, prev.w, m.w)
-		case m.run && (m.w != uint32(m.len)-2 || tree.Node(m.w).Parent != tree.Root()):
+		case m.run && (m.w != uint32(m.len)-2 || tree.Depth(m.w) != 1):
 			t.Fatalf("%s: run starts with watermark %d in a tree of %d nodes, want the run node", what, m.w, m.len)
 		case !m.run && m.w != prev.w && (m.escaped || m.w != m.step || m.w != uint32(m.len)-1):
 			t.Fatalf("%s: watermark moved %d to %d (escaped %v, continuation %d) in a tree of %d nodes", what, prev.w, m.w, m.escaped, m.step, m.len)
@@ -134,13 +134,13 @@ func spyRuns(t *testing.T, what string, exec task.ExecKind, workers int, progs .
 		}
 		checked = m.w
 		for b := int64(m.w); b < tree.Len(); b++ {
-			s := tree.Node(uint32(b))
-			if s.Kind() != dpst.StepNode {
+			s := uint32(b)
+			if tree.Kind(s) != dpst.StepNode {
 				continue
 			}
 			for a := uint32(0); a < m.w; a++ {
-				if p, _ := dpst.Relation(tree.Node(a), s); p {
-					t.Fatalf("%s: watermark %d, but %v may happen in parallel with %v", what, m.w, tree.Node(a), s)
+				if p, _ := tree.DMHP(a, s); p {
+					t.Fatalf("%s: watermark %d, but %s may happen in parallel with %s", what, m.w, tree.Name(a), tree.Name(s))
 				}
 			}
 		}

@@ -91,11 +91,15 @@ type Task struct {
 	ID  TaskID
 	IEF *Finish // immediately enclosing finish at spawn time
 
-	// State is detector-private per-task state. It is written by the
-	// detector during MainTask/BeforeSpawn (in the parent's goroutine)
-	// and thereafter read and written only by the task itself. A
-	// pointer stored here allocates nothing: SPD3's is the task's step.
+	// State and Step are detector-private per-task state. They are
+	// written by the detector during MainTask/BeforeSpawn (in the
+	// parent's goroutine) and thereafter read and written only by the
+	// task itself. A pointer stored in State allocates nothing; a
+	// detector whose whole per-task state is one 32-bit id keeps it in
+	// Step and leaves State nil: SPD3's is the id of the task's current
+	// DPST step.
 	State any
+	Step  uint32
 
 	// L is the scratch block of the goroutine executing the task, set by
 	// the driver before the task's body starts to run: MainTask, and

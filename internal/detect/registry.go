@@ -39,7 +39,7 @@ func Owned(d Detector) bool {
 // and trusts only records of this version, so a change to any listed
 // detector's races or counters must bump it (internal/server's
 // verdicts.golden fails until it does).
-const VerdictVersion = 1
+const VerdictVersion = 2
 
 // Factory builds one detector instance for one engine.
 type Factory func(FactoryOpts) Detector

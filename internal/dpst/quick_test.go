@@ -9,22 +9,33 @@ import (
 // seqTree is a test tree that keeps the paper's seq_no beside it: each
 // node's position among its siblings, from 1, left to right, recorded as
 // the builder inserts it — a sibling order independent of the ids that
-// Relation compares. nodes are the ones worth querying.
+// DMHP compares. nodes are the ones worth querying; recs is the finished
+// tree's arena, copied for the naive references.
 type seqTree struct {
 	t     *Tree
-	seq   map[*Node]int32
-	kids  map[*Node]int32
-	nodes []*Node
+	seq   map[uint32]int32
+	kids  map[uint32]int32
+	nodes []uint32
+	recs  []node
+}
+
+// records copies t's arena, so that a naive reference reads plain memory
+// and not the arena it checks.
+func records(t *Tree) []node {
+	recs := make([]node, t.Len())
+	for id := range recs {
+		recs[id] = t.at(uint32(id))
+	}
+	return recs
 }
 
 func newSeqTree() *seqTree {
-	t := New()
-	return &seqTree{t: t, seq: map[*Node]int32{}, kids: map[*Node]int32{}, nodes: []*Node{t.Root()}}
+	return &seqTree{t: New(), seq: map[uint32]int32{}, kids: map[uint32]int32{}, nodes: []uint32{0}}
 }
 
 // add inserts a new rightmost child of parent and records its seq_no.
-func (b *seqTree) add(parent *Node, kind Kind) *Node {
-	n := b.t.NewChild(parent, kind)
+func (b *seqTree) add(parent uint32, kind Kind) uint32 {
+	n := b.t.NewChildFrom(nil, parent, kind)
 	b.kids[parent]++
 	b.seq[n] = b.kids[parent]
 	return n
@@ -35,7 +46,7 @@ func (b *seqTree) add(parent *Node, kind Kind) *Node {
 func randomTree(seed int64, size int) *seqTree {
 	rng := rand.New(rand.NewSource(seed))
 	b := newSeqTree()
-	interior := []*Node{b.t.Root()}
+	interior := []uint32{0}
 	for len(b.nodes) < size {
 		parent := interior[rng.Intn(len(interior))]
 		var kind Kind
@@ -53,6 +64,7 @@ func randomTree(seed int64, size int) *seqTree {
 			interior = append(interior, n)
 		}
 	}
+	b.recs = records(b.t)
 	return b
 }
 
@@ -63,7 +75,7 @@ func randomTree(seed int64, size int) *seqTree {
 func diffTree(seed int64, size, chain, fan int) *seqTree {
 	rng := rand.New(rand.NewSource(seed))
 	b := newSeqTree()
-	interior := []*Node{b.t.Root()}
+	interior := []uint32{0}
 	for len(b.nodes) < size {
 		parent := interior[rng.Intn(len(interior))]
 		switch rng.Intn(3) {
@@ -94,6 +106,7 @@ func diffTree(seed int64, size, chain, fan int) *seqTree {
 			b.nodes = append(b.nodes, b.add(parent, StepNode))
 		}
 	}
+	b.recs = records(b.t)
 	return b
 }
 
@@ -102,7 +115,7 @@ func diffTree(seed int64, size, chain, fan int) *seqTree {
 // the finish; only those ends are worth querying.
 func wideTree() *seqTree {
 	b := newSeqTree()
-	wide := b.add(b.t.Root(), FinishNode)
+	wide := b.add(0, FinishNode)
 	b.nodes = append(b.nodes, wide)
 	for i := 0; i < 16400; i++ {
 		n := b.add(wide, AsyncNode)
@@ -110,8 +123,9 @@ func wideTree() *seqTree {
 			b.nodes = append(b.nodes, n, b.add(n, StepNode))
 		}
 	}
-	side := b.add(b.t.Root(), AsyncNode)
+	side := b.add(0, AsyncNode)
 	b.nodes = append(b.nodes, side, b.add(side, StepNode))
+	b.recs = records(b.t)
 	return b
 }
 
@@ -123,48 +137,46 @@ func quickTrees(seed int64) []*seqTree {
 	return []*seqTree{randomTree(seed, 120), diffTree(seed, 160, 24, 9), wideNodes}
 }
 
-// naiveLCA finds the least common ancestor by materializing a's ancestor
-// set.
-func naiveLCA(a, b *Node) *Node {
-	anc := map[*Node]bool{}
-	for n := a; n != nil; n = n.Parent {
+// naiveLCA finds the least common ancestor of a and b in the arena recs
+// by materializing a's ancestor set.
+func naiveLCA(recs []node, a, b uint32) uint32 {
+	anc := map[uint32]bool{0: true}
+	for n := a; n != 0; n = recs[n].parent {
 		anc[n] = true
 	}
-	for n := b; n != nil; n = n.Parent {
-		if anc[n] {
-			return n
-		}
+	n := b
+	for !anc[n] {
+		n = recs[n].parent
 	}
-	return nil
+	return n
 }
 
-// childToward returns the child of lca on the path to n (nil when n is
-// the lca).
-func childToward(lca, n *Node) *Node {
-	var prev *Node
-	for ; n != nil && n != lca; n = n.Parent {
+// childToward returns the child of lca on the path to n (0 when n is the
+// lca).
+func childToward(recs []node, lca, n uint32) uint32 {
+	var prev uint32
+	for ; n != lca; n = recs[n].parent {
 		prev = n
 	}
-	_ = n
 	return prev
 }
 
 // naiveDMHP re-states Theorem 1 from the naive primitives, taking left-of
 // from the recorded seq_no.
-func naiveDMHP(seq map[*Node]int32, a, b *Node) bool {
-	if a == nil || b == nil || a == b {
+func naiveDMHP(recs []node, seq map[uint32]int32, a, b uint32) bool {
+	if a == b {
 		return false
 	}
-	l := naiveLCA(a, b)
-	ca, cb := childToward(l, a), childToward(l, b)
-	if ca == nil || cb == nil {
+	l := naiveLCA(recs, a, b)
+	ca, cb := childToward(recs, l, a), childToward(recs, l, b)
+	if ca == 0 || cb == 0 {
 		return false
 	}
 	left := ca
 	if seq[cb] < seq[ca] {
 		left = cb
 	}
-	return left.Kind() == AsyncNode
+	return recs[left].kind() == AsyncNode
 }
 
 // TestQuickLCAAgainstNaive: Relation's LCA depth must equal the depth of
@@ -174,7 +186,7 @@ func TestQuickLCAAgainstNaive(t *testing.T) {
 		for _, tr := range quickTrees(seed) {
 			a := tr.nodes[int(ai)%len(tr.nodes)]
 			b := tr.nodes[int(bi)%len(tr.nodes)]
-			if _, d := Relation(a, b); d != naiveLCA(a, b).Depth() {
+			if _, d := relation(tr.t, a, b); d != tr.recs[naiveLCA(tr.recs, a, b)].depth() {
 				return false
 			}
 		}
@@ -192,7 +204,7 @@ func TestQuickDMHPAgainstNaive(t *testing.T) {
 		for _, tr := range quickTrees(seed) {
 			a := tr.nodes[int(ai)%len(tr.nodes)]
 			b := tr.nodes[int(bi)%len(tr.nodes)]
-			if dmhp(a, b) != naiveDMHP(tr.seq, a, b) {
+			if dmhp(tr.t, a, b) != naiveDMHP(tr.recs, tr.seq, a, b) {
 				return false
 			}
 		}
@@ -203,16 +215,61 @@ func TestQuickDMHPAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestDMHPExhaustive: on one seeded random tree of 4 096 nodes, every
+// pair of steps gets from DMHP the answer and the side that the steps'
+// materialized root paths give: the LCA is the last node the two paths
+// share, the sides the nodes after it.
+func TestDMHPExhaustive(t *testing.T) {
+	tr := randomTree(46, 4096)
+	paths := map[uint32][]uint32{} // root first
+	var steps []uint32
+	for _, n := range tr.nodes {
+		if tr.t.Kind(n) != StepNode {
+			continue
+		}
+		var path []uint32
+		for a := n; a != 0; a = tr.recs[a].parent {
+			path = append([]uint32{a}, path...)
+		}
+		paths[n] = append([]uint32{0}, path...)
+		steps = append(steps, n)
+	}
+	if len(steps) < 1000 {
+		t.Fatalf("%d steps, want at least 1000", len(steps))
+	}
+	for _, a := range steps {
+		for _, s := range steps {
+			pa, ps := paths[a], paths[s]
+			l := 0
+			for l+1 < len(pa) && l+1 < len(ps) && pa[l+1] == ps[l+1] {
+				l++
+			}
+			wantPar, wantSide := false, uint32(0)
+			if l+1 < len(pa) && l+1 < len(ps) {
+				ca, cs := pa[l+1], ps[l+1]
+				left := ca
+				if tr.seq[cs] < tr.seq[ca] {
+					left = cs
+				}
+				wantPar, wantSide = tr.recs[left].kind() == AsyncNode, ca
+			}
+			if p, side := tr.t.DMHP(a, s); p != wantPar || side != wantSide {
+				t.Fatalf("DMHP(%s, %s) = (%v, %d), the root paths give (%v, %d)", tr.t.Name(a), tr.t.Name(s), p, side, wantPar, wantSide)
+			}
+		}
+	}
+}
+
 // TestQuickDMHPSymmetric: DMHP is symmetric and irreflexive on any tree.
 func TestQuickDMHPSymmetric(t *testing.T) {
 	check := func(seed int64, ai, bi uint16) bool {
-		nodes := randomTree(seed, 80).nodes
-		a := nodes[int(ai)%len(nodes)]
-		b := nodes[int(bi)%len(nodes)]
+		tr := randomTree(seed, 80)
+		a := tr.nodes[int(ai)%len(tr.nodes)]
+		b := tr.nodes[int(bi)%len(tr.nodes)]
 		if a == b {
-			return !dmhp(a, b)
+			return !dmhp(tr.t, a, b)
 		}
-		return dmhp(a, b) == dmhp(b, a)
+		return dmhp(tr.t, a, b) == dmhp(tr.t, b, a)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -220,21 +277,21 @@ func TestQuickDMHPSymmetric(t *testing.T) {
 }
 
 // TestQuickPathInvariants: depth equals root-path length, and under every
-// parent the order of ids — what Relation calls left-of — is the order of
+// parent the order of ids — what DMHP calls left-of — is the order of
 // the recorded sequence numbers.
 func TestQuickPathInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		for _, tr := range []*seqTree{randomTree(seed, 150), diffTree(seed, 160, 24, 9)} {
 			for _, n := range tr.nodes {
 				d := int32(0)
-				for p := n.Parent; p != nil; p = p.Parent {
+				for p := tr.t.Node(n).Parent(); p != nil; p = p.Parent() {
 					d++
 				}
-				if d != n.Depth() {
+				if d != tr.t.Depth(n) {
 					return false
 				}
 				for _, m := range tr.nodes {
-					if m.Parent == n.Parent && (m.ID < n.ID) != (tr.seq[m] < tr.seq[n]) {
+					if m != 0 && n != 0 && tr.recs[m].parent == tr.recs[n].parent && (m < n) != (tr.seq[m] < tr.seq[n]) {
 						return false
 					}
 				}
@@ -253,39 +310,39 @@ func TestQuickPathInvariants(t *testing.T) {
 // LCA(r1, s) lies above LCA(r1, r2), and the detector reads that off the
 // sides — side(r1, s) == side(r2, s). On random, deep and wide trees the
 // two rules agree for every such triple of steps, the depths taken from
-// the ancestor-set LCA; and a side is nil exactly when one node is the
+// the ancestor-set LCA; and a side is 0 exactly when one node is the
 // other or its ancestor.
 func TestSideRuleMatchesLCADepths(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, tr := range quickTrees(seed) {
-			var steps []*Node
+			var steps []uint32
 			for _, n := range tr.nodes {
-				if n.Kind() == StepNode {
+				if tr.t.Kind(n) == StepNode {
 					steps = append(steps, n)
 				}
 			}
-			lcaDepth := map[[2]*Node]int32{}
+			lcaDepth := map[[2]uint32]int32{}
 			for _, a := range tr.nodes {
 				for _, b := range tr.nodes {
-					l := naiveLCA(a, b)
-					lcaDepth[[2]*Node{a, b}] = l.Depth()
-					if _, side := DMHP(a, b); (side == nil) != (l == a || l == b) {
-						t.Fatalf("seed %d: DMHP(%v, %v) side = %v, LCA %v", seed, a, b, side, l)
+					l := naiveLCA(tr.recs, a, b)
+					lcaDepth[[2]uint32{a, b}] = tr.recs[l].depth()
+					if _, side := tr.t.DMHP(a, b); (side == 0) != (l == a || l == b) {
+						t.Fatalf("seed %d: DMHP(%d, %d) side = %d, LCA %d", seed, a, b, side, l)
 					}
 				}
 			}
 			for _, s := range steps {
-				var par, sides []*Node // the steps parallel with s, and their sides
+				var par, sides []uint32 // the steps parallel with s, and their sides
 				for _, r := range steps {
-					if p, side := DMHP(r, s); p {
+					if p, side := tr.t.DMHP(r, s); p {
 						par, sides = append(par, r), append(sides, side)
 					}
 				}
 				for i, r1 := range par {
 					for j, r2 := range par {
-						above := lcaDepth[[2]*Node{r1, s}] < lcaDepth[[2]*Node{r1, r2}]
+						above := lcaDepth[[2]uint32{r1, s}] < lcaDepth[[2]uint32{r1, r2}]
 						if (sides[i] == sides[j]) != above {
-							t.Fatalf("seed %d: r1 %v, r2 %v, s %v: same side %v, LCA(r1, s) above LCA(r1, r2) %v",
+							t.Fatalf("seed %d: r1 %d, r2 %d, s %d: same side %v, LCA(r1, s) above LCA(r1, r2) %v",
 								seed, r1, r2, s, sides[i] == sides[j], above)
 						}
 					}

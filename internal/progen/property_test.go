@@ -124,11 +124,11 @@ func TestFastTrackMatchesOracle(t *testing.T) {
 // the root, e.g. "0f/2a/1s": stable across executions by the §3.2
 // path-invariance property. rank holds each node's position among its
 // siblings (the paper's seq_no), indexed by id.
-func pathSig(n *dpst.Node, rank []int32) string {
+func pathSig(tr *dpst.Tree, n uint32, rank []int32) string {
 	var parts []string
-	for ; n != nil; n = n.Parent {
+	for ; ; n = tr.Parent(n) {
 		var k byte
-		switch n.Kind() {
+		switch tr.Kind(n) {
 		case dpst.FinishNode:
 			k = 'f'
 		case dpst.AsyncNode:
@@ -136,7 +136,10 @@ func pathSig(n *dpst.Node, rank []int32) string {
 		default:
 			k = 's'
 		}
-		parts = append(parts, fmt.Sprintf("%d%c", rank[n.ID], k))
+		parts = append(parts, fmt.Sprintf("%d%c", rank[n], k))
+		if n == 0 {
+			break
+		}
 	}
 	// reverse
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
@@ -149,16 +152,15 @@ func pathSig(n *dpst.Node, rank []int32) string {
 // right (0 for the root), in one pass over the arena: a scope's children
 // are created in program order, so counting them in id order recovers the
 // rank whatever the schedule interleaved between them. An id a block
-// handed out and no insertion placed (its node has no parent) has no rank.
+// handed out and no insertion placed (not dpst.Tree.Placed) has no rank.
 func siblingRanks(tr *dpst.Tree) []int32 {
 	rank := make([]int32, tr.Len())
 	children := make([]int32, tr.Len())
-	for id := 1; id < len(rank); id++ {
-		p := tr.Node(uint32(id)).Parent
-		if p == nil {
+	for id := uint32(1); int(id) < len(rank); id++ {
+		if !tr.Placed(id) {
 			continue
 		}
-		parent := p.ID
+		parent := tr.Parent(id)
 		children[parent]++
 		rank[id] = children[parent]
 	}
@@ -177,7 +179,7 @@ func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[i
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := make(map[int]*dpst.Node, p.Sites)
+	steps := make(map[int]uint32, p.Sites)
 	var mu sync.Mutex
 	hook := func(c *task.Ctx, site int, isWrite bool) {
 		s := d.StepOf(c.Task())
@@ -191,7 +193,7 @@ func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[i
 	rank := siblingRanks(d.Tree())
 	sigs := make(map[int]string, len(steps))
 	for site, s := range steps {
-		sigs[site] = pathSig(s, rank)
+		sigs[site] = pathSig(d.Tree(), s, rank)
 	}
 	return sigs
 }

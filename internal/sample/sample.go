@@ -145,11 +145,19 @@ const MinRate = 1.0 / (1 << (rateBits - 4))
 // sampled-out path is a predictable compare-and-branch.
 type TaskState struct {
 	steps   uint64 // Step calls so far
-	burstAt uint64 // steps+1 when burst was decided; 0 before the first decision
-	memoKey uint64
-	burst   bool
-	memoOK  bool
+	memoKey uint64 // the location whose coin is memoised
+	// decided is steps+1 of the epoch whose burst window was decided (0
+	// before the first decision), shifted left by epochShift, with the
+	// window's decision in burstIn and memoKey's coin in memoIn: three
+	// words keep the state, and so detect.Task, a size class smaller.
+	decided uint64
 }
+
+const (
+	burstIn    = 1 << 0 // the decided burst window checks
+	memoIn     = 1 << 1 // memoKey's coin checks
+	epochShift = 2
+)
 
 // Step announces that the task entered a new step. A task's first step
 // is epoch 0 whether or not it was announced, so a state that never saw a
@@ -246,21 +254,25 @@ func (s *Sampler) Admit(st *TaskState, region uint64, idx int) bool {
 	}
 	switch s.mode {
 	case Burst:
-		if st.burstAt != st.steps+1 {
-			st.burstAt = st.steps + 1
-			e := max(st.steps, 1) - 1
-			st.burst = e%uint64(s.burstPeriod()) == 0
+		if st.decided>>epochShift != st.steps+1 {
+			st.decided = (st.steps+1)<<epochShift | st.decided&memoIn
+			if e := max(st.steps, 1) - 1; e%uint64(s.burstPeriod()) == 0 {
+				st.decided |= burstIn
+			}
 		}
-		return st.burst
+		return st.decided&burstIn != 0
 	case Off:
 		return true
 	}
 	key := region<<32 ^ uint64(uint32(idx))
 	if key == st.memoKey {
-		return st.memoOK
+		return st.decided&memoIn != 0
 	}
 	ok := int64(mix(key^s.seed)&((1<<rateBits)-1)) < s.rate.Load()
-	st.memoKey, st.memoOK = key, ok
+	st.memoKey, st.decided = key, st.decided&^memoIn
+	if ok {
+		st.decided |= memoIn
+	}
 	return ok
 }
 

@@ -820,9 +820,9 @@ func TestPoolIDsAccounted(t *testing.T) {
 		}
 	}
 	tree := det.Tree()
-	placed := int64(1) // the root
-	for id := int64(1); id < tree.Len(); id++ {
-		if tree.Node(uint32(id)).Parent != nil {
+	placed := int64(0)
+	for id := int64(0); id < tree.Len(); id++ {
+		if tree.Placed(uint32(id)) {
 			placed++
 		}
 	}

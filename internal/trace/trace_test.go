@@ -420,13 +420,13 @@ func TestMultiRunReplayMatchesLiveTree(t *testing.T) {
 	if lt.Len() != rtr.Len() || lt.Bytes() != rtr.Bytes() {
 		t.Fatalf("replay: Len %d, Bytes %d; live: Len %d, Bytes %d", rtr.Len(), rtr.Bytes(), lt.Len(), lt.Bytes())
 	}
-	if lt.Bytes() != lt.Len()*16 {
+	if lt.Bytes() != lt.Len()*8 {
 		t.Fatalf("live: Bytes %d for Len %d: ids are not dense", lt.Bytes(), lt.Len())
 	}
 	for id := uint32(1); int64(id) < lt.Len(); id++ {
 		l, r := lt.Node(id), rtr.Node(id)
-		if l.String() != r.String() || l.Parent.String() != r.Parent.String() {
-			t.Fatalf("node %d: replay %v under %v, live %v under %v", id, r, r.Parent, l, l.Parent)
+		if l.String() != r.String() || l.Parent().String() != r.Parent().String() {
+			t.Fatalf("node %d: replay %v under %v, live %v under %v", id, r, r.Parent(), l, l.Parent())
 		}
 	}
 	var lr, rr []string
