@@ -5,6 +5,7 @@ import (
 
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
+	"spd3/internal/stats"
 	"spd3/internal/task"
 )
 
@@ -304,14 +305,14 @@ func BenchmarkShadowPublish(b *testing.B) {
 	const sweep = 4096
 	sink := detect.NewSink(false, 0)
 	d := New(sink, nil)
-	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
-	fin := d.tree.NewChild(run, dpst.FinishNode)
+	run := d.tree.NewChildFrom(nil, 0, dpst.FinishNode)
+	fin := d.tree.NewChildFrom(nil, run, dpst.FinishNode)
 	var local detect.Local
-	taskAt := func(scope *dpst.Node) *detect.Task {
-		return &detect.Task{State: d.tree.NewChild(scope, dpst.StepNode), L: &local}
+	taskAt := func(scope uint32) *detect.Task {
+		return &detect.Task{Step: d.tree.NewChildFrom(nil, scope, dpst.StepNode), L: &local}
 	}
 	first := taskAt(fin)
-	async := d.tree.NewChild(fin, dpst.AsyncNode)
+	async := d.tree.NewChildFrom(nil, fin, dpst.AsyncNode)
 	par := taskAt(async)
 	cont := taskAt(fin) // parallel with par, ordered after first
 	after := taskAt(run)
@@ -330,6 +331,13 @@ func BenchmarkShadowPublish(b *testing.B) {
 			}
 		}
 	}
+	// published fails a sub-benchmark in which some timed action left the
+	// word as it was: it timed the no-change path, not the update stage.
+	published := func(b *testing.B) {
+		if local.Tally[stats.CASClean] != 0 || local.Tally[stats.CASPublish] == 0 {
+			b.Fatalf("%d actions left the word unchanged, %d published", local.Tally[stats.CASClean], local.Tally[stats.CASPublish])
+		}
+	}
 	for _, prefix := range []string{"", "owned/"} {
 		d.owned = prefix != ""
 		for _, bench := range []struct {
@@ -339,11 +347,20 @@ func BenchmarkShadowPublish(b *testing.B) {
 			{"write", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Write(t, i) })},
 			{"read-supersede", alternate(func(sh detect.Shadow, t *detect.Task, i int) { sh.Read(t, i) })},
 		} {
-			b.Run(prefix+bench.name+"/cell", func(b *testing.B) { bench.run(b, 1) })
-			b.Run(prefix+bench.name+"/sweep", func(b *testing.B) { bench.run(b, sweep) })
+			for _, c := range []struct {
+				name  string
+				cells int
+			}{{"/cell", 1}, {"/sweep", sweep}} {
+				b.Run(prefix+bench.name+c.name, func(b *testing.B) {
+					local.Tally = [stats.NumBatched]int64{}
+					bench.run(b, c.cells)
+					published(b)
+				})
+			}
 		}
 		b.Run(prefix+"read-second/sweep", func(b *testing.B) {
 			sh := d.NewShadow(detect.Spec("x", sweep, 8))
+			local.Tally = [stats.NumBatched]int64{}
 			for n := 0; n < b.N; {
 				b.StopTimer()
 				for i := 0; i < sweep; i++ {
@@ -355,6 +372,7 @@ func BenchmarkShadowPublish(b *testing.B) {
 					sh.Read(par, i)
 				}
 			}
+			published(b)
 		})
 	}
 	if !sink.Empty() {
