@@ -32,9 +32,9 @@ type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:7331".
 	BaseURL string
 	// HTTPClient is the underlying transport; New installs a default
-	// with a generous overall timeout. Streaming calls (StreamEvents)
-	// and long waits (WaitJob) strip the client timeout and rely on the
-	// caller's context instead.
+	// with a generous overall timeout. StreamEvents, and so WaitJob and
+	// Analyze's wait, strip the client timeout and rely on the caller's
+	// context instead.
 	HTTPClient *http.Client
 	// Tenant, when set, is sent as the X-SPD3-Tenant header on every
 	// request, scoping jobs and quotas to that tenant.
@@ -389,8 +389,8 @@ func (c *Client) Stats(ctx context.Context) (*Statsz, error) {
 // the call. detector is a registry name, or "all" for differential mode;
 // "" selects the daemon default (spd3). A job that failed or was
 // canceled surfaces as *APIError with the daemon's recorded status. If
-// ctx ends after the submit, the DELETE cancels the still-live job and
-// Analyze returns ctx's error.
+// ctx ends after the submit, the DELETE cancels the still-live job, a
+// second one deletes it once canceled, and Analyze returns ctx's error.
 func (c *Client) Analyze(ctx context.Context, detector string, tr io.Reader) (*Report, error) {
 	st, err := c.SubmitJob(ctx, detector, tr)
 	if err != nil {
@@ -400,11 +400,16 @@ func (c *Client) Analyze(ctx context.Context, detector string, tr io.Reader) (*R
 	if _, err = c.WaitJob(ctx, st.ID); err == nil {
 		rep, err = c.Result(ctx, st.ID)
 	}
-	// One best-effort DELETE either way, on a context of its own: ctx
-	// may be the reason the wait ended.
+	// Best-effort clean-up on a context of its own: ctx may be the reason
+	// the wait ended. A live job answers the DELETE with 202.
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
 	defer cancel()
-	c.DeleteJob(dctx, st.ID) //nolint:errcheck // a live job answers 202, not DeleteJob's 204
+	var live *APIError
+	if errors.As(c.DeleteJob(dctx, st.ID), &live) && live.Status == http.StatusAccepted {
+		if _, werr := c.WaitJob(dctx, st.ID); werr == nil {
+			c.DeleteJob(dctx, st.ID) //nolint:errcheck // best-effort, as above
+		}
+	}
 	if err != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
@@ -454,27 +459,21 @@ func (c *Client) GetJob(ctx context.Context, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// WaitJob polls a job until it reaches a terminal state (done, failed,
-// or canceled) or ctx expires, backing off from 10ms to 1s between
-// polls. It returns the terminal status; inspect State to distinguish
-// success from failure.
+// WaitJob follows the job's event stream to its done frame and returns
+// the terminal status (done, failed, or canceled) from one GetJob;
+// inspect State to distinguish success from failure. A stream cut before
+// its done frame — spd3d's write timeout cuts every stream that outlives
+// it — costs one GetJob: a terminal status is returned, a live job is
+// subscribed to again. ctx bounds the whole wait.
 func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
-	delay := 10 * time.Millisecond
 	for {
-		st, err := c.GetJob(ctx, id)
-		if err != nil {
+		err := c.StreamEvents(ctx, id, func(Event) bool { return true })
+		if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, err
 		}
-		if Terminal(st.State) {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > time.Second {
-			delay = time.Second
+		st, err := c.GetJob(ctx, id)
+		if err != nil || Terminal(st.State) {
+			return st, err
 		}
 	}
 }

@@ -59,14 +59,9 @@ func init() {
 // returns a typed client pointed at it.
 func newDaemon(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
 	t.Helper()
-	s, err := server.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, client.New(ts.URL + "/") // trailing slash must not produce //v2 paths
+	s := openDaemon(t, cfg)
+	c, _ := serve(t, s, nil)
+	return s, c
 }
 
 // recordRacyMonteCarlo records the paper's benign-race benchmark under
@@ -280,10 +275,9 @@ func tenantJobs(t *testing.T, c *client.Client) []client.JobStatus {
 }
 
 // TestClientAnalyze pins the one-call form over /v2: a verdict leaves no
-// job behind, a refused submit and a failed job each surface as
-// *APIError with their status (the failed job deleted all the same), and
-// a context that ends while the job is parked returns the context's
-// error, with the job canceled.
+// job behind, and a refused submit and a failed job each surface as
+// *APIError with their status (the failed job deleted all the same).
+// TestWaitJobCanceledContext covers a context that ends mid-wait.
 func TestClientAnalyze(t *testing.T) {
 	ctx := context.Background()
 	tr := recordRacyMonteCarlo(t)
@@ -317,23 +311,6 @@ func TestClientAnalyze(t *testing.T) {
 	if jobs := tenantJobs(t, limited); len(jobs) != 0 {
 		t.Fatalf("a failed Analyze left %d jobs behind", len(jobs))
 	}
-
-	release := setGate()
-	defer release()
-	dctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
-	defer cancel()
-	if _, err := c.Analyze(dctx, "client-gate", bytes.NewReader(tr)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Analyze past its deadline = %v, want context.DeadlineExceeded", err)
-	}
-	jobs := tenantJobs(t, c)
-	if len(jobs) != 1 {
-		t.Fatalf("%d jobs after the deadline, want the canceled one", len(jobs))
-	}
-	release()
-	fin, err := c.WaitJob(ctx, jobs[0].ID)
-	if err != nil || fin.State != client.StateCanceled {
-		t.Fatalf("job after the deadline: %+v, %v; want canceled", fin, err)
-	}
 }
 
 // TestClientQuotaRetryAfter pins the typed 429: with the tenant's one
@@ -363,55 +340,299 @@ func TestClientQuotaRetryAfter(t *testing.T) {
 	}
 }
 
+// cuts are the two ways a stream ends before its done frame while the
+// job is parked: the daemon's WriteTimeout passing, which breaks the
+// chunked body mid-stream, and a deadline that ends the handler and so
+// the body cleanly at a frame boundary, as a proxy's read timeout does.
+// Each sets up the listener ts to serve h.
+var cuts = []struct {
+	name  string
+	serve func(ts *httptest.Server, h http.Handler)
+}{
+	{"write timeout", func(ts *httptest.Server, h http.Handler) {
+		ts.Config.Handler = h
+		ts.Config.WriteTimeout = 200 * time.Millisecond
+	}},
+	{"clean end", func(ts *httptest.Server, h http.Handler) {
+		ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			ctx, cancel := context.WithTimeout(r.Context(), 200*time.Millisecond)
+			defer cancel()
+			h.ServeHTTP(w, r.WithContext(ctx))
+		})
+	}},
+}
+
+// hits counts a daemon's requests by "METHOD path".
+type hits struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (h *hits) get(key string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.n[key]
+}
+
+// serve starts s behind a request counter on an httptest listener, set
+// up by cut when it is not nil, and returns a client pointed at it.
+func serve(t *testing.T, s *server.Server, cut func(*httptest.Server, http.Handler)) (*client.Client, *hits) {
+	t.Helper()
+	h := &hits{n: map[string]int{}}
+	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.mu.Lock()
+		h.n[r.Method+" "+r.URL.Path]++
+		h.mu.Unlock()
+		s.Handler().ServeHTTP(w, r)
+	})
+	ts := httptest.NewUnstartedServer(counted)
+	if cut != nil {
+		cut(ts, counted)
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return client.New(ts.URL + "/"), h // trailing slash must not produce //v2 paths
+}
+
+// openDaemon opens an in-process spd3d, closed when the test ends.
+func openDaemon(t *testing.T, cfg server.Config) *server.Server {
+	t.Helper()
+	s, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// eventually waits up to five seconds for cond.
+func eventually(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// submitGated submits a job that parks in the gate detector.
+func submitGated(t *testing.T, c *client.Client) string {
+	t.Helper()
+	st, err := c.SubmitJob(context.Background(), "client-gate", bytes.NewReader(recordRacyMonteCarlo(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.ID
+}
+
+type waited struct {
+	st  *client.JobStatus
+	err error
+}
+
+// waitJob runs c.WaitJob on its own goroutine.
+func waitJob(ctx context.Context, c *client.Client, id string) <-chan waited {
+	out := make(chan waited, 1)
+	go func() {
+		st, err := c.WaitJob(ctx, id)
+		out <- waited{st, err}
+	}()
+	return out
+}
+
 // TestStreamEventsCut: a stream cut before its done frame while the job
 // is parked is an error wrapping io.ErrUnexpectedEOF, not the nil of a
-// finished stream. Two cuts: the daemon's WriteTimeout passing, which
-// breaks the chunked body mid-stream, and a deadline that ends the
-// handler and so the body cleanly at a frame boundary, as a proxy's read
-// timeout does.
+// finished stream, by either of the cuts.
 func TestStreamEventsCut(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		serve func(ts *httptest.Server, h http.Handler)
-	}{
-		{"write timeout", func(ts *httptest.Server, h http.Handler) {
-			ts.Config.Handler = h
-			ts.Config.WriteTimeout = 200 * time.Millisecond
-		}},
-		{"clean end", func(ts *httptest.Server, h http.Handler) {
-			ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				ctx, cancel := context.WithTimeout(r.Context(), 200*time.Millisecond)
-				defer cancel()
-				h.ServeHTTP(w, r.WithContext(ctx))
-			})
-		}},
-	} {
+	for _, tc := range cuts {
 		t.Run(tc.name, func(t *testing.T) {
 			release := setGate()
 			defer release()
-			s, err := server.Open(server.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ts := httptest.NewUnstartedServer(nil)
-			tc.serve(ts, s.Handler())
-			ts.Start()
-			defer ts.Close()
-			c := client.New(ts.URL)
-			ctx := context.Background()
-
-			st, err := c.SubmitJob(ctx, "client-gate", bytes.NewReader(recordRacyMonteCarlo(t)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			c, _ := serve(t, openDaemon(t, server.Config{}), tc.serve)
+			id := submitGated(t, c)
 			streamed := make(chan error, 1)
-			go func() { streamed <- c.StreamEvents(ctx, st.ID, func(client.Event) bool { return true }) }()
+			go func() { streamed <- c.StreamEvents(context.Background(), id, func(client.Event) bool { return true }) }()
 			time.Sleep(400 * time.Millisecond)
 			release()
 			if err := <-streamed; !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("StreamEvents on a cut stream = %v, want io.ErrUnexpectedEOF", err)
 			}
 		})
+	}
+}
+
+// TestWaitJobTerminalFirst: a job already terminal when the wait starts
+// costs one stream, which is only its replay and done frame, and one
+// GET.
+func TestWaitJobTerminalFirst(t *testing.T) {
+	c, h := serve(t, openDaemon(t, server.Config{}), nil)
+	ctx := context.Background()
+	st, err := c.SubmitJob(ctx, "spd3", bytes.NewReader(recordRacyMonteCarlo(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, func() bool {
+		cur, err := c.GetJob(ctx, st.ID)
+		return err == nil && client.Terminal(cur.State)
+	}, "the job to end")
+	before := h.get("GET /v2/jobs/" + st.ID)
+	fin, err := c.WaitJob(ctx, st.ID)
+	if err != nil || fin.State != client.StateDone || fin.RaceCount == 0 {
+		t.Fatalf("WaitJob on a finished job = %+v, %v; want done with races", fin, err)
+	}
+	if n, e := h.get("GET /v2/jobs/"+st.ID)-before, h.get("GET /v2/jobs/"+st.ID+"/events"); n != 1 || e != 1 {
+		t.Fatalf("WaitJob made %d GETs and %d streams, want 1 and 1", n, e)
+	}
+}
+
+// TestWaitJobNoPoll: while the job is live WaitJob only holds its
+// stream open; it makes one GET, after the done frame.
+func TestWaitJobNoPoll(t *testing.T) {
+	release := setGate()
+	defer release()
+	c, h := serve(t, openDaemon(t, server.Config{}), nil)
+	id := submitGated(t, c)
+	got := waitJob(context.Background(), c, id)
+	eventually(t, func() bool { return h.get("GET /v2/jobs/"+id+"/events") == 1 }, "the stream")
+	time.Sleep(300 * time.Millisecond)
+	if n := h.get("GET /v2/jobs/" + id); n != 0 {
+		t.Fatalf("%d GETs while the job was live, want 0", n)
+	}
+	release()
+	w := <-got
+	if w.err != nil || w.st.State != client.StateDone {
+		t.Fatalf("WaitJob = %+v, %v; want done", w.st, w.err)
+	}
+	if n, e := h.get("GET /v2/jobs/"+id), h.get("GET /v2/jobs/"+id+"/events"); n != 1 || e != 1 {
+		t.Fatalf("WaitJob made %d GETs and %d streams, want 1 and 1", n, e)
+	}
+}
+
+// TestWaitJobCut: a stream cut while the job runs costs one GET, which
+// finds the job live, and a new stream; WaitJob returns done once the
+// gate opens. Every stream but a last one that saw the done frame was
+// cut, and each cut made one GET, so the two counts match. (A write
+// timeout breaks a silent stream only at its next write, here the done
+// frame: that cut's GET finds the job terminal.)
+func TestWaitJobCut(t *testing.T) {
+	for _, tc := range cuts {
+		t.Run(tc.name, func(t *testing.T) {
+			release := setGate()
+			defer release()
+			c, h := serve(t, openDaemon(t, server.Config{}), tc.serve)
+			id := submitGated(t, c)
+			got := waitJob(context.Background(), c, id)
+			eventually(t, func() bool { return h.get("GET /v2/jobs/"+id+"/events") == 1 }, "the stream")
+			time.Sleep(500 * time.Millisecond)
+			release()
+			w := <-got
+			if w.err != nil || w.st.State != client.StateDone {
+				t.Fatalf("WaitJob over cut streams = %+v, %v; want done", w.st, w.err)
+			}
+			if n, e := h.get("GET /v2/jobs/"+id), h.get("GET /v2/jobs/"+id+"/events"); n != e {
+				t.Fatalf("WaitJob made %d GETs over %d streams, want one each", n, e)
+			}
+		})
+	}
+}
+
+// TestWaitJobCanceledContext: a context that ends mid-stream ends
+// WaitJob with the context's error, and Analyze cancels its job, waits
+// for the cancellation to land and deletes the job.
+func TestWaitJobCanceledContext(t *testing.T) {
+	release := setGate()
+	defer release()
+	c, h := serve(t, openDaemon(t, server.Config{}), nil)
+	c.Tenant = "once"
+	id := submitGated(t, c)
+	ctx, cancel := context.WithCancel(context.Background())
+	got := waitJob(ctx, c, id)
+	eventually(t, func() bool { return h.get("GET /v2/jobs/"+id+"/events") == 1 }, "the stream")
+	cancel()
+	if w := <-got; !errors.Is(w.err, context.Canceled) {
+		t.Fatalf("WaitJob after cancel = %+v, %v; want context.Canceled", w.st, w.err)
+	}
+	release()
+	if fin, err := c.WaitJob(context.Background(), id); err != nil || fin.State != client.StateDone {
+		t.Fatalf("job left by the canceled wait: %+v, %v; want done", fin, err)
+	}
+	if err := c.DeleteJob(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+
+	release = setGate()
+	defer release()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	analyzed := make(chan error, 1)
+	go func() {
+		_, err := c.Analyze(ctx, "client-gate", bytes.NewReader(recordRacyMonteCarlo(t)))
+		analyzed <- err
+	}()
+	var jobs []client.JobStatus
+	eventually(t, func() bool { jobs = tenantJobs(t, c); return len(jobs) == 1 }, "the submit")
+	events := "GET /v2/jobs/" + jobs[0].ID + "/events"
+	eventually(t, func() bool { return h.get(events) == 1 }, "the stream")
+	cancel()
+	// The second stream follows the DELETE's 202: the job is canceling.
+	eventually(t, func() bool { return h.get(events) == 2 }, "the wait for the cancellation")
+	release()
+	if err := <-analyzed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Analyze after cancel = %v, want context.Canceled", err)
+	}
+	if jobs := tenantJobs(t, c); len(jobs) != 0 {
+		t.Fatalf("Analyze left %d jobs behind: %+v", len(jobs), jobs)
+	}
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Stats.Get("job.canceled"); n != 1 {
+		t.Fatalf("job.canceled = %d, want 1", n)
+	}
+}
+
+// TestWaitJobDeleted: a DELETE while a caller waits cancels the job, and
+// the wait returns state canceled.
+func TestWaitJobDeleted(t *testing.T) {
+	release := setGate()
+	defer release()
+	c, h := serve(t, openDaemon(t, server.Config{}), nil)
+	id := submitGated(t, c)
+	got := waitJob(context.Background(), c, id)
+	eventually(t, func() bool { return h.get("GET /v2/jobs/"+id+"/events") == 1 }, "the stream")
+	if err := c.CancelJob(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if w := <-got; w.err != nil || w.st.State != client.StateCanceled {
+		t.Fatalf("WaitJob on a deleted job = %+v, %v; want canceled", w.st, w.err)
+	}
+}
+
+// TestWaitJobAfterRestart: a job a killed daemon left running resumes
+// when a new daemon opens the same store, and a wait on the new daemon
+// follows it to done.
+func TestWaitJobAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	release := setGate()
+	defer release()
+	s1 := openDaemon(t, server.Config{StoreDir: dir, ShardWorkers: 2})
+	c1, _ := serve(t, s1, nil)
+	id := submitGated(t, c1)
+	// Die as SIGKILL would: Kill freezes manifest persistence, so the
+	// replay the gate releases leaves the job running on disk.
+	s1.Kill()
+	release()
+	s1.Close()
+
+	release = setGate()
+	defer release()
+	c2, h := serve(t, openDaemon(t, server.Config{StoreDir: dir, ShardWorkers: 2}), nil)
+	got := waitJob(context.Background(), c2, id)
+	eventually(t, func() bool { return h.get("GET /v2/jobs/"+id+"/events") == 1 }, "the stream")
+	release()
+	if w := <-got; w.err != nil || w.st.State != client.StateDone {
+		t.Fatalf("WaitJob on the resumed job = %+v, %v; want done", w.st, w.err)
 	}
 }

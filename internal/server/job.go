@@ -9,8 +9,8 @@
 // with the merged result. A body that fails on the way cancels its
 // replays, waits for them and leaves nothing — the job was never visible.
 // POST /v2/jobs answers 202 with a job id as soon as the job is
-// registered; the client polls GET /v2/jobs/{id}, streams findings from
-// /events, collects the envelope from /result, and DELETEs the job.
+// registered; the client follows /events (findings, then a done frame),
+// collects the envelope from /result, and DELETEs the job.
 package server
 
 import (
@@ -162,10 +162,9 @@ func (j *Job) status() client.JobStatus {
 }
 
 // subscribe registers an SSE subscriber and returns the channel plus a
-// replay of everything the subscriber missed: the races found so far
-// and, for a terminal job, the final event. The channel is closed when
-// the job finishes (or immediately, after the replay, if it already
-// has).
+// replay of the races found so far. The channel is closed when the job
+// finishes (at once if it already has); the handler then writes the done
+// frame from the job's final state.
 func (j *Job) subscribe() (ch chan jobEvent, replay []jobEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -184,7 +183,6 @@ func (j *Job) subscribe() (ch chan jobEvent, replay []jobEvent) {
 	}
 	ch = make(chan jobEvent, 256)
 	if client.Terminal(j.m.State) {
-		replay = append(replay, j.finalEventLocked())
 		close(ch)
 		return ch, replay
 	}
@@ -212,15 +210,11 @@ func (j *Job) broadcast(ev jobEvent) {
 	j.mu.Unlock()
 }
 
-// finish closes out the subscriber set with the final event.
+// finish closes every subscriber's channel. The done frame is not sent
+// on it: a subscriber whose buffer is full would lose it.
 func (j *Job) finish() {
 	j.mu.Lock()
-	ev := j.finalEventLocked()
 	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
 		close(ch)
 	}
 	j.subs = map[chan jobEvent]struct{}{}
@@ -228,7 +222,10 @@ func (j *Job) finish() {
 	close(j.done)
 }
 
-func (j *Job) finalEventLocked() jobEvent {
+// finalEvent is the done frame, built from the job's terminal state.
+func (j *Job) finalEvent() jobEvent {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return frame(client.Event{Name: "done", State: j.m.State, RaceCount: j.raceCountLocked(), Error: j.m.Error})
 }
 
@@ -952,6 +949,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, ok := <-ch:
 			if !ok {
+				// The job is terminal: the done frame goes last, however
+				// many race events a full buffer dropped.
+				write(j.finalEvent())
+				fl.Flush()
 				return
 			}
 			write(ev)

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spd3/client"
 	"spd3/internal/detect"
@@ -1089,5 +1090,60 @@ func TestTenantTableSwept(t *testing.T) {
 	}
 	if rows := getStatsz(t, ts.URL).Sampling; len(rows) != 0 {
 		t.Errorf("%d sampling rows after everything was deleted", len(rows))
+	}
+}
+
+// stalledStream is an SSE response whose first Flush blocks until gate
+// closes: a subscriber that reads nothing while the job runs.
+type stalledStream struct {
+	*httptest.ResponseRecorder
+	gate chan struct{}
+}
+
+func (w stalledStream) Flush() {
+	<-w.gate
+	w.ResponseRecorder.Flush()
+}
+
+// TestSlowSubscriberGetsDone: a subscriber that falls more than its
+// buffer's 256 frames behind loses race events, never the done frame
+// that ends its stream.
+func TestSlowSubscriberGetsDone(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	defer s.Close()
+	now := time.Now()
+	j := adoptJob(t, s, &store.Manifest{
+		ID: "jslow", Tenant: "default", Detector: "spd3",
+		State: client.StateRunning, CreatedAt: now, UpdatedAt: now,
+	})
+	w := stalledStream{httptest.NewRecorder(), make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v2/jobs/jslow/events", nil))
+	}()
+	waitFor(t, func() bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return len(j.subs) == 1
+	}, "subscriber")
+	const sent = 300
+	for i := range sent {
+		j.broadcast(raceEvent("spd3", client.Race{Kind: "write-write", Region: "a", Index: i}))
+	}
+	s.finalizeJob(j, nil, now)
+	close(w.gate)
+	<-served
+
+	frames := strings.Split(strings.TrimSuffix(w.Body.String(), "\n\n"), "\n\n")
+	races := len(frames) - 1
+	if races < 1 || races >= sent || !strings.HasPrefix(frames[races], "event: done\n") {
+		t.Fatalf("slow subscriber got %d frames, last %q; want some of the %d races, then done",
+			len(frames), frames[len(frames)-1], sent)
+	}
+	for _, f := range frames[:races] {
+		if !strings.HasPrefix(f, "event: race\n") {
+			t.Fatalf("frame before done: %q", f)
+		}
 	}
 }
