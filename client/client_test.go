@@ -340,26 +340,28 @@ func TestClientQuotaRetryAfter(t *testing.T) {
 	}
 }
 
-// cuts are the two ways a stream ends before its done frame while the
-// job is parked: the daemon's WriteTimeout passing, which breaks the
-// chunked body mid-stream, and a deadline that ends the handler and so
-// the body cleanly at a frame boundary, as a proxy's read timeout does.
-// Each sets up the listener ts to serve h.
+// cuts are two deadlines that pass while a stream's job is parked. Each
+// sets up the listener ts to serve h. The daemon's WriteTimeout does not
+// cut the stream: the handler moves the write deadline on with each
+// frame, so the stream ends with its done frame. A deadline that ends the
+// handler, as a proxy's read timeout does, ends the body cleanly at a
+// frame boundary before the done frame: a cut.
 var cuts = []struct {
 	name  string
 	serve func(ts *httptest.Server, h http.Handler)
+	cut   bool
 }{
 	{"write timeout", func(ts *httptest.Server, h http.Handler) {
 		ts.Config.Handler = h
 		ts.Config.WriteTimeout = 200 * time.Millisecond
-	}},
+	}, false},
 	{"clean end", func(ts *httptest.Server, h http.Handler) {
 		ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), 200*time.Millisecond)
 			defer cancel()
 			h.ServeHTTP(w, r.WithContext(ctx))
 		})
-	}},
+	}, true},
 }
 
 // hits counts a daemon's requests by "METHOD path".
@@ -442,7 +444,7 @@ func waitJob(ctx context.Context, c *client.Client, id string) <-chan waited {
 
 // TestStreamEventsCut: a stream cut before its done frame while the job
 // is parked is an error wrapping io.ErrUnexpectedEOF, not the nil of a
-// finished stream, by either of the cuts.
+// finished stream; a stream the deadline does not cut ends with nil.
 func TestStreamEventsCut(t *testing.T) {
 	for _, tc := range cuts {
 		t.Run(tc.name, func(t *testing.T) {
@@ -454,8 +456,12 @@ func TestStreamEventsCut(t *testing.T) {
 			go func() { streamed <- c.StreamEvents(context.Background(), id, func(client.Event) bool { return true }) }()
 			time.Sleep(400 * time.Millisecond)
 			release()
-			if err := <-streamed; !errors.Is(err, io.ErrUnexpectedEOF) {
+			err := <-streamed
+			if tc.cut && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("StreamEvents on a cut stream = %v, want io.ErrUnexpectedEOF", err)
+			}
+			if !tc.cut && err != nil {
+				t.Fatalf("StreamEvents past the deadline = %v, want nil", err)
 			}
 		})
 	}
@@ -511,9 +517,8 @@ func TestWaitJobNoPoll(t *testing.T) {
 // TestWaitJobCut: a stream cut while the job runs costs one GET, which
 // finds the job live, and a new stream; WaitJob returns done once the
 // gate opens. Every stream but a last one that saw the done frame was
-// cut, and each cut made one GET, so the two counts match. (A write
-// timeout breaks a silent stream only at its next write, here the done
-// frame: that cut's GET finds the job terminal.)
+// cut, and each cut made one GET, so the two counts match. A stream the
+// deadline does not cut costs one stream and one GET.
 func TestWaitJobCut(t *testing.T) {
 	for _, tc := range cuts {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,8 +534,12 @@ func TestWaitJobCut(t *testing.T) {
 			if w.err != nil || w.st.State != client.StateDone {
 				t.Fatalf("WaitJob over cut streams = %+v, %v; want done", w.st, w.err)
 			}
-			if n, e := h.get("GET /v2/jobs/"+id), h.get("GET /v2/jobs/"+id+"/events"); n != e {
+			n, e := h.get("GET /v2/jobs/"+id), h.get("GET /v2/jobs/"+id+"/events")
+			if tc.cut && n != e {
 				t.Fatalf("WaitJob made %d GETs over %d streams, want one each", n, e)
+			}
+			if !tc.cut && (n != 1 || e != 1) {
+				t.Fatalf("WaitJob made %d GETs and %d streams, want 1 and 1", n, e)
 			}
 		})
 	}

@@ -43,10 +43,11 @@
 //     t has open, and BeforeSpawn's child has that finish as its IEF —
 //     t's own IEF when t has none open. A detector may therefore keep a
 //     finish's saved state in the task, or derive it from the task's
-//     position, instead of looking it up by f. A task whose body
-//     panicked inside a finish ends (TaskEnd) with finishes open; a main
-//     task that did delivers no further event. The runtime keeps the
-//     rule by construction; replay checks it.
+//     position, instead of looking it up by f. A task ends every finish
+//     it opens, its body panicked or not, so TaskEnd finds none open.
+//     The runtime keeps the rule by construction; replay checks it, but
+//     accepts a TaskEnd with finishes open, as older recordings of a
+//     panicking body and hand-written traces hold it.
 //   - Steps: before MainTask(t), BeforeSpawn(parent, child) — for child
 //     and then parent — FinishStart(t) and FinishEnd(t), the points where
 //     the DPST gains a step node, the driver advances the task's burst

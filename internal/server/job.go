@@ -938,7 +938,19 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	ch, replay := j.subscribe()
 	defer j.unsubscribe(ch)
+	// The server's WriteTimeout bounds each frame's write, not the
+	// stream: a job idle for longer still ends its stream with done, and
+	// a reader that takes nothing is cut one WriteTimeout after a frame.
+	rc := http.NewResponseController(w)
+	var timeout time.Duration
+	if hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+		timeout = hs.WriteTimeout
+	}
 	write := func(ev jobEvent) {
+		if timeout > 0 {
+			// A failure leaves the old deadline, which the write then meets.
+			_ = rc.SetWriteDeadline(time.Now().Add(timeout))
+		}
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
 	}
 	for _, ev := range replay {

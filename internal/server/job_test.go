@@ -1147,3 +1147,40 @@ func TestSlowSubscriberGetsDone(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleStreamOutlivesWriteTimeout: the server's WriteTimeout bounds
+// each frame's write, not the stream, so a job parked for longer than it
+// still ends its stream with the done frame.
+func TestIdleStreamOutlivesWriteTimeout(t *testing.T) {
+	release := setGate()
+	defer release()
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.WriteTimeout = 200 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	resp, body := submitV2(t, ts.URL, "?detector=test-gate", "", recordProgen(t, 1, true))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	id := decodeJobStatus(t, body).ID
+	stream, err := http.Get(ts.URL + "/v2/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	time.AfterFunc(500*time.Millisecond, release)
+	data, err := io.ReadAll(stream.Body)
+	if err != nil {
+		t.Fatalf("stream cut after %d bytes: %v", len(data), err)
+	}
+	frames := strings.Split(strings.TrimSuffix(string(data), "\n\n"), "\n\n")
+	if last := frames[len(frames)-1]; !strings.HasPrefix(last, "event: done\n") {
+		t.Fatalf("stream ended with %q, want the done frame", last)
+	}
+}

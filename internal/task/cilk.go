@@ -34,17 +34,20 @@ type Cilk struct {
 
 // RunCilk executes body as a Cilk procedure on the current task: body
 // may Spawn and Sync, and a final implicit Sync runs before RunCilk
-// returns. A body that panics drops its frame instead of returning it:
-// its children may still be registered in the frame's scope.
+// returns. A body that panics takes the same exit — the final Sync joins
+// its children, and the frame goes back to the worker — before the panic
+// goes on.
 func RunCilk(c *Ctx, body func(k *Cilk)) {
 	w := c.w
 	k := w.frames.get()
 	//spd3vet:ignore runtime-internal: the frame is a same-task view over c, returned to the worker below before c's body goes on; a spawned child runs in a frame of its own
 	k.c = c
+	defer func() {
+		k.Sync()
+		k.c = nil
+		w.frames.put(k)
+	}()
 	body(k)
-	k.Sync()
-	k.c = nil
-	w.frames.put(k)
 }
 
 // Ctx returns the underlying task context (for instrumented memory

@@ -285,9 +285,9 @@ func recycledRan(depth int) int64 {
 // the executing worker's free lists, and a reused one is what a new one
 // would be — no detector state on its finish, no other procedure's or
 // finish's spawns in it — under every executor, after a child that
-// panicked with a sync region and a finish open (it drops both: its
-// children are still registered there) as much as before. Every
-// procedure and async runs once.
+// panicked with a sync region and a finish open (it ends both and returns
+// them, as a return would) as much as before. Every procedure and async
+// runs once, the panicking child's two orphans included.
 func TestRecycledScopesAndFrames(t *testing.T) {
 	for _, e := range []struct {
 		name string
@@ -333,6 +333,9 @@ func TestRecycledScopesAndFrames(t *testing.T) {
 			}
 			if got, want := ran.Load(), 3*recycledRan(depth); got != want {
 				t.Errorf("%d procedures and asyncs ran, want %d", got, want)
+			}
+			if n := orphans.Load(); n != 2 {
+				t.Errorf("%d of the panicking child's 2 orphans ran", n)
 			}
 		})
 	}

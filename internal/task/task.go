@@ -105,11 +105,10 @@ type Runtime struct {
 	finishIDs ids.Counter // likewise finishes
 	lockIDs   atomic.Int64
 
-	failure atomic.Pointer[taskFailure]
+	failure error        // the first task panic: written by the task that counted it first, read once every task has ended
+	panics  atomic.Int64 // task panics in this Run
 	running atomic.Bool
 }
-
-type taskFailure struct{ err error }
 
 // New validates cfg and returns a runtime.
 func New(cfg Config) (*Runtime, error) {
@@ -184,15 +183,17 @@ func (rt *Runtime) Scope() (*Runtime, *detect.Task) { return rt, nil }
 var ErrNested = errors.New("task: Run called on a running runtime")
 
 // Run executes root as the main task under the implicit top-level finish
-// and blocks until every transitively spawned task has completed. It
-// returns the first task panic (if any) as an error. A Runtime may be
-// reused for several consecutive Runs but not concurrently.
+// and blocks until every transitively spawned task has run to its end,
+// panicked or not. Its error names the first task panic and counts the
+// rest. A Runtime may be reused for several consecutive Runs but not
+// concurrently.
 func (rt *Runtime) Run(root func(*Ctx)) error {
 	if !rt.running.CompareAndSwap(false, true) {
 		return ErrNested
 	}
 	defer rt.running.Store(false)
-	rt.failure.Store(nil)
+	rt.failure = nil
+	rt.panics.Store(0)
 
 	fid, _ := rt.finishIDs.Draw(1)
 	tid, _ := rt.taskIDs.Draw(1)
@@ -203,17 +204,17 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	rt.det.MainTask(&main.task, &implicit.f)
 	rt.exec.run(rt, main)
 
-	if f := rt.failure.Load(); f != nil {
-		return f.err
+	if n := rt.panics.Load(); n > 1 {
+		return fmt.Errorf("%w (and %d more panics)", rt.failure, n-1)
 	}
-	return nil
+	return rt.failure
 }
 
-// capture records a panicking task body as the run's failure; runBody
-// defers it around every task body.
+// capture counts a panicking task body and records the first as the
+// run's failure; runBody defers it around every task body.
 func (rt *Runtime) capture() {
-	if p := recover(); p != nil {
-		rt.failure.CompareAndSwap(nil, &taskFailure{err: fmt.Errorf("task: panic in task body: %v", p)})
+	if p := recover(); p != nil && rt.panics.Add(1) == 1 {
+		rt.failure = fmt.Errorf("task: panic in task body: %v", p)
 	}
 }
 
@@ -312,14 +313,17 @@ func (c *Ctx) spawn(body func(*Ctx), proc func(*Cilk)) {
 // Finish executes body and then blocks until all tasks spawned within it
 // (transitively, whose IEF is this finish) have completed. Its scope comes
 // from the executing worker's free list and goes back there once the
-// finish has ended; a body that panics drops it.
+// finish has ended. A body that panics takes the same exit — join, end,
+// return the scope — and the panic goes on from there, as in HJ.
 func (c *Ctx) Finish(body func(*Ctx)) {
 	w := c.w
 	s := w.scopes.get()
 	prev := c.beginFinish(s)
+	defer func() {
+		c.endFinish(prev)
+		w.scopes.put(s)
+	}()
 	body(c)
-	c.endFinish(prev)
-	w.scopes.put(s)
 }
 
 // beginFinish opens the finish scope s, drained and cleared, and returns
@@ -424,16 +428,13 @@ func (rt *Runtime) runBody(c *Ctx) {
 
 // runMain is the main task's life, called by the executor's run: the
 // root body, the join of the implicit finish and its FinishEnd — the main
-// task's last event, it has no TaskEnd. A body that panicked inside a
-// Finish left it open, and ending the implicit finish over it would break
-// the event contract's nesting rule: no FinishEnd.
+// task's last event, it has no TaskEnd. A body that panicked has ended
+// every finish it opened on its way out, so the implicit one is innermost.
 func (rt *Runtime) runMain(c *Ctx) {
 	rt.runBody(c)
 	rt.exec.wait(c, c.join)
-	if c.fin == c.join {
-		c.task.Sample.Step()
-		rt.det.FinishEnd(&c.task, &c.join.f)
-	}
+	c.task.Sample.Step()
+	rt.det.FinishEnd(&c.task, &c.join.f)
 }
 
 // runTask is a spawned task's life up to its last event, TaskEnd; the

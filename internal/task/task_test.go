@@ -228,8 +228,8 @@ func TestPanicInRootPropagates(t *testing.T) {
 }
 
 // nestingDetector checks the nesting rule of the event contract: every
-// FinishEnd names the innermost finish its task has open. Sequential
-// executor only (no locking).
+// FinishEnd names the innermost finish its task has open, and a task ends
+// with none open. Sequential executor only (no locking).
 type nestingDetector struct {
 	detect.Nop
 	open map[detect.TaskID][]*detect.Finish
@@ -250,10 +250,16 @@ func (d *nestingDetector) FinishEnd(t *detect.Task, f *detect.Finish) {
 	}
 	d.open[t.ID] = s[:len(s)-1]
 }
+func (d *nestingDetector) TaskEnd(t *detect.Task) {
+	if n := len(d.open[t.ID]); n != 0 {
+		d.bad = append(d.bad, fmt.Sprintf("task %d ended with %d finishes open", t.ID, n))
+	}
+}
 
 // TestPanicInsideFinishKeepsNesting: a body that panics inside a Finish
-// leaves that finish open for good, in a spawned task and in the main
-// task alike; the runtime must not end an enclosing finish over it.
+// ends that finish on its way out, in a spawned task and in the main task
+// alike, so every finish ends in nesting order and the main task ends
+// the implicit one last: nothing is left open.
 func TestPanicInsideFinishKeepsNesting(t *testing.T) {
 	det := &nestingDetector{}
 	rt, err := New(Config{Executor: Sequential, Detector: det})
@@ -273,9 +279,82 @@ func TestPanicInsideFinishKeepsNesting(t *testing.T) {
 	if len(det.bad) != 0 {
 		t.Errorf("nesting rule broken: %v", det.bad)
 	}
-	if n := len(det.open[0]); n != 2 {
-		t.Errorf("main task ended with %d finishes open, want the implicit one and the one it panicked in", n)
+	for id, open := range det.open {
+		if len(open) != 0 {
+			t.Errorf("task %d left %d finishes open", id, len(open))
+		}
 	}
+}
+
+// TestPanicJoinsItsFinish: a main body that spawns 50 asyncs inside a
+// Finish, or 50 children in a Cilk sync region, and then panics leaves
+// the finish as a return would, on every executor: the 50 bodies run to
+// their TaskEnd, the finish ends after them, the implicit finish ends
+// last, and Run returns the panic.
+func TestPanicJoinsItsFinish(t *testing.T) {
+	bodies := []struct {
+		name string
+		root func(c *Ctx, ran *atomic.Int64)
+	}{
+		{"finish", func(c *Ctx, ran *atomic.Int64) {
+			c.Finish(func(c *Ctx) {
+				for i := 0; i < 50; i++ {
+					c.Async(func(*Ctx) { ran.Add(1) })
+				}
+				panic("main boom")
+			})
+		}},
+		{"cilk", func(c *Ctx, ran *atomic.Int64) {
+			RunCilk(c, func(k *Cilk) {
+				for i := 0; i < 50; i++ {
+					k.Spawn(func(*Cilk) { ran.Add(1) })
+				}
+				panic("main boom")
+			})
+		}},
+	}
+	for _, b := range bodies {
+		for _, e := range executors {
+			t.Run(b.name+"/"+e.name, func(t *testing.T) {
+				det := &countingDetector{}
+				cfg := e.cfg
+				cfg.Detector = det
+				rt, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ran atomic.Int64
+				err = rt.Run(func(c *Ctx) { b.root(c, &ran) })
+				if err == nil || !strings.Contains(err.Error(), "main boom") {
+					t.Fatalf("err = %v, want main boom", err)
+				}
+				if r, s, e := ran.Load(), det.spawns.Load(), det.ends.Load(); r != 50 || s != 50 || e != 50 {
+					t.Errorf("%d bodies ran over %d spawns and %d TaskEnds, want 50 of each", r, s, e)
+				}
+				if n := det.finishEnds.Load(); n != 2 {
+					t.Fatalf("%d FinishEnds, want 2: the finish's and the implicit one's", n)
+				}
+				if det.endsAtFinish[0] != 50 {
+					t.Errorf("the finish ended after %d TaskEnds, want 50", det.endsAtFinish[0])
+				}
+			})
+		}
+	}
+}
+
+// TestPanicsCounted: Run's error names one panic and counts the others.
+func TestPanicsCounted(t *testing.T) {
+	forAllExecutors(t, func(t *testing.T, rt *Runtime) {
+		err := rt.Run(func(c *Ctx) {
+			c.FinishAsync(10, func(c *Ctx, i int) { panic(fmt.Sprint("boom ", i)) })
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") || !strings.HasSuffix(err.Error(), "(and 9 more panics)") {
+			t.Fatalf("err = %v, want one of the ten panics and the other nine counted", err)
+		}
+		if err := rt.Run(func(c *Ctx) { panic("alone") }); err == nil || strings.Contains(err.Error(), "more") {
+			t.Fatalf("err = %v, want the one panic of the second Run alone", err)
+		}
+	})
 }
 
 func TestRunReusable(t *testing.T) {

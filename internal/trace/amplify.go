@@ -45,7 +45,8 @@ type Amplifier struct {
 	hasFinEnd  bool // the base ends its implicit finish
 	// closeF0: a copy ends F0_k itself — the base never ends its implicit
 	// finish, and its main neither ended nor left a finish of its own
-	// open (what a main body that panicked inside a finish records).
+	// open (only an older recording of a main body that panicked inside
+	// a finish, or a hand-written trace).
 	closeF0 bool
 
 	stage int // 0 prologue, 1 copies, 2 epilogue, 3 done

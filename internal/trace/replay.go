@@ -540,8 +540,9 @@ func (st *replayState) apply(ev *event) error {
 		if !ok {
 			return fmt.Errorf("trace: %w: end of unknown task %d", ErrMalformed, a[0])
 		}
-		// Finishes still open are legal here: it is what a task whose
-		// body panicked inside a finish records.
+		// Finishes still open are accepted here: older recordings of a
+		// body that panicked inside a finish, and hand-written traces,
+		// hold them.
 		st.det.TaskEnd(&t.Task)
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what

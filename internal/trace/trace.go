@@ -27,12 +27,12 @@
 // per-finish state from the task (SPD3 reads the finish off the task's
 // DPST step, ESP-bags and FastTrack its bag or clock), and a FinishEnd
 // by a task that did not open the finish once panicked one. A TaskEnd
-// with finishes still open is legal: a task whose body panicked inside a
-// finish records exactly that. Ending the implicit finish is the main
-// task's last event, and a spawned child may not take a live task's id
-// (detectors key per-task state by it). The Recorder's output, the
-// Splitter's segments and the Amplifier's copies satisfy the rules by
-// construction.
+// with finishes still open is accepted: the runtime ends them first,
+// but older recordings of a panicking body and hand-written traces hold
+// one. Ending the implicit finish is the main task's last event, and a
+// spawned child may not take a live task's id (detectors key per-task
+// state by it). The Recorder's output, the Splitter's segments and the
+// Amplifier's copies satisfy the rules by construction.
 //
 // Format: a header ("SPD3TRC1", then an executor byte), then events: a
 // kind byte, varint arguments and, for a region declaration, a

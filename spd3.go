@@ -300,7 +300,9 @@ func (r *Report) RaceFree() bool { return len(r.Races) == 0 }
 
 // Run executes root as the main task under the implicit top-level finish
 // and returns the detection report for this run. The returned error
-// reflects task panics, not races.
+// reflects task panics, not races: every spawned task runs to its end,
+// panicked or not, and the error names the first panic and counts the
+// rest.
 //
 // An Engine (with its instrumented containers) may be reused across
 // consecutive Runs: later runs are correctly treated as happening after
