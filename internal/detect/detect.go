@@ -45,14 +45,11 @@
 //     finish's saved state in the task, or derive it from the task's
 //     position, instead of looking it up by f. A task ends every finish
 //     it opens, its body panicked or not, so TaskEnd finds none open.
-//     The runtime keeps the rule by construction; replay checks it, but
-//     accepts a TaskEnd with finishes open, as older recordings of a
-//     panicking body and hand-written traces hold it.
-//   - Steps: before MainTask(t), BeforeSpawn(parent, child) — for child
-//     and then parent — FinishStart(t) and FinishEnd(t), the points where
-//     the DPST gains a step node, the driver advances the task's burst
-//     epoch (t.Sample.Step()). The sampler decides a burst window per
-//     epoch, so both drivers must advance it at the same events.
+//     The runtime keeps the rule by construction; replay checks it.
+//   - Steps: a driver delivers MainTask, BeforeSpawn, FinishStart and
+//     FinishEnd through Main, Spawn, StartFinish and EndFinish, which
+//     advance the burst epoch of each task the event gives a DPST step
+//     node before they deliver it.
 //
 // The runtime establishes the corresponding happens-before edges with
 // atomic operations, so a detector may hand state from TaskEnd to the
@@ -107,10 +104,10 @@ type Task struct {
 	// BeforeSpawn for its child, may find it nil.
 	L *Local
 
-	// Sample is the task's check-sampling state: the driver advances its
-	// epoch (see the package comment), and Cells.At hands it to the
-	// sink's sampler. It is only touched from the task's own goroutine,
-	// and from its parent's before the task starts.
+	// Sample is the task's check-sampling state: Main, Spawn, StartFinish
+	// and EndFinish advance its epoch, and Cells.At hands it to the sink's
+	// sampler. It is only touched from the task's own goroutine, and from
+	// its parent's before the task starts.
 	Sample sample.TaskState
 }
 
@@ -399,6 +396,32 @@ type Detector interface {
 
 	// Footprint returns the detector's current analytic memory usage.
 	Footprint() Footprint
+}
+
+// Main advances t's burst epoch and delivers MainTask(t, implicit).
+func Main(det Detector, t *Task, implicit *Finish) {
+	t.Sample.Step()
+	det.MainTask(t, implicit)
+}
+
+// Spawn advances child's and then parent's burst epoch and delivers
+// BeforeSpawn(parent, child).
+func Spawn(det Detector, parent, child *Task) {
+	child.Sample.Step()
+	parent.Sample.Step()
+	det.BeforeSpawn(parent, child)
+}
+
+// StartFinish advances t's burst epoch and delivers FinishStart(t, f).
+func StartFinish(det Detector, t *Task, f *Finish) {
+	t.Sample.Step()
+	det.FinishStart(t, f)
+}
+
+// EndFinish advances t's burst epoch and delivers FinishEnd(t, f).
+func EndFinish(det Detector, t *Task, f *Finish) {
+	t.Sample.Step()
+	det.FinishEnd(t, f)
 }
 
 // Footprint is a detector's analytic accounting of the bytes it allocated,

@@ -38,8 +38,9 @@ func Owned(d Detector) bool {
 // snapshot. spd3d keeps a verdict record per stored segment and detector
 // and trusts only records of this version, so a change to any listed
 // detector's races or counters must bump it (internal/server's
-// verdicts.golden fails until it does).
-const VerdictVersion = 2
+// verdicts.golden fails until it does), and so must a change to which
+// traces replay accepts: version 3 refuses a TaskEnd with finishes open.
+const VerdictVersion = 3
 
 // Factory builds one detector instance for one engine.
 type Factory func(FactoryOpts) Detector

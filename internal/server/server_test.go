@@ -143,7 +143,7 @@ func liveVerdict(t *testing.T, seed int64, name string) bool {
 
 // synthTrace hand-drives the recorder to build a sequential trace with a
 // known event count (one MainTask, one region, accesses reads, one
-// TaskEnd).
+// FinishEnd of the implicit finish).
 func synthTrace(t *testing.T, accesses int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -156,7 +156,7 @@ func synthTrace(t *testing.T, accesses int) []byte {
 	for i := 0; i < accesses; i++ {
 		sh.Read(mt, i%8)
 	}
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, fin)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -151,11 +151,18 @@ func (w *worker) loop() {
 	}
 }
 
-// exec runs a task this worker popped or stole.
+// exec runs a task this worker popped or stole, or the sequential
+// executor's child just spawned, to its end (runTask); then it counts the
+// task's completion against its IEF, waking any worker blocked on the
+// scope, and takes the record back. The count follows TaskEnd so that
+// FinishEnd observes every TaskEnd (see the detect package contract).
 func (w *worker) exec(c *Ctx) {
 	c.w = w
-	w.rt.runTask(c)
-	w.rt.leave(c)
+	rt := w.rt
+	rt.runTask(c)
+	if c.join.pending.Add(-1) == 0 {
+		rt.ec.Signal()
+	}
 	w.recycle(c)
 }
 
@@ -187,7 +194,7 @@ func (l *freeList[T]) put(v *T) {
 }
 
 // recycle takes back the record of a task that has left its scope
-// (Runtime.leave, which reads it, must come first): nothing holds it any
+// (exec's count, which reads it, must come first): nothing holds it any
 // more — the deque gave it up, the parent kept no reference, and no
 // detector keeps a *detect.Task past its TaskEnd. It is cleared here, so
 // that a record on the free list pins no scope and no detector state, and

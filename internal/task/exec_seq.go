@@ -24,11 +24,8 @@ func (seqExec) run(rt *Runtime, main *Ctx) {
 
 func (seqExec) spawn(parent, child *Ctx) {
 	w := parent.w
-	rt := w.rt
 	w.local.Tally[stats.TaskInline]++
-	rt.runTask(child)
-	rt.leave(child)
-	w.recycle(child)
+	w.exec(child)
 }
 
 func (seqExec) wait(c *Ctx, s *scope) {

@@ -184,9 +184,11 @@ var ErrNested = errors.New("task: Run called on a running runtime")
 
 // Run executes root as the main task under the implicit top-level finish
 // and blocks until every transitively spawned task has run to its end,
-// panicked or not. Its error names the first task panic and counts the
-// rest. A Runtime may be reused for several consecutive Runs but not
-// concurrently.
+// panicked or not. Its error names the first panic — in a task body, or
+// in the detector's TaskEnd or its FinishEnd of the implicit finish — and
+// counts the rest. A panic in the detector's MainTask propagates out of
+// Run before any worker starts. A Runtime may be reused for several
+// consecutive Runs but not concurrently.
 func (rt *Runtime) Run(root func(*Ctx)) error {
 	if !rt.running.CompareAndSwap(false, true) {
 		return ErrNested
@@ -200,8 +202,7 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	implicit := &scope{f: detect.Finish{ID: fid}}
 	main := &Ctx{body: root, join: implicit, fin: implicit}
 	main.task = detect.Task{ID: detect.TaskID(tid), IEF: &implicit.f}
-	main.task.Sample.Step()
-	rt.det.MainTask(&main.task, &implicit.f)
+	detect.Main(rt.det, &main.task, &implicit.f)
 	rt.exec.run(rt, main)
 
 	if n := rt.panics.Load(); n > 1 {
@@ -210,11 +211,12 @@ func (rt *Runtime) Run(root func(*Ctx)) error {
 	return rt.failure
 }
 
-// capture counts a panicking task body and records the first as the
-// run's failure; runBody defers it around every task body.
-func (rt *Runtime) capture() {
+// capture counts a panic and records the first, with where it was raised,
+// as the run's failure: runBody defers it around every task body, runTask
+// and runMain around a task's whole life, its last event included.
+func (rt *Runtime) capture(where string) {
 	if p := recover(); p != nil && rt.panics.Add(1) == 1 {
-		rt.failure = fmt.Errorf("task: panic in task body: %v", p)
+		rt.failure = fmt.Errorf("task: panic in %s: %v", where, p)
 	}
 }
 
@@ -302,9 +304,7 @@ func (c *Ctx) spawn(body func(*Ctx), proc func(*Cilk)) {
 	child := w.free.get()
 	child.w, child.body, child.proc, child.join, child.fin = w, body, proc, c.fin, c.fin
 	child.task.ID, child.task.IEF = detect.TaskID(c.task.L.Tasks.Next(&rt.taskIDs)), &c.fin.f
-	child.task.Sample.Step()
-	c.task.Sample.Step()
-	rt.det.BeforeSpawn(&c.task, &child.task)
+	detect.Spawn(rt.det, &c.task, &child.task)
 	c.task.L.Tally[stats.TaskSpawn]++
 	c.fin.pending.Add(1)
 	rt.exec.spawn(c, child)
@@ -333,8 +333,7 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 func (c *Ctx) beginFinish(s *scope) *scope {
 	rt := c.w.rt
 	s.f.ID = c.task.L.Finishes.Next(&rt.finishIDs)
-	c.task.Sample.Step()
-	rt.det.FinishStart(&c.task, &s.f)
+	detect.StartFinish(rt.det, &c.task, &s.f)
 	prev := c.fin
 	c.fin = s
 	return prev
@@ -350,8 +349,7 @@ func (c *Ctx) endFinish(prev *scope) {
 	s := c.fin
 	rt.exec.wait(c, s)
 	c.fin = prev
-	c.task.Sample.Step()
-	rt.det.FinishEnd(&c.task, &s.f)
+	detect.EndFinish(rt.det, &c.task, &s.f)
 	s.f = detect.Finish{}
 }
 
@@ -418,7 +416,7 @@ func (rt *Runtime) runBody(c *Ctx) {
 	c.task.L = &c.w.local
 	body, proc := c.body, c.proc
 	c.body, c.proc = nil, nil
-	defer rt.capture()
+	defer rt.capture("task body")
 	if proc != nil {
 		RunCilk(c, proc)
 		return
@@ -430,28 +428,21 @@ func (rt *Runtime) runBody(c *Ctx) {
 // root body, the join of the implicit finish and its FinishEnd — the main
 // task's last event, it has no TaskEnd. A body that panicked has ended
 // every finish it opened on its way out, so the implicit one is innermost.
+// A detector that panics in that FinishEnd fails the run as a body would.
 func (rt *Runtime) runMain(c *Ctx) {
+	defer rt.capture("FinishEnd of the implicit finish")
 	rt.runBody(c)
 	rt.exec.wait(c, c.join)
-	c.task.Sample.Step()
-	rt.det.FinishEnd(&c.task, &c.join.f)
+	detect.EndFinish(rt.det, &c.task, &c.join.f)
 }
 
-// runTask is a spawned task's life up to its last event, TaskEnd; the
-// caller goes on to leave.
+// runTask is a spawned task's life up to its last event, TaskEnd. A
+// detector that panics in TaskEnd fails the run as a body would, and the
+// task still leaves its scope (worker.exec).
 func (rt *Runtime) runTask(c *Ctx) {
+	defer rt.capture("TaskEnd")
 	rt.runBody(c)
 	rt.det.TaskEnd(&c.task)
-}
-
-// leave counts c's completion against its IEF and wakes any worker blocked
-// on the scope. It follows runTask: the TaskEnd event must precede the
-// decrement so that FinishEnd observes all TaskEnds (see the detect package
-// contract).
-func (rt *Runtime) leave(c *Ctx) {
-	if c.join.pending.Add(-1) == 0 {
-		rt.ec.Signal()
-	}
 }
 
 // executor abstracts over the two execution strategies.

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"spd3/internal/core"
@@ -336,6 +338,100 @@ func TestPanicJoinsItsFinish(t *testing.T) {
 				}
 				if det.endsAtFinish[0] != 50 {
 					t.Errorf("the finish ended after %d TaskEnds, want 50", det.endsAtFinish[0])
+				}
+			})
+		}
+	}
+}
+
+// panickyDetector counts events and, while armed, panics once: in the
+// TaskEnd of the target task (onTaskEnd), or else in the FinishEnd of the
+// implicit finish. Every count is taken before the panic, so a panicking
+// event is still counted.
+type panickyDetector struct {
+	detect.Nop
+	onTaskEnd                    bool
+	armed                        atomic.Bool
+	target                       atomic.Pointer[detect.Task]
+	implicit                     *detect.Finish
+	spawns, ends, starts, finEnd atomic.Int64
+}
+
+func (d *panickyDetector) MainTask(_ *detect.Task, f *detect.Finish) { d.implicit = f }
+func (d *panickyDetector) BeforeSpawn(_, _ *detect.Task)             { d.spawns.Add(1) }
+func (d *panickyDetector) FinishStart(*detect.Task, *detect.Finish)  { d.starts.Add(1) }
+func (d *panickyDetector) TaskEnd(t *detect.Task) {
+	d.ends.Add(1)
+	if d.onTaskEnd && t == d.target.Load() && d.armed.CompareAndSwap(true, false) {
+		panic("detector boom in TaskEnd")
+	}
+}
+func (d *panickyDetector) FinishEnd(_ *detect.Task, f *detect.Finish) {
+	d.finEnd.Add(1)
+	if !d.onTaskEnd && f == d.implicit && d.armed.CompareAndSwap(true, false) {
+		panic("detector boom in FinishEnd")
+	}
+}
+
+// TestDetectorPanicFailsTheRun: a detector that panics in a spawned
+// task's TaskEnd, or in the implicit finish's FinishEnd, fails the run as
+// a panicking body does, on every executor: Run returns an error naming
+// the panic, every spawned task still reaches its TaskEnd and leaves its
+// finish, every finish ends, no goroutine is left behind, and the next
+// Run on the runtime succeeds. The TaskEnd that panics is that of a task
+// running on a pool worker's own goroutine when the pool has several.
+func TestDetectorPanicFailsTheRun(t *testing.T) {
+	const spawns, finishes = 16 + 16*4, 1 + 16 // per Run; the implicit finish aside
+	for _, onTaskEnd := range []bool{true, false} {
+		event, want := "FinishEnd", "detector boom in FinishEnd"
+		if onTaskEnd {
+			event, want = "TaskEnd", "detector boom in TaskEnd"
+		}
+		for _, e := range executors {
+			t.Run(event+"/"+e.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				det := &panickyDetector{onTaskEnd: onTaskEnd}
+				det.armed.Store(true)
+				cfg := e.cfg
+				cfg.Detector = det
+				rt, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The target is the first top-level task to start on a
+				// worker other than Run's, or on the only one; the others
+				// wait for it, so that thieves get a task to run.
+				root := func(c *Ctx) {
+					c.Finish(func(c *Ctx) {
+						for i := 0; i < 16; i++ {
+							c.Async(func(c *Ctx) {
+								if c.WorkerID() > 0 || rt.Workers() == 1 {
+									det.target.CompareAndSwap(nil, c.Task())
+								}
+								for deadline := time.Now().Add(5 * time.Second); det.target.Load() == nil && time.Now().Before(deadline); {
+									runtime.Gosched()
+								}
+								c.FinishAsync(4, func(*Ctx, int) {})
+							})
+						}
+					})
+				}
+				if err := rt.Run(root); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want the detector's panic %q", err, want)
+				}
+				if err := rt.Run(root); err != nil {
+					t.Fatalf("the Run after the failed one: %v", err)
+				}
+				if s, n := det.spawns.Load(), det.ends.Load(); s != 2*spawns || n != s {
+					t.Errorf("%d BeforeSpawns and %d TaskEnds over two Runs, want %d of each", s, n, 2*spawns)
+				}
+				if s, n := det.starts.Load(), det.finEnd.Load(); s != 2*finishes || n != s+2 {
+					t.Errorf("%d FinishStarts and %d FinishEnds over two Runs, want %d and %d", s, n, 2*finishes, 2*finishes+2)
+				}
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after the Runs, %d before", runtime.NumGoroutine(), base)
+					}
 				}
 			})
 		}

@@ -6,9 +6,10 @@ import (
 	"io"
 )
 
-// Amplifier synthesizes an N×-larger trace from a single-run base
-// trace, streaming it out through io.Reader so a multi-gigabyte load
-// body never exists in memory at once.
+// Amplifier synthesizes an N×-larger trace from a complete single-run
+// base trace — one whose main task ends its implicit finish — streaming
+// it out through io.Reader so a multi-gigabyte load body never exists in
+// memory at once.
 //
 // Naive concatenation of trace bodies is unsound: repeating the
 // main-task event makes vector-clock detectors treat each copy's tasks
@@ -19,8 +20,11 @@ import (
 //	FinishStart(M, W_k)          // wrap finish for copy k
 //	Spawn(M, M_k, W_k)           // copy's stand-in main task
 //	FinishStart(M_k, F0_k)       // stand-in for the base's implicit finish
-//	...base body, IDs remapped...
+//	...base body, IDs remapped, FinishEnd(M_k, F0_k) included...
+//	TaskEnd(M_k)
 //	FinishEnd(M, W_k)
+//
+// and after the last copy M ends its implicit finish, FinishEnd(M, F0).
 //
 // Every id shifts by a per-copy stride of its ID space (formats): task,
 // finish and lock ids past the base's maxima, region ids by the base's
@@ -40,24 +44,18 @@ type Amplifier struct {
 	// stride is max id + 1 of each ID space in the base (for regions the
 	// declaration count: replay takes region ids in declaration order);
 	// plain arguments have stride 0.
-	stride     [numSpaces]int64
-	hasMainEnd bool // the base ends its main task
-	hasFinEnd  bool // the base ends its implicit finish
-	// closeF0: a copy ends F0_k itself — the base never ends its implicit
-	// finish, and its main neither ended nor left a finish of its own
-	// open (only an older recording of a main body that panicked inside
-	// a finish, or a hand-written trace).
-	closeF0 bool
+	stride [numSpaces]int64
 
-	stage int // 0 prologue, 1 copies, 2 epilogue, 3 done
-	k     int
-	out   bytes.Buffer
-	err   error
+	k   int // copies emitted; out holds the prologue before the first
+	out bytes.Buffer
+	err error
 }
 
 // NewAmplifier validates and pre-scans base (a complete recorded trace
 // of a single run) and returns a reader producing the amplified trace
-// with copies repetitions of the base body.
+// with copies repetitions of the base body. A base whose main task does
+// not end its implicit finish, or is named after that last event, is
+// ErrMalformed: its copies could not end M_k as the layout above does.
 func NewAmplifier(base []byte, copies int) (*Amplifier, error) {
 	if copies < 1 {
 		return nil, fmt.Errorf("trace: amplify: copies must be >= 1, got %d", copies)
@@ -68,7 +66,7 @@ func NewAmplifier(base []byte, copies int) (*Amplifier, error) {
 	}
 	a := &Amplifier{base: base, copies: copies, seq: dec.sequential}
 	first := true
-	mainOpen := 0 // explicit finishes the main task has open
+	open := 0 // finishes the main task has open, the implicit one included
 	var ev event
 	for {
 		err := dec.next(&ev)
@@ -86,6 +84,9 @@ func NewAmplifier(base []byte, copies int) (*Amplifier, error) {
 			if ev.args[i] < 0 {
 				return nil, fmt.Errorf("trace: %w: amplify base has a negative id %d", ErrMalformed, ev.args[i])
 			}
+			if sp == taskID && ev.args[i] == a.mainTask && !first && open == 0 {
+				return nil, fmt.Errorf("trace: %w: amplify base names its main task %d after the task's last event", ErrMalformed, a.mainTask)
+			}
 			a.stride[sp] = max(a.stride[sp], ev.args[i]+1)
 		}
 		switch {
@@ -94,27 +95,26 @@ func NewAmplifier(base []byte, copies int) (*Amplifier, error) {
 				return nil, fmt.Errorf("trace: %w: amplify base contains more than one run", ErrMalformed)
 			}
 			a.mainTask, a.mainFin = ev.args[0], ev.args[1]
-			first = false
+			first, open = false, 1
 		case first:
 			// Real recordings declare shadow regions created before the
 			// runtime starts ahead of the main-task event.
 			if ev.kind != evNewShadow && ev.kind != evNewShadowGrow {
 				return nil, fmt.Errorf("trace: %w: amplify base must open with its main task", ErrMalformed)
 			}
-		case ev.kind == evTaskEnd && ev.args[0] == a.mainTask:
-			a.hasMainEnd = true
-		case ev.kind == evFinishEnd && ev.args[1] == a.mainFin:
-			a.hasFinEnd = true
 		case ev.kind == evFinishStart && ev.args[0] == a.mainTask:
-			mainOpen++
+			open++
 		case ev.kind == evFinishEnd && ev.args[0] == a.mainTask:
-			mainOpen--
+			open--
 		}
 	}
 	if first {
 		return nil, fmt.Errorf("trace: %w: amplify base has no events", ErrMalformed)
 	}
-	a.closeF0 = !a.hasFinEnd && !a.hasMainEnd && mainOpen == 0
+	if open != 0 {
+		return nil, fmt.Errorf("trace: %w: amplify base does not end its main task's implicit finish", ErrMalformed)
+	}
+	a.out.Write(appendEvent(appendHeader(nil, a.seq), evMainTask, a.mainTask, a.mainFin))
 	return a, nil
 }
 
@@ -133,36 +133,17 @@ func (a *Amplifier) Read(p []byte) (int, error) {
 		if a.err != nil {
 			return 0, a.err
 		}
-		switch a.stage {
-		case 0:
-			a.out.Write(appendEvent(appendHeader(a.out.AvailableBuffer(), a.seq), evMainTask, a.mainTask, a.mainFin))
-			a.stage = 1
-		case 1:
-			if a.k == a.copies {
-				a.stage = 2
-				continue
-			}
-			a.emitCopy(a.k)
-			a.k++
-		case 2:
-			var tail []byte
-			if a.hasFinEnd {
-				tail = appendEvent(tail, evFinishEnd, a.mainTask, a.mainFin)
-			}
-			if a.hasMainEnd {
-				tail = appendEvent(tail, evTaskEnd, a.mainTask)
-			}
-			a.out.Write(tail)
-			a.stage = 3
-		case 3:
+		if a.k == a.copies {
 			return 0, io.EOF
 		}
+		a.emitCopy(a.k)
+		a.k++
 	}
 	return a.out.Read(p)
 }
 
 // emitCopy writes copy k (wrap finish + remapped base body) into the
-// output buffer.
+// output buffer, and after the last copy the end of M's implicit finish.
 func (a *Amplifier) emitCopy(k int) {
 	dec, err := newDecoder(bytes.NewReader(a.base))
 	if err != nil {
@@ -202,16 +183,11 @@ func (a *Amplifier) emitCopy(k int) {
 		}
 		buf = appendEv(buf, &ev)
 	}
-	// Close what the base left open, in contract order: a copy whose
-	// stand-in main cannot legally close F0_k leaves it dangling exactly
-	// like the base's implicit finish.
-	if a.closeF0 {
-		buf = appendEvent(buf, evFinishEnd, cm, cf)
-	}
-	if !a.hasMainEnd {
-		buf = appendEvent(buf, evTaskEnd, cm)
-	}
+	buf = appendEvent(buf, evTaskEnd, cm)
 	buf = appendEvent(buf, evFinishEnd, mt, wrapF)
+	if k == a.copies-1 {
+		buf = appendEvent(buf, evFinishEnd, mt, a.mainFin)
+	}
 	a.out.Write(buf)
 }
 

@@ -136,7 +136,7 @@ func TestAmplifyLeadingRegionDecls(t *testing.T) {
 	for i := 0; i < accesses; i++ {
 		sh.Read(mt, i%8)
 	}
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, f0)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +169,18 @@ func TestAmplifyErrors(t *testing.T) {
 	tworuns := append(append([]byte{}, data...), data[len(magic)+1:]...)
 	if _, err := NewAmplifier(tworuns, 2); !errors.Is(err, ErrMalformed) {
 		t.Errorf("two-run base: err = %v, want ErrMalformed", err)
+	}
+	// A recording ends with the main task's FinishEnd of its implicit
+	// finish: without it the base is incomplete, and a base that names the
+	// main task after it has no last event for M_k to follow.
+	end := appendEvent(nil, evFinishEnd, 0, 0)
+	if !bytes.HasSuffix(data, end) {
+		t.Fatalf("recording does not end with %x", end)
+	}
+	if _, err := NewAmplifier(data[:len(data)-len(end)], 2); !errors.Is(err, ErrMalformed) {
+		t.Errorf("base without the end of its implicit finish: err = %v, want ErrMalformed", err)
+	}
+	if _, err := NewAmplifier(appendEvent(bytes.Clone(data), evTaskEnd, 0), 2); !errors.Is(err, ErrMalformed) {
+		t.Errorf("base naming its main task after its last event: err = %v, want ErrMalformed", err)
 	}
 }

@@ -145,7 +145,7 @@ func scopedTrace(tb testing.TB, scopes int) []byte {
 		}
 		rec.FinishEnd(mt, scope)
 	}
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, fin)
 	if err := rec.Close(); err != nil {
 		tb.Fatal(err)
 	}

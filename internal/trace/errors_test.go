@@ -32,7 +32,7 @@ func synthTrace(t *testing.T, accesses int) []byte {
 	for i := 0; i < accesses; i++ {
 		sh.Read(mt, i%8)
 	}
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, fin)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,9 @@ func TestTypedErrors(t *testing.T) {
 		{"FinishEnd twice", nest(e{fend, 0, 0}, e{fend, 0, 0}), ErrMalformed},
 		{"main acts after ending its implicit finish", nest(e{fend, 0, 0}, e{fstart, 0, 1}), ErrMalformed},
 		{"spawn of a live task id", nest(e{spawn, 0, 0, 0}), ErrMalformed},
-		{"TaskEnd with a finish open (a body that panicked inside it)", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1},
-			e{spawn, 1, 2, 1}, e{tend, 2}, e{tend, 1}, e{fend, 0, 0}), nil},
+		{"TaskEnd with a finish open", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1},
+			e{spawn, 1, 2, 1}, e{tend, 2}, e{tend, 1}, e{fend, 0, 0}), ErrMalformed},
+		{"main's TaskEnd over its implicit finish", nest(e{tend, 0}), ErrMalformed},
 		{"access by a task that has ended", endedTask, ErrMalformed},
 		{"access by main after it ends its implicit finish", endedMain, ErrMalformed},
 		{"access after a spawn reuses an ended task's id", reused(e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{spawn, 0, 1, 0}, e{rd, 1}), nil},

@@ -514,8 +514,7 @@ func (st *replayState) apply(ev *event) error {
 		t := st.newTask(a[0], f)
 		t.open = append(t.open, f)
 		st.tasks[a[0]], st.last = t, nil
-		t.Sample.Step()
-		st.det.MainTask(&t.Task, f)
+		detect.Main(st.det, &t.Task, f)
 	case evSpawn:
 		parent, ok := st.tasks[a[0]]
 		if !ok {
@@ -532,17 +531,19 @@ func (st *replayState) apply(ev *event) error {
 		}
 		child := st.newTask(a[1], ief)
 		st.tasks[a[1]] = child
-		child.Sample.Step()
-		parent.Sample.Step()
-		st.det.BeforeSpawn(&parent.Task, &child.Task)
+		detect.Spawn(st.det, &parent.Task, &child.Task)
 	case evTaskEnd:
 		t, ok := st.tasks[a[0]]
 		if !ok {
 			return fmt.Errorf("trace: %w: end of unknown task %d", ErrMalformed, a[0])
 		}
-		// Finishes still open are accepted here: older recordings of a
-		// body that panicked inside a finish, and hand-written traces,
-		// hold them.
+		// A task has ended every finish it opened by its TaskEnd. The
+		// main task's stack holds the implicit finish until the main
+		// task's last event ends it, so a main task's TaskEnd is refused
+		// here too.
+		if n := len(t.open); n > 0 {
+			return fmt.Errorf("trace: %w: task %d ends with finish %d open", ErrMalformed, a[0], t.open[n-1].ID)
+		}
 		st.det.TaskEnd(&t.Task)
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what
@@ -559,8 +560,7 @@ func (st *replayState) apply(ev *event) error {
 		}
 		f := &detect.Finish{ID: a[1]}
 		t.open = append(t.open, f)
-		t.Sample.Step()
-		st.det.FinishStart(&t.Task, f)
+		detect.StartFinish(st.det, &t.Task, f)
 	case evFinishEnd:
 		t, ok := st.tasks[a[0]]
 		if !ok {
@@ -572,8 +572,7 @@ func (st *replayState) apply(ev *event) error {
 		}
 		f := t.open[n-1]
 		t.open = t.open[:n-1]
-		t.Sample.Step()
-		st.det.FinishEnd(&t.Task, f)
+		detect.EndFinish(st.det, &t.Task, f)
 		if f == t.IEF {
 			// Only the main task has its own IEF open, and the contract
 			// makes ending it the main task's last event: as at a TaskEnd,

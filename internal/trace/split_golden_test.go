@@ -72,27 +72,33 @@ func writeSplitTraces(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 
-	// Two back-to-back runs from one recorder; the second touches the
-	// first's region and declares its own, one of them growable.
+	// Two back-to-back Runs of one sequential runtime, recorded by one
+	// recorder; the second touches the first's region and declares its
+	// own, one of them growable.
 	var multi bytes.Buffer
 	rec = NewRecorder(&multi, true)
-	mt1, f0 := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
-	mt1.IEF = f0
-	rec.MainTask(mt1, f0)
-	shA := rec.NewShadow(detect.Spec("a", 8, 8))
-	for i := 0; i < 50; i++ {
-		shA.Write(mt1, i%8)
+	rt, err = task.New(task.Config{Executor: task.Sequential, Detector: rec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec.TaskEnd(mt1)
-	mt2, f1 := &detect.Task{ID: 1}, &detect.Finish{ID: 1}
-	mt2.IEF = f1
-	rec.MainTask(mt2, f1)
-	shB := rec.NewShadow(detect.GrowableSpec("b", 8))
-	for i := 0; i < 50; i++ {
-		shA.Read(mt2, i%8)
-		shB.Write(mt2, i%8)
+	var shA detect.Shadow
+	if err := rt.Run(func(c *task.Ctx) {
+		shA = rec.NewShadow(detect.Spec("a", 8, 8))
+		for i := 0; i < 50; i++ {
+			shA.Write(c.Task(), i%8)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	rec.TaskEnd(mt2)
+	if err := rt.Run(func(c *task.Ctx) {
+		shB := rec.NewShadow(detect.GrowableSpec("b", 8))
+		for i := 0; i < 50; i++ {
+			shA.Read(c.Task(), i%8)
+			shB.Write(c.Task(), i%8)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func writeSplitTraces(t *testing.T, dir string) {
 	for i := 0; i < 2000; i++ {
 		sh.Read(mt, i%8)
 	}
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, fin)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

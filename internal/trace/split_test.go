@@ -323,7 +323,7 @@ func TestSplitterHoldsCutWhileMainHoldsLock(t *testing.T) {
 	rec.FinishEnd(mt, f2) // legal boundary
 
 	sh.Read(mt, 2)
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, f0)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestSplitterMultiRunTrace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		shA.Write(mt1, i%8)
 	}
-	rec.TaskEnd(mt1)
+	rec.FinishEnd(mt1, f0)
 
 	mt2 := &detect.Task{ID: 1}
 	f1 := &detect.Finish{ID: 1}
@@ -384,7 +384,7 @@ func TestSplitterMultiRunTrace(t *testing.T) {
 		shA.Read(mt2, i%8) // the new run touches the old run's region too
 		shB.Write(mt2, i%8)
 	}
-	rec.TaskEnd(mt2)
+	rec.FinishEnd(mt2, f1)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -127,14 +127,14 @@ func TestStopMidEventKeepsItsCause(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sh.Read(mt, 3000) // a two-byte index varint
 	}
-	rec.TaskEnd(mt)
+	rec.FinishEnd(mt, fin)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// The trace ends with the last read's index varint, then TaskEnd's two
-	// bytes: cut after the varint's first byte.
-	cut := len(data) - 3
+	// The trace ends with the last read's index varint, then FinishEnd's
+	// three bytes: cut after the varint's first byte.
+	cut := len(data) - 4
 	if data[cut-1] < 0x80 || data[cut-4] != evRead {
 		t.Fatalf("byte %d does not continue the last read's index varint", cut-1)
 	}
