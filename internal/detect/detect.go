@@ -37,7 +37,8 @@
 //     no TaskEnd: its last event is the FinishEnd of the implicit finish.
 //   - FinishEnd(t, f) is delivered after every task registered in f (and,
 //     transitively, their descendants registered in f) has completed, and
-//     after all of their TaskEnd events.
+//     after all of their TaskEnd events. The runtime keeps the rule by
+//     joining; replay checks it.
 //   - Nesting: a task's finishes are a stack, the main task's opening
 //     with the implicit finish. FinishEnd(t, f) ends the innermost finish
 //     t has open, and BeforeSpawn's child has that finish as its IEF —

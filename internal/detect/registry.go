@@ -39,8 +39,10 @@ func Owned(d Detector) bool {
 // and trusts only records of this version, so a change to any listed
 // detector's races or counters must bump it (internal/server's
 // verdicts.golden fails until it does), and so must a change to which
-// traces replay accepts: version 3 refuses a TaskEnd with finishes open.
-const VerdictVersion = 3
+// traces replay accepts: version 3 refuses a TaskEnd with finishes open,
+// version 4 a FinishEnd before the TaskEnd of a task registered in the
+// finish, and a run that starts while a task of the run before is live.
+const VerdictVersion = 4
 
 // Factory builds one detector instance for one engine.
 type Factory func(FactoryOpts) Detector

@@ -347,6 +347,67 @@ func TestHostileNestingIs400(t *testing.T) {
 	}
 }
 
+// TestUnjoinedFinishFails: a trace that ends a finish while a task
+// registered in it is live breaks the join rule every detector relies on
+// (unrefused, SPD3 and ESP-bags read it race-free and FastTrack and
+// Eraser racy). Under detector=all the job fails, /result is a 400 naming
+// the rule, and no verdict record is kept for its segment.
+func TestUnjoinedFinishFails(t *testing.T) {
+	var buf bytes.Buffer
+	rec := trace.NewRecorder(&buf, true)
+	mt, implicit := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
+	mt.IEF = implicit
+	rec.MainTask(mt, implicit)
+	sh := rec.NewShadow(detect.Spec("x", 8, 8))
+	f := &detect.Finish{ID: 1}
+	rec.FinishStart(mt, f)
+	child := &detect.Task{ID: 1, IEF: f}
+	rec.BeforeSpawn(mt, child)
+	rec.FinishEnd(mt, f) // child has not ended
+	sh.Write(mt, 0)
+	sh.Write(child, 0)
+	rec.TaskEnd(child)
+	rec.FinishEnd(mt, implicit)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	s, ts := newTestServer(t, Config{StoreDir: root})
+	defer s.Close()
+	resp, data := submitV2(t, ts.URL, "?detector=all", "", buf.Bytes())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d\n%s", resp.StatusCode, data)
+	}
+	id := decodeJobStatus(t, data).ID
+	deadline := time.Now().Add(30 * time.Second)
+	for !client.Terminal(jobState(s, id)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s not terminal after 30s", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := jobState(s, id); st != client.StateFailed {
+		t.Errorf("job state = %q, want %q", st, client.StateFailed)
+	}
+	res, err := http.Get(ts.URL + "/v2/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "of its tasks live") {
+		t.Errorf("/result = %d, want the join rule's 400\n%s", res.StatusCode, body)
+	}
+	if recs := records(t, root); len(recs) != 0 {
+		t.Errorf("the failed job left %d verdict records", len(recs))
+	}
+	deleteJob(t, ts.URL, id)
+}
+
 // TestBodyCap413: uploads over MaxBodyBytes are refused with 413.
 func TestBodyCap413(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})

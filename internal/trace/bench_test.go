@@ -173,7 +173,8 @@ var daemonSplit = SplitConfig{MinSegmentBytes: 256 << 10, MaxSegmentBytes: 32 <<
 
 // BenchmarkSplitter measures the cost of cutting a trace into segments
 // — scan and verbatim copy, no detector work — at a cut per finish
-// scope and at the daemon's 256 KiB segments.
+// scope and at the daemon's 256 KiB segments, and at the latter on
+// gatherTrace, where two events in eleven are a spawn or a task end.
 func BenchmarkSplitter(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -182,6 +183,7 @@ func BenchmarkSplitter(b *testing.B) {
 	}{
 		{"min1", benchTrace(b, 16), SplitConfig{MinSegmentBytes: 1}},
 		{"256KiB", scopedTrace(b, 200), daemonSplit},
+		{"gather", gatherTrace(b, 16), daemonSplit},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			data := bc.data

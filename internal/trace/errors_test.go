@@ -61,6 +61,7 @@ func TestTypedErrors(t *testing.T) {
 		tend   = int64(evTaskEnd)
 		fstart = int64(evFinishStart)
 		fend   = int64(evFinishEnd)
+		main   = int64(evMainTask)
 	)
 	// readIndex replays main task 0, an 8-element region and one evRead
 	// whose index varint is the raw bytes idx.
@@ -94,6 +95,13 @@ func TestTypedErrors(t *testing.T) {
 		}
 		return ReplayWithLimits(bytes.NewReader(b), det, nil, DefaultLimits())
 	}
+	// unjoined ends finish 1 while task 1, registered in it, is live;
+	// main and task 1 then write element 0. Detectors that trusted the
+	// join rule would disagree on it: SPD3 and ESP-bags see no race,
+	// FastTrack and Eraser one.
+	wr := int64(evWrite)
+	unjoined := []e{{fstart, 0, 1}, {spawn, 0, 1, 1}, {fend, 0, 1},
+		{wr, 0, 0, 0}, {wr, 0, 1, 0}, {tend, 1}, {fend, 0, 0}}
 	// Replay remembers the task of the last access; these are the ways a
 	// remembered task can leave the table.
 	endedTask := accesses(mk(), e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{rd, 1})
@@ -143,14 +151,30 @@ func TestTypedErrors(t *testing.T) {
 		{"TaskEnd with a finish open", nest(e{spawn, 0, 1, 0}, e{fstart, 1, 1},
 			e{spawn, 1, 2, 1}, e{tend, 2}, e{tend, 1}, e{fend, 0, 0}), ErrMalformed},
 		{"main's TaskEnd over its implicit finish", nest(e{tend, 0}), ErrMalformed},
+		// The join rule: a finish ends after every task registered in it.
+		{"FinishEnd before its task's TaskEnd", accesses(mk(), unjoined...), ErrMalformed},
+		{"main ends its implicit finish before its task's TaskEnd", nest(e{spawn, 0, 1, 0}, e{fend, 0, 0}, e{tend, 1}), ErrMalformed},
+		// A run follows the run before it: only that run's main task may
+		// be live, and it leaves the table.
+		{"run starts while a task of the run before is live", nest(e{spawn, 0, 1, 0}, e{main, 2, 2}), ErrMalformed},
+		{"main of the run before acts in the next", nest(e{main, 2, 2}, e{fstart, 0, 1}), ErrMalformed},
 		{"access by a task that has ended", endedTask, ErrMalformed},
 		{"access by main after it ends its implicit finish", endedMain, ErrMalformed},
 		{"access after a spawn reuses an ended task's id", reused(e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{spawn, 0, 1, 0}, e{rd, 1}), nil},
-		{"access after a second main task takes a live main's id", reused(e{rd, 0}, e{int64(evMainTask), 0, 1}, e{rd, 0}), nil},
+		{"access after a second main task takes a live main's id", reused(e{rd, 0}, e{main, 0, 1}, e{rd, 0}), nil},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, c.want) {
 			t.Errorf("%s: err = %v, want errors.Is(err, %v)", c.name, c.err, c.want)
+		}
+	}
+	for _, name := range detect.Names() {
+		det, err := detect.New(name, detect.FactoryOpts{Sink: detect.NewSink(false, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := accesses(det, unjoined...); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "of its tasks live") {
+			t.Errorf("%s: unjoined finish: err = %v, want the join rule's ErrMalformed", name, err)
 		}
 	}
 	for _, err := range []error{endedTask, endedMain} {

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
 	"testing"
 
 	"spd3/internal/core"
@@ -113,41 +115,61 @@ func FuzzAmplify(f *testing.F) {
 // FuzzSplitter drives the segment splitter over arbitrary bytes: no
 // panics, only sentinel errors (plus ErrSegmentOversize, which Unsplit
 // must then absorb), and every produced segment must itself replay
-// without tripping an untyped error.
+// without tripping an untyped error. When the whole input replays cleanly
+// into SPD3, splitting is sound besides: the splitter returns no error,
+// every segment (and an Unsplit remainder) replays cleanly, and their
+// race sets union to the whole trace's.
 func FuzzSplitter(f *testing.F) {
 	fuzzSeeds(f)
+	lim := Limits{MaxRegionElems: 1 << 16, MaxTotalElems: 1 << 18}
+	replay := func(rd io.Reader) (map[segKey]struct{}, error) {
+		sink := detect.NewSink(false, 0)
+		err := ReplayWithLimits(rd, core.New(sink, nil), nil, lim)
+		return keySet(sink.Races()), err
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		whole, wholeErr := replay(bytes.NewReader(data))
+		// check fails on an untyped error, and on any error at all when
+		// the whole trace replays cleanly.
+		check := func(what string, err error) {
+			t.Helper()
+			if err != nil && !isDecodeSentinel(err) {
+				t.Fatalf("untyped error from %s: %v", what, err)
+			}
+			if err != nil && wholeErr == nil {
+				t.Fatalf("the whole trace replays cleanly, %s fails: %v", what, err)
+			}
+		}
 		sp, err := NewSplitter(&chunkReader{r: bytes.NewReader(data), n: 5}, SplitConfig{
 			MinSegmentBytes: 1,
 			MaxSegmentBytes: 1 << 16,
 		})
 		if err != nil {
-			if !isDecodeSentinel(err) {
-				t.Fatalf("untyped splitter header error: %v", err)
-			}
+			check("the splitter's header", err)
 			return
 		}
-		lim := Limits{MaxRegionElems: 1 << 16, MaxTotalElems: 1 << 18}
-		for i := 0; i < 64; i++ {
+		union := map[segKey]struct{}{}
+		for {
 			seg, err := sp.Next()
 			if errors.Is(err, io.EOF) {
-				return
+				break
 			}
 			if errors.Is(err, ErrSegmentOversize) {
-				if rerr := ReplayWithLimits(sp.Unsplit(), core.New(detect.NewSink(false, 0), nil), nil, lim); rerr != nil && !isDecodeSentinel(rerr) {
-					t.Fatalf("untyped error from unsplit replay: %v", rerr)
-				}
-				return
+				races, err := replay(sp.Unsplit())
+				check("the unsplit replay", err)
+				maps.Copy(union, races)
+				break
 			}
 			if err != nil {
-				if !isDecodeSentinel(err) {
-					t.Fatalf("untyped splitter error: %v", err)
-				}
+				check("the splitter", err)
 				return
 			}
-			if rerr := ReplayWithLimits(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), nil), nil, lim); rerr != nil && !isDecodeSentinel(rerr) {
-				t.Fatalf("untyped error from segment replay: %v", rerr)
-			}
+			races, err := replay(bytes.NewReader(seg))
+			check(fmt.Sprintf("segment %d's replay", sp.Segments()), err)
+			maps.Copy(union, races)
+		}
+		if wholeErr == nil && !maps.Equal(union, whole) {
+			t.Fatalf("race sets diverge\nunion: %v\nwhole: %v", union, whole)
 		}
 	})
 }

@@ -457,25 +457,33 @@ type replayState struct {
 }
 
 // replayTask is replay's record of one live task: the detect.Task the
-// detector sees and, innermost last, the finishes the task has started
-// and not yet ended. The stack is how apply holds a trace to the nesting
-// rules of the driver contract (package detect): detectors may derive a
-// finish from the task's position — SPD3 takes the scope a FinishEnd
-// closes from the task's current step — so a trace that ends or spawns
-// into any other finish must not reach them.
+// detector sees, its IEF and, innermost last, the finishes the task has
+// started and not yet ended. The stack is how apply holds a trace to the
+// nesting rules of the driver contract (package detect): detectors may
+// derive a finish from the task's position — SPD3 takes the scope a
+// FinishEnd closes from the task's current step — so a trace that ends or
+// spawns into any other finish must not reach them.
 type replayTask struct {
 	detect.Task
-	open []*detect.Finish
+	ief  *replayFinish
+	open []*replayFinish
+}
+
+// replayFinish is an open finish and how many tasks registered in it are
+// live: the contract's join rule lets it end only at zero.
+type replayFinish struct {
+	detect.Finish
+	pending int
 }
 
 // innermost returns the finish t's next spawn registers in: the innermost
 // finish t has open or, for a task with none, the task's own IEF (the
 // runtime's IEF rule, task.Ctx.Async).
-func (t *replayTask) innermost() *detect.Finish {
+func (t *replayTask) innermost() *replayFinish {
 	if n := len(t.open); n > 0 {
 		return t.open[n-1]
 	}
-	return t.IEF
+	return t.ief
 }
 
 // newTask returns the record of a task entering the table with IEF ief:
@@ -486,15 +494,15 @@ func (t *replayTask) innermost() *detect.Finish {
 // peak number of live tasks, so replay memory stays proportional to the
 // live set, and a trace of many short tasks stops allocating one record
 // per task.
-func (st *replayState) newTask(id int64, ief *detect.Finish) *replayTask {
-	dt := detect.Task{ID: detect.TaskID(id), IEF: ief, L: &st.local}
+func (st *replayState) newTask(id int64, ief *replayFinish) *replayTask {
+	dt := detect.Task{ID: detect.TaskID(id), IEF: &ief.Finish, L: &st.local}
 	n := len(st.free)
 	if n == 0 {
-		return &replayTask{Task: dt}
+		return &replayTask{Task: dt, ief: ief}
 	}
 	t := st.free[n-1]
 	st.free = st.free[:n-1]
-	*t = replayTask{Task: dt, open: t.open[:0]}
+	*t = replayTask{Task: dt, ief: ief, open: t.open[:0]}
 	return t
 }
 
@@ -508,13 +516,21 @@ func (st *replayState) apply(ev *event) error {
 	a := &ev.args
 	switch ev.kind {
 	case evMainTask:
+		// Of the run before, only its main task (whose stack opens with
+		// its own IEF) may be live, and it leaves the table with its run.
+		for id, t := range st.tasks {
+			if len(t.open) == 0 || t.open[0] != t.ief {
+				return fmt.Errorf("trace: %w: a run starts while task %d of the run before it is live", ErrMalformed, id)
+			}
+		}
+		clear(st.tasks)
 		// The implicit finish is the main task's to end, so it opens the
 		// stack.
-		f := &detect.Finish{ID: a[1]}
+		f := &replayFinish{Finish: detect.Finish{ID: a[1]}}
 		t := st.newTask(a[0], f)
 		t.open = append(t.open, f)
 		st.tasks[a[0]], st.last = t, nil
-		detect.Main(st.det, &t.Task, f)
+		detect.Main(st.det, &t.Task, &f.Finish)
 	case evSpawn:
 		parent, ok := st.tasks[a[0]]
 		if !ok {
@@ -531,6 +547,7 @@ func (st *replayState) apply(ev *event) error {
 		}
 		child := st.newTask(a[1], ief)
 		st.tasks[a[1]] = child
+		ief.pending++
 		detect.Spawn(st.det, &parent.Task, &child.Task)
 	case evTaskEnd:
 		t, ok := st.tasks[a[0]]
@@ -545,6 +562,7 @@ func (st *replayState) apply(ev *event) error {
 			return fmt.Errorf("trace: %w: task %d ends with finish %d open", ErrMalformed, a[0], t.open[n-1].ID)
 		}
 		st.det.TaskEnd(&t.Task)
+		t.ief.pending--
 		// The event contract makes TaskEnd a task's final event, so the
 		// table entry is dead weight from here on. Dropping it is what
 		// bounds replay memory by the live task set instead of the total
@@ -558,9 +576,9 @@ func (st *replayState) apply(ev *event) error {
 		if !ok {
 			return fmt.Errorf("trace: %w: finish in unknown task %d", ErrMalformed, a[0])
 		}
-		f := &detect.Finish{ID: a[1]}
+		f := &replayFinish{Finish: detect.Finish{ID: a[1]}}
 		t.open = append(t.open, f)
-		detect.StartFinish(st.det, &t.Task, f)
+		detect.StartFinish(st.det, &t.Task, &f.Finish)
 	case evFinishEnd:
 		t, ok := st.tasks[a[0]]
 		if !ok {
@@ -571,9 +589,12 @@ func (st *replayState) apply(ev *event) error {
 			return fmt.Errorf("trace: %w: task %d ends finish %d, not the innermost finish it has open", ErrMalformed, a[0], a[1])
 		}
 		f := t.open[n-1]
+		if f.pending != 0 {
+			return fmt.Errorf("trace: %w: task %d ends finish %d with %d of its tasks live", ErrMalformed, a[0], a[1], f.pending)
+		}
 		t.open = t.open[:n-1]
-		detect.EndFinish(st.det, &t.Task, f)
-		if f == t.IEF {
+		detect.EndFinish(st.det, &t.Task, &f.Finish)
+		if f == t.ief {
 			// Only the main task has its own IEF open, and the contract
 			// makes ending it the main task's last event: as at a TaskEnd,
 			// the task leaves the table.

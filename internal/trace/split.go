@@ -29,21 +29,19 @@ const defaultMinSegmentBytes = 64 << 10
 // Splitter cuts a trace into independently replayable segments at
 // top-level finish boundaries.
 //
-// Soundness: the splitter cuts only after a FinishEnd that closes a
-// top-level finish scope — no explicit finish open, at most the main
-// task live, and every task spawned so far joined through a finish
-// that has closed. The join requirement is the load-bearing one:
-// TaskEnd only says a task's events stopped, but in the DPST the task
-// stays concurrent with the rest of the trace until its spawning
-// finish ends, so a task spawned directly into the implicit main
-// finish (which closes only at the very end) correctly disables every
-// later cut. At a point satisfying all the conditions, the DPST places
-// every pre-cut access in a subtree that happens before everything
-// after the cut. No race can pair an access before the boundary with
-// one after it, which is exactly why per-segment detectors can run
-// independently and their race reports can be merged by union. (This
-// mirrors the paper's observation that a finish's end orders its whole
-// subtree before the continuation.)
+// Soundness: the splitter cuts only after a FinishEnd that leaves no
+// explicit finish open, in a run whose main task has never spawned into
+// its implicit finish and holds no lock (joined) — the condition under
+// which SPD3 moves its watermark. Replay refuses a FinishEnd while a task
+// registered in its finish is live (the join rule of package detect), so
+// at a cut no task but main is live: a live task is registered in an open
+// finish, main's only one is the implicit finish, which has none, and any
+// other belongs to another live task, a regress with no start. Every task
+// that ran was joined by an ended finish, so everything before the cut
+// happens before everything after it (a finish's end orders its whole
+// subtree before the continuation), no race pairs accesses across it, and
+// per-segment race reports merge by union. A trace that breaks the rule
+// is refused by the replay of the segment holding its FinishEnd.
 //
 // Each segment is a complete trace: magic, executor byte, a synthetic
 // main-task event carrying the original IDs, and re-declarations of
@@ -59,18 +57,9 @@ type Splitter struct {
 	haveMain  bool
 	mainTask  int64
 	mainFin   int64
-	live      int // tasks spawned and not yet ended (main counts)
-	open      int // explicit finish scopes open (implicit main finish excluded)
-	mainLocks int // locks the main task holds (acquires minus releases)
-
-	// openSpawns counts, per still-open finish, the tasks spawned into
-	// it; unjoined is their sum. A task stays DPST-concurrent with the
-	// rest of the trace until its spawning finish closes — TaskEnd only
-	// says its events stopped — so a cut is sound only at unjoined == 0.
-	// Tasks spawned directly into the implicit main finish pin unjoined
-	// until the very end, correctly disabling all later cuts.
-	openSpawns map[int64]int
-	unjoined   int
+	open      int  // explicit finish scopes open (implicit main finish excluded)
+	mainLocks int  // locks the main task holds (acquires minus releases)
+	escaped   bool // a task was spawned into the implicit main finish
 
 	// buf is the segment under construction (nil between segments), hdr
 	// its header's length: Min/MaxSegmentBytes bound the event bytes
@@ -130,10 +119,13 @@ func (s *Splitter) Next() ([]byte, error) {
 			s.done = true
 			return nil, err
 		}
-		if ev.kind == evMainTask && s.haveMain && len(s.buf) > 0 {
+		if ev.kind == evMainTask && s.haveMain && len(s.buf) > 0 && s.joined() {
 			// A second main task means a trace of several back-to-back
-			// runs; the gap between runs is itself a top-level boundary.
-			// The event stays unread: it opens the next, empty buffer.
+			// runs; the gap between runs is itself a top-level boundary
+			// when the run before it is joined (else the main task stays
+			// with that run, whose replay refuses it if one of the run's
+			// tasks is live). The event stays unread: it opens the next,
+			// empty buffer.
 			return s.cut(), nil
 		}
 		if len(s.buf) == 0 {
@@ -153,7 +145,7 @@ func (s *Splitter) Next() ([]byte, error) {
 			s.buf = append(s.buf, ev.name...)
 		}
 		s.track(&ev)
-		if s.boundary(&ev) && len(s.buf)-s.hdr >= s.cfg.MinSegmentBytes {
+		if ev.kind == evFinishEnd && s.joined() && len(s.buf)-s.hdr >= s.cfg.MinSegmentBytes {
 			return s.cut(), nil
 		}
 	}
@@ -186,45 +178,27 @@ func isAccess(kind byte) bool {
 	return kind == evRead || kind == evWrite || kind == evUpdate
 }
 
-// boundary reports whether, after ev, the stream sits at a top-level
-// finish boundary: no explicit finish open, at most the main task live,
-// every spawned task joined through a finish that has closed, and no
-// lock held by main. A lock the main task still holds pins the cut (the
-// matching Release lies past the boundary, and a segment opening with a
-// Release it never Acquired would not be a self-contained trace);
-// an unjoined spawn pins it because that task is still concurrent with
-// everything after the would-be cut.
-func (s *Splitter) boundary(ev *event) bool {
-	return ev.kind == evFinishEnd && s.open == 0 && s.live <= 1 &&
-		s.unjoined == 0 && s.mainLocks == 0
+// joined reports whether the current run may be cut at its top level
+// (see Splitter): no explicit finish open, no task spawned into the
+// implicit main finish, which stays concurrent with the rest of the run,
+// and no lock held by main, whose Release would lie past the boundary —
+// a segment opening with a Release it never Acquired is no self-contained
+// trace.
+func (s *Splitter) joined() bool {
+	return s.open == 0 && !s.escaped && s.mainLocks == 0
 }
 
-// track maintains the live-task / open-finish counts and the region
-// catalogue.
+// track maintains what joined reads and the region catalogue.
 func (s *Splitter) track(ev *event) {
 	switch ev.kind {
 	case evMainTask:
-		// A new run: everything from the previous run happens before it,
-		// so all join/lock tracking resets.
-		s.haveMain = true
-		s.mainTask = ev.args[0]
-		s.mainFin = ev.args[1]
-		s.live = 1
-		s.open = 0
-		s.mainLocks = 0
-		s.openSpawns = nil
-		s.unjoined = 0
+		// A new run: replay refuses it while a task of the run before is
+		// live, so everything before it happens before it and all
+		// tracking resets.
+		s.haveMain, s.mainTask, s.mainFin = true, ev.args[0], ev.args[1]
+		s.open, s.mainLocks, s.escaped = 0, 0, false
 	case evSpawn:
-		s.live++
-		if s.openSpawns == nil {
-			s.openSpawns = map[int64]int{}
-		}
-		s.openSpawns[ev.args[2]]++
-		s.unjoined++
-	case evTaskEnd:
-		if s.live > 0 {
-			s.live--
-		}
+		s.escaped = s.escaped || ev.args[2] == s.mainFin
 	case evFinishStart:
 		s.open++
 	case evFinishEnd:
@@ -233,12 +207,6 @@ func (s *Splitter) track(ev *event) {
 		// evMainTask rather than evFinishStart.
 		if !(s.haveMain && ev.args[1] == s.mainFin) && s.open > 0 {
 			s.open--
-		}
-		// Every task spawned into this finish is now joined: its whole
-		// subtree happens before everything after this event.
-		if n := s.openSpawns[ev.args[1]]; n > 0 {
-			s.unjoined -= n
-			delete(s.openSpawns, ev.args[1])
 		}
 	case evAcquire:
 		if s.haveMain && ev.args[0] == s.mainTask {

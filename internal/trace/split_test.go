@@ -296,6 +296,66 @@ func hasKind(t *testing.T, data []byte, kind byte) bool {
 	}
 }
 
+// TestSplitterAgreesWithReplay: hand-built traces, cut at every
+// boundary, split into the segments each row counts, and their replays
+// reach the whole trace's outcome. A spawn into the implicit finish pins
+// the cuts of its run, the run after it cuts afresh, and a trace replay
+// refuses for its joins is refused by one of its segments too.
+func TestSplitterAgreesWithReplay(t *testing.T) {
+	type e = []int64
+	const (
+		main   = int64(evMainTask)
+		spawn  = int64(evSpawn)
+		tend   = int64(evTaskEnd)
+		fstart = int64(evFinishStart)
+		fend   = int64(evFinishEnd)
+	)
+	for _, tc := range []struct {
+		name string
+		evs  []e
+		segs int
+		want error // of the whole trace and of the first failing segment
+	}{
+		{"a spawn into the implicit finish pins the cuts",
+			[]e{{main, 0, 0}, {spawn, 0, 1, 0}, {fstart, 0, 1}, {fend, 0, 1}, {tend, 1}, {fend, 0, 0}}, 1, nil},
+		{"the run after it cuts afresh",
+			[]e{{main, 0, 0}, {spawn, 0, 1, 0}, {tend, 1}, {fend, 0, 0},
+				{main, 2, 2}, {fstart, 2, 3}, {fend, 2, 3}, {fstart, 2, 4}, {fend, 2, 4}, {fend, 2, 2}}, 3, nil},
+		{"a finish ends before its task",
+			[]e{{main, 0, 0}, {fstart, 0, 1}, {spawn, 0, 1, 1}, {fend, 0, 1}, {tend, 1}, {fend, 0, 0}}, 2, ErrMalformed},
+		{"a run starts while a task of the run before is live",
+			[]e{{main, 0, 0}, {spawn, 0, 1, 0}, {main, 2, 2}, {fend, 2, 2}}, 1, ErrMalformed},
+	} {
+		data := append([]byte(magic), 1)
+		for _, ev := range tc.evs {
+			data = appendEvent(data, byte(ev[0]), ev[1:]...)
+		}
+		if err := Replay(bytes.NewReader(data), core.New(detect.NewSink(false, 0), nil)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: whole replay: err = %v, want %v", tc.name, err, tc.want)
+		}
+		sp, err := NewSplitter(bytes.NewReader(data), SplitConfig{MinSegmentBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first error
+		for {
+			seg, err := sp.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if err := Replay(bytes.NewReader(seg), core.New(detect.NewSink(false, 0), nil)); first == nil {
+				first = err
+			}
+		}
+		if sp.Segments() != tc.segs || !errors.Is(first, tc.want) {
+			t.Errorf("%s: %d segments, first replay error %v; want %d, %v", tc.name, sp.Segments(), first, tc.segs, tc.want)
+		}
+	}
+}
+
 // TestSplitterHoldsCutWhileMainHoldsLock pins the lock-boundary rule: a
 // top-level FinishEnd reached while the main task holds a lock is not a
 // cut point, because the segment after it would open with a Release it

@@ -28,10 +28,13 @@
 // DPST step, ESP-bags and FastTrack its bag or clock), and a FinishEnd
 // by a task that did not open the finish once panicked one. A TaskEnd
 // must find its task's stack empty, and ending the implicit finish is
-// the main task's last event, so the main task has no TaskEnd. A spawned
-// child may not take a live task's id (detectors key per-task state by
-// it). The Recorder's output, the Splitter's segments and the
-// Amplifier's copies satisfy the rules by construction.
+// the main task's last event, so the main task has no TaskEnd. Joins: a
+// FinishEnd must follow the TaskEnd of every task registered in its
+// finish (SPD3's watermark and the Splitter's cuts rest on it), and a
+// run may start only when no task of the run before but its main task is
+// live. A spawned child may not take a live task's id (detectors key
+// per-task state by it). The Recorder's output, the Splitter's segments
+// and the Amplifier's copies satisfy the rules by construction.
 //
 // Format: a header ("SPD3TRC1", then an executor byte), then events: a
 // kind byte, varint arguments and, for a region declaration, a
