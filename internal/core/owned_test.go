@@ -17,8 +17,8 @@ import (
 // TestOwnedMatchesShared: an owned detector is the shared one with plain
 // stores. Over 150 generated programs, each recorded depth-first and
 // under the pool, the trace replayed into an owned and into a shared SPD3
-// gives the same races, leaves the same two words, version included, in
-// every cell, and counts the same cas.clean, cas.publish and dmhp.walk;
+// gives the same races, leaves the same two words in every cell, and
+// counts the same cas.clean, cas.publish and dmhp.walk;
 // the owned one never retries.
 func TestOwnedMatchesShared(t *testing.T) {
 	type outcome struct {

@@ -18,30 +18,33 @@
 //
 // On each access, Algorithms 1 (write) and 2 (read) query DMHP against the
 // recorded steps and update the shadow word. The shadow word is 16 bytes
-// — two 64-bit words, version:32|w:32 and r1:32|r2:32, the steps held
-// as their 32-bit DPST ids, by which the DMHP walk and race reports read
-// the tree's arena — synchronized by §5.4's
-// Lamport-style versioned snapshots (seqlock.go): a memory action takes a
-// consistent snapshot bracketed by two loads of the version word; a write
-// action, which changes only w, publishes with one CAS on that word; a
-// read action, which changes r1/r2, CASes the version odd, stores the
-// readers and stores the version even again; an update action, a checked
-// read-modify-write (detect.Update), runs Algorithm 2 and then 1 on one
-// snapshot and publishes once, as whichever of the two it needs. Memory
-// actions that do not change the word — the common case for read-shared
-// data — cost three loads and proceed fully in parallel. (The per-word mutex the paper
-// measures 1.8× slower was an ablation here until PR 16; EXPERIMENTS.md
-// keeps its numbers.)
+// — two 64-bit words, w and r1:32|r2:32, the steps held as their 32-bit
+// DPST ids, by which the DMHP walk and race reports read the tree's arena
+// — and each word is published on its own (cell.go). A write action
+// computes its new w from w alone and publishes it with one CAS on the
+// first word; a read action computes its new readers from r1 and r2
+// alone and publishes them with one CAS on the second; each then loads the
+// other word, only to report races. Because each side publishes before it
+// observes the other and Go's atomics are sequentially consistent, a read
+// and a parallel write of one cell cannot both miss each other, and each
+// word's CAS decides on the value it compares alone, so no version is
+// needed (the argument is written out at casShadow). An update action, a
+// checked read-modify-write (detect.Update), is the read and then the
+// write as one memory action. Memory actions that do not change the word
+// — the common case for read-shared data — cost two loads and proceed
+// fully in parallel. This departs from the paper's §5.4 versioned
+// snapshot, under which a read that changes the readers takes three
+// locked operations; EXPERIMENTS.md ("One CAS per publish", and "§5.4
+// ablation" for the paper's per-word mutex) holds the measurements.
 //
-// The protocol is for parallel tasks. A detector is owned or shared, fixed
+// The CAS is for parallel tasks. A detector is owned or shared, fixed
 // when detect.Open builds it (detect.FactoryOpts.Owned) and never changed.
 // An owned one — a trace replay, a run under the sequential executor — is
 // driven by one goroutine from start to end, so nothing can come between
-// a snapshot and its publish: it publishes the same words with plain
-// stores, with no odd version, CAS or retry (seqlock.go, "Owned"). The
-// task runtime refuses an owned detector under a parallel executor, so
-// the one goroutine is enforced where the detector is paired with its
-// driver.
+// a load and its publish: it publishes the same words with plain stores,
+// with no CAS or retry (cell.go, "Owned"). The task runtime refuses an
+// owned detector under a parallel executor, so the one goroutine is
+// enforced where the detector is paired with its driver.
 //
 // The tree is also all the detector keeps per task and per finish: a
 // task's Step is the id of its current step node, and its insertion scope
@@ -86,7 +89,7 @@ type Detector struct {
 
 	watermark uint32 // see the package comment; never below 1
 	escaped   bool   // the current run's node has an async child: the watermark stays
-	owned     bool   // one goroutine makes every memory action: plain-store publishes (seqlock.go)
+	owned     bool   // one goroutine makes every memory action: plain-store publishes (cell.go)
 }
 
 // New returns a shared SPD3 detector reporting to sink. rec is the engine's
@@ -248,85 +251,7 @@ func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	return &casShadow{d: d, Cells: d.regions.New(spec)}
 }
 
-// word is a consistent snapshot of one shadow word: the DPST ids of the
-// recorded steps, 0 where none is recorded — the root is never a step.
-type word struct {
-	w, r1, r2 uint32
-}
-
 // stepName names the step id in race reports.
 func (d *Detector) stepName(id uint32) string { return d.tree.Name(id) }
-
-// writeCheck is Algorithm 1. Given a snapshot of element i of c and the
-// writing task's step s (its queries answered through l), it reports any
-// races and returns the updated word and whether the word changed.
-func (d *Detector) writeCheck(m word, l *detect.Local, s uint32, c *detect.Cells[casCell], i int) (word, bool) {
-	if m.w == s {
-		// Same step rewrote the element; nothing can have changed
-		// (a second write by the very step that already owns w).
-		return m, false
-	}
-	if p, _ := d.relation(l, m.r1, s); p {
-		c.Report(detect.ReadWrite, i, d.stepName(m.r1), d.stepName(s))
-	}
-	if p, _ := d.relation(l, m.r2, s); p {
-		c.Report(detect.ReadWrite, i, d.stepName(m.r2), d.stepName(s))
-	}
-	if p, _ := d.relation(l, m.w, s); p {
-		c.Report(detect.WriteWrite, i, d.stepName(m.w), d.stepName(s))
-		return m, false
-	}
-	m.w = s
-	return m, true
-}
-
-// readCheck is Algorithm 2 with the null-reader cases made explicit.
-// Given a snapshot of element i of c and the reading task's step s (its
-// queries answered through l), it reports any races and returns the
-// updated word and whether the word changed.
-func (d *Detector) readCheck(m word, l *detect.Local, s uint32, c *detect.Cells[casCell], i int) (word, bool) {
-	if m.r1 == s || m.r2 == s {
-		// This step is already recorded; re-reading changes nothing.
-		// (One of the paper's redundant-check eliminations, §5.5.)
-		return m, false
-	}
-	if p, _ := d.relation(l, m.w, s); p {
-		c.Report(detect.WriteRead, i, d.stepName(m.w), d.stepName(s))
-	}
-	p1, c1 := d.relation(l, m.r1, s)
-	p2, c2 := d.relation(l, m.r2, s)
-	switch {
-	case !p1 && !p2:
-		// s is ordered after every recorded reader (and, by the
-		// discard-safety lemma, after every reader they cover):
-		// s supersedes them both.
-		m.r1 = s
-		m.r2 = 0
-		return m, true
-	case p1 && m.r2 == 0:
-		// Second parallel reader: record it.
-		m.r2 = s
-		return m, true
-	case p1 && p2:
-		// Keep the two of {r1, r2, s} whose LCA is highest. c1 and
-		// c2 are (the ids of) the children of LCA(r1,s) and
-		// LCA(r2,s) that r1 and r2 hang under. With s outside the
-		// subtree under LCA(r1,r2) the two are one proper ancestor
-		// of it, so c1 == c2, and replacing r1 with s lifts the
-		// subtree to cover all three; with s inside, both are at or
-		// below LCA(r1,r2) and no child of either holds r1 and r2
-		// together.
-		if c1 == c2 {
-			m.r1 = s
-			return m, true
-		}
-		return m, false
-	default:
-		// s is parallel with exactly one recorded reader, which
-		// places it inside the subtree under LCA(r1,r2): the
-		// invariant already covers it, no update needed.
-		return m, false
-	}
-}
 
 var _ detect.Detector = (*Detector)(nil)

@@ -334,7 +334,7 @@ func TestRacyProgramDetectedUnderEveryExecutor(t *testing.T) {
 
 // TestRaceFreeUnderParallelExecutors: a data-race-free program must stay
 // quiet under heavy parallel execution (no false positives from the
-// versioned-snapshot protocol).
+// shadow word's publish protocol).
 func TestRaceFreeUnderParallelExecutors(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		races := shadowProgram(t, task.Pool, workers, func(c *task.Ctx, sh detect.Shadow) {

@@ -87,7 +87,7 @@ func TestUpdateMatchesReadWrite(t *testing.T) {
 	type outcome struct {
 		races    []detect.Race
 		reports  int64
-		words    []word
+		words    []casCell
 		publish  int64
 		accesses int64
 	}
@@ -108,7 +108,7 @@ func TestUpdateMatchesReadWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		var o outcome
-		d.regions.Range(func(c *casCell) { o.words = append(o.words, unpack(atomic.LoadUint64(&c.a), atomic.LoadUint64(&c.b))) })
+		d.regions.Range(func(c *casCell) { o.words = append(o.words, *c) })
 		snap := rec.Snapshot()
 		o.races = sink.Races()
 		o.reports = snap.Get(stats.RaceReported) + snap.Get(stats.RaceDeduped)
@@ -241,7 +241,7 @@ func TestRelationMemoAgreesWithWalk(t *testing.T) {
 			races   []detect.Race
 			reports int64
 			walks   int64
-			words   []word
+			words   []casCell
 		}
 		var out [2]outcome
 		for k, cold := range []bool{false, true} {
@@ -249,9 +249,7 @@ func TestRelationMemoAgreesWithWalk(t *testing.T) {
 			memoPrograms(t, m, task.Sequential, 1, seed)
 			snap := rec.Snapshot()
 			out[k] = outcome{races: sink.Races(), reports: snap.Get(stats.RaceReported) + snap.Get(stats.RaceDeduped), walks: snap.Get(stats.DMHPWalk)}
-			m.regions.Range(func(c *casCell) {
-				out[k].words = append(out[k].words, unpack(atomic.LoadUint64(&c.a), atomic.LoadUint64(&c.b)))
-			})
+			m.regions.Range(func(c *casCell) { out[k].words = append(out[k].words, *c) })
 		}
 		memo, cold := out[0], out[1]
 		if !reflect.DeepEqual(memo.races, cold.races) || memo.reports != cold.reports || !reflect.DeepEqual(memo.words, cold.words) {

@@ -337,7 +337,7 @@ type Shadow interface {
 // Updater is optionally implemented by a Shadow that checks a
 // read-modify-write of element i as one memory action. Its effect — the
 // races reported and the state left behind — must be that of Read(t, i)
-// followed by Write(t, i) with no other access to i in between.
+// followed by Write(t, i).
 type Updater interface {
 	Update(t *Task, i int)
 }

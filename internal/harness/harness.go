@@ -439,7 +439,7 @@ func statsTable(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Observability counters: SPD3 at %d workers, unchunked", n),
 		Notes: []string{
-			"cas: versioned-CAS outcomes per shadow access (clean = no metadata change)",
+			"cas: shadow-word CAS outcomes per access (clean = no metadata change)",
 			"dmhp: walk = §5.2 pointer walks (DMHP queries the watermark does not answer)",
 			"sched: tasks acquired by spawn/inline-pop/steal; mem: instrumented reads+writes",
 		},

@@ -485,16 +485,15 @@ func (s *Server) replaySegment(name string, sampler *sample.Sampler, rd io.Reade
 }
 
 // markRunning moves a queued job — registered, its manifest durable — to
-// running, before its executor is allowed to finalize it.
+// running, before its executor is allowed to finalize it. The move is in
+// memory and on the job's event stream only: the manifest on disk stays
+// queued until the terminal write, since resume re-runs a queued job and
+// a running one alike, and writing it would cost every job an fsync.
 func (s *Server) markRunning(j *Job) {
 	j.mu.Lock()
 	j.m.State = client.StateRunning
 	j.m.UpdatedAt = time.Now()
-	man := *j.m
 	j.mu.Unlock()
-	if !s.killed.Load() {
-		s.store.WriteManifest(&man) //nolint:errcheck // progress persistence is best-effort; terminal write is checked
-	}
 	j.broadcast(frame(client.Event{Name: "state", State: client.StateRunning}))
 }
 

@@ -235,7 +235,7 @@ func TestJobLifecycleV2(t *testing.T) {
 }
 
 // TestJobRestartResume is the daemon-restart oracle: a job killed
-// mid-replay (manifest frozen in state running, as SIGKILL would leave
+// mid-replay (manifest frozen in state queued, as SIGKILL would leave
 // it) must resume when a new daemon opens the same store, finish with
 // the correct racy verdict, and leave no orphaned files in tmp/.
 func TestJobRestartResume(t *testing.T) {
@@ -299,6 +299,62 @@ func TestJobRestartResume(t *testing.T) {
 	}
 	if len(tmps) != 0 {
 		t.Errorf("tmp/ not empty after restart: %v", tmps)
+	}
+}
+
+// TestKilledAfterSubmitResumes: between its submit and its end a job's
+// manifest on disk is the one the submit wrote, state queued — running
+// lives in memory and on the event stream only. A daemon killed while the
+// job runs leaves exactly that, and a new daemon on the store resumes the
+// job and completes it with the result a daemon that was never killed
+// gives the same trace.
+func TestKilledAfterSubmitResumes(t *testing.T) {
+	dir := t.TempDir()
+	tr := recordRacyMonteCarlo(t)
+	release := setGate()
+	defer release()
+
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir, ShardWorkers: 2})
+	resp, body := submitV2(t, ts1.URL, "?detector=test-gate-spd3", "crash", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d\n%s", resp.StatusCode, body)
+	}
+	id := decodeJobStatus(t, body).ID
+	waitFor(t, func() bool { return jobState(s1, id) == client.StateRunning }, "job running")
+	s1.Kill()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk store.Manifest
+	if err := json.Unmarshal(data, &disk); err != nil {
+		t.Fatal(err)
+	}
+	if disk.State != client.StateQueued {
+		t.Errorf("manifest on disk of a running job: state %s, want %s", disk.State, client.StateQueued)
+	}
+	release()
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := newTestServer(t, Config{StoreDir: dir, ShardWorkers: 2})
+	defer s2.Close()
+	waitFor(t, func() bool { return client.Terminal(jobState(s2, id)) }, "resumed job terminal")
+	resumed := normalizeWire(getBody(t, ts2.URL+"/v2/jobs/"+id+"/result"))
+
+	s3, ts3 := newTestServer(t, Config{ShardWorkers: 2})
+	defer s3.Close()
+	resp, body = submitV2(t, ts3.URL, "?detector=test-gate-spd3", "crash", tr)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("reference submit status = %d\n%s", resp.StatusCode, body)
+	}
+	ref := decodeJobStatus(t, body).ID
+	waitFor(t, func() bool { return client.Terminal(jobState(s3, ref)) }, "reference job terminal")
+	if want := normalizeWire(getBody(t, ts3.URL+"/v2/jobs/"+ref+"/result")); resumed != want {
+		t.Errorf("resumed job's result\n%s\nwant the uninterrupted job's\n%s", resumed, want)
+	}
+	if st := getStatsz(t, ts2.URL); st.Stats.Get(stats.JobResumed) != 1 || st.Stats.Get(stats.JobDone) != 1 {
+		t.Errorf("resuming daemon: job.resumed %d, job.done %d, want 1 and 1", st.Stats.Get(stats.JobResumed), st.Stats.Get(stats.JobDone))
 	}
 }
 

@@ -34,9 +34,8 @@ type SegmentRef struct {
 // Manifest is the durable record of one job: identity, input (segment
 // refs into the CAS), lifecycle state (one of client's State names),
 // and — once terminal — the error or the full result envelope. It is
-// the unit of crash recovery: a manifest whose state is queued or
-// running at daemon startup is re-queued (the segments are still in the
-// CAS), and a terminal manifest serves /v2/jobs/{id}/result forever
+// the unit of crash recovery: a manifest that is not terminal at daemon
+// startup is re-queued (the segments are still in the CAS), and a terminal manifest serves /v2/jobs/{id}/result forever
 // until the TTL sweep retires it.
 type Manifest struct {
 	ID         string `json:"id"`
@@ -301,8 +300,8 @@ func (s *Store) Verdict(hash, detector string) ([]byte, error) {
 }
 
 // WriteManifest persists m atomically over jobs/<id>.json. Every state
-// transition goes through here, so the on-disk manifest is always
-// internally consistent.
+// the daemon persists — queued at submit, then the terminal one — goes
+// through here, so the on-disk manifest is always internally consistent.
 func (s *Store) WriteManifest(m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

@@ -8,7 +8,7 @@
 // The paper's evaluation (§6) is entirely about measured behavior —
 // slowdowns, memory per location, scalability — and the per-benchmark
 // spread is explained by a handful of hot-path events: how often the
-// versioned-CAS shadow protocol retries, how often a DMHP query walks
+// shadow word's CAS retries, how often a DMHP query walks
 // the tree (§5.2), and how work moves between workers. This package
 // makes those events visible without ad-hoc printf, cheaply enough to
 // stay on by default.
@@ -54,8 +54,8 @@ type Counter uint8
 // PageCacheHit + PageCacheMiss and SampleChecked + SampleSkipped each
 // come to reads + writes − updates.
 const (
-	// CASClean counts memory actions under the versioned-CAS shadow
-	// protocol that completed without needing to update the word — the
+	// CASClean counts memory actions on the CAS-published shadow word
+	// that completed without needing to update it — the
 	// read-shared common case that makes SPD3 scale (§5.4).
 	CASClean Counter = iota
 	// CASPublish counts memory actions that updated the word (CAS won):

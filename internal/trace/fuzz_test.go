@@ -118,7 +118,9 @@ func FuzzAmplify(f *testing.F) {
 // without tripping an untyped error. When the whole input replays cleanly
 // into SPD3, splitting is sound besides: the splitter returns no error,
 // every segment (and an Unsplit remainder) replays cleanly, and their
-// race sets union to the whole trace's.
+// race sets union to the whole trace's. Conversely, when the splitter
+// returns no error and every segment replays cleanly, so does the whole
+// trace: no segment header lets through what replay refuses.
 func FuzzSplitter(f *testing.F) {
 	fuzzSeeds(f)
 	lim := Limits{MaxRegionElems: 1 << 16, MaxTotalElems: 1 << 18}
@@ -130,9 +132,11 @@ func FuzzSplitter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, wholeErr := replay(bytes.NewReader(data))
 		// check fails on an untyped error, and on any error at all when
-		// the whole trace replays cleanly.
+		// the whole trace replays cleanly; clean says no error came.
+		clean := true
 		check := func(what string, err error) {
 			t.Helper()
+			clean = clean && err == nil
 			if err != nil && !isDecodeSentinel(err) {
 				t.Fatalf("untyped error from %s: %v", what, err)
 			}
@@ -170,6 +174,9 @@ func FuzzSplitter(f *testing.F) {
 		}
 		if wholeErr == nil && !maps.Equal(union, whole) {
 			t.Fatalf("race sets diverge\nunion: %v\nwhole: %v", union, whole)
+		}
+		if clean && wholeErr != nil {
+			t.Fatalf("every segment replays cleanly, the whole trace fails: %v", wholeErr)
 		}
 	})
 }

@@ -55,6 +55,7 @@ type Splitter struct {
 	declared int // regions declared before the current buffer's events
 
 	haveMain  bool
+	mainLive  bool // the run's main task has not ended its implicit finish
 	mainTask  int64
 	mainFin   int64
 	open      int  // explicit finish scopes open (implicit main finish excluded)
@@ -129,7 +130,7 @@ func (s *Splitter) Next() ([]byte, error) {
 			return s.cut(), nil
 		}
 		if len(s.buf) == 0 {
-			s.begin(ev.kind == evMainTask)
+			s.begin(s.mainLive && ev.kind != evMainTask)
 		}
 		if isAccess(ev.kind) {
 			n = s.accessRun(win, n)
@@ -195,7 +196,7 @@ func (s *Splitter) track(ev *event) {
 		// A new run: replay refuses it while a task of the run before is
 		// live, so everything before it happens before it and all
 		// tracking resets.
-		s.haveMain, s.mainTask, s.mainFin = true, ev.args[0], ev.args[1]
+		s.haveMain, s.mainLive, s.mainTask, s.mainFin = true, true, ev.args[0], ev.args[1]
 		s.open, s.mainLocks, s.escaped = 0, 0, false
 	case evSpawn:
 		s.escaped = s.escaped || ev.args[2] == s.mainFin
@@ -204,8 +205,11 @@ func (s *Splitter) track(ev *event) {
 	case evFinishEnd:
 		// The main task's implicit finish wraps the whole run and is
 		// never counted as an open scope, mirroring how it is opened by
-		// evMainTask rather than evFinishStart.
-		if !(s.haveMain && ev.args[1] == s.mainFin) && s.open > 0 {
+		// evMainTask rather than evFinishStart. Ending it ends the main
+		// task, which replay then drops from its table.
+		if s.haveMain && ev.args[1] == s.mainFin {
+			s.mainLive = false
+		} else if s.open > 0 {
 			s.open--
 		}
 	case evAcquire:
@@ -223,11 +227,14 @@ func (s *Splitter) track(ev *event) {
 
 // begin starts a segment buffer with the header that makes what follows a
 // complete trace: magic + executor byte, a synthetic main-task event
-// (unless the buffer opens with the real one), and re-declarations of
-// every region announced in earlier segments.
-func (s *Splitter) begin(realMain bool) {
+// carrying the run's IDs when main is set, and re-declarations of every
+// region announced in earlier segments. Next sets main while the run's
+// main task is live and the buffer does not open with a new one: once the
+// main task has ended its implicit finish, replay drops it, so an event
+// of it after its end must be refused in a segment as in the whole trace.
+func (s *Splitter) begin(main bool) {
 	s.buf = appendHeader(make([]byte, 0, s.prevLen+s.prevLen/8), s.dec.sequential)
-	if s.haveMain && !realMain {
+	if main && s.haveMain {
 		s.buf = appendEvent(s.buf, evMainTask, s.mainTask, s.mainFin)
 	}
 	for i, d := range s.regions[:s.declared] {
@@ -255,7 +262,13 @@ func (s *Splitter) Unsplit() io.Reader {
 		return bytes.NewReader(nil)
 	}
 	if len(s.buf) == 0 {
-		s.begin(false)
+		// At a cut. After a run-gap cut the next run's main task is
+		// unread, and the remainder keeps the ended main task's
+		// synthetic event before it, which replay lets the new run drop:
+		// stored remainders are content-addressed (split.golden).
+		var ev event
+		_, _, err := s.dec.peek(&ev)
+		s.begin(s.mainLive || err == nil && ev.kind == evMainTask)
 	}
 	seg := s.buf
 	s.buf = nil

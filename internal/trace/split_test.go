@@ -309,6 +309,8 @@ func TestSplitterAgreesWithReplay(t *testing.T) {
 		tend   = int64(evTaskEnd)
 		fstart = int64(evFinishStart)
 		fend   = int64(evFinishEnd)
+		decl   = int64(evNewShadow) // region 0: "r", 8 elements of 8 bytes
+		write  = int64(evWrite)
 	)
 	for _, tc := range []struct {
 		name string
@@ -325,9 +327,15 @@ func TestSplitterAgreesWithReplay(t *testing.T) {
 			[]e{{main, 0, 0}, {fstart, 0, 1}, {spawn, 0, 1, 1}, {fend, 0, 1}, {tend, 1}, {fend, 0, 0}}, 2, ErrMalformed},
 		{"a run starts while a task of the run before is live",
 			[]e{{main, 0, 0}, {spawn, 0, 1, 0}, {main, 2, 2}, {fend, 2, 2}}, 1, ErrMalformed},
+		{"main acts after ending its implicit finish",
+			[]e{{main, 0, 0}, {decl}, {fend, 0, 0}, {write, 0, 0, 0}}, 2, ErrMalformed},
 	} {
 		data := append([]byte(magic), 1)
 		for _, ev := range tc.evs {
+			if ev[0] == decl {
+				data = appendDecl(data, 0, regionDecl{elems: 8, elemBytes: 8, name: "r"})
+				continue
+			}
 			data = appendEvent(data, byte(ev[0]), ev[1:]...)
 		}
 		if err := Replay(bytes.NewReader(data), core.New(detect.NewSink(false, 0), nil)); !errors.Is(err, tc.want) {
