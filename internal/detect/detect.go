@@ -27,18 +27,27 @@
 //
 // Event contract. A driver — the task runtime (package task) for a live
 // run, package trace's replay for a recorded one — delivers all events
-// from the goroutine currently running the task named in the event. It
-// guarantees:
+// from the goroutine currently running the task named in the event. The
+// runtime keeps the rules below by construction, the lock rules for a
+// program that releases every lock it takes. Replay, whose input is
+// outside bytes, checks every one and refuses a trace that breaks one
+// (trace.ErrMalformed): it is the contract's one executable statement, and
+// tests check a live run by recording it and replaying the recording
+// (internal/trace/tracetest).
 //
+//   - Known ids: MainTask starts a run, and only while no task of the run
+//     before but its main task is live. Every other event names a live
+//     task (spawned, or the run's main, and not yet ended), and an access
+//     a declared region and an index within it. A child never takes the
+//     id of a live task.
 //   - BeforeSpawn(parent, child) is called in the parent before the child
 //     can start, so detector state installed on child is visible to it.
 //   - TaskEnd(t) is the last event of a task, delivered before the task's
 //     completion is counted against its finish scope. The main task gets
 //     no TaskEnd: its last event is the FinishEnd of the implicit finish.
-//   - FinishEnd(t, f) is delivered after every task registered in f (and,
-//     transitively, their descendants registered in f) has completed, and
-//     after all of their TaskEnd events. The runtime keeps the rule by
-//     joining; replay checks it.
+//   - Join: FinishEnd(t, f) is delivered after every task registered in f
+//     (and, transitively, their descendants registered in f) has
+//     completed, and after all of their TaskEnd events.
 //   - Nesting: a task's finishes are a stack, the main task's opening
 //     with the implicit finish. FinishEnd(t, f) ends the innermost finish
 //     t has open, and BeforeSpawn's child has that finish as its IEF —
@@ -46,11 +55,16 @@
 //     finish's saved state in the task, or derive it from the task's
 //     position, instead of looking it up by f. A task ends every finish
 //     it opens, its body panicked or not, so TaskEnd finds none open.
-//     The runtime keeps the rule by construction; replay checks it.
-//   - Steps: a driver delivers MainTask, BeforeSpawn, FinishStart and
-//     FinishEnd through Main, Spawn, StartFinish and EndFinish, which
-//     advance the burst epoch of each task the event gives a DPST step
-//     node before they deliver it.
+//   - Depth-first: under the sequential executor (a trace whose executor
+//     byte says so) the tasks spawned and not ended form a stack, and
+//     only the one on top acts. ESP-bags is sound on that order only.
+//   - Locks: a task acquires only a lock no live task holds, releases
+//     only a lock it holds, and holds none at its last event.
+//
+// Both drivers deliver MainTask, BeforeSpawn, FinishStart and FinishEnd
+// through Main, Spawn, StartFinish and EndFinish, which advance the burst
+// epoch of each task the event gives a DPST step node before they deliver
+// it.
 //
 // The runtime establishes the corresponding happens-before edges with
 // atomic operations, so a detector may hand state from TaskEnd to the

@@ -41,8 +41,11 @@ func Owned(d Detector) bool {
 // verdicts.golden fails until it does), and so must a change to which
 // traces replay accepts: version 3 refuses a TaskEnd with finishes open,
 // version 4 a FinishEnd before the TaskEnd of a task registered in the
-// finish, and a run that starts while a task of the run before is live.
-const VerdictVersion = 4
+// finish, and a run that starts while a task of the run before is live,
+// version 5 a depth-first trace whose events leave that order and a lock
+// op that a second holder, a release by a non-holder or an end while
+// holding makes.
+const VerdictVersion = 5
 
 // Factory builds one detector instance for one engine.
 type Factory func(FactoryOpts) Detector

@@ -5,64 +5,43 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
 	"spd3/internal/task"
+	"spd3/internal/trace/tracetest"
 )
 
 // panicSeeds is how many programs the panic sweep runs.
 const panicSeeds = 150
 
-// eventCounts wraps a detector and counts the lifecycle events it is
-// handed, from any worker.
-type eventCounts struct {
-	detect.Detector
-	spawns, ends, starts, finishEnds atomic.Int64
+// exec is an executor with a worker count.
+type exec struct {
+	name string
+	cfg  task.Config
 }
 
-func (d *eventCounts) BeforeSpawn(p, c *detect.Task) {
-	d.spawns.Add(1)
-	d.Detector.BeforeSpawn(p, c)
+// execs lists every executor.
+var execs = []exec{
+	{"sequential", task.Config{Executor: task.Sequential}},
+	{"pool-1", task.Config{Executor: task.Pool, Workers: 1}},
+	{"pool-4", task.Config{Executor: task.Pool, Workers: 4}},
+	{"pool-16", task.Config{Executor: task.Pool, Workers: 16}},
 }
 
-func (d *eventCounts) TaskEnd(t *detect.Task) {
-	d.ends.Add(1)
-	d.Detector.TaskEnd(t)
-}
-
-func (d *eventCounts) FinishStart(t *detect.Task, f *detect.Finish) {
-	d.starts.Add(1)
-	d.Detector.FinishStart(t, f)
-}
-
-func (d *eventCounts) FinishEnd(t *detect.Task, f *detect.Finish) {
-	d.finishEnds.Add(1)
-	d.Detector.FinishEnd(t, f)
-}
-
-// panicRun is what one Run of a panicking program shows: its error and
-// the events it delivered.
-type panicRun struct {
-	err                              string
-	spawns, ends, starts, finishEnds int64
-}
-
-// run executes p on rt, whose detector is d, and returns what that Run
-// delivered.
-func (d *eventCounts) run(rt *task.Runtime, p *Program, hook AccessHook) panicRun {
-	for _, n := range []*atomic.Int64{&d.spawns, &d.ends, &d.starts, &d.finishEnds} {
-		n.Store(0)
+// checked returns a runtime with the given config whose detector is det
+// wrapped for tracetest.
+func checked(t *testing.T, cfg task.Config, det detect.Detector) (*task.Runtime, *tracetest.Detector) {
+	t.Helper()
+	w := tracetest.Wrap(det, cfg.Executor == task.Sequential)
+	cfg.Detector = w
+	rt, err := task.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var r panicRun
-	if err := Run(rt, p, hook); err != nil {
-		r.err = err.Error()
-	}
-	r.spawns, r.ends, r.starts, r.finishEnds = d.spawns.Load(), d.ends.Load(), d.starts.Load(), d.finishEnds.Load()
-	return r
+	return rt, w
 }
 
 // racyIndices returns the sorted distinct element indices of races.
@@ -82,22 +61,14 @@ func racyIndices(races []detect.Race) []int {
 // TestPanicSweep: a task body that panics leaves every finish it is in as
 // a return would. Each program panics at one access site chosen by its
 // seed; under the sequential executor and the pool at 1, 4 and 16
-// workers, every spawned task reaches its TaskEnd, every finish ends —
-// the implicit one too, which has no FinishStart — and Run's error and
-// SPD3's racy indices are the same on every executor (the race kinds at
-// an index may depend on the schedule). A second Run on the same runtime
-// delivers what the first did, and no worker goroutine outlives the runs.
+// workers, the recording replays and every spawned task reaches its
+// TaskEnd and every finish ends (tracetest), and Run's error, the event
+// counts and SPD3's racy indices are the same on every executor (the race
+// kinds at an index may depend on the schedule). A second Run on the same
+// runtime delivers what the first did, and no worker goroutine outlives
+// the runs.
 func TestPanicSweep(t *testing.T) {
 	base := runtime.NumGoroutine()
-	execs := []struct {
-		name string
-		cfg  task.Config
-	}{
-		{"sequential", task.Config{Executor: task.Sequential}},
-		{"pool-1", task.Config{Executor: task.Pool, Workers: 1}},
-		{"pool-4", task.Config{Executor: task.Pool, Workers: 4}},
-		{"pool-16", task.Config{Executor: task.Pool, Workers: 16}},
-	}
 	for seed := int64(0); seed < panicSeeds; seed++ {
 		p := Generate(seed, Config{})
 		if p.Sites == 0 {
@@ -109,36 +80,25 @@ func TestPanicSweep(t *testing.T) {
 				panic(fmt.Sprintf("site %d", s))
 			}
 		}
-		var want panicRun
-		var wantRacy []int
-		for i, e := range execs {
+		var want string
+		for _, e := range execs {
 			sink := detect.NewSink(false, 0)
-			det := &eventCounts{Detector: core.New(sink, nil)}
-			cfg := e.cfg
-			cfg.Detector = det
-			rt, err := task.New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			rt, det := checked(t, e.cfg, core.New(sink, nil))
+			err := Run(rt, p, hook)
+			first, cerr := det.Check()
+			if err == nil || cerr != nil {
+				t.Fatalf("seed %d %s: Run = %v, Check = %v; want the panic at site %d, nil\n%s", seed, e.name, err, cerr, site, p)
 			}
-			got := det.run(rt, p, hook)
-			racy := racyIndices(sink.Races())
-			switch {
-			case got.err == "":
-				t.Fatalf("seed %d %s: Run returned no error, want the panic at site %d\n%s", seed, e.name, site, p)
-			case got.spawns != got.ends:
-				t.Fatalf("seed %d %s: %d BeforeSpawns, %d TaskEnds\n%s", seed, e.name, got.spawns, got.ends, p)
-			case got.starts+1 != got.finishEnds:
-				t.Fatalf("seed %d %s: %d FinishStarts, %d FinishEnds; want one more end, the implicit finish's\n%s",
-					seed, e.name, got.starts, got.finishEnds, p)
+			got := fmt.Sprintf("%v: %+v racy %v", err, first, racyIndices(sink.Races()))
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("seed %d %s: %s; %s gave %s\n%s", seed, e.name, got, execs[0].name, want, p)
 			}
-			if i == 0 {
-				want, wantRacy = got, racy
-			} else if got != want || fmt.Sprint(racy) != fmt.Sprint(wantRacy) {
-				t.Fatalf("seed %d %s: %+v racy %v; %s gave %+v racy %v\n%s",
-					seed, e.name, got, racy, execs[0].name, want, wantRacy, p)
-			}
-			if again := det.run(rt, p, hook); again != got {
-				t.Fatalf("seed %d %s: a second Run gave %+v, the first %+v\n%s", seed, e.name, again, got, p)
+			again := Run(rt, p, hook)
+			if n, cerr := det.Check(); fmt.Sprint(again) != fmt.Sprint(err) || cerr != nil ||
+				n.Runs != 2 || n.Spawns != 2*first.Spawns || n.FinishStarts != 2*first.FinishStarts {
+				t.Fatalf("seed %d %s: a second Run = %v, both %+v, %v; the first %s\n%s", seed, e.name, again, n, cerr, got, p)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,10 +14,11 @@ import (
 	"spd3/internal/fasttrack"
 	"spd3/internal/graph"
 	"spd3/internal/task"
+	"spd3/internal/trace"
 )
 
 const (
-	seqSeeds      = 400 // programs checked under the sequential executor
+	seqSeeds      = 400 // programs each oracle differential checks
 	parallelSeeds = 80  // subset re-checked under parallel executors
 )
 
@@ -34,11 +36,12 @@ func truth(t *testing.T, p *Program) bool {
 	return o.HasRace()
 }
 
-// verdict runs p under det and returns whether it reported a race.
-func verdict(t *testing.T, p *Program, det detect.Detector, sink *detect.Sink,
-	exec task.ExecKind, workers int) bool {
+// verdict runs p on a runtime of cfg under det and returns whether it
+// reported a race.
+func verdict(t *testing.T, p *Program, det detect.Detector, sink *detect.Sink, cfg task.Config) bool {
 	t.Helper()
-	rt, err := task.New(task.Config{Executor: exec, Workers: workers, Detector: det})
+	cfg.Detector = det
+	rt, err := task.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,20 +51,52 @@ func verdict(t *testing.T, p *Program, det detect.Detector, sink *detect.Sink,
 	return !sink.Empty()
 }
 
-// TestSPD3SoundAndPreciseVsOracle is the central property test for
-// Theorems 2–4: over hundreds of random programs, SPD3's verdict under a
-// depth-first execution equals the oracle's all-schedules ground truth —
-// no false negatives, no false positives.
-func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
+// vsOracle runs seqSeeds programs generated under cfg on each executor in
+// list, under the detector mk builds, wrapped for tracetest: each run's
+// recording must pass Check, and the detector must report a race exactly
+// when the oracle does. Without locks the oracle's verdict is every
+// schedule's (truth); with them it is the observed run's, so the oracle
+// replays that run's recording.
+func vsOracle(t *testing.T, cfg Config, list []exec, mk func(*detect.Sink) detect.Detector) {
 	for seed := int64(0); seed < seqSeeds; seed++ {
-		p := Generate(seed, Config{})
-		want := truth(t, p)
-		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, core.New(sink, nil), sink, task.Sequential, 1)
-		if got != want {
-			t.Fatalf("seed %d: spd3 verdict %v, oracle %v\n%s", seed, got, want, p)
+		p := Generate(seed, cfg)
+		want := cfg.Locks == 0 && truth(t, p)
+		for _, e := range list {
+			sink := detect.NewSink(false, 0)
+			rt, det := checked(t, e.cfg, mk(sink))
+			if err := Run(rt, p, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := det.Check(); err != nil {
+				t.Fatalf("seed %d %s: %v\n%s", seed, e.name, err, p)
+			}
+			if cfg.Locks > 0 {
+				o := graph.New()
+				if err := trace.Replay(bytes.NewReader(det.Trace()), anyOrder{o}); err != nil {
+					t.Fatal(err)
+				}
+				want = o.HasRace()
+			}
+			if got := !sink.Empty(); got != want {
+				t.Fatalf("seed %d %s: %s verdict %v, oracle %v\n%s", seed, e.name, det.Name(), got, want, p)
+			}
 		}
 	}
+}
+
+// anyOrder is the oracle fed by replay, which runs one task at a time:
+// it needs the sequential executor only because it does not synchronise,
+// and its DAG holds for any order of a recording.
+type anyOrder struct{ *graph.Oracle }
+
+func (anyOrder) RequiresSequential() bool { return false }
+
+// TestSPD3SoundAndPreciseVsOracle is the central property test for
+// Theorems 2–4: over hundreds of random programs, SPD3's verdict under
+// every executor equals the oracle's all-schedules ground truth — no
+// false negatives, no false positives.
+func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
+	vsOracle(t, Config{}, execs, func(sink *detect.Sink) detect.Detector { return core.New(sink, nil) })
 }
 
 // TestSPD3ScheduleIndependence re-checks a subset of seeds under the
@@ -69,55 +104,31 @@ func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
 // so the Go scheduler preempts workers mid-task: by Theorems 2–3 the
 // verdict must not depend on the schedule.
 func TestSPD3ScheduleIndependence(t *testing.T) {
-	execs := []struct {
-		kind    task.ExecKind
-		workers int
-	}{
-		{task.Pool, 4},
-		{task.Pool, 16},
-	}
 	for seed := int64(0); seed < parallelSeeds; seed++ {
 		p := Generate(seed, Config{})
 		want := truth(t, p)
-		for _, e := range execs {
+		for _, e := range execs[2:] {
 			for rep := 0; rep < 3; rep++ { // several schedules
 				sink := detect.NewSink(false, 0)
-				got := verdict(t, p, core.New(sink, nil), sink, e.kind, e.workers)
-				if got != want {
-					t.Fatalf("seed %d %v-%d rep %d: spd3 verdict %v, oracle %v\n%s",
-						seed, e.kind, e.workers, rep, got, want, p)
+				if got := verdict(t, p, core.New(sink, nil), sink, e.cfg); got != want {
+					t.Fatalf("seed %d %s rep %d: spd3 verdict %v, oracle %v\n%s", seed, e.name, rep, got, want, p)
 				}
 			}
 		}
 	}
 }
 
-// TestESPBagsMatchesOracle validates the sequential baseline the same way.
+// TestESPBagsMatchesOracle validates the sequential baseline the same
+// way, under the one executor it runs on.
 func TestESPBagsMatchesOracle(t *testing.T) {
-	for seed := int64(0); seed < seqSeeds; seed++ {
-		p := Generate(seed, Config{})
-		want := truth(t, p)
-		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, espbags.New(sink, nil), sink, task.Sequential, 1)
-		if got != want {
-			t.Fatalf("seed %d: esp-bags verdict %v, oracle %v\n%s", seed, got, want, p)
-		}
-	}
+	vsOracle(t, Config{}, execs[:1], func(sink *detect.Sink) detect.Detector { return espbags.New(sink, nil) })
 }
 
 // TestFastTrackMatchesOracle: for pure async/finish programs the
 // happens-before relation is schedule-independent, so FastTrack — precise
 // for the observed trace — must also match the oracle.
 func TestFastTrackMatchesOracle(t *testing.T) {
-	for seed := int64(0); seed < seqSeeds; seed++ {
-		p := Generate(seed, Config{})
-		want := truth(t, p)
-		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, fasttrack.New(sink, nil), sink, task.Sequential, 1)
-		if got != want {
-			t.Fatalf("seed %d: fasttrack verdict %v, oracle %v\n%s", seed, got, want, p)
-		}
-	}
+	vsOracle(t, Config{}, execs, func(sink *detect.Sink) detect.Detector { return fasttrack.New(sink, nil) })
 }
 
 // pathSig canonically names a DPST node by the child-sequence path from
@@ -171,11 +182,11 @@ func siblingRanks(tr *dpst.Tree) []int32 {
 // returns site → DPST path of the step performing that access. The run
 // records only the step nodes; the paths are derived afterwards, since
 // ids, unlike ranks, depend on the schedule.
-func signatures(t *testing.T, p *Program, exec task.ExecKind, workers int) map[int]string {
+func signatures(t *testing.T, p *Program, cfg task.Config) map[int]string {
 	t.Helper()
-	sink := detect.NewSink(false, 0)
-	d := core.New(sink, nil)
-	rt, err := task.New(task.Config{Executor: exec, Workers: workers, Detector: d})
+	d := core.New(detect.NewSink(false, 0), nil)
+	cfg.Detector = d
+	rt, err := task.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,19 +217,15 @@ func TestDPSTDeterminism(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < parallelSeeds*2 && checked < parallelSeeds; seed++ {
 		p := Generate(seed, Config{})
-		ref := signatures(t, p, task.Sequential, 1)
-		for _, e := range []struct {
-			kind    task.ExecKind
-			workers int
-		}{{task.Pool, 4}, {task.Pool, 16}} {
-			got := signatures(t, p, e.kind, e.workers)
+		ref := signatures(t, p, execs[0].cfg)
+		for _, e := range execs[2:] {
+			got := signatures(t, p, e.cfg)
 			if len(got) != len(ref) {
-				t.Fatalf("seed %d %v-%d: %d sites, want %d", seed, e.kind, e.workers, len(got), len(ref))
+				t.Fatalf("seed %d %s: %d sites, want %d", seed, e.name, len(got), len(ref))
 			}
 			for site, sig := range ref {
 				if got[site] != sig {
-					t.Fatalf("seed %d %v-%d: site %d path %q, want %q\n%s",
-						seed, e.kind, e.workers, site, got[site], sig, p)
+					t.Fatalf("seed %d %s: site %d path %q, want %q\n%s", seed, e.name, site, got[site], sig, p)
 				}
 			}
 		}
@@ -229,27 +236,9 @@ func TestDPSTDeterminism(t *testing.T) {
 // TestFastTrackMatchesLockOracle: with locks in play, ground truth is the
 // observed trace's happens-before (fork/join plus release→acquire edges
 // in observed order); FastTrack is precise for exactly that relation, so
-// under the deterministic sequential executor the verdicts must coincide.
+// on every executor the verdicts must coincide.
 func TestFastTrackMatchesLockOracle(t *testing.T) {
-	cfg := Config{Locks: 2}
-	for seed := int64(0); seed < seqSeeds; seed++ {
-		p := Generate(seed, cfg)
-		o := graph.New()
-		rt, err := task.New(task.Config{Executor: task.Sequential, Detector: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Run(rt, p, nil); err != nil {
-			t.Fatal(err)
-		}
-		want := o.HasRace()
-
-		sink := detect.NewSink(false, 0)
-		got := verdict(t, p, fasttrack.New(sink, nil), sink, task.Sequential, 1)
-		if got != want {
-			t.Fatalf("seed %d: fasttrack verdict %v, lock oracle %v\n%s", seed, got, want, p)
-		}
-	}
+	vsOracle(t, Config{Locks: 2}, execs, func(sink *detect.Sink) detect.Detector { return fasttrack.New(sink, nil) })
 }
 
 // TestLockCorpusHasLockSensitiveCases makes sure the lock corpus isn't
@@ -269,7 +258,7 @@ func TestLockCorpusHasLockSensitiveCases(t *testing.T) {
 		}
 		// Same program, locks invisible: SPD3 sees only fork/join.
 		sink := detect.NewSink(false, 0)
-		if verdict(t, p, core.New(sink, nil), sink, task.Sequential, 1) {
+		if verdict(t, p, core.New(sink, nil), sink, execs[0].cfg) {
 			sensitive++
 		}
 	}

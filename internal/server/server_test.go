@@ -350,8 +350,7 @@ func TestHostileNestingIs400(t *testing.T) {
 // TestUnjoinedFinishFails: a trace that ends a finish while a task
 // registered in it is live breaks the join rule every detector relies on
 // (unrefused, SPD3 and ESP-bags read it race-free and FastTrack and
-// Eraser racy). Under detector=all the job fails, /result is a 400 naming
-// the rule, and no verdict record is kept for its segment.
+// Eraser racy).
 func TestUnjoinedFinishFails(t *testing.T) {
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf, true)
@@ -371,15 +370,46 @@ func TestUnjoinedFinishFails(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
+	refusedJob(t, buf.Bytes(), "of its tasks live")
+}
 
+// TestInterleavedSequentialTraceFails: a trace whose executor byte says
+// depth-first, in which main writes element 0 while its child runs and
+// the child then writes it, is no recording of a sequential run (unrefused,
+// ESP-bags, sound on depth-first order only, reads it race-free and the
+// other detectors racy).
+func TestInterleavedSequentialTraceFails(t *testing.T) {
+	var buf bytes.Buffer
+	rec := trace.NewRecorder(&buf, true)
+	mt, implicit := &detect.Task{ID: 0}, &detect.Finish{ID: 0}
+	mt.IEF = implicit
+	rec.MainTask(mt, implicit)
+	sh := rec.NewShadow(detect.Spec("x", 8, 8))
+	child := &detect.Task{ID: 1, IEF: implicit}
+	rec.BeforeSpawn(mt, child)
+	sh.Write(mt, 0) // child is running
+	sh.Write(child, 0)
+	rec.TaskEnd(child)
+	rec.FinishEnd(mt, implicit)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refusedJob(t, buf.Bytes(), "acts while task 1 runs")
+}
+
+// refusedJob submits data, a trace replay refuses for rule, under
+// detector=all: the job fails, /result is a 400 naming the rule, and no
+// verdict record is kept for its segment.
+func refusedJob(t *testing.T, data []byte, rule string) {
+	t.Helper()
 	root := t.TempDir()
 	s, ts := newTestServer(t, Config{StoreDir: root})
 	defer s.Close()
-	resp, data := submitV2(t, ts.URL, "?detector=all", "", buf.Bytes())
+	resp, body := submitV2(t, ts.URL, "?detector=all", "", data)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d\n%s", resp.StatusCode, data)
+		t.Fatalf("submit: %d\n%s", resp.StatusCode, body)
 	}
-	id := decodeJobStatus(t, data).ID
+	id := decodeJobStatus(t, body).ID
 	deadline := time.Now().Add(30 * time.Second)
 	for !client.Terminal(jobState(s, id)) {
 		if time.Now().After(deadline) {
@@ -394,13 +424,13 @@ func TestUnjoinedFinishFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(res.Body)
+	body, err = io.ReadAll(res.Body)
 	res.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "of its tasks live") {
-		t.Errorf("/result = %d, want the join rule's 400\n%s", res.StatusCode, body)
+	if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), rule) {
+		t.Errorf("/result = %d, want a 400 naming %q\n%s", res.StatusCode, rule, body)
 	}
 	if recs := records(t, root); len(recs) != 0 {
 		t.Errorf("the failed job left %d verdict records", len(recs))

@@ -7,7 +7,7 @@ import (
 
 	"spd3/internal/detect"
 	_ "spd3/internal/espbags"
-	_ "spd3/internal/fasttrack"
+	"spd3/internal/fasttrack"
 	"spd3/internal/graph"
 )
 
@@ -117,31 +117,28 @@ func TestCilkTransitiveJoin(t *testing.T) {
 	}
 }
 
-// cilkDetectorEvents checks the embedding: one Cilk procedure with two
-// sync regions produces exactly two finish scopes.
+// TestCilkEmbeddingEvents checks the embedding: one Cilk procedure with
+// two sync regions produces exactly two finish scopes, on every executor.
 func TestCilkEmbeddingEvents(t *testing.T) {
-	det := &countingDetector{}
-	rt, err := New(Config{Executor: Sequential, Detector: det})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = rt.Run(func(c *Ctx) {
-		RunCilk(c, func(k *Cilk) {
-			k.Spawn(func(k *Cilk) {})
-			k.Spawn(func(k *Cilk) {})
-			k.Sync()
-			k.Spawn(func(k *Cilk) {})
+	for _, e := range executors {
+		t.Run(e.name, func(t *testing.T) {
+			rt, det := checked(t, e.cfg, detect.Nop{})
+			err := rt.Run(func(c *Ctx) {
+				RunCilk(c, func(k *Cilk) {
+					k.Spawn(func(k *Cilk) {})
+					k.Spawn(func(k *Cilk) {})
+					k.Sync()
+					k.Spawn(func(k *Cilk) {})
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two explicit finish regions plus the implicit program finish.
+			if n, err := det.Check(); err != nil || n.Spawns != 3 || n.FinishEnds != 3 {
+				t.Errorf("%+v, %v; want 3 spawns and 3 FinishEnds", n, err)
+			}
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := det.spawns.Load(); got != 3 {
-		t.Errorf("spawns = %d, want 3", got)
-	}
-	// Two explicit finish regions plus the implicit program finish.
-	if got := det.finishEnds.Load(); got != 3 {
-		t.Errorf("finish ends = %d, want 3", got)
 	}
 }
 
@@ -202,49 +199,6 @@ func TestCilkRaceDetection(t *testing.T) {
 	}
 }
 
-// liveScopes checks that every finish scope and every Cilk frame arrives
-// as a new one would. A task's State is its stack of open finishes, its
-// IEF at the bottom. stale counts finishes that start with detector
-// state on them — a scope reused without clearing its detect.Finish;
-// misplaced counts spawns whose IEF is not the spawning task's innermost
-// open finish and FinishEnds of any other finish — a frame or scope that
-// two procedures or finishes share.
-type liveScopes struct {
-	detect.Nop
-	stale, misplaced atomic.Int64
-}
-
-type openFinishes []*detect.Finish
-
-func (d *liveScopes) MainTask(t *detect.Task, f *detect.Finish) {
-	f.State, t.State = t, &openFinishes{f}
-}
-
-func (d *liveScopes) BeforeSpawn(p, c *detect.Task) {
-	if open := *p.State.(*openFinishes); c.IEF != open[len(open)-1] {
-		d.misplaced.Add(1)
-	}
-	c.State = &openFinishes{c.IEF}
-}
-
-func (d *liveScopes) FinishStart(t *detect.Task, f *detect.Finish) {
-	if f.State != nil {
-		d.stale.Add(1)
-	}
-	f.State = t
-	open := t.State.(*openFinishes)
-	*open = append(*open, f)
-}
-
-func (d *liveScopes) FinishEnd(t *detect.Task, f *detect.Finish) {
-	open := t.State.(*openFinishes)
-	if n := len(*open); (*open)[n-1] != f {
-		d.misplaced.Add(1)
-	} else {
-		*open = (*open)[:n-1]
-	}
-}
-
 // recycledProc is a Cilk procedure of the given depth that reuses frames
 // and scopes every way a program can: three Spawn/Sync rounds, a child
 // whose plain Async registers in its parent's sync region, a nested
@@ -283,31 +237,19 @@ func recycledRan(depth int) int64 {
 
 // TestRecycledScopesAndFrames: finish scopes and Cilk frames come from
 // the executing worker's free lists, and a reused one is what a new one
-// would be — no detector state on its finish, no other procedure's or
-// finish's spawns in it — under every executor, after a child that
-// panicked with a sync region and a finish open (it ends both and returns
-// them, as a return would) as much as before. Every procedure and async
-// runs once, the panicking child's two orphans included.
+// would be — no detector state on its finish (FastTrack keeps a clock
+// there), no other procedure's or finish's spawns in it — under every
+// executor, after a child that panicked with a sync region and a finish
+// open (it ends both and returns them, as a return would) as much as
+// before. Every procedure and async runs once, the panicking child's two
+// orphans included.
 func TestRecycledScopesAndFrames(t *testing.T) {
-	for _, e := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sequential", Config{Executor: Sequential}},
-		{"pool-4", Config{Executor: Pool, Workers: 4}},
-		{"pool-16", Config{Executor: Pool, Workers: 16}},
-	} {
+	for _, e := range executors {
 		t.Run(e.name, func(t *testing.T) {
-			det := &liveScopes{}
-			cfg := e.cfg
-			cfg.Detector = det
-			rt, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rt, det := checked(t, e.cfg, fasttrack.New(detect.NewSink(false, 0), nil))
 			const depth = 4
 			var ran, orphans atomic.Int64
-			err = rt.Run(func(c *Ctx) {
+			err := rt.Run(func(c *Ctx) {
 				RunCilk(c, func(k *Cilk) {
 					recycledProc(k, depth, &ran)
 					k.Spawn(func(k *Cilk) {
@@ -325,11 +267,8 @@ func TestRecycledScopesAndFrames(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "boom") {
 				t.Fatalf("Run = %v, want the child's panic", err)
 			}
-			if n := det.stale.Load(); n != 0 {
-				t.Errorf("%d finishes started with another finish's detector state", n)
-			}
-			if n := det.misplaced.Load(); n != 0 {
-				t.Errorf("%d spawns or finish ends were not in the innermost open finish", n)
+			if _, err := det.Check(); err != nil {
+				t.Error(err)
 			}
 			if got, want := ran.Load(), 3*recycledRan(depth); got != want {
 				t.Errorf("%d procedures and asyncs ran, want %d", got, want)

@@ -17,6 +17,7 @@ import (
 	"spd3/internal/dpst"
 	"spd3/internal/ids"
 	"spd3/internal/stats"
+	"spd3/internal/trace/tracetest"
 )
 
 // executors lists every executor with a worker count, so each behavioral
@@ -229,62 +230,47 @@ func TestPanicInRootPropagates(t *testing.T) {
 	})
 }
 
-// nestingDetector checks the nesting rule of the event contract: every
-// FinishEnd names the innermost finish its task has open, and a task ends
-// with none open. Sequential executor only (no locking).
-type nestingDetector struct {
-	detect.Nop
-	open map[detect.TaskID][]*detect.Finish
-	bad  []string
-}
-
-func (d *nestingDetector) MainTask(t *detect.Task, f *detect.Finish) {
-	d.open = map[detect.TaskID][]*detect.Finish{t.ID: {f}}
-}
-func (d *nestingDetector) FinishStart(t *detect.Task, f *detect.Finish) {
-	d.open[t.ID] = append(d.open[t.ID], f)
-}
-func (d *nestingDetector) FinishEnd(t *detect.Task, f *detect.Finish) {
-	s := d.open[t.ID]
-	if len(s) == 0 || s[len(s)-1] != f {
-		d.bad = append(d.bad, fmt.Sprintf("task %d ended finish %d over %d open", t.ID, f.ID, len(s)))
-		return
+// checked returns a runtime of cfg whose detector is det, wrapped so that
+// the run's recording can be checked.
+func checked(t *testing.T, cfg Config, det detect.Detector) (*Runtime, *tracetest.Detector) {
+	t.Helper()
+	w := tracetest.Wrap(det, cfg.Executor == Sequential)
+	cfg.Detector = w
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.open[t.ID] = s[:len(s)-1]
-}
-func (d *nestingDetector) TaskEnd(t *detect.Task) {
-	if n := len(d.open[t.ID]); n != 0 {
-		d.bad = append(d.bad, fmt.Sprintf("task %d ended with %d finishes open", t.ID, n))
-	}
+	return rt, w
 }
 
 // TestPanicInsideFinishKeepsNesting: a body that panics inside a Finish
 // ends that finish on its way out, in a spawned task and in the main task
 // alike, so every finish ends in nesting order and the main task ends
-// the implicit one last: nothing is left open.
+// the implicit one last: nothing is left open, on every executor.
 func TestPanicInsideFinishKeepsNesting(t *testing.T) {
-	det := &nestingDetector{}
-	rt, err := New(Config{Executor: Sequential, Detector: det})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = rt.Run(func(c *Ctx) {
-		c.Finish(func(c *Ctx) {})
-		c.Finish(func(c *Ctx) {
-			c.Async(func(c *Ctx) { c.Finish(func(*Ctx) { panic("child boom") }) })
-			panic("main boom")
+	for _, e := range executors {
+		t.Run(e.name, func(t *testing.T) {
+			rt, det := checked(t, e.cfg, detect.Nop{})
+			err := rt.Run(func(c *Ctx) {
+				c.Finish(func(c *Ctx) {})
+				c.Finish(func(c *Ctx) {
+					c.Async(func(c *Ctx) { c.Finish(func(*Ctx) { panic("child boom") }) })
+					panic("main boom")
+				})
+			})
+			// Run names the first panic and counts the other; depth-first,
+			// the child's comes first.
+			want := "boom (and 1 more panics)"
+			if e.cfg.Executor == Sequential {
+				want = "child " + want
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if n, err := det.Check(); err != nil || n.FinishStarts != 3 {
+				t.Errorf("%+v, %v; want 3 FinishStarts, all ended", n, err)
+			}
 		})
-	})
-	if err == nil || !strings.Contains(err.Error(), "child boom") {
-		t.Fatalf("err = %v, want the first panic", err)
-	}
-	if len(det.bad) != 0 {
-		t.Errorf("nesting rule broken: %v", det.bad)
-	}
-	for id, open := range det.open {
-		if len(open) != 0 {
-			t.Errorf("task %d left %d finishes open", id, len(open))
-		}
 	}
 }
 
@@ -318,56 +304,38 @@ func TestPanicJoinsItsFinish(t *testing.T) {
 	for _, b := range bodies {
 		for _, e := range executors {
 			t.Run(b.name+"/"+e.name, func(t *testing.T) {
-				det := &countingDetector{}
-				cfg := e.cfg
-				cfg.Detector = det
-				rt, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rt, det := checked(t, e.cfg, detect.Nop{})
 				var ran atomic.Int64
-				err = rt.Run(func(c *Ctx) { b.root(c, &ran) })
+				err := rt.Run(func(c *Ctx) { b.root(c, &ran) })
 				if err == nil || !strings.Contains(err.Error(), "main boom") {
 					t.Fatalf("err = %v, want main boom", err)
 				}
-				if r, s, e := ran.Load(), det.spawns.Load(), det.ends.Load(); r != 50 || s != 50 || e != 50 {
-					t.Errorf("%d bodies ran over %d spawns and %d TaskEnds, want 50 of each", r, s, e)
-				}
-				if n := det.finishEnds.Load(); n != 2 {
-					t.Fatalf("%d FinishEnds, want 2: the finish's and the implicit one's", n)
-				}
-				if det.endsAtFinish[0] != 50 {
-					t.Errorf("the finish ended after %d TaskEnds, want 50", det.endsAtFinish[0])
+				n, err := det.Check()
+				if err != nil || ran.Load() != 50 || n.Spawns != 50 || n.FinishEnds != 2 {
+					t.Errorf("%d bodies ran, %+v, %v; want 50 spawns and 2 FinishEnds, the finish's and the implicit one's", ran.Load(), n, err)
 				}
 			})
 		}
 	}
 }
 
-// panickyDetector counts events and, while armed, panics once: in the
-// TaskEnd of the target task (onTaskEnd), or else in the FinishEnd of the
-// implicit finish. Every count is taken before the panic, so a panicking
-// event is still counted.
+// panickyDetector, while armed, panics once: in the TaskEnd of the target
+// task (onTaskEnd), or else in the FinishEnd of the implicit finish.
 type panickyDetector struct {
 	detect.Nop
-	onTaskEnd                    bool
-	armed                        atomic.Bool
-	target                       atomic.Pointer[detect.Task]
-	implicit                     *detect.Finish
-	spawns, ends, starts, finEnd atomic.Int64
+	onTaskEnd bool
+	armed     atomic.Bool
+	target    atomic.Pointer[detect.Task]
+	implicit  *detect.Finish
 }
 
 func (d *panickyDetector) MainTask(_ *detect.Task, f *detect.Finish) { d.implicit = f }
-func (d *panickyDetector) BeforeSpawn(_, _ *detect.Task)             { d.spawns.Add(1) }
-func (d *panickyDetector) FinishStart(*detect.Task, *detect.Finish)  { d.starts.Add(1) }
 func (d *panickyDetector) TaskEnd(t *detect.Task) {
-	d.ends.Add(1)
 	if d.onTaskEnd && t == d.target.Load() && d.armed.CompareAndSwap(true, false) {
 		panic("detector boom in TaskEnd")
 	}
 }
 func (d *panickyDetector) FinishEnd(_ *detect.Task, f *detect.Finish) {
-	d.finEnd.Add(1)
 	if !d.onTaskEnd && f == d.implicit && d.armed.CompareAndSwap(true, false) {
 		panic("detector boom in FinishEnd")
 	}
@@ -392,12 +360,7 @@ func TestDetectorPanicFailsTheRun(t *testing.T) {
 				base := runtime.NumGoroutine()
 				det := &panickyDetector{onTaskEnd: onTaskEnd}
 				det.armed.Store(true)
-				cfg := e.cfg
-				cfg.Detector = det
-				rt, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rt, w := checked(t, e.cfg, det)
 				// The target is the first top-level task to start on a
 				// worker other than Run's, or on the only one; the others
 				// wait for it, so that thieves get a task to run.
@@ -422,11 +385,10 @@ func TestDetectorPanicFailsTheRun(t *testing.T) {
 				if err := rt.Run(root); err != nil {
 					t.Fatalf("the Run after the failed one: %v", err)
 				}
-				if s, n := det.spawns.Load(), det.ends.Load(); s != 2*spawns || n != s {
-					t.Errorf("%d BeforeSpawns and %d TaskEnds over two Runs, want %d of each", s, n, 2*spawns)
-				}
-				if s, n := det.starts.Load(), det.finEnd.Load(); s != 2*finishes || n != s+2 {
-					t.Errorf("%d FinishStarts and %d FinishEnds over two Runs, want %d and %d", s, n, 2*finishes, 2*finishes+2)
+				// The wrapper records an event before it is delivered, so
+				// a panicking event is recorded too.
+				if n, err := w.Check(); err != nil || n.Spawns != 2*spawns || n.FinishStarts != 2*finishes {
+					t.Errorf("%+v, %v over two Runs; want %d spawns and %d FinishStarts", n, err, 2*spawns, 2*finishes)
 				}
 				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
@@ -539,34 +501,13 @@ func TestTaskIdentity(t *testing.T) {
 	}
 }
 
-// countingDetector verifies the event contract: BeforeSpawn precedes the
-// child's TaskEnd, and FinishEnd sees all TaskEnds of its scope.
-type countingDetector struct {
-	detect.Nop
-	spawns, ends atomic.Int64
-	finishEnds   atomic.Int64
-	endsAtFinish []int64
-}
-
-func (d *countingDetector) BeforeSpawn(p, c *detect.Task) { d.spawns.Add(1) }
-func (d *countingDetector) TaskEnd(t *detect.Task)        { d.ends.Add(1) }
-func (d *countingDetector) FinishEnd(t *detect.Task, f *detect.Finish) {
-	d.finishEnds.Add(1)
-	d.endsAtFinish = append(d.endsAtFinish, d.ends.Load())
-}
-
+// TestDetectorEventContract: 40 nested asyncs in a finish deliver a
+// recording replay accepts, on every executor.
 func TestDetectorEventContract(t *testing.T) {
 	for _, e := range executors {
-		e := e
 		t.Run(e.name, func(t *testing.T) {
-			det := &countingDetector{}
-			cfg := e.cfg
-			cfg.Detector = det
-			rt, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = rt.Run(func(c *Ctx) {
+			rt, det := checked(t, e.cfg, detect.Nop{})
+			err := rt.Run(func(c *Ctx) {
 				c.Finish(func(c *Ctx) {
 					for i := 0; i < 20; i++ {
 						c.Async(func(c *Ctx) {
@@ -578,19 +519,9 @@ func TestDetectorEventContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := det.spawns.Load(); d != 40 {
-				t.Errorf("spawns = %d, want 40", d)
-			}
-			if d := det.ends.Load(); d != 40 {
-				t.Errorf("ends = %d, want 40", d)
-			}
-			// Two FinishEnds: the explicit finish and the implicit one;
-			// the explicit one must have observed all 40 task ends.
-			if d := det.finishEnds.Load(); d != 2 {
-				t.Fatalf("finish ends = %d, want 2", d)
-			}
-			if det.endsAtFinish[0] != 40 {
-				t.Errorf("explicit FinishEnd saw %d TaskEnds, want 40", det.endsAtFinish[0])
+			// Two FinishEnds: the explicit finish and the implicit one.
+			if n, err := det.Check(); err != nil || n.Spawns != 40 || n.FinishEnds != 2 {
+				t.Errorf("%+v, %v; want 40 spawns and 2 FinishEnds", n, err)
 			}
 		})
 	}

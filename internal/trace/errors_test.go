@@ -62,6 +62,8 @@ func TestTypedErrors(t *testing.T) {
 		fstart = int64(evFinishStart)
 		fend   = int64(evFinishEnd)
 		main   = int64(evMainTask)
+		acq    = int64(evAcquire)
+		rel    = int64(evRelease)
 	)
 	// readIndex replays main task 0, an 8-element region and one evRead
 	// whose index varint is the raw bytes idx.
@@ -81,11 +83,12 @@ func TestTypedErrors(t *testing.T) {
 		return Replay(bytes.NewReader(b), mk())
 	}
 
-	// accesses replays nest's opening, an 8-element region 0 and evs,
-	// where {rd, task} is a read of element 0 by task, into det.
+	// hand assembles, under executor byte exec, nest's opening, an
+	// 8-element region 0 and evs, where {rd, task} is a read of element 0
+	// by task; accesses replays it, depth-first, into det.
 	const rd = int64(evRead)
-	accesses := func(det detect.Detector, evs ...e) error {
-		b := appendEvent(append([]byte(magic), 1), evMainTask, 0, 0)
+	hand := func(exec byte, evs ...e) []byte {
+		b := appendEvent(append([]byte(magic), exec), evMainTask, 0, 0)
 		b = appendDecl(b, 0, regionDecl{elems: 8, elemBytes: 8, name: "r"})
 		for _, ev := range evs {
 			if ev[0] == rd {
@@ -93,7 +96,10 @@ func TestTypedErrors(t *testing.T) {
 			}
 			b = appendEvent(b, byte(ev[0]), ev[1:]...)
 		}
-		return ReplayWithLimits(bytes.NewReader(b), det, nil, DefaultLimits())
+		return b
+	}
+	accesses := func(det detect.Detector, evs ...e) error {
+		return ReplayWithLimits(bytes.NewReader(hand(1, evs...)), det, nil, DefaultLimits())
 	}
 	// unjoined ends finish 1 while task 1, registered in it, is live;
 	// main and task 1 then write element 0. Detectors that trusted the
@@ -102,6 +108,14 @@ func TestTypedErrors(t *testing.T) {
 	wr := int64(evWrite)
 	unjoined := []e{{fstart, 0, 1}, {spawn, 0, 1, 1}, {fend, 0, 1},
 		{wr, 0, 0, 0}, {wr, 0, 1, 0}, {tend, 1}, {fend, 0, 0}}
+	// interleaved leaves depth-first order: main writes element 0 while
+	// its child runs, and the child then writes it. ESP-bags, sound on
+	// depth-first order only, would see no race there and the rest one.
+	interleaved := []e{{spawn, 0, 1, 0}, {wr, 0, 0, 0}, {wr, 0, 1, 0}, {tend, 1}, {fend, 0, 0}}
+	// twoHolders has task 1 and its child, parallel to it, hold lock 1 at
+	// once.
+	twoHolders := []e{{spawn, 0, 1, 0}, {acq, 1, 1}, {spawn, 1, 2, 0}, {acq, 2, 1},
+		{rel, 2, 1}, {tend, 2}, {rel, 1, 1}, {tend, 1}, {fend, 0, 0}}
 	// Replay remembers the task of the last access; these are the ways a
 	// remembered task can leave the table.
 	endedTask := accesses(mk(), e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{rd, 1})
@@ -162,6 +176,23 @@ func TestTypedErrors(t *testing.T) {
 		{"access by main after it ends its implicit finish", endedMain, ErrMalformed},
 		{"access after a spawn reuses an ended task's id", reused(e{spawn, 0, 1, 0}, e{rd, 1}, e{tend, 1}, e{spawn, 0, 1, 0}, e{rd, 1}), nil},
 		{"access after a second main task takes a live main's id", reused(e{rd, 0}, e{main, 0, 1}, e{rd, 0}), nil},
+		// A depth-first trace: only the task spawned last and not ended
+		// acts, whatever the event.
+		{"main reads again while its child runs", accesses(mk(), e{rd, 0}, e{spawn, 0, 1, 0}, e{rd, 0}), ErrMalformed},
+		{"main spawns while its child runs", nest(e{spawn, 0, 1, 0}, e{spawn, 0, 2, 0}), ErrMalformed},
+		{"main starts a finish while its child runs", nest(e{spawn, 0, 1, 0}, e{fstart, 0, 1}), ErrMalformed},
+		{"a task ends while its child runs", nest(e{spawn, 0, 1, 0}, e{spawn, 1, 2, 0}, e{tend, 1}), ErrMalformed},
+		{"main locks while its child runs", nest(e{spawn, 0, 1, 0}, e{acq, 0, 1}), ErrMalformed},
+		{"a parallel trace interleaves", Replay(bytes.NewReader(hand(0, interleaved...)), mk()), nil},
+		// Locks: one holder at a time, released by it, before it ends.
+		{"release of a free lock", nest(e{rel, 0, 1}), ErrMalformed},
+		{"release of main's lock by its child", nest(e{acq, 0, 1}, e{spawn, 0, 1, 0}, e{rel, 1, 1}), ErrMalformed},
+		{"acquire of a lock main holds", nest(e{acq, 0, 1}, e{acq, 0, 1}), ErrMalformed},
+		{"TaskEnd holding a lock", nest(e{spawn, 0, 1, 0}, e{acq, 1, 1}, e{tend, 1}), ErrMalformed},
+		{"main ends its implicit finish holding a lock", nest(e{acq, 0, 1}, e{fend, 0, 0}), ErrMalformed},
+		{"a lock passed from task to task", nest(e{acq, 0, 1}, e{rel, 0, 1}, e{spawn, 0, 1, 0}, e{acq, 1, 1},
+			e{rel, 1, 1}, e{tend, 1}, e{acq, 0, 1}, e{rel, 0, 1}, e{fend, 0, 0}), nil},
+		{"a run takes a lock the main of the run before held", nest(e{acq, 0, 1}, e{main, 1, 1}, e{acq, 1, 1}), nil},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, c.want) {
@@ -173,8 +204,13 @@ func TestTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := accesses(det, unjoined...); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "of its tasks live") {
-			t.Errorf("%s: unjoined finish: err = %v, want the join rule's ErrMalformed", name, err)
+		for _, probe := range []struct {
+			evs  []e
+			rule string
+		}{{unjoined, "of its tasks live"}, {interleaved, "acts while task 1 runs"}, {twoHolders, "which task 1 holds"}} {
+			if err := accesses(det, probe.evs...); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), probe.rule) {
+				t.Errorf("%s: err = %v, want ErrMalformed %q", name, err, probe.rule)
+			}
 		}
 	}
 	for _, err := range []error{endedTask, endedMain} {

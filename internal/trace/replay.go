@@ -68,7 +68,7 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, li
 	if det.RequiresSequential() && !dec.sequential {
 		return fmt.Errorf("trace: %w: detector %q needs a depth-first trace; this one was recorded in parallel", ErrSequentialOnly, det.Name())
 	}
-	st := &replayState{det: det, lim: lim, tasks: map[int64]*replayTask{}, locks: map[int64]*detect.Lock{}}
+	st := &replayState{det: det, lim: lim, seq: dec.sequential, tasks: map[int64]*replayTask{}, locks: map[int64]*replayLock{}}
 	err = st.run(dec)
 	st.local.Flush(rec)
 	return err
@@ -446,11 +446,13 @@ func (d *decoder) readName(ev *event) error {
 type replayState struct {
 	det     detect.Detector
 	lim     Limits
+	seq     bool         // the trace says it was recorded depth-first
 	local   detect.Local // the replaying goroutine's block: every task's L
 	tasks   map[int64]*replayTask
-	last    *replayTask   // the task of the last access while it is in tasks, else nil
+	running []*replayTask // in a depth-first trace, the tasks spawned and not ended, the running one last
+	last    *replayTask   // the task of the last access while it is in tasks and running, else nil
 	free    []*replayTask // records of ended tasks, for newTask to reuse
-	locks   map[int64]*detect.Lock
+	locks   map[int64]*replayLock
 	shadows []detect.Shadow
 	sizes   []int64
 	total   int64
@@ -467,6 +469,43 @@ type replayTask struct {
 	detect.Task
 	ief  *replayFinish
 	open []*replayFinish
+	held int // locks the task holds
+}
+
+// replayLock is a lock and the task holding it, nil when it is free.
+type replayLock struct {
+	detect.Lock
+	holder *replayTask
+}
+
+// acts refuses an event by t in a depth-first trace unless t is the
+// running task: the top of the stack of tasks spawned and not ended,
+// which is empty in a parallel trace. A FinishEnd needs no check of its
+// own: by a task with a child live above it, it breaks the join rule.
+func (st *replayState) acts(t *replayTask) error {
+	if n := len(st.running); n > 0 && st.running[n-1] != t {
+		return fmt.Errorf("trace: %w: task %d acts while task %d runs in a depth-first trace", ErrMalformed, t.ID, st.running[n-1].ID)
+	}
+	return nil
+}
+
+// ends refuses the last event of t, its TaskEnd or a main task's end of
+// its implicit finish, while t holds a lock.
+func ends(t *replayTask) error {
+	if t.held > 0 {
+		return fmt.Errorf("trace: %w: task %d ends holding %d locks", ErrMalformed, t.ID, t.held)
+	}
+	return nil
+}
+
+// leave drops the task with id, whose last event this is, from the table
+// and, in a depth-first trace, from the top of the running stack.
+func (st *replayState) leave(id int64) {
+	delete(st.tasks, id)
+	st.last = nil
+	if st.seq {
+		st.running = st.running[:len(st.running)-1]
+	}
 }
 
 // replayFinish is an open finish and how many tasks registered in it are
@@ -530,11 +569,17 @@ func (st *replayState) apply(ev *event) error {
 		t := st.newTask(a[0], f)
 		t.open = append(t.open, f)
 		st.tasks[a[0]], st.last = t, nil
+		if st.seq {
+			st.running = append(st.running[:0], t)
+		}
 		detect.Main(st.det, &t.Task, &f.Finish)
 	case evSpawn:
 		parent, ok := st.tasks[a[0]]
 		if !ok {
 			return fmt.Errorf("trace: %w: spawn from unknown task %d", ErrMalformed, a[0])
+		}
+		if err := st.acts(parent); err != nil {
+			return err
 		}
 		ief := parent.innermost()
 		if ief.ID != a[2] {
@@ -546,13 +591,22 @@ func (st *replayState) apply(ev *event) error {
 			return fmt.Errorf("trace: %w: task %d spawns task %d, which is still live", ErrMalformed, a[0], a[1])
 		}
 		child := st.newTask(a[1], ief)
-		st.tasks[a[1]] = child
+		st.tasks[a[1]], st.last = child, nil
+		if st.seq {
+			st.running = append(st.running, child)
+		}
 		ief.pending++
 		detect.Spawn(st.det, &parent.Task, &child.Task)
 	case evTaskEnd:
 		t, ok := st.tasks[a[0]]
 		if !ok {
 			return fmt.Errorf("trace: %w: end of unknown task %d", ErrMalformed, a[0])
+		}
+		if err := st.acts(t); err != nil {
+			return err
+		}
+		if err := ends(t); err != nil {
+			return err
 		}
 		// A task has ended every finish it opened by its TaskEnd. The
 		// main task's stack holds the implicit finish until the main
@@ -568,13 +622,15 @@ func (st *replayState) apply(ev *event) error {
 		// bounds replay memory by the live task set instead of the total
 		// task count — the property the streaming server relies on. The
 		// record itself goes to the free list for the next spawn.
-		delete(st.tasks, a[0])
-		st.last = nil
+		st.leave(a[0])
 		st.free = append(st.free, t)
 	case evFinishStart:
 		t, ok := st.tasks[a[0]]
 		if !ok {
 			return fmt.Errorf("trace: %w: finish in unknown task %d", ErrMalformed, a[0])
+		}
+		if err := st.acts(t); err != nil {
+			return err
 		}
 		f := &replayFinish{Finish: detect.Finish{ID: a[1]}}
 		t.open = append(t.open, f)
@@ -592,29 +648,46 @@ func (st *replayState) apply(ev *event) error {
 		if f.pending != 0 {
 			return fmt.Errorf("trace: %w: task %d ends finish %d with %d of its tasks live", ErrMalformed, a[0], a[1], f.pending)
 		}
-		t.open = t.open[:n-1]
-		detect.EndFinish(st.det, &t.Task, &f.Finish)
 		if f == t.ief {
 			// Only the main task has its own IEF open, and the contract
 			// makes ending it the main task's last event: as at a TaskEnd,
 			// the task leaves the table.
-			delete(st.tasks, a[0])
-			st.last = nil
+			if err := ends(t); err != nil {
+				return err
+			}
+			st.leave(a[0])
 		}
+		t.open = t.open[:n-1]
+		detect.EndFinish(st.det, &t.Task, &f.Finish)
 	case evAcquire, evRelease:
 		t := st.tasks[a[0]]
 		if t == nil {
 			return fmt.Errorf("trace: %w: lock op in unknown task %d", ErrMalformed, a[0])
 		}
+		if err := st.acts(t); err != nil {
+			return err
+		}
 		l := st.locks[a[1]]
 		if l == nil {
-			l = &detect.Lock{ID: a[1]}
+			l = &replayLock{Lock: detect.Lock{ID: a[1]}}
 			st.locks[a[1]] = l
 		}
 		if ev.kind == evAcquire {
-			st.det.Acquire(&t.Task, l)
+			// A holder that left the table holds nothing: only a main
+			// task a new run dropped can, as ends refuses the others.
+			if h := l.holder; h != nil && st.tasks[int64(h.ID)] == h {
+				return fmt.Errorf("trace: %w: task %d acquires lock %d, which task %d holds", ErrMalformed, a[0], a[1], h.ID)
+			}
+			l.holder = t
+			t.held++
+			st.det.Acquire(&t.Task, &l.Lock)
 		} else {
-			st.det.Release(&t.Task, l)
+			if l.holder != t {
+				return fmt.Errorf("trace: %w: task %d releases lock %d, which it does not hold", ErrMalformed, a[0], a[1])
+			}
+			l.holder = nil
+			t.held--
+			st.det.Release(&t.Task, &l.Lock)
 		}
 	case evNewShadow, evNewShadowGrow:
 		d := declOf(ev)
@@ -653,11 +726,15 @@ func (st *replayState) apply(ev *event) error {
 		}
 		// Nearly every access is by the task of the one before it. Live
 		// ids are unique and last is cleared whenever a task leaves the
-		// table, so a hit is the task the table would return.
+		// table or another starts to run, so a hit is the task the table
+		// would return, and running.
 		t := st.last
 		if t == nil || t.ID != detect.TaskID(a[1]) {
 			if t = st.tasks[a[1]]; t == nil {
 				return fmt.Errorf("trace: %w: access by unknown task %d", ErrMalformed, a[1])
+			}
+			if err := st.acts(t); err != nil {
+				return err
 			}
 			st.last = t
 		}

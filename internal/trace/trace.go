@@ -14,27 +14,14 @@
 // into the target detector, which therefore reaches the same verdict it
 // would have reached live. ESP-bags additionally needs the recorded
 // execution itself to have been depth-first (record under the sequential
-// executor); Replay enforces this by refusing sequential-only detectors
-// unless the trace is marked sequential.
+// executor); Replay refuses sequential-only detectors unless the trace is
+// marked sequential, and holds a trace so marked to depth-first order.
 //
 // Replay is a driver of the detect event contract and a trace is outside
-// bytes, so replay checks what detectors are entitled to assume, beyond
-// framing and known ids. Nesting: every task carries the stack of finishes
-// it has started and not ended (the main task's opens with the implicit
-// finish); a FinishEnd must name the top of its task's stack, and a Spawn's
-// finish must be the top of the parent's stack or, with nothing open, the
-// parent's own IEF. Anything else is ErrMalformed — detectors restore
-// per-finish state from the task (SPD3 reads the finish off the task's
-// DPST step, ESP-bags and FastTrack its bag or clock), and a FinishEnd
-// by a task that did not open the finish once panicked one. A TaskEnd
-// must find its task's stack empty, and ending the implicit finish is
-// the main task's last event, so the main task has no TaskEnd. Joins: a
-// FinishEnd must follow the TaskEnd of every task registered in its
-// finish (SPD3's watermark and the Splitter's cuts rest on it), and a
-// run may start only when no task of the run before but its main task is
-// live. A spawned child may not take a live task's id (detectors key
-// per-task state by it). The Recorder's output, the Splitter's segments
-// and the Amplifier's copies satisfy the rules by construction.
+// bytes, so replay checks every rule of the contract (package detect
+// lists them) and refuses a trace that breaks one with ErrMalformed. The
+// Recorder's output, the Splitter's segments and the Amplifier's copies
+// keep the rules by construction.
 //
 // Format: a header ("SPD3TRC1", then an executor byte), then events: a
 // kind byte, varint arguments and, for a region declaration, a
