@@ -54,16 +54,16 @@ func isDecodeSentinel(err error) bool {
 // every registry detector: none may panic — replay is what stands
 // between hostile bytes and detectors that trust the driver contract —
 // and any failure must carry exactly one of the typed sentinels; an
-// untyped error would reach clients as a 500. The executor byte is forced
-// to "sequential" so the depth-first-only detectors are eligible too.
+// untyped error would reach clients as a 500. Each detector gets the
+// input under the executor byte that lets the most through to it:
+// "sequential" for a depth-first-only detector, which replay refuses a
+// parallel trace, and "parallel" for the rest, so interleaved tasks,
+// which the depth-first rule refuses, reach them too.
 func FuzzReplay(f *testing.F) {
 	fuzzSeeds(f)
 	names := detect.Names()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > len(magic) {
-			data = bytes.Clone(data)
-			data[len(magic)] = 1
-		}
+		data = bytes.Clone(data)
 		// Tight limits keep hostile region declarations from turning
 		// into large allocations.
 		lim := Limits{MaxRegionElems: 1 << 16, MaxTotalElems: 1 << 18}
@@ -71,6 +71,12 @@ func FuzzReplay(f *testing.F) {
 			det, err := detect.New(name, detect.FactoryOpts{Sink: detect.NewSink(false, 0)})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(data) > len(magic) {
+				data[len(magic)] = 0
+				if det.RequiresSequential() {
+					data[len(magic)] = 1
+				}
 			}
 			rd := &chunkReader{r: bytes.NewReader(data), n: 5}
 			if err := ReplayWithLimits(rd, det, nil, lim); err != nil && !isDecodeSentinel(err) {
