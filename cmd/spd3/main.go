@@ -181,7 +181,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		rec = trace.NewRecorder(f, det.RequiresSequential())
+		rec = trace.NewRecorder(f, detect.DepthFirst(det))
 		det = rec
 	}
 	rt, err := task.New(task.Config{Executor: task.Auto, Workers: *workers, Detector: det, Stats: ses.Rec})

@@ -125,9 +125,6 @@ func (d *Detector) StepOf(t *detect.Task) uint32 { return t.Step }
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "spd3" }
 
-// RequiresSequential implements detect.Detector: SPD3 runs in parallel.
-func (d *Detector) RequiresSequential() bool { return false }
-
 // relation answers DMHP for a recorded step a and the accessing step s,
 // both by id, with the id of the side of their LCA the recorded step is
 // on (0 for none). A step below the watermark (an empty field, id 0,

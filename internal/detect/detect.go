@@ -57,7 +57,8 @@
 //     it opens, its body panicked or not, so TaskEnd finds none open.
 //   - Depth-first: under the sequential executor (a trace whose executor
 //     byte says so) the tasks spawned and not ended form a stack, and
-//     only the one on top acts. ESP-bags is sound on that order only.
+//     only the one on top acts. ESP-bags is sound on that order only, and
+//     says so (DepthFirst): replay gives it only a trace recorded so.
 //   - Locks: a task acquires only a lock no live task holds, releases
 //     only a lock it holds, and holds none at its last event.
 //
@@ -367,15 +368,13 @@ func Update(sh Shadow, t *Task, i int) {
 	sh.Write(t, i)
 }
 
-// Detector is implemented by every race-detection algorithm.
+// Detector is implemented by every race-detection algorithm. Two facts
+// are optional methods, each asked by one helper: Owned (the runtime
+// then runs it sequentially) and DepthFirst (replay then feeds it only
+// sequential traces).
 type Detector interface {
 	// Name returns a short stable identifier ("spd3", "fasttrack", ...).
 	Name() string
-
-	// RequiresSequential reports whether the algorithm is only correct
-	// under depth-first sequential execution (true for ESP-bags). The
-	// engine refuses to pair such a detector with a parallel executor.
-	RequiresSequential() bool
 
 	// MainTask announces the root task and its implicit enclosing finish.
 	// It is the first event of a run.
@@ -452,7 +451,6 @@ type Footprint = stats.Footprint
 type Nop struct{}
 
 func (Nop) Name() string                { return "base" }
-func (Nop) RequiresSequential() bool    { return false }
 func (Nop) MainTask(*Task, *Finish)     {}
 func (Nop) BeforeSpawn(*Task, *Task)    {}
 func (Nop) TaskEnd(*Task)               {}

@@ -186,7 +186,7 @@ func TestFootprintTotal(t *testing.T) {
 
 func TestNopDetector(t *testing.T) {
 	var d Detector = Nop{}
-	if d.Name() != "base" || d.RequiresSequential() {
+	if d.Name() != "base" || DepthFirst(d) || Owned(d) {
 		t.Fatal("Nop misconfigured")
 	}
 	sh := d.NewShadow(Spec("x", 4, 8))

@@ -21,16 +21,25 @@ type FactoryOpts struct {
 	Owned bool
 }
 
-// Owned reports whether d was built for one goroutine: every memory
-// action it will ever check is made by the same goroutine, as in a trace
-// replay or a run under the sequential executor, so it may publish its
-// shadow state without synchronization. A detector says so through an
-// optional Owned method; one without it is shared. Ownership is fixed
-// when the detector is built (FactoryOpts.Owned) and never changes, and
-// the task runtime refuses an owned detector under a parallel executor.
+// Owned reports whether one goroutine drives d: every event and memory
+// action it sees comes from the same goroutine, as in a trace replay or
+// a run under the sequential executor. A detector says so through an
+// optional Owned method; one without it is shared. SPD3 is owned when
+// built so (FactoryOpts.Owned) and then publishes without
+// synchronization; a detector only one goroutine may ever drive says so
+// whatever FactoryOpts.Owned is. Owned alone picks the task runtime's
+// executor: Auto resolves it to the sequential one, and Pool refuses it.
 func Owned(d Detector) bool {
 	o, ok := d.(interface{ Owned() bool })
 	return ok && o.Owned()
+}
+
+// DepthFirst reports whether d is only correct on depth-first order, as
+// ESP-bags is, through an optional RequiresSequential method; replay
+// refuses such a detector a trace not recorded sequentially.
+func DepthFirst(d Detector) bool {
+	o, ok := d.(interface{ RequiresSequential() bool })
+	return ok && o.RequiresSequential()
 }
 
 // VerdictVersion names what every listed detector reports and counts when
@@ -53,7 +62,7 @@ type Factory func(FactoryOpts) Detector
 type registryEntry struct {
 	factory    Factory
 	hidden     bool
-	sequential bool // RequiresSequential, asked once at registration
+	sequential bool // DepthFirst, asked once at registration
 }
 
 var (
@@ -66,7 +75,7 @@ var (
 // (in the style of database/sql drivers), so adding a detector to the
 // repository is one self-registering file. It panics if name is empty,
 // already registered, or f is nil. Registration constructs the detector
-// once with empty FactoryOpts to record RequiresSequential, so factories
+// once with empty FactoryOpts to record DepthFirst, so factories
 // must tolerate a nil Sink and Stats at construction time (all in-repo
 // factories do — the sink is only dereferenced when a race is reported).
 func Register(name string, f Factory) {
@@ -90,7 +99,7 @@ func register(name string, f Factory, hidden bool) {
 		panic("detect: Register with nil factory for " + name)
 	}
 	// Asked outside the lock: a variant's factory may itself call New.
-	sequential := f(FactoryOpts{}).RequiresSequential()
+	sequential := DepthFirst(f(FactoryOpts{}))
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[name]; dup {
@@ -146,9 +155,9 @@ func Sequential(name string) bool {
 type Description struct {
 	// Name is the registry name the detector is constructible under.
 	Name string `json:"name"`
-	// Sequential reports RequiresSequential: the detector is only
-	// correct under depth-first execution, so it can consume only
-	// traces recorded sequentially and cannot run under the pool.
+	// Sequential reports DepthFirst: the detector is only correct
+	// under depth-first execution, so it can consume only traces
+	// recorded sequentially and cannot run under the pool.
 	Sequential bool `json:"sequential"`
 }
 

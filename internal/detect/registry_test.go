@@ -6,7 +6,7 @@ import (
 )
 
 // seqStub is a registrable detector stub with a configurable
-// RequiresSequential answer.
+// DepthFirst answer.
 type seqStub struct {
 	Nop
 	seq bool
@@ -18,7 +18,7 @@ func (s seqStub) RequiresSequential() bool { return s.seq }
 // name, so the stubs register once however often -count reruns the test.
 var (
 	registerStubs sync.Once
-	seqStubBuilt  int // RequiresSequential is asked once, at registration
+	seqStubBuilt  int // DepthFirst is asked once, at registration
 )
 
 func TestDescribe(t *testing.T) {

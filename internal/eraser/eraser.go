@@ -46,9 +46,6 @@ func init() {
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "eraser" }
 
-// RequiresSequential implements detect.Detector.
-func (d *Detector) RequiresSequential() bool { return false }
-
 // taskState is the task's current lockset, maintained as an acquisition
 // stack. Only the owning task touches it.
 type taskState struct {

@@ -4,9 +4,11 @@
 // async/finish.
 //
 // The program must execute sequentially, depth-first (asyncs run inline,
-// immediately): the detector declares RequiresSequential and the runtime
-// enforces the pairing. During such an execution each dynamic task owns an
-// S-bag and each dynamic finish a P-bag, maintained over a union-find:
+// immediately): the detector is owned (detect.Owned), so the runtime runs
+// it only under the sequential executor, and needs depth-first order
+// (detect.DepthFirst), so replay feeds it only sequential traces. During
+// such an execution each dynamic task owns an S-bag and each dynamic
+// finish a P-bag, maintained over a union-find:
 //
 //   - spawn of A:   S(A) = {A}
 //   - end of A:     P(IEF(A)) absorbs S(A)
@@ -130,10 +132,11 @@ func init() {
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "espbags" }
 
-// RequiresSequential is ESP-bags' defining restriction (§1 limitation
-// (ii)): the analysis only works during a depth-first sequential
-// execution.
+// RequiresSequential and Owned are ESP-bags' defining restriction (§1
+// limitation (ii)): the analysis only works during a depth-first
+// sequential execution (detect.DepthFirst), which one goroutine drives.
 func (d *Detector) RequiresSequential() bool { return true }
+func (d *Detector) Owned() bool              { return true }
 
 type taskState struct {
 	e *elem

@@ -24,8 +24,8 @@ func run(t *testing.T, body func(c *task.Ctx, sh detect.Shadow)) []detect.Race {
 
 func TestRequiresSequential(t *testing.T) {
 	d := New(detect.NewSink(false, 0), nil)
-	if !d.RequiresSequential() {
-		t.Fatal("ESP-bags must demand sequential execution")
+	if !detect.DepthFirst(d) || !detect.Owned(d) {
+		t.Fatal("ESP-bags must demand depth-first order and one goroutine")
 	}
 	if _, err := task.New(task.Config{Executor: task.Pool, Detector: d}); err == nil {
 		t.Fatal("pairing ESP-bags with the pool executor must fail")

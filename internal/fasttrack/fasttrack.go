@@ -50,10 +50,6 @@ func init() {
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "fasttrack" }
 
-// RequiresSequential implements detect.Detector: FastTrack runs in
-// parallel.
-func (d *Detector) RequiresSequential() bool { return false }
-
 // taskState is the per-task analysis state. The clock is owned by the
 // task's goroutine between events; the runtime's spawn/join edges hand it
 // over safely.

@@ -35,7 +35,8 @@ type access struct {
 }
 
 // Oracle is a detect.Detector that records instead of detecting. Run the
-// program under it (sequential executor only), then query Races or MHP.
+// program under it (the sequential executor), or replay a recording of
+// any run into it, then query Races or MHP.
 //
 // For pure async/finish programs the recorded DAG is schedule-independent
 // and the verdict covers every schedule (the paper's setting). When the
@@ -70,10 +71,10 @@ func New() *Oracle {
 // Name implements detect.Detector.
 func (o *Oracle) Name() string { return "oracle" }
 
-// RequiresSequential implements detect.Detector. The oracle mutates its
-// DAG without synchronization, so it runs depth-first only; the recorded
-// DAG is schedule-independent anyway.
-func (o *Oracle) RequiresSequential() bool { return true }
+// Owned is always true (detect.Owned): the oracle mutates its DAG
+// without synchronization, so one goroutine drives it, a sequential run
+// or a replay of a recording made in any order.
+func (o *Oracle) Owned() bool { return true }
 
 type taskState struct{ cur *gstep }
 
@@ -163,8 +164,8 @@ func (o *Oracle) Release(t *detect.Task, l *detect.Lock) {
 }
 
 // NewShadow implements detect.Detector. Growable regions start empty and
-// extend on first access — the oracle is sequential-only, so plain slice
-// growth is safe.
+// extend on first access — the oracle is owned, so plain slice growth is
+// safe.
 func (o *Oracle) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	r := &regionLog{name: spec.Name, elems: make([][]access, spec.Len)}
 	o.regions[spec.Name] = r

@@ -59,18 +59,19 @@ func racyIndices(races []detect.Race) []int {
 }
 
 // TestPanicSweep: a task body that panics leaves every finish it is in as
-// a return would. Each program panics at one access site chosen by its
-// seed; under the sequential executor and the pool at 1, 4 and 16
-// workers, the recording replays and every spawned task reaches its
-// TaskEnd and every finish ends (tracetest), and Run's error, the event
-// counts and SPD3's racy indices are the same on every executor (the race
-// kinds at an index may depend on the schedule). A second Run on the same
-// runtime delivers what the first did, and no worker goroutine outlives
-// the runs.
+// a return would, and every lock it holds. Each program, without locks
+// and with two, panics at one access site chosen by its seed; under the
+// sequential executor and the pool at 1, 4 and 16 workers, the recording
+// replays and every spawned task reaches its TaskEnd holding no lock and
+// every finish ends (tracetest), and Run's error, the event counts and
+// SPD3's racy indices are the same on every executor (the race kinds at
+// an index may depend on the schedule). A second Run on the same runtime
+// delivers what the first did, and no worker goroutine outlives the runs.
 func TestPanicSweep(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for seed := int64(0); seed < panicSeeds; seed++ {
-		p := Generate(seed, Config{})
+	for i := int64(0); i < 2*panicSeeds; i++ {
+		seed, cfg := i/2, Config{Locks: 2 * int(i%2)}
+		p := Generate(seed, cfg)
 		if p.Sites == 0 {
 			continue
 		}

@@ -203,11 +203,12 @@ func (e *execEnv) execNode(c *task.Ctx, n *Node) {
 	case Finish:
 		c.Finish(func(c *task.Ctx) { e.execList(c, n.Children) })
 	case Locked:
+		// Deferred, so a body that panics still releases both.
 		e.mus[n.Var].Lock()
+		defer e.mus[n.Var].Unlock()
 		c.Acquire(e.locks[n.Var])
+		defer c.Release(e.locks[n.Var])
 		e.execList(c, n.Children)
-		c.Release(e.locks[n.Var])
-		e.mus[n.Var].Unlock()
 	case Loop:
 		for i := 0; i < n.Var; i++ {
 			e.execList(c, n.Children)

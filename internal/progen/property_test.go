@@ -72,7 +72,7 @@ func vsOracle(t *testing.T, cfg Config, list []exec, mk func(*detect.Sink) detec
 			}
 			if cfg.Locks > 0 {
 				o := graph.New()
-				if err := trace.Replay(bytes.NewReader(det.Trace()), anyOrder{o}); err != nil {
+				if err := trace.Replay(bytes.NewReader(det.Trace()), o); err != nil {
 					t.Fatal(err)
 				}
 				want = o.HasRace()
@@ -83,13 +83,6 @@ func vsOracle(t *testing.T, cfg Config, list []exec, mk func(*detect.Sink) detec
 		}
 	}
 }
-
-// anyOrder is the oracle fed by replay, which runs one task at a time:
-// it needs the sequential executor only because it does not synchronise,
-// and its DAG holds for any order of a recording.
-type anyOrder struct{ *graph.Oracle }
-
-func (anyOrder) RequiresSequential() bool { return false }
 
 // TestSPD3SoundAndPreciseVsOracle is the central property test for
 // Theorems 2–4: over hundreds of random programs, SPD3's verdict under

@@ -48,10 +48,10 @@ type ExecKind uint8
 
 const (
 	// Auto (the zero value) lets New pick: Sequential when the detector
-	// requires it or is owned by one goroutine (detect.Owned), Pool
-	// otherwise. Because Auto is distinguishable from an explicit choice,
-	// New can reject an explicit executor the detector cannot run under
-	// instead of silently overriding it.
+	// is owned by one goroutine (detect.Owned), Pool otherwise. Because
+	// Auto is distinguishable from an explicit choice, New can reject an
+	// explicit executor the detector cannot run under instead of
+	// silently overriding it.
 	Auto ExecKind = iota
 	// Pool is the work-stealing worker pool (the parallel default).
 	Pool
@@ -73,8 +73,7 @@ func (k ExecKind) String() string {
 }
 
 // ErrExecutorMismatch reports an explicit executor the detector cannot
-// run under (a sequential-only or an owned detector with Pool); New
-// returns it wrapped.
+// run under (an owned detector with Pool); New returns it wrapped.
 var ErrExecutorMismatch = errors.New("task: detector incompatible with selected executor")
 
 // Config configures a Runtime.
@@ -118,22 +117,17 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Detector == nil {
 		cfg.Detector = detect.Nop{}
 	}
-	// An owned detector publishes its shadow state with plain stores
-	// (detect.Owned), so it must never meet a second goroutine.
-	seqOnly, owned := cfg.Detector.RequiresSequential(), detect.Owned(cfg.Detector)
+	// An owned detector must never meet a second goroutine (detect.Owned).
+	owned := detect.Owned(cfg.Detector)
 	if cfg.Executor == Auto {
-		if seqOnly || owned {
+		if owned {
 			cfg.Executor = Sequential
 		} else {
 			cfg.Executor = Pool
 		}
 	}
-	switch {
-	case seqOnly && cfg.Executor != Sequential:
-		return nil, fmt.Errorf("%w: detector %q requires the sequential executor (got %s)",
-			ErrExecutorMismatch, cfg.Detector.Name(), cfg.Executor)
-	case owned && cfg.Executor != Sequential:
-		return nil, fmt.Errorf("%w: detector %q is owned by one goroutine and cannot run under %s",
+	if owned && cfg.Executor != Sequential {
+		return nil, fmt.Errorf("%w: detector %q is owned by one goroutine and requires the sequential executor (got %s)",
 			ErrExecutorMismatch, cfg.Detector.Name(), cfg.Executor)
 	}
 	rt := &Runtime{det: cfg.Detector, st: cfg.Stats, kind: cfg.Executor, workers: cfg.Workers, ec: sched.NewEventCount()}

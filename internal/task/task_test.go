@@ -1,7 +1,6 @@
 package task
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -571,21 +570,6 @@ func TestChunkGrain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSequentialDetectorPairing(t *testing.T) {
-	seqOnly := seqOnlyDetector{}
-	if _, err := New(Config{Executor: Pool, Detector: seqOnly}); !errors.Is(err, ErrExecutorMismatch) {
-		t.Fatalf("pairing a sequential-only detector with the pool executor: err = %v, want ErrExecutorMismatch", err)
-	}
-	if _, err := New(Config{Executor: Sequential, Detector: seqOnly}); err != nil {
-		t.Fatalf("sequential pairing failed: %v", err)
-	}
-}
-
-type seqOnlyDetector struct{ detect.Nop }
-
-func (seqOnlyDetector) RequiresSequential() bool { return true }
-func (seqOnlyDetector) Name() string             { return "seq-only" }
 
 func TestRuntimeAccessors(t *testing.T) {
 	det := detect.Nop{}

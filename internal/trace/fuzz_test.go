@@ -74,7 +74,7 @@ func FuzzReplay(f *testing.F) {
 			}
 			if len(data) > len(magic) {
 				data[len(magic)] = 0
-				if det.RequiresSequential() {
+				if detect.DepthFirst(det) {
 					data[len(magic)] = 1
 				}
 			}

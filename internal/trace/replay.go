@@ -65,7 +65,7 @@ func ReplayWithLimits(rd io.Reader, det detect.Detector, rec *stats.Recorder, li
 	if err != nil {
 		return err
 	}
-	if det.RequiresSequential() && !dec.sequential {
+	if detect.DepthFirst(det) && !dec.sequential {
 		return fmt.Errorf("trace: %w: detector %q needs a depth-first trace; this one was recorded in parallel", ErrSequentialOnly, det.Name())
 	}
 	st := &replayState{det: det, lim: lim, seq: dec.sequential, tasks: map[int64]*replayTask{}, locks: map[int64]*replayLock{}}

@@ -76,9 +76,9 @@ type Recorder struct {
 	err     error
 }
 
-// NewRecorder returns a recorder writing to w. Set sequential when the
-// runtime uses the depth-first executor; it widens the set of detectors
-// the trace can legally replay into.
+// NewRecorder returns a recorder writing to w. Set sequential to record
+// depth-first: the recorder is then owned, so the runtime runs it
+// sequentially, and its trace replays into ESP-bags too.
 func NewRecorder(w io.Writer, sequential bool) *Recorder {
 	r := &Recorder{sequential: sequential, w: bufio.NewWriter(w)}
 	_, r.err = r.w.Write(appendHeader(nil, sequential))
@@ -114,8 +114,8 @@ func (r *Recorder) write(enc []byte) {
 // Name implements detect.Detector.
 func (r *Recorder) Name() string { return "trace-recorder" }
 
-// RequiresSequential implements detect.Detector.
-func (r *Recorder) RequiresSequential() bool { return r.sequential }
+// Owned is the sequential flag, so the runtime keeps the header's promise.
+func (r *Recorder) Owned() bool { return r.sequential }
 
 // MainTask implements detect.Detector.
 func (r *Recorder) MainTask(t *detect.Task, implicit *detect.Finish) {
