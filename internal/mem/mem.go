@@ -225,9 +225,11 @@ func (v *Var[T]) Update(c *task.Ctx, f func(T) T) {
 // and Eraser use for their lock semantics. SPD3 and ESP-bags, which
 // target pure async/finish programs, ignore the events.
 //
-// Do not hold a Mutex across the end of a finish. A pool worker waiting
-// there helps by running other tasks on its stack, and a sibling it picks
-// up that takes the same lock blocks that worker forever: a deadlock.
+// A Mutex may be held across the end of a finish: a pool worker whose
+// task holds a lock helps there only by running that finish's own tasks,
+// never a stranger that could take the lock beneath it. But a task of
+// that finish that takes the same lock deadlocks under any schedule: the
+// finish waits for it, and it waits for the lock.
 type Mutex struct {
 	mu sync.Mutex
 	l  *detect.Lock

@@ -20,13 +20,14 @@ import (
 // here, mirroring RoadRunner's special barrier events) receive
 // arrive/depart notifications and can credit the barrier's ordering.
 //
-// Executor requirements. A barrier wait cannot "help" run other tasks —
-// a helper could nest another participant beneath the blocked one and
-// deadlock the generation — so blocked participants occupy their worker.
-// A barrier for n tasks therefore needs a pool of Workers >= n (enforced
-// at Await; the original JGF programs likewise ran one barrier thread per
-// core), and the sequential executor cannot run barrier programs at all
-// (Await panics, surfacing as a Run error).
+// Executor requirements. A barrier wait parks in the worker's one wait
+// loop (worker.until) with nothing to run: a helper could nest another
+// participant beneath the blocked one and deadlock the generation, so
+// blocked participants occupy their worker. A barrier for n tasks
+// therefore needs a pool of Workers >= n (enforced at Await; the original
+// JGF programs likewise ran one barrier thread per core), and the
+// sequential executor cannot run barrier programs at all (Await panics,
+// surfacing as a Run error).
 type Barrier struct {
 	rt *Runtime
 	b  *detect.BarrierInfo
@@ -72,7 +73,11 @@ func (b *Barrier) Await(c *Ctx) {
 		b.rt.ec.Signal()
 	} else {
 		b.mu.Unlock()
-		b.rt.exec.parkFor(c, func() bool { return b.gen.Load() != gen })
+		// Depth-first execution cannot make progress while blocked.
+		if b.rt.kind == Sequential {
+			panic("task: blocking synchronization (barrier) deadlocks under the sequential executor")
+		}
+		c.w.until(func() bool { return b.gen.Load() != gen }, nothing)
 	}
 	if obs != nil {
 		obs.BarrierDepart(&c.task, b.b, int(gen))

@@ -34,6 +34,11 @@ type worker struct {
 	dq  *sched.Deque[Ctx]
 	rng uint64
 
+	// locks counts the instrumented locks held by the task this worker
+	// is running (Ctx.Acquire, Ctx.Release). A task runs on one worker,
+	// so the count has one owner; wait reads it.
+	locks int
+
 	// free holds the records of tasks this worker ran to the end, for
 	// its next spawns (recycle); scopes the finish scopes and frames the
 	// Cilk frames its tasks closed, for their next Finish and RunCilk. A
@@ -92,64 +97,55 @@ func (p *poolExec) spawn(parent, child *Ctx) {
 
 // wait blocks until s has drained, helping by running other tasks so
 // that a fixed worker pool cannot deadlock on structured joins whose
-// tasks sit in some deque.
+// tasks sit in some deque. A worker that holds an instrumented lock helps
+// only from its own deque: a stranger it stole could take that lock
+// beneath it and block its worker forever. Thieves take the oldest task,
+// so while a task pushed before the finish began is still on the deque,
+// none of the finish's tasks was stolen from it; the worker's own pops
+// therefore run only the finish's tasks until the scope drains.
 func (p *poolExec) wait(c *Ctx, s *scope) {
 	w := c.w
-	rt := w.rt
-	for {
-		if s.pending.Load() == 0 {
-			return
-		}
-		if t := w.find(); t != nil {
-			w.exec(t)
-			continue
-		}
-		ep := rt.ec.PrepareWait()
-		if s.pending.Load() == 0 {
-			rt.ec.CancelWait()
-			return
-		}
-		if t := w.find(); t != nil {
-			rt.ec.CancelWait()
-			w.exec(t)
-			continue
-		}
-		rt.ec.CommitWait(ep)
+	find := w.find
+	if w.locks != 0 {
+		find = w.pop
 	}
+	w.until(func() bool { return s.pending.Load() == 0 }, find)
 }
-
-// parkFor blocks without helping; see the executor interface for why
-// barrier waits must not run other tasks on this stack. The other
-// participants are picked up by idle workers stealing from this worker's
-// deque, which is why barriers on the pool executor need at least as
-// many workers as concurrently blocked tasks.
-func (p *poolExec) parkFor(c *Ctx, done func() bool) { c.w.rt.park(done) }
 
 // loop is the top-level routine of workers 1..n-1 (worker 0 is driven by
 // the Run caller). It runs until the pool is shut down.
 func (w *worker) loop() {
 	defer w.p.wg.Done()
-	for {
-		if t := w.find(); t != nil {
-			w.exec(t)
-			continue
+	w.until(w.p.done.Load, w.find)
+}
+
+// until runs the tasks find returns until done reports true, and parks
+// on the runtime's eventcount when there is nothing to run. done must be
+// monotonic: once true, it stays true. The checks are repeated once the
+// wait is prepared, which closes the race with a Signal that came after
+// the first ones.
+func (w *worker) until(done func() bool, find func() *Ctx) {
+	ec := w.rt.ec
+	for !done() {
+		t := find()
+		if t == nil {
+			ep := ec.PrepareWait()
+			if done() {
+				ec.CancelWait()
+				return
+			}
+			if t = find(); t == nil {
+				ec.CommitWait(ep)
+				continue
+			}
+			ec.CancelWait()
 		}
-		ep := w.rt.ec.PrepareWait()
-		if w.p.done.Load() {
-			w.rt.ec.CancelWait()
-			return
-		}
-		if t := w.find(); t != nil {
-			w.rt.ec.CancelWait()
-			w.exec(t)
-			continue
-		}
-		w.rt.ec.CommitWait(ep)
-		if w.p.done.Load() {
-			return
-		}
+		w.exec(t)
 	}
 }
+
+// nothing is the find of a wait that must not run other tasks.
+func nothing() *Ctx { return nil }
 
 // exec runs a task this worker popped or stole, or the sequential
 // executor's child just spawned, to its end (runTask); then it counts the
@@ -207,8 +203,7 @@ func (w *worker) recycle(c *Ctx) {
 // find returns a runnable task: first from the worker's own deque, then
 // by stealing.
 func (w *worker) find() *Ctx {
-	if c := w.dq.Pop(); c != nil {
-		w.local.Tally[stats.TaskInline]++
+	if c := w.pop(); c != nil {
 		return c
 	}
 	if c := w.steal(); c != nil {
@@ -216,6 +211,15 @@ func (w *worker) find() *Ctx {
 		return c
 	}
 	return nil
+}
+
+// pop returns the newest task on the worker's own deque.
+func (w *worker) pop() *Ctx {
+	c := w.dq.Pop()
+	if c != nil {
+		w.local.Tally[stats.TaskInline]++
+	}
+	return c
 }
 
 // steal scans the other workers' deques from a random starting victim.

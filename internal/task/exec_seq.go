@@ -35,12 +35,3 @@ func (seqExec) wait(c *Ctx, s *scope) {
 		panic(fmt.Sprintf("task: sequential executor reached end-finish with %d pending tasks", n))
 	}
 }
-
-func (seqExec) parkFor(c *Ctx, done func() bool) {
-	// Depth-first execution cannot make progress while blocked:
-	// constructs that synchronize *between* live tasks (barriers) are
-	// incompatible with sequential execution by nature.
-	if !done() {
-		panic("task: blocking synchronization (barrier) deadlocks under the sequential executor")
-	}
-}

@@ -10,9 +10,12 @@
 //
 //   - Pool: a fixed set of workers with Chase–Lev work-stealing deques;
 //     a worker blocked at an end-finish helps by running other tasks
-//     (this mirrors the HJ scheduler the paper evaluates on). SPD3 —
-//     unlike SP-hybrid — does not depend on the scheduler (§7): its
-//     verdicts agree at every worker count, 1 to 16.
+//     (this mirrors the HJ scheduler the paper evaluates on), and one
+//     whose task holds a lock helps only from its own deque. An
+//     end-finish, an idle worker and a barrier wait in one loop,
+//     worker.until, parking on one eventcount. SPD3 — unlike SP-hybrid —
+//     does not depend on the scheduler (§7): its verdicts agree at every
+//     worker count, 1 to 16.
 //   - Sequential: depth-first inline execution of every async; this is
 //     the execution model ESP-bags and SP-bags require (§1).
 //
@@ -214,22 +217,6 @@ func (rt *Runtime) capture(where string) {
 	}
 }
 
-// park blocks the calling goroutine on the runtime's eventcount until
-// done() reports true.
-func (rt *Runtime) park(done func() bool) {
-	for {
-		if done() {
-			return
-		}
-		ep := rt.ec.PrepareWait()
-		if done() {
-			rt.ec.CancelWait()
-			return
-		}
-		rt.ec.CommitWait(ep)
-	}
-}
-
 // scope is the one record of a dynamic finish instance: the detect.Finish
 // the detector sees (a task's IEF points at it) and the count of live
 // tasks registered to it. The counter can touch zero and rise again
@@ -396,11 +383,19 @@ func (c *Ctx) ChunkGrain(n int) int {
 }
 
 // Acquire locks l's detector state; use via mem.Mutex, which pairs it
-// with a real sync.Mutex.
-func (c *Ctx) Acquire(l *detect.Lock) { c.w.rt.det.Acquire(&c.task, l) }
+// with a real sync.Mutex. The worker counts the locks its task holds, so
+// that a finish it ends meanwhile helps only from its own deque
+// (poolExec.wait).
+func (c *Ctx) Acquire(l *detect.Lock) {
+	c.w.locks++
+	c.w.rt.det.Acquire(&c.task, l)
+}
 
 // Release is the counterpart of Acquire.
-func (c *Ctx) Release(l *detect.Lock) { c.w.rt.det.Release(&c.task, l) }
+func (c *Ctx) Release(l *detect.Lock) {
+	c.w.rt.det.Release(&c.task, l)
+	c.w.locks--
+}
 
 // runBody runs c's body, or its Cilk procedure under RunCilk, on its
 // worker's block and records a panic in it as the run's failure, so the
@@ -439,7 +434,10 @@ func (rt *Runtime) runTask(c *Ctx) {
 	rt.det.TaskEnd(&c.task)
 }
 
-// executor abstracts over the two execution strategies.
+// executor abstracts over the two execution strategies: how a spawned
+// task becomes runnable and how an end-finish waits. A barrier wait is no
+// executor's: Barrier.Await parks in worker.until itself, or panics under
+// the sequential executor.
 type executor interface {
 	// run sets the strategy up, executes rt.runMain on a worker driven by
 	// the calling goroutine, tears the strategy down and flushes its
@@ -449,14 +447,8 @@ type executor interface {
 	spawn(parent, child *Ctx)
 	// wait blocks the calling task until s has no pending tasks,
 	// running other tasks meanwhile where the strategy allows (the pool
-	// executor "helps"; the sequential executor cannot and panics if s
-	// has not drained). Safe because joins are tree-shaped: helping
-	// cannot create cycles.
+	// executor "helps", in worker.until; the sequential executor cannot
+	// and panics if s has not drained). Safe because joins are
+	// tree-shaped: helping cannot create cycles.
 	wait(c *Ctx, s *scope)
-	// parkFor blocks the calling task until done() reports true and
-	// never helps: required for barrier-style waits, where running
-	// another participant on the blocked task's stack would nest it
-	// beneath the waiter and deadlock the generation. done must be
-	// monotonic: once true, it stays true.
-	parkFor(c *Ctx, done func() bool)
 }

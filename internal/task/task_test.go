@@ -686,12 +686,32 @@ func TestSpawnAllocs(t *testing.T) {
 // TestFinishAllocs is TestSpawnAllocs for a finish: its one record, the
 // scope with the detect.Finish embedded, is the one the previous finish
 // gave back to the worker's free list, and SPD3's three nodes come out of
-// the arena: nothing.
+// the arena: nothing. Under one pool worker the finish also waits in
+// worker.until, whose closures stay on the stack, whether the wait helps
+// or, with a lock held, only pops: an empty finish and a finish of one
+// async under a lock allocate nothing either, the async's record being
+// the one the previous async left.
 func TestFinishAllocs(t *testing.T) {
 	body := func(*Ctx) {}
-	for _, detector := range []string{"none", "spd3"} {
-		if got := allocsPerOp(t, Config{Executor: Sequential}, detector, func(c *Ctx) { c.Finish(body) }); got != 0 {
-			t.Errorf("detector %s: one Finish allocates %v objects, want 0", detector, got)
+	lock := &detect.Lock{ID: 1}
+	locked := func(c *Ctx) {
+		c.Acquire(lock)
+		c.Finish(func(c *Ctx) { c.Async(func(*Ctx) {}) })
+		c.Release(lock)
+	}
+	for _, in := range []struct {
+		name string
+		cfg  Config
+		op   func(*Ctx)
+	}{
+		{"empty finish", Config{Executor: Sequential}, func(c *Ctx) { c.Finish(body) }},
+		{"empty finish", Config{Executor: Pool, Workers: 1}, func(c *Ctx) { c.Finish(body) }},
+		{"one async under a lock", Config{Executor: Pool, Workers: 1}, locked},
+	} {
+		for _, detector := range []string{"none", "spd3"} {
+			if got := allocsPerOp(t, in.cfg, detector, in.op); got != 0 {
+				t.Errorf("%s, detector %s: %s allocates %v objects, want 0", in.cfg.Executor, detector, in.name, got)
+			}
 		}
 	}
 }
