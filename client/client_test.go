@@ -85,19 +85,17 @@ func recordRacy(t *testing.T, seq bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rb := range bench.Racy() {
-		if rb.Name == "RacyMonteCarlo" {
-			if _, err := rb.Run(rt, bench.Input{Scale: 0.2}); err != nil {
-				t.Fatal(err)
-			}
-			if err := rec.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
+	rmc, err := bench.ByName("RacyMonteCarlo")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("RacyMonteCarlo not in bench.Racy()")
-	return nil
+	if _, err := rmc.Run(rt, bench.Input{Scale: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestClientRoundTrip drives every one-call client method against a

@@ -1,5 +1,5 @@
 // Command spd3load measures the service-level performance of a running
-// spd3d daemon: it records one benchmark trace in-process (record once —
+// spd3d daemon: it records one program's trace in-process (record once —
 // SPD3's Theorem 1 makes that single trace certify all schedules of the
 // input), then drives N concurrent one-call analyses (client.Analyze:
 // submit, wait, result, delete over /v2) and prints throughput and
@@ -9,9 +9,9 @@
 //
 //	spd3d -addr :7331 &
 //	spd3load -addr http://127.0.0.1:7331 -bench SOR -size 0.2 -c 8 -n 200
-//	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -detector all -d 10s
-//	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -scale 64 -c 2 -n 8
-//	spd3load -addr http://127.0.0.1:7331 -racy RacyMonteCarlo -tenant ci -digest
+//	spd3load -addr http://127.0.0.1:7331 -bench RacyMonteCarlo -detector all -d 10s
+//	spd3load -addr http://127.0.0.1:7331 -bench RacyMonteCarlo -scale 64 -c 2 -n 8
+//	spd3load -addr http://127.0.0.1:7331 -bench RacyMonteCarlo -tenant ci -digest
 //
 // -scale N streams an N×-amplified trace per request without ever
 // materializing it client-side (trace.Amplifier synthesizes the bytes on
@@ -55,8 +55,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "http://127.0.0.1:7331", "spd3d base URL")
-		name     = flag.String("bench", "SOR", "benchmark to record (see spd3 -list)")
-		racy     = flag.String("racy", "", "record a deliberately racy variant instead of -bench")
+		name     = flag.String("bench", "SOR", "program to record (see spd3 -list)")
 		detector = flag.String("detector", "spd3", "detector the daemon should run (or \"all\")")
 		size     = flag.Float64("size", 0.2, "problem-size multiplier for the recorded run")
 		scale    = flag.Int("scale", 1, "stream an N×-amplified trace per request (synthesized on the fly, never materialized client-side)")
@@ -72,14 +71,10 @@ func main() {
 	)
 	flag.Parse()
 
-	data, err := recordTrace(*name, *racy, *size, *chunked, *seq, *workers)
+	data, err := recordTrace(*name, *size, *chunked, *seq, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spd3load:", err)
 		os.Exit(1)
-	}
-	label := *name
-	if *racy != "" {
-		label = *racy
 	}
 	wireBytes := int64(len(data))
 	if *scale > 1 {
@@ -90,9 +85,9 @@ func main() {
 		}
 		wireBytes = amp.SizeHint()
 		fmt.Printf("trace     : %s ×%d (%d bytes recorded, ~%d bytes streamed per request, sequential=%v)\n",
-			label, *scale, len(data), wireBytes, *seq)
+			*name, *scale, len(data), wireBytes, *seq)
 	} else {
-		fmt.Printf("trace     : %s (%d bytes, sequential=%v)\n", label, len(data), *seq)
+		fmt.Printf("trace     : %s (%d bytes, sequential=%v)\n", *name, len(data), *seq)
 	}
 
 	cl := client.New(*addr)
@@ -175,9 +170,16 @@ func daemonSummary(before, after *client.Statsz, found int) string {
 	return b.String()
 }
 
-// recordTrace runs the selected benchmark once under the trace recorder
+// recordTrace runs the named program once under the trace recorder
 // and returns the trace bytes.
-func recordTrace(name, racy string, scale float64, chunked, seq bool, workers int) ([]byte, error) {
+func recordTrace(name string, scale float64, chunked, seq bool, workers int) ([]byte, error) {
+	b, err := bench.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if b.NeedsParallel && seq {
+		return nil, fmt.Errorf("%s needs the parallel executor; drop -seq", name)
+	}
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf, seq)
 	exec := task.Pool
@@ -188,29 +190,7 @@ func recordTrace(name, racy string, scale float64, chunked, seq bool, workers in
 	if err != nil {
 		return nil, err
 	}
-	in := bench.Input{Scale: scale, Chunked: chunked}
-	if racy != "" {
-		for _, rb := range bench.Racy() {
-			if rb.Name == racy {
-				if rb.NeedsParallel && seq {
-					return nil, fmt.Errorf("racy variant %q needs the parallel executor; drop -seq", racy)
-				}
-				if _, err := rb.Run(rt, in); err != nil {
-					return nil, err
-				}
-				if err := rec.Close(); err != nil {
-					return nil, err
-				}
-				return buf.Bytes(), nil
-			}
-		}
-		return nil, fmt.Errorf("unknown racy variant %q", racy)
-	}
-	b, err := bench.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := b.Run(rt, in); err != nil {
+	if _, err := b.Run(rt, bench.Input{Scale: scale, Chunked: chunked}); err != nil {
 		return nil, err
 	}
 	if err := rec.Close(); err != nil {

@@ -32,7 +32,7 @@ func TestPercentile(t *testing.T) {
 // daemon: record once, analyze n times, verdicts and counts must add up,
 // the race digest is the same run after run, and every job is deleted.
 func TestLoadAgainstDaemon(t *testing.T) {
-	data, err := recordTrace("", "RacyMonteCarlo", 0.2, false, false, 4)
+	data, err := recordTrace("RacyMonteCarlo", 0.2, false, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

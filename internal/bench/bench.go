@@ -2,7 +2,8 @@
 // (Table 1): eight Java Grande Forum kernels, four Barcelona OpenMP Task
 // Suite programs, two Shootout benchmarks, and the EC2 MatMul challenge —
 // all rewritten as async/finish programs over the structured task runtime
-// with instrumented shared memory.
+// with instrumented shared memory — and the deliberately racy programs
+// behind the paper's §6.1 and §6.3 findings. One table lists them all.
 //
 // Following §6, every data-parallel loop exists in two decompositions:
 //
@@ -20,7 +21,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"spd3/internal/task"
 )
@@ -35,12 +35,12 @@ type Input struct {
 	Chunked bool
 }
 
-// Benchmark is one suite entry.
+// Benchmark is one program of the corpus.
 type Benchmark struct {
-	// Name is the Table 1 benchmark name.
+	// Name is the Table 1 benchmark name, or the racy program's name.
 	Name string
 	// Source is the originating suite ("JGF §2", "JGF §3", "BOTS",
-	// "Shootout", "EC2").
+	// "Shootout", "EC2"), or "racy" for the deliberately racy programs.
 	Source string
 	// Desc is the Table 1 description.
 	Desc string
@@ -49,53 +49,71 @@ type Benchmark struct {
 	// JGF marks the eight Java Grande benchmarks used in the
 	// Table 2/3 tool comparison.
 	JGF bool
+	// NeedsParallel marks programs using blocking barriers, which the
+	// sequential executor cannot run.
+	NeedsParallel bool
 	// Run executes the benchmark on rt and returns its checksum.
 	Run func(rt *task.Runtime, in Input) (float64, error)
 }
 
-var registry = map[string]*Benchmark{}
+// racy is the Source of the deliberately racy programs.
+const racy = "racy"
 
-func register(b *Benchmark) {
-	if _, dup := registry[b.Name]; dup {
-		panic("bench: duplicate benchmark " + b.Name)
-	}
-	registry[b.Name] = b
+// table is the whole corpus: Table 1's fifteen benchmarks in paper
+// order, then the racy programs behind the §6.1 and §6.3 findings, which
+// SPD3 is expected to report on.
+var table = []*Benchmark{
+	{Name: "Series", Source: "JGF §2", Desc: "Fourier coefficient analysis", Args: "(C)", JGF: true, Run: runSeries},
+	{Name: "LUFact", Source: "JGF §2", Desc: "LU factorisation", Args: "(C)", JGF: true, Run: runLUFact},
+	{Name: "SOR", Source: "JGF §2", Desc: "Successive over-relaxation", Args: "(C)", JGF: true, Run: runSOR},
+	{Name: "Crypt", Source: "JGF §2", Desc: "IDEA encryption", Args: "(C)", JGF: true, Run: runCrypt},
+	{Name: "Sparse", Source: "JGF §2", Desc: "Sparse matrix multiplication", Args: "(C)", JGF: true, Run: runSparse},
+	{Name: "MolDyn", Source: "JGF §3", Desc: "Molecular dynamics simulation", Args: "(B)", JGF: true, Run: runMolDyn},
+	{Name: "MonteCarlo", Source: "JGF §3", Desc: "Monte Carlo simulation", Args: "(B)", JGF: true, Run: runMonteCarlo},
+	{Name: "RayTracer", Source: "JGF §3", Desc: "3D ray tracer", Args: "(B)", JGF: true, Run: runRayTracer},
+	{Name: "FFT", Source: "BOTS", Desc: "Fast Fourier transformation", Args: "(large)", Run: runFFT},
+	{Name: "Health", Source: "BOTS", Desc: "Simulates a country health system", Args: "(large)", Run: runHealth},
+	{Name: "NQueens", Source: "BOTS", Desc: "N Queens problem", Args: "(14)", Run: runNQueens},
+	{Name: "Strassen", Source: "BOTS", Desc: "Matrix multiply with Strassen's method", Args: "(large)", Run: runStrassen},
+	{Name: "Fannkuch", Source: "Shootout", Desc: "Indexed access to tiny integer sequence", Args: "(10M)", Run: runFannkuch},
+	{Name: "Mandelbrot", Source: "Shootout", Desc: "Generate Mandelbrot set portable bitmap", Args: "(8000)", Run: runMandelbrot},
+	{Name: "Matmul", Source: "EC2", Desc: "Matrix multiplication (iterative)", Args: "(1000^2)", Run: runMatmul},
+	{Name: "RacyMonteCarlo", Source: racy, Run: runRacyMonteCarlo,
+		Desc: "benign race: parallel tasks repeatedly assign the same value (§6.1)"},
+	{Name: "BuggyBarrier", Source: racy, Run: runBuggyBarrier,
+		Desc: "JGF-style hand-rolled barrier via unsynchronized flag array (§6.3)"},
+	{Name: "BarrierSOR", Source: racy, Run: runBarrierSOR, NeedsParallel: true,
+		Desc: "original JGF shape: persistent tasks + real barriers; race-free for FastTrack+barrier events, reported by SPD3 (§6.3)"},
 }
 
-// All returns the full suite in Table 1 order.
-func All() []*Benchmark {
-	out := make([]*Benchmark, 0, len(registry))
-	for _, b := range registry {
-		out = append(out, b)
-	}
-	order := map[string]int{
-		"Series": 0, "LUFact": 1, "SOR": 2, "Crypt": 3, "Sparse": 4,
-		"MolDyn": 5, "MonteCarlo": 6, "RayTracer": 7,
-		"FFT": 8, "Health": 9, "NQueens": 10, "Strassen": 11,
-		"Fannkuch": 12, "Mandelbrot": 13, "Matmul": 14,
-	}
-	sort.Slice(out, func(i, j int) bool { return order[out[i].Name] < order[out[j].Name] })
-	return out
-}
-
-// JGF returns the eight Java Grande benchmarks (the Table 2/3 subset).
-func JGF() []*Benchmark {
+// filter returns the table's programs that keep accepts, in table order.
+func filter(keep func(*Benchmark) bool) []*Benchmark {
 	var out []*Benchmark
-	for _, b := range All() {
-		if b.JGF {
+	for _, b := range table {
+		if keep(b) {
 			out = append(out, b)
 		}
 	}
 	return out
 }
 
-// ByName looks a benchmark up by its Table 1 name.
+// All returns the Table 1 suite in paper order.
+func All() []*Benchmark { return filter(func(b *Benchmark) bool { return b.Source != racy }) }
+
+// JGF returns the eight Java Grande benchmarks (the Table 2/3 subset).
+func JGF() []*Benchmark { return filter(func(b *Benchmark) bool { return b.JGF }) }
+
+// Racy returns the deliberately racy programs.
+func Racy() []*Benchmark { return filter(func(b *Benchmark) bool { return b.Source == racy }) }
+
+// ByName looks any program of the corpus up by name.
 func ByName(name string) (*Benchmark, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", name)
+	for _, b := range table {
+		if b.Name == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("bench: unknown benchmark %q", name)
 }
 
 // scaled resizes a default dimension by in.Scale (rounded to nearest),

@@ -54,6 +54,31 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := ByName("NoSuch"); err == nil {
 		t.Error("ByName must fail for unknown benchmarks")
 	}
+
+	// The racy programs follow the suite in the one table.
+	wantRacy := []string{"RacyMonteCarlo", "BuggyBarrier", "BarrierSOR"}
+	racy := Racy()
+	if len(racy) != len(wantRacy) {
+		t.Fatalf("Racy() has %d programs, want %v", len(racy), wantRacy)
+	}
+	for i, b := range racy {
+		if b.Name != wantRacy[i] {
+			t.Errorf("Racy() position %d: %s, want %s", i, b.Name, wantRacy[i])
+		}
+		if got, err := ByName(b.Name); err != nil || got != b {
+			t.Errorf("ByName(%q) = %v, %v", b.Name, got, err)
+		}
+	}
+	seen := map[string]bool{}
+	for _, b := range table {
+		if seen[b.Name] {
+			t.Errorf("duplicate program name %s", b.Name)
+		}
+		seen[b.Name] = true
+		if b.NeedsParallel != (b.Name == "BarrierSOR") {
+			t.Errorf("%s: NeedsParallel = %v, want it on BarrierSOR only", b.Name, b.NeedsParallel)
+		}
+	}
 }
 
 // TestAllRaceFreeUnderSPD3 is the §6.1 headline property: after the
@@ -228,14 +253,9 @@ func TestRacyVariantsReport(t *testing.T) {
 // FastTrack, which consumes the barrier events (RoadRunner's default
 // behaviour in the paper).
 func TestBarrierSORQuietUnderFastTrack(t *testing.T) {
-	var bsor *RacyBenchmark
-	for _, rb := range Racy() {
-		if rb.Name == "BarrierSOR" {
-			bsor = rb
-		}
-	}
-	if bsor == nil {
-		t.Fatal("BarrierSOR variant missing")
+	bsor, err := ByName("BarrierSOR")
+	if err != nil {
+		t.Fatal(err)
 	}
 	sink := detect.NewSink(false, 0)
 	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 4,

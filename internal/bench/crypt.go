@@ -7,17 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Crypt",
-		Source: "JGF §2",
-		Desc:   "IDEA encryption",
-		Args:   "(C)",
-		JGF:    true,
-		Run:    runCrypt,
-	})
-}
-
 // runCrypt is the JGF IDEA kernel: encrypt plain1 into crypt1, decrypt
 // into plain2, and verify plain2 == plain1. The 52-entry key schedules
 // are read-shared by every block task — with large arrays this is the

@@ -5,16 +5,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Fannkuch",
-		Source: "Shootout",
-		Desc:   "Indexed access to tiny integer sequence",
-		Args:   "(10M)",
-		Run:    runFannkuch,
-	})
-}
-
 // runFannkuch computes the maximum pancake-flip count over all
 // permutations of 1..k, parallelized over the k groups fixing the last
 // element. Permutation state is task-local (raw, per the §5.5 escape

@@ -8,16 +8,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "FFT",
-		Source: "BOTS",
-		Desc:   "Fast Fourier transformation",
-		Args:   "(large)",
-		Run:    runFFT,
-	})
-}
-
 // runFFT performs an n-point radix-2 complex FFT followed by the inverse
 // transform and checks the round trip. Each stage is a finish whose tasks
 // own disjoint butterfly groups; the twiddle factors are read-shared.

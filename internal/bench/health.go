@@ -5,16 +5,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Health",
-		Source: "BOTS",
-		Desc:   "Simulates a country health system",
-		Args:   "(large)",
-		Run:    runHealth,
-	})
-}
-
 // runHealth is a BOTS-style discrete simulation of a multilevel health
 // system: a tree of villages where patients arrive at the leaves, are
 // treated up to local capacity, and the remainder are referred to the

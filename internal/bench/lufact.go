@@ -8,17 +8,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "LUFact",
-		Source: "JGF §2",
-		Desc:   "LU factorisation",
-		Args:   "(C)",
-		JGF:    true,
-		Run:    runLUFact,
-	})
-}
-
 // runLUFact factorizes a dense n×n system with partial pivoting and
 // solves A·x = b, validating the residual (the JGF Linpack-derived
 // kernel). The trailing-submatrix update parallelizes over rows: every

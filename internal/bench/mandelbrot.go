@@ -5,16 +5,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Mandelbrot",
-		Source: "Shootout",
-		Desc:   "Generate Mandelbrot set portable bitmap",
-		Args:   "(8000)",
-		Run:    runMandelbrot,
-	})
-}
-
 // runMandelbrot renders an n×n bitmap of the Mandelbrot set over
 // [-1.5,0.5]×[-1,1], one task per scanline. All monitored accesses are
 // disjoint writes; the iteration work is task-local.

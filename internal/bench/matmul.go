@@ -5,16 +5,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Matmul",
-		Source: "EC2",
-		Desc:   "Matrix multiplication (iterative)",
-		Args:   "(1000^2)",
-		Run:    runMatmul,
-	})
-}
-
 // runMatmul is the EC2 challenge benchmark: iterative dense C = A·B with
 // one task per output row (unchunked) or per row block (chunked). A and B
 // are read-shared — the access pattern that blows up FastTrack's read

@@ -7,17 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "MolDyn",
-		Source: "JGF §3",
-		Desc:   "Molecular dynamics simulation",
-		Args:   "(B)",
-		JGF:    true,
-		Run:    runMolDyn,
-	})
-}
-
 // runMolDyn is a Lennard-Jones N-body simulation with velocity-Verlet
 // integration. Force computation parallelizes over particles: each task
 // reads every position (read-shared) and writes only its own particle's

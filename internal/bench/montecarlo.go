@@ -7,17 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "MonteCarlo",
-		Source: "JGF §3",
-		Desc:   "Monte Carlo simulation",
-		Args:   "(B)",
-		JGF:    true,
-		Run:    runMonteCarlo,
-	})
-}
-
 // runMonteCarlo prices an asset by geometric-Brownian-motion simulation,
 // one path per task (the JGF financial kernel). The four model
 // parameters are read-shared; each task writes one result slot; the

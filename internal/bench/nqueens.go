@@ -5,16 +5,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "NQueens",
-		Source: "BOTS",
-		Desc:   "N Queens problem",
-		Args:   "(14)",
-		Run:    runNQueens,
-	})
-}
-
 // runNQueens counts the solutions of the n-queens problem. The first two
 // ranks are explored as parallel tasks (the BOTS cutoff style); each task
 // searches its subtree sequentially with bitmask board state and writes

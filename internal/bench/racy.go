@@ -7,39 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-// RacyBenchmark is a deliberately racy (from SPD3's standpoint) program
-// preserved from the paper's anecdotes; SPD3 is expected to report on it.
-type RacyBenchmark struct {
-	Name string
-	Desc string
-	// NeedsParallel marks variants using blocking barriers, which the
-	// sequential executor cannot run.
-	NeedsParallel bool
-	Run           func(rt *task.Runtime, in Input) (float64, error)
-}
-
-// Racy returns the deliberately racy programs.
-func Racy() []*RacyBenchmark {
-	return []*RacyBenchmark{
-		{
-			Name: "RacyMonteCarlo",
-			Desc: "benign race: parallel tasks repeatedly assign the same value (§6.1)",
-			Run:  runRacyMonteCarlo,
-		},
-		{
-			Name: "BuggyBarrier",
-			Desc: "JGF-style hand-rolled barrier via unsynchronized flag array (§6.3)",
-			Run:  runBuggyBarrier,
-		},
-		{
-			Name:          "BarrierSOR",
-			Desc:          "original JGF shape: persistent tasks + real barriers; race-free for FastTrack+barrier events, reported by SPD3 (§6.3)",
-			NeedsParallel: true,
-			Run:           runBarrierSOR,
-		},
-	}
-}
-
 // runRacyMonteCarlo reproduces the benign race the paper found in the
 // async/finish MonteCarlo rewrite (§6.1): every path task redundantly
 // assigns the same initialization value to a shared location. The value

@@ -7,17 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "RayTracer",
-		Source: "JGF §3",
-		Desc:   "3D ray tracer",
-		Args:   "(B)",
-		JGF:    true,
-		Run:    runRayTracer,
-	})
-}
-
 // sphereFields is the flattened per-sphere record in the scene array:
 // center (3), radius, diffuse reflectance.
 const sphereFields = 5

@@ -7,17 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Series",
-		Source: "JGF §2",
-		Desc:   "Fourier coefficient analysis",
-		Args:   "(C)",
-		JGF:    true,
-		Run:    runSeries,
-	})
-}
-
 // runSeries computes the first n Fourier coefficient pairs of
 // f(x) = (x+1)^x on [0,2] by trapezoid integration, one coefficient pair
 // per parallel iteration (the JGF Series kernel). Each task's work is

@@ -5,17 +5,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "SOR",
-		Source: "JGF §2",
-		Desc:   "Successive over-relaxation",
-		Args:   "(C)",
-		JGF:    true,
-		Run:    runSOR,
-	})
-}
-
 // runSOR performs red-black successive over-relaxation on an n×n grid.
 // The original JGF kernel synchronized sweeps with a (buggy, §6.3)
 // custom barrier; the async/finish version uses one finish per color

@@ -7,17 +7,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Sparse",
-		Source: "JGF §2",
-		Desc:   "Sparse matrix multiplication",
-		Args:   "(C)",
-		JGF:    true,
-		Run:    runSparse,
-	})
-}
-
 // runSparse is the JGF sparse matrix-vector kernel: y += A·x iterated
 // over a random CRS matrix, parallel over rows. The value, index, and
 // vector arrays are read-shared; each task writes only its own rows of y.

@@ -8,16 +8,6 @@ import (
 	"spd3/internal/task"
 )
 
-func init() {
-	register(&Benchmark{
-		Name:   "Strassen",
-		Source: "BOTS",
-		Desc:   "Matrix multiply with Strassen's method",
-		Args:   "(large)",
-		Run:    runStrassen,
-	})
-}
-
 // mview is a square sub-matrix view into an instrumented matrix; all
 // element accesses stay monitored.
 type mview struct {

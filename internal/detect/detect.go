@@ -450,7 +450,7 @@ type Footprint = stats.Footprint
 // measured against it.
 type Nop struct{}
 
-func (Nop) Name() string                { return "base" }
+func (Nop) Name() string                { return "none" }
 func (Nop) MainTask(*Task, *Finish)     {}
 func (Nop) BeforeSpawn(*Task, *Task)    {}
 func (Nop) TaskEnd(*Task)               {}

@@ -90,17 +90,9 @@ func recordProgen(t *testing.T, seed int64, seq bool) []byte {
 // ESP-bags) can legally consume the trace.
 func recordKernel(t *testing.T, name string, scale float64) []byte {
 	t.Helper()
-	var run func(*task.Runtime, bench.Input) (float64, error)
-	if b, err := bench.ByName(name); err == nil {
-		run = b.Run
-	}
-	for _, rb := range bench.Racy() {
-		if rb.Name == name {
-			run = rb.Run
-		}
-	}
-	if run == nil {
-		t.Fatalf("%s is neither in bench.All() nor in bench.Racy()", name)
+	b, err := bench.ByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf, true)
@@ -108,7 +100,7 @@ func recordKernel(t *testing.T, name string, scale float64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(rt, bench.Input{Scale: scale}); err != nil {
+	if _, err := b.Run(rt, bench.Input{Scale: scale}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -591,12 +583,12 @@ func TestEndToEndRacyMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rb := range bench.Racy() {
-		if rb.Name == "RacyMonteCarlo" {
-			if _, err := rb.Run(rt, bench.Input{Scale: 0.2}); err != nil {
-				t.Fatal(err)
-			}
-		}
+	rmc, err := bench.ByName("RacyMonteCarlo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rmc.Run(rt, bench.Input{Scale: 0.2}); err != nil {
+		t.Fatal(err)
 	}
 	if sink.Empty() {
 		t.Fatal("live spd3 run found no race in RacyMonteCarlo")

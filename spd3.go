@@ -407,8 +407,9 @@ func NewAccumulator[T any](e *Engine, combine func(a, b T) T) *Accumulator[T] {
 
 // RegisterStaticElided records n container access sites whose dynamic
 // race checks were removed at compile time by the §5.5 static check
-// eliminator (cmd/spd3inst's checkelim post-pass, or spd3vet -fix).
-// Optimized packages carry a generated init that calls this once; every
+// eliminator. Only cmd/spd3inst -o stamps the count: its checkelim
+// post-pass writes a zz_spd3opt.go init that calls this once (spd3vet
+// -fix applies the same rewrites but writes no such file); every
 // Report.Stats then exposes the process-wide total under the
 // mem.checks_elided_static counter, so the measured dynamic check
 // counts can be read against what the optimizer proved away.
